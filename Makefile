@@ -12,7 +12,8 @@ GATE_COUNT ?= 9
 
 .PHONY: test collect lint lint-deep format docs-check test-lock-order \
 	bench-smoke bench-warm bench-stream bench-batch bench-reshard \
-	bench-adapt bench-kernel bench-dynamic bench-trend bench
+	bench-adapt bench-kernel bench-dynamic bench-trend bench \
+	bench-e2e test-e2e-harness
 
 test:
 	PYTHONPATH=src $(PYTHON) -m pytest -x -q
@@ -121,6 +122,17 @@ bench-dynamic:
 # bench targets (they write the per-gate records).
 bench-trend:
 	$(PYTHON) benchmarks/check_trend.py $(BENCH_DIR) $(TRAJECTORY) $(GATE_COUNT)
+
+# The absolute, layered benchmark (BENCHMARK.json): serves one seeded
+# workload (WORKLOAD=scan_measured; default all six, each untraced then
+# traced), checks every answer against the oracle, prints the metrics.
+bench-e2e:
+	$(PYTHON) benchmarks/e2e/run.py --workload $(or $(WORKLOAD),all)
+
+# Self-test of that benchmark's harness: contract and tables in sync,
+# counts repeatable, a corrupted answer reported as a failure.
+test-e2e-harness:
+	$(PYTHON) -m pytest benchmarks/e2e -q
 
 bench:
 	PYTHONPATH=src $(PYTHON) -m pytest benchmarks/ -q

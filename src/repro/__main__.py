@@ -1061,9 +1061,9 @@ def main(argv=None) -> int:
         "--kernel",
         choices=("auto", "on", "off"),
         default="auto",
-        help="columnar enumeration kernel: auto/on route counter-less "
-        "requests through the compiled layout, off forces the reference "
-        "tuple-at-a-time path",
+        help="columnar enumeration kernel: auto/on route requests, "
+        "measured ones included, through the compiled layout; off forces "
+        "the reference tuple-at-a-time path",
     )
     serve.add_argument(
         "--limit",

@@ -3,11 +3,12 @@
 The columnar kernel's headline guarantee is *bit-identical parity*: any
 ``enumerate*``/``shared_enumerate`` entry point answers identically
 through the compiled-layout kernel and the reference tuple-at-a-time
-walk, and every entry point can fall back (measured requests, stale
-layouts, ``--kernel=off``). Parity erodes silently: a new entry point
-added with only one of the two routes still passes its own tests. This
-rule pins the surface on every serving representation class (one that
-defines ``enumerate_from`` or ``shared_enumerate``):
+walk — rows and, under a counter, logical steps — and every entry point
+can fall back (stale layouts, dirty dynamic buffers, ``--kernel=off``).
+Parity erodes silently: a new entry point added with only one of the two
+routes still passes its own tests. This rule pins the surface on every
+serving representation class (one that defines ``enumerate_from`` or
+``shared_enumerate``):
 
 * **Signatures** of same-name entry points are identical across
   classes — pinned here as the canonical parameter lists — so cursors,
@@ -167,7 +168,7 @@ class ParitySurfaceRule(Rule):
                         key=f"{cls.name}.{name}:reference-route",
                         message=(
                             f"{cls.name}.{name} has no reference "
-                            f"fallback — measured requests and stale "
-                            f"layouts need the non-kernel walk"
+                            f"fallback — stale layouts and "
+                            f"--kernel=off need the non-kernel walk"
                         ),
                     )

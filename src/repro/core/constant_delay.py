@@ -235,15 +235,15 @@ class ConnexConstantDelayStructure:
         assignment: Dict[Variable, object] = dict(zip(bound_order, access))
         free_order = self.view.free_variables
         bags = self._preorder
-        if counter is None and layout_mod.kernel_enabled():
-            # Counter-less requests take the flattened kernel walk over
-            # the same pre-sorted bag indexes — identical rows and order,
-            # no per-bag generator nesting.
+        if layout_mod.kernel_enabled():
+            # The flattened kernel walk over the same pre-sorted bag
+            # indexes — identical rows, order and counted steps, no
+            # per-bag generator nesting.
             specs = [
                 (bag.bound_vars, bag.free_vars, bag.index)
                 for bag in (self._bags[node] for node in bags)
             ]
-            yield from nested_product_rows(specs, assignment, free_order)
+            yield from nested_product_rows(specs, assignment, free_order, counter)
             return
 
         def recurse(position: int) -> Iterator[Tuple]:

@@ -583,7 +583,7 @@ class DecomposedRepresentation:
 
     @property
     def kernel_ready(self) -> bool:
-        """Whether every bag's counter-less enumeration uses the kernel."""
+        """Whether every bag's enumeration uses the kernel."""
         return all(
             bag.representation.kernel_ready for bag in self._bags.values()
         )

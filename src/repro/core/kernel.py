@@ -12,10 +12,18 @@ runs), and decoding β codes and final-coordinate runs in bulk.
 Every walk mirrors its reference twin *event for event*: the visit order,
 skip conditions, clipping rules and emission points are line-by-line
 transcriptions of ``_eval`` / ``_eval_from`` / ``_shared_eval``, so the
-produced streams are bit-identical. The kernel is only entered for
-counter-less enumerations (measured runs keep the reference path and its
-exact step accounting), which is what makes the equivalence a construction
-property rather than a tuning promise.
+produced streams are bit-identical.
+
+Measured enumerations (a :class:`~repro.joins.generic_join.JoinCounter`
+attached) ride the same walks and count the same logical steps the
+reference adds: +1 per dictionary probe, +``len(atoms)`` per β check, +1
+per candidate of the smallest in-range participating run at every join
+level, +1 per domain value on an unconstrained coordinate. A light node's
+rows are buffered before they are yielded, so each row carries a *step
+stamp* — the node's step count at the moment the reference would have
+yielded it — and the counter is advanced to the stamp as the row is
+delivered (:func:`_stamped`): a consumer reading the counter between
+pulls sees exactly the reference's gap sequence, early stops included.
 
 :func:`nested_product_rows` is the same idea for the materialized
 constant-delay structures: the recursive per-bag generator nest of
@@ -46,13 +54,14 @@ _NUMPY_MIN_RUN = 32
 class KernelSlot:
     """One access request's lane through a shared kernel descent."""
 
-    __slots__ = ("slot", "bucket", "states", "start")
+    __slots__ = ("slot", "bucket", "states", "start", "counter")
 
-    def __init__(self, slot, bucket, states, start):
+    def __init__(self, slot, bucket, states, start, counter=None):
         self.slot = slot
         self.bucket = bucket
         self.states = states
         self.start = start
+        self.counter = counter
 
 
 def _probe(ids, bits, node_id: int) -> Optional[int]:
@@ -66,28 +75,27 @@ def _probe(ids, bits, node_id: int) -> Optional[int]:
 # ----------------------------------------------------------------------
 # columnar worst-case-optimal join over one box
 # ----------------------------------------------------------------------
-def _intersect_runs(layout, runs) -> List[int]:
-    """Sorted intersection of clipped candidate runs (ascending indexes)."""
+def _intersect_runs(layout, runs, small_length) -> List[int]:
+    """Sorted intersection of clipped candidate runs (ascending indexes).
+
+    ``small_length`` is the length of the shortest run.
+    """
     atoms = layout.join_atoms
     if len(runs) == 1:
         index, level, lo, hi = runs[0]
         return atoms[index].vals[level][lo:hi]
     np_module = layout.np
-    if np_module is not None:
-        small = min(hi - lo for _, _, lo, hi in runs)
-        if small >= _NUMPY_MIN_RUN:
-            views = [
-                atoms[index].np_vals[level][lo:hi]
-                for index, level, lo, hi in runs
-            ]
-            result = views[0]
-            for other in views[1:]:
-                result = np_module.intersect1d(
-                    result, other, assume_unique=True
-                )
-                if not result.size:
-                    break
-            return result.tolist()
+    if np_module is not None and small_length >= _NUMPY_MIN_RUN:
+        views = [
+            atoms[index].np_vals[level][lo:hi]
+            for index, level, lo, hi in runs
+        ]
+        result = views[0]
+        for other in views[1:]:
+            result = np_module.intersect1d(result, other, assume_unique=True)
+            if not result.size:
+                break
+        return result.tolist()
     if len(runs) == 2:
         # The overwhelmingly common shape: gallop the smaller run
         # through the larger without the generic sort/zip scaffolding.
@@ -123,7 +131,9 @@ def _intersect_runs(layout, runs) -> List[int]:
     return result
 
 
-def _join_coord(layout, states, coordinate, box, prefix, out) -> None:
+def _join_coord(
+    layout, states, coordinate, box, prefix, out, stamps, base
+) -> int:
     """Append the box-restricted join rows for one coordinate onward.
 
     ``states`` holds per-atom ``(lo, hi)`` run slices aligned with
@@ -132,14 +142,23 @@ def _join_coord(layout, states, coordinate, box, prefix, out) -> None:
     the same participation rule as the reference generic join, with
     sorted-run intersections in place of per-candidate hash probes, and
     the final coordinate emitted as one bulk-decoded run.
+
+    Returns the logical steps the reference join spends on this subtree:
+    one per candidate of the smallest in-range participating run (first
+    minimum in atom order, the reference's tie-break), or one per domain
+    value on an unconstrained coordinate. When ``stamps`` is a list, each
+    row appended to ``out`` also gets its step stamp: ``base`` plus the
+    steps counted up to and including the row's own last candidate.
     """
     width = layout.width
     if coordinate == width:
         out.append(tuple(prefix))
-        return
+        if stamps is not None:
+            stamps.append(base)
+        return 0
     low_index, high_index = box[coordinate]
     if low_index > high_index:
-        return
+        return 0
     participants = layout.participants[coordinate]
     values = layout.domain_values[coordinate]
     last = coordinate == width - 1
@@ -147,36 +166,55 @@ def _join_coord(layout, states, coordinate, box, prefix, out) -> None:
         # No atom constrains this coordinate: the reference join falls
         # back to the (full) active domain sliced to the box range.
         if last:
-            base = tuple(prefix)
+            row_base = tuple(prefix)
             out.extend(
-                base + (values[index],)
+                row_base + (values[index],)
                 for index in range(low_index, high_index + 1)
             )
-            return
+            steps = high_index - low_index + 1
+            if stamps is not None:
+                stamps.extend(range(base + 1, base + steps + 1))
+            return steps
+        steps = 0
         for index in range(low_index, high_index + 1):
             prefix.append(values[index])
-            _join_coord(layout, states, coordinate + 1, box, prefix, out)
+            steps += 1
+            steps += _join_coord(
+                layout, states, coordinate + 1, box, prefix, out, stamps, base + steps
+            )
             prefix.pop()
-        return
+        return steps
     atoms = layout.join_atoms
     runs = []
+    small_length = None
     for index, level in participants:
         lo, hi = states[index]
         run = atoms[index].vals[level]
         clip_lo = bisect_left(run, low_index, lo, hi)
         clip_hi = bisect_right(run, high_index, lo, hi)
         if clip_lo >= clip_hi:
-            return
+            return 0
         runs.append((index, level, clip_lo, clip_hi))
+        if small_length is None or clip_hi - clip_lo < small_length:
+            # Strictly smaller only: the first minimum, as the reference.
+            small_length = clip_hi - clip_lo
+            small_run, small_lo, small_hi = run, clip_lo, clip_hi
+            small_index = index
     if last:
-        candidates = _intersect_runs(layout, runs)
+        candidates = _intersect_runs(layout, runs, small_length)
         if candidates:
-            base = tuple(prefix)
-            out.extend(base + (values[index],) for index in candidates)
-        return
-    smallest = min(runs, key=lambda run: run[3] - run[2])
-    small_index, small_level, small_lo, small_hi = smallest
-    small_run = atoms[small_index].vals[small_level]
+            row_base = tuple(prefix)
+            out.extend(row_base + (values[index],) for index in candidates)
+            if stamps is not None:
+                # A match's stamp is its 1-based position in the run the
+                # reference iterates — the smallest one.
+                first = base + 1 - small_lo
+                stamps.extend(
+                    bisect_left(small_run, index, small_lo, small_hi) + first
+                    for index in candidates
+                )
+        return small_length
+    deeper = 0
     for small_position in range(small_lo, small_hi):
         candidate = small_run[small_position]
         next_states = list(states)
@@ -202,8 +240,40 @@ def _join_coord(layout, states, coordinate, box, prefix, out) -> None:
         if not matched:
             continue
         prefix.append(values[candidate])
-        _join_coord(layout, next_states, coordinate + 1, box, prefix, out)
+        spent = small_position - small_lo + 1 + deeper
+        deeper += _join_coord(
+            layout, next_states, coordinate + 1, box, prefix, out, stamps, base + spent
+        )
         prefix.pop()
+    return small_length + deeper
+
+
+def _stamped(counter, out, stamps, total) -> Iterator[Tuple]:
+    """Yield buffered rows, advancing ``counter`` to each row's stamp.
+
+    Increments (not assignments): a counter shared with interleaved
+    enumerations — the decomposed bag nest — keeps their steps. The
+    trailing ``total - last stamp`` steps land only when the consumer
+    pulls past the last row, exactly when the reference would spend them.
+    """
+    done = 0
+    for row, stamp in zip(out, stamps):
+        counter.steps += stamp - done
+        done = stamp
+        yield row
+    counter.steps += total - done
+
+
+def _light_rows(layout, states, boxes, counter):
+    """The rows of a light node's boxes, stamped when ``counter`` is set."""
+    out: List[Tuple] = []
+    stamps = None if counter is None else []
+    steps = 0
+    for box in boxes:
+        steps += _join_coord(layout, states, 0, box, [], out, stamps, steps)
+    if stamps is None:
+        return out
+    return _stamped(counter, out, stamps, steps)
 
 
 def _clipped_boxes(layout, low, high, start):
@@ -225,7 +295,7 @@ def _clipped_boxes(layout, low, high, start):
 # ----------------------------------------------------------------------
 # solo walks (enumerate / enumerate_from)
 # ----------------------------------------------------------------------
-def _walk(layout, bucket, states, start) -> Iterator[Tuple]:
+def _walk(layout, bucket, states, start, counter) -> Iterator[Tuple]:
     tree = layout.tree
     root = tree.root
     if root < 0:
@@ -240,6 +310,7 @@ def _walk(layout, bucket, states, start) -> Iterator[Tuple]:
     beta_values = tree.beta_values
     boxes_col = tree.boxes
     point_matches = layout.point_matches
+    beta_steps = len(layout.atoms)  # one membership probe per atom
     stack = [(_VISIT if start is None else _VISIT_FROM, root)]
     while stack:
         kind, node_id = stack.pop()
@@ -249,6 +320,8 @@ def _walk(layout, bucket, states, start) -> Iterator[Tuple]:
             if low_col[node_id] >= start:
                 kind = _VISIT  # whole subtree past the seek: full walk
             else:
+                if counter is not None:
+                    counter.steps += 1  # dictionary probe
                 position = bisect_left(ids, node_id)
                 bit = (
                     bits[position]
@@ -266,14 +339,14 @@ def _walk(layout, bucket, states, start) -> Iterator[Tuple]:
                     if left >= 0:
                         stack.append((_VISIT_FROM, left))
                     continue
-                out: List[Tuple] = []
-                for box in _clipped_boxes(
+                boxes = _clipped_boxes(
                     layout, low_col[node_id], high_col[node_id], start
-                ):
-                    _join_coord(layout, states, 0, box, [], out)
-                yield from out
+                )
+                yield from _light_rows(layout, states, boxes, counter)
                 continue
         if kind == _VISIT:
+            if counter is not None:
+                counter.steps += 1  # dictionary probe
             position = bisect_left(ids, node_id)
             bit = (
                 bits[position]
@@ -291,35 +364,33 @@ def _walk(layout, bucket, states, start) -> Iterator[Tuple]:
                 if left >= 0:
                     stack.append((_VISIT, left))
                 continue
-            out = []
-            for box in boxes_col[node_id]:
-                _join_coord(layout, states, 0, box, [], out)
-            yield from out
-        elif kind == _BETA:
-            if point_matches(states, beta_col[node_id]):
-                yield beta_values[node_id]
-        else:  # _BETA_FROM
-            point = beta_col[node_id]
-            if point >= start and point_matches(states, point):
-                yield beta_values[node_id]
+            yield from _light_rows(layout, states, boxes_col[node_id], counter)
+            continue
+        point = beta_col[node_id]
+        if kind == _BETA_FROM and point < start:
+            continue
+        if counter is not None:
+            counter.steps += beta_steps
+        if point_matches(states, point):
+            yield beta_values[node_id]
 
 
-def kernel_enumerate(layout, access: Tuple) -> Iterator[Tuple]:
+def kernel_enumerate(layout, access: Tuple, counter=None) -> Iterator[Tuple]:
     """The kernel twin of ``CompressedRepresentation._eval``."""
     states = layout.root_states(access)
     if states is None:
         return iter(())
-    return _walk(layout, layout.dict_bucket(access), states, None)
+    return _walk(layout, layout.dict_bucket(access), states, None, counter)
 
 
 def kernel_enumerate_from(
-    layout, access: Tuple, start: Tuple[int, ...]
+    layout, access: Tuple, start: Tuple[int, ...], counter=None
 ) -> Iterator[Tuple]:
     """The kernel twin of ``CompressedRepresentation._eval_from``."""
     states = layout.root_states(access)
     if states is None:
         return iter(())
-    return _walk(layout, layout.dict_bucket(access), states, start)
+    return _walk(layout, layout.dict_bucket(access), states, start, counter)
 
 
 # ----------------------------------------------------------------------
@@ -333,13 +404,15 @@ def kernel_shared_enumerate(
     Stack entries carry the surviving slot group, so a subtree no live
     slot descends into is never visited and β codes are decoded once per
     node for the whole group — the exact sharing contract of the
-    reference merged descent, including per-slot seek clipping and
-    ``alive`` pruning at node/box boundaries.
+    reference merged descent, including per-slot seek clipping,
+    ``alive`` pruning at node/box boundaries, and per-slot step counting
+    (measured and unmeasured lanes mix freely in one group).
     """
     tree = layout.tree
     root = tree.root
     if root < 0 or not slots:
         return
+    beta_steps = len(layout.atoms)
     stack = [(_VISIT, root, slots)]
     while stack:
         kind, node_id, group = stack.pop()
@@ -351,6 +424,8 @@ def kernel_shared_enumerate(
                     continue
                 if slot.start is not None and point < slot.start:
                     continue
+                if slot.counter is not None:
+                    slot.counter.steps += beta_steps
                 if layout.point_matches(slot.states, point):
                     yield (slot.slot, beta_values)
             continue
@@ -365,6 +440,8 @@ def kernel_shared_enumerate(
                 continue
             if slot.start is not None and high < slot.start:
                 continue
+            if slot.counter is not None:
+                slot.counter.steps += 1  # dictionary probe (per slot)
             ids, bits = slot.bucket
             bit = _probe(ids, bits, node_id)
             if bit == 0:
@@ -380,17 +457,13 @@ def kernel_shared_enumerate(
                 for slot in light_full:
                     if not alive[slot.slot]:
                         continue
-                    out: List[Tuple] = []
-                    _join_coord(layout, slot.states, 0, box, [], out)
-                    for row in out:
+                    for row in _light_rows(layout, slot.states, (box,), slot.counter):
                         yield (slot.slot, row)
         for slot in light_clipped:
             for box in _clipped_boxes(layout, low, high, slot.start):
                 if not alive[slot.slot]:
                     break
-                out = []
-                _join_coord(layout, slot.states, 0, box, [], out)
-                for row in out:
+                for row in _light_rows(layout, slot.states, (box,), slot.counter):
                     yield (slot.slot, row)
         if not heavy:
             continue
@@ -406,14 +479,25 @@ def kernel_shared_enumerate(
 # ----------------------------------------------------------------------
 # flattened nested-bag product (constant-delay structures)
 # ----------------------------------------------------------------------
-def nested_product_rows(bag_specs, assignment, free_order) -> Iterator[Tuple]:
+def _counted(rows, counter) -> Iterator[Tuple]:
+    """``rows``, one step per row as it is taken."""
+    for row in rows:
+        counter.steps += 1
+        yield row
+
+
+def nested_product_rows(
+    bag_specs, assignment, free_order, counter=None
+) -> Iterator[Tuple]:
     """Iterative twin of the Proposition 4 nested-bag enumeration.
 
     ``bag_specs`` is a pre-order list of ``(bound_vars, free_vars, index)``
     triples over materialized bags; ``assignment`` holds the bound
     valuation and is extended in place. Emission order matches the
     recursive reference exactly (bag index lists are pre-sorted); the
-    deepest bag is emitted as one bulk run per parent valuation.
+    deepest bag is emitted as one bulk run per parent valuation. With a
+    ``counter`` the walk counts what the reference counts: one step per
+    bag index lookup and one per bag row taken.
     """
     count = len(bag_specs)
     if count == 0:
@@ -422,9 +506,11 @@ def nested_product_rows(bag_specs, assignment, free_order) -> Iterator[Tuple]:
 
     def rows_at(position):
         bound_vars, _free_vars, index = bag_specs[position]
-        return index.get(
-            tuple(assignment[v] for v in bound_vars), ()
-        )
+        rows = index.get(tuple(assignment[v] for v in bound_vars), ())
+        if counter is None:
+            return rows
+        counter.steps += 1
+        return _counted(rows, counter)
 
     last = count - 1
     if count == 1:

@@ -26,9 +26,10 @@ pure ``bisect`` path computes identical results without it (numpy is an
 optional extra — ``pip install .[kernel]``).
 
 The kernel is an optimization layer only: answers, order, and measured
-delay statistics are bit-identical by construction, because measured
-enumerations (a :class:`~repro.joins.generic_join.JoinCounter` present)
-always take the reference tuple-at-a-time path. The global kernel mode
+delay statistics are bit-identical by construction — the kernel counts
+the reference walk's logical steps itself when a
+:class:`~repro.joins.generic_join.JoinCounter` is attached (see
+:mod:`repro.core.kernel`). The global kernel mode
 (``auto``/``on``/``off``, CLI ``serve --kernel=...``) and the dictionary
 version guard (layouts compiled before an in-place dictionary edit go
 stale and stop routing) are enforced here.
@@ -57,9 +58,9 @@ def set_kernel_mode(mode: str) -> None:
     """Set the process-wide kernel routing mode (``auto``/``on``/``off``).
 
     ``off`` forces every enumeration onto the reference tuple-at-a-time
-    path; ``auto`` and ``on`` route counter-less enumerations through the
-    columnar kernel whenever a fresh layout is present (they are aliases —
-    ``on`` exists so operators can state intent explicitly).
+    path; ``auto`` and ``on`` route enumerations through the columnar
+    kernel whenever a fresh layout is present (they are aliases — ``on``
+    exists so operators can state intent explicitly).
     """
     global _kernel_mode
     if mode not in _KERNEL_MODES:

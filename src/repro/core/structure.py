@@ -190,19 +190,16 @@ class CompressedRepresentation:
 
     @property
     def kernel_ready(self) -> bool:
-        """Whether counter-less enumerations route through the kernel."""
-        return self._active_layout(None) is not None
+        """Whether enumerations (measured or not) route through the kernel."""
+        return self._active_layout() is not None
 
-    def _active_layout(self, counter):
+    def _active_layout(self):
         """The layout to route through, or None to take the reference path.
 
-        Fallback triggers: a counter is attached (measured enumerations
-        keep the reference path and its exact step accounting), the
-        kernel mode is ``off``, no layout was compiled, or the dictionary
-        changed since compilation (stale layout).
+        Fallback triggers: the kernel mode is ``off``, no layout was
+        compiled, or the dictionary changed since compilation (stale
+        layout). A counter is not one: the kernel counts steps itself.
         """
-        if counter is not None:
-            return None
         layout = self._layout
         if layout is None or not layout_mod.kernel_enabled():
             return None
@@ -384,11 +381,12 @@ class CompressedRepresentation:
             )
         if self.tree.root is None:
             return
-        layout = self._active_layout(counter)
+        layout = self._active_layout()
         if layout is not None:
-            # Columnar kernel: bit-identical stream over the compiled
-            # layout (the per-atom root lookup subsumes the subtrie check).
-            yield from kernel_enumerate(layout, access)
+            # Columnar kernel: bit-identical stream and step counts over
+            # the compiled layout (the per-atom root lookup subsumes the
+            # subtrie check).
+            yield from kernel_enumerate(layout, access, counter)
             return
         subtries = self.ctx.subtries(access)
         if any(node is None for node in subtries):
@@ -474,9 +472,9 @@ class CompressedRepresentation:
         start = self._ceil_point(start_values)
         if start is None:
             return  # start lies beyond the top of the tuple space
-        layout = self._active_layout(counter)
+        layout = self._active_layout()
         if layout is not None:
-            yield from kernel_enumerate_from(layout, access, start)
+            yield from kernel_enumerate_from(layout, access, start, counter)
             return
         subtries = self.ctx.subtries(access)
         if any(node is None for node in subtries):
@@ -613,16 +611,9 @@ class CompressedRepresentation:
             cache = SubtrieCache()
         if alive is None:
             alive = [True] * len(accesses)
-        # Kernel routing is all-or-nothing for a scan: any measuring lane
-        # keeps the whole group on the reference path so the interleaved
-        # step accounting stays exact. Trie descents still run through
-        # the shared cache either way — the dedup stats are part of the
-        # scan's observable contract.
-        layout = (
-            self._active_layout(None)
-            if counters is None or all(c is None for c in counters)
-            else None
-        )
+        # Trie descents run through the shared cache on either route —
+        # the dedup stats are part of the scan's observable contract.
+        layout = self._active_layout()
         slots: List = []
         for index, access in enumerate(accesses):
             access = tuple(access)
@@ -640,17 +631,17 @@ class CompressedRepresentation:
             subtries = self.ctx.subtries_shared(access, cache)
             if any(node is None for node in subtries):
                 continue  # some relation has no tuple matching the access
+            counter = counters[index] if counters is not None else None
             if layout is not None:
                 states = layout.root_states(access)
                 if states is None:
                     continue
                 slots.append(
                     KernelSlot(
-                        index, layout.dict_bucket(access), states, start
+                        index, layout.dict_bucket(access), states, start, counter
                     )
                 )
                 continue
-            counter = counters[index] if counters is not None else None
             slots.append(ScanSlot(index, access, subtries, start, counter))
         if not slots or self.tree.root is None:
             return

@@ -929,11 +929,7 @@ class ViewServer:
             lambda: self._release_dynamic(state, version)
         )
         if self._telemetry is not None:
-            path = (
-                "columnar"
-                if not request.measure and serving.kernel_ready
-                else "fallback"
-            )
+            path = "columnar" if serving.kernel_ready else "fallback"
             self._kernel_counter(request.view, path).inc()
             self._instrument_cursor(cursor, request, started, mode="open")
             self._set_dynamic_gauges(state)
@@ -1164,8 +1160,7 @@ class ViewServer:
         if self._telemetry is not None:
             path = (
                 "columnar"
-                if not request.measure
-                and getattr(representation, "kernel_ready", False)
+                if getattr(representation, "kernel_ready", False)
                 else "fallback"
             )
             self._kernel_counter(request.view, path).inc()

@@ -313,18 +313,13 @@ class SharedScan:
         """Which enumeration path this group rides.
 
         ``columnar`` when the representation's fresh compiled layout
-        serves the whole merged descent; ``fallback`` otherwise — direct
-        (sequential) scans, any measuring lane in the group (the
-        all-or-nothing rule that keeps measured stats on the reference
-        path), a stale or absent layout, or the kernel switched off.
+        serves the group — merged descent or direct per-state streams,
+        measured lanes included (the kernel counts their steps itself);
+        ``fallback`` otherwise — a stale or absent layout, dirty dynamic
+        buffers, or the kernel switched off.
         """
-        if self._direct:
-            return "fallback"
-        if any(state.counter is not None for state in self._states):
-            return "fallback"
-        if getattr(self.representation, "kernel_ready", False):
-            return "columnar"
-        return "fallback"
+        ready = getattr(self.representation, "kernel_ready", False)
+        return "columnar" if ready else "fallback"
 
     def stats(self) -> SharedScanStats:
         """This scan's sharing so far (final once every cursor closed)."""

@@ -5,17 +5,21 @@ structures — once routed through the compiled columnar layout
 (``set_kernel_mode("on")``) and once forced onto the reference
 tuple-at-a-time path (``"off"``) — and the streams must be identical
 element for element: same rows, same order, same shared-scan event
-interleaving. Fallback triggers (counters, stale dictionary versions,
-dirty dynamic buffers, ``off`` mode) and both snapshot codec versions
-are covered as well.
+interleaving — and, with a ``JoinCounter`` attached, the same logical
+step gap before every row and at exhaustion (the kernel does the delay
+accounting itself). Fallback triggers (stale dictionary versions, dirty
+dynamic buffers, ``off`` mode) and both snapshot codec versions are
+covered as well.
 """
 
 import pickle
 import zlib
 
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from oracle import oracle_accesses, oracle_answer
+from repro.core import kernel as kernel_mod
 from repro.core import layout as layout_mod
 from repro.core.decomposed import DecomposedRepresentation
 from repro.core.dynamic import DynamicRepresentation
@@ -28,7 +32,13 @@ from repro.core.snapshot import (
     inspect_snapshot,
 )
 from repro.core.structure import CompressedRepresentation
+from repro.database.catalog import Database
+from repro.database.relation import Relation
+from repro.engine.api import AccessRequest, open_cursor
+from repro.engine.dynamic_serving import FrozenDynamicView
+from repro.engine.shared_scan import open_group
 from repro.joins.generic_join import JoinCounter
+from repro.measure.delay import measure_enumeration
 from repro.workloads.generators import (
     path_database,
     star_database,
@@ -183,12 +193,12 @@ class TestSharedScanParity:
         kernel_events, reference_events = on_off(pruned_stream)
         assert kernel_events == reference_events
 
-    def test_counters_force_reference_for_the_whole_group(self, scan_setup):
+    def test_mixed_counter_lanes_count_identically(self, scan_setup):
         _, _, rep, accesses = scan_setup
 
         def counted():
             counters = [JoinCounter() for _ in accesses]
-            counters[0] = None  # mixed group: one lane measured is enough
+            counters[0] = None  # mixed group: the kernel counts per lane
             counters[1] = JoinCounter()
             events = list(
                 rep.shared_enumerate(accesses, counters=counters)
@@ -262,6 +272,315 @@ class TestOtherRepresentations:
             assert sorted(kernel_rows) == oracle_answer(view, db, access)
 
 
+def measured_run(make_iterator):
+    """(rows, step gaps) of one measured drain — every gap, not the total.
+
+    ``make_iterator(counter)`` builds the enumeration; the gap list has
+    one entry per row plus the closing gap at exhaustion.
+    """
+    counter = JoinCounter()
+    rows = []
+
+    def stream():
+        for row in make_iterator(counter):
+            rows.append(row)
+            yield row
+
+    stats = measure_enumeration(stream(), counter, keep_gaps=True)
+    assert stats.step_total == sum(stats.step_gaps)
+    return rows, stats.step_gaps
+
+
+def measured_on_off(make_iterator):
+    kernel_side, reference_side = on_off(
+        lambda: [measured_run(make_iterator)]
+    )
+    return kernel_side[0], reference_side[0]
+
+
+def shared_trace(rep, accesses, counters, starts=None, prune_after=None):
+    """Events of one shared scan, each with its lane's counter reading."""
+    alive = [True] * len(accesses)
+    seen = [0] * len(accesses)
+    trace = []
+    for slot, row in rep.shared_enumerate(
+        accesses, starts=starts, counters=counters, alive=alive
+    ):
+        counter = counters[slot]
+        trace.append((slot, row, None if counter is None else counter.steps))
+        seen[slot] += 1
+        if prune_after is not None and seen[slot] >= prune_after:
+            alive[slot] = False
+    trace.append(
+        ("totals", tuple(None if c is None else c.steps for c in counters))
+    )
+    return trace
+
+
+@pytest.fixture(params=["numpy", "pure"])
+def backend(request, monkeypatch):
+    """Both intersection backends; numpy is forced onto every run."""
+    if request.param == "pure":
+        monkeypatch.setenv("REPRO_KERNEL_NO_NUMPY", "1")
+        assert layout_mod.numpy_backend() is None
+    else:
+        if layout_mod.numpy_backend() is None:
+            pytest.skip("numpy backend unavailable")
+        # The test databases are small: drop the threshold so every
+        # multi-run intersection goes through ``intersect1d``.
+        monkeypatch.setattr(kernel_mod, "_NUMPY_MIN_RUN", 1)
+    return request.param
+
+
+@pytest.mark.usefixtures("backend")
+class TestStepParity:
+    """A counter reads the same on both paths between any two rows."""
+
+    @pytest.mark.parametrize(
+        "case", views_under_test(), ids=lambda c: str(c[0].query.head)
+    )
+    def test_enumerate_and_every_split(self, case):
+        view, db = case
+        for tau in TAUS:
+            rep = CompressedRepresentation(view, db, tau=tau)
+            for access in oracle_accesses(view, db, limit=4):
+                kernel_side, reference_side = measured_on_off(
+                    lambda c: rep.enumerate(access, counter=c)
+                )
+                assert kernel_side == reference_side, (tau, access)
+                rows = kernel_side[0]
+                assert rows == oracle_answer(view, db, access)
+                tokens = (
+                    rows + [tuple(v + 1 for v in rows[-1])] if rows else []
+                )
+                for token in tokens:
+                    for entry in (rep.enumerate_from, rep.enumerate_after):
+                        kernel_side, reference_side = measured_on_off(
+                            lambda c: entry(access, token, counter=c)
+                        )
+                        assert kernel_side == reference_side, (
+                            tau,
+                            access,
+                            token,
+                            entry.__name__,
+                        )
+
+    @pytest.mark.parametrize(
+        "case", views_under_test(), ids=lambda c: str(c[0].query.head)
+    )
+    def test_shared_scan_lanes(self, case):
+        view, db = case
+        for tau in TAUS:
+            rep = CompressedRepresentation(view, db, tau=tau)
+            accesses = oracle_accesses(view, db, limit=5)
+            accesses = accesses + accesses[:1]  # a duplicate lane
+            starts = []
+            for index, access in enumerate(accesses):
+                rows = oracle_answer(view, db, access)
+                starts.append(
+                    rows[len(rows) // 2] if rows and index % 2 else None
+                )
+
+            def counters():
+                # Mixed group: every third lane rides unmeasured.
+                return [
+                    None if index % 3 == 2 else JoinCounter()
+                    for index in range(len(accesses))
+                ]
+
+            for kwargs in (
+                {},
+                {"starts": starts},
+                {"prune_after": 2},
+                {"starts": starts, "prune_after": 1},
+            ):
+                kernel_side, reference_side = on_off(
+                    lambda: shared_trace(rep, accesses, counters(), **kwargs)
+                )
+                assert kernel_side == reference_side, (tau, kwargs)
+
+    def test_cursor_stats_under_limits(self):
+        view = triangle_view("bff")
+        db = triangle_database(16, 80, seed=21)
+        rep = CompressedRepresentation(view, db, tau=4.0)
+        for access in oracle_accesses(view, db, limit=6):
+            rows, gaps = measured_run(
+                lambda c: rep.enumerate(access, counter=c)
+            )
+            for limit in (0, 1, max(1, len(rows) // 2), None):
+
+                def drained():
+                    cursor = open_cursor(
+                        rep,
+                        AccessRequest(
+                            "v", access, limit=limit, measure=True
+                        ),
+                    )
+                    delivered = cursor.fetchall()
+                    stats = cursor.stats()
+                    return [
+                        delivered,
+                        stats.step_total,
+                        stats.step_max_gap,
+                        cursor.exhausted,
+                    ]
+
+                kernel_side, reference_side = on_off(drained)
+                assert kernel_side == reference_side, (access, limit)
+                delivered, step_total, step_max_gap, exhausted = kernel_side
+                if limit is None or limit > len(rows):
+                    kept = gaps  # exhausted: the closing gap counts
+                else:
+                    # Limit-stopped: steps up to the last delivered row,
+                    # no closing gap — even when the limit is the answer.
+                    kept = gaps[:limit]
+                assert exhausted == (len(kept) == len(gaps))
+                assert delivered == rows[: len(delivered)]
+                assert step_total == sum(kept)
+                assert step_max_gap == max(kept, default=0)
+
+    def test_shared_cursors_mixed_measure_and_limits(self):
+        view = triangle_view("bff")
+        db = triangle_database(16, 80, seed=21)
+        rep = CompressedRepresentation(view, db, tau=4.0)
+        accesses = oracle_accesses(view, db, limit=5)
+        requests = [
+            AccessRequest(
+                "v",
+                access,
+                limit=(None, 1, 3)[index % 3],
+                measure=index % 2 == 0,
+            )
+            for index, access in enumerate(accesses + accesses[:2])
+        ]
+
+        def drained():
+            results = []
+            for cursor in open_group(rep, requests):
+                delivered = cursor.fetchall()
+                stats = cursor.stats()
+                results.append(
+                    (delivered, stats.step_total, stats.step_max_gap)
+                )
+            return results
+
+        kernel_side, reference_side = on_off(drained)
+        assert kernel_side == reference_side
+        assert any(total for _, total, _ in kernel_side)
+
+    def test_decomposed(self):
+        view = path_view(4)
+        db = path_database(4, 40, 10, seed=10)
+        rep = DecomposedRepresentation(view, db)
+        assert rep.kernel_ready
+        for access in oracle_accesses(view, db, limit=6):
+            kernel_side, reference_side = measured_on_off(
+                lambda c: rep.enumerate(access, counter=c)
+            )
+            assert kernel_side == reference_side, access
+            rows = kernel_side[0]
+            assert sorted(rows) == oracle_answer(view, db, access)
+            for token in rows:
+                kernel_side, reference_side = measured_on_off(
+                    lambda c: rep.enumerate_from(access, token, counter=c)
+                )
+                assert kernel_side == reference_side, (access, token)
+        accesses = oracle_accesses(view, db, limit=4)
+        kernel_side, reference_side = on_off(
+            lambda: shared_trace(
+                rep, accesses, [JoinCounter() for _ in accesses]
+            )
+        )
+        assert kernel_side == reference_side
+
+    def test_constant_delay(self):
+        for view, db in (
+            (path_view(3), path_database(3, 60, 12, seed=51)),
+            (path_view(4), path_database(4, 40, 10, seed=10)),
+            (star_view(3), star_database(3, 90, 12, seed=11)),
+        ):
+            structure = ConnexConstantDelayStructure(view, db)
+            for access in oracle_accesses(view, db, limit=6):
+                kernel_side, reference_side = measured_on_off(
+                    lambda c: structure.enumerate(access, counter=c)
+                )
+                assert kernel_side == reference_side, (view.name, access)
+
+    def test_clean_dynamic(self):
+        view = triangle_view("bbf")
+        db = triangle_database(14, 50, seed=41)
+        dynamic = DynamicRepresentation(
+            view, db, tau=4.0, rebuild_fraction=float("inf")
+        )
+        frozen = FrozenDynamicView(view, structure=dynamic._structure)
+        assert dynamic.kernel_ready and frozen.kernel_ready
+        for serving in (dynamic, frozen):
+            for access in oracle_accesses(view, db, limit=6):
+                kernel_side, reference_side = measured_on_off(
+                    lambda c: serving.enumerate(access, counter=c)
+                )
+                assert kernel_side == reference_side, access
+                for token in kernel_side[0]:
+                    kernel_side, reference_side = measured_on_off(
+                        lambda c: serving.enumerate_after(
+                            access, token, counter=c
+                        )
+                    )
+                    assert kernel_side == reference_side, (access, token)
+
+
+SMALL = st.integers(0, 5)
+EDGES = st.lists(st.tuples(SMALL, SMALL), max_size=24)
+
+
+@st.composite
+def parity_cases(draw):
+    """A random small triangle/path instance, τ, access and resume token."""
+    if draw(st.booleans()):
+        pattern = draw(
+            st.sampled_from(["bff", "fbf", "ffb", "bbf", "bfb", "fff"])
+        )
+        view, names = triangle_view(pattern), ("R", "S", "T")
+    else:
+        pattern = draw(st.sampled_from(["bffb", "ffff", "bfff", "fbbf"]))
+        view, names = path_view(3, pattern), ("R1", "R2", "R3")
+    db = Database([Relation(name, 2, draw(EDGES)) for name in names])
+    tau = draw(st.sampled_from([1.0, 2.0, 5.0, 40.0]))
+    access = tuple(draw(SMALL) for _ in view.bound_variables)
+    token = draw(
+        st.none()
+        | st.tuples(*[st.integers(-1, 6)] * len(view.free_variables))
+    )
+    return view, db, tau, access, token
+
+
+def assert_step_parity(view, db, tau, access, token):
+    rep = CompressedRepresentation(view, db, tau=tau)
+    assert rep.kernel_ready
+    if token is None:
+        entries = [lambda c: rep.enumerate(access, counter=c)]
+    else:
+        entries = [
+            lambda c: rep.enumerate_from(access, token, counter=c),
+            lambda c: rep.enumerate_after(access, token, counter=c),
+        ]
+    for entry in entries:
+        kernel_side, reference_side = measured_on_off(entry)
+        assert kernel_side == reference_side
+    if token is None:
+        assert kernel_side[0] == oracle_answer(view, db, access)
+
+
+@given(parity_cases())
+@settings(
+    max_examples=150,
+    deadline=None,
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
+)
+def test_random_instances_keep_rows_and_step_gaps(case):
+    assert_step_parity(*case)
+
+
 class TestFallbackTriggers:
     @pytest.fixture
     def rep(self):
@@ -269,7 +588,7 @@ class TestFallbackTriggers:
         db = triangle_database(16, 70, seed=61)
         return view, db, CompressedRepresentation(view, db, tau=4.0)
 
-    def test_counter_requests_take_the_reference_path(self, rep):
+    def test_counter_requests_count_identically_on_both_paths(self, rep):
         view, db, rep = rep
         access = oracle_accesses(view, db, limit=1)[0]
 
@@ -279,9 +598,38 @@ class TestFallbackTriggers:
             return [("rows", tuple(rows)), ("steps", counter.steps)]
 
         kernel_side, reference_side = on_off(measured)
-        # Counters always pin the reference path, so the delay
-        # accounting is mode-independent by construction.
+        # A counter is not a fallback trigger: the kernel counts the
+        # reference's steps itself, so the accounting is mode-independent.
         assert kernel_side == reference_side
+
+    def test_measured_requests_never_enter_the_reference_walk(
+        self, rep, monkeypatch
+    ):
+        view, db, rep = rep
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("measured request took the reference walk")
+
+        for name in ("_eval", "_eval_from", "_shared_eval", "_join_box"):
+            monkeypatch.setattr(CompressedRepresentation, name, forbidden)
+        layout_mod.set_kernel_mode("on")
+        assert rep.kernel_ready
+        accesses = oracle_accesses(view, db, limit=4)
+        for access in accesses:
+            rows = oracle_answer(view, db, access)
+            counter = JoinCounter()
+            assert list(rep.enumerate(access, counter=counter)) == rows
+            if rows:
+                assert counter.steps > 0
+                assert list(
+                    rep.enumerate_after(access, rows[0], counter=counter)
+                ) == rows[1:]
+        counters = [JoinCounter() for _ in accesses]
+        events = list(rep.shared_enumerate(accesses, counters=counters))
+        assert len(events) == sum(
+            len(oracle_answer(view, db, a)) for a in accesses
+        )
+        assert any(c.steps > 0 for c in counters)
 
     def test_stale_dictionary_version_falls_back(self, rep):
         view, db, rep = rep

@@ -21,6 +21,7 @@ import threading
 import pytest
 
 from oracle import oracle_answer
+from repro.core import layout as layout_mod
 from repro.engine import (
     GAP_BUCKETS,
     AdaptiveTuner,
@@ -571,3 +572,57 @@ class TestAdaptiveTuner:
             assert served > 0
         finally:
             server.close()
+
+    def test_the_tuner_steers_the_same_from_kernel_and_reference_traffic(
+        self, setup
+    ):
+        # Measured requests ride the kernel, which counts the reference
+        # walk's steps itself: the delay histogram the tuner reads — and
+        # so every decision it takes — must not depend on the path.
+        view, db = setup
+        accesses = request_stream(view, db, 24, seed=5)
+
+        def run(mode):
+            layout_mod.set_kernel_mode(mode)
+            server = ViewServer(db, telemetry=True)
+            try:
+                name = server.register(view, tau=1.0)
+                tuner = AdaptiveTuner(
+                    server,
+                    server.telemetry,
+                    gap_budget=64.0,
+                    interval_requests=4,
+                    relax_headroom=2.0,
+                )
+                trace = []
+                for round_ in range(4):
+                    batch = accesses[round_ * 6 : round_ * 6 + 6]
+                    server.answer_batch(name, batch)
+                    for access in batch[:2]:
+                        server.open(name, access, measure=True).fetchall()
+                    trace.extend(
+                        (d.kind, d.view, d.tau_before, d.tau_after,
+                         d.observed_gap)
+                        for d in tuner.tune()
+                    )
+                registry = server.telemetry.registry
+                gaps = registry.find_histogram("delay_step_gap", view=name)
+                paths = {
+                    path: registry.counter_value(
+                        "kernel_enumerations_total", view=name, path=path
+                    )
+                    for path in ("columnar", "fallback")
+                }
+                return trace, gaps.counts, gaps.sum, paths
+            finally:
+                server.close()
+                layout_mod.set_kernel_mode("auto")
+
+        kernel_trace, kernel_counts, kernel_sum, kernel_paths = run("on")
+        ref_trace, ref_counts, ref_sum, ref_paths = run("off")
+        assert kernel_paths["columnar"] > 0 and kernel_paths["fallback"] == 0
+        assert ref_paths["fallback"] > 0 and ref_paths["columnar"] == 0
+        assert sum(kernel_counts) > 0
+        assert (kernel_counts, kernel_sum) == (ref_counts, ref_sum)
+        assert any(kind == "retune" for kind, *_ in kernel_trace)
+        assert kernel_trace == ref_trace
