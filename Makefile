@@ -10,7 +10,7 @@ TRAJECTORY ?= .bench/trajectory.json
 # columnar-kernel, dynamic-serving. bench-trend fails if fewer report.
 GATE_COUNT ?= 9
 
-.PHONY: test collect lint lint-deep format docs-check test-lock-order \
+.PHONY: test collect lint lint-deep format docs-check size test-lock-order \
 	bench-smoke bench-warm bench-stream bench-batch bench-reshard \
 	bench-adapt bench-kernel bench-dynamic bench-trend bench \
 	bench-e2e test-e2e-harness
@@ -45,6 +45,13 @@ docs-check:
 	$(PYTHON) benchmarks/check_docs_links.py
 	$(PYTHON) benchmarks/check_metric_docs.py
 
+# Size gate: source lines of code per package (non-blank, non-comment,
+# non-docstring, counted from the AST). tests/test_ci_pipeline.py pins
+# src/repro/engine at ENGINE_SLOC_CEILING — raise it on purpose or not
+# at all.
+size:
+	$(PYTHON) benchmarks/check_size.py
+
 # Dynamic lock-order leg: re-runs the engine's concurrency hammer tests
 # with every engine lock replaced by an instrumented wrapper recording
 # the runtime acquisition graph; the session fails on any cycle
@@ -54,7 +61,8 @@ test-lock-order:
 		tests/test_engine.py tests/test_async_engine.py \
 		tests/test_sharding.py tests/test_elastic.py \
 		tests/test_parallel_builds.py tests/test_telemetry.py \
-		tests/test_lock_order.py
+		tests/test_dynamic_serving.py tests/test_epoch.py \
+		tests/test_pin_leaks.py tests/test_lock_order.py
 
 # The smoke run writes a JSON report and fails if any benchmark errored
 # or the run silently collected nothing — CI gates on it.

@@ -1,8 +1,8 @@
 """Lock discipline: guarded attributes must be accessed under their lock.
 
 The engine's thread-safe classes follow one idiom: ``__init__`` creates
-``self._lock`` (or several, e.g. ``_topology_lock``/``_routes_lock``),
-and every shared attribute is read and written inside ``with
+``self._lock`` (or several, e.g. ``_topology_lock``/``_routes_lock``;
+or borrows its owner's through a ``lock`` parameter), and every shared attribute is read and written inside ``with
 self._lock:`` blocks. The rule *infers* each class's guarded set — an
 attribute is guarded by the locks it is ever accessed under, provided
 something mutates it after construction (write-once configuration read
@@ -191,15 +191,27 @@ class _ClassScanner:
 
 
 def _lock_attrs(cls: ast.ClassDef) -> Set[str]:
-    """Attributes assigned a lock object anywhere in the class."""
+    """Attributes assigned a lock object anywhere in the class.
+
+    Either created here (a lock factory call) or borrowed: ``self._lock
+    = lock`` from a variable named ``*lock`` — ``engine/epoch.py``'s
+    ``Epochs`` guards its state with its owner's lock.
+    """
     locks: Set[str] = set()
     for node in ast.walk(cls):
-        if isinstance(node, ast.Assign) and isinstance(node.value, ast.Call):
-            if _call_name(node.value) in _LOCK_FACTORIES:
-                for target in node.targets:
-                    attr = _self_attr(target)
-                    if attr:
-                        locks.add(attr)
+        if not isinstance(node, ast.Assign):
+            continue
+        value = node.value
+        created = (
+            isinstance(value, ast.Call)
+            and _call_name(value) in _LOCK_FACTORIES
+        )
+        borrowed = isinstance(value, ast.Name) and value.id.endswith("lock")
+        if created or borrowed:
+            for target in node.targets:
+                attr = _self_attr(target)
+                if attr:
+                    locks.add(attr)
     return locks
 
 

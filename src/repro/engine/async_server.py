@@ -12,12 +12,14 @@ producers, and every served batch reports its queue and service delay.
 
 The back end is duck-typed: a plain ``ViewServer`` or a
 :class:`~repro.engine.sharding.ShardedViewServer`. For a sharded back
-end the front end splits each batch along the shard plan and awaits the
-per-shard sub-batches concurrently — scatter-gather requests fan out to
-every shard, routed requests touch exactly one — and every fan-out pins
-the backend's routing-table version for its whole plan→answer→merge
-span, so a live :meth:`~repro.engine.sharding.ShardedViewServer.split_shard`
-cuts over *between* batches, never under one.
+end there is one fan-out (``serve`` and ``answer_requests`` share it):
+the batch is grouped per owning shard by the facade's own plan, each
+group is opened and drained as one unit on a worker, and the groups are
+awaited concurrently — scatter-gather requests fan out to every shard,
+routed requests touch exactly one. Every fan-out pins the backend's
+routing-table version for its whole plan→drain span, so a live
+:meth:`~repro.engine.sharding.ShardedViewServer.split_shard` cuts over
+*between* batches, never under one.
 
 Read replicas and admission control
 -----------------------------------
@@ -38,9 +40,10 @@ import asyncio
 import heapq
 import time
 from concurrent.futures import ThreadPoolExecutor
+from contextlib import AsyncExitStack, asynccontextmanager, contextmanager
 from dataclasses import dataclass
+from functools import partial
 from itertools import islice
-from pathlib import Path
 from typing import (
     AsyncIterator,
     Iterable,
@@ -55,7 +58,7 @@ from repro.database.catalog import Database
 from repro.engine.api import AccessRequest, as_request
 from repro.engine.cache import CacheStats
 from repro.engine.server import BatchResult, Registration, ViewServer
-from repro.engine.sharding import ShardedViewServer
+from repro.engine.sharding import ShardedViewServer, merge_delay_stats
 from repro.engine.telemetry import LATENCY_BUCKETS, Telemetry
 from repro.exceptions import ParameterError
 from repro.query.adorned import AdornedView
@@ -114,6 +117,31 @@ class AsyncServingReport:
         if self.wall_seconds <= 0:
             return float("inf")
         return self.requests / self.wall_seconds
+
+
+def _timed(work):
+    """``(work(), pickup time, finish time)`` — one worker-pool unit."""
+    started = time.perf_counter()
+    return work(), started, time.perf_counter()
+
+
+def _drain(server, requests: List[AccessRequest]):
+    """A whole shared-scan group, opened and drained on one worker.
+
+    Per request its ``(rows, stats)``, stats only when measured.
+    """
+    cursors = server.open_batch(requests)
+    try:
+        return [
+            (
+                cursor.fetchall(),
+                cursor.stats() if cursor.request.measure else None,
+            )
+            for cursor in cursors
+        ]
+    finally:
+        for cursor in cursors:
+            cursor.close()
 
 
 class AsyncViewServer:
@@ -203,18 +231,13 @@ class AsyncViewServer:
                 f"{max_pending_per_tenant}"
             )
         self._owns_backend = isinstance(backend, Database)
-        self._owns_telemetry = telemetry is True
-        if telemetry is True:
-            telemetry = Telemetry(
-                Path(snapshot_dir) / "telemetry"
-                if self._owns_backend and snapshot_dir is not None
-                else None
-            )
-        elif telemetry is None and not self._owns_backend:
+        if telemetry is None and not self._owns_backend:
             # Wrapping an instrumented backend: record into its sink so
             # front-end and engine metrics land in one registry.
             telemetry = getattr(backend, "telemetry", None)
-        self._telemetry: Optional[Telemetry] = telemetry or None
+        self._telemetry, self._owns_telemetry = Telemetry.resolve(
+            telemetry, snapshot_dir if self._owns_backend else None
+        )
         if isinstance(backend, Database):
             backend = ViewServer(
                 backend,
@@ -343,14 +366,51 @@ class AsyncViewServer:
         if self._telemetry is not None:
             self._telemetry.gauge("async_queue_depth").add(delta)
 
-    def _tenant_gate(self, tenant: Optional[str]):
-        if tenant is None or self.max_pending_per_tenant is None:
-            return None
-        gate = self._tenant_gates.get(tenant)
-        if gate is None:
-            gate = asyncio.Semaphore(self.max_pending_per_tenant)
-            self._tenant_gates[tenant] = gate
-        return gate
+    @asynccontextmanager
+    async def _admitted(self, tenant: Optional[str]):
+        """Admission for one batch: tenant gate, then the global slot.
+
+        The tenant's slot (when the server gates per tenant) is acquired
+        *before* the global one, so a saturated tenant queues outside
+        the shared pool; a slot that was busy when asked for counts one
+        ``admission_waits_total{gate}``; the batch sits in
+        ``async_queue_depth`` for the whole span.
+        """
+        gates = [("global", self._semaphore)]
+        if tenant is not None and self.max_pending_per_tenant is not None:
+            gate = self._tenant_gates.get(tenant)
+            if gate is None:
+                gate = asyncio.Semaphore(self.max_pending_per_tenant)
+                self._tenant_gates[tenant] = gate
+            gates.insert(0, ("tenant", gate))
+        self._queue_depth(+1)
+        try:
+            async with AsyncExitStack() as stack:
+                for gate_name, gate in gates:
+                    if gate.locked():
+                        self._count_wait(gate_name)
+                    await stack.enter_async_context(gate)
+                yield
+        finally:
+            self._queue_depth(-1)
+
+    @contextmanager
+    def _on_replica(self):
+        """(replica index, server) a read goes to, counted in flight.
+
+        The balancer's pick — ``None`` and the backend itself without
+        replicas — holds one unit of the replica's pending count for the
+        block, which is what ``least-pending`` steers by.
+        """
+        replica = self._pick_replica()
+        if replica is None:
+            yield None, self.backend
+            return
+        self._replica_pending[replica] += 1
+        try:
+            yield replica, self._replicas[replica]
+        finally:
+            self._replica_pending[replica] -= 1
 
     # ------------------------------------------------------------------
     # serving
@@ -365,33 +425,56 @@ class AsyncViewServer:
     ) -> AsyncBatchResult:
         """Serve one batch on the thread pool; await the merged result.
 
-        With a sharded back end the batch is split along its shard plan
-        and the non-empty sub-batches run concurrently (under one pinned
-        routing-table version); with read replicas the whole batch goes
-        to the balancer's pick. ``tenant`` engages per-tenant admission
-        control when the server was built with
-        ``max_pending_per_tenant`` — the tenant's slot is acquired
+        With a sharded back end this is :meth:`answer_requests`' fan-out
+        over the batch's distinct accesses — one shared-scan group per
+        shard, run concurrently under one pinned routing-table version —
+        with each cursor's stats kept and the whole assembled into a
+        :class:`~repro.engine.server.BatchResult`; otherwise the whole
+        batch is one ``answer_batch`` on the balancer's pick. ``tenant``
+        engages per-tenant admission control when the server was built
+        with ``max_pending_per_tenant`` — the tenant's slot is acquired
         before the global one, and both waits count as queue time.
         """
-        batch = [tuple(access) for access in accesses]
+        batch = tuple(tuple(access) for access in accesses)
         loop = asyncio.get_running_loop()
         submitted = time.perf_counter()
-        gate = self._tenant_gate(tenant)
-        self._queue_depth(+1)
-        try:
-            if gate is not None:
-                if gate.locked():
-                    self._count_wait("tenant")
-                async with gate:
-                    served = await self._serve_admitted(
-                        loop, name, batch, tau, measure, submitted
-                    )
-            else:
-                served = await self._serve_admitted(
-                    loop, name, batch, tau, measure, submitted
+        shards: Tuple[int, ...] = ()
+        replica = None
+        async with self._admitted(tenant):
+            if self.is_sharded:
+                unique = sorted(set(batch))
+                drained, started, finished, shards = await self._fan_out(
+                    loop,
+                    [
+                        AccessRequest(
+                            view=name, access=access, tau=tau, measure=measure
+                        )
+                        for access in unique
+                    ],
                 )
-        finally:
-            self._queue_depth(-1)
+                result = self.backend.batch_result(
+                    name, batch, unique, drained
+                )
+            else:
+                with self._on_replica() as (replica, server):
+                    result, started, finished = await loop.run_in_executor(
+                        self._executor,
+                        _timed,
+                        partial(
+                            server.answer_batch,
+                            name,
+                            batch,
+                            tau=tau,
+                            measure=measure,
+                        ),
+                    )
+        served = AsyncBatchResult(
+            result=result,
+            queue_seconds=started - submitted,
+            service_seconds=max(0.0, finished - started),
+            shards=shards,
+            replica=replica,
+        )
         if self._telemetry is not None:
             self._telemetry.histogram(
                 "async_queue_seconds", buckets=LATENCY_BUCKETS
@@ -400,128 +483,6 @@ class AsyncViewServer:
                 "async_service_seconds", buckets=LATENCY_BUCKETS
             ).observe(served.service_seconds)
         return served
-
-    async def _serve_admitted(
-        self,
-        loop: asyncio.AbstractEventLoop,
-        name: str,
-        batch: List[Tuple],
-        tau: Optional[float],
-        measure: bool,
-        submitted: float,
-    ) -> AsyncBatchResult:
-        if self._semaphore.locked():
-            self._count_wait("global")
-        async with self._semaphore:
-            if isinstance(self.backend, ShardedViewServer):
-                return await self._serve_sharded(
-                    loop, name, batch, tau, measure, submitted
-                )
-            replica = self._pick_replica()
-            server = (
-                self.backend if replica is None else self._replicas[replica]
-            )
-            if replica is not None:
-                self._replica_pending[replica] += 1
-            try:
-                (result, started, finished) = await loop.run_in_executor(
-                    self._executor,
-                    self._timed_batch,
-                    server,
-                    None,
-                    name,
-                    batch,
-                    tau,
-                    measure,
-                )
-            finally:
-                if replica is not None:
-                    self._replica_pending[replica] -= 1
-            return AsyncBatchResult(
-                result=result,
-                queue_seconds=started - submitted,
-                service_seconds=finished - started,
-                replica=replica,
-            )
-
-    async def _serve_sharded(
-        self,
-        loop: asyncio.AbstractEventLoop,
-        name: str,
-        batch: List[Tuple],
-        tau: Optional[float],
-        measure: bool,
-        submitted: float,
-    ) -> AsyncBatchResult:
-        backend: ShardedViewServer = self.backend
-        # One route resolution serves plan and merge (a concurrent
-        # re-registration must not flip the mode mid-batch), one pinned
-        # topology version spans plan → answer → merge (a concurrent
-        # split_shard must not shift shard indexes mid-fan-out), and the
-        # per-access hash planning runs off the loop thread.
-        route = backend.route(name)
-        version = backend.pin_version()
-        try:
-            plan = await loop.run_in_executor(
-                self._executor, backend.plan_batch, name, batch, route, version
-            )
-            work = [
-                (index, sub_batch)
-                for index, sub_batch in enumerate(plan)
-                if sub_batch
-            ]
-            timed = await asyncio.gather(
-                *(
-                    loop.run_in_executor(
-                        self._executor,
-                        self._timed_batch,
-                        backend,
-                        index,
-                        name,
-                        sub_batch,
-                        tau,
-                        measure,
-                        version,
-                    )
-                    for index, sub_batch in work
-                )
-            )
-            shard_results: List[Optional[BatchResult]] = [None] * len(plan)
-            started = time.perf_counter()  # >= every sub_started; min() folds down
-            finished = 0.0
-            for (index, _), (result, sub_started, sub_finished) in zip(work, timed):
-                shard_results[index] = result
-                started = min(started, sub_started)
-                finished = max(finished, sub_finished)
-            # The gather merge is O(total outputs); keep it off the loop
-            # thread so other batches keep flowing while it runs — but its
-            # duration is real service time, so it extends the span.
-            merged = await loop.run_in_executor(
-                self._executor, backend.merge_batch, name, batch, shard_results, route
-            )
-        finally:
-            backend.release_version(version)
-        finished = max(finished, time.perf_counter())
-        return AsyncBatchResult(
-            result=merged,
-            queue_seconds=started - submitted,
-            service_seconds=max(0.0, finished - started),
-            shards=tuple(index for index, _ in work),
-        )
-
-    @staticmethod
-    def _timed_batch(
-        backend, shard_index, name, accesses, tau, measure, version=None
-    ):
-        started = time.perf_counter()
-        if shard_index is None:
-            result = backend.answer_batch(name, accesses, tau=tau, measure=measure)
-        else:
-            result = backend.answer_shard(
-                shard_index, name, accesses, tau=tau, measure=measure,
-                version=version,
-            )
-        return result, started, time.perf_counter()
 
     async def answer_requests(
         self,
@@ -546,101 +507,79 @@ class AsyncViewServer:
         whole fan-out.
         """
         batch = [as_request(request) for request in requests]
-        loop = asyncio.get_running_loop()
-        gate = self._tenant_gate(tenant)
-        self._queue_depth(+1)
-        try:
-            if gate is not None:
-                if gate.locked():
-                    self._count_wait("tenant")
-                async with gate:
-                    return await self._answer_admitted(loop, batch)
-            return await self._answer_admitted(loop, batch)
-        finally:
-            self._queue_depth(-1)
+        async with self._admitted(tenant):
+            drained, *_ = await self._fan_out(
+                asyncio.get_running_loop(), batch
+            )
+        return [rows for rows, _ in drained]
 
-    async def _answer_admitted(
+    async def _fan_out(
         self, loop: asyncio.AbstractEventLoop, batch: List[AccessRequest]
-    ) -> List[List[Tuple]]:
-        if self._semaphore.locked():
-            self._count_wait("global")
-        async with self._semaphore:
-            if not isinstance(self.backend, ShardedViewServer):
-                replica = self._pick_replica()
-                server = (
-                    self.backend
-                    if replica is None
-                    else self._replicas[replica]
-                )
-                if replica is not None:
-                    self._replica_pending[replica] += 1
-                try:
-                    return await loop.run_in_executor(
-                        self._executor, self._drain_open_batch, server, batch
-                    )
-                finally:
-                    if replica is not None:
-                        self._replica_pending[replica] -= 1
-            backend: ShardedViewServer = self.backend
-            version = backend.pin_version()
-            try:
-                jobs: dict = {}
-                fanouts: List[int] = []
-                shard_count = backend.shard_count(version)
-                for index, request in enumerate(batch):
-                    shard = backend.shard_of(
-                        request.view, request.access, version=version
-                    )
-                    targets = (
-                        range(shard_count) if shard is None else (shard,)
-                    )
-                    fanouts.append(len(targets))
-                    for target in targets:
-                        jobs.setdefault(target, []).append((index, request))
-                job_items = list(jobs.items())
-                drained = await asyncio.gather(
-                    *(
-                        loop.run_in_executor(
-                            self._executor,
-                            self._drain_open_batch,
-                            backend.shard_server(shard, version),
-                            [request for _, request in items],
-                        )
-                        for shard, items in job_items
-                    )
-                )
-            finally:
-                backend.release_version(version)
-            parts: List[List[List[Tuple]]] = [[] for _ in batch]
-            for (_, items), rows_per_request in zip(job_items, drained):
-                for (index, _), rows in zip(items, rows_per_request):
-                    parts[index].append(rows)
-            answers: List[List[Tuple]] = []
-            for request, pieces, fanout in zip(batch, parts, fanouts):
-                if fanout == 1:
-                    answers.append(pieces[0])
-                    continue
-                # Scatter: per-shard streams are disjoint and sorted;
-                # each shard already honored the limit, so the merged
-                # stream only needs re-capping.
-                merged = heapq.merge(*pieces)
-                if request.limit is not None:
-                    answers.append(list(islice(merged, request.limit)))
-                else:
-                    answers.append(list(merged))
-            return answers
+    ):
+        """Drain ``batch`` group by group on the pool — the one fan-out.
 
-    @staticmethod
-    def _drain_open_batch(server, requests: List[AccessRequest]):
-        """One worker's unit: a whole shared-scan group, opened and drained."""
-        cursors = server.open_batch(requests)
-        answers = []
-        for cursor in cursors:
-            try:
-                answers.append(cursor.fetchall())
-            finally:
-                cursor.close()
-        return answers
+        Returns ``(drained, started, finished, shards)``: per request
+        its ``(rows, stats)`` (stats only for measured requests), the
+        first pickup and last finish across the groups, and the shard
+        indexes that had work.
+        """
+        if not self.is_sharded:
+            with self._on_replica() as (_, server):
+                drained, started, finished = await loop.run_in_executor(
+                    self._executor, _timed, partial(_drain, server, batch)
+                )
+            return drained, started, finished, ()
+        backend: ShardedViewServer = self.backend
+        # One pinned topology version spans plan → drain: a concurrent
+        # split_shard must not shift shard indexes mid-fan-out.
+        version = backend.pin_version()
+        try:
+            scatter, plan = backend.plan_requests(batch, version)
+            jobs = [
+                (shard, positions)
+                for shard, positions in enumerate(plan)
+                if positions
+            ]
+            timed = await asyncio.gather(
+                *(
+                    loop.run_in_executor(
+                        self._executor,
+                        _timed,
+                        partial(
+                            _drain,
+                            backend.shard_server(shard, version),
+                            [batch[position] for position in positions],
+                        ),
+                    )
+                    for shard, positions in jobs
+                )
+            )
+        finally:
+            backend.release_version(version)
+        pieces: List[List[Tuple]] = [[] for _ in batch]
+        for (_, positions), (pairs, _, _) in zip(jobs, timed):
+            for position, pair in zip(positions, pairs):
+                pieces[position].append(pair)
+        drained = []
+        for position, (request, parts) in enumerate(zip(batch, pieces)):
+            if position not in scatter:
+                drained.append(parts[0])
+                continue
+            # Scatter: per-shard streams are disjoint and sorted; each
+            # shard already honored the limit, so the merged stream
+            # only needs re-capping.
+            merged = heapq.merge(*(rows for rows, _ in parts))
+            stats = [stats for _, stats in parts if stats is not None]
+            drained.append(
+                (
+                    list(islice(merged, request.limit)),
+                    merge_delay_stats(stats) if stats else None,
+                )
+            )
+        # The gather merge above is real service time: it extends the span.
+        finished = time.perf_counter()
+        started = min((pickup for _, pickup, _ in timed), default=finished)
+        return drained, started, finished, tuple(shard for shard, _ in jobs)
 
     async def stream(
         self,
@@ -677,18 +616,10 @@ class AsyncViewServer:
             measure=measure,
         )
         loop = asyncio.get_running_loop()
-        replica = (
-            self._pick_replica()
-            if not isinstance(self.backend, ShardedViewServer)
-            else None
-        )
-        server = self.backend if replica is None else self._replicas[replica]
-        if replica is not None:
-            # The cursor occupies its replica for its whole life: the
-            # least-pending balancer steers new work elsewhere until the
-            # stream finishes.
-            self._replica_pending[replica] += 1
-        try:
+        # The cursor occupies its replica for its whole life: the
+        # least-pending balancer steers new work elsewhere until the
+        # stream finishes.
+        with self._on_replica() as (_, server):
             async with self._semaphore:
                 cursor = await loop.run_in_executor(
                     self._executor, server.open, request
@@ -704,9 +635,6 @@ class AsyncViewServer:
                     yield chunk
             finally:
                 cursor.close()
-        finally:
-            if replica is not None:
-                self._replica_pending[replica] -= 1
 
     async def serve_stream(
         self,

@@ -9,10 +9,10 @@ sequence of immutable **versions**: every effective delta
 (:meth:`ViewServer.apply_deltas
 <repro.engine.server.ViewServer.apply_deltas>`) freezes a new
 point-in-time serving view, new requests open against it, and cursors
-already open keep enumerating the version they pinned — the same
-pin-count drain protocol the sharded facade uses for live resharding
-(``split_shard``). A drained version's cache entry is retired; nothing
-is ever evicted out from under an open cursor.
+already open keep enumerating the version they pinned — the
+:mod:`repro.engine.epoch` drain protocol, the one the sharded facade
+uses for live resharding (``split_shard``). A drained version's cache
+entry is retired; nothing is ever evicted out from under an open cursor.
 
 Pieces, in dependency order:
 
@@ -27,8 +27,9 @@ Pieces, in dependency order:
   or a lazily-evaluated point-in-time database while dirty (always the
   reference path — the delta overlay has no compiled kernel form).
 * :class:`DynamicViewState` — the per-view serving state: the live
-  :class:`~repro.core.dynamic.DynamicRepresentation`, the version map
-  with pin counts, and the in-memory delta history.
+  :class:`~repro.core.dynamic.DynamicRepresentation`, the
+  :class:`~repro.engine.epoch.Epochs` of its frozen versions, and the
+  in-memory delta history.
 * :class:`DynamicSnapshotStore` — the durable half, under
   ``snapshot_dir/dynamic/``: the representation snapshot, a sidecar
   meta record carrying the serving version and **per-relation** origin
@@ -72,8 +73,9 @@ from repro.core.structure import (
     resume_strictly_after,
 )
 from repro.database.catalog import Database
+from repro.engine.epoch import Epochs
 from repro.engine.locking import named_lock
-from repro.exceptions import SnapshotError
+from repro.exceptions import ParameterError, SnapshotError
 from repro.joins.generic_join import JoinCounter
 from repro.measure.space import SpaceReport
 from repro.query.adorned import AdornedView
@@ -230,27 +232,15 @@ class FrozenDynamicView:
         return SpaceReport(materialized_tuples=total)
 
 
-class _LiveVersion:
-    """One serving version: its cache generation, view, and pin count."""
-
-    __slots__ = ("version", "generation", "serving", "pins")
-
-    def __init__(
-        self, version: int, generation: int, serving: FrozenDynamicView
-    ):
-        self.version = version
-        self.generation = generation
-        self.serving = serving
-        self.pins = 0
-
-
 @dataclass(frozen=True)
 class DeltaOutcome:
     """What one delta application did, for the server to act on.
 
     ``applied == 0`` with ``version`` unchanged is the no-op contract:
     no new serving version, no cache churn, no log append. ``skipped``
-    marks a shipped record the receiver had already applied.
+    marks a shipped record the receiver had already applied. ``retired``
+    holds the ``(generation, view)`` payloads of the versions the new
+    one drained out.
     """
 
     applied: int
@@ -258,9 +248,7 @@ class DeltaOutcome:
     skipped: bool = False
     record: Optional[DeltaRecord] = None
     rebuilt: bool = False
-    generation: Optional[int] = None
-    serving: Optional[FrozenDynamicView] = None
-    retired_generations: Tuple[int, ...] = ()
+    retired: Tuple[Tuple[int, FrozenDynamicView], ...] = ()
 
 
 class DynamicViewState:
@@ -268,11 +256,13 @@ class DynamicViewState:
 
     The live :class:`~repro.core.dynamic.DynamicRepresentation` is the
     single writer-side object; every serving version is an immutable
-    freeze of it. Pins follow the ``split_shard`` protocol: opening a
-    cursor pins the *current* version, the cursor's close hook releases
-    it, and a non-current version retires the moment its pin count
-    drains to zero. The state's lock orders strictly before the server
-    registry lock (generation allocation nests inside it).
+    freeze of it, published into :attr:`epochs` with its cache
+    generation as a ``(generation, view)`` payload. Opening a cursor
+    pins the *current* version, the cursor's close hook releases it,
+    and a non-current version retires the moment its pins drain (the
+    :mod:`repro.engine.epoch` protocol). The state's lock orders
+    strictly before the server registry lock (generation allocation
+    nests inside it).
     """
 
     def __init__(
@@ -302,15 +292,14 @@ class DynamicViewState:
         #: restart always verifies against the *origin*, pre-delta data.
         self.origin_relations = dict(origin_relations)
         self.dynamic = dynamic
-        self._lock = named_lock("server.dynamic")
-        self._version = version
-        current = _LiveVersion(version, generation, self._freeze_locked())
-        self._versions: Dict[int, _LiveVersion] = {version: current}
+        # Reentrant: deltas publish into the epochs from inside it.
+        self._lock = named_lock("server.dynamic", reentrant=True)
+        #: The serving versions: pins, current, retirement.
+        self.epochs = Epochs(
+            self._lock, version, (generation, self._freeze_locked())
+        )
         self._events: List[DeltaRecord] = []
 
-    # ------------------------------------------------------------------
-    # freezing
-    # ------------------------------------------------------------------
     def _freeze_locked(self) -> FrozenDynamicView:
         """An immutable serving view of the representation's state now."""
         if self.dynamic.is_dirty:
@@ -321,58 +310,31 @@ class DynamicViewState:
             self.view, structure=self.dynamic.structure
         )
 
-    # ------------------------------------------------------------------
-    # the pin-count drain protocol
-    # ------------------------------------------------------------------
-    def pin(self) -> Tuple[int, int, FrozenDynamicView]:
-        """Pin the current version; returns (version, generation, view)."""
-        with self._lock:
-            live = self._versions[self._version]
-            live.pins += 1
-            return live.version, live.generation, live.serving
-
-    def repin(self, version: int) -> None:
-        """Add one pin to an already-pinned version (batch cursors)."""
-        with self._lock:
-            self._versions[version].pins += 1
-
-    def release(self, version: int) -> Optional[int]:
-        """Drop one pin; returns the retired generation on drain, else None.
-
-        A version retires when it is no longer current and its last pin
-        is released — the caller then drops its cache entry. Releasing
-        the current version never retires it.
-        """
-        with self._lock:
-            live = self._versions.get(version)
-            if live is None:
-                return None
-            live.pins -= 1
-            if live.pins <= 0 and live.version != self._version:
-                del self._versions[version]
-                return live.generation
-            return None
+    def check_tau(self, tau: Optional[float]) -> None:
+        """Refuse a per-request τ other than the registration's."""
+        if tau is not None and float(tau) != self.tau:
+            raise ParameterError(
+                f"dynamic view {self.name!r} serves at its registration "
+                f"tau={self.tau:g}; per-request tau pins are not "
+                "supported under deltas"
+            )
 
     def pin_count(self) -> int:
         """Total pins across all live versions (the gauge's value)."""
-        with self._lock:
-            return sum(live.pins for live in self._versions.values())
+        return self.epochs.pins()
 
     def live_versions(self) -> Tuple[int, ...]:
         """Versions still serving or draining, oldest first."""
-        with self._lock:
-            return tuple(sorted(self._versions))
+        return self.epochs.live()
 
     def current_version(self) -> int:
         """The version new requests open against."""
-        with self._lock:
-            return self._version
+        return self.epochs.current()[0]
 
-    def current(self) -> Tuple[int, int, FrozenDynamicView]:
-        """(version, generation, serving view) without taking a pin."""
+    def current_database(self) -> Database:
+        """The view's logical database now: base plus buffered deltas."""
         with self._lock:
-            live = self._versions[self._version]
-            return live.version, live.generation, live.serving
+            return self.dynamic.current_database()
 
     def records_since(self, version: int) -> Tuple[DeltaRecord, ...]:
         """The in-memory delta records applied after ``version``."""
@@ -405,56 +367,40 @@ class DynamicViewState:
         serving view, nothing for the caller to publish.
         """
         with self._lock:
+            current = self.current_version()
             if forced_version is not None:
-                if forced_version <= self._version:
+                if forced_version <= current:
                     return DeltaOutcome(
-                        applied=0, version=self._version, skipped=True
+                        applied=0, version=current, skipped=True
                     )
-                if forced_version != self._version + 1:
+                if forced_version != current + 1:
                     raise SnapshotError(
                         f"delta stream gap on {self.name!r}: record "
                         f"version {forced_version} cannot extend local "
-                        f"version {self._version} — re-hydrate from a "
+                        f"version {current} — re-hydrate from a "
                         "fresh snapshot"
                     )
             rebuilds_before = self.dynamic.rebuilds
             applied = self.dynamic.apply_deltas(relation, inserts, deletes)
             if not applied and forced_version is None:
-                return DeltaOutcome(applied=0, version=self._version)
-            rebuilt = self.dynamic.rebuilds > rebuilds_before
-            version = (
-                forced_version
-                if forced_version is not None
-                else self._version + 1
-            )
-            generation = next_generation()
-            self._version = version
-            live = _LiveVersion(version, generation, self._freeze_locked())
-            self._versions[version] = live
-            retired = tuple(
-                old
-                for old in list(self._versions)
-                if old != version and self._versions[old].pins <= 0
-            )
-            generations = tuple(
-                self._versions.pop(old).generation for old in retired
+                return DeltaOutcome(applied=0, version=current)
+            retired = self.epochs.publish(
+                current + 1, (next_generation(), self._freeze_locked())
             )
             record = DeltaRecord(
                 view=self.name,
                 relation=relation,
-                version=version,
+                version=current + 1,
                 inserts=tuple(tuple(row) for row in inserts),
                 deletes=tuple(tuple(row) for row in deletes),
             )
             self._events.append(record)
             return DeltaOutcome(
                 applied=applied,
-                version=version,
+                version=current + 1,
                 record=record,
-                rebuilt=rebuilt,
-                generation=generation,
-                serving=live.serving,
-                retired_generations=generations,
+                rebuilt=self.dynamic.rebuilds > rebuilds_before,
+                retired=retired,
             )
 
     def replace(
@@ -462,33 +408,17 @@ class DynamicViewState:
         dynamic: DynamicRepresentation,
         version: int,
         generation: int,
-    ) -> Tuple[int, ...]:
+    ) -> Tuple[Tuple[int, FrozenDynamicView], ...]:
         """Swap in a re-hydrated representation (replica fallback path).
 
-        Returns the retired generations of drained old versions; pinned
+        Returns the retired payloads of drained old versions; pinned
         versions keep draining against their frozen views as usual.
         """
         with self._lock:
             self.dynamic = dynamic
-            self._version = version
-            live = _LiveVersion(version, generation, self._freeze_locked())
-            retired = tuple(
-                old
-                for old in list(self._versions)
-                if self._versions[old].pins <= 0
-            )
-            generations = tuple(
-                self._versions.pop(old).generation for old in retired
-            )
-            self._versions[version] = live
             self._events.clear()
-            return generations
-
-    def all_generations(self) -> Tuple[int, ...]:
-        """Cache generations of every live version (for unregister)."""
-        with self._lock:
-            return tuple(
-                live.generation for live in self._versions.values()
+            return self.epochs.publish(
+                version, (generation, self._freeze_locked())
             )
 
     def save_to(self, store: "DynamicSnapshotStore") -> int:
@@ -499,13 +429,11 @@ class DynamicViewState:
         the version the meta record claims it captures.
         """
         with self._lock:
+            version = self.current_version()
             store.save(
-                self.label,
-                self.dynamic,
-                self._version,
-                self.origin_relations,
+                self.label, self.dynamic, version, self.origin_relations
             )
-            return self._version
+            return version
 
 
 class DynamicSnapshotStore:

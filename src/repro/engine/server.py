@@ -23,7 +23,8 @@ Responsibilities
   returns a lazy :class:`~repro.engine.api.AnswerCursor` honoring the
   request's ``limit``/``start_after``/``measure`` knobs, so top-k and
   paginated workloads enumerate only what they consume. ``answer``,
-  ``answer_batch`` and ``serve_stream`` are materializing wrappers.
+  ``answer_batch`` and ``serve_stream`` are materializing wrappers,
+  defined once on :class:`Serving` for every back end.
 * **Batched serving**: :meth:`ViewServer.open_batch` is the batch
   primitive — a request group over one view rides ONE shared tree
   traversal (:mod:`repro.engine.shared_scan`), with duplicates sharing
@@ -57,8 +58,8 @@ from __future__ import annotations
 
 import hashlib
 import json
-import threading
 import time
+from functools import partial
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import (
@@ -92,7 +93,9 @@ from repro.engine.dynamic_serving import (
     DeltaRecord,
     DynamicSnapshotStore,
     DynamicViewState,
+    FrozenDynamicView,
 )
+from repro.engine.epoch import Hold
 from repro.engine.locking import named_lock
 from repro.engine.parallel import ParallelBuilder
 from repro.engine.shared_scan import SharedScan
@@ -197,48 +200,121 @@ class ServingReport:
         return self.requests / self.wall_seconds
 
 
-def drain_stream(
-    server,
-    name: str,
-    accesses: Iterable[Sequence],
-    batch_size: int = 32,
-    tau: Optional[float] = None,
-    measure: bool = True,
-) -> ServingReport:
-    """Drain a request stream through any serving back end, batch by batch.
+class Serving:
+    """The materializing wrappers, written once over the two primitives.
 
-    ``server`` needs the common serving surface — ``answer_batch``,
-    ``total_builds()`` and ``cache_stats`` — which :class:`ViewServer`
-    and :class:`~repro.engine.sharding.ShardedViewServer` both expose;
-    their ``serve_stream`` methods are this helper, so stream accounting
-    cannot drift between the plain and the sharded path.
+    A back end provides ``open`` / ``open_batch`` (plus ``total_builds``
+    and ``cache_stats`` for stream reports); :class:`ViewServer` and
+    :class:`~repro.engine.sharding.ShardedViewServer` both do, so batch
+    and stream accounting cannot drift between the plain and the
+    sharded path.
     """
-    started = time.perf_counter()
-    builds_before = server.total_builds()
-    stats_before = server.cache_stats
-    requests = unique = outputs = batches = 0
-    max_gap = 0
-    for chunk in batched(accesses, batch_size):
-        result = server.answer_batch(name, chunk, tau=tau, measure=measure)
-        requests += len(result.accesses)
-        unique += result.unique_count
-        outputs += result.outputs
-        batches += 1
-        max_gap = max(max_gap, result.max_step_gap)
-    return ServingReport(
-        requests=requests,
-        unique_requests=unique,
-        shared_requests=requests - unique,
-        outputs=outputs,
-        batches=batches,
-        builds=server.total_builds() - builds_before,
-        wall_seconds=time.perf_counter() - started,
-        max_step_gap=max_gap,
-        cache=server.cache_stats.delta(stats_before),
-    )
+
+    def answer(self, name: str, access: Sequence) -> List[Tuple]:
+        """Answer one access request fully (materializing wrapper)."""
+        with self.open(name, access) as cursor:
+            return cursor.fetchall()
+
+    def answer_batch(
+        self,
+        name: str,
+        accesses: Iterable[Sequence],
+        tau: Optional[float] = None,
+        measure: bool = True,
+    ) -> BatchResult:
+        """Serve a batch of access requests with one shared traversal.
+
+        A thin materializing wrapper over ``open_batch``: the batch
+        is deduplicated and its distinct accesses (sorted — the tree is
+        laid out lexicographically, so nearby bound values touch nearby
+        dictionary entries) ride one shared scan (per shard, behind the
+        sharded facade); every duplicate request shares the answer list
+        computed by its representative. With ``measure=True`` per-access
+        delay accounting matches
+        :func:`~repro.measure.delay.measure_enumeration` — closing gap
+        included, because the cursors are drained to exhaustion here
+        (see :class:`BatchResult`); a scattered request's stats fold its
+        per-shard parts. The structure is resolved once per batch, so
+        cache accounting is unchanged.
+        """
+        batch = tuple(tuple(access) for access in accesses)
+        unique = sorted(set(batch))
+        cursors = self.open_batch(
+            AccessRequest(view=name, access=access, tau=tau, measure=measure)
+            for access in unique
+        )
+        try:
+            drained = [
+                (cursor.fetchall(), cursor.stats() if measure else None)
+                for cursor in cursors
+            ]
+        finally:
+            for cursor in cursors:
+                cursor.close()
+        return self.batch_result(name, batch, unique, drained)
+
+    def batch_result(
+        self,
+        name: str,
+        batch: Tuple[Tuple, ...],
+        unique: Sequence[Tuple],
+        drained: Sequence[Tuple[List[Tuple], Optional[DelayStats]]],
+    ) -> BatchResult:
+        """Assemble one :class:`BatchResult` from its distinct accesses.
+
+        ``drained`` aligns with ``unique``: each distinct access's rows
+        and (measured) stats. The duplicates ``batch`` holds beyond
+        ``unique`` were never opened but were still served; they are
+        accounted for here.
+        """
+        answers = {access: rows for access, (rows, _) in zip(unique, drained)}
+        self._count_shared(name, batch, unique)
+        return BatchResult(
+            accesses=batch,
+            answers=tuple(answers[access] for access in batch),
+            request_stats={
+                access: stats
+                for access, (_, stats) in zip(unique, drained)
+                if stats is not None
+            },
+            unique_count=len(unique),
+        )
+
+    def serve_stream(
+        self,
+        name: str,
+        accesses: Iterable[Sequence],
+        batch_size: int = 32,
+        tau: Optional[float] = None,
+        measure: bool = True,
+    ) -> ServingReport:
+        """Drain a request stream in batches and aggregate the measurements."""
+        started = time.perf_counter()
+        builds_before = self.total_builds()
+        stats_before = self.cache_stats
+        requests = unique = outputs = batches = 0
+        max_gap = 0
+        for chunk in batched(accesses, batch_size):
+            result = self.answer_batch(name, chunk, tau=tau, measure=measure)
+            requests += len(result.accesses)
+            unique += result.unique_count
+            outputs += result.outputs
+            batches += 1
+            max_gap = max(max_gap, result.max_step_gap)
+        return ServingReport(
+            requests=requests,
+            unique_requests=unique,
+            shared_requests=requests - unique,
+            outputs=outputs,
+            batches=batches,
+            builds=self.total_builds() - builds_before,
+            wall_seconds=time.perf_counter() - started,
+            max_step_gap=max_gap,
+            cache=self.cache_stats.delta(stats_before),
+        )
 
 
-class ViewServer:
+class ViewServer(Serving):
     """Serve access requests for registered views from a bounded cache.
 
     Parameters
@@ -303,14 +379,9 @@ class ViewServer:
             store = SnapshotStore(
                 snapshot_dir, fingerprint=database_fingerprint(db)
             )
-        self._owns_telemetry = telemetry is True
-        if telemetry is True:
-            telemetry = Telemetry(
-                Path(snapshot_dir) / "telemetry"
-                if snapshot_dir is not None
-                else None
-            )
-        self._telemetry: Optional[Telemetry] = telemetry or None
+        self._telemetry, self._owns_telemetry = Telemetry.resolve(
+            telemetry, snapshot_dir
+        )
         self._owns_builder = False
         if builder is None and build_workers is not None:
             builder = ParallelBuilder(build_workers)
@@ -543,6 +614,7 @@ class ViewServer:
         tau: Optional[float] = None,
         name: Optional[str] = None,
         rebuild_fraction: float = 0.1,
+        database: Optional[Database] = None,
     ) -> str:
         """Register a view for serving under updates; returns its name.
 
@@ -562,6 +634,12 @@ class ViewServer:
         by name, which normalization would rewrite), and it serves at
         exactly the registration τ — per-request ``tau=`` pins and
         :meth:`retune` are rejected for dynamic views.
+
+        ``database`` is :meth:`register`'s override: the state the view
+        starts from when that is not the server's own database (a shard
+        split hands each child its slice of the parent's *current*
+        state this way). Origin fingerprints are still the server
+        database's, which is what a restart will compare against.
         """
         if isinstance(view, str):
             view = parse_view(view)
@@ -571,10 +649,10 @@ class ViewServer:
                 "address base relations by name, which normalization "
                 "rewrites"
             )
-        name = self.register(view, tau=tau, name=name)
+        name = self.register(view, tau=tau, name=name, database=database)
         try:
             registration = self.registration(name)
-            fingerprints = relation_fingerprints(registration.database)
+            fingerprints = relation_fingerprints(self.db)
             referenced = sorted(
                 {atom.relation for atom in registration.natural_view.atoms}
             )
@@ -600,10 +678,7 @@ class ViewServer:
             )
             with self._lock:
                 self._dynamic[name] = state
-            _, current_generation, serving = state.current()
-            self._cache.get_or_build(
-                (name, state.tau, current_generation), lambda: serving, durable=False
-            )
+            self._publish(state)
             store = self._dynamic_store
             if (
                 not warm
@@ -612,7 +687,6 @@ class ViewServer:
             ):
                 state.save_to(store)
                 store.truncate_log(state.label)
-            self._set_dynamic_gauges(state)
             return name
         except Exception:
             self.unregister(name)
@@ -776,17 +850,7 @@ class ViewServer:
         )
         if outcome.record is None:
             return outcome.applied
-        serving = outcome.serving
-        self._cache.get_or_build(
-            (state.name, state.tau, outcome.generation), lambda: serving, durable=False
-        )
-        for generation in outcome.retired_generations:
-            self._cache.invalidate_matching(
-                lambda key, generation=generation: (
-                    key[0] == state.name and key[2] == generation
-                ),
-                drop_snapshot=False,
-            )
+        self._publish(state, outcome.retired)
         store = self._dynamic_store
         durable = (
             forced_version is None
@@ -808,7 +872,6 @@ class ViewServer:
             self._telemetry.counter(
                 "deltas_applied_total", view=state.name, relation=relation
             ).inc(outcome.applied)
-        self._set_dynamic_gauges(state)
         return outcome.applied
 
     def apply_delta_records(
@@ -890,60 +953,50 @@ class ViewServer:
             with self._lock:
                 self._generation += 1
                 generation = self._generation
-            for retired in state.replace(dynamic, version, generation):
-                self._cache.invalidate_matching(
-                    lambda key, retired=retired: (
-                        key[0] == name and key[2] == retired
-                    ),
-                    drop_snapshot=False,
-                )
-            _, current_generation, serving = state.current()
-            self._cache.get_or_build(
-                (name, state.tau, current_generation), lambda: serving, durable=False
-            )
-            self._set_dynamic_gauges(state)
+            self._publish(state, state.replace(dynamic, version, generation))
         return len(targets)
+
+    def _resident(
+        self, state: DynamicViewState, generation: int, serving
+    ) -> FrozenDynamicView:
+        """One frozen version through the cache (resident from now on)."""
+        return self._cache.get_or_build(
+            (state.name, state.tau, generation), lambda: serving, durable=False
+        )
+
+    def _publish(self, state: DynamicViewState, retired=()) -> None:
+        """Cache the current version; drop what publishing it retired."""
+        self._resident(state, *state.epochs.current()[1])
+        self._retire(state, retired)
+
+    def _retire(self, state: DynamicViewState, retired) -> None:
+        """Drop drained versions' cache entries; refresh the gauges."""
+        for generation, _ in retired:
+            self._cache.invalidate_matching(
+                lambda key, generation=generation: (
+                    key[0] == state.name and key[2] == generation
+                ),
+                drop_snapshot=False,
+            )
+        self._set_dynamic_gauges(state)
 
     def _open_dynamic(
         self, state: DynamicViewState, request: AccessRequest, started: float
     ) -> AnswerCursor:
         """Open a cursor pinned to the view's current serving version."""
-        if request.tau is not None and float(request.tau) != state.tau:
-            raise ParameterError(
-                f"dynamic view {state.name!r} serves at its registration "
-                f"tau={state.tau:g}; per-request tau pins are not "
-                "supported under deltas"
-            )
-        version, generation, serving = state.pin()
-        try:
-            representation = self._cache.get_or_build(
-                (state.name, state.tau, generation), lambda: serving, durable=False
-            )
+        state.check_tau(request.tau)
+        with state.epochs.hold(1, partial(self._retire, state)) as hold:
+            serving = self._resident(state, *hold.payload)
             with self._lock:
                 self._requests_served += 1
-            cursor = open_cursor(representation, request)
-        except Exception:
-            self._release_dynamic(state, version)
-            raise
-        cursor.add_close_hook(
-            lambda: self._release_dynamic(state, version)
-        )
+            cursor = open_cursor(serving, request)
+            hold.keep([cursor])
         if self._telemetry is not None:
             path = "columnar" if serving.kernel_ready else "fallback"
             self._kernel_counter(request.view, path).inc()
             self._instrument_cursor(cursor, request, started, mode="open")
             self._set_dynamic_gauges(state)
         return cursor
-
-    def _release_dynamic(self, state: DynamicViewState, version: int) -> None:
-        """Drop one cursor pin; retire the version's entry on drain."""
-        retired = state.release(version)
-        if retired is not None:
-            self._cache.invalidate_matching(
-                lambda key: key[0] == state.name and key[2] == retired,
-                drop_snapshot=False,
-            )
-        self._set_dynamic_gauges(state)
 
     def _set_dynamic_gauges(self, state: DynamicViewState) -> None:
         """Refresh the cursor-pin and live-version gauges of one view."""
@@ -1015,16 +1068,8 @@ class ViewServer:
         with self._lock:
             state = self._dynamic.get(name)
         if state is not None:
-            if tau is not None and float(tau) != state.tau:
-                raise ParameterError(
-                    f"dynamic view {name!r} serves at its registration "
-                    f"tau={state.tau:g}; per-request tau pins are not "
-                    "supported under deltas"
-                )
-            _, generation, serving = state.current()
-            return self._cache.get_or_build(
-                (name, state.tau, generation), lambda: serving, durable=False
-            )
+            state.check_tau(tau)
+            return self._resident(state, *state.epochs.current()[1])
         registration = self.registration(name)
         key = self._key(registration, tau)
 
@@ -1115,7 +1160,7 @@ class ViewServer:
         return self._cache.invalidate_matching(lambda key: key[0] == name)
 
     # ------------------------------------------------------------------
-    # serving (the cursor primitive and its materializing wrappers)
+    # serving (the two primitives; Serving adds the materializing wrappers)
     # ------------------------------------------------------------------
     def open(
         self,
@@ -1287,115 +1332,56 @@ class ViewServer:
         groups: Dict[Tuple[str, Optional[float]], List[int]] = {}
         for index, request in enumerate(batch):
             groups.setdefault((request.view, request.tau), []).append(index)
-        for (view, tau), indexes in groups.items():
-            with self._lock:
-                state = self._dynamic.get(view)
-            if state is not None:
-                if tau is not None and float(tau) != state.tau:
-                    raise ParameterError(
-                        f"dynamic view {view!r} serves at its "
-                        f"registration tau={state.tau:g}; per-request "
-                        "tau pins are not supported under deltas"
+        # A group that fails to open closes the groups opened before it.
+        with Hold() as opened:
+            for (view, tau), indexes in groups.items():
+                group = [batch[index] for index in indexes]
+                scan, scan_cursors = self._open_group(view, tau, group)
+                opened.opened += scan_cursors
+                for index, cursor in zip(indexes, scan_cursors):
+                    cursors[index] = cursor
+                if self._telemetry is not None:
+                    self._kernel_counter(view, scan.kernel_path).inc(
+                        len(group)
                     )
-                version, generation, serving = state.pin()
-                for _ in range(len(indexes) - 1):
-                    state.repin(version)
-                representation = self._cache.get_or_build(
-                    (view, state.tau, generation), lambda: serving, durable=False
-                )
-            else:
-                representation = self.representation(view, tau)
-            group = [batch[index] for index in indexes]
-            try:
-                scan = SharedScan(representation, group)
-                scan_cursors = scan.cursors()
-            except Exception:
-                if state is not None:
-                    for _ in indexes:
-                        self._release_dynamic(state, version)
-                raise
-            for index, cursor in zip(indexes, scan_cursors):
-                cursors[index] = cursor
-            if state is not None:
-                # One pin per group cursor; each close hook drops its
-                # own, and the last release retires a drained version.
-                for cursor in scan_cursors:
-                    cursor.add_close_hook(
-                        lambda state=state, version=version: (
-                            self._release_dynamic(state, version)
-                        )
+                    self._instrument_scan(
+                        view, scan, scan_cursors, group, started
                     )
-            if self._telemetry is not None:
-                self._kernel_counter(view, scan.kernel_path).inc(
-                    len(group)
-                )
-                self._instrument_scan(
-                    view, scan, scan_cursors, group, started
-                )
         with self._lock:
             self._requests_served += len(batch)
         return cursors
 
-    def answer(self, name: str, access: Sequence) -> List[Tuple]:
-        """Answer one access request fully (materializing wrapper)."""
-        with self.open(name, access) as cursor:
-            return cursor.fetchall()
-
-    def answer_batch(
+    def _open_group(
         self,
-        name: str,
-        accesses: Iterable[Sequence],
-        tau: Optional[float] = None,
-        measure: bool = True,
-    ) -> BatchResult:
-        """Serve a batch of access requests with one shared traversal.
+        view: str,
+        tau: Optional[float],
+        group: Sequence[AccessRequest],
+    ) -> Tuple[SharedScan, List[AnswerCursor]]:
+        """One ``(view, τ)`` group's shared scan and its cursors.
 
-        A thin materializing wrapper over :meth:`open_batch`: the batch
-        is deduplicated and its distinct accesses (sorted — the tree is
-        laid out lexicographically, so nearby bound values touch nearby
-        dictionary entries) ride one shared scan; every duplicate
-        request shares the answer list computed by its representative.
-        With ``measure=True`` per-access delay accounting matches
-        :func:`~repro.measure.delay.measure_enumeration` — closing gap
-        included, because the cursors are drained to exhaustion here
-        (see :class:`BatchResult`). The structure is resolved once per
-        batch, so cache accounting is unchanged.
+        A dynamic view's group pins the current serving version once per
+        cursor; each close hook drops its own pin, and the last release
+        retires a drained version.
         """
-        batch = tuple(tuple(access) for access in accesses)
-        unique = sorted(set(batch))
-        cursors = self.open_batch(
-            AccessRequest(view=name, access=access, tau=tau, measure=measure)
-            for access in unique
-        )
-        answers_by_access: Dict[Tuple, List[Tuple]] = {}
-        stats: Dict[Tuple, DelayStats] = {}
-        for access, cursor in zip(unique, cursors):
-            answers_by_access[access] = cursor.fetchall()
-            if measure:
-                stats[access] = cursor.stats()
         with self._lock:
-            # open_batch counted the distinct requests; the duplicates
-            # it deduplicated away were still served.
-            self._requests_served += len(batch) - len(unique)
-        return BatchResult(
-            accesses=batch,
-            answers=tuple(answers_by_access[access] for access in batch),
-            request_stats=stats,
-            unique_count=len(unique),
-        )
+            state = self._dynamic.get(view)
+        if state is None:
+            scan = SharedScan(self.representation(view, tau), group)
+            return scan, scan.cursors()
+        state.check_tau(tau)
+        with state.epochs.hold(
+            len(group), partial(self._retire, state)
+        ) as hold:
+            scan = SharedScan(self._resident(state, *hold.payload), group)
+            return scan, hold.keep(scan.cursors())
 
-    def serve_stream(
-        self,
-        name: str,
-        accesses: Iterable[Sequence],
-        batch_size: int = 32,
-        tau: Optional[float] = None,
-        measure: bool = True,
-    ) -> ServingReport:
-        """Drain a request stream in batches and aggregate the measurements."""
-        return drain_stream(
-            self, name, accesses, batch_size=batch_size, tau=tau, measure=measure
-        )
+    def _count_shared(
+        self, name: str, batch: Sequence[Tuple], unique: Sequence[Tuple]
+    ) -> None:
+        # open_batch counted the distinct requests; the duplicates
+        # answer_batch deduplicated away were still served.
+        with self._lock:
+            self._requests_served += len(batch) - len(unique)
 
     # ------------------------------------------------------------------
     # life cycle and introspection

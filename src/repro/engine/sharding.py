@@ -54,7 +54,7 @@ snapshot tier — once its version's pin count drains to zero.
 from __future__ import annotations
 
 import heapq
-import threading
+from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
@@ -63,8 +63,10 @@ from typing import (
     Iterable,
     List,
     Mapping,
+    NamedTuple,
     Optional,
     Sequence,
+    Set,
     Tuple,
     Union,
 )
@@ -74,15 +76,10 @@ from repro.database.catalog import Database
 from repro.database.relation import Relation
 from repro.engine.api import AccessRequest, AnswerCursor, as_request
 from repro.engine.cache import CacheStats
+from repro.engine.epoch import Epochs
 from repro.engine.locking import named_lock
 from repro.engine.parallel import ParallelBuilder
-from repro.engine.server import (
-    BatchResult,
-    Registration,
-    ServingReport,
-    ViewServer,
-    drain_stream,
-)
+from repro.engine.server import Registration, Serving, ViewServer
 from repro.engine.telemetry import Telemetry
 from repro.engine.topology import RoutingTable, stable_hash
 from repro.exceptions import ParameterError, SchemaError
@@ -300,31 +297,40 @@ class SplitReport:
     retired_immediately: bool  # no pins held: the parent retired at cutover
 
 
-class _Topology:
-    """One live routing-table version: its table, shard servers, and pins."""
+class _Spec(NamedTuple):
+    """One recorded registration, replayable onto a split's children."""
 
-    __slots__ = ("table", "shard_ids", "servers", "pins")
+    view: AdornedView
+    name: Optional[str]
+    dynamic: bool
+    knobs: Dict
+
+
+class _Topology:
+    """One routing-table version: its table and shard servers (an epoch payload)."""
+
+    __slots__ = ("table", "shard_ids", "servers")
 
     def __init__(self, table: RoutingTable, servers: Sequence[ViewServer]):
         self.table = table
         self.shard_ids = table.shard_ids
         self.servers: Tuple[ViewServer, ...] = tuple(servers)
-        self.pins = 0
-
-    @property
-    def version(self) -> int:
-        return self.table.version
 
 
-class ShardedViewServer:
+class ShardedViewServer(Serving):
     """N hash-partitioned :class:`ViewServer` back ends behind one facade.
 
-    Mirrors the ``ViewServer`` serving surface (``register`` / ``open`` /
-    ``open_batch`` / ``answer`` / ``answer_batch`` / ``serve_stream`` /
-    ``total_builds`` / ``cache_stats``) so callers — including
-    :class:`~repro.engine.async_server.AsyncViewServer`, which fans the
-    per-shard sub-batches out to its thread pool — can treat both
-    interchangeably.
+    Implements the same two primitives as ``ViewServer`` — ``open`` and
+    ``open_batch``, routed or scattered through :meth:`plan_batch`'s
+    grouping — and inherits the materializing wrappers (``answer`` /
+    ``answer_batch`` / ``serve_stream``) from
+    :class:`~repro.engine.server.Serving`, so callers can treat both
+    interchangeably. Registration (``register`` / ``register_dynamic``),
+    ``apply_deltas``, the tuning surface and ``total_builds`` /
+    ``cache_stats`` fan out to the shards;
+    :class:`~repro.engine.async_server.AsyncViewServer` runs the same
+    per-shard groups on its thread pool (:meth:`plan_requests` under one
+    :meth:`pin_version`).
 
     Parameters
     ----------
@@ -391,14 +397,9 @@ class ShardedViewServer:
         )
         self._cache_policy = cache_policy
         self._semijoin_reduce = semijoin_reduce
-        self._owns_telemetry = telemetry is True
-        if telemetry is True:
-            telemetry = Telemetry(
-                self._snapshot_dir / "telemetry"
-                if self._snapshot_dir is not None
-                else None
-            )
-        self._telemetry: Optional[Telemetry] = telemetry or None
+        self._telemetry, self._owns_telemetry = Telemetry.resolve(
+            telemetry, self._snapshot_dir
+        )
         if isinstance(n_shards, RoutingTable):
             table = n_shards
         else:
@@ -418,18 +419,19 @@ class ShardedViewServer:
             shard_id: self._make_shard_server(shard_id, shard_db)
             for shard_id, shard_db in self._databases.items()
         }
-        self._current = _Topology(
-            table, [self._servers[sid] for sid in table.shard_ids]
-        )
-        self._topologies: Dict[int, _Topology] = {
-            table.version: self._current
-        }
         self._topology_lock = named_lock("sharding.topology", reentrant=True)
-        # Serializes registration changes against splits, so a split
-        # replays a consistent registration set onto its children.
+        # Routing-table versions: cursors pin the one they opened under.
+        self._epochs = Epochs(
+            self._topology_lock,
+            table.version,
+            _Topology(table, [self._servers[sid] for sid in table.shard_ids]),
+        )
+        # Serializes registration changes and deltas against splits, so
+        # a split replays a consistent registration set — over a state
+        # no delta is moving — onto its children.
         self._admin_lock = named_lock("sharding.admin")
-        # Registration knobs by name, replayed onto split children.
-        self._registrations: Dict[str, Dict] = {}
+        # Registrations by name, replayed onto split children.
+        self._registrations: Dict[str, _Spec] = {}
         # Maps name -> (mode, bound position); None marks a registration
         # in flight (the name is claimed but not yet routable).
         self._routes: Dict[str, Optional[Tuple[str, Optional[int]]]] = {}
@@ -467,55 +469,46 @@ class ShardedViewServer:
     @property
     def topology(self) -> RoutingTable:
         """The current routing table (new requests route through it)."""
-        with self._topology_lock:
-            return self._current.table
+        return self._topology_for().table
 
     @property
     def shards(self) -> List[ViewServer]:
         """The current topology's shard servers, in shard-id order."""
-        with self._topology_lock:
-            return list(self._current.servers)
+        return list(self._topology_for().servers)
 
     @property
     def databases(self) -> List[Database]:
         """The current topology's shard databases, in shard-id order."""
         with self._topology_lock:
             return [
-                self._databases[sid] for sid in self._current.shard_ids
+                self._databases[sid] for sid in self._topology_for().shard_ids
             ]
 
     @property
     def n_shards(self) -> int:
         """Shard count of the current topology (grows across splits)."""
-        with self._topology_lock:
-            return len(self._current.shard_ids)
+        return len(self._topology_for().shard_ids)
 
     @property
     def shard_ids(self) -> Tuple[str, ...]:
         """The current topology's shard identifiers, in routing order."""
-        with self._topology_lock:
-            return self._current.shard_ids
+        return self._topology_for().shard_ids
 
-    def _topology_for(self, version: Optional[int]) -> _Topology:
-        with self._topology_lock:
-            if version is None:
-                return self._current
-            top = self._topologies.get(version)
-            if top is None:
-                raise ParameterError(
-                    f"routing-table version {version} is not live"
-                )
-            return top
+    def _topology_for(self, version: Optional[int] = None) -> _Topology:
+        if version is None:
+            return self._epochs.current()[1]
+        top = self._epochs.get(version)
+        if top is None:
+            raise ParameterError(
+                f"routing-table version {version} is not live"
+            )
+        return top
 
     def shard_server(
         self, shard_index: int, version: Optional[int] = None
     ) -> ViewServer:
         """The shard server at one index of a (pinned or current) version."""
         return self._topology_for(version).servers[shard_index]
-
-    def shard_count(self, version: Optional[int] = None) -> int:
-        """Shards in a (pinned or current) routing-table version."""
-        return len(self._topology_for(version).shard_ids)
 
     def pin_version(self) -> int:
         """Pin the current routing-table version; returns its number.
@@ -526,60 +519,49 @@ class ShardedViewServer:
         :meth:`release_version` (cursor close hooks do this for the
         serving paths).
         """
-        with self._topology_lock:
-            self._current.pins += 1
-            return self._current.version
+        return self._epochs.pin()[0]
 
     def release_version(self, version: int) -> None:
         """Drop one pin; a drained non-current version retires its shards."""
-        retired: List[ViewServer] = []
-        with self._topology_lock:
-            top = self._topologies.get(version)
-            if top is None:
-                return
-            top.pins = max(0, top.pins - 1)
-            if top.pins == 0 and top is not self._current:
-                retired = self._retire_version_locked(top)
-        for server in retired:
-            self._finalize_retired(server)
+        self._retire(self._epochs.release(version))
 
     def version_pins(self, version: Optional[int] = None) -> int:
         """Open pins on a (pinned or current) routing-table version."""
-        with self._topology_lock:
-            return self._topology_for(version).pins
+        return self._epochs.pins(self._topology_for(version).table.version)
 
     def live_versions(self) -> Tuple[int, ...]:
         """Routing-table versions still live (current plus draining)."""
+        return self._epochs.live()
+
+    def _retire(self, retired: Sequence[_Topology]) -> None:
+        """Tear down the shards only drained topologies still referenced.
+
+        Shards any live version still routes to (everything but a split
+        parent) stay. Demotion and teardown do I/O, so they run outside
+        the topology lock; demoting first keeps the retiring shard's
+        structures shippable (replicas hydrate from exactly these
+        snapshots).
+        """
+        if not retired:
+            return
+        dead: List[ViewServer] = []
         with self._topology_lock:
-            return tuple(sorted(self._topologies))
-
-    def _retire_version_locked(self, top: _Topology) -> List[ViewServer]:
-        # Caller holds the topology lock. Shards still referenced by any
-        # other live version (i.e. everything but the split parent) stay.
-        del self._topologies[top.version]
-        live = set()
-        for other in self._topologies.values():
-            live.update(other.shard_ids)
-        retired: List[ViewServer] = []
-        for shard_id in top.shard_ids:
-            if shard_id in live:
-                continue
-            server = self._servers.pop(shard_id, None)
-            if server is None:
-                continue
-            self._databases.pop(shard_id, None)
-            self._retired_builds += server.total_builds()
-            self._retired_cache.add(server.cache_stats)
-            retired.append(server)
-        return retired
-
-    def _finalize_retired(self, server: ViewServer) -> None:
-        # Demotion and teardown do I/O; they run outside the topology
-        # lock. Demoting first keeps the retiring shard's structures
-        # shippable (replicas hydrate from exactly these snapshots).
-        server.cache.demote_all()
-        server.cache.clear()
-        server.close()
+            live = set()
+            for version in self._epochs.live():
+                live.update(self._epochs.get(version).shard_ids)
+            for top in retired:
+                for shard_id in top.shard_ids:
+                    if shard_id in live or shard_id not in self._servers:
+                        continue
+                    server = self._servers.pop(shard_id)
+                    self._databases.pop(shard_id, None)
+                    self._retired_builds += server.total_builds()
+                    self._retired_cache.add(server.cache_stats)
+                    dead.append(server)
+        for server in dead:
+            server.cache.demote_all()
+            server.cache.clear()
+            server.close()
 
     # ------------------------------------------------------------------
     # registration and routing
@@ -652,53 +634,10 @@ class ShardedViewServer:
         registration is recorded so a later :meth:`split_shard` replays
         it onto the child shards.
         """
-        if isinstance(view, str):
-            view = parse_view(view)
-        route = self._resolve_route(view)
-        intended = name or view.name
-        with self._routes_lock:
-            # Claim the name first so concurrent registrations of the
-            # same name fail fast instead of half-registering both.
-            if intended in self._routes:
-                raise SchemaError(f"view {intended!r} is already registered")
-            self._routes[intended] = None
-        registered: List[ViewServer] = []
-        try:
-            with self._admin_lock:
-                with self._topology_lock:
-                    targets = [
-                        (self._servers[sid], self._databases[sid])
-                        for sid in self._current.shard_ids
-                    ]
-                for server, shard_db in targets:
-                    resolved = server.register(
-                        view,
-                        tau=tau,
-                        space_budget=space_budget,
-                        delay_budget=delay_budget,
-                        name=name,
-                        database=self._shard_view_database(view, shard_db),
-                    )
-                    assert resolved == intended
-                    registered.append(server)
-                self._registrations[intended] = {
-                    "view": view,
-                    "tau": tau,
-                    "space_budget": space_budget,
-                    "delay_budget": delay_budget,
-                    "name": name,
-                }
-        except BaseException:
-            # All shards or none: a half-registered view would wedge the
-            # name (unroutable here, 'already registered' on retry).
-            for server in registered:
-                server.unregister(intended)
-            with self._routes_lock:
-                del self._routes[intended]
-            raise
-        with self._routes_lock:
-            self._routes[intended] = route
-        return intended
+        knobs = dict(
+            tau=tau, space_budget=space_budget, delay_budget=delay_budget
+        )
+        return self._register_everywhere(view, name, False, knobs)
 
     def register_dynamic(
         self,
@@ -718,11 +657,25 @@ class ShardedViewServer:
         semijoin reduction: deltas address raw base-relation tuples,
         which a slice-reduced replica copy could silently drop.
         """
+        knobs = dict(tau=tau, rebuild_fraction=rebuild_fraction)
+        return self._register_everywhere(view, name, True, knobs)
+
+    def _register_everywhere(
+        self,
+        view: Union[AdornedView, str],
+        name: Optional[str],
+        dynamic: bool,
+        knobs: Dict,
+    ) -> str:
+        """Claim the name, register on every shard or none, publish the route."""
         if isinstance(view, str):
             view = parse_view(view)
         route = self._resolve_route(view)
         intended = name or view.name
+        spec = _Spec(view, name, dynamic, knobs)
         with self._routes_lock:
+            # Claim the name first so concurrent registrations of the
+            # same name fail fast instead of half-registering both.
             if intended in self._routes:
                 raise SchemaError(f"view {intended!r} is already registered")
             self._routes[intended] = None
@@ -731,28 +684,17 @@ class ShardedViewServer:
             with self._admin_lock:
                 with self._topology_lock:
                     targets = [
-                        self._servers[sid]
-                        for sid in self._current.shard_ids
+                        (self._servers[sid], self._databases[sid])
+                        for sid in self._topology_for().shard_ids
                     ]
-                for server in targets:
-                    resolved = server.register_dynamic(
-                        view,
-                        tau=tau,
-                        name=name,
-                        rebuild_fraction=rebuild_fraction,
-                    )
+                for server, shard_db in targets:
+                    resolved = self._register_on(server, shard_db, spec)
                     assert resolved == intended
                     registered.append(server)
-                self._registrations[intended] = {
-                    "view": view,
-                    "tau": tau,
-                    "space_budget": None,
-                    "delay_budget": None,
-                    "name": name,
-                    "dynamic": True,
-                    "rebuild_fraction": rebuild_fraction,
-                }
+                self._registrations[intended] = spec
         except BaseException:
+            # All shards or none: a half-registered view would wedge the
+            # name (unroutable here, 'already registered' on retry).
             for server in registered:
                 server.unregister(intended)
             with self._routes_lock:
@@ -762,6 +704,29 @@ class ShardedViewServer:
             self._routes[intended] = route
         return intended
 
+    def _register_on(
+        self,
+        server: ViewServer,
+        shard_db: Database,
+        spec: _Spec,
+        current: Optional[Database] = None,
+    ) -> str:
+        """Replay one recorded registration onto one shard server.
+
+        ``current`` is a dynamic view's starting state when that is not
+        the shard's base slice (a split child's share of its parent).
+        """
+        if spec.dynamic:
+            return server.register_dynamic(
+                spec.view, name=spec.name, database=current, **spec.knobs
+            )
+        return server.register(
+            spec.view,
+            name=spec.name,
+            database=self._shard_view_database(spec.view, shard_db),
+            **spec.knobs,
+        )
+
     def dynamic_views(self) -> Tuple[str, ...]:
         """Names registered for dynamic serving (identical on all shards)."""
         with self._routes_lock:
@@ -770,9 +735,7 @@ class ShardedViewServer:
                 for name, route in self._routes.items()
                 if route is not None
             )
-        with self._topology_lock:
-            representative = self._current.servers[0]
-        dynamic = set(representative.dynamic_views())
+        dynamic = set(self._topology_for().servers[0].dynamic_views())
         return tuple(name for name in names if name in dynamic)
 
     def apply_deltas(
@@ -796,9 +759,11 @@ class ShardedViewServer:
         inserts = [tuple(row) for row in inserts]
         deletes = [tuple(row) for row in deletes]
         column = self.shard_key.get(relation)
-        version = self.pin_version()
-        try:
-            top = self._topology_for(version)
+        # Under the admin lock a split cannot run: no delta lands on a
+        # parent between its children's build and the cutover, and the
+        # topology routed through here cannot retire mid-call.
+        with self._admin_lock:
+            top = self._topology_for()
             shard_inserts = {sid: inserts for sid in top.shard_ids}
             shard_deletes = {sid: deletes for sid in top.shard_ids}
             if column is not None:
@@ -831,8 +796,6 @@ class ShardedViewServer:
                 for view_name, count in applied.items():
                     totals[view_name] = totals.get(view_name, 0) + count
             return totals
-        finally:
-            self.release_version(version)
 
     def unregister(self, name: str) -> bool:
         """Drop a view from every shard and the route table; True if known."""
@@ -845,12 +808,10 @@ class ShardedViewServer:
             del self._routes[name]
         with self._admin_lock:
             self._registrations.pop(name, None)
-            with self._topology_lock:
-                # Retiring shards lose the view too: a pinned cursor
-                # already holds its structure, and a retired cache must
-                # not resurrect an unregistered view.
-                servers = list(self._servers.values())
-            for server in servers:
+            # Retiring shards lose the view too: a pinned cursor
+            # already holds its structure, and a retired cache must
+            # not resurrect an unregistered view.
+            for server in self._all_servers():
                 server.unregister(name)
         return True
 
@@ -881,15 +842,6 @@ class ShardedViewServer:
                 if route is not None
             )
 
-    def _count_shard(
-        self, shard_id: str, mode: str, amount: int = 1
-    ) -> None:
-        """Bump the facade's routing counter (no-op without telemetry)."""
-        if self._telemetry is not None and amount:
-            self._telemetry.counter(
-                "shard_requests_total", shard=shard_id, mode=mode
-            ).inc(amount)
-
     def shard_of(
         self, name: str, access: Sequence, version: Optional[int] = None
     ) -> Optional[int]:
@@ -905,13 +857,19 @@ class ShardedViewServer:
             return None
         if mode == PINNED:
             return 0
-        access = tuple(access)
+        return self._owner(
+            self._topology_for(version), name, position, tuple(access)
+        )
+
+    @staticmethod
+    def _owner(top: _Topology, name: str, position: int, access: Tuple) -> int:
+        """The shard index owning one routed access (typed if too short)."""
         if position >= len(access):
             raise SchemaError(
                 f"view {name!r}: access tuple {access!r} too short for "
                 f"bound position {position}"
             )
-        return self._topology_for(version).table.index_for(access[position])
+        return top.table.index_for(access[position])
 
     # ------------------------------------------------------------------
     # builds
@@ -944,9 +902,7 @@ class ShardedViewServer:
 
     def close(self) -> None:
         """Release the shared build worker pool (serving keeps working)."""
-        with self._topology_lock:
-            servers = list(self._servers.values())
-        for server in servers:
+        for server in self._all_servers():
             server.close()
         if self._builder is not None:
             self._builder.close()
@@ -1005,9 +961,7 @@ class ShardedViewServer:
     def demote(self, name: str) -> int:
         """Evict one view from every shard's memory tier; total entries."""
         self.route(name)
-        with self._topology_lock:
-            servers = list(self._servers.values())
-        return sum(server.demote(name) for server in servers)
+        return sum(server.demote(name) for server in self._all_servers())
 
     # ------------------------------------------------------------------
     # elastic topology: live shard splits
@@ -1054,88 +1008,93 @@ class ShardedViewServer:
         )
         return report
 
+    def _slice_children(
+        self, parent_db: Database, table: RoutingTable, children: Sequence[str]
+    ) -> Tuple[Dict[str, Database], int]:
+        """Re-place one parent's rows onto its children; (slices, rows moved).
+
+        Hierarchical rendezvous guarantees each key lands on one of the
+        two children; replicated relations are copied into both.
+        """
+        buckets: Dict[str, Dict[str, List[Tuple]]] = {
+            child: {key_name: [] for key_name in self.shard_key}
+            for child in children
+        }
+        moved = 0
+        for key_name, column in self.shard_key.items():
+            for row in parent_db[key_name]:
+                owner = table.shard_for(row[column])
+                if owner not in buckets:
+                    raise SchemaError(
+                        f"split of {children!r}'s parent: key "
+                        f"{row[column]!r} re-placed outside the split "
+                        f"({owner!r}) — the routing table is not "
+                        "hierarchical"
+                    )
+                buckets[owner][key_name].append(row)
+                moved += 1
+        slices = {
+            child: Database(
+                [
+                    Relation(
+                        relation.name,
+                        relation.arity,
+                        buckets[child][relation.name]
+                        if relation.name in self.shard_key
+                        else relation.rows,
+                    )
+                    for relation in parent_db
+                ]
+            )
+            for child in children
+        }
+        return slices, moved
+
     def _split_shard(self, shard_id: Union[str, int]) -> SplitReport:
         # split_shard minus telemetry — the traced wrapper above calls it.
         shard_id = str(shard_id)
         with self._admin_lock:
             with self._topology_lock:
-                old = self._current
+                version_before, old = self._epochs.current()
                 if shard_id not in old.shard_ids:
                     raise ParameterError(
                         f"shard {shard_id!r} is not a live shard of "
-                        f"routing-table version {old.version} "
+                        f"routing-table version {version_before} "
                         f"(live: {list(old.shard_ids)!r})"
                     )
                 parent_server = self._servers[shard_id]
                 parent_db = self._databases[shard_id]
-                specs = {
-                    view_name: dict(spec)
-                    for view_name, spec in self._registrations.items()
-                }
-            dynamic = sorted(
-                view_name
-                for view_name, spec in specs.items()
-                if spec.get("dynamic")
-            )
-            if dynamic:
-                # A split re-registers children against the *base* slice;
-                # deltas applied since registration would silently vanish
-                # from the children. Refuse rather than serve from the
-                # past — unregister the dynamic views, split, re-register.
-                raise ParameterError(
-                    f"cannot split shard {shard_id!r} while dynamic views "
-                    f"{dynamic!r} are registered: the children would be "
-                    "rebuilt from the pre-delta base slice. Unregister "
-                    "them, split, then register_dynamic again."
-                )
+                specs = dict(self._registrations)
             new_table = old.table.split(shard_id)
             children = new_table.children(shard_id)
-            # Re-place only the parent's slice. Hierarchical rendezvous
-            # guarantees each key lands on one of the two children.
-            buckets: Dict[str, Dict[str, List[Tuple]]] = {
-                child: {key_name: [] for key_name in self.shard_key}
-                for child in children
-            }
-            moved = 0
-            for key_name, column in self.shard_key.items():
-                for row in parent_db[key_name]:
-                    owner = new_table.shard_for(row[column])
-                    if owner not in buckets:
-                        raise SchemaError(
-                            f"split of {shard_id!r}: key {row[column]!r} "
-                            f"re-placed outside the split ({owner!r}) — "
-                            "the routing table is not hierarchical"
-                        )
-                    buckets[owner][key_name].append(row)
-                    moved += 1
-            child_dbs: Dict[str, Database] = {}
-            for child in children:
-                relations = []
-                for relation in parent_db:
-                    rows = (
-                        buckets[child][relation.name]
-                        if relation.name in self.shard_key
-                        else relation.rows
-                    )
-                    relations.append(
-                        Relation(relation.name, relation.arity, rows)
-                    )
-                child_dbs[child] = Database(relations)
+            # Re-place only the parent's slice.
+            child_dbs, moved = self._slice_children(
+                parent_db, new_table, children
+            )
             child_servers = {
                 child: self._make_shard_server(child, child_dbs[child])
                 for child in children
             }
             for view_name, spec in specs.items():
+                current: Dict[str, Optional[Database]] = dict.fromkeys(children)
+                if spec.dynamic:
+                    # A dynamic view's children start from the parent's
+                    # *current* state — base slice plus every delta so
+                    # far (none can land meanwhile: deltas take the
+                    # admin lock too) — sliced exactly like the base.
+                    current, _ = self._slice_children(
+                        parent_server._dynamic_state(
+                            view_name
+                        ).current_database(),
+                        new_table,
+                        children,
+                    )
                 for child in children:
-                    resolved = child_servers[child].register(
-                        spec["view"],
-                        tau=spec["tau"],
-                        space_budget=spec["space_budget"],
-                        delay_budget=spec["delay_budget"],
-                        name=spec["name"],
-                        database=self._shard_view_database(
-                            spec["view"], child_dbs[child]
-                        ),
+                    resolved = self._register_on(
+                        child_servers[child],
+                        child_dbs[child],
+                        spec,
+                        current[child],
                     )
                     assert resolved == view_name
             # Demote the hot shard's resident structures to its snapshot
@@ -1159,163 +1118,137 @@ class ShardedViewServer:
                     ]
                     for future in futures:
                         future.result()
-            # Cutover: atomically install the new version. New requests
+            # Cutover: atomically publish the new version. New requests
             # route through it; pinned versions keep the old servers.
-            retired: List[ViewServer] = []
             with self._topology_lock:
                 self._servers.update(child_servers)
                 self._databases.update(child_dbs)
-                new_top = _Topology(
-                    new_table,
-                    [self._servers[sid] for sid in new_table.shard_ids],
+                retired = self._epochs.publish(
+                    new_table.version,
+                    _Topology(
+                        new_table,
+                        [self._servers[sid] for sid in new_table.shard_ids],
+                    ),
                 )
-                self._topologies[new_top.version] = new_top
-                self._current = new_top
-                retired_immediately = old.pins == 0
-                if retired_immediately:
-                    retired = self._retire_version_locked(old)
-        for server in retired:
-            self._finalize_retired(server)
+        self._retire(retired)
         return SplitReport(
             shard_id=shard_id,
             children=children,
-            version_before=old.version,
+            version_before=version_before,
             version_after=new_table.version,
             moved_rows=moved,
             demoted_snapshots=demoted,
             warmed_views=warmed,
-            retired_immediately=retired_immediately,
+            retired_immediately=bool(retired),
         )
 
     # ------------------------------------------------------------------
-    # batch planning, execution, merging
+    # planning: which shard serves which request
     # ------------------------------------------------------------------
+    def _plan(
+        self, top: _Topology, name: str, accesses: Sequence[Tuple]
+    ) -> Tuple[str, List[List[int]]]:
+        """(mode, per-shard positions into ``accesses``) for one view.
+
+        The one routing decision: scatter views repeat every position on
+        every shard, pinned views put them all on shard 0, routed views
+        send each to the shard owning its bound value. Routing
+        accounting lives with it, so every executor of a plan — cursors,
+        batches, the async fan-out — lands in
+        ``shard_requests_total{shard,mode}``.
+        """
+        mode, position = self.route(name)
+        plan: List[List[int]] = [[] for _ in top.shard_ids]
+        if mode == ROUTED:
+            for index, access in enumerate(accesses):
+                plan[self._owner(top, name, position, access)].append(index)
+        else:
+            # Everything, on every shard (scatter) or on shard 0 (pinned).
+            for positions in plan if mode == SCATTER else plan[:1]:
+                positions.extend(range(len(accesses)))
+        if self._telemetry is not None:
+            for shard_id, positions in zip(top.shard_ids, plan):
+                if positions:
+                    self._telemetry.counter(
+                        "shard_requests_total", shard=shard_id, mode=mode
+                    ).inc(len(positions))
+        return mode, plan
+
     def plan_batch(
         self,
         name: str,
         accesses: Iterable[Sequence],
-        route: Optional[Tuple[str, Optional[int]]] = None,
         version: Optional[int] = None,
     ) -> List[List[Tuple]]:
         """Per-shard sub-batches for one batch (index-aligned to shards).
 
         Scatter views repeat the whole batch on every shard; routed views
-        split it; shards with no work get an empty list, which execution
-        skips. Callers serving a whole batch resolve the route once and
-        pass it to both this and :meth:`merge_batch`, so a concurrent
-        re-registration cannot flip the mode between plan and merge —
-        and pin a topology ``version`` across plan/answer/merge so a
-        concurrent split cannot shift the shard indexes either.
+        split it; shards with no work get an empty list. Pass a pinned
+        topology ``version`` when the plan must line up with shard
+        servers resolved later, so a concurrent split cannot shift the
+        shard indexes in between.
         """
         batch = [tuple(access) for access in accesses]
-        top = self._topology_for(version)
-        n_shards = len(top.shard_ids)
-        mode, position = route or self.route(name)
-        if mode == SCATTER:
-            sub_batches = [list(batch) for _ in range(n_shards)]
-        elif mode == PINNED:
-            sub_batches = [list(batch)] + [[] for _ in range(n_shards - 1)]
-        else:
-            sub_batches = [[] for _ in range(n_shards)]
-            for access in batch:
-                if position >= len(access):
-                    raise SchemaError(
-                        f"view {name!r}: access tuple {access!r} too short "
-                        f"for bound position {position}"
-                    )
-                sub_batches[top.table.index_for(access[position])].append(
-                    access
-                )
-        # Routing accounting lives with the routing decision, so both
-        # executors of this plan — the sequential answer_batch and the
-        # async fan-out — land in shard_requests_total{shard,mode}.
-        if self._telemetry is not None:
-            for index, sub_batch in enumerate(sub_batches):
-                self._count_shard(top.shard_ids[index], mode, len(sub_batch))
-        return sub_batches
+        _, plan = self._plan(self._topology_for(version), name, batch)
+        return [[batch[index] for index in positions] for positions in plan]
 
-    def answer_shard(
+    def plan_requests(
         self,
-        shard_index: int,
-        name: str,
-        accesses: Sequence[Sequence],
-        tau: Optional[float] = None,
-        measure: bool = True,
+        requests: Sequence[AccessRequest],
         version: Optional[int] = None,
-    ) -> BatchResult:
-        """One shard's answer to its sub-batch (the fan-out work unit)."""
-        top = self._topology_for(version)
-        return top.servers[shard_index].answer_batch(
-            name, accesses, tau=tau, measure=measure
-        )
+    ) -> Tuple[Set[int], List[List[int]]]:
+        """:meth:`plan_batch` for a typed, possibly mixed-view batch.
 
-    def merge_batch(
-        self,
-        name: str,
-        accesses: Iterable[Sequence],
-        shard_results: Sequence[Optional[BatchResult]],
-        route: Optional[Tuple[str, Optional[int]]] = None,
-    ) -> BatchResult:
-        """Gather per-shard results back into one batch-aligned result.
-
-        ``route`` must be the same resolution the batch was planned with
-        (see :meth:`plan_batch`); merging scatter-planned results in
-        routed mode would silently drop rows.
+        Returns ``(scatter, plan)``: the positions of the requests that
+        fan out to every shard (their per-shard answers need merging),
+        and per shard — index-aligned to the version's shards — the
+        positions into ``requests`` it serves.
         """
-        batch = tuple(tuple(access) for access in accesses)
-        mode, _ = route or self.route(name)
-        unique = sorted(set(batch))
-        answers_by_access: Dict[Tuple, List[Tuple]] = {}
-        stats: Dict[Tuple, DelayStats] = {}
-        if mode == SCATTER:
-            per_shard: List[Dict[Tuple, List[Tuple]]] = []
-            per_shard_stats: List[Dict[Tuple, DelayStats]] = []
-            for result in shard_results:
-                if result is None:
-                    continue
-                per_shard.append(dict(zip(result.accesses, result.answers)))
-                per_shard_stats.append(dict(result.request_stats))
-            for access in unique:
-                parts = [
-                    shard_answers[access]
-                    for shard_answers in per_shard
-                    if access in shard_answers
-                ]
-                # Shards partition the result space, so the sorted
-                # per-shard lists are disjoint: merging is a plain union.
-                answers_by_access[access] = list(heapq.merge(*parts))
-                measured = [
-                    shard_stats[access]
-                    for shard_stats in per_shard_stats
-                    if access in shard_stats
-                ]
-                if measured:
-                    stats[access] = merge_delay_stats(measured)
-        else:
-            for result in shard_results:
-                if result is None:
-                    continue
-                for access, rows in zip(result.accesses, result.answers):
-                    answers_by_access[access] = rows
-                stats.update(result.request_stats)
-        missing = [a for a in unique if a not in answers_by_access]
-        if missing:
-            raise SchemaError(
-                f"view {name!r}: shard results missing accesses {missing!r}"
+        top = self._topology_for(version)
+        by_view: Dict[str, List[int]] = {}
+        for position, request in enumerate(requests):
+            by_view.setdefault(request.view, []).append(position)
+        scatter: Set[int] = set()
+        plan: List[List[int]] = [[] for _ in top.shard_ids]
+        for name, positions in by_view.items():
+            mode, local = self._plan(
+                top, name, [requests[p].access for p in positions]
             )
+            if mode == SCATTER:
+                scatter.update(positions)
+            for merged, indexes in zip(plan, local):
+                merged.extend(positions[index] for index in indexes)
+        return scatter, plan
+
+    @staticmethod
+    def _gather(
+        request: AccessRequest, scattered: bool, parts: List[AnswerCursor]
+    ) -> AnswerCursor:
+        """One request's cursor from its per-shard cursors.
+
+        Per-shard answers of a scattered request are disjoint and
+        sorted, so a lazy k-way heap merge is the full answer in
+        lexicographic head order; ``parts`` stay exposed in shard order.
+        """
+        if not scattered:
+            return parts[0]
+        return AnswerCursor(request, heapq.merge(*parts), parts=parts)
+
+    def _count_shared(
+        self, name: str, batch: Sequence[Tuple], unique: Sequence[Tuple]
+    ) -> None:
+        # Facade-level counts: open_batch routed and counted the
+        # distinct requests; the duplicates answer_batch deduplicated
+        # away were still served — planning them lands them in the same
+        # routing counters.
         with self._served_lock:
-            # Facade-level count: a scattered request is still one request,
-            # however many shards its fan-out touched.
-            self._requests_served += len(batch)
-        return BatchResult(
-            accesses=batch,
-            answers=tuple(answers_by_access[access] for access in batch),
-            request_stats=stats,
-            unique_count=len(unique),
-        )
+            self._requests_served += len(batch) - len(unique)
+        if self._telemetry is not None and len(batch) > len(unique):
+            duplicates = Counter(batch) - Counter(unique)
+            self.plan_batch(name, list(duplicates.elements()))
 
     # ------------------------------------------------------------------
-    # serving (sequential executor; the async front end parallelizes)
+    # serving: the two primitives (Serving adds the materializing wrappers)
     # ------------------------------------------------------------------
     def open(
         self,
@@ -1350,40 +1283,15 @@ class ShardedViewServer:
             tau=tau,
             measure=measure,
         )
-        mode, position = self.route(request.view)
-        version = self.pin_version()
-        try:
-            top = self._topology_for(version)
-            if mode != SCATTER:
-                index = 0
-                if mode == ROUTED:
-                    if position >= len(request.access):
-                        raise SchemaError(
-                            f"view {request.view!r}: access tuple "
-                            f"{request.access!r} too short for bound position "
-                            f"{position}"
-                        )
-                    index = top.table.index_for(request.access[position])
-                cursor = top.servers[index].open(request)
-                self._count_shard(top.shard_ids[index], mode)
-            else:
-                parts: List[AnswerCursor] = []
-                try:
-                    for server in top.servers:
-                        parts.append(server.open(request))
-                except BaseException:
-                    for part in parts:
-                        part.close()
-                    raise
-                cursor = AnswerCursor(
-                    request, heapq.merge(*parts), parts=parts
-                )
-                for shard_id in top.shard_ids:
-                    self._count_shard(shard_id, SCATTER)
-        except BaseException:
-            self.release_version(version)
-            raise
-        cursor.add_close_hook(lambda: self.release_version(version))
+        with self._epochs.hold(1, self._retire) as hold:
+            top = hold.payload
+            mode, plan = self._plan(top, request.view, [request.access])
+            for server, positions in zip(top.servers, plan):
+                if positions:
+                    hold.opened.append(server.open(request))
+            (cursor,) = hold.keep(
+                [self._gather(request, mode == SCATTER, list(hold.opened))]
+            )
         with self._served_lock:
             # Facade-level count: one request, however many shards the
             # scatter fan-out touched.
@@ -1395,11 +1303,11 @@ class ShardedViewServer:
     ) -> List[AnswerCursor]:
         """Open cursors for a whole request batch through the routing layer.
 
-        Routed and pinned requests are grouped per owning shard and each
-        shard serves its sub-batch as ONE shared scan
-        (:meth:`ViewServer.open_batch <repro.engine.server.ViewServer.open_batch>`);
-        scatter requests ride one shared scan *per shard* over the whole
-        scatter sub-batch, and each request gets a lazy k-way heap merge
+        The batch is grouped per owning shard (:meth:`plan_requests`)
+        and each shard serves its group through ONE
+        :meth:`ViewServer.open_batch <repro.engine.server.ViewServer.open_batch>`
+        — one shared scan per ``(view, τ)`` it holds; scatter requests
+        ride every shard's group, and each gets a lazy k-way heap merge
         of its per-shard cursors (disjoint sorted streams, exactly as
         :meth:`open` builds them, ``parts`` exposed in shard order). The
         returned cursors align with the submitted requests; the usual
@@ -1411,119 +1319,39 @@ class ShardedViewServer:
         batch = [as_request(request) for request in requests]
         if not batch:
             return []
-        version = self.pin_version()
-        try:
-            top = self._topology_for(version)
-            cursors: List[Optional[AnswerCursor]] = [None] * len(batch)
-            by_shard: Dict[int, List[int]] = {}
-            scatter: List[int] = []
-            for index, request in enumerate(batch):
-                shard = self.shard_of(
-                    request.view, request.access, version=version
+        with self._epochs.hold(len(batch), self._retire) as hold:
+            top = hold.payload
+            scatter, plan = self.plan_requests(batch, hold.version)
+            parts: List[List[AnswerCursor]] = [[] for _ in batch]
+            for server, positions in zip(top.servers, plan):
+                if not positions:
+                    continue
+                shard_cursors = server.open_batch(
+                    [batch[position] for position in positions]
                 )
-                if shard is None:
-                    scatter.append(index)
-                else:
-                    by_shard.setdefault(shard, []).append(index)
-                    self._count_shard(
-                        top.shard_ids[shard], self.route(request.view)[0]
+                hold.opened += shard_cursors
+                for position, cursor in zip(positions, shard_cursors):
+                    parts[position].append(cursor)
+            cursors = hold.keep(
+                [
+                    self._gather(request, position in scatter, pieces)
+                    for position, (request, pieces) in enumerate(
+                        zip(batch, parts)
                     )
-            for shard, indexes in by_shard.items():
-                shard_cursors = top.servers[shard].open_batch(
-                    [batch[index] for index in indexes]
-                )
-                for index, cursor in zip(indexes, shard_cursors):
-                    cursors[index] = cursor
-            if scatter:
-                scatter_requests = [batch[index] for index in scatter]
-                per_shard: List[List[AnswerCursor]] = []
-                try:
-                    for server in top.servers:
-                        per_shard.append(server.open_batch(scatter_requests))
-                except BaseException:
-                    for opened in per_shard:
-                        for cursor in opened:
-                            cursor.close()
-                    raise
-                for position, index in enumerate(scatter):
-                    parts = [opened[position] for opened in per_shard]
-                    cursors[index] = AnswerCursor(
-                        batch[index], heapq.merge(*parts), parts=parts
-                    )
-                for shard_id in top.shard_ids:
-                    self._count_shard(shard_id, SCATTER, len(scatter))
-        except BaseException:
-            self.release_version(version)
-            raise
-        # One pin per cursor (the first is already held): each close
-        # hook releases exactly one, so the version drains when the last
-        # cursor of the batch finishes.
-        with self._topology_lock:
-            self._topologies[version].pins += len(batch) - 1
-        for cursor in cursors:
-            cursor.add_close_hook(lambda: self.release_version(version))
+                ]
+            )
         with self._served_lock:
             self._requests_served += len(batch)
         return cursors
 
-    def answer(self, name: str, access: Sequence) -> List[Tuple]:
-        """Answer one access request through the routing layer."""
-        with self.open(name, access) as cursor:
-            return cursor.fetchall()
-
-    def answer_batch(
-        self,
-        name: str,
-        accesses: Iterable[Sequence],
-        tau: Optional[float] = None,
-        measure: bool = True,
-    ) -> BatchResult:
-        """Answer a whole batch through plan → per-shard answer → merge.
-
-        The sequential executor: one :meth:`answer_shard` call per
-        non-empty sub-batch under one pinned topology version (the async
-        front end fans the same plan out to its thread pool instead).
-        """
-        batch = [tuple(access) for access in accesses]
-        route = self.route(name)
-        version = self.pin_version()
-        try:
-            plan = self.plan_batch(
-                name, batch, route=route, version=version
-            )
-            shard_results: List[Optional[BatchResult]] = [
-                self.answer_shard(
-                    index,
-                    name,
-                    sub_batch,
-                    tau=tau,
-                    measure=measure,
-                    version=version,
-                )
-                if sub_batch
-                else None
-                for index, sub_batch in enumerate(plan)
-            ]
-            return self.merge_batch(name, batch, shard_results, route=route)
-        finally:
-            self.release_version(version)
-
-    def serve_stream(
-        self,
-        name: str,
-        accesses: Iterable[Sequence],
-        batch_size: int = 32,
-        tau: Optional[float] = None,
-        measure: bool = True,
-    ) -> ServingReport:
-        """Drain a stream through the routing layer, one batch at a time."""
-        return drain_stream(
-            self, name, accesses, batch_size=batch_size, tau=tau, measure=measure
-        )
-
     # ------------------------------------------------------------------
     # aggregation and introspection
     # ------------------------------------------------------------------
+    def _all_servers(self) -> List[ViewServer]:
+        """Every live shard server, retiring ones included."""
+        with self._topology_lock:
+            return list(self._servers.values())
+
     def total_builds(self) -> int:
         """Structure builds across all shards, retired shards included."""
         with self._topology_lock:
@@ -1536,17 +1364,16 @@ class ShardedViewServer:
         """Aggregated cache statistics across live and retired shards."""
         with self._topology_lock:
             merged = CacheStats().add(self._retired_cache)
-            servers = list(self._servers.values())
-        for server in servers:
+        for server in self._all_servers():
             merged.add(server.cache_stats)
         return merged
 
     @property
     def total_cache_cells(self) -> int:
         """Cells resident across every live shard's cache (aggregate budget)."""
-        with self._topology_lock:
-            servers = list(self._servers.values())
-        return sum(server.cache.total_cells for server in servers)
+        return sum(
+            server.cache.total_cells for server in self._all_servers()
+        )
 
     @property
     def requests_served(self) -> int:
@@ -1557,6 +1384,6 @@ class ShardedViewServer:
     def invalidate(self, name: str) -> int:
         """Drop one view's cached structures on every shard; total dropped."""
         self.route(name)
-        with self._topology_lock:
-            servers = list(self._servers.values())
-        return sum(server.invalidate(name) for server in servers)
+        return sum(
+            server.invalidate(name) for server in self._all_servers()
+        )

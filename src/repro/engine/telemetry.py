@@ -533,6 +533,25 @@ class Telemetry:
         self.spans: Deque[Span] = deque(maxlen=max_spans)
         self.events: Deque[Dict[str, Any]] = deque(maxlen=max_events)
 
+    @classmethod
+    def resolve(
+        cls,
+        telemetry: Union["Telemetry", bool, None],
+        snapshot_dir: Optional[Union[str, Path]],
+    ) -> Tuple[Optional["Telemetry"], bool]:
+        """``(sink, owned)`` for a server's ``telemetry=`` argument.
+
+        ``True`` creates an instance the server owns (and closes),
+        persisting under ``snapshot_dir/telemetry`` when there is a
+        snapshot directory; a ready instance is shared; anything falsy
+        is no telemetry.
+        """
+        if telemetry is not True:
+            return telemetry or None, False
+        if snapshot_dir is None:
+            return cls(), True
+        return cls(Path(snapshot_dir) / "telemetry"), True
+
     # -- registry passthroughs ----------------------------------------
     def counter(self, name: str, **labels: Any) -> Counter:
         """See :meth:`MetricsRegistry.counter`."""

@@ -366,8 +366,9 @@ def update_stream(
     sized ``delta_size`` rows with ``delete_fraction`` of them deletes.
     The generator tracks the evolving relation contents, so every
     emitted delete names a row that is actually present at that point
-    and every insert is genuinely new (each delta is *effective* —
-    :meth:`ViewServer.apply_deltas
+    and every insert is genuinely new, and no row sits on both sides of
+    one delta, so appliers agree whatever order they take the sides in
+    (each delta is *effective* — :meth:`ViewServer.apply_deltas
     <repro.engine.server.ViewServer.apply_deltas>` counts all of it).
     Insert rows mutate one column of an existing row — half the time to
     a fresh value, half to a value borrowed from another row — so new
@@ -427,7 +428,12 @@ def update_stream(
             if rows and rng.random() < delete_fraction:
                 victim = rows.pop(rng.randrange(len(rows)))
                 present[relation].discard(victim)
-                deletes.append(victim)
+                if victim in inserts:
+                    # One of this delta's own inserts: the pair would
+                    # annihilate in the applier, so emit neither half.
+                    inserts.remove(victim)
+                else:
+                    deletes.append(victim)
                 continue
             if rows:
                 template = list(rows[rng.randrange(len(rows))])
@@ -442,9 +448,11 @@ def update_stream(
                     donor = rows[rng.randrange(len(rows))]
                     template[column] = donor[column]
             row = tuple(template)
-            if row in present[relation]:
-                # A borrowed value reproduced an existing row; burn a
-                # fresh value instead so the insert stays effective.
+            if row in present[relation] or row in deletes:
+                # A borrowed value reproduced an existing row — or one
+                # this very delta deletes, which appliers (inserts
+                # first, then deletes) would drop again; burn a fresh
+                # value instead so the insert stays effective.
                 template[column] = fresh
                 fresh += 1
                 row = tuple(template)

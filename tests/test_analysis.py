@@ -173,6 +173,29 @@ class TestLockDiscipline:
             """
         assert run_rule("lock-discipline", source, tmp_path) == []
 
+    def test_a_borrowed_lock_guards_too(self, tmp_path):
+        # Epochs (engine/epoch.py) takes its owner's lock as a
+        # constructor argument; state written under it is guarded.
+        source = """
+            class Borrower:
+                def __init__(self, lock):
+                    self._lock = lock
+                    self._live = {}
+
+                def publish(self, version, payload):
+                    with self._lock:
+                        self._live[version] = payload
+
+                def get(self, version):
+                    with self._lock:
+                        return self._live.get(version)
+
+                def peek(self, version):
+                    return self._live.get(version)
+            """
+        findings = run_rule("lock-discipline", source, tmp_path)
+        assert [f.key for f in findings] == ["Borrower.peek:_live"]
+
     def test_inline_allow_suppresses(self, tmp_path):
         allow = "# analysis: allow[lock-discipline] benign race"
         source = BAD_LOCK.replace(

@@ -16,6 +16,7 @@ from pathlib import Path
 import pytest
 import yaml
 
+from check_size import package_sloc, sloc
 from check_smoke_report import check as check_smoke_report
 from check_trend import check as check_trend
 
@@ -445,14 +446,48 @@ class TestMakefileContract:
             "test_elastic.py",
             "test_parallel_builds.py",
             "test_telemetry.py",
+            "test_dynamic_serving.py",
+            "test_epoch.py",
+            "test_pin_leaks.py",
             "test_lock_order.py",
         ):
             assert hammer in target
+
+    def test_size_target_runs_the_sloc_counter(self):
+        text = MAKEFILE.read_text()
+        target = text[text.index("\nsize:"):]
+        target = target[: target.index("\n\n")]
+        assert "check_size.py" in target
 
     def test_ruff_is_configured(self):
         pyproject = (REPO / "pyproject.toml").read_text()
         assert "[tool.ruff]" in pyproject
         assert "[tool.ruff.format]" in pyproject
+
+
+#: `make size`'s figure for src/repro/engine after PR 14. The engine is
+#: plumbing around ``open_cursor``; a PR that grows it raises this number
+#: on purpose, in the same diff, or finds something to delete.
+ENGINE_SLOC_CEILING = 4604
+
+
+class TestSizeGate:
+    def test_engine_stays_under_its_ceiling(self):
+        engine = package_sloc(REPO / "src" / "repro" / "engine")
+        assert sum(engine.values()) <= ENGINE_SLOC_CEILING, engine
+
+    def test_docstrings_comments_and_blanks_are_free(self):
+        source = '''"""Module docstring."""
+
+# a comment
+def f(x):
+    """Docstring,
+    two lines."""
+    return (
+        x  # trailing comments ride a code line
+    )
+'''
+        assert sloc(source) == 4
 
 
 class TestSmokeReportGate:
