@@ -20,7 +20,8 @@ grounded in a real past bug (see each rule module's docstring):
     ``partition_database`` shared-reference hazard).
 ``parity-surface``
     every ``enumerate*`` entry point keeps kernel route + reference
-    fallback with the canonical signature.
+    fallback with the canonical signature; the dirty fallback is
+    constructed in ``FrozenDynamicView`` alone.
 
 Run it as ``python -m repro.analysis src/repro`` (or ``make
 lint-deep``): exits nonzero on any finding that is neither waived

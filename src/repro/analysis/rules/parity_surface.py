@@ -4,7 +4,9 @@ The columnar kernel's headline guarantee is *bit-identical parity*: any
 ``enumerate*``/``shared_enumerate`` entry point answers identically
 through the compiled-layout kernel and the reference tuple-at-a-time
 walk — rows and, under a counter, logical steps — and every entry point
-can fall back (stale layouts, dirty dynamic buffers, ``--kernel=off``).
+can fall back (stale layouts, ``--kernel=off``). Dirty dynamic buffers
+are not a per-class fallback: a dirty version is read by
+``FrozenDynamicView`` alone.
 Parity erodes silently: a new entry point added with only one of the two
 routes still passes its own tests. This rule pins the surface on every
 serving representation class (one that defines ``enumerate_from`` or
@@ -18,6 +20,10 @@ serving representation class (one that defines ``enumerate_from`` or
   name), each entry point either **delegates** to a sibling entry
   point, or carries **both** routes: a ``kernel_*`` call and a
   non-kernel reference yield/return.
+* The **dirty fallback** (a ``LazyView`` over base ∪ Δ) is constructed
+  in ``FrozenDynamicView`` and nowhere else: any other class building
+  one is a second dirty path — read through
+  ``DynamicRepresentation.freeze()`` instead.
 """
 
 from __future__ import annotations
@@ -44,6 +50,9 @@ ENTRY_SIGNATURES: Dict[str, Tuple[str, ...]] = {
 }
 
 _SURFACE_MARKERS = {"enumerate_from", "shared_enumerate"}
+
+#: The one class allowed to construct the dirty fallback.
+_DIRTY_PATH_OWNER = "FrozenDynamicView"
 
 
 def _references_kernel(node: ast.AST) -> bool:
@@ -108,8 +117,9 @@ class ParitySurfaceRule(Rule):
     id = "parity-surface"
     description = (
         "serving representation classes keep canonical enumerate* "
-        "signatures, and kernel-routed classes keep a reference "
-        "fallback on every entry point"
+        "signatures, kernel-routed classes keep a reference fallback "
+        "on every entry point, and the dirty fallback is "
+        "FrozenDynamicView's alone"
     )
 
     def check(self, module: ModuleInfo) -> Iterator[Finding]:
@@ -122,6 +132,24 @@ class ParitySurfaceRule(Rule):
                 for n in cls.body
                 if isinstance(n, ast.FunctionDef)
             }
+            if cls.name != _DIRTY_PATH_OWNER:
+                for sub in ast.walk(cls):
+                    if (
+                        isinstance(sub, ast.Call)
+                        and _call_target(sub) == "LazyView"
+                    ):
+                        yield self.finding(
+                            module,
+                            sub,
+                            scope=cls.name,
+                            key=f"{cls.name}:dirty-fallback",
+                            message=(
+                                f"{cls.name} constructs a LazyView — the "
+                                f"dirty fallback is {_DIRTY_PATH_OWNER}'s "
+                                f"alone; read through "
+                                f"DynamicRepresentation.freeze()"
+                            ),
+                        )
             if not (_SURFACE_MARKERS & set(methods)):
                 continue
             kernel_class = _references_kernel(cls)
@@ -169,6 +197,7 @@ class ParitySurfaceRule(Rule):
                         message=(
                             f"{cls.name}.{name} has no reference "
                             f"fallback — stale layouts and "
-                            f"--kernel=off need the non-kernel walk"
+                            f"--kernel=off need the non-kernel walk "
+                            f"(dirty versions are {_DIRTY_PATH_OWNER}'s)"
                         ),
                     )

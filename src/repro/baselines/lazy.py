@@ -2,18 +2,18 @@
 
 from __future__ import annotations
 
-from typing import Iterator, List, Optional, Sequence, Tuple
+from typing import Iterator, Optional, Sequence, Tuple
 
 from repro.core.context import ViewContext
+from repro.core.representation import Representation
 from repro.database.catalog import Database
-from repro.exceptions import QueryError
 from repro.joins.generic_join import JoinCounter, generic_join
 from repro.measure.space import SpaceReport
 from repro.query.adorned import AdornedView
-from repro.query.rewriting import normalize_view
+from repro.query.rewriting import natural_form
 
 
-class LazyView:
+class LazyView(Representation):
     """Evaluate every access request from scratch over linear indexes.
 
     Space stays ``O(|D|)`` (the tries), but each request costs a full
@@ -22,23 +22,14 @@ class LazyView:
     """
 
     def __init__(self, view: AdornedView, db: Database):
-        if view.is_natural_join():
-            self.view, self.db = view, db
-        else:
-            normalized = normalize_view(view, db)
-            self.view, self.db = normalized.view, normalized.database
+        self.view, self.db = natural_form(view, db)
         self.ctx = ViewContext(self.view, self.db)
 
     def enumerate(
         self, access: Sequence, counter: Optional[JoinCounter] = None
     ) -> Iterator[Tuple]:
         """Run the join ``⋈_F R_F(v_b)`` in lexicographic free order."""
-        access = tuple(access)
-        if len(access) != len(self.ctx.bound_order):
-            raise QueryError(
-                f"access tuple has {len(access)} values, expected "
-                f"{len(self.ctx.bound_order)}"
-            )
+        access = self._check_access(access)
         subtries = self.ctx.subtries(access)
         if any(node is None for node in subtries):
             return
@@ -52,12 +43,6 @@ class LazyView:
             domains=self.ctx.free_value_domains,
             counter=counter,
         )
-
-    def answer(self, access: Sequence) -> List[Tuple]:
-        return list(self.enumerate(access))
-
-    def exists(self, access: Sequence) -> bool:
-        return next(self.enumerate(access), None) is not None
 
     def space_report(self) -> SpaceReport:
         return SpaceReport(

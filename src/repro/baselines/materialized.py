@@ -6,15 +6,15 @@ import time
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 from repro.core.context import ViewContext
+from repro.core.representation import Representation
 from repro.database.catalog import Database
-from repro.exceptions import QueryError
 from repro.joins.generic_join import JoinCounter, generic_join
 from repro.measure.space import SpaceReport
 from repro.query.adorned import AdornedView
-from repro.query.rewriting import normalize_view
+from repro.query.rewriting import natural_form
 
 
-class MaterializedView:
+class MaterializedView(Representation):
     """Materialize ``Q(D)`` with a hash index keyed by the bound variables.
 
     Space is ``Θ(|Q(D)|)`` — up to the AGM bound ``|D|^{ρ*}`` — and every
@@ -25,11 +25,7 @@ class MaterializedView:
 
     def __init__(self, view: AdornedView, db: Database):
         started = time.perf_counter()
-        if view.is_natural_join():
-            self.view, self.db = view, db
-        else:
-            normalized = normalize_view(view, db)
-            self.view, self.db = normalized.view, normalized.database
+        self.view, self.db = natural_form(view, db)
         ctx = ViewContext(self.view, self.db)
         self.ctx = ctx
         order = ctx.bound_order + ctx.free_order
@@ -52,22 +48,11 @@ class MaterializedView:
         self, access: Sequence, counter: Optional[JoinCounter] = None
     ) -> Iterator[Tuple]:
         """Walk the materialized bucket; lexicographic, O(1) delay."""
-        access = tuple(access)
-        if len(access) != len(self.ctx.bound_order):
-            raise QueryError(
-                f"access tuple has {len(access)} values, expected "
-                f"{len(self.ctx.bound_order)}"
-            )
+        access = self._check_access(access)
         for row in self._index.get(access, ()):
             if counter is not None:
                 counter.steps += 1
             yield row
-
-    def answer(self, access: Sequence) -> List[Tuple]:
-        return list(self.enumerate(access))
-
-    def exists(self, access: Sequence) -> bool:
-        return tuple(access) in self._index
 
     def output_size(self) -> int:
         """|Q(D)| — the number of materialized result tuples."""

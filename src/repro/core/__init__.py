@@ -7,6 +7,8 @@
   V_b-connex tree decomposition.
 * :mod:`repro.core.constant_delay` — the constant-delay fast paths of
   Propositions 1 and 4.
+* :mod:`repro.core.representation` — the read contract all of them (and
+  the baselines, and :mod:`repro.core.dynamic`'s read side) inherit.
 * The supporting internals: tuple spaces (:mod:`repro.core.domain`),
   f-intervals and f-boxes (:mod:`repro.core.intervals`), the AGM cost model
   (:mod:`repro.core.cost`), balanced splitting (:mod:`repro.core.splitting`),

@@ -19,6 +19,11 @@ from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 from repro.core import layout as layout_mod
 from repro.core.kernel import nested_product_rows
+from repro.core.representation import (
+    Representation,
+    bound_atom_checks,
+    bound_atoms_hold,
+)
 from repro.database.catalog import Database
 from repro.database.index import TrieIndex
 from repro.exceptions import DecompositionError, QueryError
@@ -30,10 +35,10 @@ from repro.joins.semijoin import semijoin
 from repro.measure.space import SpaceReport
 from repro.query.adorned import AdornedView
 from repro.query.atoms import Variable
-from repro.query.rewriting import normalize_view
+from repro.query.rewriting import natural_form
 
 
-class FullyBoundStructure:
+class FullyBoundStructure(Representation):
     """Proposition 1: answer all-bound access requests with O(1) probes.
 
     For a natural join query with every head variable bound, an access
@@ -48,32 +53,12 @@ class FullyBoundStructure:
                 f"view {view.name!r} is not all-bound; use "
                 "CompressedRepresentation instead"
             )
-        if view.is_natural_join():
-            self.view, self.db = view, db
-        else:
-            normalized = normalize_view(view, db)
-            self.view, self.db = normalized.view, normalized.database
-        bound_positions = {
-            var: index for index, var in enumerate(self.view.head)
-        }
-        self._checks = []
-        for atom in self.view.atoms:
-            relation = self.db[atom.relation]
-            positions = tuple(bound_positions[term] for term in atom.terms)
-            self._checks.append((relation, positions))
+        self.view, self.db = natural_form(view, db)
+        self._checks = bound_atom_checks(self.view, self.db)
 
     def exists(self, access: Sequence) -> bool:
         """Whether ``Q^η[v_b]`` is non-empty — O(1) per relation."""
-        access = tuple(access)
-        if len(access) != len(self.view.head):
-            raise QueryError(
-                f"access tuple has {len(access)} values, expected "
-                f"{len(self.view.head)}"
-            )
-        return all(
-            tuple(access[p] for p in positions) in relation
-            for relation, positions in self._checks
-        )
+        return bound_atoms_hold(self._checks, self._check_access(access))
 
     def enumerate(self, access: Sequence) -> Iterator[Tuple]:
         """Iterator yielding the empty tuple iff the request succeeds."""
@@ -95,7 +80,7 @@ class _Bag:
     index: Dict[Tuple, List[Tuple]]  # bound values -> sorted free values
 
 
-class ConnexConstantDelayStructure:
+class ConnexConstantDelayStructure(Representation):
     """Proposition 4: constant delay in ``O(|D|^{fhw(H|V_b)})`` space."""
 
     def __init__(
@@ -105,11 +90,7 @@ class ConnexConstantDelayStructure:
         decomposition: Optional[ConnexDecomposition] = None,
     ):
         started = time.perf_counter()
-        if view.is_natural_join():
-            self.view, self.db = view, db
-        else:
-            normalized = normalize_view(view, db)
-            self.view, self.db = normalized.view, normalized.database
+        self.view, self.db = natural_form(view, db)
         self.hypergraph = hypergraph_of_view(self.view)
         bound = frozenset(self.view.bound_variables)
         if decomposition is None:
@@ -129,7 +110,7 @@ class ConnexConstantDelayStructure:
         self._semijoin_reduce()
         for bag in self._bags.values():
             bag.index = self._build_index(bag)
-        self._root_checks = self._build_root_checks()
+        self._root_checks = bound_atom_checks(self.view, self.db)
         self._preorder = [
             node
             for node in decomposition.preorder()
@@ -198,19 +179,6 @@ class ConnexConstantDelayStructure:
             values.sort()
         return index
 
-    def _build_root_checks(self):
-        bound = frozenset(self.view.bound_variables)
-        bound_positions = {
-            var: index for index, var in enumerate(self.view.bound_variables)
-        }
-        checks = []
-        for label, members in self.hypergraph.edges:
-            if members <= bound:
-                atom = self.view.atoms[label]
-                positions = tuple(bound_positions[t] for t in atom.terms)
-                checks.append((self.db[atom.relation], positions))
-        return checks
-
     # ------------------------------------------------------------------
     def enumerate(
         self, access: Sequence, counter: Optional[JoinCounter] = None
@@ -221,17 +189,10 @@ class ConnexConstantDelayStructure:
         The enumeration order follows the decomposition's pre-order, as
         Theorem 2 notes.
         """
-        access = tuple(access)
+        access = self._check_access(access)
         bound_order = self.view.bound_variables
-        if len(access) != len(bound_order):
-            raise QueryError(
-                f"access tuple has {len(access)} values, expected {len(bound_order)}"
-            )
-        for relation, positions in self._root_checks:
-            if counter is not None:
-                counter.steps += 1
-            if tuple(access[p] for p in positions) not in relation:
-                return
+        if not bound_atoms_hold(self._root_checks, access, counter):
+            return
         assignment: Dict[Variable, object] = dict(zip(bound_order, access))
         free_order = self.view.free_variables
         bags = self._preorder
@@ -262,12 +223,6 @@ class ConnexConstantDelayStructure:
                 yield from recurse(position + 1)
 
         yield from recurse(0)
-
-    def answer(self, access: Sequence) -> List[Tuple]:
-        return list(self.enumerate(access))
-
-    def exists(self, access: Sequence) -> bool:
-        return next(self.enumerate(access), None) is not None
 
     # ------------------------------------------------------------------
     # Aggregation: COUNT in O(1) probes per request (the group-by
@@ -322,16 +277,10 @@ class ConnexConstantDelayStructure:
         Multiplies the subtree counts of the root's children (independent
         given the bound values) after the O(1) root membership checks.
         """
-        access = tuple(access)
+        access = self._check_access(access)
         bound_order = self.view.bound_variables
-        if len(access) != len(bound_order):
-            raise QueryError(
-                f"access tuple has {len(access)} values, expected "
-                f"{len(bound_order)}"
-            )
-        for relation, positions in self._root_checks:
-            if tuple(access[p] for p in positions) not in relation:
-                return 0
+        if not bound_atoms_hold(self._root_checks, access):
+            return 0
         assignment = dict(zip(bound_order, access))
         total = 1
         for child in self.decomposition.children[self.decomposition.root]:

@@ -27,10 +27,12 @@ import time
 from dataclasses import dataclass
 from typing import Dict, Iterator, List, Mapping, Optional, Sequence, Tuple
 
-from repro.core.structure import (
-    CompressedRepresentation,
-    resume_strictly_after,
+from repro.core.representation import (
+    Representation,
+    bound_atom_checks,
+    bound_atoms_hold,
 )
+from repro.core.structure import CompressedRepresentation
 from repro.database.catalog import Database
 from repro.exceptions import (
     DecompositionError,
@@ -51,7 +53,7 @@ from repro.measure.space import SpaceReport
 from repro.query.adorned import AdornedView
 from repro.query.atoms import Atom, Variable
 from repro.query.conjunctive import ConjunctiveQuery
-from repro.query.rewriting import normalize_view
+from repro.query.rewriting import natural_form
 
 
 @dataclass
@@ -64,7 +66,7 @@ class _BagStructure:
     representation: CompressedRepresentation
 
 
-class DecomposedRepresentation:
+class DecomposedRepresentation(Representation):
     """Theorem 2: compressed representation over a connex decomposition.
 
     Parameters
@@ -100,11 +102,7 @@ class DecomposedRepresentation:
         refine: bool = True,
     ):
         started = time.perf_counter()
-        if view.is_natural_join():
-            self.view, self.db = view, db
-        else:
-            normalized = normalize_view(view, db)
-            self.view, self.db = normalized.view, normalized.database
+        self.view, self.db = natural_form(view, db)
         self.hypergraph = hypergraph_of_view(self.view)
         bound = frozenset(self.view.bound_variables)
         if decomposition is None:
@@ -133,7 +131,7 @@ class DecomposedRepresentation:
             self._refine_dictionaries()
         for bag in self._bags.values():
             bag.representation.compile_layout()
-        self._root_checks = self._build_root_checks()
+        self._root_checks = bound_atom_checks(self.view, self.db)
         self._preorder = [
             node
             for node in decomposition.preorder()
@@ -237,19 +235,6 @@ class DecomposedRepresentation:
         access = tuple(valuation[v] for v in bag.bound_vars)
         return bag.representation.exists(access)
 
-    def _build_root_checks(self):
-        bound = frozenset(self.view.bound_variables)
-        bound_positions = {
-            var: index for index, var in enumerate(self.view.bound_variables)
-        }
-        checks = []
-        for label, members in self.hypergraph.edges:
-            if members <= bound:
-                atom = self.view.atoms[label]
-                positions = tuple(bound_positions[t] for t in atom.terms)
-                checks.append((self.db[atom.relation], positions))
-        return checks
-
     # ------------------------------------------------------------------
     # explicit state (the snapshot boundary)
     # ------------------------------------------------------------------
@@ -335,7 +320,7 @@ class DecomposedRepresentation:
                         bag_state["representation"]
                     ),
                 )
-            self._root_checks = self._build_root_checks()
+            self._root_checks = bound_atom_checks(self.view, self.db)
             self._preorder = [
                 node
                 for node in decomposition.preorder()
@@ -358,6 +343,78 @@ class DecomposedRepresentation:
     # ------------------------------------------------------------------
     # Algorithm 5: query answering
     # ------------------------------------------------------------------
+    def _nest(
+        self,
+        access: Sequence,
+        counter: Optional[JoinCounter],
+        start_values: Optional[Sequence] = None,
+        memo: Optional[Dict[Tuple, List[Tuple]]] = None,
+    ) -> Iterator[Tuple]:
+        """Algorithm 5: nested pre-order enumeration over the bags.
+
+        The one recursion behind every entry point. A bag's rows come
+        from one of three sources: its plain Theorem 1 ``enumerate``;
+        its ``enumerate_from`` while the recursion is still *tight* on
+        ``start_values`` (every shallower bag sits exactly on its start
+        value — the first bag to move strictly past releases all deeper
+        bags to enumerate in full); or ``memo``, a scan-scoped table of
+        per-``(bag, bag access)`` answer lists filled on first use.
+        """
+        access = self._check_access(access)
+        free_order = self.view.free_variables
+        bags = self._preorder
+        starts: Dict[object, Tuple] = {}
+        if start_values is not None:
+            start_values = tuple(start_values)
+            if len(start_values) != len(free_order):
+                raise QueryError(
+                    f"start tuple has {len(start_values)} values, expected "
+                    f"{len(free_order)}"
+                )
+            position_of = {v: i for i, v in enumerate(free_order)}
+            starts = {
+                node: tuple(
+                    start_values[position_of[v]]
+                    for v in self._bags[node].free_vars
+                )
+                for node in bags
+            }
+        if not bound_atoms_hold(self._root_checks, access, counter):
+            return
+        assignment: Dict[Variable, object] = dict(
+            zip(self.view.bound_variables, access)
+        )
+
+        def rows_of(bag: _BagStructure, bag_access: Tuple, start):
+            representation = bag.representation
+            if start is not None:
+                return representation.enumerate_from(
+                    bag_access, start, counter=counter
+                )
+            if memo is None:
+                return representation.enumerate(bag_access, counter=counter)
+            key = (bag.node, bag_access)
+            rows = memo.get(key)
+            if rows is None:
+                rows = memo[key] = list(
+                    representation.enumerate(bag_access, counter=counter)
+                )
+            return rows
+
+        def recurse(position: int, tight: bool) -> Iterator[Tuple]:
+            if position == len(bags):
+                yield tuple(assignment[v] for v in free_order)
+                return
+            bag = self._bags[bags[position]]
+            bag_access = tuple(assignment[v] for v in bag.bound_vars)
+            start = starts[bag.node] if tight else None
+            for values in rows_of(bag, bag_access, start):
+                for var, value in zip(bag.free_vars, values):
+                    assignment[var] = value
+                yield from recurse(position + 1, tight and values == start)
+
+        yield from recurse(0, start_values is not None)
+
     def enumerate(
         self, access: Sequence, counter: Optional[JoinCounter] = None
     ) -> Iterator[Tuple]:
@@ -366,35 +423,7 @@ class DecomposedRepresentation:
         The per-bag enumerations are lexicographic; the global order is the
         decomposition's pre-order nesting (Theorem 2's caveat).
         """
-        access = tuple(access)
-        bound_order = self.view.bound_variables
-        if len(access) != len(bound_order):
-            raise QueryError(
-                f"access tuple has {len(access)} values, expected {len(bound_order)}"
-            )
-        for relation, positions in self._root_checks:
-            if counter is not None:
-                counter.steps += 1
-            if tuple(access[p] for p in positions) not in relation:
-                return
-        assignment: Dict[Variable, object] = dict(zip(bound_order, access))
-        free_order = self.view.free_variables
-        bags = self._preorder
-
-        def recurse(position: int) -> Iterator[Tuple]:
-            if position == len(bags):
-                yield tuple(assignment[v] for v in free_order)
-                return
-            bag = self._bags[bags[position]]
-            bag_access = tuple(assignment[v] for v in bag.bound_vars)
-            for values in bag.representation.enumerate(
-                bag_access, counter=counter
-            ):
-                for var, value in zip(bag.free_vars, values):
-                    assignment[var] = value
-                yield from recurse(position + 1)
-
-        yield from recurse(0)
+        return self._nest(access, counter)
 
     def enumerate_from(
         self,
@@ -417,70 +446,7 @@ class DecomposedRepresentation:
         ``enumerate_from``; the first bag to move strictly past its
         start value releases all deeper bags to enumerate in full.
         """
-        access = tuple(access)
-        bound_order = self.view.bound_variables
-        if len(access) != len(bound_order):
-            raise QueryError(
-                f"access tuple has {len(access)} values, expected "
-                f"{len(bound_order)}"
-            )
-        free_order = self.view.free_variables
-        start_values = tuple(start_values)
-        if len(start_values) != len(free_order):
-            raise QueryError(
-                f"start tuple has {len(start_values)} values, expected "
-                f"{len(free_order)}"
-            )
-        for relation, positions in self._root_checks:
-            if counter is not None:
-                counter.steps += 1
-            if tuple(access[p] for p in positions) not in relation:
-                return
-        position_of = {v: i for i, v in enumerate(free_order)}
-        assignment: Dict[Variable, object] = dict(zip(bound_order, access))
-        bags = self._preorder
-        starts = {
-            node: tuple(
-                start_values[position_of[v]]
-                for v in self._bags[node].free_vars
-            )
-            for node in bags
-        }
-
-        def recurse(position: int, tight: bool) -> Iterator[Tuple]:
-            if position == len(bags):
-                yield tuple(assignment[v] for v in free_order)
-                return
-            bag = self._bags[bags[position]]
-            bag_access = tuple(assignment[v] for v in bag.bound_vars)
-            bag_start = starts[bags[position]]
-            if tight:
-                iterator = bag.representation.enumerate_from(
-                    bag_access, bag_start, counter=counter
-                )
-            else:
-                iterator = bag.representation.enumerate(
-                    bag_access, counter=counter
-                )
-            for values in iterator:
-                for var, value in zip(bag.free_vars, values):
-                    assignment[var] = value
-                yield from recurse(
-                    position + 1, tight and values == bag_start
-                )
-
-        yield from recurse(0, True)
-
-    def enumerate_after(
-        self,
-        access: Sequence,
-        last: Sequence,
-        counter: Optional[JoinCounter] = None,
-    ) -> Iterator[Tuple]:
-        """Enumerate strictly after ``last`` (resume token re-entry)."""
-        return resume_strictly_after(
-            self.enumerate_from(access, last, counter=counter), tuple(last)
-        )
+        return self._nest(access, counter, start_values)
 
     # ------------------------------------------------------------------
     # shared-scan batch execution (grouped Algorithm 5)
@@ -521,65 +487,13 @@ class DecomposedRepresentation:
             start = starts[index] if starts is not None else None
             counter = counters[index] if counters is not None else None
             if start is not None:
-                iterator = self.enumerate_from(access, start, counter=counter)
+                iterator = self._nest(access, counter, start)
             else:
-                iterator = self._memo_enumerate(access, memo, counter)
+                iterator = self._nest(access, counter, memo=memo)
             for row in iterator:
                 yield (index, row)
                 if not alive[index]:
                     break
-
-    def _memo_enumerate(
-        self,
-        access: Sequence,
-        memo: Dict[Tuple, List[Tuple]],
-        counter: Optional[JoinCounter],
-    ) -> Iterator[Tuple]:
-        """:meth:`enumerate` with bag answers memoized across a scan."""
-        access = tuple(access)
-        bound_order = self.view.bound_variables
-        if len(access) != len(bound_order):
-            raise QueryError(
-                f"access tuple has {len(access)} values, expected "
-                f"{len(bound_order)}"
-            )
-        for relation, positions in self._root_checks:
-            if counter is not None:
-                counter.steps += 1
-            if tuple(access[p] for p in positions) not in relation:
-                return
-        assignment: Dict[Variable, object] = dict(zip(bound_order, access))
-        free_order = self.view.free_variables
-        bags = self._preorder
-
-        def bag_rows(bag: _BagStructure, bag_access: Tuple) -> List[Tuple]:
-            key = (bag.node, bag_access)
-            rows = memo.get(key)
-            if rows is None:
-                rows = list(
-                    bag.representation.enumerate(bag_access, counter=counter)
-                )
-                memo[key] = rows
-            return rows
-
-        def recurse(position: int) -> Iterator[Tuple]:
-            if position == len(bags):
-                yield tuple(assignment[v] for v in free_order)
-                return
-            bag = self._bags[bags[position]]
-            bag_access = tuple(assignment[v] for v in bag.bound_vars)
-            for values in bag_rows(bag, bag_access):
-                for var, value in zip(bag.free_vars, values):
-                    assignment[var] = value
-                yield from recurse(position + 1)
-
-        yield from recurse(0)
-
-    def answer(self, access: Sequence) -> List[Tuple]:
-        return list(self.enumerate(access))
-
-    def exists(self, access: Sequence) -> bool:
-        return next(self.enumerate(access), None) is not None
 
     @property
     def kernel_ready(self) -> bool:

@@ -1,64 +1,149 @@
 """Updates to base relations — an engineering answer to the §8 problem.
 
 The paper leaves efficient maintenance under updates open (and [8] shows
-it is hard in general). :class:`DynamicRepresentation` takes the honest
-engineering route:
+it is hard in general). This module takes the honest engineering route,
+split into a write side and a read side:
 
-* updates are buffered as per-relation insert/delete sets;
-* while the buffer is *clean* (empty), requests are served by the
-  compressed structure with its full guarantees;
-* while the buffer is *dirty*, requests are served by a worst-case
-  optimal lazy evaluation over the updated database — always correct,
-  with the lazy delay bound;
-* once the buffered churn exceeds ``rebuild_fraction·|D|``, the structure
-  is rebuilt, amortizing the `Õ(Π|R_F|^{u_F})` preprocessing over
-  Ω(|D|) updates.
+* :class:`DynamicRepresentation` — the **write side**. Updates are
+  buffered as per-relation insert/delete sets, one at a time
+  (:meth:`~DynamicRepresentation.insert` /
+  :meth:`~DynamicRepresentation.delete`) or as one batched delta
+  (:meth:`~DynamicRepresentation.apply_deltas` — the entry point the
+  serving layer routes through; see :mod:`repro.engine.dynamic_serving`).
+  Once the buffered churn exceeds ``rebuild_fraction·|D|`` the structure
+  is rebuilt, amortizing the `Õ(Π|R_F|^{u_F})` preprocessing over Ω(|D|)
+  updates.
+* :class:`FrozenDynamicView` — the **read side**, and the only class
+  that knows how a dynamic view is read: an immutable point-in-time view
+  of the state, the compressed structure while the buffers were clean, a
+  lazy join over base ∪ Δ while dirty.
+  :meth:`DynamicRepresentation.freeze` returns the current one
+  (memoised until the next effective update), and every query method of
+  the representation delegates to it.
 
 This gives correctness always, the Theorem 1 guarantees between update
 bursts, and a bounded amortized rebuild cost — the standard deferred
-maintenance pattern for static indexes.
-
-Resumption and kernel routing follow the same clean/dirty split:
-
-* ``supports_resume`` is always ``True``: on a clean buffer,
-  ``enumerate_from`` is the inner structure's one-delay-unit seek; on a
-  dirty buffer the lazy evaluator has no seek, so the prefix is
-  *skip-scanned* — still correct (both orders are lexicographic in the
-  free values), but the skipped prefix is enumerated, i.e. resumption is
-  only O(1) between update bursts. Tokens are value tuples, so they stay
-  valid across a rebuild.
-* ``kernel_ready`` routes the columnar kernel the same way: clean, it
-  mirrors the inner compressed structure's readiness (compiled layout
-  present and fresh); dirty, it reports ``False`` and every request
-  falls back to the reference tuple-at-a-time path — the delta overlay
-  join has no compiled form. A rebuild folds the buffers into a new
-  structure, whose build recompiles the layout, and kernel routing
-  resumes.
-
-Updates arrive one at a time (:meth:`DynamicRepresentation.insert` /
-:meth:`DynamicRepresentation.delete`) or as one batched delta
-(:meth:`DynamicRepresentation.apply_deltas` — the entry point the
-serving layer routes through; see :mod:`repro.engine.dynamic_serving`).
+maintenance pattern for static indexes. Who materialises what, and when,
+is written down once in ``docs/ARCHITECTURE.md#dirty-path``.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Iterator, List, Optional, Sequence, Set, Tuple
+import threading
+from typing import Dict, Iterator, Optional, Sequence, Set, Tuple
 
 from repro.baselines.lazy import LazyView
-from repro.core.structure import (
-    CompressedRepresentation,
-    resume_strictly_after,
-)
+from repro.core.representation import Representation
+from repro.core.structure import CompressedRepresentation
 from repro.database.catalog import Database
 from repro.database.relation import Relation
 from repro.exceptions import SchemaError, SnapshotError
 from repro.joins.generic_join import JoinCounter
 from repro.measure.space import SpaceReport
 from repro.query.adorned import AdornedView
+from repro.query.rewriting import natural_form
 
 
-class DynamicRepresentation:
+class FrozenDynamicView(Representation):
+    """An immutable point-in-time read side of a dynamic view.
+
+    Exactly one backing is set: ``structure`` (the buffers were clean —
+    full Theorem 1 guarantees, kernel routing included) or ``database``
+    (the buffers were dirty — worst-case optimal lazy evaluation over
+    the captured post-delta database, reference path only: the delta
+    overlay has no compiled kernel form). Deltas applied after the
+    freeze never reach this object, which is what lets cursors drain a
+    retired version untouched.
+
+    A dirty version records what it is — the captured database — and
+    derives how to read it (tries and domains, a
+    :class:`~repro.baselines.lazy.LazyView`) on its **first
+    enumeration**, once; a version nobody reads builds nothing.
+    """
+
+    #: Clean freezes seek through the inner structure; dirty ones have no
+    #: seek and skip-scan the prefix (both orders are lexicographic in
+    #: the free values, so tokens stay valid across a rebuild).
+    supports_resume = True
+
+    def __init__(
+        self,
+        view: AdornedView,
+        structure: Optional[CompressedRepresentation] = None,
+        database: Optional[Database] = None,
+    ):
+        if (structure is None) == (database is None):
+            raise ValueError(
+                "a frozen dynamic view wraps exactly one of structure "
+                "and database"
+            )
+        self.view = view
+        self._structure = structure
+        self._database = database
+        self._lock = threading.Lock()
+        self._lazy: Optional[LazyView] = None
+
+    @property
+    def kernel_ready(self) -> bool:
+        """Clean freezes inherit the structure's kernel; dirty ones don't."""
+        return self._structure is not None and self._structure.kernel_ready
+
+    def _dirty_rows(
+        self, access: Sequence, counter: Optional[JoinCounter]
+    ) -> Iterator[Tuple]:
+        """The lazy join over the captured database, materialised once."""
+        with self._lock:
+            if self._lazy is None:
+                self._lazy = LazyView(self.view, self._database)
+            lazy = self._lazy
+        return lazy.enumerate(access, counter=counter)
+
+    def enumerate(
+        self, access: Sequence, counter: Optional[JoinCounter] = None
+    ) -> Iterator[Tuple]:
+        """Enumerate the frozen version's answers in lexicographic order."""
+        if self._structure is not None:
+            return self._structure.enumerate(access, counter=counter)
+        return self._dirty_rows(access, counter)
+
+    def enumerate_from(
+        self,
+        access: Sequence,
+        start_values: Sequence,
+        counter: Optional[JoinCounter] = None,
+    ) -> Iterator[Tuple]:
+        """Enumerate answers with free tuple lexicographically >= start.
+
+        Clean: the compressed structure's one-delay-unit seek. Dirty: the
+        skipped prefix is still enumerated, i.e. resumption is only O(1)
+        between update bursts.
+        """
+        if self._structure is not None:
+            return self._structure.enumerate_from(
+                access, start_values, counter=counter
+            )
+        start = tuple(start_values)
+        return (
+            row
+            for row in self._dirty_rows(access, counter)
+            if not row < start
+        )
+
+    def space_report(self) -> SpaceReport:
+        """Space of the frozen backing (cache accounting reads this).
+
+        Counted from the captured rows — never materialises a dirty
+        version's tries.
+        """
+        if self._structure is not None:
+            return self._structure.space_report()
+        _, database = natural_form(self.view, self._database)
+        return SpaceReport(
+            materialized_tuples=sum(len(relation) for relation in database)
+        )
+
+
+class DynamicRepresentation(Representation):
     """A compressed representation that tolerates base-table updates.
 
     Parameters
@@ -71,8 +156,7 @@ class DynamicRepresentation:
         (default 0.1). ``float('inf')`` disables automatic rebuilds.
     """
 
-    #: Mid-traversal re-entry is supported (``enumerate_from`` /
-    #: ``enumerate_after``); dirty buffers degrade to a skip-scan.
+    #: As the read side's (:class:`FrozenDynamicView`).
     supports_resume = True
 
     def __init__(
@@ -89,14 +173,23 @@ class DynamicRepresentation:
         self.rebuild_fraction = rebuild_fraction
         self._weights = weights
         self._alpha = alpha
+        self._build(db)
+        self.rebuilds = 0
+
+    def _build(self, db: Database) -> None:
+        """Make ``db`` the base: build its structure, empty the buffers."""
         self._db = db
         self._structure = CompressedRepresentation(
-            view, db, tau=tau, weights=weights, alpha=alpha
+            self.view,
+            db,
+            tau=self.tau,
+            weights=self._weights,
+            alpha=self._alpha,
         )
         self._inserts: Dict[str, Set[Tuple]] = {}
         self._deletes: Dict[str, Set[Tuple]] = {}
         self._pending = 0
-        self.rebuilds = 0
+        self._frozen: Optional[FrozenDynamicView] = None
 
     # ------------------------------------------------------------------
     # update API
@@ -112,13 +205,8 @@ class DynamicRepresentation:
 
     @property
     def kernel_ready(self) -> bool:
-        """Kernel routing follows the clean path; dirty buffers fall back.
-
-        While updates are buffered, requests are served by the lazy view
-        (always the reference tuple-at-a-time path); once clean — or after
-        a rebuild — the inner compressed structure's kernel serves again.
-        """
-        return not self.is_dirty and self._structure.kernel_ready
+        """Whether the current state's reads route through the kernel."""
+        return self.freeze().kernel_ready
 
     @property
     def layout_compile_seconds(self) -> float:
@@ -180,13 +268,11 @@ class DynamicRepresentation:
             )
         if row in self._deletes.get(relation_name, ()):
             self._deletes[relation_name].discard(row)
-            self._pending += 1
-            return 1
-        if row not in relation:
+        elif row not in relation:
             self._inserts.setdefault(relation_name, set()).add(row)
-            self._pending += 1
-            return 1
-        return 0
+        else:
+            return 0
+        return self._changed()
 
     def _buffer_delete(self, relation_name: str, row: Sequence) -> int:
         row = tuple(row)
@@ -198,43 +284,44 @@ class DynamicRepresentation:
             )
         if row in self._inserts.get(relation_name, ()):
             self._inserts[relation_name].discard(row)
-            self._pending += 1
-            return 1
-        if row in relation:
+        elif row in relation:
             self._deletes.setdefault(relation_name, set()).add(row)
-            self._pending += 1
-            return 1
-        return 0
+        else:
+            return 0
+        return self._changed()
+
+    def _changed(self) -> int:
+        """One effective buffer edit: count it, drop the memoised freeze."""
+        self._pending += 1
+        self._frozen = None
+        return 1
 
     def base_database(self) -> Database:
         """The database the current compressed structure was built from."""
         return self._db
 
     def current_database(self) -> Database:
-        """The logical database: base plus buffered updates."""
+        """The logical database: base plus buffered updates.
+
+        Only relations with buffered changes are copied; untouched
+        :class:`~repro.database.relation.Relation` objects are immutable
+        and shared with the base database.
+        """
         if not self._pending:
             return self._db
         updated = Database()
         for relation in self._db:
-            rows = set(relation.rows)
-            rows |= self._inserts.get(relation.name, set())
-            rows -= self._deletes.get(relation.name, set())
-            updated.add(Relation(relation.name, relation.arity, rows))
+            inserts = self._inserts.get(relation.name)
+            deletes = self._deletes.get(relation.name)
+            if inserts or deletes:
+                rows = (relation.rows | (inserts or set())) - (deletes or set())
+                relation = Relation(relation.name, relation.arity, rows)
+            updated.add(relation)
         return updated
 
     def rebuild(self) -> None:
         """Apply buffered updates and rebuild the compressed structure."""
-        self._db = self.current_database()
-        self._structure = CompressedRepresentation(
-            self.view,
-            self._db,
-            tau=self.tau,
-            weights=self._weights,
-            alpha=self._alpha,
-        )
-        self._inserts.clear()
-        self._deletes.clear()
-        self._pending = 0
+        self._build(self.current_database())
         self.rebuilds += 1
 
     def _maybe_rebuild(self) -> None:
@@ -304,6 +391,7 @@ class DynamicRepresentation:
                 for name, rows in state["deletes"]
             }
             self._pending = int(state["pending"])
+            self._frozen = None
             self.rebuilds = int(state["rebuilds"])
             return self
         except SnapshotError:
@@ -314,22 +402,32 @@ class DynamicRepresentation:
             ) from error
 
     # ------------------------------------------------------------------
-    # query API
+    # query API (all of it is the current freeze's)
     # ------------------------------------------------------------------
+    def freeze(self) -> FrozenDynamicView:
+        """The immutable read side of the state now.
+
+        Clean buffers freeze to the compressed structure (Theorem 1
+        guarantees); dirty buffers capture the updated database eagerly —
+        the buffers mutate next — and leave its tries to the first read.
+        Memoised until the next *effective* update or :meth:`rebuild`.
+        """
+        if self._frozen is None:
+            if self._pending:
+                self._frozen = FrozenDynamicView(
+                    self.view, database=self.current_database()
+                )
+            else:
+                self._frozen = FrozenDynamicView(
+                    self.view, structure=self._structure
+                )
+        return self._frozen
+
     def enumerate(
         self, access: Sequence, counter: Optional[JoinCounter] = None
     ) -> Iterator[Tuple]:
-        """Answer an access request against the *current* logical state.
-
-        Clean buffer: the compressed structure (Theorem 1 guarantees).
-        Dirty buffer: lazy worst-case-optimal evaluation over the updated
-        database — correct, with the lazy delay bound, until the next
-        rebuild.
-        """
-        if not self._pending:
-            return self._structure.enumerate(access, counter=counter)
-        lazy = LazyView(self.view, self.current_database())
-        return lazy.enumerate(access, counter=counter)
+        """Answer an access request against the *current* logical state."""
+        return self.freeze().enumerate(access, counter=counter)
 
     def enumerate_from(
         self,
@@ -337,43 +435,10 @@ class DynamicRepresentation:
         start_values: Sequence,
         counter: Optional[JoinCounter] = None,
     ) -> Iterator[Tuple]:
-        """Enumerate answers with free tuple lexicographically >= start.
-
-        Clean buffer: the compressed structure's one-delay-unit seek.
-        Dirty buffer: the lazy evaluator has no seek, so the prefix is
-        skip-scanned — correct (both orders are lexicographic in the
-        free values) but the skipped prefix is still enumerated, i.e.
-        resumption is only O(1) between update bursts. Tokens are value
-        tuples, so they stay valid across a :meth:`rebuild` boundary.
-        """
-        if not self._pending:
-            return self._structure.enumerate_from(
-                access, start_values, counter=counter
-            )
-        start = tuple(start_values)
-        lazy = LazyView(self.view, self.current_database())
-        return (
-            row
-            for row in lazy.enumerate(access, counter=counter)
-            if not row < start
+        """Enumerate answers with free tuple lexicographically >= start."""
+        return self.freeze().enumerate_from(
+            access, start_values, counter=counter
         )
-
-    def enumerate_after(
-        self,
-        access: Sequence,
-        last: Sequence,
-        counter: Optional[JoinCounter] = None,
-    ) -> Iterator[Tuple]:
-        """Enumerate strictly after ``last`` (resume token re-entry)."""
-        return resume_strictly_after(
-            self.enumerate_from(access, last, counter=counter), tuple(last)
-        )
-
-    def answer(self, access: Sequence) -> List[Tuple]:
-        return list(self.enumerate(access))
-
-    def exists(self, access: Sequence) -> bool:
-        return next(self.enumerate(access), None) is not None
 
     def space_report(self) -> SpaceReport:
         report = self._structure.space_report()

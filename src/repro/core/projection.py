@@ -20,8 +20,9 @@ the lexicographic order).
 from __future__ import annotations
 
 import time
-from typing import Iterator, List, Optional, Sequence, Tuple
+from typing import Iterator, Optional, Sequence, Tuple
 
+from repro.core.representation import Representation
 from repro.core.structure import CompressedRepresentation
 from repro.database.catalog import Database
 from repro.exceptions import QueryError
@@ -32,7 +33,7 @@ from repro.query.atoms import Variable
 from repro.query.conjunctive import ConjunctiveQuery
 
 
-class ProjectedRepresentation:
+class ProjectedRepresentation(Representation):
     """Compressed representation of a CQ with projections.
 
     Parameters
@@ -140,12 +141,6 @@ class ProjectedRepresentation:
         for coordinate in range(len(prefix), space.width):
             indexes.append(space.domains[coordinate].top)
         return tuple(indexes)
-
-    def answer(self, access: Sequence) -> List[Tuple]:
-        return list(self.enumerate(access))
-
-    def exists(self, access: Sequence) -> bool:
-        return next(self.enumerate(access), None) is not None
 
     def count_distinct(self, access: Sequence) -> int:
         total = 0

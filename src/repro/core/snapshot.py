@@ -36,12 +36,13 @@ engine layer) locks that must not cross the boundary.
 from __future__ import annotations
 
 import hashlib
+import json
 import pickle
 import re
 import struct
 import zlib
 from pathlib import Path
-from typing import Dict, List, Optional, Tuple, Union
+from typing import Any, Dict, Iterator, List, Optional, Tuple, Union
 
 from repro.database.catalog import Database
 from repro.database.relation import Relation
@@ -149,6 +150,13 @@ def database_from_state(state) -> Database:
         raise SnapshotError(f"malformed database state: {error}") from error
 
 
+def _relation_bytes(db: Database) -> Iterator[Tuple[str, bytes]]:
+    """``(name, hashed byte stream)`` per relation, in name order."""
+    for name, arity, rows in database_state(db):
+        header = f"{name}\x00{arity}\x00".encode("utf-8")
+        yield name, header + b"".join(repr(row).encode("utf-8") for row in rows)
+
+
 def database_fingerprint(db: Database) -> str:
     """SHA-256 over relation names, arities and rows (restart-stable).
 
@@ -157,10 +165,8 @@ def database_fingerprint(db: Database) -> str:
     equal databases fingerprint identically on every machine.
     """
     digest = hashlib.sha256()
-    for name, arity, rows in database_state(db):
-        digest.update(f"{name}\x00{arity}\x00".encode("utf-8"))
-        for row in rows:
-            digest.update(repr(row).encode("utf-8"))
+    for _, stream in _relation_bytes(db):
+        digest.update(stream)
         digest.update(b"\x01")
     return digest.hexdigest()
 
@@ -175,14 +181,10 @@ def relation_fingerprints(db: Database) -> Dict[str, str]:
     and still warm-load every view whose inputs are untouched, instead
     of refusing the whole database on one differing fingerprint.
     """
-    fingerprints: Dict[str, str] = {}
-    for name, arity, rows in database_state(db):
-        digest = hashlib.sha256()
-        digest.update(f"{name}\x00{arity}\x00".encode("utf-8"))
-        for row in rows:
-            digest.update(repr(row).encode("utf-8"))
-        fingerprints[name] = digest.hexdigest()
-    return fingerprints
+    return {
+        name: hashlib.sha256(stream).hexdigest()
+        for name, stream in _relation_bytes(db)
+    }
 
 
 # ----------------------------------------------------------------------
@@ -349,6 +351,52 @@ def decode_snapshot(
 # ----------------------------------------------------------------------
 # files and directories
 # ----------------------------------------------------------------------
+def label_path(directory: Path, label: str, suffix: str) -> Path:
+    """The file one label maps to: readable slug + hash of the full label.
+
+    Restart-stable (no salted ``hash``), so a rebooted server resolves
+    the same labels to the same files.
+    """
+    slug = re.sub(r"[^A-Za-z0-9._-]+", "_", label)[:64].strip("._") or "snap"
+    digest = hashlib.sha256(label.encode("utf-8")).hexdigest()[:16]
+    return Path(directory) / f"{slug}-{digest}{suffix}"
+
+
+def atomic_write(path: Path, data: bytes) -> None:
+    """Write a whole file via a same-directory rename: all or nothing."""
+    path.parent.mkdir(parents=True, exist_ok=True)
+    scratch = path.with_name(path.name + ".tmp")
+    scratch.write_bytes(data)
+    scratch.replace(path)
+
+
+def read_jsonl(path: Path) -> Tuple[List[Tuple[int, Any]], Optional[int], bool]:
+    """Parse an append-only JSONL file, telling a torn tail from damage.
+
+    Returns ``(records, tail, torn)``: the ``(line number, value)`` of
+    every non-blank line; ``tail``, the byte offset where an
+    *unterminated* final line starts (``None`` when the file ends on a
+    line boundary); and ``torn``, whether that final line failed to
+    parse — an append cut short by a kill, which a reader drops and the
+    file's owner truncates back to ``tail``. A *terminated* line that
+    fails to parse is damage, not a torn append: it raises
+    ``ValueError`` whose first argument is the line number.
+    """
+    data = Path(path).read_bytes()
+    *lines, last = data.split(b"\n")
+    records: List[Tuple[int, Any]] = []
+    for number, line in enumerate(lines + [last], start=1):
+        if not line.strip():
+            continue
+        try:
+            records.append((number, json.loads(line)))
+        except ValueError as error:
+            if number <= len(lines):
+                raise ValueError(number, str(error)) from error
+            return records, len(data) - len(last), True
+    return records, (len(data) - len(last) if last else None), False
+
+
 def save_snapshot(
     path: Union[str, Path],
     representation,
@@ -359,11 +407,7 @@ def save_snapshot(
     Returns the number of bytes written.
     """
     blob = encode_snapshot(representation, fingerprint=fingerprint)
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    scratch = path.with_name(path.name + ".tmp")
-    scratch.write_bytes(blob)
-    scratch.replace(path)
+    atomic_write(Path(path), blob)
     return len(blob)
 
 
@@ -371,18 +415,20 @@ def load_snapshot(
     path: Union[str, Path], expected_fingerprint: Optional[str] = None
 ):
     """Decode a snapshot file; missing files raise :class:`SnapshotError`."""
+    return decode_snapshot(
+        _read_blob(path), expected_fingerprint=expected_fingerprint
+    )
+
+
+def _read_blob(path: Union[str, Path]) -> bytes:
     try:
-        blob = Path(path).read_bytes()
+        return Path(path).read_bytes()
     except OSError as error:
         raise SnapshotError(f"cannot read snapshot {path}: {error}") from error
-    return decode_snapshot(blob, expected_fingerprint=expected_fingerprint)
 
 
 def inspect_snapshot_file(path: Union[str, Path]) -> Dict:
-    try:
-        blob = Path(path).read_bytes()
-    except OSError as error:
-        raise SnapshotError(f"cannot read snapshot {path}: {error}") from error
+    blob = _read_blob(path)
     info = inspect_snapshot(blob)
     info["file_bytes"] = len(blob)
     return info
@@ -413,9 +459,7 @@ class SnapshotStore:
         self.fingerprint = fingerprint
 
     def path_for(self, label: str) -> Path:
-        slug = re.sub(r"[^A-Za-z0-9._-]+", "_", label)[:64].strip("._") or "snap"
-        digest = hashlib.sha256(label.encode("utf-8")).hexdigest()[:16]
-        return self.directory / f"{slug}-{digest}{self.SUFFIX}"
+        return label_path(self.directory, label, self.SUFFIX)
 
     def __contains__(self, label: str) -> bool:
         return self.path_for(label).exists()

@@ -40,6 +40,7 @@ from repro.core.kernel import (
 from repro.core.cost import CostModel
 from repro.core.dictionary import HeavyDictionary, build_dictionary
 from repro.core.intervals import FBox, FInterval
+from repro.core.representation import Representation
 from repro.database.catalog import Database
 from repro.exceptions import ParameterError, QueryError, SnapshotError
 from repro.hypergraph.covers import max_slack_cover, slack
@@ -47,7 +48,7 @@ from repro.hypergraph.hypergraph import Hypergraph, hypergraph_of_view
 from repro.joins.generic_join import JoinCounter, generic_join
 from repro.measure.space import SpaceReport
 from repro.query.adorned import AdornedView
-from repro.query.rewriting import normalize_view
+from repro.query.rewriting import natural_form
 
 
 @dataclass(frozen=True)
@@ -62,21 +63,6 @@ class BuildStats:
     dictionary_entries: int
     output_tuples: int
     build_seconds: float
-
-
-def resume_strictly_after(iterator, last: Tuple) -> Iterator[Tuple]:
-    """Turn an ``enumerate_from`` (``>= start``) stream into ``> last``.
-
-    Enumerations never repeat a tuple, so only the leading one can equal
-    the resume point; everything after it passes through untouched. All
-    three representation classes build their ``enumerate_after`` on this.
-    """
-    iterator = iter(iterator)
-    for first in iterator:
-        if first != last:
-            yield first
-        break
-    yield from iterator
 
 
 class ScanSlot:
@@ -97,7 +83,7 @@ class ScanSlot:
         self.counter = counter
 
 
-class CompressedRepresentation:
+class CompressedRepresentation(Representation):
     """Space/delay-tunable compressed representation of a full adorned view.
 
     Parameters
@@ -119,15 +105,11 @@ class CompressedRepresentation:
         the free variables.
     """
 
-    #: The class supports mid-traversal re-entry: ``enumerate_from`` /
-    #: ``enumerate_after`` seek to a start point instead of rescanning.
-    #: The cursor layer (:mod:`repro.engine.api`) keys off this flag.
+    #: ``enumerate_from`` seeks to a start point in one delay unit.
     supports_resume = True
 
-    #: The class supports grouped enumeration (:meth:`shared_enumerate`):
-    #: one merged descent answers a whole batch of access requests. The
-    #: shared-scan layer (:mod:`repro.engine.shared_scan`) keys off this
-    #: flag and falls back to sequential per-request streams without it.
+    #: :meth:`shared_enumerate` answers a whole batch of access requests
+    #: in one merged descent.
     supports_shared_scan = True
 
     def __init__(
@@ -143,11 +125,7 @@ class CompressedRepresentation:
         if tau <= 0:
             raise ParameterError(f"tau must be positive, got {tau}")
         self.original_view = view
-        if view.is_natural_join():
-            self.view, self.db = view, db
-        else:
-            normalized = normalize_view(view, db)
-            self.view, self.db = normalized.view, normalized.database
+        self.view, self.db = natural_form(view, db)
         self._bind(tau, weights, alpha)
         self.tree: DelayBalancedTree = build_delay_balanced_tree(
             self.cost_model, self.tau, self.alpha
@@ -167,7 +145,6 @@ class CompressedRepresentation:
             build_seconds=time.perf_counter() - started,
         )
         self._layout: Optional[layout_mod.CompiledLayout] = None
-        self.layout_compile_seconds = 0.0
         if compile_layout:
             self.compile_layout()
 
@@ -341,7 +318,6 @@ class CompressedRepresentation:
             stats["weights"] = dict(stats["weights"])
             self.stats = BuildStats(**stats)
             self._layout = None
-            self.layout_compile_seconds = 0.0
             layout_state = state.get("layout")
             if layout_state is not None:
                 # Codec v2: the compiled arrays ship with the snapshot.
@@ -373,12 +349,7 @@ class CompressedRepresentation:
         Yields value tuples over the free variables (head order). The
         optional counter accumulates logical steps for delay measurement.
         """
-        access = tuple(access)
-        if len(access) != len(self.ctx.bound_order):
-            raise QueryError(
-                f"access tuple has {len(access)} values, expected "
-                f"{len(self.ctx.bound_order)}"
-            )
+        access = self._check_access(access)
         if self.tree.root is None:
             return
         layout = self._active_layout()
@@ -461,12 +432,7 @@ class CompressedRepresentation:
         not be in the active domains (the ceiling inside the domains is
         used).
         """
-        access = tuple(access)
-        if len(access) != len(self.ctx.bound_order):
-            raise QueryError(
-                f"access tuple has {len(access)} values, expected "
-                f"{len(self.ctx.bound_order)}"
-            )
+        access = self._check_access(access)
         if self.tree.root is None:
             return
         start = self._ceil_point(start_values)
@@ -555,24 +521,6 @@ class CompressedRepresentation:
         for box in clipped.box_decomposition(self.ctx.space):
             yield from self._join_box(access, subtries, box, counter)
 
-    def enumerate_after(
-        self,
-        access: Sequence,
-        last: Sequence,
-        counter: Optional[JoinCounter] = None,
-    ) -> Iterator[Tuple]:
-        """Enumerate answers strictly after ``last`` — the resume entry.
-
-        ``last`` is a resume token: a free-variable tuple previously
-        delivered (or any value tuple — a point past the end of the
-        answer yields nothing). Pagination is
-        ``enumerate(a) == page_k ++ enumerate_after(a, last_of(page_k))``
-        for every prefix length.
-        """
-        return resume_strictly_after(
-            self.enumerate_from(access, last, counter=counter), tuple(last)
-        )
-
     # ------------------------------------------------------------------
     # shared-scan batch execution (one descent, many access requests)
     # ------------------------------------------------------------------
@@ -616,12 +564,7 @@ class CompressedRepresentation:
         layout = self._active_layout()
         slots: List = []
         for index, access in enumerate(accesses):
-            access = tuple(access)
-            if len(access) != len(self.ctx.bound_order):
-                raise QueryError(
-                    f"access tuple has {len(access)} values, expected "
-                    f"{len(self.ctx.bound_order)}"
-                )
+            access = self._check_access(access)
             start = None
             start_values = starts[index] if starts is not None else None
             if start_values is not None:
@@ -739,14 +682,6 @@ class CompressedRepresentation:
     # ------------------------------------------------------------------
     # convenience API
     # ------------------------------------------------------------------
-    def answer(self, access: Sequence) -> List[Tuple]:
-        """The full answer of one access request, as a list."""
-        return list(self.enumerate(access))
-
-    def exists(self, access: Sequence) -> bool:
-        """Whether the access request has any answer (early exit)."""
-        return next(self.enumerate(access), None) is not None
-
     def count(self, access: Sequence) -> int:
         total = 0
         for _ in self.enumerate(access):

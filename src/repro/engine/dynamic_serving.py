@@ -22,10 +22,10 @@ Pieces, in dependency order:
   are restricted to JSON-representable values (numbers, strings,
   booleans, ``None``) — the same constraint the CLI's tuple syntax
   imposes.
-* :class:`FrozenDynamicView` — the immutable serving view of one
-  version: the inner compressed structure while the buffers were clean,
-  or a lazily-evaluated point-in-time database while dirty (always the
-  reference path — the delta overlay has no compiled kernel form).
+* :class:`~repro.core.dynamic.FrozenDynamicView` (re-exported here) —
+  the immutable serving view of one version, defined beside the
+  representation it freezes; what it captures at publish time and what
+  it builds on first read is ``docs/ARCHITECTURE.md#dirty-path``.
 * :class:`DynamicViewState` — the per-view serving state: the live
   :class:`~repro.core.dynamic.DynamicRepresentation`, the
   :class:`~repro.engine.epoch.Epochs` of its frozen versions, and the
@@ -48,16 +48,13 @@ churn-storm runbook.
 
 from __future__ import annotations
 
-import hashlib
 import json
-import re
 import time
 from dataclasses import dataclass
 from pathlib import Path
 from typing import (
     Callable,
     Dict,
-    Iterator,
     List,
     Optional,
     Sequence,
@@ -65,19 +62,18 @@ from typing import (
     Union,
 )
 
-from repro.baselines.lazy import LazyView
-from repro.core.dynamic import DynamicRepresentation
-from repro.core.snapshot import load_snapshot, save_snapshot
-from repro.core.structure import (
-    CompressedRepresentation,
-    resume_strictly_after,
+from repro.core.dynamic import DynamicRepresentation, FrozenDynamicView
+from repro.core.snapshot import (
+    atomic_write,
+    label_path,
+    load_snapshot,
+    read_jsonl,
+    save_snapshot,
 )
 from repro.database.catalog import Database
 from repro.engine.epoch import Epochs
 from repro.engine.locking import named_lock
 from repro.exceptions import ParameterError, SnapshotError
-from repro.joins.generic_join import JoinCounter
-from repro.measure.space import SpaceReport
 from repro.query.adorned import AdornedView
 
 __all__ = [
@@ -146,92 +142,6 @@ class DeltaRecord:
             ) from error
 
 
-class FrozenDynamicView:
-    """An immutable point-in-time serving view of a dynamic view.
-
-    Exactly one backing is set: ``structure`` (the buffers were clean —
-    full Theorem 1 guarantees, kernel routing included) or ``database``
-    (the buffers were dirty — worst-case optimal lazy evaluation over
-    the materialized post-delta database, reference path only).
-    Deltas applied after the freeze never reach this object, which is
-    what lets cursors drain a retired version untouched.
-    """
-
-    #: Clean freezes seek through the inner structure; dirty freezes
-    #: degrade to a skip-scan, exactly like the live dynamic wrapper.
-    supports_resume = True
-
-    def __init__(
-        self,
-        view: AdornedView,
-        structure: Optional[CompressedRepresentation] = None,
-        database: Optional[Database] = None,
-    ):
-        if (structure is None) == (database is None):
-            raise ValueError(
-                "a frozen dynamic view wraps exactly one of structure "
-                "and database"
-            )
-        self.view = view
-        self._structure = structure
-        self._lazy = (
-            LazyView(view, database) if database is not None else None
-        )
-
-    @property
-    def kernel_ready(self) -> bool:
-        """Clean freezes inherit the structure's kernel; dirty ones don't."""
-        if self._structure is None:
-            return False
-        return self._structure.kernel_ready
-
-    def enumerate(
-        self, access: Sequence, counter: Optional[JoinCounter] = None
-    ) -> Iterator[Tuple]:
-        """Enumerate the frozen version's answers in lexicographic order."""
-        if self._structure is not None:
-            return self._structure.enumerate(access, counter=counter)
-        return self._lazy.enumerate(access, counter=counter)
-
-    def enumerate_from(
-        self,
-        access: Sequence,
-        start_values: Sequence,
-        counter: Optional[JoinCounter] = None,
-    ) -> Iterator[Tuple]:
-        """Enumerate answers with free tuple lexicographically >= start."""
-        if self._structure is not None:
-            return self._structure.enumerate_from(
-                access, start_values, counter=counter
-            )
-        start = tuple(start_values)
-        return (
-            row
-            for row in self._lazy.enumerate(access, counter=counter)
-            if not row < start
-        )
-
-    def enumerate_after(
-        self,
-        access: Sequence,
-        last: Sequence,
-        counter: Optional[JoinCounter] = None,
-    ) -> Iterator[Tuple]:
-        """Enumerate strictly after ``last`` (resume token re-entry)."""
-        return resume_strictly_after(
-            self.enumerate_from(access, last, counter=counter), tuple(last)
-        )
-
-    def space_report(self) -> SpaceReport:
-        """Space of the frozen backing (cache accounting reads this)."""
-        if self._structure is not None:
-            return self._structure.space_report()
-        total = sum(
-            len(relation) for relation in self._lazy.db
-        )
-        return SpaceReport(materialized_tuples=total)
-
-
 @dataclass(frozen=True)
 class DeltaOutcome:
     """What one delta application did, for the server to act on.
@@ -296,19 +206,9 @@ class DynamicViewState:
         self._lock = named_lock("server.dynamic", reentrant=True)
         #: The serving versions: pins, current, retirement.
         self.epochs = Epochs(
-            self._lock, version, (generation, self._freeze_locked())
+            self._lock, version, (generation, dynamic.freeze())
         )
         self._events: List[DeltaRecord] = []
-
-    def _freeze_locked(self) -> FrozenDynamicView:
-        """An immutable serving view of the representation's state now."""
-        if self.dynamic.is_dirty:
-            return FrozenDynamicView(
-                self.view, database=self.dynamic.current_database()
-            )
-        return FrozenDynamicView(
-            self.view, structure=self.dynamic.structure
-        )
 
     def check_tau(self, tau: Optional[float]) -> None:
         """Refuse a per-request τ other than the registration's."""
@@ -385,7 +285,7 @@ class DynamicViewState:
             if not applied and forced_version is None:
                 return DeltaOutcome(applied=0, version=current)
             retired = self.epochs.publish(
-                current + 1, (next_generation(), self._freeze_locked())
+                current + 1, (next_generation(), self.dynamic.freeze())
             )
             record = DeltaRecord(
                 view=self.name,
@@ -418,7 +318,7 @@ class DynamicViewState:
             self.dynamic = dynamic
             self._events.clear()
             return self.epochs.publish(
-                version, (generation, self._freeze_locked())
+                version, (generation, dynamic.freeze())
             )
 
     def save_to(self, store: "DynamicSnapshotStore") -> int:
@@ -461,27 +361,21 @@ class DynamicSnapshotStore:
     def __init__(self, directory: Union[str, Path]):
         self.directory = Path(directory)
 
-    def _base(self, label: str) -> Path:
-        slug = (
-            re.sub(r"[^A-Za-z0-9._-]+", "_", label)[:64].strip("._")
-            or "dynamic"
-        )
-        digest = hashlib.sha256(label.encode("utf-8")).hexdigest()[:16]
-        return self.directory / f"{slug}-{digest}"
-
     def snapshot_path(self, label: str) -> Path:
         """Where one label's representation snapshot lives."""
-        return self._base(label).with_suffix(self.SNAP_SUFFIX)
+        # with_suffix (not a plain append) cuts the name at its last dot;
+        # kept so directories written by earlier versions still warm-start.
+        return label_path(self.directory, label, "").with_suffix(
+            self.SNAP_SUFFIX
+        )
 
     def meta_path(self, label: str) -> Path:
         """Where one label's sidecar meta record lives."""
-        base = self._base(label)
-        return base.with_name(base.name + self.META_SUFFIX)
+        return label_path(self.directory, label, self.META_SUFFIX)
 
     def log_path(self, label: str) -> Path:
         """Where one label's delta event log lives."""
-        base = self._base(label)
-        return base.with_name(base.name + self.LOG_SUFFIX)
+        return label_path(self.directory, label, self.LOG_SUFFIX)
 
     def save(
         self,
@@ -497,11 +391,10 @@ class DynamicSnapshotStore:
             "version": int(version),
             "relations": dict(relations),
         }
-        path = self.meta_path(label)
-        path.parent.mkdir(parents=True, exist_ok=True)
-        scratch = path.with_name(path.name + ".tmp")
-        scratch.write_text(json.dumps(meta, indent=2, sort_keys=True))
-        scratch.replace(path)
+        atomic_write(
+            self.meta_path(label),
+            json.dumps(meta, indent=2, sort_keys=True).encode("utf-8"),
+        )
 
     def load_meta(self, label: str) -> Optional[Dict]:
         """The meta record, or None when absent/unreadable (cold start)."""
@@ -528,7 +421,13 @@ class DynamicSnapshotStore:
         return restored
 
     def append_log(self, label: str, record: DeltaRecord) -> None:
-        """Append one delta record to the view's event log."""
+        """Append one delta record to the view's event log.
+
+        A delta is durable once its log line is complete — terminating
+        newline included; a line cut short by a kill is a torn append
+        that the next warm start drops (:meth:`recover_log`). No fsync:
+        that is the ROADMAP durability item.
+        """
         path = self.log_path(label)
         path.parent.mkdir(parents=True, exist_ok=True)
         try:
@@ -542,24 +441,47 @@ class DynamicSnapshotStore:
             handle.write(line + "\n")
 
     def read_log(self, label: str) -> List[DeltaRecord]:
-        """Every logged record, in file order (missing log → empty)."""
+        """Every complete logged record, in file order (missing log → empty).
+
+        Read-only: a torn final line (see :meth:`append_log`) is skipped,
+        never repaired — replicas read a log the primary may be appending
+        to. A malformed line that is *not* last raises
+        :class:`~repro.exceptions.SnapshotError`.
+        """
+        return self._read_log(label)[0]
+
+    def _read_log(self, label: str):
+        """``(records, tail, torn)`` as :func:`~repro.core.snapshot.read_jsonl`."""
         path = self.log_path(label)
         try:
-            text = path.read_text(encoding="utf-8")
+            lines, tail, torn = read_jsonl(path)
         except OSError:
-            return []
-        records: List[DeltaRecord] = []
-        for number, line in enumerate(text.splitlines(), start=1):
-            if not line.strip():
-                continue
-            try:
-                payload = json.loads(line)
-            except ValueError as error:
-                raise SnapshotError(
-                    f"malformed delta log {path} line {number}: {error}"
-                ) from error
-            records.append(DeltaRecord.from_payload(payload))
-        return records
+            return [], None, False
+        except ValueError as error:
+            number, detail = error.args
+            raise SnapshotError(
+                f"malformed delta log {path} line {number}: {detail}"
+            ) from error
+        records = [DeltaRecord.from_payload(payload) for _, payload in lines]
+        return records, tail, torn
+
+    def recover_log(self, label: str) -> Tuple[List[DeltaRecord], bool]:
+        """:meth:`read_log` for the log's owner; ``(records, torn?)``.
+
+        Leaves the file ending on a line boundary, so the next
+        :meth:`append_log` cannot glue onto a fragment: a torn final line
+        is truncated away (and reported), an unterminated line that
+        parses is kept and terminated.
+        """
+        records, tail, torn = self._read_log(label)
+        if tail is not None:
+            with self.log_path(label).open("r+b") as handle:
+                if torn:
+                    handle.truncate(tail)
+                else:
+                    handle.seek(0, 2)
+                    handle.write(b"\n")
+        return records, torn
 
     def truncate_log(self, label: str) -> None:
         """Start the event log over (cold re-registration resets history)."""

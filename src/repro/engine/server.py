@@ -106,7 +106,7 @@ from repro.optimizer.min_delay import min_delay_cover
 from repro.optimizer.min_space import min_space_cover
 from repro.query.adorned import AdornedView
 from repro.query.parser import parse_view
-from repro.query.rewriting import normalize_view
+from repro.query.rewriting import natural_form
 from repro.workloads.streams import batched
 
 DEFAULT_TAU = 8.0
@@ -462,11 +462,7 @@ class ViewServer(Serving):
                 "give at most one of tau, space_budget, delay_budget"
             )
         name = name or view.name
-        if view.is_natural_join():
-            natural_view, eval_db = view, base_db
-        else:
-            normalized = normalize_view(view, base_db)
-            natural_view, eval_db = normalized.view, normalized.database
+        natural_view, eval_db = natural_form(view, base_db)
         sizes = {
             label: len(eval_db[atom.relation])
             for label, atom in enumerate(natural_view.atoms)
@@ -511,9 +507,7 @@ class ViewServer(Serving):
         if dynamic_state is not None:
             # Dynamic entries live under per-version generations, not
             # the registration's: sweep every one of them by name.
-            self._cache.invalidate_matching(
-                lambda key: key[0] == name, drop_snapshot=False
-            )
+            self.demote(name)
         if registration is None:
             return False
         # Scope the sweep to the popped generation: a concurrent
@@ -729,7 +723,9 @@ class ViewServer(Serving):
                         dynamic = None
                     if dynamic is not None:
                         version = int(meta["version"])
-                        for record in store.read_log(label):
+                        for record in self._read_delta_log(
+                            registration.name, label
+                        ):
                             if record.version <= version:
                                 continue
                             dynamic.apply_deltas(
@@ -740,6 +736,21 @@ class ViewServer(Serving):
                             version = record.version
                         return dynamic, version, True
         return self._build_dynamic(registration, rebuild_fraction), 0, False
+
+    def _read_delta_log(self, name: str, label: str) -> List[DeltaRecord]:
+        """The delta log's complete records; its owner also repairs it.
+
+        A primary truncates a torn final line away (a delta is durable
+        once its log line is complete) and counts the recovery; replicas
+        only ever skip it — the file is the primary's.
+        """
+        store = self._dynamic_store
+        if not self._writes_dynamic_snapshots:
+            return store.read_log(label)
+        records, torn = store.recover_log(label)
+        if torn and self._telemetry is not None:
+            self._telemetry.counter("delta_log_torn_total", view=name).inc()
+        return records
 
     def _build_dynamic(
         self, registration: Registration, rebuild_fraction: float
@@ -758,12 +769,7 @@ class ViewServer(Serving):
         )
         with self._lock:
             self._total_builds += 1
-        if self._telemetry is not None:
-            self._telemetry.histogram(
-                "layout_compile_seconds",
-                buckets=LATENCY_BUCKETS,
-                view=registration.name,
-            ).observe(dynamic.layout_compile_seconds)
+        self._observe_layout_compile(registration.name, dynamic)
         return dynamic
 
     def apply_deltas(
@@ -972,11 +978,8 @@ class ViewServer(Serving):
     def _retire(self, state: DynamicViewState, retired) -> None:
         """Drop drained versions' cache entries; refresh the gauges."""
         for generation, _ in retired:
-            self._cache.invalidate_matching(
-                lambda key, generation=generation: (
-                    key[0] == state.name and key[2] == generation
-                ),
-                drop_snapshot=False,
+            self._cache.invalidate(
+                (state.name, state.tau, generation), drop_snapshot=False
             )
         self._set_dynamic_gauges(state)
 
@@ -986,16 +989,11 @@ class ViewServer(Serving):
         """Open a cursor pinned to the view's current serving version."""
         state.check_tau(request.tau)
         with state.epochs.hold(1, partial(self._retire, state)) as hold:
-            serving = self._resident(state, *hold.payload)
-            with self._lock:
-                self._requests_served += 1
-            cursor = open_cursor(serving, request)
+            cursor = self._open_on(
+                self._resident(state, *hold.payload), request, started
+            )
             hold.keep([cursor])
-        if self._telemetry is not None:
-            path = "columnar" if serving.kernel_ready else "fallback"
-            self._kernel_counter(request.view, path).inc()
-            self._instrument_cursor(cursor, request, started, mode="open")
-            self._set_dynamic_gauges(state)
+        self._set_dynamic_gauges(state)
         return cursor
 
     def _set_dynamic_gauges(self, state: DynamicViewState) -> None:
@@ -1126,15 +1124,16 @@ class ViewServer(Serving):
                 tau=tau,
                 weights=weights,
             )
-        if self._telemetry is not None:
-            seconds = getattr(built, "layout_compile_seconds", None)
-            if seconds is not None:
-                self._telemetry.histogram(
-                    "layout_compile_seconds",
-                    buckets=LATENCY_BUCKETS,
-                    view=registration.name,
-                ).observe(seconds)
+        self._observe_layout_compile(registration.name, built)
         return built
+
+    def _observe_layout_compile(self, name: str, built) -> None:
+        """Record what a fresh build spent compiling kernel layouts."""
+        seconds = getattr(built, "layout_compile_seconds", None)
+        if self._telemetry is not None and seconds is not None:
+            self._telemetry.histogram(
+                "layout_compile_seconds", buckets=LATENCY_BUCKETS, view=name
+            ).observe(seconds)
 
     def build_count(self, name: str, tau: Optional[float] = None) -> int:
         """How many times ``(name, τ)`` was actually built (cache misses)."""
@@ -1198,7 +1197,14 @@ class ViewServer(Serving):
             state = self._dynamic.get(request.view)
         if state is not None:
             return self._open_dynamic(state, request, started)
-        representation = self.representation(request.view, request.tau)
+        return self._open_on(
+            self.representation(request.view, request.tau), request, started
+        )
+
+    def _open_on(
+        self, representation, request: AccessRequest, started: float
+    ) -> AnswerCursor:
+        """Count, open and instrument one cursor over a resolved structure."""
         with self._lock:
             self._requests_served += 1
         cursor = open_cursor(representation, request)

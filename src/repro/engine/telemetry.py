@@ -49,6 +49,7 @@ import json
 import threading
 import time
 import uuid
+import warnings
 from collections import deque
 from contextlib import contextmanager
 from dataclasses import dataclass, field
@@ -66,6 +67,7 @@ from typing import (
     Union,
 )
 
+from repro.core.snapshot import read_jsonl
 from repro.engine.locking import named_lock
 from repro.exceptions import ParameterError, TelemetryError
 
@@ -453,25 +455,27 @@ class TelemetryStore:
 
         Ordered by ``(ts, session, seq)`` so interleaved sessions replay
         in wall-clock order. An absent directory is simply empty history.
+        A session killed mid-append leaves a torn final line: it is
+        skipped with a warning (read-only — the file is that session's).
         """
         root = Path(directory)
         records: List[Dict[str, Any]] = []
         if not root.is_dir():
             return records
         for path in sorted(root.glob("*.jsonl")):
-            with path.open("r", encoding="utf-8") as handle:
-                for line_number, line in enumerate(handle, start=1):
-                    if not line.strip():
-                        continue
-                    try:
-                        parsed = json.loads(line)
-                    except ValueError as error:
-                        raise TelemetryError(
-                            f"{path}:{line_number}: not JSON: {error}"
-                        ) from None
-                    records.append(
-                        _validate_record(parsed, str(path), line_number)
-                    )
+            try:
+                lines, _, torn = read_jsonl(path)
+            except ValueError as error:
+                line_number, detail = error.args
+                raise TelemetryError(
+                    f"{path}:{line_number}: not JSON: {detail}"
+                ) from None
+            if torn:
+                warnings.warn(f"{path}: skipped a torn final line")
+            records.extend(
+                _validate_record(parsed, str(path), line_number)
+                for line_number, parsed in lines
+            )
         records.sort(key=lambda r: (r["ts"], r["session"], r["seq"]))
         return records
 

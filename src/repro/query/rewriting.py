@@ -110,3 +110,16 @@ def normalize_view(view: AdornedView, db: Database) -> NormalizedView:
         database=new_db,
         derived=tuple(derived_names),
     )
+
+
+def natural_form(view: AdornedView, db: Database) -> Tuple[AdornedView, Database]:
+    """``(view, db)`` as a natural join query: itself, or normalized.
+
+    The preamble every structure over a full adorned view runs: natural
+    joins pass through untouched (same objects), anything else goes
+    through :func:`normalize_view`.
+    """
+    if view.is_natural_join():
+        return view, db
+    normalized = normalize_view(view, db)
+    return normalized.view, normalized.database

@@ -465,16 +465,25 @@ class TestMakefileContract:
         assert "[tool.ruff.format]" in pyproject
 
 
-#: `make size`'s figure for src/repro/engine after PR 14. The engine is
+#: `make size`'s figure for src/repro/engine after PR 15. The engine is
 #: plumbing around ``open_cursor``; a PR that grows it raises this number
 #: on purpose, in the same diff, or finds something to delete.
-ENGINE_SLOC_CEILING = 4604
+ENGINE_SLOC_CEILING = 4527
+
+#: `make size`'s total for src/repro after PR 15. A per-package ceiling
+#: reads code *moved* out of the package as a reduction; the total cannot
+#: be met that way.
+SRC_SLOC_CEILING = 13867
 
 
 class TestSizeGate:
     def test_engine_stays_under_its_ceiling(self):
         engine = package_sloc(REPO / "src" / "repro" / "engine")
         assert sum(engine.values()) <= ENGINE_SLOC_CEILING, engine
+
+    def test_the_whole_package_stays_under_its_ceiling(self):
+        total = sum(package_sloc(REPO / "src" / "repro").values())
+        assert total <= SRC_SLOC_CEILING, total
 
     def test_docstrings_comments_and_blanks_are_free(self):
         source = '''"""Module docstring."""

@@ -2,6 +2,8 @@
 
 import hashlib
 import json
+import shutil
+import threading
 
 import pytest
 
@@ -17,6 +19,7 @@ from repro.engine.dynamic_serving import (
 from repro.engine.replica import ReplicaServer
 from repro.engine.server import ViewServer
 from repro.engine.sharding import ShardedViewServer
+from repro.engine.telemetry import Telemetry
 from repro.exceptions import ParameterError, SnapshotError
 from repro.query.parser import parse_view
 from repro.workloads.generators import triangle_database
@@ -704,3 +707,232 @@ class TestDurableLogHygiene:
             handle.write("not json\n")
         with pytest.raises(SnapshotError, match="malformed"):
             store.read_log(label)
+
+    def test_malformed_middle_line_stays_a_hard_error(self, tmp_path):
+        server = ViewServer(chain_database(), snapshot_dir=tmp_path)
+        name = server.register_dynamic(VIEW_TEXT, tau=4.0)
+        server.apply_deltas("R", inserts=[(1, 3)])
+        label = server._dynamic_state(name).label
+        server.close()
+        store = DynamicSnapshotStore(tmp_path / "dynamic")
+        path = store.log_path(label)
+        good = path.read_text()
+        path.write_text('{"deletes": [], "inserts": [[104, 1\n' + good)
+        before = path.read_bytes()
+        with pytest.raises(SnapshotError, match="malformed delta log .* line 1"):
+            store.read_log(label)
+        with pytest.raises(SnapshotError, match="malformed"):
+            store.recover_log(label)
+        restarted = ViewServer(chain_database(), snapshot_dir=tmp_path)
+        with pytest.raises(SnapshotError, match="malformed"):
+            restarted.register_dynamic(VIEW_TEXT, tau=4.0)
+        assert restarted.views() == ()
+        # Damage is never "repaired" away.
+        assert path.read_bytes() == before
+        restarted.close()
+
+
+class TestTornLogTail:
+    """A kill mid-append leaves a torn final line; warm start survives it."""
+
+    DELTAS = [
+        ("R", [(1, 3)], []),
+        ("S", [(4, 9)], [(4, 7)]),
+        ("R", [(104, 1), (2, 6)], [(1, 2)]),
+    ]
+
+    def _logged(self, tmp_path):
+        """A closed primary's snapshot dir, its label, and per-version dbs."""
+        db = chain_database()
+        origin = tmp_path / "origin"
+        server = ViewServer(db, snapshot_dir=origin)
+        name = server.register_dynamic(
+            VIEW_TEXT, tau=4.0, rebuild_fraction=float("inf")
+        )
+        states = [db]
+        for relation, inserts, deletes in self.DELTAS:
+            server.apply_deltas(relation, inserts=inserts, deletes=deletes)
+            states.append(server._dynamic_state(name).current_database())
+        label = server._dynamic_state(name).label
+        server.close()
+        return origin, label, states
+
+    def _check(self, server, name, db):
+        view = parse_view(VIEW_TEXT)
+        for a in (1, 2, 3, 4, 104):
+            assert server.answer(name, (a,)) == oracle_answer(view, db, (a,))
+
+    def test_kill_at_every_byte_of_the_last_record(self, tmp_path):
+        origin, label, states = self._logged(tmp_path)
+        log = DynamicSnapshotStore(origin / "dynamic").log_path(label)
+        data = log.read_bytes()
+        last = data.rindex(b"\n", 0, len(data) - 1) + 1
+        k = len(self.DELTAS)
+        landed = set()
+        for cut in range(last, len(data)):
+            scratch = tmp_path / f"cut-{cut}"
+            shutil.copytree(origin, scratch)
+            store = DynamicSnapshotStore(scratch / "dynamic")
+            store.log_path(label).write_bytes(data[:cut])
+            warm = ViewServer(chain_database(), snapshot_dir=scratch)
+            name = warm.register_dynamic(
+                VIEW_TEXT, tau=4.0, rebuild_fraction=float("inf")
+            )
+            version = warm.delta_version(name)
+            assert version in (k - 1, k), cut
+            landed.add(version)
+            assert warm.total_builds() == 0
+            self._check(warm, name, states[version])
+            # The repaired log takes the next append on a fresh line...
+            assert store.log_path(label).read_bytes().endswith(b"\n")
+            warm.apply_deltas("S", inserts=[(3, 77)])
+            after = warm._dynamic_state(name).current_database()
+            warm.close()
+            # ...and a restart round-trips it.
+            again = ViewServer(chain_database(), snapshot_dir=scratch)
+            name = again.register_dynamic(
+                VIEW_TEXT, tau=4.0, rebuild_fraction=float("inf")
+            )
+            assert again.delta_version(name) == version + 1
+            self._check(again, name, after)
+            again.close()
+            shutil.rmtree(scratch)
+        # Only the cut that spares everything but the newline keeps k.
+        assert landed == {k - 1, k}
+
+    def test_recovery_is_counted_exactly_once(self, tmp_path):
+        origin, label, states = self._logged(tmp_path)
+        log = DynamicSnapshotStore(origin / "dynamic").log_path(label)
+        complete = log.read_bytes()
+        log.write_bytes(complete + b'{"deletes": [], "inserts": [[104, 1')
+
+        def torn_count(server, name):
+            return server.telemetry.registry.counter_value(
+                "delta_log_torn_total", view=name
+            )
+
+        first = ViewServer(
+            chain_database(), snapshot_dir=origin, telemetry=Telemetry()
+        )
+        name = first.register_dynamic(
+            VIEW_TEXT, tau=4.0, rebuild_fraction=float("inf")
+        )
+        assert first.delta_version(name) == len(self.DELTAS)
+        assert torn_count(first, name) == 1
+        assert log.read_bytes() == complete
+        first.close()
+        second = ViewServer(
+            chain_database(), snapshot_dir=origin, telemetry=Telemetry()
+        )
+        name = second.register_dynamic(
+            VIEW_TEXT, tau=4.0, rebuild_fraction=float("inf")
+        )
+        assert torn_count(second, name) == 0
+        second.close()
+
+    def test_replicas_skip_but_never_truncate(self, tmp_path):
+        origin, label, states = self._logged(tmp_path)
+        log = DynamicSnapshotStore(origin / "dynamic").log_path(label)
+        torn = log.read_bytes() + b'{"deletes": [], "ins'
+        log.write_bytes(torn)
+        replica = ReplicaServer(chain_database(), snapshot_dir=origin)
+        name = replica.register_dynamic(
+            VIEW_TEXT, tau=4.0, rebuild_fraction=float("inf")
+        )
+        assert replica.delta_version(name) == len(self.DELTAS)
+        self._check(replica, name, states[-1])
+        assert log.read_bytes() == torn
+        replica.close()
+
+
+class TestLazyVersions:
+    """A version records what it is; how to read it is built on first read."""
+
+    @pytest.fixture
+    def contexts(self, monkeypatch):
+        from repro.core.context import ViewContext
+
+        built = []
+        original = ViewContext.__init__
+
+        def counting(self, view, db):
+            built.append(view.name)
+            original(self, view, db)
+
+        monkeypatch.setattr(ViewContext, "__init__", counting)
+        return built
+
+    def test_unread_versions_build_nothing(self, contexts):
+        server = ViewServer(chain_database())
+        name = server.register_dynamic(
+            VIEW_TEXT, tau=4.0, rebuild_fraction=float("inf")
+        )
+        del contexts[:]
+        for value in range(10):
+            assert server.apply_deltas("R", inserts=[(1, 50 + value)]) == {
+                name: 1
+            }
+        assert server.delta_version(name) == 10
+        assert contexts == []
+        # Resident and accounted for without being materialised.
+        serving = server.representation(name)
+        assert not serving.kernel_ready
+        assert serving.space_report().materialized_tuples == 16
+        assert contexts == []
+        first = server.answer(name, (1,))
+        assert len(contexts) == 1
+        assert server.answer(name, (1,)) == first
+        assert server.answer(name, (2,)) == [(3, 6)]
+        assert len(contexts) == 1
+        server.close()
+
+    def test_retired_versions_leave_the_cache_by_exact_key(self):
+        server = ViewServer(chain_database())
+        name = server.register_dynamic(
+            VIEW_TEXT, tau=4.0, rebuild_fraction=float("inf")
+        )
+        for value in range(5):
+            server.apply_deltas("R", inserts=[(1, 50 + value)])
+        keys = [key for key in server.cache.keys() if key[0] == name]
+        assert len(keys) == 1
+        cursor = server.open(name, (1,))
+        server.apply_deltas("R", inserts=[(1, 99)])
+        assert len([k for k in server.cache.keys() if k[0] == name]) == 2
+        cursor.close()
+        assert len([k for k in server.cache.keys() if k[0] == name]) == 1
+        server.close()
+
+    def test_two_threads_first_reading_one_dirty_version(self, contexts):
+        db = triangle_database(14, 60, seed=5)
+        server = ViewServer(db)
+        name = server.register_dynamic(
+            triangle_view("bff"), tau=4.0, rebuild_fraction=float("inf")
+        )
+        row = next(iter(db["R"]))
+        server.apply_deltas("R", deletes=[row])
+        expected = oracle_answer(
+            triangle_view("bff"),
+            server._dynamic_state(name).current_database(),
+            (row[0],),
+        )
+        del contexts[:]
+        barrier = threading.Barrier(2)
+        results, errors = [], []
+
+        def read():
+            try:
+                barrier.wait(timeout=10)
+                results.append(server.answer(name, (row[0],)))
+            except BaseException as error:  # surfaced below
+                errors.append(error)
+
+        threads = [threading.Thread(target=read) for _ in range(2)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=30)
+            assert not thread.is_alive()
+        assert not errors
+        assert results == [expected, expected]
+        assert len(contexts) == 1
+        server.close()

@@ -390,6 +390,64 @@ class TestSnapshotFilesAndStore:
         with pytest.raises(SnapshotError, match="different database"):
             reader.load("shared-label")
 
+    def test_file_names_and_fingerprints_are_pinned(self, tmp_path):
+        # Snapshot directories written by earlier versions must still
+        # warm-start: the label -> file mapping and both fingerprints
+        # are on-disk contracts.
+        from repro.core.snapshot import label_path, relation_fingerprints
+        from repro.database.catalog import Database
+        from repro.database.relation import Relation
+        from repro.engine.dynamic_serving import DynamicSnapshotStore
+
+        label = "tri|0123456789ab|tau=8.0|fixed|None"
+        stem = "tri_0123456789ab_tau_8.0_fixed_None-96dbaa7f7f9feb4d"
+        assert label_path(tmp_path, label, ".snap") == tmp_path / f"{stem}.snap"
+        assert SnapshotStore(tmp_path).path_for(label).name == f"{stem}.snap"
+        dynamic = DynamicSnapshotStore(tmp_path)
+        assert dynamic.meta_path(label).name == f"{stem}.meta.json"
+        assert dynamic.log_path(label).name == f"{stem}.deltas.jsonl"
+        # The dynamic snapshot cuts the name at its last dot (historical).
+        assert dynamic.snapshot_path(label).name == "tri_0123456789ab_tau_8.snap"
+        # A label with nothing sluggable keeps a readable stem.
+        assert label_path(tmp_path, "|||", ".snap").name.startswith("snap-")
+        db = Database(
+            [
+                Relation("R", 2, [(1, 2), (2, 3), (3, 4)]),
+                Relation("S", 2, [(2, 5), (3, 6), (4, 7)]),
+            ]
+        )
+        assert database_fingerprint(db) == (
+            "7a13c7469ce3bff4dc3a894e8d8a47a289b280fa20c91f465eabf5dc277d8422"
+        )
+        assert relation_fingerprints(db) == {
+            "R": "8f0bbed21d560180efdb23bb76be796b905dffa59bc765f8c2cc31e071d1c5a9",
+            "S": "9c4bbb1ed133dfdb2d4f5c7094389287a5f43b273cb73a9cd0b1329b86317885",
+        }
+
+    def test_atomic_write_leaves_no_scratch_file(self, tmp_path):
+        from repro.core.snapshot import atomic_write
+
+        target = tmp_path / "nested" / "meta.json"
+        atomic_write(target, b"one")
+        atomic_write(target, b"two")
+        assert target.read_bytes() == b"two"
+        assert [p.name for p in target.parent.iterdir()] == ["meta.json"]
+
+    def test_read_jsonl_tells_a_torn_tail_from_damage(self, tmp_path):
+        from repro.core.snapshot import read_jsonl
+
+        path = tmp_path / "log.jsonl"
+        path.write_bytes(b'{"a": 1}\n\n{"a": 2}\n')
+        assert read_jsonl(path) == ([(1, {"a": 1}), (3, {"a": 2})], None, False)
+        path.write_bytes(b'{"a": 1}\n{"a": 2}')
+        assert read_jsonl(path) == ([(1, {"a": 1}), (2, {"a": 2})], 9, False)
+        path.write_bytes(b'{"a": 1}\n{"a": ')
+        assert read_jsonl(path) == ([(1, {"a": 1})], 9, True)
+        path.write_bytes(b'{"a": \n{"a": 2}\n')
+        with pytest.raises(ValueError) as caught:
+            read_jsonl(path)
+        assert caught.value.args[0] == 1
+
     def test_store_surfaces_corruption_as_snapshot_error(self, tmp_path):
         db = triangle_database(nodes=15, edges=60, seed=3)
         rep = CompressedRepresentation(triangle_view("bbf"), db, tau=8.0)

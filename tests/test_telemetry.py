@@ -198,6 +198,21 @@ class TestTelemetryStore:
         with pytest.raises(TelemetryError, match=r"abc\.jsonl:2"):
             TelemetryStore.load(tmp_path)
 
+    def test_killed_session_tail_is_skipped_with_a_warning(self, tmp_path):
+        store = TelemetryStore(tmp_path, session="abc")
+        store.write_event({"op": "fine"})
+        with store.path.open("a") as handle:
+            handle.write('{"kind": "event", "sche')
+        before = store.path.read_bytes()
+        with pytest.warns(UserWarning, match=r"abc\.jsonl: skipped a torn"):
+            records = TelemetryStore.load(tmp_path)
+        assert [r["event"]["op"] for r in records] == ["fine"]
+        with pytest.warns(UserWarning):
+            registry, events = TelemetryStore.merged_registry(tmp_path)
+        assert len(events) == 1
+        # Read-only: another session's file is never repaired here.
+        assert store.path.read_bytes() == before
+
     def test_schema_version_mismatch_is_fatal(self, tmp_path):
         store = TelemetryStore(tmp_path, session="abc")
         record = store.write_event({"op": "fine"})
