@@ -1,21 +1,23 @@
 """EXP-KERNEL — columnar enumeration kernel vs tuple-at-a-time serving.
 
-The serving hot path spends its time enumerating: walking the
+Algorithm 2 as the paper writes it enumerates by walking the
 delay-balanced tree, probing the heavy dictionary, and joining light
 f-boxes one candidate at a time through recursive generators. The
 columnar kernel (:mod:`repro.core.layout` / :mod:`repro.core.kernel`)
 compiles those pointer-chasing structures into flat sorted runs once at
 build time and enumerates with an explicit stack, bisect probes, and
-bulk merge-intersections. This bench gates that advantage on the
-representation boundary — the exact surface the engine serves through:
+bulk merge-intersections; it is the only enumerator ``src/`` ships. This
+bench gates its advantage over the recursive form — kept as the tests'
+executable spec, ``tests/reference_walk.py`` — on the representation
+boundary, the exact surface the engine serves through:
 
 * **kernel gate (acceptance)** — the same mixed workload (Zipf-skewed
   bound accesses fully drained, top-k cursors over the all-free view,
   and mid-stream resume-token pages) runs twice over the same built
-  structures: once with the kernel routing (``set_kernel_mode("on")``)
-  and once forced onto the reference path (``"off"``). The kernel must
-  be >= 3x faster wall-clock, with kernel answers bit-identical to the
-  independent hash-join oracle.
+  structures: once as shipped and once under the ``reference_walk()``
+  fixture, which serves the same entry points from the spec. The kernel
+  must be >= 3x faster wall-clock, with kernel answers bit-identical to
+  the independent hash-join oracle.
 * **layout overhead** — compiling the layout must stay a small fraction
   of the build; the bench reports it alongside the speedup.
 
@@ -35,7 +37,7 @@ import pytest
 
 from bench_reporting import bench_emit, bench_emit_table, bench_record_gate
 from oracle import oracle_answer
-from repro.core import layout as layout_mod
+from reference_walk import reference_walk
 from repro.core.structure import CompressedRepresentation
 from repro.workloads import (
     prefix_batch_requests,
@@ -100,15 +102,15 @@ def test_columnar_kernel_gate(workload):
     db, bound_view, free_view, bound, free, accesses, tokens = workload
     assert bound.kernel_ready and free.kernel_ready
 
-    def serve(mode: str) -> int:
-        layout_mod.set_kernel_mode(mode)
-        try:
-            return _serve_mixed(bound, free, accesses, tokens)
-        finally:
-            layout_mod.set_kernel_mode("auto")
+    def serve_kernel() -> int:
+        return _serve_mixed(bound, free, accesses, tokens)
 
-    serve("on")  # warm both paths before timing
-    serve("off")
+    def serve_reference() -> int:
+        with reference_walk():
+            return _serve_mixed(bound, free, accesses, tokens)
+
+    serve_kernel()  # warm both paths before timing
+    serve_reference()
     # Interleaved rounds + medians: a CI scheduler stall landing on one
     # path's block of rounds would swing a mean-vs-mean ratio; taking
     # the median of alternating rounds drops it entirely.
@@ -117,35 +119,31 @@ def test_columnar_kernel_gate(workload):
     reference_times = []
     for _ in range(REPEATS):
         started = time.perf_counter()
-        kernel_outputs = serve("on")
+        kernel_outputs = serve_kernel()
         kernel_times.append(time.perf_counter() - started)
         started = time.perf_counter()
-        reference_outputs = serve("off")
+        reference_outputs = serve_reference()
         reference_times.append(time.perf_counter() - started)
     kernel_seconds = statistics.median(kernel_times)
     reference_seconds = statistics.median(reference_times)
 
     # Kernel answers must stay oracle-identical, resumes included.
-    layout_mod.set_kernel_mode("on")
-    try:
-        mismatches = 0
-        for access in dict.fromkeys(accesses):
-            if list(bound.enumerate(access)) != oracle_answer(
-                bound_view, db, access
-            ):
-                mismatches += 1
-        if list(free.enumerate(())) != oracle_answer(free_view, db, ()):
+    mismatches = 0
+    for access in dict.fromkeys(accesses):
+        if list(bound.enumerate(access)) != oracle_answer(
+            bound_view, db, access
+        ):
             mismatches += 1
-        for access, token in tokens.items():
-            expected = [
-                row
-                for row in oracle_answer(bound_view, db, access)
-                if not row < token
-            ]
-            if list(bound.enumerate_from(access, token)) != expected:
-                mismatches += 1
-    finally:
-        layout_mod.set_kernel_mode("auto")
+    if list(free.enumerate(())) != oracle_answer(free_view, db, ()):
+        mismatches += 1
+    for access, token in tokens.items():
+        expected = [
+            row
+            for row in oracle_answer(bound_view, db, access)
+            if not row < token
+        ]
+        if list(bound.enumerate_from(access, token)) != expected:
+            mismatches += 1
 
     speedup = reference_seconds / max(kernel_seconds, 1e-9)
     compile_seconds = (
@@ -175,7 +173,7 @@ def test_columnar_kernel_gate(workload):
     bench_emit(
         f"shape check: layouts compiled once in {compile_seconds * 1000:.1f}"
         f" ms at build time; the kernel must serve the mixed workload >= "
-        f"{MIN_SPEEDUP:.0f}x faster than the reference recursive path."
+        f"{MIN_SPEEDUP:.0f}x faster than the recursive spec."
     )
     bench_record_gate(
         "columnar-kernel",
@@ -188,15 +186,3 @@ def test_columnar_kernel_gate(workload):
     assert mismatches == 0
     assert kernel_outputs == reference_outputs
     assert speedup >= MIN_SPEEDUP, f"kernel speedup only {speedup:.1f}x"
-
-
-def test_kernel_off_forces_reference_path(workload):
-    _, _, _, bound, _, accesses, _ = workload
-    layout_mod.set_kernel_mode("off")
-    try:
-        assert not bound.kernel_ready
-        rows = list(bound.enumerate(accesses[0]))
-    finally:
-        layout_mod.set_kernel_mode("auto")
-    assert bound.kernel_ready
-    assert rows == list(bound.enumerate(accesses[0]))

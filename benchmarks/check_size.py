@@ -11,7 +11,10 @@ Usage: ``python benchmarks/check_size.py [ROOT]`` prints one row per
 package under ``ROOT/src/repro`` (default: this file's grandparent)
 and the total. ``tests/test_ci_pipeline.py`` pins the engine package's
 figure and the total as ceilings, so growing either is a decision, not
-an accident — and moving code between packages shrinks nothing.
+an accident — and moving code between packages shrinks nothing. Code
+moved out of ``src/`` to be the tests' reference is printed on its own
+line after the total (:data:`SPEC`), so it reads as moved, not as
+deleted.
 """
 
 from __future__ import annotations
@@ -22,6 +25,11 @@ import sys
 import tokenize
 from pathlib import Path
 from typing import Dict, Set
+
+#: Algorithm 2's recursive walk: lived under ``src/repro/core`` until the
+#: kernel became the only route, now the tests' executable spec —
+#: weighed, shown, and not part of the total.
+SPEC = "tests/reference_walk.py"
 
 _NOT_CODE = {
     tokenize.COMMENT,
@@ -93,6 +101,9 @@ def main(argv=None) -> int:
     top = sum(file_sloc(path) for path in sorted(source.glob("*.py")))
     print(f"{top:7d}  src/repro/*.py")
     print(f"{total + top:7d}  total")
+    if (root / SPEC).exists():
+        moved = file_sloc(root / SPEC)
+        print(f"{moved:7d}  {SPEC} (moved out of src/, not in the total)")
     return 0
 
 

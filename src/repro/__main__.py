@@ -258,9 +258,6 @@ def _parse_shard_key(text: str) -> Dict[str, int]:
 
 
 def _serve(args) -> int:
-    from repro.core import layout as layout_mod
-
-    layout_mod.set_kernel_mode(args.kernel)
     view = parse_view(args.view)
     db = load_database(args.data)
     accesses = _load_requests(args.requests)
@@ -1057,14 +1054,6 @@ def main(argv=None) -> int:
         help="pick tau minimizing space under this delay bound",
     )
     serve.add_argument("--batch-size", type=int, default=32)
-    serve.add_argument(
-        "--kernel",
-        choices=("auto", "on", "off"),
-        default="auto",
-        help="columnar enumeration kernel: auto/on route requests, "
-        "measured ones included, through the compiled layout; off forces "
-        "the reference tuple-at-a-time path",
-    )
     serve.add_argument(
         "--limit",
         type=int,

@@ -1,7 +1,7 @@
 """Project-specific static analysis for the serving engine.
 
-The engine's guarantees — constant-delay enumeration with bit-identical
-kernel/reference parity, restart-stable routing, thread-exact telemetry
+The engine's guarantees — constant-delay enumeration bit-identical to
+the executable spec, restart-stable routing, thread-exact telemetry
 — rest on invariants that tests only sample. This package enforces the
 mechanically-checkable classes those invariants reduce to, each
 grounded in a real past bug (see each rule module's docstring):
@@ -19,9 +19,8 @@ grounded in a real past bug (see each rule module's docstring):
     mutable containers copied across snapshot/shard boundaries (the
     ``partition_database`` shared-reference hazard).
 ``parity-surface``
-    every ``enumerate*`` entry point keeps kernel route + reference
-    fallback with the canonical signature; the dirty fallback is
-    constructed in ``FrozenDynamicView`` alone.
+    every ``enumerate*`` entry point keeps the canonical signature; the
+    dirty fallback is constructed in ``FrozenDynamicView`` alone.
 
 Run it as ``python -m repro.analysis src/repro`` (or ``make
 lint-deep``): exits nonzero on any finding that is neither waived

@@ -17,7 +17,6 @@ import time
 from dataclasses import dataclass
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
-from repro.core import layout as layout_mod
 from repro.core.kernel import nested_product_rows
 from repro.core.representation import (
     Representation,
@@ -111,10 +110,14 @@ class ConnexConstantDelayStructure(Representation):
         for bag in self._bags.values():
             bag.index = self._build_index(bag)
         self._root_checks = bound_atom_checks(self.view, self.db)
-        self._preorder = [
-            node
-            for node in decomposition.preorder()
-            if node != decomposition.root
+        # What the flattened walk reads, in the pre-order it nests bags.
+        self._bag_specs = [
+            (bag.bound_vars, bag.free_vars, bag.index)
+            for bag in (
+                self._bags[node]
+                for node in decomposition.preorder()
+                if node != decomposition.root
+            )
         ]
         self._count_index = self._build_count_index()
         self.build_seconds = time.perf_counter() - started
@@ -190,39 +193,16 @@ class ConnexConstantDelayStructure(Representation):
         Theorem 2 notes.
         """
         access = self._check_access(access)
-        bound_order = self.view.bound_variables
         if not bound_atoms_hold(self._root_checks, access, counter):
             return
-        assignment: Dict[Variable, object] = dict(zip(bound_order, access))
-        free_order = self.view.free_variables
-        bags = self._preorder
-        if layout_mod.kernel_enabled():
-            # The flattened kernel walk over the same pre-sorted bag
-            # indexes — identical rows, order and counted steps, no
-            # per-bag generator nesting.
-            specs = [
-                (bag.bound_vars, bag.free_vars, bag.index)
-                for bag in (self._bags[node] for node in bags)
-            ]
-            yield from nested_product_rows(specs, assignment, free_order, counter)
-            return
-
-        def recurse(position: int) -> Iterator[Tuple]:
-            if position == len(bags):
-                yield tuple(assignment[v] for v in free_order)
-                return
-            bag = self._bags[bags[position]]
-            key = tuple(assignment[v] for v in bag.bound_vars)
-            if counter is not None:
-                counter.steps += 1
-            for values in bag.index.get(key, ()):
-                if counter is not None:
-                    counter.steps += 1
-                for var, value in zip(bag.free_vars, values):
-                    assignment[var] = value
-                yield from recurse(position + 1)
-
-        yield from recurse(0)
+        assignment: Dict[Variable, object] = dict(
+            zip(self.view.bound_variables, access)
+        )
+        # The per-bag generator nest of Proposition 4, flattened: one loop
+        # over the pre-sorted bag indexes (the recursive form is the spec).
+        yield from nested_product_rows(
+            self._bag_specs, assignment, self.view.free_variables, counter
+        )
 
     # ------------------------------------------------------------------
     # Aggregation: COUNT in O(1) probes per request (the group-by

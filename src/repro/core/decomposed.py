@@ -93,6 +93,9 @@ class DecomposedRepresentation(Representation):
     #: one scan-scoped memo instead of repeating them per request.
     supports_shared_scan = True
 
+    #: Every bag's enumeration rides the columnar kernel.
+    kernel_ready = True
+
     def __init__(
         self,
         view: AdornedView,
@@ -129,8 +132,6 @@ class DecomposedRepresentation(Representation):
             # identical but loses the no-dead-end delay guarantee — the
             # ablation benchmark quantifies the difference.
             self._refine_dictionaries()
-        for bag in self._bags.values():
-            bag.representation.compile_layout()
         self._root_checks = bound_atom_checks(self.view, self.db)
         self._preorder = [
             node
@@ -174,11 +175,8 @@ class DecomposedRepresentation(Representation):
             index: cover.weights.get(label, 0.0)
             for index, label in enumerate(labels)
         }
-        # Layout compilation is deferred: the Algorithm 4 refinement edits
-        # bag dictionaries in place, which would immediately stale any
-        # layout compiled here. Bags are compiled once, post-refinement.
         representation = CompressedRepresentation(
-            bag_view, bag_db, tau=tau, weights=weights, compile_layout=False
+            bag_view, bag_db, tau=tau, weights=weights
         )
         return _BagStructure(
             node=node,
@@ -193,7 +191,10 @@ class DecomposedRepresentation(Representation):
         For each non-root bag ``p`` with children, a dictionary entry
         ``(w, v_b) = 1`` survives only if some bag valuation in ``I(w)``
         extends into *every* child subtree (children are checked with their
-        own already-refined structures, hence the post-order).
+        own already-refined structures, hence the post-order). The flips
+        edit a bag's dictionary in place, so the bag's layout is recompiled
+        as soon as its own flips are done — by the time a parent probes a
+        child, the child's dictionary is final and its layout fresh.
         """
         decomposition = self.decomposition
         for parent in decomposition.postorder():
@@ -229,6 +230,8 @@ class DecomposedRepresentation(Representation):
                     flips.append((node_id, access))
             for node_id, access in flips:
                 representation.dictionary.set(node_id, access, 0)
+            if flips:
+                representation.compile_layout()
 
     def _child_extends(self, child: object, valuation: Mapping) -> bool:
         bag = self._bags[child]
@@ -494,13 +497,6 @@ class DecomposedRepresentation(Representation):
                 yield (index, row)
                 if not alive[index]:
                     break
-
-    @property
-    def kernel_ready(self) -> bool:
-        """Whether every bag's enumeration uses the kernel."""
-        return all(
-            bag.representation.kernel_ready for bag in self._bags.values()
-        )
 
     @property
     def layout_compile_seconds(self) -> float:

@@ -39,9 +39,9 @@ class HeavyDictionary:
     """Bits for heavy (node, bound valuation) pairs; absence means light.
 
     ``version`` counts in-place edits; compiled columnar layouts pin the
-    version they were built against and go stale (falling back to the
-    reference enumeration path) when it moves — the guard that keeps the
-    Algorithm 4 refinement and any future mutation correct by default.
+    version they were built against and go stale (refused until
+    recompiled) when it moves — the guard that keeps the Algorithm 4
+    refinement and any future mutation from serving old bits.
     """
 
     __slots__ = ("_entries", "version")

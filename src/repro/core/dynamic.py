@@ -48,10 +48,10 @@ class FrozenDynamicView(Representation):
     """An immutable point-in-time read side of a dynamic view.
 
     Exactly one backing is set: ``structure`` (the buffers were clean —
-    full Theorem 1 guarantees, kernel routing included) or ``database``
-    (the buffers were dirty — worst-case optimal lazy evaluation over
-    the captured post-delta database, reference path only: the delta
-    overlay has no compiled kernel form). Deltas applied after the
+    full Theorem 1 guarantees, served by the columnar kernel) or
+    ``database`` (the buffers were dirty — worst-case optimal lazy
+    evaluation over the captured post-delta database: the delta overlay
+    has no compiled kernel form yet). Deltas applied after the
     freeze never reach this object, which is what lets cursors drain a
     retired version untouched.
 
@@ -85,8 +85,8 @@ class FrozenDynamicView(Representation):
 
     @property
     def kernel_ready(self) -> bool:
-        """Clean freezes inherit the structure's kernel; dirty ones don't."""
-        return self._structure is not None and self._structure.kernel_ready
+        """Clean freezes ride the structure's kernel; dirty ones don't."""
+        return self._structure is not None
 
     def _dirty_rows(
         self, access: Sequence, counter: Optional[JoinCounter]
@@ -205,8 +205,8 @@ class DynamicRepresentation(Representation):
 
     @property
     def kernel_ready(self) -> bool:
-        """Whether the current state's reads route through the kernel."""
-        return self.freeze().kernel_ready
+        """Whether the current state's reads ride the kernel (clean buffers)."""
+        return not self._pending
 
     @property
     def layout_compile_seconds(self) -> float:

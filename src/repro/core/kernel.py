@@ -1,18 +1,21 @@
 """Bulk enumeration kernel over compiled columnar layouts.
 
-The reference Algorithm 2 paths in :mod:`repro.core.structure` are
-recursive generators: one Python frame per tree node, one per join level,
-one dict probe per ``(node, access)`` and one β decode per heavy node per
-visit. This module walks the :class:`~repro.core.layout.CompiledLayout`
-instead — iteratively (explicit stack, no recursion), probing the
-dictionary with a bisect into a per-access sorted run, intersecting atom
-runs with galloping binary searches (or numpy set-intersections for large
-runs), and decoding β codes and final-coordinate runs in bulk.
+Algorithm 2 as the paper writes it is a set of recursive generators: one
+Python frame per tree node, one per join level, one dict probe per
+``(node, access)`` and one β decode per heavy node per visit. That
+transcription is the executable spec, ``tests/reference_walk.py``; this
+module is what serves. It walks the
+:class:`~repro.core.layout.CompiledLayout` instead — iteratively
+(explicit stack, no recursion), probing the dictionary with a bisect into
+a per-access sorted run, intersecting atom runs with galloping binary
+searches (or numpy set-intersections for large runs), and decoding β
+codes and final-coordinate runs in bulk.
 
-Every walk mirrors its reference twin *event for event*: the visit order,
+Every walk mirrors its spec twin *event for event*: the visit order,
 skip conditions, clipping rules and emission points are line-by-line
-transcriptions of ``_eval`` / ``_eval_from`` / ``_shared_eval``, so the
-produced streams are bit-identical.
+transcriptions of ``spec_enumerate`` / ``spec_enumerate_from`` /
+``spec_shared_enumerate``, so the produced streams are bit-identical
+(``tests/test_columnar_kernel.py`` holds the two together).
 
 Measured enumerations (a :class:`~repro.joins.generic_join.JoinCounter`
 attached) ride the same walks and count the same logical steps the
@@ -39,8 +42,8 @@ from typing import Iterator, List, Optional, Tuple
 from repro.core.intervals import FInterval
 
 # Explicit-stack entry kinds. FULL subtrees (seek point entirely below the
-# interval) degrade VISIT_FROM entries to VISIT, exactly like the
-# reference `_eval_from` falling through to `_eval`.
+# interval) degrade VISIT_FROM entries to VISIT, exactly like the spec's
+# seeking walk falling through to its plain one.
 _VISIT = 0
 _BETA = 1
 _VISIT_FROM = 2
@@ -376,7 +379,7 @@ def _walk(layout, bucket, states, start, counter) -> Iterator[Tuple]:
 
 
 def kernel_enumerate(layout, access: Tuple, counter=None) -> Iterator[Tuple]:
-    """The kernel twin of ``CompressedRepresentation._eval``."""
+    """The kernel twin of the spec's ``spec_enumerate``."""
     states = layout.root_states(access)
     if states is None:
         return iter(())
@@ -386,7 +389,7 @@ def kernel_enumerate(layout, access: Tuple, counter=None) -> Iterator[Tuple]:
 def kernel_enumerate_from(
     layout, access: Tuple, start: Tuple[int, ...], counter=None
 ) -> Iterator[Tuple]:
-    """The kernel twin of ``CompressedRepresentation._eval_from``."""
+    """The kernel twin of the spec's ``spec_enumerate_from``."""
     states = layout.root_states(access)
     if states is None:
         return iter(())
@@ -399,7 +402,7 @@ def kernel_enumerate_from(
 def kernel_shared_enumerate(
     layout, slots: List[KernelSlot], alive: List[bool]
 ) -> Iterator[Tuple[int, Tuple]]:
-    """The kernel twin of ``CompressedRepresentation._shared_eval``.
+    """The kernel twin of the spec's ``spec_shared_enumerate``.
 
     Stack entries carry the surviving slot group, so a subtree no live
     slot descends into is never visited and β codes are decoded once per
@@ -489,7 +492,7 @@ def _counted(rows, counter) -> Iterator[Tuple]:
 def nested_product_rows(
     bag_specs, assignment, free_order, counter=None
 ) -> Iterator[Tuple]:
-    """Iterative twin of the Proposition 4 nested-bag enumeration.
+    """Iterative twin of the spec's ``spec_nested_rows`` (Proposition 4).
 
     ``bag_specs`` is a pre-order list of ``(bound_vars, free_vars, index)``
     triples over materialized bags; ``assignment`` holds the bound

@@ -25,14 +25,14 @@ additionally get ``int64`` views used for large merge-intersections; the
 pure ``bisect`` path computes identical results without it (numpy is an
 optional extra — ``pip install .[kernel]``).
 
-The kernel is an optimization layer only: answers, order, and measured
-delay statistics are bit-identical by construction — the kernel counts
-the reference walk's logical steps itself when a
-:class:`~repro.joins.generic_join.JoinCounter` is attached (see
-:mod:`repro.core.kernel`). The global kernel mode
-(``auto``/``on``/``off``, CLI ``serve --kernel=...``) and the dictionary
-version guard (layouts compiled before an in-place dictionary edit go
-stale and stop routing) are enforced here.
+The kernel is the one enumerator of the static structures: answers,
+order, and measured delay statistics are bit-identical to the recursive
+transcription of Algorithm 2 kept as the executable spec in
+``tests/reference_walk.py`` — the kernel counts that walk's logical steps
+itself when a :class:`~repro.joins.generic_join.JoinCounter` is attached
+(see :mod:`repro.core.kernel`). A layout pins the dictionary version it
+was compiled against; one compiled before an in-place dictionary edit is
+stale and is refused, not served (see :class:`CompiledLayout`).
 """
 
 from __future__ import annotations
@@ -46,38 +46,6 @@ try:  # pragma: no cover - exercised via the no-numpy CI leg
     import numpy
 except ImportError:  # pragma: no cover
     numpy = None
-
-
-_KERNEL_MODES = ("auto", "on", "off")
-_kernel_mode = os.environ.get("REPRO_KERNEL_MODE", "auto")
-if _kernel_mode not in _KERNEL_MODES:
-    _kernel_mode = "auto"
-
-
-def set_kernel_mode(mode: str) -> None:
-    """Set the process-wide kernel routing mode (``auto``/``on``/``off``).
-
-    ``off`` forces every enumeration onto the reference tuple-at-a-time
-    path; ``auto`` and ``on`` route enumerations through the columnar
-    kernel whenever a fresh layout is present (they are aliases — ``on``
-    exists so operators can state intent explicitly).
-    """
-    global _kernel_mode
-    if mode not in _KERNEL_MODES:
-        raise ValueError(
-            f"kernel mode must be one of {_KERNEL_MODES}, got {mode!r}"
-        )
-    _kernel_mode = mode
-
-
-def get_kernel_mode() -> str:
-    """The current process-wide kernel routing mode."""
-    return _kernel_mode
-
-
-def kernel_enabled() -> bool:
-    """True unless the kernel has been switched ``off``."""
-    return _kernel_mode != "off"
 
 
 def numpy_backend():
@@ -336,8 +304,8 @@ class CompiledLayout:
     views) attached by :meth:`bind`. ``dict_version`` pins the
     :class:`~repro.core.dictionary.HeavyDictionary` version the layout
     was compiled against; any later in-place dictionary edit makes the
-    layout stale and the representation falls back to the reference path
-    until :meth:`~repro.core.structure.CompressedRepresentation.compile_layout`
+    layout stale and the representation refuses to enumerate until
+    :meth:`~repro.core.structure.CompressedRepresentation.compile_layout`
     runs again.
     """
 
@@ -412,8 +380,8 @@ class CompiledLayout:
         """Root ``(lo, hi)`` slices aligned with ``join_atoms``.
 
         None when some atom has no tuple matching the bound values — the
-        exact condition under which the reference path's subtrie check
-        returns early.
+        exact condition under which the spec's subtrie check returns
+        early.
         """
         states: List[Tuple[int, int]] = []
         for atom in self.atoms:

@@ -15,6 +15,12 @@ Section 4.3, and answers access requests with Algorithm 2:
 The traversal yields results in lexicographic order of the free variables
 with delay ``Õ(τ)`` (Proposition 9) and answer time
 ``Õ(|q(D)| + τ·|q(D)|^{1/α})`` (Proposition 10).
+
+Every entry point runs that traversal through the columnar kernel
+(:mod:`repro.core.kernel`) over the layout compiled at build time. The
+recursive, line-by-line transcription of Algorithm 2 is the executable
+spec in ``tests/reference_walk.py``: the kernel is tested against it row
+for row and step for step, and nothing here routes to it.
 """
 
 from __future__ import annotations
@@ -27,7 +33,6 @@ from typing import Dict, Iterator, List, Mapping, Optional, Sequence, Tuple
 from repro.core import layout as layout_mod
 from repro.core.balanced_tree import (
     DelayBalancedTree,
-    TreeNode,
     build_delay_balanced_tree,
 )
 from repro.core.context import SubtrieCache, ViewContext
@@ -39,7 +44,7 @@ from repro.core.kernel import (
 )
 from repro.core.cost import CostModel
 from repro.core.dictionary import HeavyDictionary, build_dictionary
-from repro.core.intervals import FBox, FInterval
+from repro.core.intervals import FBox
 from repro.core.representation import Representation
 from repro.database.catalog import Database
 from repro.exceptions import ParameterError, QueryError, SnapshotError
@@ -63,24 +68,6 @@ class BuildStats:
     dictionary_entries: int
     output_tuples: int
     build_seconds: float
-
-
-class ScanSlot:
-    """One access request's lane through a shared descent.
-
-    ``slot`` is the caller's index into the ``accesses`` it passed to
-    ``shared_enumerate`` — emitted events carry it back. ``start`` is the
-    ceiled index-space seek point (``None`` for a from-the-start lane).
-    """
-
-    __slots__ = ("slot", "access", "subtries", "start", "counter")
-
-    def __init__(self, slot, access, subtries, start, counter):
-        self.slot = slot
-        self.access = access
-        self.subtries = subtries
-        self.start = start
-        self.counter = counter
 
 
 class CompressedRepresentation(Representation):
@@ -112,6 +99,9 @@ class CompressedRepresentation(Representation):
     #: in one merged descent.
     supports_shared_scan = True
 
+    #: Every enumeration rides the columnar kernel.
+    kernel_ready = True
+
     def __init__(
         self,
         view: AdornedView,
@@ -119,7 +109,6 @@ class CompressedRepresentation(Representation):
         tau: float,
         weights: Optional[Mapping[int, float]] = None,
         alpha: Optional[float] = None,
-        compile_layout: bool = True,
     ):
         started = time.perf_counter()
         if tau <= 0:
@@ -144,9 +133,7 @@ class CompressedRepresentation(Representation):
             output_tuples=output_count,
             build_seconds=time.perf_counter() - started,
         )
-        self._layout: Optional[layout_mod.CompiledLayout] = None
-        if compile_layout:
-            self.compile_layout()
+        self.compile_layout()
 
     # ------------------------------------------------------------------
     # columnar kernel layout
@@ -165,23 +152,21 @@ class CompressedRepresentation(Representation):
         self.layout_compile_seconds = time.perf_counter() - started
         return self._layout
 
-    @property
-    def kernel_ready(self) -> bool:
-        """Whether enumerations (measured or not) route through the kernel."""
-        return self._active_layout() is not None
+    def _fresh_layout(self) -> "layout_mod.CompiledLayout":
+        """The compiled layout — the one check every enumeration passes.
 
-    def _active_layout(self):
-        """The layout to route through, or None to take the reference path.
-
-        Fallback triggers: the kernel mode is ``off``, no layout was
-        compiled, or the dictionary changed since compilation (stale
-        layout). A counter is not one: the kernel counts steps itself.
+        A layout whose ``dict_version`` lags the dictionary was compiled
+        before an in-place edit and would answer from the old bits: it is
+        refused, never served another way. :meth:`compile_layout` re-arms.
         """
         layout = self._layout
-        if layout is None or not layout_mod.kernel_enabled():
-            return None
         if layout.dict_version != self.dictionary.version:
-            return None
+            raise ParameterError(
+                f"stale layout for view {self.view.name!r}: compiled at "
+                f"dictionary version {layout.dict_version}, the dictionary "
+                f"is at {self.dictionary.version} — call compile_layout() "
+                "after editing the dictionary in place"
+            )
         return layout
 
     # ------------------------------------------------------------------
@@ -289,9 +274,7 @@ class CompressedRepresentation(Representation):
                 "output_tuples": stats.output_tuples,
                 "build_seconds": stats.build_seconds,
             },
-            "layout": (
-                self._layout.to_state() if self._layout is not None else None
-            ),
+            "layout": self._fresh_layout().to_state(),
         }
 
     @classmethod
@@ -317,7 +300,6 @@ class CompressedRepresentation(Representation):
             stats = dict(state["stats"])
             stats["weights"] = dict(stats["weights"])
             self.stats = BuildStats(**stats)
-            self._layout = None
             layout_state = state.get("layout")
             if layout_state is not None:
                 # Codec v2: the compiled arrays ship with the snapshot.
@@ -352,44 +334,7 @@ class CompressedRepresentation(Representation):
         access = self._check_access(access)
         if self.tree.root is None:
             return
-        layout = self._active_layout()
-        if layout is not None:
-            # Columnar kernel: bit-identical stream and step counts over
-            # the compiled layout (the per-atom root lookup subsumes the
-            # subtrie check).
-            yield from kernel_enumerate(layout, access, counter)
-            return
-        subtries = self.ctx.subtries(access)
-        if any(node is None for node in subtries):
-            return  # some relation has no tuple matching the bound values
-        yield from self._eval(self.tree.root, access, subtries, counter)
-
-    def _eval(
-        self,
-        node: TreeNode,
-        access: Tuple,
-        subtries: List,
-        counter: Optional[JoinCounter],
-    ) -> Iterator[Tuple]:
-        if counter is not None:
-            counter.steps += 1  # dictionary probe
-        bit = self.dictionary.get(node.id, access)
-        if bit == 0:
-            return
-        if bit == 1 and not node.is_leaf:
-            if node.left is not None:
-                yield from self._eval(node.left, access, subtries, counter)
-            beta_values = self.ctx.space.values(node.beta)
-            if counter is not None:
-                counter.steps += len(self.ctx.atoms)
-            if self.ctx.beta_matches(access, beta_values):
-                yield beta_values
-            if node.right is not None:
-                yield from self._eval(node.right, access, subtries, counter)
-            return
-        # ⊥ — a light pair: evaluate the sub-instance directly (≤ τ_ℓ work).
-        for box in self.cost_model.boxes_of(node.interval):
-            yield from self._join_box(access, subtries, box, counter)
+        yield from kernel_enumerate(self._fresh_layout(), access, counter)
 
     def _join_box(
         self,
@@ -438,15 +383,8 @@ class CompressedRepresentation(Representation):
         start = self._ceil_point(start_values)
         if start is None:
             return  # start lies beyond the top of the tuple space
-        layout = self._active_layout()
-        if layout is not None:
-            yield from kernel_enumerate_from(layout, access, start, counter)
-            return
-        subtries = self.ctx.subtries(access)
-        if any(node is None for node in subtries):
-            return
-        yield from self._eval_from(
-            self.tree.root, access, subtries, start, counter
+        yield from kernel_enumerate_from(
+            self._fresh_layout(), access, start, counter
         )
 
     def _ceil_point(self, start_values: Sequence) -> Optional[Tuple[int, ...]]:
@@ -477,49 +415,6 @@ class CompressedRepresentation(Representation):
             point.extend(0 for _ in range(coordinate + 1, space.width))
             return tuple(point)
         return tuple(point)
-
-    def _eval_from(
-        self,
-        node: TreeNode,
-        access: Tuple,
-        subtries: List,
-        start: Tuple[int, ...],
-        counter: Optional[JoinCounter],
-    ) -> Iterator[Tuple]:
-        if node.interval.high < start:
-            return  # the whole subtree precedes the start point
-        if node.interval.low >= start:
-            yield from self._eval(node, access, subtries, counter)
-            return
-        if counter is not None:
-            counter.steps += 1
-        bit = self.dictionary.get(node.id, access)
-        if bit == 0:
-            return
-        if bit == 1 and not node.is_leaf:
-            if node.left is not None:
-                yield from self._eval_from(
-                    node.left, access, subtries, start, counter
-                )
-            if node.beta >= start:
-                beta_values = self.ctx.space.values(node.beta)
-                if counter is not None:
-                    counter.steps += len(self.ctx.atoms)
-                if self.ctx.beta_matches(access, beta_values):
-                    yield beta_values
-            if node.right is not None:
-                yield from self._eval_from(
-                    node.right, access, subtries, start, counter
-                )
-            return
-        # ⊥: evaluate the clipped interval directly.
-        from repro.core.intervals import FInterval
-
-        clipped = FInterval(
-            max(node.interval.low, start), node.interval.high
-        )
-        for box in clipped.box_decomposition(self.ctx.space):
-            yield from self._join_box(access, subtries, box, counter)
 
     # ------------------------------------------------------------------
     # shared-scan batch execution (one descent, many access requests)
@@ -559,10 +454,8 @@ class CompressedRepresentation(Representation):
             cache = SubtrieCache()
         if alive is None:
             alive = [True] * len(accesses)
-        # Trie descents run through the shared cache on either route —
-        # the dedup stats are part of the scan's observable contract.
-        layout = self._active_layout()
-        slots: List = []
+        layout = self._fresh_layout()
+        slots: List[KernelSlot] = []
         for index, access in enumerate(accesses):
             access = self._check_access(access)
             start = None
@@ -571,94 +464,24 @@ class CompressedRepresentation(Representation):
                 start = self._ceil_point(start_values)
                 if start is None:
                     continue  # seek past the top of the tuple space
+            # The kernel reads its own compiled runs; the trie descents
+            # still run through the shared cache because its dedup stats
+            # are part of the scan's observable contract.
             subtries = self.ctx.subtries_shared(access, cache)
             if any(node is None for node in subtries):
                 continue  # some relation has no tuple matching the access
-            counter = counters[index] if counters is not None else None
-            if layout is not None:
-                states = layout.root_states(access)
-                if states is None:
-                    continue
-                slots.append(
-                    KernelSlot(
-                        index, layout.dict_bucket(access), states, start, counter
-                    )
-                )
+            states = layout.root_states(access)
+            if states is None:
                 continue
-            slots.append(ScanSlot(index, access, subtries, start, counter))
+            counter = counters[index] if counters is not None else None
+            slots.append(
+                KernelSlot(
+                    index, layout.dict_bucket(access), states, start, counter
+                )
+            )
         if not slots or self.tree.root is None:
             return
-        if layout is not None:
-            yield from kernel_shared_enumerate(layout, slots, alive)
-            return
-        yield from self._shared_eval(self.tree.root, slots, alive)
-
-    def _shared_eval(
-        self,
-        node: TreeNode,
-        slots: List[ScanSlot],
-        alive: List[bool],
-    ) -> Iterator[Tuple[int, Tuple]]:
-        heavy: List[ScanSlot] = []
-        light_full: List[ScanSlot] = []
-        light_clipped: List[ScanSlot] = []
-        for s in slots:
-            if not alive[s.slot]:
-                continue
-            if s.start is not None and node.interval.high < s.start:
-                continue  # this slot's seek point is past the subtree
-            if s.counter is not None:
-                s.counter.steps += 1  # dictionary probe (per slot)
-            bit = self.dictionary.get(node.id, s.access)
-            if bit == 0:
-                continue
-            if bit == 1 and not node.is_leaf:
-                heavy.append(s)
-            elif s.start is not None and node.interval.low < s.start:
-                light_clipped.append(s)
-            else:
-                light_full.append(s)
-        if light_full:
-            # ⊥ slots evaluate the whole interval here; its (cached) box
-            # decomposition is resolved once for all of them.
-            for box in self.cost_model.boxes_of(node.interval):
-                for s in light_full:
-                    if not alive[s.slot]:
-                        continue
-                    for row in self._join_box(
-                        s.access, s.subtries, box, s.counter
-                    ):
-                        yield (s.slot, row)
-        for s in light_clipped:
-            # Seek-straddling ⊥ slots clip to their own start point,
-            # exactly as the single-access resume path does.
-            clipped = FInterval(
-                max(node.interval.low, s.start), node.interval.high
-            )
-            for box in clipped.box_decomposition(self.ctx.space):
-                if not alive[s.slot]:
-                    break
-                for row in self._join_box(s.access, s.subtries, box, s.counter):
-                    yield (s.slot, row)
-        if not heavy:
-            return
-        if node.left is not None:
-            yield from self._shared_eval(node.left, heavy, alive)
-        beta_values = None
-        for s in heavy:
-            if not alive[s.slot]:
-                continue
-            if s.start is not None and node.beta < s.start:
-                continue
-            if beta_values is None:
-                # Decoded once per node, shared by every probing slot.
-                beta_values = self.ctx.space.values(node.beta)
-            if s.counter is not None:
-                s.counter.steps += len(self.ctx.atoms)
-            if self.ctx.beta_matches(s.access, beta_values):
-                yield (s.slot, beta_values)
-        if node.right is not None:
-            yield from self._shared_eval(node.right, heavy, alive)
+        yield from kernel_shared_enumerate(layout, slots, alive)
 
     def enumerate_interval(
         self,

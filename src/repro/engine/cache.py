@@ -333,7 +333,6 @@ class RepresentationCache:
         key: Hashable,
         factory: Callable[[], CompressedRepresentation],
         snapshot_label: Optional[str] = None,
-        durable: bool = True,
     ) -> CompressedRepresentation:
         """The cached structure for ``key``, building it on a miss.
 
@@ -349,9 +348,6 @@ class RepresentationCache:
         decoded instead of built — the warm-start path — and a fresh
         build is snapshotted before it is published. Corrupt or
         wrong-database snapshots count as plain misses.
-        ``durable=False`` keeps the entry out of the disk tier entirely —
-        for values with their own durability story (dynamic serving
-        versions persist through the delta snapshot/log tier instead).
         """
         missed = False
         while True:
@@ -382,11 +378,7 @@ class RepresentationCache:
                 event.wait()
                 continue  # the builder published (or failed); re-check
             try:
-                label = (
-                    self._label_for(key, snapshot_label)
-                    if durable
-                    else None
-                )
+                label = self._label_for(key, snapshot_label)
                 built, from_disk = self._warm_load(label)
                 if built is None:
                     built = factory()
@@ -521,23 +513,19 @@ class RepresentationCache:
             return True
         return False
 
-    def invalidate(self, key: Hashable, drop_snapshot: bool = True) -> bool:
+    def invalidate(self, key: Hashable) -> bool:
         """Drop one entry; True when it was present.
 
         Unlike eviction (which demotes), invalidation means the structure
-        is no longer valid to serve — by default its disk snapshot is
-        removed too, so a later warm load cannot resurrect it.
+        is no longer valid to serve — its disk snapshot is removed too,
+        so a later warm load cannot resurrect it.
         """
         with self._lock:
             entry = self._entries.pop(key, None)
             if entry is None:
                 return False
             self._total_cells -= entry.cells
-        if (
-            drop_snapshot
-            and self.snapshot_store is not None
-            and entry.snapshot_label is not None
-        ):
+        if self.snapshot_store is not None and entry.snapshot_label is not None:
             self.snapshot_store.remove(entry.snapshot_label)
         return True
 

@@ -11,8 +11,10 @@ sequence of immutable **versions**: every effective delta
 point-in-time serving view, new requests open against it, and cursors
 already open keep enumerating the version they pinned — the
 :mod:`repro.engine.epoch` drain protocol, the one the sharded facade
-uses for live resharding (``split_shard``). A drained version's cache
-entry is retired; nothing is ever evicted out from under an open cursor.
+uses for live resharding (``split_shard``). A version is owned by its
+:class:`~repro.engine.epoch.Epochs` entry, never by the representation
+cache: it lives exactly as long as it is current or pinned, and no LRU
+pressure can evict it out from under an open cursor.
 
 Pieces, in dependency order:
 
@@ -53,7 +55,6 @@ import time
 from dataclasses import dataclass
 from pathlib import Path
 from typing import (
-    Callable,
     Dict,
     List,
     Optional,
@@ -147,10 +148,8 @@ class DeltaOutcome:
     """What one delta application did, for the server to act on.
 
     ``applied == 0`` with ``version`` unchanged is the no-op contract:
-    no new serving version, no cache churn, no log append. ``skipped``
-    marks a shipped record the receiver had already applied. ``retired``
-    holds the ``(generation, view)`` payloads of the versions the new
-    one drained out.
+    no new serving version, no log append. ``skipped`` marks a shipped
+    record the receiver had already applied.
     """
 
     applied: int
@@ -158,7 +157,6 @@ class DeltaOutcome:
     skipped: bool = False
     record: Optional[DeltaRecord] = None
     rebuilt: bool = False
-    retired: Tuple[Tuple[int, FrozenDynamicView], ...] = ()
 
 
 class DynamicViewState:
@@ -166,13 +164,13 @@ class DynamicViewState:
 
     The live :class:`~repro.core.dynamic.DynamicRepresentation` is the
     single writer-side object; every serving version is an immutable
-    freeze of it, published into :attr:`epochs` with its cache
-    generation as a ``(generation, view)`` payload. Opening a cursor
-    pins the *current* version, the cursor's close hook releases it,
-    and a non-current version retires the moment its pins drain (the
-    :mod:`repro.engine.epoch` protocol). The state's lock orders
-    strictly before the server registry lock (generation allocation
-    nests inside it).
+    freeze of it (a :class:`~repro.core.dynamic.FrozenDynamicView`),
+    published into :attr:`epochs` as that version's payload. Opening a
+    cursor pins the *current* version, the cursor's close hook releases
+    it, and a non-current version retires the moment its pins drain (the
+    :mod:`repro.engine.epoch` protocol) — dropping the epochs' reference
+    is the whole teardown. The state's lock orders strictly before the
+    server registry lock.
     """
 
     def __init__(
@@ -182,7 +180,6 @@ class DynamicViewState:
         tau: float,
         dynamic: DynamicRepresentation,
         version: int,
-        generation: int,
         label: Optional[str],
         origin_relations: Dict[str, str],
         rebuild_fraction: float = 0.1,
@@ -205,9 +202,7 @@ class DynamicViewState:
         # Reentrant: deltas publish into the epochs from inside it.
         self._lock = named_lock("server.dynamic", reentrant=True)
         #: The serving versions: pins, current, retirement.
-        self.epochs = Epochs(
-            self._lock, version, (generation, dynamic.freeze())
-        )
+        self.epochs = Epochs(self._lock, version, dynamic.freeze())
         self._events: List[DeltaRecord] = []
 
     def check_tau(self, tau: Optional[float]) -> None:
@@ -253,7 +248,6 @@ class DynamicViewState:
         relation: str,
         inserts: Sequence[Sequence],
         deletes: Sequence[Sequence],
-        next_generation: Callable[[], int],
         forced_version: Optional[int] = None,
     ) -> DeltaOutcome:
         """Apply one delta and advance the serving version atomically.
@@ -264,7 +258,7 @@ class DynamicViewState:
         raises :class:`~repro.exceptions.SnapshotError` (the caller
         falls back to re-hydration). Without it (the primary path), an
         ineffective delta is a complete no-op: no version bump, no new
-        serving view, nothing for the caller to publish.
+        serving view, nothing for the caller to log.
         """
         with self._lock:
             current = self.current_version()
@@ -284,9 +278,7 @@ class DynamicViewState:
             applied = self.dynamic.apply_deltas(relation, inserts, deletes)
             if not applied and forced_version is None:
                 return DeltaOutcome(applied=0, version=current)
-            retired = self.epochs.publish(
-                current + 1, (next_generation(), self.dynamic.freeze())
-            )
+            self.epochs.publish(current + 1, self.dynamic.freeze())
             record = DeltaRecord(
                 view=self.name,
                 relation=relation,
@@ -300,26 +292,18 @@ class DynamicViewState:
                 version=current + 1,
                 record=record,
                 rebuilt=self.dynamic.rebuilds > rebuilds_before,
-                retired=retired,
             )
 
-    def replace(
-        self,
-        dynamic: DynamicRepresentation,
-        version: int,
-        generation: int,
-    ) -> Tuple[Tuple[int, FrozenDynamicView], ...]:
+    def replace(self, dynamic: DynamicRepresentation, version: int) -> None:
         """Swap in a re-hydrated representation (replica fallback path).
 
-        Returns the retired payloads of drained old versions; pinned
-        versions keep draining against their frozen views as usual.
+        Drained old versions retire; pinned ones keep draining against
+        their frozen views as usual.
         """
         with self._lock:
             self.dynamic = dynamic
             self._events.clear()
-            return self.epochs.publish(
-                version, (generation, dynamic.freeze())
-            )
+            self.epochs.publish(version, dynamic.freeze())
 
     def save_to(self, store: "DynamicSnapshotStore") -> int:
         """Write the representation snapshot + meta; returns its version.

@@ -93,7 +93,6 @@ from repro.engine.dynamic_serving import (
     DeltaRecord,
     DynamicSnapshotStore,
     DynamicViewState,
-    FrozenDynamicView,
 )
 from repro.engine.epoch import Hold
 from repro.engine.locking import named_lock
@@ -503,11 +502,9 @@ class ViewServer(Serving):
         """Drop a registration and its cached structures; True if it existed."""
         with self._lock:
             registration = self._views.pop(name, None)
-            dynamic_state = self._dynamic.pop(name, None)
-        if dynamic_state is not None:
-            # Dynamic entries live under per-version generations, not
-            # the registration's: sweep every one of them by name.
-            self.demote(name)
+            # A dynamic view's versions go with its state: nothing of
+            # theirs is in the cache.
+            self._dynamic.pop(name, None)
         if registration is None:
             return False
         # Scope the sweep to the popped generation: a concurrent
@@ -584,8 +581,16 @@ class ViewServer(Serving):
         self.representation(name, tau)
 
     def resident(self, name: str, tau: Optional[float] = None) -> bool:
-        """Whether ``(name, serving τ)`` is in the memory cache right now."""
+        """Whether ``(name, serving τ)`` is in memory right now.
+
+        A static view is resident while its structure sits in the cache;
+        a dynamic view always is — its current version is held by its
+        epochs, not by the LRU.
+        """
         registration = self.registration(name)
+        with self._lock:
+            if name in self._dynamic:
+                return True
         return self._key(registration, tau) in self._cache
 
     def demote(self, name: str) -> int:
@@ -593,7 +598,8 @@ class ViewServer(Serving):
 
         The tuner's cold path: unlike :meth:`invalidate` the disk tier
         is preserved, so a later request (or :meth:`prefetch`) warm-loads
-        instead of rebuilding. Returns the entries dropped.
+        instead of rebuilding. Returns the entries dropped — always 0
+        for a dynamic view, whose versions are not cache entries.
         """
         return self._cache.invalidate_matching(
             lambda key: key[0] == name, drop_snapshot=False
@@ -656,23 +662,19 @@ class ViewServer(Serving):
             dynamic, version, warm = self._dynamic_source(
                 registration, rebuild_fraction, origin
             )
-            with self._lock:
-                self._generation += 1
-                generation = self._generation
             state = DynamicViewState(
                 name=name,
                 view=registration.natural_view,
                 tau=registration.tau,
                 dynamic=dynamic,
                 version=version,
-                generation=generation,
                 label=self._snapshot_label(registration, registration.tau),
                 origin_relations=origin,
                 rebuild_fraction=rebuild_fraction,
             )
             with self._lock:
                 self._dynamic[name] = state
-            self._publish(state)
+            self._set_dynamic_gauges(state)
             store = self._dynamic_store
             if (
                 not warm
@@ -785,8 +787,8 @@ class ViewServer(Serving):
         exactly the named ``views``); returns ``{view: effective
         changes}``. An *effective* change survives buffer annihilation —
         inserting a present row or deleting an absent one counts zero,
-        and a view whose count is zero keeps its serving version, cache
-        entry and event log untouched (the empty-delta no-op contract).
+        and a view whose count is zero keeps its serving version and
+        event log untouched (the empty-delta no-op contract).
         Effective deltas create a fresh serving version: new requests
         see the post-delta view immediately, open cursors drain the
         version they pinned, and the amortized rebuild boundary
@@ -844,19 +846,13 @@ class ViewServer(Serving):
         deletes: Sequence[Tuple],
         forced_version: Optional[int] = None,
     ) -> int:
-        """Apply one delta to one view's state and publish the version."""
-
-        def next_generation() -> int:
-            with self._lock:
-                self._generation += 1
-                return self._generation
-
+        """Apply one delta to one view's state; log and count the version."""
         outcome = state.apply_delta(
-            relation, inserts, deletes, next_generation, forced_version
+            relation, inserts, deletes, forced_version
         )
         if outcome.record is None:
             return outcome.applied
-        self._publish(state, outcome.retired)
+        self._set_dynamic_gauges(state)
         store = self._dynamic_store
         durable = (
             forced_version is None
@@ -956,48 +952,30 @@ class ViewServer(Serving):
             dynamic, version, warm = self._dynamic_source(
                 registration, state.rebuild_fraction, state.origin_relations
             )
-            with self._lock:
-                self._generation += 1
-                generation = self._generation
-            self._publish(state, state.replace(dynamic, version, generation))
+            state.replace(dynamic, version)
+            self._set_dynamic_gauges(state)
         return len(targets)
-
-    def _resident(
-        self, state: DynamicViewState, generation: int, serving
-    ) -> FrozenDynamicView:
-        """One frozen version through the cache (resident from now on)."""
-        return self._cache.get_or_build(
-            (state.name, state.tau, generation), lambda: serving, durable=False
-        )
-
-    def _publish(self, state: DynamicViewState, retired=()) -> None:
-        """Cache the current version; drop what publishing it retired."""
-        self._resident(state, *state.epochs.current()[1])
-        self._retire(state, retired)
-
-    def _retire(self, state: DynamicViewState, retired) -> None:
-        """Drop drained versions' cache entries; refresh the gauges."""
-        for generation, _ in retired:
-            self._cache.invalidate(
-                (state.name, state.tau, generation), drop_snapshot=False
-            )
-        self._set_dynamic_gauges(state)
 
     def _open_dynamic(
         self, state: DynamicViewState, request: AccessRequest, started: float
     ) -> AnswerCursor:
         """Open a cursor pinned to the view's current serving version."""
         state.check_tau(request.tau)
-        with state.epochs.hold(1, partial(self._retire, state)) as hold:
-            cursor = self._open_on(
-                self._resident(state, *hold.payload), request, started
-            )
+        with state.epochs.hold(
+            1, partial(self._set_dynamic_gauges, state)
+        ) as hold:
+            cursor = self._open_on(hold.payload, request, started)
             hold.keep([cursor])
         self._set_dynamic_gauges(state)
         return cursor
 
-    def _set_dynamic_gauges(self, state: DynamicViewState) -> None:
-        """Refresh the cursor-pin and live-version gauges of one view."""
+    def _set_dynamic_gauges(self, state: DynamicViewState, retired=()) -> None:
+        """Refresh the cursor-pin and live-version gauges of one view.
+
+        Also the epochs' release callback: ``retired`` is what a release
+        drained, and there is nothing to tear down — a version's memory
+        goes with the epochs' reference to it.
+        """
         if self._telemetry is None:
             return
         key = (state.name, "dynamic")
@@ -1067,7 +1045,7 @@ class ViewServer(Serving):
             state = self._dynamic.get(name)
         if state is not None:
             state.check_tau(tau)
-            return self._resident(state, *state.epochs.current()[1])
+            return state.epochs.current()[1]
         registration = self.registration(name)
         key = self._key(registration, tau)
 
@@ -1376,9 +1354,9 @@ class ViewServer(Serving):
             return scan, scan.cursors()
         state.check_tau(tau)
         with state.epochs.hold(
-            len(group), partial(self._retire, state)
+            len(group), partial(self._set_dynamic_gauges, state)
         ) as hold:
-            scan = SharedScan(self._resident(state, *hold.payload), group)
+            scan = SharedScan(hold.payload, group)
             return scan, hold.keep(scan.cursors())
 
     def _count_shared(

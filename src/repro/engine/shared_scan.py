@@ -312,11 +312,11 @@ class SharedScan:
     def kernel_path(self) -> str:
         """Which enumeration path this group rides.
 
-        ``columnar`` when the representation's fresh compiled layout
-        serves the group — merged descent or direct per-state streams,
-        measured lanes included (the kernel counts their steps itself);
-        ``fallback`` otherwise — a stale or absent layout, dirty dynamic
-        buffers, or the kernel switched off.
+        ``columnar`` when the representation's compiled layout serves
+        the group — merged descent or direct per-state streams, measured
+        lanes included (the kernel counts their steps itself);
+        ``fallback`` for a dirty dynamic version (or a foreign
+        representation without a kernel).
         """
         ready = getattr(self.representation, "kernel_ready", False)
         return "columnar" if ready else "fallback"

@@ -32,7 +32,12 @@ class DecompositionError(ReproError):
 
 
 class ParameterError(ReproError):
-    """A tuning parameter (tau, cover weights, delay assignment) is invalid."""
+    """A tuning parameter (tau, cover weights, delay assignment) is invalid.
+
+    Also what a structure raises when asked to enumerate from a compiled
+    layout that lags its dictionary (an in-place edit without a
+    ``compile_layout()``): the structure layer's "not in a servable state".
+    """
 
 
 class OptimizationError(ReproError):

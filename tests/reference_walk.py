@@ -1,0 +1,358 @@
+"""Algorithm 2 as the paper writes it — the executable spec of enumeration.
+
+``src/`` has one enumerator for the static structures: the columnar
+kernel (:mod:`repro.core.kernel`). This module is what that kernel is
+held to. It is the recursive, line-by-line transcription of the paper's
+walks (Deep & Koutris, Theorem 1 / Algorithm 2; Proposition 4 for the
+materialised bags), moved here unchanged from ``core/structure.py`` and
+``core/constant_delay.py`` when the kernel became the only route:
+
+* dictionary says ⊥ (light pair): evaluate the sub-instance directly, one
+  worst-case-optimal join per box of the interval's decomposition;
+* dictionary says 0: the sub-instance is empty, skip;
+* dictionary says 1: recurse left, emit the split valuation β if it joins,
+  recurse right.
+
+The ``spec_*`` functions are plain functions over a built structure's
+public fields — ``tree``, ``dictionary``, ``ctx``, ``cost_model`` — and
+take their inputs already normalised, exactly like their kernel twins
+(``kernel_enumerate(layout, access, counter)`` ↔
+``spec_enumerate(rep, access, counter)``): a checked access tuple, a
+ceiled index-space seek point. With a
+:class:`~repro.joins.generic_join.JoinCounter` they count the logical
+steps the delay guarantees are stated in: +1 per dictionary probe,
++``len(atoms)`` per β check, and the generic join's own per-candidate
+steps — the numbers the kernel must reproduce stamp for stamp.
+
+:func:`reference_walk` is the only "kernel off" there is: a test fixture
+that serves the static structures' entry points from the spec for one
+``with`` block. ``tests/test_columnar_kernel.py`` runs every entry point
+once plain and once under it and compares rows, order and step gaps;
+``tests/oracle.py`` (independent hash joins) is the third leg.
+"""
+
+from __future__ import annotations
+
+from contextlib import ExitStack, contextmanager
+from typing import Iterator, List, Optional, Sequence, Tuple
+from unittest import mock
+
+from repro.core import constant_delay
+from repro.core.context import SubtrieCache
+from repro.core.decomposed import DecomposedRepresentation
+from repro.core.intervals import FInterval
+from repro.core.structure import CompressedRepresentation
+from repro.joins.generic_join import JoinCounter, generic_join
+
+
+# ----------------------------------------------------------------------
+# Theorem 1: the delay-balanced tree walk
+# ----------------------------------------------------------------------
+def _join_box(rep, access, subtries, box, counter) -> Iterator[Tuple]:
+    """One worst-case-optimal join restricted to one f-box."""
+    if box.is_empty():
+        return
+    ctx = rep.ctx
+    atoms = [
+        (node, binding.free_vars)
+        for binding, node in zip(ctx.atoms, subtries)
+    ]
+    yield from generic_join(
+        atoms,
+        ctx.free_order,
+        ranges=ctx.free_ranges_of_box(box),
+        domains=ctx.free_value_domains,
+        counter=counter,
+    )
+
+
+def spec_enumerate(
+    rep, access: Tuple, counter: Optional[JoinCounter] = None
+) -> Iterator[Tuple]:
+    """``Q^η[v_b]`` in lexicographic order — Algorithm 2 from the root."""
+    if rep.tree.root is None:
+        return
+    subtries = rep.ctx.subtries(access)
+    if any(node is None for node in subtries):
+        return  # some relation has no tuple matching the bound values
+    yield from _eval(rep, rep.tree.root, access, subtries, counter)
+
+
+def _eval(rep, node, access, subtries, counter) -> Iterator[Tuple]:
+    if counter is not None:
+        counter.steps += 1  # dictionary probe
+    bit = rep.dictionary.get(node.id, access)
+    if bit == 0:
+        return
+    if bit == 1 and not node.is_leaf:
+        if node.left is not None:
+            yield from _eval(rep, node.left, access, subtries, counter)
+        beta_values = rep.ctx.space.values(node.beta)
+        if counter is not None:
+            counter.steps += len(rep.ctx.atoms)
+        if rep.ctx.beta_matches(access, beta_values):
+            yield beta_values
+        if node.right is not None:
+            yield from _eval(rep, node.right, access, subtries, counter)
+        return
+    # ⊥ — a light pair: evaluate the sub-instance directly (≤ τ_ℓ work).
+    for box in rep.cost_model.boxes_of(node.interval):
+        yield from _join_box(rep, access, subtries, box, counter)
+
+
+def spec_enumerate_from(
+    rep,
+    access: Tuple,
+    start: Tuple[int, ...],
+    counter: Optional[JoinCounter] = None,
+) -> Iterator[Tuple]:
+    """Answers at index points ``>= start``; the seek costs one delay unit.
+
+    Subtrees entirely below the start point are skipped via their
+    intervals, and the first partially overlapping node is evaluated on
+    the clipped interval.
+    """
+    if rep.tree.root is None:
+        return
+    subtries = rep.ctx.subtries(access)
+    if any(node is None for node in subtries):
+        return
+    yield from _eval_from(rep, rep.tree.root, access, subtries, start, counter)
+
+
+def _eval_from(rep, node, access, subtries, start, counter) -> Iterator[Tuple]:
+    if node.interval.high < start:
+        return  # the whole subtree precedes the start point
+    if node.interval.low >= start:
+        yield from _eval(rep, node, access, subtries, counter)
+        return
+    if counter is not None:
+        counter.steps += 1
+    bit = rep.dictionary.get(node.id, access)
+    if bit == 0:
+        return
+    if bit == 1 and not node.is_leaf:
+        if node.left is not None:
+            yield from _eval_from(
+                rep, node.left, access, subtries, start, counter
+            )
+        if node.beta >= start:
+            beta_values = rep.ctx.space.values(node.beta)
+            if counter is not None:
+                counter.steps += len(rep.ctx.atoms)
+            if rep.ctx.beta_matches(access, beta_values):
+                yield beta_values
+        if node.right is not None:
+            yield from _eval_from(
+                rep, node.right, access, subtries, start, counter
+            )
+        return
+    # ⊥: evaluate the clipped interval directly.
+    clipped = FInterval(max(node.interval.low, start), node.interval.high)
+    for box in clipped.box_decomposition(rep.ctx.space):
+        yield from _join_box(rep, access, subtries, box, counter)
+
+
+# ----------------------------------------------------------------------
+# the merged descent (one walk, many access requests)
+# ----------------------------------------------------------------------
+class ScanSlot:
+    """One access request's lane through a shared descent.
+
+    ``slot`` is the caller's index into the ``accesses`` it passed to
+    ``shared_enumerate`` — emitted events carry it back. ``start`` is the
+    ceiled index-space seek point (``None`` for a from-the-start lane).
+    """
+
+    __slots__ = ("slot", "access", "subtries", "start", "counter")
+
+    def __init__(self, slot, access, subtries, start, counter):
+        self.slot = slot
+        self.access = access
+        self.subtries = subtries
+        self.start = start
+        self.counter = counter
+
+
+def spec_shared_enumerate(
+    rep, slots: List[ScanSlot], alive: List[bool]
+) -> Iterator[Tuple[int, Tuple]]:
+    """``(slot, values)`` events of one merged descent over ``slots``.
+
+    A node is visited iff some live slot still descends through it, its β
+    valuation is decoded once for every slot probing it, a light node's
+    box decomposition is resolved once per node; dictionary probes stay
+    per ``(node, access)``. Each slot's own subsequence is its solo
+    stream, counter steps included.
+    """
+    if not slots or rep.tree.root is None:
+        return
+    yield from _shared_eval(rep, rep.tree.root, slots, alive)
+
+
+def _shared_eval(rep, node, slots, alive) -> Iterator[Tuple[int, Tuple]]:
+    heavy: List[ScanSlot] = []
+    light_full: List[ScanSlot] = []
+    light_clipped: List[ScanSlot] = []
+    for s in slots:
+        if not alive[s.slot]:
+            continue
+        if s.start is not None and node.interval.high < s.start:
+            continue  # this slot's seek point is past the subtree
+        if s.counter is not None:
+            s.counter.steps += 1  # dictionary probe (per slot)
+        bit = rep.dictionary.get(node.id, s.access)
+        if bit == 0:
+            continue
+        if bit == 1 and not node.is_leaf:
+            heavy.append(s)
+        elif s.start is not None and node.interval.low < s.start:
+            light_clipped.append(s)
+        else:
+            light_full.append(s)
+    if light_full:
+        # ⊥ slots evaluate the whole interval here; its (cached) box
+        # decomposition is resolved once for all of them.
+        for box in rep.cost_model.boxes_of(node.interval):
+            for s in light_full:
+                if not alive[s.slot]:
+                    continue
+                for row in _join_box(rep, s.access, s.subtries, box, s.counter):
+                    yield (s.slot, row)
+    for s in light_clipped:
+        # Seek-straddling ⊥ slots clip to their own start point,
+        # exactly as the single-access resume path does.
+        clipped = FInterval(max(node.interval.low, s.start), node.interval.high)
+        for box in clipped.box_decomposition(rep.ctx.space):
+            if not alive[s.slot]:
+                break
+            for row in _join_box(rep, s.access, s.subtries, box, s.counter):
+                yield (s.slot, row)
+    if not heavy:
+        return
+    if node.left is not None:
+        yield from _shared_eval(rep, node.left, heavy, alive)
+    beta_values = None
+    for s in heavy:
+        if not alive[s.slot]:
+            continue
+        if s.start is not None and node.beta < s.start:
+            continue
+        if beta_values is None:
+            # Decoded once per node, shared by every probing slot.
+            beta_values = rep.ctx.space.values(node.beta)
+        if s.counter is not None:
+            s.counter.steps += len(rep.ctx.atoms)
+        if rep.ctx.beta_matches(s.access, beta_values):
+            yield (s.slot, beta_values)
+    if node.right is not None:
+        yield from _shared_eval(rep, node.right, heavy, alive)
+
+
+# ----------------------------------------------------------------------
+# Proposition 4: the per-bag generator nest over materialised bags
+# ----------------------------------------------------------------------
+def spec_nested_rows(
+    bag_specs, assignment, free_order, counter: Optional[JoinCounter] = None
+) -> Iterator[Tuple]:
+    """Pre-order nested lookups, one generator frame per bag.
+
+    Same signature as its kernel twin
+    (:func:`repro.core.kernel.nested_product_rows`): ``bag_specs`` is the
+    pre-order list of ``(bound_vars, free_vars, index)`` triples,
+    ``assignment`` holds the bound valuation and is extended in place.
+    One step per bag index lookup, one per bag row taken.
+    """
+
+    def recurse(position: int) -> Iterator[Tuple]:
+        if position == len(bag_specs):
+            yield tuple(assignment[v] for v in free_order)
+            return
+        bound_vars, free_vars, index = bag_specs[position]
+        key = tuple(assignment[v] for v in bound_vars)
+        if counter is not None:
+            counter.steps += 1
+        for values in index.get(key, ()):
+            if counter is not None:
+                counter.steps += 1
+            for var, value in zip(free_vars, values):
+                assignment[var] = value
+            yield from recurse(position + 1)
+
+    yield from recurse(0)
+
+
+# ----------------------------------------------------------------------
+# the fixture
+# ----------------------------------------------------------------------
+# The entry points' own preamble (arity check, seek-point ceiling, slot
+# building with the SubtrieCache accounting) is not part of the walk: the
+# patched methods below keep it and hand the normalised inputs to the spec
+# where the real ones hand them to the kernel.
+def _enumerate(self, access, counter=None):
+    yield from spec_enumerate(self, self._check_access(access), counter)
+
+
+def _enumerate_from(self, access, start_values, counter=None):
+    access = self._check_access(access)
+    if self.tree.root is None:
+        return
+    start = self._ceil_point(start_values)
+    if start is None:
+        return  # start lies beyond the top of the tuple space
+    yield from spec_enumerate_from(self, access, start, counter)
+
+
+def _shared_enumerate(
+    self,
+    accesses: Sequence[Sequence],
+    starts=None,
+    counters=None,
+    cache: Optional[SubtrieCache] = None,
+    alive: Optional[List[bool]] = None,
+):
+    if cache is None:
+        cache = SubtrieCache()
+    if alive is None:
+        alive = [True] * len(accesses)
+    slots: List[ScanSlot] = []
+    for index, access in enumerate(accesses):
+        access = self._check_access(access)
+        start = None
+        start_values = starts[index] if starts is not None else None
+        if start_values is not None:
+            start = self._ceil_point(start_values)
+            if start is None:
+                continue  # seek past the top of the tuple space
+        subtries = self.ctx.subtries_shared(access, cache)
+        if any(node is None for node in subtries):
+            continue  # some relation has no tuple matching the access
+        counter = counters[index] if counters is not None else None
+        slots.append(ScanSlot(index, access, subtries, start, counter))
+    yield from spec_shared_enumerate(self, slots, alive)
+
+
+@contextmanager
+def reference_walk():
+    """Serve the static structures from the spec for one ``with`` block.
+
+    Patches ``CompressedRepresentation.enumerate`` / ``enumerate_from`` /
+    ``shared_enumerate`` (and with them every bag of a
+    ``DecomposedRepresentation`` and the clean side of a dynamic view)
+    and the flattened bag product ``ConnexConstantDelayStructure``
+    calls; ``kernel_ready`` reads ``False`` on the patched classes
+    meanwhile, so observers (telemetry's ``path`` label) tell the truth.
+    Not thread-safe and not re-entrant — a test fixture, nothing more.
+    """
+    patched = (
+        (CompressedRepresentation, "enumerate", _enumerate),
+        (CompressedRepresentation, "enumerate_from", _enumerate_from),
+        (CompressedRepresentation, "shared_enumerate", _shared_enumerate),
+        (CompressedRepresentation, "kernel_ready", False),
+        (DecomposedRepresentation, "kernel_ready", False),
+        (constant_delay, "nested_product_rows", spec_nested_rows),
+    )
+    with ExitStack() as stack:
+        for owner, name, replacement in patched:
+            stack.enter_context(mock.patch.object(owner, name, replacement))
+        yield

@@ -394,38 +394,6 @@ class TestParitySurface:
     def test_the_dual_route_shape_is_clean(self, tmp_path):
         assert run_rule("parity-surface", KERNEL_CLASS_OK, tmp_path) == []
 
-    def test_missing_reference_route_fires(self, tmp_path):
-        source = """
-            def kernel_enumerate(layout, access):
-                yield ()
-
-            class Repr:
-                def enumerate_from(self, access, start_values, counter=None):
-                    yield from kernel_enumerate(self.layout, access)
-            """
-        findings = run_rule("parity-surface", source, tmp_path)
-        assert [f.key for f in findings] == [
-            "Repr.enumerate_from:reference-route"
-        ]
-
-    def test_missing_kernel_route_fires(self, tmp_path):
-        source = """
-            def kernel_enumerate(layout, access):
-                yield ()
-
-            class Repr:
-                def enumerate(self, access, counter=None):
-                    yield from kernel_enumerate(self.layout, access)
-                    yield from self._eval(access)
-
-                def enumerate_from(self, access, start_values, counter=None):
-                    yield from self._eval(access)
-            """
-        findings = run_rule("parity-surface", source, tmp_path)
-        assert [f.key for f in findings] == [
-            "Repr.enumerate_from:kernel-route"
-        ]
-
     def test_signature_drift_fires(self, tmp_path):
         source = """
             class Repr:

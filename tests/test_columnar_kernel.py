@@ -1,15 +1,16 @@
-"""Kernel/fallback parity: the columnar kernel must be invisible.
+"""Kernel/spec parity: the columnar kernel must be Algorithm 2, exactly.
 
 Every enumeration entry point is run twice over the same built
-structures — once routed through the compiled columnar layout
-(``set_kernel_mode("on")``) and once forced onto the reference
-tuple-at-a-time path (``"off"``) — and the streams must be identical
+structures — once as shipped (the columnar kernel, the only route in
+``src/``) and once under ``reference_walk()``, the fixture that serves
+the same entry points from the recursive transcription of the paper's
+walk in ``tests/reference_walk.py`` — and the streams must be identical
 element for element: same rows, same order, same shared-scan event
 interleaving — and, with a ``JoinCounter`` attached, the same logical
 step gap before every row and at exhaustion (the kernel does the delay
-accounting itself). Fallback triggers (stale dictionary versions, dirty
-dynamic buffers, ``off`` mode) and both snapshot codec versions are
-covered as well.
+accounting itself). What is *not* a second route is covered too: a stale
+dictionary version is refused, a dirty dynamic version is the lazy
+view's, and both snapshot codec versions load.
 """
 
 import pickle
@@ -19,6 +20,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from oracle import oracle_accesses, oracle_answer
+from reference_walk import reference_walk
 from repro.core import kernel as kernel_mod
 from repro.core import layout as layout_mod
 from repro.core.decomposed import DecomposedRepresentation
@@ -37,6 +39,7 @@ from repro.database.relation import Relation
 from repro.engine.api import AccessRequest, open_cursor
 from repro.engine.dynamic_serving import FrozenDynamicView
 from repro.engine.shared_scan import open_group
+from repro.exceptions import ParameterError
 from repro.joins.generic_join import JoinCounter
 from repro.measure.delay import measure_enumeration
 from repro.workloads.generators import (
@@ -53,23 +56,11 @@ from repro.workloads.queries import (
 TAUS = (1.0, 4.0, 1000.0)
 
 
-@pytest.fixture(autouse=True)
-def _restore_mode():
-    yield
-    layout_mod.set_kernel_mode("auto")
-
-
 def on_off(callable_returning_iterable):
-    """Run the thunk under both routing modes; return (kernel, reference)."""
-    layout_mod.set_kernel_mode("on")
-    try:
-        kernel_rows = list(callable_returning_iterable())
-    finally:
-        layout_mod.set_kernel_mode("off")
-    try:
+    """Run the thunk plain, then under the spec; return (kernel, reference)."""
+    kernel_rows = list(callable_returning_iterable())
+    with reference_walk():
         reference_rows = list(callable_returning_iterable())
-    finally:
-        layout_mod.set_kernel_mode("auto")
     return kernel_rows, reference_rows
 
 
@@ -133,7 +124,6 @@ class TestEntryPointParity:
         view = triangle_view("bff")
         db = triangle_database(16, 70, seed=7)
         rep = CompressedRepresentation(view, db, tau=4.0)
-        layout_mod.set_kernel_mode("on")
         access = next(
             a
             for a in oracle_accesses(view, db, limit=8)
@@ -162,10 +152,10 @@ class TestSharedScanParity:
             lambda: rep.shared_enumerate(group)
         )
         assert kernel_events == reference_events
-        layout_mod.set_kernel_mode("off")
-        for slot, access in enumerate(group):
-            rows = [row for s, row in kernel_events if s == slot]
-            assert rows == list(rep.enumerate(access)), slot
+        with reference_walk():
+            for slot, access in enumerate(group):
+                rows = [row for s, row in kernel_events if s == slot]
+                assert rows == list(rep.enumerate(access)), slot
 
     def test_group_with_starts(self, scan_setup):
         view, db, rep, accesses = scan_setup
@@ -493,6 +483,45 @@ class TestStepParity:
         )
         assert kernel_side == reference_side
 
+    @pytest.mark.parametrize("refine", [True, False])
+    def test_decomposed_build_compiles_each_bag_when_its_bits_are_final(
+        self, refine, monkeypatch
+    ):
+        # Algorithm 4 edits a bag's dictionary in place. The bag is
+        # recompiled right after its own flips (post-order), so every
+        # child a parent probes already answers from a fresh layout:
+        # one compile per bag, plus one per bag Algorithm 4 edited.
+        compiles = []
+        compile_layout = layout_mod.compile_layout
+
+        def counting(ctx, tree, dictionary, cost_model):
+            compiles.append(dictionary)
+            return compile_layout(ctx, tree, dictionary, cost_model)
+
+        monkeypatch.setattr(layout_mod, "compile_layout", counting)
+        view = path_view(4)
+        db = path_database(4, 40, 10, seed=10)
+        rep = DecomposedRepresentation(view, db, refine=refine)
+        bags = [bag.representation for bag in rep.bags.values()]
+        # build_dictionary sets each entry once; every flip is one more.
+        edited = [
+            bag for bag in bags if bag.dictionary.version > len(bag.dictionary)
+        ]
+        assert bool(edited) == refine
+        assert len(compiles) == len(bags) + len(edited)
+        for access in oracle_accesses(view, db, limit=6):
+            kernel_side, reference_side = measured_on_off(
+                lambda c: rep.enumerate(access, counter=c)
+            )
+            assert kernel_side == reference_side, access
+            rows = kernel_side[0]
+            assert sorted(rows) == oracle_answer(view, db, access)
+            for token in rows[:: max(1, len(rows) // 3)]:
+                kernel_side, reference_side = measured_on_off(
+                    lambda c: rep.enumerate_from(access, token, counter=c)
+                )
+                assert kernel_side == reference_side, (access, token)
+
     def test_constant_delay(self):
         for view, db in (
             (path_view(3), path_database(3, 60, 12, seed=51)),
@@ -554,34 +583,47 @@ def parity_cases(draw):
     return view, db, tau, access, token
 
 
-def assert_step_parity(view, db, tau, access, token):
-    rep = CompressedRepresentation(view, db, tau=tau)
-    assert rep.kernel_ready
-    if token is None:
-        entries = [lambda c: rep.enumerate(access, counter=c)]
-    else:
-        entries = [
-            lambda c: rep.enumerate_from(access, token, counter=c),
-            lambda c: rep.enumerate_after(access, token, counter=c),
-        ]
-    for entry in entries:
-        kernel_side, reference_side = measured_on_off(entry)
-        assert kernel_side == reference_side
-    if token is None:
-        assert kernel_side[0] == oracle_answer(view, db, access)
+def assert_step_parity(view, db, tau, access, token, refine=True):
+    """Spec, kernel and oracle agree on all three static families."""
+    structures = [
+        CompressedRepresentation(view, db, tau=tau),
+        DecomposedRepresentation(view, db, refine=refine),
+        ConnexConstantDelayStructure(view, db),
+    ]
+    for rep in structures:
+        if token is None:
+            entries = [lambda c: rep.enumerate(access, counter=c)]
+        elif rep.supports_resume:
+            entries = [
+                lambda c: rep.enumerate_from(access, token, counter=c),
+                lambda c: rep.enumerate_after(access, token, counter=c),
+            ]
+        else:
+            continue
+        for entry in entries:
+            kernel_side, reference_side = measured_on_off(entry)
+            assert kernel_side == reference_side, type(rep).__name__
+        if token is None:
+            rows = kernel_side[0]
+            # Theorem 1 is lexicographic; the other two nest per bag.
+            if not isinstance(rep, CompressedRepresentation):
+                rows = sorted(rows)
+            assert rows == oracle_answer(view, db, access)
 
 
-@given(parity_cases())
+@given(parity_cases(), st.booleans())
 @settings(
     max_examples=150,
     deadline=None,
     suppress_health_check=[HealthCheck.function_scoped_fixture],
 )
-def test_random_instances_keep_rows_and_step_gaps(case):
-    assert_step_parity(*case)
+def test_random_instances_keep_rows_and_step_gaps(case, refine):
+    assert_step_parity(*case, refine=refine)
 
 
 class TestFallbackTriggers:
+    """What used to trigger a fallback; none of it selects a route now."""
+
     @pytest.fixture
     def rep(self):
         view = triangle_view("bff")
@@ -598,68 +640,52 @@ class TestFallbackTriggers:
             return [("rows", tuple(rows)), ("steps", counter.steps)]
 
         kernel_side, reference_side = on_off(measured)
-        # A counter is not a fallback trigger: the kernel counts the
-        # reference's steps itself, so the accounting is mode-independent.
+        # The kernel counts the spec's steps itself: the accounting does
+        # not depend on which of the two walked.
         assert kernel_side == reference_side
 
-    def test_measured_requests_never_enter_the_reference_walk(
-        self, rep, monkeypatch
-    ):
-        view, db, rep = rep
-
-        def forbidden(*args, **kwargs):
-            raise AssertionError("measured request took the reference walk")
-
-        for name in ("_eval", "_eval_from", "_shared_eval", "_join_box"):
-            monkeypatch.setattr(CompressedRepresentation, name, forbidden)
-        layout_mod.set_kernel_mode("on")
-        assert rep.kernel_ready
-        accesses = oracle_accesses(view, db, limit=4)
-        for access in accesses:
-            rows = oracle_answer(view, db, access)
-            counter = JoinCounter()
-            assert list(rep.enumerate(access, counter=counter)) == rows
-            if rows:
-                assert counter.steps > 0
-                assert list(
-                    rep.enumerate_after(access, rows[0], counter=counter)
-                ) == rows[1:]
-        counters = [JoinCounter() for _ in accesses]
-        events = list(rep.shared_enumerate(accesses, counters=counters))
-        assert len(events) == sum(
-            len(oracle_answer(view, db, a)) for a in accesses
-        )
-        assert any(c.steps > 0 for c in counters)
-
-    def test_stale_dictionary_version_falls_back(self, rep):
+    def test_stale_dictionary_version_is_refused(self, rep):
         view, db, rep = rep
         accesses = oracle_accesses(view, db, limit=6)
         expected = {a: list(rep.enumerate(a)) for a in accesses}
         # An in-place dictionary edit bumps the version; the compiled
-        # layout pinned the old one and must stop serving.
+        # layout pinned the old one. There is no second path to serve
+        # from: every entry point refuses, with a typed error.
         (node_id, access), bit = next(iter(rep.dictionary.items()))
         rep.dictionary.set(node_id, access, bit)  # same bit: answers keep
-        assert not rep.kernel_ready
-        layout_mod.set_kernel_mode("on")
-        for access in accesses:
-            assert list(rep.enumerate(access)) == expected[access]
+        token = expected[accesses[0]][0]
+        for stale in (
+            lambda: rep.enumerate(accesses[0]),
+            lambda: rep.enumerate(accesses[0], counter=JoinCounter()),
+            lambda: rep.enumerate_from(accesses[0], token),
+            lambda: rep.enumerate_after(accesses[0], token),
+            lambda: rep.shared_enumerate(accesses),
+        ):
+            with pytest.raises(ParameterError, match="stale layout"):
+                next(iter(stale()), None)
+        # A stale layout is not shipped either: restoring re-pins the
+        # version, which would pass old bits off as fresh.
+        with pytest.raises(ParameterError, match="stale layout"):
+            encode_snapshot(rep)
         # Recompiling re-pins the current version and re-arms the kernel.
-        rep.compile_layout()
-        assert rep.kernel_ready
+        layout = rep.compile_layout()
+        assert layout.dict_version == rep.dictionary.version
         for access in accesses:
             assert list(rep.enumerate(access)) == expected[access]
+        assert decode_snapshot(encode_snapshot(rep)).answer(
+            accesses[0]
+        ) == expected[accesses[0]]
 
-    def test_off_mode_disables_routing(self, rep):
+    def test_kernel_ready_is_a_fact_not_a_switch(self, rep):
         _, _, rep = rep
-        layout_mod.set_kernel_mode("off")
-        assert not rep.kernel_ready
-        layout_mod.set_kernel_mode("on")
-        assert rep.kernel_ready
-
-    def test_mode_must_be_valid(self):
-        with pytest.raises(ValueError, match="kernel mode"):
-            layout_mod.set_kernel_mode("fast")
-        assert layout_mod.get_kernel_mode() == "auto"
+        assert rep.kernel_ready is True
+        assert CompressedRepresentation.kernel_ready is True
+        assert DecomposedRepresentation.kernel_ready is True
+        # The fixture is the only thing that turns it off, and it puts
+        # it back.
+        with reference_walk():
+            assert rep.kernel_ready is False
+        assert rep.kernel_ready is True
 
 
 class TestPureFallbackPath:
@@ -693,7 +719,6 @@ class TestSnapshotCodec:
         assert rep.snapshot_state()["layout"] is not None
         restored = decode_snapshot(blob)
         assert restored.kernel_ready
-        layout_mod.set_kernel_mode("on")
         for access in oracle_accesses(view, db, limit=6):
             assert list(restored.enumerate(access)) == list(
                 rep.enumerate(access)
@@ -725,7 +750,6 @@ class TestSnapshotCodec:
         assert 1 in SUPPORTED_VERSIONS
         restored = decode_snapshot(blob)
         assert restored.kernel_ready  # loader recompiled the layout
-        layout_mod.set_kernel_mode("on")
         for access in oracle_accesses(view, db, limit=6):
             assert list(restored.enumerate(access)) == oracle_answer(
                 view, db, access

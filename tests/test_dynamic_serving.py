@@ -886,20 +886,55 @@ class TestLazyVersions:
         assert len(contexts) == 1
         server.close()
 
-    def test_retired_versions_leave_the_cache_by_exact_key(self):
-        server = ViewServer(chain_database())
+    def test_versions_never_enter_the_cache(self):
+        # A version is owned by its Epochs hold, not by an LRU: a dynamic
+        # view never appears in the cache; what is live is read from the
+        # state's live_versions() / the dynamic_live_versions gauge.
+        server = ViewServer(chain_database(), telemetry=True)
         name = server.register_dynamic(
             VIEW_TEXT, tau=4.0, rebuild_fraction=float("inf")
         )
+        state = server._dynamic_state(name)
+
+        def gauge():
+            return server.telemetry.gauge(
+                "dynamic_live_versions", view=name
+            ).value
+
         for value in range(5):
             server.apply_deltas("R", inserts=[(1, 50 + value)])
-        keys = [key for key in server.cache.keys() if key[0] == name]
-        assert len(keys) == 1
+        assert state.live_versions() == (5,) and gauge() == 1
         cursor = server.open(name, (1,))
         server.apply_deltas("R", inserts=[(1, 99)])
-        assert len([k for k in server.cache.keys() if k[0] == name]) == 2
+        assert state.live_versions() == (5, 6) and gauge() == 2
         cursor.close()
-        assert len([k for k in server.cache.keys() if k[0] == name]) == 1
+        assert state.live_versions() == (6,) and gauge() == 1
+        assert not [key for key in server.cache.keys() if key[0] == name]
+        assert server.resident(name) and server.demote(name) == 0
+        assert server.representation(name) is state.epochs.current()[1]
+        server.close()
+
+    def test_dynamic_version_churn_leaves_static_structures_resident(self):
+        # A frozen version takes no LRU slot: a delta must not evict a
+        # static view from a one-entry cache, and dynamic answers cost
+        # the cache no miss, insertion or eviction.
+        server = ViewServer(chain_database(), max_entries=1)
+        static = server.register(VIEW_TEXT, tau=4.0, name="static")
+        dynamic = server.register_dynamic(
+            VIEW_TEXT, tau=4.0, name="dynamic", rebuild_fraction=float("inf")
+        )
+        expected = server.answer(static, (1,))
+        assert server.resident(static)
+        builds = server.total_builds()
+        before = server.cache_stats
+        assert server.apply_deltas("R", inserts=[(1, 77)]) == {dynamic: 1}
+        for _ in range(3):
+            server.answer(dynamic, (1,))
+        assert server.resident(static)
+        assert server.answer(static, (1,)) == expected
+        assert server.total_builds() == builds
+        churn = server.cache_stats.delta(before)
+        assert (churn.misses, churn.evictions, churn.insertions) == (0, 0, 0)
         server.close()
 
     def test_two_threads_first_reading_one_dirty_version(self, contexts):

@@ -21,7 +21,7 @@ import threading
 import pytest
 
 from oracle import oracle_answer
-from repro.core import layout as layout_mod
+from reference_walk import reference_walk
 from repro.engine import (
     GAP_BUCKETS,
     AdaptiveTuner,
@@ -597,8 +597,7 @@ class TestAdaptiveTuner:
         view, db = setup
         accesses = request_stream(view, db, 24, seed=5)
 
-        def run(mode):
-            layout_mod.set_kernel_mode(mode)
+        def run():
             server = ViewServer(db, telemetry=True)
             try:
                 name = server.register(view, tau=1.0)
@@ -631,10 +630,10 @@ class TestAdaptiveTuner:
                 return trace, gaps.counts, gaps.sum, paths
             finally:
                 server.close()
-                layout_mod.set_kernel_mode("auto")
 
-        kernel_trace, kernel_counts, kernel_sum, kernel_paths = run("on")
-        ref_trace, ref_counts, ref_sum, ref_paths = run("off")
+        kernel_trace, kernel_counts, kernel_sum, kernel_paths = run()
+        with reference_walk():
+            ref_trace, ref_counts, ref_sum, ref_paths = run()
         assert kernel_paths["columnar"] > 0 and kernel_paths["fallback"] == 0
         assert ref_paths["fallback"] > 0 and ref_paths["columnar"] == 0
         assert sum(kernel_counts) > 0
