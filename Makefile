@@ -47,7 +47,8 @@ docs-check:
 
 # Size gate: source lines of code per package (non-blank, non-comment,
 # non-docstring, counted from the AST). tests/test_ci_pipeline.py pins
-# src/repro/engine at ENGINE_SLOC_CEILING and the src/repro total at
+# src/repro/engine at ENGINE_SLOC_CEILING, the CLI (src/repro/__main__.py,
+# printed on its own line) at MAIN_SLOC_CEILING and the src/repro total at
 # SRC_SLOC_CEILING — raise them on purpose or not at all. The executable
 # spec moved out of src/ (tests/reference_walk.py) is printed on its own
 # line after the total: moved code is shown as moved, not as deleted.
@@ -64,7 +65,8 @@ test-lock-order:
 		tests/test_sharding.py tests/test_elastic.py \
 		tests/test_parallel_builds.py tests/test_telemetry.py \
 		tests/test_dynamic_serving.py tests/test_epoch.py \
-		tests/test_pin_leaks.py tests/test_lock_order.py
+		tests/test_pin_leaks.py tests/test_lock_order.py \
+		tests/test_serving_contract.py
 
 # The smoke run writes a JSON report and fails if any benchmark errored
 # or the run silently collected nothing — CI gates on it.

@@ -8,10 +8,13 @@ and comments are documentation the repo wants *more* of; only code is
 weighed.
 
 Usage: ``python benchmarks/check_size.py [ROOT]`` prints one row per
-package under ``ROOT/src/repro`` (default: this file's grandparent)
-and the total. ``tests/test_ci_pipeline.py`` pins the engine package's
-figure and the total as ceilings, so growing either is a decision, not
-an accident — and moving code between packages shrinks nothing. Code
+package under ``ROOT/src/repro`` (default: this file's grandparent),
+the engine per file, the CLI (``src/repro/__main__.py``, the largest
+single file) on its own line under the top-level modules, and the
+total. ``tests/test_ci_pipeline.py`` pins the engine package's figure,
+the CLI's and the total as ceilings, so growing any of them is a
+decision, not an accident — and moving code between packages shrinks
+nothing. Code
 moved out of ``src/`` to be the tests' reference is printed on its own
 line after the total (:data:`SPEC`), so it reads as moved, not as
 deleted.
@@ -30,6 +33,9 @@ from typing import Dict, Set
 #: kernel became the only route, now the tests' executable spec —
 #: weighed, shown, and not part of the total.
 SPEC = "tests/reference_walk.py"
+
+#: The CLI: one file wiring every back end, shown on its own line.
+MAIN = "__main__.py"
 
 _NOT_CODE = {
     tokenize.COMMENT,
@@ -100,6 +106,7 @@ def main(argv=None) -> int:
                 print(f"{lines:9d}  {name}")
     top = sum(file_sloc(path) for path in sorted(source.glob("*.py")))
     print(f"{top:7d}  src/repro/*.py")
+    print(f"{file_sloc(source / MAIN):9d}  {MAIN}")
     print(f"{total + top:7d}  total")
     if (root / SPEC).exists():
         moved = file_sloc(root / SPEC)

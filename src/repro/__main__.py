@@ -121,6 +121,7 @@ import asyncio
 import json
 import sys
 import time
+from contextlib import contextmanager
 from typing import Dict, List, Tuple
 
 from pathlib import Path
@@ -139,6 +140,7 @@ from repro import (
     infer_shard_key,
     parse_view,
 )
+from repro.engine.server import register_everywhere
 from repro.engine.telemetry import AdaptiveTuner, Telemetry, TelemetryStore
 from repro.engine.topology import assignment_of
 from repro.workloads.streams import batched
@@ -174,9 +176,21 @@ def _common(parser: argparse.ArgumentParser) -> None:
     )
 
 
+def _inputs(args):
+    """What :func:`_common`'s flags name: the parsed view, the loaded data."""
+    return parse_view(args.view), load_database(args.data)
+
+
+def _answer_flags(parser: argparse.ArgumentParser) -> None:
+    """The flags :func:`_print_answers` reads."""
+    parser.add_argument(
+        "--access", action="append", help="comma-separated bound values"
+    )
+    parser.add_argument("--limit", type=int, default=20)
+
+
 def _build_answer(args) -> int:
-    view = parse_view(args.view)
-    db = load_database(args.data)
+    view, db = _inputs(args)
     structure = CompressedRepresentation(view, db, tau=args.tau)
     stats = structure.stats
     print(
@@ -184,21 +198,24 @@ def _build_answer(args) -> int:
         f"tree={stats.tree_nodes} dict={stats.dictionary_entries} "
         f"({stats.build_seconds * 1000:.1f} ms)"
     )
+    _print_answers(structure, args)
+    return 0
+
+
+def _print_answers(structure, args) -> None:
+    """Answer every ``--access`` from ``structure``, ``--limit`` rows shown."""
     for access_text in args.access or []:
         access = _parse_access(access_text)
         rows = structure.answer(access)
         print(f"answer{access}: {len(rows)} tuples")
-        limit = args.limit
-        for row in rows[:limit]:
+        for row in rows[: args.limit]:
             print(f"  {row}")
-        if len(rows) > limit:
-            print(f"  ... {len(rows) - limit} more")
-    return 0
+        if len(rows) > args.limit:
+            print(f"  ... {len(rows) - args.limit} more")
 
 
 def _run_sweep(args) -> int:
-    view = parse_view(args.view)
-    db = load_database(args.data)
+    view, db = _inputs(args)
     taus = [float(t) for t in args.taus.split(",")]
     accesses = [_parse_access(a) for a in args.access or []]
     if not accesses:
@@ -225,14 +242,6 @@ def _load_requests(path: str) -> List[Tuple]:
     return accesses
 
 
-def _run_serve(args) -> int:
-    try:
-        return _serve(args)
-    except (ReproError, OSError) as error:
-        print(f"serve: {error}", file=sys.stderr)
-        return 2
-
-
 def _parse_shard_key(text: str) -> Dict[str, int]:
     """``"R:0,T:1"`` → ``{"R": 0, "T": 1}``."""
     key: Dict[str, int] = {}
@@ -257,9 +266,38 @@ def _parse_shard_key(text: str) -> Dict[str, int]:
     return key
 
 
+def _backend(cls, db, args, telemetry, *shard_args, **extra):
+    """One back end of class ``cls``, wired from the ``serve`` flags."""
+    return cls(
+        db,
+        *shard_args,
+        max_entries=args.cache_entries,
+        max_cells=args.cache_cells,
+        snapshot_dir=args.snapshot_dir,
+        cache_policy=args.cache_policy,
+        telemetry=telemetry,
+        **extra,
+    )
+
+
+@contextmanager
+def _async_front(backend, args, replicas):
+    """The asyncio front end over ``backend``, closed on the way out."""
+    server = AsyncViewServer(
+        backend,
+        max_workers=args.workers,
+        max_pending=args.max_pending,
+        replicas=replicas,
+        balancer=args.balancer,
+    )
+    try:
+        yield server
+    finally:
+        server.close()
+
+
 def _serve(args) -> int:
-    view = parse_view(args.view)
-    db = load_database(args.data)
+    view, db = _inputs(args)
     accesses = _load_requests(args.requests)
     if not accesses:
         print(f"{args.requests}: no access requests", file=sys.stderr)
@@ -272,22 +310,21 @@ def _serve(args) -> int:
         args.workers is not None or args.max_pending is not None
     ):
         raise ReproError("--workers/--max-pending are async knobs; add --async")
+    # None meant "not given" to the check above; the defaults, once.
+    args.workers = 4 if args.workers is None else args.workers
+    args.max_pending = 32 if args.max_pending is None else args.max_pending
     if args.per_request and args.use_async:
         raise ReproError("--per-request is a synchronous baseline; drop --async")
-    if args.per_request and (
-        args.limit is not None
-        or args.page_size is not None
-        or args.resume is not None
-    ):
-        raise ReproError(
-            "--per-request replays the stream unbatched; it does not "
-            "compose with --limit/--page-size/--resume"
-        )
     cursor_mode = (
         args.limit is not None
         or args.page_size is not None
         or args.resume is not None
     )
+    if args.per_request and cursor_mode:
+        raise ReproError(
+            "--per-request replays the stream unbatched; it does not "
+            "compose with --limit/--page-size/--resume"
+        )
     if args.limit is not None and args.limit < 0:
         raise ReproError(f"--limit must be >= 0, got {args.limit}")
     if args.page_size is not None and args.page_size < 1:
@@ -346,33 +383,17 @@ def _serve(args) -> int:
         telemetry = Telemetry(Path(args.telemetry_dir))
     elif args.adapt:
         telemetry = Telemetry()  # the tuner needs gap histograms
+    cls, shard_args = ViewServer, ()
     if args.shards > 1:
         shard_key = (
             _parse_shard_key(args.shard_key)
             if args.shard_key is not None
             else infer_shard_key(view)
         )
-        backend = ShardedViewServer(
-            db,
-            args.shards,
-            shard_key,
-            max_entries=args.cache_entries,
-            max_cells=args.cache_cells,
-            snapshot_dir=args.snapshot_dir,
-            cache_policy=args.cache_policy,
-            build_workers=args.build_workers,
-            telemetry=telemetry,
-        )
-    else:
-        backend = ViewServer(
-            db,
-            max_entries=args.cache_entries,
-            max_cells=args.cache_cells,
-            snapshot_dir=args.snapshot_dir,
-            cache_policy=args.cache_policy,
-            build_workers=args.build_workers,
-            telemetry=telemetry,
-        )
+        cls, shard_args = ShardedViewServer, (args.shards, shard_key)
+    backend = _backend(
+        cls, db, args, telemetry, *shard_args, build_workers=args.build_workers
+    )
     if args.dynamic:
         name = backend.register_dynamic(view, tau=args.tau)
     else:
@@ -404,9 +425,7 @@ def _serve(args) -> int:
     replicas: List[ViewServer] = []
     try:
         if args.replicas:
-            replicas = _hydrate_replicas(
-                backend, view, name, db, args, telemetry=telemetry
-            )
+            replicas = _hydrate_replicas(backend, name, db, args, telemetry)
         if args.adapt:
             return _serve_adaptive(backend, name, accesses, telemetry, args)
         if args.per_request:
@@ -414,31 +433,18 @@ def _serve(args) -> int:
         if cursor_mode:
             return _serve_cursors(backend, name, accesses, args, replicas)
         if args.use_async:
-            workers = args.workers if args.workers is not None else 4
-            max_pending = (
-                args.max_pending if args.max_pending is not None else 32
-            )
-            server = AsyncViewServer(
-                backend,
-                max_workers=workers,
-                max_pending=max_pending,
-                replicas=replicas,
-                balancer=args.balancer,
-            )
-            try:
+            with _async_front(backend, args, replicas) as server:
                 report = asyncio.run(
                     server.serve_stream(
                         name, accesses, batch_size=args.batch_size
                     )
                 )
-            finally:
-                server.close()
             _print_stream_report(report)
             print(
                 f"async: queue max {report.queue_seconds_max * 1000:.1f} ms "
                 f"(mean {report.queue_seconds_mean * 1000:.1f} ms), "
                 f"service mean {report.service_seconds_mean * 1000:.1f} ms, "
-                f"{workers} workers, {max_pending} max in flight"
+                f"{args.workers} workers, {args.max_pending} max in flight"
             )
         else:
             report = backend.serve_stream(
@@ -474,19 +480,17 @@ def _serve_adaptive(backend, name: str, accesses, telemetry, args) -> int:
         gap_budget=args.gap_budget,
         interval_requests=args.batch_size,
     )
-    started = time.perf_counter()
-    outputs = requests = batches = 0
     decisions = []
-    for chunk in batched(accesses, args.batch_size):
-        result = backend.answer_batch(name, chunk)
-        outputs += result.outputs
-        requests += len(chunk)
-        batches += 1
-        decisions.extend(tuner.maybe_tune())
-    wall = time.perf_counter() - started
+
+    def tuned_batches():
+        for chunk in batched(accesses, args.batch_size):
+            yield backend.answer_batch(name, chunk)
+            decisions.extend(tuner.maybe_tune())
+
+    report = backend.stream_report()(tuned_batches())
     print(
-        f"adaptive: {requests} requests in {batches} batches, "
-        f"{outputs} tuples in {wall * 1000:.1f} ms"
+        f"adaptive: {report.requests} requests in {report.batches} batches, "
+        f"{report.outputs} tuples in {report.wall_seconds * 1000:.1f} ms"
     )
     print(
         f"tuning: {len(decisions)} decision(s); serving tau now "
@@ -504,38 +508,26 @@ def _serve_adaptive(backend, name: str, accesses, telemetry, args) -> int:
 
 
 def _hydrate_replicas(
-    backend, view, name: str, db, args, telemetry=None
+    backend, name: str, db, args, telemetry=None
 ) -> List[ViewServer]:
     """Ship the primary's snapshots and stand up N hydrated read replicas.
 
     The primary builds the registered view once and demotes it to the
-    snapshot directory; every replica then registers the *same* spec
-    (identical snapshot label) and hydrates purely from disk — zero
-    builder invocations, by :class:`~repro.engine.replica.ReplicaServer`
-    contract.
+    snapshot directory; every replica then replays the primary's *own*
+    registration (identical snapshot label) and hydrates purely from
+    disk — zero builder invocations, by
+    :class:`~repro.engine.replica.ReplicaServer` contract.
     """
     backend.representation(name)
     shipped = backend.cache.demote_all()
-    replicas: List[ViewServer] = []
+    replicas = [
+        _backend(ReplicaServer, db, args, telemetry)
+        for _ in range(args.replicas)
+    ]
     try:
-        for _ in range(args.replicas):
-            replica = ReplicaServer(
-                db,
-                snapshot_dir=args.snapshot_dir,
-                max_entries=args.cache_entries,
-                max_cells=args.cache_cells,
-                cache_policy=args.cache_policy,
-                telemetry=telemetry,
-            )
-            replica.register(
-                view,
-                name=name,
-                tau=args.tau,
-                space_budget=args.space_budget,
-                delay_budget=args.delay_budget,
-            )
+        register_everywhere(name, replicas, backend.registration(name).replay)
+        for replica in replicas:
             replica.hydrate()
-            replicas.append(replica)
     except ReproError:
         for replica in replicas:
             replica.close()
@@ -582,21 +574,10 @@ def _serve_cursors(
     """
     token = _parse_access(args.resume) if args.resume is not None else None
     if args.use_async:
-        workers = args.workers if args.workers is not None else 4
-        max_pending = args.max_pending if args.max_pending is not None else 32
-        server = AsyncViewServer(
-            backend,
-            max_workers=workers,
-            max_pending=max_pending,
-            replicas=list(replicas),
-            balancer=args.balancer,
-        )
-        try:
+        with _async_front(backend, args, replicas) as server:
             return asyncio.run(
                 _stream_cursors_async(server, name, accesses, args, token)
             )
-        finally:
-            server.close()
     total = pages = 0
     for access in accesses:
         delivered, used, last, exhausted = _drain_paged(
@@ -624,20 +605,15 @@ def _drain_paged(backend, name: str, access: Tuple, args, token):
             page_limit = args.page_size
         else:
             page_limit = min(args.page_size, remaining)
-        cursor = backend.open(
-            AccessRequest(
-                view=name,
-                access=access,
-                limit=page_limit,
-                start_after=token,
-            )
+        request = AccessRequest(
+            view=name, access=access, limit=page_limit, start_after=token
         )
-        rows = cursor.fetchall()
+        with backend.open(request) as cursor:
+            rows = cursor.fetchall()
+            token = cursor.resume_token()
+            exhausted = cursor.exhausted
         pages += 1
         delivered += len(rows)
-        token = cursor.resume_token()
-        exhausted = cursor.exhausted
-        cursor.close()
         if remaining is not None:
             remaining -= len(rows)
             if remaining <= 0:
@@ -701,14 +677,6 @@ def _print_stream_report(report) -> None:
     )
 
 
-def _run_update(args) -> int:
-    try:
-        return _update_apply(args)
-    except (ReproError, OSError) as error:
-        print(f"update: {error}", file=sys.stderr)
-        return 2
-
-
 def _update_apply(args) -> int:
     """One delta through the durable log: register warm, apply, exit.
 
@@ -717,8 +685,7 @@ def _update_apply(args) -> int:
     dynamic snapshot and replays the log; the applied delta is appended
     to that log, and the next ``serve --dynamic`` run replays it too.
     """
-    view = parse_view(args.view)
-    db = load_database(args.data)
+    view, db = _inputs(args)
     inserts = [_parse_access(text) for text in args.insert or []]
     deletes = [_parse_access(text) for text in args.delete or []]
     if not inserts and not deletes:
@@ -742,16 +709,11 @@ def _update_apply(args) -> int:
 
 
 def _snapshot_save(args) -> int:
-    try:
-        view = parse_view(args.view)
-        db = load_database(args.data)
-        structure = CompressedRepresentation(view, db, tau=args.tau)
-        written = save_snapshot(
-            args.out, structure, fingerprint=database_fingerprint(db)
-        )
-    except (ReproError, OSError) as error:
-        print(f"snapshot save: {error}", file=sys.stderr)
-        return 2
+    view, db = _inputs(args)
+    structure = CompressedRepresentation(view, db, tau=args.tau)
+    written = save_snapshot(
+        args.out, structure, fingerprint=database_fingerprint(db)
+    )
     stats = structure.stats
     print(
         f"saved {args.out}: {written} bytes "
@@ -763,33 +725,18 @@ def _snapshot_save(args) -> int:
 
 
 def _snapshot_load(args) -> int:
-    try:
-        fingerprint = None
-        if args.data is not None:
-            fingerprint = database_fingerprint(load_database(args.data))
-        structure = load_snapshot(args.file, expected_fingerprint=fingerprint)
-    except (ReproError, OSError) as error:
-        print(f"snapshot load: {error}", file=sys.stderr)
-        return 2
+    fingerprint = None
+    if args.data is not None:
+        fingerprint = database_fingerprint(load_database(args.data))
+    structure = load_snapshot(args.file, expected_fingerprint=fingerprint)
     checked = "fingerprint verified" if fingerprint else "fingerprint unchecked"
     print(f"loaded {args.file}: {type(structure).__name__} ({checked})")
-    for access_text in args.access or []:
-        access = _parse_access(access_text)
-        rows = structure.answer(access)
-        print(f"answer{access}: {len(rows)} tuples")
-        for row in rows[: args.limit]:
-            print(f"  {row}")
-        if len(rows) > args.limit:
-            print(f"  ... {len(rows) - args.limit} more")
+    _print_answers(structure, args)
     return 0
 
 
 def _snapshot_inspect(args) -> int:
-    try:
-        info = inspect_snapshot_file(args.file)
-    except ReproError as error:
-        print(f"snapshot inspect: {error}", file=sys.stderr)
-        return 2
+    info = inspect_snapshot_file(args.file)
     print(f"{args.file}:")
     print(f"  format version: {info['version']}")
     print(f"  kind:           {info['kind']}")
@@ -820,31 +767,19 @@ def _merged_telemetry(args):
 
 def _metrics_show(args) -> int:
     """Replay every persisted session's metrics and events, merged."""
-    try:
-        registry, events = _merged_telemetry(args)
-    except (ReproError, OSError) as error:
-        print(f"metrics show: {error}", file=sys.stderr)
-        return 2
+    registry, events = _merged_telemetry(args)
     snapshot = registry.snapshot()
+    kinds = ("counters", "gauges", "histograms")
     print(f"telemetry from {args.telemetry_dir}:")
-    if snapshot["counters"]:
-        print("counters:")
+    for kind in kinds:
+        if snapshot[kind]:
+            print(f"{kind}:")
         for entry in sorted(
-            snapshot["counters"], key=lambda e: (e["name"], repr(e["labels"]))
+            snapshot[kind], key=lambda e: (e["name"], repr(e["labels"]))
         ):
-            print(f"  {_metric_name(entry)} = {entry['value']}")
-    if snapshot["gauges"]:
-        print("gauges:")
-        for entry in sorted(
-            snapshot["gauges"], key=lambda e: (e["name"], repr(e["labels"]))
-        ):
-            print(f"  {_metric_name(entry)} = {entry['value']}")
-    if snapshot["histograms"]:
-        print("histograms:")
-        for entry in sorted(
-            snapshot["histograms"],
-            key=lambda e: (e["name"], repr(e["labels"])),
-        ):
+            if kind != "histograms":
+                print(f"  {_metric_name(entry)} = {entry['value']}")
+                continue
             histogram = registry.histogram(
                 entry["name"], buckets=entry["buckets"], **entry["labels"]
             )
@@ -861,20 +796,14 @@ def _metrics_show(args) -> int:
             op = payload.pop("op", "?")
             detail = " ".join(f"{k}={v}" for k, v in sorted(payload.items()))
             print(f"  [{record['session']}#{record['seq']}] {op}: {detail}")
-    if not (
-        snapshot["counters"] or snapshot["gauges"] or snapshot["histograms"]
-    ):
+    if not any(snapshot[kind] for kind in kinds):
         print("  (no metrics recorded)")
     return 0
 
 
 def _metrics_export(args) -> int:
     """Write the merged snapshot (and events) as one JSON document."""
-    try:
-        registry, events = _merged_telemetry(args)
-    except (ReproError, OSError) as error:
-        print(f"metrics export: {error}", file=sys.stderr)
-        return 2
+    registry, events = _merged_telemetry(args)
     document = {
         "schema": 1,
         "source": str(args.telemetry_dir),
@@ -893,7 +822,10 @@ def _metrics_export(args) -> int:
 def _topology_table(args) -> RoutingTable:
     """The routing table the topology subcommand operates on."""
     if args.table is not None:
-        return RoutingTable.from_json(Path(args.table).read_text())
+        try:
+            return RoutingTable.from_json(Path(args.table).read_text())
+        except ValueError as error:  # not JSON: report it like any bad input
+            raise ReproError(str(error)) from error
     if args.shards is None:
         raise ReproError("give --table FILE or --shards N")
     if args.shards < 1:
@@ -931,12 +863,8 @@ def _print_assignment(table: RoutingTable, values: List) -> None:
 
 
 def _topology_show(args) -> int:
-    try:
-        table = _topology_table(args)
-        values = _topology_key_values(args)
-    except (ReproError, OSError, ValueError) as error:
-        print(f"topology show: {error}", file=sys.stderr)
-        return 2
+    table = _topology_table(args)
+    values = _topology_key_values(args)
     print(
         f"routing table version {table.version}: "
         f"{table.n_shards} shard(s)"
@@ -952,13 +880,9 @@ def _topology_show(args) -> int:
 
 
 def _topology_split(args) -> int:
-    try:
-        table = _topology_table(args)
-        values = _topology_key_values(args)
-        new_table = table.split(args.shard)
-    except (ReproError, OSError, ValueError) as error:
-        print(f"topology split: {error}", file=sys.stderr)
-        return 2
+    table = _topology_table(args)
+    values = _topology_key_values(args)
+    new_table = table.split(args.shard)
     out = args.out if args.out is not None else args.table
     print(
         f"split shard {args.shard!r}: version {table.version} -> "
@@ -988,8 +912,7 @@ def _topology_split(args) -> int:
 
 
 def _run_widths(args) -> int:
-    view = parse_view(args.view)
-    db = load_database(args.data)
+    view, db = _inputs(args)
     normalized = normalize_view(view, db)
     hg = hypergraph_of_view(normalized.view)
     plain = fhw(hg)
@@ -1010,11 +933,8 @@ def main(argv=None) -> int:
     answer = commands.add_parser("answer", help="build and answer requests")
     _common(answer)
     answer.add_argument("--tau", type=float, default=8.0)
-    answer.add_argument(
-        "--access", action="append", help="comma-separated bound values"
-    )
-    answer.add_argument("--limit", type=int, default=20)
-    answer.set_defaults(handler=_build_answer)
+    _answer_flags(answer)
+    answer.set_defaults(handler=_build_answer, path="answer")
 
     sweep = commands.add_parser("sweep", help="sweep the tau frontier")
     _common(sweep)
@@ -1022,11 +942,11 @@ def main(argv=None) -> int:
     sweep.add_argument(
         "--access", action="append", help="comma-separated bound values"
     )
-    sweep.set_defaults(handler=_run_sweep)
+    sweep.set_defaults(handler=_run_sweep, path="sweep")
 
     widths = commands.add_parser("widths", help="report width exponents")
     _common(widths)
-    widths.set_defaults(handler=_run_widths)
+    widths.set_defaults(handler=_run_widths, path="widths")
 
     serve = commands.add_parser(
         "serve", help="serve a request stream through the engine cache"
@@ -1179,7 +1099,7 @@ def main(argv=None) -> int:
         help="target max step gap for --adapt (default: the "
         "registration's own budget or tau)",
     )
-    serve.set_defaults(handler=_run_serve)
+    serve.set_defaults(handler=_serve, path="serve")
 
     update = commands.add_parser(
         "update",
@@ -1220,7 +1140,7 @@ def main(argv=None) -> int:
         action="append",
         help="comma-separated row to delete (repeatable)",
     )
-    update_apply.set_defaults(handler=_run_update)
+    update_apply.set_defaults(handler=_update_apply, path="update")
 
     snapshot = commands.add_parser(
         "snapshot", help="save, load or inspect representation snapshots"
@@ -1237,7 +1157,7 @@ def main(argv=None) -> int:
     snap_save.add_argument(
         "--out", required=True, help="snapshot file to write"
     )
-    snap_save.set_defaults(handler=_snapshot_save)
+    snap_save.set_defaults(handler=_snapshot_save, path="snapshot save")
 
     snap_load = snapshot_commands.add_parser(
         "load", help="decode a snapshot and answer access requests"
@@ -1251,11 +1171,8 @@ def main(argv=None) -> int:
         help="directory of <relation>.csv files; when given, the "
         "snapshot must fingerprint-match it",
     )
-    snap_load.add_argument(
-        "--access", action="append", help="comma-separated bound values"
-    )
-    snap_load.add_argument("--limit", type=int, default=20)
-    snap_load.set_defaults(handler=_snapshot_load)
+    _answer_flags(snap_load)
+    snap_load.set_defaults(handler=_snapshot_load, path="snapshot load")
 
     snap_inspect = snapshot_commands.add_parser(
         "inspect", help="print a snapshot's header without decoding it"
@@ -1263,7 +1180,9 @@ def main(argv=None) -> int:
     snap_inspect.add_argument(
         "--file", required=True, help="snapshot file to inspect"
     )
-    snap_inspect.set_defaults(handler=_snapshot_inspect)
+    snap_inspect.set_defaults(
+        handler=_snapshot_inspect, path="snapshot inspect"
+    )
 
     metrics = commands.add_parser(
         "metrics",
@@ -1286,7 +1205,7 @@ def main(argv=None) -> int:
         default=10,
         help="how many trailing events to print (0 disables)",
     )
-    metrics_show.set_defaults(handler=_metrics_show)
+    metrics_show.set_defaults(handler=_metrics_show, path="metrics show")
 
     metrics_export = metrics_commands.add_parser(
         "export", help="write the merged snapshot as one JSON document"
@@ -1297,7 +1216,9 @@ def main(argv=None) -> int:
     metrics_export.add_argument(
         "--out", default=None, help="output file (default: stdout)"
     )
-    metrics_export.set_defaults(handler=_metrics_export)
+    metrics_export.set_defaults(
+        handler=_metrics_export, path="metrics export"
+    )
 
     topology = commands.add_parser(
         "topology",
@@ -1341,7 +1262,7 @@ def main(argv=None) -> int:
         "show", help="print a routing table's shards, splits and placement"
     )
     _topology_common(topo_show)
-    topo_show.set_defaults(handler=_topology_show)
+    topo_show.set_defaults(handler=_topology_show, path="topology show")
 
     topo_split = topology_commands.add_parser(
         "split",
@@ -1358,10 +1279,16 @@ def main(argv=None) -> int:
         help="file for the new table JSON (default: rewrite --table, or "
         "print to stdout)",
     )
-    topo_split.set_defaults(handler=_topology_split)
+    topo_split.set_defaults(handler=_topology_split, path="topology split")
 
     args = parser.parse_args(argv)
-    return args.handler(args)
+    # Every subcommand reports a library or I/O error the same way: one
+    # ``<subcommand path>: <error>`` line on stderr, exit code 2.
+    try:
+        return args.handler(args)
+    except (ReproError, OSError) as error:
+        print(f"{args.path}: {error}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -8,9 +8,11 @@ conveniences and the resume entry are derived here from a subclass's
 ``enumerate`` (and ``enumerate_from``), and the capability flags the
 engine probes default to "no". See ``docs/ARCHITECTURE.md#read-contract``.
 
-The engine keeps duck-typing its inputs (``getattr(rep, "supports_resume",
-False)``): this base is what the library's own classes inherit, not a
-requirement on what ``open_cursor`` / ``SharedScan`` accept.
+``open_cursor`` / ``SharedScan`` keep duck-typing their inputs
+(``getattr(rep, "supports_resume", False)``): this base is what the
+library's own classes inherit, not a requirement on what those two public
+entry points accept. Where the engine holds a structure it built itself
+it reads the flags as plain attributes.
 """
 
 from __future__ import annotations

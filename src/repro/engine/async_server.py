@@ -10,16 +10,20 @@ and enumeration is lock-free for readers, so worker threads never
 contend), a bounded semaphore applies backpressure to over-eager
 producers, and every served batch reports its queue and service delay.
 
-The back end is duck-typed: a plain ``ViewServer`` or a
-:class:`~repro.engine.sharding.ShardedViewServer`. For a sharded back
-end there is one fan-out (``serve`` and ``answer_requests`` share it):
-the batch is grouped per owning shard by the facade's own plan, each
-group is opened and drained as one unit on a worker, and the groups are
-awaited concurrently — scatter-gather requests fan out to every shard,
-routed requests touch exactly one. Every fan-out pins the backend's
-routing-table version for its whole plan→drain span, so a live
-:meth:`~repro.engine.sharding.ShardedViewServer.split_shard` cuts over
-*between* batches, never under one.
+The back end is any :class:`~repro.engine.server.Serving` — a plain
+``ViewServer``, a sharded facade, a test fake — and there is one fan-out
+for all of them (``serve`` and ``answer_requests`` share it): the back
+end's own :meth:`~repro.engine.server.Serving.jobs` names the batch's
+independently drainable groups, each group is opened and drained as one
+unit on a worker (:meth:`~repro.engine.server.Serving.drain`), the
+groups are awaited concurrently, and the back end's gather puts their
+results back in request order. A plain server is one group; a sharded
+one is a group per owning shard — scatter-gather requests fan out to
+every shard, routed requests touch exactly one — and holds its
+routing-table version for the whole plan→drain span, so a live shard
+split cuts over *between* batches, never under one. This module never
+plans, pins or merges: what a batch costs the back end, and what it
+counts, is the same whichever executor runs it.
 
 Read replicas and admission control
 -----------------------------------
@@ -37,13 +41,11 @@ any single tenant may hold *before* it competes for the global
 from __future__ import annotations
 
 import asyncio
-import heapq
 import time
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import AsyncExitStack, asynccontextmanager, contextmanager
 from dataclasses import dataclass
 from functools import partial
-from itertools import islice
 from typing import (
     AsyncIterator,
     Iterable,
@@ -56,15 +58,20 @@ from typing import (
 
 from repro.database.catalog import Database
 from repro.engine.api import AccessRequest, as_request
-from repro.engine.cache import CacheStats
-from repro.engine.server import BatchResult, Registration, ViewServer
-from repro.engine.sharding import ShardedViewServer, merge_delay_stats
+from repro.engine.server import (
+    BatchResult,
+    Registration,
+    Serving,
+    ServingReport,
+    ViewServer,
+    distinct_requests,
+    register_everywhere,
+)
 from repro.engine.telemetry import LATENCY_BUCKETS, Telemetry
 from repro.exceptions import ParameterError
 from repro.query.adorned import AdornedView
+from repro.query.parser import parse_view
 from repro.workloads.streams import batched
-
-Backend = Union[ViewServer, ShardedViewServer]
 
 
 @dataclass(frozen=True)
@@ -90,33 +97,18 @@ class AsyncBatchResult:
 
 
 @dataclass(frozen=True)
-class AsyncServingReport:
-    """Aggregate of one request stream served through the async front end.
+class AsyncServingReport(ServingReport):
+    """A :class:`~repro.engine.server.ServingReport` plus queue/service time.
 
-    ``builds`` and ``cache`` are deltas observed during this stream (a
-    warm engine reports zero builds); queue/service statistics aggregate
-    the per-batch :class:`AsyncBatchResult` timings.
+    The stream figures are the back end's own
+    (:meth:`~repro.engine.server.Serving.stream_report`); the
+    queue/service statistics aggregate the per-batch
+    :class:`AsyncBatchResult` timings.
     """
 
-    requests: int
-    unique_requests: int
-    shared_requests: int
-    outputs: int
-    batches: int
-    builds: int
-    wall_seconds: float
-    max_step_gap: int
     queue_seconds_max: float
     queue_seconds_mean: float
     service_seconds_mean: float
-    cache: CacheStats
-
-    @property
-    def requests_per_second(self) -> float:
-        """Stream throughput over the whole drain (inf for a zero wall)."""
-        if self.wall_seconds <= 0:
-            return float("inf")
-        return self.requests / self.wall_seconds
 
 
 def _timed(work):
@@ -125,35 +117,21 @@ def _timed(work):
     return work(), started, time.perf_counter()
 
 
-def _drain(server, requests: List[AccessRequest]):
-    """A whole shared-scan group, opened and drained on one worker.
-
-    Per request its ``(rows, stats)``, stats only when measured.
-    """
-    cursors = server.open_batch(requests)
-    try:
-        return [
-            (
-                cursor.fetchall(),
-                cursor.stats() if cursor.request.measure else None,
-            )
-            for cursor in cursors
-        ]
-    finally:
-        for cursor in cursors:
-            cursor.close()
+def _mean(values: Sequence[float]) -> float:
+    return sum(values) / len(values) if values else 0.0
 
 
 class AsyncViewServer:
-    """Async facade over a ``ViewServer`` or ``ShardedViewServer``.
+    """Async facade over any :class:`~repro.engine.server.Serving` back end.
 
     Parameters
     ----------
     backend:
         A database (a fresh ``ViewServer`` is created over it) or an
-        existing back end to wrap.
+        existing back end to wrap — plain, sharded, or anything else
+        that implements ``Serving``.
     max_workers:
-        Thread-pool width. Builds and per-shard sub-batches occupy
+        Thread-pool width. Builds and the back end's jobs occupy
         workers; readers never block each other, so a handful suffices.
     max_pending:
         Backpressure bound: at most this many :meth:`serve` calls may be
@@ -168,8 +146,9 @@ class AsyncViewServer:
     replicas:
         Read replicas (typically
         :class:`~repro.engine.replica.ReplicaServer` instances) to
-        balance read batches across. Only valid with a *plain* back end
-        — a sharded back end already is its own fan-out layer. Replicas
+        balance read batches across. Only valid in front of a plain
+        ``ViewServer``, whose single job a replica stands in for — a
+        sharded back end already is its own fan-out layer. Replicas
         are caller-owned (``close()`` leaves them alone); registration
         through this facade reaches every replica, so they stay in sync.
     balancer:
@@ -200,7 +179,7 @@ class AsyncViewServer:
 
     def __init__(
         self,
-        backend: Union[Backend, Database],
+        backend: Union[Serving, Database],
         max_workers: int = 4,
         max_pending: int = 32,
         max_entries: Optional[int] = 8,
@@ -248,13 +227,13 @@ class AsyncViewServer:
                 build_workers=build_workers,
                 telemetry=self._telemetry,
             )
-        if replicas and isinstance(backend, ShardedViewServer):
+        if replicas and not isinstance(backend, ViewServer):
             raise ParameterError(
                 "replicas balance a plain backend; a sharded backend "
                 "already fans out per shard (replicate the shards "
                 "themselves instead)"
             )
-        self.backend: Backend = backend
+        self.backend: Serving = backend
         self.max_pending = max_pending
         self.max_pending_per_tenant = max_pending_per_tenant
         self._replicas: Tuple[ViewServer, ...] = tuple(replicas)
@@ -280,27 +259,30 @@ class AsyncViewServer:
         delay_budget: Optional[float] = None,
         name: Optional[str] = None,
     ) -> str:
-        """Register a view on the backend and every replica; serving name."""
-        resolved = self.backend.register(
-            view,
-            tau=tau,
-            space_budget=space_budget,
-            delay_budget=delay_budget,
-            name=name,
+        """Register a view on the backend and every replica, or on none.
+
+        Replicas serve the same views under the same knobs (identical
+        knobs -> identical snapshot labels -> hydration finds the
+        primary's shipped structures); pre-registered replicas keep
+        their registration. A server that refuses (say, a replica whose
+        database lacks a relation) leaves the name registered nowhere
+        it was not before, so the call can simply be retried.
+        """
+        if isinstance(view, str):
+            view = parse_view(view)
+        resolved = name or view.name
+        register_everywhere(
+            resolved,
+            [self.backend]
+            + [r for r in self._replicas if resolved not in r.views()],
+            lambda server: server.register(
+                view,
+                tau=tau,
+                space_budget=space_budget,
+                delay_budget=delay_budget,
+                name=resolved,
+            ),
         )
-        # Replicas serve the same views under the same knobs (identical
-        # knobs -> identical snapshot labels -> hydration finds the
-        # primary's shipped structures). Pre-registered replicas keep
-        # their registration.
-        for replica in self._replicas:
-            if resolved not in replica.views():
-                replica.register(
-                    view,
-                    tau=tau,
-                    space_budget=space_budget,
-                    delay_budget=delay_budget,
-                    name=resolved,
-                )
         return resolved
 
     def registration(self, name: str) -> Registration:
@@ -310,11 +292,6 @@ class AsyncViewServer:
     def views(self) -> Tuple[str, ...]:
         """Names of every registered view, from the backend."""
         return self.backend.views()
-
-    @property
-    def is_sharded(self) -> bool:
-        """True when the wrapped backend is a :class:`ShardedViewServer`."""
-        return isinstance(self.backend, ShardedViewServer)
 
     @property
     def replicas(self) -> Tuple[ViewServer, ...]:
@@ -355,13 +332,6 @@ class AsyncViewServer:
             ).inc()
         return start
 
-    def _count_wait(self, gate_name: str) -> None:
-        """Record one admission stall (a slot was full when asked for)."""
-        if self._telemetry is not None:
-            self._telemetry.counter(
-                "admission_waits_total", gate=gate_name
-            ).inc()
-
     def _queue_depth(self, delta: int) -> None:
         if self._telemetry is not None:
             self._telemetry.gauge("async_queue_depth").add(delta)
@@ -387,8 +357,10 @@ class AsyncViewServer:
         try:
             async with AsyncExitStack() as stack:
                 for gate_name, gate in gates:
-                    if gate.locked():
-                        self._count_wait(gate_name)
+                    if gate.locked() and self._telemetry is not None:
+                        self._telemetry.counter(
+                            "admission_waits_total", gate=gate_name
+                        ).inc()
                     await stack.enter_async_context(gate)
                 yield
         finally:
@@ -396,15 +368,16 @@ class AsyncViewServer:
 
     @contextmanager
     def _on_replica(self):
-        """(replica index, server) a read goes to, counted in flight.
+        """(replica index, replica) a read goes to, counted in flight.
 
-        The balancer's pick — ``None`` and the backend itself without
-        replicas — holds one unit of the replica's pending count for the
-        block, which is what ``least-pending`` steers by.
+        The balancer's pick — ``(None, None)`` without replicas: the
+        back end serves itself — holds one unit of the replica's
+        pending count for the block, which is what ``least-pending``
+        steers by.
         """
         replica = self._pick_replica()
         if replica is None:
-            yield None, self.backend
+            yield None, None
             return
         self._replica_pending[replica] += 1
         try:
@@ -425,51 +398,26 @@ class AsyncViewServer:
     ) -> AsyncBatchResult:
         """Serve one batch on the thread pool; await the merged result.
 
-        With a sharded back end this is :meth:`answer_requests`' fan-out
-        over the batch's distinct accesses — one shared-scan group per
-        shard, run concurrently under one pinned routing-table version —
-        with each cursor's stats kept and the whole assembled into a
-        :class:`~repro.engine.server.BatchResult`; otherwise the whole
-        batch is one ``answer_batch`` on the balancer's pick. ``tenant``
-        engages per-tenant admission control when the server was built
-        with ``max_pending_per_tenant`` — the tenant's slot is acquired
+        :meth:`answer_requests`' fan-out over the batch's distinct
+        accesses — one shared-scan group per back-end job, run
+        concurrently — with each cursor's stats kept and the whole
+        assembled by the back end into a
+        :class:`~repro.engine.server.BatchResult`, exactly as its own
+        ``answer_batch`` would. ``tenant`` engages per-tenant admission
+        control when the server was built with
+        ``max_pending_per_tenant`` — the tenant's slot is acquired
         before the global one, and both waits count as queue time.
         """
-        batch = tuple(tuple(access) for access in accesses)
-        loop = asyncio.get_running_loop()
+        batch, unique, requests = distinct_requests(
+            name, accesses, tau, measure
+        )
         submitted = time.perf_counter()
-        shards: Tuple[int, ...] = ()
-        replica = None
         async with self._admitted(tenant):
-            if self.is_sharded:
-                unique = sorted(set(batch))
-                drained, started, finished, shards = await self._fan_out(
-                    loop,
-                    [
-                        AccessRequest(
-                            view=name, access=access, tau=tau, measure=measure
-                        )
-                        for access in unique
-                    ],
-                )
-                result = self.backend.batch_result(
-                    name, batch, unique, drained
-                )
-            else:
-                with self._on_replica() as (replica, server):
-                    result, started, finished = await loop.run_in_executor(
-                        self._executor,
-                        _timed,
-                        partial(
-                            server.answer_batch,
-                            name,
-                            batch,
-                            tau=tau,
-                            measure=measure,
-                        ),
-                    )
+            drained, started, finished, shards, replica = await self._fan_out(
+                requests
+            )
         served = AsyncBatchResult(
-            result=result,
+            result=self.backend.batch_result(name, batch, unique, drained),
             queue_seconds=started - submitted,
             service_seconds=max(0.0, finished - started),
             shards=shards,
@@ -492,94 +440,56 @@ class AsyncViewServer:
         """Serve a typed request batch as whole shared-scan groups.
 
         The async face of ``open_batch``: the batch is NOT split into
-        per-request jobs — each back-end group (the whole batch for a
+        per-request jobs — each back-end job (the whole batch for a
         plain server; one group per shard for a sharded one, scatter
         requests fanning to every shard) is submitted to the worker pool
         as a unit, so one thread pays one shared traversal for many
         requests and drains it there. Returns the materialized answers
         aligned with the submitted requests, each honoring its own
-        ``limit``/``start_after`` knobs; per-shard scatter answers are
-        heap-merged (disjoint sorted streams) and re-capped at the
-        request's limit. Holds one unit of the server's semaphore (and
-        the tenant's admission slot, when gated), like :meth:`serve`;
-        with read replicas the whole batch drains on the balancer's
-        pick. Sharded batches pin one routing-table version for the
-        whole fan-out.
+        ``limit``/``start_after`` knobs. Holds one unit of the server's
+        semaphore (and the tenant's admission slot, when gated), like
+        :meth:`serve`; with read replicas the whole batch drains on the
+        balancer's pick.
         """
         batch = [as_request(request) for request in requests]
         async with self._admitted(tenant):
-            drained, *_ = await self._fan_out(
-                asyncio.get_running_loop(), batch
-            )
+            drained, *_ = await self._fan_out(batch)
         return [rows for rows, _ in drained]
 
-    async def _fan_out(
-        self, loop: asyncio.AbstractEventLoop, batch: List[AccessRequest]
-    ):
-        """Drain ``batch`` group by group on the pool — the one fan-out.
+    async def _fan_out(self, batch: List[AccessRequest]):
+        """Drain ``batch`` job by job on the pool — the one fan-out.
 
-        Returns ``(drained, started, finished, shards)``: per request
-        its ``(rows, stats)`` (stats only for measured requests), the
-        first pickup and last finish across the groups, and the shard
-        indexes that had work.
+        The back end says what the jobs are and gathers their results
+        (:meth:`~repro.engine.server.Serving.jobs`); this only runs
+        them, each as one :meth:`~repro.engine.server.Serving.drain` on
+        a worker, with the balancer's replica (if any) standing in for
+        the job's server. Returns ``(drained, started, finished, shards,
+        replica)``: per request its ``(rows, stats)`` (stats only for
+        measured requests), the first pickup and last finish across the
+        jobs, the shard indexes that had work, and the replica picked.
         """
-        if not self.is_sharded:
-            with self._on_replica() as (_, server):
-                drained, started, finished = await loop.run_in_executor(
-                    self._executor, _timed, partial(_drain, server, batch)
-                )
-            return drained, started, finished, ()
-        backend: ShardedViewServer = self.backend
-        # One pinned topology version spans plan → drain: a concurrent
-        # split_shard must not shift shard indexes mid-fan-out.
-        version = backend.pin_version()
-        try:
-            scatter, plan = backend.plan_requests(batch, version)
-            jobs = [
-                (shard, positions)
-                for shard, positions in enumerate(plan)
-                if positions
-            ]
-            timed = await asyncio.gather(
-                *(
-                    loop.run_in_executor(
-                        self._executor,
-                        _timed,
-                        partial(
-                            _drain,
-                            backend.shard_server(shard, version),
-                            [batch[position] for position in positions],
-                        ),
+        loop = asyncio.get_running_loop()
+        with self._on_replica() as (replica, reader):
+            with self.backend.jobs(batch) as (jobs, gather):
+                timed = await asyncio.gather(
+                    *(
+                        loop.run_in_executor(
+                            self._executor,
+                            _timed,
+                            partial(
+                                (reader or server).drain,
+                                [batch[position] for position in positions],
+                            ),
+                        )
+                        for _, server, positions in jobs
                     )
-                    for shard, positions in jobs
                 )
-            )
-        finally:
-            backend.release_version(version)
-        pieces: List[List[Tuple]] = [[] for _ in batch]
-        for (_, positions), (pairs, _, _) in zip(jobs, timed):
-            for position, pair in zip(positions, pairs):
-                pieces[position].append(pair)
-        drained = []
-        for position, (request, parts) in enumerate(zip(batch, pieces)):
-            if position not in scatter:
-                drained.append(parts[0])
-                continue
-            # Scatter: per-shard streams are disjoint and sorted; each
-            # shard already honored the limit, so the merged stream
-            # only needs re-capping.
-            merged = heapq.merge(*(rows for rows, _ in parts))
-            stats = [stats for _, stats in parts if stats is not None]
-            drained.append(
-                (
-                    list(islice(merged, request.limit)),
-                    merge_delay_stats(stats) if stats else None,
-                )
-            )
-        # The gather merge above is real service time: it extends the span.
+                drained = gather([pairs for pairs, _, _ in timed])
+        # The gather's merge is real service time: it extends the span.
         finished = time.perf_counter()
         started = min((pickup for _, pickup, _ in timed), default=finished)
-        return drained, started, finished, tuple(shard for shard, _ in jobs)
+        shards = tuple(shard for shard, _, _ in jobs if shard is not None)
+        return drained, started, finished, shards, replica
 
     async def stream(
         self,
@@ -619,10 +529,10 @@ class AsyncViewServer:
         # The cursor occupies its replica for its whole life: the
         # least-pending balancer steers new work elsewhere until the
         # stream finishes.
-        with self._on_replica() as (_, server):
+        with self._on_replica() as (_, reader):
             async with self._semaphore:
                 cursor = await loop.run_in_executor(
-                    self._executor, server.open, request
+                    self._executor, (reader or self.backend).open, request
                 )
             try:
                 while True:
@@ -653,9 +563,7 @@ class AsyncViewServer:
         ``max_pending`` batches are in flight the producer is not read
         until one completes.
         """
-        started = time.perf_counter()
-        builds_before = self.backend.total_builds()
-        stats_before = self._stats_snapshot()
+        finish = self.backend.stream_report()
         pending = set()
         results: List[AsyncBatchResult] = []
 
@@ -702,37 +610,13 @@ class AsyncViewServer:
             await asyncio.gather(*pending, return_exceptions=True)
             raise
 
-        stats_after = self._stats_snapshot()
-        wall = time.perf_counter() - started
-        requests = sum(len(r.result.accesses) for r in results)
-        unique = sum(r.result.unique_count for r in results)
         queue_times = [r.queue_seconds for r in results]
-        service_times = [r.service_seconds for r in results]
         return AsyncServingReport(
-            requests=requests,
-            unique_requests=unique,
-            shared_requests=requests - unique,
-            outputs=sum(r.result.outputs for r in results),
-            batches=len(results),
-            builds=self.backend.total_builds() - builds_before,
-            wall_seconds=wall,
-            max_step_gap=max(
-                (r.result.max_step_gap for r in results), default=0
-            ),
+            **vars(finish(r.result for r in results)),
             queue_seconds_max=max(queue_times, default=0.0),
-            queue_seconds_mean=(
-                sum(queue_times) / len(queue_times) if queue_times else 0.0
-            ),
-            service_seconds_mean=(
-                sum(service_times) / len(service_times)
-                if service_times
-                else 0.0
-            ),
-            cache=stats_after.delta(stats_before),
+            queue_seconds_mean=_mean(queue_times),
+            service_seconds_mean=_mean([r.service_seconds for r in results]),
         )
-
-    def _stats_snapshot(self) -> CacheStats:
-        return self.backend.cache_stats
 
     # ------------------------------------------------------------------
     # life cycle

@@ -24,9 +24,10 @@ lock is dropped. ``docs/ARCHITECTURE.md`` tells the whole story once.
 
 from __future__ import annotations
 
+from contextlib import nullcontext
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
-__all__ = ["Epochs", "Hold"]
+__all__ = ["Epochs", "Hold", "NO_HOLD"]
 
 
 class Epochs:
@@ -137,7 +138,8 @@ class Hold:
     block raises — anything, ``BaseException`` included — every opened
     cursor is closed, and whatever pins no cursor carries are released
     on the way out either way. A bare ``Hold()`` owns no pins and only
-    does the closing: batch-wide cleanup across groups.
+    does the closing: batch-wide cleanup across groups. A resource
+    without versions opens under :data:`NO_HOLD`.
     """
 
     __slots__ = ("version", "payload", "opened", "_release", "_owed")
@@ -174,3 +176,20 @@ class Hold:
         finally:
             if self._owed > 0:
                 self._release(self._owed)
+
+
+class _NoHold(nullcontext):
+    """The hold of a resource that has no versions to pin.
+
+    Shaped like :class:`Hold` so a serving call is written once for
+    versioned and unversioned resources alike, but stateless: nothing
+    is pinned, kept cursors get no close hook, nothing is closed on the
+    way out — one shared instance, :data:`NO_HOLD`, serves every call.
+    """
+
+    def keep(self, cursors: Sequence) -> Sequence:
+        """Nothing to hand over: the cursors as they came."""
+        return cursors
+
+
+NO_HOLD = _NoHold()

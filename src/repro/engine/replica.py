@@ -108,7 +108,13 @@ class ReplicaServer(ViewServer):
         )
         # The dynamic tier follows the same one-way contract: replicas
         # read the primary's snapshots/meta/delta log, never write them.
-        self._writes_dynamic_snapshots = False
+        self._dynamic_sink = None
+
+    def _refuse(self, name: str, reason: str):
+        """Count one refusal and fail loudly (never returns)."""
+        if self.telemetry is not None:
+            self.telemetry.counter("replica_refusals_total", view=name).inc()
+        raise SnapshotError(reason)
 
     def _build(
         self, registration: Registration, tau: float
@@ -117,16 +123,13 @@ class ReplicaServer(ViewServer):
         # snapshot — on a replica that is a shipping failure, not a
         # reason to burn CPU rebuilding from a database this process may
         # not even hold in full.
-        label = self._snapshot_label(registration, tau)
-        if self.telemetry is not None:
-            self.telemetry.counter(
-                "replica_refusals_total", view=registration.name
-            ).inc()
-        raise SnapshotError(
+        self._refuse(
+            registration.name,
             f"replica refuses to build {registration.name!r} (tau={tau!r}): "
-            f"no usable snapshot under label {label!r} in "
+            f"no usable snapshot under label "
+            f"{registration.snapshot_label(tau)!r} in "
             f"{self.snapshot_store.directory} — ship one from the primary "
-            "(cache.demote_all()) or re-point the replica"
+            "(cache.demote_all()) or re-point the replica",
         )
 
     def _build_dynamic(self, registration: Registration, rebuild_fraction):
@@ -134,15 +137,12 @@ class ReplicaServer(ViewServer):
         # snapshot means the shipping pipeline is broken, and a replica
         # quietly rebuilding would serve from a database state its
         # siblings never saw.
-        if self.telemetry is not None:
-            self.telemetry.counter(
-                "replica_refusals_total", view=registration.name
-            ).inc()
-        raise SnapshotError(
+        self._refuse(
+            registration.name,
             f"replica refuses to build dynamic view "
             f"{registration.name!r}: no usable dynamic snapshot for it — "
             "register it on the primary (which writes the snapshot) or "
-            "ship_deltas/save_dynamic_snapshot first"
+            "ship_deltas/save_dynamic_snapshot first",
         )
 
     def rehydrate_dynamic(self, names: Optional[Iterable[str]] = None) -> int:

@@ -22,14 +22,19 @@ Responsibilities
 * **Streaming**: :meth:`ViewServer.open` is the serving primitive — it
   returns a lazy :class:`~repro.engine.api.AnswerCursor` honoring the
   request's ``limit``/``start_after``/``measure`` knobs, so top-k and
-  paginated workloads enumerate only what they consume. ``answer``,
-  ``answer_batch`` and ``serve_stream`` are materializing wrappers,
-  defined once on :class:`Serving` for every back end.
+  paginated workloads enumerate only what they consume.
 * **Batched serving**: :meth:`ViewServer.open_batch` is the batch
   primitive — a request group over one view rides ONE shared tree
   traversal (:mod:`repro.engine.shared_scan`), with duplicates sharing
-  a lane and prefix-sharing accesses sharing subtrie descents;
-  ``answer_batch``/``serve_stream`` are materializing wrappers over it.
+  a lane and prefix-sharing accesses sharing subtrie descents.
+* **The back-end contract**: everything else a caller or a front end
+  does with a server — the materializing ``answer`` / ``answer_batch``
+  / ``serve_stream`` wrappers, ``drain`` (one unit of executor work),
+  ``jobs`` (a batch's independently drainable groups and their gather),
+  batch and stream result assembly — is written once over those two
+  primitives, on :class:`Serving`, whose docstring is where the
+  contract is listed. The sharded facade and the async front end add
+  routing and an event loop to it, not second copies of it.
   Per-request delay statistics follow
   :meth:`AnswerCursor.stats <repro.engine.api.AnswerCursor.stats>`
   semantics: the closing gap (trailing steps after the last output) is
@@ -50,8 +55,10 @@ Responsibilities
   :meth:`~repro.engine.cache.RepresentationCache.get_or_build` (at most
   one build per key ever runs; waiters block on the builder's event,
   then hit the cache). A separate registry lock guards the server's own
-  bookkeeping, and enumeration runs outside all locks — built
-  structures are immutable, so concurrent readers never contend.
+  bookkeeping — a request is resolved against it once
+  (:meth:`ViewServer._resolve`: two acquisitions per warm open) — and
+  enumeration runs outside all locks: built structures are immutable,
+  so concurrent readers never contend.
 """
 
 from __future__ import annotations
@@ -59,10 +66,12 @@ from __future__ import annotations
 import hashlib
 import json
 import time
+from contextlib import contextmanager
 from functools import partial
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import (
+    Callable,
     Dict,
     Iterable,
     List,
@@ -94,7 +103,7 @@ from repro.engine.dynamic_serving import (
     DynamicSnapshotStore,
     DynamicViewState,
 )
-from repro.engine.epoch import Hold
+from repro.engine.epoch import NO_HOLD, Hold
 from repro.engine.locking import named_lock
 from repro.engine.parallel import ParallelBuilder
 from repro.engine.shared_scan import SharedScan
@@ -132,6 +141,71 @@ class Registration:
     weights: Optional[Mapping[int, float]] = None
     sizes: Mapping[int, int] = field(default_factory=dict)
     generation: int = 0
+    #: The natural view's structural digest, hashed once at registration
+    #: (not per cache hit): the restart-stable part of a snapshot label.
+    digest: str = ""
+
+    def snapshot_label(self, tau: float) -> str:
+        """The disk-tier label of this registration's build at ``tau``.
+
+        Deliberately excludes the generation (which restarts from 1 in a
+        fresh process — the whole point is surviving restarts) and
+        instead pins what actually determines the built structure: the
+        view's structural digest, τ, and the τ-selection policy/budget.
+        The database itself is covered by the store's fingerprint.
+        """
+        return (
+            f"{self.name}|{self.digest}|tau={tau!r}"
+            f"|{self.policy}|{self.budget!r}"
+        )
+
+    def replay(
+        self,
+        server: "ViewServer",
+        database: Optional[Database] = None,
+        rebuild_fraction: Optional[float] = None,
+    ) -> str:
+        """Register this view on ``server`` as it was registered here.
+
+        ``policy`` + ``budget`` + ``tau`` give the original knobs back:
+        a budget is re-optimized against ``server``'s own relation
+        sizes, a fixed τ is reused — so the replayed registration's
+        snapshot labels match this one's. A dynamic view passes its
+        state's ``rebuild_fraction``; ``database`` is the
+        per-registration override of :meth:`ViewServer.register`.
+        """
+        knobs = {"name": self.name, "database": database}
+        if self.budget is None:
+            knobs["tau"] = self.tau
+        else:
+            knobs[self.policy.replace("-", "_")] = self.budget
+        if rebuild_fraction is None:
+            return server.register(self.view, **knobs)
+        return server.register_dynamic(
+            self.view, rebuild_fraction=rebuild_fraction, **knobs
+        )
+
+
+def register_everywhere(
+    name: str, servers: Iterable, register: Callable[[object], object]
+) -> None:
+    """Run ``register(server)`` on every server, or leave ``name`` on none.
+
+    All or none: a half-registered view would wedge its name —
+    unservable on the servers that refused, "already registered" on the
+    others when the caller retries. Whatever stops the loop
+    (``BaseException`` included), the servers already done unregister
+    ``name`` again before it propagates.
+    """
+    done = []
+    try:
+        for server in servers:
+            register(server)
+            done.append(server)
+    except BaseException:
+        for server in done:
+            server.unregister(name)
+        raise
 
 
 @dataclass(frozen=True)
@@ -199,20 +273,92 @@ class ServingReport:
         return self.requests / self.wall_seconds
 
 
+Drained = List[Tuple[List[Tuple], Optional[DelayStats]]]
+
+
+def distinct_requests(
+    name: str,
+    accesses: Iterable[Sequence],
+    tau: Optional[float],
+    measure: bool,
+) -> Tuple[Tuple[Tuple, ...], List[Tuple], List[AccessRequest]]:
+    """``(batch, unique, requests)`` of one ``answer_batch``-style call.
+
+    The batch as tuples, its distinct accesses (sorted — the tree is
+    laid out lexicographically, so nearby bound values touch nearby
+    dictionary entries), and one request per distinct access.
+    """
+    batch = tuple(tuple(access) for access in accesses)
+    unique = sorted(set(batch))
+    return batch, unique, [
+        AccessRequest(view=name, access=access, tau=tau, measure=measure)
+        for access in unique
+    ]
+
+
 class Serving:
-    """The materializing wrappers, written once over the two primitives.
+    """The whole back-end contract: two primitives in, every executor out.
 
     A back end provides ``open`` / ``open_batch`` (plus ``total_builds``
     and ``cache_stats`` for stream reports); :class:`ViewServer` and
-    :class:`~repro.engine.sharding.ShardedViewServer` both do, so batch
-    and stream accounting cannot drift between the plain and the
-    sharded path.
+    :class:`~repro.engine.sharding.ShardedViewServer` both do.
+    Everything a front end needs on top is written here, once, so batch
+    and stream accounting cannot drift between back ends or between
+    the sync and the async path:
+
+    * :meth:`answer` / :meth:`answer_batch` / :meth:`serve_stream` — the
+      materializing wrappers;
+    * :meth:`drain` — a request batch opened, fetched, measured and
+      closed in one call: the unit of work an executor runs (and the
+      one seam a test fake overrides);
+    * :meth:`jobs` — the batch's independently drainable groups plus
+      the gather that puts their results back in request order. A front
+      end that runs work elsewhere (the async thread pool) calls
+      ``jobs`` and ``drain``; it never plans, pins or merges itself;
+    * :meth:`batch_result` / :meth:`stream_report` — result assembly.
     """
 
     def answer(self, name: str, access: Sequence) -> List[Tuple]:
         """Answer one access request fully (materializing wrapper)."""
         with self.open(name, access) as cursor:
             return cursor.fetchall()
+
+    def drain(
+        self, requests: Iterable[Union[AccessRequest, str]]
+    ) -> Drained:
+        """Open a batch, fetch every cursor dry, close: ``(rows, stats)`` each.
+
+        Stats only for measured requests (``None`` otherwise). The
+        cursors are drained to exhaustion or their limit here, on the
+        calling thread — one shared scan per ``(view, τ)`` group.
+        """
+        cursors = self.open_batch(requests)
+        try:
+            return [
+                (
+                    cursor.fetchall(),
+                    cursor.stats() if cursor.request.measure else None,
+                )
+                for cursor in cursors
+            ]
+        finally:
+            for cursor in cursors:
+                cursor.close()
+
+    @contextmanager
+    def jobs(self, batch: Sequence[AccessRequest]):
+        """The batch's independently drainable groups, and their gather.
+
+        Yields ``(jobs, gather)``. Each job is ``(shard, server,
+        positions)``: ``server.drain`` of the requests at ``positions``
+        is one unit of work, and an executor may run the jobs
+        concurrently; ``gather(results)`` takes the per-job results, in
+        job order, and returns one ``(rows, stats)`` per request, in
+        request order. Whatever the plan depends on is held for the
+        block. A plain server is one job — itself (``shard`` is
+        ``None``), every position, nothing to merge.
+        """
+        yield [(None, self, range(len(batch)))], lambda results: results[0]
 
     def answer_batch(
         self,
@@ -223,48 +369,36 @@ class Serving:
     ) -> BatchResult:
         """Serve a batch of access requests with one shared traversal.
 
-        A thin materializing wrapper over ``open_batch``: the batch
-        is deduplicated and its distinct accesses (sorted — the tree is
-        laid out lexicographically, so nearby bound values touch nearby
-        dictionary entries) ride one shared scan (per shard, behind the
-        sharded facade); every duplicate request shares the answer list
-        computed by its representative. With ``measure=True`` per-access
-        delay accounting matches
+        A thin materializing wrapper over :meth:`drain`: the batch
+        is deduplicated and its distinct accesses
+        (:func:`distinct_requests`) ride one shared scan (per shard,
+        behind the sharded facade); every duplicate request shares the
+        answer list computed by its representative. With
+        ``measure=True`` per-access delay accounting matches
         :func:`~repro.measure.delay.measure_enumeration` — closing gap
         included, because the cursors are drained to exhaustion here
         (see :class:`BatchResult`); a scattered request's stats fold its
         per-shard parts. The structure is resolved once per batch, so
         cache accounting is unchanged.
         """
-        batch = tuple(tuple(access) for access in accesses)
-        unique = sorted(set(batch))
-        cursors = self.open_batch(
-            AccessRequest(view=name, access=access, tau=tau, measure=measure)
-            for access in unique
+        batch, unique, requests = distinct_requests(
+            name, accesses, tau, measure
         )
-        try:
-            drained = [
-                (cursor.fetchall(), cursor.stats() if measure else None)
-                for cursor in cursors
-            ]
-        finally:
-            for cursor in cursors:
-                cursor.close()
-        return self.batch_result(name, batch, unique, drained)
+        return self.batch_result(name, batch, unique, self.drain(requests))
 
     def batch_result(
         self,
         name: str,
         batch: Tuple[Tuple, ...],
         unique: Sequence[Tuple],
-        drained: Sequence[Tuple[List[Tuple], Optional[DelayStats]]],
+        drained: Drained,
     ) -> BatchResult:
         """Assemble one :class:`BatchResult` from its distinct accesses.
 
         ``drained`` aligns with ``unique``: each distinct access's rows
         and (measured) stats. The duplicates ``batch`` holds beyond
         ``unique`` were never opened but were still served; they are
-        accounted for here.
+        accounted for here (:meth:`_count_shared`).
         """
         answers = {access: rows for access, (rows, _) in zip(unique, drained)}
         self._count_shared(name, batch, unique)
@@ -279,6 +413,15 @@ class Serving:
             unique_count=len(unique),
         )
 
+    def _count_shared(
+        self, name: str, batch: Sequence[Tuple], unique: Sequence[Tuple]
+    ) -> None:
+        """Count the duplicates a batch was deduplicated by as served.
+
+        A back end that counts requests overrides this; one that does
+        not (a test fake) inherits the no-op.
+        """
+
     def serve_stream(
         self,
         name: str,
@@ -288,29 +431,50 @@ class Serving:
         measure: bool = True,
     ) -> ServingReport:
         """Drain a request stream in batches and aggregate the measurements."""
+        # The window opens before the first batch is served: the
+        # generator is consumed inside ``finish``.
+        return self.stream_report()(
+            self.answer_batch(name, chunk, tau=tau, measure=measure)
+            for chunk in batched(accesses, batch_size)
+        )
+
+    def stream_report(
+        self,
+    ) -> Callable[[Iterable[BatchResult]], ServingReport]:
+        """Open a stream's measurement window; the result closes it.
+
+        The returned ``finish(results)`` folds the stream's served
+        batches into one :class:`ServingReport` whose wall clock, builds
+        and cache figures are deltas since this call. ``results`` is
+        consumed inside the window, so a lazy iterable that serves as it
+        goes (the sync :meth:`serve_stream`) and a list gathered from
+        tasks (the async one) report through the same code.
+        """
         started = time.perf_counter()
         builds_before = self.total_builds()
         stats_before = self.cache_stats
-        requests = unique = outputs = batches = 0
-        max_gap = 0
-        for chunk in batched(accesses, batch_size):
-            result = self.answer_batch(name, chunk, tau=tau, measure=measure)
-            requests += len(result.accesses)
-            unique += result.unique_count
-            outputs += result.outputs
-            batches += 1
-            max_gap = max(max_gap, result.max_step_gap)
-        return ServingReport(
-            requests=requests,
-            unique_requests=unique,
-            shared_requests=requests - unique,
-            outputs=outputs,
-            batches=batches,
-            builds=self.total_builds() - builds_before,
-            wall_seconds=time.perf_counter() - started,
-            max_step_gap=max_gap,
-            cache=self.cache_stats.delta(stats_before),
-        )
+
+        def finish(results: Iterable[BatchResult]) -> ServingReport:
+            requests = unique = outputs = batches = max_gap = 0
+            for result in results:
+                requests += len(result.accesses)
+                unique += result.unique_count
+                outputs += result.outputs
+                batches += 1
+                max_gap = max(max_gap, result.max_step_gap)
+            return ServingReport(
+                requests=requests,
+                unique_requests=unique,
+                shared_requests=requests - unique,
+                outputs=outputs,
+                batches=batches,
+                builds=self.total_builds() - builds_before,
+                wall_seconds=time.perf_counter() - started,
+                max_step_gap=max_gap,
+                cache=self.cache_stats.delta(stats_before),
+            )
+
+        return finish
 
 
 class ViewServer(Serving):
@@ -373,10 +537,13 @@ class ViewServer(Serving):
         telemetry: Union[Telemetry, bool, None] = None,
     ):
         self.db = db
-        store = None
+        store = self._dynamic_store = None
         if snapshot_dir is not None:
             store = SnapshotStore(
                 snapshot_dir, fingerprint=database_fingerprint(db)
+            )
+            self._dynamic_store = DynamicSnapshotStore(
+                Path(snapshot_dir) / "dynamic"
             )
         self._telemetry, self._owns_telemetry = Telemetry.resolve(
             telemetry, snapshot_dir
@@ -399,21 +566,14 @@ class ViewServer(Serving):
         )
         self._views: Dict[str, Registration] = {}
         self._dynamic: Dict[str, DynamicViewState] = {}
-        self._dynamic_store = (
-            DynamicSnapshotStore(Path(snapshot_dir) / "dynamic")
-            if snapshot_dir is not None
-            else None
-        )
-        # Replicas flip this off: they ingest shipped deltas but never
-        # write snapshots or append to the delta event log.
-        self._writes_dynamic_snapshots = True
+        # Where dynamic snapshots and delta-log lines are *written*: the
+        # store itself on a primary. Replicas set it to None — they read
+        # the store and ingest shipped deltas but never write either.
+        self._dynamic_sink = self._dynamic_store
         self._lock = named_lock("server")
         self._tau_overrides: Dict[str, float] = {}
-        # Resolved metric handles per (view, mode): registry lookups
-        # sort labels and verify buckets under a lock, which is too
-        # much work to repeat on every cursor close in the hot path.
-        # Races are benign — both writers cache identical handles.
-        self._metric_handles: Dict[Tuple[str, str], Tuple] = {}
+        # Resolved metric handles (see :meth:`_handles`).
+        self._metric_handles: Dict[Tuple, Tuple] = {}
         self._build_counts: Dict[CacheKey, int] = {}
         # Monotonic lifetime total: per-key counters are pruned when their
         # generation dies, but stream build-deltas need a counter that
@@ -480,6 +640,9 @@ class ViewServer(Serving):
             tau = float(tau) if tau is not None else DEFAULT_TAU
             if tau <= 0:
                 raise ParameterError(f"tau must be positive, got {tau}")
+        digest = hashlib.sha256(
+            repr(view_state(natural_view)).encode("utf-8")
+        ).hexdigest()[:12]
         with self._lock:
             if name in self._views:
                 raise SchemaError(f"view {name!r} is already registered")
@@ -495,6 +658,7 @@ class ViewServer(Serving):
                 weights=weights,
                 sizes=sizes,
                 generation=self._generation,
+                digest=digest,
             )
         return name
 
@@ -526,13 +690,40 @@ class ViewServer(Serving):
             self._tau_overrides.pop(name, None)
         return True
 
+    def _lookup(
+        self, name: str, tau: Optional[float] = None, served: int = 0
+    ) -> Tuple[Registration, Optional[DynamicViewState], CacheKey]:
+        """``(registration, dynamic state, cache key)`` in ONE lock hold.
+
+        Everything the registry knows about a request: SchemaError for
+        an unknown view, the dynamic serving state (``None`` for a
+        static view), and the cache key. The registration's exact τ must
+        round-trip through the key (:meth:`_build` reuses the
+        optimizer's cover only when the key τ matches it); a tau-less
+        request resolves through the retune override, so the
+        AdaptiveTuner's decisions take effect without re-registration;
+        the generation keeps re-registrations under a reused name apart.
+        ``served`` requests are counted under the same hold.
+        """
+        with self._lock:
+            registration = self._views.get(name)
+            if registration is None:
+                raise SchemaError(f"unknown view {name!r}")
+            self._requests_served += served
+            resolved = (
+                self._tau_overrides.get(name, registration.tau)
+                if tau is None
+                else float(tau)
+            )
+            return (
+                registration,
+                self._dynamic.get(name),
+                (name, resolved, registration.generation),
+            )
+
     def registration(self, name: str) -> Registration:
         """The :class:`Registration` behind ``name``; SchemaError if unknown."""
-        with self._lock:
-            try:
-                return self._views[name]
-            except KeyError:
-                raise SchemaError(f"unknown view {name!r}") from None
+        return self._lookup(name)[0]
 
     def views(self) -> Tuple[str, ...]:
         """Names of every currently registered view."""
@@ -547,9 +738,7 @@ class ViewServer(Serving):
 
         The registration's τ unless :meth:`retune` overrode it.
         """
-        registration = self.registration(name)
-        with self._lock:
-            return self._tau_overrides.get(name, registration.tau)
+        return self._lookup(name)[2][1]
 
     def retune(self, name: str, tau: float) -> float:
         """Override the serving τ of one view; returns the previous one.
@@ -587,11 +776,8 @@ class ViewServer(Serving):
         a dynamic view always is — its current version is held by its
         epochs, not by the LRU.
         """
-        registration = self.registration(name)
-        with self._lock:
-            if name in self._dynamic:
-                return True
-        return self._key(registration, tau) in self._cache
+        _, state, key = self._lookup(name, tau)
+        return state is not None or key in self._cache
 
     def demote(self, name: str) -> int:
         """Drop one view's resident structures, keeping their snapshots.
@@ -668,21 +854,17 @@ class ViewServer(Serving):
                 tau=registration.tau,
                 dynamic=dynamic,
                 version=version,
-                label=self._snapshot_label(registration, registration.tau),
+                label=registration.snapshot_label(registration.tau),
                 origin_relations=origin,
                 rebuild_fraction=rebuild_fraction,
             )
             with self._lock:
                 self._dynamic[name] = state
             self._set_dynamic_gauges(state)
-            store = self._dynamic_store
-            if (
-                not warm
-                and store is not None
-                and self._writes_dynamic_snapshots
-            ):
-                state.save_to(store)
-                store.truncate_log(state.label)
+            sink = self._dynamic_sink
+            if not warm and sink is not None:
+                state.save_to(sink)
+                sink.truncate_log(state.label)
             return name
         except Exception:
             self.unregister(name)
@@ -706,7 +888,7 @@ class ViewServer(Serving):
         """
         store = self._dynamic_store
         if store is not None:
-            label = self._snapshot_label(registration, registration.tau)
+            label = registration.snapshot_label(registration.tau)
             meta = store.load_meta(label)
             if meta is not None:
                 stored = meta["relations"]
@@ -746,10 +928,9 @@ class ViewServer(Serving):
         once its log line is complete) and counts the recovery; replicas
         only ever skip it — the file is the primary's.
         """
-        store = self._dynamic_store
-        if not self._writes_dynamic_snapshots:
-            return store.read_log(label)
-        records, torn = store.recover_log(label)
+        if self._dynamic_sink is None:
+            return self._dynamic_store.read_log(label)
+        records, torn = self._dynamic_sink.recover_log(label)
         if torn and self._telemetry is not None:
             self._telemetry.counter("delta_log_torn_total", view=name).inc()
         return records
@@ -801,7 +982,7 @@ class ViewServer(Serving):
         """
         inserts = [tuple(row) for row in inserts]
         deletes = [tuple(row) for row in deletes]
-        if self._dynamic_store is not None and self._writes_dynamic_snapshots:
+        if self._dynamic_sink is not None:
             # Fail before anything applies: a row the event log cannot
             # encode would otherwise tear serving state (applied) from
             # durable state (never logged).
@@ -853,19 +1034,15 @@ class ViewServer(Serving):
         if outcome.record is None:
             return outcome.applied
         self._set_dynamic_gauges(state)
-        store = self._dynamic_store
-        durable = (
-            forced_version is None
-            and store is not None
-            and self._writes_dynamic_snapshots
-        )
-        if durable:
-            store.append_log(state.label, outcome.record)
+        # A shipped record (forced version) is the primary's to log.
+        sink = self._dynamic_sink if forced_version is None else None
+        if sink is not None:
+            sink.append_log(state.label, outcome.record)
         if outcome.rebuilt:
             with self._lock:
                 self._total_builds += 1
-            if durable:
-                state.save_to(store)
+            if sink is not None:
+                state.save_to(sink)
             if self._telemetry is not None:
                 self._telemetry.counter(
                     "rebuild_triggered_total", view=state.name
@@ -930,12 +1107,12 @@ class ViewServer(Serving):
     def save_dynamic_snapshot(self, name: str) -> int:
         """Write ``name``'s dynamic snapshot and meta now; returns version."""
         state = self._dynamic_state(name)
-        if self._dynamic_store is None or not self._writes_dynamic_snapshots:
+        if self._dynamic_sink is None:
             raise ParameterError(
                 "dynamic snapshots need a snapshot_dir on a primary "
                 "server (replicas never write them)"
             )
-        return state.save_to(self._dynamic_store)
+        return state.save_to(self._dynamic_sink)
 
     def rehydrate_dynamic(self, names: Optional[Iterable[str]] = None) -> int:
         """Reload dynamic views from snapshot + delta log; returns count.
@@ -956,19 +1133,6 @@ class ViewServer(Serving):
             self._set_dynamic_gauges(state)
         return len(targets)
 
-    def _open_dynamic(
-        self, state: DynamicViewState, request: AccessRequest, started: float
-    ) -> AnswerCursor:
-        """Open a cursor pinned to the view's current serving version."""
-        state.check_tau(request.tau)
-        with state.epochs.hold(
-            1, partial(self._set_dynamic_gauges, state)
-        ) as hold:
-            cursor = self._open_on(hold.payload, request, started)
-            hold.keep([cursor])
-        self._set_dynamic_gauges(state)
-        return cursor
-
     def _set_dynamic_gauges(self, state: DynamicViewState, retired=()) -> None:
         """Refresh the cursor-pin and live-version gauges of one view.
 
@@ -978,76 +1142,47 @@ class ViewServer(Serving):
         """
         if self._telemetry is None:
             return
-        key = (state.name, "dynamic")
-        handles = self._metric_handles.get(key)
-        if handles is None:
-            handles = self._metric_handles[key] = (
-                self._telemetry.gauge(
-                    "dynamic_cursor_pins", view=state.name
-                ),
-                self._telemetry.gauge(
-                    "dynamic_live_versions", view=state.name
-                ),
-            )
-        pins, versions = handles
+        pins, versions = self._handles(
+            ("dynamic", state.name),
+            lambda telemetry: (
+                telemetry.gauge("dynamic_cursor_pins", view=state.name),
+                telemetry.gauge("dynamic_live_versions", view=state.name),
+            ),
+        )
         pins.set(state.pin_count())
         versions.set(len(state.live_versions()))
 
     # ------------------------------------------------------------------
     # cached build
     # ------------------------------------------------------------------
-    def _key(self, registration: Registration, tau: Optional[float]) -> CacheKey:
-        # The registration's exact τ must round-trip through the key: _build
-        # reuses the optimizer's cover only when the key τ matches it. The
-        # generation keeps re-registrations under a reused name apart.
-        # A tau-less request resolves through the retune override, so the
-        # AdaptiveTuner's decisions take effect without re-registration.
-        if tau is None:
-            with self._lock:
-                resolved = self._tau_overrides.get(
-                    registration.name, registration.tau
-                )
-        else:
-            resolved = float(tau)
-        return (registration.name, resolved, registration.generation)
+    def _resolve(self, name: str, tau: Optional[float], cursors: int = 0):
+        """``(structure, hold)`` that ``cursors`` cursors are about to open on.
 
-    def _snapshot_label(
-        self, registration: Registration, tau: float
-    ) -> str:
-        """The disk-tier label of one ``(registration, τ)`` build.
-
-        Deliberately excludes the generation (which restarts from 1 in a
-        fresh process — the whole point is surviving restarts) and
-        instead pins what actually determines the built structure: the
-        view's structural digest, τ, and the τ-selection policy/budget.
-        The database itself is covered by the store's fingerprint.
-        """
-        digest = hashlib.sha256(
-            repr(view_state(registration.natural_view)).encode("utf-8")
-        ).hexdigest()[:12]
-        return (
-            f"{registration.name}|{digest}|tau={tau!r}"
-            f"|{registration.policy}|{registration.budget!r}"
-        )
-
-    def representation(
-        self, name: str, tau: Optional[float] = None
-    ) -> CompressedRepresentation:
-        """The cached structure for ``(name, τ)``, building it on a miss.
+        Where a request is resolved, once: one registry-lock hold
+        (:meth:`_lookup`) finds the registration, the dynamic state and
+        the cache key and counts the request; then a dynamic view pins
+        its current serving version — the returned
+        :class:`~repro.engine.epoch.Hold` owns one pin per cursor — and
+        a static view takes its structure from the cache, building it
+        on a miss, under :data:`~repro.engine.epoch.NO_HOLD` (no pin, no
+        close hook, no allocation). Open the cursors inside ``with
+        hold:`` and hand them over with ``hold.keep``.
 
         At most one thread ever builds a given key: late arrivals wait on
         the builder's event and then read the freshly cached entry.
-
-        A dynamic view resolves to its *current* serving version (no
-        pin — use :meth:`open` for drain-safe enumeration).
         """
-        with self._lock:
-            state = self._dynamic.get(name)
+        registration, state, key = self._lookup(name, tau, cursors)
         if state is not None:
-            state.check_tau(tau)
-            return state.epochs.current()[1]
-        registration = self.registration(name)
-        key = self._key(registration, tau)
+            # Both callees test these themselves; skipping the calls
+            # saves two frames per open, which dynamic_mixed can see.
+            if tau is not None:
+                state.check_tau(tau)
+            hold = state.epochs.hold(
+                cursors, partial(self._set_dynamic_gauges, state)
+            )
+            if self._telemetry is not None:
+                self._set_dynamic_gauges(state)
+            return hold.payload, hold
 
         def build() -> CompressedRepresentation:
             built = self._build(registration, key[1])
@@ -1062,7 +1197,7 @@ class ViewServer(Serving):
             return built
 
         label = (
-            self._snapshot_label(registration, key[1])
+            registration.snapshot_label(key[1])
             if self._cache.snapshot_store is not None
             else None
         )
@@ -1078,7 +1213,17 @@ class ViewServer(Serving):
             # cleanups runs last sees the entry). The caller still gets
             # the structure — its request predates the unregistration.
             self._cache.invalidate(key)
-        return built
+        return built, NO_HOLD
+
+    def representation(
+        self, name: str, tau: Optional[float] = None
+    ) -> CompressedRepresentation:
+        """The cached structure for ``(name, τ)``, building it on a miss.
+
+        A dynamic view resolves to its *current* serving version (no
+        pin — use :meth:`open` for drain-safe enumeration).
+        """
+        return self._resolve(name, tau)[0]
 
     def _build(
         self, registration: Registration, tau: float
@@ -1107,16 +1252,14 @@ class ViewServer(Serving):
 
     def _observe_layout_compile(self, name: str, built) -> None:
         """Record what a fresh build spent compiling kernel layouts."""
-        seconds = getattr(built, "layout_compile_seconds", None)
-        if self._telemetry is not None and seconds is not None:
+        if self._telemetry is not None:
             self._telemetry.histogram(
                 "layout_compile_seconds", buckets=LATENCY_BUCKETS, view=name
-            ).observe(seconds)
+            ).observe(built.layout_compile_seconds)
 
     def build_count(self, name: str, tau: Optional[float] = None) -> int:
         """How many times ``(name, τ)`` was actually built (cache misses)."""
-        registration = self.registration(name)
-        key = self._key(registration, tau)
+        key = self._lookup(name, tau)[2]
         with self._lock:
             return self._build_counts.get(key, 0)
 
@@ -1171,50 +1314,45 @@ class ViewServer(Serving):
             tau=tau,
             measure=measure,
         )
-        with self._lock:
-            state = self._dynamic.get(request.view)
-        if state is not None:
-            return self._open_dynamic(state, request, started)
-        return self._open_on(
-            self.representation(request.view, request.tau), request, started
-        )
-
-    def _open_on(
-        self, representation, request: AccessRequest, started: float
-    ) -> AnswerCursor:
-        """Count, open and instrument one cursor over a resolved structure."""
-        with self._lock:
-            self._requests_served += 1
-        cursor = open_cursor(representation, request)
-        if self._telemetry is not None:
-            path = (
-                "columnar"
-                if getattr(representation, "kernel_ready", False)
-                else "fallback"
-            )
-            self._kernel_counter(request.view, path).inc()
-            self._instrument_cursor(cursor, request, started, mode="open")
+        representation, hold = self._resolve(request.view, request.tau, 1)
+        with hold:
+            cursor = open_cursor(representation, request)
+            if self._telemetry is not None:
+                path = "columnar" if representation.kernel_ready else "fallback"
+                self._kernel_counter(request.view, path).inc()
+                self._instrument_cursor(cursor, request, started, mode="open")
+            hold.keep([cursor])
         return cursor
+
+    def _handles(self, key: Tuple, make: Callable[[Telemetry], Tuple]) -> Tuple:
+        """Metric handles resolved once per ``key``, then memoised.
+
+        Registry lookups sort labels and verify buckets under a lock,
+        which is too much work to repeat on every cursor close in the
+        hot path. Races are benign — both writers cache identical
+        handles.
+        """
+        handles = self._metric_handles.get(key)
+        if handles is None:
+            handles = self._metric_handles[key] = make(self._telemetry)
+        return handles
 
     def _kernel_counter(self, view: str, path: str):
         """Resolved ``kernel_enumerations_total`` handle for (view, path)."""
-        key = (view, f"kernel:{path}")
-        handles = self._metric_handles.get(key)
-        if handles is None:
-            handles = self._metric_handles[key] = (
-                self._telemetry.counter(
+        return self._handles(
+            ("kernel", view, path),
+            lambda telemetry: (
+                telemetry.counter(
                     "kernel_enumerations_total", view=view, path=path
                 ),
-            )
-        return handles[0]
+            ),
+        )[0]
 
     def _cursor_metrics(self, view: str, mode: str) -> Tuple:
         """Resolved (requests, answers, latency, gap) metric handles."""
-        key = (view, mode)
-        handles = self._metric_handles.get(key)
-        if handles is None:
-            telemetry = self._telemetry
-            handles = self._metric_handles[key] = (
+        return self._handles(
+            ("cursor", view, mode),
+            lambda telemetry: (
                 telemetry.counter("requests_total", view=view, mode=mode),
                 telemetry.counter("answers_total", view=view),
                 telemetry.histogram(
@@ -1223,8 +1361,8 @@ class ViewServer(Serving):
                 telemetry.histogram(
                     "delay_step_gap", buckets=GAP_BUCKETS, view=view
                 ),
-            )
-        return handles
+            ),
+        )
 
     def _instrument_cursor(
         self,
@@ -1320,7 +1458,13 @@ class ViewServer(Serving):
         with Hold() as opened:
             for (view, tau), indexes in groups.items():
                 group = [batch[index] for index in indexes]
-                scan, scan_cursors = self._open_group(view, tau, group)
+                # A dynamic view's group pins the current serving version
+                # once per cursor; each close hook drops its own pin, and
+                # the last release retires a drained version.
+                representation, hold = self._resolve(view, tau, len(group))
+                with hold:
+                    scan = SharedScan(representation, group)
+                    scan_cursors = hold.keep(scan.cursors())
                 opened.opened += scan_cursors
                 for index, cursor in zip(indexes, scan_cursors):
                     cursors[index] = cursor
@@ -1331,33 +1475,7 @@ class ViewServer(Serving):
                     self._instrument_scan(
                         view, scan, scan_cursors, group, started
                     )
-        with self._lock:
-            self._requests_served += len(batch)
         return cursors
-
-    def _open_group(
-        self,
-        view: str,
-        tau: Optional[float],
-        group: Sequence[AccessRequest],
-    ) -> Tuple[SharedScan, List[AnswerCursor]]:
-        """One ``(view, τ)`` group's shared scan and its cursors.
-
-        A dynamic view's group pins the current serving version once per
-        cursor; each close hook drops its own pin, and the last release
-        retires a drained version.
-        """
-        with self._lock:
-            state = self._dynamic.get(view)
-        if state is None:
-            scan = SharedScan(self.representation(view, tau), group)
-            return scan, scan.cursors()
-        state.check_tau(tau)
-        with state.epochs.hold(
-            len(group), partial(self._set_dynamic_gauges, state)
-        ) as hold:
-            scan = SharedScan(hold.payload, group)
-            return scan, hold.keep(scan.cursors())
 
     def _count_shared(
         self, name: str, batch: Sequence[Tuple], unique: Sequence[Tuple]
@@ -1410,6 +1528,10 @@ class ViewServer(Serving):
 
     @property
     def requests_served(self) -> int:
-        """Requests served over this server's lifetime (cursor opens)."""
+        """Requests served over this server's lifetime.
+
+        One per cursor opened plus the duplicates a batch was
+        deduplicated by, counted as each is resolved.
+        """
         with self._lock:
             return self._requests_served

@@ -56,14 +56,15 @@ from __future__ import annotations
 import heapq
 from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
+from contextlib import contextmanager
 from dataclasses import dataclass
+from itertools import islice
 from pathlib import Path
 from typing import (
     Dict,
     Iterable,
     List,
     Mapping,
-    NamedTuple,
     Optional,
     Sequence,
     Set,
@@ -79,7 +80,13 @@ from repro.engine.cache import CacheStats
 from repro.engine.epoch import Epochs
 from repro.engine.locking import named_lock
 from repro.engine.parallel import ParallelBuilder
-from repro.engine.server import Registration, Serving, ViewServer
+from repro.engine.server import (
+    Drained,
+    Registration,
+    Serving,
+    ViewServer,
+    register_everywhere,
+)
 from repro.engine.telemetry import Telemetry
 from repro.engine.topology import RoutingTable, stable_hash
 from repro.exceptions import ParameterError, SchemaError
@@ -180,26 +187,55 @@ def partition_database(
     if not isinstance(topology, RoutingTable):
         topology = RoutingTable.fresh(int(topology), hash_fn=hash_fn)
     _validate_shard_key(db, shard_key)
+    return list(_place(db, shard_key, topology, topology.shard_ids).values())
+
+
+def _place(
+    db: Database,
+    shard_key: ShardKey,
+    table: RoutingTable,
+    shard_ids: Sequence[str],
+) -> Dict[str, Database]:
+    """Bucket ``db``'s key-relation rows onto ``shard_ids``; build each slice.
+
+    The one bucket-and-build behind :func:`partition_database` (every
+    shard of the table) and a live split (the two children, given the
+    parent's slice): each row goes where ``table`` places its key, and a
+    key the table places outside ``shard_ids`` is refused — hierarchical
+    rendezvous keeps a split parent's keys on its children, so that is
+    a broken table, not a routing decision.
+    """
     buckets: Dict[str, Dict[str, List[Tuple]]] = {
-        name: {shard: [] for shard in topology.shard_ids}
-        for name in shard_key
+        name: {shard: [] for shard in shard_ids} for name in shard_key
     }
     for name, column in shard_key.items():
         rows_by_shard = buckets[name]
         for row in db[name]:
-            rows_by_shard[topology.shard_for(row[column])].append(row)
-    shards: List[Database] = []
-    for shard in topology.shard_ids:
-        relations = []
-        for relation in db:
-            rows = (
-                buckets[relation.name][shard]
-                if relation.name in shard_key
-                else relation.rows
-            )
-            relations.append(Relation(relation.name, relation.arity, rows))
-        shards.append(Database(relations))
-    return shards
+            owner = table.shard_for(row[column])
+            try:
+                rows_by_shard[owner].append(row)
+            except KeyError:
+                raise SchemaError(
+                    f"key {row[column]!r} of {name!r} re-placed outside "
+                    f"the split ({owner!r} is not one of "
+                    f"{list(shard_ids)!r}) — the routing table is not "
+                    "hierarchical"
+                ) from None
+    return {
+        shard: Database(
+            [
+                Relation(
+                    relation.name,
+                    relation.arity,
+                    buckets[relation.name][shard]
+                    if relation.name in shard_key
+                    else relation.rows,
+                )
+                for relation in db
+            ]
+        )
+        for shard in shard_ids
+    }
 
 
 def semijoin_reduce_database(
@@ -297,15 +333,6 @@ class SplitReport:
     retired_immediately: bool  # no pins held: the parent retired at cutover
 
 
-class _Spec(NamedTuple):
-    """One recorded registration, replayable onto a split's children."""
-
-    view: AdornedView
-    name: Optional[str]
-    dynamic: bool
-    knobs: Dict
-
-
 class _Topology:
     """One routing-table version: its table and shard servers (an epoch payload)."""
 
@@ -327,10 +354,10 @@ class ShardedViewServer(Serving):
     :class:`~repro.engine.server.Serving`, so callers can treat both
     interchangeably. Registration (``register`` / ``register_dynamic``),
     ``apply_deltas``, the tuning surface and ``total_builds`` /
-    ``cache_stats`` fan out to the shards;
-    :class:`~repro.engine.async_server.AsyncViewServer` runs the same
-    per-shard groups on its thread pool (:meth:`plan_requests` under one
-    :meth:`pin_version`).
+    ``cache_stats`` fan out to the shards; :meth:`jobs` hands the same
+    per-shard groups to any other executor
+    (:class:`~repro.engine.async_server.AsyncViewServer` drains them on
+    its thread pool) under one held routing-table version.
 
     Parameters
     ----------
@@ -389,7 +416,6 @@ class ShardedViewServer(Serving):
         telemetry: Union[Telemetry, bool, None] = None,
     ):
         self.shard_key: Dict[str, int] = dict(shard_key or {})
-        self._hash_fn = hash_fn
         self._max_entries = max_entries
         self._max_cells = max_cells
         self._snapshot_dir = (
@@ -430,8 +456,6 @@ class ShardedViewServer(Serving):
         # a split replays a consistent registration set — over a state
         # no delta is moving — onto its children.
         self._admin_lock = named_lock("sharding.admin")
-        # Registrations by name, replayed onto split children.
-        self._registrations: Dict[str, _Spec] = {}
         # Maps name -> (mode, bound position); None marks a registration
         # in flight (the name is claimed but not yet routable).
         self._routes: Dict[str, Optional[Tuple[str, Optional[int]]]] = {}
@@ -503,27 +527,6 @@ class ShardedViewServer(Serving):
                 f"routing-table version {version} is not live"
             )
         return top
-
-    def shard_server(
-        self, shard_index: int, version: Optional[int] = None
-    ) -> ViewServer:
-        """The shard server at one index of a (pinned or current) version."""
-        return self._topology_for(version).servers[shard_index]
-
-    def pin_version(self) -> int:
-        """Pin the current routing-table version; returns its number.
-
-        A pinned version's shards cannot retire — in-flight cursors and
-        shared scans keep serving the topology they opened under while
-        a split cuts new requests over. Balance every pin with one
-        :meth:`release_version` (cursor close hooks do this for the
-        serving paths).
-        """
-        return self._epochs.pin()[0]
-
-    def release_version(self, version: int) -> None:
-        """Drop one pin; a drained non-current version retires its shards."""
-        self._retire(self._epochs.release(version))
 
     def version_pins(self, version: Optional[int] = None) -> int:
         """Open pins on a (pinned or current) routing-table version."""
@@ -631,13 +634,21 @@ class ShardedViewServer(Serving):
         means. With ``semijoin_reduce`` on, each shard's registration
         evaluates against a slice-reduced copy of the replicated
         relations (answers are identical; structures are smaller). The
-        registration is recorded so a later :meth:`split_shard` replays
-        it onto the child shards.
+        shards' own :class:`~repro.engine.server.Registration` records
+        are what a later :meth:`split_shard` replays onto its children.
         """
-        knobs = dict(
-            tau=tau, space_budget=space_budget, delay_budget=delay_budget
+        return self._register_everywhere(
+            view,
+            name,
+            lambda server, shard_db, view: server.register(
+                view,
+                tau=tau,
+                space_budget=space_budget,
+                delay_budget=delay_budget,
+                name=name,
+                database=self._shard_view_database(view, shard_db),
+            ),
         )
-        return self._register_everywhere(view, name, False, knobs)
 
     def register_dynamic(
         self,
@@ -657,46 +668,43 @@ class ShardedViewServer(Serving):
         semijoin reduction: deltas address raw base-relation tuples,
         which a slice-reduced replica copy could silently drop.
         """
-        knobs = dict(tau=tau, rebuild_fraction=rebuild_fraction)
-        return self._register_everywhere(view, name, True, knobs)
+        return self._register_everywhere(
+            view,
+            name,
+            lambda server, shard_db, view: server.register_dynamic(
+                view, tau=tau, name=name, rebuild_fraction=rebuild_fraction
+            ),
+        )
 
-    def _register_everywhere(
-        self,
-        view: Union[AdornedView, str],
-        name: Optional[str],
-        dynamic: bool,
-        knobs: Dict,
-    ) -> str:
-        """Claim the name, register on every shard or none, publish the route."""
+    def _register_everywhere(self, view, name, register) -> str:
+        """Claim the name, register on every shard or none, publish the route.
+
+        ``register(server, shard database, parsed view)`` registers the
+        view on one shard.
+        """
         if isinstance(view, str):
             view = parse_view(view)
         route = self._resolve_route(view)
         intended = name or view.name
-        spec = _Spec(view, name, dynamic, knobs)
         with self._routes_lock:
             # Claim the name first so concurrent registrations of the
             # same name fail fast instead of half-registering both.
             if intended in self._routes:
                 raise SchemaError(f"view {intended!r} is already registered")
             self._routes[intended] = None
-        registered: List[ViewServer] = []
         try:
             with self._admin_lock:
                 with self._topology_lock:
-                    targets = [
-                        (self._servers[sid], self._databases[sid])
+                    databases = {
+                        self._servers[sid]: self._databases[sid]
                         for sid in self._topology_for().shard_ids
-                    ]
-                for server, shard_db in targets:
-                    resolved = self._register_on(server, shard_db, spec)
-                    assert resolved == intended
-                    registered.append(server)
-                self._registrations[intended] = spec
+                    }
+                register_everywhere(
+                    intended,
+                    databases,
+                    lambda server: register(server, databases[server], view),
+                )
         except BaseException:
-            # All shards or none: a half-registered view would wedge the
-            # name (unroutable here, 'already registered' on retry).
-            for server in registered:
-                server.unregister(intended)
             with self._routes_lock:
                 del self._routes[intended]
             raise
@@ -704,39 +712,10 @@ class ShardedViewServer(Serving):
             self._routes[intended] = route
         return intended
 
-    def _register_on(
-        self,
-        server: ViewServer,
-        shard_db: Database,
-        spec: _Spec,
-        current: Optional[Database] = None,
-    ) -> str:
-        """Replay one recorded registration onto one shard server.
-
-        ``current`` is a dynamic view's starting state when that is not
-        the shard's base slice (a split child's share of its parent).
-        """
-        if spec.dynamic:
-            return server.register_dynamic(
-                spec.view, name=spec.name, database=current, **spec.knobs
-            )
-        return server.register(
-            spec.view,
-            name=spec.name,
-            database=self._shard_view_database(spec.view, shard_db),
-            **spec.knobs,
-        )
-
     def dynamic_views(self) -> Tuple[str, ...]:
         """Names registered for dynamic serving (identical on all shards)."""
-        with self._routes_lock:
-            names = tuple(
-                name
-                for name, route in self._routes.items()
-                if route is not None
-            )
         dynamic = set(self._topology_for().servers[0].dynamic_views())
-        return tuple(name for name in names if name in dynamic)
+        return tuple(name for name in self.views() if name in dynamic)
 
     def apply_deltas(
         self,
@@ -807,7 +786,6 @@ class ShardedViewServer(Serving):
                 return False
             del self._routes[name]
         with self._admin_lock:
-            self._registrations.pop(name, None)
             # Retiring shards lose the view too: a pinned cursor
             # already holds its structure, and a retired cache must
             # not resurrect an unregistered view.
@@ -842,24 +820,20 @@ class ShardedViewServer(Serving):
                 if route is not None
             )
 
-    def shard_of(
-        self, name: str, access: Sequence, version: Optional[int] = None
-    ) -> Optional[int]:
+    def shard_of(self, name: str, access: Sequence) -> Optional[int]:
         """The shard index one access pins, or ``None`` for scatter views.
 
-        Indexes are positions within the (pinned or current) topology's
-        :attr:`shard_ids`; callers fanning a batch out across awaits
-        should pin a version first so a concurrent split cannot shift
-        the indexes under them.
+        Indexes are positions within the current topology's
+        :attr:`shard_ids` — a diagnostic: a concurrent split can shift
+        them, so executors take their shards from :meth:`jobs`, which
+        holds one topology for the whole plan.
         """
         mode, position = self.route(name)
         if mode == SCATTER:
             return None
         if mode == PINNED:
             return 0
-        return self._owner(
-            self._topology_for(version), name, position, tuple(access)
-        )
+        return self._owner(self._topology_for(), name, position, tuple(access))
 
     @staticmethod
     def _owner(top: _Topology, name: str, position: int, access: Tuple) -> int:
@@ -940,18 +914,10 @@ class ShardedViewServer(Serving):
         requests on any shard build/load at the new τ.
         """
         self.route(name)
-        previous: Optional[float] = None
-        for server in self.shards:
-            before = server.retune(name, tau)
-            if previous is None:
-                previous = before
-        return previous if previous is not None else tau
+        return [server.retune(name, tau) for server in self.shards][0]
 
-    def prefetch(
-        self, name: str, tau: Optional[float] = None
-    ) -> List[CompressedRepresentation]:
-        """Warm one view on every shard (alias of :meth:`prebuild`)."""
-        return self.prebuild(name, tau)
+    #: The tuning surface's name for :meth:`prebuild`.
+    prefetch = prebuild
 
     def resident(self, name: str, tau: Optional[float] = None) -> bool:
         """True when the view's structure is cache-resident on EVERY shard."""
@@ -1008,48 +974,6 @@ class ShardedViewServer(Serving):
         )
         return report
 
-    def _slice_children(
-        self, parent_db: Database, table: RoutingTable, children: Sequence[str]
-    ) -> Tuple[Dict[str, Database], int]:
-        """Re-place one parent's rows onto its children; (slices, rows moved).
-
-        Hierarchical rendezvous guarantees each key lands on one of the
-        two children; replicated relations are copied into both.
-        """
-        buckets: Dict[str, Dict[str, List[Tuple]]] = {
-            child: {key_name: [] for key_name in self.shard_key}
-            for child in children
-        }
-        moved = 0
-        for key_name, column in self.shard_key.items():
-            for row in parent_db[key_name]:
-                owner = table.shard_for(row[column])
-                if owner not in buckets:
-                    raise SchemaError(
-                        f"split of {children!r}'s parent: key "
-                        f"{row[column]!r} re-placed outside the split "
-                        f"({owner!r}) — the routing table is not "
-                        "hierarchical"
-                    )
-                buckets[owner][key_name].append(row)
-                moved += 1
-        slices = {
-            child: Database(
-                [
-                    Relation(
-                        relation.name,
-                        relation.arity,
-                        buckets[child][relation.name]
-                        if relation.name in self.shard_key
-                        else relation.rows,
-                    )
-                    for relation in parent_db
-                ]
-            )
-            for child in children
-        }
-        return slices, moved
-
     def _split_shard(self, shard_id: Union[str, int]) -> SplitReport:
         # split_shard minus telemetry — the traced wrapper above calls it.
         shard_id = str(shard_id)
@@ -1064,39 +988,49 @@ class ShardedViewServer(Serving):
                     )
                 parent_server = self._servers[shard_id]
                 parent_db = self._databases[shard_id]
-                specs = dict(self._registrations)
             new_table = old.table.split(shard_id)
             children = new_table.children(shard_id)
             # Re-place only the parent's slice.
-            child_dbs, moved = self._slice_children(
-                parent_db, new_table, children
-            )
+            child_dbs = _place(parent_db, self.shard_key, new_table, children)
+            moved = sum(len(parent_db[name]) for name in self.shard_key)
             child_servers = {
                 child: self._make_shard_server(child, child_dbs[child])
                 for child in children
             }
-            for view_name, spec in specs.items():
-                current: Dict[str, Optional[Database]] = dict.fromkeys(children)
-                if spec.dynamic:
+            # The parent's own registrations replay onto the children
+            # (none can change meanwhile: registration takes the admin
+            # lock too).
+            warmed = parent_server.views()
+            dynamic = set(parent_server.dynamic_views())
+            for view_name in warmed:
+                registration = parent_server.registration(view_name)
+                if view_name in dynamic:
                     # A dynamic view's children start from the parent's
                     # *current* state — base slice plus every delta so
                     # far (none can land meanwhile: deltas take the
                     # admin lock too) — sliced exactly like the base.
-                    current, _ = self._slice_children(
-                        parent_server._dynamic_state(
-                            view_name
-                        ).current_database(),
+                    state = parent_server._dynamic_state(view_name)
+                    starts = _place(
+                        state.current_database(),
+                        self.shard_key,
                         new_table,
                         children,
                     )
+                    fraction = state.rebuild_fraction
+                else:
+                    starts = {
+                        child: self._shard_view_database(
+                            registration.view, child_dbs[child]
+                        )
+                        for child in children
+                    }
+                    fraction = None
+                # No roll-back here: a failed replay aborts the split
+                # and the children are dropped with it.
                 for child in children:
-                    resolved = self._register_on(
-                        child_servers[child],
-                        child_dbs[child],
-                        spec,
-                        current[child],
+                    registration.replay(
+                        child_servers[child], starts[child], fraction
                     )
-                    assert resolved == view_name
             # Demote the hot shard's resident structures to its snapshot
             # tier now: pinned stragglers warm-load instead of rebuilding,
             # and the retiring shard's memory can be reclaimed at drain.
@@ -1104,7 +1038,6 @@ class ShardedViewServer(Serving):
             # Warm the children while the old topology keeps serving;
             # with a shared ParallelBuilder the builds land on worker
             # processes. Warm failures abort the split before cutover.
-            warmed = tuple(specs)
             if warmed:
                 workers = max(1, 2 * len(warmed))
                 with ThreadPoolExecutor(
@@ -1146,16 +1079,22 @@ class ShardedViewServer(Serving):
     # planning: which shard serves which request
     # ------------------------------------------------------------------
     def _plan(
-        self, top: _Topology, name: str, accesses: Sequence[Tuple]
+        self,
+        top: _Topology,
+        name: str,
+        accesses: Sequence[Tuple],
+        served: bool = True,
     ) -> Tuple[str, List[List[int]]]:
         """(mode, per-shard positions into ``accesses``) for one view.
 
         The one routing decision: scatter views repeat every position on
         every shard, pinned views put them all on shard 0, routed views
-        send each to the shard owning its bound value. Routing
-        accounting lives with it, so every executor of a plan — cursors,
-        batches, the async fan-out — lands in
-        ``shard_requests_total{shard,mode}``.
+        send each to the shard owning its bound value. The facade's
+        accounting lives with it, so every executor of a plan —
+        cursors, batches, :meth:`jobs` — counts each request once in
+        :attr:`requests_served` (a scattered one too) and once per
+        shard it touches in ``shard_requests_total{shard,mode}``;
+        ``served=False`` only plans (:meth:`plan_batch`).
         """
         mode, position = self.route(name)
         plan: List[List[int]] = [[] for _ in top.shard_ids]
@@ -1166,45 +1105,40 @@ class ShardedViewServer(Serving):
             # Everything, on every shard (scatter) or on shard 0 (pinned).
             for positions in plan if mode == SCATTER else plan[:1]:
                 positions.extend(range(len(accesses)))
-        if self._telemetry is not None:
-            for shard_id, positions in zip(top.shard_ids, plan):
-                if positions:
-                    self._telemetry.counter(
-                        "shard_requests_total", shard=shard_id, mode=mode
-                    ).inc(len(positions))
+        if served:
+            with self._served_lock:
+                self._requests_served += len(accesses)
+            if self._telemetry is not None:
+                for shard_id, positions in zip(top.shard_ids, plan):
+                    if positions:
+                        self._telemetry.counter(
+                            "shard_requests_total", shard=shard_id, mode=mode
+                        ).inc(len(positions))
         return mode, plan
 
     def plan_batch(
-        self,
-        name: str,
-        accesses: Iterable[Sequence],
-        version: Optional[int] = None,
+        self, name: str, accesses: Iterable[Sequence]
     ) -> List[List[Tuple]]:
         """Per-shard sub-batches for one batch (index-aligned to shards).
 
         Scatter views repeat the whole batch on every shard; routed views
-        split it; shards with no work get an empty list. Pass a pinned
-        topology ``version`` when the plan must line up with shard
-        servers resolved later, so a concurrent split cannot shift the
-        shard indexes in between.
+        split it; shards with no work get an empty list. Planning alone
+        serves nothing, so it counts nothing.
         """
         batch = [tuple(access) for access in accesses]
-        _, plan = self._plan(self._topology_for(version), name, batch)
+        _, plan = self._plan(self._topology_for(), name, batch, served=False)
         return [[batch[index] for index in positions] for positions in plan]
 
-    def plan_requests(
-        self,
-        requests: Sequence[AccessRequest],
-        version: Optional[int] = None,
-    ) -> Tuple[Set[int], List[List[int]]]:
-        """:meth:`plan_batch` for a typed, possibly mixed-view batch.
+    def _plan_requests(
+        self, top: _Topology, requests: Sequence[AccessRequest]
+    ) -> Tuple[Set[int], List[Tuple[int, ViewServer, List[int]]]]:
+        """:meth:`_plan` for a typed, possibly mixed-view batch being served.
 
-        Returns ``(scatter, plan)``: the positions of the requests that
+        Returns ``(scatter, jobs)``: the positions of the requests that
         fan out to every shard (their per-shard answers need merging),
-        and per shard — index-aligned to the version's shards — the
-        positions into ``requests`` it serves.
+        and one ``(shard index, shard server, positions into requests)``
+        per shard of ``top`` that has work.
         """
-        top = self._topology_for(version)
         by_view: Dict[str, List[int]] = {}
         for position, request in enumerate(requests):
             by_view.setdefault(request.view, []).append(position)
@@ -1218,8 +1152,30 @@ class ShardedViewServer(Serving):
                 scatter.update(positions)
             for merged, indexes in zip(plan, local):
                 merged.extend(positions[index] for index in indexes)
-        return scatter, plan
+        return scatter, [
+            (shard, server, positions)
+            for shard, (server, positions) in enumerate(zip(top.servers, plan))
+            if positions
+        ]
 
+    def _count_shared(
+        self, name: str, batch: Sequence[Tuple], unique: Sequence[Tuple]
+    ) -> None:
+        # The duplicates answer_batch deduplicated away were still
+        # served. With telemetry on, planning them counts them here and
+        # per shard; without it only the total is kept, and routing
+        # them again would be wasted work on every skewed batch.
+        extra = len(batch) - len(unique)
+        if extra and self._telemetry is not None:
+            duplicates = Counter(batch) - Counter(unique)
+            self._plan(self._topology_for(), name, list(duplicates.elements()))
+        elif extra:
+            with self._served_lock:
+                self._requests_served += extra
+
+    # ------------------------------------------------------------------
+    # serving: the two primitives and the job plan (Serving adds the rest)
+    # ------------------------------------------------------------------
     @staticmethod
     def _gather(
         request: AccessRequest, scattered: bool, parts: List[AnswerCursor]
@@ -1234,22 +1190,6 @@ class ShardedViewServer(Serving):
             return parts[0]
         return AnswerCursor(request, heapq.merge(*parts), parts=parts)
 
-    def _count_shared(
-        self, name: str, batch: Sequence[Tuple], unique: Sequence[Tuple]
-    ) -> None:
-        # Facade-level counts: open_batch routed and counted the
-        # distinct requests; the duplicates answer_batch deduplicated
-        # away were still served — planning them lands them in the same
-        # routing counters.
-        with self._served_lock:
-            self._requests_served += len(batch) - len(unique)
-        if self._telemetry is not None and len(batch) > len(unique):
-            duplicates = Counter(batch) - Counter(unique)
-            self.plan_batch(name, list(duplicates.elements()))
-
-    # ------------------------------------------------------------------
-    # serving: the two primitives (Serving adds the materializing wrappers)
-    # ------------------------------------------------------------------
     def open(
         self,
         request: Union[AccessRequest, str],
@@ -1292,10 +1232,6 @@ class ShardedViewServer(Serving):
             (cursor,) = hold.keep(
                 [self._gather(request, mode == SCATTER, list(hold.opened))]
             )
-        with self._served_lock:
-            # Facade-level count: one request, however many shards the
-            # scatter fan-out touched.
-            self._requests_served += 1
         return cursor
 
     def open_batch(
@@ -1303,8 +1239,8 @@ class ShardedViewServer(Serving):
     ) -> List[AnswerCursor]:
         """Open cursors for a whole request batch through the routing layer.
 
-        The batch is grouped per owning shard (:meth:`plan_requests`)
-        and each shard serves its group through ONE
+        The batch is grouped per owning shard and each shard serves its
+        group through ONE
         :meth:`ViewServer.open_batch <repro.engine.server.ViewServer.open_batch>`
         — one shared scan per ``(view, τ)`` it holds; scatter requests
         ride every shard's group, and each gets a lazy k-way heap merge
@@ -1317,22 +1253,17 @@ class ShardedViewServer(Serving):
         close hook — the whole shared scan drains against one topology.
         """
         batch = [as_request(request) for request in requests]
-        if not batch:
-            return []
         with self._epochs.hold(len(batch), self._retire) as hold:
-            top = hold.payload
-            scatter, plan = self.plan_requests(batch, hold.version)
+            scatter, jobs = self._plan_requests(hold.payload, batch)
             parts: List[List[AnswerCursor]] = [[] for _ in batch]
-            for server, positions in zip(top.servers, plan):
-                if not positions:
-                    continue
+            for _, server, positions in jobs:
                 shard_cursors = server.open_batch(
                     [batch[position] for position in positions]
                 )
                 hold.opened += shard_cursors
                 for position, cursor in zip(positions, shard_cursors):
                     parts[position].append(cursor)
-            cursors = hold.keep(
+            return hold.keep(
                 [
                     self._gather(request, position in scatter, pieces)
                     for position, (request, pieces) in enumerate(
@@ -1340,9 +1271,48 @@ class ShardedViewServer(Serving):
                     )
                 ]
             )
-        with self._served_lock:
-            self._requests_served += len(batch)
-        return cursors
+
+    @contextmanager
+    def jobs(self, batch: Sequence[AccessRequest]):
+        """One job per owning shard, under one held routing-table version.
+
+        :meth:`Serving.jobs <repro.engine.server.Serving.jobs>` for the
+        facade: the plan :meth:`open_batch` executes with lazy cursors,
+        handed to an executor that drains each shard's group wherever
+        it likes. The version is pinned for the block, so a concurrent
+        :meth:`split_shard` cuts over *between* batches, never under
+        one, and released on the way out however the block ends.
+        ``gather`` heap-merges a scattered request's per-shard rows
+        (disjoint and sorted; each shard already honored the limit, so
+        the merged stream only needs re-capping) and folds their stats
+        with :func:`merge_delay_stats`.
+        """
+        with self._epochs.hold(1, self._retire) as hold:
+            scatter, jobs = self._plan_requests(hold.payload, batch)
+
+            def gather(results: Sequence[Drained]) -> Drained:
+                pieces: List[Drained] = [[] for _ in batch]
+                for (_, _, positions), drained in zip(jobs, results):
+                    for position, pair in zip(positions, drained):
+                        pieces[position].append(pair)
+                gathered: Drained = []
+                for position, (request, parts) in enumerate(
+                    zip(batch, pieces)
+                ):
+                    if position not in scatter:
+                        gathered.append(parts[0])
+                        continue
+                    merged = heapq.merge(*(rows for rows, _ in parts))
+                    stats = [stats for _, stats in parts if stats is not None]
+                    gathered.append(
+                        (
+                            list(islice(merged, request.limit)),
+                            merge_delay_stats(stats) if stats else None,
+                        )
+                    )
+                return gathered
+
+            yield jobs, gather
 
     # ------------------------------------------------------------------
     # aggregation and introspection

@@ -8,7 +8,7 @@ import pytest
 
 from oracle import oracle_accesses, oracle_answer
 from repro.engine import AsyncViewServer, ShardedViewServer
-from repro.engine.server import BatchResult
+from repro.engine.server import Serving
 from repro.exceptions import ParameterError
 from repro.query.parser import parse_view
 from repro.workloads import (
@@ -28,8 +28,12 @@ def triangle_setup():
     return view, db
 
 
-class SlowBackend:
-    """A ViewServer stand-in that records concurrency while sleeping."""
+class SlowBackend(Serving):
+    """A back-end stand-in that records concurrency while sleeping.
+
+    ``drain`` is the one seam a fake needs: everything the front end
+    does with a back end goes through :class:`Serving`.
+    """
 
     def __init__(self, delay=0.02):
         self.delay = delay
@@ -40,20 +44,14 @@ class SlowBackend:
     def register(self, view, **kwargs):
         return "slow"
 
-    def answer_batch(self, name, accesses, tau=None, measure=True):
+    def drain(self, requests):
         with self._lock:
             self.in_flight += 1
             self.max_in_flight = max(self.max_in_flight, self.in_flight)
         time.sleep(self.delay)
         with self._lock:
             self.in_flight -= 1
-        batch = tuple(tuple(a) for a in accesses)
-        return BatchResult(
-            accesses=batch,
-            answers=tuple([] for _ in batch),
-            request_stats={},
-            unique_count=len(set(batch)),
-        )
+        return [([], None) for _ in requests]
 
     def total_builds(self):
         return 0

@@ -19,6 +19,7 @@ import asyncio
 import pytest
 
 from oracle import oracle_answer
+from repro.database.catalog import Database
 from repro.engine import (
     AsyncViewServer,
     ReplicaServer,
@@ -26,7 +27,7 @@ from repro.engine import (
     ViewServer,
     semijoin_reduce_database,
 )
-from repro.exceptions import ParameterError, SnapshotError
+from repro.exceptions import ParameterError, SchemaError, SnapshotError
 from repro.query.parser import parse_view
 from repro.workloads import (
     productive_accesses,
@@ -300,6 +301,30 @@ class TestAsyncReplicas:
             extra.close()
             sharded.close()
 
+    def test_register_is_all_or_none(self, setup, tmp_path):
+        # A replica that refuses (its database lacks a relation) used to
+        # leave the primary registered: the retry failed "already
+        # registered" and the name was wedged.
+        view, db = setup
+        primary = ViewServer(db)
+        partial = Database([r for r in db if r.name != "T"])
+        broken = ReplicaServer(partial, snapshot_dir=tmp_path)
+        healthy = ReplicaServer(db, snapshot_dir=tmp_path)
+        try:
+            front = AsyncViewServer(primary, replicas=[healthy, broken])
+            with pytest.raises(SchemaError):
+                front.register(view, tau=TAU)
+            front.close()
+            assert primary.views() == ()
+            assert healthy.views() == ()
+            front = AsyncViewServer(primary, replicas=[healthy])
+            name = front.register(view, tau=TAU)
+            front.close()
+            assert primary.views() == healthy.views() == (name,)
+        finally:
+            for server in (primary, broken, healthy):
+                server.close()
+
     def test_balancer_name_is_validated(self, setup):
         _, db = setup
         backend = ViewServer(db)
@@ -395,17 +420,17 @@ class TestAsyncReplicas:
         name = backend.register(view, tau=TAU)
         keys = productive_accesses(view, db)
         active = {"now": 0, "max": 0}
-        real_answer_batch = backend.answer_batch
+        real_drain = backend.drain
 
-        def spying_answer_batch(*args, **kwargs):
+        def spying_drain(*args, **kwargs):
             active["now"] += 1
             active["max"] = max(active["max"], active["now"])
             try:
-                return real_answer_batch(*args, **kwargs)
+                return real_drain(*args, **kwargs)
             finally:
                 active["now"] -= 1
 
-        backend.answer_batch = spying_answer_batch
+        backend.drain = spying_drain
 
         async def drive():
             server = AsyncViewServer(

@@ -124,6 +124,24 @@ class TestCLI:
         assert "fhw(H)        = 1.500" in output
         assert "fhw(H | V_b)" in output
 
+    @pytest.mark.parametrize("command", ["answer", "sweep", "widths"])
+    def test_every_subcommand_reports_errors_the_same_way(
+        self, command, triangle_dir, tmp_path, capsys
+    ):
+        # One "<subcommand>: <error>" line and exit code 2 — these three
+        # used to dump a QueryError / SchemaError traceback.
+        extra = ["--access", "1,2"] if command != "widths" else []
+        bad_view = [command, "--view", "nonsense", "--data", str(triangle_dir)]
+        bad_data = [
+            command, "--view", self.VIEW, "--data", str(tmp_path / "absent"),
+        ]
+        for argv in (bad_view, bad_data):
+            assert main(argv + extra) == 2
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            (line,) = captured.err.splitlines()
+            assert line.startswith(f"{command}: ")
+
     def test_serve_command(self, triangle_dir, tmp_path, capsys):
         requests = tmp_path / "requests.txt"
         requests.write_text("1,2\n3,1\n1,2\n# comment\n\n9,9\n")

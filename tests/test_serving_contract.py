@@ -1,0 +1,383 @@
+"""One plan, every executor: the ``Serving`` contract, checked differentially.
+
+A back end implements ``open`` / ``open_batch``; everything a front end
+does with it goes through :class:`~repro.engine.server.Serving` —
+``drain`` (one unit of work), ``jobs`` (the independently drainable
+groups of a batch plus their gather) and the result assembly. So the
+same batch must come out the same — rows, order, step accounting,
+request counts, pins — whichever executor runs the plan: the calling
+thread (``answer_batch``) or the async front end's worker pool
+(``serve`` / ``answer_requests``), over a plain server or a sharded one.
+"""
+
+from __future__ import annotations
+
+import asyncio
+import threading
+
+import pytest
+
+from oracle import oracle_answer
+from repro.database.catalog import Database
+from repro.database.relation import Relation
+from repro.engine import (
+    AsyncViewServer,
+    ShardedViewServer,
+    Telemetry,
+    ViewServer,
+)
+from repro.engine import locking
+from repro.engine.api import AccessRequest
+from repro.engine.server import ServingReport
+from repro.engine.telemetry import AdaptiveTuner
+from repro.query.parser import parse_view
+
+ROUTED = parse_view("Q^bff(a, b, c) = R(a, b), S(b, c)")
+SCATTER = parse_view("F^fff(a, b, c) = R(a, b), S(b, c)")
+PINNED = parse_view("P^bf(b, c) = S(b, c)")
+VIEWS = {"Q": ROUTED, "F": SCATTER, "P": PINNED}
+SHARD_KEY = {"R": 0}
+TAU = 4.0
+
+
+def database() -> Database:
+    return Database(
+        [
+            Relation("R", 2, [(i, i % 7) for i in range(40)]),
+            Relation("S", 2, [(i % 7, i) for i in range(40)]),
+        ]
+    )
+
+
+def make_backend(kind: str, telemetry=None, dynamic=()):
+    """A plain or 3-shard back end with the three routing modes registered."""
+    db = database()
+    if kind == "plain":
+        backend = ViewServer(db, telemetry=telemetry)
+    else:
+        backend = ShardedViewServer(db, 3, SHARD_KEY, telemetry=telemetry)
+    for name, view in VIEWS.items():
+        if name in dynamic:
+            backend.register_dynamic(view, tau=TAU)
+        else:
+            backend.register(view, tau=TAU)
+    if kind == "sharded":
+        assert [backend.route(name)[0] for name in "QFP"] == [
+            "routed",
+            "scatter",
+            "pinned",
+        ]
+    return db, backend
+
+
+def run(front: AsyncViewServer, coroutine):
+    """Drive one coroutine on a fresh loop (re-arming the semaphores)."""
+    front.reset()
+    return asyncio.run(coroutine)
+
+
+def assert_drained(backend) -> None:
+    """Nothing the batch pinned is still pinned."""
+    if isinstance(backend, ShardedViewServer):
+        assert backend.version_pins() == 0
+        assert len(backend.live_versions()) == 1
+
+
+#: Per view: a batch with duplicates, productive accesses and a miss.
+BATCHES = {
+    "Q": [(1,), (2,), (1,), (9,), (30,), (2,), (1,), (99,)],
+    "F": [(), ()],
+    "P": [(3,), (0,), (3,), (5,)],
+}
+
+
+@pytest.mark.parametrize("kind", ["plain", "sharded"])
+class TestEveryExecutorAgrees:
+    @pytest.mark.parametrize("name", ["Q", "F", "P"])
+    def test_batch_paths_agree_on_rows_stats_and_counts(self, kind, name):
+        db, backend = make_backend(kind)
+        front = AsyncViewServer(backend, max_workers=3)
+        accesses = BATCHES[name]
+        try:
+            before = backend.requests_served
+            sync = backend.answer_batch(name, accesses)
+            after_sync = backend.requests_served
+            served = run(front, front.serve(name, accesses)).result
+            after_serve = backend.requests_served
+            rows = run(
+                front,
+                front.answer_requests(
+                    AccessRequest(name, access, measure=True)
+                    for access in accesses
+                ),
+            )
+            after_requests = backend.requests_served
+        finally:
+            front.close()
+            backend.close()
+        expected = [oracle_answer(VIEWS[name], db, a) for a in accesses]
+        assert list(sync.answers) == expected
+        assert list(served.answers) == expected
+        assert rows == expected
+        assert sync.accesses == served.accesses
+        assert sync.unique_count == served.unique_count
+        assert set(sync.request_stats) == set(served.request_stats)
+        for access, stats in sync.request_stats.items():
+            other = served.request_stats[access]
+            assert (stats.outputs, stats.step_total, stats.step_max_gap) == (
+                other.outputs,
+                other.step_total,
+                other.step_max_gap,
+            ), access
+        # Each path served len(batch) requests: duplicates included, a
+        # scattered request once — never once per shard.
+        assert after_sync - before == len(accesses)
+        assert after_serve - after_sync == len(accesses)
+        assert after_requests - after_serve == len(accesses)
+        assert_drained(backend)
+
+    def test_mixed_views_and_limits_agree(self, kind):
+        db, backend = make_backend(kind)
+        front = AsyncViewServer(backend, max_workers=3)
+        requests = [
+            AccessRequest("Q", (1,), limit=2),
+            AccessRequest("F", (), limit=5),
+            AccessRequest("P", (3,)),
+            AccessRequest("Q", (1,), limit=2),
+            AccessRequest("F", (), limit=0),
+            AccessRequest("Q", (30,), start_after=(2, 9)),
+            AccessRequest("F", (), start_after=(5, 5, 12), limit=3),
+        ]
+        try:
+            before = backend.requests_served
+            drained = backend.drain(requests)
+            rows = run(front, front.answer_requests(requests))
+            assert backend.requests_served - before == 2 * len(requests)
+        finally:
+            front.close()
+            backend.close()
+        assert [r for r, stats in drained] == rows
+        assert all(stats is None for _, stats in drained)
+        for request, answer in zip(requests, rows):
+            full = oracle_answer(VIEWS[request.view], db, request.access)
+            if request.start_after is not None:
+                full = [row for row in full if row > request.start_after]
+            assert answer == full[: request.limit], request
+        assert_drained(backend)
+
+    def test_async_stream_report_is_a_serving_report(self, kind):
+        _, backend = make_backend(kind)
+        front = AsyncViewServer(backend, max_workers=2)
+        stream = BATCHES["Q"] * 3
+        try:
+            sync = backend.serve_stream("Q", stream, batch_size=8)
+            report = run(front, front.serve_stream("Q", stream, batch_size=8))
+        finally:
+            front.close()
+            backend.close()
+        assert isinstance(report, ServingReport)
+        for field in (
+            "requests",
+            "unique_requests",
+            "shared_requests",
+            "outputs",
+            "batches",
+            "max_step_gap",
+        ):
+            assert getattr(report, field) == getattr(sync, field), field
+        assert report.requests_per_second > 0
+        assert report.queue_seconds_max >= report.queue_seconds_mean >= 0.0
+
+
+class Boom(Exception):
+    """One shard's ``open_batch`` failing mid-fan-out."""
+
+
+class TestFailedFanOutLeavesNoPin:
+    """The failed-batch pin-leak case of test_pin_leaks, on every path."""
+
+    def _backend(self):
+        _, backend = make_backend("sharded", dynamic=("Q", "F"))
+        accesses = [(a,) for a in range(12)] + [(3,), (3,)]
+        assert {backend.shard_of("Q", a) for a in accesses} == {0, 1, 2}
+
+        def boom(requests):
+            raise Boom()
+
+        backend.shards[2].open_batch = boom
+        return backend, accesses
+
+    def _assert_nothing_pinned(self, backend) -> None:
+        assert_drained(backend)
+        for shard in backend.shards:
+            for name in ("Q", "F"):
+                assert shard._dynamic_state(name).pin_count() == 0
+        # Nothing holds version 0: the next delta retires it.
+        backend.apply_deltas("S", inserts=[(6, 999)])
+        for shard in backend.shards:
+            for name in ("Q", "F"):
+                assert shard._dynamic_state(name).live_versions() == (1,)
+
+    def test_every_path_fails_alike_and_releases(self):
+        backend, accesses = self._backend()
+        front = AsyncViewServer(backend, max_workers=3)
+        requests = [AccessRequest("Q", a) for a in accesses]
+        requests.append(AccessRequest("F", ()))
+        deltas = []
+        try:
+            for attempt in (
+                lambda: backend.answer_batch("Q", accesses),
+                lambda: run(front, front.serve("Q", accesses)),
+                lambda: backend.drain(requests),
+                lambda: run(front, front.answer_requests(requests)),
+            ):
+                before = backend.requests_served
+                with pytest.raises(Boom):
+                    attempt()
+                deltas.append(backend.requests_served - before)
+        finally:
+            # Joins the workers still draining the shards that did open.
+            front.close()
+        # A request is counted when it is planned: the sync and the
+        # async executor of the same plan count the same.
+        assert deltas[0] == deltas[1] == len(set(accesses))
+        assert deltas[2] == deltas[3] == len(requests)
+        self._assert_nothing_pinned(backend)
+        backend.close()
+
+
+class TestFacadeCountsEveryExecutor:
+    """Regression: async + shards left ``requests_served`` at 0."""
+
+    BATCHES = [[(a,) for a in range(start, start + 10)] for start in (0, 10, 20)]
+
+    def _routing(self, telemetry):
+        return {
+            (entry["labels"]["shard"], entry["labels"]["mode"]): entry["value"]
+            for entry in telemetry.registry.snapshot()["counters"]
+            if entry["name"] == "shard_requests_total"
+        }
+
+    def _serve(self, path):
+        telemetry = Telemetry()
+        _, backend = make_backend("sharded", telemetry=telemetry)
+        front = AsyncViewServer(backend, max_workers=3)
+        tuner = AdaptiveTuner(backend, telemetry, interval_requests=8)
+        # Planning alone serves nothing, so it counts nothing.
+        backend.plan_batch("Q", self.BATCHES[0])
+        assert backend.requests_served == 0
+        assert self._routing(telemetry) == {}
+        try:
+            for batch in self.BATCHES:
+                before = backend.requests_served
+                if path == "answer_batch":
+                    backend.answer_batch("Q", batch)
+                elif path == "serve":
+                    run(front, front.serve("Q", batch))
+                else:
+                    run(
+                        front,
+                        front.answer_requests(
+                            AccessRequest("Q", a, measure=True) for a in batch
+                        ),
+                    )
+                assert backend.requests_served - before == len(batch)
+                tuner.maybe_tune()
+        finally:
+            front.close()
+            backend.close()
+        passes = telemetry.registry.find_histogram("span_seconds", op="tune")
+        return self._routing(telemetry), passes
+
+    def test_served_count_routing_and_tuner_pacing_agree(self):
+        routing, passes = zip(
+            *(
+                self._serve(path)
+                for path in ("answer_batch", "serve", "answer_requests")
+            )
+        )
+        assert routing[0] == routing[1] == routing[2]
+        assert sum(routing[0].values()) == 30
+        # The closed loop runs behind async + shards: 10 requests per
+        # batch against interval_requests=8 is one pass per batch.
+        for histogram in passes:
+            assert histogram is not None and histogram.count == 3
+
+
+class CountingLocks:
+    """A lock factory counting acquisitions per lock name."""
+
+    def __init__(self, inner=None):
+        self.inner = inner
+        self.acquired = {}
+
+    def __call__(self, name, reentrant):
+        if self.inner is not None:
+            lock = self.inner(name, reentrant)
+        else:
+            lock = threading.RLock() if reentrant else threading.Lock()
+        return _CountedLock(name, lock, self.acquired)
+
+
+class _CountedLock:
+    def __init__(self, name, lock, acquired):
+        self.name, self.lock, self.acquired = name, lock, acquired
+
+    def acquire(self, *args, **kwargs):
+        self.acquired[self.name] = self.acquired.get(self.name, 0) + 1
+        return self.lock.acquire(*args, **kwargs)
+
+    def release(self):
+        self.lock.release()
+
+    def __enter__(self):
+        self.acquire()
+        return self
+
+    def __exit__(self, exc_type, exc, tb):
+        self.release()
+
+
+@pytest.fixture
+def counting_locks():
+    """Count every engine lock created inside the test, by name."""
+    counting = CountingLocks()
+    # Keep whatever the session installed (the lock-order leg's tracker)
+    # underneath, so these locks still report into its graph.
+    counting.inner = locking.set_lock_factory(counting)
+    try:
+        yield counting.acquired
+    finally:
+        locking.set_lock_factory(counting.inner)
+
+
+class TestOneResolve:
+    """A warm ``open`` meets the registry lock at most twice."""
+
+    def _opens(self, acquired, server, name, access):
+        with server.open(name, access) as cursor:  # warm it up
+            expected = cursor.fetchall()
+        before = acquired.get("server", 0)
+        with server.open(name, access) as cursor:
+            assert cursor.fetchall() == expected
+        return acquired.get("server", 0) - before
+
+    def test_static_open_takes_the_server_lock_at_most_twice(
+        self, counting_locks, tmp_path
+    ):
+        # 6 before the resolve was written once; a snapshot directory
+        # (its label is part of the resolve) must not add to it.
+        for snapshot_dir in (None, tmp_path):
+            server = ViewServer(database(), snapshot_dir=snapshot_dir)
+            name = server.register(ROUTED, tau=TAU)
+            assert self._opens(counting_locks, server, name, (1,)) <= 2
+            server.close()
+
+    def test_dynamic_open_takes_the_server_lock_at_most_twice(
+        self, counting_locks
+    ):
+        server = ViewServer(database())
+        name = server.register_dynamic(ROUTED, tau=TAU)
+        assert self._opens(counting_locks, server, name, (1,)) <= 2
+        assert server._dynamic_state(name).pin_count() == 0
+        server.close()
