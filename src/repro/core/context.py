@@ -12,6 +12,15 @@ about one (natural-join) adorned view over one database:
 * one :class:`AtomBinding` per atom, holding the trie indexed
   (bound variables first, then free variables in free order) that serves
   counting, joining and membership.
+
+None of it depends on ``τ``: this is the ``|D|`` term of Theorem 1, and
+the per-view half of a static structure. A context is immutable once
+built, so one instance is shared by reference by every structure (every
+``τ``) built or restored over the same ``(view, database)`` — the
+engine keeps one per registration. It also carries the other pure
+functions of ``(view, database)`` a structure needs, memoised on first
+use: the default max-slack cover, the trie cell count, and the plain
+view/database states a snapshot must equal to adopt the context.
 """
 
 from __future__ import annotations
@@ -21,7 +30,10 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from repro.database.catalog import Database
 from repro.database.index import TrieIndex, TrieNode
 from repro.core.domain import Domain, TupleSpace
+from repro.core.snapshot import database_state, view_state
 from repro.exceptions import QueryError
+from repro.hypergraph.covers import max_slack_cover
+from repro.hypergraph.hypergraph import Hypergraph, hypergraph_of_view
 from repro.query.adorned import AdornedView
 from repro.query.atoms import Atom, Variable
 
@@ -152,6 +164,13 @@ class ViewContext:
         self.free_value_domains: Dict[Variable, Tuple] = {
             v: d.values for v, d in zip(self.free_order, self.free_domains)
         }
+        self.hypergraph: Hypergraph = hypergraph_of_view(view)
+        # Memos of pure functions of (view, db). Unsynchronised on
+        # purpose: racing threads compute equal values and the last
+        # assignment wins.
+        self._default_cover: Optional[Tuple[Dict[int, float], float]] = None
+        self._index_cells: Optional[int] = None
+        self._states: Optional[Tuple[Dict, List]] = None
 
     def _occurrence_values(self, var: Variable) -> set:
         values = set()
@@ -233,7 +252,31 @@ class ViewContext:
 
     def index_cells(self) -> int:
         """Total logical size of the atom tries (both access paths)."""
-        return sum(
-            binding.trie.cells() + binding.free_trie.cells()
-            for binding in self.atoms
-        )
+        if self._index_cells is None:
+            self._index_cells = sum(
+                binding.trie.cells() + binding.free_trie.cells()
+                for binding in self.atoms
+            )
+        return self._index_cells
+
+    def default_cover(self) -> Tuple[Dict[int, float], float]:
+        """``(weights, alpha)`` of the max-slack cover on the free variables.
+
+        The cover a structure uses when none is given. It depends only
+        on the hypergraph and the free order, so the LP is solved once
+        per context, not once per ``τ``. Callers copy the weights.
+        """
+        if self._default_cover is None:
+            cover, alpha = max_slack_cover(self.hypergraph, self.free_order)
+            self._default_cover = (cover.weights, alpha)
+        return self._default_cover
+
+    def states(self) -> Tuple[Dict, List]:
+        """``(view state, database state)`` exactly as a snapshot stores them.
+
+        A restored structure may adopt this context only when its blob's
+        own two states compare equal to these.
+        """
+        if self._states is None:
+            self._states = (view_state(self.view), database_state(self.db))
+        return self._states

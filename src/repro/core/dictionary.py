@@ -78,9 +78,14 @@ class HeavyDictionary:
     def from_state(
         cls, state: Sequence[Tuple[int, Tuple, int]]
     ) -> "HeavyDictionary":
+        # In bulk: one comprehension, and the version the same number of
+        # per-entry set() calls would have reached.
         dictionary = cls()
-        for node_id, access, bit in state:
-            dictionary.set(int(node_id), tuple(access), int(bit))
+        dictionary._entries = {
+            (int(node_id), tuple(access)): int(bit)
+            for node_id, access, bit in state
+        }
+        dictionary.version = len(state)
         return dictionary
 
 

@@ -41,6 +41,7 @@ import pickle
 import re
 import struct
 import zlib
+from functools import lru_cache
 from pathlib import Path
 from typing import Any, Dict, Iterator, List, Optional, Tuple, Union
 
@@ -311,17 +312,27 @@ def inspect_snapshot(blob: bytes) -> Dict:
 
 
 def decode_snapshot(
-    blob: bytes, expected_fingerprint: Optional[str] = None
+    blob: bytes, expected_fingerprint: Optional[str] = None, context=None
 ):
     """Decode a snapshot blob back into a live representation.
 
     Raises :class:`~repro.exceptions.SnapshotError` for any malformed,
     truncated, corrupted, version-mismatched or wrong-database blob.
+
+    ``context`` is a resident :class:`~repro.core.context.ViewContext`
+    the restored compressed representation should share instead of
+    rebuilding its own (the engine's warm loads pass the registration's).
+    Every header check runs first, unchanged; the context is then
+    adopted only if the payload's own view and database equal the
+    context's, else this raises ``SnapshotError`` too. The blob is the
+    same self-contained blob either way.
     """
     _version, kind, fingerprint, crc, length, offset = _parse_header(blob)
     registry = _registry()
     if kind not in registry:
         raise SnapshotError(f"unknown snapshot kind {kind!r}")
+    if context is not None and kind != "compressed":
+        raise SnapshotError(f"a {kind} snapshot cannot adopt a view context")
     if (
         expected_fingerprint is not None
         and fingerprint != expected_fingerprint
@@ -331,7 +342,7 @@ def decode_snapshot(
             f"(fingerprint {fingerprint[:12]}…, "
             f"expected {expected_fingerprint[:12]}…)"
         )
-    payload = blob[offset:]
+    payload = memoryview(blob)[offset:]  # no copy of the payload
     if len(payload) != length:
         raise SnapshotError(
             f"truncated snapshot: payload has {len(payload)} bytes, "
@@ -345,17 +356,22 @@ def decode_snapshot(
         raise SnapshotError(
             f"corrupted snapshot payload: {error}"
         ) from error
-    return registry[kind].from_snapshot_state(state)
+    restore = registry[kind].from_snapshot_state
+    return restore(state) if context is None else restore(state, context)
 
 
 # ----------------------------------------------------------------------
 # files and directories
 # ----------------------------------------------------------------------
+@lru_cache(maxsize=4096)
 def label_path(directory: Path, label: str, suffix: str) -> Path:
     """The file one label maps to: readable slug + hash of the full label.
 
     Restart-stable (no salted ``hash``), so a rebooted server resolves
-    the same labels to the same files.
+    the same labels to the same files. Memoised (a pure function of its
+    arguments; the regex and the SHA-256 are most of a store lookup's or
+    a delta-log append's path work), bounded so that a server churning
+    through labels cannot grow it without limit.
     """
     slug = re.sub(r"[^A-Za-z0-9._-]+", "_", label)[:64].strip("._") or "snap"
     digest = hashlib.sha256(label.encode("utf-8")).hexdigest()[:16]
@@ -412,12 +428,12 @@ def save_snapshot(
 
 
 def load_snapshot(
-    path: Union[str, Path], expected_fingerprint: Optional[str] = None
+    path: Union[str, Path],
+    expected_fingerprint: Optional[str] = None,
+    context=None,
 ):
     """Decode a snapshot file; missing files raise :class:`SnapshotError`."""
-    return decode_snapshot(
-        _read_blob(path), expected_fingerprint=expected_fingerprint
-    )
+    return decode_snapshot(_read_blob(path), expected_fingerprint, context)
 
 
 def _read_blob(path: Union[str, Path]) -> bytes:
@@ -482,17 +498,18 @@ class SnapshotStore:
         except (OSError, pickle.PicklingError, TypeError, AttributeError):
             return False
 
-    def load(self, label: str):
+    def load(self, label: str, context=None):
         """The decoded representation, or None when no snapshot exists.
 
         Corrupted, truncated, version-mismatched or wrong-database files
         raise :class:`SnapshotError` — callers decide whether that is a
-        cache miss (the engine) or a hard error (the CLI).
+        cache miss (the engine) or a hard error (the CLI). ``context``
+        is :func:`decode_snapshot`'s.
         """
         path = self.path_for(label)
         if not path.exists():
             return None
-        return load_snapshot(path, expected_fingerprint=self.fingerprint)
+        return load_snapshot(path, self.fingerprint, context)
 
     def labels_on_disk(self) -> List[Path]:
         """The snapshot files currently present (sorted for determinism)."""

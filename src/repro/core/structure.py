@@ -48,8 +48,8 @@ from repro.core.intervals import FBox
 from repro.core.representation import Representation
 from repro.database.catalog import Database
 from repro.exceptions import ParameterError, QueryError, SnapshotError
-from repro.hypergraph.covers import max_slack_cover, slack
-from repro.hypergraph.hypergraph import Hypergraph, hypergraph_of_view
+from repro.hypergraph.covers import slack
+from repro.hypergraph.hypergraph import Hypergraph
 from repro.joins.generic_join import JoinCounter, generic_join
 from repro.measure.space import SpaceReport
 from repro.query.adorned import AdornedView
@@ -90,6 +90,12 @@ class CompressedRepresentation(Representation):
     alpha:
         Optional slack override; defaults to the slack of ``weights`` on
         the free variables.
+    context:
+        Optional :class:`~repro.core.context.ViewContext` already built
+        over exactly this natural ``(view, db)``: the per-view half of
+        the structure (tries, domains, default cover), shared by
+        reference instead of rebuilt. The engine passes its
+        registration's; ``None`` builds a private one.
     """
 
     #: ``enumerate_from`` seeks to a start point in one delay unit.
@@ -109,13 +115,14 @@ class CompressedRepresentation(Representation):
         tau: float,
         weights: Optional[Mapping[int, float]] = None,
         alpha: Optional[float] = None,
+        context: Optional[ViewContext] = None,
     ):
         started = time.perf_counter()
         if tau <= 0:
             raise ParameterError(f"tau must be positive, got {tau}")
         self.original_view = view
         self.view, self.db = natural_form(view, db)
-        self._bind(tau, weights, alpha)
+        self._bind(tau, weights, alpha, context)
         self.tree: DelayBalancedTree = build_delay_balanced_tree(
             self.cost_model, self.tau, self.alpha
         )
@@ -172,21 +179,26 @@ class CompressedRepresentation(Representation):
     # ------------------------------------------------------------------
     # construction helpers
     # ------------------------------------------------------------------
-    def _bind(self, tau, weights, alpha) -> None:
+    def _bind(self, tau, weights, alpha, context) -> None:
         """Attach context, cover knobs and cost model (no structure build).
 
         Everything here is derived deterministically from ``(view, db)``
         plus the explicit parameters; both the building constructor and
         the snapshot restore path run it, so a restored instance carries
         live tries and a live cost model without re-running the expensive
-        tree/dictionary construction.
+        tree/dictionary construction. The τ-independent part is the
+        :class:`~repro.core.context.ViewContext`: ``context`` is adopted
+        by reference, or, when ``None``, built here.
         """
-        self.ctx = ViewContext(self.view, self.db)
-        self.hypergraph: Hypergraph = hypergraph_of_view(self.view)
+        if context is None:
+            context = ViewContext(self.view, self.db)
+        elif context.view is not self.view or context.db is not self.db:
+            raise ParameterError("context built over another (view, database)")
+        self.ctx = context
+        self.hypergraph: Hypergraph = context.hypergraph
         free = self.ctx.free_order
         if weights is None:
-            cover, cover_alpha = max_slack_cover(self.hypergraph, free)
-            weights = cover.weights
+            weights, cover_alpha = context.default_cover()
             if alpha is None:
                 alpha = cover_alpha
         else:
@@ -250,8 +262,10 @@ class CompressedRepresentation(Representation):
         The state records the *normalized* view and database (what the
         structure was actually built over) plus the expensive build
         artifacts — tree and dictionary — as explicit records. Tries,
-        domains and the cost model are cheap deterministic functions of
-        ``(view, db)`` and are rebuilt on restore rather than stored.
+        domains and the cost model are deterministic functions of
+        ``(view, db)`` and are rebuilt on restore — or adopted from a
+        resident context over an equal ``(view, db)`` — rather than
+        stored.
         """
         from repro.core.snapshot import database_state, view_state
 
@@ -278,23 +292,41 @@ class CompressedRepresentation(Representation):
         }
 
     @classmethod
-    def from_snapshot_state(cls, state: Dict) -> "CompressedRepresentation":
+    def from_snapshot_state(
+        cls, state: Dict, context: Optional[ViewContext] = None
+    ) -> "CompressedRepresentation":
         """Restore an instance from :meth:`snapshot_state` output.
 
         Enumeration behavior (answers, order, delay steps) is identical
         to the original: the tree and dictionary are restored bit for bit
         and the rebuilt context is a pure function of the stored view and
         database.
+
+        With a resident ``context`` nothing is rebuilt: the instance
+        adopts it — but only after the state's own view and database
+        compare *equal* to the context's (an exact comparison, not a
+        hash); anything else raises
+        :class:`~repro.exceptions.SnapshotError`.
         """
         from repro.core.snapshot import database_from_state, view_from_state
 
         try:
-            view = view_from_state(state["view"])
-            db = database_from_state(state["db"])
+            if context is None:
+                view = view_from_state(state["view"])
+                db = database_from_state(state["db"])
+            elif (state["view"], state["db"]) == context.states():
+                view, db = context.view, context.db
+            else:
+                raise SnapshotError(
+                    "snapshot was built over another view or database "
+                    f"than the resident context of {context.view.name!r}"
+                )
             self = object.__new__(cls)
             self.original_view = view
             self.view, self.db = view, db
-            self._bind(state["tau"], dict(state["weights"]), state["alpha"])
+            self._bind(
+                state["tau"], dict(state["weights"]), state["alpha"], context
+            )
             self.tree = DelayBalancedTree.from_state(state["tree"])
             self.dictionary = HeavyDictionary.from_state(state["dictionary"])
             stats = dict(state["stats"])

@@ -51,8 +51,9 @@ from __future__ import annotations
 import threading
 from collections import OrderedDict
 from dataclasses import dataclass, field, replace
-from typing import Callable, Hashable, List, Optional, Tuple
+from typing import Callable, Hashable, List, Optional, Tuple, Union
 
+from repro.core.context import ViewContext
 from repro.core.snapshot import SnapshotStore
 from repro.core.structure import CompressedRepresentation
 from repro.engine.locking import named_lock
@@ -60,6 +61,9 @@ from repro.engine.telemetry import MetricsRegistry
 from repro.exceptions import ParameterError, SnapshotError
 
 EVICTION_POLICIES = ("lru", "cost")
+
+#: A disk-tier label, or a callable formatting it — called on a miss only.
+Label = Union[str, Callable[[], str], None]
 
 
 @dataclass
@@ -273,8 +277,9 @@ class RepresentationCache:
     ) -> List[Hashable]:
         """Insert (or replace) an entry; returns the keys evicted for it.
 
-        The cell measurement (a walk of the structure's tries) runs
-        outside the lock; only the bookkeeping is serialized. With a disk
+        The cell measurement (a walk of the tries the first time their
+        context is measured, memoised after) runs outside the lock;
+        only the bookkeeping is serialized. With a disk
         tier, evicted entries are demoted to snapshots (also outside the
         lock) instead of discarded.
         """
@@ -291,11 +296,11 @@ class RepresentationCache:
         self._demote(evicted)
         return [victim for victim, _ in evicted]
 
-    def _label_for(
-        self, key: Hashable, snapshot_label: Optional[str]
-    ) -> Optional[str]:
+    def _label_for(self, key: Hashable, snapshot_label: Label) -> Optional[str]:
         if self.snapshot_store is None:
             return None
+        if callable(snapshot_label):
+            return snapshot_label()
         # repr of the standard key shapes (tuples of names and numbers)
         # is restart-stable, so the default label round-trips a reboot.
         return snapshot_label if snapshot_label is not None else repr(key)
@@ -332,7 +337,8 @@ class RepresentationCache:
         self,
         key: Hashable,
         factory: Callable[[], CompressedRepresentation],
-        snapshot_label: Optional[str] = None,
+        snapshot_label: Label = None,
+        context: Optional[ViewContext] = None,
     ) -> CompressedRepresentation:
         """The cached structure for ``key``, building it on a miss.
 
@@ -344,10 +350,14 @@ class RepresentationCache:
         reads — proceed unhindered.
 
         With a disk tier, a miss first consults the snapshot store under
-        ``snapshot_label`` (default: ``repr(key)``): a valid snapshot is
-        decoded instead of built — the warm-start path — and a fresh
-        build is snapshotted before it is published. Corrupt or
-        wrong-database snapshots count as plain misses.
+        ``snapshot_label`` (default: ``repr(key)``; a callable is called
+        on a miss only, so a hit never formats a label): a valid
+        snapshot is decoded instead of built — the warm-start path — and
+        a fresh build is snapshotted before it is published. Corrupt or
+        wrong-database snapshots count as plain misses. ``context`` is
+        the resident :class:`~repro.core.context.ViewContext` a decoded
+        structure shares instead of rebuilding its tries; a snapshot
+        that does not match it is a plain miss as well.
         """
         missed = False
         while True:
@@ -379,8 +389,9 @@ class RepresentationCache:
                 continue  # the builder published (or failed); re-check
             try:
                 label = self._label_for(key, snapshot_label)
-                built, from_disk = self._warm_load(label)
-                if built is None:
+                built = self._warm_load(label, context)
+                from_disk = built is not None
+                if not from_disk:
                     built = factory()
                 cells = representation_cells(built)
                 on_disk = from_disk
@@ -412,20 +423,17 @@ class RepresentationCache:
                 event.set()
 
     def _warm_load(
-        self, label: Optional[str]
-    ) -> Tuple[Optional[CompressedRepresentation], bool]:
-        """(decoded snapshot, True) on a disk hit, (None, False) otherwise."""
-        if self.snapshot_store is None or label is None:
-            return None, False
+        self, label: Optional[str], context: Optional[ViewContext]
+    ) -> Optional[CompressedRepresentation]:
+        """The decoded snapshot on a disk hit, None otherwise."""
+        if label is None:  # no disk tier
+            return None
         try:
-            restored = self.snapshot_store.load(label)
+            return self.snapshot_store.load(label, context)
         except SnapshotError:
             # Corrupt, truncated, version-mismatched, or built from a
-            # different database: a miss, not a serving failure.
-            return None, False
-        if restored is None:
-            return None, False
-        return restored, True
+            # different database or view: a miss, not a serving failure.
+            return None
 
     def demote_all(self) -> int:
         """Flush every resident, not-yet-on-disk entry to the disk tier.

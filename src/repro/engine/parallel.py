@@ -33,6 +33,7 @@ from repro.core.snapshot import (
     view_from_state,
     view_state,
 )
+from repro.core.context import ViewContext
 from repro.core.structure import CompressedRepresentation
 from repro.database.catalog import Database
 from repro.engine.locking import named_lock
@@ -140,8 +141,14 @@ class ParallelBuilder:
         db: Database,
         tau: float,
         weights: Optional[Mapping[int, float]] = None,
+        context: Optional[ViewContext] = None,
     ) -> CompressedRepresentation:
-        """Build one structure on a worker process, in-process on failure."""
+        """Build one structure on a worker process, in-process on failure.
+
+        The worker builds its own tries (nothing with tries crosses the
+        process boundary); the structure handed back shares the
+        parent's ``context`` when one is given.
+        """
         future = self.submit(view, db, tau, weights)
         if future is not None:
             try:
@@ -153,10 +160,12 @@ class ParallelBuilder:
             else:
                 with self._lock:
                     self.process_builds += 1
-                return decode_snapshot(blob)
+                return decode_snapshot(blob, context=context)
         with self._lock:
             self.fallback_builds += 1
-        return CompressedRepresentation(view, db, tau=tau, weights=weights)
+        return CompressedRepresentation(
+            view, db, tau=tau, weights=weights, context=context
+        )
 
     def _mark_broken(self) -> None:
         with self._lock:

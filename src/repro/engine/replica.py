@@ -117,7 +117,7 @@ class ReplicaServer(ViewServer):
         raise SnapshotError(reason)
 
     def _build(
-        self, registration: Registration, tau: float
+        self, registration: Registration, tau: float, context
     ) -> CompressedRepresentation:
         # The build path is reached only when hydration found no usable
         # snapshot — on a replica that is a shipping failure, not a

@@ -18,7 +18,10 @@ Responsibilities
   optimized tradeoff point.
 * **Caching**: structures are built lazily on first request and kept in a
   :class:`~repro.engine.cache.RepresentationCache` keyed by
-  ``(view name, τ)`` with LRU eviction under entry/cell bounds.
+  ``(view name, τ)`` with LRU eviction under entry/cell bounds. What
+  does not depend on τ — the tries and domains of a registration, its
+  :class:`~repro.core.context.ViewContext` — is built once per
+  registration and shared by every structure built or decoded for it.
 * **Streaming**: :meth:`ViewServer.open` is the serving primitive — it
   returns a lazy :class:`~repro.engine.api.AnswerCursor` honoring the
   request's ``limit``/``start_after``/``measure`` knobs, so top-k and
@@ -82,6 +85,7 @@ from typing import (
     Union,
 )
 
+from repro.core.context import ViewContext
 from repro.core.dynamic import DynamicRepresentation
 from repro.core.snapshot import (
     SnapshotStore,
@@ -574,6 +578,9 @@ class ViewServer(Serving):
         self._tau_overrides: Dict[str, float] = {}
         # Resolved metric handles (see :meth:`_handles`).
         self._metric_handles: Dict[Tuple, Tuple] = {}
+        # The per-view half of every static structure, by registration
+        # generation (see :meth:`_resolve`).
+        self._contexts: Dict[int, ViewContext] = {}
         self._build_counts: Dict[CacheKey, int] = {}
         # Monotonic lifetime total: per-key counters are pruned when their
         # generation dies, but stream build-deltas need a counter that
@@ -678,6 +685,7 @@ class ViewServer(Serving):
         # (and is dropped here) or after (and is dropped by the orphan
         # check in :meth:`representation`).
         generation = registration.generation
+        self._contexts.pop(generation, None)
         self._cache.invalidate_matching(
             lambda key: key[0] == name and key[2] == generation
         )
@@ -1170,6 +1178,16 @@ class ViewServer(Serving):
 
         At most one thread ever builds a given key: late arrivals wait on
         the builder's event and then read the freshly cached entry.
+
+        Whatever the cache has to do on a miss — build, or decode from
+        the disk tier — it does over the generation's one
+        :class:`~repro.core.context.ViewContext`: tries and domains do
+        not depend on τ, so they are built on the generation's first
+        miss and shared by reference by every structure after. Like
+        :meth:`_handles`, the memo is published lock-free with one
+        atomic ``setdefault`` (concurrent first misses may each build
+        one; all leave with the same one), which keeps a warm open at
+        two registry-lock holds.
         """
         registration, state, key = self._lookup(name, tau, cursors)
         if state is not None:
@@ -1184,8 +1202,15 @@ class ViewServer(Serving):
                 self._set_dynamic_gauges(state)
             return hold.payload, hold
 
+        context = self._contexts.get(key[2])
+        if context is None:
+            context = self._contexts.setdefault(
+                key[2],
+                ViewContext(registration.natural_view, registration.database),
+            )
+
         def build() -> CompressedRepresentation:
-            built = self._build(registration, key[1])
+            built = self._build(registration, key[1], context)
             with self._lock:
                 self._total_builds += 1
                 # Skip the per-key counter for a generation unregistered
@@ -1196,12 +1221,10 @@ class ViewServer(Serving):
                     )
             return built
 
-        label = (
-            registration.snapshot_label(key[1])
-            if self._cache.snapshot_store is not None
-            else None
+        # The label is formatted on a miss only (and only with a disk tier).
+        built = self._cache.get_or_build(
+            key, build, partial(registration.snapshot_label, key[1]), context
         )
-        built = self._cache.get_or_build(key, build, snapshot_label=label)
         with self._lock:
             # Identity, not name: a concurrent unregister + re-register
             # under the same name is a different generation, and this
@@ -1213,6 +1236,7 @@ class ViewServer(Serving):
             # cleanups runs last sees the entry). The caller still gets
             # the structure — its request predates the unregistration.
             self._cache.invalidate(key)
+            self._contexts.pop(key[2], None)
         return built, NO_HOLD
 
     def representation(
@@ -1226,27 +1250,22 @@ class ViewServer(Serving):
         return self._resolve(name, tau)[0]
 
     def _build(
-        self, registration: Registration, tau: float
+        self, registration: Registration, tau: float, context: ViewContext
     ) -> CompressedRepresentation:
-        # The optimizer's cover is tied to the τ it was solved for; a
-        # caller-supplied τ falls back to the default max-slack cover.
-        weights = (
-            registration.weights if tau == registration.tau else None
+        build = (
+            CompressedRepresentation
+            if self._builder is None
+            else self._builder.build
         )
-        if self._builder is not None:
-            built = self._builder.build(
-                registration.natural_view,
-                registration.database,
-                tau=tau,
-                weights=weights,
-            )
-        else:
-            built = CompressedRepresentation(
-                registration.natural_view,
-                registration.database,
-                tau=tau,
-                weights=weights,
-            )
+        built = build(
+            registration.natural_view,
+            registration.database,
+            tau=tau,
+            # The optimizer's cover is tied to the τ it was solved for; a
+            # caller-supplied τ falls back to the context's default cover.
+            weights=registration.weights if tau == registration.tau else None,
+            context=context,
+        )
         self._observe_layout_compile(registration.name, built)
         return built
 

@@ -475,21 +475,30 @@ class TestMakefileContract:
         assert "[tool.ruff.format]" in pyproject
 
 
-#: `make size`'s figure for src/repro/engine after PR 18. The engine is
+#: `make size`'s figure for src/repro/engine after PR 19. The engine is
 #: plumbing around ``open_cursor``; a PR that grows it raises this number
-#: on purpose, in the same diff, or finds something to delete.
-ENGINE_SLOC_CEILING = 4344
+#: on purpose, in the same diff, or finds something to delete. PR 19
+#: spent +7 here (4,344 → 4,351: one ``context=`` passed from
+#: ``ViewServer._resolve`` through the cache's warm load and the
+#: ``ParallelBuilder``, and a label formatted on a miss only) on the
+#: ``tau_churn`` row: ``latency_p99_ms`` 16.8 → 4.2 ms, 1.5k → 5.6k
+#: req/s — a disk-tier hit decodes (T, D) onto the registration's one
+#: shared ``ViewContext`` instead of rebuilding six tries.
+ENGINE_SLOC_CEILING = 4351
 
 #: `make size`'s figure for src/repro/__main__.py after PR 18: the CLI
 #: wires a back end, an async front and its error reporting once each;
 #: what is left is argparse declarations and input checks.
 MAIN_SLOC_CEILING = 1030
 
-#: `make size`'s total for src/repro after PR 18. A per-package ceiling
+#: `make size`'s total for src/repro after PR 19. A per-package ceiling
 #: reads code *moved* out of the package as a reduction; the total cannot
 #: be met that way — and code moved out of ``src/`` altogether (the
 #: executable spec) is printed on its own line, not passed off as deleted.
-SRC_SLOC_CEILING = 13320
+#: PR 19: 13,320 → 13,369 (+49: the engine's +7 above, +42 in ``core`` —
+#: the context's memos, the adoption check, the codec's ``context=``),
+#: bought by the same ``tau_churn`` row.
+SRC_SLOC_CEILING = 13369
 
 
 class TestSizeGate:

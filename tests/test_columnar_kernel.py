@@ -23,6 +23,7 @@ from oracle import oracle_accesses, oracle_answer
 from reference_walk import reference_walk
 from repro.core import kernel as kernel_mod
 from repro.core import layout as layout_mod
+from repro.core.context import ViewContext
 from repro.core.decomposed import DecomposedRepresentation
 from repro.core.dynamic import DynamicRepresentation
 from repro.core.constant_delay import ConnexConstantDelayStructure
@@ -619,6 +620,79 @@ def assert_step_parity(view, db, tau, access, token, refine=True):
 )
 def test_random_instances_keep_rows_and_step_gaps(case, refine):
     assert_step_parity(*case, refine=refine)
+
+
+@st.composite
+def restore_cases(draw):
+    """A random small triangle/path/star instance, τ, accesses and a seek."""
+    family = draw(st.sampled_from(["triangle", "path", "star"]))
+    if family == "triangle":
+        pattern = draw(st.sampled_from(["bff", "bbf", "fbf", "fff"]))
+        view, names = triangle_view(pattern), ("R", "S", "T")
+    elif family == "path":
+        pattern = draw(st.sampled_from(["bffb", "bfff", "ffff"]))
+        view, names = path_view(3, pattern), ("R1", "R2", "R3")
+    else:
+        pattern = draw(st.sampled_from(["bbbf", "bfff", "ffbf"]))
+        view, names = star_view(3, pattern), ("R1", "R2", "R3")
+    db = Database([Relation(name, 2, draw(EDGES)) for name in names])
+    tau = draw(st.sampled_from([1.0, 2.0, 5.0, 40.0]))
+    accesses = [
+        tuple(draw(SMALL) for _ in view.bound_variables) for _ in range(3)
+    ]
+    token = tuple(draw(st.integers(-1, 6)) for _ in view.free_variables)
+    return view, db, tau, accesses, token
+
+
+@pytest.mark.usefixtures("backend")
+@given(restore_cases())
+@settings(
+    max_examples=60,
+    deadline=None,
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
+)
+def test_random_instances_restore_identically_over_a_shared_context(case):
+    """Built, decoded alone, decoded onto a resident context: one stream.
+
+    The same rows in the same order with the same step gaps on every
+    entry point, under the kernel and under the spec, and the oracle's
+    answers — adopting a context changes where the tries live, nothing
+    an enumeration can observe.
+    """
+    view, db, tau, accesses, token = case
+    built = CompressedRepresentation(view, db, tau=tau)
+    blob = encode_snapshot(built)
+    context = ViewContext(view, db)
+    alone = decode_snapshot(blob)
+    shared = decode_snapshot(blob, context=context)
+    again = decode_snapshot(blob, context=context)
+    assert shared.ctx is again.ctx is context
+    assert alone.ctx is not context and alone.db is not db
+    assert shared.db is db
+    assert encode_snapshot(shared) == encode_snapshot(again)
+    sides = []
+    for rep in (built, alone, shared, again):
+        traces = []
+        for access in accesses:
+            for entry in (
+                lambda c: rep.enumerate(access, counter=c),
+                lambda c: rep.enumerate_from(access, token, counter=c),
+            ):
+                kernel_side, reference_side = measured_on_off(entry)
+                assert kernel_side == reference_side
+                traces.append(kernel_side)
+            assert traces[-2][0] == oracle_answer(view, db, access)
+        kernel_side, reference_side = on_off(
+            lambda: shared_trace(
+                rep,
+                accesses,
+                [JoinCounter() for _ in accesses],
+                starts=[None, token, None],
+            )
+        )
+        assert kernel_side == reference_side
+        sides.append((traces, kernel_side))
+    assert sides[0] == sides[1] == sides[2] == sides[3]
 
 
 class TestFallbackTriggers:

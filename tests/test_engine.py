@@ -1,6 +1,7 @@
 """The access-serving engine: cache, ViewServer, batching, concurrency."""
 
 import random
+import sys
 import threading
 
 import pytest
@@ -440,3 +441,76 @@ class TestConcurrency:
         assert server.build_count(name) == 1
         assert len(server.cache) == 1
         assert server.requests_served == n_threads * len(accesses)
+
+    def test_churning_taus_hammer_shares_one_context_per_generation(
+        self, triangle_setup, tmp_path
+    ):
+        view, db = triangle_setup
+        taus = [2.0, 4.0, 8.0, 16.0, 32.0, 64.0]
+        other = triangle_database(nodes=25, edges=120, seed=6)
+        probe = {tau: _build(view, db, tau) for tau in (2.0, 8.0)}
+        # About a third of the ladder fits: every thread's next τ evicts
+        # someone, demotes to the snapshot tier and decodes from it.
+        server = ViewServer(
+            db,
+            max_entries=None,
+            max_cells=sum(map(representation_cells, probe.values())),
+            snapshot_dir=tmp_path,
+        )
+        accesses = oracle_accesses(view, db, limit=4)
+        n_threads = 8
+        failures = []
+
+        def hammer(name, database):
+            expected = {a: oracle_answer(view, database, a) for a in accesses}
+            barrier = threading.Barrier(n_threads)
+            handed = []
+
+            def worker(seed):
+                rng = random.Random(seed)
+                barrier.wait()  # concurrent FIRST misses of different τ
+                try:
+                    for _ in range(12):
+                        tau = rng.choice(taus)
+                        access = rng.choice(accesses)
+                        handed.append(server.representation(name, tau).ctx)
+                        rows = server.open(name, access, tau=tau).fetchall()
+                        if rows != expected[access]:
+                            failures.append((seed, tau, access))
+                except Exception as error:  # propagate to the main thread
+                    failures.append(error)
+
+            threads = [
+                threading.Thread(target=worker, args=(seed,))
+                for seed in range(n_threads)
+            ]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=120)
+            assert not any(thread.is_alive() for thread in threads)
+            assert not failures
+            # Exactly one context survived the racing first misses, and
+            # every structure handed out — built, or decoded after an
+            # eviction — shares it.
+            assert len(handed) == n_threads * 12
+            assert len({id(context) for context in handed}) == 1
+            assert list(server._contexts.values()) == [handed[0]]
+            return handed[0]
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            name = server.register(view, tau=8.0)
+            first = hammer(name, db)
+            assert first.db is db
+            assert server.cache_stats.evictions > 0
+            assert server.cache_stats.disk_hits > 0
+            # A new generation under the same name, over other data.
+            server.unregister(name)
+            assert server._contexts == {}
+            server.register(view, tau=8.0, database=other)
+            second = hammer(name, other)
+            assert second is not first and second.db is other
+        finally:
+            sys.setswitchinterval(interval)

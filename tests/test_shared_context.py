@@ -1,0 +1,527 @@
+"""One ViewContext per registration: shared by identity, never by accident.
+
+The tries, domains and tuple space of a static structure do not depend
+on τ (the ``|D|`` term of Theorem 1), so the engine builds them once per
+registration generation and every structure it builds, warm-loads,
+receives from a build worker or hydrates on a replica shares that one
+:class:`~repro.core.context.ViewContext` by reference. A restored
+structure adopts a resident context only after its blob's own view and
+database compared *equal* to the context's; the blob format is the
+parent's, byte for byte, in both directions.
+"""
+
+import gc
+import pickle
+import weakref
+from pathlib import Path
+
+import pytest
+
+from oracle import oracle_accesses, oracle_answer
+from repro.core import snapshot as snap
+from repro.core.context import ViewContext
+from repro.core.dictionary import HeavyDictionary
+from repro.core.snapshot import (
+    SNAPSHOT_VERSION,
+    database_fingerprint,
+    decode_snapshot,
+    encode_snapshot,
+    inspect_snapshot,
+)
+from repro.core.structure import CompressedRepresentation
+from repro.database.index import TrieIndex
+from repro.engine import (
+    ParallelBuilder,
+    ReplicaServer,
+    ShardedViewServer,
+    ViewServer,
+    representation_cells,
+)
+from repro.exceptions import ParameterError, SnapshotError
+from repro.workloads import triangle_database, triangle_view
+
+TAUS = (2.0, 4.0, 8.0, 16.0, 32.0, 64.0)
+#: A v2 blob written by the tree *before* contexts were shared (PR 18):
+#: the tiny_db triangle ``bbf`` at τ = 1.
+PARENT_BLOB = Path(__file__).parent / "data" / "pr18_tiny_bbf_tau1.snap"
+
+
+@pytest.fixture
+def setup():
+    return triangle_view("bbf"), triangle_database(nodes=25, edges=120, seed=5)
+
+
+def freeze(context: ViewContext):
+    """A deep, comparable copy of everything a shared context holds."""
+
+    def walk(node):
+        return (
+            tuple(node.keys),
+            node.count,
+            tuple(node.cumulative),
+            tuple(walk(node.children[key]) for key in node.keys),
+        )
+
+    return (
+        tuple(
+            (walk(binding.trie.root), walk(binding.free_trie.root))
+            for binding in context.atoms
+        ),
+        tuple(domain.values for domain in context.free_domains),
+        {var: domain.values for var, domain in context.bound_domains.items()},
+        context.index_cells(),
+        pickle.dumps(context.states()),
+        pickle.dumps(context.default_cover()),
+    )
+
+
+class TestIdentity:
+    def test_every_tau_of_one_registration_shares_one_context(
+        self, setup, tmp_path
+    ):
+        view, db = setup
+        server = ViewServer(db, max_entries=None, snapshot_dir=tmp_path)
+        name = server.register(view, tau=8.0)
+        cold = {tau: server.representation(name, tau) for tau in TAUS}
+        context = cold[2.0].ctx
+        assert all(rep.ctx is context for rep in cold.values())
+        assert all(rep.cost_model.ctx is context for rep in cold.values())
+        # ... and so does every structure decoded from the disk tier.
+        assert server.demote(name) == len(TAUS)
+        warm = {tau: server.representation(name, tau) for tau in TAUS}
+        assert server.cache_stats.disk_hits == len(TAUS)
+        assert server.total_builds() == len(TAUS)
+        for tau in TAUS:
+            assert warm[tau] is not cold[tau]
+            assert warm[tau].ctx is context
+            assert warm[tau].db is cold[tau].db
+        for access in oracle_accesses(view, db, limit=6):
+            for tau in (2.0, 64.0):
+                assert server.answer(name, access) == oracle_answer(
+                    view, db, access
+                )
+                assert list(warm[tau].enumerate(access)) == list(
+                    cold[tau].enumerate(access)
+                )
+
+    def test_a_restarted_server_builds_one_context_for_every_warm_load(
+        self, setup, tmp_path
+    ):
+        view, db = setup
+        first = ViewServer(db, max_entries=None, snapshot_dir=tmp_path)
+        first.register(view, tau=8.0, name="V")
+        for tau in TAUS:
+            first.representation("V", tau)
+        restarted = ViewServer(db, max_entries=None, snapshot_dir=tmp_path)
+        restarted.register(view, tau=8.0, name="V")
+        loaded = [restarted.representation("V", tau) for tau in TAUS]
+        assert restarted.total_builds() == 0
+        assert len({id(rep.ctx) for rep in loaded}) == 1
+        assert loaded[0].ctx is not first.representation("V", 2.0).ctx
+
+    def test_through_a_parallel_builder(self, setup):
+        view, db = setup
+        with ParallelBuilder(max_workers=1) as builder:
+            server = ViewServer(db, builder=builder)
+            name = server.register(view, tau=8.0)
+            built = [server.representation(name, tau) for tau in (2.0, 8.0)]
+            # Worker-built or (sandbox without processes) fallback-built:
+            # the structure handed back shares the parent's context.
+            assert builder.process_builds + builder.fallback_builds == 2
+            assert built[0].ctx is built[1].ctx
+            access = oracle_accesses(view, db, limit=1)[0]
+            assert list(built[0].enumerate(access)) == oracle_answer(
+                view, db, access
+            )
+
+    def test_on_a_replica(self, setup, tmp_path):
+        view, db = setup
+        primary = ViewServer(db, snapshot_dir=tmp_path)
+        name = primary.register(view, tau=8.0)
+        for tau in (2.0, 8.0):
+            primary.representation(name, tau)
+        replica = ReplicaServer(db, snapshot_dir=tmp_path)
+        replica.register(view, tau=8.0)
+        replica.hydrate()
+        hydrated = [replica.representation(name, tau) for tau in (2.0, 8.0)]
+        assert replica.total_builds() == 0
+        assert hydrated[0].ctx is hydrated[1].ctx
+        assert hydrated[0].ctx is not primary.representation(name).ctx
+
+    def test_on_every_shard_per_shard(self, setup):
+        view, db = setup
+        sharded = ShardedViewServer(db, 3, {"R": 0, "T": 1})
+        name = sharded.register(view, tau=8.0)
+        per_tau = [sharded.prebuild(name, tau) for tau in (2.0, 8.0)]
+        contexts = [rep.ctx for rep in per_tau[0]]
+        assert len({id(context) for context in contexts}) == 3
+        for again, context in zip(per_tau[1], contexts):
+            assert again.ctx is context
+        sharded.close()
+
+    def test_a_new_generation_gets_a_new_context_and_unregister_releases(
+        self, setup
+    ):
+        view, db = setup
+        other = triangle_database(nodes=25, edges=120, seed=6)
+        server = ViewServer(db)
+        name = server.register(view, tau=8.0)
+        first = server.representation(name).ctx
+        assert server.unregister(name)
+        server.register(view, tau=8.0, database=other)
+        second = server.representation(name).ctx
+        assert second is not first and second.db is other
+        released = weakref.ref(second)
+        del first, second
+        assert server.unregister(name)
+        gc.collect()
+        assert released() is None
+        assert len(server.cache) == 0
+
+    def test_a_context_over_another_database_is_refused_by_the_constructor(
+        self, setup
+    ):
+        view, db = setup
+        other = triangle_database(nodes=25, edges=120, seed=6)
+        with pytest.raises(ParameterError, match="another"):
+            CompressedRepresentation(
+                view, db, tau=8.0, context=ViewContext(view, other)
+            )
+
+
+class TestRefusal:
+    """Adoption is by exact comparison: any mismatch is a SnapshotError."""
+
+    @pytest.fixture
+    def two_databases(self, setup):
+        view, db_a = setup
+        db_b = triangle_database(nodes=25, edges=120, seed=6)
+        return view, db_a, db_b
+
+    def test_a_restamped_blob_over_another_database(self, two_databases):
+        view, db_a, db_b = two_databases
+        fingerprint_b = database_fingerprint(db_b)
+        blob = encode_snapshot(
+            CompressedRepresentation(view, db_a, tau=4.0),
+            fingerprint=fingerprint_b,
+        )
+        context_b = ViewContext(view, db_b)
+        # Every header check passes; only the comparison can tell.
+        assert inspect_snapshot(blob)["complete"]
+        assert decode_snapshot(blob, fingerprint_b).db is not db_b
+        with pytest.raises(SnapshotError, match="another view or database"):
+            decode_snapshot(blob, fingerprint_b, context=context_b)
+
+    def test_a_blob_of_the_same_name_under_another_adornment(self, setup):
+        _, db = setup
+        bbf, bff = triangle_view("bbf"), triangle_view("bff")
+        assert bbf.name == bff.name
+        blob = encode_snapshot(CompressedRepresentation(bff, db, tau=4.0))
+        with pytest.raises(SnapshotError, match="another view or database"):
+            decode_snapshot(blob, context=ViewContext(bbf, db))
+
+    def test_header_checks_still_come_first(self, setup):
+        view, db = setup
+        context = ViewContext(view, db)
+        blob = encode_snapshot(CompressedRepresentation(view, db, tau=4.0))
+        with pytest.raises(SnapshotError, match="different database"):
+            decode_snapshot(blob, "0" * 64, context=context)
+        with pytest.raises(SnapshotError, match="CRC"):
+            decode_snapshot(blob[:-1] + b"\x00", context=context)
+        with pytest.raises(SnapshotError, match="truncated"):
+            decode_snapshot(blob[:-9], context=context)
+        with pytest.raises(SnapshotError, match="magic"):
+            decode_snapshot(b"NOPE" + blob[4:], context=context)
+
+    def test_only_a_compressed_snapshot_adopts_a_context(self, setup):
+        from repro.core.dynamic import DynamicRepresentation
+
+        view, db = setup
+        blob = encode_snapshot(DynamicRepresentation(view, db, tau=4.0))
+        assert decode_snapshot(blob) is not None
+        with pytest.raises(SnapshotError, match="cannot adopt"):
+            decode_snapshot(blob, context=ViewContext(view, db))
+
+    @pytest.mark.parametrize("mismatch", ["database", "view"])
+    def test_through_the_cache_it_is_a_miss_a_rebuild_and_an_overwrite(
+        self, two_databases, tmp_path, mismatch
+    ):
+        view, db_a, db_b = two_databases
+        if mismatch == "database":
+            wrong = CompressedRepresentation(view, db_a, tau=8.0)
+        else:
+            wrong = CompressedRepresentation(
+                triangle_view("bff"), db_b, tau=8.0
+            )
+        server = ViewServer(db_b, snapshot_dir=tmp_path)
+        name = server.register(view, tau=8.0)
+        path = server.snapshot_store.path_for(
+            server.registration(name).snapshot_label(8.0)
+        )
+        planted = encode_snapshot(
+            wrong, fingerprint=database_fingerprint(db_b)
+        )
+        path.write_bytes(planted)
+        served = server.representation(name)
+        stats = server.cache_stats
+        assert (stats.misses, stats.disk_hits, stats.disk_writes) == (1, 0, 1)
+        assert server.total_builds() == 1
+        assert path.read_bytes() != planted
+        for access in oracle_accesses(view, db_b, limit=6):
+            assert list(served.enumerate(access)) == oracle_answer(
+                view, db_b, access
+            )
+        # The overwritten file is the right one: the next load adopts.
+        server.demote(name)
+        assert server.representation(name).ctx is served.ctx
+        assert server.cache_stats.disk_hits == 1
+
+
+    def test_a_demoted_blob_of_a_dead_generation_is_not_served_as_the_next(
+        self, two_databases, tmp_path
+    ):
+        # Labels leave the generation out and the store's fingerprint is
+        # the server database's, so a blob an *evicted* τ left on disk
+        # outlives unregister — and a re-registration under the same name
+        # with ``database=`` other data used to warm-load it and answer
+        # from the old data (12 of 12 answers wrong before contexts were
+        # compared). It is refused now: rebuilt, and overwritten.
+        view, db_a, db_b = two_databases
+        server = ViewServer(db_a, max_entries=1, snapshot_dir=tmp_path)
+        name = server.register(view, tau=8.0)
+        server.representation(name, 2.0)
+        server.representation(name, 8.0)  # evicts and demotes τ = 2
+        assert server.unregister(name)
+        server.register(view, tau=8.0, database=db_b)
+        for access in oracle_accesses(view, db_b, limit=12):
+            assert server.open(
+                name, access, tau=2.0
+            ).fetchall() == oracle_answer(view, db_b, access)
+        assert server.cache_stats.disk_hits == 0
+        assert server.total_builds() == 3
+
+
+class TestImmutability:
+    def test_six_taus_built_served_demoted_and_restored_leave_it_unchanged(
+        self, setup, tmp_path
+    ):
+        view, db = setup
+        probe = ViewServer(db, max_entries=None)
+        probe.register(view, tau=8.0, name="V")
+        budget = sum(
+            representation_cells(probe.representation("V", tau))
+            for tau in (2.0, 8.0)
+        )
+        server = ViewServer(
+            db, max_entries=None, max_cells=budget, snapshot_dir=tmp_path
+        )
+        server.register(view, tau=8.0, name="V")
+        context = server.representation("V", 2.0).ctx
+        before = freeze(context)
+        accesses = oracle_accesses(view, db, limit=5)
+        for _ in range(2):
+            for tau in TAUS:
+                assert server.representation("V", tau).ctx is context
+                for access in accesses:
+                    assert server.open(
+                        "V", access, tau=tau
+                    ).fetchall() == oracle_answer(view, db, access)
+                batch = server.answer_batch("V", accesses, tau=tau)
+                assert batch.unique_count == len(set(accesses))
+        assert server.cache_stats.evictions > 0
+        assert server.cache_stats.disk_hits > 0
+        assert freeze(context) == before
+
+
+def count_calls(monkeypatch, cls):
+    """Wrap ``cls.__init__``; the returned list grows by one per entry."""
+    entered = []
+    original = cls.__init__
+
+    def counted(self, *args, **kwargs):
+        entered.append(cls.__name__)
+        original(self, *args, **kwargs)
+
+    monkeypatch.setattr(cls, "__init__", counted)
+    return entered
+
+
+class TestCounts:
+    def test_a_warm_churn_pass_builds_no_context_and_no_trie(
+        self, setup, tmp_path, monkeypatch
+    ):
+        view, db = setup
+        contexts = count_calls(monkeypatch, ViewContext)
+        tries = count_calls(monkeypatch, TrieIndex)
+        ladder = ViewServer(db, max_entries=None, snapshot_dir=tmp_path)
+        ladder.register(view, tau=8.0, name="churn")
+        built = {tau: ladder.representation("churn", tau) for tau in TAUS}
+        assert (len(contexts), len(tries)) == (1, 6)
+        budget = representation_cells(built[2.0]) + representation_cells(
+            built[8.0]
+        )
+        server = ViewServer(
+            db, max_entries=None, max_cells=budget, snapshot_dir=tmp_path
+        )
+        server.register(view, tau=8.0, name="churn")
+        server.prefetch("churn", 2.0)
+        assert (len(contexts), len(tries)) == (2, 12)
+        access = oracle_accesses(view, db, limit=1)[0]
+        for _ in range(2):  # the second pass is the warm one
+            del contexts[:], tries[:]
+            before = server.cache_stats
+            for tau in TAUS:
+                assert server.open(
+                    "churn", access, tau=tau
+                ).fetchall() == oracle_answer(view, db, access)
+        churn = server.cache_stats.delta(before)
+        assert churn.disk_hits > 0 and churn.evictions > 0
+        assert server.total_builds() == 0
+        assert (len(contexts), len(tries)) == (0, 0)
+
+    def test_the_default_cover_is_solved_once_per_context(
+        self, setup, monkeypatch
+    ):
+        from repro.core import context as context_module
+
+        view, db = setup
+        solved = []
+        solve = context_module.max_slack_cover
+        monkeypatch.setattr(
+            context_module,
+            "max_slack_cover",
+            lambda *args: solved.append(args) or solve(*args),
+        )
+        server = ViewServer(db, max_entries=None)
+        name = server.register(view, tau=8.0)
+        built = [server.representation(name, tau) for tau in TAUS]
+        assert len(solved) == 1
+        private = CompressedRepresentation(view, db, tau=2.0)
+        assert built[0].weights == private.weights
+        assert built[0].alpha == private.alpha
+        assert built[0].weights is not built[1].weights  # copies, not aliases
+
+    def test_a_budgeted_registration_keeps_its_cover_at_its_own_tau_only(
+        self, setup
+    ):
+        view, db = setup
+        server = ViewServer(db, max_entries=None)
+        name = server.register(view, space_budget=4000)
+        registration = server.registration(name)
+        own = server.representation(name)
+        other = server.representation(name, registration.tau * 2)
+        assert own.ctx is other.ctx
+        assert own.weights == {
+            label: float(w) for label, w in registration.weights.items()
+        }
+        assert other.weights == own.ctx.default_cover()[0]
+
+    def test_a_resident_hit_formats_no_label_and_hashes_no_path(
+        self, setup, tmp_path, monkeypatch
+    ):
+        from repro.engine.server import Registration
+
+        view, db = setup
+        formatted = []
+        snapshot_label = Registration.snapshot_label
+        monkeypatch.setattr(
+            Registration,
+            "snapshot_label",
+            lambda self, tau: formatted.append(tau)
+            or snapshot_label(self, tau),
+        )
+        server = ViewServer(db, snapshot_dir=tmp_path)
+        name = server.register(view, tau=8.0)
+        server.representation(name)
+        assert formatted == [8.0]  # the miss
+        for _ in range(3):
+            server.representation(name)
+        assert formatted == [8.0]  # hits: none
+        # ... and a label's path is hashed once, however often the store
+        # is asked for it (load, save, ``in``, every delta-log append).
+        store = server.snapshot_store
+        label = server.registration(name).snapshot_label(8.0)
+        hashed = snap.label_path.cache_info().misses
+        assert label in store
+        assert store.path_for(label) is store.path_for(label)
+        assert snap.label_path.cache_info().misses == hashed
+        # Without a disk tier no label is formatted at all.
+        del formatted[:]
+        plain = ViewServer(db)
+        plain.register(view, tau=8.0)
+        plain.representation(name)
+        assert formatted == []
+
+    def test_index_cells_walks_the_tries_once(self, setup, monkeypatch):
+        from repro.database.index import TrieNode
+
+        view, db = setup
+        rep = CompressedRepresentation(view, db, tau=8.0)
+        expected = representation_cells(rep)
+        walks = []
+        walk = TrieNode.cells
+        monkeypatch.setattr(
+            TrieNode, "cells", lambda self: walks.append(1) or walk(self)
+        )
+        assert representation_cells(rep) == expected
+        assert rep.space_report().index_cells == rep.ctx.index_cells()
+        assert walks == []
+
+    def test_the_dictionary_restores_in_bulk_to_the_same_version(self, setup):
+        view, db = setup
+        dictionary = CompressedRepresentation(view, db, tau=2.0).dictionary
+        assert len(dictionary) > 100
+        restored = HeavyDictionary.from_state(dictionary.to_state())
+        assert dict(restored.items()) == dict(dictionary.items())
+        assert restored.version == dictionary.version == len(dictionary)
+        restored.set(0, (-1, -1), 1)
+        assert restored.version == dictionary.version + 1
+
+
+class TestBlobCompatibility:
+    def test_the_format_version_did_not_move(self):
+        assert SNAPSHOT_VERSION == 2
+        assert inspect_snapshot(PARENT_BLOB.read_bytes())["version"] == 2
+
+    def test_a_parent_written_blob_loads_with_and_without_a_context(
+        self, tiny_db
+    ):
+        view = triangle_view("bbf")
+        blob = PARENT_BLOB.read_bytes()
+        fingerprint = database_fingerprint(tiny_db)
+        context = ViewContext(view, tiny_db)
+        alone = decode_snapshot(blob, fingerprint)
+        shared = decode_snapshot(blob, fingerprint, context=context)
+        assert shared.ctx is context and alone.ctx is not context
+        assert len(alone.dictionary) == len(shared.dictionary) == 6
+        for access in oracle_accesses(view, tiny_db, limit=12):
+            expected = oracle_answer(view, tiny_db, access)
+            assert list(alone.enumerate(access)) == expected
+            assert list(shared.enumerate(access)) == expected
+
+    def test_a_blob_written_over_a_shared_context_is_the_parents_blob(
+        self, tiny_db
+    ):
+        # Same state, key for key, as the blob the parent tree wrote —
+        # so the parent reads what this tree writes (self-contained:
+        # view, database, tree, dictionary, layout, nothing dropped).
+        view = triangle_view("bbf")
+        written = PARENT_BLOB.read_bytes()
+
+        def state_of(blob):
+            header = snap._parse_header(blob)
+            assert header[:3] == (
+                2,
+                "compressed",
+                database_fingerprint(tiny_db),
+            )
+            state = pickle.loads(blob[header[-1] :])
+            del state["stats"]["build_seconds"]  # a wall-clock reading
+            return state
+
+        context = ViewContext(view, tiny_db)
+        for rep in (
+            CompressedRepresentation(view, tiny_db, tau=1.0, context=context),
+            decode_snapshot(written, context=context),
+        ):
+            assert state_of(encode_snapshot(rep)) == state_of(written)
