@@ -13,7 +13,7 @@ GATE_COUNT ?= 9
 .PHONY: test collect lint lint-deep format docs-check size test-lock-order \
 	bench-smoke bench-warm bench-stream bench-batch bench-reshard \
 	bench-adapt bench-kernel bench-dynamic bench-trend bench \
-	bench-e2e test-e2e-harness
+	bench-e2e test-e2e-harness bench-pairs
 
 test:
 	PYTHONPATH=src $(PYTHON) -m pytest -x -q
@@ -142,6 +142,16 @@ bench-trend:
 # traced), checks every answer against the oracle, prints the metrics.
 bench-e2e:
 	$(PYTHON) benchmarks/e2e/run.py --workload $(or $(WORKLOAD),all)
+
+# Alternating parent/change pairs of that benchmark, the way a gain is
+# claimed (choosing-metrics §8): PARENT=<checkout of the parent commit>
+# WORKLOAD=scan_stream [PAIRS=10 SEED=11 OUT=BENCH_<pr>.json]. Each side
+# runs its own tree's run.py; prints both medians, quartiles, wins and
+# the verdict per end-to-end metric, and merges the row into $(OUT).
+bench-pairs:
+	$(PYTHON) benchmarks/bench_pairs.py --parent $(PARENT) \
+		--workload $(WORKLOAD) --pairs $(or $(PAIRS),10) \
+		--seed $(or $(SEED),11) $(if $(OUT),--out $(OUT))
 
 # Self-test of that benchmark's harness: contract and tables in sync,
 # counts repeatable, a corrupted answer reported as a failure.

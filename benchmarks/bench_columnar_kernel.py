@@ -20,6 +20,11 @@ boundary, the exact surface the engine serves through:
   the independent hash-join oracle.
 * **layout overhead** — compiling the layout must stay a small fraction
   of the build; the bench reports it alongside the speedup.
+* **deep scan (reported, not gated)** — one full drain of the all-free
+  view at the same τ, where the tree is a dozen levels deep and a tuple
+  costs a *box*: µs per tuple and bisect calls per tuple, kernel vs
+  spec. It is the row the kernel's prefix finger (one descent per unit
+  prefix instead of one per box and per β point) shows up in.
 
 Smoke mode (``REPRO_BENCH_SMOKE=1``) shrinks the database for CI; the 3x
 acceptance threshold is identical in both modes.
@@ -32,13 +37,17 @@ import itertools
 import os
 import statistics
 import time
+from contextlib import ExitStack, contextmanager, nullcontext
+from unittest import mock
 
 import pytest
 
 from bench_reporting import bench_emit, bench_emit_table, bench_record_gate
 from oracle import oracle_answer
 from reference_walk import reference_walk
+from repro.core import kernel as kernel_mod
 from repro.core.structure import CompressedRepresentation
+from repro.database import index as index_mod
 from repro.workloads import (
     prefix_batch_requests,
     triangle_database,
@@ -96,6 +105,52 @@ def _serve_mixed(bound, free, accesses, tokens) -> int:
             )
         )
     return total
+
+
+@contextmanager
+def counted_bisects(module):
+    """Count calls of the bisect functions ``module`` imported by name."""
+    calls = [0]
+
+    def counting(function):
+        def wrapper(*args):
+            calls[0] += 1
+            return function(*args)
+
+        return wrapper
+
+    with ExitStack() as stack:
+        for name in ("bisect_left", "bisect_right"):
+            stack.enter_context(
+                mock.patch.object(module, name, counting(getattr(module, name)))
+            )
+        yield calls
+
+
+def _deep_scan_rows(free):
+    """(mode, µs per tuple, bisect calls per tuple) of one full drain."""
+    rows = []
+    for mode, fixture, module in (
+        ("reference (tuple-at-a-time)", reference_walk, index_mod),
+        ("columnar kernel", nullcontext, kernel_mod),
+    ):
+        with fixture():
+            times = []
+            for _ in range(REPEATS):
+                started = time.perf_counter()
+                tuples = sum(1 for _ in free.enumerate(()))
+                times.append(time.perf_counter() - started)
+            with counted_bisects(module) as calls:
+                assert sum(1 for _ in free.enumerate(())) == tuples
+        rows.append(
+            (
+                mode,
+                f"{statistics.median(times) / tuples * 1e6:.2f}",
+                f"{calls[0] / tuples:.1f}",
+                tuples,
+            )
+        )
+    return rows
 
 
 def test_columnar_kernel_gate(workload):
@@ -168,6 +223,14 @@ def test_columnar_kernel_gate(workload):
             f"{TOPK_ROUNDS} top-{TOPK_LIMIT} + {len(tokens)} resume "
             f"pages, triangle (|D|={db.total_tuples()}, tau={TAU}); "
             f"speedup {speedup:.1f}x"
+        ),
+    )
+    bench_emit_table(
+        _deep_scan_rows(free),
+        headers=("mode", "us/tuple", "bisects/tuple", "tuples"),
+        title=(
+            f"EXP-KERNEL deep scan: one full fff drain (tau={TAU}); a "
+            "tuple costs a box, and the kernel descends once per prefix"
         ),
     )
     bench_emit(

@@ -1,0 +1,219 @@
+"""Alternating parent/change pairs of the end-to-end benchmark.
+
+A performance claim in this repo is decided the way
+``choosing-metrics`` §8 says: at least ten pairs of runs, parent and
+change alternating which goes first, each side's median and quartiles,
+and a gain only when the change wins at least nine tenths of the pairs
+*and* the medians differ by more than the distance between the parent's
+own quartiles. Every PR so far hand-rolled that loop in a scratch shell
+script; this is the loop, once.
+
+    python benchmarks/bench_pairs.py --parent ../parent-checkout \\
+        --workload scan_stream --pairs 10 --seed 11 --out BENCH_20.json
+
+The change is the checkout this file sits in. Each run is the tree's
+*own* ``benchmarks/e2e/run.py`` in a subprocess started in that tree (so
+each side measures its own engine with its own harness, at the run
+length the benchmark sets), and the last line of its standard output is
+the result. The metric names, directions and regression bounds are read
+from this tree's ``BENCHMARK.json``. ``--out`` merges the row for this
+``workload@seed`` into a compact ``BENCH_<pr>.json`` (medians, quartiles,
+wins, verdict and every run's value), so one file can hold all six
+workloads and a held-out seed.
+
+Verdicts, per metric: ``improved`` (the §8 rule), ``worse`` (the
+change's median is worse than the parent's by more than the contract's
+bound), ``unresolved`` (the parent's own quartile distance is wider than
+the bound, so the bound cannot be checked — unless every run of the
+change reads better than every run of the parent), ``inside bound``
+otherwise.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import os
+import statistics
+import subprocess
+import sys
+from pathlib import Path
+from typing import Dict, List, Sequence
+
+REPO = Path(__file__).resolve().parent.parent
+RUNNER = ("benchmarks", "e2e", "run.py")
+#: §8: the share of pairs the change must win before a gain is claimed.
+WIN_SHARE = 0.9
+
+
+def compact(value: float) -> float:
+    """Six significant digits: what a committed artifact needs."""
+    return float(f"{value:.6g}")
+
+
+def quartiles(values: Sequence[float]) -> Dict[str, float]:
+    """Median and inclusive quartiles of one side's runs."""
+    if len(values) < 2:
+        q1 = median = q3 = values[0]
+    else:
+        q1, median, q3 = statistics.quantiles(values, n=4, method="inclusive")
+    return {"q1": compact(q1), "median": compact(median), "q3": compact(q3)}
+
+
+def summarise(
+    parent: Sequence[float], change: Sequence[float], better: str, bound: float
+) -> Dict[str, object]:
+    """One metric over paired runs: both spreads, wins and the verdict.
+
+    ``parent[i]`` and ``change[i]`` are the two runs of pair ``i``;
+    ``better`` is ``"higher"`` or ``"lower"``; ``bound`` is the share of
+    the parent's median the metric may worsen by.
+    """
+    sign = 1.0 if better == "higher" else -1.0
+    wins = sum(sign * (c - p) > 0 for p, c in zip(parent, change))
+    losses = sum(sign * (c - p) < 0 for p, c in zip(parent, change))
+    before, after = quartiles(parent), quartiles(change)
+    gain = sign * (after["median"] - before["median"])
+    spread = before["q3"] - before["q1"]
+    allowed = bound * abs(before["median"])
+    if wins >= WIN_SHARE * len(parent) and gain > spread:
+        verdict = "improved"
+    elif -gain > allowed:
+        verdict = "worse"
+    elif spread > allowed and not (
+        min(sign * c for c in change) > max(sign * p for p in parent)
+    ):
+        verdict = "unresolved"
+    else:
+        verdict = "inside bound"
+    return {
+        "parent": before,
+        "change": after,
+        "wins": wins,
+        "losses": losses,
+        "pairs": len(parent),
+        "verdict": verdict,
+    }
+
+
+def parse_result(stdout: str) -> Dict[str, object]:
+    """The result object ``run.py`` prints as its last line."""
+    return json.loads(stdout.strip().splitlines()[-1])
+
+
+def summarise_pairs(
+    parent_results: Sequence[Dict], change_results: Sequence[Dict], contract: Dict
+) -> Dict[str, object]:
+    """A ``BENCH`` row from the two sides' parsed result lines."""
+    metrics = {}
+    for entry in contract["end_to_end"]:
+        name = entry["name"]
+        sides = [
+            [result["metrics"][name]["value"] for result in results]
+            for results in (parent_results, change_results)
+        ]
+        metrics[name] = summarise(*sides, entry["better"], entry["bound"])
+        metrics[name]["unit"] = entry["unit"]
+        metrics[name]["runs"] = {
+            side: [compact(value) for value in values]
+            for side, values in zip(("parent", "change"), sides)
+        }
+    return {
+        "pairs": len(parent_results),
+        "failed": {
+            side: sum(result["failed"] for result in results)
+            for side, results in (
+                ("parent", parent_results),
+                ("change", change_results),
+            )
+        },
+        "metrics": metrics,
+    }
+
+
+def run_once(tree: Path, workload: str, seed: int) -> Dict[str, object]:
+    """One run of ``tree``'s own benchmark, at the length it sets itself."""
+    command = [
+        sys.executable, str(tree.joinpath(*RUNNER)),
+        "--workload", workload, "--seed", str(seed),
+    ]
+    # Each tree imports its own src/: a PYTHONPATH naming one of them
+    # would put that engine on the other side's path too.
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONPATH"}
+    done = subprocess.run(
+        command, cwd=tree, env=env, stdout=subprocess.PIPE, text=True
+    )
+    if not done.stdout.strip():
+        raise SystemExit(f"{' '.join(command)}: no result line")
+    return parse_result(done.stdout)
+
+
+def print_row(label: str, row: Dict[str, object]) -> None:
+    print(f"== {label}: {row['pairs']} pairs, failed {row['failed']}")
+    for name, m in row["metrics"].items():
+        before, after = m["parent"], m["change"]
+        print(
+            f"  {name:<22} {before['median']:>11.5g} "
+            f"[{before['q1']:.5g}..{before['q3']:.5g}] -> "
+            f"{after['median']:>11.5g} [{after['q1']:.5g}..{after['q3']:.5g}] "
+            f"{m['unit']:<7} wins {m['wins']}/{m['pairs']}  {m['verdict']}"
+        )
+
+
+def dump_report(report: Dict[str, object]) -> str:
+    """The ``BENCH`` file: one line per metric, so a diff reads as rows."""
+    rows = []
+    for label, row in sorted(report["rows"].items()):
+        metrics = ",\n".join(
+            f"    {json.dumps(name)}: {json.dumps(metric)}"
+            for name, metric in row["metrics"].items()
+        )
+        rows.append(
+            f'  {json.dumps(label)}: {{"pairs": {row["pairs"]}, "failed": '
+            f'{json.dumps(row["failed"])}, "metrics": {{\n{metrics}\n  }}}}'
+        )
+    body = ",\n".join(rows)
+    return f'{{"parent": {json.dumps(report["parent"])}, "rows": {{\n{body}\n}}}}\n'
+
+
+def head_of(tree: Path) -> str:
+    done = subprocess.run(
+        ["git", "rev-parse", "--short", "HEAD"],
+        cwd=tree, stdout=subprocess.PIPE, stderr=subprocess.DEVNULL, text=True,
+    )
+    return done.stdout.strip() or "unknown"
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--parent", required=True, type=Path)
+    parser.add_argument("--workload", required=True)
+    parser.add_argument("--pairs", type=int, default=10)
+    parser.add_argument("--seed", type=int, default=11)
+    parser.add_argument("--out", type=Path, default=None)
+    args = parser.parse_args(argv)
+    contract = json.loads((REPO / "BENCHMARK.json").read_text())
+    trees = {"parent": args.parent.resolve(), "change": REPO}
+    results: Dict[str, List[Dict]] = {"parent": [], "change": []}
+    for pair in range(args.pairs):
+        order = ("parent", "change") if pair % 2 == 0 else ("change", "parent")
+        for side in order:
+            result = run_once(trees[side], args.workload, args.seed)
+            results[side].append(result)
+            print(
+                f"pair {pair + 1}/{args.pairs} {side}: failed {result['failed']}",
+                flush=True,
+            )
+    row = summarise_pairs(results["parent"], results["change"], contract)
+    label = f"{args.workload}@{args.seed}"
+    print_row(label, row)
+    if args.out is not None:
+        report = json.loads(args.out.read_text()) if args.out.exists() else {}
+        report["parent"] = head_of(trees["parent"])
+        report.setdefault("rows", {})[label] = row
+        args.out.write_text(dump_report(report))
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -28,6 +28,22 @@ yielded it — and the counter is advanced to the stamp as the row is
 delivered (:func:`_stamped`): a consumer reading the counter between
 pulls sees exactly the reference's gap sequence, early stops included.
 
+Algorithm 2's order is monotone and its tree is deep (the thresholds
+τ_ℓ fall below 1 a dozen levels down), so most light boxes are
+``(x, y, [z₁..z₂])`` and most β points repeat the unit prefix the
+previous box resolved. Every lane therefore carries a *prefix finger*
+(:func:`_finger`): per coordinate, the index it was last fixed to, the
+per-atom slices below it (or "absent in some atom") and the decoded row
+prefix. Boxes and β points are compared against it by value and
+re-descend only from the first coordinate that differs — one descent
+per distinct prefix per walk, not one per box. The finger is per-walk
+state (the solo walk's frame, a shared walk's :class:`KernelSlot` —
+lanes have different root states), never the layout's, which stays
+immutable and shareable between threads. The spec spends exactly one
+step on a unit coordinate present in every participating atom and ends
+the box at an absent one, so the steps of a prefix read off the finger
+are added arithmetically (:func:`_light_rows`).
+
 :func:`nested_product_rows` is the same idea for the materialized
 constant-delay structures: the recursive per-bag generator nest of
 Proposition 4 flattened into one loop with bulk emission at the deepest
@@ -57,7 +73,7 @@ _NUMPY_MIN_RUN = 32
 class KernelSlot:
     """One access request's lane through a shared kernel descent."""
 
-    __slots__ = ("slot", "bucket", "states", "start", "counter")
+    __slots__ = ("slot", "bucket", "states", "start", "counter", "finger")
 
     def __init__(self, slot, bucket, states, start, counter=None):
         self.slot = slot
@@ -65,6 +81,7 @@ class KernelSlot:
         self.states = states
         self.start = start
         self.counter = counter
+        self.finger = None  # the lane's own, made when its walk starts
 
 
 def _probe(ids, bits, node_id: int) -> Optional[int]:
@@ -140,11 +157,14 @@ def _join_coord(
     """Append the box-restricted join rows for one coordinate onward.
 
     ``states`` holds per-atom ``(lo, hi)`` run slices aligned with
-    ``layout.join_atoms``; the precomputed participation schedule says
-    which atoms constrain this coordinate (and at which trie level) —
-    the same participation rule as the reference generic join, with
-    sorted-run intersections in place of per-candidate hash probes, and
-    the final coordinate emitted as one bulk-decoded run.
+    ``layout.join_atoms`` and ``prefix`` the decoded row so far (a
+    tuple); the precomputed participation schedule says which atoms
+    constrain this coordinate (and at which trie level) — the same
+    participation rule as the reference generic join, with sorted-run
+    intersections in place of per-candidate hash probes, and the final
+    coordinate emitted as one bulk-decoded run. ``coordinate`` is below
+    ``layout.width``: the box's leading unit coordinates never get here
+    (:func:`_light_rows` resolves them through the finger).
 
     Returns the logical steps the reference join spends on this subtree:
     one per candidate of the smallest in-range participating run (first
@@ -153,48 +173,47 @@ def _join_coord(
     row appended to ``out`` also gets its step stamp: ``base`` plus the
     steps counted up to and including the row's own last candidate.
     """
-    width = layout.width
-    if coordinate == width:
-        out.append(tuple(prefix))
-        if stamps is not None:
-            stamps.append(base)
-        return 0
     low_index, high_index = box[coordinate]
-    if low_index > high_index:
-        return 0
     participants = layout.participants[coordinate]
     values = layout.domain_values[coordinate]
-    last = coordinate == width - 1
+    last = coordinate == layout.width - 1
     if not participants:
         # No atom constrains this coordinate: the reference join falls
         # back to the (full) active domain sliced to the box range.
         if last:
-            row_base = tuple(prefix)
-            out.extend(
-                row_base + (values[index],)
+            out += [
+                prefix + (values[index],)
                 for index in range(low_index, high_index + 1)
-            )
+            ]
             steps = high_index - low_index + 1
             if stamps is not None:
                 stamps.extend(range(base + 1, base + steps + 1))
             return steps
         steps = 0
         for index in range(low_index, high_index + 1):
-            prefix.append(values[index])
             steps += 1
             steps += _join_coord(
-                layout, states, coordinate + 1, box, prefix, out, stamps, base + steps
+                layout, states, coordinate + 1, box,
+                prefix + (values[index],), out, stamps, base + steps,
             )
-            prefix.pop()
         return steps
     atoms = layout.join_atoms
+    # A unit range is one probe per atom; the full domain clips nothing.
+    unit = low_index == high_index
+    full = low_index == 0 and high_index == len(values) - 1
     runs = []
     small_length = None
     for index, level in participants:
-        lo, hi = states[index]
+        clip_lo, clip_hi = states[index]
         run = atoms[index].vals[level]
-        clip_lo = bisect_left(run, low_index, lo, hi)
-        clip_hi = bisect_right(run, high_index, lo, hi)
+        if unit:
+            clip_lo = bisect_left(run, low_index, clip_lo, clip_hi)
+            if clip_lo >= clip_hi or run[clip_lo] != low_index:
+                return 0
+            clip_hi = clip_lo + 1
+        elif not full:
+            clip_lo = bisect_left(run, low_index, clip_lo, clip_hi)
+            clip_hi = bisect_right(run, high_index, clip_lo, clip_hi)
         if clip_lo >= clip_hi:
             return 0
         runs.append((index, level, clip_lo, clip_hi))
@@ -204,34 +223,32 @@ def _join_coord(
             small_run, small_lo, small_hi = run, clip_lo, clip_hi
             small_index = index
     if last:
-        candidates = _intersect_runs(layout, runs, small_length)
+        # Every clipped run of a unit range is that one index.
+        candidates = (
+            [low_index] if unit else _intersect_runs(layout, runs, small_length)
+        )
         if candidates:
-            row_base = tuple(prefix)
-            out.extend(row_base + (values[index],) for index in candidates)
+            out += [prefix + (values[index],) for index in candidates]
             if stamps is not None:
                 # A match's stamp is its 1-based position in the run the
                 # reference iterates — the smallest one.
                 first = base + 1 - small_lo
-                stamps.extend(
+                stamps += [
                     bisect_left(small_run, index, small_lo, small_hi) + first
                     for index in candidates
-                )
+                ]
         return small_length
     deeper = 0
     for small_position in range(small_lo, small_hi):
         candidate = small_run[small_position]
         next_states = list(states)
-        matched = True
-        for index, level in participants:
+        for index, level, clip_lo, clip_hi in runs:
             atom = atoms[index]
-            if index == small_index:
-                position = small_position
-            else:
-                lo, hi = states[index]
+            position = small_position
+            if index != small_index:
                 run = atom.vals[level]
-                position = bisect_left(run, candidate, lo, hi)
-                if position >= hi or run[position] != candidate:
-                    matched = False
+                position = bisect_left(run, candidate, clip_lo, clip_hi)
+                if position >= clip_hi or run[position] != candidate:
                     break
             if level + 1 < atom.width:
                 next_states[index] = (
@@ -240,14 +257,12 @@ def _join_coord(
                 )
             # An exhausted atom never participates downstream, so its
             # stale slice is simply never read again.
-        if not matched:
-            continue
-        prefix.append(values[candidate])
-        spent = small_position - small_lo + 1 + deeper
-        deeper += _join_coord(
-            layout, next_states, coordinate + 1, box, prefix, out, stamps, base + spent
-        )
-        prefix.pop()
+        else:
+            spent = small_position - small_lo + 1 + deeper
+            deeper += _join_coord(
+                layout, next_states, coordinate + 1, box,
+                prefix + (values[candidate],), out, stamps, base + spent,
+            )
     return small_length + deeper
 
 
@@ -267,16 +282,124 @@ def _stamped(counter, out, stamps, total) -> Iterator[Tuple]:
     counter.steps += total - done
 
 
-def _light_rows(layout, states, boxes, counter):
-    """The rows of a light node's boxes, stamped when ``counter`` is set."""
+# A finger level nothing has been fixed to yet (or not since a shallower
+# level moved): it matches no index, so the first reader descends.
+_UNSET = (-1, None, None)
+
+
+def _finger(layout, states):
+    """A lane's fresh prefix finger over its root ``states``.
+
+    O(width) per-walk state: level ``d + 1`` is the triple ``(index,
+    states, row)`` — the index coordinate ``d`` was last fixed to, the
+    per-atom slices under that prefix (None: the prefix is absent in some
+    participating atom) and its decoded values. Only proper prefixes are
+    kept (the last coordinate is never fixed here: nothing sits below it
+    to share). A level is trusted only by a reader that matched every
+    shallower index on its way down, and a re-descent unsets the level
+    after its own, so comparing indexes by value is all a reader has to
+    do; the list is one longer than its deepest level so that the
+    deepest can unset "the next one" without a bounds check.
+    """
+    finger = [_UNSET] * (layout.width + 1)
+    finger[0] = (-1, states, ())
+    return finger
+
+
+def _fix(layout, states, coordinate, index):
+    """``states`` with ``coordinate`` fixed to ``index``, or None.
+
+    One bisect and an equality test per participating atom, which is all
+    a unit coordinate needs; None when some atom lacks the index.
+    """
+    atoms = layout.join_atoms
+    below = states
+    for atom_index, level in layout.participants[coordinate]:
+        lo, hi = states[atom_index]
+        atom = atoms[atom_index]
+        run = atom.vals[level]
+        position = bisect_left(run, index, lo, hi)
+        if position >= hi or run[position] != index:
+            return None
+        if level + 1 < atom.width:
+            if below is states:
+                below = list(states)
+            below[atom_index] = (
+                atom.kid_lo[level][position],
+                atom.kid_hi[level][position],
+            )
+    return below
+
+
+def _descend(layout, finger, depth, index):
+    """Point finger level ``depth + 1`` at ``index``; returns the level."""
+    _, states, row = finger[depth]
+    finger[depth + 2] = _UNSET  # it described the prefix being left
+    finger[depth + 1] = level = (
+        index,
+        _fix(layout, states, depth, index),
+        row + (layout.domain_values[depth][index],),
+    )
+    return level
+
+
+def _light_rows(layout, finger, boxes, counter):
+    """The rows of a light node's boxes, stamped when ``counter`` is set.
+
+    A box's leading unit coordinates are read off the lane's finger,
+    re-descending only from the first one that differs; the reference
+    join spends one step on each that is present in every participating
+    atom and ends the box at the first that is not, so their steps are
+    counted without being walked. :func:`_join_coord` takes over at the
+    first coordinate with a range — at the last one whatever its range,
+    so that rows are always emitted in bulk.
+    """
+    last = layout.width - 1
     out: List[Tuple] = []
     stamps = None if counter is None else []
     steps = 0
     for box in boxes:
-        steps += _join_coord(layout, states, 0, box, [], out, stamps, steps)
+        level = finger[0]
+        depth = 0
+        for low, high in box:
+            if low != high or depth == last:
+                steps += depth + _join_coord(
+                    layout, level[1], depth, box, level[2],
+                    out, stamps, steps + depth,
+                )
+                break
+            level = finger[depth + 1]
+            if level[0] != low:
+                level = _descend(layout, finger, depth, low)
+            if level[1] is None:
+                steps += depth  # absent: the steps spent so far
+                break
+            depth += 1
+        else:  # no free coordinate at all: the box is the empty row
+            out.append(())
+            if stamps is not None:
+                stamps.append(steps)
     if stamps is None:
         return out
     return _stamped(counter, out, stamps, steps)
+
+
+def _point_joins(layout, finger, point) -> bool:
+    """A β check: the all-unit box ``point``.
+
+    Its prefix is read off the finger like any box's; the last
+    coordinate is only probed — no row to build, nothing below to keep.
+    """
+    level = finger[0]
+    last = layout.width - 1
+    for depth in range(last):
+        index = point[depth]
+        level = finger[depth + 1]
+        if level[0] != index:
+            level = _descend(layout, finger, depth, index)
+        if level[1] is None:
+            return False
+    return _fix(layout, level[1], last, point[last]) is not None
 
 
 def _clipped_boxes(layout, low, high, start):
@@ -312,8 +435,8 @@ def _walk(layout, bucket, states, start, counter) -> Iterator[Tuple]:
     beta_col = tree.beta
     beta_values = tree.beta_values
     boxes_col = tree.boxes
-    point_matches = layout.point_matches
     beta_steps = len(layout.atoms)  # one membership probe per atom
+    finger = _finger(layout, states)
     stack = [(_VISIT if start is None else _VISIT_FROM, root)]
     while stack:
         kind, node_id = stack.pop()
@@ -345,7 +468,7 @@ def _walk(layout, bucket, states, start, counter) -> Iterator[Tuple]:
                 boxes = _clipped_boxes(
                     layout, low_col[node_id], high_col[node_id], start
                 )
-                yield from _light_rows(layout, states, boxes, counter)
+                yield from _light_rows(layout, finger, boxes, counter)
                 continue
         if kind == _VISIT:
             if counter is not None:
@@ -367,14 +490,14 @@ def _walk(layout, bucket, states, start, counter) -> Iterator[Tuple]:
                 if left >= 0:
                     stack.append((_VISIT, left))
                 continue
-            yield from _light_rows(layout, states, boxes_col[node_id], counter)
+            yield from _light_rows(layout, finger, boxes_col[node_id], counter)
             continue
         point = beta_col[node_id]
         if kind == _BETA_FROM and point < start:
             continue
         if counter is not None:
             counter.steps += beta_steps
-        if point_matches(states, point):
+        if _point_joins(layout, finger, point):
             yield beta_values[node_id]
 
 
@@ -416,6 +539,9 @@ def kernel_shared_enumerate(
     if root < 0 or not slots:
         return
     beta_steps = len(layout.atoms)
+    for slot in slots:
+        # One finger per lane: lanes have different root states.
+        slot.finger = _finger(layout, slot.states)
     stack = [(_VISIT, root, slots)]
     while stack:
         kind, node_id, group = stack.pop()
@@ -429,7 +555,7 @@ def kernel_shared_enumerate(
                     continue
                 if slot.counter is not None:
                     slot.counter.steps += beta_steps
-                if layout.point_matches(slot.states, point):
+                if _point_joins(layout, slot.finger, point):
                     yield (slot.slot, beta_values)
             continue
         low = tree.low[node_id]
@@ -460,13 +586,13 @@ def kernel_shared_enumerate(
                 for slot in light_full:
                     if not alive[slot.slot]:
                         continue
-                    for row in _light_rows(layout, slot.states, (box,), slot.counter):
+                    for row in _light_rows(layout, slot.finger, (box,), slot.counter):
                         yield (slot.slot, row)
         for slot in light_clipped:
             for box in _clipped_boxes(layout, low, high, slot.start):
                 if not alive[slot.slot]:
                     break
-                for row in _light_rows(layout, slot.states, (box,), slot.counter):
+                for row in _light_rows(layout, slot.finger, (box,), slot.counter):
                     yield (slot.slot, row)
         if not heavy:
             continue

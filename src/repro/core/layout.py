@@ -39,7 +39,6 @@ from __future__ import annotations
 
 import os
 from array import array
-from bisect import bisect_left
 from typing import Dict, List, Optional, Sequence, Tuple
 
 try:  # pragma: no cover - exercised via the no-numpy CI leg
@@ -240,22 +239,6 @@ class AtomColumns:
         key = tuple(access[i] for i in self.bound_positions)
         return self.roots.get(key)
 
-    def contains_point(
-        self, root_range: Tuple[int, int], point: Tuple[int, ...]
-    ) -> bool:
-        """Membership of the point's coordinates along this atom's levels."""
-        lo, hi = root_range
-        for level, coordinate in enumerate(self.coords):
-            target = point[coordinate]
-            run = self.vals[level]
-            position = bisect_left(run, target, lo, hi)
-            if position >= hi or run[position] != target:
-                return False
-            if level + 1 < self.width:
-                lo = self.kid_lo[level][position]
-                hi = self.kid_hi[level][position]
-        return True
-
     def bind_numpy(self, np_module) -> None:
         if np_module is None:
             self.np_vals = None
@@ -391,13 +374,6 @@ class CompiledLayout:
             if atom.width:
                 states.append(root_range)
         return states
-
-    def point_matches(self, states, point: Tuple[int, ...]) -> bool:
-        """Whether every atom contains the β point (O(log) per level)."""
-        for atom, root_range in zip(self.join_atoms, states):
-            if not atom.contains_point(root_range, point):
-                return False
-        return True
 
     # ------------------------------------------------------------------
     # explicit state (the snapshot boundary)

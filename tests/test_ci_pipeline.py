@@ -18,6 +18,7 @@ from pathlib import Path
 import pytest
 import yaml
 
+from bench_pairs import dump_report, parse_result, summarise, summarise_pairs
 from check_size import (
     MAIN,
     SPEC,
@@ -358,6 +359,7 @@ class TestMakefileContract:
             "test-lock-order",
             "bench-e2e",
             "test-e2e-harness",
+            "bench-pairs",
         } <= make_targets
 
     def test_bench_batch_runs_the_shared_scan_benchmark(self):
@@ -412,6 +414,14 @@ class TestMakefileContract:
         target = target[: target.index("\n\n")]
         assert "benchmarks/e2e/run.py" in target
         assert "--workload $(or $(WORKLOAD),all)" in target
+
+    def test_bench_pairs_runs_the_pair_loop(self):
+        text = MAKEFILE.read_text()
+        target = text[text.index("bench-pairs:"):]
+        target = target[: target.index("\n\n")]
+        assert "benchmarks/bench_pairs.py" in target
+        assert "--parent $(PARENT)" in target
+        assert "--pairs $(or $(PAIRS),10)" in target
 
     def test_e2e_harness_self_test_has_a_target(self):
         text = MAKEFILE.read_text()
@@ -491,14 +501,22 @@ ENGINE_SLOC_CEILING = 4351
 #: what is left is argparse declarations and input checks.
 MAIN_SLOC_CEILING = 1030
 
-#: `make size`'s total for src/repro after PR 19. A per-package ceiling
+#: `make size`'s total for src/repro after PR 20. A per-package ceiling
 #: reads code *moved* out of the package as a reduction; the total cannot
 #: be met that way — and code moved out of ``src/`` altogether (the
 #: executable spec) is printed on its own line, not passed off as deleted.
 #: PR 19: 13,320 → 13,369 (+49: the engine's +7 above, +42 in ``core`` —
 #: the context's memos, the adoption check, the codec's ``context=``),
-#: bought by the same ``tau_churn`` row.
-SRC_SLOC_CEILING = 13369
+#: bought by the same ``tau_churn`` row. PR 20: 13,369 → 13,408 (+39, all
+#: in ``core/kernel.py`` — the per-lane prefix finger, +59 — less the
+#: ``point_matches`` / ``contains_point`` it replaced in ``core/layout.py``,
+#: −20), bought by the ``scan_stream`` row: ``tuples_per_s`` 123.5k →
+#: 213.2k (+73 %, ten of ten alternating pairs; 128.6k → 218.9k on
+#: held-out seed 40), ``latency_p99_ms`` 68.1 → 35.5 ms,
+#: ``core.kernel.us_per_tuple`` 7.1–8.0 → 4.3–4.4 µs — each distinct unit
+#: prefix is descended once per walk, not once per box and β point. The
+#: engine's and the CLI's ceilings did not move.
+SRC_SLOC_CEILING = 13408
 
 
 class TestSizeGate:
@@ -812,3 +830,124 @@ class TestTrajectoryGate:
         )
         assert proc.returncode == 0, proc.stdout + proc.stderr
         assert out.exists()
+
+
+class TestPairSummariser:
+    """`benchmarks/bench_pairs.py`: the §8 verdict, from canned results."""
+
+    CONTRACT = {
+        "end_to_end": [
+            {"name": "tuples_per_s", "unit": "1/s", "better": "higher",
+             "bound": 0.25},
+            {"name": "latency_p99_ms", "unit": "ms", "better": "lower",
+             "bound": 0.25},
+            {"name": "resident_cells", "unit": "count", "better": "lower",
+             "bound": 0.08},
+        ]
+    }
+
+    @staticmethod
+    def _stdout(tuples, p99, cells=25479, failed=0):
+        """What one `run.py` prints: chatter, then the result line."""
+        result = {
+            "correct": failed == 0,
+            "attempted": 3430,
+            "failed": failed,
+            "metrics": {
+                "tuples_per_s": {"value": tuples, "unit": "1/s"},
+                "latency_p99_ms": {"value": p99, "unit": "ms"},
+                "resident_cells": {"value": cells, "unit": "count"},
+            },
+        }
+        return f"workload=scan_stream seed=11\npasses=21\n{json.dumps(result)}\n"
+
+    def test_the_last_stdout_line_is_the_result(self):
+        parsed = parse_result(self._stdout(1.5e5, 60.0))
+        assert parsed["metrics"]["tuples_per_s"]["value"] == 1.5e5
+
+    def test_a_row_of_ten_pairs(self):
+        parent = [
+            parse_result(self._stdout(130e3 + 1e3 * i, 60.0 + i % 3))
+            for i in range(10)
+        ]
+        change = [
+            parse_result(self._stdout(200e3 + 1e3 * i, 61.0 - i % 3, failed=i == 4))
+            for i in range(10)
+        ]
+        row = summarise_pairs(parent, change, self.CONTRACT)
+        assert row["pairs"] == 10
+        assert row["failed"] == {"parent": 0, "change": 1}
+        tuples = row["metrics"]["tuples_per_s"]
+        assert tuples["verdict"] == "improved"
+        assert (tuples["wins"], tuples["losses"]) == (10, 0)
+        assert tuples["parent"] == {"q1": 132250.0, "median": 134500.0, "q3": 136750.0}
+        assert tuples["runs"]["change"][0] == 200e3
+        # p99 moved by less than the parent's own spread: no claim.
+        assert row["metrics"]["latency_p99_ms"]["verdict"] == "inside bound"
+        # A count that repeats exactly ties every pair: neither side wins.
+        cells = row["metrics"]["resident_cells"]
+        assert (cells["wins"], cells["losses"]) == (0, 0)
+        assert cells["verdict"] == "inside bound"
+
+    def test_verdicts(self):
+        ten = list(range(10))
+        higher = [100.0 + i for i in ten]
+        # Nine of ten wins and a median gap above the parent's quartile
+        # distance (4.5 here) is a gain; eight wins is not.
+        nine = [v + 10 for v in higher[:9]] + [higher[9] - 1]
+        assert summarise(higher, nine, "higher", 0.25)["verdict"] == "improved"
+        eight = [v + 10 for v in higher[:8]] + [v - 1 for v in higher[8:]]
+        assert summarise(higher, eight, "higher", 0.25)["verdict"] == "inside bound"
+        # Ten wins by less than the parent's spread: not a gain either.
+        assert (
+            summarise(higher, [v + 1 for v in higher], "higher", 0.25)["verdict"]
+            == "inside bound"
+        )
+        # "lower is better" flips the sign of a win.
+        lower = summarise(higher, [v - 10 for v in higher], "lower", 0.25)
+        assert (lower["verdict"], lower["wins"]) == ("improved", 10)
+        # Worse than the parent by more than the bound.
+        assert (
+            summarise(higher, [v * 0.7 for v in higher], "higher", 0.25)["verdict"]
+            == "worse"
+        )
+        # A parent noisier than the bound can only be left unresolved...
+        noisy = [100.0, 10.0, 190.0, 20.0, 180.0, 30.0, 170.0, 40.0, 160.0, 50.0]
+        flat = [100.0] * 10
+        assert summarise(noisy, flat, "higher", 0.05)["verdict"] == "unresolved"
+        # ...winning every pair is not enough, every run of the change
+        # reading better than every run of the parent is.
+        assert (
+            summarise(noisy, [v + 1 for v in noisy], "higher", 0.05)["verdict"]
+            == "unresolved"
+        )
+        clear = [191.0 + i for i in ten]
+        assert summarise(noisy, clear, "higher", 0.05)["verdict"] == "inside bound"
+
+    def test_the_report_round_trips_one_line_per_metric(self):
+        parent = [parse_result(self._stdout(130e3 + i, 60.0)) for i in range(3)]
+        change = [parse_result(self._stdout(200e3 + i, 40.0)) for i in range(3)]
+        row = summarise_pairs(parent, change, self.CONTRACT)
+        report = {"parent": "abc1234", "rows": {"scan_stream@11": row}}
+        text = dump_report(report)
+        assert json.loads(text) == report
+        assert len(text.splitlines()) == 2 + len(self.CONTRACT["end_to_end"]) + 2
+
+    def test_the_committed_bench_file_covers_every_workload(self):
+        contract = json.loads((REPO / "BENCHMARK.json").read_text())
+        report = json.loads((REPO / "BENCH_20.json").read_text())
+        rows = report["rows"]
+        workloads = [entry["name"] for entry in contract["workloads"]]
+        assert {f"{name}@11" for name in workloads} <= set(rows)
+        assert "scan_stream@40" in rows  # the held-out seed
+        for label, row in rows.items():
+            assert row["failed"] == {"parent": 0, "change": 0}, label
+            assert set(row["metrics"]) == {
+                entry["name"] for entry in contract["end_to_end"]
+            }
+            assert not any(
+                metric["verdict"] == "worse" for metric in row["metrics"].values()
+            ), label
+        claimed = rows["scan_stream@11"]
+        assert claimed["pairs"] >= 10
+        assert claimed["metrics"]["tuples_per_s"]["verdict"] == "improved"

@@ -13,19 +13,24 @@ dictionary version is refused, a dirty dynamic version is the lazy
 view's, and both snapshot codec versions load.
 """
 
+import itertools
 import pickle
+import random
+import sys
+import threading
 import zlib
 
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from oracle import oracle_accesses, oracle_answer
-from reference_walk import reference_walk
+from reference_walk import _join_box, reference_walk
 from repro.core import kernel as kernel_mod
 from repro.core import layout as layout_mod
 from repro.core.context import ViewContext
 from repro.core.decomposed import DecomposedRepresentation
 from repro.core.dynamic import DynamicRepresentation
+from repro.core.intervals import FBox, ScalarInterval
 from repro.core.constant_delay import ConnexConstantDelayStructure
 from repro.core.snapshot import (
     SNAPSHOT_MAGIC,
@@ -68,9 +73,15 @@ def on_off(callable_returning_iterable):
 def views_under_test():
     yield triangle_view("bff"), triangle_database(16, 70, seed=7)
     yield triangle_view("fff"), triangle_database(14, 60, seed=8)
+    # Width 1: no unit prefix to share, the finger only settles β points.
     yield triangle_view("bbf"), triangle_database(16, 70, seed=9)
     yield path_view(4), path_database(4, 40, 10, seed=10)
     yield star_view(3), star_database(3, 90, 12, seed=11)
+    # Four free variables: the finger holds three levels above the last
+    # coordinate, and a change at level 0 must invalidate levels 1-2.
+    # (Six head variables, so the case ids of the rows above stay as
+    # they were.)
+    yield path_view(5, "bbffff"), path_database(5, 20, 6, seed=12)
 
 
 class TestEntryPointParity:
@@ -693,6 +704,327 @@ def test_random_instances_restore_identically_over_a_shared_context(case):
         assert kernel_side == reference_side
         sides.append((traces, kernel_side))
     assert sides[0] == sides[1] == sides[2] == sides[3]
+
+
+# ----------------------------------------------------------------------
+# the prefix finger (one descent per unit prefix, per lane)
+# ----------------------------------------------------------------------
+def finger_vs_spec(rep, access, boxes, measured):
+    """Hand-made boxes through ONE finger vs one spec join per box.
+
+    Returns ``(kernel, spec)``: each the rows with the counter reading
+    at every row, then the closing total. The order of the boxes is the
+    caller's — the finger has to be right for any order, the walk's
+    monotone one only makes it cheap.
+    """
+    layout = rep._fresh_layout()
+    finger = kernel_mod._finger(layout, layout.root_states(access))
+    counter = JoinCounter()
+    kernel_side = [
+        (row, counter.steps)
+        for row in kernel_mod._light_rows(
+            layout, finger, boxes, counter if measured else None
+        )
+    ]
+    kernel_side.append(counter.steps)
+    spec_counter = JoinCounter()
+    subtries = rep.ctx.subtries(access)
+    spec_side = []
+    for box in boxes:
+        fbox = FBox([ScalarInterval(low, high) for low, high in box])
+        for row in _join_box(rep, access, subtries, fbox, spec_counter):
+            spec_side.append((row, spec_counter.steps if measured else 0))
+    spec_side.append(spec_counter.steps if measured else 0)
+    return kernel_side, spec_side
+
+
+@pytest.fixture(scope="module")
+def fff():
+    view = triangle_view("fff")
+    db = triangle_database(10, 40, seed=31)
+    rep = CompressedRepresentation(view, db, tau=2.0)
+    tops = tuple(domain.top for domain in rep.ctx.space.domains)
+    return view, db, rep, tops
+
+
+@pytest.mark.usefixtures("backend")
+class TestPrefixFinger:
+    """Adversarial box / β sequences through one finger, both backends."""
+
+    @pytest.mark.parametrize("measured", [True, False])
+    def test_a_memoised_absent_prefix_ends_the_next_box_the_same_way(
+        self, fff, measured
+    ):
+        _, _, rep, tops = fff
+        layout = rep._fresh_layout()
+        states = layout.root_states(())
+        present = {row[:2] for row in rep.enumerate(())}
+        xs = range(tops[0] + 1)
+        ys = range(tops[1] + 1)
+        # (x, y) joins nothing; x alone may or may not be in R and T.
+        absent = [(x, y) for x in xs for y in ys if (x, y) not in present]
+        assert absent
+        for x, y in absent:
+            wide = ((x, x), (y, y), (0, tops[2]))
+            narrow = ((x, x), (y, y), (1, max(1, tops[2] - 1)))
+            point = ((x, x), (y, y), (0, 0))
+            for boxes in (
+                [wide, wide],
+                [wide, narrow, point],
+                [point, wide],
+                [((x, x), (0, tops[1]), (0, tops[2])), narrow, wide],
+            ):
+                kernel_side, spec_side = finger_vs_spec(
+                    rep, (), boxes, measured
+                )
+                assert kernel_side == spec_side, (x, y, boxes)
+            # The second visit is answered from the memo, not re-probed.
+            finger = kernel_mod._finger(layout, states)
+            kernel_mod._light_rows(layout, finger, [wide], None)
+            before = list(finger)
+            kernel_mod._light_rows(layout, finger, [narrow, wide], None)
+            assert all(now is was for now, was in zip(finger, before))
+
+    @pytest.mark.parametrize("measured", [True, False])
+    def test_any_box_sequence_equals_one_spec_join_per_box(
+        self, fff, measured
+    ):
+        _, _, rep, tops = fff
+        rng = random.Random(5)
+
+        def random_box():
+            unit = rng.randrange(4)  # leading unit coordinates (3: a point)
+            box = []
+            for coordinate, top in enumerate(tops):
+                if coordinate < unit:
+                    low = high = rng.randint(0, top)
+                elif rng.random() < 0.3:
+                    low, high = 0, top
+                else:
+                    low = rng.randint(0, top)
+                    high = rng.randint(low, top)
+                box.append((low, high))
+            return tuple(box)
+
+        for _ in range(60):
+            boxes = [random_box() for _ in range(rng.randint(1, 12))]
+            # Repeats and returns to an earlier prefix, not only monotone.
+            boxes += rng.sample(boxes, k=len(boxes) // 2)
+            kernel_side, spec_side = finger_vs_spec(rep, (), boxes, measured)
+            assert kernel_side == spec_side, boxes
+
+    def test_beta_points_sharing_and_not_sharing_the_preceding_prefix(
+        self, fff
+    ):
+        _, _, rep, tops = fff
+        layout = rep._fresh_layout()
+        space = rep.ctx.space
+        rows = set(rep.enumerate(()))
+        points = list(
+            itertools.product(*(range(top + 1) for top in tops))
+        )
+        rng = random.Random(9)
+        finger = kernel_mod._finger(layout, layout.root_states(()))
+        previous = (0, 0, 0)
+        for point in rng.sample(points, k=min(300, len(points))):
+            # Alternate: a box under the previous point's prefix, a box
+            # under this point's, then the β check itself.
+            for x, y, _ in (previous, point):
+                kernel_mod._light_rows(
+                    layout, finger, [((x, x), (y, y), (0, tops[2]))], None
+                )
+            joined = kernel_mod._point_joins(layout, finger, point)
+            assert joined == (space.values(point) in rows), point
+            assert joined == rep.ctx.beta_matches((), space.values(point))
+            previous = point
+
+    def test_seeks_that_start_mid_prefix_and_stops_mid_node(self):
+        for view, db in (
+            (triangle_view("fff"), triangle_database(12, 50, seed=33)),
+            (path_view(4, "bffff"), path_database(4, 22, 6, seed=12)),
+        ):
+            rep = CompressedRepresentation(view, db, tau=2.0)
+            for access in oracle_accesses(view, db, limit=3):
+                rows = oracle_answer(view, db, access)
+                # Seek points between rows: the clipped boxes of the
+                # straddled node start in the middle of a unit prefix.
+                tokens = [row[:-1] + (row[-1] + 1,) for row in rows[::3]]
+                tokens += [row[:1] + (row[1] + 1,) + row[2:] for row in rows[::5]]
+                for token in tokens:
+                    kernel_side, reference_side = measured_on_off(
+                        lambda c: rep.enumerate_from(access, token, counter=c)
+                    )
+                    assert kernel_side == reference_side, (access, token)
+                    assert kernel_side[0] == [r for r in rows if r >= token]
+                # Early close and limit stops: the counter reads what the
+                # spec's reads after k rows, the walk abandoned mid-node.
+                for k in range(0, len(rows) + 1, max(1, len(rows) // 7)):
+
+                    def stopped():
+                        counter = JoinCounter()
+                        stream = rep.enumerate(access, counter=counter)
+                        taken = list(itertools.islice(stream, k))
+                        stream.close()
+                        cursor = open_cursor(
+                            rep,
+                            AccessRequest("v", access, limit=k, measure=True),
+                        )
+                        return [
+                            taken,
+                            counter.steps,
+                            cursor.fetchall(),
+                            cursor.stats().step_total,
+                        ]
+
+                    kernel_side, reference_side = on_off(stopped)
+                    assert kernel_side == reference_side, (access, k)
+                    assert kernel_side[0] == rows[:k]
+
+    def test_lanes_never_share_a_finger(self):
+        view = path_view(4, "bbfff")
+        db = path_database(4, 24, 6, seed=14)
+        rep = CompressedRepresentation(view, db, tau=2.0)
+        productive = oracle_accesses(view, db, limit=6)
+        # Prefix-sharing (same x1), disjoint, duplicate and empty lanes.
+        accesses = productive + [
+            (productive[0][0], productive[-1][1]),
+            productive[0],
+            (99, 99),
+        ]
+        starts = []
+        for index, access in enumerate(accesses):
+            rows = oracle_answer(view, db, access)
+            starts.append(
+                rows[(index * len(rows)) // len(accesses)]
+                if rows and index % 2
+                else None
+            )
+        solo = []
+        for access, start in zip(accesses, starts):
+            counter = JoinCounter()
+            stream = (
+                rep.enumerate(access, counter=counter)
+                if start is None
+                else rep.enumerate_from(access, start, counter=counter)
+            )
+            solo.append([(row, counter.steps) for row in stream])
+        for prune_after in (None, 1, 4):
+            counters = [JoinCounter() for _ in accesses]
+            trace = shared_trace(
+                rep, accesses, counters, starts=starts, prune_after=prune_after
+            )
+            for slot in range(len(accesses)):
+                lane = [(row, steps) for s, row, steps in trace[:-1] if s == slot]
+                if prune_after is None:
+                    assert lane == solo[slot], slot
+                else:
+                    # A pruned lane stops at the next box boundary.
+                    assert lane == solo[slot][: len(lane)], slot
+                    assert len(lane) >= min(prune_after, len(solo[slot]))
+
+    def test_eight_threads_interleave_solo_walks_over_one_layout(self):
+        view = triangle_view("bff")
+        db = triangle_database(14, 70, seed=35)
+        rep = CompressedRepresentation(view, db, tau=2.0)
+        layout = rep._fresh_layout()
+        assert layout_mod.CompiledLayout.__slots__ == (
+            "tree", "dictionary", "atoms", "dict_version", "width", "space",
+            "domain_values", "join_atoms", "participants", "np",
+        )
+        frozen = {
+            name: id(getattr(layout, name))
+            for name in layout_mod.CompiledLayout.__slots__
+        }
+        accesses = oracle_accesses(view, db, limit=8)
+        expected = {a: oracle_answer(view, db, a) for a in accesses}
+        failures = []
+
+        def hammer(offset):
+            try:
+                for round_ in range(6):
+                    order = accesses[offset:] + accesses[:offset]
+                    streams = [
+                        (a, kernel_mod.kernel_enumerate(layout, a), [])
+                        for a in order
+                    ]
+                    live = list(streams)
+                    while live:  # round-robin: every walk is mid-node
+                        for entry in list(live):
+                            row = next(entry[1], None)
+                            if row is None:
+                                live.remove(entry)
+                            else:
+                                entry[2].append(row)
+                    for access, _, rows in streams:
+                        if rows != expected[access]:
+                            failures.append((offset, round_, access))
+            except Exception as error:  # pragma: no cover - the failure
+                failures.append((offset, repr(error)))
+
+        threads = [
+            threading.Thread(target=hammer, args=(index,)) for index in range(8)
+        ]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)  # switch threads mid-box, not per box
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert not failures
+        # Nothing per-walk was ever written onto the shared layout.
+        assert frozen == {
+            name: id(getattr(layout, name))
+            for name in layout_mod.CompiledLayout.__slots__
+        }
+
+    def test_a_full_walk_descends_each_unit_prefix_at_most_once(
+        self, monkeypatch
+    ):
+        descents = []
+        real_descend = kernel_mod._descend
+
+        def counting(layout, finger, depth, index):
+            prefix = tuple(finger[d + 1][0] for d in range(depth))
+            descents.append(prefix + (index,))
+            return real_descend(layout, finger, depth, index)
+
+        monkeypatch.setattr(kernel_mod, "_descend", counting)
+        for view, db, tau in (
+            (triangle_view("fff"), triangle_database(30, 300, seed=11), 8.0),
+            (path_view(3, "ffff"), path_database(3, 40, 8, seed=15), 4.0),
+        ):
+            rep = CompressedRepresentation(view, db, tau=tau)
+            tree = rep._fresh_layout().tree
+            descents.clear()
+            rows = list(rep.enumerate(()))
+            assert rows == oracle_answer(view, db, ())
+            # Algorithm 2's order is monotone: no prefix is ever re-entered.
+            assert len(descents) == len(set(descents))
+            boxes = sum(len(node_boxes) for node_boxes in tree.boxes)
+            betas = sum(point is not None for point in tree.beta)
+            assert boxes + betas > 2 * len(rows) > 0
+            # One descent per distinct proper prefix, however many boxes
+            # and β points sit under it (the parent re-sought every one of
+            # them from the trie roots).
+            depth = tree.width - 1
+            sought = betas * depth + sum(
+                min(
+                    depth,
+                    sum(
+                        1
+                        for _ in itertools.takewhile(
+                            lambda pair: pair[0] == pair[1], box
+                        )
+                    ),
+                )
+                for node_boxes in tree.boxes
+                for box in node_boxes
+            )
+            assert 0 < len(descents) < sought / 4, (len(descents), sought)
 
 
 class TestFallbackTriggers:
