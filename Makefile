@@ -91,7 +91,7 @@ bench-stream:
 	PYTHONPATH=src REPRO_BENCH_SMOKE=1 $(PYTHON) -m pytest \
 		benchmarks/bench_streaming_topk.py -q
 
-# Shared-scan gate: fails unless a skewed prefix-sharing batch serves
+# Shared-scan gate: fails unless a skewed, duplicate-heavy batch serves
 # >= 3x faster through open_batch than request-at-a-time cursors (and
 # batch answers stay oracle-identical on every backend).
 bench-batch:

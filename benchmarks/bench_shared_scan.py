@@ -1,18 +1,21 @@
-"""EXP-BATCH — shared-scan batch execution vs request-at-a-time cursors.
+"""EXP-BATCH — batch execution vs request-at-a-time cursors.
 
 The factorisation argument, applied to serving: a skewed batch of access
-requests repeats itself — popular accesses recur outright, and near
-misses share bound prefixes — so request-at-a-time cursors keep walking
-the same subtries. ``open_batch`` rides the whole batch on one merged
-descent per ``(view, τ)`` group: duplicates share a traversal lane,
-prefix-sharing accesses share per-atom trie descents, and the tree is
-walked once for the group. This bench gates that advantage:
+requests repeats itself — popular accesses recur outright — so
+request-at-a-time cursors keep walking the same answers. ``open_batch``
+deduplicates each ``(view, τ)`` group and streams every distinct request
+through the one solo walk ``open`` rides. What the ratio below is made
+of: the smoke batch is 320 requests on 46 distinct ones (lanes), so 274
+requests read a walk a peer already paid for; and the group pays one
+resolve and one version pin where request-at-a-time pays 320 of each.
+Nothing is shared *between* distinct requests. This bench gates that
+advantage:
 
 * **batch gate (acceptance)** — a warm :class:`~repro.engine.ViewServer`
-  serves the same Zipf-skewed prefix-sharing batch twice: one cursor per
-  request via ``open``, and one shared scan via ``open_batch``. The
-  shared path must be >= 3x faster wall-clock, with answers
-  bit-identical to the independent hash-join oracle.
+  serves the same Zipf-skewed prefix-grouped batch twice: one cursor per
+  request via ``open``, and one group via ``open_batch``. The batch
+  path must be >= 3x faster wall-clock, with answers bit-identical to
+  the independent hash-join oracle.
 * **backend parity** — the identical batch through every backend (plain,
   sharded routed, sharded scatter, async) must produce oracle-identical
   answers, limits included.
@@ -105,7 +108,7 @@ def test_shared_scan_batch_gate(workload):
     per_request_seconds = statistics.median(per_request_times)
     shared_seconds = statistics.median(shared_times)
 
-    # Answers must stay oracle-identical under the shared scan.
+    # Answers must stay oracle-identical through the batch path.
     mismatches = 0
     for request, cursor in zip(batch, server.open_batch(batch)):
         if cursor.fetchall() != oracle_answer(view, db, request.access):
@@ -135,16 +138,15 @@ def test_shared_scan_batch_gate(workload):
         ],
         headers=("mode", "ms", "traversals", "tuples"),
         title=(
-            f"EXP-BATCH: {len(batch)}-request Zipf({SKEW}) prefix-sharing "
+            f"EXP-BATCH: {len(batch)}-request Zipf({SKEW}) prefix-grouped "
             f"batch, triangle bbf (|D|={db.total_tuples()}, tau={TAU}); "
             f"speedup {speedup:.1f}x"
         ),
     )
     bench_emit(
-        f"shape check: {sharing.shared_requests} of {sharing.requests} "
-        f"requests shared a traversal lane and {sharing.subtrie_hits} of "
-        f"{sharing.subtrie_hits + sharing.subtrie_misses} per-atom trie "
-        f"descents came from the prefix cache; the shared path must be "
+        f"shape check: {sharing.requests} requests on {sharing.states} "
+        f"lanes ({sharing.shared_requests} read a walk a peer paid for), "
+        f"one resolve and one pin for the group; the batch path must be "
         f">= {MIN_SPEEDUP:.0f}x faster than request-at-a-time cursors."
     )
     bench_record_gate(
@@ -153,12 +155,10 @@ def test_shared_scan_batch_gate(workload):
         MIN_SPEEDUP,
         requests=len(batch),
         traversals=sharing.states,
-        subtrie_hits=sharing.subtrie_hits,
     )
     assert mismatches == 0
     assert shared_outputs == per_request_outputs
     assert sharing.shared_requests > 0
-    assert sharing.subtrie_hits > 0
     assert speedup >= MIN_SPEEDUP, f"shared-scan speedup only {speedup:.1f}x"
 
 

@@ -5,7 +5,7 @@ recursive transcription of Algorithm 2 is the executable spec under
 ``tests/`` and the parity between the two is a test matrix
 (``tests/test_columnar_kernel.py``), not something a class carries. What
 is still pinned statically, on every serving representation class (one
-that defines ``enumerate_from`` or ``shared_enumerate``):
+that defines ``enumerate_from``):
 
 * **Signatures** of same-name entry points are identical across
   classes — pinned here as the canonical parameter lists — so cursors,
@@ -32,17 +32,9 @@ ENTRY_SIGNATURES: Dict[str, Tuple[str, ...]] = {
     "enumerate": ("self", "access", "counter"),
     "enumerate_from": ("self", "access", "start_values", "counter"),
     "enumerate_after": ("self", "access", "last", "counter"),
-    "shared_enumerate": (
-        "self",
-        "accesses",
-        "starts",
-        "counters",
-        "cache",
-        "alive",
-    ),
 }
 
-_SURFACE_MARKERS = {"enumerate_from", "shared_enumerate"}
+_SURFACE_MARKER = "enumerate_from"
 
 #: The one class allowed to construct the dirty fallback.
 _DIRTY_PATH_OWNER = "FrozenDynamicView"
@@ -95,7 +87,7 @@ class ParitySurfaceRule(Rule):
                                 f"DynamicRepresentation.freeze()"
                             ),
                         )
-            if not (_SURFACE_MARKERS & set(methods)):
+            if _SURFACE_MARKER not in methods:
                 continue
             for name, expected in ENTRY_SIGNATURES.items():
                 method = methods.get(name)

@@ -114,24 +114,6 @@ class AtomBinding:
         return self.trie.contains(key)
 
 
-class SubtrieCache:
-    """Shared per-atom trie-descent cache for prefix-grouped batches.
-
-    A batch of access tuples that share bound-value prefixes repeats the
-    same per-atom trie descents; one cache instance scopes the sharing to
-    one shared scan (entries are plain ``(atom label, value prefix)``
-    keys, so the cache never outlives the structures it points into).
-    ``hits``/``misses`` feed the scan's sharing statistics.
-    """
-
-    __slots__ = ("nodes", "hits", "misses")
-
-    def __init__(self):
-        self.nodes: Dict[Tuple, Optional[TrieNode]] = {}
-        self.hits = 0
-        self.misses = 0
-
-
 class ViewContext:
     """Frozen evaluation context for one natural-join adorned view."""
 
@@ -188,48 +170,6 @@ class ViewContext:
                 f"expected {len(self.bound_order)}"
             )
         return [binding.subtrie(access) for binding in self.atoms]
-
-    def subtries_shared(
-        self, access: Sequence, cache: SubtrieCache
-    ) -> List[Optional[TrieNode]]:
-        """Like :meth:`subtries`, sharing descents through ``cache``.
-
-        Each atom's descent runs value by value, consulting the cache at
-        every prefix length: accesses that agree on an atom's bound
-        prefix pay the dictionary walk once per distinct prefix instead
-        of once per access. Falls back to exactly :meth:`subtries`
-        behavior (including ``None`` for unmatched accesses).
-        """
-        if len(access) != len(self.bound_order):
-            raise QueryError(
-                f"access tuple {tuple(access)!r} has {len(access)} values, "
-                f"expected {len(self.bound_order)}"
-            )
-        nodes: List[Optional[TrieNode]] = []
-        for binding in self.atoms:
-            prefix = tuple(
-                access[i] for i in binding.bound_access_positions
-            )
-            node: Optional[TrieNode] = binding.trie.root
-            for length in range(1, len(prefix) + 1):
-                key = (binding.label, prefix[:length])
-                if key in cache.nodes:
-                    cache.hits += 1
-                    node = cache.nodes[key]
-                else:
-                    cache.misses += 1
-                    node = (
-                        node.children.get(prefix[length - 1])
-                        if node is not None
-                        else None
-                    )
-                    cache.nodes[key] = node
-                if node is None:
-                    # Deeper prefixes of a dead branch are dead too; the
-                    # cache records them lazily as siblings probe them.
-                    break
-            nodes.append(node)
-        return nodes
 
     def beta_matches(self, access: Sequence, free_values: Sequence) -> bool:
         """True iff the full valuation (access ∪ free values) is in the join."""

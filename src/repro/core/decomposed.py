@@ -88,11 +88,6 @@ class DecomposedRepresentation(Representation):
     #: ``enumerate_after``), in the decomposition's own enumeration order.
     supports_resume = True
 
-    #: Grouped enumeration is supported (:meth:`shared_enumerate`): a
-    #: batch of access requests shares per-bag sub-enumerations through
-    #: one scan-scoped memo instead of repeating them per request.
-    supports_shared_scan = True
-
     #: Every bag's enumeration rides the columnar kernel.
     kernel_ready = True
 
@@ -351,17 +346,15 @@ class DecomposedRepresentation(Representation):
         access: Sequence,
         counter: Optional[JoinCounter],
         start_values: Optional[Sequence] = None,
-        memo: Optional[Dict[Tuple, List[Tuple]]] = None,
     ) -> Iterator[Tuple]:
         """Algorithm 5: nested pre-order enumeration over the bags.
 
-        The one recursion behind every entry point. A bag's rows come
-        from one of three sources: its plain Theorem 1 ``enumerate``;
-        its ``enumerate_from`` while the recursion is still *tight* on
+        The one recursion behind both entry points. A bag's rows come
+        from its plain Theorem 1 ``enumerate``, or from its
+        ``enumerate_from`` while the recursion is still *tight* on
         ``start_values`` (every shallower bag sits exactly on its start
         value — the first bag to move strictly past releases all deeper
-        bags to enumerate in full); or ``memo``, a scan-scoped table of
-        per-``(bag, bag access)`` answer lists filled on first use.
+        bags to enumerate in full).
         """
         access = self._check_access(access)
         free_order = self.view.free_variables
@@ -388,22 +381,6 @@ class DecomposedRepresentation(Representation):
             zip(self.view.bound_variables, access)
         )
 
-        def rows_of(bag: _BagStructure, bag_access: Tuple, start):
-            representation = bag.representation
-            if start is not None:
-                return representation.enumerate_from(
-                    bag_access, start, counter=counter
-                )
-            if memo is None:
-                return representation.enumerate(bag_access, counter=counter)
-            key = (bag.node, bag_access)
-            rows = memo.get(key)
-            if rows is None:
-                rows = memo[key] = list(
-                    representation.enumerate(bag_access, counter=counter)
-                )
-            return rows
-
         def recurse(position: int, tight: bool) -> Iterator[Tuple]:
             if position == len(bags):
                 yield tuple(assignment[v] for v in free_order)
@@ -411,7 +388,14 @@ class DecomposedRepresentation(Representation):
             bag = self._bags[bags[position]]
             bag_access = tuple(assignment[v] for v in bag.bound_vars)
             start = starts[bag.node] if tight else None
-            for values in rows_of(bag, bag_access, start):
+            representation = bag.representation
+            if start is None:
+                rows = representation.enumerate(bag_access, counter=counter)
+            else:
+                rows = representation.enumerate_from(
+                    bag_access, start, counter=counter
+                )
+            for values in rows:
                 for var, value in zip(bag.free_vars, values):
                     assignment[var] = value
                 yield from recurse(position + 1, tight and values == start)
@@ -450,53 +434,6 @@ class DecomposedRepresentation(Representation):
         start value releases all deeper bags to enumerate in full.
         """
         return self._nest(access, counter, start_values)
-
-    # ------------------------------------------------------------------
-    # shared-scan batch execution (grouped Algorithm 5)
-    # ------------------------------------------------------------------
-    def shared_enumerate(
-        self,
-        accesses: Sequence[Sequence],
-        starts: Optional[Sequence[Optional[Sequence]]] = None,
-        counters: Optional[Sequence[Optional[JoinCounter]]] = None,
-        cache=None,
-        alive: Optional[List[bool]] = None,
-    ) -> Iterator[Tuple[int, Tuple]]:
-        """Answer a group of access requests sharing per-bag enumerations.
-
-        The decomposition's analogue of the Theorem 1 merged descent:
-        Algorithm 5 nests per-bag enumerations, and a bag's access tuple
-        is determined by the ancestor valuation — so access tuples that
-        agree on a bound prefix keep asking the bags the same
-        sub-requests. One scan-scoped memo of per-``(bag, bag access)``
-        answer lists is shared across the whole group (and across the
-        recursion's own re-entries, which already re-enumerate bags once
-        per outer valuation): each distinct bag access is enumerated
-        once per scan. Yields ``(slot, values)`` events; each slot's own
-        event subsequence equals its :meth:`enumerate` stream
-        (:meth:`enumerate_from` when ``starts`` names a seek point —
-        seeked slots bypass the memo, keeping their tight-prefix seek).
-        Counters observe a memoized bag access only on its first
-        enumeration. ``cache`` is accepted for signature compatibility
-        with the Theorem 1 scan (trie descents are per bag here);
-        ``alive`` flags prune a slot's remaining events mid-scan.
-        """
-        if alive is None:
-            alive = [True] * len(accesses)
-        memo: Dict[Tuple, List[Tuple]] = {}
-        for index, access in enumerate(accesses):
-            if not alive[index]:
-                continue
-            start = starts[index] if starts is not None else None
-            counter = counters[index] if counters is not None else None
-            if start is not None:
-                iterator = self._nest(access, counter, start)
-            else:
-                iterator = self._nest(access, counter, memo=memo)
-            for row in iterator:
-                yield (index, row)
-                if not alive[index]:
-                    break
 
     @property
     def layout_compile_seconds(self) -> float:

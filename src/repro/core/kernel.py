@@ -13,9 +13,9 @@ codes and final-coordinate runs in bulk.
 
 Every walk mirrors its spec twin *event for event*: the visit order,
 skip conditions, clipping rules and emission points are line-by-line
-transcriptions of ``spec_enumerate`` / ``spec_enumerate_from`` /
-``spec_shared_enumerate``, so the produced streams are bit-identical
-(``tests/test_columnar_kernel.py`` holds the two together).
+transcriptions of ``spec_enumerate`` / ``spec_enumerate_from``, so the
+produced streams are bit-identical (``tests/test_columnar_kernel.py``
+holds the two together).
 
 Measured enumerations (a :class:`~repro.joins.generic_join.JoinCounter`
 attached) ride the same walks and count the same logical steps the
@@ -31,14 +31,13 @@ pulls sees exactly the reference's gap sequence, early stops included.
 Algorithm 2's order is monotone and its tree is deep (the thresholds
 τ_ℓ fall below 1 a dozen levels down), so most light boxes are
 ``(x, y, [z₁..z₂])`` and most β points repeat the unit prefix the
-previous box resolved. Every lane therefore carries a *prefix finger*
+previous box resolved. Every walk therefore carries a *prefix finger*
 (:func:`_finger`): per coordinate, the index it was last fixed to, the
 per-atom slices below it (or "absent in some atom") and the decoded row
 prefix. Boxes and β points are compared against it by value and
 re-descend only from the first coordinate that differs — one descent
 per distinct prefix per walk, not one per box. The finger is per-walk
-state (the solo walk's frame, a shared walk's :class:`KernelSlot` —
-lanes have different root states), never the layout's, which stays
+state (a local of the walk's frame), never the layout's, which stays
 immutable and shareable between threads. The spec spends exactly one
 step on a unit coordinate present in every participating atom and ends
 the box at an absent one, so the steps of a prefix read off the finger
@@ -53,7 +52,7 @@ bag.
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
-from typing import Iterator, List, Optional, Tuple
+from typing import Iterator, List, Tuple
 
 from repro.core.intervals import FInterval
 
@@ -68,28 +67,6 @@ _BETA_FROM = 3
 # Minimum clipped-run length before the numpy set-intersection beats
 # galloping bisect probes (empirically small; correctness is unaffected).
 _NUMPY_MIN_RUN = 32
-
-
-class KernelSlot:
-    """One access request's lane through a shared kernel descent."""
-
-    __slots__ = ("slot", "bucket", "states", "start", "counter", "finger")
-
-    def __init__(self, slot, bucket, states, start, counter=None):
-        self.slot = slot
-        self.bucket = bucket
-        self.states = states
-        self.start = start
-        self.counter = counter
-        self.finger = None  # the lane's own, made when its walk starts
-
-
-def _probe(ids, bits, node_id: int) -> Optional[int]:
-    """The dictionary bit for (node, access), or None (the paper's ⊥)."""
-    position = bisect_left(ids, node_id)
-    if position < len(ids) and ids[position] == node_id:
-        return bits[position]
-    return None
 
 
 # ----------------------------------------------------------------------
@@ -288,7 +265,7 @@ _UNSET = (-1, None, None)
 
 
 def _finger(layout, states):
-    """A lane's fresh prefix finger over its root ``states``.
+    """A walk's fresh prefix finger over its root ``states``.
 
     O(width) per-walk state: level ``d + 1`` is the triple ``(index,
     states, row)`` — the index coordinate ``d`` was last fixed to, the
@@ -346,7 +323,7 @@ def _descend(layout, finger, depth, index):
 def _light_rows(layout, finger, boxes, counter):
     """The rows of a light node's boxes, stamped when ``counter`` is set.
 
-    A box's leading unit coordinates are read off the lane's finger,
+    A box's leading unit coordinates are read off the walk's finger,
     re-descending only from the first one that differs; the reference
     join spends one step on each that is present in every participating
     atom and ends the box at the first that is not, so their steps are
@@ -419,7 +396,7 @@ def _clipped_boxes(layout, low, high, start):
 
 
 # ----------------------------------------------------------------------
-# solo walks (enumerate / enumerate_from)
+# the tree walk (enumerate / enumerate_from)
 # ----------------------------------------------------------------------
 def _walk(layout, bucket, states, start, counter) -> Iterator[Tuple]:
     tree = layout.tree
@@ -517,92 +494,6 @@ def kernel_enumerate_from(
     if states is None:
         return iter(())
     return _walk(layout, layout.dict_bucket(access), states, start, counter)
-
-
-# ----------------------------------------------------------------------
-# shared walk (shared_enumerate)
-# ----------------------------------------------------------------------
-def kernel_shared_enumerate(
-    layout, slots: List[KernelSlot], alive: List[bool]
-) -> Iterator[Tuple[int, Tuple]]:
-    """The kernel twin of the spec's ``spec_shared_enumerate``.
-
-    Stack entries carry the surviving slot group, so a subtree no live
-    slot descends into is never visited and β codes are decoded once per
-    node for the whole group — the exact sharing contract of the
-    reference merged descent, including per-slot seek clipping,
-    ``alive`` pruning at node/box boundaries, and per-slot step counting
-    (measured and unmeasured lanes mix freely in one group).
-    """
-    tree = layout.tree
-    root = tree.root
-    if root < 0 or not slots:
-        return
-    beta_steps = len(layout.atoms)
-    for slot in slots:
-        # One finger per lane: lanes have different root states.
-        slot.finger = _finger(layout, slot.states)
-    stack = [(_VISIT, root, slots)]
-    while stack:
-        kind, node_id, group = stack.pop()
-        if kind == _BETA:
-            point = tree.beta[node_id]
-            beta_values = tree.beta_values[node_id]
-            for slot in group:
-                if not alive[slot.slot]:
-                    continue
-                if slot.start is not None and point < slot.start:
-                    continue
-                if slot.counter is not None:
-                    slot.counter.steps += beta_steps
-                if _point_joins(layout, slot.finger, point):
-                    yield (slot.slot, beta_values)
-            continue
-        low = tree.low[node_id]
-        high = tree.high[node_id]
-        has_beta = tree.beta[node_id] is not None
-        heavy: List[KernelSlot] = []
-        light_full: List[KernelSlot] = []
-        light_clipped: List[KernelSlot] = []
-        for slot in group:
-            if not alive[slot.slot]:
-                continue
-            if slot.start is not None and high < slot.start:
-                continue
-            if slot.counter is not None:
-                slot.counter.steps += 1  # dictionary probe (per slot)
-            ids, bits = slot.bucket
-            bit = _probe(ids, bits, node_id)
-            if bit == 0:
-                continue
-            if bit == 1 and has_beta:
-                heavy.append(slot)
-            elif slot.start is not None and low < slot.start:
-                light_clipped.append(slot)
-            else:
-                light_full.append(slot)
-        if light_full:
-            for box in tree.boxes[node_id]:
-                for slot in light_full:
-                    if not alive[slot.slot]:
-                        continue
-                    for row in _light_rows(layout, slot.finger, (box,), slot.counter):
-                        yield (slot.slot, row)
-        for slot in light_clipped:
-            for box in _clipped_boxes(layout, low, high, slot.start):
-                if not alive[slot.slot]:
-                    break
-                for row in _light_rows(layout, slot.finger, (box,), slot.counter):
-                    yield (slot.slot, row)
-        if not heavy:
-            continue
-        right = tree.right[node_id]
-        if right >= 0:
-            stack.append((_VISIT, right, heavy))
-        stack.append((_BETA, node_id, heavy))
-        left = tree.left[node_id]
-        if left >= 0:
-            stack.append((_VISIT, left, heavy))
 
 
 # ----------------------------------------------------------------------

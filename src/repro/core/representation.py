@@ -76,9 +76,6 @@ class Representation:
     #: ``enumerate_from`` / ``enumerate_after`` seek instead of rescanning
     #: (the cursor layer, :mod:`repro.engine.api`, keys off this flag).
     supports_resume = False
-    #: ``shared_enumerate`` answers a request group in one traversal
-    #: (:mod:`repro.engine.shared_scan` keys off this flag).
-    supports_shared_scan = False
     #: Enumerations route through the columnar kernel.
     kernel_ready = False
     #: Seconds spent compiling kernel layouts (0.0: none compiled).

@@ -35,13 +35,8 @@ from repro.core.balanced_tree import (
     DelayBalancedTree,
     build_delay_balanced_tree,
 )
-from repro.core.context import SubtrieCache, ViewContext
-from repro.core.kernel import (
-    KernelSlot,
-    kernel_enumerate,
-    kernel_enumerate_from,
-    kernel_shared_enumerate,
-)
+from repro.core.context import ViewContext
+from repro.core.kernel import kernel_enumerate, kernel_enumerate_from
 from repro.core.cost import CostModel
 from repro.core.dictionary import HeavyDictionary, build_dictionary
 from repro.core.intervals import FBox
@@ -100,10 +95,6 @@ class CompressedRepresentation(Representation):
 
     #: ``enumerate_from`` seeks to a start point in one delay unit.
     supports_resume = True
-
-    #: :meth:`shared_enumerate` answers a whole batch of access requests
-    #: in one merged descent.
-    supports_shared_scan = True
 
     #: Every enumeration rides the columnar kernel.
     kernel_ready = True
@@ -447,73 +438,6 @@ class CompressedRepresentation(Representation):
             point.extend(0 for _ in range(coordinate + 1, space.width))
             return tuple(point)
         return tuple(point)
-
-    # ------------------------------------------------------------------
-    # shared-scan batch execution (one descent, many access requests)
-    # ------------------------------------------------------------------
-    def shared_enumerate(
-        self,
-        accesses: Sequence[Sequence],
-        starts: Optional[Sequence[Optional[Sequence]]] = None,
-        counters: Optional[Sequence[Optional[JoinCounter]]] = None,
-        cache: Optional[SubtrieCache] = None,
-        alive: Optional[List[bool]] = None,
-    ) -> Iterator[Tuple[int, Tuple]]:
-        """Answer a group of access requests in ONE merged tree descent.
-
-        Yields ``(slot, values)`` events, where ``slot`` indexes
-        ``accesses``. Each slot's own event subsequence is exactly its
-        :meth:`enumerate` stream (or :meth:`enumerate_from` under a
-        ``starts`` entry), including per-slot counter steps — only the
-        interleaving between slots is scan-order. The point is sharing:
-        the tree is walked once for the whole group (a node is visited
-        iff *some* slot still descends through it), the β valuation of a
-        heavy node is decoded once for every slot probing it, light-node
-        box decompositions are resolved once per node, and per-atom trie
-        descents are deduplicated across prefix-sharing accesses through
-        ``cache`` (one :class:`~repro.core.context.SubtrieCache` per
-        scan). Dictionary probes stay per ``(node, access)`` — they are
-        what distinguishes the slots' answers.
-
-        ``alive`` is an optional mutable flag list (aligned with
-        ``accesses``) the caller may flip to ``False`` mid-scan to prune
-        a slot — a slot's events stop at the next node boundary, and a
-        subtree no live slot descends into is never visited. Duplicate
-        accesses are NOT deduplicated here (each slot gets its own
-        events); group them before calling, as the engine layer does.
-        """
-        if cache is None:
-            cache = SubtrieCache()
-        if alive is None:
-            alive = [True] * len(accesses)
-        layout = self._fresh_layout()
-        slots: List[KernelSlot] = []
-        for index, access in enumerate(accesses):
-            access = self._check_access(access)
-            start = None
-            start_values = starts[index] if starts is not None else None
-            if start_values is not None:
-                start = self._ceil_point(start_values)
-                if start is None:
-                    continue  # seek past the top of the tuple space
-            # The kernel reads its own compiled runs; the trie descents
-            # still run through the shared cache because its dedup stats
-            # are part of the scan's observable contract.
-            subtries = self.ctx.subtries_shared(access, cache)
-            if any(node is None for node in subtries):
-                continue  # some relation has no tuple matching the access
-            states = layout.root_states(access)
-            if states is None:
-                continue
-            counter = counters[index] if counters is not None else None
-            slots.append(
-                KernelSlot(
-                    index, layout.dict_bucket(access), states, start, counter
-                )
-            )
-        if not slots or self.tree.root is None:
-            return
-        yield from kernel_shared_enumerate(layout, slots, alive)
 
     def enumerate_interval(
         self,

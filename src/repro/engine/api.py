@@ -153,8 +153,9 @@ class AnswerCursor:
         self.parts: Tuple["AnswerCursor", ...] = tuple(parts)
         self._source = iter(source)
         self._counter = counter
-        # A shared scan buffers rows ahead of delivery, so this cursor's
-        # own delivery-relative step deltas would misattribute the gap;
+        # A shared scan buffers a duplicate request's rows ahead of
+        # delivery, so this cursor's own delivery-relative step deltas
+        # would misattribute the gap;
         # the scan tracks per-state gaps at emission time instead and
         # hands them over through this object (``step_max_gap`` attr).
         self._gap_tracker = gap_tracker

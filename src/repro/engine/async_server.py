@@ -443,8 +443,8 @@ class AsyncViewServer:
         per-request jobs — each back-end job (the whole batch for a
         plain server; one group per shard for a sharded one, scatter
         requests fanning to every shard) is submitted to the worker pool
-        as a unit, so one thread pays one shared traversal for many
-        requests and drains it there. Returns the materialized answers
+        as a unit, so one thread pays one resolve and one pin for many
+        requests and drains them there. Returns the materialized answers
         aligned with the submitted requests, each honoring its own
         ``limit``/``start_after`` knobs. Holds one unit of the server's
         semaphore (and the tenant's admission slot, when gated), like

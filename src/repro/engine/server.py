@@ -27,9 +27,10 @@ Responsibilities
   request's ``limit``/``start_after``/``measure`` knobs, so top-k and
   paginated workloads enumerate only what they consume.
 * **Batched serving**: :meth:`ViewServer.open_batch` is the batch
-  primitive — a request group over one view rides ONE shared tree
-  traversal (:mod:`repro.engine.shared_scan`), with duplicates sharing
-  a lane and prefix-sharing accesses sharing subtrie descents.
+  primitive — a request group over one view is resolved and pinned
+  once, deduplicated, and each distinct request streams through the
+  solo walk :meth:`ViewServer.open` rides
+  (:mod:`repro.engine.shared_scan`); duplicates share that walk.
 * **The back-end contract**: everything else a caller or a front end
   does with a server — the materializing ``answer`` / ``answer_batch``
   / ``serve_stream`` wrappers, ``drain`` (one unit of executor work),
@@ -334,7 +335,8 @@ class Serving:
 
         Stats only for measured requests (``None`` otherwise). The
         cursors are drained to exhaustion or their limit here, on the
-        calling thread — one shared scan per ``(view, τ)`` group.
+        calling thread — per ``(view, τ)`` group one resolve, one pin
+        and one enumeration per distinct request.
         """
         cursors = self.open_batch(requests)
         try:
@@ -371,11 +373,11 @@ class Serving:
         tau: Optional[float] = None,
         measure: bool = True,
     ) -> BatchResult:
-        """Serve a batch of access requests with one shared traversal.
+        """Serve a batch of access requests, each distinct one walked once.
 
         A thin materializing wrapper over :meth:`drain`: the batch
         is deduplicated and its distinct accesses
-        (:func:`distinct_requests`) ride one shared scan (per shard,
+        (:func:`distinct_requests`) are drained as one group (per shard,
         behind the sharded facade); every duplicate request shares the
         answer list computed by its representative. With
         ``measure=True`` per-access delay accounting matches
@@ -1415,9 +1417,9 @@ class ViewServer(Serving):
         requests: Sequence[AccessRequest],
         started: float,
     ) -> None:
-        # Lane/state counts are known at construction; subtrie sharing
-        # and pruning accrue while the group drains, so they are read
-        # once, when the group's last cursor closes.
+        # Lane/state counts are known at construction; pruning accrues
+        # while the group drains, so it is read once, when the group's
+        # last cursor closes.
         telemetry = self._telemetry
         initial = scan.stats()
         telemetry.counter("shared_scan_lanes_total", view=view).inc(
@@ -1434,16 +1436,9 @@ class ViewServer(Serving):
                 remaining[0] -= 1
                 if remaining[0]:
                     return
-            final = scan.stats()
-            telemetry.counter(
-                "shared_scan_subtrie_hits_total", view=view
-            ).inc(final.subtrie_hits)
-            telemetry.counter(
-                "shared_scan_subtrie_misses_total", view=view
-            ).inc(final.subtrie_misses)
-            telemetry.counter(
-                "shared_scan_pruned_total", view=view
-            ).inc(final.pruned_states)
+            telemetry.counter("shared_scan_pruned_total", view=view).inc(
+                scan.stats().pruned_states
+            )
 
         for request, cursor in zip(requests, scan_cursors):
             self._instrument_cursor(cursor, request, started, mode="batch")
@@ -1454,18 +1449,19 @@ class ViewServer(Serving):
     ) -> List[AnswerCursor]:
         """Open cursors for a whole request batch — the batch primitive.
 
-        Requests are grouped by ``(view, τ)`` and each group rides ONE
-        shared scan (:class:`~repro.engine.shared_scan.SharedScan`): the
-        group's distinct ``(access, resume point)`` pairs descend the
-        tree together in a single merged traversal, per-atom trie
-        descents are shared across prefix-sharing accesses, and
-        duplicate requests share a traversal lane outright. The returned
-        cursors align with the submitted requests and behave exactly
-        like :meth:`open`'s — lazy, limit/resume/measure-aware — except
-        that pulling one may buffer tuples for its group peers (and a
-        group shares fate: an error raised mid-scan surfaces on
-        whichever cursor is being pulled). Consume a batch's cursors
-        from a single thread, as with any generator.
+        Requests are grouped by ``(view, τ)``; each group is resolved
+        (and, for a dynamic view, pinned) once and handed to one
+        :class:`~repro.engine.shared_scan.SharedScan`, which
+        deduplicates it: every distinct ``(access, resume point)`` pair
+        is one lazily started solo enumeration — the walk :meth:`open`
+        rides — and duplicate requests are lanes of the same one. The
+        returned cursors align with the submitted requests and behave
+        exactly like :meth:`open`'s — lazy, limit/resume/measure-aware;
+        pulling one advances no other request's enumeration. Only
+        duplicates of one request are tied together: pulling one
+        buffers its rows for the others, an error in their enumeration
+        surfaces on each of them, and they must be consumed from one
+        thread, as with any generator.
         """
         started = time.perf_counter()
         batch = [as_request(request) for request in requests]

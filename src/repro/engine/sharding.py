@@ -1242,15 +1242,16 @@ class ShardedViewServer(Serving):
         The batch is grouped per owning shard and each shard serves its
         group through ONE
         :meth:`ViewServer.open_batch <repro.engine.server.ViewServer.open_batch>`
-        — one shared scan per ``(view, τ)`` it holds; scatter requests
+        — one resolve, one pin and one walk per distinct request for
+        each ``(view, τ)`` it holds; scatter requests
         ride every shard's group, and each gets a lazy k-way heap merge
         of its per-shard cursors (disjoint sorted streams, exactly as
         :meth:`open` builds them, ``parts`` exposed in shard order). The
         returned cursors align with the submitted requests; the usual
-        shared-scan caveats apply per shard group (single-threaded
-        consumption, group fate sharing). Every cursor pins the
-        routing-table version the batch opened under, released by its
-        close hook — the whole shared scan drains against one topology.
+        caveat applies per shard group (duplicates of one request share
+        an enumeration: one consuming thread, one fate). Every cursor
+        pins the routing-table version the batch opened under, released
+        by its close hook — the whole batch drains against one topology.
         """
         batch = [as_request(request) for request in requests]
         with self._epochs.hold(len(batch), self._retire) as hold:

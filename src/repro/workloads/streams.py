@@ -224,9 +224,9 @@ def prefix_batch_requests(
     The shared-scan workload shape: the productive access tuples are
     grouped by their first ``prefix_len`` bound values, groups are drawn
     with Zipf-``skew`` popularity (largest groups first, so skew
-    concentrates traffic on prefix-heavy neighborhoods — exactly where a
-    merged descent shares the most work), and members are drawn
-    uniformly within the chosen group. ``prefix_len=0`` degenerates to
+    concentrates traffic on prefix-heavy neighborhoods, where repeated
+    requests — what a batch deduplicates — are likeliest), and members
+    are drawn uniformly within the chosen group. ``prefix_len=0`` degenerates to
     one all-encompassing empty-prefix group (a uniform draw over every
     productive access — the no-sharing-beyond-duplicates baseline).
     Each access is wrapped in an :class:`~repro.engine.api.AccessRequest`

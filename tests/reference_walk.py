@@ -34,11 +34,10 @@ once plain and once under it and compares rows, order and step gaps;
 from __future__ import annotations
 
 from contextlib import ExitStack, contextmanager
-from typing import Iterator, List, Optional, Sequence, Tuple
+from typing import Iterator, Optional, Tuple
 from unittest import mock
 
 from repro.core import constant_delay
-from repro.core.context import SubtrieCache
 from repro.core.decomposed import DecomposedRepresentation
 from repro.core.intervals import FInterval
 from repro.core.structure import CompressedRepresentation
@@ -154,102 +153,6 @@ def _eval_from(rep, node, access, subtries, start, counter) -> Iterator[Tuple]:
 
 
 # ----------------------------------------------------------------------
-# the merged descent (one walk, many access requests)
-# ----------------------------------------------------------------------
-class ScanSlot:
-    """One access request's lane through a shared descent.
-
-    ``slot`` is the caller's index into the ``accesses`` it passed to
-    ``shared_enumerate`` — emitted events carry it back. ``start`` is the
-    ceiled index-space seek point (``None`` for a from-the-start lane).
-    """
-
-    __slots__ = ("slot", "access", "subtries", "start", "counter")
-
-    def __init__(self, slot, access, subtries, start, counter):
-        self.slot = slot
-        self.access = access
-        self.subtries = subtries
-        self.start = start
-        self.counter = counter
-
-
-def spec_shared_enumerate(
-    rep, slots: List[ScanSlot], alive: List[bool]
-) -> Iterator[Tuple[int, Tuple]]:
-    """``(slot, values)`` events of one merged descent over ``slots``.
-
-    A node is visited iff some live slot still descends through it, its β
-    valuation is decoded once for every slot probing it, a light node's
-    box decomposition is resolved once per node; dictionary probes stay
-    per ``(node, access)``. Each slot's own subsequence is its solo
-    stream, counter steps included.
-    """
-    if not slots or rep.tree.root is None:
-        return
-    yield from _shared_eval(rep, rep.tree.root, slots, alive)
-
-
-def _shared_eval(rep, node, slots, alive) -> Iterator[Tuple[int, Tuple]]:
-    heavy: List[ScanSlot] = []
-    light_full: List[ScanSlot] = []
-    light_clipped: List[ScanSlot] = []
-    for s in slots:
-        if not alive[s.slot]:
-            continue
-        if s.start is not None and node.interval.high < s.start:
-            continue  # this slot's seek point is past the subtree
-        if s.counter is not None:
-            s.counter.steps += 1  # dictionary probe (per slot)
-        bit = rep.dictionary.get(node.id, s.access)
-        if bit == 0:
-            continue
-        if bit == 1 and not node.is_leaf:
-            heavy.append(s)
-        elif s.start is not None and node.interval.low < s.start:
-            light_clipped.append(s)
-        else:
-            light_full.append(s)
-    if light_full:
-        # ⊥ slots evaluate the whole interval here; its (cached) box
-        # decomposition is resolved once for all of them.
-        for box in rep.cost_model.boxes_of(node.interval):
-            for s in light_full:
-                if not alive[s.slot]:
-                    continue
-                for row in _join_box(rep, s.access, s.subtries, box, s.counter):
-                    yield (s.slot, row)
-    for s in light_clipped:
-        # Seek-straddling ⊥ slots clip to their own start point,
-        # exactly as the single-access resume path does.
-        clipped = FInterval(max(node.interval.low, s.start), node.interval.high)
-        for box in clipped.box_decomposition(rep.ctx.space):
-            if not alive[s.slot]:
-                break
-            for row in _join_box(rep, s.access, s.subtries, box, s.counter):
-                yield (s.slot, row)
-    if not heavy:
-        return
-    if node.left is not None:
-        yield from _shared_eval(rep, node.left, heavy, alive)
-    beta_values = None
-    for s in heavy:
-        if not alive[s.slot]:
-            continue
-        if s.start is not None and node.beta < s.start:
-            continue
-        if beta_values is None:
-            # Decoded once per node, shared by every probing slot.
-            beta_values = rep.ctx.space.values(node.beta)
-        if s.counter is not None:
-            s.counter.steps += len(rep.ctx.atoms)
-        if rep.ctx.beta_matches(s.access, beta_values):
-            yield (s.slot, beta_values)
-    if node.right is not None:
-        yield from _shared_eval(rep, node.right, heavy, alive)
-
-
-# ----------------------------------------------------------------------
 # Proposition 4: the per-bag generator nest over materialised bags
 # ----------------------------------------------------------------------
 def spec_nested_rows(
@@ -285,10 +188,10 @@ def spec_nested_rows(
 # ----------------------------------------------------------------------
 # the fixture
 # ----------------------------------------------------------------------
-# The entry points' own preamble (arity check, seek-point ceiling, slot
-# building with the SubtrieCache accounting) is not part of the walk: the
-# patched methods below keep it and hand the normalised inputs to the spec
-# where the real ones hand them to the kernel.
+# The entry points' own preamble (arity check, seek-point ceiling) is not
+# part of the walk: the patched methods below keep it and hand the
+# normalised inputs to the spec where the real ones hand them to the
+# kernel.
 def _enumerate(self, access, counter=None):
     yield from spec_enumerate(self, self._check_access(access), counter)
 
@@ -303,42 +206,13 @@ def _enumerate_from(self, access, start_values, counter=None):
     yield from spec_enumerate_from(self, access, start, counter)
 
 
-def _shared_enumerate(
-    self,
-    accesses: Sequence[Sequence],
-    starts=None,
-    counters=None,
-    cache: Optional[SubtrieCache] = None,
-    alive: Optional[List[bool]] = None,
-):
-    if cache is None:
-        cache = SubtrieCache()
-    if alive is None:
-        alive = [True] * len(accesses)
-    slots: List[ScanSlot] = []
-    for index, access in enumerate(accesses):
-        access = self._check_access(access)
-        start = None
-        start_values = starts[index] if starts is not None else None
-        if start_values is not None:
-            start = self._ceil_point(start_values)
-            if start is None:
-                continue  # seek past the top of the tuple space
-        subtries = self.ctx.subtries_shared(access, cache)
-        if any(node is None for node in subtries):
-            continue  # some relation has no tuple matching the access
-        counter = counters[index] if counters is not None else None
-        slots.append(ScanSlot(index, access, subtries, start, counter))
-    yield from spec_shared_enumerate(self, slots, alive)
-
-
 @contextmanager
 def reference_walk():
     """Serve the static structures from the spec for one ``with`` block.
 
-    Patches ``CompressedRepresentation.enumerate`` / ``enumerate_from`` /
-    ``shared_enumerate`` (and with them every bag of a
-    ``DecomposedRepresentation`` and the clean side of a dynamic view)
+    Patches ``CompressedRepresentation.enumerate`` / ``enumerate_from``
+    (and with them every bag of a ``DecomposedRepresentation``, the
+    clean side of a dynamic view and every batch's per-request walk)
     and the flattened bag product ``ConnexConstantDelayStructure``
     calls; ``kernel_ready`` reads ``False`` on the patched classes
     meanwhile, so observers (telemetry's ``path`` label) tell the truth.
@@ -347,7 +221,6 @@ def reference_walk():
     patched = (
         (CompressedRepresentation, "enumerate", _enumerate),
         (CompressedRepresentation, "enumerate_from", _enumerate_from),
-        (CompressedRepresentation, "shared_enumerate", _shared_enumerate),
         (CompressedRepresentation, "kernel_ready", False),
         (DecomposedRepresentation, "kernel_ready", False),
         (constant_delay, "nested_product_rows", spec_nested_rows),

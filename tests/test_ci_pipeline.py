@@ -145,8 +145,8 @@ class TestWorkflowSchema:
 
     def test_bench_smoke_job_runs_the_shared_scan_gate(self, workflow):
         # Shared-scan batching is a hard gate: if open_batch stops
-        # beating request-at-a-time cursors >= 3x on the prefix-sharing
-        # workload, CI fails.
+        # beating request-at-a-time cursors >= 3x on the skewed,
+        # duplicate-heavy workload, CI fails.
         run_lines = [
             step.get("run", "")
             for step in workflow["jobs"]["bench-smoke"]["steps"]
@@ -485,7 +485,7 @@ class TestMakefileContract:
         assert "[tool.ruff.format]" in pyproject
 
 
-#: `make size`'s figure for src/repro/engine after PR 19. The engine is
+#: `make size`'s figure for src/repro/engine after PR 21. The engine is
 #: plumbing around ``open_cursor``; a PR that grows it raises this number
 #: on purpose, in the same diff, or finds something to delete. PR 19
 #: spent +7 here (4,344 → 4,351: one ``context=`` passed from
@@ -493,15 +493,18 @@ class TestMakefileContract:
 #: ``ParallelBuilder``, and a label formatted on a miss only) on the
 #: ``tau_churn`` row: ``latency_p99_ms`` 16.8 → 4.2 ms, 1.5k → 5.6k
 #: req/s — a disk-tier hit decodes (T, D) onto the registration's one
-#: shared ``ViewContext`` instead of rebuilding six tries.
-ENGINE_SLOC_CEILING = 4351
+#: shared ``ViewContext`` instead of rebuilding six tries. PR 21:
+#: 4,351 → 4,293 (−58: ``shared_scan.py`` lost the merged-descent fork,
+#: ``server.py`` two counters) — a batch is the solo walk once per
+#: distinct request.
+ENGINE_SLOC_CEILING = 4293
 
 #: `make size`'s figure for src/repro/__main__.py after PR 18: the CLI
 #: wires a back end, an async front and its error reporting once each;
 #: what is left is argparse declarations and input checks.
 MAIN_SLOC_CEILING = 1030
 
-#: `make size`'s total for src/repro after PR 20. A per-package ceiling
+#: `make size`'s total for src/repro after PR 21. A per-package ceiling
 #: reads code *moved* out of the package as a reduction; the total cannot
 #: be met that way — and code moved out of ``src/`` altogether (the
 #: executable spec) is printed on its own line, not passed off as deleted.
@@ -515,8 +518,13 @@ MAIN_SLOC_CEILING = 1030
 #: held-out seed 40), ``latency_p99_ms`` 68.1 → 35.5 ms,
 #: ``core.kernel.us_per_tuple`` 7.1–8.0 → 4.3–4.4 µs — each distinct unit
 #: prefix is descended once per walk, not once per box and β point. The
-#: engine's and the CLI's ceilings did not move.
-SRC_SLOC_CEILING = 13408
+#: engine's and the CLI's ceilings did not move. PR 21: 13,408 → 13,142
+#: (−266: the merged descent — the kernel's shared walk, the two
+#: representations' grouped entry points, the subtrie cache, the
+#: capability flag — −200 in ``core``, −58 in the engine, −8 in
+#: ``analysis``); no gain claimed, every e2e row inside its bound
+#: (``BENCH_21.json``).
+SRC_SLOC_CEILING = 13142
 
 
 class TestSizeGate:
@@ -626,6 +634,54 @@ class TestOneStaticEnumerator:
         assert proc.returncode == 0, proc.stderr
         assert "--requests" in proc.stdout
         assert "--kernel" not in proc.stdout
+
+
+class TestOneWalkPerRequest:
+    """The merged descent is gone, by name: a batch is the solo walk.
+
+    The names are spelled in halves so that this file passes its own
+    check.
+    """
+
+    GONE = re.compile(
+        "|".join(
+            head + tail
+            for head, tail in (
+                ("shared_", "enumerate"),
+                ("supports_", "shared_scan"),
+                ("subtries_", "shared"),
+                ("Subtrie", "Cache"),
+                ("Kernel", "Slot"),
+            )
+        )
+    )
+
+    def test_nothing_names_the_merged_descent_or_its_capability(self):
+        files = [REPO / "README.md"]
+        for root, pattern in (("src", "*.py"), ("tests", "*.py"), ("docs", "*.md")):
+            files += sorted((REPO / root).rglob(pattern))
+        assert len(files) > 100, "the walk found too few files"
+        mentions = [
+            str(path.relative_to(REPO))
+            for path in files
+            if self.GONE.search(path.read_text(encoding="utf-8"))
+        ]
+        assert mentions == []
+
+    def test_the_kernel_defines_one_tree_walk(self):
+        tree = ast.parse(
+            (REPO / "src" / "repro" / "core" / "kernel.py").read_text()
+        )
+        walks = [
+            node.name
+            for node in tree.body
+            if isinstance(node, ast.FunctionDef)
+            and any(
+                isinstance(sub, ast.Attribute) and sub.attr == "tree"
+                for sub in ast.walk(node)
+            )
+        ]
+        assert walks == ["_walk"]
 
 
 class TestSmokeReportGate:

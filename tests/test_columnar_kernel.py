@@ -5,8 +5,8 @@ structures — once as shipped (the columnar kernel, the only route in
 ``src/``) and once under ``reference_walk()``, the fixture that serves
 the same entry points from the recursive transcription of the paper's
 walk in ``tests/reference_walk.py`` — and the streams must be identical
-element for element: same rows, same order, same shared-scan event
-interleaving — and, with a ``JoinCounter`` attached, the same logical
+element for element: same rows, same order, through solo cursors and
+through a batch's interleaved ones — and, with a ``JoinCounter`` attached, the same logical
 step gap before every row and at exhaustion (the kernel does the delay
 accounting itself). What is *not* a second route is covered too: a stale
 dictionary version is refused, a dirty dynamic version is the lazy
@@ -44,7 +44,7 @@ from repro.database.catalog import Database
 from repro.database.relation import Relation
 from repro.engine.api import AccessRequest, open_cursor
 from repro.engine.dynamic_serving import FrozenDynamicView
-from repro.engine.shared_scan import open_group
+from repro.engine.shared_scan import SharedScan, open_group
 from repro.exceptions import ParameterError
 from repro.joins.generic_join import JoinCounter
 from repro.measure.delay import measure_enumeration
@@ -148,6 +148,8 @@ class TestEntryPointParity:
 
 
 class TestSharedScanParity:
+    """A batch's cursors, pulled round-robin, walk the same on both paths."""
+
     @pytest.fixture
     def scan_setup(self):
         view = triangle_view("bff")
@@ -158,15 +160,15 @@ class TestSharedScanParity:
 
     def test_group_events(self, scan_setup):
         _, _, rep, accesses = scan_setup
-        # Duplicate lanes included: each slot keeps its own event stream.
+        # Duplicate lanes included: each cursor keeps its own stream.
         group = list(accesses) + [accesses[0]]
         kernel_events, reference_events = on_off(
-            lambda: rep.shared_enumerate(group)
+            lambda: shared_trace(rep, group, [False] * len(group))
         )
         assert kernel_events == reference_events
         with reference_walk():
             for slot, access in enumerate(group):
-                rows = [row for s, row in kernel_events if s == slot]
+                rows = [row for s, row, _ in kernel_events[:-1] if s == slot]
                 assert rows == list(rep.enumerate(access)), slot
 
     def test_group_with_starts(self, scan_setup):
@@ -176,41 +178,30 @@ class TestSharedScanParity:
             rows = oracle_answer(view, db, access)
             starts.append(rows[len(rows) // 2] if rows else None)
         kernel_events, reference_events = on_off(
-            lambda: rep.shared_enumerate(accesses, starts=starts)
+            lambda: shared_trace(
+                rep, accesses, [False] * len(accesses), starts=starts
+            )
         )
         assert kernel_events == reference_events
 
     def test_alive_pruning(self, scan_setup):
         _, _, rep, accesses = scan_setup
-
-        def pruned_stream():
-            alive = [True] * len(accesses)
-            seen = [0] * len(accesses)
-            for slot, row in rep.shared_enumerate(accesses, alive=alive):
-                yield slot, row
-                seen[slot] += 1
-                if seen[slot] >= 2:  # prune each slot after two rows
-                    alive[slot] = False
-
-        kernel_events, reference_events = on_off(pruned_stream)
+        # Every lane stops after two rows: its state is closed there.
+        kernel_events, reference_events = on_off(
+            lambda: shared_trace(
+                rep, accesses, [False] * len(accesses), prune_after=2
+            )
+        )
         assert kernel_events == reference_events
+        assert kernel_events[-1][-1] > 0  # states were pruned
 
     def test_mixed_counter_lanes_count_identically(self, scan_setup):
         _, _, rep, accesses = scan_setup
-
-        def counted():
-            counters = [JoinCounter() for _ in accesses]
-            counters[0] = None  # mixed group: the kernel counts per lane
-            counters[1] = JoinCounter()
-            events = list(
-                rep.shared_enumerate(accesses, counters=counters)
-            )
-            steps = tuple(
-                c.steps if c is not None else None for c in counters
-            )
-            return [("events", tuple(events)), ("steps", steps)]
-
-        kernel_side, reference_side = on_off(counted)
+        # Mixed group: the kernel counts per measured lane only.
+        measured = [index != 0 for index in range(len(accesses))]
+        kernel_side, reference_side = on_off(
+            lambda: shared_trace(rep, accesses, measured)
+        )
         assert kernel_side == reference_side
 
 
@@ -300,22 +291,43 @@ def measured_on_off(make_iterator):
     return kernel_side[0], reference_side[0]
 
 
-def shared_trace(rep, accesses, counters, starts=None, prune_after=None):
-    """Events of one shared scan, each with its lane's counter reading."""
-    alive = [True] * len(accesses)
-    seen = [0] * len(accesses)
+def shared_trace(rep, accesses, measured, starts=None, prune_after=None):
+    """One batch's cursors pulled round-robin, each row with its steps.
+
+    ``measured`` holds one flag per request, ``starts`` resume tokens
+    (strictly after) and ``prune_after`` a limit on every request. The
+    trace ends with every cursor's ``(step_total, step_max_gap)`` and
+    the scan's pruned-state count.
+    """
+    requests = [
+        AccessRequest(
+            "v",
+            access,
+            limit=prune_after,
+            start_after=None if starts is None else starts[index],
+            measure=measured[index],
+        )
+        for index, access in enumerate(accesses)
+    ]
+    scan = SharedScan(rep, requests)
+    cursors = scan.cursors()
     trace = []
-    for slot, row in rep.shared_enumerate(
-        accesses, starts=starts, counters=counters, alive=alive
-    ):
-        counter = counters[slot]
-        trace.append((slot, row, None if counter is None else counter.steps))
-        seen[slot] += 1
-        if prune_after is not None and seen[slot] >= prune_after:
-            alive[slot] = False
-    trace.append(
-        ("totals", tuple(None if c is None else c.steps for c in counters))
+    live = list(range(len(cursors)))
+    while live:
+        for slot in list(live):
+            row = next(cursors[slot], None)
+            if row is None:
+                live.remove(slot)
+                continue
+            steps = cursors[slot].stats().step_total if measured[slot] else None
+            trace.append((slot, row, steps))
+    totals = tuple(
+        (cursor.stats().step_total, cursor.stats().step_max_gap)
+        if measured[slot]
+        else None
+        for slot, cursor in enumerate(cursors)
     )
+    trace.append(("totals", totals, scan.stats().pruned_states))
     return trace
 
 
@@ -383,13 +395,8 @@ class TestStepParity:
                     rows[len(rows) // 2] if rows and index % 2 else None
                 )
 
-            def counters():
-                # Mixed group: every third lane rides unmeasured.
-                return [
-                    None if index % 3 == 2 else JoinCounter()
-                    for index in range(len(accesses))
-                ]
-
+            # Mixed group: every third lane rides unmeasured.
+            measured = [index % 3 != 2 for index in range(len(accesses))]
             for kwargs in (
                 {},
                 {"starts": starts},
@@ -397,7 +404,7 @@ class TestStepParity:
                 {"starts": starts, "prune_after": 1},
             ):
                 kernel_side, reference_side = on_off(
-                    lambda: shared_trace(rep, accesses, counters(), **kwargs)
+                    lambda: shared_trace(rep, accesses, measured, **kwargs)
                 )
                 assert kernel_side == reference_side, (tau, kwargs)
 
@@ -489,9 +496,7 @@ class TestStepParity:
                 assert kernel_side == reference_side, (access, token)
         accesses = oracle_accesses(view, db, limit=4)
         kernel_side, reference_side = on_off(
-            lambda: shared_trace(
-                rep, accesses, [JoinCounter() for _ in accesses]
-            )
+            lambda: shared_trace(rep, accesses, [True] * len(accesses))
         )
         assert kernel_side == reference_side
 
@@ -697,7 +702,7 @@ def test_random_instances_restore_identically_over_a_shared_context(case):
             lambda: shared_trace(
                 rep,
                 accesses,
-                [JoinCounter() for _ in accesses],
+                [True] * len(accesses),
                 starts=[None, token, None],
             )
         )
@@ -905,22 +910,22 @@ class TestPrefixFinger:
             stream = (
                 rep.enumerate(access, counter=counter)
                 if start is None
-                else rep.enumerate_from(access, start, counter=counter)
+                else rep.enumerate_after(access, start, counter=counter)
             )
             solo.append([(row, counter.steps) for row in stream])
+        # The batch's cursors are pulled round-robin, so the lanes' walks
+        # interleave row by row over the one layout.
         for prune_after in (None, 1, 4):
-            counters = [JoinCounter() for _ in accesses]
             trace = shared_trace(
-                rep, accesses, counters, starts=starts, prune_after=prune_after
+                rep,
+                accesses,
+                [True] * len(accesses),
+                starts=starts,
+                prune_after=prune_after,
             )
             for slot in range(len(accesses)):
                 lane = [(row, steps) for s, row, steps in trace[:-1] if s == slot]
-                if prune_after is None:
-                    assert lane == solo[slot], slot
-                else:
-                    # A pruned lane stops at the next box boundary.
-                    assert lane == solo[slot][: len(lane)], slot
-                    assert len(lane) >= min(prune_after, len(solo[slot]))
+                assert lane == solo[slot][:prune_after], slot
 
     def test_eight_threads_interleave_solo_walks_over_one_layout(self):
         view = triangle_view("bff")
@@ -1065,7 +1070,7 @@ class TestFallbackTriggers:
             lambda: rep.enumerate(accesses[0], counter=JoinCounter()),
             lambda: rep.enumerate_from(accesses[0], token),
             lambda: rep.enumerate_after(accesses[0], token),
-            lambda: rep.shared_enumerate(accesses),
+            lambda: open_group(rep, [AccessRequest("v", accesses[0])])[0],
         ):
             with pytest.raises(ParameterError, match="stale layout"):
                 next(iter(stale()), None)

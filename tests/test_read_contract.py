@@ -177,7 +177,6 @@ class TestContractMatrix:
     def test_capability_defaults(self):
         lazy = LazyView(TRIANGLE, TRIANGLE_DB)
         assert lazy.supports_resume is False
-        assert lazy.supports_shared_scan is False
         assert lazy.kernel_ready is False
         assert lazy.layout_compile_seconds == 0.0
 

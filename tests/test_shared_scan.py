@@ -1,20 +1,23 @@
-"""Shared-scan batch execution: one traversal, many cursors.
+"""Batch execution: one walk per distinct request, many cursors.
 
-Covers the batch/cursor interaction across every backend: shared-scan
+Covers the batch/cursor interaction across every backend: batch
 answers must equal per-request cursor answers on the plain, sharded
 (routed and scatter) and async servers — with limit and resume-token
-requests mixed into a shared group, duplicate requests sharing a lane,
-and empty-prefix groups — plus the core merged descent's parity with
-solo enumeration, its demand-driven pruning, and the prefix-sharing
-workload generator.
+requests mixed into one group, duplicate requests sharing an
+enumeration, and empty-prefix groups — plus what the per-state shape
+promises (pulling one cursor advances no other state, an error stays
+with its state, the last lane to go closes the generator), a property
+holding every batch cursor to its solo ``open``, and the
+prefix-sharing workload generator.
 """
 
 import asyncio
+from collections import Counter, defaultdict
 
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from oracle import oracle_answer
-from repro.core.context import SubtrieCache
 from repro.core.decomposed import DecomposedRepresentation
 from repro.core.dynamic import DynamicRepresentation
 from repro.core.structure import CompressedRepresentation
@@ -305,6 +308,14 @@ class TestAsyncBackendParity:
 
 
 class TestCoreSharedEnumerate:
+    """``open_group`` over bare core representations (no server).
+
+    What the representations' own grouped entry point used to promise —
+    every request's stream is exactly its solo stream — is the batch
+    layer's promise now. (The class keeps its name so the test ids it
+    has had since the merged descent stay comparable.)
+    """
+
     @pytest.fixture(scope="class")
     def representation(self, db):
         return CompressedRepresentation(VIEW, db, tau=TAU)
@@ -313,9 +324,20 @@ class TestCoreSharedEnumerate:
         self, db, representation, accesses
     ):
         group = accesses[:8] + [accesses[0]]
-        streams = {slot: [] for slot in range(len(group))}
-        for slot, row in representation.shared_enumerate(group):
-            streams[slot].append(row)
+        cursors = open_group(
+            representation, [AccessRequest("V", access) for access in group]
+        )
+        # Round-robin pulls: the interleaving is the caller's, each
+        # cursor's own subsequence is its solo stream.
+        streams = [[] for _ in group]
+        live = list(range(len(group)))
+        while live:
+            for slot in list(live):
+                row = next(cursors[slot], None)
+                if row is None:
+                    live.remove(slot)
+                else:
+                    streams[slot].append(row)
         for slot, access in enumerate(group):
             assert streams[slot] == list(representation.enumerate(access))
 
@@ -323,70 +345,45 @@ class TestCoreSharedEnumerate:
         heavy = max(accesses, key=lambda a: len(oracle_answer(VIEW, db, a)))
         full = list(representation.enumerate(heavy))
         for split in range(len(full)):
-            starts = [full[split], None]
-            got = [[], []]
-            for slot, row in representation.shared_enumerate(
-                [heavy, heavy], starts=starts
-            ):
-                got[slot].append(row)
-            assert got[0] == full[split:]
-            assert got[1] == full
+            resumed, whole = open_group(
+                representation,
+                [
+                    AccessRequest("V", heavy, start_after=full[split]),
+                    AccessRequest("V", heavy),
+                ],
+            )
+            # A resumed lane is enumerate_from minus the token itself.
+            assert [full[split]] + resumed.fetchall() == list(
+                representation.enumerate_from(heavy, full[split])
+            )
+            assert whole.fetchall() == full
 
     def test_counters_match_solo_counters(self, db, representation, accesses):
         group = accesses[:5]
-        counters = [JoinCounter() for _ in group]
-        for _ in representation.shared_enumerate(group, counters=counters):
-            pass
-        for access, counter in zip(group, counters):
+        cursors = open_group(
+            representation,
+            [AccessRequest("V", access, measure=True) for access in group],
+        )
+        for access, cursor in zip(group, cursors):
+            cursor.fetchall()
             solo = JoinCounter()
             for _ in representation.enumerate(access, counter=solo):
                 pass
-            assert counter.steps == solo.steps
+            assert cursor.stats().step_total == solo.steps
 
-    def test_alive_flags_prune_a_slot_mid_scan(
-        self, db, representation, accesses
-    ):
-        heavy = max(accesses, key=lambda a: len(oracle_answer(VIEW, db, a)))
-        full = len(oracle_answer(VIEW, db, heavy))
-        assert full >= 3
-        other = next(a for a in accesses if a != heavy)
-        alive = [True, True]
-        counts = [0, 0]
-        for slot, _ in representation.shared_enumerate(
-            [heavy, other], alive=alive
-        ):
-            counts[slot] += 1
-            if counts[0] == 1:
-                alive[0] = False  # cancel the heavy slot after one row
-        # The cancelled slot stops at the next node boundary (a few rows
-        # of the current node may still flush) while the peer completes.
-        assert counts[0] < full
-        assert counts[1] == len(oracle_answer(VIEW, db, other))
-
-    def test_subtrie_cache_shares_prefix_descents(self, representation, accesses):
-        prefix = accesses[0][0]
-        group = [a for a in accesses if a[0] == prefix]
-        if len(group) < 2:
-            pytest.skip("workload has no shared prefix group")
-        cache = SubtrieCache()
-        for _ in representation.shared_enumerate(group, cache=cache):
-            pass
-        assert cache.hits > 0
-
-    def test_decomposed_shared_enumerate_matches_solo(self, db, accesses):
+    def test_decomposed_group_matches_solo(self, db, accesses):
         decomposed = DecomposedRepresentation(VIEW, db)
         group = accesses[:6] + [accesses[0]]  # duplicate included
-        streams = {slot: [] for slot in range(len(group))}
-        for slot, row in decomposed.shared_enumerate(group):
-            streams[slot].append(row)
-        for slot, access in enumerate(group):
-            assert streams[slot] == list(decomposed.enumerate(access))
+        cursors = open_group(
+            decomposed, [AccessRequest("V", access) for access in group]
+        )
+        for access, cursor in zip(group, cursors):
+            assert cursor.fetchall() == list(decomposed.enumerate(access))
 
     def test_dynamic_representation_falls_back_to_direct_pump(
         self, db, accesses
     ):
         dynamic = DynamicRepresentation(VIEW, db, tau=TAU)
-        assert not getattr(dynamic, "supports_shared_scan", False)
         requests = [
             AccessRequest(view="V", access=accesses[0]),
             AccessRequest(view="V", access=accesses[0], limit=1),
@@ -414,10 +411,10 @@ class TestLimitPruning:
         # close() is the only other chance to free it).
         for cursor in cursors:
             assert cursor.fetchall() == oracle_answer(VIEW, db, heavy)[:1]
-        assert not scan._alive[0]
-        assert all(not lane.buffer for _, lane in scan._lanes)
-        # Both lanes done after one row: the state died and the scan
-        # stopped enumerating — far fewer steps than the full answer.
+        assert scan.stats().pruned_states == 1
+        assert all(not lane.buffer for lane in scan._lanes)
+        # Both lanes done after one row: the state was closed and never
+        # enumerated further — far fewer steps than the full answer.
         unlimited = SharedScan(
             server.representation("V"),
             [AccessRequest(view="V", access=heavy, measure=True)],
@@ -438,6 +435,204 @@ class TestLimitPruning:
         assert next(first) == oracle_answer(VIEW, db, heavy)[0]
         first.close()
         assert second.fetchall() == oracle_answer(VIEW, db, heavy)
+
+
+class CountingRepresentation:
+    """A built structure behind a counter: rows pulled, how each walk ended."""
+
+    def __init__(self, inner, fail=None):
+        self.inner = inner
+        self.fail = fail  # (access, rows yielded before the error)
+        self.pulled = Counter()  # access -> rows yielded
+        self.ended = []  # (access, ran dry?) per finished walk
+
+    def enumerate(self, access, counter=None):
+        dry = False
+        try:
+            for row in self.inner.enumerate(access, counter=counter):
+                if self.fail == (access, self.pulled[access]):
+                    raise RuntimeError("boom")
+                self.pulled[access] += 1
+                yield row
+            dry = True
+        finally:
+            self.ended.append((access, dry))
+
+
+class TestOneWalkPerState:
+    @pytest.fixture
+    def heavy(self, db, accesses):
+        """Three accesses with at least three answers each."""
+        heavy = [
+            a for a in accesses if len(oracle_answer(VIEW, db, a)) >= 3
+        ][:3]
+        assert len(heavy) == 3
+        return heavy
+
+    @pytest.fixture
+    def counting(self, server):
+        return CountingRepresentation(server.representation("V"))
+
+    def test_pulling_a_cursor_advances_no_other_state(self, counting, heavy):
+        a, b, c = heavy
+        batch = [AccessRequest("V", access) for access in (a, b, a, c)]
+        cursors = open_group(counting, batch)
+        assert not counting.pulled  # nothing starts before a pull
+        expected = Counter()
+        for index in (3, 0, 1, 0, 3, 1):
+            next(cursors[index])
+            expected[batch[index].access] += 1
+            assert counting.pulled == expected
+        # The duplicate reads what its peer's pulls parked for it.
+        assert [next(cursors[2]), next(cursors[2])] == list(
+            counting.inner.enumerate(a)
+        )[:2]
+        assert counting.pulled == expected
+
+    def test_an_error_stays_with_its_state(self, db, server, heavy):
+        a, b, c = heavy
+        counting = CountingRepresentation(
+            server.representation("V"), fail=(b, 1)
+        )
+        batch = [AccessRequest("V", access) for access in (a, b, b, c)]
+        scan = SharedScan(counting, batch)
+        first, failing, duplicate, last = scan.cursors()
+        row = oracle_answer(VIEW, db, b)[0]
+        assert next(failing) == row
+        with pytest.raises(RuntimeError, match="boom"):
+            next(failing)
+        # The duplicate gets the parked row, then the same error — not a
+        # silently short answer.
+        assert next(duplicate) == row
+        with pytest.raises(RuntimeError, match="boom"):
+            next(duplicate)
+        with pytest.raises(RuntimeError, match="boom"):
+            next(failing)
+        assert first.fetchall() == oracle_answer(VIEW, db, a)
+        assert last.fetchall() == oracle_answer(VIEW, db, c)
+        for cursor in (failing, duplicate):
+            cursor.close()
+        assert scan.stats().pruned_states == 0
+
+    def test_a_limit_stop_of_the_last_lane_closes_the_generator(
+        self, db, counting, heavy
+    ):
+        access = heavy[0]
+        rows = oracle_answer(VIEW, db, access)
+        scan = SharedScan(
+            counting,
+            [
+                AccessRequest("V", access, limit=1),
+                AccessRequest("V", access, limit=2),
+            ],
+        )
+        one, two = scan.cursors()
+        assert one.fetchall() == rows[:1]
+        assert counting.ended == []  # the peer still wants rows
+        assert scan.stats().pruned_states == 0
+        assert two.fetchall() == rows[:2]  # no close(): the limit is enough
+        assert counting.ended == [(access, False)]
+        assert counting.pulled[access] == 2
+        assert scan.stats().pruned_states == 1
+
+    def test_closing_the_last_lane_closes_the_generator(
+        self, db, counting, heavy
+    ):
+        access, other = heavy[:2]
+        scan = SharedScan(
+            counting,
+            [
+                AccessRequest("V", access),
+                AccessRequest("V", access),
+                AccessRequest("V", other),
+            ],
+        )
+        first, second, third = scan.cursors()
+        next(first)
+        first.close()
+        assert counting.ended == []
+        second.close()  # never pulled, still the state's last lane
+        assert counting.ended == [(access, False)]
+        assert scan.stats().pruned_states == 1
+        assert third.fetchall() == oracle_answer(VIEW, db, other)
+        for cursor in (first, second, third):
+            cursor.close()
+        assert counting.ended == [(access, False), (other, True)]
+        assert scan.stats().pruned_states == 1  # a dry state is not pruned
+
+
+@pytest.fixture(scope="module")
+def backends(db, server):
+    """``kind -> (view, back end)``: plain, routed and scatter."""
+    routed = ShardedViewServer(db, 3, SHARD_KEY)
+    routed.register(VIEW, tau=TAU, name="V")
+    scatter = ShardedViewServer(db, 3, SHARD_KEY)
+    scatter.register(SCATTER_VIEW, tau=TAU, name="V")
+    assert routed.route("V")[0] == "routed"
+    assert scatter.route("V")[0] == "scatter"
+    return {
+        "plain": (VIEW, server),
+        "routed": (VIEW, routed),
+        "scatter": (SCATTER_VIEW, scatter),
+    }
+
+
+@st.composite
+def request_batches(draw, pool):
+    """Up to eight requests over ``pool``'s ``(access, answer)`` pairs.
+
+    Duplicates arise by themselves (few accesses, few knobs); tokens are
+    absent, answer rows, or forged (before, between and past the rows).
+    """
+    batch = []
+    for _ in range(draw(st.integers(1, 8))):
+        access, rows = draw(st.sampled_from(pool))
+        tokens = [None, (-1,), (10**6,)] + rows + [(r[0] + 1,) for r in rows]
+        batch.append(
+            AccessRequest(
+                "V",
+                access,
+                limit=draw(st.sampled_from([0, 1, 3, None])),
+                start_after=draw(st.sampled_from(tokens)),
+                measure=draw(st.booleans()),
+            )
+        )
+    return batch
+
+
+@pytest.mark.parametrize("kind", ["plain", "routed", "scatter"])
+@given(data=st.data())
+@settings(
+    max_examples=30,
+    deadline=None,
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
+)
+def test_every_batch_cursor_is_its_solo_cursor(db, backends, kind, data):
+    """Rows, resume token and step gap of ``open(request)``, per cursor."""
+    view, backend = backends[kind]
+    accesses = productive_accesses(view, db)[:4] + [(-1, -2)]
+    pool = [(access, oracle_answer(view, db, access)) for access in accesses]
+    batch = data.draw(request_batches(pool))
+    # Duplicates share their state's gaps — the farthest reader's — so a
+    # cursor's own solo gap is promised where its state's limits agree.
+    limits = defaultdict(set)
+    for request in batch:
+        limits[request.access, request.start_after].add(request.limit)
+    answers = dict(pool)
+    for request, cursor in zip(batch, backend.open_batch(batch)):
+        token = request.start_after
+        expected = [
+            row
+            for row in answers[request.access]
+            if token is None or row > token
+        ][: request.limit]
+        with cursor, backend.open(request) as solo:
+            assert cursor.fetchall() == solo.fetchall() == expected
+            assert cursor.resume_token() == solo.resume_token()
+            if len(limits[request.access, request.start_after]) == 1:
+                assert (
+                    cursor.stats().step_max_gap == solo.stats().step_max_gap
+                )
 
 
 class TestPrefixBatchRequests:
