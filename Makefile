@@ -50,8 +50,10 @@ docs-check:
 # src/repro/engine at ENGINE_SLOC_CEILING, the CLI (src/repro/__main__.py,
 # printed on its own line) at MAIN_SLOC_CEILING and the src/repro total at
 # SRC_SLOC_CEILING — raise them on purpose or not at all. The executable
-# spec moved out of src/ (tests/reference_walk.py) is printed on its own
-# line after the total: moved code is shown as moved, not as deleted.
+# specs moved out of src/ (tests/reference_walk.py, Algorithm 2's walk;
+# tests/reference_build.py, Section 4.3's object-based build) are printed
+# on their own lines after the total: moved code is shown as moved, not
+# as deleted.
 size:
 	$(PYTHON) benchmarks/check_size.py
 

@@ -10,15 +10,16 @@
 * :mod:`repro.core.representation` — the read contract all of them (and
   the baselines, and :mod:`repro.core.dynamic`'s read side) inherit.
 * The supporting internals: tuple spaces (:mod:`repro.core.domain`),
-  f-intervals and f-boxes (:mod:`repro.core.intervals`), the AGM cost model
-  (:mod:`repro.core.cost`), balanced splitting (:mod:`repro.core.splitting`),
+  f-intervals and their box decomposition (:mod:`repro.core.intervals`),
+  the AGM cost model (:mod:`repro.core.cost`), balanced splitting
+  (:mod:`repro.core.splitting`),
   the delay-balanced tree (:mod:`repro.core.balanced_tree`) and the heavy
   valuation dictionary (:mod:`repro.core.dictionary`).
 """
 
 from repro.core.domain import Domain, TupleSpace
 from repro.core.context import ViewContext, AtomBinding
-from repro.core.intervals import FBox, FInterval, ScalarInterval
+from repro.core.intervals import FInterval, box_decomposition
 from repro.core.cost import CostModel
 from repro.core.splitting import split_interval
 from repro.core.balanced_tree import (
@@ -48,9 +49,8 @@ __all__ = [
     "TupleSpace",
     "ViewContext",
     "AtomBinding",
-    "ScalarInterval",
-    "FBox",
     "FInterval",
+    "box_decomposition",
     "CostModel",
     "split_interval",
     "TreeNode",

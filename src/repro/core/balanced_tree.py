@@ -19,11 +19,11 @@ Two implementation notes beyond the paper:
 from __future__ import annotations
 
 import math
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.core.cost import CostModel
-from repro.core.intervals import FInterval
-from repro.core.splitting import split_interval
+from repro.core.intervals import Box, FInterval, box_decomposition
+from repro.core.splitting import split_boxes
 from repro.exceptions import ParameterError, SnapshotError
 
 _MAX_DEPTH = 512
@@ -53,7 +53,13 @@ class TreeNode:
 
 
 class DelayBalancedTree:
-    """The constructed tree plus its tuning parameters."""
+    """The constructed tree plus its tuning parameters.
+
+    ``boxes`` is each node's box decomposition in row form, aligned with
+    ``nodes`` — the very list the compiled layout keeps as its
+    ``boxes`` column. The builder supplies it; a tree restored from
+    state starts without (None) and :meth:`node_boxes` decomposes once.
+    """
 
     def __init__(
         self,
@@ -66,6 +72,7 @@ class DelayBalancedTree:
         self.nodes = nodes
         self.tau = tau
         self.alpha = alpha
+        self.boxes: Optional[List[Tuple[Box, ...]]] = None
         self.max_level = max((node.level for node in nodes), default=0)
 
     def __len__(self) -> int:
@@ -88,6 +95,19 @@ class DelayBalancedTree:
 
     def leaves(self) -> List[TreeNode]:
         return [node for node in self.nodes if node.is_leaf]
+
+    def node_boxes(self, tops: Sequence[int]) -> List[Tuple[Box, ...]]:
+        """Every node's box decomposition, aligned with ``nodes``."""
+        if self.boxes is None:
+            self.boxes = [
+                tuple(
+                    box_decomposition(
+                        node.interval.low, node.interval.high, tops
+                    )
+                )
+                for node in self.nodes
+            ]
+        return self.boxes
 
     def columns(self):
         """Flat array-backed node columns for the columnar layout compiler.
@@ -182,20 +202,24 @@ class DelayBalancedTree:
 def build_delay_balanced_tree(
     cost_model: CostModel, tau: float, alpha: float
 ) -> DelayBalancedTree:
-    """Construct the delay-balanced tree for the context of ``cost_model``."""
+    """Construct the delay-balanced tree for the context of ``cost_model``.
+
+    Every node's interval is decomposed and its boxes costed exactly
+    once: the sum decides leaf or split, the same boxes and costs go to
+    Algorithm 1, and the boxes stay on the tree for the dictionary pass
+    and the layout compiler. One :class:`~repro.core.cost.CostWalk`
+    serves the whole construction and ends with it.
+    """
     if tau <= 0:
         raise ParameterError(f"tau must be positive, got {tau}")
     space = cost_model.ctx.space
     if space.is_empty():
         return DelayBalancedTree(None, [], tau, alpha)
+    tops = cost_model.tops
+    walk = cost_model.walk()
     nodes: List[TreeNode] = []
-
-    def threshold(level: int) -> float:
-        if math.isinf(alpha):
-            exponent = 1.0
-        else:
-            exponent = 1.0 - 1.0 / alpha
-        return tau / (2.0 ** (level * exponent))
+    node_boxes: List[Tuple[Box, ...]] = []
+    exponent = 1.0 if math.isinf(alpha) else 1.0 - 1.0 / alpha
 
     def make(interval: FInterval, level: int) -> Optional[TreeNode]:
         if level > _MAX_DEPTH:
@@ -203,28 +227,28 @@ def build_delay_balanced_tree(
                 "delay-balanced tree exceeded the depth guard; "
                 "check cover weights and tau"
             )
-        cost = cost_model.interval_cost(interval)
+        boxes = tuple(box_decomposition(interval.low, interval.high, tops))
+        costs = [walk.box_cost(box) for box in boxes]
+        cost = sum(costs)
         if cost <= 0.0:
             return None
         node = TreeNode(len(nodes), interval, level, cost)
         nodes.append(node)
-        if interval.is_unit() or cost < threshold(level):
+        node_boxes.append(boxes)
+        if interval.is_unit() or cost < tau / (2.0 ** (level * exponent)):
             return node
-        beta = split_interval(cost_model, interval)
-        if beta is None:
-            return node
-        node.beta = beta
+        # Even with both sides empty or costless the node stays a split
+        # node: it carries the unit valuation at beta, which Algorithm 2
+        # outputs when present.
+        node.beta = beta = split_boxes(walk, boxes, costs)
         left_interval, right_interval = interval.split_at(space, beta)
         if left_interval is not None:
             node.left = make(left_interval, level + 1)
         if right_interval is not None:
             node.right = make(right_interval, level + 1)
-        if node.left is None and node.right is None and not interval.is_unit():
-            # Both sides empty or costless: the node still carries the unit
-            # valuation at beta during enumeration, so keep it as a split
-            # node (Algorithm 2 outputs the beta tuple when present).
-            pass
         return node
 
     root = make(FInterval.full(space), 0)
-    return DelayBalancedTree(root, nodes, tau, alpha)
+    tree = DelayBalancedTree(root, nodes, tau, alpha)
+    tree.boxes = node_boxes
+    return tree

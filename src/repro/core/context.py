@@ -93,8 +93,14 @@ class AtomBinding:
         # Free-columns-only trie with tuple multiplicities: the count oracle
         # for the unrestricted |R_F ⋉ B| statistics (v_b not fixed). Nodes of
         # both tries sit "at the free levels", so the cost model can use them
-        # interchangeably.
-        self.free_trie = TrieIndex(relation, free_positions, dedupe=False)
+        # interchangeably. With no bound variable the two index the same
+        # columns in the same order over a set of rows (every key is a whole
+        # row, so multiplicities are all 1): one trie serves as both.
+        self.free_trie = (
+            TrieIndex(relation, free_positions, dedupe=False)
+            if self.bound_vars
+            else self.trie
+        )
 
     def subtrie(self, access: Sequence) -> Optional[TrieNode]:
         """The trie node fixing this atom's bound variables per the access
@@ -178,15 +184,15 @@ class ViewContext:
         )
 
     def free_ranges_of_box(self, box) -> Dict[Variable, Tuple]:
-        """Translate an f-box into per-variable closed value ranges."""
+        """Translate an f-box (index rows) into per-variable value ranges."""
         ranges: Dict[Variable, Tuple] = {}
-        for coordinate, interval in enumerate(box.intervals):
+        for coordinate, (low, high) in enumerate(box):
             domain = self.free_domains[coordinate]
-            if interval.low == 0 and interval.high == domain.top:
+            if low == 0 and high == domain.top:
                 continue  # unrestricted
             ranges[self.free_order[coordinate]] = (
-                domain.value_at(interval.low),
-                domain.value_at(interval.high),
+                domain.value_at(low),
+                domain.value_at(high),
             )
         return ranges
 
@@ -210,6 +216,16 @@ class ViewContext:
             cover, alpha = max_slack_cover(self.hypergraph, self.free_order)
             self._default_cover = (cover.weights, alpha)
         return self._default_cover
+
+    def adopt_cover(self, previous: "ViewContext") -> None:
+        """Take ``previous``'s memoised default cover as-is.
+
+        For a context over the same view and a later database: a delta
+        changes neither the hypergraph nor the free order, so the LP's
+        answer stands — the very pair, not one re-derived from the
+        weights (a recomputed slack may round differently).
+        """
+        self._default_cover = previous._default_cover
 
     def states(self) -> Tuple[Dict, List]:
         """``(view state, database state)`` exactly as a snapshot stores them.

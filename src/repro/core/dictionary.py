@@ -126,29 +126,42 @@ def build_dictionary(
 
     ``outputs`` maps each bound valuation with non-empty result to its
     sorted list of free index tuples (the materialized query output).
+
+    Each candidate's subtries are resolved once, into the
+    :class:`~repro.core.cost.CostWalk` that costs it against every node
+    it reaches; the walks are locals of this pass and go with it.
     """
     dictionary = HeavyDictionary()
     if tree.root is None:
         return dictionary
     ctx = cost_model.ctx
-    candidates = bound_candidates(ctx)
+    boxes = tree.node_boxes(cost_model.tops)
+    # With no bound variable the one candidate, (), restricts nothing:
+    # its T(v_b, I) is T(I) over the very same tries — the node's cost.
+    unrestricted = not ctx.bound_order
+    candidates = [
+        (access, cost_model.walk(ctx.subtries(access)), outputs.get(access))
+        for access in bound_candidates(ctx)
+    ]
     prune_threshold = tree.min_threshold()
     stack: List[Tuple[TreeNode, List[Tuple]]] = [(tree.root, candidates)]
     while stack:
         node, current = stack.pop()
         threshold = tree.threshold(node.level)
+        interval = node.interval
+        node_boxes = boxes[node.id]
         survivors: List[Tuple] = []
         has_children = node.left is not None or node.right is not None
-        for access in current:
-            cost = cost_model.access_cost(node.interval, access)
+        for candidate in current:
+            access, walk, free_tuples = candidate
+            cost = node.cost if unrestricted else walk.boxes_cost(node_boxes)
             if cost > threshold:
-                free_tuples = outputs.get(access)
                 nonempty = free_tuples is not None and output_nonempty_in(
-                    free_tuples, node.interval
+                    free_tuples, interval
                 )
                 dictionary.set(node.id, access, 1 if nonempty else 0)
             if has_children and cost > prune_threshold:
-                survivors.append(access)
+                survivors.append(candidate)
         if survivors:
             if node.left is not None:
                 stack.append((node.left, survivors))

@@ -33,6 +33,7 @@ import threading
 from typing import Dict, Iterator, Optional, Sequence, Set, Tuple
 
 from repro.baselines.lazy import LazyView
+from repro.core.context import ViewContext
 from repro.core.representation import Representation
 from repro.core.structure import CompressedRepresentation
 from repro.database.catalog import Database
@@ -176,15 +177,27 @@ class DynamicRepresentation(Representation):
         self._build(db)
         self.rebuilds = 0
 
-    def _build(self, db: Database) -> None:
-        """Make ``db`` the base: build its structure, empty the buffers."""
+    def _build(
+        self, db: Database, previous: Optional[ViewContext] = None
+    ) -> None:
+        """Make ``db`` the base: build its structure, empty the buffers.
+
+        ``previous`` is the outgoing structure's context on a rebuild:
+        the new context inherits its default cover instead of solving
+        the same LP again.
+        """
         self._db = db
+        view, natural_db = natural_form(self.view, db)
+        context = ViewContext(view, natural_db)
+        if previous is not None:
+            context.adopt_cover(previous)
         self._structure = CompressedRepresentation(
-            self.view,
-            db,
+            view,
+            natural_db,
             tau=self.tau,
             weights=self._weights,
             alpha=self._alpha,
+            context=context,
         )
         self._inserts: Dict[str, Set[Tuple]] = {}
         self._deletes: Dict[str, Set[Tuple]] = {}
@@ -321,7 +334,7 @@ class DynamicRepresentation(Representation):
 
     def rebuild(self) -> None:
         """Apply buffered updates and rebuild the compressed structure."""
-        self._build(self.current_database())
+        self._build(self.current_database(), self._structure.ctx)
         self.rebuilds += 1
 
     def _maybe_rebuild(self) -> None:

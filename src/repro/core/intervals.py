@@ -1,162 +1,80 @@
-"""f-intervals, f-boxes and the box decomposition (Section 4.1).
+"""f-intervals and the box decomposition (Section 4.1).
 
 Everything lives in index space (see :mod:`repro.core.domain`). Intervals
 are *closed* on both ends: the paper's half-open constructions are
 normalized through successor/predecessor, which exist because domains are
-finite. A :class:`ScalarInterval` with ``low > high`` is empty.
+finite.
 
-An f-box (Definition 2) is a product of per-coordinate scalar intervals;
-the boxes produced by :func:`FInterval.box_decomposition` are *canonical*
-(a prefix of unit intervals, one general interval, then unrestricted
-coordinates), ordered lexicographically, with empty boxes dropped —
-exactly the properties Lemma 1 proves.
+An f-box (Definition 2) is a product of per-coordinate closed index
+ranges, written as the plain row ``((lo, hi), ...)`` — one pair per free
+coordinate, the form :class:`~repro.core.layout.TreeColumns` stores and
+the kernel walks. The boxes :func:`box_decomposition` produces are
+*canonical* (a prefix of unit ranges, one general range, then
+unrestricted coordinates), ordered lexicographically, with empty boxes
+dropped — exactly the properties Lemma 1 proves. The object form of the
+same construction (one class per box and per scalar range) is the
+build's executable spec in ``tests/reference_build.py``.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterator, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 from repro.core.domain import TupleSpace
 from repro.exceptions import ParameterError
 
-
-@dataclass(frozen=True)
-class ScalarInterval:
-    """A closed index range [low, high] into one variable's domain."""
-
-    low: int
-    high: int
-
-    def is_empty(self) -> bool:
-        return self.low > self.high
-
-    def is_unit(self) -> bool:
-        return self.low == self.high
-
-    def width(self) -> int:
-        return max(0, self.high - self.low + 1)
-
-    def contains(self, index: int) -> bool:
-        return self.low <= index <= self.high
+#: One f-box in index space: a closed ``(lo, hi)`` range per coordinate.
+Box = Tuple[Tuple[int, int], ...]
 
 
-class FBox:
-    """A product of scalar intervals over the free coordinates.
+def _canonical(
+    units: Sequence[int], low: int, high: int, tops: Sequence[int]
+) -> Box:
+    """The row ``⟨units, [low, high], ▢, ...⟩``, every pair its own."""
+    row = [(index, index) for index in units]
+    row.append((low, high))
+    row.extend([(0, top) for top in tops[len(row) :]])
+    return tuple(row)
 
-    ``intervals[i]`` constrains coordinate ``i``; a coordinate spanning the
-    whole domain is *unrestricted*. A box is canonical when every
-    coordinate before the first non-unit one is a unit and every coordinate
-    after it is unrestricted.
+
+def box_decomposition(
+    low: Tuple[int, ...], high: Tuple[int, ...], tops: Sequence[int]
+) -> List[Box]:
+    """The canonical box decomposition ``B([low, high])`` (Lemma 1).
+
+    ``tops`` holds each coordinate's largest domain index. The returned
+    boxes are non-empty, pairwise disjoint, ordered lexicographically,
+    and their union is exactly the interval; a width-µ space yields at
+    most ``2µ - 1`` of them.
     """
-
-    __slots__ = ("intervals",)
-
-    def __init__(self, intervals: Sequence[ScalarInterval]):
-        self.intervals = tuple(intervals)
-
-    @classmethod
-    def canonical(
-        cls,
-        space: TupleSpace,
-        unit_prefix: Sequence[int],
-        interval: Optional[ScalarInterval] = None,
-    ) -> "FBox":
-        """Build ``⟨a1, ..., ak, I, ▢, ...⟩`` from its prefix and interval."""
-        width = space.width
-        if len(unit_prefix) + (1 if interval is not None else 0) > width:
-            raise ParameterError("canonical box wider than the tuple space")
-        parts: List[ScalarInterval] = [
-            ScalarInterval(v, v) for v in unit_prefix
-        ]
-        if interval is not None:
-            parts.append(interval)
-        while len(parts) < width:
-            position = len(parts)
-            parts.append(ScalarInterval(0, space.domains[position].top))
-        return cls(parts)
-
-    # ------------------------------------------------------------------
-    def is_empty(self) -> bool:
-        return any(interval.is_empty() for interval in self.intervals)
-
-    def is_unit(self) -> bool:
-        return all(interval.is_unit() for interval in self.intervals)
-
-    def contains(self, point: Tuple[int, ...]) -> bool:
-        return all(
-            interval.contains(index)
-            for interval, index in zip(self.intervals, point)
-        )
-
-    def size(self) -> int:
-        total = 1
-        for interval in self.intervals:
-            total *= interval.width()
-        return total
-
-    def unit_prefix_length(self, space: TupleSpace) -> int:
-        """Number of leading unit coordinates (canonical boxes only)."""
-        length = 0
-        for interval in self.intervals:
-            if interval.is_unit():
-                length += 1
-            else:
-                break
-        return length
-
-    def is_canonical(self, space: TupleSpace) -> bool:
-        seen_general = False
-        for position, interval in enumerate(self.intervals):
-            if not seen_general:
-                if interval.is_unit():
-                    continue
-                seen_general = True
-                continue
-            if interval.low != 0 or interval.high != space.domains[position].top:
-                return False
-        return True
-
-    def smallest(self) -> Tuple[int, ...]:
-        """Lexicographically smallest point (box must be non-empty)."""
-        return tuple(interval.low for interval in self.intervals)
-
-    def largest(self) -> Tuple[int, ...]:
-        return tuple(interval.high for interval in self.intervals)
-
-    def iterate(self) -> Iterator[Tuple[int, ...]]:
-        """All points of the box in lexicographic order (tests only)."""
-        def rec(position: int, prefix: List[int]) -> Iterator[Tuple[int, ...]]:
-            if position == len(self.intervals):
-                yield tuple(prefix)
-                return
-            interval = self.intervals[position]
-            for index in range(interval.low, interval.high + 1):
-                prefix.append(index)
-                yield from rec(position + 1, prefix)
-                prefix.pop()
-
-        if not self.is_empty():
-            yield from rec(0, [])
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, FBox):
-            return NotImplemented
-        return self.intervals == other.intervals
-
-    def __hash__(self) -> int:
-        return hash(self.intervals)
-
-    def __repr__(self) -> str:
-        parts = []
-        for interval in self.intervals:
-            if interval.is_empty():
-                parts.append("∅")
-            elif interval.is_unit():
-                parts.append(str(interval.low))
-            else:
-                parts.append(f"[{interval.low},{interval.high}]")
-        return f"FBox⟨{', '.join(parts)}⟩"
+    width = len(low)
+    if width == 0:
+        # Boolean views: the one-point space decomposes into one box.
+        return [()]
+    last = width - 1
+    j = 0
+    while j < last and low[j] == high[j]:
+        j += 1
+    if j == last:
+        # At most the last coordinate differs: one closed box covers it
+        # (the paper's single-box case, cf. the end of Example 12).
+        return [_canonical(low[:j], low[j], high[j], tops)]
+    boxes: List[Box] = []
+    # Left boxes: innermost coordinate first (the paper's order
+    # B^ℓ_µ ≤ ... ≤ B^ℓ_{j+1}, Lemma 1).
+    for i in range(last, j, -1):
+        start = low[i] if i == last else low[i] + 1
+        if start <= tops[i]:
+            boxes.append(_canonical(low[:i], start, tops[i], tops))
+    # Middle box: the open range at the first differing coordinate.
+    if low[j] + 1 < high[j]:
+        boxes.append(_canonical(low[:j], low[j] + 1, high[j] - 1, tops))
+    # Right boxes, outermost first.
+    for i in range(j + 1, width):
+        end = high[i] if i == last else high[i] - 1
+        if end >= 0:
+            boxes.append(_canonical(high[:i], 0, end, tops))
+    return boxes
 
 
 class FInterval:
@@ -195,51 +113,6 @@ class FInterval:
         return f"FInterval[{self.low}, {self.high}]"
 
     # ------------------------------------------------------------------
-    def box_decomposition(self, space: TupleSpace) -> List[FBox]:
-        """The canonical box decomposition ``B(I)`` (Lemma 1).
-
-        The returned boxes are non-empty, pairwise disjoint, ordered
-        lexicographically, and their union is exactly the interval. For a
-        width-µ space at most ``2µ - 1`` boxes are produced.
-        """
-        width = len(self.low)
-        if width == 0:
-            # Boolean views: the one-point space decomposes into one box.
-            return [FBox(())]
-        a, b = self.low, self.high
-        if a == b:
-            return [FBox.canonical(space, a)]
-        j = 0
-        while a[j] == b[j]:
-            j += 1
-        if j == width - 1:
-            # Only the last coordinate differs: one closed box covers it
-            # (the paper's single-box case, cf. the end of Example 12).
-            return [
-                FBox.canonical(space, a[:j], ScalarInterval(a[j], b[j]))
-            ]
-        result: List[FBox] = []
-        # Left boxes: innermost coordinate first (the paper's order
-        # B^ℓ_µ ≤ ... ≤ B^ℓ_{j+1}, Lemma 1).
-        for i in range(width - 1, j, -1):
-            low = a[i] if i == width - 1 else a[i] + 1
-            interval = ScalarInterval(low, space.domains[i].top)
-            box = FBox.canonical(space, a[:i], interval)
-            if not box.is_empty():
-                result.append(box)
-        # Middle box: the open range at the first differing coordinate.
-        middle = FBox.canonical(space, a[:j], ScalarInterval(a[j] + 1, b[j] - 1))
-        if not middle.is_empty():
-            result.append(middle)
-        # Right boxes, outermost first.
-        for i in range(j + 1, width):
-            high = b[i] if i == width - 1 else b[i] - 1
-            interval = ScalarInterval(0, high)
-            box = FBox.canonical(space, b[:i], interval)
-            if not box.is_empty():
-                result.append(box)
-        return result
-
     def split_at(
         self, space: TupleSpace, point: Tuple[int, ...]
     ) -> Tuple[Optional["FInterval"], Optional["FInterval"]]:

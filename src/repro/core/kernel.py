@@ -54,7 +54,7 @@ from __future__ import annotations
 from bisect import bisect_left, bisect_right
 from typing import Iterator, List, Tuple
 
-from repro.core.intervals import FInterval
+from repro.core.intervals import box_decomposition
 
 # Explicit-stack entry kinds. FULL subtrees (seek point entirely below the
 # interval) degrade VISIT_FROM entries to VISIT, exactly like the spec's
@@ -379,22 +379,6 @@ def _point_joins(layout, finger, point) -> bool:
     return _fix(layout, level[1], last, point[last]) is not None
 
 
-def _clipped_boxes(layout, low, high, start):
-    """Box ranges of the interval clipped at the seek point."""
-    clipped = FInterval(max(low, start), high)
-    boxes = []
-    for box in clipped.box_decomposition(layout.space):
-        if box.is_empty():
-            continue
-        boxes.append(
-            tuple(
-                (interval.low, interval.high)
-                for interval in box.intervals
-            )
-        )
-    return boxes
-
-
 # ----------------------------------------------------------------------
 # the tree walk (enumerate / enumerate_from)
 # ----------------------------------------------------------------------
@@ -442,8 +426,11 @@ def _walk(layout, bucket, states, start, counter) -> Iterator[Tuple]:
                     if left >= 0:
                         stack.append((_VISIT_FROM, left))
                     continue
-                boxes = _clipped_boxes(
-                    layout, low_col[node_id], high_col[node_id], start
+                # ⊥: the interval clipped at the seek point, decomposed.
+                boxes = box_decomposition(
+                    max(low_col[node_id], start),
+                    high_col[node_id],
+                    layout.space.top(),
                 )
                 yield from _light_rows(layout, finger, boxes, counter)
                 continue

@@ -405,24 +405,17 @@ class CompiledLayout:
 # ----------------------------------------------------------------------
 def _compile_tree(tree, cost_model) -> TreeColumns:
     root_id, left, right, lows, highs, betas = tree.columns()
-    left = list(left)
-    right = list(right)
-    boxes: List[Tuple] = []
-    for node in tree.nodes:
-        node_boxes = []
-        for box in cost_model.boxes_of(node.interval):
-            if box.is_empty():
-                continue
-            node_boxes.append(
-                tuple(
-                    (interval.low, interval.high)
-                    for interval in box.intervals
-                )
-            )
-        boxes.append(tuple(node_boxes))
-    width = cost_model.ctx.space.width
+    # The build already decomposed every node; its list is the column.
+    boxes = tree.node_boxes(cost_model.tops)
     return TreeColumns(
-        root_id, width, left, right, lows, highs, betas, boxes
+        root_id,
+        cost_model.ctx.space.width,
+        list(left),
+        list(right),
+        lows,
+        highs,
+        betas,
+        boxes,
     )
 
 

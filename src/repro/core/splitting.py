@@ -9,16 +9,75 @@ coordinate a binary search (Lemma 3) finds the smallest value whose
 count oracle of the tries. The two running quantities mirror the paper's
 Algorithm 1: ``gamma`` (cost strictly to the left of the evolving prefix)
 and ``delta`` (cost of the current unit-prefix box).
+
+The interval arrives as its boxes and their costs — whoever decomposed
+and costed it (the tree builder did, to decide whether to split at all)
+hands both over, so no box is costed twice. Every probe of the search
+shares the unit prefix fixed so far, which the
+:class:`~repro.core.cost.CostWalk` descends once.
 """
 
 from __future__ import annotations
 
-from typing import Optional, Tuple
+from typing import Optional, Sequence, Tuple
 
-from repro.core.cost import CostModel
-from repro.core.intervals import FBox, FInterval, ScalarInterval
+from repro.core.cost import CostModel, CostWalk
+from repro.core.intervals import Box, FInterval
 
 _EPS = 1e-12
+
+
+def split_boxes(
+    walk: CostWalk, boxes: Sequence[Box], costs: Sequence[float]
+) -> Optional[Tuple[int, ...]]:
+    """Algorithm 1 over an interval's canonical ``boxes`` and ``costs``.
+
+    ``walk`` is the unrestricted cost evaluator the costs came from.
+    Returns the split point, or None when the costs sum to 0.
+    """
+    total = sum(costs)
+    if total <= 0.0:
+        return None
+    half = total / 2.0
+
+    # Box where the prefix sums first exceed T/2.
+    gamma = 0.0
+    chosen = len(boxes) - 1
+    for index, cost in enumerate(costs):
+        if gamma + cost > half + _EPS:
+            chosen = index
+            break
+        gamma += cost
+    delta = costs[chosen]
+    box = boxes[chosen]
+
+    # Refine inside the chosen box, coordinate by coordinate: its own
+    # range first, then (the box is canonical) whole domains.
+    row = list(box)
+    depth = 0
+    while depth < len(row) and row[depth][0] == row[depth][1]:
+        depth += 1
+    for coordinate in range(depth, len(row)):
+        first, high = row[coordinate]
+        nodes = walk.descend(row, coordinate)
+        target = min(delta, half - gamma)
+        low = first
+        while low < high:
+            mid = (low + high) // 2
+            below = walk.range_cost(nodes, coordinate, first, mid)
+            if below >= target - _EPS:
+                high = mid
+            else:
+                low = mid + 1
+                left = below
+        if low > first:
+            # low moved last on the failed probe at low - 1: its cost is
+            # what lies strictly left of the chosen value.
+            gamma += left
+        if coordinate + 1 < len(row):
+            delta = walk.range_cost(nodes, coordinate, low, low)
+        row[coordinate] = (low, low)
+    return tuple([pair[0] for pair in row])
 
 
 def split_interval(
@@ -29,56 +88,7 @@ def split_interval(
     Returns an index tuple ``c`` inside ``interval`` with
     ``T([a, c)) ≤ T/2`` and ``T((c, b]) ≤ T/2`` (Proposition 8).
     """
-    space = cost_model.ctx.space
-    boxes = cost_model.boxes_of(interval)
-    costs = [cost_model.box_cost(box) for box in boxes]
-    total = sum(costs)
-    if total <= 0.0:
-        return None
-    half = total / 2.0
-
-    # Box where the prefix sums first exceed T/2.
-    prefix_sum = 0.0
-    chosen = len(boxes) - 1
-    for index, cost in enumerate(costs):
-        if prefix_sum + cost > half + _EPS:
-            chosen = index
-            break
-        prefix_sum += cost
-    gamma = prefix_sum
-    delta = costs[chosen]
-    box = boxes[chosen]
-
-    # Refine inside the chosen box, coordinate by coordinate.
-    ipos = box.unit_prefix_length(space)
-    unit_prefix = [box.intervals[i].low for i in range(ipos)]
-    for coordinate in range(ipos, space.width):
-        if coordinate == ipos:
-            allowed = box.intervals[coordinate]
-        else:
-            allowed = ScalarInterval(0, space.domains[coordinate].top)
-        target = min(delta, half - gamma)
-        low, high = allowed.low, allowed.high
-        while low < high:
-            mid = (low + high) // 2
-            below = cost_model.box_cost(
-                FBox.canonical(
-                    space, unit_prefix, ScalarInterval(allowed.low, mid)
-                )
-            )
-            if below >= target - _EPS:
-                high = mid
-            else:
-                low = mid + 1
-        chosen_value = low
-        if chosen_value > allowed.low:
-            gamma += cost_model.box_cost(
-                FBox.canonical(
-                    space,
-                    unit_prefix,
-                    ScalarInterval(allowed.low, chosen_value - 1),
-                )
-            )
-        unit_prefix.append(chosen_value)
-        delta = cost_model.box_cost(FBox.canonical(space, unit_prefix))
-    return tuple(unit_prefix)
+    walk = cost_model.walk()
+    boxes = cost_model.boxes(interval)
+    costs = [walk.box_cost(box) for box in boxes]
+    return split_boxes(walk, boxes, costs)

@@ -39,7 +39,6 @@ from repro.core.context import ViewContext
 from repro.core.kernel import kernel_enumerate, kernel_enumerate_from
 from repro.core.cost import CostModel
 from repro.core.dictionary import HeavyDictionary, build_dictionary
-from repro.core.intervals import FBox
 from repro.core.representation import Representation
 from repro.database.catalog import Database
 from repro.exceptions import ParameterError, QueryError, SnapshotError
@@ -359,28 +358,6 @@ class CompressedRepresentation(Representation):
             return
         yield from kernel_enumerate(self._fresh_layout(), access, counter)
 
-    def _join_box(
-        self,
-        access: Tuple,
-        subtries: List,
-        box: FBox,
-        counter: Optional[JoinCounter],
-    ) -> Iterator[Tuple]:
-        if box.is_empty():
-            return
-        ranges = self.ctx.free_ranges_of_box(box)
-        atoms = [
-            (node, binding.free_vars)
-            for binding, node in zip(self.ctx.atoms, subtries)
-        ]
-        yield from generic_join(
-            atoms,
-            self.ctx.free_order,
-            ranges=ranges,
-            domains=self.ctx.free_value_domains,
-            counter=counter,
-        )
-
     def enumerate_from(
         self,
         access: Sequence,
@@ -451,12 +428,22 @@ class CompressedRepresentation(Representation):
         interval's box decomposition); used by the Theorem 2 semijoin
         refinement (Algorithm 4) to stream ``Q[v_b] ⋉ I(w)``.
         """
-        access = tuple(access)
-        subtries = self.ctx.subtries(access)
+        ctx = self.ctx
+        subtries = ctx.subtries(tuple(access))
         if any(node is None for node in subtries):
             return
-        for box in self.cost_model.boxes_of(interval):
-            yield from self._join_box(access, subtries, box, counter)
+        atoms = [
+            (node, binding.free_vars)
+            for binding, node in zip(ctx.atoms, subtries)
+        ]
+        for box in self.cost_model.boxes(interval):
+            yield from generic_join(
+                atoms,
+                ctx.free_order,
+                ranges=ctx.free_ranges_of_box(box),
+                domains=ctx.free_value_domains,
+                counter=counter,
+            )
 
     # ------------------------------------------------------------------
     # convenience API

@@ -14,7 +14,8 @@ materialised bags), moved here unchanged from ``core/structure.py`` and
   recurse right.
 
 The ``spec_*`` functions are plain functions over a built structure's
-public fields — ``tree``, ``dictionary``, ``ctx``, ``cost_model`` — and
+public fields — ``tree``, ``dictionary``, ``ctx`` — reading boxes in the
+object form of ``tests/reference_build.py`` (the build's spec), and
 take their inputs already normalised, exactly like their kernel twins
 (``kernel_enumerate(layout, access, counter)`` ↔
 ``spec_enumerate(rep, access, counter)``): a checked access tuple, a
@@ -37,9 +38,9 @@ from contextlib import ExitStack, contextmanager
 from typing import Iterator, Optional, Tuple
 from unittest import mock
 
+from reference_build import FInterval, free_ranges_of_box, spec_boxes
 from repro.core import constant_delay
 from repro.core.decomposed import DecomposedRepresentation
-from repro.core.intervals import FInterval
 from repro.core.structure import CompressedRepresentation
 from repro.joins.generic_join import JoinCounter, generic_join
 
@@ -59,7 +60,7 @@ def _join_box(rep, access, subtries, box, counter) -> Iterator[Tuple]:
     yield from generic_join(
         atoms,
         ctx.free_order,
-        ranges=ctx.free_ranges_of_box(box),
+        ranges=free_ranges_of_box(ctx, box),
         domains=ctx.free_value_domains,
         counter=counter,
     )
@@ -95,7 +96,7 @@ def _eval(rep, node, access, subtries, counter) -> Iterator[Tuple]:
             yield from _eval(rep, node.right, access, subtries, counter)
         return
     # ⊥ — a light pair: evaluate the sub-instance directly (≤ τ_ℓ work).
-    for box in rep.cost_model.boxes_of(node.interval):
+    for box in spec_boxes(node.interval, rep.ctx.space):
         yield from _join_box(rep, access, subtries, box, counter)
 
 

@@ -1,0 +1,402 @@
+"""The index-space build held to its spec (``tests/reference_build.py``).
+
+``src/`` builds (T, D) over plain ``((lo, hi), ...)`` boxes with one
+cost evaluation (:class:`repro.core.cost.CostWalk`), one decomposition
+and one split. The spec is the object-based transcription it replaced.
+The contract is equality of state, bit for bit:
+
+* differential, by property — random databases × view shapes × τ ×
+  covers: ``snapshot_state()`` of the production build equals that of a
+  structure assembled from the spec builders in every key but the wall
+  clock, and the dictionary's insertion order (which the layout compiler
+  reads) is the same;
+* Proposition 8 on every split node and Lemma 1 on every decomposition,
+  recomputed by the spec's oracle / by brute force;
+* the work bound that motivated the change — no node's boxes costed
+  twice, a split within ``µ·(⌈log₂ max|dom|⌉ + 2)`` cost evaluations, an
+  access's subtries resolved once — counted through wrapped oracles, so
+  the duplicate work cannot come back unnoticed;
+* nothing of a build's memo state survives the build.
+"""
+
+from __future__ import annotations
+
+import gc
+import itertools
+import math
+
+import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
+
+from reference_build import SpecCostModel, spec_structure
+from repro.core import balanced_tree as tree_mod
+from repro.core import splitting as split_mod
+from repro.core.balanced_tree import build_delay_balanced_tree
+from repro.core.context import AtomBinding, ViewContext
+from repro.core.cost import CostModel, CostWalk
+from repro.core.dictionary import bound_candidates, build_dictionary
+from repro.core.intervals import box_decomposition
+from repro.core.structure import CompressedRepresentation
+from repro.database.catalog import Database
+from repro.database.relation import Relation
+from repro.query.parser import parse_view
+from repro.workloads.generators import triangle_database
+from repro.workloads.queries import (
+    loomis_whitney_view,
+    path_view,
+    star_view,
+    triangle_view,
+)
+
+TAUS = (0.5, 1.0, 2.0, 8.0, 64.0, 1e9)
+
+VIEWS = {
+    "triangle-bbf": triangle_view("bbf"),
+    "triangle-bfb": triangle_view("bfb"),
+    "triangle-bff": triangle_view("bff"),
+    "triangle-fff": triangle_view("fff"),
+    "path3": path_view(3),
+    "path3-bfff": path_view(3, "bfff"),
+    "star-slack": star_view(3),
+    "lw3-bff": loomis_whitney_view(3, "bff"),
+    "lw3-fff": loomis_whitney_view(3, "fff"),
+    "lw4-bbff": loomis_whitney_view(4, "bbff"),
+    "boolean": parse_view("B^bb(x, y) = R(x, y), S(x, y)"),
+    "single-bf": parse_view("A^bf(x, y) = R(x, y)"),
+    "single-ff": parse_view("A^ff(x, y) = R(x, y)"),
+}
+
+
+def covers_of(view):
+    """None (the default max-slack cover), all ones, and all ones with
+    each atom zeroed in turn wherever that still covers every variable."""
+    count = len(view.atoms)
+    covers = [None, {label: 1.0 for label in range(count)}]
+    for zeroed in range(count):
+        others = set()
+        for label, atom in enumerate(view.atoms):
+            if label != zeroed:
+                others.update(atom.variables())
+        if others >= set(view.head):
+            covers.append(
+                {label: float(label != zeroed) for label in range(count)}
+            )
+    return covers
+
+
+@st.composite
+def databases(draw, view):
+    """≤ 40 rows per relation; every variable has its own value range
+    (own offset, own size), so index space and value space differ and
+    the per-coordinate domains differ in size."""
+    variables = list(view.head)
+    ranges = {}
+    for position, variable in enumerate(variables):
+        size = draw(st.integers(1, 7))
+        offset = 10 * position + draw(st.integers(0, 3))
+        ranges[variable] = (offset, offset + size - 1)
+    relations = {}
+    for atom in view.atoms:
+        columns = [
+            st.integers(*ranges[variable]) for variable in atom.variables()
+        ]
+        rows = draw(st.lists(st.tuples(*columns), max_size=40))
+        relations[atom.relation] = Relation(atom.relation, atom.arity, rows)
+    return Database(list(relations.values()))
+
+
+def comparable(state):
+    state = dict(state)
+    state["stats"] = {
+        key: value
+        for key, value in state["stats"].items()
+        if key != "build_seconds"
+    }
+    return state
+
+
+def assert_same_structure(view, db, tau, weights=None):
+    built = CompressedRepresentation(view, db, tau=tau, weights=weights)
+    spec = spec_structure(view, db, tau, weights=weights)
+    assert list(built.dictionary.items()) == list(spec.dictionary.items())
+    built_state = comparable(built.snapshot_state())
+    spec_state = comparable(spec.snapshot_state())
+    for key in built_state:
+        assert built_state[key] == spec_state[key], key
+    return built
+
+
+# ----------------------------------------------------------------------
+# differential: production state == spec state
+# ----------------------------------------------------------------------
+@pytest.mark.parametrize("name", sorted(VIEWS))
+@given(data=st.data())
+@settings(
+    max_examples=12,
+    deadline=None,
+    suppress_health_check=[HealthCheck.too_slow, HealthCheck.data_too_large],
+)
+def test_production_build_equals_the_spec_build(name, data):
+    view = VIEWS[name]
+    db = data.draw(databases(view))
+    for weights in covers_of(view):
+        for tau in TAUS:
+            assert_same_structure(view, db, tau, weights)
+
+
+@pytest.mark.parametrize("name", sorted(VIEWS))
+def test_empty_relations_and_an_empty_tuple_space(name):
+    view = VIEWS[name]
+    relations = {atom.relation: atom.arity for atom in view.atoms}
+    # Every relation empty: every domain, so the tuple space, is empty.
+    empty = Database([Relation(n, a, []) for n, a in relations.items()])
+    # One relation empty, the others not: an empty join over a live space.
+    first = view.atoms[0].relation
+    partial = Database(
+        [
+            Relation(n, a, [] if n == first else [tuple(range(a))])
+            for n, a in relations.items()
+        ]
+    )
+    for db in (empty, partial):
+        for tau in (0.5, 8.0):
+            built = assert_same_structure(view, db, tau)
+            assert len(built.dictionary) == 0
+
+
+def test_the_scan_workloads_registrations_equal_the_spec():
+    # benchmarks/e2e scan_stream / scan_measured on seed 11, as registered.
+    db = triangle_database(80, 1600, seed=11)
+    for pattern in ("bff", "fff"):
+        assert_same_structure(triangle_view(pattern), db, 8.0)
+
+
+# ----------------------------------------------------------------------
+# the cost evaluation alone, on accesses a build never sees
+# ----------------------------------------------------------------------
+@pytest.mark.parametrize("name", ["triangle-bbf", "triangle-bfb", "path3", "star-slack"])
+@given(data=st.data())
+@settings(max_examples=15, deadline=None)
+def test_access_costs_equal_the_spec_for_any_access(name, data):
+    # The dictionary pass only costs candidates (present in every atom);
+    # the public cost calls take any access — absent in one atom, absent
+    # in an atom whose exponent is 0 — and must agree there too.
+    view = VIEWS[name]
+    db = data.draw(databases(view))
+    ctx = ViewContext(view, db)
+    if ctx.space.is_empty():
+        return
+    accesses = list(
+        itertools.islice(
+            itertools.product(
+                *[
+                    ctx.bound_domains[v].values + (-1,)
+                    for v in ctx.bound_order
+                ]
+            ),
+            60,
+        )
+    )
+    for weights in covers_of(view)[1:]:
+        model = CostModel(ctx, weights, alpha=1.0)
+        spec = SpecCostModel(ctx, weights, alpha=1.0)
+        tree = build_delay_balanced_tree(model, 1.0, 1.0)
+        for node in tree.nodes[:12]:
+            assert model.interval_cost(node.interval) == node.cost
+            assert spec.interval_cost(node.interval) == node.cost
+            for access in accesses:
+                assert model.access_cost(
+                    node.interval, access
+                ) == spec.access_cost(node.interval, access)
+
+
+# ----------------------------------------------------------------------
+# Proposition 8 and Lemma 1
+# ----------------------------------------------------------------------
+@pytest.mark.parametrize("name", ["triangle-fff", "triangle-bff", "path3", "lw4-bbff"])
+@given(data=st.data())
+@settings(max_examples=15, deadline=None)
+def test_proposition8_holds_on_every_split_node(name, data):
+    view = VIEWS[name]
+    db = data.draw(databases(view))
+    built = CompressedRepresentation(view, db, tau=0.5)
+    spec = SpecCostModel(built.ctx, built.weights, built.alpha)
+    space = built.ctx.space
+    for node in built.tree.nodes:
+        if node.beta is None:
+            continue
+        assert node.interval.contains(node.beta)
+        total = spec.interval_cost(node.interval)
+        assert total == node.cost
+        bound = total / 2 + 1e-9 * max(1.0, total)
+        left, right = node.interval.split_at(space, node.beta)
+        if left is not None:
+            assert spec.interval_cost(left) <= bound
+        if right is not None:
+            assert spec.interval_cost(right) <= bound
+
+
+@st.composite
+def intervals(draw):
+    sizes = draw(st.lists(st.integers(1, 4), min_size=0, max_size=4))
+    low = tuple(draw(st.integers(0, size - 1)) for size in sizes)
+    high = tuple(draw(st.integers(0, size - 1)) for size in sizes)
+    if low > high:
+        low, high = high, low
+    return tuple(size - 1 for size in sizes), low, high
+
+
+@given(intervals())
+@settings(max_examples=300, deadline=None)
+def test_lemma1_holds_on_the_row_decomposition(case):
+    tops, low, high = case
+    width = len(tops)
+    boxes = box_decomposition(low, high, tops)
+    assert len(boxes) <= max(1, 2 * width - 1)
+    covered = []
+    for box in boxes:
+        assert len(box) == width
+        # Canonical: unit prefix, one range, then whole domains.
+        depth = 0
+        while depth < width and box[depth][0] == box[depth][1]:
+            depth += 1
+        for coordinate in range(depth + 1, width):
+            assert box[coordinate] == (0, tops[coordinate])
+        assert all(lo <= hi for lo, hi in box)  # non-empty
+        covered.extend(
+            itertools.product(*[range(lo, hi + 1) for lo, hi in box])
+        )
+    # Ordered, disjoint, and their union is exactly the interval.
+    assert covered == sorted(set(covered))
+    every = itertools.product(*[range(top + 1) for top in tops])
+    assert covered == [point for point in every if low <= point <= high]
+
+
+# ----------------------------------------------------------------------
+# the work bound, counted through wrapped oracles
+# ----------------------------------------------------------------------
+def test_no_box_is_costed_twice_and_a_split_stays_within_its_probe_budget(
+    monkeypatch,
+):
+    view = triangle_view("bff")
+    db = triangle_database(30, 300, seed=7)
+    ctx = ViewContext(view, db)
+    weights, alpha = ctx.default_cover()
+    model = CostModel(ctx, weights, alpha)
+    width = ctx.space.width
+    budget = width * (
+        math.ceil(math.log2(max(len(d) for d in ctx.space.domains))) + 2
+    )
+
+    decomposed, costed, evaluations, per_split = [], [], [0], []
+    real_decompose = tree_mod.box_decomposition
+    real_box_cost = CostWalk.box_cost
+    real_range_cost = CostWalk.range_cost
+    real_split = tree_mod.split_boxes
+
+    def counting_decompose(low, high, tops):
+        boxes = real_decompose(low, high, tops)
+        decomposed.append(len(boxes))
+        return boxes
+
+    def counting_box_cost(self, box):
+        costed.append(box)
+        return real_box_cost(self, box)
+
+    def counting_range_cost(self, nodes, coordinate, low, high):
+        evaluations[0] += 1
+        return real_range_cost(self, nodes, coordinate, low, high)
+
+    def counting_split(walk, boxes, costs):
+        before = evaluations[0]
+        point = real_split(walk, boxes, costs)
+        per_split.append(evaluations[0] - before)
+        return point
+
+    monkeypatch.setattr(tree_mod, "box_decomposition", counting_decompose)
+    monkeypatch.setattr(tree_mod, "split_boxes", counting_split)
+    monkeypatch.setattr(CostWalk, "box_cost", counting_box_cost)
+    monkeypatch.setattr(CostWalk, "range_cost", counting_range_cost)
+    tree = build_delay_balanced_tree(model, tau=1.0, alpha=alpha)
+
+    splits = [node for node in tree.nodes if node.beta is not None]
+    assert len(splits) > 50
+    # One decomposition per interval tried (a node, or a costless child
+    # that was pruned) and one costing per box of it — never a second.
+    pruned = sum(
+        (node.left is None) + (node.right is None) for node in splits
+    )
+    assert len(decomposed) <= len(tree.nodes) + pruned
+    assert len(costed) == sum(decomposed)
+    assert len(per_split) == len(splits)
+    assert max(per_split) <= budget
+
+    # The dictionary pass: one subtrie resolution per (candidate, atom)
+    # for the whole descent, no interval decomposed again.
+    resolved = []
+    real_subtrie = AtomBinding.subtrie
+
+    def counting_subtrie(self, access):
+        resolved.append(access)
+        return real_subtrie(self, access)
+
+    structure = CompressedRepresentation(view, db, tau=1.0, context=ctx)
+    outputs, _ = structure._materialize_outputs()
+    monkeypatch.setattr(AtomBinding, "subtrie", counting_subtrie)
+    del decomposed[:], costed[:]
+    dictionary = build_dictionary(model, tree, outputs)
+    assert len(dictionary) > 0
+    assert not decomposed
+    assert len(resolved) == len(bound_candidates(ctx)) * len(ctx.atoms)
+
+
+def test_a_built_structure_keeps_no_build_memo():
+    view = triangle_view("bff")
+    db = triangle_database(20, 120, seed=3)
+    structure = CompressedRepresentation(view, db, tau=1.0)
+    gc.collect()
+    # The walks (fingers, per-access subtries) were locals of the build.
+    assert not [o for o in gc.get_objects() if isinstance(o, CostWalk)]
+    # The boxes are stored once: the layout's column is the tree's list.
+    assert structure.tree.boxes is structure._fresh_layout().tree.boxes
+    for holder in (structure, structure.cost_model, structure.ctx):
+        assert not [
+            name
+            for name in vars(holder)
+            if "cache" in name or "memo" in name or "walk" in name
+        ]
+    # A structure restored from its state decomposes nothing up front.
+    restored = CompressedRepresentation.from_snapshot_state(
+        structure.snapshot_state()
+    )
+    assert restored.tree.boxes is None
+    assert comparable(restored.snapshot_state()) == comparable(
+        structure.snapshot_state()
+    )
+
+
+def test_a_recompile_reuses_the_builds_boxes(monkeypatch):
+    view = triangle_view("bbf")
+    db = triangle_database(20, 120, seed=4)
+    structure = CompressedRepresentation(view, db, tau=1.0)
+    boxes = structure.tree.boxes
+
+    def refuse(*args):  # pragma: no cover - the failure
+        raise AssertionError("an interval was decomposed again")
+
+    monkeypatch.setattr(tree_mod, "box_decomposition", refuse)
+    assert structure.compile_layout().tree.boxes is boxes
+
+
+def test_split_interval_is_the_trees_split():
+    # The public one-interval entry point and the builder share one
+    # Algorithm 1: same β on every split node of a built tree.
+    view = triangle_view("fff")
+    db = triangle_database(15, 80, seed=5)
+    structure = CompressedRepresentation(view, db, tau=0.5)
+    for node in structure.tree.nodes:
+        if node.beta is not None:
+            assert (
+                split_mod.split_interval(structure.cost_model, node.interval)
+                == node.beta
+            )

@@ -20,6 +20,7 @@ import yaml
 
 from bench_pairs import dump_report, parse_result, summarise, summarise_pairs
 from check_size import (
+    BUILD_SPEC,
     MAIN,
     SPEC,
     file_sloc,
@@ -504,7 +505,7 @@ ENGINE_SLOC_CEILING = 4293
 #: what is left is argparse declarations and input checks.
 MAIN_SLOC_CEILING = 1030
 
-#: `make size`'s total for src/repro after PR 21. A per-package ceiling
+#: `make size`'s total for src/repro after PR 22. A per-package ceiling
 #: reads code *moved* out of the package as a reduction; the total cannot
 #: be met that way — and code moved out of ``src/`` altogether (the
 #: executable spec) is printed on its own line, not passed off as deleted.
@@ -523,8 +524,16 @@ MAIN_SLOC_CEILING = 1030
 #: representations' grouped entry points, the subtrie cache, the
 #: capability flag — −200 in ``core``, −58 in the engine, −8 in
 #: ``analysis``); no gain claimed, every e2e row inside its bound
-#: (``BENCH_21.json``).
-SRC_SLOC_CEILING = 13142
+#: (``BENCH_21.json``). PR 22: 13,142 → 13,104 (−38, all in ``core``: the
+#: f-box classes, the per-model decomposition cache and the second
+#: costing of every node went to ``tests/reference_build.py``, 420 SLOC on
+#: its own ``make size`` line; the index-space decomposition, the
+#: ``CostWalk`` finger and the boxes handed from tree to dictionary to
+#: layout came in), bought by ``setup_s``: ``scan_stream`` 1.18 → 0.44 s
+#: (claimed, ten of ten pairs; 1.27 → 0.44 on held-out seed 40), every
+#: other workload's set-up shorter too, ``dynamic_mixed`` 321 → 391
+#: req/s with p99 54.9 → 36.9 ms unclaimed (``BENCH_22.json``).
+SRC_SLOC_CEILING = 13104
 
 
 class TestSizeGate:
@@ -549,12 +558,31 @@ class TestSizeGate:
         self, capsys
     ):
         assert size_main([str(REPO)]) == 0
-        total, moved = capsys.readouterr().out.splitlines()[-2:]
+        total, *moved = capsys.readouterr().out.splitlines()[-3:]
         assert total.split() == [
             str(sum(package_sloc(REPO / "src" / "repro").values())),
             "total",
         ]
-        assert moved.split()[:2] == [str(sloc((REPO / SPEC).read_text())), SPEC]
+        for line, spec in zip(moved, (SPEC, BUILD_SPEC)):
+            assert line.split()[:2] == [
+                str(sloc((REPO / spec).read_text())),
+                spec,
+            ]
+
+    def test_the_object_form_of_the_build_stays_out_of_src(self):
+        # One build path: src/ neither constructs nor names the f-box
+        # classes or the per-model decomposition cache that moved to
+        # tests/reference_build.py (docstrings and comments included).
+        gone = ("FBox", "ScalarInterval", "_decomposition_cache", "boxes_of")
+        hits = [
+            (str(path.relative_to(REPO)), name)
+            for path in sorted((REPO / "src" / "repro").rglob("*.py"))
+            for name in gone
+            if name in path.read_text(encoding="utf-8")
+        ]
+        assert not hits
+        spec = (REPO / BUILD_SPEC).read_text(encoding="utf-8")
+        assert all(name in spec for name in gone)
 
     def test_docstrings_comments_and_blanks_are_free(self):
         source = '''"""Module docstring."""

@@ -24,13 +24,13 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from oracle import oracle_accesses, oracle_answer
+from reference_build import FBox, ScalarInterval
 from reference_walk import _join_box, reference_walk
 from repro.core import kernel as kernel_mod
 from repro.core import layout as layout_mod
 from repro.core.context import ViewContext
 from repro.core.decomposed import DecomposedRepresentation
 from repro.core.dynamic import DynamicRepresentation
-from repro.core.intervals import FBox, ScalarInterval
 from repro.core.constant_delay import ConnexConstantDelayStructure
 from repro.core.snapshot import (
     SNAPSHOT_MAGIC,

@@ -103,6 +103,55 @@ class TestUpdates:
         # the buffer never accumulates past the threshold.
         assert dynamic.pending_updates <= budget
 
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "D^bbf(x, y, z) = R(x, y), S(y, z), T(z, x)",
+            # Not a natural join: every rebuild re-normalises the view.
+            "D^bf(x, y) = R(x, y), S(y, 3), T(y, x)",
+        ],
+    )
+    def test_a_rebuild_inherits_the_cover_and_equals_a_fresh_build(
+        self, text, monkeypatch
+    ):
+        from repro.core import context as context_mod
+        from repro.core.structure import CompressedRepresentation
+
+        view = parse_view(text)
+        db = triangle_database(14, 50, seed=52)
+        solved = []
+        real = context_mod.max_slack_cover
+
+        def counting(hypergraph, free):
+            solved.append(free)
+            return real(hypergraph, free)
+
+        monkeypatch.setattr(context_mod, "max_slack_cover", counting)
+        dynamic = DynamicRepresentation(
+            view, db, tau=2.0, rebuild_fraction=float("inf")
+        )
+        assert len(solved) == 1
+        first_cover = dynamic.structure.ctx.default_cover()
+        for row in [(0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (5, 6)]:
+            dynamic.insert("R", row)
+            dynamic.rebuild()
+            dynamic.delete("S", next(iter(dynamic.current_database()["S"])))
+        dynamic.rebuild()
+        assert dynamic.rebuilds == 7 and not dynamic.is_dirty
+        # The LP was not solved again: the very pair was handed over.
+        assert len(solved) == 1
+        assert dynamic.structure.ctx.default_cover() is first_cover
+        # State for state what a from-scratch build over the same data is.
+        fresh = CompressedRepresentation(
+            view, dynamic.current_database(), tau=2.0
+        )
+        assert len(solved) == 2
+        rebuilt_state = dynamic.structure.snapshot_state()
+        fresh_state = fresh.snapshot_state()
+        del rebuilt_state["stats"]["build_seconds"]
+        del fresh_state["stats"]["build_seconds"]
+        assert rebuilt_state == fresh_state
+
     def test_space_report_counts_buffer(self, setup):
         _, _, dynamic = setup
         base = dynamic.space_report().materialized_tuples

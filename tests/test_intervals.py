@@ -3,13 +3,23 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from reference_build import FBox, FInterval, ScalarInterval, box_rows
 from repro.core.domain import Domain, TupleSpace
-from repro.core.intervals import FBox, FInterval, ScalarInterval
+from repro.core.intervals import box_decomposition
 from repro.exceptions import ParameterError
 
 
 def space_of(*sizes):
     return TupleSpace([Domain(range(size)) for size in sizes])
+
+
+def decompose(space, low, high):
+    """``B([low, high])`` as the spec's boxes — after checking that the
+    production decomposition is the very same boxes, as index rows."""
+    boxes = FInterval(low, high).box_decomposition(space)
+    tops = tuple(domain.top for domain in space.domains)
+    assert tuple(box_decomposition(low, high, tops)) == box_rows(boxes)
+    return boxes
 
 
 class TestScalarInterval:
@@ -64,8 +74,7 @@ class TestBoxDecomposition:
         [⟨10,50,101⟩, ⟨20,10,49⟩] in index space (values = indexes here).
         """
         s = space_of(1000, 1000, 1000)
-        interval = FInterval((10, 50, 101), (20, 10, 49))
-        boxes = interval.box_decomposition(s)
+        boxes = decompose(s, (10, 50, 101), (20, 10, 49))
         assert boxes == [
             FBox.canonical(s, (10, 50), ScalarInterval(101, 999)),
             FBox.canonical(s, (10,), ScalarInterval(51, 999)),
@@ -77,15 +86,13 @@ class TestBoxDecomposition:
     def test_example12_single_box_case(self):
         """I' = [⟨10,50,100⟩, ⟨10,50,200⟩) has a one-box decomposition."""
         s = space_of(1000, 1000, 1000)
-        interval = FInterval((10, 50, 100), (10, 50, 199))
-        boxes = interval.box_decomposition(s)
+        boxes = decompose(s, (10, 50, 100), (10, 50, 199))
         assert boxes == [FBox.canonical(s, (10, 50), ScalarInterval(100, 199))]
 
     def test_example13_boxes(self):
         """Example 13's root decomposition over binary domains."""
         s = space_of(2, 2, 2)
-        interval = FInterval((0, 0, 0), (1, 1, 1))
-        boxes = interval.box_decomposition(s)
+        boxes = decompose(s, (0, 0, 0), (1, 1, 1))
         assert boxes == [
             FBox.canonical(s, (0, 0), ScalarInterval(0, 1)),  # Bl3
             FBox.canonical(s, (0,), ScalarInterval(1, 1)),    # Bl2
@@ -95,13 +102,13 @@ class TestBoxDecomposition:
 
     def test_unit_interval(self):
         s = space_of(3, 3)
-        boxes = FInterval((1, 2), (1, 2)).box_decomposition(s)
+        boxes = decompose(s, (1, 2), (1, 2))
         assert len(boxes) == 1
         assert boxes[0].is_unit()
 
     def test_width_zero_space(self):
         s = space_of()
-        boxes = FInterval((), ()).box_decomposition(s)
+        boxes = decompose(s, (), ())
         assert len(boxes) == 1
 
     @st.composite
@@ -119,8 +126,7 @@ class TestBoxDecomposition:
         """Lemma 1(2): the non-empty boxes partition the interval exactly."""
         sizes, a, b = data
         s = space_of(*sizes)
-        interval = FInterval(a, b)
-        boxes = interval.box_decomposition(s)
+        boxes = decompose(s, a, b)
         covered = []
         for box in boxes:
             assert not box.is_empty()
@@ -141,7 +147,7 @@ class TestBoxDecomposition:
         """Lemma 1(1) and 1(3): boxes are lex-ordered; at most 2µ-1 of them."""
         sizes, a, b = data
         s = space_of(*sizes)
-        boxes = FInterval(a, b).box_decomposition(s)
+        boxes = decompose(s, a, b)
         assert len(boxes) <= 2 * len(sizes) - 1 or len(sizes) == 0
         flattened = []
         for box in boxes:

@@ -30,12 +30,9 @@ class TestClosedEndpointBoxes:
     def test_last_coordinate_interval_keeps_endpoints(self):
         """Width-1 interval [6, 8] must decompose to the single closed box
         [6, 8], not the open (6, 8)."""
-        from repro.core.domain import Domain, TupleSpace
-        from repro.core.intervals import FBox, ScalarInterval
+        from repro.core.intervals import box_decomposition
 
-        space = TupleSpace([Domain(range(10))])
-        boxes = FInterval((6,), (8,)).box_decomposition(space)
-        assert boxes == [FBox.canonical(space, (), ScalarInterval(6, 8))]
+        assert box_decomposition((6,), (8,), (9,)) == [((6, 8),)]
 
     def test_triangle_small_tau_endpoints(self):
         """The original symptom: missing answers at tau=1 for accesses
@@ -94,14 +91,9 @@ class TestUnrestrictedCounting:
         """|R1 ⋉ (x=1, y=1)| over all w1 must be 3 on the Example 13
         instance (three w1 values share that free part)."""
         ctx = ViewContext(running_example_view(), running_example_database())
-        model = CostModel(ctx, {0: 1.0, 1: 1.0, 2: 1.0}, alpha=2.0)
-        from repro.core.intervals import FBox, ScalarInterval
-
-        space = ctx.space
-        box = FBox.canonical(space, (0, 0), ScalarInterval(0, 1))
-        r1 = ctx.atoms[0]
-        count = model.atom_box_count(r1, box, r1.free_trie.root)
-        assert count == 3
+        # R1 alone, exponent 1: T(B) is the count itself.
+        model = CostModel(ctx, {0: 1.0}, alpha=1.0)
+        assert model.box_cost(((0, 0), (0, 0), (0, 1))) == 3.0
 
     def test_paper_t_value_depends_on_it(self):
         ctx = ViewContext(running_example_view(), running_example_database())
