@@ -19,8 +19,7 @@ grounded in a real past bug (see each rule module's docstring):
     mutable containers copied across snapshot/shard boundaries (the
     ``partition_database`` shared-reference hazard).
 ``parity-surface``
-    every ``enumerate*`` entry point keeps the canonical signature; the
-    dirty fallback is constructed in ``FrozenDynamicView`` alone.
+    every ``enumerate*`` entry point keeps the canonical signature.
 
 Run it as ``python -m repro.analysis src/repro`` (or ``make
 lint-deep``): exits nonzero on any finding that is neither waived

@@ -1,28 +1,21 @@
-"""Parity surface: one enumeration signature, one owner of the dirty path.
+"""Parity surface: one enumeration signature on every serving class.
 
-Static structures have one enumerator — the columnar kernel; the
-recursive transcription of Algorithm 2 is the executable spec under
-``tests/`` and the parity between the two is a test matrix
-(``tests/test_columnar_kernel.py``), not something a class carries. What
+There is one enumerator — the columnar kernel, for static structures
+and for both backings of a dynamic version; the recursive transcription
+of Algorithm 2 is the executable spec under ``tests/`` and the parity
+between the two is a test matrix (``tests/test_columnar_kernel.py``,
+``tests/test_dirty_versions.py``), not something a class carries. What
 is still pinned statically, on every serving representation class (one
-that defines ``enumerate_from``):
-
-* **Signatures** of same-name entry points are identical across
-  classes — pinned here as the canonical parameter lists — so cursors,
-  shared scans, and resume tokens treat representations
-  interchangeably.
-* The **dirty fallback** (a ``LazyView`` over base ∪ Δ) is constructed
-  in ``FrozenDynamicView`` and nowhere else: any other class building
-  one is a second dirty path — read through
-  ``DynamicRepresentation.freeze()`` instead. This clause goes when the
-  compiled delta overlay replaces that branch (ROADMAP, "One
-  enumerator").
+that defines ``enumerate_from``): the **signatures** of same-name entry
+points are identical across classes — pinned here as the canonical
+parameter lists — so cursors, shared scans, and resume tokens treat
+representations interchangeably.
 """
 
 from __future__ import annotations
 
 import ast
-from typing import Dict, Iterator, Optional, Tuple
+from typing import Dict, Iterator, Tuple
 
 from repro.analysis.findings import Finding
 from repro.analysis.framework import ModuleInfo, Rule, register
@@ -36,31 +29,19 @@ ENTRY_SIGNATURES: Dict[str, Tuple[str, ...]] = {
 
 _SURFACE_MARKER = "enumerate_from"
 
-#: The one class allowed to construct the dirty fallback.
-_DIRTY_PATH_OWNER = "FrozenDynamicView"
-
-
-def _call_target(call: ast.Call) -> Optional[str]:
-    func = call.func
-    if isinstance(func, ast.Name):
-        return func.id
-    if isinstance(func, ast.Attribute):
-        return func.attr
-    return None
-
 
 @register
 class ParitySurfaceRule(Rule):
-    """Pin entry-point signatures and the single owner of the dirty path."""
+    """Pin the entry-point signatures of serving representation classes."""
 
     id = "parity-surface"
     description = (
         "serving representation classes keep canonical enumerate* "
-        "signatures, and the dirty fallback is FrozenDynamicView's alone"
+        "signatures"
     )
 
     def check(self, module: ModuleInfo) -> Iterator[Finding]:
-        """Yield signature drift and second dirty paths."""
+        """Yield signature drift."""
         for cls in [
             n for n in ast.walk(module.tree) if isinstance(n, ast.ClassDef)
         ]:
@@ -69,24 +50,6 @@ class ParitySurfaceRule(Rule):
                 for n in cls.body
                 if isinstance(n, ast.FunctionDef)
             }
-            if cls.name != _DIRTY_PATH_OWNER:
-                for sub in ast.walk(cls):
-                    if (
-                        isinstance(sub, ast.Call)
-                        and _call_target(sub) == "LazyView"
-                    ):
-                        yield self.finding(
-                            module,
-                            sub,
-                            scope=cls.name,
-                            key=f"{cls.name}:dirty-fallback",
-                            message=(
-                                f"{cls.name} constructs a LazyView — the "
-                                f"dirty fallback is {_DIRTY_PATH_OWNER}'s "
-                                f"alone; read through "
-                                f"DynamicRepresentation.freeze()"
-                            ),
-                        )
             if _SURFACE_MARKER not in methods:
                 continue
             for name, expected in ENTRY_SIGNATURES.items():

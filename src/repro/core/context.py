@@ -11,7 +11,7 @@ about one (natural-join) adorned view over one database:
   :class:`~repro.core.domain.TupleSpace`;
 * one :class:`AtomBinding` per atom, holding the trie indexed
   (bound variables first, then free variables in free order) that serves
-  counting, joining and membership.
+  counting, joining and membership during a build.
 
 None of it depends on ``τ``: this is the ``|D|`` term of Theorem 1, and
 the per-view half of a static structure. A context is immutable once
@@ -19,7 +19,8 @@ built, so one instance is shared by reference by every structure (every
 ``τ``) built or restored over the same ``(view, database)`` — the
 engine keeps one per registration. It also carries the other pure
 functions of ``(view, database)`` a structure needs, memoised on first
-use: the default max-slack cover, the trie cell count, and the plain
+use: the kernel's join columns, the tries a build counts and joins with,
+the default max-slack cover, the trie cell count, and the plain
 view/database states a snapshot must equal to adopt the context.
 """
 
@@ -30,6 +31,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from repro.database.catalog import Database
 from repro.database.index import TrieIndex, TrieNode
 from repro.core.domain import Domain, TupleSpace
+from repro.core.layout import JoinColumns, compile_join_columns
 from repro.core.snapshot import database_state, view_state
 from repro.exceptions import QueryError
 from repro.hypergraph.covers import max_slack_cover
@@ -39,7 +41,14 @@ from repro.query.atoms import Atom, Variable
 
 
 class AtomBinding:
-    """One atom's variables, positions and trie within a view context."""
+    """One atom's variables, positions and tries within a view context.
+
+    The tries are what the *build* reads — counting, the preprocessing
+    joins, membership — and are built when it first asks (memoised like
+    the context's own memos, benign on a race); serving reads the
+    context's join columns, compiled from the rows, so a context that is
+    only ever served from builds none.
+    """
 
     __slots__ = (
         "label",
@@ -48,8 +57,10 @@ class AtomBinding:
         "free_vars",
         "bound_access_positions",
         "free_coordinates",
-        "trie",
-        "free_trie",
+        "relation",
+        "column_order",
+        "_trie",
+        "_free_trie",
     )
 
     def __init__(
@@ -83,24 +94,44 @@ class AtomBinding:
                 f"atom {atom!r} arity {atom.arity} does not match relation "
                 f"{relation.name!r} arity {relation.arity}"
             )
-        free_positions = [
-            atom.variable_positions(v)[0] for v in self.free_vars
-        ]
-        column_order = [
-            atom.variable_positions(v)[0] for v in self.bound_vars
-        ] + free_positions
-        self.trie = TrieIndex(relation, column_order)
-        # Free-columns-only trie with tuple multiplicities: the count oracle
-        # for the unrestricted |R_F ⋉ B| statistics (v_b not fixed). Nodes of
-        # both tries sit "at the free levels", so the cost model can use them
-        # interchangeably. With no bound variable the two index the same
-        # columns in the same order over a set of rows (every key is a whole
-        # row, so multiplicities are all 1): one trie serves as both.
-        self.free_trie = (
-            TrieIndex(relation, free_positions, dedupe=False)
-            if self.bound_vars
-            else self.trie
+        self.relation = relation
+        # Column positions: bound variables first, then free variables in
+        # the global free order.
+        self.column_order: Tuple[int, ...] = tuple(
+            atom.variable_positions(v)[0]
+            for v in self.bound_vars + self.free_vars
         )
+        self._trie: Optional[TrieIndex] = None
+        self._free_trie: Optional[TrieIndex] = None
+
+    @property
+    def trie(self) -> TrieIndex:
+        """The trie over ``column_order`` (distinct keys)."""
+        trie = self._trie
+        if trie is None:
+            trie = self._trie = TrieIndex(self.relation, self.column_order)
+        return trie
+
+    @property
+    def free_trie(self) -> TrieIndex:
+        """Free-columns-only trie with tuple multiplicities.
+
+        The count oracle for the unrestricted |R_F ⋉ B| statistics (v_b
+        not fixed), read by cost models (and the cell count) alone. Nodes
+        of both tries sit "at the free levels", so the cost model can use
+        them interchangeably. With no bound variable the two index the
+        same columns in the same order over a set of rows (every key is a
+        whole row, so multiplicities are all 1): one trie serves as both.
+        """
+        if not self.bound_vars:
+            return self.trie
+        trie = self._free_trie
+        if trie is None:
+            free_positions = self.column_order[len(self.bound_vars) :]
+            trie = self._free_trie = TrieIndex(
+                self.relation, free_positions, dedupe=False
+            )
+        return trie
 
     def subtrie(self, access: Sequence) -> Optional[TrieNode]:
         """The trie node fixing this atom's bound variables per the access
@@ -156,6 +187,7 @@ class ViewContext:
         # Memos of pure functions of (view, db). Unsynchronised on
         # purpose: racing threads compute equal values and the last
         # assignment wins.
+        self._columns: Optional[JoinColumns] = None
         self._default_cover: Optional[Tuple[Dict[int, float], float]] = None
         self._index_cells: Optional[int] = None
         self._states: Optional[Tuple[Dict, List]] = None
@@ -195,6 +227,18 @@ class ViewContext:
                 domain.value_at(high),
             )
         return ranges
+
+    def columns(self) -> JoinColumns:
+        """The atoms in the kernel's columnar form, compiled once.
+
+        Every layout over this context — every ``τ``, built or restored —
+        holds these objects by reference. They come from the relations'
+        rows, not from the tries: a context that is only enumerated from
+        (a dirty dynamic version's) builds no trie at all.
+        """
+        if self._columns is None:
+            self._columns = compile_join_columns(self)
+        return self._columns
 
     def index_cells(self) -> int:
         """Total logical size of the atom tries (both access paths)."""

@@ -11,7 +11,7 @@ from __future__ import annotations
 from bisect import bisect_left, bisect_right
 from typing import Optional, Sequence, Tuple
 
-from repro.exceptions import ParameterError
+from repro.exceptions import ParameterError, QueryError
 
 
 class Domain:
@@ -129,6 +129,43 @@ class TupleSpace:
                 return None
             result.append(index)
         return tuple(result)
+
+    def ceil_point(self, values: Sequence) -> Optional[Tuple[int, ...]]:
+        """Smallest index tuple whose values are >= the given value tuple.
+
+        The seek point of every ``enumerate_from``: ``values`` is a full
+        value tuple whose entries need not be in the domains (a resume
+        token is client-supplied). None when it lies beyond the top of
+        the space; a tuple of the wrong width, or a value the domain's
+        own cannot be ordered against, is a :class:`QueryError`.
+        """
+        if len(values) != self.width:
+            raise QueryError(
+                f"start tuple has {len(values)} values, expected "
+                f"{self.width}"
+            )
+        point = []
+        for coordinate, value in enumerate(values):
+            domain = self.domains[coordinate]
+            try:
+                index = domain.index_of(value)
+                ceiling = domain.ceil_index(value) if index is None else index
+            except TypeError as error:
+                raise QueryError(
+                    f"start tuple value {value!r} at coordinate "
+                    f"{coordinate} does not compare with that "
+                    f"coordinate's domain: {error}"
+                ) from error
+            if ceiling is None:
+                # This coordinate overflows: bump the previous coordinate.
+                prefix = tuple(point) + tuple(d.top for d in self.domains[coordinate:])
+                return self.successor(prefix)
+            point.append(ceiling)
+            if index is None:
+                # Strictly larger at this coordinate: reset the suffix to ⊥.
+                point.extend(0 for _ in range(coordinate + 1, self.width))
+                break
+        return tuple(point)
 
     def size(self) -> int:
         """Number of tuples in the space (1 for the empty product)."""

@@ -15,8 +15,9 @@ split into a write side and a read side:
   updates.
 * :class:`FrozenDynamicView` — the **read side**, and the only class
   that knows how a dynamic view is read: an immutable point-in-time view
-  of the state, the compressed structure while the buffers were clean, a
-  lazy join over base ∪ Δ while dirty.
+  of the state, the compressed structure while the buffers were clean,
+  the τ = ∞ structure — one leaf, no dictionary entry — over base ∪ Δ
+  while dirty.
   :meth:`DynamicRepresentation.freeze` returns the current one
   (memoised until the next effective update), and every query method of
   the representation delegates to it.
@@ -32,8 +33,9 @@ from __future__ import annotations
 import threading
 from typing import Dict, Iterator, Optional, Sequence, Set, Tuple
 
-from repro.baselines.lazy import LazyView
 from repro.core.context import ViewContext
+from repro.core.kernel import kernel_enumerate, kernel_enumerate_from
+from repro.core.layout import CompiledLayout, one_leaf_layout
 from repro.core.representation import Representation
 from repro.core.structure import CompressedRepresentation
 from repro.database.catalog import Database
@@ -49,23 +51,28 @@ class FrozenDynamicView(Representation):
     """An immutable point-in-time read side of a dynamic view.
 
     Exactly one backing is set: ``structure`` (the buffers were clean —
-    full Theorem 1 guarantees, served by the columnar kernel) or
-    ``database`` (the buffers were dirty — worst-case optimal lazy
-    evaluation over the captured post-delta database: the delta overlay
-    has no compiled kernel form yet). Deltas applied after the
-    freeze never reach this object, which is what lets cursors drain a
-    retired version untouched.
+    full Theorem 1 guarantees at the view's τ) or ``database`` (the
+    buffers were dirty — the captured post-delta database, read as
+    Theorem 1's structure is once τ exceeds ``T(root)``: one tree node,
+    an empty dictionary, every request a worst-case-optimal join over
+    the linear index; Section 2.3's end of the trade-off, no delay bound
+    below the join's). Both are walked by the columnar kernel. Deltas
+    applied after the freeze never reach this object, which is what
+    lets cursors drain a retired version untouched.
 
     A dirty version records what it is — the captured database — and
-    derives how to read it (tries and domains, a
-    :class:`~repro.baselines.lazy.LazyView`) on its **first
-    enumeration**, once; a version nobody reads builds nothing.
+    derives how to read it (its context's tries and join columns, the
+    one-leaf layout over them) on its **first read**, once; a version
+    nobody reads builds nothing.
     """
 
-    #: Clean freezes seek through the inner structure; dirty ones have no
-    #: seek and skip-scan the prefix (both orders are lexicographic in
-    #: the free values, so tokens stay valid across a rebuild).
+    #: Both backings seek in one delay unit of their own (both orders
+    #: are lexicographic in the free values, so tokens stay valid across
+    #: a delta and across a rebuild).
     supports_resume = True
+
+    #: Every enumeration rides the columnar kernel.
+    kernel_ready = True
 
     def __init__(
         self,
@@ -82,22 +89,32 @@ class FrozenDynamicView(Representation):
         self._structure = structure
         self._database = database
         self._lock = threading.Lock()
-        self._lazy: Optional[LazyView] = None
+        self._layout: Optional[CompiledLayout] = None
 
-    @property
-    def kernel_ready(self) -> bool:
-        """Clean freezes ride the structure's kernel; dirty ones don't."""
-        return self._structure is not None
-
-    def _dirty_rows(
-        self, access: Sequence, counter: Optional[JoinCounter]
-    ) -> Iterator[Tuple]:
-        """The lazy join over the captured database, materialised once."""
+    def _one_leaf(self) -> CompiledLayout:
+        """The dirty backing's layout, built by the first read to ask."""
         with self._lock:
-            if self._lazy is None:
-                self._lazy = LazyView(self.view, self._database)
-            lazy = self._lazy
-        return lazy.enumerate(access, counter=counter)
+            if self._layout is None:
+                view, database = natural_form(self.view, self._database)
+                self._layout = one_leaf_layout(ViewContext(view, database))
+            return self._layout
+
+    def _read_dirty(
+        self,
+        layout: CompiledLayout,
+        access: Sequence,
+        start_values: Optional[Sequence],
+        counter: Optional[JoinCounter],
+    ) -> Iterator[Tuple]:
+        """A dirty version's walk; its checks run at the first pull, as
+        a clean version's do."""
+        access = self._check_access(access)
+        if start_values is None:
+            yield from kernel_enumerate(layout, access, counter)
+            return
+        start = layout.space.ceil_point(start_values)
+        if start is not None:  # else: beyond the top of the tuple space
+            yield from kernel_enumerate_from(layout, access, start, counter)
 
     def enumerate(
         self, access: Sequence, counter: Optional[JoinCounter] = None
@@ -105,7 +122,7 @@ class FrozenDynamicView(Representation):
         """Enumerate the frozen version's answers in lexicographic order."""
         if self._structure is not None:
             return self._structure.enumerate(access, counter=counter)
-        return self._dirty_rows(access, counter)
+        return self._read_dirty(self._one_leaf(), access, None, counter)
 
     def enumerate_from(
         self,
@@ -115,26 +132,22 @@ class FrozenDynamicView(Representation):
     ) -> Iterator[Tuple]:
         """Enumerate answers with free tuple lexicographically >= start.
 
-        Clean: the compressed structure's one-delay-unit seek. Dirty: the
-        skipped prefix is still enumerated, i.e. resumption is only O(1)
-        between update bursts.
+        The backing's one-delay-unit seek: boxes of the tuple space
+        below the start point are never joined, clean or dirty.
         """
         if self._structure is not None:
             return self._structure.enumerate_from(
                 access, start_values, counter=counter
             )
-        start = tuple(start_values)
-        return (
-            row
-            for row in self._dirty_rows(access, counter)
-            if not row < start
+        return self._read_dirty(
+            self._one_leaf(), access, tuple(start_values), counter
         )
 
     def space_report(self) -> SpaceReport:
         """Space of the frozen backing (cache accounting reads this).
 
-        Counted from the captured rows — never materialises a dirty
-        version's tries.
+        Counted from the captured rows — never builds a dirty version's
+        context.
         """
         if self._structure is not None:
             return self._structure.space_report()
@@ -159,6 +172,7 @@ class DynamicRepresentation(Representation):
 
     #: As the read side's (:class:`FrozenDynamicView`).
     supports_resume = True
+    kernel_ready = True
 
     def __init__(
         self,
@@ -209,17 +223,12 @@ class DynamicRepresentation(Representation):
     # ------------------------------------------------------------------
     @property
     def is_dirty(self) -> bool:
-        """True when buffered updates force lazy answering."""
+        """True when buffered updates put reads on the one-leaf structure."""
         return self._pending > 0
 
     @property
     def pending_updates(self) -> int:
         return self._pending
-
-    @property
-    def kernel_ready(self) -> bool:
-        """Whether the current state's reads ride the kernel (clean buffers)."""
-        return not self._pending
 
     @property
     def layout_compile_seconds(self) -> float:

@@ -8,8 +8,10 @@ module is what serves. It walks the
 :class:`~repro.core.layout.CompiledLayout` instead — iteratively
 (explicit stack, no recursion), probing the dictionary with a bisect into
 a per-access sorted run, intersecting atom runs with galloping binary
-searches (or numpy set-intersections for large runs), and decoding β
-codes and final-coordinate runs in bulk.
+searches, and decoding β codes and final-coordinate runs in bulk. The
+atom runs are the context's (:class:`~repro.core.layout.JoinColumns`):
+one set per ``(view, database)``, shared by every ``τ`` — and by the
+one-leaf layout a dirty dynamic version is read through.
 
 Every walk mirrors its spec twin *event for event*: the visit order,
 skip conditions, clipping rules and emission points are line-by-line
@@ -64,35 +66,16 @@ _BETA = 1
 _VISIT_FROM = 2
 _BETA_FROM = 3
 
-# Minimum clipped-run length before the numpy set-intersection beats
-# galloping bisect probes (empirically small; correctness is unaffected).
-_NUMPY_MIN_RUN = 32
-
 
 # ----------------------------------------------------------------------
 # columnar worst-case-optimal join over one box
 # ----------------------------------------------------------------------
-def _intersect_runs(layout, runs, small_length) -> List[int]:
-    """Sorted intersection of clipped candidate runs (ascending indexes).
-
-    ``small_length`` is the length of the shortest run.
-    """
+def _intersect_runs(layout, runs) -> List[int]:
+    """Sorted intersection of clipped candidate runs (ascending indexes)."""
     atoms = layout.join_atoms
     if len(runs) == 1:
         index, level, lo, hi = runs[0]
         return atoms[index].vals[level][lo:hi]
-    np_module = layout.np
-    if np_module is not None and small_length >= _NUMPY_MIN_RUN:
-        views = [
-            atoms[index].np_vals[level][lo:hi]
-            for index, level, lo, hi in runs
-        ]
-        result = views[0]
-        for other in views[1:]:
-            result = np_module.intersect1d(result, other, assume_unique=True)
-            if not result.size:
-                break
-        return result.tolist()
     if len(runs) == 2:
         # The overwhelmingly common shape: gallop the smaller run
         # through the larger without the generic sort/zip scaffolding.
@@ -201,9 +184,7 @@ def _join_coord(
             small_index = index
     if last:
         # Every clipped run of a unit range is that one index.
-        candidates = (
-            [low_index] if unit else _intersect_runs(layout, runs, small_length)
-        )
+        candidates = [low_index] if unit else _intersect_runs(layout, runs)
         if candidates:
             out += [prefix + (values[index],) for index in candidates]
             if stamps is not None:

@@ -12,18 +12,20 @@ once, at representation-build time — into flat, array-backed sorted runs:
   tuple into sorted ``node id`` runs probed with :func:`bisect.bisect_left`;
 * :class:`AtomColumns` — each atom's free trie levels flattened CSR-style
   (one sorted value-index run per parent, contiguous child-offset ranges),
-  keyed by bound prefix;
+  keyed by bound prefix, compiled straight from the relation's rows;
+* :class:`JoinColumns` — every atom's columns plus the join-participation
+  schedule: the ``|D|`` term in the kernel's form, a pure function of
+  ``(view, database)`` compiled once per
+  :class:`~repro.core.context.ViewContext`, never per ``τ``;
 * :class:`CompiledLayout` — the bundle the bulk enumerator in
-  :mod:`repro.core.kernel` walks.
+  :mod:`repro.core.kernel` walks: one structure's tree and dictionary
+  columns over its context's join columns, held by reference.
 
 Everything is stored in *index space* (integer positions into the per
 coordinate domains, see :mod:`repro.core.domain`), so the hot loops touch
-only integers; runs serialize as packed ``int64`` bytes (via
-:mod:`array`) and live in memory as plain lists — C-speed ``bisect``
-probes without per-access boxing. When ``numpy`` is importable the runs
-additionally get ``int64`` views used for large merge-intersections; the
-pure ``bisect`` path computes identical results without it (numpy is an
-optional extra — ``pip install .[kernel]``).
+only integers; a structure's own runs serialize as packed ``int64`` bytes
+(via :mod:`array`) and everything lives in memory as plain lists —
+C-speed ``bisect`` probes without per-access boxing.
 
 The kernel is the one enumerator of the static structures: answers,
 order, and measured delay statistics are bit-identical to the recursive
@@ -37,26 +39,16 @@ stale and is refused, not served (see :class:`CompiledLayout`).
 
 from __future__ import annotations
 
-import os
 from array import array
 from typing import Dict, List, Optional, Sequence, Tuple
 
-try:  # pragma: no cover - exercised via the no-numpy CI leg
-    import numpy
-except ImportError:  # pragma: no cover
-    numpy = None
+from repro.core.intervals import box_decomposition
 
 
 def numpy_backend():
-    """The numpy module when importable and not disabled, else None.
-
-    Setting ``REPRO_KERNEL_NO_NUMPY=1`` forces the pure ``array``/bisect
-    path even with numpy installed — the CI leg that proves the optional
-    extra really is optional runs the whole suite this way.
-    """
-    if numpy is None or os.environ.get("REPRO_KERNEL_NO_NUMPY"):
-        return None
-    return numpy
+    # The kernel has no numpy path. benchmarks/e2e still imports this
+    # name and insists on None; it goes when a `benchmark` issue lets go.
+    return None
 
 
 def _as_array(values) -> array:
@@ -80,7 +72,8 @@ class TreeColumns:
     ``low``/``high`` the interval endpoints as index tuples, ``beta`` the
     split codes (None on leaves), and ``boxes`` each node's canonical box
     decomposition pre-resolved to per-coordinate closed index ranges.
-    ``beta_values`` (decoded value tuples) is derived at bind time.
+    ``beta_values`` (decoded value tuples) is derived when a layout takes
+    the columns.
     """
 
     __slots__ = (
@@ -208,9 +201,8 @@ class AtomColumns:
     ``kid_lo[d]``/``kid_hi[d]`` give entry ``i``'s child slice in level
     ``d+1``. ``roots`` maps each full bound-value prefix to its level-0
     slice — for atoms with no free variables the slice is empty and the
-    key's presence alone is the membership fact. Runs are plain int lists
-    in memory (serialized as packed ``int64`` bytes); ``np_vals`` holds
-    the optional numpy views bound for bulk intersections.
+    key's presence alone is the membership fact. Runs are plain int
+    lists, never written after compilation.
     """
 
     __slots__ = (
@@ -221,7 +213,6 @@ class AtomColumns:
         "vals",
         "kid_lo",
         "kid_hi",
-        "np_vals",
     )
 
     def __init__(self, coords, bound_positions, roots, vals, kid_lo, kid_hi):
@@ -232,59 +223,55 @@ class AtomColumns:
         self.vals = vals
         self.kid_lo = kid_lo
         self.kid_hi = kid_hi
-        self.np_vals: Optional[List] = None
 
     def root_range(self, access: Tuple) -> Optional[Tuple[int, int]]:
         """The level-0 slice under the access tuple, or None if absent."""
         key = tuple(access[i] for i in self.bound_positions)
         return self.roots.get(key)
 
-    def bind_numpy(self, np_module) -> None:
-        if np_module is None:
-            self.np_vals = None
-            return
-        self.np_vals = [
-            np_module.asarray(run, dtype=np_module.int64)
-            for run in self.vals
-        ]
 
-    def to_state(self) -> Dict:
-        return {
-            "coords": self.coords,
-            "bound_positions": self.bound_positions,
-            "roots": sorted(
-                (prefix, lo, hi) for prefix, (lo, hi) in self.roots.items()
-            ),
-            "vals": [_array_state(_as_array(run)) for run in self.vals],
-            "kid_lo": [
-                _array_state(_as_array(run)) for run in self.kid_lo
-            ],
-            "kid_hi": [
-                _array_state(_as_array(run)) for run in self.kid_hi
-            ],
-        }
+class JoinColumns:
+    """The ``|D|`` term as the kernel reads it, one per view context.
 
-    @classmethod
-    def from_state(cls, state: Dict) -> "AtomColumns":
-        return cls(
-            tuple(state["coords"]),
-            tuple(state["bound_positions"]),
-            {
-                tuple(prefix): (int(lo), int(hi))
-                for prefix, lo, hi in state["roots"]
-            },
-            [list(_array_from_state(blob)) for blob in state["vals"]],
-            [list(_array_from_state(blob)) for blob in state["kid_lo"]],
-            [list(_array_from_state(blob)) for blob in state["kid_hi"]],
+    ``atoms`` holds every atom's columns in atom order, ``join_atoms``
+    those with a free variable, and ``participants`` the static
+    join-participation schedule: per coordinate, which join atoms
+    constrain it and at which trie level. Free coordinates within an
+    atom are strictly increasing (the trie column order follows the
+    global free order), so the schedule depends on no particular access.
+    ``domain_values`` are the per-coordinate decoded value tuples.
+    Nothing here depends on ``τ`` and nothing is written after
+    construction: every layout over the context holds these very
+    objects (:meth:`~repro.core.context.ViewContext.columns`).
+    """
+
+    __slots__ = ("space", "domain_values", "atoms", "join_atoms", "participants")
+
+    def __init__(self, space, atoms: Sequence[AtomColumns]):
+        self.space = space
+        self.domain_values: Tuple[Tuple, ...] = tuple(
+            domain.values for domain in space.domains
+        )
+        self.atoms: Tuple[AtomColumns, ...] = tuple(atoms)
+        self.join_atoms: Tuple[AtomColumns, ...] = tuple(
+            atom for atom in self.atoms if atom.width
+        )
+        schedule: List[List[Tuple[int, int]]] = [[] for _ in range(space.width)]
+        for index, atom in enumerate(self.join_atoms):
+            for level, coordinate in enumerate(atom.coords):
+                schedule[coordinate].append((index, level))
+        self.participants: Tuple[Tuple[Tuple[int, int], ...], ...] = tuple(
+            tuple(s) for s in schedule
         )
 
 
 class CompiledLayout:
     """The compiled columnar bundle one representation's kernel walks.
 
-    Owns the tree/dictionary/atom columns plus the runtime bindings
-    (tuple space, per-coordinate decoded value tuples, optional numpy
-    views) attached by :meth:`bind`. ``dict_version`` pins the
+    Owns one structure's tree and dictionary columns; the tuple space,
+    decoded values, atom columns and join schedule are its context's
+    :class:`JoinColumns`, held field by field so the kernel's loops read
+    them off the layout. ``dict_version`` pins the
     :class:`~repro.core.dictionary.HeavyDictionary` version the layout
     was compiled against; any later in-place dictionary edit makes the
     layout stale and the representation refuses to enumerate until
@@ -295,61 +282,29 @@ class CompiledLayout:
     __slots__ = (
         "tree",
         "dictionary",
-        "atoms",
         "dict_version",
         "width",
         "space",
         "domain_values",
+        "atoms",
         "join_atoms",
         "participants",
-        "np",
     )
 
-    def __init__(self, tree, dictionary, atoms, dict_version):
+    def __init__(self, tree, dictionary, columns: JoinColumns, dict_version):
         self.tree = tree
         self.dictionary = dictionary
-        self.atoms = atoms
         self.dict_version = dict_version
         self.width = tree.width
-        self.space = None
-        self.domain_values: Tuple[Tuple, ...] = ()
-        self.join_atoms: Tuple[AtomColumns, ...] = ()
-        self.participants: Tuple[Tuple[Tuple[int, int], ...], ...] = ()
-        self.np = None
-
-    # ------------------------------------------------------------------
-    # runtime binding (not serialized; pure function of the context)
-    # ------------------------------------------------------------------
-    def bind(self, ctx) -> None:
-        """Attach the tuple space, decoded values, and numpy views.
-
-        Also precomputes the static join-participation schedule: which
-        atoms constrain which coordinate, and at which trie level. Free
-        coordinates within an atom are strictly increasing (the trie
-        column order follows the global free order), so the schedule is
-        a pure function of the layout, not of any particular access.
-        """
-        self.space = ctx.space
-        self.domain_values = tuple(
-            domain.values for domain in ctx.space.domains
-        )
-        self.tree.beta_values = [
-            ctx.space.values(point) if point is not None else None
-            for point in self.tree.beta
+        self.space = space = columns.space
+        self.domain_values = columns.domain_values
+        self.atoms = columns.atoms
+        self.join_atoms = columns.join_atoms
+        self.participants = columns.participants
+        tree.beta_values = [
+            space.values(point) if point is not None else None
+            for point in tree.beta
         ]
-        self.join_atoms = tuple(
-            atom for atom in self.atoms if atom.width
-        )
-        schedule: List[List[Tuple[int, int]]] = [
-            [] for _ in range(self.width)
-        ]
-        for index, atom in enumerate(self.join_atoms):
-            for level, coordinate in enumerate(atom.coords):
-                schedule[coordinate].append((index, level))
-        self.participants = tuple(tuple(s) for s in schedule)
-        self.np = numpy_backend()
-        for atom in self.atoms:
-            atom.bind_numpy(self.np)
 
     # ------------------------------------------------------------------
     # kernel entry helpers
@@ -379,24 +334,31 @@ class CompiledLayout:
     # explicit state (the snapshot boundary)
     # ------------------------------------------------------------------
     def to_state(self) -> Dict:
+        """What a structure owns: its tree and dictionary columns.
+
+        The join columns are the context's, rebuilt or adopted with it.
+        """
         return {
             "tree": self.tree.to_state(),
             "dictionary": self.dictionary.to_state(),
-            "atoms": [atom.to_state() for atom in self.atoms],
         }
 
     @classmethod
-    def from_state(cls, state: Dict) -> "CompiledLayout":
-        """Rebuild a layout from :meth:`to_state`; call :meth:`bind` after.
+    def from_state(
+        cls, state: Dict, columns: JoinColumns, dict_version: int
+    ) -> "CompiledLayout":
+        """Rebuild a layout from :meth:`to_state` over ``columns``.
 
         ``dict_version`` is NOT stored: the owner re-pins it against the
-        dictionary restored alongside the layout.
+        dictionary restored alongside the layout. Blobs written before
+        join columns moved to the context also carry an ``"atoms"``
+        section; it is ignored.
         """
         return cls(
             TreeColumns.from_state(state["tree"]),
             DictColumns.from_state(state["dictionary"]),
-            [AtomColumns.from_state(item) for item in state["atoms"]],
-            dict_version=-1,
+            columns,
+            dict_version,
         )
 
 
@@ -434,65 +396,95 @@ def _compile_dictionary(dictionary) -> DictColumns:
 
 
 def _compile_atom(binding, space) -> AtomColumns:
+    """One atom's columns, from its relation's rows in one sorted pass.
+
+    Keys are the rows rearranged bound columns first, free columns (as
+    domain indexes, which order like the values) after, distinct and
+    sorted; a key opens a new run entry at every free level from the
+    first position where it departs from its predecessor. A level's
+    child slices are contiguous in key order, so each ends where the
+    next begins.
+    """
     bound_depth = len(binding.bound_vars)
     coords = binding.free_coordinates
     width = len(coords)
-    # All full bound prefixes, in sorted order (trie keys are sorted).
-    level_nodes = [((), binding.trie.root)]
-    for _ in range(bound_depth):
-        next_nodes = []
-        for prefix, node in level_nodes:
-            for key in node.keys:
-                next_nodes.append((prefix + (key,), node.children[key]))
-        level_nodes = next_nodes
-    roots: Dict[Tuple, Tuple[int, int]] = {}
+    rows = binding.relation.rows
+    columns = [[row[p] for row in rows] for p in binding.column_order]
+    for level, coordinate in enumerate(coords, start=bound_depth):
+        index_of = space.domains[coordinate].index_of
+        columns[level] = list(map(index_of, columns[level]))
+    keys = sorted(set(zip(*columns)))
     vals: List[List[int]] = [[] for _ in range(width)]
     kid_lo: List[List[int]] = [[] for _ in range(max(width - 1, 0))]
-    kid_hi: List[List[int]] = [[] for _ in range(max(width - 1, 0))]
-    if width == 0:
-        for prefix, _node in level_nodes:
-            roots[prefix] = (0, 0)
-        return AtomColumns(
-            coords, binding.bound_access_positions, roots, vals, kid_lo, kid_hi
-        )
-    domain = space.domains[coords[0]]
-    current: List = []
-    for prefix, node in level_nodes:
-        lo = len(vals[0])
-        for key in node.keys:
-            vals[0].append(domain.index_of(key))
-            current.append(node.children[key])
-        roots[prefix] = (lo, len(vals[0]))
-    for level in range(1, width):
-        domain = space.domains[coords[level]]
-        next_nodes: List = []
-        run = vals[level]
-        lo_run = kid_lo[level - 1]
-        hi_run = kid_hi[level - 1]
-        for parent in current:
-            lo = len(run)
-            for key in parent.keys:
-                run.append(domain.index_of(key))
-                next_nodes.append(parent.children[key])
-            lo_run.append(lo)
-            hi_run.append(len(run))
-        current = next_nodes
+    top: List[int] = vals[0] if width else []  # stays empty at width 0
+    # Each bound prefix and the start of its slice of ``top``; an atom
+    # with no bound variable has the one root whatever its rows.
+    prefixes: List[Tuple] = [] if bound_depth else [()]
+    starts: List[int] = [] if bound_depth else [0]
+    previous = None
+    for key in keys:
+        departs = 0
+        if previous is not None:
+            while key[departs] == previous[departs]:
+                departs += 1
+        previous = key
+        if departs < bound_depth:
+            prefixes.append(key[:bound_depth])
+            starts.append(len(top))
+            departs = bound_depth
+        for level in range(departs - bound_depth, width):
+            if level + 1 < width:
+                kid_lo[level].append(len(vals[level + 1]))
+            vals[level].append(key[bound_depth + level])
+    kid_hi = [
+        (run + [len(vals[level + 1])])[1:] for level, run in enumerate(kid_lo)
+    ]
+    if width:
+        slices = zip(starts, starts[1:] + [len(top)])
+        roots = dict(zip(prefixes, slices))
+    else:
+        roots = dict.fromkeys(prefixes, (0, 0))  # presence is the fact
     return AtomColumns(
         coords, binding.bound_access_positions, roots, vals, kid_lo, kid_hi
     )
 
 
-def compile_layout(ctx, tree, dictionary, cost_model) -> CompiledLayout:
-    """Compile one representation's structures into a bound layout.
+def compile_join_columns(ctx) -> JoinColumns:
+    """Compile a context's atoms into the kernel's join columns."""
+    return JoinColumns(
+        ctx.space,
+        [_compile_atom(binding, ctx.space) for binding in ctx.atoms],
+    )
 
-    Deterministic and side-effect free on its inputs; the result is bound
-    to ``ctx`` and pinned to the dictionary's current version.
+
+def compile_layout(ctx, tree, dictionary, cost_model) -> CompiledLayout:
+    """Compile one representation's ``(T, D)`` over its context's columns.
+
+    Deterministic and side-effect free on its inputs; the result is
+    pinned to the dictionary's current version.
     """
-    layout = CompiledLayout(
+    return CompiledLayout(
         _compile_tree(tree, cost_model),
         _compile_dictionary(dictionary),
-        [_compile_atom(binding, ctx.space) for binding in ctx.atoms],
+        ctx.columns(),
         dict_version=dictionary.version,
     )
-    layout.bind(ctx)
-    return layout
+
+
+def one_leaf_layout(ctx) -> CompiledLayout:
+    """Theorem 1's structure for any ``τ`` above ``T(root)``, directly.
+
+    One node spanning the tuple space and an empty dictionary: every
+    request finds ⊥ at the root and is one worst-case-optimal join per
+    box of the whole space — Section 2.3's lazy evaluation, linear space
+    and all delay. Nothing is costed or materialised to get there; an
+    empty tuple space is the empty tree.
+    """
+    space = ctx.space
+    if space.is_empty():
+        tree = TreeColumns(-1, space.width, [], [], [], [], [], [])
+    else:
+        low, high = space.bottom(), space.top()
+        boxes = tuple(box_decomposition(low, high, high))
+        tree = TreeColumns(0, space.width, [-1], [-1], [low], [high], [None], [boxes])
+    return CompiledLayout(tree, DictColumns({}), ctx.columns(), dict_version=0)

@@ -56,6 +56,11 @@ SNAPSHOT_MAGIC = b"RPRS"
 #: Current write version. v2 adds the compiled columnar layout to the
 #: representation state; v1 blobs (no layout) are still readable — the
 #: loader recompiles the layout from the restored structure instead.
+#: A v2 layout is the structure's own tree and dictionary columns; v2
+#: blobs written while every layout carried its atoms' columns too hold
+#: an extra ``"atoms"`` section, which the loader ignores (a reader of
+#: that age refuses a blob without one as malformed — a typed error, a
+#: cache miss).
 SNAPSHOT_VERSION = 2
 SUPPORTED_VERSIONS = (1, 2)
 

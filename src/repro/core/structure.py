@@ -41,7 +41,7 @@ from repro.core.cost import CostModel
 from repro.core.dictionary import HeavyDictionary, build_dictionary
 from repro.core.representation import Representation
 from repro.database.catalog import Database
-from repro.exceptions import ParameterError, QueryError, SnapshotError
+from repro.exceptions import ParameterError, SnapshotError
 from repro.hypergraph.covers import slack
 from repro.hypergraph.hypergraph import Hypergraph
 from repro.joins.generic_join import JoinCounter, generic_join
@@ -324,12 +324,12 @@ class CompressedRepresentation(Representation):
             self.stats = BuildStats(**stats)
             layout_state = state.get("layout")
             if layout_state is not None:
-                # Codec v2: the compiled arrays ship with the snapshot.
+                # Codec v2: the structure's own compiled arrays ship with
+                # the snapshot; the join columns are the context's.
                 started = time.perf_counter()
-                layout = layout_mod.CompiledLayout.from_state(layout_state)
-                layout.bind(self.ctx)
-                layout.dict_version = self.dictionary.version
-                self._layout = layout
+                self._layout = layout_mod.CompiledLayout.from_state(
+                    layout_state, self.ctx.columns(), self.dictionary.version
+                )
                 self.layout_compile_seconds = time.perf_counter() - started
             else:
                 # Codec v1 blobs predate layouts: recompile on load.
@@ -380,41 +380,12 @@ class CompressedRepresentation(Representation):
         access = self._check_access(access)
         if self.tree.root is None:
             return
-        start = self._ceil_point(start_values)
+        start = self.ctx.space.ceil_point(start_values)
         if start is None:
             return  # start lies beyond the top of the tuple space
         yield from kernel_enumerate_from(
             self._fresh_layout(), access, start, counter
         )
-
-    def _ceil_point(self, start_values: Sequence) -> Optional[Tuple[int, ...]]:
-        """Smallest index tuple whose values are >= the given value tuple."""
-        space = self.ctx.space
-        if len(start_values) != space.width:
-            raise QueryError(
-                f"start tuple has {len(start_values)} values, expected "
-                f"{space.width}"
-            )
-        point = []
-        for coordinate, value in enumerate(start_values):
-            domain = space.domains[coordinate]
-            index = domain.index_of(value)
-            if index is not None:
-                point.append(index)
-                continue
-            ceiling = domain.ceil_index(value)
-            if ceiling is None:
-                # This coordinate overflows: bump the previous coordinate.
-                prefix = tuple(point) + tuple(
-                    space.domains[c].top
-                    for c in range(coordinate, space.width)
-                )
-                return space.successor(prefix)
-            # Strictly larger at this coordinate: reset the suffix to ⊥.
-            point.append(ceiling)
-            point.extend(0 for _ in range(coordinate + 1, space.width))
-            return tuple(point)
-        return tuple(point)
 
     def enumerate_interval(
         self,

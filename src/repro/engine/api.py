@@ -27,7 +27,13 @@ the prefix: representations exposing ``enumerate_from`` (all three —
 ``supports_resume`` marks them) seek in one delay unit; anything else
 degrades to a skip-scan that drops the prefix up to and including the
 token (and yields nothing if the token never appears — a past-end or
-foreign token is an empty page, never an error).
+foreign token is an empty page, never an error). "Foreign" means a
+well-typed token that was never delivered: a seek places it among the
+answers by comparing values, so a token of the wrong width, or holding
+a value the coordinate's domain cannot be ordered against (a string
+among ints, ``None``), is a :class:`~repro.exceptions.QueryError` from
+the first fetch — the same on static, clean and dirty dynamic, and
+sharded back ends.
 
 Delay statistics under ``limit``
 --------------------------------

@@ -1339,8 +1339,7 @@ class ViewServer(Serving):
         with hold:
             cursor = open_cursor(representation, request)
             if self._telemetry is not None:
-                path = "columnar" if representation.kernel_ready else "fallback"
-                self._kernel_counter(request.view, path).inc()
+                self._kernel_counter(request.view).inc()
                 self._instrument_cursor(cursor, request, started, mode="open")
             hold.keep([cursor])
         return cursor
@@ -1358,13 +1357,17 @@ class ViewServer(Serving):
             handles = self._metric_handles[key] = make(self._telemetry)
         return handles
 
-    def _kernel_counter(self, view: str, path: str):
-        """Resolved ``kernel_enumerations_total`` handle for (view, path)."""
+    def _kernel_counter(self, view: str):
+        """Resolved ``kernel_enumerations_total`` handle for ``view``.
+
+        Every structure the server holds is walked by the columnar
+        kernel, so ``path`` has the one value it always had for them.
+        """
         return self._handles(
-            ("kernel", view, path),
+            ("kernel", view),
             lambda telemetry: (
                 telemetry.counter(
-                    "kernel_enumerations_total", view=view, path=path
+                    "kernel_enumerations_total", view=view, path="columnar"
                 ),
             ),
         )[0]
@@ -1484,9 +1487,7 @@ class ViewServer(Serving):
                 for index, cursor in zip(indexes, scan_cursors):
                     cursors[index] = cursor
                 if self._telemetry is not None:
-                    self._kernel_counter(view, scan.kernel_path).inc(
-                        len(group)
-                    )
+                    self._kernel_counter(view).inc(len(group))
                     self._instrument_scan(
                         view, scan, scan_cursors, group, started
                     )

@@ -244,18 +244,6 @@ class SharedScan:
             for request, lane in zip(self.requests, self._lanes)
         ]
 
-    @property
-    def kernel_path(self) -> str:
-        """Which enumeration path this group's states ride.
-
-        ``columnar`` when the representation's compiled layout serves
-        them, measured lanes included (the kernel counts their steps
-        itself); ``fallback`` for a dirty dynamic version (or a foreign
-        representation without a kernel).
-        """
-        ready = getattr(self.representation, "kernel_ready", False)
-        return "columnar" if ready else "fallback"
-
     def stats(self) -> SharedScanStats:
         """This scan's sharing so far (final once every cursor closed)."""
         return SharedScanStats(

@@ -201,7 +201,7 @@ def _enumerate_from(self, access, start_values, counter=None):
     access = self._check_access(access)
     if self.tree.root is None:
         return
-    start = self._ceil_point(start_values)
+    start = self.ctx.space.ceil_point(start_values)
     if start is None:
         return  # start lies beyond the top of the tuple space
     yield from spec_enumerate_from(self, access, start, counter)
@@ -216,7 +216,7 @@ def reference_walk():
     clean side of a dynamic view and every batch's per-request walk)
     and the flattened bag product ``ConnexConstantDelayStructure``
     calls; ``kernel_ready`` reads ``False`` on the patched classes
-    meanwhile, so observers (telemetry's ``path`` label) tell the truth.
+    meanwhile, so anything that reads the attribute is told the truth.
     Not thread-safe and not re-entrant — a test fixture, nothing more.
     """
     patched = (

@@ -420,26 +420,6 @@ class TestParitySurface:
         assert run_rule("parity-surface", source, tmp_path) == []
 
 
-    def test_dirty_fallback_outside_its_owner_fires(self, tmp_path):
-        # The dirty path is FrozenDynamicView's alone: a second class
-        # building a LazyView is a second dirty path, serving surface or
-        # not (this was DynamicRepresentation and DynamicViewState).
-        source = """
-            class FrozenDynamicView:
-                def enumerate_from(self, access, start_values, counter=None):
-                    return LazyView(self.view, self.db).enumerate(access)
-
-            class DynamicViewState:
-                def _freeze_locked(self):
-                    return LazyView(self.view, self.current_database())
-            """
-        findings = run_rule("parity-surface", source, tmp_path)
-        assert [f.key for f in findings] == [
-            "DynamicViewState:dirty-fallback"
-        ]
-        assert "FrozenDynamicView's alone" in findings[0].message
-
-
 class TestSuppressionsAndBaseline:
     def test_parse_suppressions_forms(self):
         source = (

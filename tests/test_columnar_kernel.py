@@ -9,8 +9,9 @@ element for element: same rows, same order, through solo cursors and
 through a batch's interleaved ones — and, with a ``JoinCounter`` attached, the same logical
 step gap before every row and at exhaustion (the kernel does the delay
 accounting itself). What is *not* a second route is covered too: a stale
-dictionary version is refused, a dirty dynamic version is the lazy
-view's, and both snapshot codec versions load.
+dictionary version is refused, a dirty dynamic version rides the kernel
+as well (``tests/test_dirty_versions.py`` holds it to the spec), and both
+snapshot codec versions load.
 """
 
 import itertools
@@ -242,7 +243,7 @@ class TestOtherRepresentations:
         dynamic.insert("S", (1, 2))
         dynamic.insert("T", (2, 0))
         assert dynamic.is_dirty
-        assert not dynamic.kernel_ready  # dirty buffers force the overlay
+        assert dynamic.kernel_ready  # dirty: the one-leaf layout, same kernel
         updated = dynamic.current_database()
         for access in accesses:
             kernel_rows, reference_rows = on_off(
@@ -331,18 +332,13 @@ def shared_trace(rep, accesses, measured, starts=None, prune_after=None):
     return trace
 
 
-@pytest.fixture(params=["numpy", "pure"])
-def backend(request, monkeypatch):
-    """Both intersection backends; numpy is forced onto every run."""
-    if request.param == "pure":
-        monkeypatch.setenv("REPRO_KERNEL_NO_NUMPY", "1")
-        assert layout_mod.numpy_backend() is None
-    else:
-        if layout_mod.numpy_backend() is None:
-            pytest.skip("numpy backend unavailable")
-        # The test databases are small: drop the threshold so every
-        # multi-run intersection goes through ``intersect1d``.
-        monkeypatch.setattr(kernel_mod, "_NUMPY_MIN_RUN", 1)
+@pytest.fixture(params=["pure"])
+def backend(request):
+    """The kernel's one intersection backend: bisect over plain int runs.
+
+    These tests ran once more over a numpy ``intersect1d`` fork until it
+    was deleted; the surviving half keeps its ``[pure]`` ids.
+    """
     return request.param
 
 
@@ -754,7 +750,7 @@ def fff():
 
 @pytest.mark.usefixtures("backend")
 class TestPrefixFinger:
-    """Adversarial box / β sequences through one finger, both backends."""
+    """Adversarial box / β sequences through one finger."""
 
     @pytest.mark.parametrize("measured", [True, False])
     def test_a_memoised_absent_prefix_ends_the_next_box_the_same_way(
@@ -933,8 +929,8 @@ class TestPrefixFinger:
         rep = CompressedRepresentation(view, db, tau=2.0)
         layout = rep._fresh_layout()
         assert layout_mod.CompiledLayout.__slots__ == (
-            "tree", "dictionary", "atoms", "dict_version", "width", "space",
-            "domain_values", "join_atoms", "participants", "np",
+            "tree", "dictionary", "dict_version", "width", "space",
+            "domain_values", "atoms", "join_atoms", "participants",
         )
         frozen = {
             name: id(getattr(layout, name))
@@ -1097,22 +1093,6 @@ class TestFallbackTriggers:
         with reference_walk():
             assert rep.kernel_ready is False
         assert rep.kernel_ready is True
-
-
-class TestPureFallbackPath:
-    def test_parity_without_numpy(self, monkeypatch):
-        monkeypatch.setenv("REPRO_KERNEL_NO_NUMPY", "1")
-        assert layout_mod.numpy_backend() is None
-        view = triangle_view("bff")
-        db = triangle_database(16, 80, seed=71)
-        rep = CompressedRepresentation(view, db, tau=4.0)
-        assert rep.kernel_ready
-        for access in oracle_accesses(view, db, limit=8):
-            kernel_rows, reference_rows = on_off(
-                lambda: rep.enumerate(access)
-            )
-            assert kernel_rows == reference_rows
-            assert kernel_rows == oracle_answer(view, db, access)
 
 
 class TestSnapshotCodec:

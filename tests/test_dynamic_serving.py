@@ -179,7 +179,7 @@ class TestDeltas:
             == 1
         )
         # After the rebuild the serving version is clean again: the
-        # compiled structure serves, not the lazy fallback.
+        # compiled structure at the view's τ serves, not the one leaf.
         representation = server.representation(name)
         assert not hasattr(representation, "is_dirty") or True
         server.close()
@@ -876,7 +876,7 @@ class TestLazyVersions:
         assert contexts == []
         # Resident and accounted for without being materialised.
         serving = server.representation(name)
-        assert not serving.kernel_ready
+        assert serving.kernel_ready is True  # a fact of the class, unbuilt
         assert serving.space_report().materialized_tuples == 16
         assert contexts == []
         first = server.answer(name, (1,))

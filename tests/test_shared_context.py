@@ -6,16 +6,20 @@ registration generation and every structure it builds, warm-loads,
 receives from a build worker or hydrates on a replica shares that one
 :class:`~repro.core.context.ViewContext` by reference. A restored
 structure adopts a resident context only after its blob's own view and
-database compared *equal* to the context's; the blob format is the
-parent's, byte for byte, in both directions.
+database compared *equal* to the context's. The blob format is PR 18's
+minus the layout's atom section (the context compiles those columns
+now): blobs of that age still load, section ignored.
 """
 
 import gc
 import pickle
+import shutil
 import weakref
+import zlib
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from oracle import oracle_accesses, oracle_answer
 from repro.core import snapshot as snap
@@ -29,7 +33,9 @@ from repro.core.snapshot import (
     inspect_snapshot,
 )
 from repro.core.structure import CompressedRepresentation
+from repro.database.catalog import Database
 from repro.database.index import TrieIndex
+from repro.database.relation import Relation
 from repro.engine import (
     ParallelBuilder,
     ReplicaServer,
@@ -38,12 +44,20 @@ from repro.engine import (
     representation_cells,
 )
 from repro.exceptions import ParameterError, SnapshotError
-from repro.workloads import triangle_database, triangle_view
+from repro.workloads import (
+    path_view,
+    star_view,
+    triangle_database,
+    triangle_view,
+)
 
 TAUS = (2.0, 4.0, 8.0, 16.0, 32.0, 64.0)
 #: A v2 blob written by the tree *before* contexts were shared (PR 18):
 #: the tiny_db triangle ``bbf`` at τ = 1.
 PARENT_BLOB = Path(__file__).parent / "data" / "pr18_tiny_bbf_tau1.snap"
+#: A snapshot directory written by the last tree whose layouts carried
+#: their atoms' columns (PR 22): tiny_db, triangle ``bff`` at τ = 1, 2.
+PARENT_DIRECTORY = Path(__file__).parent / "data" / "pr22_tiny_bff_dir"
 
 
 @pytest.fixture
@@ -187,6 +201,187 @@ class TestIdentity:
             CompressedRepresentation(
                 view, db, tau=8.0, context=ViewContext(view, other)
             )
+
+
+def same_columns(rep, context) -> bool:
+    """Whether ``rep``'s layout holds the context's own join columns."""
+    layout, columns = rep._fresh_layout(), context.columns()
+    return (
+        rep.ctx is context
+        and layout.atoms is columns.atoms
+        and layout.join_atoms is columns.join_atoms
+        and layout.participants is columns.participants
+        and layout.domain_values is columns.domain_values
+        and all(
+            mine.vals is theirs.vals and mine.roots is theirs.roots
+            for mine, theirs in zip(layout.atoms, columns.atoms)
+        )
+    )
+
+
+class TestOneIndexPerContext:
+    """The kernel's form of the |D| term is the context's, never a layout's.
+
+    Atom columns and the join schedule are a function of (view,
+    database) like the tries: compiled once per context, and every
+    layout over it — each τ, each way a structure can arrive — holds
+    those very objects.
+    """
+
+    def test_two_taus_and_a_disk_tier_hit_hold_the_contexts_columns(
+        self, setup, tmp_path, monkeypatch
+    ):
+        from repro.core import layout as layout_mod
+
+        compiled = []
+        compile_atom = layout_mod._compile_atom
+        monkeypatch.setattr(
+            layout_mod,
+            "_compile_atom",
+            lambda binding, space: compiled.append(binding.label)
+            or compile_atom(binding, space),
+        )
+        view, db = setup
+        server = ViewServer(db, max_entries=None, snapshot_dir=tmp_path)
+        name = server.register(view, tau=8.0)
+        cold = {tau: server.representation(name, tau) for tau in TAUS}
+        context = cold[2.0].ctx
+        assert all(same_columns(rep, context) for rep in cold.values())
+        assert server.demote(name) == len(TAUS)
+        warm = {tau: server.representation(name, tau) for tau in TAUS}
+        assert server.cache_stats.disk_hits == len(TAUS)
+        assert all(same_columns(rep, context) for rep in warm.values())
+        # Twelve structures, one compile of the three atoms.
+        assert compiled == [0, 1, 2]
+        access = oracle_accesses(view, db, limit=1)[0]
+        assert list(warm[2.0].enumerate(access)) == oracle_answer(
+            view, db, access
+        )
+
+    def test_a_parallel_builders_result_holds_them(self, setup):
+        view, db = setup
+        with ParallelBuilder(max_workers=1) as builder:
+            server = ViewServer(db, builder=builder)
+            name = server.register(view, tau=8.0)
+            built = [server.representation(name, tau) for tau in (2.0, 8.0)]
+            assert builder.process_builds + builder.fallback_builds == 2
+            assert all(same_columns(rep, built[0].ctx) for rep in built)
+
+    def test_a_replica_hydration_holds_the_replicas_own(self, setup, tmp_path):
+        view, db = setup
+        primary = ViewServer(db, snapshot_dir=tmp_path)
+        name = primary.register(view, tau=8.0)
+        for tau in (2.0, 8.0):
+            primary.representation(name, tau)
+        replica = ReplicaServer(db, snapshot_dir=tmp_path)
+        replica.register(view, tau=8.0)
+        replica.hydrate()
+        hydrated = [replica.representation(name, tau) for tau in (2.0, 8.0)]
+        assert replica.total_builds() == 0
+        assert all(same_columns(rep, hydrated[0].ctx) for rep in hydrated)
+        assert not same_columns(hydrated[0], primary.representation(name).ctx)
+
+    def test_a_re_registration_with_other_data_does_not(self, setup):
+        view, db = setup
+        other = triangle_database(nodes=25, edges=120, seed=6)
+        server = ViewServer(db)
+        name = server.register(view, tau=8.0)
+        first = server.representation(name)
+        assert server.unregister(name)
+        server.register(view, tau=8.0, database=other)
+        second = server.representation(name)
+        assert same_columns(first, first.ctx)
+        assert same_columns(second, second.ctx)
+        assert second.ctx.columns() is not first.ctx.columns()
+        assert second._fresh_layout().atoms is not first._fresh_layout().atoms
+
+    def test_the_columns_are_compiled_when_first_asked_for(self, setup):
+        view, db = setup
+        context = ViewContext(view, db)
+        assert context._columns is None
+        columns = context.columns()
+        assert context.columns() is columns
+        assert [atom.coords for atom in columns.atoms] == [
+            binding.free_coordinates for binding in context.atoms
+        ]
+        assert columns.space is context.space
+
+
+def columns_from_trie(binding, space):
+    """An atom's columns read off its trie, level by level.
+
+    How ``core/layout.py`` compiled them while every context built its
+    tries up front; kept here as the independent form the one-pass
+    compile from rows is held to.
+    """
+    level_nodes = [((), binding.trie.root)]
+    for _ in binding.bound_vars:
+        level_nodes = [
+            (prefix + (key,), node.children[key])
+            for prefix, node in level_nodes
+            for key in node.keys
+        ]
+    coords = binding.free_coordinates
+    width = len(coords)
+    roots, vals = {}, [[] for _ in range(width)]
+    kid_lo = [[] for _ in range(max(width - 1, 0))]
+    kid_hi = [[] for _ in range(max(width - 1, 0))]
+    current = []
+    for prefix, node in level_nodes:
+        lo = len(vals[0]) if width else 0
+        if width:
+            domain = space.domains[coords[0]]
+            for key in node.keys:
+                vals[0].append(domain.index_of(key))
+                current.append(node.children[key])
+        roots[prefix] = (lo, len(vals[0]) if width else 0)
+    for level in range(1, width):
+        domain = space.domains[coords[level]]
+        below = []
+        for parent in current:
+            kid_lo[level - 1].append(len(vals[level]))
+            for key in parent.keys:
+                vals[level].append(domain.index_of(key))
+                below.append(parent.children[key])
+            kid_hi[level - 1].append(len(vals[level]))
+        current = below
+    return roots, vals, kid_lo, kid_hi
+
+
+COLUMN_VIEWS = [
+    (triangle_view(pattern), ("R", "S", "T"))
+    for pattern in ("bbf", "bff", "fbf", "fff", "bbb")
+] + [
+    (path_view(3, pattern), ("R1", "R2", "R3"))
+    for pattern in ("bffb", "ffff", "fbbf")
+] + [(star_view(3, pattern), ("R1", "R2", "R3")) for pattern in ("bbbf", "bfff")]
+
+
+@given(
+    st.sampled_from(COLUMN_VIEWS),
+    st.lists(
+        st.lists(st.tuples(st.integers(0, 5), st.integers(0, 5)), max_size=20),
+        min_size=3,
+        max_size=3,
+    ),
+)
+@settings(max_examples=150, deadline=None)
+def test_columns_compiled_from_rows_equal_the_tries_levels(case, rows):
+    # Empty relations, atoms with no bound or no free variable included.
+    view, names = case
+    db = Database([Relation(name, 2, r) for name, r in zip(names, rows)])
+    context = ViewContext(view, db)
+    columns = context.columns()
+    assert all(binding._trie is None for binding in context.atoms)
+    for binding, atom in zip(context.atoms, columns.atoms):
+        assert (
+            atom.roots,
+            atom.vals,
+            atom.kid_lo,
+            atom.kid_hi,
+        ) == columns_from_trie(binding, context.space)
+        assert atom.coords == binding.free_coordinates
+        assert atom.bound_positions == binding.bound_access_positions
 
 
 class TestRefusal:
@@ -499,12 +694,89 @@ class TestBlobCompatibility:
             assert list(alone.enumerate(access)) == expected
             assert list(shared.enumerate(access)) == expected
 
-    def test_a_blob_written_over_a_shared_context_is_the_parents_blob(
+    def test_a_new_blob_has_no_atom_section_and_is_smaller(self, tiny_db):
+        view = triangle_view("bbf")
+        rep = CompressedRepresentation(view, tiny_db, tau=1.0)
+        assert sorted(rep.snapshot_state()["layout"]) == ["dictionary", "tree"]
+        assert len(encode_snapshot(rep)) < len(PARENT_BLOB.read_bytes())
+
+    def test_a_v1_blob_and_a_v2_blob_with_atoms_load_over_one_path(
         self, tiny_db
     ):
-        # Same state, key for key, as the blob the parent tree wrote —
-        # so the parent reads what this tree writes (self-contained:
-        # view, database, tree, dictionary, layout, nothing dropped).
+        # v1: no layout at all. Parent-written v2: a layout with an atom
+        # section. Today's: a layout without one. All three answer alike.
+        view = triangle_view("bbf")
+        parents = PARENT_BLOB.read_bytes()
+        header = snap._parse_header(parents)
+        state = pickle.loads(parents[header[-1] :])
+        assert "atoms" in state["layout"]
+        del state["layout"]
+        payload = pickle.dumps(state, protocol=pickle.HIGHEST_PROTOCOL)
+        kind, fingerprint = (part.encode("utf-8") for part in header[1:3])
+        v1 = b"".join(
+            (
+                snap._HEADER_PREFIX.pack(snap.SNAPSHOT_MAGIC, 1),
+                snap._U16.pack(len(kind)),
+                kind,
+                snap._U16.pack(len(fingerprint)),
+                fingerprint,
+                snap._TRAILER.pack(zlib.crc32(payload), len(payload)),
+                payload,
+            )
+        )
+        assert inspect_snapshot(v1)["version"] == 1
+        todays = encode_snapshot(decode_snapshot(parents))
+        context = ViewContext(view, tiny_db)
+        for blob in (v1, parents, todays):
+            for restored in (
+                decode_snapshot(blob),
+                decode_snapshot(blob, context=context),
+            ):
+                assert same_columns(restored, restored.ctx)
+                for access in oracle_accesses(view, tiny_db, limit=12):
+                    assert list(restored.enumerate(access)) == oracle_answer(
+                        view, tiny_db, access
+                    )
+
+    def test_a_parent_written_snapshot_directory_warm_starts_with_no_build(
+        self, tiny_db, tmp_path
+    ):
+        # Written by the PR 22 tree: ViewServer(tiny_db, snapshot_dir=...),
+        # triangle bff registered as "V" at τ = 2, structures at τ = 1, 2.
+        view = triangle_view("bff")
+        directory = tmp_path / "snapshots"
+        shutil.copytree(PARENT_DIRECTORY, directory)
+        before = {
+            path.name: path.read_bytes() for path in directory.iterdir()
+        }
+        assert len(before) == 2
+        for blob in before.values():
+            header = snap._parse_header(blob)
+            assert "atoms" in pickle.loads(blob[header[-1] :])["layout"]
+        server = ViewServer(tiny_db, max_entries=None, snapshot_dir=directory)
+        server.register(view, tau=2.0, name="V")
+        loaded = [server.representation("V", tau) for tau in (1.0, 2.0)]
+        assert server.total_builds() == 0
+        assert server.cache_stats.disk_hits == 2
+        assert server.cache_stats.disk_writes == 0
+        assert all(same_columns(rep, loaded[0].ctx) for rep in loaded)
+        for access in oracle_accesses(view, tiny_db, limit=12):
+            assert server.answer("V", access) == oracle_answer(
+                view, tiny_db, access
+            )
+        server.close()
+        assert before == {
+            path.name: path.read_bytes() for path in directory.iterdir()
+        }
+
+    def test_a_blob_written_over_a_shared_context_is_the_parents_minus_its_atoms(
+        self, tiny_db
+    ):
+        # Same state, key for key, as the blob the PR 18 tree wrote —
+        # view, database, tree, dictionary, the layout's tree and
+        # dictionary columns — but for the one section that is not the
+        # structure's: the atoms' columns, a function of (view, database)
+        # like the tries, which a loader gets from its context.
         view = triangle_view("bbf")
         written = PARENT_BLOB.read_bytes()
 
@@ -519,9 +791,11 @@ class TestBlobCompatibility:
             del state["stats"]["build_seconds"]  # a wall-clock reading
             return state
 
+        parents = state_of(written)
+        assert len(parents["layout"].pop("atoms")) == len(view.atoms)
         context = ViewContext(view, tiny_db)
         for rep in (
             CompressedRepresentation(view, tiny_db, tau=1.0, context=context),
             decode_snapshot(written, context=context),
         ):
-            assert state_of(encode_snapshot(rep)) == state_of(written)
+            assert state_of(encode_snapshot(rep)) == parents
