@@ -102,6 +102,12 @@ def _register(server: ViewServer) -> None:
 def _drain(server: ViewServer, stream, tuner=None):
     """Serve the stream batch by batch; returns (answers, wall seconds)."""
     answers = []
+    # A full collection walks the whole test process's heap (~30 ms under
+    # pytest, a quarter of a drain), and whether the collector schedules
+    # one inside this window depends on how many objects the drains
+    # before it left alive — not on the work timed here. Every drain
+    # starts from a collected heap.
+    gc.collect()
     started = time.perf_counter()
     for index in range(0, len(stream), BATCH):
         chunk = stream[index : index + BATCH]

@@ -64,7 +64,8 @@ instead of rebuilding; stale data is refused by fingerprint), and
 Standalone snapshots use the ``snapshot`` subcommand: ``save`` builds a
 structure and writes one file, ``load`` decodes it (verifying it against
 the data directory) and answers requests, ``inspect`` prints the header
-without decoding::
+and the bytes each section of the payload takes (a v3 blob holds its
+tree and dictionary once, under ``columns.*``)::
 
     python -m repro snapshot save --view "..." --data ./relations \\
         --tau 8 --out view.snap
@@ -746,6 +747,8 @@ def _snapshot_inspect(args) -> int:
         f"bytes ({'complete' if info['complete'] else 'TRUNCATED'})"
     )
     print(f"  file size:      {info['file_bytes']} bytes")
+    for section, size in info["sections"]:
+        print(f"  section {section}: {size} bytes")
     return 0
 
 
@@ -1167,7 +1170,6 @@ def main(argv=None) -> int:
     )
     snap_load.add_argument(
         "--data",
-        default=None,
         help="directory of <relation>.csv files; when given, the "
         "snapshot must fingerprint-match it",
     )
@@ -1175,14 +1177,12 @@ def main(argv=None) -> int:
     snap_load.set_defaults(handler=_snapshot_load, path="snapshot load")
 
     snap_inspect = snapshot_commands.add_parser(
-        "inspect", help="print a snapshot's header without decoding it"
+        "inspect", help="print a snapshot's header and its payload's sections"
     )
     snap_inspect.add_argument(
         "--file", required=True, help="snapshot file to inspect"
     )
-    snap_inspect.set_defaults(
-        handler=_snapshot_inspect, path="snapshot inspect"
-    )
+    snap_inspect.set_defaults(handler=_snapshot_inspect, path="snapshot inspect")
 
     metrics = commands.add_parser(
         "metrics",

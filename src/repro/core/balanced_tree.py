@@ -19,12 +19,13 @@ Two implementation notes beyond the paper:
 from __future__ import annotations
 
 import math
-from typing import Dict, List, Optional, Sequence, Tuple
+from array import array
+from typing import List, Optional, Tuple
 
 from repro.core.cost import CostModel
 from repro.core.intervals import Box, FInterval, box_decomposition
 from repro.core.splitting import split_boxes
-from repro.exceptions import ParameterError, SnapshotError
+from repro.exceptions import ParameterError
 
 _MAX_DEPTH = 512
 
@@ -57,8 +58,8 @@ class DelayBalancedTree:
 
     ``boxes`` is each node's box decomposition in row form, aligned with
     ``nodes`` — the very list the compiled layout keeps as its
-    ``boxes`` column. The builder supplies it; a tree restored from
-    state starts without (None) and :meth:`node_boxes` decomposes once.
+    ``boxes`` column. The builder supplies it, and so do the columns a
+    view is materialised from (:meth:`from_columns`).
     """
 
     def __init__(
@@ -67,12 +68,13 @@ class DelayBalancedTree:
         nodes: List[TreeNode],
         tau: float,
         alpha: float,
+        boxes: Optional[List[Tuple[Box, ...]]] = None,
     ):
         self.root = root
         self.nodes = nodes
         self.tau = tau
         self.alpha = alpha
-        self.boxes: Optional[List[Tuple[Box, ...]]] = None
+        self.boxes = boxes
         self.max_level = max((node.level for node in nodes), default=0)
 
     def __len__(self) -> int:
@@ -96,107 +98,51 @@ class DelayBalancedTree:
     def leaves(self) -> List[TreeNode]:
         return [node for node in self.nodes if node.is_leaf]
 
-    def node_boxes(self, tops: Sequence[int]) -> List[Tuple[Box, ...]]:
-        """Every node's box decomposition, aligned with ``nodes``."""
-        if self.boxes is None:
-            self.boxes = [
-                tuple(
-                    box_decomposition(
-                        node.interval.low, node.interval.high, tops
-                    )
-                )
-                for node in self.nodes
-            ]
-        return self.boxes
-
     def columns(self):
-        """Flat array-backed node columns for the columnar layout compiler.
+        """The node columns the layout compiler takes, positionally aligned.
 
-        Returns ``(root id, left, right, lows, highs, betas)``: child ids
-        as ``array('q')`` with ``-1`` sentinels (``node.id`` equals its
-        index in ``nodes`` by construction), interval endpoints as index
-        tuples, and β codes (None on leaves), all positionally aligned.
+        ``(root id, left, right, lows, highs, betas, costs)``: child ids
+        with ``-1`` sentinels (``node.id`` equals its index in ``nodes``
+        by construction), interval endpoints as index tuples, β codes
+        (None on leaves) and ``T(I)`` as an ``array('d')``.
         """
-        from array import array
-
-        left = array(
-            "q",
-            (
-                node.left.id if node.left is not None else -1
-                for node in self.nodes
-            ),
+        nodes = self.nodes
+        return (
+            self.root.id if self.root is not None else -1,
+            [n.left.id if n.left is not None else -1 for n in nodes],
+            [n.right.id if n.right is not None else -1 for n in nodes],
+            [n.interval.low for n in nodes],
+            [n.interval.high for n in nodes],
+            [n.beta for n in nodes],
+            array("d", [n.cost for n in nodes]),
         )
-        right = array(
-            "q",
-            (
-                node.right.id if node.right is not None else -1
-                for node in self.nodes
-            ),
-        )
-        lows = [node.interval.low for node in self.nodes]
-        highs = [node.interval.high for node in self.nodes]
-        betas = [node.beta for node in self.nodes]
-        root_id = self.root.id if self.root is not None else -1
-        return root_id, left, right, lows, highs, betas
-
-    # ------------------------------------------------------------------
-    # explicit state (the snapshot boundary)
-    # ------------------------------------------------------------------
-    def to_state(self) -> Dict:
-        """Plain-data state: node records plus parameters, no object links.
-
-        Nodes are recorded positionally (``node.id`` equals its index in
-        ``nodes`` by construction); child links become node ids so the
-        state crosses pickle/process boundaries without dragging the
-        recursive object graph along.
-        """
-        records = []
-        for node in self.nodes:
-            records.append(
-                (
-                    node.interval.low,
-                    node.interval.high,
-                    node.level,
-                    node.cost,
-                    node.beta,
-                    node.left.id if node.left is not None else None,
-                    node.right.id if node.right is not None else None,
-                )
-            )
-        return {
-            "tau": self.tau,
-            "alpha": self.alpha,
-            "root": self.root.id if self.root is not None else None,
-            "nodes": records,
-        }
 
     @classmethod
-    def from_state(cls, state: Dict) -> "DelayBalancedTree":
-        """Rebuild a tree (nodes, links, parameters) from :meth:`to_state`."""
-        try:
-            records = state["nodes"]
-            nodes = [
-                TreeNode(
-                    node_id,
-                    FInterval(tuple(low), tuple(high)),
-                    level,
-                    cost,
-                )
-                for node_id, (low, high, level, cost, _, _, _) in enumerate(
-                    records
-                )
-            ]
-            for node, (_, _, _, _, beta, left, right) in zip(nodes, records):
-                node.beta = tuple(beta) if beta is not None else None
-                node.left = nodes[left] if left is not None else None
-                node.right = nodes[right] if right is not None else None
-            root_id = state["root"]
-            root = nodes[root_id] if root_id is not None else None
-            return cls(root, nodes, state["tau"], state["alpha"])
-        except (KeyError, IndexError, TypeError, ValueError) as error:
-            raise SnapshotError(
-                f"malformed delay-balanced tree state: {error}"
-            ) from error
+    def from_columns(cls, columns, tau: float, alpha: float):
+        """The object view of compiled :class:`~repro.core.layout.TreeColumns`.
+
+        The inverse of :meth:`columns`, node for node and cost for cost;
+        a node's level is its parent's plus one, and a child's id is
+        above its parent's, so one forward pass levels the tree. The
+        view shares the columns' boxes.
+        """
+        nodes = [
+            TreeNode(node_id, FInterval(low, high), 0, cost)
+            for node_id, (low, high, cost) in enumerate(
+                zip(columns.low, columns.high, columns.cost)
+            )
+        ]
+        links = zip(nodes, columns.beta, columns.left, columns.right)
+        for node, beta, left, right in links:
+            node.beta = beta
+            if left >= 0:
+                node.left = nodes[left]
+                node.left.level = node.level + 1
+            if right >= 0:
+                node.right = nodes[right]
+                node.right.level = node.level + 1
+        root = nodes[columns.root] if columns.root >= 0 else None
+        return cls(root, nodes, tau, alpha, columns.boxes)
 
 
 def build_delay_balanced_tree(
@@ -214,7 +160,7 @@ def build_delay_balanced_tree(
         raise ParameterError(f"tau must be positive, got {tau}")
     space = cost_model.ctx.space
     if space.is_empty():
-        return DelayBalancedTree(None, [], tau, alpha)
+        return DelayBalancedTree(None, [], tau, alpha, [])
     tops = cost_model.tops
     walk = cost_model.walk()
     nodes: List[TreeNode] = []
@@ -249,6 +195,9 @@ def build_delay_balanced_tree(
         return node
 
     root = make(FInterval.full(space), 0)
-    tree = DelayBalancedTree(root, nodes, tau, alpha)
-    tree.boxes = node_boxes
-    return tree
+    # ``make`` names itself, so it sits in a reference cycle with its own
+    # closure — which holds ``nodes`` and the walk. Cut it here and the
+    # nodes die with the tree that owns them, not at some later full
+    # collection (a structure drops its tree as soon as it is compiled).
+    del make
+    return DelayBalancedTree(root, nodes, tau, alpha, node_boxes)

@@ -64,28 +64,20 @@ class HeavyDictionary:
     def items(self):
         return self._entries.items()
 
-    # ------------------------------------------------------------------
-    # explicit state (the snapshot boundary)
-    # ------------------------------------------------------------------
-    def to_state(self) -> List[Tuple[int, Tuple, int]]:
-        """Plain-data state: sorted ``(node id, access, bit)`` triples."""
-        return sorted(
-            (node_id, access, bit)
-            for (node_id, access), bit in self._entries.items()
-        )
-
     @classmethod
-    def from_state(
-        cls, state: Sequence[Tuple[int, Tuple, int]]
-    ) -> "HeavyDictionary":
-        # In bulk: one comprehension, and the version the same number of
-        # per-entry set() calls would have reached.
+    def from_columns(cls, columns, version: int) -> "HeavyDictionary":
+        """The object view of compiled :class:`~repro.core.layout.DictColumns`.
+
+        In bulk, at the version the columns were compiled against, so a
+        later in-place edit shows against the layout that pinned it.
+        """
         dictionary = cls()
         dictionary._entries = {
-            (int(node_id), tuple(access)): int(bit)
-            for node_id, access, bit in state
+            (node_id, access): bit
+            for access, (ids, bits) in columns.buckets.items()
+            for node_id, bit in zip(ids, bits)
         }
-        dictionary.version = len(state)
+        dictionary.version = version
         return dictionary
 
 
@@ -135,7 +127,7 @@ def build_dictionary(
     if tree.root is None:
         return dictionary
     ctx = cost_model.ctx
-    boxes = tree.node_boxes(cost_model.tops)
+    boxes = tree.boxes
     # With no bound variable the one candidate, (), restricts nothing:
     # its T(v_b, I) is T(I) over the very same tries — the node's cost.
     unrestricted = not ctx.bound_order

@@ -360,7 +360,10 @@ class DynamicRepresentation(Representation):
         The update buffers are part of the state: a restored instance
         resumes exactly where the original stood — same pending count,
         same dirty/clean answering mode, same distance to the next
-        amortized rebuild.
+        amortized rebuild. The inner structure's database is usually the
+        base database itself (``natural_form`` returns a natural-join
+        view's database as given): it is then stored once, here, and the
+        inner state points at it.
         """
         from repro.core.snapshot import database_state, view_state
 
@@ -375,7 +378,7 @@ class DynamicRepresentation(Representation):
                 else None
             ),
             "alpha": self._alpha,
-            "structure": self._structure.snapshot_state(),
+            "structure": self._structure.snapshot_state(self._db),
             "inserts": sorted(
                 (name, sorted(rows, key=repr))
                 for name, rows in self._inserts.items()
@@ -402,7 +405,7 @@ class DynamicRepresentation(Representation):
             self._alpha = state["alpha"]
             self._db = database_from_state(state["db"])
             self._structure = CompressedRepresentation.from_snapshot_state(
-                state["structure"]
+                state["structure"], enclosing_db=self._db
             )
             self._inserts = {
                 name: {tuple(row) for row in rows}

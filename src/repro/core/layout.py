@@ -23,9 +23,15 @@ once, at representation-build time — into flat, array-backed sorted runs:
 
 Everything is stored in *index space* (integer positions into the per
 coordinate domains, see :mod:`repro.core.domain`), so the hot loops touch
-only integers; a structure's own runs serialize as packed ``int64`` bytes
-(via :mod:`array`) and everything lives in memory as plain lists —
-C-speed ``bisect`` probes without per-access boxing.
+only integers; a structure's own columns serialize as packed arrays of
+the narrowest fixed-width typecode that holds them (via :mod:`array`,
+item size and byte order recorded beside the bytes) and everything lives
+in memory as plain lists — C-speed ``bisect`` probes without per-access
+boxing. The columns are the one stored and the one resident form of
+``(T, D)``: the node and dictionary objects the build produces are
+compiled here and dropped, and exist afterwards only as views
+materialised from the columns when someone asks
+(:attr:`~repro.core.structure.CompressedRepresentation.tree`).
 
 The kernel is the one enumerator of the static structures: answers,
 order, and measured delay statistics are bit-identical to the recursive
@@ -39,10 +45,15 @@ stale and is refused, not served (see :class:`CompiledLayout`).
 
 from __future__ import annotations
 
+import sys
 from array import array
-from typing import Dict, List, Optional, Sequence, Tuple
+from dataclasses import dataclass, field
+from itertools import accumulate, chain
+from operator import gt
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.core.intervals import box_decomposition
+from repro.exceptions import SnapshotError
 
 
 def numpy_backend():
@@ -51,107 +62,147 @@ def numpy_backend():
     return None
 
 
-def _as_array(values) -> array:
-    return array("q", values)
+#: Signed fixed-width typecodes of a packed int column, narrowest first.
+_INT_TYPECODES = ("b", "h", "i", "q")
 
 
-def _array_state(arr: array) -> bytes:
-    return arr.tobytes()
+def _pack(values: Iterable[int]) -> Tuple[str, int, bytes]:
+    """``(typecode, item size, bytes)``: the narrowest array holding them."""
+    values = list(values)
+    low, high = (min(values), max(values)) if values else (0, 0)
+    for code in _INT_TYPECODES:
+        itemsize = array(code).itemsize
+        bound = 1 << (8 * itemsize - 1)
+        if -bound <= low and high < bound:
+            return code, itemsize, array(code, values).tobytes()
+    raise OverflowError(f"column value outside 64 bits: {low}..{high}")
 
 
-def _array_from_state(blob: bytes) -> array:
-    arr = array("q")
-    arr.frombytes(blob)
-    return arr
+def _require(ok: bool, complaint: str) -> None:
+    if not ok:
+        raise SnapshotError(f"malformed {complaint}")
 
 
+def _unpack(where: str, packed, swap: bool, typecodes=_INT_TYPECODES) -> array:
+    """The array behind a :func:`_pack` triple, or a typed refusal."""
+    code, itemsize, blob = packed
+    _require(
+        code in typecodes and array(code).itemsize == itemsize,
+        f"{where}: unknown typecode {code!r} of item size {itemsize!r}",
+    )
+    _require(
+        isinstance(blob, bytes) and len(blob) % itemsize == 0,
+        f"{where}: not a whole number of {itemsize}-byte items",
+    )
+    values = array(code, blob)
+    if swap:
+        values.byteswap()
+    return values
+
+
+def _points(where: str, flat: List[int], width: int, count: int) -> List[Tuple]:
+    """``count`` index tuples of ``width`` out of one flat run."""
+    _require(
+        len(flat) == count * width,
+        f"{where}: {len(flat)} values for {count} points of width {width}",
+    )
+    if not width:
+        return [()] * count
+    return list(zip(*[iter(flat)] * width))
+
+
+@dataclass(eq=False, slots=True)
 class TreeColumns:
     """The delay-balanced tree as flat parallel node columns.
 
     ``left``/``right`` hold child node ids (``-1`` for absent children),
     ``low``/``high`` the interval endpoints as index tuples, ``beta`` the
-    split codes (None on leaves), and ``boxes`` each node's canonical box
-    decomposition pre-resolved to per-coordinate closed index ranges.
-    ``beta_values`` (decoded value tuples) is derived when a layout takes
-    the columns.
+    split codes (None on leaves), ``cost`` each node's ``T(I)`` (an
+    ``array('d')``: what the object view of a node needs beyond the
+    walk's columns; None on a layout nothing was costed for) and
+    ``boxes`` each node's canonical box decomposition pre-resolved to
+    per-coordinate closed index ranges. ``beta_values`` (decoded value
+    tuples) is derived when a layout takes the columns.
     """
 
-    __slots__ = (
-        "root",
-        "width",
-        "left",
-        "right",
-        "low",
-        "high",
-        "beta",
-        "boxes",
-        "beta_values",
-    )
-
-    def __init__(self, root, width, left, right, low, high, beta, boxes):
-        self.root = root
-        self.width = width
-        self.left = left
-        self.right = right
-        self.low = low
-        self.high = high
-        self.beta = beta
-        self.boxes = boxes
-        self.beta_values: List[Optional[Tuple]] = []
+    root: int
+    width: int
+    left: List[int]
+    right: List[int]
+    low: List[Tuple[int, ...]]
+    high: List[Tuple[int, ...]]
+    beta: List[Optional[Tuple[int, ...]]]
+    cost: Optional[array]
+    boxes: List[Tuple]
+    beta_values: List[Optional[Tuple]] = field(default_factory=list)
 
     def to_state(self) -> Dict:
-        n = len(self.left)
-        flat_low = _as_array(
-            [index for point in self.low for index in point]
-        )
-        flat_high = _as_array(
-            [index for point in self.high for index in point]
-        )
-        betas = [
-            (node_id, point)
-            for node_id, point in enumerate(self.beta)
-            if point is not None
-        ]
+        """Packed columns; the boxes as they are (pickle keeps tuples)."""
+        flat = chain.from_iterable
         return {
             "root": self.root,
             "width": self.width,
-            "count": n,
-            "left": _array_state(_as_array(self.left)),
-            "right": _array_state(_as_array(self.right)),
-            "low": _array_state(flat_low),
-            "high": _array_state(flat_high),
-            "beta": betas,
+            "count": len(self.left),
+            "left": _pack(self.left),
+            "right": _pack(self.right),
+            "low": _pack(flat(self.low)),
+            "high": _pack(flat(self.high)),
+            "leaf": bytes(point is None for point in self.beta),
+            "beta": _pack(flat(p for p in self.beta if p is not None)),
+            "cost": ("d", self.cost.itemsize, self.cost.tobytes()),
             "boxes": self.boxes,
         }
 
     @classmethod
-    def from_state(cls, state: Dict) -> "TreeColumns":
-        width = int(state["width"])
-        count = int(state["count"])
-        flat_low = _array_from_state(state["low"])
-        flat_high = _array_from_state(state["high"])
+    def from_state(cls, state: Dict, swap: bool) -> "TreeColumns":
+        """Unpack :meth:`to_state` output, checking what the kernel relies on.
 
-        def unflatten(flat):
-            return [
-                tuple(flat[i * width : (i + 1) * width])
-                for i in range(count)
-            ]
+        Every column is one entry per node; a child id is ``-1`` or lies
+        strictly between its parent's id and the node count (the builder
+        numbers nodes in creation order, so links only point forward and
+        a walk terminates); the root is node 0 of a non-empty tree.
+        """
 
-        beta: List[Optional[Tuple]] = [None] * count
-        for node_id, point in state["beta"]:
-            beta[int(node_id)] = tuple(point)
-        boxes = [
-            tuple(tuple(tuple(pair) for pair in box) for box in node_boxes)
-            for node_boxes in state["boxes"]
-        ]
+        where = "tree columns"
+
+        def ints(name: str) -> List[int]:
+            return _unpack(f"{where} ({name})", state[name], swap).tolist()
+
+        width, count, leaf = state["width"], state["count"], state["leaf"]
+        left, right, boxes = ints("left"), ints("right"), state["boxes"]
+        cost = _unpack(f"{where} (cost)", state["cost"], swap, ("d",))
+        _require(
+            isinstance(leaf, bytes) and leaf.count(0) + leaf.count(1) == count,
+            f"{where} (leaf): not a 0/1 mask of {count} nodes",
+        )
+        _require(
+            isinstance(boxes, list)
+            and len(left) == len(right) == len(cost) == len(boxes) == count,
+            f"{where}: not {count} entries in every column",
+        )
+        for name, column in (("left", left), ("right", right)):
+            forward = sum(map(gt, column, range(count)))
+            _require(
+                forward + column.count(-1) == count
+                and max(column, default=-1) < count,
+                f"{where} ({name}): child id out of range",
+            )
+        _require(
+            state["root"] == (0 if count else -1),
+            f"{where} (root): {state['root']!r} of {count} nodes",
+        )
+        split = iter(
+            _points(f"{where} (beta)", ints("beta"), width, leaf.count(0))
+        )
         return cls(
-            int(state["root"]),
+            state["root"],
             width,
-            list(_array_from_state(state["left"])),
-            list(_array_from_state(state["right"])),
-            unflatten(flat_low),
-            unflatten(flat_high),
-            beta,
+            left,
+            right,
+            _points(f"{where} (low)", ints("low"), width, count),
+            _points(f"{where} (high)", ints("high"), width, count),
+            [None if is_leaf else next(split) for is_leaf in leaf],
+            cost,
             boxes,
         )
 
@@ -161,36 +212,70 @@ class DictColumns:
 
     One bucket per access tuple: a sorted list of node ids and a parallel
     ``bytes`` of stored bits. A probe is one :func:`bisect_left` into the
-    id run — absence is the paper's ⊥ (light pair).
+    id run — absence is the paper's ⊥ (light pair). ``entries`` counts
+    the stored bits.
     """
 
-    __slots__ = ("buckets",)
+    __slots__ = ("buckets", "entries")
 
     _EMPTY: Tuple[List[int], bytes] = ([], b"")
 
     def __init__(self, buckets: Dict[Tuple, Tuple[List[int], bytes]]):
         self.buckets = buckets
+        self.entries = sum(len(bits) for _, bits in buckets.values())
 
     def bucket(self, access: Tuple) -> Tuple[List[int], bytes]:
         return self.buckets.get(access, self._EMPTY)
 
-    def to_state(self) -> List[Tuple]:
-        return sorted(
-            (access, _array_state(_as_array(ids)), bits)
-            for access, (ids, bits) in self.buckets.items()
-        )
+    def to_state(self) -> Dict:
+        """The buckets end to end: sorted accesses, offsets, ids, bits."""
+        accesses = sorted(self.buckets)
+        nodes: List[int] = []
+        offsets = [0]
+        for access in accesses:
+            nodes += self.buckets[access][0]
+            offsets.append(len(nodes))
+        return {
+            "access": accesses,
+            "offsets": _pack(offsets),
+            "nodes": _pack(nodes),
+            "bits": b"".join(self.buckets[access][1] for access in accesses),
+        }
 
     @classmethod
-    def from_state(cls, state: Sequence[Tuple]) -> "DictColumns":
-        return cls(
-            {
-                tuple(access): (
-                    list(_array_from_state(ids)),
-                    bytes(bits),
-                )
-                for access, ids, bits in state
-            }
+    def from_state(
+        cls, state: Dict, swap: bool, node_count: int
+    ) -> "DictColumns":
+        """Unpack and validate :meth:`to_state` output (codec v3)."""
+        where = "dictionary columns"
+        accesses, bits = state["access"], state["bits"]
+        offsets = _unpack(f"{where} (offsets)", state["offsets"], swap).tolist()
+        nodes = _unpack(f"{where} (nodes)", state["nodes"], swap).tolist()
+        _require(
+            isinstance(accesses, list)
+            and len(offsets) == len(accesses) + 1
+            and offsets == sorted(offsets)
+            and (offsets[0], offsets[-1]) == (0, len(nodes)),
+            f"{where} (offsets): not an ascending slice of the "
+            f"{len(nodes)} node ids per access",
         )
+        _require(
+            isinstance(bits, bytes) and len(bits) == len(nodes),
+            f"{where} (bits): not {len(nodes)} bytes",
+        )
+        _require(
+            not nodes or 0 <= min(nodes) <= max(nodes) < node_count,
+            f"{where} (nodes): node id out of range",
+        )
+        buckets = {
+            access: (nodes[start:end], bits[start:end])
+            for access, start, end in zip(accesses, offsets, offsets[1:])
+        }
+        _require(
+            len(buckets) == len(accesses),
+            f"{where} (access): repeated access tuple",
+        )
+        return cls(buckets)
 
 
 class AtomColumns:
@@ -334,56 +419,114 @@ class CompiledLayout:
     # explicit state (the snapshot boundary)
     # ------------------------------------------------------------------
     def to_state(self) -> Dict:
-        """What a structure owns: its tree and dictionary columns.
+        """What a structure owns — its tree and dictionary columns, once.
 
         The join columns are the context's, rebuilt or adopted with it.
+        Item sizes ride with each array and the byte order here, so the
+        bytes mean the same on whatever machine reads them.
         """
         return {
+            "byteorder": sys.byteorder,
             "tree": self.tree.to_state(),
             "dictionary": self.dictionary.to_state(),
         }
 
     @classmethod
-    def from_state(
-        cls, state: Dict, columns: JoinColumns, dict_version: int
-    ) -> "CompiledLayout":
-        """Rebuild a layout from :meth:`to_state` over ``columns``.
+    def from_state(cls, state: Dict, columns: JoinColumns) -> "CompiledLayout":
+        """A layout over ``columns`` from :meth:`to_state` output (codec v3).
 
-        ``dict_version`` is NOT stored: the owner re-pins it against the
-        dictionary restored alongside the layout. Blobs written before
-        join columns moved to the context also carry an ``"atoms"``
-        section; it is ignored.
+        Every shape the kernel relies on is checked; a section that
+        fails raises :class:`~repro.exceptions.SnapshotError` naming it.
+        ``dict_version`` is not stored: a restored dictionary is at the
+        version one ``set`` per entry would have reached.
         """
-        return cls(
-            TreeColumns.from_state(state["tree"]),
-            DictColumns.from_state(state["dictionary"]),
-            columns,
-            dict_version,
+        try:
+            order = state["byteorder"]
+            _require(
+                order in ("little", "big"),
+                f"columns (byteorder): unknown byte order {order!r}",
+            )
+            swap = order != sys.byteorder
+            tree = TreeColumns.from_state(state["tree"], swap)
+            dictionary = DictColumns.from_state(
+                state["dictionary"], swap, len(tree.left)
+            )
+        except (KeyError, TypeError, ValueError, OverflowError) as error:
+            raise SnapshotError(f"malformed columns: {error!r}") from error
+        _require(
+            tree.width == columns.space.width,
+            f"tree columns (width): {tree.width!r}, the view has "
+            f"{columns.space.width} free variables",
         )
+        return cls(tree, dictionary, columns, dict_version=dictionary.entries)
+
+
+def upgrade_legacy_state(state: Dict, tops: Sequence[int]) -> Dict:
+    """A codec v1 / v2 compressed state's ``(T, D)`` as a ``"columns"`` section.
+
+    Those states carry the tree as node records ``(low, high, level,
+    cost, beta, left, right)`` and the dictionary as ``(node, access,
+    bit)`` triples, and v2 also a ``"layout"`` of 64-bit columns, one
+    array per dictionary bucket (plus, at one age, an ``"atoms"``
+    section, ignored). The records give the costs — and, in v1,
+    everything: links, endpoints, β points, boxes by decomposition. What
+    comes back is read by the one decoder, :meth:`CompiledLayout.from_state`.
+    """
+    flat = chain.from_iterable
+    records = state["tree"]["nodes"]
+    cost = array("d", [record[3] for record in records])
+    layout = state.get("layout")
+    if layout is None:
+        low = [tuple(record[0]) for record in records]
+        high = [tuple(record[1]) for record in records]
+        tree = TreeColumns(
+            0 if records else -1,
+            len(tops),
+            [-1 if r[5] is None else r[5] for r in records],
+            [-1 if r[6] is None else r[6] for r in records],
+            low,
+            high,
+            [None if r[4] is None else tuple(r[4]) for r in records],
+            cost,
+            [tuple(box_decomposition(*ends, tops)) for ends in zip(low, high)],
+        ).to_state()
+        dictionary = _compile_dictionary(
+            ((node_id, tuple(access)), bit)
+            for node_id, access, bit in state["dictionary"]
+        ).to_state()
+    else:
+        tree = dict(layout["tree"], cost=("d", cost.itemsize, cost.tobytes()))
+        for name in ("left", "right", "low", "high"):
+            tree[name] = ("q", 8, tree[name])
+        splits = dict(tree["beta"])
+        tree["leaf"] = bytes(node not in splits for node in range(tree["count"]))
+        tree["beta"] = _pack(flat(splits[node] for node in sorted(splits)))
+        buckets = layout["dictionary"]
+        sizes = (len(ids) // 8 for _, ids, _ in buckets)
+        dictionary = {
+            "access": [tuple(access) for access, _, _ in buckets],
+            "offsets": _pack(accumulate(sizes, initial=0)),
+            "nodes": ("q", 8, b"".join(ids for _, ids, _ in buckets)),
+            "bits": b"".join(bits for _, _, bits in buckets),
+        }
+    return {"byteorder": sys.byteorder, "tree": tree, "dictionary": dictionary}
 
 
 # ----------------------------------------------------------------------
 # compilation
 # ----------------------------------------------------------------------
 def _compile_tree(tree, cost_model) -> TreeColumns:
-    root_id, left, right, lows, highs, betas = tree.columns()
     # The build already decomposed every node; its list is the column.
-    boxes = tree.node_boxes(cost_model.tops)
-    return TreeColumns(
-        root_id,
-        cost_model.ctx.space.width,
-        list(left),
-        list(right),
-        lows,
-        highs,
-        betas,
-        boxes,
-    )
+    root, *columns = tree.columns()
+    return TreeColumns(root, cost_model.ctx.space.width, *columns, tree.boxes)
 
 
-def _compile_dictionary(dictionary) -> DictColumns:
+def _compile_dictionary(
+    entries: Iterable[Tuple[Tuple[int, Tuple], int]]
+) -> DictColumns:
+    """Bucket ``((node id, access), bit)`` entries per access, ids sorted."""
     grouped: Dict[Tuple, List[Tuple[int, int]]] = {}
-    for (node_id, access), bit in dictionary.items():
+    for (node_id, access), bit in entries:
         grouped.setdefault(access, []).append((node_id, bit))
     buckets: Dict[Tuple, Tuple[List[int], bytes]] = {}
     for access, pairs in grouped.items():
@@ -465,7 +608,21 @@ def compile_layout(ctx, tree, dictionary, cost_model) -> CompiledLayout:
     """
     return CompiledLayout(
         _compile_tree(tree, cost_model),
-        _compile_dictionary(dictionary),
+        _compile_dictionary(dictionary.items()),
+        ctx.columns(),
+        dict_version=dictionary.version,
+    )
+
+
+def recompile_dictionary(ctx, layout, dictionary) -> CompiledLayout:
+    """``layout`` over an edited dictionary's bits, pinned to its version.
+
+    A new layout over the same tree columns: walks in flight keep the
+    one they started on.
+    """
+    return CompiledLayout(
+        layout.tree,
+        _compile_dictionary(dictionary.items()),
         ctx.columns(),
         dict_version=dictionary.version,
     )
@@ -482,9 +639,11 @@ def one_leaf_layout(ctx) -> CompiledLayout:
     """
     space = ctx.space
     if space.is_empty():
-        tree = TreeColumns(-1, space.width, [], [], [], [], [], [])
+        tree = TreeColumns(-1, space.width, [], [], [], [], [], None, [])
     else:
         low, high = space.bottom(), space.top()
         boxes = tuple(box_decomposition(low, high, high))
-        tree = TreeColumns(0, space.width, [-1], [-1], [low], [high], [None], [boxes])
+        tree = TreeColumns(
+            0, space.width, [-1], [-1], [low], [high], [None], None, [boxes]
+        )
     return CompiledLayout(tree, DictColumns({}), ctx.columns(), dict_version=0)

@@ -27,15 +27,43 @@ so a loader can refuse snapshots built from different data without
 decoding the payload.
 
 The payload is a pickle of plain containers only (dicts, lists, tuples,
-numbers, strings): the representation classes expose explicit
+numbers, strings, bytes): the representation classes expose explicit
 ``snapshot_state()`` / ``from_snapshot_state()`` methods instead of
 pickling their object graphs, which carry tries, caches and (in the
 engine layer) locks that must not cross the boundary.
+
+What a compressed state holds (codec v3): the normalized view, the
+database, ``τ`` / ``α`` / cover weights, the build stats and **one**
+structure section, ``"columns"`` — ``(T, D)`` as the compiled columns
+the kernel walks (:mod:`repro.core.layout`), stored once:
+
+* the tree as packed arrays, each ``(typecode, item size, bytes)`` in
+  the narrowest signed fixed-width typecode that holds its values —
+  child ids, the flat ``low`` / ``high`` endpoints, the β points of the
+  split nodes behind a one-byte-per-node leaf mask — plus the per-node
+  cost as ``array('d')`` and the pre-resolved boxes as the tuples they
+  are;
+* the dictionary as the sorted access list, one offsets array, one
+  node-id array and one ``bytes`` of bits;
+* the byte order the arrays were written in.
+
+No node records and no ``(node, access, bit)`` triples: those were the
+v1 / v2 form of the same facts (v2 stored them *beside* a 64-bit
+layout). Decoding validates every shape the kernel relies on — byte
+lengths against item sizes, child and node ids against the node count,
+offsets, the leaf mask, typecodes, byte order — and raises
+:class:`~repro.exceptions.SnapshotError` naming the section; the lists
+then go to the layout as they are. v1 and v2 blobs still load, into the
+same one-form instance; only v3 is written. ``decomposed`` states embed
+one compressed state per bag, ``dynamic`` states one for the inner
+structure — whose ``"db"`` is None when it is the dynamic state's own
+database, stored once.
 """
 
 from __future__ import annotations
 
 import hashlib
+import io
 import json
 import pickle
 import re
@@ -53,16 +81,14 @@ from repro.query.atoms import Atom, Constant, Variable
 from repro.query.conjunctive import ConjunctiveQuery
 
 SNAPSHOT_MAGIC = b"RPRS"
-#: Current write version. v2 adds the compiled columnar layout to the
-#: representation state; v1 blobs (no layout) are still readable — the
-#: loader recompiles the layout from the restored structure instead.
-#: A v2 layout is the structure's own tree and dictionary columns; v2
-#: blobs written while every layout carried its atoms' columns too hold
-#: an extra ``"atoms"`` section, which the loader ignores (a reader of
-#: that age refuses a blob without one as malformed — a typed error, a
-#: cache miss).
-SNAPSHOT_VERSION = 2
-SUPPORTED_VERSIONS = (1, 2)
+#: The one version written. v3 stores ``(T, D)`` once, as packed compiled
+#: columns (module docstring). Still read: v1 — node records and triples,
+#: the columns compiled from them on load — and v2 — the same two object
+#: sections beside a 64-bit ``"layout"`` (and, in blobs of one age, an
+#: ``"atoms"`` section, ignored). A reader older than a blob refuses it
+#: by version — a typed error, which the disk tier treats as a miss.
+SNAPSHOT_VERSION = 3
+SUPPORTED_VERSIONS = (1, 2, 3)
 
 _HEADER_PREFIX = struct.Struct(">4sH")
 _U16 = struct.Struct(">H")
@@ -227,6 +253,21 @@ def _own_fingerprint(representation) -> str:
     return database_fingerprint(db)
 
 
+def _dumps(state) -> bytes:
+    """Pickle a plain-data state with the pickler's memo switched off.
+
+    A state is a tree of plain containers: nothing in it is shared on
+    purpose and nothing is cyclic, so the memo buys one opcode per tuple
+    and bytes that depend on which equal values happen to be one object.
+    Without it a state's bytes are a function of its values.
+    """
+    buffer = io.BytesIO()
+    pickler = pickle.Pickler(buffer, protocol=pickle.HIGHEST_PROTOCOL)
+    pickler.fast = True
+    pickler.dump(state)
+    return buffer.getvalue()
+
+
 def encode_snapshot(
     representation, fingerprint: Optional[str] = None
 ) -> bytes:
@@ -240,9 +281,7 @@ def encode_snapshot(
     kind = snapshot_kind(representation)
     if fingerprint is None:
         fingerprint = _own_fingerprint(representation)
-    payload = pickle.dumps(
-        representation.snapshot_state(), protocol=pickle.HIGHEST_PROTOCOL
-    )
+    payload = _dumps(representation.snapshot_state())
     kind_bytes = kind.encode("utf-8")
     fingerprint_bytes = fingerprint.encode("utf-8")
     return b"".join(
@@ -301,6 +340,36 @@ def _parse_header(blob: bytes) -> Tuple[int, str, str, int, int, int]:
     fingerprint, offset = take_string(offset)
     (crc, length), offset = take(_TRAILER, offset)
     return version, kind, fingerprint, crc, length, offset
+
+
+def payload_sections(blob: bytes) -> List[Tuple[str, int]]:
+    """``(section, pickled bytes)`` of a blob's payload, in stored order.
+
+    Each top-level key of the state, with the sections that hold
+    structure opened (``columns.tree``, ``structure.db``,
+    ``structure.columns.dictionary``): where a blob's bytes go, and
+    whether ``(T, D)`` is in it once (v3: ``columns.*``) or twice (v2:
+    ``tree`` and ``dictionary`` beside ``layout.*``). Each section is
+    pickled alone, the way :func:`encode_snapshot` pickles the whole.
+    """
+    *_, crc, length, offset = _parse_header(blob)
+    payload = memoryview(blob)[offset:]
+    if len(payload) != length or zlib.crc32(payload) != crc:
+        raise SnapshotError("truncated or corrupted snapshot payload")
+
+    def sections(state: Dict, prefix: str) -> Iterator[Tuple[str, int]]:
+        for key, value in state.items():
+            if key in ("columns", "layout", "structure") and isinstance(
+                value, dict
+            ):
+                yield from sections(value, f"{prefix}{key}.")
+            else:
+                yield f"{prefix}{key}", len(_dumps(value))
+
+    try:
+        return list(sections(pickle.loads(payload), ""))
+    except _DECODE_ERRORS as error:
+        raise SnapshotError(f"corrupted snapshot payload: {error}") from error
 
 
 def inspect_snapshot(blob: bytes) -> Dict:
@@ -452,6 +521,10 @@ def inspect_snapshot_file(path: Union[str, Path]) -> Dict:
     blob = _read_blob(path)
     info = inspect_snapshot(blob)
     info["file_bytes"] = len(blob)
+    try:
+        info["sections"] = payload_sections(blob)
+    except SnapshotError:  # a damaged payload still has a header to show
+        info["sections"] = []
     return info
 
 

@@ -17,7 +17,12 @@ with delay ``Õ(τ)`` (Proposition 9) and answer time
 ``Õ(|q(D)| + τ·|q(D)|^{1/α})`` (Proposition 10).
 
 Every entry point runs that traversal through the columnar kernel
-(:mod:`repro.core.kernel`) over the layout compiled at build time. The
+(:mod:`repro.core.kernel`) over the layout compiled at build time — the
+one form of ``(T, D)`` an instance keeps and a snapshot stores: the tree
+and dictionary *objects* the build produces are compiled and dropped,
+and :attr:`CompressedRepresentation.tree` /
+:attr:`~CompressedRepresentation.dictionary` are views materialised from
+the columns when someone asks. The
 recursive, line-by-line transcription of Algorithm 2 is the executable
 spec in ``tests/reference_walk.py``: the kernel is tested against it row
 for row and step for step, and nothing here routes to it.
@@ -27,7 +32,7 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Dict, Iterator, List, Mapping, Optional, Sequence, Tuple
 
 from repro.core import layout as layout_mod
@@ -113,55 +118,96 @@ class CompressedRepresentation(Representation):
         self.original_view = view
         self.view, self.db = natural_form(view, db)
         self._bind(tau, weights, alpha, context)
-        self.tree: DelayBalancedTree = build_delay_balanced_tree(
-            self.cost_model, self.tau, self.alpha
-        )
+        tree = build_delay_balanced_tree(self.cost_model, self.tau, self.alpha)
         outputs, output_count = self._materialize_outputs()
-        self.dictionary: HeavyDictionary = build_dictionary(
-            self.cost_model, self.tree, outputs
-        )
-        self.stats = BuildStats(
-            tau=self.tau,
-            alpha=self.alpha,
-            weights=dict(self.weights),
-            tree_nodes=len(self.tree.nodes),
-            tree_depth=self.tree.depth(),
-            dictionary_entries=len(self.dictionary),
-            output_tuples=output_count,
-            build_seconds=time.perf_counter() - started,
-        )
-        self.compile_layout()
+        dictionary = build_dictionary(self.cost_model, tree, outputs)
+        self._compile(tree, dictionary, output_count, started)
 
     # ------------------------------------------------------------------
     # columnar kernel layout
     # ------------------------------------------------------------------
-    def compile_layout(self) -> "layout_mod.CompiledLayout":
-        """Compile (or recompile) the columnar layout for this structure.
+    def _compile(self, tree, dictionary, output_count, started) -> None:
+        """Take a built ``(T, D)``: record its stats, keep its columns.
 
-        Called at build time and after any in-place dictionary edit (the
-        Algorithm 4 refinement does this); ``layout_compile_seconds``
+        The objects are the caller's locals and end with it; from here
+        the instance holds the compiled layout and nothing else.
+        """
+        self.stats = BuildStats(
+            tau=self.tau,
+            alpha=self.alpha,
+            weights=dict(self.weights),
+            tree_nodes=len(tree.nodes),
+            tree_depth=tree.depth(),
+            dictionary_entries=len(dictionary),
+            output_tuples=output_count,
+            build_seconds=time.perf_counter() - started,
+        )
+        started = time.perf_counter()
+        self._tree = self._dictionary = None
+        self._layout = layout_mod.compile_layout(
+            self.ctx, tree, dictionary, self.cost_model
+        )
+        self.layout_compile_seconds = time.perf_counter() - started
+
+    @property
+    def tree(self) -> DelayBalancedTree:
+        """The delay-balanced tree as node objects: a view of the columns.
+
+        Materialised on first touch and kept; nothing that serves,
+        accounts or stores reads it.
+        """
+        if self._tree is None:
+            self._tree = DelayBalancedTree.from_columns(
+                self._layout.tree, self.tau, self.alpha
+            )
+        return self._tree
+
+    @property
+    def dictionary(self) -> HeavyDictionary:
+        """The heavy dictionary as a probe-and-edit object: a view.
+
+        Materialised on first touch and kept, at the version the layout
+        is pinned to. An in-place edit moves that version, which makes
+        the layout stale until :meth:`compile_layout` writes the edit
+        back into the columns.
+        """
+        if self._dictionary is None:
+            self._dictionary = HeavyDictionary.from_columns(
+                self._layout.dictionary, self._layout.dict_version
+            )
+        return self._dictionary
+
+    def compile_layout(self) -> "layout_mod.CompiledLayout":
+        """Write an edited dictionary view back into the columns.
+
+        Called after an in-place dictionary edit (the Algorithm 4
+        refinement does this); with no dictionary view materialised
+        there is nothing the columns lack. ``layout_compile_seconds``
         records the cost for the telemetry histogram.
         """
         started = time.perf_counter()
-        self._layout = layout_mod.compile_layout(
-            self.ctx, self.tree, self.dictionary, self.cost_model
-        )
+        if self._dictionary is not None:
+            self._layout = layout_mod.recompile_dictionary(
+                self.ctx, self._layout, self._dictionary
+            )
         self.layout_compile_seconds = time.perf_counter() - started
         return self._layout
 
     def _fresh_layout(self) -> "layout_mod.CompiledLayout":
         """The compiled layout — the one check every enumeration passes.
 
-        A layout whose ``dict_version`` lags the dictionary was compiled
-        before an in-place edit and would answer from the old bits: it is
-        refused, never served another way. :meth:`compile_layout` re-arms.
+        A layout whose ``dict_version`` lags a materialised dictionary
+        view was compiled before an in-place edit and would answer from
+        the old bits: it is refused, never served another way.
+        :meth:`compile_layout` re-arms.
         """
         layout = self._layout
-        if layout.dict_version != self.dictionary.version:
+        dictionary = self._dictionary
+        if dictionary is not None and layout.dict_version != dictionary.version:
             raise ParameterError(
                 f"stale layout for view {self.view.name!r}: compiled at "
                 f"dictionary version {layout.dict_version}, the dictionary "
-                f"is at {self.dictionary.version} — call compile_layout() "
+                f"is at {dictionary.version} — call compile_layout() "
                 "after editing the dictionary in place"
             )
         return layout
@@ -246,51 +292,55 @@ class CompressedRepresentation(Representation):
     # ------------------------------------------------------------------
     # explicit state (the snapshot boundary)
     # ------------------------------------------------------------------
-    def snapshot_state(self) -> Dict:
+    def snapshot_state(self, enclosing_db: Optional[Database] = None) -> Dict:
         """Plain-data state sufficient to restore this instance exactly.
 
         The state records the *normalized* view and database (what the
         structure was actually built over) plus the expensive build
-        artifacts — tree and dictionary — as explicit records. Tries,
+        artifact — ``(T, D)`` — once, as its compiled columns. Tries,
         domains and the cost model are deterministic functions of
         ``(view, db)`` and are rebuilt on restore — or adopted from a
         resident context over an equal ``(view, db)`` — rather than
         stored.
+
+        ``enclosing_db`` is for a state embedded in another that already
+        stores a database (a dynamic representation's): when it is this
+        structure's very database, ``"db"`` is None here and the
+        restorer hands the enclosing one back by reference.
         """
         from repro.core.snapshot import database_state, view_state
 
-        stats = self.stats
         return {
             "view": view_state(self.view),
-            "db": database_state(self.db),
+            "db": (
+                None if self.db is enclosing_db else database_state(self.db)
+            ),
             "tau": self.tau,
             "alpha": self.alpha,
             "weights": sorted(self.weights.items()),
-            "tree": self.tree.to_state(),
-            "dictionary": self.dictionary.to_state(),
             "stats": {
-                "tau": stats.tau,
-                "alpha": stats.alpha,
-                "weights": sorted(dict(stats.weights).items()),
-                "tree_nodes": stats.tree_nodes,
-                "tree_depth": stats.tree_depth,
-                "dictionary_entries": stats.dictionary_entries,
-                "output_tuples": stats.output_tuples,
-                "build_seconds": stats.build_seconds,
+                **asdict(self.stats),
+                "weights": sorted(self.stats.weights.items()),
             },
-            "layout": self._fresh_layout().to_state(),
+            "columns": self._fresh_layout().to_state(),
         }
 
     @classmethod
     def from_snapshot_state(
-        cls, state: Dict, context: Optional[ViewContext] = None
+        cls,
+        state: Dict,
+        context: Optional[ViewContext] = None,
+        enclosing_db: Optional[Database] = None,
     ) -> "CompressedRepresentation":
         """Restore an instance from :meth:`snapshot_state` output.
 
         Enumeration behavior (answers, order, delay steps) is identical
-        to the original: the tree and dictionary are restored bit for bit
-        and the rebuilt context is a pure function of the stored view and
-        database.
+        to the original: the columns are restored bit for bit — handed
+        to the layout as the lists they decode to, no tree or dictionary
+        object made on the way — and the rebuilt context is a pure
+        function of the stored view and database. A codec v1 / v2 state
+        (node records, triples, a 64-bit layout) restores into the same
+        one-form instance. ``enclosing_db`` is :meth:`snapshot_state`'s.
 
         With a resident ``context`` nothing is rebuilt: the instance
         adopts it — but only after the state's own view and database
@@ -303,7 +353,13 @@ class CompressedRepresentation(Representation):
         try:
             if context is None:
                 view = view_from_state(state["view"])
-                db = database_from_state(state["db"])
+                db = enclosing_db
+                if state["db"] is not None:
+                    db = database_from_state(state["db"])
+                if db is None:
+                    raise SnapshotError(
+                        "state points at an enclosing state's database"
+                    )
             elif (state["view"], state["db"]) == context.states():
                 view, db = context.view, context.db
             else:
@@ -317,27 +373,24 @@ class CompressedRepresentation(Representation):
             self._bind(
                 state["tau"], dict(state["weights"]), state["alpha"], context
             )
-            self.tree = DelayBalancedTree.from_state(state["tree"])
-            self.dictionary = HeavyDictionary.from_state(state["dictionary"])
             stats = dict(state["stats"])
             stats["weights"] = dict(stats["weights"])
             self.stats = BuildStats(**stats)
-            layout_state = state.get("layout")
-            if layout_state is not None:
-                # Codec v2: the structure's own compiled arrays ship with
-                # the snapshot; the join columns are the context's.
-                started = time.perf_counter()
-                self._layout = layout_mod.CompiledLayout.from_state(
-                    layout_state, self.ctx.columns(), self.dictionary.version
+            started = time.perf_counter()
+            self._tree = self._dictionary = None
+            columns = state.get("columns")
+            if columns is None:  # codec v1 / v2: records, triples, a layout
+                columns = layout_mod.upgrade_legacy_state(
+                    state, self.cost_model.tops
                 )
-                self.layout_compile_seconds = time.perf_counter() - started
-            else:
-                # Codec v1 blobs predate layouts: recompile on load.
-                self.compile_layout()
+            self._layout = layout_mod.CompiledLayout.from_state(
+                columns, self.ctx.columns()
+            )
+            self.layout_compile_seconds = time.perf_counter() - started
             return self
         except SnapshotError:
             raise
-        except (KeyError, TypeError, ValueError) as error:
+        except (KeyError, IndexError, TypeError, ValueError) as error:
             raise SnapshotError(
                 f"malformed compressed-representation state: {error}"
             ) from error
@@ -354,7 +407,7 @@ class CompressedRepresentation(Representation):
         optional counter accumulates logical steps for delay measurement.
         """
         access = self._check_access(access)
-        if self.tree.root is None:
+        if self._layout.tree.root < 0:
             return
         yield from kernel_enumerate(self._fresh_layout(), access, counter)
 
@@ -378,7 +431,7 @@ class CompressedRepresentation(Representation):
         used).
         """
         access = self._check_access(access)
-        if self.tree.root is None:
+        if self._layout.tree.root < 0:
             return
         start = self.ctx.space.ceil_point(start_values)
         if start is None:
@@ -430,8 +483,8 @@ class CompressedRepresentation(Representation):
         return SpaceReport(
             base_tuples=self.db.total_tuples(),
             index_cells=self.ctx.index_cells(),
-            tree_nodes=len(self.tree.nodes),
-            dictionary_entries=len(self.dictionary),
+            tree_nodes=len(self._layout.tree.left),
+            dictionary_entries=self._layout.dictionary.entries,
         )
 
     @property

@@ -19,10 +19,12 @@ unchanged when the index-space build became the only one —
   the heavy dictionary of Section 4.3, re-costing what they need.
 
 The contract between the two builds is *equality of state*: the same
-``tree.to_state()``, the same ``dictionary.to_state()`` in the same
-insertion order, the same ``layout.to_state()`` — every float the same
-bits, because the counts are exact integers, the factors are multiplied
-in atom order and the boxes summed in box order on both sides.
+compiled columns — links, endpoints, β points, boxes, costs, dictionary
+buckets in the same insertion order — hence the same ``tree`` and
+``dictionary`` views and the same ``layout.to_state()``, every float
+the same bits, because the counts are exact integers, the factors are
+multiplied in atom order and the boxes summed in box order on both
+sides.
 :func:`spec_structure` assembles a whole
 :class:`~repro.core.structure.CompressedRepresentation` from the spec
 builders so the two can be compared ``snapshot_state()`` to
@@ -47,7 +49,7 @@ from repro.core.dictionary import (
     output_nonempty_in,
 )
 from repro.core.domain import TupleSpace
-from repro.core.structure import BuildStats, CompressedRepresentation
+from repro.core.structure import CompressedRepresentation
 from repro.database.index import TrieNode
 from repro.exceptions import ParameterError
 from repro.query.rewriting import natural_form
@@ -594,21 +596,11 @@ def spec_structure(
     self.view, self.db = natural_form(view, db)
     self._bind(tau, weights, alpha, context)
     model = SpecCostModel(self.ctx, self.weights, self.alpha)
-    self.tree = spec_build_tree(model, self.tau, self.alpha)
-    self.tree.boxes = [
-        box_rows(model.boxes_of(node.interval)) for node in self.tree.nodes
+    tree = spec_build_tree(model, self.tau, self.alpha)
+    tree.boxes = [
+        box_rows(model.boxes_of(node.interval)) for node in tree.nodes
     ]
     outputs, output_count = self._materialize_outputs()
-    self.dictionary = spec_build_dictionary(model, self.tree, outputs)
-    self.stats = BuildStats(
-        tau=self.tau,
-        alpha=self.alpha,
-        weights=dict(self.weights),
-        tree_nodes=len(self.tree.nodes),
-        tree_depth=self.tree.depth(),
-        dictionary_entries=len(self.dictionary),
-        output_tuples=output_count,
-        build_seconds=time.perf_counter() - started,
-    )
-    self.compile_layout()
+    dictionary = spec_build_dictionary(model, tree, outputs)
+    self._compile(tree, dictionary, output_count, started)
     return self

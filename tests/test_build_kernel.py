@@ -365,11 +365,12 @@ def test_a_built_structure_keeps_no_build_memo():
             for name in vars(holder)
             if "cache" in name or "memo" in name or "walk" in name
         ]
-    # A structure restored from its state decomposes nothing up front.
+    # A structure restored from its state decomposes nothing: the view
+    # of its tree shares the boxes the state carried.
     restored = CompressedRepresentation.from_snapshot_state(
         structure.snapshot_state()
     )
-    assert restored.tree.boxes is None
+    assert restored.tree.boxes is restored._fresh_layout().tree.boxes
     assert comparable(restored.snapshot_state()) == comparable(
         structure.snapshot_state()
     )

@@ -15,15 +15,14 @@ snapshot codec versions load.
 """
 
 import itertools
-import pickle
 import random
 import sys
 import threading
-import zlib
 
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
+from legacy_codec import legacy_blob
 from oracle import oracle_accesses, oracle_answer
 from reference_build import FBox, ScalarInterval
 from reference_walk import _join_box, reference_walk
@@ -34,7 +33,6 @@ from repro.core.decomposed import DecomposedRepresentation
 from repro.core.dynamic import DynamicRepresentation
 from repro.core.constant_delay import ConnexConstantDelayStructure
 from repro.core.snapshot import (
-    SNAPSHOT_MAGIC,
     SUPPORTED_VERSIONS,
     decode_snapshot,
     encode_snapshot,
@@ -500,18 +498,20 @@ class TestStepParity:
     def test_decomposed_build_compiles_each_bag_when_its_bits_are_final(
         self, refine, monkeypatch
     ):
-        # Algorithm 4 edits a bag's dictionary in place. The bag is
-        # recompiled right after its own flips (post-order), so every
-        # child a parent probes already answers from a fresh layout:
-        # one compile per bag, plus one per bag Algorithm 4 edited.
+        # Algorithm 4 edits a bag's dictionary in place. The bag's edit
+        # is written back right after its own flips (post-order), so
+        # every child a parent probes already answers from fresh bits:
+        # one compile per bag, plus one dictionary write-back per bag
+        # Algorithm 4 edited.
         compiles = []
-        compile_layout = layout_mod.compile_layout
-
-        def counting(ctx, tree, dictionary, cost_model):
-            compiles.append(dictionary)
-            return compile_layout(ctx, tree, dictionary, cost_model)
-
-        monkeypatch.setattr(layout_mod, "compile_layout", counting)
+        for name in ("compile_layout", "recompile_dictionary"):
+            compiler = getattr(layout_mod, name)
+            monkeypatch.setattr(
+                layout_mod,
+                name,
+                lambda *args, _compiler=compiler: compiles.append(args)
+                or _compiler(*args),
+            )
         view = path_view(4)
         db = path_database(4, 40, 10, seed=10)
         rep = DecomposedRepresentation(view, db, refine=refine)
@@ -1103,11 +1103,14 @@ class TestSnapshotCodec:
         return view, db, CompressedRepresentation(view, db, tau=4.0)
 
     def test_v2_round_trip_ships_the_layout(self, built):
+        # v3 since PR 24: the layout is the one structure section.
         view, db, rep = built
         blob = encode_snapshot(rep)
         header = inspect_snapshot(blob)
-        assert header["version"] == 2
-        assert rep.snapshot_state()["layout"] is not None
+        assert header["version"] == 3
+        state = rep.snapshot_state()
+        assert sorted(state["columns"]) == ["byteorder", "dictionary", "tree"]
+        assert not {"tree", "dictionary", "layout"} & set(state)
         restored = decode_snapshot(blob)
         assert restored.kernel_ready
         for access in oracle_accesses(view, db, limit=6):
@@ -1117,26 +1120,9 @@ class TestSnapshotCodec:
 
     def test_v1_blob_loads_and_recompiles(self, built):
         view, db, rep = built
-        from repro.core import snapshot as snap
-
-        # Hand-craft a version-1 blob: same framing, no "layout" key in
+        # A version-1 blob: node records and triples, no "layout" key in
         # the payload (v1 predates compiled layouts).
-        state = rep.snapshot_state()
-        state.pop("layout")
-        payload = pickle.dumps(state, protocol=pickle.HIGHEST_PROTOCOL)
-        kind = snap.snapshot_kind(rep).encode("utf-8")
-        fingerprint = snap._own_fingerprint(rep).encode("utf-8")
-        blob = b"".join(
-            (
-                snap._HEADER_PREFIX.pack(SNAPSHOT_MAGIC, 1),
-                snap._U16.pack(len(kind)),
-                kind,
-                snap._U16.pack(len(fingerprint)),
-                fingerprint,
-                snap._TRAILER.pack(zlib.crc32(payload), len(payload)),
-                payload,
-            )
-        )
+        blob = legacy_blob(rep, 1)
         assert inspect_snapshot(blob)["version"] == 1
         assert 1 in SUPPORTED_VERSIONS
         restored = decode_snapshot(blob)
