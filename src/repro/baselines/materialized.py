@@ -8,6 +8,7 @@ from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 from repro.core.context import ViewContext
 from repro.core.representation import Representation
 from repro.database.catalog import Database
+from repro.database.index import TrieIndex
 from repro.joins.generic_join import JoinCounter, generic_join
 from repro.measure.space import SpaceReport
 from repro.query.adorned import AdornedView
@@ -29,17 +30,20 @@ class MaterializedView(Representation):
         ctx = ViewContext(self.view, self.db)
         self.ctx = ctx
         order = ctx.bound_order + ctx.free_order
-        atoms = [
-            (binding.trie.root, binding.bound_vars + binding.free_vars)
+        # A variable-less atom joins on no level: whether its trie holds
+        # the empty key is all it says, and without it the join is empty.
+        roots = [
+            TrieIndex(binding.relation, binding.column_order).descend(())
             for binding in ctx.atoms
         ]
-        domains = dict(ctx.free_value_domains)
-        for var, domain in ctx.bound_domains.items():
-            domains[var] = domain.values
+        atoms = [
+            (root, binding.bound_vars + binding.free_vars)
+            for root, binding in zip(roots, ctx.atoms)
+        ]
         n_bound = len(ctx.bound_order)
         self._index: Dict[Tuple, List[Tuple]] = {}
         self._size = 0
-        for row in generic_join(atoms, order, domains=domains):
+        for row in () if None in roots else generic_join(atoms, order):
             self._index.setdefault(row[:n_bound], []).append(row[n_bound:])
             self._size += 1
         self.build_seconds = time.perf_counter() - started

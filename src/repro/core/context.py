@@ -1,4 +1,4 @@
-"""Per-view evaluation context: orders, domains, and atom tries.
+"""Per-view evaluation context: orders, domains, and the atoms' index.
 
 A :class:`ViewContext` freezes everything the Theorem 1 machinery needs
 about one (natural-join) adorned view over one database:
@@ -7,11 +7,11 @@ about one (natural-join) adorned view over one database:
   tuples align with it;
 * the global *free order* (free head variables, head order) — the
   lexicographic enumeration order and the coordinate order of f-intervals;
-* per-free-variable active domains and the induced
+* per-variable active domains and the induced
   :class:`~repro.core.domain.TupleSpace`;
-* one :class:`AtomBinding` per atom, holding the trie indexed
-  (bound variables first, then free variables in free order) that serves
-  counting, joining and membership during a build.
+* one :class:`AtomBinding` per atom: its variables, its access
+  positions and its key order (bound variables first, then free
+  variables in free order).
 
 None of it depends on ``τ``: this is the ``|D|`` term of Theorem 1, and
 the per-view half of a static structure. A context is immutable once
@@ -19,9 +19,11 @@ built, so one instance is shared by reference by every structure (every
 ``τ``) built or restored over the same ``(view, database)`` — the
 engine keeps one per registration. It also carries the other pure
 functions of ``(view, database)`` a structure needs, memoised on first
-use: the kernel's join columns, the tries a build counts and joins with,
-the default max-slack cover, the trie cell count, and the plain
-view/database states a snapshot must equal to adopt the context.
+use: the atoms' one sorted index (:meth:`ViewContext.columns`, what the
+kernel enumerates from and a build counts and joins on), the
+multiplicity counts an unrestricted cost needs, the default max-slack
+cover, the index's cell count, and the plain view/database states a
+snapshot must equal to adopt the context.
 """
 
 from __future__ import annotations
@@ -29,9 +31,13 @@ from __future__ import annotations
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.database.catalog import Database
-from repro.database.index import TrieIndex, TrieNode
 from repro.core.domain import Domain, TupleSpace
-from repro.core.layout import JoinColumns, compile_join_columns
+from repro.core.layout import (
+    AtomColumns,
+    JoinColumns,
+    compile_count_columns,
+    compile_join_columns,
+)
 from repro.core.snapshot import database_state, view_state
 from repro.exceptions import QueryError
 from repro.hypergraph.covers import max_slack_cover
@@ -41,13 +47,11 @@ from repro.query.atoms import Atom, Variable
 
 
 class AtomBinding:
-    """One atom's variables, positions and tries within a view context.
+    """One atom's variables and positions within a view context.
 
-    The tries are what the *build* reads — counting, the preprocessing
-    joins, membership — and are built when it first asks (memoised like
-    the context's own memos, benign on a race); serving reads the
-    context's join columns, compiled from the rows, so a context that is
-    only ever served from builds none.
+    ``column_order`` is the atom's key: its bound columns first, then its
+    free ones in the global free order — the order of the context's one
+    index over the relation (:meth:`ViewContext.columns`).
     """
 
     __slots__ = (
@@ -59,8 +63,6 @@ class AtomBinding:
         "free_coordinates",
         "relation",
         "column_order",
-        "_trie",
-        "_free_trie",
     )
 
     def __init__(
@@ -101,54 +103,12 @@ class AtomBinding:
             atom.variable_positions(v)[0]
             for v in self.bound_vars + self.free_vars
         )
-        self._trie: Optional[TrieIndex] = None
-        self._free_trie: Optional[TrieIndex] = None
 
-    @property
-    def trie(self) -> TrieIndex:
-        """The trie over ``column_order`` (distinct keys)."""
-        trie = self._trie
-        if trie is None:
-            trie = self._trie = TrieIndex(self.relation, self.column_order)
-        return trie
 
-    @property
-    def free_trie(self) -> TrieIndex:
-        """Free-columns-only trie with tuple multiplicities.
-
-        The count oracle for the unrestricted |R_F ⋉ B| statistics (v_b
-        not fixed), read by cost models (and the cell count) alone. Nodes
-        of both tries sit "at the free levels", so the cost model can use
-        them interchangeably. With no bound variable the two index the
-        same columns in the same order over a set of rows (every key is a
-        whole row, so multiplicities are all 1): one trie serves as both.
-        """
-        if not self.bound_vars:
-            return self.trie
-        trie = self._free_trie
-        if trie is None:
-            free_positions = self.column_order[len(self.bound_vars) :]
-            trie = self._free_trie = TrieIndex(
-                self.relation, free_positions, dedupe=False
-            )
-        return trie
-
-    def subtrie(self, access: Sequence) -> Optional[TrieNode]:
-        """The trie node fixing this atom's bound variables per the access
-        tuple; None when no tuple of the relation matches."""
-        prefix = tuple(access[i] for i in self.bound_access_positions)
-        return self.trie.descend(prefix)
-
-    def contains(self, access: Sequence, free_values: Sequence) -> bool:
-        """Membership of the full tuple assembled from (access, free values).
-
-        ``free_values`` is a complete value tuple over the *global* free
-        order; the atom picks out its own coordinates.
-        """
-        key = tuple(access[i] for i in self.bound_access_positions) + tuple(
-            free_values[c] for c in self.free_coordinates
-        )
-        return self.trie.contains(key)
+def _trie_edges(rows, positions: Sequence[int]) -> int:
+    """Edges of a trie over ``positions``: its distinct non-empty prefixes."""
+    columns = [[row[p] for row in rows] for p in positions]
+    return sum(len(set(zip(*columns[:depth]))) for depth in range(1, len(columns) + 1))
 
 
 class ViewContext:
@@ -179,15 +139,12 @@ class ViewContext:
             v: Domain(self._occurrence_values(v)) for v in self.bound_order
         }
         self.space = TupleSpace(self.free_domains)
-        # Sorted raw value sequences, for generic-join fallbacks.
-        self.free_value_domains: Dict[Variable, Tuple] = {
-            v: d.values for v, d in zip(self.free_order, self.free_domains)
-        }
         self.hypergraph: Hypergraph = hypergraph_of_view(view)
         # Memos of pure functions of (view, db). Unsynchronised on
         # purpose: racing threads compute equal values and the last
         # assignment wins.
         self._columns: Optional[JoinColumns] = None
+        self._count_columns: Optional[Tuple[AtomColumns, ...]] = None
         self._default_cover: Optional[Tuple[Dict[int, float], float]] = None
         self._index_cells: Optional[int] = None
         self._states: Optional[Tuple[Dict, List]] = None
@@ -200,51 +157,44 @@ class ViewContext:
         return values
 
     # ------------------------------------------------------------------
-    def subtries(self, access: Sequence) -> List[Optional[TrieNode]]:
-        """Per-atom subtries under the access tuple (aligned with atoms)."""
-        if len(access) != len(self.bound_order):
-            raise QueryError(
-                f"access tuple {tuple(access)!r} has {len(access)} values, "
-                f"expected {len(self.bound_order)}"
-            )
-        return [binding.subtrie(access) for binding in self.atoms]
-
-    def beta_matches(self, access: Sequence, free_values: Sequence) -> bool:
-        """True iff the full valuation (access ∪ free values) is in the join."""
-        return all(
-            binding.contains(access, free_values) for binding in self.atoms
-        )
-
-    def free_ranges_of_box(self, box) -> Dict[Variable, Tuple]:
-        """Translate an f-box (index rows) into per-variable value ranges."""
-        ranges: Dict[Variable, Tuple] = {}
-        for coordinate, (low, high) in enumerate(box):
-            domain = self.free_domains[coordinate]
-            if low == 0 and high == domain.top:
-                continue  # unrestricted
-            ranges[self.free_order[coordinate]] = (
-                domain.value_at(low),
-                domain.value_at(high),
-            )
-        return ranges
-
     def columns(self) -> JoinColumns:
-        """The atoms in the kernel's columnar form, compiled once.
+        """The atoms' one index, compiled from their rows once.
 
         Every layout over this context — every ``τ``, built or restored —
-        holds these objects by reference. They come from the relations'
-        rows, not from the tries: a context that is only enumerated from
-        (a dirty dynamic version's) builds no trie at all.
+        holds these objects by reference, and a build counts and joins
+        on them too.
         """
         if self._columns is None:
             self._columns = compile_join_columns(self)
         return self._columns
 
+    def count_columns(self) -> Tuple[AtomColumns, ...]:
+        """Per atom, the columns an unrestricted ``T(B)`` counts on.
+
+        An atom with a bound variable needs its rows counted by their
+        free part alone, repeats included: a second instance over the
+        free columns, compiled when a build first asks — so a context
+        that is only enumerated from (a dirty dynamic version's) has
+        none. Any other atom counts on :meth:`columns` itself.
+        """
+        if self._count_columns is None:
+            self._count_columns = compile_count_columns(self)
+        return self._count_columns
+
     def index_cells(self) -> int:
-        """Total logical size of the atom tries (both access paths)."""
+        """Cells of the atoms' index, as a trie per access path counts them.
+
+        One cell per edge of a trie over each atom's column order and of
+        one over its free columns — an atom without a bound variable
+        counted twice — read off the rows, not off an index.
+        """
         if self._index_cells is None:
             self._index_cells = sum(
-                binding.trie.cells() + binding.free_trie.cells()
+                _trie_edges(binding.relation.rows, binding.column_order)
+                + _trie_edges(
+                    binding.relation.rows,
+                    binding.column_order[len(binding.bound_vars) :],
+                )
                 for binding in self.atoms
             )
         return self._index_cells

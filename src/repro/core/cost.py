@@ -9,17 +9,23 @@ shows ``T(v_b, I)`` bounds the time to evaluate the join restricted to
 ``(v_b, I)`` with a worst-case-optimal algorithm; the compressed
 representation uses it as its notion of "expensive sub-instance".
 
-Counts ``|R_F(v_b, B)|`` come from the atom tries in ``O(arity · log |D|)``:
-descend the bound values and the unit prefix, then range-count one
-coordinate. Exponents ``û_F = 0`` contribute a factor of 1 by the usual
-``x^0 = 1`` convention (including ``x = 0``), matching the paper's product.
+Counts ``|R_F(v_b, B)|`` come from the context's sorted index over each
+atom (:class:`~repro.core.layout.AtomColumns`) in ``O(arity · log |D|)``:
+take the slice of the bound values, descend the unit prefix by one
+bisect per level, then count one coordinate's index range off the prefix
+count column — two bisects and a subtraction. Unrestricted counts
+(``v_b`` not fixed) read the context's free-columns-only instances,
+which keep each row's multiplicity. Exponents ``û_F = 0`` contribute a
+factor of 1 by the usual ``x^0 = 1`` convention (including ``x = 0``),
+matching the paper's product.
 
-Boxes are the plain index rows of :mod:`repro.core.intervals`. The
-counts are exact integers, the factors are multiplied in atom order and
-the boxes summed in box order, so a cost is one well-defined float —
-the object-form transcription in ``tests/reference_build.py`` computes
-the same bits. A :class:`CostWalk` evaluates many boxes over one set of
-subtries and remembers the trie nodes below the last unit prefix, so the
+Boxes are the plain index rows of :mod:`repro.core.intervals`, and the
+whole evaluation stays in index space. The counts are exact integers,
+the factors are multiplied in atom order and the boxes summed in box
+order, so a cost is one well-defined float — the object-form
+transcription in ``tests/reference_build.py``, counting on tries,
+computes the same bits. A :class:`CostWalk` evaluates many boxes under
+one access and remembers the slices below the last unit prefix, so the
 probes of one split and the consecutive boxes of one interval descend
 their shared prefix once.
 """
@@ -28,12 +34,14 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_left, bisect_right
-from typing import Iterable, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 from repro.core.context import ViewContext
 from repro.core.intervals import Box, FInterval, box_decomposition
-from repro.database.index import TrieNode
 from repro.exceptions import ParameterError
+
+#: Per factor atom, a slice ``(lo, hi)`` of one level of its columns.
+Slices = List[Tuple[int, int]]
 
 
 class CostModel:
@@ -42,7 +50,7 @@ class CostModel:
     Parameters
     ----------
     ctx:
-        The view context (atom tries, domains, orders).
+        The view context (atom columns, domains, orders).
     weights:
         Fractional edge cover ``u`` of all variables, keyed by atom index.
     alpha:
@@ -74,8 +82,8 @@ class CostModel:
             domain.top for domain in ctx.space.domains
         )
         # The atoms with a factor in the product, in atom order (a zero
-        # exponent is a factor of 1 whatever the count), their exponents,
-        # and per coordinate which of them the coordinate constrains.
+        # exponent is a factor of 1 whatever the count), and their
+        # exponents; what a walk reads of their columns, per atom set.
         self._factors: List[int] = [
             position
             for position, binding in enumerate(ctx.atoms)
@@ -84,53 +92,76 @@ class CostModel:
         self._exponents = [
             self.uhat[ctx.atoms[position].label] for position in self._factors
         ]
-        self._constrains = [
-            [
-                coordinate in ctx.atoms[position].free_coordinates
-                for position in self._factors
-            ]
-            for coordinate in range(ctx.space.width)
-        ]
-        self._values = [domain.values for domain in ctx.space.domains]
+        self._plans: Dict[bool, List[Tuple]] = {}
+
+    def _plan(self, atoms) -> List[Tuple]:
+        """Per coordinate, what a walk over ``atoms`` reads there.
+
+        ``(probes, runs, counts, exponents)``: a probe ``(slot, vals,
+        kid_lo, kid_hi)`` per factor atom the coordinate constrains (no
+        kid columns on its last level: a fixed entry stays the one-entry
+        slice it is),
+        and per factor atom in order the level's values where the
+        coordinate clips its count (else None), the level's prefix
+        counts (None where they are the identity) and the atom's
+        exponent.
+        """
+        plan = []
+        for coordinate in range(max(len(self.tops), 1)):
+            probes, runs, counts = [], [], []
+            for slot, atom in enumerate(atoms):
+                level = bisect_left(atom.coords, coordinate)
+                level = min(level, max(atom.width - 1, 0))
+                run = None
+                if coordinate in atom.coords:
+                    run = atom.vals[level]
+                    kids = (None, None)
+                    if level + 1 < atom.width:
+                        kids = (atom.kid_lo[level], atom.kid_hi[level])
+                    probes.append((slot, run, *kids))
+                runs.append(run)
+                level_counts = atom.counts[level]
+                # None: one key per entry, so a slice counts its length.
+                counts.append(None if type(level_counts) is range else level_counts)
+            plan.append((probes, runs, counts, self._exponents))
+        return plan
 
     # ------------------------------------------------------------------
-    def walk(
-        self, subtries: Optional[Sequence[Optional[TrieNode]]] = None
-    ) -> "CostWalk":
-        """A fresh evaluator of ``T(B)`` or, over some v_b's per-atom
-        subtries (aligned with the atoms), of ``T(v_b, B)``.
+    def walk(self, access: Optional[Sequence] = None) -> "CostWalk":
+        """A fresh evaluator of ``T(B)`` or, under ``access``, ``T(v_b, B)``.
 
-        Unrestricted counts come from the free-columns-only tries with
-        tuple multiplicities; their roots sit at the free levels like a
-        v_b-descended subtrie.
+        Unrestricted counts come from the free-columns-only instances
+        with row multiplicities; a restricted one starts from the slice
+        of the access's bound values in the atoms' own columns.
         """
-        if subtries is None:
-            subtries = [binding.free_trie.root for binding in self.ctx.atoms]
-        return CostWalk(self, [subtries[position] for position in self._factors])
+        unrestricted = access is None
+        if unrestricted:
+            atoms, access = self.ctx.count_columns(), ()
+        else:
+            atoms = self.ctx.columns().atoms
+        atoms = [atoms[position] for position in self._factors]
+        plan = self._plans.get(unrestricted)
+        if plan is None:
+            plan = self._plans[unrestricted] = self._plan(atoms)
+        return CostWalk(self, plan, [atom.root_range(access) for atom in atoms])
 
     def boxes(self, interval: FInterval) -> List[Box]:
         """The box decomposition of an interval of this model's space."""
         return box_decomposition(interval.low, interval.high, self.tops)
 
-    def box_cost(
-        self,
-        box: Box,
-        subtries: Optional[Sequence[Optional[TrieNode]]] = None,
-    ) -> float:
-        """``T(B)`` or, with per-atom subtries for some v_b, ``T(v_b, B)``."""
-        return self.walk(subtries).box_cost(box)
+    def box_cost(self, box: Box, access: Optional[Sequence] = None) -> float:
+        """``T(B)`` or, with an access tuple for some v_b, ``T(v_b, B)``."""
+        return self.walk(access).box_cost(box)
 
     def interval_cost(
-        self,
-        interval: FInterval,
-        subtries: Optional[Sequence[Optional[TrieNode]]] = None,
+        self, interval: FInterval, access: Optional[Sequence] = None
     ) -> float:
         """``T(I) = Σ_{B ∈ B(I)} T(B)`` (and the v_b-restricted variant)."""
-        return self.walk(subtries).boxes_cost(self.boxes(interval))
+        return self.walk(access).boxes_cost(self.boxes(interval))
 
     def access_cost(self, interval: FInterval, access: Sequence) -> float:
         """``T(v_b, I)`` for an access tuple over the bound order."""
-        return self.interval_cost(interval, self.ctx.subtries(access))
+        return self.interval_cost(interval, access)
 
     def is_heavy(
         self, interval: FInterval, access: Sequence, threshold: float
@@ -140,14 +171,14 @@ class CostModel:
 
 
 class CostWalk:
-    """``T`` over many boxes for one set of per-atom subtries.
+    """``T`` over many boxes under one access.
 
-    ``roots`` holds, per factor atom of the model, the trie node
-    positioned below the atom's bound values (the root when
-    unrestricted); None means no tuple matches the bound values, and
-    then every box costs 0.
+    ``plan`` is the model's reading of the factor atoms' columns and
+    ``roots`` each one's slice below the bound values (the whole first
+    level when unrestricted); None means no tuple matches the bound
+    values, and then every box costs 0.
 
-    The walk keeps a *prefix finger*: level ``d`` is the per-atom nodes
+    The walk keeps a *prefix finger*: level ``d`` is the per-atom slices
     below the unit prefix last fixed at coordinates ``0..d-1`` (None once
     some factor atom lacks the prefix). A box whose unit prefix agrees
     with the finger up to some depth descends only from there. The
@@ -156,18 +187,19 @@ class CostWalk:
     context or the structure.
     """
 
-    __slots__ = ("_model", "_fixed", "_levels", "_valid")
+    __slots__ = ("_model", "_plan", "_fixed", "_levels", "_valid")
 
-    def __init__(self, model: CostModel, roots: List[Optional[TrieNode]]):
+    def __init__(self, model: CostModel, plan, roots: List):
         self._model = model
+        self._plan = plan
         width = len(model.tops)
         self._fixed = [-1] * width
-        self._levels: List[Optional[List[TrieNode]]] = [None] * (width + 1)
+        self._levels: List[Optional[Slices]] = [None] * (width + 1)
         self._levels[0] = None if None in roots else roots
         self._valid = 0
 
-    def descend(self, box: Sequence, depth: int) -> Optional[List[TrieNode]]:
-        """The per-atom nodes below the unit prefix ``box[:depth]``.
+    def descend(self, box: Sequence, depth: int) -> Optional[Slices]:
+        """The per-atom slices below the unit prefix ``box[:depth]``.
 
         None when some factor atom has no tuple under the prefix. Only
         the coordinates past the finger's agreement are walked.
@@ -180,23 +212,25 @@ class CostWalk:
             shared += 1
         if shared == depth:
             return levels[depth]
-        model = self._model
+        plan = self._plan
         nodes = levels[shared]
         for coordinate in range(shared, depth):
             index = box[coordinate][0]
             fixed[coordinate] = index
-            if nodes is not None:
-                value = model._values[coordinate][index]
-                below = nodes
-                for slot, constrained in enumerate(model._constrains[coordinate]):
-                    if constrained:
-                        child = nodes[slot].children.get(value)
-                        if child is None:
-                            below = None
-                            break
-                        if below is nodes:
-                            below = list(nodes)
-                        below[slot] = child
+            probes = plan[coordinate][0]
+            if nodes is not None and probes:
+                below = list(nodes)
+                for slot, run, kid_lo, kid_hi in probes:
+                    lo, hi = nodes[slot]
+                    position = bisect_left(run, index, lo, hi)
+                    if position == hi or run[position] != index:
+                        below = None
+                        break
+                    below[slot] = (
+                        (position, position + 1)
+                        if kid_lo is None
+                        else (kid_lo[position], kid_hi[position])
+                    )
                 nodes = below
             levels[coordinate + 1] = nodes
         self._valid = depth
@@ -204,7 +238,7 @@ class CostWalk:
 
     def range_cost(
         self,
-        nodes: Optional[List[TrieNode]],
+        nodes: Optional[Slices],
         coordinate: int,
         low: int,
         high: int,
@@ -213,53 +247,46 @@ class CostWalk:
 
         ``nodes`` is :meth:`descend`'s answer for the prefix and
         ``coordinate`` its length; the range may be empty (cost 0).
+        Atoms the coordinate does not constrain count their whole slice:
+        coordinates past the range are unrestricted.
         """
         if nodes is None or low > high:
             return 0.0
-        model = self._model
-        if low == 0 and high == model.tops[coordinate]:
-            return self._whole_cost(nodes)
-        values = model._values[coordinate]
-        low_value = values[low]
-        high_value = values[high]
-        exponents = model._exponents
+        if low == 0 and high == self._model.tops[coordinate]:
+            return self._whole_cost(nodes, coordinate)
         total = 1.0
-        slot = 0
-        for constrained in model._constrains[coordinate]:
-            node = nodes[slot]
-            if constrained:
-                keys = node.keys
-                first = bisect_left(keys, low_value)
-                last = bisect_right(keys, high_value, first)
-                if first == last:
-                    return 0.0
-                cumulative = node.cumulative
-                count = cumulative[last] - cumulative[first]
-            else:
-                # Coordinates past the range are unrestricted.
-                count = node.count
-                if count == 0:
-                    return 0.0
+        _, runs, prefix_counts, exponents = self._plan[coordinate]
+        for slot, (lo, hi) in enumerate(nodes):
+            run = runs[slot]
+            if run is not None:
+                lo = bisect_left(run, low, lo, hi)
+                hi = bisect_right(run, high, lo, hi)
+            counts = prefix_counts[slot]
+            count = hi - lo if counts is None else counts[hi] - counts[lo]
+            if count == 0:
+                return 0.0
             total *= float(count) ** exponents[slot]
-            slot += 1
         return total
 
-    def _whole_cost(self, nodes: Optional[List[TrieNode]]) -> float:
+    def _whole_cost(self, nodes: Optional[Slices], depth: int) -> float:
         """``T`` with nothing to clip: every factor atom's full count."""
         if nodes is None:
             return 0.0
         total = 1.0
-        for node, exponent in zip(nodes, self._model._exponents):
-            if node.count == 0:
+        _, _, prefix_counts, exponents = self._plan[depth]
+        for slot, (lo, hi) in enumerate(nodes):
+            counts = prefix_counts[slot]
+            count = hi - lo if counts is None else counts[hi] - counts[lo]
+            if count == 0:
                 return 0.0
-            total *= float(node.count) ** exponent
+            total *= float(count) ** exponents[slot]
         return total
 
     def box_cost(self, box: Box) -> float:
         """``T`` of one canonical box in row form."""
         if not box:
             # The empty row, the one box of a boolean view.
-            return self._whole_cost(self._levels[0])
+            return self._whole_cost(self._levels[0], 0)
         depth = 0
         last = len(box) - 1
         while depth < last and box[depth][0] == box[depth][1]:

@@ -10,7 +10,9 @@ Construction follows Appendix A in spirit:
 
 * candidate bound valuations come from joining the bound-variable
   projections of the relations (Proposition 13's observation that a heavy
-  valuation must match every relation on its bound part);
+  valuation must match every relation on its bound part) — the kernel's
+  index-space join over those projections, once per build, sorted; the
+  build materialises the output per candidate in the same order;
 * candidates flow *down* the tree and are pruned once their cost drops to
   the smallest realizable threshold — by the sub-additivity of ``T`` under
   interval splitting (Lemma 2) the cost never grows toward the leaves, so
@@ -22,6 +24,9 @@ Construction follows Appendix A in spirit:
   memory; materializing it once keeps the identical ``T_C`` bound and the
   identical final structure, which is what the space guarantee is about
   (see DESIGN.md).
+
+Every count and join here reads the context's columns
+(:mod:`repro.core.layout`) — no value-space index is built.
 """
 
 from __future__ import annotations
@@ -32,7 +37,8 @@ from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 from repro.core.balanced_tree import DelayBalancedTree, TreeNode
 from repro.core.cost import CostModel
 from repro.core.intervals import FInterval
-from repro.joins.generic_join import generic_join
+from repro.core.kernel import join_rows
+from repro.core.layout import compile_bound_columns
 
 
 class HeavyDictionary:
@@ -86,16 +92,11 @@ def bound_candidates(ctx) -> List[Tuple]:
 
     Every τ-heavy valuation must match each relation on its bound columns
     for at least one box, hence appears in this join (Proposition 13).
+    Access tuples, in lexicographic order; ``[()]`` with no bound variable.
     """
-    if not ctx.bound_order:
-        return [()]
-    participating = [
-        (binding.trie.root, binding.bound_vars)
-        for binding in ctx.atoms
-        if binding.bound_vars
-    ]
-    domains = {v: d.values for v, d in ctx.bound_domains.items()}
-    return list(generic_join(participating, ctx.bound_order, domains=domains))
+    columns = compile_bound_columns(ctx)
+    whole = tuple((0, domain.top) for domain in columns.space.domains)
+    return join_rows(columns, (), [whole])
 
 
 def output_nonempty_in(
@@ -112,14 +113,16 @@ def output_nonempty_in(
 def build_dictionary(
     cost_model: CostModel,
     tree: DelayBalancedTree,
+    candidates: Sequence[Tuple],
     outputs: Mapping[Tuple, Sequence[Tuple[int, ...]]],
 ) -> HeavyDictionary:
     """Build the dictionary for a constructed delay-balanced tree.
 
-    ``outputs`` maps each bound valuation with non-empty result to its
-    sorted list of free index tuples (the materialized query output).
+    ``candidates`` are :func:`bound_candidates`' and ``outputs`` maps
+    each of them with a non-empty result to its sorted list of free index
+    tuples (the materialized query output).
 
-    Each candidate's subtries are resolved once, into the
+    Each candidate's slices are resolved once, into the
     :class:`~repro.core.cost.CostWalk` that costs it against every node
     it reaches; the walks are locals of this pass and go with it.
     """
@@ -129,11 +132,11 @@ def build_dictionary(
     ctx = cost_model.ctx
     boxes = tree.boxes
     # With no bound variable the one candidate, (), restricts nothing:
-    # its T(v_b, I) is T(I) over the very same tries — the node's cost.
+    # its T(v_b, I) is T(I) over the very same columns — the node's cost.
     unrestricted = not ctx.bound_order
     candidates = [
-        (access, cost_model.walk(ctx.subtries(access)), outputs.get(access))
-        for access in bound_candidates(ctx)
+        (access, cost_model.walk(access), outputs.get(access))
+        for access in candidates
     ]
     prune_threshold = tree.min_threshold()
     stack: List[Tuple[TreeNode, List[Tuple]]] = [(tree.root, candidates)]

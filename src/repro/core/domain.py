@@ -120,16 +120,6 @@ class TupleSpace:
             for domain, index in zip(self.domains, point)
         )
 
-    def indexes(self, values: Sequence) -> Optional[Tuple[int, ...]]:
-        """Convert a value tuple to indexes; None if any value is absent."""
-        result = []
-        for domain, value in zip(self.domains, values):
-            index = domain.index_of(value)
-            if index is None:
-                return None
-            result.append(index)
-        return tuple(result)
-
     def ceil_point(self, values: Sequence) -> Optional[Tuple[int, ...]]:
         """Smallest index tuple whose values are >= the given value tuple.
 

@@ -61,7 +61,7 @@ class FrozenDynamicView(Representation):
     lets cursors drain a retired version untouched.
 
     A dirty version records what it is — the captured database — and
-    derives how to read it (its context's tries and join columns, the
+    derives how to read it (its context's domains and join columns, the
     one-leaf layout over them) on its **first read**, once; a version
     nobody reads builds nothing.
     """
@@ -434,7 +434,7 @@ class DynamicRepresentation(Representation):
 
         Clean buffers freeze to the compressed structure (Theorem 1
         guarantees); dirty buffers capture the updated database eagerly —
-        the buffers mutate next — and leave its tries to the first read.
+        the buffers mutate next — and leave its index to the first read.
         Memoised until the next *effective* update or :meth:`rebuild`.
         """
         if self._frozen is None:

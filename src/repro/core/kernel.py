@@ -11,7 +11,10 @@ a per-access sorted run, intersecting atom runs with galloping binary
 searches, and decoding β codes and final-coordinate runs in bulk. The
 atom runs are the context's (:class:`~repro.core.layout.JoinColumns`):
 one set per ``(view, database)``, shared by every ``τ`` — and by the
-one-leaf layout a dirty dynamic version is read through.
+one-leaf layout a dirty dynamic version is read through. A build joins
+on them through the same light-node evaluation (:func:`join_rows`):
+the output it materialises, the candidate join of Proposition 13 and
+Algorithm 4's interval scans.
 
 Every walk mirrors its spec twin *event for event*: the visit order,
 skip conditions, clipping rules and emission points are line-by-line
@@ -119,7 +122,7 @@ def _join_coord(
     ``states`` holds per-atom ``(lo, hi)`` run slices aligned with
     ``layout.join_atoms`` and ``prefix`` the decoded row so far (a
     tuple); the precomputed participation schedule says which atoms
-    constrain this coordinate (and at which trie level) — the same
+    constrain this coordinate (and at which level) — the same
     participation rule as the reference generic join, with sorted-run
     intersections in place of per-candidate hash probes, and the final
     coordinate emitted as one bulk-decoded run. ``coordinate`` is below
@@ -444,6 +447,21 @@ def _walk(layout, bucket, states, start, counter) -> Iterator[Tuple]:
             counter.steps += beta_steps
         if _point_joins(layout, finger, point):
             yield beta_values[node_id]
+
+
+def join_rows(columns, access: Tuple, boxes, counter=None):
+    """The join of ``columns`` under ``access``, box after box.
+
+    What a build joins with: the light-node evaluation over any boxes,
+    rows decoded by ``columns.domain_values`` — the context's join
+    columns for value rows, :meth:`~repro.core.layout.JoinColumns.in_index_space`
+    for index rows. A list, or with a ``counter`` the same rows stamped
+    as a generator; empty when some atom lacks the bound values.
+    """
+    states = columns.root_states(access)
+    if states is None:
+        return []
+    return _light_rows(columns, _finger(columns, states), boxes, counter)
 
 
 def kernel_enumerate(layout, access: Tuple, counter=None) -> Iterator[Tuple]:

@@ -1,18 +1,21 @@
 """Array-backed columnar layouts for the enumeration kernel.
 
 The Theorem 1 structures are pointer-chasing by nature: tree nodes link to
-children, dictionary buckets hash ``(node, access)`` pairs, and atom tries
-are nested dicts walked one value at a time. This module *compiles* them —
-once, at representation-build time — into flat, array-backed sorted runs:
+children and dictionary buckets hash ``(node, access)`` pairs. This
+module *compiles* them — once, at representation-build time — into
+flat, array-backed sorted runs, and lays the base relations out the
+same way:
 
 * :class:`TreeColumns` — the delay-balanced tree as parallel columns
   (child ids with ``-1`` sentinels, interval endpoints, β codes) plus the
   per-node box decompositions resolved ahead of time;
 * :class:`DictColumns` — the heavy dictionary re-bucketed per access
   tuple into sorted ``node id`` runs probed with :func:`bisect.bisect_left`;
-* :class:`AtomColumns` — each atom's free trie levels flattened CSR-style
-  (one sorted value-index run per parent, contiguous child-offset ranges),
-  keyed by bound prefix, compiled straight from the relation's rows;
+* :class:`AtomColumns` — one atom's sorted index: its free levels
+  flattened CSR-style (one sorted value-index run per parent,
+  contiguous child-offset ranges, a prefix count per entry), keyed by
+  bound prefix, compiled straight from the relation's rows — what the
+  kernel joins on and what a build counts and joins on;
 * :class:`JoinColumns` — every atom's columns plus the join-participation
   schedule: the ``|D|`` term in the kernel's form, a pure function of
   ``(view, database)`` compiled once per
@@ -47,11 +50,13 @@ from __future__ import annotations
 
 import sys
 from array import array
+from copy import copy
 from dataclasses import dataclass, field
 from itertools import accumulate, chain
 from operator import gt
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
+from repro.core.domain import TupleSpace
 from repro.core.intervals import box_decomposition
 from repro.exceptions import SnapshotError
 
@@ -279,15 +284,19 @@ class DictColumns:
 
 
 class AtomColumns:
-    """One atom's free trie levels, flattened CSR-style.
+    """One atom's sorted index over its relation, flattened CSR-style.
 
     ``vals[d]`` is the concatenation of every level-``d`` node run (global
     domain indexes, sorted within each parent's contiguous slice);
     ``kid_lo[d]``/``kid_hi[d]`` give entry ``i``'s child slice in level
     ``d+1``. ``roots`` maps each full bound-value prefix to its level-0
-    slice — for atoms with no free variables the slice is empty and the
-    key's presence alone is the membership fact. Runs are plain int
-    lists, never written after compilation.
+    slice. ``counts[d][i]`` is the number of keys sorted before entry
+    ``i`` (one more item closes the level with the total), so a slice
+    ``[lo, hi)`` of any level counts the keys below it in O(1) — the
+    count oracle of Lemma 3 and Proposition 13. An atom with no free
+    variable has one level of its own: one entry per root, no values, so
+    that a root's presence is the membership fact and its slice still
+    counts. Runs are plain int lists, never written after compilation.
     """
 
     __slots__ = (
@@ -298,9 +307,12 @@ class AtomColumns:
         "vals",
         "kid_lo",
         "kid_hi",
+        "counts",
     )
 
-    def __init__(self, coords, bound_positions, roots, vals, kid_lo, kid_hi):
+    def __init__(
+        self, coords, bound_positions, roots, vals, kid_lo, kid_hi, counts
+    ):
         self.coords = tuple(coords)
         self.bound_positions = tuple(bound_positions)
         self.width = len(self.coords)
@@ -308,6 +320,7 @@ class AtomColumns:
         self.vals = vals
         self.kid_lo = kid_lo
         self.kid_hi = kid_hi
+        self.counts = counts
 
     def root_range(self, access: Tuple) -> Optional[Tuple[int, int]]:
         """The level-0 slice under the access tuple, or None if absent."""
@@ -321,20 +334,21 @@ class JoinColumns:
     ``atoms`` holds every atom's columns in atom order, ``join_atoms``
     those with a free variable, and ``participants`` the static
     join-participation schedule: per coordinate, which join atoms
-    constrain it and at which trie level. Free coordinates within an
-    atom are strictly increasing (the trie column order follows the
+    constrain it and at which level. Free coordinates within an
+    atom are strictly increasing (the column order follows the
     global free order), so the schedule depends on no particular access.
-    ``domain_values`` are the per-coordinate decoded value tuples.
-    Nothing here depends on ``τ`` and nothing is written after
-    construction: every layout over the context holds these very
-    objects (:meth:`~repro.core.context.ViewContext.columns`).
+    ``domain_values`` decode each coordinate's indexes (the domains'
+    value tuples). Nothing here depends on ``τ`` and
+    nothing is written after construction: every layout over the context
+    holds these very objects
+    (:meth:`~repro.core.context.ViewContext.columns`).
     """
 
     __slots__ = ("space", "domain_values", "atoms", "join_atoms", "participants")
 
     def __init__(self, space, atoms: Sequence[AtomColumns]):
         self.space = space
-        self.domain_values: Tuple[Tuple, ...] = tuple(
+        self.domain_values: Tuple[Sequence, ...] = tuple(
             domain.values for domain in space.domains
         )
         self.atoms: Tuple[AtomColumns, ...] = tuple(atoms)
@@ -348,6 +362,34 @@ class JoinColumns:
         self.participants: Tuple[Tuple[Tuple[int, int], ...], ...] = tuple(
             tuple(s) for s in schedule
         )
+
+    @property
+    def width(self) -> int:
+        return self.space.width
+
+    def in_index_space(self) -> "JoinColumns":
+        """These columns with the identity for a decode: rows of indexes."""
+        indexed = copy(self)
+        indexed.domain_values = tuple(range(len(v)) for v in self.domain_values)
+        return indexed
+
+    def root_states(
+        self, access: Tuple
+    ) -> Optional[List[Tuple[int, int]]]:
+        """Root ``(lo, hi)`` slices aligned with ``join_atoms``.
+
+        None when some atom has no tuple matching the bound values — the
+        exact condition under which the spec's subtrie check returns
+        early.
+        """
+        states: List[Tuple[int, int]] = []
+        for atom in self.atoms:
+            root_range = atom.root_range(access)
+            if root_range is None:
+                return None
+            if atom.width:
+                states.append(root_range)
+        return states
 
 
 class CompiledLayout:
@@ -397,23 +439,7 @@ class CompiledLayout:
     def dict_bucket(self, access: Tuple) -> Tuple[List[int], bytes]:
         return self.dictionary.bucket(access)
 
-    def root_states(
-        self, access: Tuple
-    ) -> Optional[List[Tuple[int, int]]]:
-        """Root ``(lo, hi)`` slices aligned with ``join_atoms``.
-
-        None when some atom has no tuple matching the bound values — the
-        exact condition under which the spec's subtrie check returns
-        early.
-        """
-        states: List[Tuple[int, int]] = []
-        for atom in self.atoms:
-            root_range = atom.root_range(access)
-            if root_range is None:
-                return None
-            if atom.width:
-                states.append(root_range)
-        return states
+    root_states = JoinColumns.root_states
 
     # ------------------------------------------------------------------
     # explicit state (the snapshot boundary)
@@ -538,58 +564,78 @@ def _compile_dictionary(
     return DictColumns(buckets)
 
 
-def _compile_atom(binding, space) -> AtomColumns:
-    """One atom's columns, from its relation's rows in one sorted pass.
+def _compile_rows(rows, positions, coords, space, bound_positions=()) -> AtomColumns:
+    """Columns over ``positions`` of ``rows``, in one sorted pass.
 
-    Keys are the rows rearranged bound columns first, free columns (as
-    domain indexes, which order like the values) after, distinct and
-    sorted; a key opens a new run entry at every free level from the
-    first position where it departs from its predecessor. A level's
-    child slices are contiguous in key order, so each ends where the
-    next begins.
+    A key is a row's values at ``positions``: one per bound position
+    first (the bound prefix, a key of ``roots``), then one level per
+    coordinate of ``coords``, as an index into that coordinate's domain
+    in ``space`` (indexes order like the values). Keys are sorted,
+    repeats kept — each is counted, only the first stored — and a key
+    opens a new run entry at every level from the first position where
+    it departs from its predecessor. A level's child slices are
+    contiguous in key order, so each ends where the next begins. Rows
+    with no key column have the empty key, once each.
     """
-    bound_depth = len(binding.bound_vars)
-    coords = binding.free_coordinates
-    width = len(coords)
-    rows = binding.relation.rows
-    columns = [[row[p] for row in rows] for p in binding.column_order]
+    width, bound_depth = len(coords), len(bound_positions)
+    columns = [[row[p] for row in rows] for p in positions]
     for level, coordinate in enumerate(coords, start=bound_depth):
         index_of = space.domains[coordinate].index_of
         columns[level] = list(map(index_of, columns[level]))
-    keys = sorted(set(zip(*columns)))
+    keys = sorted(zip(*columns)) if columns else [()] * len(rows)
     vals: List[List[int]] = [[] for _ in range(width)]
     kid_lo: List[List[int]] = [[] for _ in range(max(width - 1, 0))]
-    top: List[int] = vals[0] if width else []  # stays empty at width 0
-    # Each bound prefix and the start of its slice of ``top``; an atom
-    # with no bound variable has the one root whatever its rows.
-    prefixes: List[Tuple] = [] if bound_depth else [()]
-    starts: List[int] = [] if bound_depth else [0]
+    starts: Dict[Tuple, int] = {}  # each bound prefix's first level-0 entry
     previous = None
     for key in keys:
+        if key == previous:
+            continue
         departs = 0
         if previous is not None:
             while key[departs] == previous[departs]:
                 departs += 1
-        previous = key
-        if departs < bound_depth:
-            prefixes.append(key[:bound_depth])
-            starts.append(len(top))
+        if previous is None or departs < bound_depth:
+            starts[key[:bound_depth]] = len(vals[0]) if width else len(starts)
             departs = bound_depth
+        previous = key
         for level in range(departs - bound_depth, width):
             if level + 1 < width:
                 kid_lo[level].append(len(vals[level + 1]))
             vals[level].append(key[bound_depth + level])
-    kid_hi = [
-        (run + [len(vals[level + 1])])[1:] for level, run in enumerate(kid_lo)
-    ]
-    if width:
-        slices = zip(starts, starts[1:] + [len(top)])
-        roots = dict(zip(prefixes, slices))
-    else:
-        roots = dict.fromkeys(prefixes, (0, 0))  # presence is the fact
-    return AtomColumns(
-        coords, binding.bound_access_positions, roots, vals, kid_lo, kid_hi
-    )
+    # Prefix counts: a stored key's position among all keys (each key's
+    # own when none repeats), lifted a level at a time through the first
+    # child of every entry. At width 0 the entries are the roots.
+    total = len(keys)
+    stored = len(vals[-1]) if width else len(starts)
+    counts: List[Sequence[int]] = [range(total + 1)]
+    if stored < total:
+        counts[0] = [
+            position
+            for position, key in enumerate(keys)
+            if not position or key != keys[position - 1]
+        ] + [total]
+    for run in reversed(kid_lo):
+        counts.insert(0, [counts[0][child] for child in run] + [total])
+    firsts = list(starts.values())
+    entries = len(vals[0]) if width else len(starts)
+    roots = dict(zip(starts, zip(firsts, firsts[1:] + [entries])))
+    kid_hi = [(run + [len(vals[level + 1])])[1:] for level, run in enumerate(kid_lo)]
+    return AtomColumns(coords, bound_positions, roots, vals, kid_lo, kid_hi, counts)
+
+
+def _compile_atom(binding, space, free_only: bool = False) -> AtomColumns:
+    """One atom's columns: bound columns first, then its free ones.
+
+    The bound-first keys are whole rows (the atom is natural), so every
+    count is of distinct tuples — ``|R_F ⋉ v_b ⋉ B|``. ``free_only``
+    drops the bound columns: one root, and the keys are the rows' free
+    parts with their repeats, so a count is ``|R_F ⋉ B|`` over every
+    ``v_b`` at once.
+    """
+    bound = () if free_only else binding.bound_access_positions
+    positions = binding.column_order[len(binding.bound_vars) - len(bound) :]
+    rows = binding.relation.rows
+    return _compile_rows(rows, positions, binding.free_coordinates, space, bound)
 
 
 def compile_join_columns(ctx) -> JoinColumns:
@@ -597,6 +643,44 @@ def compile_join_columns(ctx) -> JoinColumns:
     return JoinColumns(
         ctx.space,
         [_compile_atom(binding, ctx.space) for binding in ctx.atoms],
+    )
+
+
+def compile_count_columns(ctx) -> Tuple[AtomColumns, ...]:
+    """Per atom, what ``T(B)`` counts on when no ``v_b`` is fixed.
+
+    The free-columns-only instance of an atom with a bound variable; an
+    atom with none has its join columns for that (its keys are whole
+    rows, each once).
+    """
+    return tuple(
+        _compile_atom(binding, ctx.space, free_only=True)
+        if binding.bound_vars
+        else atom
+        for binding, atom in zip(ctx.atoms, ctx.columns().atoms)
+    )
+
+
+def compile_bound_columns(ctx) -> JoinColumns:
+    """The atoms' bound projections as join columns over ``V_b``.
+
+    What Proposition 13's candidate join walks: one instance per atom
+    with a bound variable, over the bound variables' domains in the
+    bound order; the kernel decodes its rows to access tuples.
+    """
+    space = TupleSpace([ctx.bound_domains[var] for var in ctx.bound_order])
+    return JoinColumns(
+        space,
+        [
+            _compile_rows(
+                binding.relation.rows,
+                binding.column_order[: len(binding.bound_vars)],
+                binding.bound_access_positions,
+                space,
+            )
+            for binding in ctx.atoms
+            if binding.bound_vars
+        ],
     )
 
 

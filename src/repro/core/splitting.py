@@ -6,7 +6,7 @@ at most ``T/2``. It first locates the box of the decomposition where the
 prefix sums cross ``T/2``, then refines coordinate by coordinate: at each
 coordinate a binary search (Lemma 3) finds the smallest value whose
 "below-or-equal" cost reaches the remaining budget, using the O(log)
-count oracle of the tries. The two running quantities mirror the paper's
+count oracle of the context's columns. The two running quantities mirror the paper's
 Algorithm 1: ``gamma`` (cost strictly to the left of the evolving prefix)
 and ``delta`` (cost of the current unit-prefix box).
 

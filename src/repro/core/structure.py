@@ -41,15 +41,19 @@ from repro.core.balanced_tree import (
     build_delay_balanced_tree,
 )
 from repro.core.context import ViewContext
-from repro.core.kernel import kernel_enumerate, kernel_enumerate_from
+from repro.core.kernel import join_rows, kernel_enumerate, kernel_enumerate_from
 from repro.core.cost import CostModel
-from repro.core.dictionary import HeavyDictionary, build_dictionary
+from repro.core.dictionary import (
+    HeavyDictionary,
+    bound_candidates,
+    build_dictionary,
+)
 from repro.core.representation import Representation
 from repro.database.catalog import Database
 from repro.exceptions import ParameterError, SnapshotError
 from repro.hypergraph.covers import slack
 from repro.hypergraph.hypergraph import Hypergraph
-from repro.joins.generic_join import JoinCounter, generic_join
+from repro.joins.generic_join import JoinCounter
 from repro.measure.space import SpaceReport
 from repro.query.adorned import AdornedView
 from repro.query.rewriting import natural_form
@@ -92,7 +96,7 @@ class CompressedRepresentation(Representation):
     context:
         Optional :class:`~repro.core.context.ViewContext` already built
         over exactly this natural ``(view, db)``: the per-view half of
-        the structure (tries, domains, default cover), shared by
+        the structure (domains, the atoms' index, default cover), shared by
         reference instead of rebuilt. The engine passes its
         registration's; ``None`` builds a private one.
     """
@@ -119,8 +123,11 @@ class CompressedRepresentation(Representation):
         self.view, self.db = natural_form(view, db)
         self._bind(tau, weights, alpha, context)
         tree = build_delay_balanced_tree(self.cost_model, self.tau, self.alpha)
-        outputs, output_count = self._materialize_outputs()
-        dictionary = build_dictionary(self.cost_model, tree, outputs)
+        candidates = bound_candidates(self.ctx)
+        outputs, output_count = self._materialize_outputs(candidates)
+        dictionary = build_dictionary(
+            self.cost_model, tree, candidates, outputs
+        )
         self._compile(tree, dictionary, output_count, started)
 
     # ------------------------------------------------------------------
@@ -221,7 +228,7 @@ class CompressedRepresentation(Representation):
         Everything here is derived deterministically from ``(view, db)``
         plus the explicit parameters; both the building constructor and
         the snapshot restore path run it, so a restored instance carries
-        live tries and a live cost model without re-running the expensive
+        a live context and cost model without re-running the expensive
         tree/dictionary construction. The τ-independent part is the
         :class:`~repro.core.context.ViewContext`: ``context`` is adopted
         by reference, or, when ``None``, built here.
@@ -262,31 +269,26 @@ class CompressedRepresentation(Representation):
                     f"(coverage {coverage:.3f} < 1)"
                 )
 
-    def _materialize_outputs(self) -> Tuple[Dict[Tuple, List[Tuple[int, ...]]], int]:
+    def _materialize_outputs(
+        self, candidates: Sequence[Tuple]
+    ) -> Tuple[Dict[Tuple, List[Tuple[int, ...]]], int]:
         """Full query output grouped by bound valuation (preprocessing only).
 
-        Free tuples are stored as index tuples, sorted (the join emits them
-        in lexicographic order), enabling O(log) emptiness probes during
+        One index-space join over the whole tuple space per candidate
+        (every output's bound part is one), in the candidates' order.
+        Free tuples are index tuples, sorted (the join emits them in
+        lexicographic order), enabling O(log) emptiness probes during
         dictionary construction.
         """
-        ctx = self.ctx
-        order = ctx.bound_order + ctx.free_order
-        atoms = [
-            (binding.trie.root, binding.bound_vars + binding.free_vars)
-            for binding in ctx.atoms
-        ]
-        domains = dict(ctx.free_value_domains)
-        for var, domain in ctx.bound_domains.items():
-            domains[var] = domain.values
-        n_bound = len(ctx.bound_order)
+        columns = self.ctx.columns().in_index_space()
+        whole = [tuple((0, top) for top in self.cost_model.tops)]
         outputs: Dict[Tuple, List[Tuple[int, ...]]] = {}
         count = 0
-        for row in generic_join(atoms, order, domains=domains):
-            access, free_values = row[:n_bound], row[n_bound:]
-            index_tuple = ctx.space.indexes(free_values)
-            assert index_tuple is not None
-            outputs.setdefault(access, []).append(index_tuple)
-            count += 1
+        for access in candidates:
+            rows = join_rows(columns, access, whole)
+            if rows:
+                outputs[access] = rows
+                count += len(rows)
         return outputs, count
 
     # ------------------------------------------------------------------
@@ -297,8 +299,8 @@ class CompressedRepresentation(Representation):
 
         The state records the *normalized* view and database (what the
         structure was actually built over) plus the expensive build
-        artifact — ``(T, D)`` — once, as its compiled columns. Tries,
-        domains and the cost model are deterministic functions of
+        artifact — ``(T, D)`` — once, as its compiled columns. The atoms'
+        index, domains and the cost model are deterministic functions of
         ``(view, db)`` and are rebuilt on restore — or adopted from a
         resident context over an equal ``(view, db)`` — rather than
         stored.
@@ -452,22 +454,12 @@ class CompressedRepresentation(Representation):
         interval's box decomposition); used by the Theorem 2 semijoin
         refinement (Algorithm 4) to stream ``Q[v_b] ⋉ I(w)``.
         """
-        ctx = self.ctx
-        subtries = ctx.subtries(tuple(access))
-        if any(node is None for node in subtries):
-            return
-        atoms = [
-            (node, binding.free_vars)
-            for binding, node in zip(ctx.atoms, subtries)
-        ]
-        for box in self.cost_model.boxes(interval):
-            yield from generic_join(
-                atoms,
-                ctx.free_order,
-                ranges=ctx.free_ranges_of_box(box),
-                domains=ctx.free_value_domains,
-                counter=counter,
-            )
+        yield from join_rows(
+            self.ctx.columns(),
+            self._check_access(access),
+            self.cost_model.boxes(interval),
+            counter,
+        )
 
     # ------------------------------------------------------------------
     # convenience API

@@ -1,21 +1,23 @@
-"""Sorted tries with subtree counts.
+"""Sorted tries with subtree counts: the value-space reference index.
 
-One :class:`TrieIndex` is built per (atom, column order). The column order
-used throughout the library is: the atom's *bound* variables first, then its
-*free* variables in the global free-variable order. That single index then
-serves all three access paths of the compressed representation:
+A :class:`TrieIndex` is built over one relation and a column order; each
+node keeps its child keys sorted, a subtree count and cumulative counts,
+so a trie answers membership (descend a key, O(arity) dictionary hops),
+counting (``|R_F ⋉ v_b ⋉ B|`` by descending a unit prefix and summing
+one value range's subtree counts with two bisects) and ordered iteration
+(the lexicographic candidate streams of
+:func:`~repro.joins.generic_join.generic_join`).
 
-* **membership** — descend the full key, O(arity) dictionary hops;
-* **counting** — ``|R_F ⋉ v_b ⋉ B|`` for a canonical f-box ``B`` reduces to
-  descending a unit prefix and summing child subtree counts over one value
-  range, which the per-node cumulative-count arrays answer with two bisects
-  (the ``Õ(1)`` count oracle assumed by Lemma 3 and Proposition 13);
-* **ordered iteration** — each node stores its child keys in sorted order,
-  which gives the worst-case-optimal join its lexicographic candidate
-  streams.
+It is the index the value-space algorithms read: the lazy and
+materialised baselines, the Proposition 4 bags of
+:mod:`repro.core.constant_delay`, and the executable specs of the build
+and of Algorithm 2 under ``tests/``. The Theorem 1 path itself counts
+and joins on the context's index-space columns
+(:mod:`repro.core.layout`) and builds no trie.
 
 The trie is static: it is built once from a relation and never mutated,
-matching the paper's preprocessing-then-query model.
+matching the paper's preprocessing-then-query model. A trie over an
+empty relation has no key at all, not even the empty prefix.
 """
 
 from __future__ import annotations
@@ -158,6 +160,8 @@ class TrieIndex:
     def descend(self, prefix: Sequence) -> Optional[TrieNode]:
         """The node reached by following ``prefix``, or None if absent."""
         node = self.root
+        if not node.count:
+            return None  # an empty relation: not even the empty prefix
         for value in prefix:
             node = node.children.get(value)
             if node is None:

@@ -10,7 +10,7 @@ structures.
 
 Size is accounted in the library's implementation-independent *cells*
 (:mod:`repro.measure.space`): an entry charges the cells the structure
-owns beyond the shared input tuples — its trie indexes plus the tree,
+owns beyond the shared input tuples — its atoms' index plus the tree,
 dictionary and any materialized tuples (``total_cells − base_tuples``).
 Eviction is least-recently-used, triggered by either bound: a maximum
 entry count or a maximum total cell budget. A single entry larger than
@@ -277,7 +277,7 @@ class RepresentationCache:
     ) -> List[Hashable]:
         """Insert (or replace) an entry; returns the keys evicted for it.
 
-        The cell measurement (a walk of the tries the first time their
+        The cell measurement (a pass over the rows the first time their
         context is measured, memoised after) runs outside the lock;
         only the bookkeeping is serialized. With a disk
         tier, evicted entries are demoted to snapshots (also outside the
@@ -356,7 +356,7 @@ class RepresentationCache:
         a fresh build is snapshotted before it is published. Corrupt or
         wrong-database snapshots count as plain misses. ``context`` is
         the resident :class:`~repro.core.context.ViewContext` a decoded
-        structure shares instead of rebuilding its tries; a snapshot
+        structure shares instead of rebuilding its index; a snapshot
         that does not match it is a plain miss as well.
         """
         missed = False

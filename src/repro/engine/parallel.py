@@ -6,7 +6,7 @@ module moves builds to a ``ProcessPoolExecutor``. The snapshot codec is
 what makes that possible — and cheap: a worker process receives the
 plain-data build spec (view state, database state, τ, cover weights),
 builds the structure, and returns the *encoded snapshot*; the parent
-decodes it. Nothing with locks, tries or closures ever crosses the
+decodes it. Nothing with locks, indexes or closures ever crosses the
 process boundary, and the wire format is the exact same versioned codec
 the disk tier persists (:mod:`repro.core.snapshot`).
 

@@ -6,7 +6,9 @@
   tries; its running time matches the AGM bound for any fractional cover,
   and its output arrives in lexicographic order of the variable order —
   both properties the compressed representation relies on (Propositions 6
-  and 9).
+  and 9). It is the value-space reference join: the columnar kernel
+  (:mod:`repro.core.kernel`) is its index-space twin, and is what the
+  compressed representation builds and serves with.
 * :mod:`repro.joins.hash_join` — a classic pairwise hash-join evaluator,
   used as an independent oracle in tests and by the materialized baseline.
 * :mod:`repro.joins.semijoin` — semijoin filtering for the bottom-up passes

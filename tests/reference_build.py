@@ -16,7 +16,14 @@ unchanged when the index-space build became the only one —
 * :func:`spec_split_interval` — Algorithm 1, costing every probe as a
   fresh canonical box;
 * :func:`spec_build_tree` / :func:`spec_build_dictionary` — the tree and
-  the heavy dictionary of Section 4.3, re-costing what they need.
+  the heavy dictionary of Section 4.3, re-costing what they need;
+* :func:`spec_tries` and the value-space joins over them —
+  :func:`spec_bound_candidates` (Proposition 13's candidate join) and
+  :func:`spec_outputs` (the full output per bound valuation), by
+  :func:`~repro.joins.generic_join.generic_join`. ``src/`` counts and
+  joins on the context's index-space columns and builds no trie; these
+  tries are built here, from each atom's rows and column order, and are
+  what ``tests/reference_walk.py`` joins on too.
 
 The contract between the two builds is *equality of state*: the same
 compiled columns — links, endpoints, β points, boxes, costs, dictionary
@@ -37,24 +44,127 @@ from __future__ import annotations
 
 import math
 import time
+import weakref
 from dataclasses import dataclass
 from typing import Dict, Iterator, List, Mapping, Optional, Sequence, Tuple
 
 from repro.core import intervals
 from repro.core.balanced_tree import DelayBalancedTree, TreeNode
 from repro.core.context import AtomBinding, ViewContext
-from repro.core.dictionary import (
-    HeavyDictionary,
-    bound_candidates,
-    output_nonempty_in,
-)
+from repro.core.dictionary import HeavyDictionary, output_nonempty_in
 from repro.core.domain import TupleSpace
 from repro.core.structure import CompressedRepresentation
-from repro.database.index import TrieNode
-from repro.exceptions import ParameterError
+from repro.database.index import TrieIndex, TrieNode
+from repro.exceptions import ParameterError, QueryError
+from repro.joins.generic_join import generic_join
 from repro.query.rewriting import natural_form
 
 _MAX_DEPTH = 512
+
+
+# ----------------------------------------------------------------------
+# the value-space index: one trie per atom and access path
+# ----------------------------------------------------------------------
+_TRIES: "weakref.WeakKeyDictionary[ViewContext, List[Tuple]]" = (
+    weakref.WeakKeyDictionary()
+)
+
+
+def spec_tries(ctx: ViewContext) -> List[Tuple[TrieIndex, TrieIndex]]:
+    """Per atom ``(trie, free trie)``, built once per context.
+
+    The trie indexes the atom's column order (bound variables first,
+    distinct keys) and serves membership, restricted counts and the
+    joins; the free trie indexes the free columns alone with row
+    multiplicities — the unrestricted ``|R_F ⋉ B|`` counts. With no bound
+    variable the two index the same keys and one trie serves as both.
+    """
+    tries = _TRIES.get(ctx)
+    if tries is None:
+        tries = _TRIES[ctx] = []
+        for binding in ctx.atoms:
+            trie = TrieIndex(binding.relation, binding.column_order)
+            free = trie
+            if binding.bound_vars:
+                free = TrieIndex(
+                    binding.relation,
+                    binding.column_order[len(binding.bound_vars) :],
+                    dedupe=False,
+                )
+            tries.append((trie, free))
+    return tries
+
+
+def spec_subtries(ctx: ViewContext, access: Sequence) -> List[Optional[TrieNode]]:
+    """Per-atom subtries under the access tuple (aligned with atoms)."""
+    if len(access) != len(ctx.bound_order):
+        raise QueryError(
+            f"access tuple {tuple(access)!r} has {len(access)} values, "
+            f"expected {len(ctx.bound_order)}"
+        )
+    return [
+        trie.descend(tuple(access[i] for i in binding.bound_access_positions))
+        for binding, (trie, _) in zip(ctx.atoms, spec_tries(ctx))
+    ]
+
+
+def spec_beta_matches(ctx: ViewContext, access: Sequence, free_values) -> bool:
+    """True iff the full valuation (access ∪ free values) is in the join."""
+    return all(
+        trie.contains(
+            tuple(access[i] for i in binding.bound_access_positions)
+            + tuple(free_values[c] for c in binding.free_coordinates)
+        )
+        for binding, (trie, _) in zip(ctx.atoms, spec_tries(ctx))
+    )
+
+
+def spec_value_domains(ctx: ViewContext) -> Dict:
+    """Every variable's sorted active domain, for unconstrained levels."""
+    domains = {v: d.values for v, d in zip(ctx.free_order, ctx.free_domains)}
+    domains.update((v, d.values) for v, d in ctx.bound_domains.items())
+    return domains
+
+
+def spec_bound_candidates(ctx: ViewContext) -> List[Tuple]:
+    """Proposition 13: the join of the bound projections, in value order."""
+    if not ctx.bound_order:
+        return [()]
+    participating = [
+        (trie.root, binding.bound_vars)
+        for binding, (trie, _) in zip(ctx.atoms, spec_tries(ctx))
+        if binding.bound_vars
+    ]
+    return list(
+        generic_join(
+            participating, ctx.bound_order, domains=spec_value_domains(ctx)
+        )
+    )
+
+
+def spec_outputs(ctx: ViewContext) -> Tuple[Dict[Tuple, List[Tuple]], int]:
+    """The full output grouped by bound valuation, free parts as indexes."""
+    n_bound = len(ctx.bound_order)
+    outputs: Dict[Tuple, List[Tuple]] = {}
+    count = 0
+    # A variable-less atom joins on no level: an empty one says so here.
+    roots = [trie.descend(()) for trie, _ in spec_tries(ctx)]
+    if None in roots:
+        return outputs, count
+    atoms = [
+        (root, binding.bound_vars + binding.free_vars)
+        for binding, root in zip(ctx.atoms, roots)
+    ]
+    for row in generic_join(
+        atoms, ctx.bound_order + ctx.free_order, domains=spec_value_domains(ctx)
+    ):
+        indexes = tuple(
+            domain.index_of(value)
+            for domain, value in zip(ctx.free_domains, row[n_bound:])
+        )
+        outputs.setdefault(row[:n_bound], []).append(indexes)
+        count += 1
+    return outputs, count
 
 
 # ----------------------------------------------------------------------
@@ -323,7 +433,7 @@ class SpecCostModel:
         These are the free-columns-only tries with tuple multiplicities;
         their roots sit at the free levels like a v_b-descended subtrie.
         """
-        return [binding.free_trie.root for binding in self.ctx.atoms]
+        return [free.root for _, free in spec_tries(self.ctx)]
 
     def atom_box_count(
         self,
@@ -403,7 +513,7 @@ class SpecCostModel:
 
     def access_cost(self, interval: FInterval, access: Sequence) -> float:
         """``T(v_b, I)`` for an access tuple over the bound order."""
-        return self.interval_cost(interval, self.ctx.subtries(access))
+        return self.interval_cost(interval, spec_subtries(self.ctx, access))
 
     def is_heavy(
         self, interval: FInterval, access: Sequence, threshold: float
@@ -548,8 +658,7 @@ def spec_build_dictionary(
     dictionary = HeavyDictionary()
     if tree.root is None:
         return dictionary
-    ctx = cost_model.ctx
-    candidates = bound_candidates(ctx)
+    candidates = spec_bound_candidates(cost_model.ctx)
     prune_threshold = tree.min_threshold()
     stack: List[Tuple[TreeNode, List[Tuple]]] = [(tree.root, candidates)]
     while stack:
@@ -584,8 +693,9 @@ def spec_structure(
     """A ``CompressedRepresentation`` whose (T, D) the spec built.
 
     Mirrors the building constructor step for step — ``_bind``, tree,
-    outputs, dictionary, stats, layout — with the spec's tree and
-    dictionary builders and the spec's boxes in place of production's.
+    outputs, dictionary, stats, layout — with the spec's tree, output
+    and dictionary builders (its own candidates and tries) and the
+    spec's boxes in place of production's.
     Only the layout compiler is shared: it copies the boxes it is given.
     """
     started = time.perf_counter()
@@ -600,7 +710,7 @@ def spec_structure(
     tree.boxes = [
         box_rows(model.boxes_of(node.interval)) for node in tree.nodes
     ]
-    outputs, output_count = self._materialize_outputs()
+    outputs, output_count = spec_outputs(self.ctx)
     dictionary = spec_build_dictionary(model, tree, outputs)
     self._compile(tree, dictionary, output_count, started)
     return self

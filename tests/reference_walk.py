@@ -15,7 +15,8 @@ materialised bags), moved here unchanged from ``core/structure.py`` and
 
 The ``spec_*`` functions are plain functions over a built structure's
 public fields — ``tree``, ``dictionary``, ``ctx`` — reading boxes in the
-object form of ``tests/reference_build.py`` (the build's spec), and
+object form of ``tests/reference_build.py`` (the build's spec) and
+joining on that module's tries (built test-side from the rows), and
 take their inputs already normalised, exactly like their kernel twins
 (``kernel_enumerate(layout, access, counter)`` ↔
 ``spec_enumerate(rep, access, counter)``): a checked access tuple, a
@@ -38,7 +39,14 @@ from contextlib import ExitStack, contextmanager
 from typing import Iterator, Optional, Tuple
 from unittest import mock
 
-from reference_build import FInterval, free_ranges_of_box, spec_boxes
+from reference_build import (
+    FInterval,
+    free_ranges_of_box,
+    spec_beta_matches,
+    spec_boxes,
+    spec_subtries,
+    spec_value_domains,
+)
 from repro.core import constant_delay
 from repro.core.decomposed import DecomposedRepresentation
 from repro.core.structure import CompressedRepresentation
@@ -61,7 +69,7 @@ def _join_box(rep, access, subtries, box, counter) -> Iterator[Tuple]:
         atoms,
         ctx.free_order,
         ranges=free_ranges_of_box(ctx, box),
-        domains=ctx.free_value_domains,
+        domains=spec_value_domains(ctx),
         counter=counter,
     )
 
@@ -72,7 +80,7 @@ def spec_enumerate(
     """``Q^η[v_b]`` in lexicographic order — Algorithm 2 from the root."""
     if rep.tree.root is None:
         return
-    subtries = rep.ctx.subtries(access)
+    subtries = spec_subtries(rep.ctx, access)
     if any(node is None for node in subtries):
         return  # some relation has no tuple matching the bound values
     yield from _eval(rep, rep.tree.root, access, subtries, counter)
@@ -90,7 +98,7 @@ def _eval(rep, node, access, subtries, counter) -> Iterator[Tuple]:
         beta_values = rep.ctx.space.values(node.beta)
         if counter is not None:
             counter.steps += len(rep.ctx.atoms)
-        if rep.ctx.beta_matches(access, beta_values):
+        if spec_beta_matches(rep.ctx, access, beta_values):
             yield beta_values
         if node.right is not None:
             yield from _eval(rep, node.right, access, subtries, counter)
@@ -114,7 +122,7 @@ def spec_enumerate_from(
     """
     if rep.tree.root is None:
         return
-    subtries = rep.ctx.subtries(access)
+    subtries = spec_subtries(rep.ctx, access)
     if any(node is None for node in subtries):
         return
     yield from _eval_from(rep, rep.tree.root, access, subtries, start, counter)
@@ -140,7 +148,7 @@ def _eval_from(rep, node, access, subtries, start, counter) -> Iterator[Tuple]:
             beta_values = rep.ctx.space.values(node.beta)
             if counter is not None:
                 counter.steps += len(rep.ctx.atoms)
-            if rep.ctx.beta_matches(access, beta_values):
+            if spec_beta_matches(rep.ctx, access, beta_values):
                 yield beta_values
         if node.right is not None:
             yield from _eval_from(

@@ -14,7 +14,7 @@ The contract is equality of state, bit for bit:
   recomputed by the spec's oracle / by brute force;
 * the work bound that motivated the change — no node's boxes costed
   twice, a split within ``µ·(⌈log₂ max|dom|⌉ + 2)`` cost evaluations, an
-  access's subtries resolved once — counted through wrapped oracles, so
+  access's slices resolved once — counted through wrapped oracles, so
   the duplicate work cannot come back unnoticed;
 * nothing of a build's memo state survives the build.
 """
@@ -28,18 +28,31 @@ import math
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from reference_build import SpecCostModel, spec_structure
+from reference_build import (
+    SpecCostModel,
+    spec_bound_candidates,
+    spec_boxes,
+    spec_outputs,
+    spec_structure,
+    spec_subtries,
+    spec_tries,
+)
+from reference_walk import _join_box
 from repro.core import balanced_tree as tree_mod
 from repro.core import splitting as split_mod
 from repro.core.balanced_tree import build_delay_balanced_tree
-from repro.core.context import AtomBinding, ViewContext
+from repro.core.context import ViewContext
 from repro.core.cost import CostModel, CostWalk
 from repro.core.dictionary import bound_candidates, build_dictionary
 from repro.core.intervals import box_decomposition
+from repro.core.layout import AtomColumns
 from repro.core.structure import CompressedRepresentation
 from repro.database.catalog import Database
 from repro.database.relation import Relation
+from repro.joins.generic_join import JoinCounter
+from repro.query.atoms import Variable
 from repro.query.parser import parse_view
+from repro.query.rewriting import natural_form
 from repro.workloads.generators import triangle_database
 from repro.workloads.queries import (
     loomis_whitney_view,
@@ -66,6 +79,13 @@ VIEWS = {
     "single-ff": parse_view("A^ff(x, y) = R(x, y)"),
 }
 
+#: Views whose normal form has a nullary atom: an all-constant atom holds
+#: or fails as a whole (``databases`` draws the constant or its successor).
+NULLARY_VIEWS = {
+    "nullary-f": parse_view("N^f(x) = R(x), S(3)"),
+    "nullary-bff": parse_view("N^bff(x, y, z) = R(x, y), S(y, z), T(2, 5)"),
+}
+
 
 def covers_of(view):
     """None (the default max-slack cover), all ones, and all ones with
@@ -88,7 +108,8 @@ def covers_of(view):
 def databases(draw, view):
     """≤ 40 rows per relation; every variable has its own value range
     (own offset, own size), so index space and value space differ and
-    the per-coordinate domains differ in size."""
+    the per-coordinate domains differ in size. A constant's column holds
+    the constant or its successor."""
     variables = list(view.head)
     ranges = {}
     for position, variable in enumerate(variables):
@@ -98,7 +119,10 @@ def databases(draw, view):
     relations = {}
     for atom in view.atoms:
         columns = [
-            st.integers(*ranges[variable]) for variable in atom.variables()
+            st.integers(*ranges[term])
+            if isinstance(term, Variable)
+            else st.integers(term.value, term.value + 1)
+            for term in atom.terms
         ]
         rows = draw(st.lists(st.tuples(*columns), max_size=40))
         relations[atom.relation] = Relation(atom.relation, atom.arity, rows)
@@ -144,9 +168,9 @@ def test_production_build_equals_the_spec_build(name, data):
             assert_same_structure(view, db, tau, weights)
 
 
-@pytest.mark.parametrize("name", sorted(VIEWS))
+@pytest.mark.parametrize("name", sorted(VIEWS) + sorted(NULLARY_VIEWS))
 def test_empty_relations_and_an_empty_tuple_space(name):
-    view = VIEWS[name]
+    view = {**VIEWS, **NULLARY_VIEWS}[name]
     relations = {atom.relation: atom.arity for atom in view.atoms}
     # Every relation empty: every domain, so the tuple space, is empty.
     empty = Database([Relation(n, a, []) for n, a in relations.items()])
@@ -164,11 +188,89 @@ def test_empty_relations_and_an_empty_tuple_space(name):
             assert len(built.dictionary) == 0
 
 
+@pytest.mark.parametrize("name", sorted(NULLARY_VIEWS))
+@given(data=st.data())
+@settings(
+    max_examples=12,
+    deadline=None,
+    suppress_health_check=[HealthCheck.too_slow, HealthCheck.data_too_large],
+)
+def test_nullary_atoms_equal_the_spec(name, data):
+    # The nullary atom's relation is {()} or empty: the answer is the
+    # rest's join or nothing, and the build's outputs say so.
+    view = NULLARY_VIEWS[name]
+    db = data.draw(databases(view))
+    for weights in covers_of(view):
+        for tau in (0.5, 8.0, 1e9):
+            assert_same_structure(view, db, tau, weights)
+
+
 def test_the_scan_workloads_registrations_equal_the_spec():
     # benchmarks/e2e scan_stream / scan_measured on seed 11, as registered.
     db = triangle_database(80, 1600, seed=11)
     for pattern in ("bff", "fff"):
         assert_same_structure(triangle_view(pattern), db, 8.0)
+
+
+# ----------------------------------------------------------------------
+# the build's joins and cell count: index space == the value-space spec
+# ----------------------------------------------------------------------
+SHAPES = {**VIEWS, **NULLARY_VIEWS}
+
+
+def spec_interval(rep, access, interval, counter):
+    """The value-space ``enumerate_interval``: one trie join per box."""
+    subtries = spec_subtries(rep.ctx, access)
+    if None in subtries:
+        return
+    for box in spec_boxes(interval, rep.ctx.space):
+        yield from _join_box(rep, access, subtries, box, counter)
+
+
+@pytest.mark.parametrize("name", sorted(SHAPES))
+@given(data=st.data())
+@settings(
+    max_examples=12,
+    deadline=None,
+    suppress_health_check=[HealthCheck.too_slow, HealthCheck.data_too_large],
+)
+def test_the_index_space_joins_equal_the_value_space_spec(name, data):
+    # Proposition 13's candidates, the materialised output and Algorithm
+    # 4's interval scan, on the kernel's join over the context's columns,
+    # against generic_join over test-side tries: the same rows in the
+    # same order, and the scan's steps the same at every row.
+    view = SHAPES[name]
+    rep = CompressedRepresentation(view, data.draw(databases(view)), tau=1.0)
+    ctx = rep.ctx
+    candidates = bound_candidates(ctx)
+    assert candidates == spec_bound_candidates(ctx)
+    assert rep._materialize_outputs(candidates) == spec_outputs(ctx)
+    accesses = candidates[:5] + [(-1,) * len(ctx.bound_order)]
+    for node in rep.tree.nodes[:8]:
+        for access in accesses:
+            kernel, spec = JoinCounter(), JoinCounter()
+            assert [
+                (row, kernel.steps)
+                for row in rep.enumerate_interval(access, node.interval, kernel)
+            ] == [
+                (row, spec.steps)
+                for row in spec_interval(rep, access, node.interval, spec)
+            ]
+            assert kernel.steps == spec.steps
+
+
+@pytest.mark.parametrize("name", sorted(SHAPES))
+@given(data=st.data())
+@settings(max_examples=20, deadline=None)
+def test_index_cells_are_the_edges_of_the_spec_tries(name, data):
+    # What the cache charges for the |D| term: the edges of a trie per
+    # access path, an atom without a bound variable counted twice —
+    # counted from the rows, equal to the tries' own count.
+    view = SHAPES[name]
+    ctx = ViewContext(*natural_form(view, data.draw(databases(view))))
+    assert ctx.index_cells() == sum(
+        trie.cells() + free.cells() for trie, free in spec_tries(ctx)
+    )
 
 
 # ----------------------------------------------------------------------
@@ -331,23 +433,24 @@ def test_no_box_is_costed_twice_and_a_split_stays_within_its_probe_budget(
     assert len(per_split) == len(splits)
     assert max(per_split) <= budget
 
-    # The dictionary pass: one subtrie resolution per (candidate, atom)
-    # for the whole descent, no interval decomposed again.
+    # The dictionary pass: one slice resolution per (candidate, factor
+    # atom) for the whole descent, no interval decomposed again.
     resolved = []
-    real_subtrie = AtomBinding.subtrie
+    real_root_range = AtomColumns.root_range
 
-    def counting_subtrie(self, access):
+    def counting_root_range(self, access):
         resolved.append(access)
-        return real_subtrie(self, access)
+        return real_root_range(self, access)
 
     structure = CompressedRepresentation(view, db, tau=1.0, context=ctx)
-    outputs, _ = structure._materialize_outputs()
-    monkeypatch.setattr(AtomBinding, "subtrie", counting_subtrie)
+    candidates = bound_candidates(ctx)
+    outputs, _ = structure._materialize_outputs(candidates)
+    monkeypatch.setattr(AtomColumns, "root_range", counting_root_range)
     del decomposed[:], costed[:]
-    dictionary = build_dictionary(model, tree, outputs)
+    dictionary = build_dictionary(model, tree, candidates, outputs)
     assert len(dictionary) > 0
     assert not decomposed
-    assert len(resolved) == len(bound_candidates(ctx)) * len(ctx.atoms)
+    assert len(resolved) == len(candidates) * len(model._factors) > 0
 
 
 def test_a_built_structure_keeps_no_build_memo():
@@ -355,7 +458,7 @@ def test_a_built_structure_keeps_no_build_memo():
     db = triangle_database(20, 120, seed=3)
     structure = CompressedRepresentation(view, db, tau=1.0)
     gc.collect()
-    # The walks (fingers, per-access subtries) were locals of the build.
+    # The walks (fingers, per-access slices) were locals of the build.
     assert not [o for o in gc.get_objects() if isinstance(o, CostWalk)]
     # The boxes are stored once: the layout's column is the tree's list.
     assert structure.tree.boxes is structure._fresh_layout().tree.boxes

@@ -24,7 +24,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 from legacy_codec import legacy_blob
 from oracle import oracle_accesses, oracle_answer
-from reference_build import FBox, ScalarInterval
+from reference_build import FBox, ScalarInterval, spec_beta_matches, spec_subtries
 from reference_walk import _join_box, reference_walk
 from repro.core import kernel as kernel_mod
 from repro.core import layout as layout_mod
@@ -729,7 +729,7 @@ def finger_vs_spec(rep, access, boxes, measured):
     ]
     kernel_side.append(counter.steps)
     spec_counter = JoinCounter()
-    subtries = rep.ctx.subtries(access)
+    subtries = spec_subtries(rep.ctx, access)
     spec_side = []
     for box in boxes:
         fbox = FBox([ScalarInterval(low, high) for low, high in box])
@@ -836,7 +836,7 @@ class TestPrefixFinger:
                 )
             joined = kernel_mod._point_joins(layout, finger, point)
             assert joined == (space.values(point) in rows), point
-            assert joined == rep.ctx.beta_matches((), space.values(point))
+            assert joined == spec_beta_matches(rep.ctx, (), space.values(point))
             previous = point
 
     def test_seeks_that_start_mid_prefix_and_stops_mid_node(self):

@@ -3,7 +3,9 @@
 import pytest
 
 from oracle import oracle_accesses, oracle_answer
+from reference_build import FBox, ScalarInterval, free_ranges_of_box
 from repro.core.context import ViewContext
+from repro.core.kernel import join_rows
 from repro.core.decomposed import DecomposedRepresentation
 from repro.core.projection import ProjectedRepresentation
 from repro.core.structure import CompressedRepresentation
@@ -38,26 +40,42 @@ class TestViewContext:
         assert r1.free_coordinates == (0, 1)
 
     def test_subtrie_descends_bound_values(self, ctx):
-        r1 = ctx.atoms[0]
-        node = r1.subtrie((1, 9, 9))  # only w1 = 1 matters for R1
-        assert node is not None
-        assert node.count == 3
-        assert r1.subtrie((7, 9, 9)) is None
+        # The atom's one index: the slice under w1 = 1 counts its keys.
+        r1 = ctx.columns().atoms[0]
+        lo, hi = r1.root_range((1, 9, 9))  # only w1 = 1 matters for R1
+        assert r1.counts[0][hi] - r1.counts[0][lo] == 3
+        assert r1.root_range((7, 9, 9)) is None
 
     def test_contains_assembles_keys(self, ctx):
+        # An atom's keys are its rows in column order, bound columns first.
         r1 = ctx.atoms[0]
-        assert r1.contains((1, 0, 0), (1, 1, 999))  # (w1,x,y) = (1,1,1)
-        assert not r1.contains((1, 0, 0), (2, 2, 999))
+        keys = {
+            tuple(row[p] for p in r1.column_order) for row in r1.relation.rows
+        }
+        assert (1, 1, 1) in keys  # (w1, x, y)
+        assert (1, 2, 2) not in keys
 
     def test_beta_matches_joins_all_atoms(self, ctx):
         # (w1,w2,w3) = (1,1,1) with (x,y,z) = (1,2,1): R1(1,1,2) ✓,
-        # R2(1,2,1) ✓, R3(1,1,1) ✓.
-        assert ctx.beta_matches((1, 1, 1), (1, 2, 1))
-        assert not ctx.beta_matches((1, 1, 1), (2, 2, 2))
+        # R2(1,2,1) ✓, R3(1,1,1) ✓ — a β check is the all-unit box.
+        def joins(access, values):
+            point = [
+                domain.index_of(value)
+                for domain, value in zip(ctx.space.domains, values)
+            ]
+            box = tuple((index, index) for index in point)
+            return join_rows(ctx.columns(), access, [box]) == [values]
+
+        assert joins((1, 1, 1), (1, 2, 1))
+        assert not joins((1, 1, 1), (2, 2, 2))
 
     def test_free_ranges_skip_unrestricted(self, ctx):
-        box = ((0, 0), (0, 0), (0, ctx.space.domains[2].top))
-        ranges = ctx.free_ranges_of_box(box)
+        # The value ranges the spec's joins take for an index-space box.
+        top = ctx.space.domains[2].top
+        box = FBox(
+            [ScalarInterval(0, 0), ScalarInterval(0, 0), ScalarInterval(0, top)]
+        )
+        ranges = free_ranges_of_box(ctx, box)
         names = {v.name for v in ranges}
         assert names == {"x", "y"}  # z spans its whole domain
 

@@ -324,10 +324,11 @@ class TestTheSeekIsASeek:
         dynamic = DynamicRepresentation(
             view, db, tau=2.0, rebuild_fraction=float("inf")
         )
-        # A static build counts and joins over tries, so it asks for them
-        # at once: one per atom, and one multiplicity trie more per atom
-        # with a bound variable — all three here.
-        assert tries.count(False) == 3 and tries.count(True) == 3
+        # A static build counts and joins on its context's columns: no
+        # trie, and the free-columns instances its unrestricted counts
+        # need are the build's context's, not the dirty version's.
+        assert tries == []
+        assert dynamic.freeze()._structure.ctx._count_columns is not None
         dynamic.insert("R", (0, 1))
         frozen = dynamic.freeze()
         del tries[:]
@@ -339,8 +340,9 @@ class TestTheSeekIsASeek:
             frozen.answer(access)
             list(frozen.enumerate_from(access, (0,)))
         # One context, nothing costed: the kernel reads columns compiled
-        # from the rows, and no trie is ever asked for.
+        # from the rows, and no trie or count instance is ever asked for.
         assert tries == [] and len(compiles) == 1
+        assert compiles[0]._count_columns is None
         layout = frozen._layout
         assert layout.tree.left == [-1] and layout.dictionary.buckets == {}
         assert layout.atoms is compiles[0].columns().atoms

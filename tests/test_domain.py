@@ -66,10 +66,14 @@ class TestTupleSpace:
         assert seen == sorted(seen)
 
     def test_values_and_indexes(self):
+        # Values back to indexes: per domain, or as a seek's ceiling.
         s = self._space()
         assert s.values((1, 2)) == (2, 3)
-        assert s.indexes((2, 3)) == (1, 2)
-        assert s.indexes((2, 9)) is None
+        assert tuple(
+            domain.index_of(value) for domain, value in zip(s.domains, (2, 3))
+        ) == (1, 2)
+        assert s.domains[1].index_of(9) is None
+        assert s.ceil_point((2, 3)) == (1, 2)
 
     def test_empty_product_space(self):
         s = TupleSpace([])

@@ -8,16 +8,30 @@ Each test pins a specific failure mode so it cannot silently return:
    instead of *in-range* count, breaking the O(T) evaluation bound of
    Proposition 6 on range-restricted sub-instances;
 3. counting |R_F ⋉ B| without a bound valuation walked the bound-first
-   trie at the wrong levels (needs the multiplicity-preserving free trie).
+   trie at the wrong levels (needs the multiplicity-preserving free
+   columns);
+4. an all-constant atom whose constant is absent — normalised to a
+   nullary atom over an empty relation — was ignored, and every answer
+   source but the oracle answered as if it held.
 """
 
+import math
+
+import pytest
+
+from oracle import oracle_answer
+from reference_walk import spec_enumerate
+from repro.baselines.lazy import LazyView
+from repro.baselines.materialized import MaterializedView
 from repro.core.context import ViewContext
 from repro.core.cost import CostModel
+from repro.core.dynamic import DynamicRepresentation
 from repro.core.intervals import FInterval
 from repro.core.structure import CompressedRepresentation
 from repro.database.catalog import Database
 from repro.database.index import TrieIndex
 from repro.database.relation import Relation
+from repro.engine import ViewServer
 from repro.joins.generic_join import JoinCounter, generic_join
 from repro.query.atoms import Variable
 from repro.query.parser import parse_view
@@ -94,14 +108,46 @@ class TestUnrestrictedCounting:
         # R1 alone, exponent 1: T(B) is the count itself.
         model = CostModel(ctx, {0: 1.0}, alpha=1.0)
         assert model.box_cost(((0, 0), (0, 0), (0, 1))) == 3.0
+        # It is read off R1's free-columns instance, whose (x, y) = (1, 1)
+        # entry counts its rows; the bound-first columns count keys.
+        free = ctx.count_columns()[0]
+        assert free is not ctx.columns().atoms[0]
+        assert free.counts[1][1] - free.counts[1][0] == 3
 
     def test_paper_t_value_depends_on_it(self):
         ctx = ViewContext(running_example_view(), running_example_database())
         model = CostModel(ctx, {0: 1.0, 1: 1.0, 2: 1.0}, alpha=2.0)
-        import math
-
         root = FInterval.full(ctx.space)
         assert abs(
             model.interval_cost(root)
             - (math.sqrt(36) + math.sqrt(8) + math.sqrt(3))
         ) < 1e-9
+
+
+class TestNullaryAtoms:
+    @pytest.mark.parametrize("constant, held", [(3, False), (2, True)])
+    def test_an_all_constant_atom_gates_every_answer_source(
+        self, constant, held
+    ):
+        """``V^f(x) = R(x), S(c)``: ``S(c)`` becomes a nullary atom over
+        ``{()}`` or over nothing, and then the answer is empty."""
+        view = parse_view(f"V^f(x) = R(x), S({constant})")
+        db = Database(
+            [Relation("R", 1, [(1,), (2,)]), Relation("S", 1, [(2,), (4,)])]
+        )
+        expected = oracle_answer(view, db, ())
+        assert expected == ([(1,), (2,)] if held else [])
+        rep = CompressedRepresentation(view, db, tau=1.0)
+        server = ViewServer(db)
+        server.register(view, tau=1.0, name="V")
+        assert rep.answer(()) == expected
+        assert list(spec_enumerate(rep, ())) == expected
+        assert server.open("V", ()).fetchall() == expected
+        assert LazyView(view, db).answer(()) == expected
+        assert MaterializedView(view, db).answer(()) == expected
+        dynamic = DynamicRepresentation(
+            view, db, tau=1.0, rebuild_fraction=math.inf
+        )
+        dynamic.insert("R", (5,))
+        current = dynamic.current_database()
+        assert dynamic.freeze().answer(()) == oracle_answer(view, current, ())

@@ -1,7 +1,7 @@
 """One ViewContext per registration: shared by identity, never by accident.
 
-The tries, domains and tuple space of a static structure do not depend
-on τ (the ``|D|`` term of Theorem 1), so the engine builds them once per
+The atoms' index, domains and tuple space of a static structure do not
+depend on τ (the ``|D|`` term of Theorem 1), so the engine builds them once per
 registration generation and every structure it builds, warm-loads,
 receives from a build worker or hydrates on a replica shares that one
 :class:`~repro.core.context.ViewContext` by reference. A restored
@@ -12,6 +12,7 @@ now): blobs of that age still load, section ignored.
 """
 
 import gc
+import itertools
 import pickle
 import shutil
 import weakref
@@ -70,19 +71,12 @@ def setup():
 def freeze(context: ViewContext):
     """A deep, comparable copy of everything a shared context holds."""
 
-    def walk(node):
-        return (
-            tuple(node.keys),
-            node.count,
-            tuple(node.cumulative),
-            tuple(walk(node.children[key]) for key in node.keys),
-        )
+    def columns(atom):
+        return (atom.roots, atom.vals, atom.kid_lo, atom.kid_hi, atom.counts)
 
     return (
-        tuple(
-            (walk(binding.trie.root), walk(binding.free_trie.root))
-            for binding in context.atoms
-        ),
+        tuple(columns(atom) for atom in context.columns().atoms),
+        tuple(columns(atom) for atom in context.count_columns()),
         tuple(domain.values for domain in context.free_domains),
         {var: domain.values for var, domain in context.bound_domains.items()},
         context.index_cells(),
@@ -225,7 +219,7 @@ class TestOneIndexPerContext:
     """The kernel's form of the |D| term is the context's, never a layout's.
 
     Atom columns and the join schedule are a function of (view,
-    database) like the tries: compiled once per context, and every
+    database): compiled once per context, and every
     layout over it — each τ, each way a structure can arrive — holds
     those very objects.
     """
@@ -240,8 +234,10 @@ class TestOneIndexPerContext:
         monkeypatch.setattr(
             layout_mod,
             "_compile_atom",
-            lambda binding, space: compiled.append(binding.label)
-            or compile_atom(binding, space),
+            lambda binding, space, free_only=False: compiled.append(
+                (binding.label, free_only)
+            )
+            or compile_atom(binding, space, free_only),
         )
         view, db = setup
         server = ViewServer(db, max_entries=None, snapshot_dir=tmp_path)
@@ -253,8 +249,13 @@ class TestOneIndexPerContext:
         warm = {tau: server.representation(name, tau) for tau in TAUS}
         assert server.cache_stats.disk_hits == len(TAUS)
         assert all(same_columns(rep, context) for rep in warm.values())
-        # Twelve structures, one compile of the three atoms.
-        assert compiled == [0, 1, 2]
+        # Twelve structures, one compile of the three atoms — and, for the
+        # builds' unrestricted counts, one of their free columns.
+        assert compiled == [(0, False), (1, False), (2, False)] + [
+            (0, True),
+            (1, True),
+            (2, True),
+        ]
         access = oracle_accesses(view, db, limit=1)[0]
         assert list(warm[2.0].enumerate(access)) == oracle_answer(
             view, db, access
@@ -309,34 +310,40 @@ class TestOneIndexPerContext:
         assert columns.space is context.space
 
 
-def columns_from_trie(binding, space):
-    """An atom's columns read off its trie, level by level.
+def columns_from_trie(trie, bound_depth, coords, space):
+    """An atom's columns read off a trie over the same keys, level by level.
 
     How ``core/layout.py`` compiled them while every context built its
     tries up front; kept here as the independent form the one-pass
-    compile from rows is held to.
+    compile from rows is held to. A level's prefix counts are the running
+    sums of its entries' subtree counts; an atom with no free variable
+    has one entry per root.
     """
-    level_nodes = [((), binding.trie.root)]
-    for _ in binding.bound_vars:
+    root = trie.descend(())
+    level_nodes = [] if root is None else [((), root)]
+    for _ in range(bound_depth):
         level_nodes = [
             (prefix + (key,), node.children[key])
             for prefix, node in level_nodes
             for key in node.keys
         ]
-    coords = binding.free_coordinates
     width = len(coords)
     roots, vals = {}, [[] for _ in range(width)]
     kid_lo = [[] for _ in range(max(width - 1, 0))]
     kid_hi = [[] for _ in range(max(width - 1, 0))]
+    sizes = [[] for _ in range(max(width, 1))]
     current = []
     for prefix, node in level_nodes:
-        lo = len(vals[0]) if width else 0
+        lo = len(sizes[0])
         if width:
             domain = space.domains[coords[0]]
             for key in node.keys:
                 vals[0].append(domain.index_of(key))
                 current.append(node.children[key])
-        roots[prefix] = (lo, len(vals[0]) if width else 0)
+                sizes[0].append(node.children[key].count)
+        else:
+            sizes[0].append(node.count)
+        roots[prefix] = (lo, len(sizes[0]))
     for level in range(1, width):
         domain = space.domains[coords[level]]
         below = []
@@ -345,9 +352,11 @@ def columns_from_trie(binding, space):
             for key in parent.keys:
                 vals[level].append(domain.index_of(key))
                 below.append(parent.children[key])
+                sizes[level].append(parent.children[key].count)
             kid_hi[level - 1].append(len(vals[level]))
         current = below
-    return roots, vals, kid_lo, kid_hi
+    counts = [list(itertools.accumulate(run, initial=0)) for run in sizes]
+    return roots, vals, kid_lo, kid_hi, counts
 
 
 COLUMN_VIEWS = [
@@ -374,16 +383,33 @@ def test_columns_compiled_from_rows_equal_the_tries_levels(case, rows):
     db = Database([Relation(name, 2, r) for name, r in zip(names, rows)])
     context = ViewContext(view, db)
     columns = context.columns()
-    assert all(binding._trie is None for binding in context.atoms)
-    for binding, atom in zip(context.atoms, columns.atoms):
+    assert context._count_columns is None
+    counted = context.count_columns()
+    for binding, atom, free in zip(context.atoms, columns.atoms, counted):
+        depth = len(binding.bound_vars)
+        coords = binding.free_coordinates
+        trie = TrieIndex(binding.relation, binding.column_order)
         assert (
             atom.roots,
             atom.vals,
             atom.kid_lo,
             atom.kid_hi,
-        ) == columns_from_trie(binding, context.space)
+            [list(run) for run in atom.counts],
+        ) == columns_from_trie(trie, depth, coords, context.space)
         assert atom.coords == binding.free_coordinates
         assert atom.bound_positions == binding.bound_access_positions
+        # The count instance: the free columns alone, repeats counted.
+        multiplicities = TrieIndex(
+            binding.relation, binding.column_order[depth:], dedupe=False
+        )
+        assert (
+            free.roots,
+            free.vals,
+            free.kid_lo,
+            free.kid_hi,
+            [list(run) for run in free.counts],
+        ) == columns_from_trie(multiplicities, 0, coords, context.space)
+        assert (free is atom) == (not depth)
 
 
 class TestRefusal:
@@ -544,6 +570,51 @@ def count_calls(monkeypatch, cls):
 
 
 class TestCounts:
+    def test_no_path_of_the_theorem_1_structure_builds_a_trie(
+        self, setup, tmp_path, monkeypatch
+    ):
+        # Counting, joining and accounting all read the context's columns:
+        # a build, a disk-tier warm start, a build worker's hand-back, a
+        # replica's hydration, a dirty first read, cache admission and
+        # space_report() construct no value-space index at all.
+        from repro.baselines.lazy import LazyView
+        from repro.core.dynamic import DynamicRepresentation
+
+        view, db = setup
+        tries = count_calls(monkeypatch, TrieIndex)
+        access = oracle_accesses(view, db, limit=1)[0]
+        expected = oracle_answer(view, db, access)
+        built = CompressedRepresentation(view, db, tau=4.0)
+        assert built.space_report().index_cells > 0
+        first = ViewServer(db, max_entries=None, snapshot_dir=tmp_path)
+        first.register(view, tau=8.0, name="V")
+        assert first.open("V", access).fetchall() == expected  # admission
+        restarted = ViewServer(db, max_entries=None, snapshot_dir=tmp_path)
+        restarted.register(view, tau=8.0, name="V")
+        assert restarted.answer("V", access) == expected
+        assert restarted.total_builds() == 0
+        assert restarted.representation("V").space_report().index_cells > 0
+        with ParallelBuilder(max_workers=1) as builder:
+            handed = ViewServer(db, builder=builder)
+            handed.register(view, tau=2.0, name="V")
+            assert handed.answer("V", access) == expected
+        replica = ReplicaServer(db, snapshot_dir=tmp_path)
+        replica.register(view, tau=8.0, name="V")
+        replica.hydrate()
+        assert replica.answer("V", access) == expected
+        assert replica.total_builds() == 0
+        dynamic = DynamicRepresentation(
+            view, db, tau=8.0, rebuild_fraction=float("inf")
+        )
+        dynamic.insert("R", (0, 1))
+        frozen = dynamic.freeze()
+        current = dynamic.current_database()
+        assert frozen.answer(access) == oracle_answer(view, current, access)
+        assert tries == []
+        # The spy sees what does build one: the value-space baseline.
+        LazyView(view, db)
+        assert tries == ["TrieIndex"] * len(view.atoms)
+
     def test_a_warm_churn_pass_builds_no_context_and_no_trie(
         self, setup, tmp_path, monkeypatch
     ):
@@ -553,7 +624,7 @@ class TestCounts:
         ladder = ViewServer(db, max_entries=None, snapshot_dir=tmp_path)
         ladder.register(view, tau=8.0, name="churn")
         built = {tau: ladder.representation("churn", tau) for tau in TAUS}
-        assert (len(contexts), len(tries)) == (1, 6)
+        assert (len(contexts), len(tries)) == (1, 0)
         budget = representation_cells(built[2.0]) + representation_cells(
             built[8.0]
         )
@@ -562,7 +633,7 @@ class TestCounts:
         )
         server.register(view, tau=8.0, name="churn")
         server.prefetch("churn", 2.0)
-        assert (len(contexts), len(tries)) == (2, 12)
+        assert (len(contexts), len(tries)) == (2, 0)
         access = oracle_accesses(view, db, limit=1)[0]
         for _ in range(2):  # the second pass is the warm one
             del contexts[:], tries[:]
@@ -650,19 +721,21 @@ class TestCounts:
         assert formatted == []
 
     def test_index_cells_walks_the_tries_once(self, setup, monkeypatch):
-        from repro.database.index import TrieNode
+        # The cells are the edges of a trie per access path, counted from
+        # the rows once per context: no trie is built or walked for them.
+        from reference_build import spec_tries
 
         view, db = setup
         rep = CompressedRepresentation(view, db, tau=8.0)
-        expected = representation_cells(rep)
-        walks = []
-        walk = TrieNode.cells
-        monkeypatch.setattr(
-            TrieNode, "cells", lambda self: walks.append(1) or walk(self)
+        expected = sum(
+            trie.cells() + free.cells() for trie, free in spec_tries(rep.ctx)
         )
-        assert representation_cells(rep) == expected
-        assert rep.space_report().index_cells == rep.ctx.index_cells()
-        assert walks == []
+        tries = count_calls(monkeypatch, TrieIndex)
+        fresh = CompressedRepresentation(view, db, tau=8.0)
+        assert fresh.ctx.index_cells() == expected
+        assert representation_cells(fresh) == representation_cells(rep)
+        assert fresh.space_report().index_cells == fresh.ctx.index_cells()
+        assert tries == []
 
     def test_the_dictionary_restores_in_bulk_to_the_same_version(self, setup):
         # The dictionary object is a view of the columns, made in bulk
