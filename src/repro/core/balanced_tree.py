@@ -30,6 +30,17 @@ from repro.exceptions import ParameterError
 _MAX_DEPTH = 512
 
 
+def level_threshold(tau: float, alpha: float, level: int) -> float:
+    """``τ_ℓ = τ / 2^{ℓ(1 − 1/α)}`` (α = ∞ degrades to τ / 2^ℓ).
+
+    The one formula: the build's stop test, the dictionary's heaviness
+    test and a cut (:meth:`~repro.core.structure.CompressedRepresentation.cut`)
+    all read these very floats.
+    """
+    exponent = 1.0 if math.isinf(alpha) else 1.0 - 1.0 / alpha
+    return tau / (2.0 ** (level * exponent))
+
+
 class TreeNode:
     """One node of the delay-balanced tree."""
 
@@ -81,12 +92,8 @@ class DelayBalancedTree:
         return len(self.nodes)
 
     def threshold(self, level: int) -> float:
-        """``τ_ℓ = τ / 2^{ℓ(1 − 1/α)}`` (α = ∞ degrades to τ / 2^ℓ)."""
-        if math.isinf(self.alpha):
-            exponent = 1.0
-        else:
-            exponent = 1.0 - 1.0 / self.alpha
-        return self.tau / (2.0 ** (level * exponent))
+        """This tree's :func:`level_threshold` at ``level``."""
+        return level_threshold(self.tau, self.alpha, level)
 
     def min_threshold(self) -> float:
         """The smallest threshold over the realized levels."""
@@ -165,7 +172,6 @@ def build_delay_balanced_tree(
     walk = cost_model.walk()
     nodes: List[TreeNode] = []
     node_boxes: List[Tuple[Box, ...]] = []
-    exponent = 1.0 if math.isinf(alpha) else 1.0 - 1.0 / alpha
 
     def make(interval: FInterval, level: int) -> Optional[TreeNode]:
         if level > _MAX_DEPTH:
@@ -181,7 +187,7 @@ def build_delay_balanced_tree(
         node = TreeNode(len(nodes), interval, level, cost)
         nodes.append(node)
         node_boxes.append(boxes)
-        if interval.is_unit() or cost < tau / (2.0 ** (level * exponent)):
+        if interval.is_unit() or cost < level_threshold(tau, alpha, level):
             return node
         # Even with both sides empty or costless the node stays a split
         # node: it carries the unit valuation at beta, which Algorithm 2

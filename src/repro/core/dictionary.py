@@ -31,6 +31,7 @@ Every count and join here reads the context's columns
 
 from __future__ import annotations
 
+from array import array
 from bisect import bisect_left
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
@@ -48,13 +49,19 @@ class HeavyDictionary:
     version they were built against and go stale (refused until
     recompiled) when it moves — the guard that keeps the Algorithm 4
     refinement and any future mutation from serving old bits.
+
+    ``costs`` is what :func:`build_dictionary` adds: each entry's
+    ``T_{v_b}(I(w))``, aligned with the entries' insertion order (the
+    build sets each pair once, in pre-order). None on every other
+    dictionary.
     """
 
-    __slots__ = ("_entries", "version")
+    __slots__ = ("_entries", "version", "costs")
 
     def __init__(self):
         self._entries: Dict[Tuple[int, Tuple], int] = {}
         self.version = 0
+        self.costs: Optional[array] = None
 
     def set(self, node_id: int, access: Tuple, bit: int) -> None:
         self._entries[(node_id, access)] = bit
@@ -124,9 +131,13 @@ def build_dictionary(
 
     Each candidate's slices are resolved once, into the
     :class:`~repro.core.cost.CostWalk` that costs it against every node
-    it reaches; the walks are locals of this pass and go with it.
+    it reaches; the walks are locals of this pass and go with it. The
+    cost that made a pair heavy is kept beside its bit
+    (:attr:`HeavyDictionary.costs`): it is what a cut to a higher ``τ``
+    filters on.
     """
     dictionary = HeavyDictionary()
+    costs = dictionary.costs = array("d")
     if tree.root is None:
         return dictionary
     ctx = cost_model.ctx
@@ -155,11 +166,14 @@ def build_dictionary(
                     free_tuples, interval
                 )
                 dictionary.set(node.id, access, 1 if nonempty else 0)
+                costs.append(cost)
             if has_children and cost > prune_threshold:
                 survivors.append(candidate)
+        # Right pushed first, so nodes are visited in pre-order — id
+        # order — and each access's entries arrive with ascending ids.
         if survivors:
-            if node.left is not None:
-                stack.append((node.left, survivors))
             if node.right is not None:
                 stack.append((node.right, survivors))
+            if node.left is not None:
+                stack.append((node.left, survivors))
     return dictionary

@@ -50,9 +50,10 @@ from __future__ import annotations
 
 import sys
 from array import array
+from collections import defaultdict
 from copy import copy
 from dataclasses import dataclass, field
-from itertools import accumulate, chain
+from itertools import accumulate, chain, compress, repeat
 from operator import gt
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
@@ -219,15 +220,22 @@ class DictColumns:
     ``bytes`` of stored bits. A probe is one :func:`bisect_left` into the
     id run — absence is the paper's ⊥ (light pair). ``entries`` counts
     the stored bits.
+
+    ``costs`` holds each stored pair's ``T_{v_b}(I(w))``, one
+    ``array('d')`` bucket after bucket in the buckets' order — resident
+    on a freshly built or cut structure (what :func:`cut_layout` filters
+    on), never stored, and None on anything decoded, upgraded or
+    recompiled.
     """
 
-    __slots__ = ("buckets", "entries")
+    __slots__ = ("buckets", "entries", "costs")
 
     _EMPTY: Tuple[List[int], bytes] = ([], b"")
 
-    def __init__(self, buckets: Dict[Tuple, Tuple[List[int], bytes]]):
+    def __init__(self, buckets: Dict, costs: Optional[array] = None):
         self.buckets = buckets
         self.entries = sum(len(bits) for _, bits in buckets.values())
+        self.costs = costs
 
     def bucket(self, access: Tuple) -> Tuple[List[int], bytes]:
         return self.buckets.get(access, self._EMPTY)
@@ -547,21 +555,39 @@ def _compile_tree(tree, cost_model) -> TreeColumns:
     return TreeColumns(root, cost_model.ctx.space.width, *columns, tree.boxes)
 
 
-def _compile_dictionary(
-    entries: Iterable[Tuple[Tuple[int, Tuple], int]]
-) -> DictColumns:
-    """Bucket ``((node id, access), bit)`` entries per access, ids sorted."""
-    grouped: Dict[Tuple, List[Tuple[int, int]]] = {}
-    for (node_id, access), bit in entries:
-        grouped.setdefault(access, []).append((node_id, bit))
+def _compile_dictionary(entries, costs: Optional[array] = None) -> DictColumns:
+    """Bucket ``((node id, access), bit)`` entries per access, ids sorted.
+
+    Buckets are keyed in access order, as a decoded layout's are.
+    ``costs``, aligned with ``entries``, are laid out beside the bits.
+    The build sets its entries in pre-order, so their ids arrive sorted;
+    an edited dictionary's may not.
+    """
+    runs = defaultdict(lambda: ([], bytearray(), array("d")))
+    for ((node_id, access), bit), cost in zip(entries, costs or repeat(0.0)):
+        ids, bits, values = runs[access]
+        ids.append(node_id)
+        bits.append(bit)
+        values.append(cost)
+    return _dict_columns(runs, costs is not None)
+
+
+def _dict_columns(runs: Dict, keep_costs: bool = True) -> DictColumns:
+    """Per-access ``(ids, bits, costs)`` runs as buckets, in access order.
+
+    A run's ids end up sorted, its bits and costs with them; an empty
+    run makes no bucket.
+    """
     buckets: Dict[Tuple, Tuple[List[int], bytes]] = {}
-    for access, pairs in grouped.items():
-        pairs.sort()
-        buckets[access] = (
-            [node_id for node_id, _ in pairs],
-            bytes(bit for _, bit in pairs),
-        )
-    return DictColumns(buckets)
+    laid_out = array("d")
+    for access in sorted(runs):
+        ids, bits, values = runs[access]
+        if any(map(gt, ids, ids[1:])):
+            ids, bits, values = map(list, zip(*sorted(zip(ids, bits, values))))
+        if ids:
+            buckets[access] = (ids, bytes(bits))
+            laid_out.extend(values)
+    return DictColumns(buckets, laid_out if keep_costs else None)
 
 
 def _compile_rows(rows, positions, coords, space, bound_positions=()) -> AtomColumns:
@@ -692,10 +718,70 @@ def compile_layout(ctx, tree, dictionary, cost_model) -> CompiledLayout:
     """
     return CompiledLayout(
         _compile_tree(tree, cost_model),
-        _compile_dictionary(dictionary.items()),
+        _compile_dictionary(dictionary.items(), dictionary.costs),
         ctx.columns(),
         dict_version=dictionary.version,
     )
+
+
+def cut_layout(
+    layout: CompiledLayout, thresholds: Sequence[float], columns: JoinColumns
+) -> Tuple[CompiledLayout, int]:
+    """``layout``'s ``(T, D)`` cut at a higher ``τ``, and the cut's depth.
+
+    ``thresholds[ℓ]`` is the higher ``τ``'s ``τ_ℓ`` at every level of
+    ``layout``'s tree. Algorithm 1's split point and the cost ``T`` never
+    see ``τ``, and costs never grow toward the leaves (Lemma 2), so the
+    tree at the higher ``τ`` is this one, stopped earlier: a node is kept
+    when its parent is kept and still splits — ``cost ≥ τ_ℓ`` — and the
+    kept nodes are renumbered in id order (ids are pre-order, so parents
+    come first). Endpoints, β points and boxes are shared by reference.
+    A dictionary entry is kept when its node is and its cost still
+    exceeds ``τ_ℓ``. One forward pass each; nothing is costed or joined.
+    """
+    tree, dictionary = layout.tree, layout.dictionary
+    # New ids, and one slot past the old ones: a child id of -1 reads -1.
+    renumber = [-1] * (len(tree.left) + 1)
+    levels = [0] * len(tree.left)
+    limits = [float("inf")] * len(tree.left)  # τ_ℓ at kept nodes only
+    kept, links = [], []  # old ids; per kept node (left, right, β) at τ
+    for node, cost in enumerate(tree.cost):
+        if node and renumber[node] < 0:
+            continue  # below a node that stops at this τ
+        renumber[node] = len(kept)
+        kept.append(node)
+        limits[node] = thresholds[levels[node]]
+        link = (tree.left[node], tree.right[node], tree.beta[node])
+        if link[2] is None or cost < limits[node]:
+            link = (-1, -1, None)
+        links.append(link)
+        for child in link[:2]:
+            if child >= 0:
+                renumber[child] = 0  # reached: numbered in its turn
+                levels[child] = levels[node] + 1
+    cut_tree = TreeColumns(
+        0 if kept else -1,
+        tree.width,
+        [renumber[left] for left, _, _ in links],
+        [renumber[right] for _, right, _ in links],
+        *([column[node] for node in kept] for column in (tree.low, tree.high)),
+        [beta for _, _, beta in links],
+        array("d", [tree.cost[node] for node in kept]),
+        [tree.boxes[node] for node in kept],
+    )
+    runs, end = {}, 0
+    for access, (ids, bits) in dictionary.buckets.items():
+        start, end = end, end + len(ids)
+        costs = dictionary.costs[start:end]
+        keep = [cost > limits[node] for node, cost in zip(ids, costs)]
+        runs[access] = (
+            [renumber[node] for node in compress(ids, keep)],
+            bytes(compress(bits, keep)),
+            array("d", compress(costs, keep)),
+        )
+    cut = _dict_columns(runs)
+    depth = max((levels[node] for node in kept), default=0)
+    return CompiledLayout(cut_tree, cut, columns, dict_version=cut.entries), depth
 
 
 def recompile_dictionary(ctx, layout, dictionary) -> CompiledLayout:

@@ -32,13 +32,15 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import asdict, dataclass
+from copy import copy
+from dataclasses import asdict, dataclass, replace
 from typing import Dict, Iterator, List, Mapping, Optional, Sequence, Tuple
 
 from repro.core import layout as layout_mod
 from repro.core.balanced_tree import (
     DelayBalancedTree,
     build_delay_balanced_tree,
+    level_threshold,
 )
 from repro.core.context import ViewContext
 from repro.core.kernel import join_rows, kernel_enumerate, kernel_enumerate_from
@@ -199,6 +201,42 @@ class CompressedRepresentation(Representation):
             )
         self.layout_compile_seconds = time.perf_counter() - started
         return self._layout
+
+    def cut(self, tau: float) -> "CompressedRepresentation":
+        """The structure at any ``tau ≥ self.tau``, cut from this one.
+
+        Same context and cover; the columns equal a direct build's at
+        ``tau``, bit for bit, from one linear pass over these
+        (:func:`~repro.core.layout.cut_layout`): ``τ`` only decides where
+        a node stops and which pairs are heavy. ``build_seconds`` is the
+        cut's own time. Only a freshly built (or cut) structure keeps the
+        per-entry costs the pass filters on; anything decoded, upgraded
+        or recompiled raises :class:`~repro.exceptions.ParameterError`,
+        and so does a ``tau`` below this one's.
+        """
+        started = time.perf_counter()
+        layout = self._fresh_layout()
+        if layout.dictionary.costs is None:
+            raise ParameterError("decoded or recompiled: no entry costs to cut")
+        if not tau >= self.tau:
+            raise ParameterError(f"a cut only raises tau: {tau!r} < {self.tau!r}")
+        cut = copy(self)  # view, database, context and cost model shared
+        cut.tau, cut.weights = float(tau), dict(self.weights)
+        levels = range(self.stats.tree_depth + 1)
+        thresholds = [level_threshold(cut.tau, self.alpha, ell) for ell in levels]
+        cut._layout, depth = layout_mod.cut_layout(
+            layout, thresholds, self.ctx.columns()
+        )
+        cut._tree, cut._dictionary, cut.layout_compile_seconds = None, None, 0.0
+        cut.stats = replace(
+            self.stats,
+            tau=cut.tau,
+            tree_nodes=len(cut._layout.tree.left),
+            tree_depth=depth,
+            dictionary_entries=cut._layout.dictionary.entries,
+            build_seconds=time.perf_counter() - started,
+        )
+        return cut
 
     def _fresh_layout(self) -> "layout_mod.CompiledLayout":
         """The compiled layout — the one check every enumeration passes.

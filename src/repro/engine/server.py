@@ -70,6 +70,7 @@ from __future__ import annotations
 import hashlib
 import json
 import time
+import weakref
 from contextlib import contextmanager
 from functools import partial
 from dataclasses import dataclass, field
@@ -583,6 +584,10 @@ class ViewServer(Serving):
         # The per-view half of every static structure, by registration
         # generation (see :meth:`_resolve`).
         self._contexts: Dict[int, ViewContext] = {}
+        # Beside each context, the lowest-τ default-cover structure built
+        # over it — weakly: a base lives as long as the cache or a cursor
+        # holds it (see :meth:`_build`).
+        self._bases: Dict[int, weakref.ref] = {}
         self._build_counts: Dict[CacheKey, int] = {}
         # Monotonic lifetime total: per-key counters are pruned when their
         # generation dies, but stream build-deltas need a counter that
@@ -688,6 +693,7 @@ class ViewServer(Serving):
         # check in :meth:`representation`).
         generation = registration.generation
         self._contexts.pop(generation, None)
+        self._bases.pop(generation, None)
         self._cache.invalidate_matching(
             lambda key: key[0] == name and key[2] == generation
         )
@@ -1254,20 +1260,35 @@ class ViewServer(Serving):
     def _build(
         self, registration: Registration, tau: float, context: ViewContext
     ) -> CompressedRepresentation:
-        build = (
-            CompressedRepresentation
-            if self._builder is None
-            else self._builder.build
-        )
-        built = build(
-            registration.natural_view,
-            registration.database,
-            tau=tau,
-            # The optimizer's cover is tied to the τ it was solved for; a
-            # caller-supplied τ falls back to the context's default cover.
-            weights=registration.weights if tau == registration.tau else None,
-            context=context,
-        )
+        """One structure of ``registration`` at ``tau``: cut, or built.
+
+        A default-cover ``tau`` at or above the generation's live base
+        (the lowest default-cover ``tau`` built in-process over this
+        context) is cut from it
+        (:meth:`~repro.core.structure.CompressedRepresentation.cut`); any
+        other default-cover build becomes the base. The optimizer's cover
+        and a :class:`ParallelBuilder` hand-back (which carries no entry
+        costs) are always built directly.
+        """
+        # The optimizer's cover is tied to the τ it was solved for; a
+        # caller-supplied τ falls back to the context's default cover.
+        weights = registration.weights if tau == registration.tau else None
+        cuttable = weights is None and self._builder is None
+        base = self._bases.get(registration.generation) if cuttable else None
+        base = base() if base is not None else None
+        if base is not None and base.ctx is context and tau >= base.tau:
+            built = base.cut(tau)
+        else:
+            build = self._builder.build if self._builder else CompressedRepresentation
+            built = build(
+                registration.natural_view,
+                registration.database,
+                tau=tau,
+                weights=weights,
+                context=context,
+            )
+            if cuttable:
+                self._bases[registration.generation] = weakref.ref(built)
         self._observe_layout_compile(registration.name, built)
         return built
 

@@ -151,12 +151,19 @@ class _ScanState:
         return True
 
     def release(self) -> None:
-        """A lane went: close the enumeration once no lane wants rows."""
-        if self.end is None and not any(lane.alive for lane in self.lanes):
-            self.end = _PRUNED
-            close = getattr(self.source, "close", None)
-            if close is not None:
-                close()
+        """A lane went: close the enumeration once no lane wants rows.
+
+        The last lane out also drops the lanes: a state and its lanes
+        point at each other, and the cycle would keep the structure
+        alive after its cursors closed, until the next collection.
+        """
+        if not any(lane.alive for lane in self.lanes):
+            self.lanes = []
+            if self.end is None:
+                self.end = _PRUNED
+                close = getattr(self.source, "close", None)
+                if close is not None:
+                    close()
 
 
 class _Lane:

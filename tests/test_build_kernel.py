@@ -21,9 +21,12 @@ The contract is equality of state, bit for bit:
 
 from __future__ import annotations
 
+import copy
+import dataclasses
 import gc
 import itertools
 import math
+from pathlib import Path
 
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
@@ -46,9 +49,11 @@ from repro.core.cost import CostModel, CostWalk
 from repro.core.dictionary import bound_candidates, build_dictionary
 from repro.core.intervals import box_decomposition
 from repro.core.layout import AtomColumns
+from repro.core.snapshot import decode_snapshot, encode_snapshot
 from repro.core.structure import CompressedRepresentation
 from repro.database.catalog import Database
 from repro.database.relation import Relation
+from repro.exceptions import ParameterError
 from repro.joins.generic_join import JoinCounter
 from repro.query.atoms import Variable
 from repro.query.parser import parse_view
@@ -168,13 +173,11 @@ def test_production_build_equals_the_spec_build(name, data):
             assert_same_structure(view, db, tau, weights)
 
 
-@pytest.mark.parametrize("name", sorted(VIEWS) + sorted(NULLARY_VIEWS))
-def test_empty_relations_and_an_empty_tuple_space(name):
-    view = {**VIEWS, **NULLARY_VIEWS}[name]
+def empty_databases(view):
+    """Every relation empty (so every domain and the tuple space), and
+    only the first empty (an empty join over a live space)."""
     relations = {atom.relation: atom.arity for atom in view.atoms}
-    # Every relation empty: every domain, so the tuple space, is empty.
     empty = Database([Relation(n, a, []) for n, a in relations.items()])
-    # One relation empty, the others not: an empty join over a live space.
     first = view.atoms[0].relation
     partial = Database(
         [
@@ -182,7 +185,13 @@ def test_empty_relations_and_an_empty_tuple_space(name):
             for n, a in relations.items()
         ]
     )
-    for db in (empty, partial):
+    return empty, partial
+
+
+@pytest.mark.parametrize("name", sorted(VIEWS) + sorted(NULLARY_VIEWS))
+def test_empty_relations_and_an_empty_tuple_space(name):
+    view = {**VIEWS, **NULLARY_VIEWS}[name]
+    for db in empty_databases(view):
         for tau in (0.5, 8.0):
             built = assert_same_structure(view, db, tau)
             assert len(built.dictionary) == 0
@@ -271,6 +280,92 @@ def test_index_cells_are_the_edges_of_the_spec_tries(name, data):
     assert ctx.index_cells() == sum(
         trie.cells() + free.cells() for trie, free in spec_tries(ctx)
     )
+
+
+# ----------------------------------------------------------------------
+# τ is a cut: the structure at a higher τ, cut from a lower one's columns,
+# is the direct build — state and blob
+# ----------------------------------------------------------------------
+def pinned_blob(rep):
+    """``encode_snapshot`` bytes with the one wall-clock reading pinned."""
+    pinned = copy.copy(rep)
+    pinned.stats = dataclasses.replace(rep.stats, build_seconds=0.0)
+    return encode_snapshot(pinned)
+
+
+def assert_cuts_are_direct_builds(view, db, weights=None):
+    """Every τ ≥ every base τ of ``TAUS``, cut once and cut step by step."""
+    direct = {
+        tau: CompressedRepresentation(view, db, tau=tau, weights=weights)
+        for tau in TAUS
+    }
+    expected = {
+        tau: (comparable(rep.snapshot_state()), pinned_blob(rep))
+        for tau, rep in direct.items()
+    }
+    for low, base in direct.items():
+        chained = base
+        for tau in (tau for tau in TAUS if tau >= low):
+            chained = chained.cut(tau)  # a cut of a cut of ...
+            for cut in (base.cut(tau), chained):
+                state = comparable(cut.snapshot_state())
+                assert (state, pinned_blob(cut)) == expected[tau], (low, tau)
+
+
+@pytest.mark.parametrize("name", sorted(SHAPES))
+@given(data=st.data())
+@settings(
+    max_examples=8,
+    deadline=None,
+    suppress_health_check=[HealthCheck.too_slow, HealthCheck.data_too_large],
+)
+def test_a_cut_equals_a_direct_build(name, data):
+    view = SHAPES[name]
+    db = data.draw(databases(view))
+    for weights in covers_of(view):
+        assert_cuts_are_direct_builds(view, db, weights)
+
+
+@pytest.mark.parametrize("name", sorted(SHAPES))
+def test_a_cut_of_an_empty_join_or_space_is_a_direct_build(name):
+    for db in empty_databases(SHAPES[name]):
+        assert_cuts_are_direct_builds(SHAPES[name], db)
+
+
+def test_a_cut_drops_nodes_and_entries_above_the_base():
+    # The property above would pass on a ladder where nothing moves.
+    view = triangle_view("bff")
+    base = CompressedRepresentation(view, triangle_database(30, 300, 7), 1.0)
+    cut = base.cut(64.0)
+    assert cut.stats.tree_nodes < base.stats.tree_nodes
+    assert 0 < cut.stats.dictionary_entries < base.stats.dictionary_entries
+    assert cut.stats.output_tuples == base.stats.output_tuples
+    assert cut.ctx is base.ctx and cut.weights == base.weights
+    # Endpoints, β points and boxes are the base's objects.
+    kept = {id(box) for box in base._layout.tree.boxes}
+    assert all(id(box) in kept for box in cut._layout.tree.boxes)
+
+
+def test_only_a_freshly_built_structure_is_cut_and_only_upward():
+    view = triangle_view("bbf")
+    built = CompressedRepresentation(view, triangle_database(20, 120, 3), 2.0)
+    with pytest.raises(ParameterError, match="only raises tau"):
+        built.cut(1.0)
+    # Decoded (also from a v2 blob of another age): no entry costs.
+    legacy = Path(__file__).parent / "data" / "pr18_tiny_bbf_tau1.snap"
+    for decoded in (
+        decode_snapshot(encode_snapshot(built)),
+        decode_snapshot(legacy.read_bytes()),
+    ):
+        assert decoded._layout.dictionary.costs is None
+        with pytest.raises(ParameterError, match="decoded or recompiled"):
+            decoded.cut(4.0)
+    # Recompiled from the dictionary view: the costs are gone too.
+    assert built.cut(4.0).stats.tau == 4.0
+    built.dictionary.set(0, (), 1)
+    built.compile_layout()
+    with pytest.raises(ParameterError, match="decoded or recompiled"):
+        built.cut(4.0)
 
 
 # ----------------------------------------------------------------------

@@ -502,8 +502,15 @@ class TestMakefileContract:
 #: ``server.py`` two counters) — a batch is the solo walk once per
 #: distinct request. PR 23: 4,293 → 4,286 (−7: ``SharedScan.kernel_path``
 #: and the server's ``path`` ternary — the kernel reads dirty versions
-#: too, so there is no second path to label).
-ENGINE_SLOC_CEILING = 4286
+#: too, so there is no second path to label). Then, when τ became a
+#: cut: 4,286 → 4,296 (+10:
+#: ``ViewServer._build`` keeps a weak reference to each generation's
+#: lowest-τ default-cover structure and cuts higher τ from it, +9; the
+#: shared scan's last lane drops the state's lanes, +1, so a closed batch
+#: cursor frees its structure without a collection), bought by the
+#: ``tau_churn`` ``setup_s`` row: 0.157 → 0.080 s (ten of ten pairs;
+#: 0.157 → 0.081 s on held-out seed 40, ``BENCH_26.json``).
+ENGINE_SLOC_CEILING = 4296
 
 #: `make size`'s figure for src/repro/__main__.py after PR 18: the CLI
 #: wires a back end, an async front and its error reporting once each;
@@ -573,7 +580,17 @@ MAIN_SLOC_CEILING = 1030
 #: baselines now build for themselves (+3). The trie helpers the specs
 #: read moved to ``tests/reference_build.py`` (410 → 481 on its ``make
 #: size`` line; ``tests/reference_walk.py`` 135 → 142). No gain claimed.
-SRC_SLOC_CEILING = 13145
+#: Then, when τ became a cut: 13,145 → 13,235 (+90: the engine's +10
+#: above, +80 in ``core``
+#: — ``CompressedRepresentation.cut`` and ``layout.cut_layout``, the
+#: one linear pass that derives the structure at a higher τ from a built
+#: one's columns; the per-entry costs the dictionary pass keeps and the
+#: compiler lays out beside the bits; ``level_threshold``, the one τ_ℓ
+#: formula the build, the dictionary and a cut share), bought by the
+#: ``tau_churn`` ``setup_s`` row: 0.157 → 0.080 s, ten of ten pairs
+#: (0.157 → 0.081 s on held-out seed 40; ``core.structure.build_s`` on
+#: the traced run 0.140–0.146 → 0.060–0.062 s; ``BENCH_26.json``).
+SRC_SLOC_CEILING = 13235
 
 
 class TestSizeGate:

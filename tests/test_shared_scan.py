@@ -12,6 +12,8 @@ prefix-sharing workload generator.
 """
 
 import asyncio
+import gc
+import weakref
 from collections import Counter, defaultdict
 
 import pytest
@@ -559,6 +561,27 @@ class TestOneWalkPerState:
             cursor.close()
         assert counting.ended == [(access, False), (other, True)]
         assert scan.stats().pruned_states == 1  # a dry state is not pruned
+
+    def test_closed_batch_cursors_let_their_structure_go_at_once(
+        self, db, accesses
+    ):
+        # A state and its lanes point at each other; the last lane out
+        # drops the lanes, so no collection is needed to free what the
+        # closed cursors held (and a server's weak base with it).
+        structure = CompressedRepresentation(VIEW, db, tau=TAU)
+        held = weakref.ref(structure)
+        requests = [AccessRequest("V", access, limit=2) for access in accesses[:3]]
+        cursors = open_group(structure, requests + requests[:1])
+        for cursor in cursors:
+            with cursor:
+                cursor.fetchall()
+        del structure, cursor
+        gc.disable()
+        try:
+            del cursors
+            assert held() is None
+        finally:
+            gc.enable()
 
 
 @pytest.fixture(scope="module")
