@@ -44,10 +44,10 @@ import pytest
 
 from bench_reporting import bench_emit, bench_emit_table, bench_record_gate
 from oracle import oracle_answer
+import reference_index as index_mod
 from reference_walk import reference_walk
 from repro.core import kernel as kernel_mod
 from repro.core.structure import CompressedRepresentation
-from repro.database import index as index_mod
 from repro.workloads import (
     prefix_batch_requests,
     triangle_database,

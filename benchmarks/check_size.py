@@ -16,8 +16,8 @@ the CLI's and the total as ceilings, so growing any of them is a
 decision, not an accident — and moving code between packages shrinks
 nothing. Code
 moved out of ``src/`` to be the tests' reference is printed on its own
-line after the total (:data:`SPEC`, :data:`BUILD_SPEC`), so it reads as
-moved, not as deleted.
+line after the total (:data:`SPEC`, :data:`BUILD_SPEC`,
+:data:`INDEX_SPEC`), so it reads as moved, not as deleted.
 """
 
 from __future__ import annotations
@@ -38,6 +38,13 @@ SPEC = "tests/reference_walk.py"
 #: descents, Algorithm 1 on fresh boxes): lived under ``src/repro/core``
 #: until the build moved to index space, now the build's executable spec.
 BUILD_SPEC = "tests/reference_build.py"
+
+#: The value-space index and join (sorted tries, the generic join over
+#: them, Proposition 4's bags built with both): lived under
+#: ``src/repro/database`` and ``src/repro/joins`` until every reader —
+#: the build, the baselines, the bags — joined on the context's columns,
+#: now the spec those readers are held to.
+INDEX_SPEC = "tests/reference_index.py"
 
 #: The CLI: one file wiring every back end, shown on its own line.
 MAIN = "__main__.py"
@@ -113,7 +120,7 @@ def main(argv=None) -> int:
     print(f"{top:7d}  src/repro/*.py")
     print(f"{file_sloc(source / MAIN):9d}  {MAIN}")
     print(f"{total + top:7d}  total")
-    for spec in (SPEC, BUILD_SPEC):
+    for spec in (SPEC, BUILD_SPEC, INDEX_SPEC):
         if (root / spec).exists():
             moved = file_sloc(root / spec)
             print(f"{moved:7d}  {spec} (moved out of src/, not in the total)")

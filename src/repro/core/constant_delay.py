@@ -9,6 +9,14 @@
   constant delay. With ``V_b = ∅`` this recovers the d-representation
   result (Proposition 2); the factorized baseline in
   :mod:`repro.factorized` reuses this machinery.
+
+A bag is the induced view Theorem 2 builds a Theorem 1 structure over
+(:func:`~repro.core.decomposed.bag_view`), materialised by the
+materialised baseline (:class:`~repro.baselines.MaterializedView`): the
+kernel's join on the bag context's columns, bucketed by bound key with
+each bucket sorted. The semijoin pass and the count index then work on
+the bag's rows as value tuples, and the pass only ever drops rows, so a
+bucket stays sorted.
 """
 
 from __future__ import annotations
@@ -17,6 +25,8 @@ import time
 from dataclasses import dataclass
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
+from repro.baselines.materialized import MaterializedView
+from repro.core.decomposed import bag_view
 from repro.core.kernel import nested_product_rows
 from repro.core.representation import (
     Representation,
@@ -24,12 +34,11 @@ from repro.core.representation import (
     bound_atoms_hold,
 )
 from repro.database.catalog import Database
-from repro.database.index import TrieIndex
 from repro.exceptions import DecompositionError, QueryError
 from repro.hypergraph.connex import ConnexDecomposition
 from repro.hypergraph.hypergraph import hypergraph_of_view
 from repro.hypergraph.width import connex_fhw
-from repro.joins.generic_join import JoinCounter, generic_join
+from repro.joins.generic_join import JoinCounter
 from repro.joins.semijoin import semijoin
 from repro.measure.space import SpaceReport
 from repro.query.adorned import AdornedView
@@ -102,7 +111,6 @@ class ConnexConstantDelayStructure(Representation):
                 "decomposition connex set does not match the bound variables"
             )
         self.decomposition = decomposition
-        self._var_rank = {v: i for i, v in enumerate(self.view.head)}
         self._bags: Dict[object, _Bag] = {}
         for node in decomposition.non_root_nodes():
             self._bags[node] = self._materialize_bag(node)
@@ -123,37 +131,16 @@ class ConnexConstantDelayStructure(Representation):
         self.build_seconds = time.perf_counter() - started
 
     # ------------------------------------------------------------------
-    def _ordered(self, variables) -> Tuple[Variable, ...]:
-        return tuple(sorted(variables, key=self._var_rank.__getitem__))
-
     def _materialize_bag(self, node) -> _Bag:
-        decomposition = self.decomposition
-        bag_vars = decomposition.bags[node]
-        bound_vars = self._ordered(decomposition.bag_bound(node))
-        free_vars = self._ordered(decomposition.bag_free(node))
-        order = bound_vars + free_vars
-        atoms = []
-        domains = {}
-        for label in self.hypergraph.edges_intersecting(bag_vars):
-            atom = self.view.atoms[label]
-            members = [v for v in order if v in self.hypergraph.edge(label)]
-            positions = [atom.variable_positions(v)[0] for v in members]
-            projected = self.db[atom.relation].project(
-                positions, name=f"{atom.relation}__bag_{node}_{label}"
-            )
-            atoms.append((TrieIndex(projected, range(projected.arity)).root, members))
-            for position, var in zip(positions, members):
-                domains.setdefault(var, set()).update(
-                    self.db[atom.relation].column_values(position)
-                )
-        sorted_domains = {v: tuple(sorted(vals)) for v, vals in domains.items()}
-        rows = set(generic_join(atoms, order, domains=sorted_domains))
+        """The bag's induced view, materialised: its rows and its buckets."""
+        view, db, _ = bag_view(self.view, self.db, self.decomposition, node)
+        index = MaterializedView(view, db).index
         return _Bag(
             node=node,
-            bound_vars=bound_vars,
-            free_vars=free_vars,
-            rows=rows,
-            index={},
+            bound_vars=view.bound_variables,
+            free_vars=view.free_variables,
+            rows={key + free for key, frees in index.items() for free in frees},
+            index=index,
         )
 
     def _semijoin_reduce(self) -> None:
@@ -174,12 +161,15 @@ class ConnexConstantDelayStructure(Representation):
             )
 
     def _build_index(self, bag: _Bag) -> Dict[Tuple, List[Tuple]]:
-        n_bound = len(bag.bound_vars)
+        """The bag's buckets without the rows the semijoin pass dropped.
+
+        A bucket stays sorted; one the pass emptied goes.
+        """
         index: Dict[Tuple, List[Tuple]] = {}
-        for row in bag.rows:
-            index.setdefault(row[:n_bound], []).append(row[n_bound:])
-        for values in index.values():
-            values.sort()
+        for key, rows in bag.index.items():
+            kept = [free for free in rows if key + free in bag.rows]
+            if kept:
+                index[key] = kept
         return index
 
     # ------------------------------------------------------------------

@@ -56,6 +56,39 @@ from repro.query.conjunctive import ConjunctiveQuery
 from repro.query.rewriting import natural_form
 
 
+def bag_view(
+    view: AdornedView, db: Database, decomposition: ConnexDecomposition, node
+) -> Tuple[AdornedView, Database, Tuple[int, ...]]:
+    """A non-root bag's induced view, its database and its atoms' labels.
+
+    The head is the bag's bound side ``V_b^t = B_t ∩ anc(t)``, then its
+    free side ``V_f^t = B_t \\ anc(t)``, each in ``view``'s head order.
+    Every atom of ``view`` meeting the bag becomes one atom over its
+    relation projected onto the shared variables, named
+    ``{relation}__bag_{node}_{label}``; the labels say which, in order.
+    Theorem 2 builds a Theorem 1 structure over this view, Proposition 4
+    (:mod:`repro.core.constant_delay`) materialises it.
+    """
+    hypergraph = hypergraph_of_view(view)
+    rank = {v: i for i, v in enumerate(view.head)}
+    bound_vars = tuple(sorted(decomposition.bag_bound(node), key=rank.__getitem__))
+    free_vars = tuple(sorted(decomposition.bag_free(node), key=rank.__getitem__))
+    head = bound_vars + free_vars
+    labels = hypergraph.edges_intersecting(decomposition.bags[node])
+    atoms: List[Atom] = []
+    bag_db = Database()
+    for label in labels:
+        atom = view.atoms[label]
+        members = tuple(v for v in head if v in hypergraph.edge(label))
+        positions = [atom.variable_positions(v)[0] for v in members]
+        name = f"{atom.relation}__bag_{node}_{label}"
+        bag_db.add(db[atom.relation].project(positions, name=name))
+        atoms.append(Atom(name, members))
+    query = ConjunctiveQuery(f"{view.name}__bag_{node}", head, atoms)
+    pattern = "b" * len(bound_vars) + "f" * len(free_vars)
+    return AdornedView(query, pattern), bag_db, labels
+
+
 @dataclass
 class _BagStructure:
     """One non-root bag: its induced view and Theorem 1 structure."""
@@ -116,7 +149,6 @@ class DecomposedRepresentation(Representation):
         if abs(self.assignment.of(decomposition.root)) > 0:
             raise ParameterError("the delay assignment must be 0 on the root")
         self.delta_height = delta_height(decomposition, self.assignment)
-        self._var_rank = {v: i for i, v in enumerate(self.view.head)}
         size = max(2, self.db.total_tuples())
         self._bags: Dict[object, _BagStructure] = {}
         for node in decomposition.non_root_nodes():
@@ -138,45 +170,24 @@ class DecomposedRepresentation(Representation):
     # ------------------------------------------------------------------
     # construction
     # ------------------------------------------------------------------
-    def _ordered(self, variables) -> Tuple[Variable, ...]:
-        return tuple(sorted(variables, key=self._var_rank.__getitem__))
-
     def _build_bag(self, node: object, tau: float) -> _BagStructure:
-        decomposition = self.decomposition
-        bag_vars = decomposition.bags[node]
-        bound_vars = self._ordered(decomposition.bag_bound(node))
-        free_vars = self._ordered(decomposition.bag_free(node))
-        head = bound_vars + free_vars
-        pattern = "b" * len(bound_vars) + "f" * len(free_vars)
-        labels = self.hypergraph.edges_intersecting(bag_vars)
-        atoms: List[Atom] = []
-        bag_db = Database()
-        for label in labels:
-            atom = self.view.atoms[label]
-            members = tuple(v for v in head if v in self.hypergraph.edge(label))
-            positions = [atom.variable_positions(v)[0] for v in members]
-            name = f"{atom.relation}__bag_{node}_{label}"
-            bag_db.add(self.db[atom.relation].project(positions, name=name))
-            atoms.append(Atom(name, members))
-        bag_view = AdornedView(
-            ConjunctiveQuery(f"{self.view.name}__bag_{node}", head, atoms),
-            pattern,
-        )
+        view, db, labels = bag_view(self.view, self.db, self.decomposition, node)
         # The ρ+-minimizing cover for this bag, remapped to bag atom indexes.
         cover = bag_delta_cover(
-            self.hypergraph, bag_vars, free_vars, self.assignment.of(node)
+            self.hypergraph,
+            self.decomposition.bags[node],
+            view.free_variables,
+            self.assignment.of(node),
         )
         weights = {
             index: cover.weights.get(label, 0.0)
             for index, label in enumerate(labels)
         }
-        representation = CompressedRepresentation(
-            bag_view, bag_db, tau=tau, weights=weights
-        )
+        representation = CompressedRepresentation(view, db, tau=tau, weights=weights)
         return _BagStructure(
             node=node,
-            bound_vars=bound_vars,
-            free_vars=free_vars,
+            bound_vars=view.bound_variables,
+            free_vars=view.free_variables,
             representation=representation,
         )
 
@@ -302,7 +313,6 @@ class DecomposedRepresentation(Representation):
             self.decomposition = decomposition
             self.assignment = DelayAssignment(dict(state["assignment"]))
             self.delta_height = delta_height(decomposition, self.assignment)
-            self._var_rank = {v: i for i, v in enumerate(view.head)}
             self._bags = {}
             for bag_state in state["bags"]:
                 node = bag_state["node"]

@@ -12,7 +12,9 @@ Construction follows Appendix A in spirit:
   projections of the relations (Proposition 13's observation that a heavy
   valuation must match every relation on its bound part) — the kernel's
   index-space join over those projections, once per build, sorted; the
-  build materialises the output per candidate in the same order;
+  build materialises the output per candidate in the same order
+  (:func:`materialize_outputs`, which is also all the materialised
+  baseline of Section 2.3 stores);
 * candidates flow *down* the tree and are pruned once their cost drops to
   the smallest realizable threshold — by the sub-additivity of ``T`` under
   interval splitting (Lemma 2) the cost never grows toward the leaves, so
@@ -94,6 +96,11 @@ class HeavyDictionary:
         return dictionary
 
 
+def _whole(columns) -> Tuple[Tuple[int, int], ...]:
+    """The one box spanning the tuple space ``columns`` join over."""
+    return tuple((0, domain.top) for domain in columns.space.domains)
+
+
 def bound_candidates(ctx) -> List[Tuple]:
     """Join of the bound-variable projections: the heavy-valuation superset.
 
@@ -102,8 +109,31 @@ def bound_candidates(ctx) -> List[Tuple]:
     Access tuples, in lexicographic order; ``[()]`` with no bound variable.
     """
     columns = compile_bound_columns(ctx)
-    whole = tuple((0, domain.top) for domain in columns.space.domains)
-    return join_rows(columns, (), [whole])
+    return join_rows(columns, (), [_whole(columns)])
+
+
+def materialize_outputs(
+    columns, candidates: Sequence[Tuple]
+) -> Tuple[Dict[Tuple, List[Tuple]], int]:
+    """The full query output grouped by bound valuation, and its size.
+
+    One join over the whole free space per candidate (every output's
+    bound part is one), in the candidates' order; a candidate without
+    output gets no group. Each group is sorted — the join emits in
+    lexicographic order. ``columns`` decide the rows' form: a context's
+    join columns give value tuples (the materialised baseline), their
+    :meth:`~repro.core.layout.JoinColumns.in_index_space` twin index
+    tuples (what the build's O(log) emptiness probes bisect).
+    """
+    whole = [_whole(columns)]
+    outputs: Dict[Tuple, List[Tuple]] = {}
+    count = 0
+    for access in candidates:
+        rows = join_rows(columns, access, whole)
+        if rows:
+            outputs[access] = rows
+            count += len(rows)
+    return outputs, count
 
 
 def output_nonempty_in(

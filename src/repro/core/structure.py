@@ -34,7 +34,7 @@ import math
 import time
 from copy import copy
 from dataclasses import asdict, dataclass, replace
-from typing import Dict, Iterator, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, Iterator, Mapping, Optional, Sequence, Tuple
 
 from repro.core import layout as layout_mod
 from repro.core.balanced_tree import (
@@ -49,6 +49,7 @@ from repro.core.dictionary import (
     HeavyDictionary,
     bound_candidates,
     build_dictionary,
+    materialize_outputs,
 )
 from repro.core.representation import Representation
 from repro.database.catalog import Database
@@ -126,7 +127,9 @@ class CompressedRepresentation(Representation):
         self._bind(tau, weights, alpha, context)
         tree = build_delay_balanced_tree(self.cost_model, self.tau, self.alpha)
         candidates = bound_candidates(self.ctx)
-        outputs, output_count = self._materialize_outputs(candidates)
+        outputs, output_count = materialize_outputs(
+            self.ctx.columns().in_index_space(), candidates
+        )
         dictionary = build_dictionary(
             self.cost_model, tree, candidates, outputs
         )
@@ -306,28 +309,6 @@ class CompressedRepresentation(Representation):
                     f"weights do not cover variable {var!r} "
                     f"(coverage {coverage:.3f} < 1)"
                 )
-
-    def _materialize_outputs(
-        self, candidates: Sequence[Tuple]
-    ) -> Tuple[Dict[Tuple, List[Tuple[int, ...]]], int]:
-        """Full query output grouped by bound valuation (preprocessing only).
-
-        One index-space join over the whole tuple space per candidate
-        (every output's bound part is one), in the candidates' order.
-        Free tuples are index tuples, sorted (the join emits them in
-        lexicographic order), enabling O(log) emptiness probes during
-        dictionary construction.
-        """
-        columns = self.ctx.columns().in_index_space()
-        whole = [tuple((0, top) for top in self.cost_model.tops)]
-        outputs: Dict[Tuple, List[Tuple[int, ...]]] = {}
-        count = 0
-        for access in candidates:
-            rows = join_rows(columns, access, whole)
-            if rows:
-                outputs[access] = rows
-                count += len(rows)
-        return outputs, count
 
     # ------------------------------------------------------------------
     # explicit state (the snapshot boundary)

@@ -1,30 +1,18 @@
-"""Worst-case-optimal generic join over sorted tries.
+"""The logical step counter every measured enumeration threads through.
 
-The join enumerates the variables of ``order`` left to right. At each level
-the *participating* atoms are those whose next un-consumed variable is the
-current one; the candidate values are the sorted child keys of the smallest
-participating trie node, filtered by membership in the others (classic
-leapfrog-style intersection, simplified to hash probes since trie children
-are dictionaries). Optional per-variable closed ranges restrict candidates,
-which is how f-box restrictions (Section 4.1) are pushed into the join.
-
-Because candidates are visited in ascending order at every level, the output
-tuples are produced in lexicographic order of ``order`` — the property
-Algorithm 2 needs to keep the global enumeration lexicographic.
-
-The optional :class:`JoinCounter` counts candidate probes; tests use it as a
-machine-independent proxy for running time (the uniform-cost RAM model of
-Section 2.1).
+:class:`JoinCounter` counts candidate probes; tests and the delay
+measurements use it as a machine-independent proxy for running time (the
+uniform-cost RAM model of Section 2.1). The joins that count with it are
+the columnar kernel's (:mod:`repro.core.kernel`) — the only join in
+``src/``. The value-space generic join this module was named for, and
+the trie it ran on, are the executable spec under ``tests/``
+(``tests/reference_index.py``), where the counter's unit was defined: one
+step per candidate value probed. The module keeps its name because that
+is where the counter has always been imported from — by the kernel, the
+cursors, the measurement code and the benchmarks.
 """
 
 from __future__ import annotations
-
-from bisect import bisect_left, bisect_right
-from typing import Iterator, List, Mapping, Optional, Sequence, Tuple
-
-from repro.database.index import TrieNode
-from repro.exceptions import QueryError
-from repro.query.atoms import Variable
 
 
 class JoinCounter:
@@ -37,137 +25,3 @@ class JoinCounter:
 
     def reset(self) -> None:
         self.steps = 0
-
-
-def _check_subsequence(
-    atom_vars: Sequence[Variable], order: Sequence[Variable]
-) -> None:
-    positions = {v: i for i, v in enumerate(order)}
-    last = -1
-    for v in atom_vars:
-        if v not in positions:
-            raise QueryError(f"join atom variable {v!r} missing from order")
-        if positions[v] <= last:
-            raise QueryError(
-                f"join atom variables {list(atom_vars)!r} are not a "
-                f"subsequence of the order {list(order)!r}"
-            )
-        last = positions[v]
-
-
-def generic_join(
-    atoms: Sequence[Tuple[TrieNode, Sequence[Variable]]],
-    order: Sequence[Variable],
-    ranges: Optional[Mapping[Variable, Tuple[object, object]]] = None,
-    domains: Optional[Mapping[Variable, Sequence]] = None,
-    counter: Optional[JoinCounter] = None,
-) -> Iterator[Tuple]:
-    """Enumerate the natural join of the given tries in lexicographic order.
-
-    Parameters
-    ----------
-    atoms:
-        ``(trie_node, variables)`` pairs. The variable list names the trie's
-        remaining levels, and must be a subsequence of ``order``.
-    order:
-        Global variable order; output tuples align with it.
-    ranges:
-        Optional closed value ranges ``var -> (low, high)`` restricting the
-        join to an f-box.
-    domains:
-        Sorted value sequences used for variables that no atom constrains
-        (only needed in that degenerate case).
-    counter:
-        Optional step counter incremented once per candidate probed.
-    """
-    order = tuple(order)
-    states: List[Tuple[TrieNode, Tuple[Variable, ...]]] = []
-    for node, atom_vars in atoms:
-        atom_vars = tuple(atom_vars)
-        _check_subsequence(atom_vars, order)
-        states.append((node, atom_vars))
-    ranges = dict(ranges or {})
-    domains = domains or {}
-    yield from _join_level(states, order, 0, ranges, domains, counter, [])
-
-
-def _join_level(
-    states: List[Tuple[TrieNode, Tuple[Variable, ...]]],
-    order: Tuple[Variable, ...],
-    level: int,
-    ranges: Mapping[Variable, Tuple[object, object]],
-    domains: Mapping[Variable, Sequence],
-    counter: Optional[JoinCounter],
-    prefix: List,
-) -> Iterator[Tuple]:
-    if level == len(order):
-        yield tuple(prefix)
-        return
-    var = order[level]
-    participating = [
-        i for i, (node, vs) in enumerate(states) if vs and vs[0] == var
-    ]
-    bound = ranges.get(var)
-    if participating:
-        if bound is None:
-            smallest = min(
-                participating, key=lambda i: len(states[i][0].keys)
-            )
-            candidates = states[smallest][0].keys
-        else:
-            # Pick the atom with the fewest candidates *inside the range*:
-            # T(v_b, B) bounds the work through the smallest in-range
-            # factor, so selecting by total key count would break the
-            # O(T) evaluation guarantee of Proposition 6.
-            candidates = min(
-                (
-                    states[i][0].keys_in_range(bound[0], bound[1])
-                    for i in participating
-                ),
-                key=len,
-            )
-    else:
-        domain = domains.get(var)
-        if domain is None:
-            raise QueryError(
-                f"variable {var!r} is unconstrained and has no domain"
-            )
-        if bound is None:
-            candidates = domain
-        else:
-            lo = bisect_left(domain, bound[0])
-            hi = bisect_right(domain, bound[1])
-            candidates = domain[lo:hi]
-    for value in candidates:
-        if counter is not None:
-            counter.steps += 1
-        children = []
-        ok = True
-        for i in participating:
-            child = states[i][0].children.get(value)
-            if child is None:
-                ok = False
-                break
-            children.append((i, child))
-        if not ok:
-            continue
-        next_states = list(states)
-        for i, child in children:
-            next_states[i] = (child, states[i][1][1:])
-        prefix.append(value)
-        yield from _join_level(
-            next_states, order, level + 1, ranges, domains, counter, prefix
-        )
-        prefix.pop()
-
-
-def join_is_nonempty(
-    atoms: Sequence[Tuple[TrieNode, Sequence[Variable]]],
-    order: Sequence[Variable],
-    ranges: Optional[Mapping[Variable, Tuple[object, object]]] = None,
-    domains: Optional[Mapping[Variable, Sequence]] = None,
-    counter: Optional[JoinCounter] = None,
-) -> bool:
-    """True iff the join has at least one result (early-exit probe)."""
-    iterator = generic_join(atoms, order, ranges, domains, counter)
-    return next(iterator, None) is not None

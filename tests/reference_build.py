@@ -48,15 +48,14 @@ import weakref
 from dataclasses import dataclass
 from typing import Dict, Iterator, List, Mapping, Optional, Sequence, Tuple
 
+from reference_index import TrieIndex, TrieNode, generic_join
 from repro.core import intervals
 from repro.core.balanced_tree import DelayBalancedTree, TreeNode
 from repro.core.context import AtomBinding, ViewContext
 from repro.core.dictionary import HeavyDictionary, output_nonempty_in
 from repro.core.domain import TupleSpace
 from repro.core.structure import CompressedRepresentation
-from repro.database.index import TrieIndex, TrieNode
 from repro.exceptions import ParameterError, QueryError
-from repro.joins.generic_join import generic_join
 from repro.query.rewriting import natural_form
 
 _MAX_DEPTH = 512

@@ -47,10 +47,11 @@ from reference_build import (
     spec_subtries,
     spec_value_domains,
 )
+from reference_index import generic_join
 from repro.core import constant_delay
 from repro.core.decomposed import DecomposedRepresentation
 from repro.core.structure import CompressedRepresentation
-from repro.joins.generic_join import JoinCounter, generic_join
+from repro.joins.generic_join import JoinCounter
 
 
 # ----------------------------------------------------------------------

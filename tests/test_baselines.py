@@ -1,13 +1,17 @@
 """The two extremal baselines and their position in the tradeoff."""
 
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from oracle import oracle_accesses, oracle_answer
+from test_build_kernel import SHAPES, databases, empty_databases
 from repro.baselines.lazy import LazyView
 from repro.baselines.materialized import MaterializedView
+from repro.core.constant_delay import ConnexConstantDelayStructure
 from repro.core.structure import CompressedRepresentation
 from repro.exceptions import QueryError
 from repro.joins.generic_join import JoinCounter
+from repro.joins.hash_join import evaluate_by_hash_join
 from repro.workloads.generators import triangle_database
 from repro.workloads.queries import triangle_view
 
@@ -94,3 +98,30 @@ class TestContinuum:
             return worst
 
         assert max_probe(mv) <= max_probe(cr) <= max_probe(lv) * 2
+
+
+@pytest.mark.parametrize("name", sorted(SHAPES))
+@given(data=st.data())
+@settings(
+    max_examples=8,
+    deadline=None,
+    suppress_health_check=[HealthCheck.too_slow, HealthCheck.data_too_large],
+)
+def test_the_readers_on_the_kernels_join_equal_the_oracle(name, data):
+    # Both ends of Section 2.3 and Proposition 4 read the context's
+    # columns through the kernel's join: held to the hash-join oracle at
+    # the kernel's edge cases — nullary atoms, constants present and
+    # absent, empty relations, an empty join over a live tuple space.
+    view = SHAPES[name]
+    for db in (data.draw(databases(view)), *empty_databases(view)):
+        lazy, materialized = LazyView(view, db), MaterializedView(view, db)
+        connex = ConnexConstantDelayStructure(view, db)
+        for access in oracle_accesses(view, db):
+            expected = oracle_answer(view, db, access)
+            assert lazy.answer(access) == expected, access
+            assert materialized.answer(access) == expected, access
+            assert sorted(connex.answer(access)) == expected, access
+            assert connex.count(access) == len(expected), access
+        assert materialized.output_size() == len(
+            evaluate_by_hash_join(view.query, db)
+        )

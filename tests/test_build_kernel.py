@@ -46,7 +46,11 @@ from repro.core import splitting as split_mod
 from repro.core.balanced_tree import build_delay_balanced_tree
 from repro.core.context import ViewContext
 from repro.core.cost import CostModel, CostWalk
-from repro.core.dictionary import bound_candidates, build_dictionary
+from repro.core.dictionary import (
+    bound_candidates,
+    build_dictionary,
+    materialize_outputs,
+)
 from repro.core.intervals import box_decomposition
 from repro.core.layout import AtomColumns
 from repro.core.snapshot import decode_snapshot, encode_snapshot
@@ -253,7 +257,8 @@ def test_the_index_space_joins_equal_the_value_space_spec(name, data):
     ctx = rep.ctx
     candidates = bound_candidates(ctx)
     assert candidates == spec_bound_candidates(ctx)
-    assert rep._materialize_outputs(candidates) == spec_outputs(ctx)
+    outputs = materialize_outputs(ctx.columns().in_index_space(), candidates)
+    assert outputs == spec_outputs(ctx)
     accesses = candidates[:5] + [(-1,) * len(ctx.bound_order)]
     for node in rep.tree.nodes[:8]:
         for access in accesses:
@@ -537,9 +542,8 @@ def test_no_box_is_costed_twice_and_a_split_stays_within_its_probe_budget(
         resolved.append(access)
         return real_root_range(self, access)
 
-    structure = CompressedRepresentation(view, db, tau=1.0, context=ctx)
     candidates = bound_candidates(ctx)
-    outputs, _ = structure._materialize_outputs(candidates)
+    outputs, _ = materialize_outputs(ctx.columns().in_index_space(), candidates)
     monkeypatch.setattr(AtomColumns, "root_range", counting_root_range)
     del decomposed[:], costed[:]
     dictionary = build_dictionary(model, tree, candidates, outputs)

@@ -21,6 +21,7 @@ from hypothesis import given, settings, strategies as st
 
 from oracle import oracle_accesses, oracle_answer
 from reference_walk import spec_enumerate, spec_enumerate_from
+from reference_index import TrieIndex
 from repro.baselines.lazy import LazyView
 from repro.core.balanced_tree import DelayBalancedTree, TreeNode
 from repro.core.context import ViewContext
@@ -29,7 +30,6 @@ from repro.core.dynamic import DynamicRepresentation, FrozenDynamicView
 from repro.core.intervals import FInterval
 from repro.core.layout import one_leaf_layout
 from repro.database.catalog import Database
-from repro.database.index import TrieIndex
 from repro.database.relation import Relation
 from repro.engine import ShardedViewServer, ViewServer, infer_shard_key
 from repro.exceptions import QueryError

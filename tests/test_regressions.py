@@ -20,6 +20,7 @@ import math
 import pytest
 
 from oracle import oracle_answer
+from reference_index import TrieIndex, generic_join
 from reference_walk import spec_enumerate
 from repro.baselines.lazy import LazyView
 from repro.baselines.materialized import MaterializedView
@@ -29,10 +30,9 @@ from repro.core.dynamic import DynamicRepresentation
 from repro.core.intervals import FInterval
 from repro.core.structure import CompressedRepresentation
 from repro.database.catalog import Database
-from repro.database.index import TrieIndex
 from repro.database.relation import Relation
 from repro.engine import ViewServer
-from repro.joins.generic_join import JoinCounter, generic_join
+from repro.joins.generic_join import JoinCounter
 from repro.query.atoms import Variable
 from repro.query.parser import parse_view
 from repro.workloads.queries import running_example_database, running_example_view

@@ -24,6 +24,7 @@ from hypothesis import given, settings, strategies as st
 
 from legacy_codec import legacy_state, payload_of
 from oracle import oracle_accesses, oracle_answer
+from reference_index import TrieIndex
 from repro.core import snapshot as snap
 from repro.core.context import ViewContext
 from repro.core.dictionary import HeavyDictionary
@@ -37,7 +38,6 @@ from repro.core.snapshot import (
 )
 from repro.core.structure import CompressedRepresentation
 from repro.database.catalog import Database
-from repro.database.index import TrieIndex
 from repro.database.relation import Relation
 from repro.engine import (
     ParallelBuilder,
@@ -578,6 +578,7 @@ class TestCounts:
         # replica's hydration, a dirty first read, cache admission and
         # space_report() construct no value-space index at all.
         from repro.baselines.lazy import LazyView
+        from repro.baselines.materialized import MaterializedView
         from repro.core.dynamic import DynamicRepresentation
 
         view, db = setup
@@ -611,9 +612,13 @@ class TestCounts:
         current = dynamic.current_database()
         assert frozen.answer(access) == oracle_answer(view, current, access)
         assert tries == []
-        # The spy sees what does build one: the value-space baseline.
+        # Nor do the baselines: nothing in src/ builds one. The spy sees
+        # the tests' own.
         LazyView(view, db)
-        assert tries == ["TrieIndex"] * len(view.atoms)
+        MaterializedView(view, db)
+        assert tries == []
+        TrieIndex(db[view.atoms[0].relation], [0])
+        assert tries == ["TrieIndex"]
 
     def test_a_warm_churn_pass_builds_no_context_and_no_trie(
         self, setup, tmp_path, monkeypatch
