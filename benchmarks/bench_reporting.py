@@ -14,9 +14,6 @@ loaded first and once broke collection of the entire test tree.
 
 from __future__ import annotations
 
-import json
-import os
-from pathlib import Path
 from typing import Iterable, List, Sequence
 
 from repro.joins.generic_join import JoinCounter
@@ -24,33 +21,6 @@ from repro.measure.delay import measure_enumeration
 from repro.measure.tradeoff import format_table
 
 _REPORT: List[str] = []
-
-#: Where the per-gate speedup records land (one ``gate-<name>.json``
-#: each); ``benchmarks/check_trend.py`` folds them into the
-#: ``trajectory.json`` CI artifact and enforces the pinned floors.
-BENCH_DIR = Path(os.environ.get("REPRO_BENCH_DIR", ".bench"))
-
-
-def bench_record_gate(
-    gate: str, speedup: float, threshold: float, **extra
-) -> Path:
-    """Record one bench gate's measured speedup for the trajectory gate.
-
-    ``threshold`` is the floor the gate *enforces in this run* (a gate
-    whose assertion is disabled in smoke mode records 0.0, so the
-    trajectory check stays exactly as strict as the gates themselves).
-    Extra keyword facts (workload sizes, modes) ride along untouched.
-    """
-    BENCH_DIR.mkdir(parents=True, exist_ok=True)
-    path = BENCH_DIR / f"gate-{gate}.json"
-    payload = {
-        "gate": gate,
-        "speedup": float(speedup),
-        "threshold": float(threshold),
-        **extra,
-    }
-    path.write_text(json.dumps(payload, indent=2, sort_keys=True))
-    return path
 
 
 def bench_emit(text: str) -> None:

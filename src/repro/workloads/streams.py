@@ -277,75 +277,6 @@ def prefix_batch_requests(
     ]
 
 
-def shifting_requests(
-    specs: Sequence[Tuple[str, AdornedView]],
-    db: Database,
-    n_requests: int,
-    n_phases: int = 2,
-    seed: int = 0,
-    skew: float = 1.0,
-    hot_share: float = 0.9,
-    measure: bool = True,
-) -> List:
-    """A skew-*shifting* request stream: the hot view changes mid-stream.
-
-    The adaptive-tuning workload shape: the stream is split into
-    ``n_phases`` contiguous phases, and in phase ``p`` the view
-    ``specs[p % len(specs)]`` receives ``hot_share`` of the requests
-    while the remaining views split the rest uniformly — so any *static*
-    per-view τ choice is wrong for part of the stream, and a closed loop
-    that watches observed delay gaps (:class:`~repro.engine.telemetry.
-    AdaptiveTuner`) can beat it by re-tuning at the shift. Per view,
-    accesses are drawn Zipf-``skew`` over its productive tuples.
-    ``specs`` pairs each serving name with its adorned view (the name is
-    what requests refer to; the view is what productive accesses are
-    computed from). Deterministic per seed; requests carry ``measure``
-    so the gap histograms the tuner reads actually fill.
-    """
-    from repro.engine.api import AccessRequest
-
-    if n_requests < 0:
-        raise ParameterError(f"n_requests must be >= 0, got {n_requests}")
-    if n_phases < 1:
-        raise ParameterError(f"n_phases must be >= 1, got {n_phases}")
-    if not specs:
-        raise ParameterError("specs must name at least one (name, view)")
-    if not 0.0 <= hot_share <= 1.0:
-        raise ParameterError(f"hot_share must be in [0, 1], got {hot_share}")
-    if skew < 0:
-        raise ParameterError(f"skew must be >= 0, got {skew}")
-    names: List[str] = []
-    keys_by_name = {}
-    weights_by_name = {}
-    for name, view in specs:
-        keys = productive_accesses(view, db)
-        if not keys:
-            raise ParameterError(
-                f"view {name!r} has no productive accesses to stream"
-            )
-        names.append(name)
-        keys_by_name[name] = keys
-        weights_by_name[name] = zipf_cumulative_weights(len(keys), skew)
-    rng = random.Random(seed)
-    phase_len = max(1, n_requests // n_phases)
-    requests: List = []
-    for index in range(n_requests):
-        phase = min(index // phase_len, n_phases - 1)
-        hot = names[phase % len(names)]
-        if len(names) == 1 or rng.random() < hot_share:
-            name = hot
-        else:
-            cold = [n for n in names if n != hot]
-            name = cold[rng.randrange(len(cold))]
-        access = rng.choices(
-            keys_by_name[name], cum_weights=weights_by_name[name]
-        )[0]
-        requests.append(
-            AccessRequest(view=name, access=access, measure=measure)
-        )
-    return requests
-
-
 def update_stream(
     view: AdornedView,
     db: Database,

@@ -7,12 +7,18 @@ import time
 import pytest
 
 from oracle import oracle_accesses, oracle_answer
-from repro.engine import AsyncViewServer, ShardedViewServer
+from repro.engine import (
+    AsyncViewServer,
+    ShardedViewServer,
+    ViewServer,
+    representation_cells,
+)
 from repro.engine.server import Serving
 from repro.exceptions import ParameterError
 from repro.query.parser import parse_view
 from repro.workloads import (
     arrivals,
+    batched,
     request_stream,
     triangle_database,
     triangle_view,
@@ -118,6 +124,65 @@ class TestServe:
         assert result.shards == (0, 1, 2)  # every shard answers
         for access, rows in zip(result.result.accesses, result.result.answers):
             assert list(rows) == oracle_answer(view, db, access)
+
+    def test_a_cell_budget_that_thrashes_one_server_fits_every_shard(
+        self, triangle_setup
+    ):
+        # Batches alternate between a routed and a scatter view under one
+        # per-server cell budget: one server rebuilds on every switch,
+        # while four shards keep both views resident, each built once.
+        routed, db = triangle_setup
+        views = {
+            "Delta": routed,
+            "Rev": parse_view("Rev^bbf(y, z, x) = R(x, y), S(y, z), T(z, x)"),
+        }
+        probe = ShardedViewServer(db, 4, SHARD_KEY)
+        per_shard = [0] * probe.n_shards
+        for name, view in views.items():
+            probe.register(view, tau=8.0, name=name)
+            for index, rep in enumerate(probe.prebuild(name)):
+                per_shard[index] += representation_cells(rep)
+        probe.close()
+        budget = max(per_shard)
+        chunks = {
+            name: list(
+                batched(request_stream(view, db, 48, seed=3, miss_rate=0.1), 8)
+            )
+            for name, view in views.items()
+        }
+        mixed = [
+            (name, chunk)
+            for pair in zip(chunks["Delta"], chunks["Rev"])
+            for name, chunk in zip(views, pair)
+        ]
+
+        def register_both(backend):
+            for name, view in views.items():
+                backend.register(view, tau=8.0, name=name)
+            return backend
+
+        single = register_both(ViewServer(db, max_entries=8, max_cells=budget))
+        for name, chunk in mixed:
+            single.answer_batch(name, chunk, measure=False)
+        assert single.total_builds() > len(views) * probe.n_shards
+
+        backend = register_both(
+            ShardedViewServer(db, 4, SHARD_KEY, max_entries=8, max_cells=budget)
+        )
+        server = AsyncViewServer(backend, max_workers=4, max_pending=8)
+
+        async def main():
+            return await asyncio.gather(
+                *(server.serve(name, chunk, measure=False) for name, chunk in mixed)
+            )
+
+        served = asyncio.run(main())
+        server.close()
+        for (name, _), result in zip(mixed, served):
+            for access, rows in zip(result.result.accesses, result.result.answers):
+                assert list(rows) == oracle_answer(views[name], db, access)
+        assert backend.total_builds() == len(views) * probe.n_shards
+        assert backend.cache_stats.evictions == 0
 
     def test_parameter_validation(self, triangle_setup):
         _, db = triangle_setup

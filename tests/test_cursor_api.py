@@ -26,6 +26,7 @@ from repro.engine.api import as_request, resume_enumeration
 from repro.exceptions import ParameterError
 from repro.workloads.generators import triangle_database
 from repro.workloads.queries import triangle_view
+from repro.workloads.scenarios import coauthor_database, coauthor_view
 from repro.workloads.streams import productive_accesses, topk_requests
 
 VIEW = triangle_view("bff")
@@ -129,6 +130,27 @@ class TestAnswerCursor:
             cursor.fetchall()
             full = cursor.stats().step_total
         assert 0 < limited < full
+        # Top-k is O(k), not O(answer): on the skewed co-author view's
+        # eight heaviest accesses (hundreds of tuples each), limit=5
+        # cursors spend at most a fifth of the full drains' steps.
+        coauthors = coauthor_database(n_authors=120, n_papers=260, seed=11)
+        skewed = ViewServer(coauthors)
+        skewed.register(coauthor_view(), tau=8.0, name="C")
+        heavy = sorted(
+            productive_accesses(coauthor_view(), coauthors),
+            key=lambda a: len(skewed.answer("C", a)),
+            reverse=True,
+        )[:8]
+        topk_outputs = topk_steps = full_steps = 0
+        for access in heavy:
+            with skewed.open("C", access, measure=True) as cursor:
+                cursor.fetchall()
+                full_steps += cursor.stats().step_total
+            with skewed.open("C", access, limit=5, measure=True) as cursor:
+                topk_outputs += len(cursor.fetchall())
+                topk_steps += cursor.stats().step_total
+        assert topk_outputs == 5 * len(heavy)
+        assert 5 * topk_steps <= full_steps
 
     def test_measured_stats_match_batch_semantics(
         self, db, server, heavy_access

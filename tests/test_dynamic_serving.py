@@ -390,6 +390,7 @@ class TestReplicaShipping:
         primary.apply_deltas("S", inserts=[(4, 9)], deletes=[(4, 7)])
         shipped = ship_deltas(primary, replica)
         assert shipped == {name: ("delta", 2)}
+        assert replica.delta_version(name) == primary.delta_version(name)
         for a in (1, 2, 3):
             assert primary.answer(name, (a,)) == replica.answer(name, (a,))
         histogram = primary.telemetry.registry.find_histogram(
@@ -401,6 +402,10 @@ class TestReplicaShipping:
 
     def test_churn_threshold_falls_back_to_snapshot(self, tmp_path):
         primary, replica, name = self._pair(tmp_path)
+        # The replica already follows by delta records when the burst
+        # lands: the fallback must take it over from there.
+        primary.apply_deltas("S", inserts=[(4, 9)])
+        assert ship_deltas(primary, replica) == {name: ("delta", 1)}
         for i in range(10, 16):
             primary.apply_deltas("R", inserts=[(1, i)])
         shipped = ship_deltas(primary, replica, churn_threshold=2)

@@ -143,6 +143,8 @@ class TestEngineWiring:
             got = parallel.answer_batch(name, accesses, measure=False)
             expected = baseline.answer_batch(ref, accesses, measure=False)
             assert got.answers == expected.answers
+            for access, rows in zip(got.accesses, got.answers):
+                assert list(rows) == oracle_answer(view, db, access)
             assert parallel.total_builds() == 3
         finally:
             parallel.close()

@@ -122,12 +122,20 @@ class TestIdentity:
         first.register(view, tau=8.0, name="V")
         for tau in TAUS:
             first.representation("V", tau)
+        assert first.cache_stats.disk_writes == len(TAUS)
         restarted = ViewServer(db, max_entries=None, snapshot_dir=tmp_path)
         restarted.register(view, tau=8.0, name="V")
         loaded = [restarted.representation("V", tau) for tau in TAUS]
         assert restarted.total_builds() == 0
+        assert restarted.cache_stats.disk_hits == len(TAUS)
         assert len({id(rep.ctx) for rep in loaded}) == 1
         assert loaded[0].ctx is not first.representation("V", 2.0).ctx
+        # The restart serves what the cold server served, without a build.
+        for access in oracle_accesses(view, db, limit=6):
+            assert restarted.answer("V", access) == oracle_answer(
+                view, db, access
+            )
+        assert restarted.total_builds() == 0
 
     def test_through_a_parallel_builder(self, setup):
         view, db = setup
