@@ -39,7 +39,6 @@ from repro.core.layout import CompiledLayout, one_leaf_layout
 from repro.core.representation import Representation
 from repro.core.structure import CompressedRepresentation
 from repro.database.catalog import Database
-from repro.database.relation import Relation
 from repro.exceptions import SchemaError, SnapshotError
 from repro.joins.generic_join import JoinCounter
 from repro.measure.space import SpaceReport
@@ -325,19 +324,19 @@ class DynamicRepresentation(Representation):
     def current_database(self) -> Database:
         """The logical database: base plus buffered updates.
 
-        Only relations with buffered changes are copied; untouched
-        :class:`~repro.database.relation.Relation` objects are immutable
-        and shared with the base database.
+        Only relations with buffered changes are copied — straight from
+        the row sets, the buffered rows' arity having been checked on the
+        way in; untouched :class:`~repro.database.relation.Relation`
+        objects are immutable and shared with the base database.
         """
         if not self._pending:
             return self._db
         updated = Database()
         for relation in self._db:
-            inserts = self._inserts.get(relation.name)
-            deletes = self._deletes.get(relation.name)
+            inserts = self._inserts.get(relation.name, ())
+            deletes = self._deletes.get(relation.name, ())
             if inserts or deletes:
-                rows = (relation.rows | (inserts or set())) - (deletes or set())
-                relation = Relation(relation.name, relation.arity, rows)
+                relation = relation.with_changes(inserts, deletes)
             updated.add(relation)
         return updated
 

@@ -169,6 +169,17 @@ class Relation:
         result._rows = self._rows | other._rows
         return result
 
+    def with_changes(self, inserts: Iterable[Row], deletes: Iterable[Row]) -> "Relation":
+        """This relation plus ``inserts`` minus ``deletes``, same name.
+
+        The rows are taken as they are, not re-checked: the caller owns
+        their arity (a dynamic representation checks each buffered row
+        once, on the way in).
+        """
+        result = Relation(self.name, self.arity)
+        result._rows = self._rows.union(inserts).difference(deletes)
+        return result
+
     def semijoin_values(
         self, position: int, values: Iterable[Value], name: str = None
     ) -> "Relation":

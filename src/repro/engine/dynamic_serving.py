@@ -31,7 +31,7 @@ Pieces, in dependency order:
 * :class:`DynamicViewState` — the per-view serving state: the live
   :class:`~repro.core.dynamic.DynamicRepresentation`, the
   :class:`~repro.engine.epoch.Epochs` of its frozen versions, and the
-  in-memory delta history.
+  in-memory delta records since its last snapshot.
 * :class:`DynamicSnapshotStore` — the durable half, under
   ``snapshot_dir/dynamic/``: the representation snapshot, a sidecar
   meta record carrying the serving version and **per-relation** origin
@@ -40,9 +40,10 @@ Pieces, in dependency order:
   refuses only the structures that reference it; the log replays deltas
   applied after the last snapshot, and the amortized-rebuild boundary
   rewrites the snapshot so replay stays short.
-* :func:`ship_deltas` — primary→replica shipping: send the delta
-  records the replica has not seen, or fall back to full snapshot
-  re-hydration past a churn threshold (or on any version gap).
+* :func:`ship_deltas` — primary→replica shipping: a replica behind the
+  primary's durable snapshot re-hydrates from it (the snapshot a
+  rebuild boundary or the churn threshold wrote), any other one
+  receives the delta records it has not seen.
 
 See ``docs/DYNAMIC_SERVING.md`` for the end-to-end story and the
 churn-storm runbook.
@@ -147,14 +148,12 @@ class DeltaRecord:
 class DeltaOutcome:
     """What one delta application did, for the server to act on.
 
-    ``applied == 0`` with ``version`` unchanged is the no-op contract:
-    no new serving version, no log append. ``skipped`` marks a shipped
-    record the receiver had already applied.
+    ``applied == 0`` without a ``record`` is the no-op contract — an
+    ineffective delta, or a shipped record the receiver had already
+    applied: no new serving version, no log append.
     """
 
     applied: int
-    version: int
-    skipped: bool = False
     record: Optional[DeltaRecord] = None
     rebuilt: bool = False
 
@@ -232,7 +231,10 @@ class DynamicViewState:
             return self.dynamic.current_database()
 
     def records_since(self, version: int) -> Tuple[DeltaRecord, ...]:
-        """The in-memory delta records applied after ``version``."""
+        """The in-memory delta records applied after ``version``.
+
+        Only records past the last snapshot are held (:meth:`save_to`).
+        """
         with self._lock:
             return tuple(
                 record
@@ -264,9 +266,7 @@ class DynamicViewState:
             current = self.current_version()
             if forced_version is not None:
                 if forced_version <= current:
-                    return DeltaOutcome(
-                        applied=0, version=current, skipped=True
-                    )
+                    return DeltaOutcome(applied=0)
                 if forced_version != current + 1:
                     raise SnapshotError(
                         f"delta stream gap on {self.name!r}: record "
@@ -277,7 +277,7 @@ class DynamicViewState:
             rebuilds_before = self.dynamic.rebuilds
             applied = self.dynamic.apply_deltas(relation, inserts, deletes)
             if not applied and forced_version is None:
-                return DeltaOutcome(applied=0, version=current)
+                return DeltaOutcome(applied=0)
             self.epochs.publish(current + 1, self.dynamic.freeze())
             record = DeltaRecord(
                 view=self.name,
@@ -289,13 +289,12 @@ class DynamicViewState:
             self._events.append(record)
             return DeltaOutcome(
                 applied=applied,
-                version=current + 1,
                 record=record,
                 rebuilt=self.dynamic.rebuilds > rebuilds_before,
             )
 
     def replace(self, dynamic: DynamicRepresentation, version: int) -> None:
-        """Swap in a re-hydrated representation (replica fallback path).
+        """Swap in a re-hydrated representation (a replica adopting one).
 
         Drained old versions retire; pinned ones keep draining against
         their frozen views as usual.
@@ -310,13 +309,16 @@ class DynamicViewState:
 
         Runs under the state lock so a concurrently applied delta can
         never tear the snapshot between the representation's state and
-        the version the meta record claims it captures.
+        the version the meta record claims it captures. The in-memory
+        records end here: a replica behind the snapshot adopts it
+        (:func:`ship_deltas`), so nothing it covers ships again.
         """
         with self._lock:
             version = self.current_version()
             store.save(
                 self.label, self.dynamic, version, self.origin_relations
             )
+            self._events.clear()
             return version
 
 
@@ -482,36 +484,51 @@ def ship_deltas(
 ) -> Dict[str, Tuple[str, int]]:
     """Converge a replica's dynamic views onto the primary's versions.
 
-    For each dynamic view (``names`` or every one the primary serves),
-    the records past the replica's version are shipped and applied in
-    order. Past ``churn_threshold`` pending records — or on any version
-    gap the replica reports — shipping falls back to the snapshot path:
-    the primary writes a fresh snapshot and the replica re-hydrates
-    from it. Returns ``{name: (mode, records_pending)}`` with mode
-    ``"delta"`` or ``"snapshot"``; per-view shipping time lands in the
-    primary's ``delta_ship_seconds`` histogram.
+    One rule per dynamic view (``names`` or every one the primary
+    serves): **if the primary's durable dynamic snapshot is newer than
+    the replica's version, the replica re-hydrates from it** (decode,
+    then replay the log suffix after it); otherwise the records past the
+    replica's version ship and apply in order. The primary rewrites that
+    snapshot at every amortized-rebuild boundary, so a replica adopts
+    the primary's compaction instead of rebuilding on its own. Past
+    ``churn_threshold`` pending records the primary first writes a fresh
+    snapshot, which the rule then adopts; a version gap the replica
+    reports does the same. Records the primary no longer holds (it
+    restarted since the replica's version) re-hydrate the replica from
+    the snapshot it has. A primary without a snapshot tier always ships
+    records, and a replica replaying them rebuilds where the primary
+    did.
+
+    Returns ``{name: (mode, records_pending)}`` with mode ``"delta"`` or
+    ``"snapshot"``; per-view shipping time lands in the primary's
+    ``delta_ship_seconds`` histogram.
     """
     targets = tuple(names) if names is not None else primary.dynamic_views()
     results: Dict[str, Tuple[str, int]] = {}
     for name in targets:
         started = time.perf_counter()
-        pending = primary.delta_records_since(
-            name, replica.delta_version(name)
-        )
+        version = replica.delta_version(name)
+        current = primary.delta_version(name)
+        pending = primary.delta_records_since(name, version)
         if len(pending) > churn_threshold:
-            mode = "snapshot"
             primary.save_dynamic_snapshot(name)
-            replica.rehydrate_dynamic([name])
-        else:
+        snapshot = primary.dynamic_snapshot_version(name)
+        mode = "snapshot"
+        # Records converge the replica only if the primary holds all of
+        # them — a primary restarted since holds none from before its
+        # restart; the snapshot and the log suffix after it still do.
+        if (snapshot is None or snapshot <= version) and (
+            current <= version + len(pending)
+        ):
             try:
                 replica.apply_delta_records(pending)
                 mode = "delta"
             except SnapshotError:
                 # A gap (e.g. the replica hydrated past the in-memory
                 # history): the stream cannot converge — re-hydrate.
-                mode = "snapshot"
                 primary.save_dynamic_snapshot(name)
-                replica.rehydrate_dynamic([name])
+        if mode == "snapshot":
+            replica.rehydrate_dynamic([name])
         results[name] = (mode, len(pending))
         telemetry = primary.telemetry
         if telemetry is not None:

@@ -26,6 +26,12 @@ result set and not the build. A :class:`ReplicaServer` is a
   resident to the disk tier); the snapshot store's database fingerprint
   refuses snapshots built from a different database state, so a stale
   replica fails loudly instead of answering from the past.
+* **Dynamic views follow the same rule.** A replica registers warm from
+  the primary's dynamic snapshot and converges through
+  :func:`~repro.engine.dynamic_serving.ship_deltas`: small delta records
+  between the primary's rebuild boundaries, and at a boundary the
+  snapshot the primary wrote there — so the amortized rebuild runs once,
+  on the primary, and :meth:`ReplicaServer.total_builds` stays 0.
 
 :class:`~repro.engine.async_server.AsyncViewServer` balances read
 traffic across replicas (round-robin or least-pending) with per-tenant
@@ -148,8 +154,9 @@ class ReplicaServer(ViewServer):
     def rehydrate_dynamic(self, names: Optional[Iterable[str]] = None) -> int:
         """Re-hydrate dynamic views from shipped snapshots, counted.
 
-        The replica half of the churn-storm fallback in
-        :func:`~repro.engine.dynamic_serving.ship_deltas`; each view
+        The replica half of a snapshot adoption in
+        :func:`~repro.engine.dynamic_serving.ship_deltas` (a rebuild
+        boundary, the churn threshold or a version gap); each view
         re-hydrated here also counts in ``replica_hydrations_total``.
         """
         targets = tuple(names) if names is not None else self.dynamic_views()

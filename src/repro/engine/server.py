@@ -1130,13 +1130,25 @@ class ViewServer(Serving):
             )
         return state.save_to(self._dynamic_sink)
 
+    def dynamic_snapshot_version(self, name: str) -> Optional[int]:
+        """The version ``name``'s durable dynamic snapshot captures.
+
+        Read from the meta record :meth:`rehydrate_dynamic` loads;
+        ``None`` without a snapshot tier (or with no readable meta).
+        """
+        store, label = self._dynamic_store, self._dynamic_state(name).label
+        meta = None if store is None else store.load_meta(label)
+        return None if meta is None else int(meta["version"])
+
     def rehydrate_dynamic(self, names: Optional[Iterable[str]] = None) -> int:
         """Reload dynamic views from snapshot + delta log; returns count.
 
-        The churn-storm fallback of delta shipping: instead of replaying
-        a long record stream, swap in a representation re-hydrated from
-        the (freshly written) snapshot tier. Pinned versions keep
-        draining; new requests serve the re-hydrated state.
+        How a replica adopts the primary's compaction (see
+        :func:`~repro.engine.dynamic_serving.ship_deltas`): instead of
+        replaying records — and the rebuild a boundary among them
+        triggers — swap in the representation the snapshot tier holds,
+        plus the log suffix after it. Pinned versions keep draining; new
+        requests serve the re-hydrated state.
         """
         targets = tuple(names) if names is not None else self.dynamic_views()
         for name in targets:

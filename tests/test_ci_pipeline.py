@@ -346,8 +346,14 @@ class TestMakefileContract:
 #: shared scan's last lane drops the state's lanes, +1, so a closed batch
 #: cursor frees its structure without a collection), bought by the
 #: ``tau_churn`` ``setup_s`` row: 0.157 → 0.080 s (ten of ten pairs;
-#: 0.157 → 0.081 s on held-out seed 40, ``BENCH_26.json``).
-ENGINE_SLOC_CEILING = 4296
+#: 0.157 → 0.081 s on held-out seed 40, ``BENCH_26.json``). Then, when
+#: replicas began adopting the primary's snapshot at a rebuild boundary:
+#: 4,296 → 4,298 (+2: ``ViewServer.dynamic_snapshot_version``, +4; the
+#: one-rule ``ship_deltas`` is as long as the two-branch one, plus 3 for
+#: a primary restarted since the replica's version, whose missing
+#: records used to leave the replica behind silently; against the two
+#: fields of ``DeltaOutcome`` nothing read, −5).
+ENGINE_SLOC_CEILING = 4298
 
 #: `make size`'s figure for src/repro/__main__.py after PR 18: the CLI
 #: wires a back end, an async front and its error reporting once each;
@@ -446,7 +452,16 @@ MAIN_SLOC_CEILING = 1030
 #: 12,915 (−51; the engine and the CLI 0). ``workloads/streams.py`` lost
 #: ``shifting_requests``, the skew-shifting stream only the
 #: adaptive-tuning gate drew. No gain claimed.
-SRC_SLOC_CEILING = 12915
+#: Then, when replicas began adopting the primary's snapshot at a
+#: rebuild boundary: 12,915 → 12,919 (+4; the engine +2 above, the CLI
+#: 0). ``Relation.with_changes`` (``database/relation.py`` +4) builds a
+#: dirty version's merged relation from the row sets, the way ``union``
+#: and ``rename`` do, instead of re-checking every row's arity through
+#: the constructor (``core/dynamic.py`` −2); no gain of its own is
+#: claimed for it. The change it rode with moved the ``dynamic_mixed``
+#: ``requests_per_s`` row 1,007 → 1,525 req/s (ten of ten pairs; 941 →
+#: 1,444 on held-out seed 40, ``BENCH_29.json``).
+SRC_SLOC_CEILING = 12919
 
 
 class TestSizeGate:

@@ -58,6 +58,34 @@ class TestUpdates:
         updated = dynamic.current_database()
         assert (99, 98) not in updated["R"]
 
+    def test_freezing_does_not_recheck_buffered_rows(self, setup, monkeypatch):
+        # Buffered rows were arity-checked on the way in: the merged
+        # relation is built from the row sets, never fed through the
+        # checking constructor again, and untouched relations are shared.
+        view, db, dynamic = setup
+        deleted = next(iter(db["S"]))
+        dynamic.insert("R", (900, 901))
+        dynamic.delete("S", deleted)
+        checked = []
+        original = Relation.__init__
+
+        def checking(self, name, arity, rows=()):
+            rows = list(rows)
+            checked.extend(rows)
+            original(self, name, arity, rows)
+
+        monkeypatch.setattr(Relation, "__init__", checking)
+        updated = dynamic.current_database()
+        assert checked == []
+        assert updated["T"] is db["T"]
+        assert updated["R"].rows == db["R"].rows | {(900, 901)}
+        assert updated["S"].rows == db["S"].rows - {deleted}
+        assert updated["R"].name == "R" and updated["R"].arity == 2
+        monkeypatch.undo()
+        assert dynamic.answer((900, 901)) == oracle_answer(
+            view, updated, (900, 901)
+        )
+
     def test_duplicate_insert_is_noop(self, setup):
         view, db, dynamic = setup
         existing = next(iter(db["R"]))

@@ -376,16 +376,26 @@ class TestDeltaRecords:
 
 
 class TestReplicaShipping:
-    def _pair(self, tmp_path, telemetry=False):
+    #: 12 buffered changes over the 6-row chain database: every stream
+    #: below stays short of the rebuild boundary, so records replay.
+    BELOW_BOUNDARY = 2.0
+
+    def _pair(self, tmp_path, telemetry=False, rebuild_fraction=0.1):
         db = chain_database()
         primary = ViewServer(db, snapshot_dir=tmp_path, telemetry=telemetry)
-        name = primary.register_dynamic(VIEW_TEXT, tau=4.0)
+        name = primary.register_dynamic(
+            VIEW_TEXT, tau=4.0, rebuild_fraction=rebuild_fraction
+        )
         replica = ReplicaServer(db, snapshot_dir=tmp_path)
-        replica.register_dynamic(VIEW_TEXT, tau=4.0)
+        replica.register_dynamic(
+            VIEW_TEXT, tau=4.0, rebuild_fraction=rebuild_fraction
+        )
         return primary, replica, name
 
     def test_delta_mode_converges(self, tmp_path):
-        primary, replica, name = self._pair(tmp_path, telemetry=True)
+        primary, replica, name = self._pair(
+            tmp_path, telemetry=True, rebuild_fraction=self.BELOW_BOUNDARY
+        )
         primary.apply_deltas("R", inserts=[(1, 3)])
         primary.apply_deltas("S", inserts=[(4, 9)], deletes=[(4, 7)])
         shipped = ship_deltas(primary, replica)
@@ -397,22 +407,28 @@ class TestReplicaShipping:
             "delta_ship_seconds", view=name
         )
         assert histogram is not None and histogram.count == 1
+        assert replica.total_builds() == 0
         primary.close()
         replica.close()
 
     def test_churn_threshold_falls_back_to_snapshot(self, tmp_path):
-        primary, replica, name = self._pair(tmp_path)
+        primary, replica, name = self._pair(
+            tmp_path, rebuild_fraction=self.BELOW_BOUNDARY
+        )
         # The replica already follows by delta records when the burst
         # lands: the fallback must take it over from there.
         primary.apply_deltas("S", inserts=[(4, 9)])
         assert ship_deltas(primary, replica) == {name: ("delta", 1)}
         for i in range(10, 16):
             primary.apply_deltas("R", inserts=[(1, i)])
+        assert primary.dynamic_snapshot_version(name) == 0
         shipped = ship_deltas(primary, replica, churn_threshold=2)
-        assert shipped[name][0] == "snapshot"
+        assert shipped == {name: ("snapshot", 6)}
+        assert primary.dynamic_snapshot_version(name) == 7
         assert replica.delta_version(name) == primary.delta_version(name)
         for a in (1, 2, 3):
             assert primary.answer(name, (a,)) == replica.answer(name, (a,))
+        assert replica.total_builds() == 0
         primary.close()
         replica.close()
 
@@ -431,6 +447,147 @@ class TestReplicaShipping:
         log_before = store.log_path(label).read_text()
         ship_deltas(primary, replica)
         assert store.log_path(label).read_text() == log_before
+        primary.close()
+        replica.close()
+
+
+def boundary_stream(count):
+    """``count`` one-row inserts, one effective change each: R, S, R, …"""
+    return [
+        ("R", (1 + version % 3, 100 + version))
+        if version % 2
+        else ("S", (99 + version, version))
+        for version in range(1, count + 1)
+    ]
+
+
+class TestSnapshotAdoption:
+    """A replica adopts the snapshot a rebuild boundary wrote: no builds."""
+
+    #: Over the chain database and `boundary_stream`, the primary
+    #: rebuilds at versions 4, 10 and 19 (the threshold grows with |D|).
+    FRACTION = 0.5
+    BOUNDARIES = [4, 10, 19]
+    #: Ship after these versions: short of a boundary, exactly on one,
+    #: past it, across two, and after the last.
+    SHIPS = [2, 4, 6, 21, 23]
+    ACCESSES = [(1,), (2,), (3,), (4,)]
+
+    def _pair(self, primary, replica):
+        for server in (primary, replica):
+            name = server.register_dynamic(
+                VIEW_TEXT, tau=4.0, rebuild_fraction=self.FRACTION
+            )
+        return name
+
+    def _drive(self, primary, replica, name, trace):
+        """Apply the stream and ship after each of SHIPS, checking both
+        servers against the oracle at every shipped version; yields
+        ``(version, databases by version)`` just before each ship."""
+        view = parse_view(VIEW_TEXT)
+        databases = [chain_database()]
+        state = primary._dynamic_state(name)
+        stream = boundary_stream(self.SHIPS[-1])
+        for version, (relation, row) in enumerate(stream, start=1):
+            rebuilds = state.dynamic.rebuilds
+            assert primary.apply_deltas(relation, inserts=[row]) == {name: 1}
+            if state.dynamic.rebuilds > rebuilds:
+                trace["boundaries"].append(version)
+            db = databases[-1]
+            databases.append(
+                db.replace(Relation(relation, 2, db[relation].rows | {row}))
+            )
+            if version not in self.SHIPS:
+                continue
+            yield version, databases
+            trace["modes"].append(ship_deltas(primary, replica)[name][0])
+            trace["records"].append(
+                [record.version for record in primary.delta_records_since(name, 0)]
+            )
+            assert replica.delta_version(name) == version
+            for access in self.ACCESSES:
+                expected = oracle_answer(view, databases[version], access)
+                assert primary.answer(name, access) == expected
+                assert replica.answer(name, access) == expected
+
+    def test_boundaries_ship_the_primary_snapshot(self, tmp_path):
+        db = chain_database()
+        primary = ViewServer(db, snapshot_dir=tmp_path)
+        replica = ReplicaServer(db, snapshot_dir=tmp_path, telemetry=True)
+        name = self._pair(primary, replica)
+        trace = {"modes": [], "boundaries": [], "records": []}
+        for version, databases in self._drive(primary, replica, name, trace):
+            if version == 4:
+                # Opened at the replica's version 2, before it adopts
+                # the snapshot the boundary at 4 wrote.
+                cursor = replica.open(name, (2,))
+                head = cursor.fetchmany(1)
+            elif version == 6:
+                state = replica._dynamic_state(name)
+                assert state.live_versions() == (2, 4)
+                assert head + cursor.fetchall() == oracle_answer(
+                    parse_view(VIEW_TEXT), databases[2], (2,)
+                )
+                cursor.close()
+                assert state.live_versions() == (4,)
+        assert trace["boundaries"] == self.BOUNDARIES
+        # "snapshot" exactly where a ship crossed a boundary.
+        assert trace["modes"] == [
+            "delta", "snapshot", "delta", "snapshot", "delta"
+        ]
+        assert replica.total_builds() == 0
+        assert (
+            replica.telemetry.registry.counter_value(
+                "replica_hydrations_total", view=name
+            )
+            == 2
+        )
+        # The primary holds only the records past its last snapshot.
+        assert trace["records"] == [
+            [1, 2], [], [5, 6], [20, 21], [20, 21, 22, 23]
+        ]
+        primary.close()
+        replica.close()
+
+    def test_a_restarted_primary_still_converges_its_replica(self, tmp_path):
+        # The restart replays the log but holds no record from before it:
+        # shipping none would leave the replica behind for good.
+        db = chain_database()
+        first = ViewServer(db, snapshot_dir=tmp_path)
+        replica = ReplicaServer(db, snapshot_dir=tmp_path)
+        name = self._pair(first, replica)
+        first.apply_deltas("R", inserts=[(1, 50)])
+        first.close()
+        primary = ViewServer(db, snapshot_dir=tmp_path)
+        primary.register_dynamic(
+            VIEW_TEXT, tau=4.0, rebuild_fraction=self.FRACTION
+        )
+        assert primary.delta_records_since(name, 0) == ()
+        assert ship_deltas(primary, replica) == {name: ("snapshot", 0)}
+        primary.apply_deltas("S", inserts=[(50, 9)])
+        assert ship_deltas(primary, replica) == {name: ("delta", 1)}
+        assert replica.delta_version(name) == primary.delta_version(name) == 2
+        assert replica.answer(name, (1,)) == primary.answer(name, (1,))
+        assert (50, 9) in replica.answer(name, (1,))
+        assert replica.total_builds() == 0
+        primary.close()
+        replica.close()
+
+    def test_without_a_snapshot_tier_records_ship_and_replicas_rebuild(self):
+        # The old path, kept for a primary with no snapshot_dir: nothing
+        # to adopt, so the replica replays every record and rebuilds at
+        # the boundaries the primary rebuilt at.
+        db = chain_database()
+        primary, replica = ViewServer(db), ViewServer(db)
+        name = self._pair(primary, replica)
+        trace = {"modes": [], "boundaries": [], "records": []}
+        for _ in self._drive(primary, replica, name, trace):
+            pass
+        assert trace["boundaries"] == self.BOUNDARIES
+        assert trace["modes"] == ["delta"] * len(self.SHIPS)
+        assert primary.dynamic_snapshot_version(name) is None
+        assert replica.total_builds() == primary.total_builds() == 4
+        assert trace["records"][-1] == list(range(1, 24))
         primary.close()
         replica.close()
 
