@@ -75,7 +75,7 @@ tree and dictionary once, under ``columns.*``)::
 
 Elastic topology: ``serve --async --replicas N`` puts N read replicas —
 hydrated purely from shipped snapshots, never building — behind the
-async balancer (``--balancer round-robin|least-pending``), and the
+async front end, which rotates batches across them round-robin, and the
 ``topology`` subcommand inspects/evolves rendezvous routing tables
 offline (splitting a shard re-rendezvouses only that shard's keys)::
 
@@ -121,7 +121,6 @@ import argparse
 import asyncio
 import json
 import sys
-import time
 from contextlib import contextmanager
 from typing import Dict, List, Tuple
 
@@ -275,7 +274,6 @@ def _backend(cls, db, args, telemetry, *shard_args, **extra):
         max_entries=args.cache_entries,
         max_cells=args.cache_cells,
         snapshot_dir=args.snapshot_dir,
-        cache_policy=args.cache_policy,
         telemetry=telemetry,
         **extra,
     )
@@ -289,7 +287,6 @@ def _async_front(backend, args, replicas):
         max_workers=args.workers,
         max_pending=args.max_pending,
         replicas=replicas,
-        balancer=args.balancer,
     )
     try:
         yield server
@@ -314,18 +311,11 @@ def _serve(args) -> int:
     # None meant "not given" to the check above; the defaults, once.
     args.workers = 4 if args.workers is None else args.workers
     args.max_pending = 32 if args.max_pending is None else args.max_pending
-    if args.per_request and args.use_async:
-        raise ReproError("--per-request is a synchronous baseline; drop --async")
     cursor_mode = (
         args.limit is not None
         or args.page_size is not None
         or args.resume is not None
     )
-    if args.per_request and cursor_mode:
-        raise ReproError(
-            "--per-request replays the stream unbatched; it does not "
-            "compose with --limit/--page-size/--resume"
-        )
     if args.limit is not None and args.limit < 0:
         raise ReproError(f"--limit must be >= 0, got {args.limit}")
     if args.page_size is not None and args.page_size < 1:
@@ -338,10 +328,10 @@ def _serve(args) -> int:
         raise ReproError(f"--replicas must be >= 0, got {args.replicas}")
     if args.gap_budget is not None and not args.adapt:
         raise ReproError("--gap-budget tunes the adaptive loop; add --adapt")
-    if args.adapt and (args.use_async or args.per_request or cursor_mode):
+    if args.adapt and (args.use_async or cursor_mode):
         raise ReproError(
             "--adapt drives the sequential batched path; it does not "
-            "compose with --async/--per-request/cursor knobs"
+            "compose with --async/cursor knobs"
         )
     if args.replicas:
         if not args.use_async:
@@ -367,7 +357,7 @@ def _serve(args) -> int:
         if args.replicas:
             raise ReproError(
                 "--dynamic replicas converge by delta shipping "
-                "(ship_deltas), not the async balancer; drop --replicas"
+                "(ship_deltas), not the async front end; drop --replicas"
             )
         if args.adapt:
             raise ReproError(
@@ -429,8 +419,6 @@ def _serve(args) -> int:
             replicas = _hydrate_replicas(backend, name, db, args, telemetry)
         if args.adapt:
             return _serve_adaptive(backend, name, accesses, telemetry, args)
-        if args.per_request:
-            return _serve_per_request(backend, name, accesses)
         if cursor_mode:
             return _serve_cursors(backend, name, accesses, args, replicas)
         if args.use_async:
@@ -535,31 +523,9 @@ def _hydrate_replicas(
         raise
     print(
         f"replicas: {len(replicas)} hydrated from snapshots in "
-        f"{args.snapshot_dir} ({shipped} freshly shipped, "
-        f"balancer {args.balancer})"
+        f"{args.snapshot_dir} ({shipped} freshly shipped)"
     )
     return replicas
-
-
-def _serve_per_request(backend, name: str, accesses: List[Tuple]) -> int:
-    """The unbatched baseline: one cursor per request, no shared scans.
-
-    Exists to make the batched default's advantage observable from the
-    command line — replay the same requests file with and without
-    ``--per-request`` and compare the wall clocks.
-    """
-    started = time.perf_counter()
-    total = 0
-    for access in accesses:
-        with backend.open(name, access) as cursor:
-            total += len(cursor.fetchall())
-    wall = time.perf_counter() - started
-    print(
-        f"per-request baseline: {len(accesses)} cursors "
-        f"({len(set(accesses))} distinct, nothing shared), "
-        f"{total} tuples in {wall * 1000:.1f} ms"
-    )
-    return 0
 
 
 def _serve_cursors(
@@ -1006,12 +972,6 @@ def main(argv=None) -> int:
         help="LRU cell budget (per shard when sharded)",
     )
     serve.add_argument(
-        "--per-request",
-        action="store_true",
-        help="baseline mode: one cursor per request, no batching or "
-        "shared scans (compare wall clock against the default)",
-    )
-    serve.add_argument(
         "--async",
         dest="use_async",
         action="store_true",
@@ -1033,14 +993,9 @@ def main(argv=None) -> int:
         "--replicas",
         type=int,
         default=0,
-        help="stand up N read replicas hydrated from shipped snapshots "
-        "(needs --async and --snapshot-dir; plain backend only)",
-    )
-    serve.add_argument(
-        "--balancer",
-        choices=["round-robin", "least-pending"],
-        default="round-robin",
-        help="replica load-balancing policy (needs --replicas)",
+        help="stand up N read replicas hydrated from shipped snapshots, "
+        "served round-robin (needs --async and --snapshot-dir; plain "
+        "backend only)",
     )
     serve.add_argument(
         "--workers",
@@ -1060,13 +1015,6 @@ def main(argv=None) -> int:
         default=None,
         help="persist built structures here and warm-start from them "
         "on restart (per-shard subdirectories when sharded)",
-    )
-    serve.add_argument(
-        "--cache-policy",
-        choices=["lru", "cost"],
-        default="lru",
-        help="cache eviction policy: recency only, or cost-aware "
-        "(weigh build seconds x cells)",
     )
     serve.add_argument(
         "--build-workers",

@@ -39,7 +39,6 @@ from repro.engine.async_server import (
 from repro.engine.cache import (
     CacheStats,
     RepresentationCache,
-    build_seconds_of,
     representation_cells,
 )
 from repro.engine.dynamic_serving import (
@@ -91,7 +90,6 @@ __all__ = [
     "CacheStats",
     "RepresentationCache",
     "ParallelBuilder",
-    "build_seconds_of",
     "representation_cells",
     "DEFAULT_TAU",
     "BatchResult",

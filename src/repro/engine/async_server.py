@@ -25,17 +25,19 @@ split cuts over *between* batches, never under one. This module never
 plans, pins or merges: what a batch costs the back end, and what it
 counts, is the same whichever executor runs it.
 
-Read replicas and admission control
------------------------------------
+Read replicas and admission
+---------------------------
 A plain back end can be fronted by
 :class:`~repro.engine.replica.ReplicaServer` instances (``replicas=``):
-read batches are balanced across them — ``balancer="round-robin"`` or
-``"least-pending"`` (pick the replica with the fewest batches in
-flight) — while registration still goes everywhere, so every replica
-serves the same views from its shipped snapshots. Per-tenant admission
-control (``max_pending_per_tenant=``) bounds how many in-flight batches
-any single tenant may hold *before* it competes for the global
-``max_pending`` — one hot tenant cannot starve the rest.
+read batches rotate across them round-robin, while registration still
+goes everywhere, so every replica serves the same views from its
+shipped snapshots. Admission is one ``max_pending`` semaphore: a batch
+holds one slot while its jobs run, and its wait for the slot counts as
+queue time.
+
+The front end never builds its back end: it wraps a ``Serving`` the
+caller made (``AsyncViewServer(ViewServer(db, ...))``) and owns, so the
+cache, snapshot and build-pool knobs are set in one place.
 """
 
 from __future__ import annotations
@@ -43,7 +45,7 @@ from __future__ import annotations
 import asyncio
 import time
 from concurrent.futures import ThreadPoolExecutor
-from contextlib import AsyncExitStack, asynccontextmanager, contextmanager
+from contextlib import asynccontextmanager
 from dataclasses import dataclass
 from functools import partial
 from typing import (
@@ -127,9 +129,10 @@ class AsyncViewServer:
     Parameters
     ----------
     backend:
-        A database (a fresh ``ViewServer`` is created over it) or an
-        existing back end to wrap — plain, sharded, or anything else
-        that implements ``Serving``.
+        The back end to wrap — plain, sharded, or anything else that
+        implements ``Serving``. It stays the caller's: :meth:`close`
+        leaves it open. A bare :class:`~repro.database.catalog.Database`
+        is refused; wrap ``ViewServer(db, ...)`` instead.
     max_workers:
         Thread-pool width. Builds and the back end's jobs occupy
         workers; readers never block each other, so a handful suffices.
@@ -137,96 +140,52 @@ class AsyncViewServer:
         Backpressure bound: at most this many :meth:`serve` calls may be
         in flight (queued + executing). Further callers — and
         :meth:`serve_stream`'s intake — wait.
-    max_entries / max_cells / snapshot_dir / cache_policy / build_workers:
-        Backend construction knobs (cache bounds, warm-start snapshot
-        directory, eviction policy, process-parallel build pool), used
-        only when ``backend`` is a database; see :class:`ViewServer`.
-        A backend built here is owned here: :meth:`close` releases its
-        build pool along with the serving threads.
     replicas:
         Read replicas (typically
-        :class:`~repro.engine.replica.ReplicaServer` instances) to
-        balance read batches across. Only valid in front of a plain
-        ``ViewServer``, whose single job a replica stands in for — a
-        sharded back end already is its own fan-out layer. Replicas
+        :class:`~repro.engine.replica.ReplicaServer` instances) that
+        read batches rotate across, round-robin. Only valid in front of
+        a plain ``ViewServer``, whose single job a replica stands in
+        for — a sharded back end already is its own fan-out layer. Replicas
         are caller-owned (``close()`` leaves them alone); registration
         through this facade reaches every replica, so they stay in sync.
-    balancer:
-        ``"round-robin"`` (rotate) or ``"least-pending"`` (the replica
-        with the fewest batches currently in flight, rotation as the
-        tie-break).
-    max_pending_per_tenant:
-        Per-tenant admission bound: a tenant (the ``tenant=`` argument
-        of :meth:`serve` / :meth:`answer_requests`) may hold at most
-        this many in-flight batches before its next one waits — acquired
-        *before* the global ``max_pending`` slot, so a saturated tenant
-        queues outside the shared pool instead of monopolizing it.
-        ``None`` disables per-tenant gating.
     telemetry:
-        ``True`` creates an owned :class:`~repro.engine.telemetry.Telemetry`
-        (persisted under ``snapshot_dir/telemetry`` when this facade also
-        builds the backend); an instance is shared; ``None`` adopts the
-        backend's own sink when it has one. The front end records
-        ``async_queue_depth``, ``async_queue_seconds`` /
-        ``async_service_seconds``, ``admission_waits_total{gate}``, and
-        ``balancer_picks_total{replica}`` on top of whatever the backend
-        records.
+        ``True`` creates an owned, in-memory
+        :class:`~repro.engine.telemetry.Telemetry`; an instance is
+        shared; ``None`` adopts the backend's own sink when it has one.
+        The front end records ``async_queue_depth``,
+        ``async_queue_seconds`` / ``async_service_seconds``,
+        ``admission_waits_total`` and ``balancer_picks_total{replica}``
+        on top of whatever the backend records.
 
-    One event loop at a time: the internal semaphores bind to the loop
+    One event loop at a time: the internal semaphore binds to the loop
     of the first ``await``, so drive a given instance from a single
     ``asyncio.run`` (or call :meth:`reset` between loops).
     """
 
     def __init__(
         self,
-        backend: Union[Serving, Database],
+        backend: Serving,
         max_workers: int = 4,
         max_pending: int = 32,
-        max_entries: Optional[int] = 8,
-        max_cells: Optional[int] = None,
-        snapshot_dir=None,
-        cache_policy: str = "lru",
-        build_workers: Optional[int] = None,
         replicas: Sequence[ViewServer] = (),
-        balancer: str = "round-robin",
-        max_pending_per_tenant: Optional[int] = None,
         telemetry: Union[Telemetry, bool, None] = None,
     ):
+        if isinstance(backend, Database):
+            raise ParameterError(
+                "AsyncViewServer wraps a Serving back end, not a database; "
+                "build the back end first: AsyncViewServer(ViewServer(db, ...))"
+            )
         if max_workers < 1:
             raise ParameterError(f"max_workers must be >= 1, got {max_workers}")
         if max_pending < 1:
             raise ParameterError(f"max_pending must be >= 1, got {max_pending}")
-        if balancer not in ("round-robin", "least-pending"):
-            raise ParameterError(
-                f"unknown balancer {balancer!r}; expected 'round-robin' "
-                "or 'least-pending'"
-            )
-        if (
-            max_pending_per_tenant is not None
-            and max_pending_per_tenant < 1
-        ):
-            raise ParameterError(
-                "max_pending_per_tenant must be >= 1, got "
-                f"{max_pending_per_tenant}"
-            )
-        self._owns_backend = isinstance(backend, Database)
-        if telemetry is None and not self._owns_backend:
+        if telemetry is None:
             # Wrapping an instrumented backend: record into its sink so
             # front-end and engine metrics land in one registry.
             telemetry = getattr(backend, "telemetry", None)
         self._telemetry, self._owns_telemetry = Telemetry.resolve(
-            telemetry, snapshot_dir if self._owns_backend else None
+            telemetry, None
         )
-        if isinstance(backend, Database):
-            backend = ViewServer(
-                backend,
-                max_entries=max_entries,
-                max_cells=max_cells,
-                snapshot_dir=snapshot_dir,
-                cache_policy=cache_policy,
-                build_workers=build_workers,
-                telemetry=self._telemetry,
-            )
         if replicas and not isinstance(backend, ViewServer):
             raise ParameterError(
                 "replicas balance a plain backend; a sharded backend "
@@ -235,14 +194,10 @@ class AsyncViewServer:
             )
         self.backend: Serving = backend
         self.max_pending = max_pending
-        self.max_pending_per_tenant = max_pending_per_tenant
         self._replicas: Tuple[ViewServer, ...] = tuple(replicas)
-        self._balancer = balancer
-        # Loop-confined balancer state: mutated only on the event-loop
-        # thread (executor work happens after the pick), so no lock.
+        # Loop-confined rotation: mutated only on the event-loop thread
+        # (executor work happens after the pick), so no lock.
         self._rr = 0
-        self._replica_pending = [0] * len(self._replicas)
-        self._tenant_gates: dict = {}
         self._executor = ThreadPoolExecutor(
             max_workers=max_workers, thread_name_prefix="repro-serve"
         )
@@ -295,7 +250,7 @@ class AsyncViewServer:
 
     @property
     def replicas(self) -> Tuple[ViewServer, ...]:
-        """The read replicas this facade balances read batches across."""
+        """The read replicas this facade rotates read batches across."""
         return self._replicas
 
     @property
@@ -303,87 +258,44 @@ class AsyncViewServer:
         """The telemetry sink (owned, shared, or adopted), or ``None``."""
         return self._telemetry
 
-    @property
-    def replica_loads(self) -> Tuple[int, ...]:
-        """In-flight batch counts per replica (the balancer's view)."""
-        return tuple(self._replica_pending)
-
     # ------------------------------------------------------------------
     # balancing and admission
     # ------------------------------------------------------------------
-    def _pick_replica(self) -> Optional[int]:
-        """The replica index the next read batch goes to (None: backend)."""
-        n = len(self._replicas)
-        if n == 0:
-            return None
-        start = self._rr % n
+    def _pick_replica(self) -> Tuple[Optional[int], Optional[ViewServer]]:
+        """``(index, replica)`` the next read goes to, round-robin.
+
+        ``(None, None)`` without replicas: the back end serves itself.
+        """
+        if not self._replicas:
+            return None, None
+        replica = self._rr % len(self._replicas)
         self._rr += 1
-        if self._balancer == "least-pending":
-            # Fewest in-flight batches wins; rotation breaks ties so
-            # equal loads still spread.
-            offset = min(
-                range(n),
-                key=lambda k: (self._replica_pending[(start + k) % n], k),
-            )
-            start = (start + offset) % n
         if self._telemetry is not None:
             self._telemetry.counter(
-                "balancer_picks_total", replica=str(start)
+                "balancer_picks_total", replica=str(replica)
             ).inc()
-        return start
+        return replica, self._replicas[replica]
 
     def _queue_depth(self, delta: int) -> None:
         if self._telemetry is not None:
             self._telemetry.gauge("async_queue_depth").add(delta)
 
     @asynccontextmanager
-    async def _admitted(self, tenant: Optional[str]):
-        """Admission for one batch: tenant gate, then the global slot.
+    async def _admitted(self):
+        """Admission for one batch: one slot of the ``max_pending`` semaphore.
 
-        The tenant's slot (when the server gates per tenant) is acquired
-        *before* the global one, so a saturated tenant queues outside
-        the shared pool; a slot that was busy when asked for counts one
-        ``admission_waits_total{gate}``; the batch sits in
+        A slot that was busy when asked for counts one
+        ``admission_waits_total``; the batch sits in
         ``async_queue_depth`` for the whole span.
         """
-        gates = [("global", self._semaphore)]
-        if tenant is not None and self.max_pending_per_tenant is not None:
-            gate = self._tenant_gates.get(tenant)
-            if gate is None:
-                gate = asyncio.Semaphore(self.max_pending_per_tenant)
-                self._tenant_gates[tenant] = gate
-            gates.insert(0, ("tenant", gate))
         self._queue_depth(+1)
         try:
-            async with AsyncExitStack() as stack:
-                for gate_name, gate in gates:
-                    if gate.locked() and self._telemetry is not None:
-                        self._telemetry.counter(
-                            "admission_waits_total", gate=gate_name
-                        ).inc()
-                    await stack.enter_async_context(gate)
+            if self._semaphore.locked() and self._telemetry is not None:
+                self._telemetry.counter("admission_waits_total").inc()
+            async with self._semaphore:
                 yield
         finally:
             self._queue_depth(-1)
-
-    @contextmanager
-    def _on_replica(self):
-        """(replica index, replica) a read goes to, counted in flight.
-
-        The balancer's pick — ``(None, None)`` without replicas: the
-        back end serves itself — holds one unit of the replica's
-        pending count for the block, which is what ``least-pending``
-        steers by.
-        """
-        replica = self._pick_replica()
-        if replica is None:
-            yield None, None
-            return
-        self._replica_pending[replica] += 1
-        try:
-            yield replica, self._replicas[replica]
-        finally:
-            self._replica_pending[replica] -= 1
 
     # ------------------------------------------------------------------
     # serving
@@ -394,7 +306,6 @@ class AsyncViewServer:
         accesses: Iterable[Sequence],
         tau: Optional[float] = None,
         measure: bool = True,
-        tenant: Optional[str] = None,
     ) -> AsyncBatchResult:
         """Serve one batch on the thread pool; await the merged result.
 
@@ -403,16 +314,14 @@ class AsyncViewServer:
         concurrently — with each cursor's stats kept and the whole
         assembled by the back end into a
         :class:`~repro.engine.server.BatchResult`, exactly as its own
-        ``answer_batch`` would. ``tenant`` engages per-tenant admission
-        control when the server was built with
-        ``max_pending_per_tenant`` — the tenant's slot is acquired
-        before the global one, and both waits count as queue time.
+        ``answer_batch`` would. The wait for an admission slot counts
+        as queue time.
         """
         batch, unique, requests = distinct_requests(
             name, accesses, tau, measure
         )
         submitted = time.perf_counter()
-        async with self._admitted(tenant):
+        async with self._admitted():
             drained, started, finished, shards, replica = await self._fan_out(
                 requests
             )
@@ -435,7 +344,6 @@ class AsyncViewServer:
     async def answer_requests(
         self,
         requests: Iterable[Union[AccessRequest, str]],
-        tenant: Optional[str] = None,
     ) -> List[List[Tuple]]:
         """Serve a typed request batch as whole shared-scan groups.
 
@@ -447,12 +355,11 @@ class AsyncViewServer:
         requests and drains them there. Returns the materialized answers
         aligned with the submitted requests, each honoring its own
         ``limit``/``start_after`` knobs. Holds one unit of the server's
-        semaphore (and the tenant's admission slot, when gated), like
-        :meth:`serve`; with read replicas the whole batch drains on the
-        balancer's pick.
+        semaphore, like :meth:`serve`; with read replicas the whole
+        batch drains on the next replica in rotation.
         """
         batch = [as_request(request) for request in requests]
-        async with self._admitted(tenant):
+        async with self._admitted():
             drained, *_ = await self._fan_out(batch)
         return [rows for rows, _ in drained]
 
@@ -462,29 +369,29 @@ class AsyncViewServer:
         The back end says what the jobs are and gathers their results
         (:meth:`~repro.engine.server.Serving.jobs`); this only runs
         them, each as one :meth:`~repro.engine.server.Serving.drain` on
-        a worker, with the balancer's replica (if any) standing in for
-        the job's server. Returns ``(drained, started, finished, shards,
+        a worker, with the next replica in rotation (if any) standing in
+        for the job's server. Returns ``(drained, started, finished, shards,
         replica)``: per request its ``(rows, stats)`` (stats only for
         measured requests), the first pickup and last finish across the
         jobs, the shard indexes that had work, and the replica picked.
         """
         loop = asyncio.get_running_loop()
-        with self._on_replica() as (replica, reader):
-            with self.backend.jobs(batch) as (jobs, gather):
-                timed = await asyncio.gather(
-                    *(
-                        loop.run_in_executor(
-                            self._executor,
-                            _timed,
-                            partial(
-                                (reader or server).drain,
-                                [batch[position] for position in positions],
-                            ),
-                        )
-                        for _, server, positions in jobs
+        replica, reader = self._pick_replica()
+        with self.backend.jobs(batch) as (jobs, gather):
+            timed = await asyncio.gather(
+                *(
+                    loop.run_in_executor(
+                        self._executor,
+                        _timed,
+                        partial(
+                            (reader or server).drain,
+                            [batch[position] for position in positions],
+                        ),
                     )
+                    for _, server, positions in jobs
                 )
-                drained = gather([pairs for pairs, _, _ in timed])
+            )
+            drained = gather([pairs for pairs, _, _ in timed])
         # The gather's merge is real service time: it extends the span.
         finished = time.perf_counter()
         started = min((pickup for _, pickup, _ in timed), default=finished)
@@ -526,25 +433,22 @@ class AsyncViewServer:
             measure=measure,
         )
         loop = asyncio.get_running_loop()
-        # The cursor occupies its replica for its whole life: the
-        # least-pending balancer steers new work elsewhere until the
-        # stream finishes.
-        with self._on_replica() as (_, reader):
-            async with self._semaphore:
-                cursor = await loop.run_in_executor(
-                    self._executor, (reader or self.backend).open, request
-                )
-            try:
-                while True:
-                    async with self._semaphore:
-                        chunk = await loop.run_in_executor(
-                            self._executor, cursor.fetchmany, chunk_size
-                        )
-                    if not chunk:
-                        break
-                    yield chunk
-            finally:
-                cursor.close()
+        _, reader = self._pick_replica()
+        async with self._semaphore:
+            cursor = await loop.run_in_executor(
+                self._executor, (reader or self.backend).open, request
+            )
+        try:
+            while True:
+                async with self._semaphore:
+                    chunk = await loop.run_in_executor(
+                        self._executor, cursor.fetchmany, chunk_size
+                    )
+                if not chunk:
+                    break
+                yield chunk
+        finally:
+            cursor.close()
 
     async def serve_stream(
         self,
@@ -622,20 +526,12 @@ class AsyncViewServer:
     # life cycle
     # ------------------------------------------------------------------
     def reset(self) -> None:
-        """Re-arm the semaphores for a fresh event loop (idle servers only)."""
+        """Re-arm the semaphore for a fresh event loop (idle servers only)."""
         self._semaphore = asyncio.Semaphore(self.max_pending)
-        # Tenant gates bind to the old loop too; they re-create lazily.
-        self._tenant_gates.clear()
 
     def close(self) -> None:
-        """Shut the thread pool down (idempotent).
-
-        A backend constructed by this facade (from a bare database) is
-        owned by it, so its build worker pool is released too.
-        """
+        """Shut the thread pool down (idempotent); the back end stays open."""
         self._executor.shutdown(wait=True)
-        if self._owns_backend:
-            self.backend.close()
         if self._owns_telemetry and self._telemetry is not None:
             self._telemetry.close()
 

@@ -27,23 +27,15 @@ resident entry so that an eviction or invalidation racing a build in
 flight can never double-count cells: ``total_cells`` always equals the
 sum of :func:`representation_cells` over the current residents.
 
-Two orthogonal knobs extend the plain LRU design:
-
-* **Eviction policy** — ``policy="lru"`` (default) evicts by recency
-  alone; ``policy="cost"`` weighs what an eviction throws away, scoring
-  residents by ``build_seconds × cells`` (both from the structure's own
-  :class:`~repro.core.structure.BuildStats`) and evicting the cheapest
-  first, recency as the tie-break. Under a mixed workload this keeps the
-  slow-to-rebuild structures resident while fast cheap ones churn.
-* **Disk tier** — give the cache a
-  :class:`~repro.core.snapshot.SnapshotStore` and entries become
-  durable: ``get_or_build`` consults the store before running the
-  factory (a warm start decodes instead of rebuilding), writes a
-  snapshot after each successful build, and eviction *demotes* entries
-  to disk rather than discarding them outright. Snapshot I/O runs
-  outside the cache lock; a failed write degrades to memory-only
-  behavior, and a corrupted or wrong-database snapshot is treated as a
-  miss (the store's fingerprint check refuses to decode it).
+**Disk tier** — give the cache a
+:class:`~repro.core.snapshot.SnapshotStore` and entries become durable:
+``get_or_build`` consults the store before running the factory (a warm
+start decodes instead of rebuilding), writes a snapshot after each
+successful build, and eviction *demotes* entries to disk rather than
+discarding them outright. Snapshot I/O runs outside the cache lock; a
+failed write degrades to memory-only behavior, and a corrupted or
+wrong-database snapshot is treated as a miss (the store's fingerprint
+check refuses to decode it).
 """
 
 from __future__ import annotations
@@ -59,8 +51,6 @@ from repro.core.structure import CompressedRepresentation
 from repro.engine.locking import named_lock
 from repro.engine.telemetry import MetricsRegistry
 from repro.exceptions import ParameterError, SnapshotError
-
-EVICTION_POLICIES = ("lru", "cost")
 
 #: A disk-tier label, or a callable formatting it — called on a miss only.
 Label = Union[str, Callable[[], str], None]
@@ -113,7 +103,6 @@ class CacheStats:
 class _Entry:
     representation: CompressedRepresentation
     cells: int = field(default=0)
-    build_seconds: float = field(default=0.0)
     snapshot_label: Optional[str] = field(default=None)
     on_disk: bool = field(default=False)
 
@@ -122,14 +111,6 @@ def representation_cells(representation: CompressedRepresentation) -> int:
     """Cells an instance owns beyond the shared input tuples."""
     report = representation.space_report()
     return report.total_cells - report.base_tuples
-
-
-def build_seconds_of(representation) -> float:
-    """Seconds the structure took to build (0.0 when unmeasured)."""
-    stats = getattr(representation, "stats", None)
-    if stats is not None:
-        return float(getattr(stats, "build_seconds", 0.0))
-    return float(getattr(representation, "build_seconds", 0.0))
 
 
 class RepresentationCache:
@@ -142,10 +123,6 @@ class RepresentationCache:
     max_cells:
         Maximum total cells across cached structures (see
         :func:`representation_cells`); ``None`` means unbounded.
-    policy:
-        Eviction policy: ``"lru"`` (recency only) or ``"cost"``
-        (evict the resident with the smallest ``build_seconds × cells``
-        first — the cheapest entry to lose — recency as the tie-break).
     snapshot_store:
         Optional :class:`~repro.core.snapshot.SnapshotStore` enabling the
         disk tier: warm loads on miss, snapshot writes on build, and
@@ -153,9 +130,8 @@ class RepresentationCache:
     metrics:
         Optional :class:`~repro.engine.telemetry.MetricsRegistry`; every
         :class:`CacheStats` mutation is mirrored into
-        ``cache_<counter>_total{policy=...}`` counters there (hits,
-        misses, evictions, insertions, disk hits, disk writes), so one
-        registry can watch many caches by policy. ``None`` costs
+        ``cache_<counter>_total`` counters there (hits, misses,
+        evictions, insertions, disk hits, disk writes). ``None`` costs
         nothing.
     """
 
@@ -163,7 +139,6 @@ class RepresentationCache:
         self,
         max_entries: Optional[int] = None,
         max_cells: Optional[int] = None,
-        policy: str = "lru",
         snapshot_store: Optional[SnapshotStore] = None,
         metrics: Optional[MetricsRegistry] = None,
     ):
@@ -173,23 +148,15 @@ class RepresentationCache:
             )
         if max_cells is not None and max_cells < 1:
             raise ParameterError(f"max_cells must be >= 1, got {max_cells}")
-        if policy not in EVICTION_POLICIES:
-            raise ParameterError(
-                f"unknown eviction policy {policy!r}; "
-                f"expected one of {EVICTION_POLICIES}"
-            )
         self.max_entries = max_entries
         self.max_cells = max_cells
-        self.policy = policy
         self.snapshot_store = snapshot_store
         self.stats = CacheStats()
         # Pre-resolved telemetry counters: the hot path pays one guarded
         # dict lookup plus an atomic increment, nothing more.
         self._metric_counters = (
             {
-                counted: metrics.counter(
-                    f"cache_{counted}_total", policy=policy
-                )
+                counted: metrics.counter(f"cache_{counted}_total")
                 for counted in (
                     "hits",
                     "misses",
@@ -289,7 +256,6 @@ class RepresentationCache:
                 key,
                 representation,
                 cells,
-                build_seconds_of(representation),
                 self._label_for(key, snapshot_label),
                 on_disk=False,
             )
@@ -310,7 +276,6 @@ class RepresentationCache:
         key: Hashable,
         representation: CompressedRepresentation,
         cells: int,
-        build_seconds: float = 0.0,
         snapshot_label: Optional[str] = None,
         on_disk: bool = False,
     ) -> List[Tuple[Hashable, _Entry]]:
@@ -324,7 +289,6 @@ class RepresentationCache:
         self._entries[key] = _Entry(
             representation,
             cells,
-            build_seconds=build_seconds,
             snapshot_label=snapshot_label,
             on_disk=on_disk,
         )
@@ -411,7 +375,6 @@ class RepresentationCache:
                         key,
                         built,
                         cells,
-                        build_seconds_of(built),
                         label,
                         on_disk=on_disk,
                     )
@@ -489,28 +452,13 @@ class RepresentationCache:
     def _evict(self) -> List[Tuple[Hashable, _Entry]]:
         evicted: List[Tuple[Hashable, _Entry]] = []
         while self._over_budget():
-            victim = self._pick_victim()
+            victim = next(iter(self._entries))  # least recently used
             entry = self._entries.pop(victim)
             self._total_cells -= entry.cells
             self.stats.evictions += 1
             self._bump("evictions")
             evicted.append((victim, entry))
         return evicted
-
-    def _pick_victim(self) -> Hashable:
-        """The next eviction victim under the configured policy."""
-        if self.policy == "cost":
-            # Cheapest loss first: the least build work × footprint. The
-            # iteration order is least- to most-recently used, and the
-            # strict < keeps the earliest (stalest) minimum on ties.
-            victim = None
-            victim_score = None
-            for key, entry in self._entries.items():
-                score = entry.build_seconds * max(1, entry.cells)
-                if victim_score is None or score < victim_score:
-                    victim, victim_score = key, score
-            return victim
-        return next(iter(self._entries))  # LRU: least recently used
 
     def _over_budget(self) -> bool:
         if len(self._entries) <= 1:

@@ -33,9 +33,8 @@ result set and not the build. A :class:`ReplicaServer` is a
   snapshot the primary wrote there — so the amortized rebuild runs once,
   on the primary, and :meth:`ReplicaServer.total_builds` stays 0.
 
-:class:`~repro.engine.async_server.AsyncViewServer` balances read
-traffic across replicas (round-robin or least-pending) with per-tenant
-admission control.
+:class:`~repro.engine.async_server.AsyncViewServer` rotates read
+batches across replicas, round-robin.
 """
 
 from __future__ import annotations
@@ -65,7 +64,7 @@ class ReplicaServer(ViewServer):
     snapshot_dir:
         The shipped snapshot directory — required; a replica without one
         could never serve anything.
-    max_entries / max_cells / cache_policy:
+    max_entries / max_cells:
         Cache bounds as for :class:`ViewServer`; evictions simply drop
         entries (they are already on disk), and a later request
         re-hydrates.
@@ -96,7 +95,6 @@ class ReplicaServer(ViewServer):
         snapshot_dir: Union[str, Path],
         max_entries: Optional[int] = 8,
         max_cells: Optional[int] = None,
-        cache_policy: str = "lru",
         telemetry: Union[Telemetry, bool, None] = None,
     ):
         if snapshot_dir is None:
@@ -109,7 +107,6 @@ class ReplicaServer(ViewServer):
             max_entries=max_entries,
             max_cells=max_cells,
             snapshot_dir=snapshot_dir,
-            cache_policy=cache_policy,
             telemetry=telemetry,
         )
         # The dynamic tier follows the same one-way contract: replicas

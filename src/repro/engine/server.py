@@ -500,9 +500,6 @@ class ViewServer(Serving):
         fingerprint), misses consult it before building, and evictions
         demote to it. A restarted server pointed at the same directory
         and the same data decodes instead of rebuilding.
-    cache_policy:
-        ``"lru"`` or ``"cost"`` — see
-        :class:`~repro.engine.cache.RepresentationCache`.
     build_workers / builder:
         Process-parallel builds: ``build_workers=N`` gives the server
         its own :class:`~repro.engine.parallel.ParallelBuilder` pool of
@@ -538,7 +535,6 @@ class ViewServer(Serving):
         max_entries: Optional[int] = 8,
         max_cells: Optional[int] = None,
         snapshot_dir: Optional[Union[str, Path]] = None,
-        cache_policy: str = "lru",
         build_workers: Optional[int] = None,
         builder: Optional[ParallelBuilder] = None,
         telemetry: Union[Telemetry, bool, None] = None,
@@ -563,7 +559,6 @@ class ViewServer(Serving):
         self._cache = RepresentationCache(
             max_entries=max_entries,
             max_cells=max_cells,
-            policy=cache_policy,
             snapshot_store=store,
             metrics=(
                 self._telemetry.registry

@@ -16,7 +16,7 @@ same query variable. Every listed relation is split along a
 placement over :func:`~repro.engine.topology.stable_hash` — on its key
 column; unlisted relations are **copied** into every shard (each shard's
 ``Database`` owns its relations — no aliasing, so a delta applied through
-one shard can never bleed into a sibling or a replica), and optionally
+one shard can never bleed into a sibling or a replica), and
 *semijoin-reduced* per registered view against the shard's slice so
 per-shard structures shrink. Because a result tuple binding the shard
 variable to ``v`` can only draw key-relation tuples carrying ``v``, each
@@ -169,23 +169,20 @@ def partition_database(
     db: Database,
     shard_key: ShardKey,
     topology: Union[int, RoutingTable],
-    hash_fn=stable_hash,
 ) -> List[Database]:
     """Split ``db`` into per-shard databases along the routing table.
 
     ``topology`` is either a shard count (a fresh version-1
-    :class:`~repro.engine.topology.RoutingTable` is built over
-    ``hash_fn``) or an existing table (its own hash function governs;
-    ``hash_fn`` is ignored). Listed relations are partitioned by
-    rendezvous placement of ``row[column]``; all other relations are
-    **copied** per shard — never shared by reference, so one shard's
+    :class:`~repro.engine.topology.RoutingTable`) or an existing table.
+    Listed relations are partitioned by rendezvous placement of
+    ``row[column]``; all other relations are **copied** per shard — never shared by reference, so one shard's
     database can be mutated, swapped, or shipped without aliasing its
     siblings. Empty slices are kept (a shard may legitimately own no
     tuples of some relation). Returns one database per
     ``topology.shard_ids`` entry, in that order.
     """
     if not isinstance(topology, RoutingTable):
-        topology = RoutingTable.fresh(int(topology), hash_fn=hash_fn)
+        topology = RoutingTable.fresh(int(topology))
     _validate_shard_key(db, shard_key)
     return list(_place(db, shard_key, topology, topology.shard_ids).values())
 
@@ -380,18 +377,11 @@ class ShardedViewServer(Serving):
         ``shard-<id>`` subdirectory, fingerprinted with its own database
         slice (so a resharded or re-keyed partition refuses stale
         snapshots shard by shard).
-    cache_policy:
-        Per-shard cache eviction policy (``"lru"`` or ``"cost"``).
     build_workers:
         Size of ONE :class:`~repro.engine.parallel.ParallelBuilder`
         process pool shared by every shard, so per-shard structure
         construction uses real cores while total build parallelism stays
         bounded. ``None`` keeps builds in-process.
-    semijoin_reduce:
-        Reduce each registration's replicated relations against the
-        shard's slice (:func:`semijoin_reduce_database`) so per-shard
-        structures shrink. On by default; answers are unchanged either
-        way.
     telemetry:
         ``True`` creates an owned :class:`~repro.engine.telemetry.Telemetry`
         (persisted under ``snapshot_dir/telemetry`` when snapshotting); a
@@ -408,11 +398,8 @@ class ShardedViewServer(Serving):
         shard_key: ShardKey,
         max_entries: Optional[int] = 8,
         max_cells: Optional[int] = None,
-        hash_fn=stable_hash,
         snapshot_dir: Optional[Union[str, Path]] = None,
-        cache_policy: str = "lru",
         build_workers: Optional[int] = None,
-        semijoin_reduce: bool = True,
         telemetry: Union[Telemetry, bool, None] = None,
     ):
         self.shard_key: Dict[str, int] = dict(shard_key or {})
@@ -421,15 +408,13 @@ class ShardedViewServer(Serving):
         self._snapshot_dir = (
             Path(snapshot_dir) if snapshot_dir is not None else None
         )
-        self._cache_policy = cache_policy
-        self._semijoin_reduce = semijoin_reduce
         self._telemetry, self._owns_telemetry = Telemetry.resolve(
             telemetry, self._snapshot_dir
         )
         if isinstance(n_shards, RoutingTable):
             table = n_shards
         else:
-            table = RoutingTable.fresh(n_shards, hash_fn=hash_fn)
+            table = RoutingTable.fresh(n_shards)
         slices = partition_database(db, self.shard_key, table)
         self._builder: Optional[ParallelBuilder] = (
             ParallelBuilder(build_workers)
@@ -482,7 +467,6 @@ class ShardedViewServer(Serving):
                 if self._snapshot_dir is not None
                 else None
             ),
-            cache_policy=self._cache_policy,
             builder=self._builder,
             telemetry=self._telemetry,
         )
@@ -613,8 +597,6 @@ class ShardedViewServer(Serving):
         self, view: AdornedView, shard_db: Database
     ) -> Optional[Database]:
         """The per-registration database override for one shard (or None)."""
-        if not self._semijoin_reduce:
-            return None
         reduced = semijoin_reduce_database(shard_db, view, self.shard_key)
         return None if reduced is shard_db else reduced
 
@@ -631,11 +613,11 @@ class ShardedViewServer(Serving):
         Budget-driven τ selection runs per shard against the shard's own
         relation sizes — shards sit at their own points of the
         space/delay tradeoff, which is what a per-shard cache budget
-        means. With ``semijoin_reduce`` on, each shard's registration
-        evaluates against a slice-reduced copy of the replicated
-        relations (answers are identical; structures are smaller). The
-        shards' own :class:`~repro.engine.server.Registration` records
-        are what a later :meth:`split_shard` replays onto its children.
+        means. Each shard's registration evaluates against a
+        slice-reduced copy of the replicated relations (answers are
+        identical; structures are smaller). The shards' own
+        :class:`~repro.engine.server.Registration` records are what a
+        later :meth:`split_shard` replays onto its children.
         """
         return self._register_everywhere(
             view,
@@ -1286,7 +1268,8 @@ class ShardedViewServer(Serving):
         ``gather`` heap-merges a scattered request's per-shard rows
         (disjoint and sorted; each shard already honored the limit, so
         the merged stream only needs re-capping) and folds their stats
-        with :func:`merge_delay_stats`.
+        with :func:`merge_delay_stats`, counting as outputs the rows it
+        returns, not the rows the re-cap dropped.
         """
         with self._epochs.hold(1, self._retire) as hold:
             scatter, jobs = self._plan_requests(hold.payload, batch)
@@ -1304,13 +1287,12 @@ class ShardedViewServer(Serving):
                         gathered.append(parts[0])
                         continue
                     merged = heapq.merge(*(rows for rows, _ in parts))
-                    stats = [stats for _, stats in parts if stats is not None]
-                    gathered.append(
-                        (
-                            list(islice(merged, request.limit)),
-                            merge_delay_stats(stats) if stats else None,
-                        )
-                    )
+                    rows = list(islice(merged, request.limit))
+                    measured = [stats for _, stats in parts if stats is not None]
+                    stats = merge_delay_stats(measured) if measured else None
+                    if stats is not None:
+                        stats.outputs = len(rows)
+                    gathered.append((rows, stats))
                 return gathered
 
             yield jobs, gather

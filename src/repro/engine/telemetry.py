@@ -13,7 +13,7 @@ Three pieces:
 * :class:`MetricsRegistry` — thread-safe counters, gauges, and
   histograms with **fixed** bucket boundaries (:data:`GAP_BUCKETS` for
   logical delay gaps, :data:`LATENCY_BUCKETS` for wall-clock seconds),
-  labeled by view/shard/policy/op. :class:`Telemetry` wraps a registry
+  labeled by view/shard/op. :class:`Telemetry` wraps a registry
   with lightweight span tracing (``with telemetry.trace(op, view=...)``)
   and an optional durable store. Servers take ``telemetry=`` and
   instrument themselves; with ``telemetry=None`` (the default) every
@@ -92,6 +92,26 @@ LabelItems = Tuple[Tuple[str, Any], ...]
 
 def _label_key(labels: Mapping[str, Any]) -> LabelItems:
     return tuple(sorted(labels.items()))
+
+
+def _bucket_percentile(
+    bounds: Sequence[float], counts: Sequence[int], total: int, q: float
+) -> float:
+    """The smallest bound whose cumulative count reaches ``q × total``.
+
+    The one bucket walk behind :meth:`Histogram.percentile` and the
+    tuner's per-pass delta. ``counts`` carries the overflow bucket past
+    ``bounds``, which reports ``inf``; ``total == 0`` reports 0.0.
+    """
+    if total <= 0:
+        return 0.0
+    target = q * total
+    cumulative = 0
+    for bound, bucket in zip(bounds, counts):
+        cumulative += bucket
+        if cumulative >= target:
+            return bound
+    return float("inf")
 
 
 class Counter:
@@ -210,15 +230,7 @@ class Histogram:
         with self._lock:
             total = self._count
             counts = list(self._counts)
-        if total == 0:
-            return 0.0
-        target = q * total
-        cumulative = 0
-        for bound, bucket in zip(self.bounds, counts):
-            cumulative += bucket
-            if cumulative >= target:
-                return bound
-        return float("inf")
+        return _bucket_percentile(self.bounds, counts, total, q)
 
     def merge_counts(
         self, counts: Sequence[int], total_sum: float, total_count: int
@@ -525,8 +537,6 @@ class Telemetry:
         self,
         directory: Optional[Union[str, Path]] = None,
         session: Optional[str] = None,
-        max_spans: int = 256,
-        max_events: int = 1024,
     ) -> None:
         self.registry = MetricsRegistry()
         self.store: Optional[TelemetryStore] = (
@@ -534,8 +544,9 @@ class Telemetry:
             if directory is not None
             else None
         )
-        self.spans: Deque[Span] = deque(maxlen=max_spans)
-        self.events: Deque[Dict[str, Any]] = deque(maxlen=max_events)
+        # Bounded rings: the durable record is the store, not these.
+        self.spans: Deque[Span] = deque(maxlen=256)
+        self.events: Deque[Dict[str, Any]] = deque(maxlen=1024)
 
     @classmethod
     def resolve(
@@ -613,13 +624,6 @@ class Telemetry:
     def close(self) -> None:
         """Final flush — call when the owning server shuts down."""
         self.flush()
-
-    @staticmethod
-    def replay(
-        directory: Union[str, Path],
-    ) -> Tuple[MetricsRegistry, List[Dict[str, Any]]]:
-        """Merged history of every session under ``directory``."""
-        return TelemetryStore.merged_registry(directory)
 
 
 # ----------------------------------------------------------------------
@@ -756,13 +760,12 @@ class AdaptiveTuner:
         observed = total - seen_total
         if observed <= 0:
             return 0.0, 0
-        target = self.percentile * observed
-        cumulative = 0
-        for bound, bucket in zip(histogram.bounds, delta):
-            cumulative += bucket
-            if cumulative >= target:
-                return bound, observed
-        return float("inf"), observed
+        return (
+            _bucket_percentile(
+                histogram.bounds, delta, observed, self.percentile
+            ),
+            observed,
+        )
 
     def _requests_delta(self, name: str) -> int:
         served = self.telemetry.registry.counter_value(

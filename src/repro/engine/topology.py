@@ -106,7 +106,6 @@ class RoutingTable:
         roots: Sequence[str],
         splits: Optional[Mapping[str, Sequence[str]]] = None,
         version: int = 1,
-        hash_fn=stable_hash,
     ):
         self.roots: Tuple[str, ...] = tuple(str(node) for node in roots)
         if not self.roots:
@@ -116,7 +115,6 @@ class RoutingTable:
         if version < 1:
             raise ParameterError(f"version must be >= 1, got {version}")
         self.version = int(version)
-        self.hash_fn = hash_fn
         self.splits: Dict[str, Tuple[str, ...]] = {}
         seen = set(self.roots)
         for parent, children in dict(splits or {}).items():
@@ -142,13 +140,11 @@ class RoutingTable:
         self._index = {leaf: i for i, leaf in enumerate(self._leaves)}
 
     @classmethod
-    def fresh(
-        cls, n_shards: int, hash_fn=stable_hash
-    ) -> "RoutingTable":
+    def fresh(cls, n_shards: int) -> "RoutingTable":
         """Version-1 table of ``n_shards`` root shards named ``"0"…"n-1"``."""
         if n_shards < 1:
             raise ParameterError(f"n_shards must be >= 1, got {n_shards}")
-        return cls([str(i) for i in range(n_shards)], hash_fn=hash_fn)
+        return cls([str(i) for i in range(n_shards)])
 
     # ------------------------------------------------------------------
     # structure
@@ -196,7 +192,7 @@ class RoutingTable:
     # ------------------------------------------------------------------
     def shard_for(self, value: object) -> str:
         """The live shard owning one bound value (hierarchical rendezvous)."""
-        key_hash = self.hash_fn(value)
+        key_hash = stable_hash(value)
         node = rendezvous_choice(self.roots, key_hash)
         while node in self.splits:
             node = rendezvous_choice(self.splits[node], key_hash)
@@ -226,12 +222,7 @@ class RoutingTable:
             )
         splits = {parent: list(kids) for parent, kids in self.splits.items()}
         splits[shard_id] = [f"{shard_id}.0", f"{shard_id}.1"]
-        return RoutingTable(
-            self.roots,
-            splits,
-            version=self.version + 1,
-            hash_fn=self.hash_fn,
-        )
+        return RoutingTable(self.roots, splits, version=self.version + 1)
 
     # ------------------------------------------------------------------
     # serialization (plain data; restart-stable placement by design)
@@ -248,13 +239,12 @@ class RoutingTable:
         }
 
     @classmethod
-    def from_state(cls, state: Mapping, hash_fn=stable_hash) -> "RoutingTable":
+    def from_state(cls, state: Mapping) -> "RoutingTable":
         """Rebuild a table from :meth:`to_state` data (same placement)."""
         return cls(
             state["roots"],
             state.get("splits", {}),
             version=state.get("version", 1),
-            hash_fn=hash_fn,
         )
 
     def to_json(self) -> str:
@@ -262,9 +252,9 @@ class RoutingTable:
         return json.dumps(self.to_state(), sort_keys=True)
 
     @classmethod
-    def from_json(cls, text: str, hash_fn=stable_hash) -> "RoutingTable":
+    def from_json(cls, text: str) -> "RoutingTable":
         """Rebuild a table serialized by :meth:`to_json`."""
-        return cls.from_state(json.loads(text), hash_fn=hash_fn)
+        return cls.from_state(json.loads(text))
 
     # ------------------------------------------------------------------
     # dunder

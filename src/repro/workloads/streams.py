@@ -104,66 +104,6 @@ def request_stream(
     return stream
 
 
-def hotkey_stream(
-    view: AdornedView,
-    db: Database,
-    n_requests: int,
-    seed: int = 0,
-    hot_share: float = 0.6,
-    n_hot: int = 1,
-    skew: float = 1.0,
-    hot_keys: Optional[Sequence[Tuple]] = None,
-) -> List[Tuple]:
-    """A hot-key skewed stream: a few keys soak up most of the traffic.
-
-    The resharding workload: ``n_hot`` *hot* access tuples jointly
-    receive ``hot_share`` of the requests (uniformly among themselves),
-    and the remainder is a Zipf-``skew`` stream over the other
-    productive keys — the traffic shape that concentrates load on one
-    shard and makes :meth:`ShardedViewServer.split_shard
-    <repro.engine.sharding.ShardedViewServer.split_shard>` worth its
-    cost. ``hot_keys`` pins the hot set explicitly (e.g. keys known to
-    land on one shard); by default the first ``n_hot`` productive keys
-    under the seeded shuffle are hot. Deterministic per seed.
-    """
-    if n_requests < 0:
-        raise ParameterError(f"n_requests must be >= 0, got {n_requests}")
-    if not 0.0 <= hot_share <= 1.0:
-        raise ParameterError(
-            f"hot_share must be in [0, 1], got {hot_share}"
-        )
-    if n_hot < 1:
-        raise ParameterError(f"n_hot must be >= 1, got {n_hot}")
-    if skew < 0:
-        raise ParameterError(f"skew must be >= 0, got {skew}")
-    keys = productive_accesses(view, db)
-    if not keys:
-        raise ParameterError(
-            f"view {view.name!r} has no productive accesses to heat"
-        )
-    rng = random.Random(seed)
-    if hot_keys is not None:
-        hot = [tuple(key) for key in hot_keys]
-        if not hot:
-            raise ParameterError("hot_keys must name at least one key")
-    else:
-        shuffled = list(keys)
-        rng.shuffle(shuffled)
-        hot = shuffled[: min(n_hot, len(shuffled))]
-    hot_set = set(hot)
-    cold = [key for key in keys if key not in hot_set]
-    if not cold:
-        hot_share = 1.0  # everything is hot; the cold draw would be empty
-    cum_weights = zipf_cumulative_weights(len(cold), skew) if cold else []
-    stream: List[Tuple] = []
-    for _ in range(n_requests):
-        if rng.random() < hot_share or not cold:
-            stream.append(hot[rng.randrange(len(hot))])
-        else:
-            stream.append(rng.choices(cold, cum_weights=cum_weights)[0])
-    return stream
-
-
 def topk_requests(
     view: AdornedView,
     db: Database,

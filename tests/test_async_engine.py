@@ -72,7 +72,7 @@ class SlowBackend(Serving):
 class TestServe:
     def test_answers_match_oracle_plain_backend(self, triangle_setup):
         view, db = triangle_setup
-        server = AsyncViewServer(db, max_entries=4)
+        server = AsyncViewServer(ViewServer(db, max_entries=4))
         name = server.register(view, tau=8.0)
         accesses = oracle_accesses(view, db, limit=6)
 
@@ -81,6 +81,7 @@ class TestServe:
 
         result = asyncio.run(main())
         server.close()
+        server.backend.close()
         for access, rows in zip(result.result.accesses, result.result.answers):
             assert list(rows) == oracle_answer(view, db, access)
         assert result.queue_seconds >= 0.0
@@ -187,9 +188,29 @@ class TestServe:
     def test_parameter_validation(self, triangle_setup):
         _, db = triangle_setup
         with pytest.raises(ParameterError):
-            AsyncViewServer(db, max_workers=0)
+            AsyncViewServer(ViewServer(db), max_workers=0)
         with pytest.raises(ParameterError):
-            AsyncViewServer(db, max_pending=0)
+            AsyncViewServer(ViewServer(db), max_pending=0)
+
+    def test_a_database_is_refused_with_the_wrapping_spelled_out(
+        self, triangle_setup
+    ):
+        # The front end builds no back end of its own: the cache,
+        # snapshot and build-pool knobs belong to the ViewServer.
+        _, db = triangle_setup
+        with pytest.raises(
+            ParameterError, match=r"AsyncViewServer\(ViewServer\(db, \.\.\.\)\)"
+        ):
+            AsyncViewServer(db)
+
+    def test_close_leaves_the_back_end_open(self, triangle_setup):
+        view, db = triangle_setup
+        backend = ViewServer(db, max_entries=4)
+        server = AsyncViewServer(backend)
+        name = server.register(view, tau=8.0)
+        server.close()
+        assert backend.answer(name, (1, 2)) == oracle_answer(view, db, (1, 2))
+        backend.close()
 
 
 class TestBackpressure:
@@ -241,7 +262,7 @@ class TestServeStream:
     def test_totals_match_the_sync_engine(self, triangle_setup):
         view, db = triangle_setup
         stream = request_stream(view, db, 30, seed=4, skew=1.5)
-        server = AsyncViewServer(db, max_entries=4)
+        server = AsyncViewServer(ViewServer(db, max_entries=4))
         name = server.register(view, tau=8.0)
 
         async def main():
@@ -249,6 +270,7 @@ class TestServeStream:
 
         report = asyncio.run(main())
         server.close()
+        server.backend.close()
         assert report.requests == 30
         assert report.batches == 4
         assert report.builds == 1
@@ -263,7 +285,7 @@ class TestServeStream:
     def test_warm_stream_reports_deltas(self, triangle_setup):
         view, db = triangle_setup
         stream = request_stream(view, db, 12, seed=6)
-        server = AsyncViewServer(db, max_entries=4)
+        server = AsyncViewServer(ViewServer(db, max_entries=4))
         name = server.register(view, tau=8.0)
 
         async def main():
@@ -273,6 +295,7 @@ class TestServeStream:
 
         cold, warm = asyncio.run(main())
         server.close()
+        server.backend.close()
         assert cold.builds == 1
         assert warm.builds == 0
         assert warm.cache.misses == 0
@@ -326,7 +349,7 @@ class TestServeStream:
 
     def test_reset_rearms_for_a_second_loop(self, triangle_setup):
         view, db = triangle_setup
-        server = AsyncViewServer(db, max_entries=4)
+        server = AsyncViewServer(ViewServer(db, max_entries=4))
         name = server.register(view, tau=8.0)
 
         async def one_round():
@@ -336,6 +359,7 @@ class TestServeStream:
         server.reset()
         result = asyncio.run(one_round())
         server.close()
+        server.backend.close()
         assert list(result.result.answers[0]) == oracle_answer(
             view, db, (1, 2)
         )
@@ -344,7 +368,7 @@ class TestServeStream:
         view, db = triangle_setup
 
         async def main():
-            async with AsyncViewServer(db, max_entries=4) as server:
+            async with AsyncViewServer(ViewServer(db, max_entries=4)) as server:
                 name = server.register(view, tau=8.0)
                 return await server.serve(name, [(1, 2)])
 

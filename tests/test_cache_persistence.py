@@ -1,28 +1,19 @@
-"""The representation cache's disk tier and cost-aware eviction.
+"""The representation cache's disk tier.
 
-Disk tier: ``get_or_build`` must prefer decoding a snapshot over running
-the factory, write snapshots after fresh builds, demote evicted entries
+``get_or_build`` must prefer decoding a snapshot over running the
+factory, write snapshots after fresh builds, demote evicted entries
 instead of discarding them, and treat corrupt or wrong-database files as
 plain misses. Invalidation (unlike eviction) drops the disk copy too.
-
-Cost policy: with ``policy="cost"`` the eviction victim is the resident
-with the smallest ``build_seconds × cells`` — the cheapest entry to
-lose — with recency only as the tie-break, exercised on a mixed
-two-view workload through the server layer.
 """
 
 from __future__ import annotations
 
-from dataclasses import replace
-
 import pytest
 
-from repro import CompressedRepresentation, ViewServer, parse_view
+from repro import CompressedRepresentation
 from repro.core.snapshot import SnapshotStore, database_fingerprint
 from repro.engine.cache import CacheStats, RepresentationCache
-from repro.exceptions import ParameterError
 from repro.workloads import triangle_database, triangle_view
-from repro.workloads.scenarios import coauthor_database
 
 
 @pytest.fixture(scope="module")
@@ -32,15 +23,8 @@ def workload():
     return view, db
 
 
-def _build(view, db, tau, build_seconds=None):
-    representation = CompressedRepresentation(view, db, tau=tau)
-    if build_seconds is not None:
-        # BuildStats is frozen; tests pin the measured wall time to make
-        # cost-policy ordering deterministic.
-        representation.stats = replace(
-            representation.stats, build_seconds=build_seconds
-        )
-    return representation
+def _build(view, db, tau):
+    return CompressedRepresentation(view, db, tau=tau)
 
 
 def _store(tmp_path, db):
@@ -149,69 +133,3 @@ class TestDiskTier:
         assert (delta.disk_hits, delta.disk_writes) == (3, 5)
         total = CacheStats().add(delta).add(delta)
         assert (total.disk_hits, total.disk_writes) == (6, 10)
-
-
-class TestCostAwareEviction:
-    def test_policy_is_validated(self):
-        with pytest.raises(ParameterError, match="policy"):
-            RepresentationCache(policy="random")
-
-    def test_cost_policy_evicts_cheapest_not_stalest(self, workload):
-        view, db = workload
-        cache = RepresentationCache(max_entries=2, policy="cost")
-        expensive = _build(view, db, 8.0, build_seconds=10.0)
-        cheap = _build(view, db, 4.0, build_seconds=0.001)
-        middling = _build(view, db, 2.0, build_seconds=0.1)
-        cache.put("expensive", expensive)
-        cache.put("cheap", cheap)
-        cache.get("expensive")  # LRU would now protect it anyway...
-        cache.get("cheap")  # ...and then protect cheap over expensive.
-        evicted = cache.put("middling", middling)
-        # LRU would evict "expensive" (stalest); cost evicts "cheap".
-        assert evicted == ["cheap"]
-        assert "expensive" in cache and "middling" in cache
-
-    def test_cost_policy_ties_break_by_recency(self, workload):
-        view, db = workload
-        cache = RepresentationCache(max_entries=2, policy="cost")
-        first = _build(view, db, 8.0, build_seconds=1.0)
-        second = _build(view, db, 8.0, build_seconds=1.0)
-        third = _build(view, db, 8.0, build_seconds=1.0)
-        cache.put("first", first)
-        cache.put("second", second)
-        cache.get("first")  # refresh: "second" becomes the stalest equal
-        assert cache.put("third", third) == ["second"]
-
-    def test_lru_policy_unchanged(self, workload):
-        view, db = workload
-        cache = RepresentationCache(max_entries=2, policy="lru")
-        cache.put("a", _build(view, db, 8.0, build_seconds=10.0))
-        cache.put("b", _build(view, db, 4.0, build_seconds=0.001))
-        assert cache.put("c", _build(view, db, 2.0)) == ["a"]
-
-    def test_mixed_two_view_workload_keeps_the_expensive_view(self, tmp_path):
-        """Server-level: a heavy self-join view survives cache pressure.
-
-        The co-author view is orders of magnitude slower to build than
-        tiny triangle structures; under ``cache_policy="cost"`` the
-        churning cheap entries evict each other while the expensive
-        structure stays resident across the whole stream.
-        """
-        db = coauthor_database(n_authors=40, n_papers=60, seed=2)
-        server = ViewServer(db, max_entries=2, cache_policy="cost")
-        heavy = server.register(
-            parse_view("Heavy^bff(x, y, p) = R(x, p), R(y, p)"), tau=8.0
-        )
-        cheap = server.register(
-            parse_view("Cheap^bf(x, p) = R(x, p)"), tau=8.0
-        )
-        server.representation(heavy)
-        # Churn the cheap view across many τ points: every build lands a
-        # new key in the 2-entry cache.
-        for tau in [2.0, 4.0, 8.0, 16.0, 32.0]:
-            server.answer_batch(cheap, [(1,), (2,)], tau=tau, measure=False)
-        assert server.build_count(heavy) == 1
-        key = (heavy, 8.0, server.registration(heavy).generation)
-        assert key in server.cache  # never evicted, never rebuilt
-        stats = server.cache.stats_snapshot()
-        assert stats.evictions >= 3

@@ -352,14 +352,26 @@ class TestMakefileContract:
 #: one-rule ``ship_deltas`` is as long as the two-branch one, plus 3 for
 #: a primary restarted since the replica's version, whose missing
 #: records used to leave the replica behind silently; against the two
-#: fields of ``DeltaOutcome`` nothing read, −5).
-ENGINE_SLOC_CEILING = 4298
+#: fields of ``DeltaOutcome`` nothing read, −5). Then, when the serving
+#: options only tests set became constants: 4,298 → 4,171 (−127:
+#: ``async_server.py`` −67 — the back end it built from a database and
+#: the five knobs it passed through, the least-pending bookkeeping, the
+#: per-tenant gates; ``cache.py`` −30, the cost eviction policy;
+#: ``sharding.py`` −10 and ``topology.py`` −10, ``hash_fn`` and
+#: ``semijoin_reduce``; ``telemetry.py`` −4, ``Telemetry.replay``, the
+#: ring sizes and the tuner's own percentile walk; ``server.py``,
+#: ``replica.py`` and ``__init__.py`` −2 each, ``cache_policy`` and
+#: ``build_seconds_of``). No gain claimed.
+ENGINE_SLOC_CEILING = 4171
 
 #: `make size`'s figure for src/repro/__main__.py after PR 18: the CLI
 #: wires a back end, an async front and its error reporting once each;
 #: what is left is argparse declarations and input checks. PR 24's
 #: per-section lines of ``snapshot inspect`` fit under it (1,029).
-MAIN_SLOC_CEILING = 1030
+#: Then 1,029 → 985 (−44): ``serve`` lost ``--cache-policy``,
+#: ``--balancer`` and ``--per-request`` with the unbatched baseline it
+#: ran, each a flag whose code path the engine no longer has.
+MAIN_SLOC_CEILING = 985
 
 #: `make size`'s total for src/repro after PR 24. A per-package ceiling
 #: reads code *moved* out of the package as a reduction; the total cannot
@@ -461,7 +473,11 @@ MAIN_SLOC_CEILING = 1030
 #: claimed for it. The change it rode with moved the ``dynamic_mixed``
 #: ``requests_per_s`` row 1,007 → 1,525 req/s (ten of ten pairs; 941 →
 #: 1,444 on held-out seed 40, ``BENCH_29.json``).
-SRC_SLOC_CEILING = 12919
+#: Then, when the serving options only tests set became constants:
+#: 12,919 → 12,700 (−219: the engine −127 and the CLI −44 above;
+#: ``workloads/streams.py`` −48, ``hotkey_stream``, whose one caller
+#: outside the tests was the resharding gate). No gain claimed.
+SRC_SLOC_CEILING = 12700
 
 
 class TestSizeGate:
@@ -580,7 +596,8 @@ class TestOneStaticEnumerator:
         ]
         assert mentions == []
 
-    def test_serve_offers_no_kernel_flag(self):
+    @staticmethod
+    def _serve_help() -> str:
         proc = subprocess.run(
             [sys.executable, "-m", "repro", "serve", "--help"],
             capture_output=True,
@@ -589,7 +606,17 @@ class TestOneStaticEnumerator:
         )
         assert proc.returncode == 0, proc.stderr
         assert "--requests" in proc.stdout
-        assert "--kernel" not in proc.stdout
+        return proc.stdout
+
+    def test_serve_offers_no_kernel_flag(self):
+        assert "--kernel" not in self._serve_help()
+
+    def test_serve_offers_none_of_the_retired_serving_flags(self):
+        # One eviction policy, one balancer, no unbatched strawman: the
+        # flags that chose between them are gone with the code paths.
+        text = self._serve_help()
+        for flag in ("--cache-policy", "--balancer", "--per-request"):
+            assert flag not in text
 
 
 class TestOneWalkPerRequest:

@@ -8,6 +8,7 @@ O(k)-per-shard laziness bound, and the atomic cache sweep behind
 """
 
 import asyncio
+import inspect
 import threading
 
 import pytest
@@ -17,10 +18,14 @@ from repro.baselines.lazy import LazyView
 from repro.engine import (
     AccessRequest,
     AsyncViewServer,
+    ReplicaServer,
     RepresentationCache,
+    RoutingTable,
     ShardedViewServer,
+    Telemetry,
     ViewServer,
     open_cursor,
+    partition_database,
 )
 from repro.engine.api import as_request, resume_enumeration
 from repro.exceptions import ParameterError
@@ -391,6 +396,38 @@ class TestAsyncStream:
 class TestBackwardCompat:
     """The pre-cursor public API keeps exact result and shape parity."""
 
+    #: The optional parameters of the serving surface, by name and in
+    #: order. An option with one value in use is a constant, not a
+    #: parameter: the eviction policy, the replica balancer, per-tenant
+    #: admission, the async front end's own back-end knobs, ``hash_fn``,
+    #: ``semijoin_reduce`` and the telemetry ring sizes went that way
+    #: (50 → 28). A new entry here comes with the caller that needs it.
+    OPTIONAL_PARAMETERS = {
+        ViewServer: (
+            "max_entries", "max_cells", "snapshot_dir", "build_workers",
+            "builder", "telemetry",
+        ),
+        ShardedViewServer: (
+            "max_entries", "max_cells", "snapshot_dir", "build_workers",
+            "telemetry",
+        ),
+        AsyncViewServer: (
+            "max_workers", "max_pending", "replicas", "telemetry",
+        ),
+        AsyncViewServer.serve: ("tau", "measure"),
+        AsyncViewServer.answer_requests: (),
+        ReplicaServer: ("max_entries", "max_cells", "telemetry"),
+        RepresentationCache: (
+            "max_entries", "max_cells", "snapshot_store", "metrics",
+        ),
+        Telemetry: ("directory", "session"),
+        RoutingTable: ("splits", "version"),
+        RoutingTable.fresh: (),
+        RoutingTable.from_state: (),
+        RoutingTable.from_json: (),
+        partition_database: (),
+    }
+
     def test_answer_matches_oracle_on_all_backends(self, db):
         plain = ViewServer(db)
         sharded = ShardedViewServer(db, 3, SHARD_KEY)
@@ -443,21 +480,24 @@ class TestBackwardCompat:
         assert report.requests_per_second > 0
 
     def test_constructor_signatures_are_stable(self, db, tmp_path):
+        for target, expected in self.OPTIONAL_PARAMETERS.items():
+            optional = tuple(
+                name
+                for name, parameter in inspect.signature(
+                    target
+                ).parameters.items()
+                if parameter.default is not inspect.Parameter.empty
+            )
+            assert optional == expected, target.__qualname__
+        assert sum(map(len, self.OPTIONAL_PARAMETERS.values())) == 28
         plain = ViewServer(
             db,
             max_entries=4,
             max_cells=None,
             snapshot_dir=tmp_path / "snaps",
-            cache_policy="cost",
             build_workers=None,
         )
-        sharded = ShardedViewServer(
-            db,
-            2,
-            SHARD_KEY,
-            max_entries=4,
-            cache_policy="lru",
-        )
+        sharded = ShardedViewServer(db, 2, SHARD_KEY, max_entries=4)
         front = AsyncViewServer(plain, max_workers=2, max_pending=4)
         front.close()
         sharded.close()

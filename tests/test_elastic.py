@@ -8,8 +8,8 @@ demote their cached structures and retire. Replicas are the other half
 of elasticity: read-only :class:`~repro.engine.replica.ReplicaServer`
 instances hydrate *purely* from snapshots shipped by a primary — a
 missing snapshot is a fatal :class:`~repro.exceptions.SnapshotError`,
-never a quiet local build — and the async front end balances request
-batches across them with per-tenant admission control.
+never a quiet local build — and the async front end rotates request
+batches across them round-robin.
 """
 
 from __future__ import annotations
@@ -325,15 +325,6 @@ class TestAsyncReplicas:
             for server in (primary, broken, healthy):
                 server.close()
 
-    def test_balancer_name_is_validated(self, setup):
-        _, db = setup
-        backend = ViewServer(db)
-        try:
-            with pytest.raises(ParameterError, match="balancer"):
-                AsyncViewServer(backend, balancer="fastest")
-        finally:
-            backend.close()
-
     def test_round_robin_spreads_batches_and_primary_stays_cold(
         self, setup, tmp_path
     ):
@@ -376,89 +367,3 @@ class TestAsyncReplicas:
             for replica in replicas:
                 replica.close()
             primary.close()
-
-    def test_least_pending_prefers_the_idle_replica(self, setup, tmp_path):
-        view, db = setup
-        primary, name, replicas = self._hydrated_replicas(
-            view, db, tmp_path, n=3
-        )
-        keys = productive_accesses(view, db)
-
-        async def drive():
-            server = AsyncViewServer(
-                primary,
-                replicas=replicas,
-                balancer="least-pending",
-                max_workers=3,
-            )
-            try:
-                results = await asyncio.gather(
-                    *(server.serve(name, keys[i:i + 2]) for i in range(6))
-                )
-                return [r.replica for r in results]
-            finally:
-                await asyncio.get_running_loop().run_in_executor(
-                    None, server._executor.shutdown
-                )
-
-        picks = asyncio.run(drive())
-        try:
-            assert all(pick in (0, 1, 2) for pick in picks)
-            # Load never piles onto one replica while another is idle:
-            # 6 concurrent batches over 3 replicas spread 2/2/2.
-            counts = [picks.count(i) for i in range(3)]
-            assert max(counts) - min(counts) <= 2
-            assert all(count >= 1 for count in counts)
-        finally:
-            for replica in replicas:
-                replica.close()
-            primary.close()
-
-    def test_per_tenant_admission_control_serializes_one_tenant(self, setup):
-        view, db = setup
-        backend = ViewServer(db)
-        name = backend.register(view, tau=TAU)
-        keys = productive_accesses(view, db)
-        active = {"now": 0, "max": 0}
-        real_drain = backend.drain
-
-        def spying_drain(*args, **kwargs):
-            active["now"] += 1
-            active["max"] = max(active["max"], active["now"])
-            try:
-                return real_drain(*args, **kwargs)
-            finally:
-                active["now"] -= 1
-
-        backend.drain = spying_drain
-
-        async def drive():
-            server = AsyncViewServer(
-                backend, max_workers=4, max_pending_per_tenant=1
-            )
-            try:
-                await asyncio.gather(
-                    *(
-                        server.serve(name, keys[i:i + 2], tenant="acme")
-                        for i in range(4)
-                    )
-                )
-            finally:
-                await asyncio.get_running_loop().run_in_executor(
-                    None, server._executor.shutdown
-                )
-
-        asyncio.run(drive())
-        try:
-            assert active["max"] == 1  # one tenant never runs 2 at once
-        finally:
-            backend.close()
-
-    def test_tenant_knob_is_validated(self, setup):
-        _, db = setup
-        backend = ViewServer(db)
-        try:
-            with pytest.raises(ParameterError):
-                AsyncViewServer(backend, max_pending_per_tenant=0)
-        finally:
-            backend.close()

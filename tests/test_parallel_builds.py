@@ -157,9 +157,10 @@ class TestEngineWiring:
         with pytest.raises(SchemaError, match="unknown view"):
             server.prebuild("nope")
 
-    def test_async_server_owns_its_backend_builder(self, workload):
+    def test_async_server_builds_on_its_backends_pool(self, workload):
         view, db = workload
-        server = AsyncViewServer(db, build_workers=1)
+        backend = ViewServer(db, build_workers=1)
+        server = AsyncViewServer(backend)
         name = server.register(view, tau=8.0)
 
         async def drive():
@@ -168,7 +169,9 @@ class TestEngineWiring:
             )
 
         result = asyncio.run(drive())
-        assert server.backend.builder.process_builds == 1
+        assert backend.builder.process_builds == 1
         server.close()
-        assert server.backend.builder.is_broken  # pool released with facade
+        assert not backend.builder.is_broken  # the back end owns its pool
+        backend.close()
+        assert backend.builder.is_broken  # released with the back end
         assert result.result.outputs > 0

@@ -10,6 +10,7 @@ from repro.core.snapshot import database_state
 from repro.database.catalog import Database
 from repro.database.relation import Relation
 from repro.engine import (
+    AccessRequest,
     RoutingTable,
     ShardedViewServer,
     infer_shard_key,
@@ -309,6 +310,28 @@ class TestShardedAnswers:
         for access in set(tuple(a) for a in accesses):
             stats = result.request_stats[access]
             assert stats.outputs == len(oracle_answer(view, db, access))
+
+    def test_gathered_scatter_stats_count_the_rows_returned(
+        self, triangle_setup
+    ):
+        # Every shard honours the limit on its own slice; the gather's
+        # re-cap drops the surplus, so its stats must not count it.
+        _, db = triangle_setup
+        view = triangle_view("fff")
+        server = ShardedViewServer(db, 4, SHARD_KEY)
+        server.register(view, tau=8.0, name="fff")
+        request = AccessRequest("fff", (), limit=3, measure=True)
+        with server.jobs([request]) as (jobs, gather):
+            assert len(jobs) == 4
+            ((rows, stats),) = gather(
+                [shard.drain([request]) for _, shard, _ in jobs]
+            )
+        assert rows == oracle_answer(view, db, ())[:3]
+        assert stats.outputs == len(rows) == 3
+        ((drained_rows, drained_stats),) = server.drain([request])
+        assert drained_rows == rows
+        assert drained_stats.outputs == stats.outputs
+        server.close()
 
 
 class TestMergeDelayStats:

@@ -251,14 +251,14 @@ class TestTelemetryStore:
         telemetry.flush()
         counter.inc(3)
         telemetry.flush()
-        registry, _ = Telemetry.replay(tmp_path)
+        registry, _ = TelemetryStore.merged_registry(tmp_path)
         assert registry.counter_value("requests_total", view="V") == 5
 
     def test_events_persist_immediately_and_replay_in_order(self, tmp_path):
         telemetry = Telemetry(tmp_path, session="aaa")
         telemetry.event("tuning", view="V", kind="retune")
         # No flush/close: events must already be durable.
-        _, events = Telemetry.replay(tmp_path)
+        _, events = TelemetryStore.merged_registry(tmp_path)
         assert [e["event"]["op"] for e in events] == ["tuning"]
         assert telemetry.registry.counter_value("events_total", op="tuning") == 1
 
@@ -357,7 +357,7 @@ class TestInstrumentedServing:
         telemetry_dir = tmp_path / "telemetry"
         sessions = sorted(telemetry_dir.glob("*.jsonl"))
         assert len(sessions) == 2, "each restart starts a new session file"
-        registry, _ = Telemetry.replay(telemetry_dir)
+        registry, _ = TelemetryStore.merged_registry(telemetry_dir)
         assert (
             registry.counter_value("requests_total", view=name, mode="open")
             == 10

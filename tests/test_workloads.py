@@ -31,7 +31,6 @@ from repro.workloads.queries import (
 )
 from repro.workloads.streams import (
     batched,
-    hotkey_stream,
     productive_accesses,
     request_stream,
 )
@@ -289,60 +288,3 @@ class TestRequestStreams:
         assert productive_accesses(view, db) == []
         stream = request_stream(view, db, 5, seed=1)
         assert len(stream) == 5
-
-
-class TestHotkeyStream:
-    def _setup(self):
-        view = triangle_view("bbf")
-        db = triangle_database(nodes=20, edges=90, seed=3)
-        return view, db
-
-    def test_deterministic_and_productive(self):
-        view, db = self._setup()
-        a = hotkey_stream(view, db, 40, seed=7)
-        b = hotkey_stream(view, db, 40, seed=7)
-        assert a == b
-        assert len(a) == 40
-        assert set(a) <= set(productive_accesses(view, db))
-        assert hotkey_stream(view, db, 0, seed=7) == []
-
-    def test_hot_set_soaks_up_its_share(self):
-        view, db = self._setup()
-        stream = hotkey_stream(
-            view, db, 600, seed=2, hot_share=0.8, n_hot=2
-        )
-        counts: dict = {}
-        for access in stream:
-            counts[access] = counts.get(access, 0) + 1
-        top_two = sum(sorted(counts.values())[-2:])
-        # The 2 hot keys jointly receive ~80% of 600 requests.
-        assert top_two > 600 * 0.7
-
-    def test_explicit_hot_keys_are_honored(self):
-        view, db = self._setup()
-        keys = productive_accesses(view, db)
-        pinned = keys[:2]
-        stream = hotkey_stream(
-            view, db, 200, seed=4, hot_share=1.0, hot_keys=pinned
-        )
-        assert set(stream) == set(pinned)
-
-    def test_parameter_validation(self):
-        view, db = self._setup()
-        with pytest.raises(ParameterError):
-            hotkey_stream(view, db, -1)
-        with pytest.raises(ParameterError):
-            hotkey_stream(view, db, 5, hot_share=1.5)
-        with pytest.raises(ParameterError):
-            hotkey_stream(view, db, 5, n_hot=0)
-        with pytest.raises(ParameterError):
-            hotkey_stream(view, db, 5, skew=-0.1)
-        with pytest.raises(ParameterError):
-            hotkey_stream(view, db, 5, hot_keys=[])
-
-    def test_no_productive_accesses_is_an_error(self):
-        empty = Database(
-            [Relation("R", 2), Relation("S", 2), Relation("T", 2)]
-        )
-        with pytest.raises(ParameterError, match="no productive"):
-            hotkey_stream(triangle_view("bbf"), empty, 5)
