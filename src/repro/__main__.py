@@ -73,18 +73,13 @@ tree and dictionary once, under ``columns.*``)::
         --access 1,2
     python -m repro snapshot inspect --file view.snap
 
-Elastic topology: ``serve --async --replicas N`` puts N read replicas —
+Replicas: ``serve --async --replicas N`` puts N read replicas —
 hydrated purely from shipped snapshots, never building — behind the
-async front end, which rotates batches across them round-robin, and the
-``topology`` subcommand inspects/evolves rendezvous routing tables
-offline (splitting a shard re-rendezvouses only that shard's keys)::
+async front end, which rotates batches across them round-robin::
 
     python -m repro serve --async --replicas 2 --snapshot-dir ./snapshots \\
         --view "Delta^bbf(x, y, z) = R(x, y), S(y, z), T(z, x)" \\
         --data ./relations --requests ./requests.txt
-    python -m repro topology show --shards 4 --data ./relations \\
-        --shard-key R:0,T:1
-    python -m repro topology split --shards 4 --shard 2 --out topo.json
 
 Serving under updates: ``serve --dynamic`` registers the view through
 the delta-aware dynamic tier — buffered deltas under versioned serving,
@@ -131,7 +126,6 @@ from repro import (
     AsyncViewServer,
     CompressedRepresentation,
     ReplicaServer,
-    RoutingTable,
     ShardedViewServer,
     ViewServer,
     connex_fhw,
@@ -142,7 +136,6 @@ from repro import (
 )
 from repro.engine.server import register_everywhere
 from repro.engine.telemetry import AdaptiveTuner, Telemetry, TelemetryStore
-from repro.engine.topology import assignment_of
 from repro.workloads.streams import batched
 from repro.core.snapshot import (
     database_fingerprint,
@@ -388,12 +381,7 @@ def _serve(args) -> int:
     if args.dynamic:
         name = backend.register_dynamic(view, tau=args.tau)
     else:
-        name = backend.register(
-            view,
-            tau=args.tau,
-            space_budget=args.space_budget,
-            delay_budget=args.delay_budget,
-        )
+        name = _register(backend, view, args)
     registration = backend.registration(name)
     # Budget-driven tau is resolved per shard; shard 0's is representative.
     scope = ", shard 0" if args.shards > 1 and registration.budget else ""
@@ -416,7 +404,7 @@ def _serve(args) -> int:
     replicas: List[ViewServer] = []
     try:
         if args.replicas:
-            replicas = _hydrate_replicas(backend, name, db, args, telemetry)
+            replicas = _hydrate_replicas(backend, name, view, db, args, telemetry)
         if args.adapt:
             return _serve_adaptive(backend, name, accesses, telemetry, args)
         if cursor_mode:
@@ -496,15 +484,25 @@ def _serve_adaptive(backend, name: str, accesses, telemetry, args) -> int:
     return 0
 
 
+def _register(server, view, args) -> str:
+    """Register ``view`` on ``server`` with the command line's τ knobs."""
+    return server.register(
+        view,
+        tau=args.tau,
+        space_budget=args.space_budget,
+        delay_budget=args.delay_budget,
+    )
+
+
 def _hydrate_replicas(
-    backend, name: str, db, args, telemetry=None
+    backend, name: str, view, db, args, telemetry=None
 ) -> List[ViewServer]:
     """Ship the primary's snapshots and stand up N hydrated read replicas.
 
     The primary builds the registered view once and demotes it to the
-    snapshot directory; every replica then replays the primary's *own*
-    registration (identical snapshot label) and hydrates purely from
-    disk — zero builder invocations, by
+    snapshot directory; every replica then registers the view with the
+    primary's knobs over the same data (identical snapshot label) and
+    hydrates purely from disk — zero builder invocations, by
     :class:`~repro.engine.replica.ReplicaServer` contract.
     """
     backend.representation(name)
@@ -514,7 +512,9 @@ def _hydrate_replicas(
         for _ in range(args.replicas)
     ]
     try:
-        register_everywhere(name, replicas, backend.registration(name).replay)
+        register_everywhere(
+            name, replicas, lambda replica: _register(replica, view, args)
+        )
         for replica in replicas:
             replica.hydrate()
     except ReproError:
@@ -785,98 +785,6 @@ def _metrics_export(args) -> int:
         print(f"wrote {args.out}")
     else:
         print(text)
-    return 0
-
-
-def _topology_table(args) -> RoutingTable:
-    """The routing table the topology subcommand operates on."""
-    if args.table is not None:
-        try:
-            return RoutingTable.from_json(Path(args.table).read_text())
-        except ValueError as error:  # not JSON: report it like any bad input
-            raise ReproError(str(error)) from error
-    if args.shards is None:
-        raise ReproError("give --table FILE or --shards N")
-    if args.shards < 1:
-        raise ReproError(f"--shards must be >= 1, got {args.shards}")
-    return RoutingTable.fresh(args.shards)
-
-
-def _topology_key_values(args) -> List:
-    """Distinct shard-key values from ``--data``, or [] when not given."""
-    if args.data is None:
-        return []
-    db = load_database(args.data)
-    if args.shard_key is not None:
-        shard_key = _parse_shard_key(args.shard_key)
-    elif args.view is not None:
-        shard_key = infer_shard_key(parse_view(args.view))
-    else:
-        raise ReproError(
-            "--data needs --shard-key or --view to know which columns "
-            "route"
-        )
-    values = set()
-    for relation, column in shard_key.items():
-        if relation not in db:
-            raise ReproError(f"--data has no relation {relation!r}")
-        for row in db[relation].rows:
-            values.add(row[column])
-    return sorted(values, key=repr)
-
-
-def _print_assignment(table: RoutingTable, values: List) -> None:
-    owners = assignment_of(table, values)
-    for shard in table.shard_ids:
-        print(f"  shard {shard!r}: {len(owners[shard])} key value(s)")
-
-
-def _topology_show(args) -> int:
-    table = _topology_table(args)
-    values = _topology_key_values(args)
-    print(
-        f"routing table version {table.version}: "
-        f"{table.n_shards} shard(s)"
-    )
-    print(f"  roots:  {list(table.roots)}")
-    for parent in sorted(table.splits):
-        print(f"  split:  {parent!r} -> {list(table.children(parent))}")
-    print(f"  leaves: {list(table.shard_ids)}")
-    if values:
-        print(f"placement of {len(values)} distinct key value(s):")
-        _print_assignment(table, values)
-    return 0
-
-
-def _topology_split(args) -> int:
-    table = _topology_table(args)
-    values = _topology_key_values(args)
-    new_table = table.split(args.shard)
-    out = args.out if args.out is not None else args.table
-    print(
-        f"split shard {args.shard!r}: version {table.version} -> "
-        f"{new_table.version}, children {list(new_table.children(args.shard))}"
-    )
-    if values:
-        before = assignment_of(table, values)
-        after = assignment_of(new_table, values)
-        moved = sum(
-            1
-            for shard in table.shard_ids
-            for value in before[shard]
-            if shard != args.shard and value not in after.get(shard, ())
-        )
-        print(
-            f"  {len(before[args.shard])} of {len(values)} key value(s) "
-            f"re-rendezvous between the children; {moved} moved elsewhere "
-            f"(rendezvous guarantee: 0)"
-        )
-        _print_assignment(new_table, values)
-    if out is not None:
-        Path(out).write_text(new_table.to_json() + "\n")
-        print(f"  wrote version {new_table.version} to {out}")
-    else:
-        print(new_table.to_json())
     return 0
 
 
@@ -1167,67 +1075,6 @@ def main(argv=None) -> int:
     metrics_export.set_defaults(
         handler=_metrics_export, path="metrics export"
     )
-
-    topology = commands.add_parser(
-        "topology",
-        help="inspect or evolve a rendezvous routing table offline",
-    )
-    topology_commands = topology.add_subparsers(
-        dest="topology_command", required=True
-    )
-
-    def _topology_common(sub: argparse.ArgumentParser) -> None:
-        source = sub.add_mutually_exclusive_group()
-        source.add_argument(
-            "--table",
-            default=None,
-            help="routing-table JSON file (as written by 'topology split')",
-        )
-        source.add_argument(
-            "--shards",
-            type=int,
-            default=None,
-            help="start from a fresh N-shard table instead of --table",
-        )
-        sub.add_argument(
-            "--data",
-            default=None,
-            help="directory of <relation>.csv files; adds key placement "
-            "counts (needs --shard-key or --view)",
-        )
-        sub.add_argument(
-            "--shard-key",
-            default=None,
-            help="RELATION:COLUMN[,...] routing columns for --data",
-        )
-        sub.add_argument(
-            "--view",
-            default=None,
-            help="adorned view to infer the shard key from (for --data)",
-        )
-
-    topo_show = topology_commands.add_parser(
-        "show", help="print a routing table's shards, splits and placement"
-    )
-    _topology_common(topo_show)
-    topo_show.set_defaults(handler=_topology_show, path="topology show")
-
-    topo_split = topology_commands.add_parser(
-        "split",
-        help="split one shard (only its keys re-rendezvous) and write the "
-        "bumped table",
-    )
-    _topology_common(topo_split)
-    topo_split.add_argument(
-        "--shard", required=True, help="live shard id to split, e.g. 2 or 2.0"
-    )
-    topo_split.add_argument(
-        "--out",
-        default=None,
-        help="file for the new table JSON (default: rewrite --table, or "
-        "print to stdout)",
-    )
-    topo_split.set_defaults(handler=_topology_split, path="topology split")
 
     args = parser.parse_args(argv)
     # Every subcommand reports a library or I/O error the same way: one

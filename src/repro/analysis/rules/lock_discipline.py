@@ -1,7 +1,7 @@
 """Lock discipline: guarded attributes must be accessed under their lock.
 
 The engine's thread-safe classes follow one idiom: ``__init__`` creates
-``self._lock`` (or several, e.g. ``_topology_lock``/``_routes_lock``;
+``self._lock`` (or several, e.g. ``_admin_lock``/``_routes_lock``;
 or borrows its owner's through a ``lock`` parameter), and every shared attribute is read and written inside ``with
 self._lock:`` blocks. The rule *infers* each class's guarded set — an
 attribute is guarded by the locks it is ever accessed under, provided

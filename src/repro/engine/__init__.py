@@ -64,7 +64,6 @@ from repro.engine.shared_scan import (
 )
 from repro.engine.sharding import (
     ShardedViewServer,
-    SplitReport,
     infer_shard_key,
     merge_delay_stats,
     partition_database,
@@ -107,7 +106,6 @@ __all__ = [
     "ReplicaServer",
     "RoutingTable",
     "ShardedViewServer",
-    "SplitReport",
     "infer_shard_key",
     "merge_delay_stats",
     "partition_database",

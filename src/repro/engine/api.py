@@ -93,8 +93,13 @@ class AccessRequest:
         object.__setattr__(self, "access", tuple(self.access))
         if self.start_after is not None:
             object.__setattr__(self, "start_after", tuple(self.start_after))
-        if self.limit is not None and self.limit < 0:
-            raise ParameterError(f"limit must be >= 0, got {self.limit}")
+        limit = self.limit
+        if limit is not None and (
+            isinstance(limit, bool) or not isinstance(limit, int) or limit < 0
+        ):
+            raise ParameterError(
+                f"limit must be None or an int >= 0, got {limit!r}"
+            )
 
     def page_after(
         self, token: Optional[Sequence], limit: Optional[int] = None
@@ -190,7 +195,7 @@ class AnswerCursor:
         if limit is not None and self._stats.outputs >= limit:
             self._finished = True
             # A limit-stop ends this cursor's serving life as surely as
-            # exhaustion does; holders of resources (topology pins) must
+            # exhaustion does; holders of resources (version pins) must
             # hear about it even if the caller never calls close().
             self._fire_close_hooks()
             raise StopIteration
@@ -313,9 +318,9 @@ class AnswerCursor:
 
         The end of life is whichever comes first of :meth:`close`,
         exhaustion, or a limit-stop — exactly when the serving layer can
-        release per-cursor resources (the sharded facade hangs its
-        routing-table version pin here). A hook added after that point
-        runs immediately; each hook runs at most once.
+        release per-cursor resources (a dynamic view hangs its serving
+        version pin here). A hook added after that point runs
+        immediately; each hook runs at most once.
         """
         if self._hooks_fired:
             hook()

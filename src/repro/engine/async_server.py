@@ -19,9 +19,7 @@ unit on a worker (:meth:`~repro.engine.server.Serving.drain`), the
 groups are awaited concurrently, and the back end's gather puts their
 results back in request order. A plain server is one group; a sharded
 one is a group per owning shard — scatter-gather requests fan out to
-every shard, routed requests touch exactly one — and holds its
-routing-table version for the whole plan→drain span, so a live shard
-split cuts over *between* batches, never under one. This module never
+every shard, routed requests touch exactly one. This module never
 plans, pins or merges: what a batch costs the back end, and what it
 counts, is the same whichever executor runs it.
 

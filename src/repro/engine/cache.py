@@ -401,10 +401,10 @@ class RepresentationCache:
     def demote_all(self) -> int:
         """Flush every resident, not-yet-on-disk entry to the disk tier.
 
-        The elastic-topology hook: a shard about to retire (or ship its
-        structures to a replica) demotes its residents so the snapshots
-        on disk are complete — warm loads and replica hydration then
-        cover everything the cache held. Entries stay resident and are
+        The replica hook: a server about to ship its structures to a
+        replica demotes its residents so the snapshots on disk are
+        complete — warm loads and replica hydration then cover
+        everything the cache held. Entries stay resident and are
         marked ``on_disk`` (a later eviction will not write them again).
         Snapshot I/O runs outside the lock; returns snapshots written.
         Without a disk tier this is a no-op.

@@ -10,8 +10,7 @@ sequence of immutable **versions**: every effective delta
 <repro.engine.server.ViewServer.apply_deltas>`) freezes a new
 point-in-time serving view, new requests open against it, and cursors
 already open keep enumerating the version they pinned — the
-:mod:`repro.engine.epoch` drain protocol, the one the sharded facade
-uses for live resharding (``split_shard``). A version is owned by its
+:mod:`repro.engine.epoch` drain protocol. A version is owned by its
 :class:`~repro.engine.epoch.Epochs` entry, never by the representation
 cache: it lives exactly as long as it is current or pinned, and no LRU
 pressure can evict it out from under an open cursor.

@@ -5,10 +5,9 @@ Every versioned resource in the engine follows one protocol. A reader
 (its *payload*) for as long as it reads; a writer **publishes** a new
 version, which new readers take from then on; a version that is no
 longer current **retires** the moment its pin count drains to zero —
-and only then may its owner tear the payload's resources down. Routing
-tables (:mod:`repro.engine.sharding`) and dynamic serving versions
-(:mod:`repro.engine.dynamic_serving`) are the two instances;
-:class:`Epochs` is the only place either one's pin count is read or
+and only then may its owner tear the payload's resources down. Dynamic
+serving versions (:mod:`repro.engine.dynamic_serving`) are the one
+instance; :class:`Epochs` is the only place their pin count is read or
 written, and :class:`Hold` is the only place pins are handed to
 cursors.
 

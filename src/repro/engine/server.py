@@ -165,32 +165,6 @@ class Registration:
             f"|{self.policy}|{self.budget!r}"
         )
 
-    def replay(
-        self,
-        server: "ViewServer",
-        database: Optional[Database] = None,
-        rebuild_fraction: Optional[float] = None,
-    ) -> str:
-        """Register this view on ``server`` as it was registered here.
-
-        ``policy`` + ``budget`` + ``tau`` give the original knobs back:
-        a budget is re-optimized against ``server``'s own relation
-        sizes, a fixed τ is reused — so the replayed registration's
-        snapshot labels match this one's. A dynamic view passes its
-        state's ``rebuild_fraction``; ``database`` is the
-        per-registration override of :meth:`ViewServer.register`.
-        """
-        knobs = {"name": self.name, "database": database}
-        if self.budget is None:
-            knobs["tau"] = self.tau
-        else:
-            knobs[self.policy.replace("-", "_")] = self.budget
-        if rebuild_fraction is None:
-            return server.register(self.view, **knobs)
-        return server.register_dynamic(
-            self.view, rebuild_fraction=rebuild_fraction, **knobs
-        )
-
 
 def register_everywhere(
     name: str, servers: Iterable, register: Callable[[object], object]
@@ -361,8 +335,7 @@ class Serving:
         is one unit of work, and an executor may run the jobs
         concurrently; ``gather(results)`` takes the per-job results, in
         job order, and returns one ``(rows, stats)`` per request, in
-        request order. Whatever the plan depends on is held for the
-        block. A plain server is one job — itself (``shard`` is
+        request order. A plain server is one job — itself (``shard`` is
         ``None``), every position, nothing to merge.
         """
         yield [(None, self, range(len(batch)))], lambda results: results[0]
@@ -797,7 +770,9 @@ class ViewServer(Serving):
         is preserved, so a later request (or :meth:`prefetch`) warm-loads
         instead of rebuilding. Returns the entries dropped — always 0
         for a dynamic view, whose versions are not cache entries.
+        SchemaError for an unknown view.
         """
+        self._lookup(name)
         return self._cache.invalidate_matching(
             lambda key: key[0] == name, drop_snapshot=False
         )
@@ -811,7 +786,6 @@ class ViewServer(Serving):
         tau: Optional[float] = None,
         name: Optional[str] = None,
         rebuild_fraction: float = 0.1,
-        database: Optional[Database] = None,
     ) -> str:
         """Register a view for serving under updates; returns its name.
 
@@ -831,12 +805,6 @@ class ViewServer(Serving):
         by name, which normalization would rewrite), and it serves at
         exactly the registration τ — per-request ``tau=`` pins and
         :meth:`retune` are rejected for dynamic views.
-
-        ``database`` is :meth:`register`'s override: the state the view
-        starts from when that is not the server's own database (a shard
-        split hands each child its slice of the parent's *current*
-        state this way). Origin fingerprints are still the server
-        database's, which is what a restart will compare against.
         """
         if isinstance(view, str):
             view = parse_view(view)
@@ -846,7 +814,7 @@ class ViewServer(Serving):
                 "address base relations by name, which normalization "
                 "rewrites"
             )
-        name = self.register(view, tau=tau, name=name, database=database)
+        name = self.register(view, tau=tau, name=name)
         try:
             registration = self.registration(name)
             fingerprints = relation_fingerprints(self.db)
@@ -1324,8 +1292,9 @@ class ViewServer(Serving):
         The key match and removal are one atomic cache operation
         (:meth:`~repro.engine.cache.RepresentationCache.invalidate_matching`),
         so builds or evictions racing this call cannot make the sweep
-        iterate a stale key snapshot.
+        iterate a stale key snapshot. SchemaError for an unknown view.
         """
+        self._lookup(name)
         return self._cache.invalidate_matching(lambda key: key[0] == name)
 
     # ------------------------------------------------------------------

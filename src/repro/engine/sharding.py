@@ -12,9 +12,9 @@ Partitioning
 ------------
 A *shard key* maps relation names to column positions that all hold the
 same query variable. Every listed relation is split along a
-:class:`~repro.engine.topology.RoutingTable` — versioned rendezvous
-placement over :func:`~repro.engine.topology.stable_hash` — on its key
-column; unlisted relations are **copied** into every shard (each shard's
+:class:`~repro.engine.topology.RoutingTable` — rendezvous placement over
+:func:`~repro.engine.topology.stable_hash` — on its key column;
+unlisted relations are **copied** into every shard (each shard's
 ``Database`` owns its relations — no aliasing, so a delta applied through
 one shard can never bleed into a sibling or a replica), and
 *semijoin-reduced* per registered view against the shard's slice so
@@ -37,18 +37,7 @@ different variables on a key column are rejected):
 * view touches **no sharded relation** → its relations are replicated in
   every shard, so requests are pinned to shard 0.
 
-Elastic topology
-----------------
-:meth:`ShardedViewServer.split_shard` grows the topology live: the hot
-shard's slice — and only that slice — is re-partitioned between two
-child shards by the next routing-table version, the children register
-every current view and warm their structures through the shared
-:class:`~repro.engine.parallel.ParallelBuilder` while the old topology
-keeps serving, and then the new table is cut over atomically. In-flight
-cursors and shared scans *pin* the routing-table version they opened
-under (released by a cursor close hook); new requests take the new
-table; the old shard retires — its resident structures demoted to its
-snapshot tier — once its version's pin count drains to zero.
+The set of shards is fixed at construction for the facade's whole life.
 """
 
 from __future__ import annotations
@@ -57,7 +46,6 @@ import heapq
 from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
-from dataclasses import dataclass
 from itertools import islice
 from pathlib import Path
 from typing import (
@@ -77,7 +65,7 @@ from repro.database.catalog import Database
 from repro.database.relation import Relation
 from repro.engine.api import AccessRequest, AnswerCursor, as_request
 from repro.engine.cache import CacheStats
-from repro.engine.epoch import Epochs
+from repro.engine.epoch import Hold
 from repro.engine.locking import named_lock
 from repro.engine.parallel import ParallelBuilder
 from repro.engine.server import (
@@ -89,7 +77,7 @@ from repro.engine.server import (
 )
 from repro.engine.telemetry import Telemetry
 from repro.engine.topology import RoutingTable, stable_hash
-from repro.exceptions import ParameterError, SchemaError
+from repro.exceptions import ParameterError, QueryError, SchemaError
 from repro.joins.semijoin import semijoin
 from repro.measure.delay import DelayStats
 from repro.query.adorned import AdornedView
@@ -98,7 +86,6 @@ from repro.query.parser import parse_view
 
 __all__ = [
     "ShardedViewServer",
-    "SplitReport",
     "infer_shard_key",
     "merge_delay_stats",
     "partition_database",
@@ -166,60 +153,30 @@ def _validate_shard_key(db: Database, shard_key: ShardKey) -> None:
 
 
 def partition_database(
-    db: Database,
-    shard_key: ShardKey,
-    topology: Union[int, RoutingTable],
+    db: Database, shard_key: ShardKey, n_shards: int
 ) -> List[Database]:
-    """Split ``db`` into per-shard databases along the routing table.
+    """Split ``db`` into ``n_shards`` per-shard databases.
 
-    ``topology`` is either a shard count (a fresh version-1
-    :class:`~repro.engine.topology.RoutingTable`) or an existing table.
-    Listed relations are partitioned by rendezvous placement of
-    ``row[column]``; all other relations are **copied** per shard — never shared by reference, so one shard's
+    Listed relations are partitioned by the rendezvous placement of
+    ``row[column]`` over :meth:`RoutingTable.fresh(n_shards)
+    <repro.engine.topology.RoutingTable.fresh>`; all other relations
+    are **copied** per shard — never shared by reference, so one shard's
     database can be mutated, swapped, or shipped without aliasing its
     siblings. Empty slices are kept (a shard may legitimately own no
-    tuples of some relation). Returns one database per
-    ``topology.shard_ids`` entry, in that order.
+    tuples of some relation). Returns one database per shard, in
+    ``shard_ids`` order.
     """
-    if not isinstance(topology, RoutingTable):
-        topology = RoutingTable.fresh(int(topology))
+    table = RoutingTable.fresh(n_shards)
     _validate_shard_key(db, shard_key)
-    return list(_place(db, shard_key, topology, topology.shard_ids).values())
-
-
-def _place(
-    db: Database,
-    shard_key: ShardKey,
-    table: RoutingTable,
-    shard_ids: Sequence[str],
-) -> Dict[str, Database]:
-    """Bucket ``db``'s key-relation rows onto ``shard_ids``; build each slice.
-
-    The one bucket-and-build behind :func:`partition_database` (every
-    shard of the table) and a live split (the two children, given the
-    parent's slice): each row goes where ``table`` places its key, and a
-    key the table places outside ``shard_ids`` is refused — hierarchical
-    rendezvous keeps a split parent's keys on its children, so that is
-    a broken table, not a routing decision.
-    """
-    buckets: Dict[str, Dict[str, List[Tuple]]] = {
-        name: {shard: [] for shard in shard_ids} for name in shard_key
+    buckets: Dict[str, List[List[Tuple]]] = {
+        name: [[] for _ in table.shard_ids] for name in shard_key
     }
     for name, column in shard_key.items():
         rows_by_shard = buckets[name]
         for row in db[name]:
-            owner = table.shard_for(row[column])
-            try:
-                rows_by_shard[owner].append(row)
-            except KeyError:
-                raise SchemaError(
-                    f"key {row[column]!r} of {name!r} re-placed outside "
-                    f"the split ({owner!r} is not one of "
-                    f"{list(shard_ids)!r}) — the routing table is not "
-                    "hierarchical"
-                ) from None
-    return {
-        shard: Database(
+            rows_by_shard[table.index_for(row[column])].append(row)
+    return [
+        Database(
             [
                 Relation(
                     relation.name,
@@ -231,8 +188,8 @@ def _place(
                 for relation in db
             ]
         )
-        for shard in shard_ids
-    }
+        for shard in range(table.n_shards)
+    ]
 
 
 def semijoin_reduce_database(
@@ -316,31 +273,6 @@ def merge_delay_stats(parts: Sequence[DelayStats]) -> DelayStats:
     return merged
 
 
-@dataclass(frozen=True)
-class SplitReport:
-    """What one :meth:`ShardedViewServer.split_shard` actually did."""
-
-    shard_id: str
-    children: Tuple[str, ...]
-    version_before: int
-    version_after: int
-    moved_rows: int  # key-relation rows re-placed (all from the split shard)
-    demoted_snapshots: int  # parent structures demoted to its disk tier
-    warmed_views: Tuple[str, ...]
-    retired_immediately: bool  # no pins held: the parent retired at cutover
-
-
-class _Topology:
-    """One routing-table version: its table and shard servers (an epoch payload)."""
-
-    __slots__ = ("table", "shard_ids", "servers")
-
-    def __init__(self, table: RoutingTable, servers: Sequence[ViewServer]):
-        self.table = table
-        self.shard_ids = table.shard_ids
-        self.servers: Tuple[ViewServer, ...] = tuple(servers)
-
-
 class ShardedViewServer(Serving):
     """N hash-partitioned :class:`ViewServer` back ends behind one facade.
 
@@ -354,16 +286,15 @@ class ShardedViewServer(Serving):
     ``cache_stats`` fan out to the shards; :meth:`jobs` hands the same
     per-shard groups to any other executor
     (:class:`~repro.engine.async_server.AsyncViewServer` drains them on
-    its thread pool) under one held routing-table version.
+    its thread pool). The shards are fixed at construction.
 
     Parameters
     ----------
     db:
         The full database; it is partitioned once at construction.
     n_shards:
-        Number of shards (>= 1), or a ready
-        :class:`~repro.engine.topology.RoutingTable` (e.g. one
-        deserialized from a previous run — placement is restart-stable).
+        Number of shards (>= 1). Placement is restart-stable: shard
+        ``i`` of a restarted facade owns the keys it owned before.
     shard_key:
         Mapping of relation names to key column positions (required and
         non-empty). Every listed relation is partitioned; the rest are
@@ -375,8 +306,8 @@ class ShardedViewServer(Serving):
     snapshot_dir:
         Optional warm-start directory; each shard persists under its own
         ``shard-<id>`` subdirectory, fingerprinted with its own database
-        slice (so a resharded or re-keyed partition refuses stale
-        snapshots shard by shard).
+        slice (so a re-keyed partition, or another shard count, refuses
+        stale snapshots shard by shard).
     build_workers:
         Size of ONE :class:`~repro.engine.parallel.ParallelBuilder`
         process pool shared by every shard, so per-shard structure
@@ -387,14 +318,14 @@ class ShardedViewServer(Serving):
         (persisted under ``snapshot_dir/telemetry`` when snapshotting); a
         ready instance is shared. Every shard server records into the
         SAME registry, so per-view counters aggregate across shards
-        while the facade adds routing-level metrics
-        (``shard_requests_total{shard,mode}``, ``shard_splits_total``).
+        while the facade adds the routing-level
+        ``shard_requests_total{shard,mode}``.
     """
 
     def __init__(
         self,
         db: Database,
-        n_shards: Union[int, RoutingTable],
+        n_shards: int,
         shard_key: ShardKey,
         max_entries: Optional[int] = 8,
         max_cells: Optional[int] = None,
@@ -411,35 +342,24 @@ class ShardedViewServer(Serving):
         self._telemetry, self._owns_telemetry = Telemetry.resolve(
             telemetry, self._snapshot_dir
         )
-        if isinstance(n_shards, RoutingTable):
-            table = n_shards
-        else:
-            table = RoutingTable.fresh(n_shards)
-        slices = partition_database(db, self.shard_key, table)
+        self._table = RoutingTable.fresh(n_shards)
+        self._databases: List[Database] = partition_database(
+            db, self.shard_key, n_shards
+        )
         self._builder: Optional[ParallelBuilder] = (
             ParallelBuilder(build_workers)
             if build_workers is not None
             else None
         )
-        # Every live shard server/database, across all live versions
-        # (retiring shards stay here until their version's pins drain).
-        self._databases: Dict[str, Database] = dict(
-            zip(table.shard_ids, slices)
-        )
-        self._servers: Dict[str, ViewServer] = {
-            shard_id: self._make_shard_server(shard_id, shard_db)
-            for shard_id, shard_db in self._databases.items()
-        }
-        self._topology_lock = named_lock("sharding.topology", reentrant=True)
-        # Routing-table versions: cursors pin the one they opened under.
-        self._epochs = Epochs(
-            self._topology_lock,
-            table.version,
-            _Topology(table, [self._servers[sid] for sid in table.shard_ids]),
-        )
-        # Serializes registration changes and deltas against splits, so
-        # a split replays a consistent registration set — over a state
-        # no delta is moving — onto its children.
+        self._servers: List[ViewServer] = [
+            self._make_shard_server(shard_id, shard_db)
+            for shard_id, shard_db in zip(
+                self._table.shard_ids, self._databases
+            )
+        ]
+        # Makes a registration and an apply_deltas atomic with respect
+        # to each other across shards: a delta finds a view registered
+        # on every shard or on none.
         self._admin_lock = named_lock("sharding.admin")
         # Maps name -> (mode, bound position); None marks a registration
         # in flight (the name is claimed but not yet routable).
@@ -447,10 +367,6 @@ class ShardedViewServer(Serving):
         self._routes_lock = named_lock("sharding.routes")
         self._served_lock = named_lock("sharding.served")
         self._requests_served = 0
-        # Counters of retired shards fold in here so the facade's totals
-        # stay monotonic across splits.
-        self._retired_builds = 0
-        self._retired_cache = CacheStats()
 
     def _make_shard_server(
         self, shard_id: str, shard_db: Database
@@ -472,83 +388,32 @@ class ShardedViewServer(Serving):
         )
 
     # ------------------------------------------------------------------
-    # topology: versions, pins, and the current view of the world
+    # topology: the fixed shards
     # ------------------------------------------------------------------
     @property
     def topology(self) -> RoutingTable:
-        """The current routing table (new requests route through it)."""
-        return self._topology_for().table
+        """The routing table every request routes through."""
+        return self._table
 
     @property
     def shards(self) -> List[ViewServer]:
-        """The current topology's shard servers, in shard-id order."""
-        return list(self._topology_for().servers)
+        """The shard servers, in shard-id order."""
+        return list(self._servers)
 
     @property
     def databases(self) -> List[Database]:
-        """The current topology's shard databases, in shard-id order."""
-        with self._topology_lock:
-            return [
-                self._databases[sid] for sid in self._topology_for().shard_ids
-            ]
+        """The shard databases, in shard-id order."""
+        return list(self._databases)
 
     @property
     def n_shards(self) -> int:
-        """Shard count of the current topology (grows across splits)."""
-        return len(self._topology_for().shard_ids)
+        """How many shards the facade serves from."""
+        return len(self._servers)
 
     @property
     def shard_ids(self) -> Tuple[str, ...]:
-        """The current topology's shard identifiers, in routing order."""
-        return self._topology_for().shard_ids
-
-    def _topology_for(self, version: Optional[int] = None) -> _Topology:
-        if version is None:
-            return self._epochs.current()[1]
-        top = self._epochs.get(version)
-        if top is None:
-            raise ParameterError(
-                f"routing-table version {version} is not live"
-            )
-        return top
-
-    def version_pins(self, version: Optional[int] = None) -> int:
-        """Open pins on a (pinned or current) routing-table version."""
-        return self._epochs.pins(self._topology_for(version).table.version)
-
-    def live_versions(self) -> Tuple[int, ...]:
-        """Routing-table versions still live (current plus draining)."""
-        return self._epochs.live()
-
-    def _retire(self, retired: Sequence[_Topology]) -> None:
-        """Tear down the shards only drained topologies still referenced.
-
-        Shards any live version still routes to (everything but a split
-        parent) stay. Demotion and teardown do I/O, so they run outside
-        the topology lock; demoting first keeps the retiring shard's
-        structures shippable (replicas hydrate from exactly these
-        snapshots).
-        """
-        if not retired:
-            return
-        dead: List[ViewServer] = []
-        with self._topology_lock:
-            live = set()
-            for version in self._epochs.live():
-                live.update(self._epochs.get(version).shard_ids)
-            for top in retired:
-                for shard_id in top.shard_ids:
-                    if shard_id in live or shard_id not in self._servers:
-                        continue
-                    server = self._servers.pop(shard_id)
-                    self._databases.pop(shard_id, None)
-                    self._retired_builds += server.total_builds()
-                    self._retired_cache.add(server.cache_stats)
-                    dead.append(server)
-        for server in dead:
-            server.cache.demote_all()
-            server.cache.clear()
-            server.close()
+        """The shard identifiers, in routing order."""
+        return self._table.shard_ids
 
     # ------------------------------------------------------------------
     # registration and routing
@@ -615,9 +480,7 @@ class ShardedViewServer(Serving):
         space/delay tradeoff, which is what a per-shard cache budget
         means. Each shard's registration evaluates against a
         slice-reduced copy of the replicated relations (answers are
-        identical; structures are smaller). The shards' own
-        :class:`~repro.engine.server.Registration` records are what a
-        later :meth:`split_shard` replays onto its children.
+        identical; structures are smaller).
         """
         return self._register_everywhere(
             view,
@@ -675,12 +538,8 @@ class ShardedViewServer(Serving):
                 raise SchemaError(f"view {intended!r} is already registered")
             self._routes[intended] = None
         try:
+            databases = dict(zip(self._servers, self._databases))
             with self._admin_lock:
-                with self._topology_lock:
-                    databases = {
-                        self._servers[sid]: self._databases[sid]
-                        for sid in self._topology_for().shard_ids
-                    }
                 register_everywhere(
                     intended,
                     databases,
@@ -696,7 +555,7 @@ class ShardedViewServer(Serving):
 
     def dynamic_views(self) -> Tuple[str, ...]:
         """Names registered for dynamic serving (identical on all shards)."""
-        dynamic = set(self._topology_for().servers[0].dynamic_views())
+        dynamic = set(self._servers[0].dynamic_views())
         return tuple(name for name in self.views() if name in dynamic)
 
     def apply_deltas(
@@ -706,7 +565,7 @@ class ShardedViewServer(Serving):
         deletes: Iterable[Sequence] = (),
         views: Optional[Sequence[str]] = None,
     ) -> Dict[str, int]:
-        """Apply one delta across the topology, tuple by owning shard.
+        """Apply one delta across the shards, tuple by owning shard.
 
         Rows of a *sharded* relation go only to the shard that owns
         their key value (the same rendezvous placement
@@ -720,16 +579,12 @@ class ShardedViewServer(Serving):
         inserts = [tuple(row) for row in inserts]
         deletes = [tuple(row) for row in deletes]
         column = self.shard_key.get(relation)
-        # Under the admin lock a split cannot run: no delta lands on a
-        # parent between its children's build and the cutover, and the
-        # topology routed through here cannot retire mid-call.
         with self._admin_lock:
-            top = self._topology_for()
-            shard_inserts = {sid: inserts for sid in top.shard_ids}
-            shard_deletes = {sid: deletes for sid in top.shard_ids}
+            shard_inserts = [inserts] * self.n_shards
+            shard_deletes = [deletes] * self.n_shards
             if column is not None:
-                shard_inserts = {sid: [] for sid in top.shard_ids}
-                shard_deletes = {sid: [] for sid in top.shard_ids}
+                shard_inserts = [[] for _ in self._servers]
+                shard_deletes = [[] for _ in self._servers]
                 for rows, buckets in (
                     (inserts, shard_inserts),
                     (deletes, shard_deletes),
@@ -740,19 +595,18 @@ class ShardedViewServer(Serving):
                                 f"delta row {row!r} for {relation!r} has no "
                                 f"shard key column {column}"
                             )
-                        owner = top.table.shard_for(row[column])
+                        owner = self._table.index_for(row[column])
                         buckets[owner].append(row)
             totals: Dict[str, int] = {}
             # Every shard sees the delta (possibly empty for it): the
             # per-shard no-op contract keeps empty calls version-stable,
             # and running them keeps validation and the result's view
             # set identical on every shard.
-            for sid, server in zip(top.shard_ids, top.servers):
+            for server, shard_rows, shard_gone in zip(
+                self._servers, shard_inserts, shard_deletes
+            ):
                 applied = server.apply_deltas(
-                    relation,
-                    shard_inserts[sid],
-                    shard_deletes[sid],
-                    views=views,
+                    relation, shard_rows, shard_gone, views=views
                 )
                 for view_name, count in applied.items():
                     totals[view_name] = totals.get(view_name, 0) + count
@@ -768,10 +622,7 @@ class ShardedViewServer(Serving):
                 return False
             del self._routes[name]
         with self._admin_lock:
-            # Retiring shards lose the view too: a pinned cursor
-            # already holds its structure, and a retired cache must
-            # not resurrect an unregistered view.
-            for server in self._all_servers():
+            for server in self._servers:
                 server.unregister(name)
         return True
 
@@ -803,29 +654,28 @@ class ShardedViewServer(Serving):
             )
 
     def shard_of(self, name: str, access: Sequence) -> Optional[int]:
-        """The shard index one access pins, or ``None`` for scatter views.
-
-        Indexes are positions within the current topology's
-        :attr:`shard_ids` — a diagnostic: a concurrent split can shift
-        them, so executors take their shards from :meth:`jobs`, which
-        holds one topology for the whole plan.
-        """
+        """The shard index one access pins, or ``None`` for scatter views."""
         mode, position = self.route(name)
         if mode == SCATTER:
             return None
         if mode == PINNED:
             return 0
-        return self._owner(self._topology_for(), name, position, tuple(access))
+        return self._owner(name, position, tuple(access))
 
-    @staticmethod
-    def _owner(top: _Topology, name: str, position: int, access: Tuple) -> int:
-        """The shard index owning one routed access (typed if too short)."""
+    def _owner(self, name: str, position: int, access: Tuple) -> int:
+        """The shard index owning one routed access.
+
+        An access too short to hold the shard key is refused with the
+        :class:`~repro.exceptions.QueryError` a :class:`ViewServer`
+        raises for any wrong-arity access.
+        """
         if position >= len(access):
-            raise SchemaError(
-                f"view {name!r}: access tuple {access!r} too short for "
-                f"bound position {position}"
+            view = self._servers[0].registration(name).view
+            expected = len(view.bound_variables)
+            raise QueryError(
+                f"access tuple has {len(access)} values, expected {expected}"
             )
-        return top.table.index_for(access[position])
+        return self._table.index_for(access[position])
 
     # ------------------------------------------------------------------
     # builds
@@ -858,7 +708,7 @@ class ShardedViewServer(Serving):
 
     def close(self) -> None:
         """Release the shared build worker pool (serving keeps working)."""
-        for server in self._all_servers():
+        for server in self._servers:
             server.close()
         if self._builder is not None:
             self._builder.close()
@@ -909,160 +759,13 @@ class ShardedViewServer(Serving):
     def demote(self, name: str) -> int:
         """Evict one view from every shard's memory tier; total entries."""
         self.route(name)
-        return sum(server.demote(name) for server in self._all_servers())
-
-    # ------------------------------------------------------------------
-    # elastic topology: live shard splits
-    # ------------------------------------------------------------------
-    def split_shard(self, shard_id: Union[str, int]) -> SplitReport:
-        """Split one hot shard live; cut new traffic over when warm.
-
-        Only the named shard's slice is re-partitioned: the next routing
-        table (version + 1) replaces its leaf with two children and
-        hierarchical rendezvous sends each of its keys to one of them —
-        every other shard's key set is untouched, so at most ``1/n`` of
-        all keys move. The children register every currently registered
-        view (semijoin-reduced against their halves) and warm their
-        structures through the shared
-        :class:`~repro.engine.parallel.ParallelBuilder` **before** the
-        cutover, so the old topology serves until the new one is ready.
-        At cutover, new requests take the new table; cursors and shared
-        scans opened earlier keep their pinned version and drain against
-        the old shard, which retires — resident structures demoted to
-        its snapshot tier — when its pin count reaches zero.
-
-        With telemetry on, the split is one traced span plus one durable
-        event (``shard_split``: children, rows moved, version cutover)
-        and bumps ``shard_splits_total``.
-        """
-        if self._telemetry is None:
-            return self._split_shard(shard_id)
-        with self._telemetry.trace("split", shard=str(shard_id)) as span:
-            report = self._split_shard(shard_id)
-            span.annotate(
-                children=list(report.children),
-                moved_rows=report.moved_rows,
-                version=report.version_after,
-            )
-        self._telemetry.counter("shard_splits_total").inc()
-        self._telemetry.event(
-            "shard_split",
-            shard=report.shard_id,
-            children=list(report.children),
-            moved_rows=report.moved_rows,
-            version_before=report.version_before,
-            version_after=report.version_after,
-            warmed_views=list(report.warmed_views),
-        )
-        return report
-
-    def _split_shard(self, shard_id: Union[str, int]) -> SplitReport:
-        # split_shard minus telemetry — the traced wrapper above calls it.
-        shard_id = str(shard_id)
-        with self._admin_lock:
-            with self._topology_lock:
-                version_before, old = self._epochs.current()
-                if shard_id not in old.shard_ids:
-                    raise ParameterError(
-                        f"shard {shard_id!r} is not a live shard of "
-                        f"routing-table version {version_before} "
-                        f"(live: {list(old.shard_ids)!r})"
-                    )
-                parent_server = self._servers[shard_id]
-                parent_db = self._databases[shard_id]
-            new_table = old.table.split(shard_id)
-            children = new_table.children(shard_id)
-            # Re-place only the parent's slice.
-            child_dbs = _place(parent_db, self.shard_key, new_table, children)
-            moved = sum(len(parent_db[name]) for name in self.shard_key)
-            child_servers = {
-                child: self._make_shard_server(child, child_dbs[child])
-                for child in children
-            }
-            # The parent's own registrations replay onto the children
-            # (none can change meanwhile: registration takes the admin
-            # lock too).
-            warmed = parent_server.views()
-            dynamic = set(parent_server.dynamic_views())
-            for view_name in warmed:
-                registration = parent_server.registration(view_name)
-                if view_name in dynamic:
-                    # A dynamic view's children start from the parent's
-                    # *current* state — base slice plus every delta so
-                    # far (none can land meanwhile: deltas take the
-                    # admin lock too) — sliced exactly like the base.
-                    state = parent_server._dynamic_state(view_name)
-                    starts = _place(
-                        state.current_database(),
-                        self.shard_key,
-                        new_table,
-                        children,
-                    )
-                    fraction = state.rebuild_fraction
-                else:
-                    starts = {
-                        child: self._shard_view_database(
-                            registration.view, child_dbs[child]
-                        )
-                        for child in children
-                    }
-                    fraction = None
-                # No roll-back here: a failed replay aborts the split
-                # and the children are dropped with it.
-                for child in children:
-                    registration.replay(
-                        child_servers[child], starts[child], fraction
-                    )
-            # Demote the hot shard's resident structures to its snapshot
-            # tier now: pinned stragglers warm-load instead of rebuilding,
-            # and the retiring shard's memory can be reclaimed at drain.
-            demoted = parent_server.cache.demote_all()
-            # Warm the children while the old topology keeps serving;
-            # with a shared ParallelBuilder the builds land on worker
-            # processes. Warm failures abort the split before cutover.
-            if warmed:
-                workers = max(1, 2 * len(warmed))
-                with ThreadPoolExecutor(
-                    max_workers=min(workers, 8),
-                    thread_name_prefix="repro-split-warm",
-                ) as pool:
-                    futures = [
-                        pool.submit(server.representation, view_name)
-                        for view_name in warmed
-                        for server in child_servers.values()
-                    ]
-                    for future in futures:
-                        future.result()
-            # Cutover: atomically publish the new version. New requests
-            # route through it; pinned versions keep the old servers.
-            with self._topology_lock:
-                self._servers.update(child_servers)
-                self._databases.update(child_dbs)
-                retired = self._epochs.publish(
-                    new_table.version,
-                    _Topology(
-                        new_table,
-                        [self._servers[sid] for sid in new_table.shard_ids],
-                    ),
-                )
-        self._retire(retired)
-        return SplitReport(
-            shard_id=shard_id,
-            children=children,
-            version_before=version_before,
-            version_after=new_table.version,
-            moved_rows=moved,
-            demoted_snapshots=demoted,
-            warmed_views=warmed,
-            retired_immediately=bool(retired),
-        )
+        return sum(server.demote(name) for server in self._servers)
 
     # ------------------------------------------------------------------
     # planning: which shard serves which request
     # ------------------------------------------------------------------
     def _plan(
         self,
-        top: _Topology,
         name: str,
         accesses: Sequence[Tuple],
         served: bool = True,
@@ -1079,10 +782,10 @@ class ShardedViewServer(Serving):
         ``served=False`` only plans (:meth:`plan_batch`).
         """
         mode, position = self.route(name)
-        plan: List[List[int]] = [[] for _ in top.shard_ids]
+        plan: List[List[int]] = [[] for _ in self._servers]
         if mode == ROUTED:
             for index, access in enumerate(accesses):
-                plan[self._owner(top, name, position, access)].append(index)
+                plan[self._owner(name, position, access)].append(index)
         else:
             # Everything, on every shard (scatter) or on shard 0 (pinned).
             for positions in plan if mode == SCATTER else plan[:1]:
@@ -1091,7 +794,7 @@ class ShardedViewServer(Serving):
             with self._served_lock:
                 self._requests_served += len(accesses)
             if self._telemetry is not None:
-                for shard_id, positions in zip(top.shard_ids, plan):
+                for shard_id, positions in zip(self.shard_ids, plan):
                     if positions:
                         self._telemetry.counter(
                             "shard_requests_total", shard=shard_id, mode=mode
@@ -1108,27 +811,27 @@ class ShardedViewServer(Serving):
         serves nothing, so it counts nothing.
         """
         batch = [tuple(access) for access in accesses]
-        _, plan = self._plan(self._topology_for(), name, batch, served=False)
+        _, plan = self._plan(name, batch, served=False)
         return [[batch[index] for index in positions] for positions in plan]
 
     def _plan_requests(
-        self, top: _Topology, requests: Sequence[AccessRequest]
+        self, requests: Sequence[AccessRequest]
     ) -> Tuple[Set[int], List[Tuple[int, ViewServer, List[int]]]]:
         """:meth:`_plan` for a typed, possibly mixed-view batch being served.
 
         Returns ``(scatter, jobs)``: the positions of the requests that
         fan out to every shard (their per-shard answers need merging),
         and one ``(shard index, shard server, positions into requests)``
-        per shard of ``top`` that has work.
+        per shard that has work.
         """
         by_view: Dict[str, List[int]] = {}
         for position, request in enumerate(requests):
             by_view.setdefault(request.view, []).append(position)
         scatter: Set[int] = set()
-        plan: List[List[int]] = [[] for _ in top.shard_ids]
+        plan: List[List[int]] = [[] for _ in self._servers]
         for name, positions in by_view.items():
             mode, local = self._plan(
-                top, name, [requests[p].access for p in positions]
+                name, [requests[p].access for p in positions]
             )
             if mode == SCATTER:
                 scatter.update(positions)
@@ -1136,7 +839,9 @@ class ShardedViewServer(Serving):
                 merged.extend(positions[index] for index in indexes)
         return scatter, [
             (shard, server, positions)
-            for shard, (server, positions) in enumerate(zip(top.servers, plan))
+            for shard, (server, positions) in enumerate(
+                zip(self._servers, plan)
+            )
             if positions
         ]
 
@@ -1150,7 +855,7 @@ class ShardedViewServer(Serving):
         extra = len(batch) - len(unique)
         if extra and self._telemetry is not None:
             duplicates = Counter(batch) - Counter(unique)
-            self._plan(self._topology_for(), name, list(duplicates.elements()))
+            self._plan(name, list(duplicates.elements()))
         elif extra:
             with self._served_lock:
                 self._requests_served += extra
@@ -1190,12 +895,8 @@ class ShardedViewServer(Serving):
         head order): with ``limit=k`` each shard enumerates at most k
         tuples. Resume tokens distribute as-is: every shard seeks past
         the token within its own slice. The per-shard sub-cursors are
-        exposed as the merged cursor's ``parts`` (shard order).
-
-        The cursor *pins the routing-table version it opened under*: a
-        concurrent :meth:`split_shard` cuts new requests over but this
-        cursor drains against the topology it started on, and its close
-        hook (fired on close or exhaustion) releases the pin.
+        exposed as the merged cursor's ``parts`` (shard order); if one
+        shard fails to open, the cursors already opened are closed.
         """
         request = as_request(
             request,
@@ -1205,16 +906,12 @@ class ShardedViewServer(Serving):
             tau=tau,
             measure=measure,
         )
-        with self._epochs.hold(1, self._retire) as hold:
-            top = hold.payload
-            mode, plan = self._plan(top, request.view, [request.access])
-            for server, positions in zip(top.servers, plan):
+        mode, plan = self._plan(request.view, [request.access])
+        with Hold() as opened:
+            for server, positions in zip(self._servers, plan):
                 if positions:
-                    hold.opened.append(server.open(request))
-            (cursor,) = hold.keep(
-                [self._gather(request, mode == SCATTER, list(hold.opened))]
-            )
-        return cursor
+                    opened.opened.append(server.open(request))
+            return self._gather(request, mode == SCATTER, opened.opened)
 
     def open_batch(
         self, requests: Iterable[Union[AccessRequest, str]]
@@ -1231,102 +928,80 @@ class ShardedViewServer(Serving):
         :meth:`open` builds them, ``parts`` exposed in shard order). The
         returned cursors align with the submitted requests; the usual
         caveat applies per shard group (duplicates of one request share
-        an enumeration: one consuming thread, one fate). Every cursor
-        pins the routing-table version the batch opened under, released
-        by its close hook — the whole batch drains against one topology.
+        an enumeration: one consuming thread, one fate). A shard group
+        that fails to open closes the groups opened before it.
         """
         batch = [as_request(request) for request in requests]
-        with self._epochs.hold(len(batch), self._retire) as hold:
-            scatter, jobs = self._plan_requests(hold.payload, batch)
-            parts: List[List[AnswerCursor]] = [[] for _ in batch]
+        scatter, jobs = self._plan_requests(batch)
+        parts: List[List[AnswerCursor]] = [[] for _ in batch]
+        with Hold() as opened:
             for _, server, positions in jobs:
                 shard_cursors = server.open_batch(
                     [batch[position] for position in positions]
                 )
-                hold.opened += shard_cursors
+                opened.opened += shard_cursors
                 for position, cursor in zip(positions, shard_cursors):
                     parts[position].append(cursor)
-            return hold.keep(
-                [
-                    self._gather(request, position in scatter, pieces)
-                    for position, (request, pieces) in enumerate(
-                        zip(batch, parts)
-                    )
-                ]
-            )
+        return [
+            self._gather(request, position in scatter, pieces)
+            for position, (request, pieces) in enumerate(zip(batch, parts))
+        ]
 
     @contextmanager
     def jobs(self, batch: Sequence[AccessRequest]):
-        """One job per owning shard, under one held routing-table version.
+        """One job per owning shard.
 
         :meth:`Serving.jobs <repro.engine.server.Serving.jobs>` for the
         facade: the plan :meth:`open_batch` executes with lazy cursors,
         handed to an executor that drains each shard's group wherever
-        it likes. The version is pinned for the block, so a concurrent
-        :meth:`split_shard` cuts over *between* batches, never under
-        one, and released on the way out however the block ends.
-        ``gather`` heap-merges a scattered request's per-shard rows
-        (disjoint and sorted; each shard already honored the limit, so
-        the merged stream only needs re-capping) and folds their stats
-        with :func:`merge_delay_stats`, counting as outputs the rows it
-        returns, not the rows the re-cap dropped.
+        it likes. ``gather`` heap-merges a scattered request's per-shard
+        rows (disjoint and sorted; each shard already honored the limit,
+        so the merged stream only needs re-capping) and folds their
+        stats with :func:`merge_delay_stats`, counting as outputs the
+        rows it returns, not the rows the re-cap dropped.
         """
-        with self._epochs.hold(1, self._retire) as hold:
-            scatter, jobs = self._plan_requests(hold.payload, batch)
+        scatter, jobs = self._plan_requests(batch)
 
-            def gather(results: Sequence[Drained]) -> Drained:
-                pieces: List[Drained] = [[] for _ in batch]
-                for (_, _, positions), drained in zip(jobs, results):
-                    for position, pair in zip(positions, drained):
-                        pieces[position].append(pair)
-                gathered: Drained = []
-                for position, (request, parts) in enumerate(
-                    zip(batch, pieces)
-                ):
-                    if position not in scatter:
-                        gathered.append(parts[0])
-                        continue
-                    merged = heapq.merge(*(rows for rows, _ in parts))
-                    rows = list(islice(merged, request.limit))
-                    measured = [stats for _, stats in parts if stats is not None]
-                    stats = merge_delay_stats(measured) if measured else None
-                    if stats is not None:
-                        stats.outputs = len(rows)
-                    gathered.append((rows, stats))
-                return gathered
+        def gather(results: Sequence[Drained]) -> Drained:
+            pieces: List[Drained] = [[] for _ in batch]
+            for (_, _, positions), drained in zip(jobs, results):
+                for position, pair in zip(positions, drained):
+                    pieces[position].append(pair)
+            gathered: Drained = []
+            for position, (request, parts) in enumerate(zip(batch, pieces)):
+                if position not in scatter:
+                    gathered.append(parts[0])
+                    continue
+                merged = heapq.merge(*(rows for rows, _ in parts))
+                rows = list(islice(merged, request.limit))
+                measured = [stats for _, stats in parts if stats is not None]
+                stats = merge_delay_stats(measured) if measured else None
+                if stats is not None:
+                    stats.outputs = len(rows)
+                gathered.append((rows, stats))
+            return gathered
 
-            yield jobs, gather
+        yield jobs, gather
 
     # ------------------------------------------------------------------
     # aggregation and introspection
     # ------------------------------------------------------------------
-    def _all_servers(self) -> List[ViewServer]:
-        """Every live shard server, retiring ones included."""
-        with self._topology_lock:
-            return list(self._servers.values())
-
     def total_builds(self) -> int:
-        """Structure builds across all shards, retired shards included."""
-        with self._topology_lock:
-            return self._retired_builds + sum(
-                server.total_builds() for server in self._servers.values()
-            )
+        """Structure builds across all shards."""
+        return sum(server.total_builds() for server in self._servers)
 
     @property
     def cache_stats(self) -> CacheStats:
-        """Aggregated cache statistics across live and retired shards."""
-        with self._topology_lock:
-            merged = CacheStats().add(self._retired_cache)
-        for server in self._all_servers():
+        """Aggregated cache statistics across the shards."""
+        merged = CacheStats()
+        for server in self._servers:
             merged.add(server.cache_stats)
         return merged
 
     @property
     def total_cache_cells(self) -> int:
-        """Cells resident across every live shard's cache (aggregate budget)."""
-        return sum(
-            server.cache.total_cells for server in self._all_servers()
-        )
+        """Cells resident across every shard's cache (aggregate budget)."""
+        return sum(server.cache.total_cells for server in self._servers)
 
     @property
     def requests_served(self) -> int:
@@ -1337,6 +1012,4 @@ class ShardedViewServer(Serving):
     def invalidate(self, name: str) -> int:
         """Drop one view's cached structures on every shard; total dropped."""
         self.route(name)
-        return sum(
-            server.invalidate(name) for server in self._all_servers()
-        )
+        return sum(server.invalidate(name) for server in self._servers)

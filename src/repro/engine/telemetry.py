@@ -458,7 +458,7 @@ class TelemetryStore:
         return self._append("metrics", snapshot)
 
     def write_event(self, event: Mapping[str, Any]) -> Dict:
-        """Persist one point event (tuner decision, split, ...)."""
+        """Persist one point event (a tuner decision, ...)."""
         return self._append("event", event)
 
     @classmethod

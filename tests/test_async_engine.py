@@ -328,14 +328,14 @@ class TestServeStream:
         server = AsyncViewServer(backend, max_workers=2, max_pending=4)
         name = server.register(view, tau=8.0)
         good = request_stream(view, db, 12, seed=1)
-        poisoned = good + [()]  # too short to pin a shard -> SchemaError
+        poisoned = good + [()]  # wrong arity -> QueryError, as unsharded
 
         async def main():
             return await server.serve_stream(name, poisoned, batch_size=4)
 
-        from repro.exceptions import SchemaError
+        from repro.exceptions import QueryError
 
-        with pytest.raises(SchemaError):
+        with pytest.raises(QueryError):
             asyncio.run(main())  # raises cleanly, no stranded tasks
         # The engine is still healthy afterwards.
         server.reset()

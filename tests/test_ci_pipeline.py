@@ -361,8 +361,15 @@ class TestMakefileContract:
 #: ``semijoin_reduce``; ``telemetry.py`` −4, ``Telemetry.replay``, the
 #: ring sizes and the tuner's own percentile walk; ``server.py``,
 #: ``replica.py`` and ``__init__.py`` −2 each, ``cache_policy`` and
-#: ``build_seconds_of``). No gain claimed.
-ENGINE_SLOC_CEILING = 4171
+#: ``build_seconds_of``). No gain claimed. Then, when live resharding
+#: went and the shards became fixed at construction: 4,171 → 3,836
+#: (−335: ``sharding.py`` −213 — ``split_shard`` and its report, the
+#: topology epochs, version pins and retired-shard folds; ``topology.py``
+#: −110 — the split tree, the version, the serialized form and
+#: ``assignment_of``; ``server.py`` −15, ``Registration.replay`` and
+#: ``register_dynamic(database=)``; ``__init__.py`` −2; ``api.py`` +5, a
+#: typed ``limit``). No gain claimed.
+ENGINE_SLOC_CEILING = 3836
 
 #: `make size`'s figure for src/repro/__main__.py after PR 18: the CLI
 #: wires a back end, an async front and its error reporting once each;
@@ -370,8 +377,10 @@ ENGINE_SLOC_CEILING = 4171
 #: per-section lines of ``snapshot inspect`` fit under it (1,029).
 #: Then 1,029 → 985 (−44): ``serve`` lost ``--cache-policy``,
 #: ``--balancer`` and ``--per-request`` with the unbatched baseline it
-#: ran, each a flag whose code path the engine no longer has.
-MAIN_SLOC_CEILING = 985
+#: ran, each a flag whose code path the engine no longer has. Then
+#: 985 → 850 (−135): the ``topology show`` / ``topology split`` verbs
+#: went with live resharding.
+MAIN_SLOC_CEILING = 850
 
 #: `make size`'s total for src/repro after PR 24. A per-package ceiling
 #: reads code *moved* out of the package as a reduction; the total cannot
@@ -477,7 +486,9 @@ MAIN_SLOC_CEILING = 985
 #: 12,919 → 12,700 (−219: the engine −127 and the CLI −44 above;
 #: ``workloads/streams.py`` −48, ``hotkey_stream``, whose one caller
 #: outside the tests was the resharding gate). No gain claimed.
-SRC_SLOC_CEILING = 12700
+#: Then, when live resharding went: 12,700 → 12,230 (−470: the engine
+#: −335 and the CLI −135 above). No gain claimed.
+SRC_SLOC_CEILING = 12230
 
 
 class TestSizeGate:
@@ -617,6 +628,60 @@ class TestOneStaticEnumerator:
         text = self._serve_help()
         for flag in ("--cache-policy", "--balancer", "--per-request"):
             assert flag not in text
+
+    def test_the_cli_offers_no_topology_verb(self):
+        # The shards are fixed at construction: there is no routing
+        # table to show or split offline.
+        env = {**os.environ, "PYTHONPATH": str(REPO / "src")}
+        usage = subprocess.run(
+            [sys.executable, "-m", "repro", "--help"],
+            capture_output=True,
+            text=True,
+            env=env,
+        )
+        assert usage.returncode == 0, usage.stderr
+        assert "serve" in usage.stdout and "topology" not in usage.stdout
+        gone = subprocess.run(
+            [sys.executable, "-m", "repro", "topology", "show"],
+            capture_output=True,
+            text=True,
+            env=env,
+        )
+        assert gone.returncode == 2
+        assert "invalid choice: 'topology'" in gone.stderr
+
+
+class TestFixedShards:
+    """Live resharding is gone, by name: the shards never change.
+
+    The names are spelled in halves so that this file passes its own
+    check.
+    """
+
+    GONE = re.compile(
+        "|".join(
+            head + tail
+            for head, tail in (
+                ("split_", "shard"),
+                ("Split", "Report"),
+                ("version_", "pins"),
+                ("sharding.", "topology"),
+                ("shard_splits_", "total"),
+                ("assignment_", "of"),
+                ("def ", "replay"),
+            )
+        )
+    )
+
+    def test_src_names_no_split_machinery(self):
+        files = sorted((REPO / "src").rglob("*.py"))
+        assert len(files) > 80, "the walk found too few files"
+        mentions = [
+            str(path.relative_to(REPO))
+            for path in files
+            if self.GONE.search(path.read_text(encoding="utf-8"))
+        ]
+        assert mentions == []
 
 
 class TestOneWalkPerRequest:

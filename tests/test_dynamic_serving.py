@@ -640,98 +640,6 @@ class TestShardedFanOut:
         )
         server.close()
 
-    SCATTER_TEXT = "F^fff(a, b, c) = R(a, b), S(b, c)"
-
-    @staticmethod
-    def _apply(server, db, versions, relation, inserts=(), deletes=()):
-        """One delta into the server, the oracle's database, and the
-        per-shard version model (a shard advances iff rows reach it)."""
-        server.apply_deltas(relation, inserts=inserts, deletes=deletes)
-        reached = set(server.shard_ids)
-        if relation in server.shard_key:
-            reached = {
-                server.topology.shard_for(row[server.shard_key[relation]])
-                for row in tuple(inserts) + tuple(deletes)
-            }
-        for sid in reached:
-            versions[sid] = versions.get(sid, 0) + 1
-        kept = (set(db[relation].rows) - set(deletes)) | set(inserts)
-        return db.replace(Relation(relation, db[relation].arity, kept))
-
-    def test_split_under_dynamic_views_keeps_every_delta(self, tmp_path):
-        db, server = self._sharded()
-        server.close()
-        server = ShardedViewServer(db, 3, {"R": 0}, snapshot_dir=tmp_path)
-        view, scatter_view = parse_view(VIEW_TEXT), parse_view(self.SCATTER_TEXT)
-        name = server.register_dynamic(view, tau=4.0)
-        scatter = server.register_dynamic(scatter_view, tau=4.0)
-        hot = server.shard_ids[0]
-        keys = [a for a in range(40) if server.topology.shard_for(a) == hot]
-        assert len(keys) >= 2
-        # Deltas before the split, on the sharded and the replicated side.
-        versions = {}
-        db = self._apply(
-            server, db, versions, "R",
-            inserts=[(keys[0], 6), (keys[1], 6)],
-            deletes=[(keys[0], keys[0] % 7)],
-        )
-        db = self._apply(server, db, versions, "S", inserts=[(6, 999)])
-        before = db
-        assert versions[hot] == 2
-        # Cursors opened before the split: one routed to the hot shard,
-        # one scattered over every shard; both genuinely live.
-        routed = server.open(name, (keys[0],))
-        scattered = server.open(scatter, ())
-        first = scattered.fetchmany(3)
-        report = server.split_shard(hot)
-        assert not report.retired_immediately
-        assert set(report.warmed_views) == {name, scatter}
-        # Deltas after the split land on the children, which restart
-        # at version 0; the shards the split never touched keep counting.
-        del versions[hot]
-        db = self._apply(
-            server, db, versions, "R",
-            inserts=[(keys[1], 5)], deletes=[(keys[0], 6)],
-        )
-        db = self._apply(server, db, versions, "S", deletes=[(6, 999)])
-        # Old cursors drain the versions they pinned: pre-split state.
-        assert routed.fetchall() == oracle_answer(view, before, (keys[0],))
-        assert first + scattered.fetchall() == oracle_answer(
-            scatter_view, before, ()
-        )
-        assert server.live_versions() == (report.version_after,)
-        # New requests see every delta, before and after the split.
-        for a in keys[:2] + [a for a in range(40) if a not in keys][:3]:
-            assert server.answer(name, (a,)) == oracle_answer(view, db, (a,))
-        assert server.answer(scatter, ()) == oracle_answer(scatter_view, db, ())
-        assert set(versions) == set(server.shard_ids)
-        for sid, shard in zip(server.shard_ids, server.shards):
-            assert shard.delta_version(name) == versions[sid], sid
-            assert shard.delta_version(scatter) == versions[sid], sid
-        # The children's snapshots and logs carry the whole history: a
-        # restart on the split table warm-starts to the same answers.
-        table = server.topology
-        server.close()
-        base, _ = self._sharded()
-        restarted = ShardedViewServer(
-            base, table, {"R": 0}, snapshot_dir=tmp_path
-        )
-        restarted.register_dynamic(view, tau=4.0)
-        assert restarted.total_builds() == 0
-        for a in keys[:2]:
-            assert restarted.answer(name, (a,)) == oracle_answer(
-                view, db, (a,)
-            )
-        restarted.close()
-
-    def test_unregister_then_split_works(self):
-        _, server = self._sharded()
-        name = server.register_dynamic(VIEW_TEXT, tau=4.0)
-        server.unregister(name)
-        report = server.split_shard(server.shard_ids[0])
-        assert report.version_after > report.version_before
-        server.close()
-
 
 class TestUpdateStream:
     def test_deterministic_and_effective(self):

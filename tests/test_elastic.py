@@ -1,16 +1,13 @@
-"""Elastic topology: live hot-shard splits and snapshot-hydrated replicas.
+"""Semijoin-reduced shards and snapshot-hydrated replicas.
 
-The drain protocol in one paragraph: every cursor pins the routing-table
-version it opened under; a split installs version+1 for new traffic
-while pinned cursors keep answering against their own topology; when the
-last pin on an old version drops, its no-longer-referenced shard servers
-demote their cached structures and retire. Replicas are the other half
-of elasticity: read-only :class:`~repro.engine.replica.ReplicaServer`
-instances hydrate *purely* from snapshots shipped by a primary — a
-missing snapshot is a fatal :class:`~repro.exceptions.SnapshotError`,
-never a quiet local build — and the async front end rotates request
-batches across them round-robin.
-"""
+Each shard evaluates a view against its slice plus semijoin-reduced
+copies of the replicated relations: answers stay oracle-identical while
+per-shard structures shrink. Read-only
+:class:`~repro.engine.replica.ReplicaServer` instances hydrate *purely*
+from snapshots shipped by a primary — a missing snapshot is a fatal
+:class:`~repro.exceptions.SnapshotError`, never a quiet local build —
+and the async front end rotates request batches across them
+round-robin."""
 
 from __future__ import annotations
 
@@ -28,7 +25,6 @@ from repro.engine import (
     semijoin_reduce_database,
 )
 from repro.exceptions import ParameterError, SchemaError, SnapshotError
-from repro.query.parser import parse_view
 from repro.workloads import (
     productive_accesses,
     triangle_database,
@@ -37,7 +33,6 @@ from repro.workloads import (
 
 TAU = 8.0
 SHARD_KEY = {"R": 0, "T": 1}
-SCATTER = "Rev^bbf(y, z, x) = R(x, y), S(y, z), T(z, x)"
 
 
 @pytest.fixture
@@ -45,143 +40,6 @@ def setup():
     view = triangle_view("bbf")
     db = triangle_database(nodes=25, edges=120, seed=5)
     return view, db
-
-
-def _hot_shard(server, keys):
-    table = server.topology
-    counts = {shard: 0 for shard in table.shard_ids}
-    for key in keys:
-        counts[table.shard_for(key[0])] += 1
-    return max(counts, key=lambda shard: (counts[shard], shard))
-
-
-class TestSplitShard:
-    def test_split_report_and_key_movement(self, setup):
-        view, db = setup
-        server = ShardedViewServer(db, 3, SHARD_KEY)
-        name = server.register(view, tau=TAU)
-        keys = productive_accesses(view, db)
-        hot = _hot_shard(server, keys)
-        values = sorted(
-            {row[col] for rel, col in SHARD_KEY.items() for row in db[rel].rows},
-            key=repr,
-        )
-        before = {v: server.topology.shard_for(v) for v in values}
-        try:
-            report = server.split_shard(hot)
-            after = {v: server.topology.shard_for(v) for v in values}
-            assert report.shard_id == hot
-            assert report.children == (f"{hot}.0", f"{hot}.1")
-            assert report.version_after == report.version_before + 1
-            assert report.retired_immediately  # nothing was pinned
-            assert report.moved_rows > 0
-            assert name in report.warmed_views
-            # Only the hot shard's keys moved, and only into its children.
-            for value in values:
-                if before[value] == hot:
-                    assert after[value] in report.children
-                else:
-                    assert after[value] == before[value]
-            # Post-split answers stay oracle-identical.
-            for access in keys:
-                assert server.answer(name, access) == oracle_answer(
-                    view, db, access
-                )
-        finally:
-            server.close()
-
-    def test_split_of_unknown_shard_fails(self, setup):
-        view, db = setup
-        server = ShardedViewServer(db, 2, SHARD_KEY)
-        server.register(view, tau=TAU)
-        try:
-            with pytest.raises(ParameterError, match="not a live shard"):
-                server.split_shard("9")
-        finally:
-            server.close()
-
-    def test_registrations_survive_recursive_splits(self, setup):
-        view, db = setup
-        scatter_view = parse_view(SCATTER)
-        server = ShardedViewServer(db, 2, SHARD_KEY)
-        name = server.register(view, tau=TAU)
-        scatter_name = server.register(scatter_view, tau=TAU)
-        keys = productive_accesses(view, db)
-        scatter_keys = productive_accesses(scatter_view, db)
-        try:
-            first = server.split_shard(_hot_shard(server, keys))
-            second = server.split_shard(first.children[0])
-            assert server.topology.version == second.version_after == 3
-            for access in keys[:10]:
-                assert server.answer(name, access) == oracle_answer(
-                    view, db, access
-                )
-            for access in scatter_keys[:10]:
-                assert server.answer(scatter_name, access) == oracle_answer(
-                    scatter_view, db, access
-                )
-        finally:
-            server.close()
-
-
-class TestDrainProtocol:
-    def test_inflight_cursors_pin_their_version_until_drained(self, setup):
-        view, db = setup
-        server = ShardedViewServer(db, 3, SHARD_KEY)
-        name = server.register(view, tau=TAU)
-        keys = [
-            key
-            for key in productive_accesses(view, db)
-            if len(oracle_answer(view, db, key)) >= 2
-        ]
-        assert keys, "workload has no multi-answer accesses"
-        try:
-            v1 = server.topology.version
-            cursors = [server.open(name, access) for access in keys[:4]]
-            # Partially drain one cursor so the scan is genuinely live.
-            first_row = cursors[0].fetchmany(1)
-            assert first_row
-            server.split_shard(_hot_shard(server, keys))
-            v2 = server.topology.version
-            assert server.live_versions() == (v1, v2)
-            assert server.version_pins(v1) == len(cursors)
-            # Pre-split cursors drain to oracle-identical answers.
-            for access, cursor in zip(keys[:4], cursors):
-                rows = (first_row if cursor is cursors[0] else []) + (
-                    cursor.fetchall()
-                )
-                assert rows == oracle_answer(view, db, access)
-                cursor.close()
-            # Last pin dropped: the old topology retired outright.
-            assert server.live_versions() == (v2,)
-            with pytest.raises(ParameterError, match="not live"):
-                server.version_pins(v1)
-        finally:
-            server.close()
-
-    def test_new_requests_take_the_new_table_immediately(self, setup):
-        view, db = setup
-        server = ShardedViewServer(db, 3, SHARD_KEY)
-        name = server.register(view, tau=TAU)
-        keys = productive_accesses(view, db)
-        try:
-            held = server.open(name, keys[0])
-            report = server.split_shard(_hot_shard(server, keys))
-            assert not report.retired_immediately
-            # A request routed after the split resolves against the new
-            # table: hot keys land on a child shard id, not the parent.
-            hot_key = next(
-                key
-                for key in keys
-                if server.topology.shard_for(key[0]) in report.children
-            )
-            assert server.answer(name, hot_key) == oracle_answer(
-                view, db, hot_key
-            )
-            held.close()
-            assert server.live_versions() == (report.version_after,)
-        finally:
-            server.close()
 
 
 class TestSemijoinReduction:

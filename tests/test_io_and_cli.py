@@ -462,88 +462,6 @@ class TestSnapshotCLI:
         assert "magic" in capsys.readouterr().err
 
 
-class TestTopologyCLI:
-    VIEW = "Delta^bbf(x, y, z) = R(x, y), S(y, z), T(z, x)"
-
-    def test_show_fresh_table(self, capsys):
-        assert main(["topology", "show", "--shards", "4"]) == 0
-        output = capsys.readouterr().out
-        assert "routing table version 1: 4 shard(s)" in output
-        assert "['0', '1', '2', '3']" in output
-
-    def test_show_with_data_reports_placement(self, triangle_dir, capsys):
-        code = main(
-            [
-                "topology",
-                "show",
-                "--shards",
-                "3",
-                "--data",
-                str(triangle_dir),
-                "--shard-key",
-                "R:0,T:1",
-            ]
-        )
-        assert code == 0
-        output = capsys.readouterr().out
-        # R column 0 holds {1, 2} and T column 1 holds {1, 2}: 2 values.
-        assert "placement of 2 distinct key value(s):" in output
-
-    def test_split_round_trips_through_a_table_file(
-        self, triangle_dir, tmp_path, capsys
-    ):
-        table_file = tmp_path / "topo.json"
-        code = main(
-            [
-                "topology",
-                "split",
-                "--shards",
-                "4",
-                "--shard",
-                "2",
-                "--out",
-                str(table_file),
-                "--data",
-                str(triangle_dir),
-                "--view",
-                self.VIEW,
-            ]
-        )
-        assert code == 0
-        output = capsys.readouterr().out
-        assert "split shard '2': version 1 -> 2" in output
-        assert "children ['2.0', '2.1']" in output
-        assert "0 moved elsewhere" in output
-        # The written table reloads with the split applied...
-        assert main(["topology", "show", "--table", str(table_file)]) == 0
-        output = capsys.readouterr().out
-        assert "routing table version 2: 5 shard(s)" in output
-        assert "'2' -> ['2.0', '2.1']" in output
-        # ...and a second split (no --out) rewrites --table in place.
-        code = main(
-            [
-                "topology",
-                "split",
-                "--table",
-                str(table_file),
-                "--shard",
-                "2.0",
-            ]
-        )
-        assert code == 0
-        assert "version 2 -> 3" in capsys.readouterr().out
-        assert '"version": 3' in table_file.read_text()
-
-    def test_split_of_unknown_shard_fails(self, capsys):
-        code = main(["topology", "split", "--shards", "2", "--shard", "7"])
-        assert code == 2
-        assert "not a live shard" in capsys.readouterr().err
-
-    def test_topology_needs_a_source(self, capsys):
-        assert main(["topology", "show"]) == 2
-        assert "--table FILE or --shards N" in capsys.readouterr().err
-
-
 class TestReplicaCLI:
     VIEW = "Delta^bbf(x, y, z) = R(x, y), S(y, z), T(z, x)"
 

@@ -30,6 +30,7 @@ from repro.engine import locking
 from repro.engine.api import AccessRequest
 from repro.engine.server import ServingReport
 from repro.engine.telemetry import AdaptiveTuner
+from repro.exceptions import ParameterError, QueryError, SchemaError
 from repro.query.parser import parse_view
 
 ROUTED = parse_view("Q^bff(a, b, c) = R(a, b), S(b, c)")
@@ -77,10 +78,13 @@ def run(front: AsyncViewServer, coroutine):
 
 
 def assert_drained(backend) -> None:
-    """Nothing the batch pinned is still pinned."""
-    if isinstance(backend, ShardedViewServer):
-        assert backend.version_pins() == 0
-        assert len(backend.live_versions()) == 1
+    """Nothing the batch pinned is still pinned, on any (shard) server."""
+    servers = backend.shards if isinstance(backend, ShardedViewServer) else [backend]
+    for server in servers:
+        for name in server.dynamic_views():
+            state = server._dynamic_state(name)
+            assert state.pin_count() == 0
+            assert len(state.live_versions()) == 1
 
 
 #: Per view: a batch with duplicates, productive accesses and a miss.
@@ -189,6 +193,52 @@ class TestEveryExecutorAgrees:
         assert report.queue_seconds_max >= report.queue_seconds_mean >= 0.0
 
 
+def drain_jobs(backend, requests):
+    """``jobs`` + ``gather`` on the calling thread, the executors' route."""
+    with backend.jobs(requests) as (jobs, gather):
+        return gather(
+            [
+                server.drain([requests[p] for p in positions])
+                for _, server, positions in jobs
+            ]
+        )
+
+
+@pytest.mark.parametrize("kind", ["plain", "sharded"])
+class TestEveryBackEndRefusesAlike:
+    """A bad request gets the same typed error from every back end."""
+
+    @pytest.mark.parametrize("limit", [2.5, "3", True])
+    def test_limit_must_be_a_non_negative_int(self, kind, limit):
+        _, backend = make_backend(kind)
+        with pytest.raises(ParameterError, match="limit"):
+            backend.open("F", (), limit=limit)
+        # No request carries it, so no executor's route (jobs + gather
+        # included) ever sees it.
+        with pytest.raises(ParameterError, match="limit"):
+            AccessRequest("F", (), limit=limit)
+        backend.close()
+
+    @pytest.mark.parametrize("access", [(), (1, 2)])
+    def test_wrong_arity_access_is_a_query_error(self, kind, access):
+        _, backend = make_backend(kind)
+        expected = f"access tuple has {len(access)} values, expected 1"
+        with pytest.raises(QueryError, match=expected):
+            backend.answer("Q", access)
+        with pytest.raises(QueryError, match=expected):
+            drain_jobs(backend, [AccessRequest("Q", access)])
+        backend.close()
+
+    @pytest.mark.parametrize("verb", ["invalidate", "demote"])
+    def test_unknown_view_is_a_schema_error(self, kind, verb):
+        _, backend = make_backend(kind)
+        backend.answer("Q", (1,))
+        with pytest.raises(SchemaError, match="unknown view 'ghost'"):
+            getattr(backend, verb)("ghost")
+        assert getattr(backend, verb)("Q") >= 1
+        backend.close()
+
+
 class Boom(Exception):
     """One shard's ``open_batch`` failing mid-fan-out."""
 
@@ -209,9 +259,6 @@ class TestFailedFanOutLeavesNoPin:
 
     def _assert_nothing_pinned(self, backend) -> None:
         assert_drained(backend)
-        for shard in backend.shards:
-            for name in ("Q", "F"):
-                assert shard._dynamic_state(name).pin_count() == 0
         # Nothing holds version 0: the next delta retires it.
         backend.apply_deltas("S", inserts=[(6, 999)])
         for shard in backend.shards:

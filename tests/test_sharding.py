@@ -85,7 +85,7 @@ class TestPartitionDatabase:
     def test_slices_partition_the_key_relations(self, triangle_setup):
         _, db = triangle_setup
         table = RoutingTable.fresh(4)
-        shards = partition_database(db, SHARD_KEY, table)
+        shards = partition_database(db, SHARD_KEY, 4)
         assert len(shards) == 4
         for name, column in SHARD_KEY.items():
             rows = [row for shard in shards for row in shard[name]]

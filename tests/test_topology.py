@@ -1,6 +1,6 @@
 """Rendezvous routing tables: placement stability is the whole contract.
 
-Three properties carry the elastic topology:
+Three properties carry the sharded facade's placement:
 
 * **restart stability** — ``stable_hash`` (and therefore every routing
   decision) must not depend on ``PYTHONHASHSEED``, or a restarted
@@ -8,10 +8,10 @@ Three properties carry the elastic topology:
   that built the snapshots. Verified in real subprocesses.
 * **equality consistency** — values that compare equal (``1``, ``1.0``,
   ``True``) must hash alike, since relations dedupe rows by equality.
-* **minimal movement** — splitting one leaf of ``n`` re-rendezvouses
-  only that leaf's keys between its two children; every other shard's
-  key set is bit-identical before and after. Hierarchical rendezvous
-  gives this by construction; the tests pin it.
+* **a pinned placement** — the owner of every key is a golden mapping.
+  Moving keys between shards changes every shard's database
+  fingerprint, so existing ``shard-<id>`` snapshot directories would
+  refuse to warm-start.
 """
 
 from __future__ import annotations
@@ -27,7 +27,6 @@ import pytest
 import repro
 from repro.engine.topology import (
     RoutingTable,
-    assignment_of,
     rendezvous_choice,
     stable_hash,
 )
@@ -38,6 +37,16 @@ KEYS = [
     *(f"user-{i}" for i in range(50)),
     *((i, f"k{i}") for i in range(50)),
 ]
+
+#: The owners of ``range(100)`` then ``user-0`` … ``user-24`` over a
+#: 4-shard table, one digit per key: the placement every shard's
+#: snapshots were fingerprinted under.
+GOLDEN_KEYS = [*range(100), *(f"user-{i}" for i in range(25))]
+GOLDEN_PLACEMENT = (
+    "0000111122223333111100003333222233332222111100002222333300001111"
+    "222233330000111133332222111100001111"
+    "1313020202020213131313130"
+)
 
 
 def _run_seeded(script: str, hash_seed: str) -> str:
@@ -99,7 +108,7 @@ class TestStableHash:
         script = (
             "import json\n"
             "from repro.engine.topology import RoutingTable\n"
-            "table = RoutingTable.fresh(5).split('2').split('2.1')\n"
+            "table = RoutingTable.fresh(5)\n"
             "keys = [*range(100), *(f'user-{i}' for i in range(25))]\n"
             "print(json.dumps({str(k): table.shard_for(k) for k in keys}))\n"
         )
@@ -129,86 +138,25 @@ class TestRendezvousChoice:
 class TestRoutingTable:
     def test_fresh_table_shape(self):
         table = RoutingTable.fresh(4)
-        assert table.version == 1
         assert table.n_shards == 4
         assert table.shard_ids == ("0", "1", "2", "3")
-        assert all(table.is_leaf(s) for s in table.shard_ids)
 
     def test_validation_errors(self):
         with pytest.raises(ParameterError):
             RoutingTable.fresh(0)
         with pytest.raises(ParameterError):
-            RoutingTable([], {})
+            RoutingTable([])
         with pytest.raises(ParameterError):
-            RoutingTable(["0", "0"], {})
-        with pytest.raises(ParameterError):
-            RoutingTable(["0"], {}, version=0)
-        with pytest.raises(ParameterError):
-            RoutingTable(["0"], {"0": ["0.0"]})  # one child
-        with pytest.raises(ParameterError):
-            RoutingTable(["0"], {"9": ["9.0", "9.1"]})  # unknown parent
-        with pytest.raises(ParameterError):
-            RoutingTable.fresh(2).split("7")  # not a live shard
+            RoutingTable(["0", "0"])
 
-    def test_split_bumps_version_and_replaces_the_leaf(self):
-        table = RoutingTable.fresh(3)
-        split = table.split("1")
-        assert split.version == table.version + 1
-        assert table.shard_ids == ("0", "1", "2")  # original untouched
-        assert split.shard_ids == ("0", "1.0", "1.1", "2")
-        assert not split.is_leaf("1")
-        assert split.children("1") == ("1.0", "1.1")
-
-    def test_split_moves_only_the_split_shards_keys(self):
+    def test_placement_is_pinned(self):
         table = RoutingTable.fresh(4)
-        before = assignment_of(table, KEYS)
-        split = table.split("2")
-        after = assignment_of(split, KEYS)
-        for shard in ("0", "1", "3"):
-            assert after[shard] == before[shard]
-        rehomed = set(after["2.0"]) | set(after["2.1"])
-        assert rehomed == set(before["2"])
-        # At most 1/n of all keys move (exactly the split shard's keys).
-        moved = sum(
-            1 for key in KEYS if table.shard_for(key) != split.shard_for(key)
-        )
-        assert moved == len(before["2"])
-        assert moved <= len(KEYS)  # sanity: and typically ~ len/4
-
-    def test_recursive_splits_stay_minimal(self):
-        table = RoutingTable.fresh(3).split("0")
-        before = assignment_of(table, KEYS)
-        deeper = table.split("0.1")
-        after = assignment_of(deeper, KEYS)
-        for shard in ("0.0", "1", "2"):
-            assert after[shard] == before[shard]
-        assert set(after["0.1.0"]) | set(after["0.1.1"]) == set(before["0.1"])
-
-    def test_serialization_round_trip(self):
-        table = RoutingTable.fresh(5).split("3").split("3.0")
-        clone = RoutingTable.from_json(table.to_json())
-        assert clone == table
-        assert clone.version == table.version
-        assert clone.shard_ids == table.shard_ids
-        assert [clone.shard_for(k) for k in KEYS] == [
-            table.shard_for(k) for k in KEYS
-        ]
-        state = table.to_state()
-        assert json.loads(table.to_json()) == json.loads(
-            json.dumps(state, sort_keys=True)
-        )
-        assert RoutingTable.from_state(state) == table
+        placement = "".join(table.shard_for(key) for key in GOLDEN_KEYS)
+        assert placement == GOLDEN_PLACEMENT
 
     def test_index_for_matches_shard_for(self):
-        table = RoutingTable.fresh(4).split("1")
+        table = RoutingTable.fresh(4)
         for key in KEYS[:50]:
             assert (
                 table.shard_ids[table.index_for(key)] == table.shard_for(key)
             )
-
-    def test_equality_and_hash(self):
-        a = RoutingTable.fresh(3)
-        b = RoutingTable.fresh(3)
-        assert a == b and hash(a) == hash(b)
-        assert a != a.split("0")
-        assert a != "not a table"
