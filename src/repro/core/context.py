@@ -24,6 +24,16 @@ kernel enumerates from and a build counts and joins on), the
 multiplicity counts an unrestricted cost needs, the default max-slack
 cover, the index's cell count, and the plain view/database states a
 snapshot must equal to adopt the context.
+
+A context over a later database of the same view may be *derived* from
+an earlier one (``ViewContext(view, db, previous=ctx)`` — a dynamic
+view's next version, or its rebuild): it takes over, by identity, each
+domain whose relations are the very same objects or whose values are
+equal, each atom's columns whose relation and free-coordinate domains
+are the very same objects, the hypergraph and the default cover. It
+holds ``previous`` only until its own columns are compiled, so no chain
+of old databases stays alive. With no predecessor it compiles exactly
+as it otherwise would.
 """
 
 from __future__ import annotations
@@ -41,7 +51,7 @@ from repro.core.layout import (
 from repro.core.snapshot import database_state, view_state
 from repro.exceptions import QueryError
 from repro.hypergraph.covers import max_slack_cover
-from repro.hypergraph.hypergraph import Hypergraph, hypergraph_of_view
+from repro.hypergraph.hypergraph import hypergraph_of_view
 from repro.query.adorned import AdornedView
 from repro.query.atoms import Atom, Variable
 
@@ -112,9 +122,16 @@ def _trie_edges(rows, positions: Sequence[int]) -> int:
 
 
 class ViewContext:
-    """Frozen evaluation context for one natural-join adorned view."""
+    """Frozen evaluation context for one natural-join adorned view.
 
-    def __init__(self, view: AdornedView, db: Database):
+    ``previous``, if given, is a context over the same view (a later
+    database) to derive from, as the module docstring says.
+    ``domains`` maps every head variable to its domain.
+    """
+
+    def __init__(
+        self, view: AdornedView, db: Database, previous: Optional["ViewContext"] = None
+    ):
         if not view.is_full:
             raise QueryError(
                 f"view {view.name!r} has projections; only full views are supported"
@@ -132,29 +149,45 @@ class ViewContext:
             AtomBinding(i, atom, self.bound_order, self.free_order, db)
             for i, atom in enumerate(view.atoms)
         ]
-        self.free_domains: List[Domain] = [
-            Domain(self._occurrence_values(v)) for v in self.free_order
-        ]
+        self.domains: Dict[Variable, Domain] = {
+            v: self._domain(v, previous) for v in self.bound_order + self.free_order
+        }
+        self.free_domains: List[Domain] = [self.domains[v] for v in self.free_order]
         self.bound_domains: Dict[Variable, Domain] = {
-            v: Domain(self._occurrence_values(v)) for v in self.bound_order
+            v: self.domains[v] for v in self.bound_order
         }
         self.space = TupleSpace(self.free_domains)
-        self.hypergraph: Hypergraph = hypergraph_of_view(view)
+        # What columns() may take over from, until it is compiled.
+        self._previous = previous
+        self.hypergraph = previous.hypergraph if previous else hypergraph_of_view(view)
         # Memos of pure functions of (view, db). Unsynchronised on
         # purpose: racing threads compute equal values and the last
-        # assignment wins.
+        # assignment wins. A delta changes neither the hypergraph nor the
+        # free order, so a predecessor's cover stands — the very pair,
+        # not one re-derived from the weights.
         self._columns: Optional[JoinColumns] = None
         self._count_columns: Optional[Tuple[AtomColumns, ...]] = None
-        self._default_cover: Optional[Tuple[Dict[int, float], float]] = None
+        self._default_cover = getattr(previous, "_default_cover", None)
         self._index_cells: Optional[int] = None
         self._states: Optional[Tuple[Dict, List]] = None
 
-    def _occurrence_values(self, var: Variable) -> set:
-        values = set()
-        for atom in self.view.atoms:
-            for position in atom.variable_positions(var):
-                values |= self.db[atom.relation].column_values(position)
-        return values
+    def _domain(self, var: Variable, previous: Optional["ViewContext"]) -> Domain:
+        """``var``'s active domain — ``previous``'s very object when that
+        one is read off the very same relations or holds the same values."""
+        occurrences = [
+            (atom.relation, position)
+            for atom in self.view.atoms
+            for position in atom.variable_positions(var)
+        ]
+        before = previous.domains[var] if previous else None
+        if before is not None and all(
+            self.db[name] is previous.db[name] for name, _ in occurrences
+        ):
+            return before
+        values = self.db.active_domain(occurrences)
+        if before is not None and before.values == values:
+            return before
+        return Domain(values)
 
     # ------------------------------------------------------------------
     def columns(self) -> JoinColumns:
@@ -165,7 +198,8 @@ class ViewContext:
         on them too.
         """
         if self._columns is None:
-            self._columns = compile_join_columns(self)
+            self._columns = compile_join_columns(self, self._previous)
+            self._previous = None
         return self._columns
 
     def count_columns(self) -> Tuple[AtomColumns, ...]:
@@ -210,16 +244,6 @@ class ViewContext:
             cover, alpha = max_slack_cover(self.hypergraph, self.free_order)
             self._default_cover = (cover.weights, alpha)
         return self._default_cover
-
-    def adopt_cover(self, previous: "ViewContext") -> None:
-        """Take ``previous``'s memoised default cover as-is.
-
-        For a context over the same view and a later database: a delta
-        changes neither the hypergraph nor the free order, so the LP's
-        answer stands — the very pair, not one re-derived from the
-        weights (a recomputed slack may round differently).
-        """
-        self._default_cover = previous._default_cover
 
     def states(self) -> Tuple[Dict, List]:
         """``(view state, database state)`` exactly as a snapshot stores them.

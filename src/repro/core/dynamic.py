@@ -62,7 +62,10 @@ class FrozenDynamicView(Representation):
     A dirty version records what it is — the captured database — and
     derives how to read it (its context's domains and join columns, the
     one-leaf layout over them) on its **first read**, once; a version
-    nobody reads builds nothing.
+    nobody reads builds nothing. It is handed ``previous``, the newest
+    context built before it, and its own context derives from that one:
+    the domains and atom columns a delta left alone are taken over by
+    identity, so a read compiles only the atoms the deltas touched.
     """
 
     #: Both backings seek in one delay unit of their own (both orders
@@ -78,6 +81,7 @@ class FrozenDynamicView(Representation):
         view: AdornedView,
         structure: Optional[CompressedRepresentation] = None,
         database: Optional[Database] = None,
+        previous: Optional[ViewContext] = None,
     ):
         if (structure is None) == (database is None):
             raise ValueError(
@@ -89,13 +93,18 @@ class FrozenDynamicView(Representation):
         self._database = database
         self._lock = threading.Lock()
         self._layout: Optional[CompiledLayout] = None
+        # The newest context built by this version's time: the handed
+        # one until a first read replaces it with its own.
+        self._context = structure.ctx if structure is not None else previous
 
     def _one_leaf(self) -> CompiledLayout:
         """The dirty backing's layout, built by the first read to ask."""
         with self._lock:
             if self._layout is None:
                 view, database = natural_form(self.view, self._database)
-                self._layout = one_leaf_layout(ViewContext(view, database))
+                context = ViewContext(view, database, previous=self._context)
+                self._layout = one_leaf_layout(context)
+                self._context = context
             return self._layout
 
     def _read_dirty(
@@ -195,27 +204,26 @@ class DynamicRepresentation(Representation):
     ) -> None:
         """Make ``db`` the base: build its structure, empty the buffers.
 
-        ``previous`` is the outgoing structure's context on a rebuild:
-        the new context inherits its default cover instead of solving
-        the same LP again.
+        ``previous`` is the newest context on a rebuild: the new one
+        derives from it — its cover and the columns of every relation
+        unchanged since it — instead of solving and compiling again.
         """
         self._db = db
         view, natural_db = natural_form(self.view, db)
-        context = ViewContext(view, natural_db)
-        if previous is not None:
-            context.adopt_cover(previous)
         self._structure = CompressedRepresentation(
             view,
             natural_db,
             tau=self.tau,
             weights=self._weights,
             alpha=self._alpha,
-            context=context,
+            context=ViewContext(view, natural_db, previous=previous),
         )
         self._inserts: Dict[str, Set[Tuple]] = {}
         self._deletes: Dict[str, Set[Tuple]] = {}
         self._pending = 0
-        self._frozen: Optional[FrozenDynamicView] = None
+        self._frozen = FrozenDynamicView(self.view, structure=self._structure)
+        # Relations changed since the last freeze: a fresh freeze is due.
+        self._touched: Set[str] = set()
 
     # ------------------------------------------------------------------
     # update API
@@ -245,13 +253,11 @@ class DynamicRepresentation(Representation):
 
     def insert(self, relation_name: str, row: Sequence) -> None:
         """Buffer a tuple insertion (idempotent against existing rows)."""
-        self._buffer_insert(relation_name, row)
-        self._maybe_rebuild()
+        self.apply_deltas(relation_name, inserts=[row])
 
     def delete(self, relation_name: str, row: Sequence) -> None:
         """Buffer a tuple deletion (no-op for absent rows)."""
-        self._buffer_delete(relation_name, row)
-        self._maybe_rebuild()
+        self.apply_deltas(relation_name, deletes=[row])
 
     def apply_deltas(
         self,
@@ -270,51 +276,38 @@ class DynamicRepresentation(Representation):
         0 means the delta changed nothing: same logical database, same
         buffers, same pending count.
         """
-        applied = 0
-        for row in inserts:
-            applied += self._buffer_insert(relation_name, row)
-        for row in deletes:
-            applied += self._buffer_delete(relation_name, row)
+        applied = sum(self._buffer(relation_name, row, True) for row in inserts)
+        applied += sum(self._buffer(relation_name, row, False) for row in deletes)
         if applied:
             self._maybe_rebuild()
         return applied
 
-    def _buffer_insert(self, relation_name: str, row: Sequence) -> int:
+    def _buffer(self, relation_name: str, row: Sequence, insert: bool) -> int:
+        """One row into the insert (or delete) buffer: 1 if it took effect.
+
+        A row waiting in the other buffer is annihilated instead; an
+        insert of a present row or a delete of an absent one is a no-op.
+        Either edit makes the last freeze stale.
+        """
         row = tuple(row)
         relation = self._db[relation_name]
         if len(row) != relation.arity:
             raise SchemaError(
-                f"insert into {relation_name!r}: row {row!r} has arity "
-                f"{len(row)}, expected {relation.arity}"
+                f"{'insert into' if insert else 'delete from'} "
+                f"{relation_name!r}: row {row!r} has arity {len(row)}, "
+                f"expected {relation.arity}"
             )
-        if row in self._deletes.get(relation_name, ()):
-            self._deletes[relation_name].discard(row)
-        elif row not in relation:
-            self._inserts.setdefault(relation_name, set()).add(row)
+        into, other = self._inserts, self._deletes
+        if not insert:
+            into, other = other, into
+        if row in other.get(relation_name, ()):
+            other[relation_name].discard(row)
+        elif (row in relation) != insert:
+            into.setdefault(relation_name, set()).add(row)
         else:
             return 0
-        return self._changed()
-
-    def _buffer_delete(self, relation_name: str, row: Sequence) -> int:
-        row = tuple(row)
-        relation = self._db[relation_name]
-        if len(row) != relation.arity:
-            raise SchemaError(
-                f"delete from {relation_name!r}: row {row!r} has arity "
-                f"{len(row)}, expected {relation.arity}"
-            )
-        if row in self._inserts.get(relation_name, ()):
-            self._inserts[relation_name].discard(row)
-        elif row in relation:
-            self._deletes.setdefault(relation_name, set()).add(row)
-        else:
-            return 0
-        return self._changed()
-
-    def _changed(self) -> int:
-        """One effective buffer edit: count it, drop the memoised freeze."""
         self._pending += 1
-        self._frozen = None
+        self._touched.add(relation_name)
         return 1
 
     def base_database(self) -> Database:
@@ -322,27 +315,28 @@ class DynamicRepresentation(Representation):
         return self._db
 
     def current_database(self) -> Database:
-        """The logical database: base plus buffered updates.
+        """The logical database: base plus buffered updates. A pure read.
 
-        Only relations with buffered changes are copied — straight from
-        the row sets, the buffered rows' arity having been checked on the
-        way in; untouched :class:`~repro.database.relation.Relation`
-        objects are immutable and shared with the base database.
+        It is the last freeze's database with a fresh
+        :class:`~repro.database.relation.Relation` for each relation
+        changed since — the base's rows plus its buffers, the buffered
+        rows' arity having been checked on the way in. Every other
+        relation is the very object the last version holds (relations
+        are immutable), which is what lets a version's context take over
+        its predecessor's columns by identity.
         """
-        if not self._pending:
-            return self._db
-        updated = Database()
-        for relation in self._db:
-            inserts = self._inserts.get(relation.name, ())
-            deletes = self._deletes.get(relation.name, ())
-            if inserts or deletes:
-                relation = relation.with_changes(inserts, deletes)
-            updated.add(relation)
-        return updated
+        database = self._frozen._database or self._db  # a clean one has none
+        for name in self._touched:
+            database = database.replace(
+                self._db[name].with_changes(
+                    self._inserts.get(name, ()), self._deletes.get(name, ())
+                )
+            )
+        return database
 
     def rebuild(self) -> None:
         """Apply buffered updates and rebuild the compressed structure."""
-        self._build(self.current_database(), self._structure.ctx)
+        self._build(self.current_database(), self._frozen._context)
         self.rebuilds += 1
 
     def _maybe_rebuild(self) -> None:
@@ -415,7 +409,8 @@ class DynamicRepresentation(Representation):
                 for name, rows in state["deletes"]
             }
             self._pending = int(state["pending"])
-            self._frozen = None
+            self._frozen = FrozenDynamicView(self.view, structure=self._structure)
+            self._touched = set(self._inserts) | set(self._deletes)
             self.rebuilds = int(state["rebuilds"])
             return self
         except SnapshotError:
@@ -433,18 +428,17 @@ class DynamicRepresentation(Representation):
 
         Clean buffers freeze to the compressed structure (Theorem 1
         guarantees); dirty buffers capture the updated database eagerly —
-        the buffers mutate next — and leave its index to the first read.
+        the buffers mutate next — and leave its index to the first read,
+        handing it the newest context built so far to derive from.
         Memoised until the next *effective* update or :meth:`rebuild`.
         """
-        if self._frozen is None:
-            if self._pending:
-                self._frozen = FrozenDynamicView(
-                    self.view, database=self.current_database()
-                )
-            else:
-                self._frozen = FrozenDynamicView(
-                    self.view, structure=self._structure
-                )
+        if self._touched:
+            self._frozen = FrozenDynamicView(
+                self.view,
+                database=self.current_database(),
+                previous=self._frozen._context,
+            )
+            self._touched = set()
         return self._frozen
 
     def enumerate(

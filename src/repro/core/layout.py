@@ -664,12 +664,25 @@ def _compile_atom(binding, space, free_only: bool = False) -> AtomColumns:
     return _compile_rows(rows, positions, binding.free_coordinates, space, bound)
 
 
-def compile_join_columns(ctx) -> JoinColumns:
-    """Compile a context's atoms into the kernel's join columns."""
-    return JoinColumns(
-        ctx.space,
-        [_compile_atom(binding, ctx.space) for binding in ctx.atoms],
-    )
+def compile_join_columns(ctx, previous=None) -> JoinColumns:
+    """Compile a context's atoms into the kernel's join columns.
+
+    ``previous`` is an earlier context over the same view: an atom over
+    the very same relation, with the very same domains at its free
+    coordinates, takes over its columns there — if they were compiled.
+    """
+    kept = getattr(previous, "_columns", None)
+
+    def columns(binding) -> AtomColumns:
+        before = previous.atoms[binding.label] if kept else None
+        if before and before.relation is binding.relation and all(
+            ctx.free_domains[c] is previous.free_domains[c]
+            for c in binding.free_coordinates
+        ):
+            return kept.atoms[binding.label]
+        return _compile_atom(binding, ctx.space)
+
+    return JoinColumns(ctx.space, [columns(binding) for binding in ctx.atoms])
 
 
 def compile_count_columns(ctx) -> Tuple[AtomColumns, ...]:

@@ -28,7 +28,9 @@ from repro.core.context import ViewContext
 from repro.core.dictionary import HeavyDictionary
 from repro.core.dynamic import DynamicRepresentation, FrozenDynamicView
 from repro.core.intervals import FInterval
+from repro.core import layout as layout_module
 from repro.core.layout import one_leaf_layout
+from repro.core.structure import CompressedRepresentation
 from repro.database.catalog import Database
 from repro.database.relation import Relation
 from repro.engine import ShardedViewServer, ViewServer, infer_shard_key
@@ -177,6 +179,197 @@ def test_random_delta_sequences_read_as_the_one_leaf_structure(case):
         return  # every op was a no-op: a clean version, covered elsewhere
     accesses = oracle_accesses(view, current, limit=4) + extra
     assert_dirty_equals_the_spec(view, frozen, current, accesses)
+
+
+def columns_state(ctx):
+    """A context's domains and join columns as plain, comparable data."""
+    return (
+        [domain.values for domain in ctx.free_domains],
+        {var: domain.values for var, domain in ctx.bound_domains.items()},
+        [
+            (
+                atom.coords,
+                atom.bound_positions,
+                atom.roots,
+                atom.vals,
+                atom.kid_lo,
+                atom.kid_hi,
+                [list(level) for level in atom.counts],
+            )
+            for atom in ctx.columns().atoms
+        ],
+    )
+
+
+def same_objects(xs, ys):
+    """Whether two sequences hold the very same objects, pairwise."""
+    return all(x is y for x, y in zip(xs, ys, strict=True))
+
+
+#: Values reaching past the base's 0..4, so that a delta moves domains.
+WIDE = st.integers(0, 7)
+
+
+@st.composite
+def version_sequences(draw):
+    """A small instance and ops, each followed by a read, a skip or a rebuild."""
+    name = draw(st.sampled_from(sorted(VIEWS)))
+    view, relations = VIEWS[name]
+    db = Database([Relation(r, 2, draw(EDGES)) for r in relations])
+    ops = draw(
+        st.lists(
+            st.tuples(
+                st.sampled_from(["insert", "delete-present", "swap"]),
+                st.sampled_from(relations),
+                st.tuples(WIDE, WIDE),
+                st.integers(0, 50),
+                st.sampled_from(["read", "read", "skip", "rebuild"]),
+            ),
+            min_size=1,
+            max_size=10,
+        )
+    )
+    return view, db, ops
+
+
+@given(version_sequences())
+@settings(max_examples=80, deadline=None)
+def test_every_version_derives_its_context_from_whatever_came_before(case):
+    # Frozen after every op, each version's context derives from the
+    # newest one built before it — a read version's, one handed over by a
+    # skipped version, or a rebuild's — and must equal a fresh context
+    # over the same rows; the read itself must equal the spec.
+    view, db, ops = case
+    dynamic = DynamicRepresentation(
+        view, db, tau=2.0, rebuild_fraction=float("inf")
+    )
+    for kind, relation, row, pick, then in ops:
+        present = sorted(dynamic.current_database()[relation].rows)
+        deletes = [present[pick % len(present)]] if present else []
+        if kind == "insert":
+            dynamic.insert(relation, row)
+        elif kind == "swap":  # one delta: a domain may move, size kept
+            dynamic.apply_deltas(relation, inserts=[row], deletes=deletes)
+        elif deletes:
+            dynamic.delete(relation, deletes[0])
+        frozen = dynamic.freeze()
+        current = dynamic.current_database()
+        fresh = ViewContext(view, current)
+        if then == "rebuild":
+            dynamic.rebuild()
+            assert columns_state(dynamic.structure.ctx) == columns_state(fresh)
+            rebuilt = dynamic.structure.snapshot_state()
+            expected = CompressedRepresentation(view, current, tau=2.0)
+            expected = expected.snapshot_state()
+            del rebuilt["stats"]["build_seconds"]
+            del expected["stats"]["build_seconds"]
+            assert rebuilt == expected
+        elif then == "read" and frozen._structure is None:
+            accesses = oracle_accesses(view, current, limit=3)
+            assert_dirty_equals_the_spec(view, frozen, current, accesses)
+            assert columns_state(frozen._context) == columns_state(fresh)
+        for access in oracle_accesses(view, current, limit=2):
+            assert dynamic.answer(access) == oracle_answer(view, current, access)
+
+
+class TestDerivedContexts:
+    """A version's read compiles only the atoms its deltas touched."""
+
+    @pytest.fixture
+    def compiled(self, monkeypatch):
+        """Relations whose atoms' join columns were compiled, in order."""
+        names = []
+        real = layout_module._compile_atom
+
+        def counting(binding, space, free_only=False):
+            if not free_only:
+                names.append(binding.relation.name)
+            return real(binding, space, free_only)
+
+        monkeypatch.setattr(layout_module, "_compile_atom", counting)
+        return names
+
+    @staticmethod
+    def read(dynamic, view):
+        """Every productive access and a miss, each against the oracle."""
+        current = dynamic.current_database()
+        for access in oracle_accesses(view, current, limit=6):
+            assert dynamic.answer(access) == oracle_answer(
+                view, current, access
+            ), access
+        return dynamic.freeze()._context
+
+    def test_a_delta_recompiles_only_the_atoms_it_touched(self, compiled):
+        view = triangle_view("bbf")  # R(x, y), S(y, z), T(z, x); z free
+        db = triangle_database(8, 24, seed=3)
+        dynamic = DynamicRepresentation(
+            view, db, tau=2.0, rebuild_fraction=float("inf")
+        )
+        base = dynamic.structure.ctx
+        del compiled[:]
+        dynamic.insert("R", (90, 91))
+        first = self.read(dynamic, view)
+        assert compiled == ["R"]
+        assert first.free_domains[0] is base.free_domains[0]
+        assert same_objects(first.columns().atoms[1:], base.columns().atoms[1:])
+        self.read(dynamic, view)
+        assert compiled == ["R"]  # a re-read compiles nothing
+        # A z value no relation had moves z's domain: S and T, the atoms
+        # over z, are recompiled; R, which has no free variable, is not.
+        dynamic.insert("S", (0, 99))
+        second = self.read(dynamic, view)
+        assert compiled == ["R", "S", "T"]
+        assert 99 in second.free_domains[0].values
+        assert second.columns().atoms[0] is first.columns().atoms[0]
+        # A delta that leaves z's values as they were keeps S's columns.
+        dynamic.insert("T", (99, 90))
+        third = self.read(dynamic, view)
+        assert compiled == ["R", "S", "T", "T"]
+        assert third.free_domains[0] is second.free_domains[0]
+        assert same_objects(third.columns().atoms[:2], second.columns().atoms[:2])
+        assert first._previous is second._previous is third._previous is None
+
+    def test_a_domain_that_keeps_its_size_but_not_its_values(self, compiled):
+        view = triangle_view("bbf")
+        db = Database(
+            [
+                Relation("R", 2, [(1, 2)]),
+                Relation("S", 2, [(2, 3), (2, 4)]),
+                Relation("T", 2, [(3, 1), (4, 1)]),
+            ]
+        )
+        dynamic = DynamicRepresentation(
+            view, db, tau=2.0, rebuild_fraction=float("inf")
+        )
+        del compiled[:]
+        dynamic.apply_deltas("S", inserts=[(2, 5)], deletes=[(2, 4)])
+        dynamic.apply_deltas("T", inserts=[(5, 1)], deletes=[(4, 1)])
+        context = self.read(dynamic, view)
+        assert context.free_domains[0].values == (3, 5)
+        assert dynamic.answer((1, 2)) == [(3,), (5,)]
+        assert compiled == ["S", "T"]
+
+    def test_a_rebuild_compiles_only_what_changed_since_the_last_read(
+        self, compiled
+    ):
+        view = triangle_view("bbf")
+        db = triangle_database(8, 24, seed=3)
+        dynamic = DynamicRepresentation(
+            view, db, tau=2.0, rebuild_fraction=float("inf")
+        )
+        dynamic.insert("S", (0, 99))
+        read = self.read(dynamic, view)
+        dynamic.delete("R", sorted(db["R"])[0])
+        dynamic.freeze()  # a version nobody reads
+        dynamic.insert("R", (90, 91))
+        del compiled[:]
+        dynamic.rebuild()
+        assert compiled == ["R"]
+        rebuilt = dynamic.structure.ctx
+        assert same_objects(rebuilt.columns().atoms[1:], read.columns().atoms[1:])
+        assert rebuilt.default_cover() is read.default_cover()
+        self.read(dynamic, view)
+        assert compiled == ["R"]
 
 
 class TestNamedDeltas:

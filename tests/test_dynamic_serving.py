@@ -925,9 +925,9 @@ class TestLazyVersions:
         built = []
         original = ViewContext.__init__
 
-        def counting(self, view, db):
+        def counting(self, view, db, previous=None):
             built.append(view.name)
-            original(self, view, db)
+            original(self, view, db, previous)
 
         monkeypatch.setattr(ViewContext, "__init__", counting)
         return built
@@ -1040,4 +1040,51 @@ class TestLazyVersions:
         assert not errors
         assert results == [expected, expected]
         assert len(contexts) == 1
+        server.close()
+
+    def test_two_threads_first_reading_two_consecutive_versions(
+        self, contexts
+    ):
+        # Both versions derive from the same predecessor at once: each
+        # builds one context, and neither leaks into the other's answer.
+        view = triangle_view("bff")
+        db = triangle_database(14, 60, seed=5)
+        server = ViewServer(db)
+        name = server.register_dynamic(
+            view, tau=4.0, rebuild_fraction=float("inf")
+        )
+        state = server._dynamic_state(name)
+        x, y = next(iter(db["R"]))
+        versions, expected = [], []
+        # A new z value moves the shared domain, then closes a triangle.
+        for relation, row in (("S", (y, 99)), ("T", (99, x))):
+            server.apply_deltas(relation, inserts=[row])
+            versions.append(server.representation(name))
+            expected.append(
+                oracle_answer(view, state.current_database(), (x,))
+            )
+        assert versions[0] is not versions[1]
+        assert (y, 99) in expected[1] and (y, 99) not in expected[0]
+        del contexts[:]
+        barrier = threading.Barrier(2)
+        results, errors = [None, None], []
+
+        def read(index):
+            try:
+                barrier.wait(timeout=10)
+                results[index] = versions[index].answer((x,))
+            except BaseException as error:  # surfaced below
+                errors.append(error)
+
+        threads = [
+            threading.Thread(target=read, args=(index,)) for index in (0, 1)
+        ]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=30)
+            assert not thread.is_alive()
+        assert not errors
+        assert results == expected
+        assert len(contexts) == 2
         server.close()
