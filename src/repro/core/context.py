@@ -23,7 +23,8 @@ use: the atoms' one sorted index (:meth:`ViewContext.columns`, what the
 kernel enumerates from and a build counts and joins on), the
 multiplicity counts an unrestricted cost needs, the default max-slack
 cover, the index's cell count, and the plain view/database states a
-snapshot must equal to adopt the context.
+snapshot must equal to adopt the context, also as the bytes a snapshot
+stores them in.
 
 A context over a later database of the same view may be *derived* from
 an earlier one (``ViewContext(view, db, previous=ctx)`` — a dynamic
@@ -48,7 +49,7 @@ from repro.core.layout import (
     compile_count_columns,
     compile_join_columns,
 )
-from repro.core.snapshot import database_state, view_state
+from repro.core.snapshot import database_state, source_section, view_state
 from repro.exceptions import QueryError
 from repro.hypergraph.covers import max_slack_cover
 from repro.hypergraph.hypergraph import hypergraph_of_view
@@ -170,6 +171,7 @@ class ViewContext:
         self._default_cover = getattr(previous, "_default_cover", None)
         self._index_cells: Optional[int] = None
         self._states: Optional[Tuple[Dict, List]] = None
+        self._source: Optional[bytes] = None
 
     def _domain(self, var: Variable, previous: Optional["ViewContext"]) -> Domain:
         """``var``'s active domain — ``previous``'s very object when that
@@ -254,3 +256,13 @@ class ViewContext:
         if self._states is None:
             self._states = (view_state(self.view), database_state(self.db))
         return self._states
+
+    def source(self) -> bytes:
+        """The same two states pickled as one, a v4 blob's ``"source"``.
+
+        What a structure over this context stores; a restored one adopts
+        the context on equal bytes without unpickling them.
+        """
+        if self._source is None:
+            self._source = source_section(self.states())
+        return self._source

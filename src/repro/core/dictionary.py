@@ -35,6 +35,7 @@ from __future__ import annotations
 
 from array import array
 from bisect import bisect_left
+from itertools import chain, repeat
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 from repro.core.balanced_tree import DelayBalancedTree, TreeNode
@@ -87,11 +88,9 @@ class HeavyDictionary:
         later in-place edit shows against the layout that pinned it.
         """
         dictionary = cls()
-        dictionary._entries = {
-            (node_id, access): bit
-            for access, (ids, bits) in columns.buckets.items()
-            for node_id, bit in zip(ids, bits)
-        }
+        index = columns.index.items()
+        owners = chain.from_iterable(repeat(a, hi - lo) for a, (lo, hi) in index)
+        dictionary._entries = dict(zip(zip(columns.nodes, owners), columns.bits))
         dictionary.version = version
         return dictionary
 

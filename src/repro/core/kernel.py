@@ -366,13 +366,13 @@ def _point_joins(layout, finger, point) -> bool:
 # ----------------------------------------------------------------------
 # the tree walk (enumerate / enumerate_from)
 # ----------------------------------------------------------------------
-def _walk(layout, bucket, states, start, counter) -> Iterator[Tuple]:
+def _walk(layout, access, states, start, counter) -> Iterator[Tuple]:
     tree = layout.tree
     root = tree.root
     if root < 0:
         return
-    ids, bits = bucket
-    id_count = len(ids)
+    ids, bits = layout.dictionary.nodes, layout.dictionary.bits
+    lo, hi = layout.dictionary.index.get(access, (0, 0))  # the access's slice
     left_col = tree.left
     right_col = tree.right
     low_col = tree.low
@@ -393,10 +393,10 @@ def _walk(layout, bucket, states, start, counter) -> Iterator[Tuple]:
             else:
                 if counter is not None:
                     counter.steps += 1  # dictionary probe
-                position = bisect_left(ids, node_id)
+                position = bisect_left(ids, node_id, lo, hi)
                 bit = (
                     bits[position]
-                    if position < id_count and ids[position] == node_id
+                    if position < hi and ids[position] == node_id
                     else None
                 )
                 if bit == 0:
@@ -421,10 +421,10 @@ def _walk(layout, bucket, states, start, counter) -> Iterator[Tuple]:
         if kind == _VISIT:
             if counter is not None:
                 counter.steps += 1  # dictionary probe
-            position = bisect_left(ids, node_id)
+            position = bisect_left(ids, node_id, lo, hi)
             bit = (
                 bits[position]
-                if position < id_count and ids[position] == node_id
+                if position < hi and ids[position] == node_id
                 else None
             )
             if bit == 0:
@@ -469,7 +469,7 @@ def kernel_enumerate(layout, access: Tuple, counter=None) -> Iterator[Tuple]:
     states = layout.root_states(access)
     if states is None:
         return iter(())
-    return _walk(layout, layout.dict_bucket(access), states, None, counter)
+    return _walk(layout, access, states, None, counter)
 
 
 def kernel_enumerate_from(
@@ -479,7 +479,7 @@ def kernel_enumerate_from(
     states = layout.root_states(access)
     if states is None:
         return iter(())
-    return _walk(layout, layout.dict_bucket(access), states, start, counter)
+    return _walk(layout, access, states, start, counter)
 
 
 # ----------------------------------------------------------------------

@@ -9,8 +9,9 @@ same way:
 * :class:`TreeColumns` — the delay-balanced tree as parallel columns
   (child ids with ``-1`` sentinels, interval endpoints, β codes) plus the
   per-node box decompositions resolved ahead of time;
-* :class:`DictColumns` — the heavy dictionary re-bucketed per access
-  tuple into sorted ``node id`` runs probed with :func:`bisect.bisect_left`;
+* :class:`DictColumns` — the heavy dictionary as one flat sorted
+  ``node id`` run per access tuple, laid end to end, probed with
+  :func:`bisect.bisect_left` within the access's slice;
 * :class:`AtomColumns` — one atom's sorted index: its free levels
   flattened CSR-style (one sorted value-index run per parent,
   contiguous child-offset ranges, a prefix count per entry), keyed by
@@ -213,53 +214,46 @@ class TreeColumns:
         )
 
 
+@dataclass(eq=False, slots=True)
 class DictColumns:
-    """Heavy-dictionary buckets as per-access sorted node-id runs.
+    """Heavy-dictionary entries as one flat run, access after access.
 
-    One bucket per access tuple: a sorted list of node ids and a parallel
-    ``bytes`` of stored bits. A probe is one :func:`bisect_left` into the
-    id run — absence is the paper's ⊥ (light pair). ``entries`` counts
-    the stored bits.
+    ``nodes`` (ids) and ``bits`` (stored bits, one byte each) hold every
+    access's entries end to end, accesses in sorted order and ids
+    ascending within each; ``index`` maps an access to its ``(lo, hi)``
+    slice, in the same order. A probe is one :func:`bisect_left` into
+    ``nodes[lo:hi]`` — absence is the paper's ⊥ (light pair). The same
+    arrays are what a snapshot stores.
 
-    ``costs`` holds each stored pair's ``T_{v_b}(I(w))``, one
-    ``array('d')`` bucket after bucket in the buckets' order — resident
-    on a freshly built or cut structure (what :func:`cut_layout` filters
-    on), never stored, and None on anything decoded, upgraded or
-    recompiled.
+    ``costs`` holds each stored pair's ``T_{v_b}(I(w))``, an
+    ``array('d')`` parallel to ``nodes`` — resident on a freshly built or
+    cut structure (what :func:`cut_layout` filters on), never stored, and
+    None on anything decoded, upgraded or recompiled.
     """
 
-    __slots__ = ("buckets", "entries", "costs")
+    index: Dict[Tuple, Tuple[int, int]]
+    nodes: List[int]
+    bits: bytes
+    costs: Optional[array] = None
 
-    _EMPTY: Tuple[List[int], bytes] = ([], b"")
-
-    def __init__(self, buckets: Dict, costs: Optional[array] = None):
-        self.buckets = buckets
-        self.entries = sum(len(bits) for _, bits in buckets.values())
-        self.costs = costs
-
-    def bucket(self, access: Tuple) -> Tuple[List[int], bytes]:
-        return self.buckets.get(access, self._EMPTY)
+    @property
+    def entries(self) -> int:
+        return len(self.bits)
 
     def to_state(self) -> Dict:
-        """The buckets end to end: sorted accesses, offsets, ids, bits."""
-        accesses = sorted(self.buckets)
-        nodes: List[int] = []
-        offsets = [0]
-        for access in accesses:
-            nodes += self.buckets[access][0]
-            offsets.append(len(nodes))
+        """The arrays as they are, and the index as accesses and offsets."""
         return {
-            "access": accesses,
-            "offsets": _pack(offsets),
-            "nodes": _pack(nodes),
-            "bits": b"".join(self.buckets[access][1] for access in accesses),
+            "access": list(self.index),
+            "offsets": _pack(chain([0], (hi for _, hi in self.index.values()))),
+            "nodes": _pack(self.nodes),
+            "bits": self.bits,
         }
 
     @classmethod
     def from_state(
         cls, state: Dict, swap: bool, node_count: int
     ) -> "DictColumns":
-        """Unpack and validate :meth:`to_state` output (codec v3)."""
+        """Unpack and validate :meth:`to_state` output (codec v3 / v4)."""
         where = "dictionary columns"
         accesses, bits = state["access"], state["bits"]
         offsets = _unpack(f"{where} (offsets)", state["offsets"], swap).tolist()
@@ -280,15 +274,12 @@ class DictColumns:
             not nodes or 0 <= min(nodes) <= max(nodes) < node_count,
             f"{where} (nodes): node id out of range",
         )
-        buckets = {
-            access: (nodes[start:end], bits[start:end])
-            for access, start, end in zip(accesses, offsets, offsets[1:])
-        }
+        index = dict(zip(accesses, zip(offsets, offsets[1:])))
         _require(
-            len(buckets) == len(accesses),
+            len(index) == len(accesses),
             f"{where} (access): repeated access tuple",
         )
-        return cls(buckets)
+        return cls(index, nodes, bits)
 
 
 class AtomColumns:
@@ -441,13 +432,7 @@ class CompiledLayout:
             for point in tree.beta
         ]
 
-    # ------------------------------------------------------------------
-    # kernel entry helpers
-    # ------------------------------------------------------------------
-    def dict_bucket(self, access: Tuple) -> Tuple[List[int], bytes]:
-        return self.dictionary.bucket(access)
-
-    root_states = JoinColumns.root_states
+    root_states = JoinColumns.root_states  # a kernel entry helper
 
     # ------------------------------------------------------------------
     # explicit state (the snapshot boundary)
@@ -556,38 +541,30 @@ def _compile_tree(tree, cost_model) -> TreeColumns:
 
 
 def _compile_dictionary(entries, costs: Optional[array] = None) -> DictColumns:
-    """Bucket ``((node id, access), bit)`` entries per access, ids sorted.
+    """Lay ``((node id, access), bit)`` entries out flat, per access.
 
-    Buckets are keyed in access order, as a decoded layout's are.
-    ``costs``, aligned with ``entries``, are laid out beside the bits.
-    The build sets its entries in pre-order, so their ids arrive sorted;
-    an edited dictionary's may not.
+    Accesses in sorted order, ids sorted within each (the build sets its
+    entries in pre-order, so they arrive sorted; an edited dictionary's
+    may not). ``costs``, aligned with ``entries``, are laid out beside
+    the bits. Entries are grouped into plain runs, not a tuple each.
     """
     runs = defaultdict(lambda: ([], bytearray(), array("d")))
     for ((node_id, access), bit), cost in zip(entries, costs or repeat(0.0)):
-        ids, bits, values = runs[access]
+        ids, run_bits, values = runs[access]
         ids.append(node_id)
-        bits.append(bit)
+        run_bits.append(bit)
         values.append(cost)
-    return _dict_columns(runs, costs is not None)
-
-
-def _dict_columns(runs: Dict, keep_costs: bool = True) -> DictColumns:
-    """Per-access ``(ids, bits, costs)`` runs as buckets, in access order.
-
-    A run's ids end up sorted, its bits and costs with them; an empty
-    run makes no bucket.
-    """
-    buckets: Dict[Tuple, Tuple[List[int], bytes]] = {}
-    laid_out = array("d")
+    index, nodes, bits, laid_out = {}, [], bytearray(), array("d")
     for access in sorted(runs):
-        ids, bits, values = runs[access]
+        ids, run_bits, values = runs.pop(access)
         if any(map(gt, ids, ids[1:])):
-            ids, bits, values = map(list, zip(*sorted(zip(ids, bits, values))))
-        if ids:
-            buckets[access] = (ids, bytes(bits))
-            laid_out.extend(values)
-    return DictColumns(buckets, laid_out if keep_costs else None)
+            ids, run_bits, values = zip(*sorted(zip(ids, run_bits, values)))
+        index[access] = (len(nodes), len(nodes) + len(ids))
+        nodes += ids
+        bits += bytes(run_bits)
+        laid_out.extend(values)
+    laid_out = laid_out if costs is not None else None
+    return DictColumns(index, nodes, bytes(bits), laid_out)
 
 
 def _compile_rows(rows, positions, coords, space, bound_positions=()) -> AtomColumns:
@@ -782,17 +759,21 @@ def cut_layout(
         array("d", [tree.cost[node] for node in kept]),
         [tree.boxes[node] for node in kept],
     )
-    runs, end = {}, 0
-    for access, (ids, bits) in dictionary.buckets.items():
-        start, end = end, end + len(ids)
-        costs = dictionary.costs[start:end]
-        keep = [cost > limits[node] for node, cost in zip(ids, costs)]
-        runs[access] = (
-            [renumber[node] for node in compress(ids, keep)],
-            bytes(compress(bits, keep)),
-            array("d", compress(costs, keep)),
-        )
-    cut = _dict_columns(runs)
+    # One pass over the flat entries: kept ids are renumbered in order,
+    # so each access's run stays sorted, its slice shifted by the count
+    # of entries kept before it.
+    keep = list(map(gt, dictionary.costs, map(limits.__getitem__, dictionary.nodes)))
+    index, end = {}, 0
+    for access, (lo, hi) in dictionary.index.items():
+        start, end = end, end + sum(keep[lo:hi])
+        if start < end:
+            index[access] = (start, end)
+    cut = DictColumns(
+        index,
+        [renumber[node] for node in compress(dictionary.nodes, keep)],
+        bytes(compress(dictionary.bits, keep)),
+        array("d", compress(dictionary.costs, keep)),
+    )
     depth = max((levels[node] for node in kept), default=0)
     return CompiledLayout(cut_tree, cut, columns, dict_version=cut.entries), depth
 
@@ -829,4 +810,4 @@ def one_leaf_layout(ctx) -> CompiledLayout:
         tree = TreeColumns(
             0, space.width, [-1], [-1], [low], [high], [None], None, [boxes]
         )
-    return CompiledLayout(tree, DictColumns({}), ctx.columns(), dict_version=0)
+    return CompiledLayout(tree, DictColumns({}, [], b""), ctx.columns(), dict_version=0)

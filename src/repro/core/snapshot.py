@@ -32,10 +32,12 @@ numbers, strings, bytes): the representation classes expose explicit
 pickling their object graphs, which carry tries, caches and (in the
 engine layer) locks that must not cross the boundary.
 
-What a compressed state holds (codec v3): the normalized view, the
-database, ``τ`` / ``α`` / cover weights, the build stats and **one**
-structure section, ``"columns"`` — ``(T, D)`` as the compiled columns
-the kernel walks (:mod:`repro.core.layout`), stored once:
+What a compressed state holds (codec v4): one ``"source"`` section —
+the normalized view's state and the database's, pickled together as one
+nested byte string (:func:`source_section`) — ``τ`` / ``α`` / cover
+weights, the build stats and **one** structure section, ``"columns"`` —
+``(T, D)`` as the compiled columns the kernel walks
+(:mod:`repro.core.layout`), stored once:
 
 * the tree as packed arrays, each ``(typecode, item size, bytes)`` in
   the narrowest signed fixed-width typecode that holds its values —
@@ -44,20 +46,28 @@ the kernel walks (:mod:`repro.core.layout`), stored once:
   cost as ``array('d')`` and the pre-resolved boxes as the tuples they
   are;
 * the dictionary as the sorted access list, one offsets array, one
-  node-id array and one ``bytes`` of bits;
+  node-id array and one ``bytes`` of bits — the resident flat form as
+  it is;
 * the byte order the arrays were written in.
 
-No node records and no ``(node, access, bit)`` triples: those were the
-v1 / v2 form of the same facts (v2 stored them *beside* a 64-bit
-layout). Decoding validates every shape the kernel relies on — byte
-lengths against item sizes, child and node ids against the node count,
-offsets, the leaf mask, typecodes, byte order — and raises
+The source is what a warm load compares: a resident
+:class:`~repro.core.context.ViewContext` memoises its own source bytes
+(every structure encoded over it stores them), and a blob whose source
+is those very bytes adopts the context without unpickling a row. Other
+bytes are decoded and compared state by state, so equal states still
+adopt. v3 stored the same two states as plain ``"view"`` / ``"db"``
+sections (:func:`source_states` reads either). No node records and no
+``(node, access, bit)`` triples: those were the v1 / v2 form of the
+same facts (v2 stored them *beside* a 64-bit layout). Decoding
+validates every shape the kernel relies on — byte lengths against item
+sizes, child and node ids against the node count, offsets, the leaf
+mask, typecodes, byte order — and raises
 :class:`~repro.exceptions.SnapshotError` naming the section; the lists
-then go to the layout as they are. v1 and v2 blobs still load, into the
-same one-form instance; only v3 is written. ``decomposed`` states embed
-one compressed state per bag, ``dynamic`` states one for the inner
-structure — whose ``"db"`` is None when it is the dynamic state's own
-database, stored once.
+then go to the layout as they are. v1, v2 and v3 blobs still load, into
+the same one-form instance; only v4 is written. ``decomposed`` states
+embed one compressed state per bag, ``dynamic`` states one for the
+inner structure — whose source holds None for the database when it is
+the dynamic state's own database, stored once.
 """
 
 from __future__ import annotations
@@ -81,14 +91,17 @@ from repro.query.atoms import Atom, Constant, Variable
 from repro.query.conjunctive import ConjunctiveQuery
 
 SNAPSHOT_MAGIC = b"RPRS"
-#: The one version written. v3 stores ``(T, D)`` once, as packed compiled
-#: columns (module docstring). Still read: v1 — node records and triples,
-#: the columns compiled from them on load — and v2 — the same two object
-#: sections beside a 64-bit ``"layout"`` (and, in blobs of one age, an
-#: ``"atoms"`` section, ignored). A reader older than a blob refuses it
-#: by version — a typed error, which the disk tier treats as a miss.
-SNAPSHOT_VERSION = 3
-SUPPORTED_VERSIONS = (1, 2, 3)
+#: The one version written. v4 stores ``(T, D)`` once, as packed compiled
+#: columns, and a compressed state's view and database as one pickled
+#: ``"source"`` section (module docstring). Still read: v3 — the same
+#: columns beside plain ``"view"`` / ``"db"`` sections — v1 — node
+#: records and triples, the columns compiled from them on load — and v2
+#: — the same two object sections beside a 64-bit ``"layout"`` (and, in
+#: blobs of one age, an ``"atoms"`` section, ignored). A reader older
+#: than a blob refuses it by version — a typed error, which the disk tier
+#: treats as a miss.
+SNAPSHOT_VERSION = 4
+SUPPORTED_VERSIONS = (1, 2, 3, 4)
 
 _HEADER_PREFIX = struct.Struct(">4sH")
 _U16 = struct.Struct(">H")
@@ -182,6 +195,20 @@ def database_from_state(state) -> Database:
         raise SnapshotError(f"malformed database state: {error}") from error
 
 
+def source_section(states: Tuple[Dict, Optional[List]]) -> bytes:
+    """A v4 compressed state's ``"source"``: ``(view, database)`` states
+    pickled as one, the database state None where an enclosing state's
+    database stands in."""
+    return _dumps(states)
+
+
+def source_states(state: Dict) -> Tuple[Dict, Optional[List]]:
+    """``(view state, database state)`` of a compressed state, any version."""
+    if "source" not in state:  # v1 – v3: two plain sections
+        return state["view"], state["db"]
+    return _loads(state["source"], "source section")
+
+
 def _relation_bytes(db: Database) -> Iterator[Tuple[str, bytes]]:
     """``(name, hashed byte stream)`` per relation, in name order."""
     for name, arity, rows in database_state(db):
@@ -251,6 +278,14 @@ def _own_fingerprint(representation) -> str:
     if db is None:
         db = representation.base_database()
     return database_fingerprint(db)
+
+
+def _loads(data, what: str):
+    """Unpickle ``data``; anything malformed is a typed refusal."""
+    try:
+        return pickle.loads(data)
+    except _DECODE_ERRORS as error:
+        raise SnapshotError(f"corrupted {what}: {error}") from error
 
 
 def _dumps(state) -> bytes:
@@ -346,11 +381,12 @@ def payload_sections(blob: bytes) -> List[Tuple[str, int]]:
     """``(section, pickled bytes)`` of a blob's payload, in stored order.
 
     Each top-level key of the state, with the sections that hold
-    structure opened (``columns.tree``, ``structure.db``,
-    ``structure.columns.dictionary``): where a blob's bytes go, and
-    whether ``(T, D)`` is in it once (v3: ``columns.*``) or twice (v2:
-    ``tree`` and ``dictionary`` beside ``layout.*``). Each section is
-    pickled alone, the way :func:`encode_snapshot` pickles the whole.
+    structure opened (``columns.tree``, ``structure.source``,
+    ``structure.columns.dictionary``): where a blob's bytes go — v4's
+    one ``source`` or v3's ``view`` and ``db`` — and whether ``(T, D)``
+    is in it once (v3, v4: ``columns.*``) or twice (v2: ``tree`` and
+    ``dictionary`` beside ``layout.*``). Each section is pickled alone,
+    the way :func:`encode_snapshot` pickles the whole.
     """
     *_, crc, length, offset = _parse_header(blob)
     payload = memoryview(blob)[offset:]
@@ -424,12 +460,7 @@ def decode_snapshot(
         )
     if zlib.crc32(payload) != crc:
         raise SnapshotError("corrupted snapshot: payload CRC mismatch")
-    try:
-        state = pickle.loads(payload)
-    except _DECODE_ERRORS as error:
-        raise SnapshotError(
-            f"corrupted snapshot payload: {error}"
-        ) from error
+    state = _loads(payload, "snapshot payload")
     restore = registry[kind].from_snapshot_state
     return restore(state) if context is None else restore(state, context)
 

@@ -317,24 +317,26 @@ class CompressedRepresentation(Representation):
         """Plain-data state sufficient to restore this instance exactly.
 
         The state records the *normalized* view and database (what the
-        structure was actually built over) plus the expensive build
-        artifact — ``(T, D)`` — once, as its compiled columns. The atoms'
-        index, domains and the cost model are deterministic functions of
-        ``(view, db)`` and are rebuilt on restore — or adopted from a
-        resident context over an equal ``(view, db)`` — rather than
-        stored.
+        structure was actually built over) as one ``"source"`` section —
+        the context's own bytes (:meth:`ViewContext.source`) — plus the
+        expensive build artifact — ``(T, D)`` — once, as its compiled
+        columns. The atoms' index, domains and the cost model are
+        deterministic functions of ``(view, db)`` and are rebuilt on
+        restore — or adopted from a resident context over an equal
+        ``(view, db)`` — rather than stored.
 
         ``enclosing_db`` is for a state embedded in another that already
         stores a database (a dynamic representation's): when it is this
-        structure's very database, ``"db"`` is None here and the
-        restorer hands the enclosing one back by reference.
+        structure's very database, the source's database state is None
+        and the restorer hands the enclosing one back by reference.
         """
-        from repro.core.snapshot import database_state, view_state
+        from repro.core.snapshot import source_section, view_state
 
         return {
-            "view": view_state(self.view),
-            "db": (
-                None if self.db is enclosing_db else database_state(self.db)
+            "source": (
+                source_section((view_state(self.view), None))
+                if self.db is enclosing_db
+                else self.ctx.source()
             ),
             "tau": self.tau,
             "alpha": self.alpha,
@@ -367,21 +369,24 @@ class CompressedRepresentation(Representation):
         adopts it — but only after the state's own view and database
         compare *equal* to the context's (an exact comparison, not a
         hash); anything else raises
-        :class:`~repro.exceptions.SnapshotError`.
+        :class:`~repro.exceptions.SnapshotError`. A v4 source whose bytes
+        are the context's own is that proof, and is never unpickled;
+        other bytes (another pickler's, v3's two sections) are decoded
+        and their states compared.
         """
-        from repro.core.snapshot import database_from_state, view_from_state
+        from repro.core import snapshot as snap
 
         try:
             if context is None:
-                view = view_from_state(state["view"])
-                db = enclosing_db
-                if state["db"] is not None:
-                    db = database_from_state(state["db"])
+                view, db = snap.source_states(state)
+                view = snap.view_from_state(view)
+                db = enclosing_db if db is None else snap.database_from_state(db)
                 if db is None:
-                    raise SnapshotError(
-                        "state points at an enclosing state's database"
-                    )
-            elif (state["view"], state["db"]) == context.states():
+                    raise SnapshotError("state points at an enclosing state's database")
+            elif (
+                state.get("source") == context.source()
+                or snap.source_states(state) == context.states()
+            ):
                 view, db = context.view, context.db
             else:
                 raise SnapshotError(
@@ -411,7 +416,7 @@ class CompressedRepresentation(Representation):
             return self
         except SnapshotError:
             raise
-        except (KeyError, IndexError, TypeError, ValueError) as error:
+        except (AttributeError, KeyError, IndexError, TypeError, ValueError) as error:
             raise SnapshotError(
                 f"malformed compressed-representation state: {error}"
             ) from error

@@ -1,12 +1,14 @@
-"""Codec v1 / v2 as the trees up to PR 23 wrote it — a writer for tests.
+"""Codecs v1 – v3 as older trees wrote them — a writer for tests.
 
-``src/`` reads versions 1, 2 and 3 and writes only 3, so the old write
-side lives here: the node records, ``(node, access, bit)`` triples and
-64-bit ``"layout"`` of a compressed state, transcribed from the
-``to_state`` methods that produced them (``DelayBalancedTree``,
-``HeavyDictionary``, ``TreeColumns``, ``DictColumns`` at PR 23). Real
-bytes written by those trees are under ``tests/data/``; this module is
-for the cases that need a v1 / v2 blob of a structure built *here*.
+``src/`` reads versions 1 to 4 and writes only 4, so the old write
+side lives here: v3's plain ``"view"`` / ``"db"`` sections where v4
+has one ``"source"``, and the node records, ``(node, access, bit)``
+triples and 64-bit ``"layout"`` of a v1 / v2 compressed state,
+transcribed from the ``to_state`` methods that produced them
+(``DelayBalancedTree``, ``HeavyDictionary``, ``TreeColumns``,
+``DictColumns`` at commit ``45a8229``). Real bytes written by those
+trees are under ``tests/data/``; this module is for the cases that need
+an old blob of a structure built *here*.
 """
 
 from __future__ import annotations
@@ -53,7 +55,7 @@ def dictionary_triples(dictionary):
 
 def layout_state(layout) -> Dict:
     """``CompiledLayout.to_state()`` of codec v2: 64-bit columns."""
-    tree = layout.tree
+    tree, dictionary = layout.tree, layout.dictionary
     return {
         "tree": {
             "root": tree.root,
@@ -71,15 +73,23 @@ def layout_state(layout) -> Dict:
             "boxes": tree.boxes,
         },
         "dictionary": sorted(
-            (access, _int64(ids), bits)
-            for access, (ids, bits) in layout.dictionary.buckets.items()
+            (access, _int64(dictionary.nodes[lo:hi]), dictionary.bits[lo:hi])
+            for access, (lo, hi) in dictionary.index.items()
         ),
     }
 
 
+def v3_state(state: Dict) -> Dict:
+    """A v4 compressed state as codec v3 held it: view and database apart."""
+    state = dict(state)
+    state["view"], state["db"] = snap.source_states(state)
+    del state["source"]
+    return state
+
+
 def legacy_state(rep, version: int) -> Dict:
     """A compressed representation's state as codec ``version`` (1 or 2)."""
-    state = rep.snapshot_state()
+    state = v3_state(rep.snapshot_state())
     del state["columns"]
     state["tree"] = tree_records(rep.tree)
     state["dictionary"] = dictionary_triples(rep.dictionary)

@@ -298,6 +298,12 @@ def pinned_blob(rep):
     return encode_snapshot(pinned)
 
 
+def flat_dictionary(rep):
+    """``index``, ``nodes`` and ``bits`` of a structure's dictionary columns."""
+    dictionary = rep._fresh_layout().dictionary
+    return dictionary.index, dictionary.nodes, dictionary.bits
+
+
 def assert_cuts_are_direct_builds(view, db, weights=None):
     """Every τ ≥ every base τ of ``TAUS``, cut once and cut step by step."""
     direct = {
@@ -308,6 +314,10 @@ def assert_cuts_are_direct_builds(view, db, weights=None):
         tau: (comparable(rep.snapshot_state()), pinned_blob(rep))
         for tau, rep in direct.items()
     }
+    # The dictionary's one flat form, built, cut and decoded alike.
+    flats = {tau: flat_dictionary(rep) for tau, rep in direct.items()}
+    for tau, rep in direct.items():
+        assert flat_dictionary(decode_snapshot(expected[tau][1])) == flats[tau]
     for low, base in direct.items():
         chained = base
         for tau in (tau for tau in TAUS if tau >= low):
@@ -315,6 +325,7 @@ def assert_cuts_are_direct_builds(view, db, weights=None):
             for cut in (base.cut(tau), chained):
                 state = comparable(cut.snapshot_state())
                 assert (state, pinned_blob(cut)) == expected[tau], (low, tau)
+                assert flat_dictionary(cut) == flats[tau], (low, tau)
 
 
 @pytest.mark.parametrize("name", sorted(SHAPES))

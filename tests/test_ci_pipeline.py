@@ -498,6 +498,17 @@ MAIN_SLOC_CEILING = 850
 #: mirrored buffer edits, ``insert`` / ``delete`` through
 #: ``apply_deltas``, ``current_database`` through ``Database.replace``).
 #: It moved the ``dynamic_mixed`` ``requests_per_s`` row (``BENCH_32.json``).
+#: Then, when the heavy dictionary became one flat form and codec v4
+#: stored a compressed state's view and database as one ``source``
+#: section: 12,229 → 12,229 (±0, all in ``core``). ``core/snapshot.py``
+#: +6 (``source_section`` / ``source_states``, one ``_loads`` for the
+#: two unpickles), ``core/context.py`` +5 (``ViewContext.source``),
+#: ``core/structure.py`` +1 (adoption by equal bytes, else by equal
+#: states), paid by ``core/layout.py`` −11 (no per-bucket slicing on
+#: decode, no entry recount, no concatenation loop in ``to_state``,
+#: ``_dict_columns`` folded into ``_compile_dictionary``, ``cut_layout``
+#: one ``compress`` over the flat costs) and ``core/dictionary.py`` −1.
+#: It moved the ``tau_churn`` ``latency_p99_ms`` row (``BENCH_33.json``).
 SRC_SLOC_CEILING = 12229
 
 

@@ -1,4 +1,4 @@
-"""Codec v3: what is refused, what is still read, what the CLI shows.
+"""Codec v3 / v4: what is refused, what is still read, what the CLI shows.
 
 * every malformed-but-CRC-valid structure section fails typed — a
   ``SnapshotError`` naming the section, never a ``ValueError`` /
@@ -7,8 +7,8 @@
   README for the recipe) — a ``bbf`` and an ``fff`` compressed blob, a
   decomposed one, a server directory with two static snapshots and a
   dirty dynamic snapshot, meta and delta log — still decode, answer
-  oracle-identically, re-encode as v3 and round-trip, and the directory
-  warm-starts with zero builds;
+  oracle-identically, re-encode as today's version (v4) and round-trip,
+  and the directory warm-starts with zero builds;
 * a dynamic state stores its base database once;
 * ``repro snapshot inspect`` prints where a payload's bytes go.
 """
@@ -33,6 +33,9 @@ from repro.core.snapshot import (
     inspect_snapshot,
     load_snapshot,
     payload_sections,
+    source_section,
+    source_states,
+    view_state,
 )
 from repro.core.structure import CompressedRepresentation
 from repro.database.catalog import Database
@@ -349,7 +352,7 @@ def test_a_parent_written_compressed_blob_loads_and_becomes_v3(name):
     # written back out in the v2 shape it is the parent's state.
     assert legacy_state(restored, 2) == payload_of(written)[1]
     todays = encode_snapshot(restored)
-    assert inspect_snapshot(todays)["version"] == SNAPSHOT_VERSION == 3
+    assert inspect_snapshot(todays)["version"] == SNAPSHOT_VERSION == 4
     assert len(todays) < 0.75 * len(written)
     sections = dict(payload_sections(todays))
     assert not {"tree", "dictionary", "layout.tree"} & set(sections)
@@ -375,7 +378,7 @@ def test_a_parent_written_decomposed_blob_loads_and_becomes_v3():
     accesses = oracle_accesses(view, db, limit=8)
     assert accesses
     todays = encode_snapshot(restored)
-    assert inspect_snapshot(todays)["version"] == 3
+    assert inspect_snapshot(todays)["version"] == SNAPSHOT_VERSION
     assert len(todays) < len(written)
     again = decode_snapshot(todays)
     assert encode_snapshot(again) == todays
@@ -445,7 +448,7 @@ def test_a_parent_written_dirty_dynamic_snapshot_becomes_v3(server_directory):
     # Two rows were inserted before the save; (5, 5) was already in R.
     assert dynamic.is_dirty and dynamic.pending_updates == 1
     todays = encode_snapshot(dynamic)
-    assert inspect_snapshot(todays)["version"] == 3
+    assert inspect_snapshot(todays)["version"] == SNAPSHOT_VERSION
     assert len(todays) < len(path.read_bytes())
     again = decode_snapshot(todays)
     assert encode_snapshot(again) == todays
@@ -465,10 +468,13 @@ def test_a_dynamic_state_stores_its_base_database_once():
     dynamic = DynamicRepresentation(view, triangle_database(12, 40, seed=7), 2.0)
     state = dynamic.snapshot_state()
     assert dynamic.structure.db is dynamic.base_database()
-    assert state["db"] and state["structure"]["db"] is None
+    # v4: the inner source holds the view alone.
+    inner = state["structure"]["source"]
+    assert state["db"] and source_states(state["structure"])[1] is None
+    assert inner == source_section((view_state(dynamic.structure.view), None))
     blob = encode_snapshot(dynamic)
     sections = dict(payload_sections(blob))
-    assert sections["structure.db"] < 16 < sections["db"]
+    assert sections["structure.source"] < len(inner) + 16 < sections["db"]
     restored = decode_snapshot(blob)
     assert restored.structure.db is restored.base_database()
     assert encode_snapshot(restored) == blob
@@ -485,7 +491,7 @@ def test_a_dynamic_state_stores_its_base_database_once():
     )
     rewritten = DynamicRepresentation(constants, db, tau=2.0)
     assert rewritten.structure.db is not rewritten.base_database()
-    assert rewritten.snapshot_state()["structure"]["db"] is not None
+    assert source_states(rewritten.snapshot_state()["structure"])[1] is not None
     assert list(decode_snapshot(encode_snapshot(rewritten)).enumerate((1,))) == list(
         rewritten.enumerate((1,))
     )
@@ -505,12 +511,13 @@ def test_snapshot_inspect_prints_the_payloads_sections(tmp_path, capsys):
     todays.write_bytes(encode_snapshot(decode_snapshot(parents.read_bytes())))
     assert main(["snapshot", "inspect", "--file", str(todays)]) == 0
     out = capsys.readouterr().out
-    assert "format version: 3" in out
+    assert "format version: 4" in out
     assert "  section columns.tree: " in out
     assert "  section columns.dictionary: " in out
     assert "  section tree: " not in out and "layout" not in out
+    assert "  section view: " not in out and "  section db: " not in out
     sizes = dict(payload_sections(todays.read_bytes()))
-    assert f"  section db: {sizes['db']} bytes" in out
+    assert f"  section source: {sizes['source']} bytes" in out
     # A payload cut short still has a header to show, and no sections.
     todays.write_bytes(todays.read_bytes()[:-10])
     assert main(["snapshot", "inspect", "--file", str(todays)]) == 0

@@ -1103,11 +1103,11 @@ class TestSnapshotCodec:
         return view, db, CompressedRepresentation(view, db, tau=4.0)
 
     def test_v2_round_trip_ships_the_layout(self, built):
-        # v3 since PR 24: the layout is the one structure section.
+        # Since v3 the layout is the one structure section (v4 too).
         view, db, rep = built
         blob = encode_snapshot(rep)
         header = inspect_snapshot(blob)
-        assert header["version"] == 3
+        assert header["version"] == 4
         state = rep.snapshot_state()
         assert sorted(state["columns"]) == ["byteorder", "dictionary", "tree"]
         assert not {"tree", "dictionary", "layout"} & set(state)

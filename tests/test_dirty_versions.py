@@ -537,7 +537,7 @@ class TestTheSeekIsASeek:
         assert tries == [] and len(compiles) == 1
         assert compiles[0]._count_columns is None
         layout = frozen._layout
-        assert layout.tree.left == [-1] and layout.dictionary.buckets == {}
+        assert layout.tree.left == [-1] and layout.dictionary.index == {}
         assert layout.atoms is compiles[0].columns().atoms
 
 

@@ -772,7 +772,7 @@ class TestBlobCompatibility:
     def test_the_format_version_did_not_move(self):
         # What must not move is the contract: one write version, the
         # newest, and every version ever written still read.
-        assert SUPPORTED_VERSIONS == (1, 2, 3)
+        assert SUPPORTED_VERSIONS == (1, 2, 3, 4)
         assert SNAPSHOT_VERSION == max(SUPPORTED_VERSIONS)
         assert inspect_snapshot(PARENT_BLOB.read_bytes())["version"] == 2
 
