@@ -97,13 +97,12 @@ rebuilding (see ``docs/DYNAMIC_SERVING.md``)::
 
 Observability: ``serve --telemetry-dir DIR`` records counters, delay-gap
 histograms and traced spans, persisting them as versioned JSONL that
-merges across restarts; ``--adapt`` closes the loop, re-deriving the
-serving τ from the observed delay-gap percentiles every ``--batch-size``
-requests (``--gap-budget`` overrides the registration's target). The
-``metrics`` subcommand replays what any number of past sessions
-recorded (see ``docs/OPERATIONS.md``)::
+merges across restarts. τ is chosen once, at registration (``--tau``,
+``--space-budget`` or ``--delay-budget``); the delay-gap histograms show
+what it delivers. The ``metrics`` subcommand replays what any number of
+past sessions recorded (see ``docs/OPERATIONS.md``)::
 
-    python -m repro serve --telemetry-dir ./telemetry --adapt \\
+    python -m repro serve --telemetry-dir ./telemetry \\
         --view "Delta^bbf(x, y, z) = R(x, y), S(y, z), T(z, x)" \\
         --data ./relations --requests ./requests.txt
     python -m repro metrics show --telemetry-dir ./telemetry
@@ -135,8 +134,7 @@ from repro import (
     parse_view,
 )
 from repro.engine.server import register_everywhere
-from repro.engine.telemetry import AdaptiveTuner, Telemetry, TelemetryStore
-from repro.workloads.streams import batched
+from repro.engine.telemetry import Telemetry, TelemetryStore
 from repro.core.snapshot import (
     database_fingerprint,
     inspect_snapshot_file,
@@ -319,13 +317,6 @@ def _serve(args) -> int:
         )
     if args.replicas < 0:
         raise ReproError(f"--replicas must be >= 0, got {args.replicas}")
-    if args.gap_budget is not None and not args.adapt:
-        raise ReproError("--gap-budget tunes the adaptive loop; add --adapt")
-    if args.adapt and (args.use_async or cursor_mode):
-        raise ReproError(
-            "--adapt drives the sequential batched path; it does not "
-            "compose with --async/cursor knobs"
-        )
     if args.replicas:
         if not args.use_async:
             raise ReproError(
@@ -352,11 +343,6 @@ def _serve(args) -> int:
                 "--dynamic replicas converge by delta shipping "
                 "(ship_deltas), not the async front end; drop --replicas"
             )
-        if args.adapt:
-            raise ReproError(
-                "a dynamic view serves at its registration tau; --adapt "
-                "cannot retune it"
-            )
         if args.space_budget is not None or args.delay_budget is not None:
             raise ReproError(
                 "--dynamic pins tau at registration; space/delay budgets "
@@ -365,8 +351,6 @@ def _serve(args) -> int:
     telemetry = None
     if args.telemetry_dir is not None:
         telemetry = Telemetry(Path(args.telemetry_dir))
-    elif args.adapt:
-        telemetry = Telemetry()  # the tuner needs gap histograms
     cls, shard_args = ViewServer, ()
     if args.shards > 1:
         shard_key = (
@@ -405,8 +389,6 @@ def _serve(args) -> int:
     try:
         if args.replicas:
             replicas = _hydrate_replicas(backend, name, view, db, args, telemetry)
-        if args.adapt:
-            return _serve_adaptive(backend, name, accesses, telemetry, args)
         if cursor_mode:
             return _serve_cursors(backend, name, accesses, args, replicas)
         if args.use_async:
@@ -439,48 +421,6 @@ def _serve(args) -> int:
         backend.close()
         if telemetry is not None:
             telemetry.close()  # final durable flush (the CLI owns the sink)
-    return 0
-
-
-def _serve_adaptive(backend, name: str, accesses, telemetry, args) -> int:
-    """The closed loop: serve batches, re-deriving τ between them.
-
-    Every ``--batch-size`` requests the :class:`AdaptiveTuner` compares
-    the observed delay-gap percentile against the budget (the
-    registration's, or ``--gap-budget``) and retunes the serving τ,
-    promotes hot views ahead of demand, and demotes cold ones — each
-    decision a traced, durable event.
-    """
-    tuner = AdaptiveTuner(
-        backend,
-        telemetry,
-        gap_budget=args.gap_budget,
-        interval_requests=args.batch_size,
-    )
-    decisions = []
-
-    def tuned_batches():
-        for chunk in batched(accesses, args.batch_size):
-            yield backend.answer_batch(name, chunk)
-            decisions.extend(tuner.maybe_tune())
-
-    report = backend.stream_report()(tuned_batches())
-    print(
-        f"adaptive: {report.requests} requests in {report.batches} batches, "
-        f"{report.outputs} tuples in {report.wall_seconds * 1000:.1f} ms"
-    )
-    print(
-        f"tuning: {len(decisions)} decision(s); serving tau now "
-        f"{backend.serving_tau(name):g}"
-    )
-    for decision in decisions[-5:]:
-        print(
-            f"  {decision.kind} {decision.view!r}: tau "
-            f"{decision.tau_before:g} -> {decision.tau_after:g} "
-            f"({decision.reason})"
-        )
-    if args.telemetry_dir is not None:
-        print(f"telemetry: persisted under {args.telemetry_dir}")
     return 0
 
 
@@ -944,19 +884,6 @@ def main(argv=None) -> int:
         "serving at a pinned tau, warm start from the durable delta log "
         "in --snapshot-dir, deltas applied between runs with "
         "'update apply' (plain backend only)",
-    )
-    serve.add_argument(
-        "--adapt",
-        action="store_true",
-        help="closed-loop tuning: re-derive the serving tau from observed "
-        "delay-gap percentiles every --batch-size requests",
-    )
-    serve.add_argument(
-        "--gap-budget",
-        type=float,
-        default=None,
-        help="target max step gap for --adapt (default: the "
-        "registration's own budget or tau)",
     )
     serve.set_defaults(handler=_serve, path="serve")
 

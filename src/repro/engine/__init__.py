@@ -21,8 +21,8 @@ cursor API.
 Every layer reports into one optional :class:`Telemetry` sink
 (:mod:`repro.engine.telemetry`): counters, fixed-bucket histograms, and
 traced spans that persist as versioned JSONL and merge across restarts.
-:class:`AdaptiveTuner` closes the loop, re-deriving each view's serving
-τ from the observed delay-gap percentiles against its budget.
+τ is chosen once per registration (fixed, or from a budget); the
+``delay_step_gap{view}`` histogram shows the delay it delivers.
 """
 
 from repro.engine.api import (
@@ -73,11 +73,9 @@ from repro.engine.sharding import (
 from repro.engine.telemetry import (
     GAP_BUCKETS,
     LATENCY_BUCKETS,
-    AdaptiveTuner,
     MetricsRegistry,
     Telemetry,
     TelemetryStore,
-    TuningDecision,
 )
 from repro.engine.topology import RoutingTable, rendezvous_choice
 
@@ -115,11 +113,9 @@ __all__ = [
     "AsyncBatchResult",
     "AsyncServingReport",
     "AsyncViewServer",
-    "AdaptiveTuner",
     "GAP_BUCKETS",
     "LATENCY_BUCKETS",
     "MetricsRegistry",
     "Telemetry",
     "TelemetryStore",
-    "TuningDecision",
 ]

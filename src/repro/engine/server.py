@@ -50,10 +50,9 @@ Responsibilities
   :class:`~repro.engine.telemetry.Telemetry`, or ``True`` to persist
   under ``snapshot_dir/telemetry/``) and the server instruments itself:
   request counters, serve-latency and delay-gap histograms, cache and
-  shared-scan counters. ``None`` (the default) costs nothing. The
-  :class:`~repro.engine.telemetry.AdaptiveTuner` closes the loop through
-  :meth:`ViewServer.retune` / :meth:`ViewServer.serving_tau` /
-  :meth:`ViewServer.prefetch` / :meth:`ViewServer.demote`.
+  shared-scan counters. ``None`` (the default) costs nothing. τ is
+  chosen once, at registration; a request's own ``tau=`` is the only
+  way to serve another.
 * **Concurrency**: the cache is internally synchronized and provides
   the single-build guarantee through
   :meth:`~repro.engine.cache.RepresentationCache.get_or_build` (at most
@@ -377,8 +376,8 @@ class Serving:
 
         ``drained`` aligns with ``unique``: each distinct access's rows
         and (measured) stats. The duplicates ``batch`` holds beyond
-        ``unique`` were never opened but were still served; they are
-        accounted for here (:meth:`_count_shared`).
+        ``unique`` were never opened but were still served; a back end
+        that counts them per shard does so here (:meth:`_count_shared`).
         """
         answers = {access: rows for access, (rows, _) in zip(unique, drained)}
         self._count_shared(name, batch, unique)
@@ -398,8 +397,8 @@ class Serving:
     ) -> None:
         """Count the duplicates a batch was deduplicated by as served.
 
-        A back end that counts requests overrides this; one that does
-        not (a test fake) inherits the no-op.
+        The sharded facade overrides this to count them per shard; every
+        other back end inherits the no-op.
         """
 
     def serve_stream(
@@ -546,7 +545,6 @@ class ViewServer(Serving):
         # the store and ingest shipped deltas but never write either.
         self._dynamic_sink = self._dynamic_store
         self._lock = named_lock("server")
-        self._tau_overrides: Dict[str, float] = {}
         # Resolved metric handles (see :meth:`_handles`).
         self._metric_handles: Dict[Tuple, Tuple] = {}
         # The per-view half of every static structure, by registration
@@ -561,7 +559,6 @@ class ViewServer(Serving):
         # generation dies, but stream build-deltas need a counter that
         # never runs backwards.
         self._total_builds = 0
-        self._requests_served = 0
         self._generation = 0
 
     # ------------------------------------------------------------------
@@ -671,38 +668,33 @@ class ViewServer(Serving):
             for key in list(self._build_counts):
                 if key[0] == name and key[2] == registration.generation:
                     del self._build_counts[key]
-            self._tau_overrides.pop(name, None)
         return True
 
     def _lookup(
-        self, name: str, tau: Optional[float] = None, served: int = 0
+        self, name: str, tau: Optional[float] = None
     ) -> Tuple[Registration, Optional[DynamicViewState], CacheKey]:
         """``(registration, dynamic state, cache key)`` in ONE lock hold.
 
         Everything the registry knows about a request: SchemaError for
         an unknown view, the dynamic serving state (``None`` for a
-        static view), and the cache key. The registration's exact τ must
-        round-trip through the key (:meth:`_build` reuses the
-        optimizer's cover only when the key τ matches it); a tau-less
-        request resolves through the retune override, so the
-        AdaptiveTuner's decisions take effect without re-registration;
-        the generation keeps re-registrations under a reused name apart.
-        ``served`` requests are counted under the same hold.
+        static view), and the cache key. A tau-less request resolves to
+        the registration's τ, which must round-trip through the key
+        exactly (:meth:`_build` reuses the optimizer's cover only when
+        the key τ matches it); the generation keeps re-registrations
+        under a reused name apart.
         """
         with self._lock:
             registration = self._views.get(name)
             if registration is None:
                 raise SchemaError(f"unknown view {name!r}")
-            self._requests_served += served
-            resolved = (
-                self._tau_overrides.get(name, registration.tau)
-                if tau is None
-                else float(tau)
-            )
             return (
                 registration,
                 self._dynamic.get(name),
-                (name, resolved, registration.generation),
+                (
+                    name,
+                    registration.tau if tau is None else float(tau),
+                    registration.generation,
+                ),
             )
 
     def registration(self, name: str) -> Registration:
@@ -715,50 +707,19 @@ class ViewServer(Serving):
             return tuple(self._views.keys())
 
     # ------------------------------------------------------------------
-    # the tuning surface (what AdaptiveTuner drives)
+    # residency: build ahead of demand, or drop to the disk tier
     # ------------------------------------------------------------------
-    def serving_tau(self, name: str) -> float:
-        """The τ requests with ``tau=None`` are currently served at.
-
-        The registration's τ unless :meth:`retune` overrode it.
-        """
-        return self._lookup(name)[2][1]
-
-    def retune(self, name: str, tau: float) -> float:
-        """Override the serving τ of one view; returns the previous one.
-
-        Subsequent requests that do not pin their own τ resolve to the
-        override, lazily building the new structure on first use (or
-        eagerly via :meth:`prefetch`). Structures built at the old τ
-        stay cached — explicit ``tau=`` requests can still hit them —
-        until eviction or :meth:`demote` moves them out. Registration
-        is untouched: re-registering resets the override.
-        """
-        tau = float(tau)
-        if tau <= 0:
-            raise ParameterError(f"tau must be positive, got {tau}")
-        previous = self.serving_tau(name)
-        with self._lock:
-            if name not in self._views:
-                raise SchemaError(f"unknown view {name!r}")
-            if name in self._dynamic:
-                raise ParameterError(
-                    f"dynamic view {name!r} serves at its registration "
-                    "tau; re-register to change it"
-                )
-            self._tau_overrides[name] = tau
-        return previous
-
     def prefetch(self, name: str, tau: Optional[float] = None) -> None:
         """Build (or warm-load) the serving structure ahead of demand."""
         self.representation(name, tau)
 
     def resident(self, name: str, tau: Optional[float] = None) -> bool:
-        """Whether ``(name, serving τ)`` is in memory right now.
+        """Whether ``(name, τ)`` is in memory right now.
 
-        A static view is resident while its structure sits in the cache;
-        a dynamic view always is — its current version is held by its
-        epochs, not by the LRU.
+        ``tau=None`` means the registration's τ. A static view is
+        resident while its structure sits in the cache; a dynamic view
+        always is — its current version is held by its epochs, not by
+        the LRU.
         """
         _, state, key = self._lookup(name, tau)
         return state is not None or key in self._cache
@@ -766,11 +727,10 @@ class ViewServer(Serving):
     def demote(self, name: str) -> int:
         """Drop one view's resident structures, keeping their snapshots.
 
-        The tuner's cold path: unlike :meth:`invalidate` the disk tier
-        is preserved, so a later request (or :meth:`prefetch`) warm-loads
-        instead of rebuilding. Returns the entries dropped — always 0
-        for a dynamic view, whose versions are not cache entries.
-        SchemaError for an unknown view.
+        Unlike :meth:`invalidate` the disk tier is preserved, so a later
+        request (or :meth:`prefetch`) warm-loads instead of rebuilding.
+        Returns the entries dropped — always 0 for a dynamic view, whose
+        versions are not cache entries. SchemaError for an unknown view.
         """
         self._lookup(name)
         return self._cache.invalidate_matching(
@@ -803,8 +763,8 @@ class ViewServer(Serving):
 
         The view must be a natural join (deltas address base relations
         by name, which normalization would rewrite), and it serves at
-        exactly the registration τ — per-request ``tau=`` pins and
-        :meth:`retune` are rejected for dynamic views.
+        exactly the registration τ — per-request ``tau=`` pins are
+        rejected for dynamic views.
         """
         if isinstance(view, str):
             view = parse_view(view)
@@ -1151,13 +1111,13 @@ class ViewServer(Serving):
 
         Where a request is resolved, once: one registry-lock hold
         (:meth:`_lookup`) finds the registration, the dynamic state and
-        the cache key and counts the request; then a dynamic view pins
-        its current serving version — the returned
-        :class:`~repro.engine.epoch.Hold` owns one pin per cursor — and
-        a static view takes its structure from the cache, building it
-        on a miss, under :data:`~repro.engine.epoch.NO_HOLD` (no pin, no
-        close hook, no allocation). Open the cursors inside ``with
-        hold:`` and hand them over with ``hold.keep``.
+        the cache key; then a dynamic view pins its current serving
+        version — the returned :class:`~repro.engine.epoch.Hold` owns
+        one pin per cursor — and a static view takes its structure from
+        the cache, building it on a miss, under
+        :data:`~repro.engine.epoch.NO_HOLD` (no pin, no close hook, no
+        allocation). Open the cursors inside ``with hold:`` and hand
+        them over with ``hold.keep``.
 
         At most one thread ever builds a given key: late arrivals wait on
         the builder's event and then read the freshly cached entry.
@@ -1172,7 +1132,7 @@ class ViewServer(Serving):
         one; all leave with the same one), which keeps a warm open at
         two registry-lock holds.
         """
-        registration, state, key = self._lookup(name, tau, cursors)
+        registration, state, key = self._lookup(name, tau)
         if state is not None:
             # Both callees test these themselves; skipping the calls
             # saves two frames per open, which dynamic_mixed can see.
@@ -1490,14 +1450,6 @@ class ViewServer(Serving):
                     )
         return cursors
 
-    def _count_shared(
-        self, name: str, batch: Sequence[Tuple], unique: Sequence[Tuple]
-    ) -> None:
-        # open_batch counted the distinct requests; the duplicates
-        # answer_batch deduplicated away were still served.
-        with self._lock:
-            self._requests_served += len(batch) - len(unique)
-
     # ------------------------------------------------------------------
     # life cycle and introspection
     # ------------------------------------------------------------------
@@ -1538,13 +1490,3 @@ class ViewServer(Serving):
     def cache_stats(self) -> CacheStats:
         """A point-in-time copy of the cache's lifetime counters."""
         return self._cache.stats_snapshot()
-
-    @property
-    def requests_served(self) -> int:
-        """Requests served over this server's lifetime.
-
-        One per cursor opened plus the duplicates a batch was
-        deduplicated by, counted as each is resolved.
-        """
-        with self._lock:
-            return self._requests_served

@@ -282,7 +282,7 @@ class ShardedViewServer(Serving):
     ``answer_batch`` / ``serve_stream``) from
     :class:`~repro.engine.server.Serving`, so callers can treat both
     interchangeably. Registration (``register`` / ``register_dynamic``),
-    ``apply_deltas``, the tuning surface and ``total_builds`` /
+    ``apply_deltas``, ``prebuild`` / ``demote`` and ``total_builds`` /
     ``cache_stats`` fan out to the shards; :meth:`jobs` hands the same
     per-shard groups to any other executor
     (:class:`~repro.engine.async_server.AsyncViewServer` drains them on
@@ -365,8 +365,6 @@ class ShardedViewServer(Serving):
         # in flight (the name is claimed but not yet routable).
         self._routes: Dict[str, Optional[Tuple[str, Optional[int]]]] = {}
         self._routes_lock = named_lock("sharding.routes")
-        self._served_lock = named_lock("sharding.served")
-        self._requests_served = 0
 
     def _make_shard_server(
         self, shard_id: str, shard_db: Database
@@ -726,35 +724,10 @@ class ShardedViewServer(Serving):
         return self._telemetry
 
     # ------------------------------------------------------------------
-    # tuning surface (the AdaptiveTuner drives these, fanned to shards)
+    # residency, fanned to shards
     # ------------------------------------------------------------------
-    def serving_tau(self, name: str) -> float:
-        """Shard 0's serving τ — representative under uniform retunes.
-
-        :meth:`retune` applies one τ to every shard, so after any
-        facade-level retune the shards agree; only budget-driven
-        registrations start shards at distinct τ.
-        """
-        self.route(name)
-        return self.shards[0].serving_tau(name)
-
-    def retune(self, name: str, tau: float) -> float:
-        """Set every shard's serving τ for one view; returns shard 0's old τ.
-
-        Fan-out of :meth:`ViewServer.retune
-        <repro.engine.server.ViewServer.retune>`: subsequent default-τ
-        requests on any shard build/load at the new τ.
-        """
-        self.route(name)
-        return [server.retune(name, tau) for server in self.shards][0]
-
-    #: The tuning surface's name for :meth:`prebuild`.
+    #: ``ViewServer.prefetch``'s name for :meth:`prebuild`.
     prefetch = prebuild
-
-    def resident(self, name: str, tau: Optional[float] = None) -> bool:
-        """True when the view's structure is cache-resident on EVERY shard."""
-        self.route(name)
-        return all(server.resident(name, tau) for server in self.shards)
 
     def demote(self, name: str) -> int:
         """Evict one view from every shard's memory tier; total entries."""
@@ -776,10 +749,9 @@ class ShardedViewServer(Serving):
         every shard, pinned views put them all on shard 0, routed views
         send each to the shard owning its bound value. The facade's
         accounting lives with it, so every executor of a plan —
-        cursors, batches, :meth:`jobs` — counts each request once in
-        :attr:`requests_served` (a scattered one too) and once per
-        shard it touches in ``shard_requests_total{shard,mode}``;
-        ``served=False`` only plans (:meth:`plan_batch`).
+        cursors, batches, :meth:`jobs` — counts each request once per
+        shard it touches in ``shard_requests_total{shard,mode}`` (with
+        telemetry on); ``served=False`` only plans (:meth:`plan_batch`).
         """
         mode, position = self.route(name)
         plan: List[List[int]] = [[] for _ in self._servers]
@@ -790,15 +762,12 @@ class ShardedViewServer(Serving):
             # Everything, on every shard (scatter) or on shard 0 (pinned).
             for positions in plan if mode == SCATTER else plan[:1]:
                 positions.extend(range(len(accesses)))
-        if served:
-            with self._served_lock:
-                self._requests_served += len(accesses)
-            if self._telemetry is not None:
-                for shard_id, positions in zip(self.shard_ids, plan):
-                    if positions:
-                        self._telemetry.counter(
-                            "shard_requests_total", shard=shard_id, mode=mode
-                        ).inc(len(positions))
+        if served and self._telemetry is not None:
+            for shard_id, positions in zip(self.shard_ids, plan):
+                if positions:
+                    self._telemetry.counter(
+                        "shard_requests_total", shard=shard_id, mode=mode
+                    ).inc(len(positions))
         return mode, plan
 
     def plan_batch(
@@ -849,16 +818,12 @@ class ShardedViewServer(Serving):
         self, name: str, batch: Sequence[Tuple], unique: Sequence[Tuple]
     ) -> None:
         # The duplicates answer_batch deduplicated away were still
-        # served. With telemetry on, planning them counts them here and
-        # per shard; without it only the total is kept, and routing
-        # them again would be wasted work on every skewed batch.
-        extra = len(batch) - len(unique)
-        if extra and self._telemetry is not None:
+        # served: planning them counts them per shard. Without telemetry
+        # there is nothing to count, and routing them again would be
+        # wasted work on every skewed batch.
+        if self._telemetry is not None and len(batch) > len(unique):
             duplicates = Counter(batch) - Counter(unique)
             self._plan(name, list(duplicates.elements()))
-        elif extra:
-            with self._served_lock:
-                self._requests_served += extra
 
     # ------------------------------------------------------------------
     # serving: the two primitives and the job plan (Serving adds the rest)
@@ -1002,12 +967,6 @@ class ShardedViewServer(Serving):
     def total_cache_cells(self) -> int:
         """Cells resident across every shard's cache (aggregate budget)."""
         return sum(server.cache.total_cells for server in self._servers)
-
-    @property
-    def requests_served(self) -> int:
-        """Facade-level request count (a scattered request counts once)."""
-        with self._served_lock:
-            return self._requests_served
 
     def invalidate(self, name: str) -> int:
         """Drop one view's cached structures on every shard; total dropped."""

@@ -1,14 +1,14 @@
-"""Telemetry that survives restarts: metrics, traces, and the τ tuner.
+"""Telemetry that survives restarts: metrics and traces.
 
 Every layer of the engine computes rich signals — per-access delay gaps,
 cache hit/miss/disk-tier counters, shared-scan dedup ratios, per-shard
 routing counts, async queue depths — and, before this module, dropped
-them on the floor. The paper's whole contribution is a *tunable*
-space/delay tradeoff (τ), so the observed delay-gap distribution is
-exactly the signal needed to re-optimize τ per view instead of trusting
-the Section 6 estimate once at build time.
+them on the floor. The observed delay-gap distribution is the paper's
+delay, measured: it shows whether the τ a view was registered at (fixed,
+or chosen once from a Section 6 space or delay budget) delivers the
+delay it promised.
 
-Three pieces:
+Two pieces:
 
 * :class:`MetricsRegistry` — thread-safe counters, gauges, and
   histograms with **fixed** bucket boundaries (:data:`GAP_BUCKETS` for
@@ -26,19 +26,9 @@ Three pieces:
   durable. Malformed or version-mismatched lines raise
   :class:`~repro.exceptions.TelemetryError` (stamped with file and line)
   instead of silently skewing history.
-* :class:`AdaptiveTuner` — the closed loop. On a request-count cadence
-  it reads each view's observed delay-gap percentile since the last
-  pass, compares it against the gap budget, and re-derives the serving
-  τ (:meth:`ViewServer.retune <repro.engine.server.ViewServer.retune>`):
-  gaps over budget halve τ (buy delay with space), gaps comfortably
-  under budget double it (give space back). Retuned and recently-hot
-  views are **promoted** — built into the cache ahead of demand — and
-  views that served nothing since the last pass are **demoted** to the
-  disk tier. Every decision is emitted as a traced, explainable
-  :class:`TuningDecision` event (durable when the telemetry persists).
 
 The schema of every metric (names, labels, bucket bounds), the JSONL
-record format, and the tuning runbook are documented in
+record format, and how to choose τ are documented in
 ``docs/OPERATIONS.md``.
 """
 
@@ -46,7 +36,6 @@ from __future__ import annotations
 
 import bisect
 import json
-import threading
 import time
 import uuid
 import warnings
@@ -74,8 +63,8 @@ from repro.exceptions import ParameterError, TelemetryError
 TELEMETRY_SCHEMA = 1
 
 #: Fixed bucket upper bounds for logical delay gaps (join-counter steps
-#: between consecutive outputs). Powers of two: τ moves in doublings, so
-#: gap histograms resolve exactly the decisions the tuner makes.
+#: between consecutive outputs). Powers of two: gaps span orders of
+#: magnitude across τ.
 GAP_BUCKETS: Tuple[float, ...] = (
     1, 2, 4, 8, 16, 32, 64, 128, 256, 512, 1024, 2048, 4096,
 )
@@ -92,26 +81,6 @@ LabelItems = Tuple[Tuple[str, Any], ...]
 
 def _label_key(labels: Mapping[str, Any]) -> LabelItems:
     return tuple(sorted(labels.items()))
-
-
-def _bucket_percentile(
-    bounds: Sequence[float], counts: Sequence[int], total: int, q: float
-) -> float:
-    """The smallest bound whose cumulative count reaches ``q × total``.
-
-    The one bucket walk behind :meth:`Histogram.percentile` and the
-    tuner's per-pass delta. ``counts`` carries the overflow bucket past
-    ``bounds``, which reports ``inf``; ``total == 0`` reports 0.0.
-    """
-    if total <= 0:
-        return 0.0
-    target = q * total
-    cumulative = 0
-    for bound, bucket in zip(bounds, counts):
-        cumulative += bucket
-        if cumulative >= target:
-            return bound
-    return float("inf")
 
 
 class Counter:
@@ -230,7 +199,15 @@ class Histogram:
         with self._lock:
             total = self._count
             counts = list(self._counts)
-        return _bucket_percentile(self.bounds, counts, total, q)
+        if total <= 0:
+            return 0.0
+        target = q * total
+        cumulative = 0
+        for bound, bucket in zip(self.bounds, counts):
+            cumulative += bucket
+            if cumulative >= target:
+                return bound
+        return float("inf")
 
     def merge_counts(
         self, counts: Sequence[int], total_sum: float, total_count: int
@@ -458,7 +435,7 @@ class TelemetryStore:
         return self._append("metrics", snapshot)
 
     def write_event(self, event: Mapping[str, Any]) -> Dict:
-        """Persist one point event (a tuner decision, ...)."""
+        """Persist one point event."""
         return self._append("event", event)
 
     @classmethod
@@ -625,259 +602,3 @@ class Telemetry:
         """Final flush — call when the owning server shuts down."""
         self.flush()
 
-
-# ----------------------------------------------------------------------
-# the closed loop: observed gaps -> serving τ
-# ----------------------------------------------------------------------
-@dataclass(frozen=True)
-class TuningDecision:
-    """One explainable tuner action (also emitted as a telemetry event).
-
-    ``kind`` is ``"retune"`` (serving τ moved), ``"promote"`` (the
-    serving structure was built/warm-loaded ahead of demand) or
-    ``"demote"`` (an idle view's residents dropped to the disk tier);
-    ``observed_gap`` is the delay-gap percentile the decision was based
-    on, measured since the previous pass, against ``budget``.
-    """
-
-    kind: str
-    view: str
-    tau_before: float
-    tau_after: float
-    observed_gap: float
-    budget: float
-    reason: str
-
-
-class AdaptiveTuner:
-    """Re-derive each view's serving τ from its observed delay gaps.
-
-    Drive it by calling :meth:`maybe_tune` on your serving cadence
-    (e.g. once per batch): every ``interval_requests`` served requests
-    it runs one :meth:`tune` pass over the server's views. A pass reads
-    the ``delay_step_gap{view}`` histogram delta since the previous
-    pass and compares its ``percentile`` against the view's gap budget:
-
-    * observed > budget → **halve** τ (paper: smaller τ buys delay with
-      space) and promote the new structure ahead of demand;
-    * observed × ``relax_headroom`` ≤ budget → **double** τ (give space
-      back — the workload is not using the delay it paid for);
-    * hot views whose serving structure fell out of the cache are
-      promoted; views with zero requests since the last pass are
-      demoted to the disk tier.
-
-    τ stays within [``min_tau``, ``max_tau``]. The budget is
-    ``gap_budget`` when given, else per view: a delay-budget
-    registration's own budget, or the registration's τ (Theorem 1 ties
-    the delay bound to τ, so "meeting τ" is the natural default).
-    Decisions depend only on step-gap histograms and request counts —
-    both deterministic for a seeded stream — never on wall-clock
-    timings.
-
-    The server needs the tuning surface ``views`` / ``registration`` /
-    ``requests_served`` / ``serving_tau`` / ``retune`` / ``prefetch`` /
-    ``resident`` / ``demote``, which :class:`ViewServer
-    <repro.engine.server.ViewServer>` and :class:`ShardedViewServer
-    <repro.engine.sharding.ShardedViewServer>` both expose. Don't point
-    it at a :class:`ReplicaServer <repro.engine.replica.ReplicaServer>`:
-    promotion builds, and replicas refuse to.
-    """
-
-    def __init__(
-        self,
-        server,
-        telemetry: Telemetry,
-        gap_budget: Optional[float] = None,
-        percentile: float = 0.95,
-        interval_requests: int = 256,
-        min_tau: float = 1.0,
-        max_tau: float = 4096.0,
-        relax_headroom: float = 4.0,
-    ) -> None:
-        if gap_budget is not None and gap_budget <= 0:
-            raise ParameterError(
-                f"gap_budget must be positive, got {gap_budget}"
-            )
-        if interval_requests < 1:
-            raise ParameterError(
-                f"interval_requests must be >= 1, got {interval_requests}"
-            )
-        if not 0.0 < percentile <= 1.0:
-            raise ParameterError(
-                f"percentile must be in (0, 1], got {percentile}"
-            )
-        if min_tau <= 0 or max_tau < min_tau:
-            raise ParameterError(
-                f"need 0 < min_tau <= max_tau, got [{min_tau}, {max_tau}]"
-            )
-        self.server = server
-        self.telemetry = telemetry
-        self.gap_budget = gap_budget
-        self.percentile = percentile
-        self.interval_requests = interval_requests
-        self.min_tau = min_tau
-        self.max_tau = max_tau
-        self.relax_headroom = relax_headroom
-        self.decisions: List[TuningDecision] = []
-        self._lock = named_lock("telemetry.tuner")
-        self._last_served = 0
-        # Per-view histogram/counter levels at the previous pass, so a
-        # pass judges only what happened since the last one.
-        self._seen_gaps: Dict[str, Tuple[Tuple[int, ...], float, int]] = {}
-        self._seen_requests: Dict[str, int] = {}
-
-    def maybe_tune(self) -> List[TuningDecision]:
-        """Run a pass if ``interval_requests`` were served since the last."""
-        with self._lock:
-            served = self.server.requests_served
-            if served - self._last_served < self.interval_requests:
-                return []
-            self._last_served = served
-        return self.tune()
-
-    def _budget_for(self, name: str) -> float:
-        if self.gap_budget is not None:
-            return self.gap_budget
-        registration = self.server.registration(name)
-        if registration.policy == "delay-budget":
-            return float(registration.budget)
-        return float(registration.tau)
-
-    def _gap_delta(self, name: str) -> Tuple[float, int]:
-        """(gap percentile, observations) since the previous pass."""
-        histogram = self.telemetry.registry.find_histogram(
-            "delay_step_gap", view=name
-        )
-        if histogram is None:
-            return 0.0, 0
-        counts = histogram.counts
-        total_sum, total = histogram.sum, histogram.count
-        seen_counts, _, seen_total = self._seen_gaps.get(
-            name, ((0,) * len(counts), 0.0, 0)
-        )
-        self._seen_gaps[name] = (counts, total_sum, total)
-        delta = [c - s for c, s in zip(counts, seen_counts)]
-        observed = total - seen_total
-        if observed <= 0:
-            return 0.0, 0
-        return (
-            _bucket_percentile(
-                histogram.bounds, delta, observed, self.percentile
-            ),
-            observed,
-        )
-
-    def _requests_delta(self, name: str) -> int:
-        served = self.telemetry.registry.counter_value(
-            "requests_total", view=name, mode="open"
-        ) + self.telemetry.registry.counter_value(
-            "requests_total", view=name, mode="batch"
-        )
-        delta = served - self._seen_requests.get(name, 0)
-        self._seen_requests[name] = served
-        return delta
-
-    def _emit(self, decision: TuningDecision) -> None:
-        self.decisions.append(decision)
-        self.telemetry.counter(
-            "tuning_decisions_total", kind=decision.kind
-        ).inc()
-        self.telemetry.event(
-            "tuning",
-            kind=decision.kind,
-            view=decision.view,
-            tau_before=decision.tau_before,
-            tau_after=decision.tau_after,
-            observed_gap=decision.observed_gap,
-            budget=decision.budget,
-            reason=decision.reason,
-        )
-
-    def tune(self) -> List[TuningDecision]:
-        """One full pass over the server's views; returns its decisions."""
-        decisions: List[TuningDecision] = []
-        with self._lock:
-            with self.telemetry.trace("tune") as span:
-                for name in self.server.views():
-                    decisions.extend(self._tune_view(name))
-                span.annotate(decisions=len(decisions))
-        return decisions
-
-    def _tune_view(self, name: str) -> List[TuningDecision]:
-        out: List[TuningDecision] = []
-        tau = self.server.serving_tau(name)
-        budget = self._budget_for(name)
-        observed, observations = self._gap_delta(name)
-        hot = self._requests_delta(name) > 0
-        if not hot:
-            dropped = self.server.demote(name)
-            if dropped:
-                decision = TuningDecision(
-                    kind="demote",
-                    view=name,
-                    tau_before=tau,
-                    tau_after=tau,
-                    observed_gap=observed,
-                    budget=budget,
-                    reason=(
-                        f"no requests since the last pass; dropped "
-                        f"{dropped} resident entr"
-                        f"{'y' if dropped == 1 else 'ies'} to the disk tier"
-                    ),
-                )
-                with self.telemetry.trace("tune.demote", view=name):
-                    self._emit(decision)
-                out.append(decision)
-            return out
-        new_tau = tau
-        reason = ""
-        if observations > 0 and observed > budget and tau > self.min_tau:
-            new_tau = max(self.min_tau, tau / 2.0)
-            reason = (
-                f"p{int(self.percentile * 100)} step gap {observed:g} "
-                f"exceeds budget {budget:g}: buying delay with space"
-            )
-        elif (
-            observations > 0
-            and observed * self.relax_headroom <= budget
-            and tau < self.max_tau
-        ):
-            new_tau = min(self.max_tau, tau * 2.0)
-            reason = (
-                f"p{int(self.percentile * 100)} step gap {observed:g} is "
-                f"under budget {budget:g} with {self.relax_headroom:g}x "
-                "headroom: giving space back"
-            )
-        if new_tau != tau:
-            with self.telemetry.trace("tune.retune", view=name) as span:
-                self.server.retune(name, new_tau)
-                decision = TuningDecision(
-                    kind="retune",
-                    view=name,
-                    tau_before=tau,
-                    tau_after=new_tau,
-                    observed_gap=observed,
-                    budget=budget,
-                    reason=reason,
-                )
-                span.annotate(tau=new_tau, reason=reason)
-                self._emit(decision)
-            out.append(decision)
-        if not self.server.resident(name):
-            with self.telemetry.trace("tune.promote", view=name):
-                self.server.prefetch(name)
-                decision = TuningDecision(
-                    kind="promote",
-                    view=name,
-                    tau_before=tau,
-                    tau_after=new_tau,
-                    observed_gap=observed,
-                    budget=budget,
-                    reason=(
-                        f"hot view not resident at serving tau "
-                        f"{new_tau:g}: built ahead of demand"
-                    ),
-                )
-                self._emit(decision)
-            out.append(decision)
-        return out

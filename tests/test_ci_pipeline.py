@@ -368,8 +368,15 @@ class TestMakefileContract:
 #: −110 — the split tree, the version, the serialized form and
 #: ``assignment_of``; ``server.py`` −15, ``Registration.replay`` and
 #: ``register_dynamic(database=)``; ``__init__.py`` −2; ``api.py`` +5, a
-#: typed ``limit``). No gain claimed.
-ENGINE_SLOC_CEILING = 3836
+#: typed ``limit``). No gain claimed. Then, when the closed-loop τ tuner
+#: went and τ became the registration's alone: 3,836 → 3,578 (−258:
+#: ``telemetry.py`` −201 — ``AdaptiveTuner``, ``TuningDecision``, the
+#: percentile helper folded into ``Histogram.percentile`` and an unused
+#: ``threading`` import; ``server.py`` −31 — ``serving_tau``, ``retune``,
+#: the override map and the ``requests_served`` count; ``sharding.py``
+#: −22 — the same surface, its lock and fan-outs; ``__init__.py`` −4).
+#: No gain claimed.
+ENGINE_SLOC_CEILING = 3578
 
 #: `make size`'s figure for src/repro/__main__.py after PR 18: the CLI
 #: wires a back end, an async front and its error reporting once each;
@@ -379,8 +386,10 @@ ENGINE_SLOC_CEILING = 3836
 #: ``--balancer`` and ``--per-request`` with the unbatched baseline it
 #: ran, each a flag whose code path the engine no longer has. Then
 #: 985 → 850 (−135): the ``topology show`` / ``topology split`` verbs
-#: went with live resharding.
-MAIN_SLOC_CEILING = 850
+#: went with live resharding. Then 850 → 790 (−60): ``serve --adapt``
+#: and ``--gap-budget`` went with the closed-loop τ tuner, with the loop
+#: they drove and their four refusals.
+MAIN_SLOC_CEILING = 790
 
 #: `make size`'s total for src/repro after PR 24. A per-package ceiling
 #: reads code *moved* out of the package as a reduction; the total cannot
@@ -509,7 +518,9 @@ MAIN_SLOC_CEILING = 850
 #: ``_dict_columns`` folded into ``_compile_dictionary``, ``cut_layout``
 #: one ``compress`` over the flat costs) and ``core/dictionary.py`` −1.
 #: It moved the ``tau_churn`` ``latency_p99_ms`` row (``BENCH_33.json``).
-SRC_SLOC_CEILING = 12229
+#: Then, when the closed-loop τ tuner went: 12,229 → 11,911 (−318: the
+#: engine −258 and the CLI −60 above). No gain claimed.
+SRC_SLOC_CEILING = 11911
 
 
 class TestSizeGate:

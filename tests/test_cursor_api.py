@@ -226,11 +226,6 @@ class TestAnswerCursor:
                 VIEW, db, heavy_access
             )[:3]
 
-    def test_open_counts_requests_served(self, server, heavy_access):
-        before = server.requests_served
-        server.open("V", heavy_access).close()
-        assert server.requests_served == before + 1
-
 
 class TestSkipScanDegradation:
     def test_resume_without_enumerate_from_skip_scans(self, db):
@@ -309,10 +304,19 @@ class TestShardedCursors:
         assert rows == oracle_answer(VIEW, db, heavy_access)[:3]
         assert cursor.parts == ()  # the owning shard's cursor, unmerged
 
-    def test_facade_counts_one_request_per_open(self, scatter, heavy_access):
-        before = scatter.requests_served
+    def test_facade_counts_one_request_per_open(self, db, heavy_access):
+        # A scattered open is one request on every shard it fans out to.
+        telemetry = Telemetry()
+        scatter = ShardedViewServer(db, 4, SCATTER_KEY, telemetry=telemetry)
+        scatter.register(VIEW, tau=6.0, name="V")
         scatter.open("V", heavy_access).close()
-        assert scatter.requests_served == before + 1
+        counts = {
+            (entry["labels"]["shard"], entry["labels"]["mode"]): entry["value"]
+            for entry in telemetry.registry.snapshot()["counters"]
+            if entry["name"] == "shard_requests_total"
+        }
+        assert counts == {(shard, "scatter"): 1 for shard in scatter.shard_ids}
+        scatter.close()
 
     def test_close_releases_every_part(self, scatter, heavy_access):
         cursor = scatter.open("V", heavy_access)

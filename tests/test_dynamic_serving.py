@@ -63,11 +63,9 @@ class TestRegistration:
         assert server.views() == ()
         server.close()
 
-    def test_retune_and_tau_pins_rejected(self):
+    def test_tau_pins_rejected(self):
         server = ViewServer(chain_database())
         name = server.register_dynamic(VIEW_TEXT, tau=4.0)
-        with pytest.raises(ParameterError, match="registration"):
-            server.retune(name, 2.0)
         with pytest.raises(ParameterError, match="tau"):
             server.open(name, (1,), tau=2.0)
         with pytest.raises(ParameterError, match="tau"):

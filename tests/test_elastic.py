@@ -21,6 +21,7 @@ from repro.engine import (
     AsyncViewServer,
     ReplicaServer,
     ShardedViewServer,
+    Telemetry,
     ViewServer,
     semijoin_reduce_database,
 )
@@ -191,11 +192,12 @@ class TestAsyncReplicas:
             view, db, tmp_path, n=2
         )
         keys = productive_accesses(view, db)
-        served_before = [r.requests_served for r in replicas]
+        hits_before = [r.cache_stats.hits for r in replicas]
+        telemetry = Telemetry()
 
         async def drive():
             server = AsyncViewServer(
-                primary, replicas=replicas, max_workers=2
+                primary, replicas=replicas, max_workers=2, telemetry=telemetry
             )
             try:
                 results = []
@@ -217,9 +219,17 @@ class TestAsyncReplicas:
                     result.result.accesses, result.result.answers
                 ):
                     assert rows == oracle_answer(view, db, access)
-            # Replicas did the serving; no replica built anything.
-            for replica, before in zip(replicas, served_before):
-                assert replica.requests_served > before
+            # Each replica took two batches and served them from its
+            # hydrated structure; no replica built anything.
+            picks = [
+                telemetry.registry.counter_value(
+                    "balancer_picks_total", replica=str(index)
+                )
+                for index in range(len(replicas))
+            ]
+            assert picks == [2, 2]
+            for replica, before in zip(replicas, hits_before):
+                assert replica.cache_stats.hits > before
                 assert replica.total_builds() == 0
         finally:
             for replica in replicas:

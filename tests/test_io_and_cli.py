@@ -6,6 +6,7 @@ import pytest
 
 from repro.__main__ import main
 from repro.database.relation import Relation
+from repro.engine.telemetry import TelemetryStore
 from repro.exceptions import SchemaError
 from repro.io import load_database, load_relation_csv, save_relation_csv
 
@@ -566,51 +567,57 @@ class TestMetricsCLI:
     ):
         # The acceptance scenario end to end: two serve invocations
         # (a restart), then `metrics show` replays the merged history.
+        # A third session is history an older tree left behind: closed-
+        # loop tuning decisions, as a counter and an event. Nothing
+        # writes those any more, but they still merge and print.
         telemetry_dir = tmp_path / "telemetry"
         for _ in range(2):
             assert self._serve(triangle_dir, tmp_path) == 0
-        assert len(list(telemetry_dir.glob("*.jsonl"))) == 2
+        old = TelemetryStore(telemetry_dir, session="old-tree")
+        old.write_event(
+            {"op": "tuning", "kind": "retune", "view": "Delta",
+             "tau_before": 2.0, "tau_after": 4.0}
+        )
+        old.write_metrics(
+            {
+                "counters": [
+                    {"name": "tuning_decisions_total",
+                     "labels": {"kind": "retune"}, "value": 3},
+                    {"name": "requests_total",
+                     "labels": {"mode": "batch", "view": "Delta"},
+                     "value": 5},
+                ],
+                "gauges": [],
+                "histograms": [],
+            }
+        )
+        assert len(list(telemetry_dir.glob("*.jsonl"))) == 3
         capsys.readouterr()
         assert main(
-            ["metrics", "show", "--telemetry-dir", str(telemetry_dir)]
+            ["metrics", "show", "--telemetry-dir", str(telemetry_dir),
+             "--events", "5"]
         ) == 0
         output = capsys.readouterr().out
         # 3 requests per run, duplicate deduplicated: 2 distinct batch
-        # cursors each run, summed across both sessions.
-        assert "requests_total{mode=batch,view=Delta} = 4" in output
+        # cursors each run, summed across both sessions, plus the old
+        # session's 5.
+        assert "requests_total{mode=batch,view=Delta} = 9" in output
         assert "delay_step_gap{view=Delta}" in output
         assert "cache_misses_total = 2" in output
-
-    def test_serve_adapt_tunes_and_records_decisions(
-        self, triangle_dir, tmp_path, capsys
-    ):
-        # A tiny stream with a tight budget still exercises the loop:
-        # decisions are printed and land durably as tuning events.
-        code = self._serve(
-            triangle_dir,
-            tmp_path,
-            "--adapt",
-            "--gap-budget",
-            "64",
-            "--batch-size",
-            "2",
-        )
-        assert code == 0
-        output = capsys.readouterr().out
-        assert "adaptive: 3 requests" in output
-        assert "serving tau now" in output
+        assert "tuning_decisions_total{kind=retune} = 3" in output
+        assert "tuning: kind=retune tau_after=4.0 tau_before=2.0" in output
+        out = tmp_path / "metrics.json"
         assert main(
-            [
-                "metrics",
-                "show",
-                "--telemetry-dir",
-                str(tmp_path / "telemetry"),
-                "--events",
-                "5",
-            ]
+            ["metrics", "export", "--telemetry-dir", str(telemetry_dir),
+             "--out", str(out)]
         ) == 0
-        replay = capsys.readouterr().out
-        assert "tuning_decisions_total" in replay or "events_total" in replay
+        document = json.loads(out.read_text())
+        counters = {
+            (e["name"], tuple(sorted(e["labels"].items()))): e["value"]
+            for e in document["metrics"]["counters"]
+        }
+        assert counters[("tuning_decisions_total", (("kind", "retune"),))] == 3
+        assert [e["op"] for e in document["events"]] == ["tuning"]
 
     def test_metrics_export_writes_one_json_document(
         self, triangle_dir, tmp_path, capsys
@@ -642,7 +649,16 @@ class TestMetricsCLI:
         assert code == 2
         assert "no telemetry directory" in capsys.readouterr().err
 
-    def test_gap_budget_requires_adapt(self, triangle_dir, tmp_path, capsys):
-        code = self._serve(triangle_dir, tmp_path, "--gap-budget", "8")
-        assert code == 2
-        assert "add --adapt" in capsys.readouterr().err
+    @pytest.mark.parametrize(
+        "flags",
+        [("--adapt",), ("--gap-budget", "8"), ("--adapt", "--gap-budget", "8")],
+    )
+    def test_the_retired_tuner_flags_are_unknown(
+        self, triangle_dir, tmp_path, capsys, flags
+    ):
+        # τ is chosen once, at registration: there is no closed loop to
+        # switch on, so argparse refuses its flags like any other typo.
+        with pytest.raises(SystemExit) as exit_info:
+            self._serve(triangle_dir, tmp_path, *flags)
+        assert exit_info.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err

@@ -419,18 +419,6 @@ class TestAggregation:
         assert sorted(outcomes) == [False, False, False, True]
         assert server.views() == ()
 
-    def test_requests_served_counts_facade_requests(self, triangle_setup):
-        view, db = triangle_setup
-        server = ShardedViewServer(db, 4, SHARD_KEY)
-        name = server.register(view, tau=8.0)
-        server.answer_batch(name, [(1, 2), (2, 3)], measure=False)
-        assert server.requests_served == 2
-        # A scattered request fans out to every shard but is still one
-        # request at the facade.
-        scatter = server.register(scatter_view(), tau=8.0)
-        server.answer_batch(scatter, [(2, 3), (3, 1), (2, 3)], measure=False)
-        assert server.requests_served == 5
-
     def test_per_shard_tau_budgets_resolve_independently(self, triangle_setup):
         view, db = triangle_setup
         server = ShardedViewServer(db, 2, SHARD_KEY)

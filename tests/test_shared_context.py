@@ -645,7 +645,7 @@ class TestCounts:
             db, max_entries=None, max_cells=budget, snapshot_dir=tmp_path
         )
         server.register(view, tau=8.0, name="churn")
-        server.prefetch("churn", 2.0)
+        server.representation("churn", 2.0)
         assert (len(contexts), len(tries)) == (2, 0)
         access = oracle_accesses(view, db, limit=1)[0]
         for _ in range(2):  # the second pass is the warm one

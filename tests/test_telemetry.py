@@ -1,4 +1,4 @@
-"""Telemetry: metric primitives, durable JSONL history, the closed loop.
+"""Telemetry: metric primitives, durable JSONL history, the delay signal.
 
 Three contracts, in the order an operator hits them:
 
@@ -7,9 +7,8 @@ Three contracts, in the order an operator hits them:
 * the JSONL store is versioned append-only history — schema-checked on
   read, merged *across* server restarts rather than overwritten, and
   malformed lines fail with their file and line number;
-* the :class:`~repro.engine.telemetry.AdaptiveTuner` closed loop is
-  deterministic — the same observed histograms always produce the same
-  explainable decisions.
+* a live server's ``delay_step_gap{view}`` histogram holds exactly the
+  measured requests' maximum step gaps, whichever walk produced them.
 
 ``docs/OPERATIONS.md`` documents every name asserted here; drift
 between that document and the code should fail in this file.
@@ -24,7 +23,6 @@ from oracle import oracle_answer
 from reference_walk import reference_walk
 from repro.engine import (
     GAP_BUCKETS,
-    AdaptiveTuner,
     AsyncViewServer,
     MetricsRegistry,
     ReplicaServer,
@@ -367,233 +365,16 @@ class TestInstrumentedServing:
 
 
 # ----------------------------------------------------------------------
-# the closed loop
+# the delay signal
 # ----------------------------------------------------------------------
-class FakeTunableServer:
-    """The tuning surface, scripted: gaps go in, decisions come out."""
-
-    def __init__(self, views=("V",), tau=8.0):
-        self._taus = {name: tau for name in views}
-        self._resident = {name: True for name in views}
-        self.requests_served = 0
-        self.prefetches = []
-        self.demotions = []
-
-    def views(self):
-        return tuple(self._taus)
-
-    def serving_tau(self, name):
-        return self._taus[name]
-
-    def retune(self, name, tau):
-        previous = self._taus[name]
-        self._taus[name] = tau
-        self._resident[name] = False
-        return previous
-
-    def prefetch(self, name, tau=None):
-        self.prefetches.append(name)
-        self._resident[name] = True
-
-    def resident(self, name, tau=None):
-        return self._resident[name]
-
-    def demote(self, name):
-        if not self._resident[name]:
-            return 0
-        self._resident[name] = False
-        self.demotions.append(name)
-        return 1
-
-
-def observe_traffic(telemetry, view, gaps):
-    """Feed one interval of requests + gap observations for ``view``."""
-    telemetry.counter("requests_total", view=view, mode="open").inc(len(gaps))
-    histogram = telemetry.histogram(
-        "delay_step_gap", buckets=GAP_BUCKETS, view=view
-    )
-    for gap in gaps:
-        histogram.observe(gap)
-
-
-class TestAdaptiveTuner:
-    def test_over_budget_gaps_halve_tau_and_promote(self):
-        server = FakeTunableServer(tau=8.0)
-        telemetry = Telemetry()
-        tuner = AdaptiveTuner(server, telemetry, gap_budget=16.0)
-        observe_traffic(telemetry, "V", [40] * 20)
-        decisions = tuner.tune()
-        assert [d.kind for d in decisions] == ["retune", "promote"]
-        retune = decisions[0]
-        assert (retune.tau_before, retune.tau_after) == (8.0, 4.0)
-        assert retune.observed_gap > retune.budget == 16.0
-        assert "buying delay with space" in retune.reason
-        assert server.serving_tau("V") == 4.0
-        assert server.prefetches == ["V"]
-
-    def test_gaps_far_under_budget_double_tau(self):
-        server = FakeTunableServer(tau=8.0)
-        telemetry = Telemetry()
-        tuner = AdaptiveTuner(
-            server, telemetry, gap_budget=64.0, relax_headroom=4.0
-        )
-        observe_traffic(telemetry, "V", [2] * 20)
-        decisions = tuner.tune()
-        assert decisions[0].kind == "retune"
-        assert decisions[0].tau_after == 16.0
-        assert "giving space back" in decisions[0].reason
-
-    def test_gaps_inside_the_headroom_band_hold_tau(self):
-        # Observed 16 on budget 64 with 8x headroom: neither over budget
-        # nor 8x under it — the loop must sit still, not oscillate.
-        server = FakeTunableServer(tau=8.0)
-        telemetry = Telemetry()
-        tuner = AdaptiveTuner(
-            server, telemetry, gap_budget=64.0, relax_headroom=8.0
-        )
-        observe_traffic(telemetry, "V", [12] * 20)
-        assert tuner.tune() == []
-        assert server.serving_tau("V") == 8.0
-
-    def test_tau_respects_the_rails(self):
-        server = FakeTunableServer(tau=2.0)
-        telemetry = Telemetry()
-        tuner = AdaptiveTuner(
-            server, telemetry, gap_budget=16.0, min_tau=2.0, max_tau=4.0
-        )
-        observe_traffic(telemetry, "V", [100] * 10)
-        assert not [
-            d for d in tuner.tune() if d.kind == "retune"
-        ], "tau already at min_tau must not tighten further"
-        observe_traffic(telemetry, "V", [1] * 50)
-        decisions = tuner.tune()
-        assert decisions[0].tau_after == 4.0
-        observe_traffic(telemetry, "V", [1] * 50)
-        assert not [
-            d for d in tuner.tune() if d.kind == "retune"
-        ], "tau at max_tau must not relax further"
-
-    def test_idle_views_demote_and_each_pass_judges_only_its_interval(self):
-        server = FakeTunableServer(tau=8.0)
-        telemetry = Telemetry()
-        tuner = AdaptiveTuner(server, telemetry, gap_budget=16.0)
-        observe_traffic(telemetry, "V", [40] * 20)
-        assert [d.kind for d in tuner.tune()] == ["retune", "promote"]
-        # No new traffic since that pass: the stale over-budget gaps
-        # must not re-trigger; the view is idle now, so it demotes.
-        decisions = tuner.tune()
-        assert [d.kind for d in decisions] == ["demote"]
-        assert "no requests" in decisions[0].reason
-        assert server.demotions == ["V"]
-        # Still idle, nothing resident: nothing left to decide.
-        assert tuner.tune() == []
-
-    def test_maybe_tune_runs_on_the_request_cadence(self):
-        server = FakeTunableServer(tau=8.0)
-        telemetry = Telemetry()
-        tuner = AdaptiveTuner(
-            server, telemetry, gap_budget=16.0, interval_requests=10
-        )
-        observe_traffic(telemetry, "V", [40] * 9)
-        server.requests_served = 9
-        assert tuner.maybe_tune() == []
-        observe_traffic(telemetry, "V", [40])
-        server.requests_served = 10
-        assert [d.kind for d in tuner.maybe_tune()] == ["retune", "promote"]
-
-    def test_decisions_are_deterministic_and_fully_explained(self):
-        def run():
-            server = FakeTunableServer(views=("A", "B"), tau=8.0)
-            telemetry = Telemetry()
-            tuner = AdaptiveTuner(
-                server, telemetry, gap_budget=32.0, relax_headroom=4.0
-            )
-            trace = []
-            for gaps_a, gaps_b in [
-                ([100] * 19 + [2], [1] * 20),
-                ([100] * 20, []),
-                ([4] * 20, [1] * 20),
-            ]:
-                if gaps_a:
-                    observe_traffic(telemetry, "A", gaps_a)
-                if gaps_b:
-                    observe_traffic(telemetry, "B", gaps_b)
-                trace.extend(tuner.tune())
-            return [
-                (d.kind, d.view, d.tau_before, d.tau_after, d.observed_gap)
-                for d in trace
-            ], telemetry
-
-        first, telemetry = run()
-        second, _ = run()
-        assert first == second, "same observations must mean same decisions"
-        by_kind = telemetry.registry
-        assert by_kind.counter_value(
-            "tuning_decisions_total", kind="retune"
-        ) == sum(1 for d in first if d[0] == "retune")
-        # Every decision is also a durable, explainable event.
-        tuning_events = [
-            e for e in telemetry.events if e["op"] == "tuning"
-        ]
-        assert len(tuning_events) == len(first)
-        assert all(
-            {"kind", "view", "tau_before", "tau_after", "observed_gap",
-             "budget", "reason"} <= set(e)
-            for e in tuning_events
-        )
-
-    def test_parameter_validation(self):
-        server = FakeTunableServer()
-        telemetry = Telemetry()
-        for kwargs in (
-            {"gap_budget": 0.0},
-            {"interval_requests": 0},
-            {"percentile": 0.0},
-            {"percentile": 1.5},
-            {"min_tau": 0.0},
-            {"min_tau": 8.0, "max_tau": 4.0},
-        ):
-            with pytest.raises(ParameterError):
-                AdaptiveTuner(server, telemetry, **kwargs)
-
-    def test_the_loop_closes_on_a_real_server(self, setup, tmp_path):
-        # End to end on a live ViewServer: a too-tight τ, observed gaps
-        # under budget, the tuner relaxes it, and the new structure
-        # serves identical answers.
-        view, db = setup
-        server = ViewServer(db, snapshot_dir=tmp_path, telemetry=True)
-        try:
-            name = server.register(view, tau=1.0)
-            tuner = AdaptiveTuner(
-                server,
-                server.telemetry,
-                gap_budget=512.0,
-                interval_requests=4,
-                relax_headroom=2.0,
-            )
-            accesses = request_stream(view, db, 8, seed=3)
-            expected = [oracle_answer(view, db, a) for a in accesses]
-            result = server.answer_batch(name, accesses)
-            assert list(map(list, result.answers)) == expected
-            decisions = tuner.maybe_tune()
-            kinds = {d.kind for d in decisions}
-            assert "retune" in kinds
-            assert server.serving_tau(name) == 2.0
-            again = server.answer_batch(name, accesses)
-            assert again.answers == result.answers
-            served = server.telemetry.registry.counter_value(
-                "requests_total", view=name, mode="batch"
-            )
-            assert served > 0
-        finally:
-            server.close()
-
-    def test_the_tuner_steers_the_same_from_kernel_and_reference_traffic(
+class TestDelayHistogram:
+    def test_kernel_and_reference_traffic_fill_the_same_histogram(
         self, setup
     ):
         # Measured requests ride the kernel, which counts the reference
-        # walk's steps itself: the delay histogram the tuner reads — and
-        # so every decision it takes — must not depend on the path.
+        # walk's steps itself: the delay histogram — the paper's delay,
+        # as served — must not depend on the path, and must hold every
+        # measured request's maximum step gap, batched or opened alone.
         view, db = setup
         accesses = request_stream(view, db, 24, seed=5)
 
@@ -601,24 +382,18 @@ class TestAdaptiveTuner:
             server = ViewServer(db, telemetry=True)
             try:
                 name = server.register(view, tau=1.0)
-                tuner = AdaptiveTuner(
-                    server,
-                    server.telemetry,
-                    gap_budget=64.0,
-                    interval_requests=4,
-                    relax_headroom=2.0,
-                )
-                trace = []
+                expected = Histogram(GAP_BUCKETS)
+                cursor_gaps = []
                 for round_ in range(4):
                     batch = accesses[round_ * 6 : round_ * 6 + 6]
-                    server.answer_batch(name, batch)
+                    result = server.answer_batch(name, batch)
+                    for stats in result.request_stats.values():
+                        expected.observe(stats.step_max_gap)
                     for access in batch[:2]:
-                        server.open(name, access, measure=True).fetchall()
-                    trace.extend(
-                        (d.kind, d.view, d.tau_before, d.tau_after,
-                         d.observed_gap)
-                        for d in tuner.tune()
-                    )
+                        cursor = server.open(name, access, measure=True)
+                        cursor.fetchall()
+                        cursor_gaps.append(cursor.stats().step_max_gap)
+                        expected.observe(cursor_gaps[-1])
                 registry = server.telemetry.registry
                 gaps = registry.find_histogram("delay_step_gap", view=name)
                 paths = {
@@ -627,18 +402,26 @@ class TestAdaptiveTuner:
                     )
                     for path in ("columnar", "fallback")
                 }
-                return trace, gaps.counts, gaps.sum, paths
+                return gaps, expected, cursor_gaps, paths
             finally:
                 server.close()
 
-        kernel_trace, kernel_counts, kernel_sum, kernel_paths = run()
+        kernel_gaps, kernel_expected, kernel_cursors, kernel_paths = run()
         with reference_walk():
-            ref_trace, ref_counts, ref_sum, ref_paths = run()
+            ref_gaps, _, ref_cursors, ref_paths = run()
         # The server counts what it serves by the one path it has; the
         # fixture swaps the walk under it and is not a second series.
         assert kernel_paths == ref_paths
         assert kernel_paths["columnar"] > 0 and kernel_paths["fallback"] == 0
-        assert sum(kernel_counts) > 0
-        assert (kernel_counts, kernel_sum) == (ref_counts, ref_sum)
-        assert any(kind == "retune" for kind, *_ in kernel_trace)
-        assert kernel_trace == ref_trace
+        assert kernel_gaps.count > 0
+        assert (kernel_gaps.counts, kernel_gaps.sum) == (
+            ref_gaps.counts,
+            ref_gaps.sum,
+        )
+        assert kernel_cursors == ref_cursors and max(kernel_cursors) > 0
+        # Every measured request landed in its bucket, and nothing else.
+        assert (kernel_gaps.counts, kernel_gaps.sum, kernel_gaps.count) == (
+            kernel_expected.counts,
+            kernel_expected.sum,
+            kernel_expected.count,
+        )
