@@ -35,7 +35,10 @@ def test_paper_instance_numbers(benchmark):
     space = cr.ctx.space
     root_interval = FInterval.full(space)
     t_root = cr.cost_model.interval_cost(root_interval)
-    t_heavy = cr.cost_model.access_cost(root_interval, (1, 1, 1))
+    # T(v_b, I_r) as the dictionary pass stored it beside the heavy pair.
+    columns = cr._layout.dictionary
+    lo, hi = columns.index[(1, 1, 1)]
+    t_heavy = columns.costs[lo + columns.nodes[lo:hi].index(cr.tree.root.id)]
     rows = [
         ("T(I_r)", "10.56", f"{t_root:.2f}"),
         ("T(vb,I_r)", "4.414", f"{t_heavy:.3f}"),

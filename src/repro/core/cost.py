@@ -9,13 +9,16 @@ shows ``T(v_b, I)`` bounds the time to evaluate the join restricted to
 ``(v_b, I)`` with a worst-case-optimal algorithm; the compressed
 representation uses it as its notion of "expensive sub-instance".
 
-Counts ``|R_F(v_b, B)|`` come from the context's sorted index over each
-atom (:class:`~repro.core.layout.AtomColumns`) in ``O(arity · log |D|)``:
-take the slice of the bound values, descend the unit prefix by one
-bisect per level, then count one coordinate's index range off the prefix
-count column — two bisects and a subtraction. Unrestricted counts
-(``v_b`` not fixed) read the context's free-columns-only instances,
-which keep each row's multiplicity. Exponents ``û_F = 0`` contribute a
+Counts ``|R_F(B)|`` come from the context's sorted index over each atom
+(:class:`~repro.core.layout.AtomColumns`) in ``O(arity · log |D|)``:
+descend the unit prefix by one bisect per level, then count one
+coordinate's index range off the prefix count column — two bisects and a
+subtraction. With no ``v_b`` fixed they read the context's
+free-columns-only instances, which keep each row's multiplicity; the
+restricted ``T(v_b, B)`` of a build's (candidate, node) pairs starts
+from the slice of the bound values in the atoms' own columns, and the
+dictionary pass (:mod:`repro.core.dictionary`) computes it, by the same
+arithmetic, as arrays. Exponents ``û_F = 0`` contribute a
 factor of 1 by the usual ``x^0 = 1`` convention (including ``x = 0``),
 matching the paper's product.
 
@@ -24,8 +27,8 @@ whole evaluation stays in index space. The counts are exact integers,
 the factors are multiplied in atom order and the boxes summed in box
 order, so a cost is one well-defined float — the object-form
 transcription in ``tests/reference_build.py``, counting on tries,
-computes the same bits. A :class:`CostWalk` evaluates many boxes under
-one access and remembers the slices below the last unit prefix, so the
+computes the same bits. A :class:`CostWalk` evaluates many boxes and
+remembers the slices below the last unit prefix, so the
 probes of one split and the consecutive boxes of one interval descend
 their shared prefix once.
 """
@@ -34,7 +37,7 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_left, bisect_right
-from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
+from typing import List, Mapping, Optional, Sequence, Tuple
 
 from repro.core.context import ViewContext
 from repro.core.intervals import Box, FInterval, box_decomposition
@@ -42,6 +45,17 @@ from repro.exceptions import ParameterError
 
 #: Per factor atom, a slice ``(lo, hi)`` of one level of its columns.
 Slices = List[Tuple[int, int]]
+
+
+def read_level(atom, coordinate: int) -> Tuple[int, bool]:
+    """The level of ``atom``'s columns a count at ``coordinate`` reads.
+
+    And whether the coordinate is one of the atom's, so its values clip
+    the count there. Past the atom's last free coordinate the level is
+    its last: the one-entry slice a fixed value leaves.
+    """
+    level = min(bisect_left(atom.coords, coordinate), max(atom.width - 1, 0))
+    return level, coordinate in atom.coords
 
 
 class CostModel:
@@ -83,7 +97,7 @@ class CostModel:
         )
         # The atoms with a factor in the product, in atom order (a zero
         # exponent is a factor of 1 whatever the count), and their
-        # exponents; what a walk reads of their columns, per atom set.
+        # exponents; and, once a walk asks, what it reads of their columns.
         self._factors: List[int] = [
             position
             for position, binding in enumerate(ctx.atoms)
@@ -92,7 +106,7 @@ class CostModel:
         self._exponents = [
             self.uhat[ctx.atoms[position].label] for position in self._factors
         ]
-        self._plans: Dict[bool, List[Tuple]] = {}
+        self._count_plan: Optional[List[Tuple]] = None
 
     def _plan(self, atoms) -> List[Tuple]:
         """Per coordinate, what a walk over ``atoms`` reads there.
@@ -110,10 +124,9 @@ class CostModel:
         for coordinate in range(max(len(self.tops), 1)):
             probes, runs, counts = [], [], []
             for slot, atom in enumerate(atoms):
-                level = bisect_left(atom.coords, coordinate)
-                level = min(level, max(atom.width - 1, 0))
+                level, constrains = read_level(atom, coordinate)
                 run = None
-                if coordinate in atom.coords:
+                if constrains:
                     run = atom.vals[level]
                     kids = (None, None)
                     if level + 1 < atom.width:
@@ -126,57 +139,50 @@ class CostModel:
             plan.append((probes, runs, counts, self._exponents))
         return plan
 
-    # ------------------------------------------------------------------
-    def walk(self, access: Optional[Sequence] = None) -> "CostWalk":
-        """A fresh evaluator of ``T(B)`` or, under ``access``, ``T(v_b, B)``.
+    def factors(self) -> Tuple[List, List[float]]:
+        """The factor atoms' join columns, in atom order, and their exponents.
 
-        Unrestricted counts come from the free-columns-only instances
-        with row multiplicities; a restricted one starts from the slice
-        of the access's bound values in the atoms' own columns.
+        What ``T(v_b, B)`` multiplies — the dictionary pass reads them
+        as arrays (:mod:`repro.core.dictionary`).
         """
-        unrestricted = access is None
-        if unrestricted:
-            atoms, access = self.ctx.count_columns(), ()
-        else:
-            atoms = self.ctx.columns().atoms
+        atoms = self.ctx.columns().atoms
+        return [atoms[position] for position in self._factors], self._exponents
+
+    # ------------------------------------------------------------------
+    def walk(self) -> "CostWalk":
+        """A fresh evaluator of ``T(B)``, no ``v_b`` fixed.
+
+        Its counts come from the free-columns-only instances, with row
+        multiplicities. ``T(v_b, B)`` is the dictionary pass's
+        (:mod:`repro.core.dictionary`), which costs every restricted
+        pair of a build in array steps.
+        """
+        atoms = self.ctx.count_columns()
         atoms = [atoms[position] for position in self._factors]
-        plan = self._plans.get(unrestricted)
-        if plan is None:
-            plan = self._plans[unrestricted] = self._plan(atoms)
-        return CostWalk(self, plan, [atom.root_range(access) for atom in atoms])
+        if self._count_plan is None:
+            self._count_plan = self._plan(atoms)
+        return CostWalk(self, self._count_plan, [atom.root_range(()) for atom in atoms])
 
     def boxes(self, interval: FInterval) -> List[Box]:
         """The box decomposition of an interval of this model's space."""
         return box_decomposition(interval.low, interval.high, self.tops)
 
-    def box_cost(self, box: Box, access: Optional[Sequence] = None) -> float:
-        """``T(B)`` or, with an access tuple for some v_b, ``T(v_b, B)``."""
-        return self.walk(access).box_cost(box)
+    def box_cost(self, box: Box) -> float:
+        """``T(B)``."""
+        return self.walk().box_cost(box)
 
-    def interval_cost(
-        self, interval: FInterval, access: Optional[Sequence] = None
-    ) -> float:
-        """``T(I) = Σ_{B ∈ B(I)} T(B)`` (and the v_b-restricted variant)."""
-        return self.walk(access).boxes_cost(self.boxes(interval))
-
-    def access_cost(self, interval: FInterval, access: Sequence) -> float:
-        """``T(v_b, I)`` for an access tuple over the bound order."""
-        return self.interval_cost(interval, access)
-
-    def is_heavy(
-        self, interval: FInterval, access: Sequence, threshold: float
-    ) -> bool:
-        """Definition 3: the pair (v_b, I) is τ-heavy iff T(v_b, I) > τ."""
-        return self.access_cost(interval, access) > threshold
+    def interval_cost(self, interval: FInterval) -> float:
+        """``T(I) = Σ_{B ∈ B(I)} T(B)``, summed in box order."""
+        walk = self.walk()
+        return sum([walk.box_cost(box) for box in self.boxes(interval)])
 
 
 class CostWalk:
-    """``T`` over many boxes under one access.
+    """``T(B)`` over many boxes.
 
-    ``plan`` is the model's reading of the factor atoms' columns and
-    ``roots`` each one's slice below the bound values (the whole first
-    level when unrestricted); None means no tuple matches the bound
-    values, and then every box costs 0.
+    ``plan`` is the model's reading of the factor atoms' free-columns
+    instances and ``roots`` each one's whole first level; None means
+    some factor atom is empty, and then every box costs 0.
 
     The walk keeps a *prefix finger*: level ``d`` is the per-atom slices
     below the unit prefix last fixed at coordinates ``0..d-1`` (None once
@@ -293,7 +299,3 @@ class CostWalk:
             depth += 1
         low, high = box[depth]
         return self.range_cost(self.descend(box, depth), depth, low, high)
-
-    def boxes_cost(self, boxes: Iterable[Box]) -> float:
-        """``Σ T(B)`` over ``boxes``, summed in their order."""
-        return sum([self.box_cost(box) for box in boxes])

@@ -32,9 +32,10 @@ the narrowest fixed-width typecode that holds them (via :mod:`array`,
 item size and byte order recorded beside the bytes) and everything lives
 in memory as plain lists — C-speed ``bisect`` probes without per-access
 boxing. The columns are the one stored and the one resident form of
-``(T, D)``: the node and dictionary objects the build produces are
-compiled here and dropped, and exist afterwards only as views
-materialised from the columns when someone asks
+``(T, D)``: the node objects the build produces are compiled here and
+dropped (the dictionary pass writes :class:`DictColumns` itself), and
+tree and dictionary exist afterwards only as views materialised from
+the columns when someone asks
 (:attr:`~repro.core.structure.CompressedRepresentation.tree`).
 
 The kernel is the one enumerator of the static structures: answers,
@@ -55,7 +56,7 @@ from collections import defaultdict
 from copy import copy
 from dataclasses import dataclass, field
 from itertools import accumulate, chain, compress, repeat
-from operator import gt
+from operator import gt, itemgetter
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.core.domain import TupleSpace
@@ -326,6 +327,12 @@ class AtomColumns:
         key = tuple(access[i] for i in self.bound_positions)
         return self.roots.get(key)
 
+    def root_ranges(self, accesses: Sequence[Tuple]) -> List[Optional[Tuple[int, int]]]:
+        """:meth:`root_range` of every access tuple, in one pass."""
+        columns = [map(itemgetter(i), accesses) for i in self.bound_positions]
+        keys = zip(*columns) if columns else repeat((), len(accesses))
+        return list(map(self.roots.get, keys))
+
 
 class JoinColumns:
     """The ``|D|`` term as the kernel reads it, one per view context.
@@ -509,7 +516,7 @@ def upgrade_legacy_state(state: Dict, tops: Sequence[int]) -> Dict:
             cost,
             [tuple(box_decomposition(*ends, tops)) for ends in zip(low, high)],
         ).to_state()
-        dictionary = _compile_dictionary(
+        dictionary = compile_dictionary(
             ((node_id, tuple(access)), bit)
             for node_id, access, bit in state["dictionary"]
         ).to_state()
@@ -540,31 +547,27 @@ def _compile_tree(tree, cost_model) -> TreeColumns:
     return TreeColumns(root, cost_model.ctx.space.width, *columns, tree.boxes)
 
 
-def _compile_dictionary(entries, costs: Optional[array] = None) -> DictColumns:
+def compile_dictionary(entries) -> DictColumns:
     """Lay ``((node id, access), bit)`` entries out flat, per access.
 
-    Accesses in sorted order, ids sorted within each (the build sets its
-    entries in pre-order, so they arrive sorted; an edited dictionary's
-    may not). ``costs``, aligned with ``entries``, are laid out beside
-    the bits. Entries are grouped into plain runs, not a tuple each.
+    Accesses in sorted order, ids sorted within each (an edited
+    dictionary's may arrive unsorted). Entries are grouped into plain
+    runs, not a tuple each; nothing here has a cost to lay out.
     """
-    runs = defaultdict(lambda: ([], bytearray(), array("d")))
-    for ((node_id, access), bit), cost in zip(entries, costs or repeat(0.0)):
-        ids, run_bits, values = runs[access]
+    runs = defaultdict(lambda: ([], bytearray()))
+    for (node_id, access), bit in entries:
+        ids, run_bits = runs[access]
         ids.append(node_id)
         run_bits.append(bit)
-        values.append(cost)
-    index, nodes, bits, laid_out = {}, [], bytearray(), array("d")
+    index, nodes, bits = {}, [], bytearray()
     for access in sorted(runs):
-        ids, run_bits, values = runs.pop(access)
+        ids, run_bits = runs.pop(access)
         if any(map(gt, ids, ids[1:])):
-            ids, run_bits, values = zip(*sorted(zip(ids, run_bits, values)))
+            ids, run_bits = zip(*sorted(zip(ids, run_bits)))
         index[access] = (len(nodes), len(nodes) + len(ids))
         nodes += ids
         bits += bytes(run_bits)
-        laid_out.extend(values)
-    laid_out = laid_out if costs is not None else None
-    return DictColumns(index, nodes, bytes(bits), laid_out)
+    return DictColumns(index, nodes, bytes(bits))
 
 
 def _compile_rows(rows, positions, coords, space, bound_positions=()) -> AtomColumns:
@@ -700,17 +703,19 @@ def compile_bound_columns(ctx) -> JoinColumns:
     )
 
 
-def compile_layout(ctx, tree, dictionary, cost_model) -> CompiledLayout:
+def compile_layout(ctx, tree, dictionary: DictColumns, cost_model) -> CompiledLayout:
     """Compile one representation's ``(T, D)`` over its context's columns.
 
-    Deterministic and side-effect free on its inputs; the result is
-    pinned to the dictionary's current version.
+    ``dictionary`` is already columns (the build writes them); the tree
+    is compiled here. Deterministic and side-effect free on its inputs;
+    the result is pinned at one edit per entry, the version a
+    dictionary that set each entry once is at.
     """
     return CompiledLayout(
         _compile_tree(tree, cost_model),
-        _compile_dictionary(dictionary.items(), dictionary.costs),
+        dictionary,
         ctx.columns(),
-        dict_version=dictionary.version,
+        dict_version=dictionary.entries,
     )
 
 
@@ -786,7 +791,7 @@ def recompile_dictionary(ctx, layout, dictionary) -> CompiledLayout:
     """
     return CompiledLayout(
         layout.tree,
-        _compile_dictionary(dictionary.items()),
+        compile_dictionary(dictionary.items()),
         ctx.columns(),
         dict_version=dictionary.version,
     )

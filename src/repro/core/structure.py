@@ -19,8 +19,9 @@ with delay ``Õ(τ)`` (Proposition 9) and answer time
 Every entry point runs that traversal through the columnar kernel
 (:mod:`repro.core.kernel`) over the layout compiled at build time — the
 one form of ``(T, D)`` an instance keeps and a snapshot stores: the tree
-and dictionary *objects* the build produces are compiled and dropped,
-and :attr:`CompressedRepresentation.tree` /
+*object* the build produces is compiled and dropped (the dictionary
+pass writes its columns directly), and
+:attr:`CompressedRepresentation.tree` /
 :attr:`~CompressedRepresentation.dictionary` are views materialised from
 the columns when someone asks. The
 recursive, line-by-line transcription of Algorithm 2 is the executable
@@ -141,7 +142,9 @@ class CompressedRepresentation(Representation):
     def _compile(self, tree, dictionary, output_count, started) -> None:
         """Take a built ``(T, D)``: record its stats, keep its columns.
 
-        The objects are the caller's locals and end with it; from here
+        ``dictionary`` is the dictionary's columns
+        (:class:`~repro.core.layout.DictColumns`), as the build writes
+        them. The tree is the caller's local and ends with it; from here
         the instance holds the compiled layout and nothing else.
         """
         self.stats = BuildStats(
@@ -150,7 +153,7 @@ class CompressedRepresentation(Representation):
             weights=dict(self.weights),
             tree_nodes=len(tree.nodes),
             tree_depth=tree.depth(),
-            dictionary_entries=len(dictionary),
+            dictionary_entries=dictionary.entries,
             output_tuples=output_count,
             build_seconds=time.perf_counter() - started,
         )

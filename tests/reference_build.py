@@ -54,6 +54,7 @@ from repro.core.balanced_tree import DelayBalancedTree, TreeNode
 from repro.core.context import AtomBinding, ViewContext
 from repro.core.dictionary import HeavyDictionary, output_nonempty_in
 from repro.core.domain import TupleSpace
+from repro.core.layout import compile_dictionary
 from repro.core.structure import CompressedRepresentation
 from repro.exceptions import ParameterError, QueryError
 from repro.query.rewriting import natural_form
@@ -711,5 +712,5 @@ def spec_structure(
     ]
     outputs, output_count = spec_outputs(self.ctx)
     dictionary = spec_build_dictionary(model, tree, outputs)
-    self._compile(tree, dictionary, output_count, started)
+    self._compile(tree, compile_dictionary(dictionary.items()), output_count, started)
     return self

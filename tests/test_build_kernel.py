@@ -12,10 +12,16 @@ The contract is equality of state, bit for bit:
   reads) is the same;
 * Proposition 8 on every split node and Lemma 1 on every decomposition,
   recomputed by the spec's oracle / by brute force;
+* the costs a cut filters on, never stored in a state: every stored
+  pair's equals the spec's ``T(v_b, I(w))`` bit for bit, a width-5 view
+  summing nine boxes included, and the three workload views' blobs
+  equal the bytes the tree before the array pass wrote
+  (``tests/data/pr34_v4/``);
 * the work bound that motivated the change — no node's boxes costed
   twice, a split within ``µ·(⌈log₂ max|dom|⌉ + 2)`` cost evaluations, an
-  access's slices resolved once — counted through wrapped oracles, so
-  the duplicate work cannot come back unnoticed;
+  access's slices resolved once and no box costed through a walk by the
+  dictionary pass — counted through wrapped oracles, so the duplicate
+  work cannot come back unnoticed;
 * nothing of a build's memo state survives the build.
 """
 
@@ -27,7 +33,9 @@ import gc
 import itertools
 import math
 from pathlib import Path
+from unittest import mock
 
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
@@ -42,6 +50,7 @@ from reference_build import (
 )
 from reference_walk import _join_box
 from repro.core import balanced_tree as tree_mod
+from repro.core import dictionary as dictionary_mod
 from repro.core import splitting as split_mod
 from repro.core.balanced_tree import build_delay_balanced_tree
 from repro.core.context import ViewContext
@@ -88,12 +97,19 @@ VIEWS = {
     "single-ff": parse_view("A^ff(x, y) = R(x, y)"),
 }
 
+#: A width-5 view: its nodes decompose into up to 2·5 − 1 = 9 boxes,
+#: where a pairwise sum (numpy's, from 8 terms on) would part from
+#: ``sum``'s in the last bit of a cost.
+WIDE_VIEWS = {"path5-bfffff": path_view(5, "bfffff")}
+
 #: Views whose normal form has a nullary atom: an all-constant atom holds
 #: or fails as a whole (``databases`` draws the constant or its successor).
 NULLARY_VIEWS = {
     "nullary-f": parse_view("N^f(x) = R(x), S(3)"),
     "nullary-bff": parse_view("N^bff(x, y, z) = R(x, y), S(y, z), T(2, 5)"),
 }
+
+SHAPES = {**VIEWS, **NULLARY_VIEWS}
 
 
 def covers_of(view):
@@ -148,6 +164,18 @@ def comparable(state):
     return state
 
 
+def assert_stored_costs_are_the_specs(rep):
+    """Each stored pair's cost — what a cut filters on, never stored in
+    a state — is the spec's ``T(v_b, I(w))`` for it, bit for bit."""
+    spec = SpecCostModel(rep.ctx, rep.weights, rep.alpha)
+    columns, nodes = rep._layout.dictionary, rep.tree.nodes
+    assert len(columns.costs) == columns.entries
+    for access, (lo, hi) in columns.index.items():
+        for node, cost in zip(columns.nodes[lo:hi], columns.costs[lo:hi]):
+            expected = spec.access_cost(nodes[node].interval, access)
+            assert cost.hex() == expected.hex(), (access, node)
+
+
 def assert_same_structure(view, db, tau, weights=None):
     built = CompressedRepresentation(view, db, tau=tau, weights=weights)
     spec = spec_structure(view, db, tau, weights=weights)
@@ -156,13 +184,14 @@ def assert_same_structure(view, db, tau, weights=None):
     spec_state = comparable(spec.snapshot_state())
     for key in built_state:
         assert built_state[key] == spec_state[key], key
+    assert_stored_costs_are_the_specs(built)
     return built
 
 
 # ----------------------------------------------------------------------
 # differential: production state == spec state
 # ----------------------------------------------------------------------
-@pytest.mark.parametrize("name", sorted(VIEWS))
+@pytest.mark.parametrize("name", sorted(VIEWS) + sorted(WIDE_VIEWS))
 @given(data=st.data())
 @settings(
     max_examples=12,
@@ -170,11 +199,87 @@ def assert_same_structure(view, db, tau, weights=None):
     suppress_health_check=[HealthCheck.too_slow, HealthCheck.data_too_large],
 )
 def test_production_build_equals_the_spec_build(name, data):
-    view = VIEWS[name]
+    view = {**VIEWS, **WIDE_VIEWS}[name]
     db = data.draw(databases(view))
     for weights in covers_of(view):
         for tau in TAUS:
             assert_same_structure(view, db, tau, weights)
+
+
+def dense_path_database(length, size, keep):
+    """Binary relations over ``range(size)`` holding each pair ``(a, b)``
+    with ``(a·7 + b·3 + position) % keep`` non-zero — dense, irregular."""
+    return Database(
+        [
+            Relation(
+                f"R{position}",
+                2,
+                [
+                    (a, b)
+                    for a in range(size)
+                    for b in range(size)
+                    if (a * 7 + b * 3 + position) % keep
+                ],
+            )
+            for position in range(1, length + 1)
+        ]
+    )
+
+
+def test_the_wide_view_sums_nine_boxes_as_the_spec_does():
+    # The property above draws small databases; this one is dense
+    # enough that stored pairs sum 2·5 − 1 = 9 box costs — under the
+    # default cover half of them to another last bit than a pairwise
+    # sum would give.
+    view = WIDE_VIEWS["path5-bfffff"]
+    db = dense_path_database(5, 4, 3)
+    for weights in covers_of(view):
+        built = assert_same_structure(view, db, 1.0, weights)
+        columns = built._layout.dictionary
+        assert any(len(built.tree.boxes[node]) == 9 for node in columns.nodes)
+
+
+def plain_sum(values):
+    """``sum`` of floats before CPython 3.12: left to right."""
+    total = 0.0
+    for value in values:
+        total += value
+    return total
+
+
+def neumaier_sum(values):
+    """``sum`` of floats from CPython 3.12 on: Neumaier's compensation."""
+    total = compensation = 0.0
+    for value in values:
+        step = total + value
+        if abs(total) >= abs(value):
+            compensation += (total - step) + value
+        else:
+            compensation += (value - step) + total
+        total = step
+    return total + compensation
+
+
+def test_the_wide_view_sums_as_the_other_interpreters_do():
+    # The spec sums with the running interpreter's ``sum``, so the test
+    # above holds only the pass's branch for it. The other branch, on
+    # the same nine-box pairs: each stored cost is the spec's box costs
+    # added as ``sum`` adds them on the other side of CPython 3.12.
+    view = WIDE_VIEWS["path5-bfffff"]
+    compensated = not dictionary_mod._COMPENSATED_SUM
+    add = neumaier_sum if compensated else plain_sum
+    with mock.patch.object(dictionary_mod, "_COMPENSATED_SUM", compensated):
+        built = CompressedRepresentation(view, dense_path_database(5, 4, 3), 1.0)
+    spec = SpecCostModel(built.ctx, built.weights, built.alpha)
+    columns, nodes, wide = built._layout.dictionary, built.tree.nodes, 0
+    for access, (lo, hi) in columns.index.items():
+        subtries = spec_subtries(built.ctx, access)
+        for node, cost in zip(columns.nodes[lo:hi], columns.costs[lo:hi]):
+            boxes = spec.boxes_of(nodes[node].interval)
+            wide += len(boxes) == 9
+            expected = add([spec.box_cost(box, subtries) for box in boxes])
+            assert cost.hex() == expected.hex(), (access, node)
+    assert wide
 
 
 def empty_databases(view):
@@ -225,10 +330,68 @@ def test_the_scan_workloads_registrations_equal_the_spec():
         assert_same_structure(triangle_view(pattern), db, 8.0)
 
 
+RECORDED = Path(__file__).parent / "data" / "pr34_v4"
+
+
+@pytest.mark.parametrize(
+    "blob, nodes, edges, tau, weights",
+    [
+        ("dynamic_mixed_bbf_tau8.snap", 30, 600, 8.0, None),
+        (
+            "point_lookup_bbf.snap",
+            120,
+            4000,
+            12.649110640673532,
+            {0: 0.49999999999999983, 1: 0.5000000000000002, 2: 0.5000000000000002},
+        ),
+        ("tau_churn_bbf_tau2.snap", 60, 900, 2.0, None),
+    ],
+)
+def test_a_fresh_build_encodes_to_the_recorded_bytes(blob, nodes, edges, tau, weights):
+    # The three workload views, as the tree before the array pass wrote
+    # them (tests/data/pr34_v4/README.md): every float the same bits.
+    db = triangle_database(nodes, edges, seed=11)
+    rep = CompressedRepresentation(triangle_view("bbf"), db, tau, weights=weights)
+    assert pinned_blob(rep) == (RECORDED / blob).read_bytes()
+
+
+@pytest.mark.parametrize("compensated", [False, True])
+@given(
+    st.lists(
+        st.lists(
+            st.one_of(
+                st.floats(0.0, 1e12, allow_nan=False),
+                st.integers(0, 60).map(lambda n: float(n) ** 0.5),
+            ),
+            min_size=1,
+            max_size=12,
+        ),
+        max_size=6,
+    )
+)
+@settings(max_examples=200, deadline=None)
+def test_box_sums_add_as_the_builtin_sum_does(compensated, lists):
+    # Left to right as CPython before 3.12 adds, or with its Neumaier
+    # compensation from 3.12 on — transcribed here, and the running
+    # interpreter's own sum held to whichever branch it takes.
+    pair = np.array(
+        [p for p, values in enumerate(lists) for _ in values], dtype=np.int64
+    )
+    position = np.array(
+        [k for values in lists for k in range(len(values))], dtype=np.int64
+    )
+    cost = np.array([value for values in lists for value in values], dtype=float)
+    with mock.patch.object(dictionary_mod, "_COMPENSATED_SUM", compensated):
+        sums = dictionary_mod._box_sums(len(lists), pair, position, cost).tolist()
+    expected = neumaier_sum if compensated else plain_sum
+    assert [value.hex() for value in sums] == [expected(v).hex() for v in lists]
+    if compensated == dictionary_mod._COMPENSATED_SUM:
+        assert [value.hex() for value in sums] == [sum(v).hex() for v in lists]
+
+
 # ----------------------------------------------------------------------
 # the build's joins and cell count: index space == the value-space spec
 # ----------------------------------------------------------------------
-SHAPES = {**VIEWS, **NULLARY_VIEWS}
 
 
 def spec_interval(rep, access, interval, counter):
@@ -391,9 +554,9 @@ def test_only_a_freshly_built_structure_is_cut_and_only_upward():
 @given(data=st.data())
 @settings(max_examples=15, deadline=None)
 def test_access_costs_equal_the_spec_for_any_access(name, data):
-    # The dictionary pass only costs candidates (present in every atom);
-    # the public cost calls take any access — absent in one atom, absent
-    # in an atom whose exponent is 0 — and must agree there too.
+    # A build only costs candidates (present in every atom); the pass's
+    # array step takes any access — absent in one atom, absent in an
+    # atom whose exponent is 0 — and must agree with the spec there too.
     view = VIEWS[name]
     db = data.draw(databases(view))
     ctx = ViewContext(view, db)
@@ -414,13 +577,16 @@ def test_access_costs_equal_the_spec_for_any_access(name, data):
         model = CostModel(ctx, weights, alpha=1.0)
         spec = SpecCostModel(ctx, weights, alpha=1.0)
         tree = build_delay_balanced_tree(model, 1.0, 1.0)
-        for node in tree.nodes[:12]:
-            assert model.interval_cost(node.interval) == node.cost
-            assert spec.interval_cost(node.interval) == node.cost
-            for access in accesses:
-                assert model.access_cost(
-                    node.interval, access
-                ) == spec.access_cost(node.interval, access)
+        nodes = tree.nodes[:12]
+        owner = np.repeat(np.arange(len(accesses)), len(nodes))
+        node = np.tile(np.array([n.id for n in nodes], dtype=np.int64), len(accesses))
+        costs = dictionary_mod._AccessCosts(model, tree, accesses)(owner, node)
+        for n in nodes:
+            assert model.interval_cost(n.interval) == n.cost
+            assert spec.interval_cost(n.interval) == n.cost
+        for i, j, cost in zip(owner.tolist(), node.tolist(), costs.tolist()):
+            expected = spec.access_cost(tree.nodes[j].interval, accesses[i])
+            assert cost.hex() == expected.hex(), (accesses[i], j)
 
 
 # ----------------------------------------------------------------------
@@ -544,23 +710,32 @@ def test_no_box_is_costed_twice_and_a_split_stays_within_its_probe_budget(
     assert len(per_split) == len(splits)
     assert max(per_split) <= budget
 
-    # The dictionary pass: one slice resolution per (candidate, factor
-    # atom) for the whole descent, no interval decomposed again.
+    # The dictionary pass: one root-slice resolution per (candidate,
+    # factor atom) for the whole descent, one at a time or in bulk; no
+    # interval decomposed again and no box costed through a walk — the
+    # level steps cost every pair's boxes as arrays.
     resolved = []
     real_root_range = AtomColumns.root_range
+    real_root_ranges = AtomColumns.root_ranges
 
     def counting_root_range(self, access):
         resolved.append(access)
         return real_root_range(self, access)
 
+    def counting_root_ranges(self, accesses):
+        resolved.extend(accesses)
+        return real_root_ranges(self, accesses)
+
     candidates = bound_candidates(ctx)
     outputs, _ = materialize_outputs(ctx.columns().in_index_space(), candidates)
     monkeypatch.setattr(AtomColumns, "root_range", counting_root_range)
+    monkeypatch.setattr(AtomColumns, "root_ranges", counting_root_ranges)
     del decomposed[:], costed[:]
+    evaluations[0] = 0
     dictionary = build_dictionary(model, tree, candidates, outputs)
-    assert len(dictionary) > 0
-    assert not decomposed
-    assert len(resolved) == len(candidates) * len(model._factors) > 0
+    assert dictionary.entries > 0
+    assert not decomposed and not costed and evaluations[0] == 0
+    assert len(resolved) == len(candidates) * len(model.factors()[0]) > 0
 
 
 def test_a_built_structure_keeps_no_build_memo():

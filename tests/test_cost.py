@@ -1,14 +1,20 @@
 """The cost function T (Section 4.2): Example 13's exact numbers,
-Proposition 5, and structural properties (Lemma 2 sub-additivity)."""
+Proposition 5, and structural properties (Lemma 2 sub-additivity).
+
+``T(B)`` and ``T(I)`` are :class:`~repro.core.cost.CostModel`'s; a
+restricted ``T(v_b, I)`` is the spec's (``SpecCostModel``) and, for a
+stored pair, the cost the dictionary pass wrote beside it."""
 
 import math
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from reference_build import SpecCostModel
 from repro.core.context import ViewContext
 from repro.core.cost import CostModel
 from repro.core.intervals import FInterval
+from repro.core.structure import CompressedRepresentation
 from repro.database.catalog import Database
 from repro.database.relation import Relation
 from repro.joins.hash_join import evaluate_by_hash_join
@@ -24,6 +30,18 @@ def model():
     return CostModel(ctx, UNIT_WEIGHTS, alpha=2.0)
 
 
+@pytest.fixture
+def spec(model):
+    return SpecCostModel(model.ctx, UNIT_WEIGHTS, alpha=2.0)
+
+
+def stored_cost(rep, node_id, access):
+    """The cost the build's dictionary pass wrote beside a stored pair."""
+    columns = rep._layout.dictionary
+    lo, hi = columns.index[access]
+    return columns.costs[lo + columns.nodes[lo:hi].index(node_id)]
+
+
 class TestExample13:
     def test_root_interval_cost(self, model):
         """T(I_r) = √36 + √8 + √3 + 0 ≈ 10.56."""
@@ -31,19 +49,24 @@ class TestExample13:
         expected = math.sqrt(36) + math.sqrt(8) + math.sqrt(3)
         assert model.interval_cost(root) == pytest.approx(expected, abs=1e-9)
 
-    def test_heavy_valuation_cost(self, model):
+    def test_heavy_valuation_cost(self, spec):
         """T(v_b, I_r) = √2 + 2 + 1 ≈ 4.414 for v_b = (1,1,1)."""
-        root = FInterval.full(model.ctx.space)
+        root = FInterval.full(spec.ctx.space)
         expected = math.sqrt(2) + 2.0 + 1.0
-        assert model.access_cost(root, (1, 1, 1)) == pytest.approx(
-            expected, abs=1e-9
+        cost = spec.access_cost(root, (1, 1, 1))
+        assert cost == pytest.approx(expected, abs=1e-9)
+        # The build stores the pair (Example 15) with that very cost.
+        rep = CompressedRepresentation(
+            running_example_view(), running_example_database(), tau=4.0,
+            weights=UNIT_WEIGHTS,
         )
+        assert stored_cost(rep, rep.tree.root.id, (1, 1, 1)) == cost
 
-    def test_tau4_heaviness(self, model):
+    def test_tau4_heaviness(self, spec):
         """Example 13: with τ = 4 the pair (v_b, I_r) is heavy."""
-        root = FInterval.full(model.ctx.space)
-        assert model.is_heavy(root, (1, 1, 1), 4.0)
-        assert not model.is_heavy(root, (1, 1, 1), 5.0)
+        root = FInterval.full(spec.ctx.space)
+        assert spec.is_heavy(root, (1, 1, 1), 4.0)
+        assert not spec.is_heavy(root, (1, 1, 1), 5.0)
 
     def test_per_box_costs(self, model):
         """The four box costs of Example 13: √36, √8, √3, 0."""
@@ -94,12 +117,12 @@ class TestCostProperties:
         boxes = [b for b in m.boxes(root)]
         assert m.interval_cost(root) == pytest.approx(len(boxes))
 
-    def test_access_cost_at_most_unrestricted(self, model):
+    def test_access_cost_at_most_unrestricted(self, model, spec):
         """T(v_b, I) ≤ T(I): restriction never increases counts."""
         root = FInterval.full(model.ctx.space)
         unrestricted = model.interval_cost(root)
         for vb in [(1, 1, 1), (1, 2, 1), (2, 2, 2), (3, 1, 2)]:
-            assert model.access_cost(root, vb) <= unrestricted + 1e-9
+            assert spec.access_cost(root, vb) <= unrestricted + 1e-9
 
     def test_subinterval_cost_not_larger(self, model):
         """Lemma 2 consequence: T on a sub-interval never exceeds T(I)."""

@@ -3,6 +3,7 @@
 
 import pytest
 
+from reference_build import SpecCostModel
 from repro.core.context import ViewContext
 from repro.core.dictionary import (
     bound_candidates,
@@ -113,9 +114,10 @@ class TestDictionarySize:
         view = running_example_view()
         db = running_example_database()
         cr = CompressedRepresentation(view, db, tau=4.0, weights=UNIT_WEIGHTS)
+        spec = SpecCostModel(cr.ctx, cr.weights, cr.alpha)
         for (node_id, access), _bit in cr.dictionary.items():
             node = cr.tree.nodes[node_id]
-            cost = cr.cost_model.access_cost(node.interval, access)
+            cost = spec.access_cost(node.interval, access)
             assert cost > cr.tree.threshold(node.level) - 1e-9
 
     def test_bits_match_semantics(self):

@@ -11,9 +11,11 @@ columns when someone asks. Held here:
 * after a build and after a decode an instance holds neither object,
   and nothing that serves, accounts or stores makes one (spies on the
   two constructors);
-* a view, once asked for, *is* what the build produced — records, costs
-  bit for bit, version — so ``tests/reference_build.py``'s equality
-  keeps its meaning;
+* a view, once asked for, *is* what the build produced — the tree's
+  records and costs bit for bit, the dictionary's columns entry for
+  entry at one version step per entry (the build writes the columns and
+  makes no ``HeavyDictionary``) — so ``tests/reference_build.py``'s
+  equality keeps its meaning;
 * an edit to the dictionary view is refused as stale until
   ``compile_layout()`` writes it back, also on a restored Algorithm 4
   bag;
@@ -77,6 +79,22 @@ def facts(tree, dictionary):
     )
 
 
+def column_facts(tree, columns):
+    """:func:`facts` of a built tree and the dictionary columns it got."""
+    triples = sorted(
+        (node_id, access, bit)
+        for access, (lo, hi) in columns.index.items()
+        for node_id, bit in zip(columns.nodes[lo:hi], columns.bits[lo:hi])
+    )
+    return (
+        tree_records(tree),
+        tree.boxes,
+        tree.max_level,
+        triples,
+        columns.entries,
+    )
+
+
 def touch_everything_that_serves(rep, view, db):
     report = rep.space_report()
     assert report.tree_nodes == rep.stats.tree_nodes
@@ -102,8 +120,11 @@ def test_a_structure_is_its_columns(name, data):
     for tau in TAUS:
         with object_forms() as made:
             rep = CompressedRepresentation(view, db, tau=tau)
-            built = facts(*made)  # the build made one of each, in order
-            del made[:]
+            # The build made its tree and no dictionary object: it
+            # wrote the dictionary's columns.
+            (tree,) = made
+            built = column_facts(tree, rep._layout.dictionary)
+            del made[:], tree
             assert rep._tree is None and rep._dictionary is None
             blob = touch_everything_that_serves(rep, rep.view, rep.db)
             restored = decode_snapshot(blob)
@@ -197,7 +218,7 @@ class TestTheEngineMakesNoObjectForm:
         name = server.register(view, tau=2.0)
         with object_forms() as made:
             server.representation(name, 2.0)
-            assert len(made) == 2  # the build's own, gone with it
+            assert len(made) == 1  # the build's own tree, gone with it
             del made[:]
             for access in oracle_accesses(view, db, limit=4):
                 with server.open(name, access) as cursor:
@@ -218,8 +239,8 @@ class TestTheEngineMakesNoObjectForm:
             name = server.register(view, tau=8.0)
             built = [server.representation(name, tau) for tau in (2.0, 8.0)]
             # A worker's objects stay in the worker; an in-process
-            # fallback build makes its one tree and one dictionary.
-            assert len(made) == 2 * builder.fallback_builds
+            # fallback build makes its one tree and no dictionary object.
+            assert len(made) == builder.fallback_builds
             assert all(rep._tree is None for rep in built)
             server.close()
 
