@@ -11,7 +11,12 @@ script; this is the loop, once.
     python benchmarks/bench_pairs.py --parent ../parent-checkout \\
         --workload scan_stream --pairs 10 --seed 11 --out BENCH_20.json
 
-The change is the checkout this file sits in. Each run is the tree's
+``--parent`` is a directory, or a git revision of this repository
+(``HEAD~1``, a hash, a branch): the revision is checked out in a
+detached ``git worktree`` under a temporary directory for the runs and
+removed afterwards. ``--out`` records the parent's short commit hash
+(``unknown`` for a directory that is no git checkout). The change is
+the checkout this file sits in. Each run is the tree's
 *own* ``benchmarks/e2e/run.py`` in a subprocess started in that tree (so
 each side measures its own engine with its own harness, at the run
 length the benchmark sets), and the last line of its standard output is
@@ -37,8 +42,10 @@ import os
 import statistics
 import subprocess
 import sys
+import tempfile
+from contextlib import contextmanager
 from pathlib import Path
-from typing import Dict, List, Sequence
+from typing import Dict, Iterator, List, Sequence, Tuple
 
 REPO = Path(__file__).resolve().parent.parent
 RUNNER = ("benchmarks", "e2e", "run.py")
@@ -184,32 +191,60 @@ def head_of(tree: Path) -> str:
     return done.stdout.strip() or "unknown"
 
 
+@contextmanager
+def parent_checkout(parent: str) -> Iterator[Tuple[Path, str]]:
+    """The parent side's tree and its short commit hash.
+
+    A directory is used as it is. Anything else is a git revision of
+    this repository, checked out in a detached worktree under a
+    temporary directory for as long as the block runs, then removed.
+    """
+    path = Path(parent)
+    if path.is_dir():
+        yield path.resolve(), head_of(path)
+        return
+    with tempfile.TemporaryDirectory() as scratch:
+        tree = Path(scratch) / "parent"
+        subprocess.run(
+            ["git", "worktree", "add", "--detach", str(tree), parent],
+            cwd=REPO, check=True, stdout=subprocess.DEVNULL,
+        )
+        try:
+            yield tree, head_of(tree)
+        finally:
+            subprocess.run(
+                ["git", "worktree", "remove", "--force", str(tree)],
+                cwd=REPO, check=True,
+            )
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    parser.add_argument("--parent", required=True, type=Path)
+    parser.add_argument("--parent", required=True, help="a directory or a git revision")
     parser.add_argument("--workload", required=True)
     parser.add_argument("--pairs", type=int, default=10)
     parser.add_argument("--seed", type=int, default=11)
     parser.add_argument("--out", type=Path, default=None)
     args = parser.parse_args(argv)
     contract = json.loads((REPO / "BENCHMARK.json").read_text())
-    trees = {"parent": args.parent.resolve(), "change": REPO}
     results: Dict[str, List[Dict]] = {"parent": [], "change": []}
-    for pair in range(args.pairs):
-        order = ("parent", "change") if pair % 2 == 0 else ("change", "parent")
-        for side in order:
-            result = run_once(trees[side], args.workload, args.seed)
-            results[side].append(result)
-            print(
-                f"pair {pair + 1}/{args.pairs} {side}: failed {result['failed']}",
-                flush=True,
-            )
+    with parent_checkout(args.parent) as (parent, parent_head):
+        trees = {"parent": parent, "change": REPO}
+        for pair in range(args.pairs):
+            order = ("parent", "change") if pair % 2 == 0 else ("change", "parent")
+            for side in order:
+                result = run_once(trees[side], args.workload, args.seed)
+                results[side].append(result)
+                print(
+                    f"pair {pair + 1}/{args.pairs} {side}: failed {result['failed']}",
+                    flush=True,
+                )
     row = summarise_pairs(results["parent"], results["change"], contract)
     label = f"{args.workload}@{args.seed}"
     print_row(label, row)
     if args.out is not None:
         report = json.loads(args.out.read_text()) if args.out.exists() else {}
-        report["parent"] = head_of(trees["parent"])
+        report["parent"] = parent_head
         report.setdefault("rows", {})[label] = row
         args.out.write_text(dump_report(report))
     return 0

@@ -10,41 +10,64 @@ shows ``T(v_b, I)`` bounds the time to evaluate the join restricted to
 representation uses it as its notion of "expensive sub-instance".
 
 Counts ``|R_F(B)|`` come from the context's sorted index over each atom
-(:class:`~repro.core.layout.AtomColumns`) in ``O(arity · log |D|)``:
-descend the unit prefix by one bisect per level, then count one
-coordinate's index range off the prefix count column — two bisects and a
-subtraction. With no ``v_b`` fixed they read the context's
-free-columns-only instances, which keep each row's multiplicity; the
-restricted ``T(v_b, B)`` of a build's (candidate, node) pairs starts
-from the slice of the bound values in the atoms' own columns, and the
-dictionary pass (:mod:`repro.core.dictionary`) computes it, by the same
-arithmetic, as arrays. Exponents ``û_F = 0`` contribute a
-factor of 1 by the usual ``x^0 = 1`` convention (including ``x = 0``),
-matching the paper's product.
+(:class:`~repro.core.layout.AtomColumns`): descend the unit prefix one
+coordinate at a time, then count one coordinate's index range off the
+prefix count column. With no ``v_b`` fixed they read the context's
+free-columns-only instances, which keep each row's multiplicity; a
+restricted ``T(v_b, B)`` starts from the slice of the bound values in
+the atoms' own columns. Exponents ``û_F = 0`` contribute a factor of 1
+by the usual ``x^0 = 1`` convention (including ``x = 0``), matching the
+paper's product.
 
-Boxes are the plain index rows of :mod:`repro.core.intervals`, and the
-whole evaluation stays in index space. The counts are exact integers,
-the factors are multiplied in atom order and the boxes summed in box
-order, so a cost is one well-defined float — the object-form
-transcription in ``tests/reference_build.py``, counting on tries,
-computes the same bits. A :class:`CostWalk` evaluates many boxes and
-remembers the slices below the last unit prefix, so the
-probes of one split and the consecutive boxes of one interval descend
-their shared prefix once.
+There is one evaluation of ``T``, :class:`BoxCosts`, and it works on
+arrays: every box of a call descends its prefix with one
+:func:`numpy.searchsorted` per factor atom and coordinate, over
+composite ``run start · scale + value`` keys of the atom's level, and
+counts its range the same way. The tree pass
+(:mod:`repro.core.balanced_tree`), Algorithm 1
+(:mod:`repro.core.splitting`) and the dictionary pass
+(:mod:`repro.core.dictionary`) cost all their boxes of one tree level
+in one call; :meth:`CostModel.box_cost` and
+:meth:`CostModel.interval_cost` are one-interval calls. A cost is one
+well-defined float — the object-form transcription in
+``tests/reference_build.py``, counting on tries, computes the same
+bits — by five rules:
+
+1. **powers** — ``float(count) ** û`` is Python's, from a table per
+   factor atom indexed by count and filled as counts occur (a
+   vectorised power may differ in the last bit);
+2. **products** — in factor-atom order, from the first factor; a zero
+   count makes the box's cost 0.0;
+3. **box sums** — one box position at a time, in box order, as the
+   builtin ``sum`` adds them (left to right; with its compensation term
+   from CPython 3.12 on), never a pairwise reduction (:func:`_box_sums`);
+4. **thresholds** — the very floats
+   :func:`~repro.core.balanced_tree.level_threshold` returns;
+5. **output types** — Python ints, floats and tuples leave the build,
+   never a numpy scalar or array.
+
+Boxes are the plain index rows of :mod:`repro.core.intervals`; as
+arrays, :class:`Boxes` holds the decomposition of many intervals at
+once. numpy stops at the build: the serving kernel, layouts and
+snapshots never see it.
 """
 
 from __future__ import annotations
 
 import math
-from bisect import bisect_left, bisect_right
-from typing import List, Mapping, Optional, Sequence, Tuple
+import sys
+from bisect import bisect_left
+from itertools import chain
+from typing import List, Mapping, NamedTuple, Optional, Sequence, Tuple
+
+import numpy as np
 
 from repro.core.context import ViewContext
 from repro.core.intervals import Box, FInterval, box_decomposition
 from repro.exceptions import ParameterError
 
-#: Per factor atom, a slice ``(lo, hi)`` of one level of its columns.
-Slices = List[Tuple[int, int]]
+#: From CPython 3.12 on, ``sum`` adds floats with Neumaier's compensation.
+_COMPENSATED_SUM = sys.version_info >= (3, 12)
 
 
 def read_level(atom, coordinate: int) -> Tuple[int, bool]:
@@ -56,6 +79,257 @@ def read_level(atom, coordinate: int) -> Tuple[int, bool]:
     """
     level = min(bisect_left(atom.coords, coordinate), max(atom.width - 1, 0))
     return level, coordinate in atom.coords
+
+
+def _ints(values) -> np.ndarray:
+    return np.array(values, dtype=np.int64)
+
+
+class Boxes(NamedTuple):
+    """The canonical boxes of many intervals, as arrays, box after box.
+
+    ``owner`` is each box's interval, ``position`` its place in that
+    interval's decomposition, ``depth`` the coordinate of its range
+    (coordinates before are its unit prefix, after it whole domains)
+    and ``rows`` its ``(lo, hi)`` pair per coordinate. Boxes are grouped
+    by interval, in box order within each.
+    """
+
+    owner: np.ndarray
+    position: np.ndarray
+    depth: np.ndarray
+    rows: np.ndarray
+
+    def select(self, keep: np.ndarray) -> "Boxes":
+        """The boxes of the intervals ``keep`` marks, renumbered in order."""
+        chosen, rank = keep[self.owner], np.cumsum(keep) - 1
+        return Boxes(rank[self.owner[chosen]], *(column[chosen] for column in self[1:]))
+
+
+def decompose(low: np.ndarray, high: np.ndarray, tops: np.ndarray) -> Boxes:
+    """:func:`~repro.core.intervals.box_decomposition` of every row pair.
+
+    ``low`` and ``high`` are ``(n, width)`` endpoint rows of ``n``
+    intervals. Each has ``2·width − 1`` candidate boxes in box order —
+    left boxes innermost first, the middle box, right boxes outermost
+    first — each a range at coordinate ``depth`` under a unit prefix of
+    the low endpoint (the high one for right boxes); Lemma 1 keeps the
+    non-empty ones, left and right boxes past the first coordinate the
+    endpoints differ at (the last at most).
+    """
+    count, width = low.shape
+    if not width:
+        # Boolean views: the one-point space decomposes into one box.
+        zeros = np.zeros(count, dtype=np.int64)
+        return Boxes(np.arange(count), zeros, zeros, np.zeros((count, 0, 2), np.int64))
+    last = width - 1
+    first = np.full(count, last)
+    if last:
+        differ = low[:, :last] != high[:, :last]
+        first = np.where(differ.any(axis=1), differ.argmax(axis=1), last)
+    if (first == last).all():
+        # At most the last coordinate differs: one closed box each.
+        rows = np.stack([low, high], axis=2)
+        return Boxes(np.arange(count), np.zeros(count, np.int64), first, rows)
+    slot = np.arange(2 * width - 1)
+    right, middle = slot > last, slot == last
+    depth = np.abs(slot - last) + np.zeros((count, 1), np.int64)
+    depth[:, last] = first
+    items, inner = np.arange(count)[:, None], depth < last
+    start = np.where(right, 0, low[items, depth] + inner)
+    end = np.where(right | middle, high[items, depth] - inner, tops[depth])
+    keep = (start <= end) & (middle | (first[:, None] < depth))
+    owner, slot = keep.nonzero()
+    depth, prefix = depth[keep], np.where(right[slot, None], high[owner], low[owner])
+    before = np.arange(width) < depth[:, None]
+    at = np.arange(width) == depth[:, None]
+    rows = np.empty((len(owner), width, 2), np.int64)
+    rows[..., 0] = np.where(before, prefix, np.where(at, start[keep][:, None], 0))
+    rows[..., 1] = np.where(before, prefix, np.where(at, end[keep][:, None], tops))
+    position = (keep.cumsum(axis=1) - 1)[keep]
+    return Boxes(owner, position, depth, rows)
+
+
+def _box_sums(count: int, owner, position, cost) -> np.ndarray:
+    """Per owner, its boxes' costs added as ``sum`` adds a list of them.
+
+    One box position at a time, so each owner's boxes go in box order.
+    Without the compensation its term stays 0.0, and adding it to a
+    non-negative total changes no bit.
+    """
+    positions = int(position.max(initial=-1)) + 1
+    if positions == 1 and len(cost) == count:
+        return cost + 0.0  # one box each: 0.0 + x, and no compensation
+    total, compensation = np.zeros(count), np.zeros(count)
+    for k in range(positions):
+        rows, x = owner[position == k], cost[position == k]
+        s = total[rows]
+        t = total[rows] = s + x
+        if _COMPENSATED_SUM:
+            compensation[rows] += np.where(abs(s) >= abs(x), (s - t) + x, (x - t) + s)
+    return total + compensation
+
+
+def _level(atom, level: int, tops) -> Tuple:
+    """``(counts, keys, scale, kids)``: one level of ``atom`` as arrays.
+
+    ``counts`` are the prefix counts. Where the level holds values, a
+    key is ``run start · scale + value index`` — runs are contiguous and
+    sorted within, so the keys are sorted and a slice ``[lo, hi)`` finds
+    ``v`` at ``lo · scale + v`` — and ``kids`` are the entries' child
+    slices, on the last level each entry's own one-entry slice.
+    """
+    counts = _ints(atom.counts[level])
+    if level >= atom.width:
+        return counts, None, 0, None
+    if level:
+        lo, hi = _ints(atom.kid_lo[level - 1]), _ints(atom.kid_hi[level - 1])
+    else:
+        lo, hi = _ints(list(atom.roots.values())).reshape(-1, 2).T
+    scale = tops[atom.coords[level]] + 1
+    keys = np.repeat(lo, hi - lo) * scale + _ints(atom.vals[level])
+    kids = np.arange(len(keys)), np.arange(1, len(keys) + 1)
+    if level + 1 < atom.width:
+        kids = _ints(atom.kid_lo[level]), _ints(atom.kid_hi[level])
+    return counts, keys, scale, kids
+
+
+#: Per factor atom, the ``(lo, hi)`` slice arrays of a call's items.
+Slices = List[Tuple[np.ndarray, np.ndarray]]
+
+
+class BoxCosts:
+    """``T(v_b, B)`` of many (access, box) items in a few array steps.
+
+    Made once per pass over the factor atoms' columns: per atom its
+    levels as arrays and, per coordinate, the level a count reads there
+    and whether the coordinate clips it (:func:`read_level`); each
+    access's root slice, resolved once (``live`` lists the accesses
+    every factor atom has — only those may be costed); per atom a table
+    of Python's own powers, indexed by count. The pass's items carry an
+    owner (an index into the accesses); their slices are arrays the
+    caller holds (:meth:`start`), descended a coordinate at a time
+    (:meth:`fix`) and counted over a range (:meth:`counter`).
+    """
+
+    def __init__(self, atoms, exponents: Sequence[float], tops, accesses):
+        self.width = width = len(tops)
+        self.tops = _ints(tops)
+        self.exponents, self.plan, self.powers = exponents, [], []
+        for atom in atoms:
+            levels = [_level(atom, lv, tops) for lv in range(max(atom.width, 1))]
+            reads = (read_level(atom, c) for c in range(max(width, 1)))
+            self.plan.append([(levels[level], clips) for level, clips in reads])
+            # No slice counts more than the level's total; -1.0: not yet.
+            self.powers.append(np.full(int(levels[0][0][-1]) + 1, -1.0))
+        live, self.roots = np.ones(len(accesses), dtype=bool), []
+        for atom in atoms:
+            ranges = [r or (0, 0) for r in atom.root_ranges(accesses)]
+            flat = np.fromiter(chain.from_iterable(ranges), np.int64, 2 * len(ranges))
+            self.roots.append((flat[0::2], flat[1::2]))
+            live &= flat[1::2] > flat[0::2]
+        self.live = np.flatnonzero(live)
+
+    def start(self, owner: np.ndarray) -> Slices:
+        """Each item's root slices: its access's, per factor atom."""
+        return [(lo[owner], hi[owner]) for lo, hi in self.roots]
+
+    def fix(self, slices: Slices, absent, coordinate: int, at, values) -> None:
+        """Descend items ``at`` through the unit ``values`` at ``coordinate``.
+
+        In place. An item some factor atom lacks the value for is marked
+        ``absent`` (it costs 0); its slices go on at entry 0's children,
+        in bounds, and are not read.
+        """
+        for (lo, hi), plan in zip(slices, self.plan):
+            (_, keys, scale, kids), clips = plan[coordinate]
+            if clips:
+                probe = lo[at] * scale + values
+                found = keys.searchsorted(probe)
+                miss = keys.take(found, mode="clip") != probe
+                absent[at[miss]], found[miss] = True, 0
+                lo[at], hi[at] = kids[0][found], kids[1][found]
+
+    def counter(self, slices: Slices, absent, coordinate: int, at, low):
+        """``T`` of items ``at``' boxes ``⟨prefix, [low, high], ▢, …⟩``.
+
+        ``coordinate`` is the range's and ``low`` each item's range start;
+        the slices are the items' under their unit prefix, read once.
+        Returns ``count(which, high)``: the cost of the items
+        ``at[which]`` up to their ``high``. Counts are clipped where the
+        coordinate is the atom's — an atom it does not clip has one
+        factor per item, whatever the range — and multiplied in
+        factor-atom order.
+        """
+        factors = []
+        for slot, ((lo, hi), plan) in enumerate(zip(slices, self.plan)):
+            (counts, keys, scale, _), clips = plan[coordinate]
+            lo, hi = lo[at], hi[at]
+            if clips:
+                base = lo * scale
+                below = counts[keys.searchsorted(base + low)]
+                factors.append((base, keys, counts, below, slot))
+            else:
+                factor = self._powers(slot, counts[hi] - counts[lo])
+                factors.append((None, None, None, None, factor))
+        zero = absent[at]
+        anywhere = zero.any()
+
+        def count(which, high):
+            cost = np.ones(len(high)) if not factors else None
+            for base, keys, counts, below, factor in factors:
+                if base is None:
+                    factor = factor[which]
+                else:
+                    hi = keys.searchsorted(base[which] + high, "right")
+                    factor = self._powers(factor, counts[hi] - below[which])
+                cost = factor if cost is None else cost * factor
+            return np.where(zero[which], 0.0, cost) if anywhere else cost
+
+        return count
+
+    def _powers(self, slot: int, counts: np.ndarray) -> np.ndarray:
+        """``float(count) ** û`` per count, each power Python's own."""
+        table = self.powers[slot]
+        powers = table[counts]
+        if powers.min(initial=0.0) < 0.0:
+            exponent = self.exponents[slot]
+            for count in set(counts[powers < 0.0].tolist()):
+                table[count] = float(count) ** exponent if count else 0.0
+            powers = table[counts]
+        return powers
+
+    def intervals(
+        self, low: np.ndarray, high: np.ndarray
+    ) -> Tuple[Boxes, np.ndarray, np.ndarray]:
+        """``T`` of every interval ``[low[i], high[i]]``, no ``v_b`` fixed.
+
+        With its boxes (:func:`decompose`) and their costs: the box
+        costs summed in box order, as ``sum`` adds them.
+        """
+        boxes = decompose(low, high, self.tops)
+        owner = np.zeros(len(boxes.owner), np.int64)
+        costs = self.box_costs(owner, boxes.rows, boxes.depth)
+        return boxes, costs, _box_sums(len(low), boxes.owner, boxes.position, costs)
+
+    def box_costs(self, owner: np.ndarray, rows: np.ndarray, depth: np.ndarray):
+        """``T`` of every box ``rows[i]`` under access ``owner[i]``.
+
+        ``depth[i]`` is the box's range coordinate, or any coordinate of
+        its unit prefix past it: a unit range counts what fixing it
+        leaves.
+        """
+        slices, absent = self.start(owner), np.zeros(len(owner), dtype=bool)
+        for coordinate in range(self.width - 1):
+            at = (depth > coordinate).nonzero()[0]
+            self.fix(slices, absent, coordinate, at, rows[at, coordinate, 0])
+        cost = np.empty(len(owner))
+        for d in range(max(self.width, 1)):
+            at = (depth == d).nonzero()[0]
+            # A boolean view's one box has no range: nothing is clipped.
+            low, high = rows[at, d].T if d < self.width else (at, at)
+            cost[at] = self.counter(slices, absent, d, at, low)(slice(None), high)
+        return cost
 
 
 class CostModel:
@@ -97,7 +371,7 @@ class CostModel:
         )
         # The atoms with a factor in the product, in atom order (a zero
         # exponent is a factor of 1 whatever the count), and their
-        # exponents; and, once a walk asks, what it reads of their columns.
+        # exponents.
         self._factors: List[int] = [
             position
             for position, binding in enumerate(ctx.atoms)
@@ -106,196 +380,44 @@ class CostModel:
         self._exponents = [
             self.uhat[ctx.atoms[position].label] for position in self._factors
         ]
-        self._count_plan: Optional[List[Tuple]] = None
-
-    def _plan(self, atoms) -> List[Tuple]:
-        """Per coordinate, what a walk over ``atoms`` reads there.
-
-        ``(probes, runs, counts, exponents)``: a probe ``(slot, vals,
-        kid_lo, kid_hi)`` per factor atom the coordinate constrains (no
-        kid columns on its last level: a fixed entry stays the one-entry
-        slice it is),
-        and per factor atom in order the level's values where the
-        coordinate clips its count (else None), the level's prefix
-        counts (None where they are the identity) and the atom's
-        exponent.
-        """
-        plan = []
-        for coordinate in range(max(len(self.tops), 1)):
-            probes, runs, counts = [], [], []
-            for slot, atom in enumerate(atoms):
-                level, constrains = read_level(atom, coordinate)
-                run = None
-                if constrains:
-                    run = atom.vals[level]
-                    kids = (None, None)
-                    if level + 1 < atom.width:
-                        kids = (atom.kid_lo[level], atom.kid_hi[level])
-                    probes.append((slot, run, *kids))
-                runs.append(run)
-                level_counts = atom.counts[level]
-                # None: one key per entry, so a slice counts its length.
-                counts.append(None if type(level_counts) is range else level_counts)
-            plan.append((probes, runs, counts, self._exponents))
-        return plan
-
-    def factors(self) -> Tuple[List, List[float]]:
-        """The factor atoms' join columns, in atom order, and their exponents.
-
-        What ``T(v_b, B)`` multiplies — the dictionary pass reads them
-        as arrays (:mod:`repro.core.dictionary`).
-        """
-        atoms = self.ctx.columns().atoms
-        return [atoms[position] for position in self._factors], self._exponents
 
     # ------------------------------------------------------------------
-    def walk(self) -> "CostWalk":
-        """A fresh evaluator of ``T(B)``, no ``v_b`` fixed.
+    def evaluator(self, accesses: Optional[Sequence[Tuple]] = None) -> BoxCosts:
+        """The array evaluator of ``T``: ``T(v_b, B)`` for ``accesses``.
 
-        Its counts come from the free-columns-only instances, with row
-        multiplicities. ``T(v_b, B)`` is the dictionary pass's
-        (:mod:`repro.core.dictionary`), which costs every restricted
-        pair of a build in array steps.
+        With none, ``T(B)`` with no ``v_b`` fixed — the one access
+        ``()`` over the free-columns-only instances, whose counts keep
+        row multiplicities.
         """
-        atoms = self.ctx.count_columns()
-        atoms = [atoms[position] for position in self._factors]
-        if self._count_plan is None:
-            self._count_plan = self._plan(atoms)
-        return CostWalk(self, self._count_plan, [atom.root_range(()) for atom in atoms])
+        if accesses is None:
+            atoms, accesses = self.ctx.count_columns(), [()]
+        else:
+            atoms = self.ctx.columns().atoms
+        factors = [atoms[position] for position in self._factors]
+        return BoxCosts(factors, self._exponents, self.tops, accesses)
 
     def boxes(self, interval: FInterval) -> List[Box]:
         """The box decomposition of an interval of this model's space."""
         return box_decomposition(interval.low, interval.high, self.tops)
 
     def box_cost(self, box: Box) -> float:
-        """``T(B)``."""
-        return self.walk().box_cost(box)
+        """``T(B)``: one box of the array evaluator (an empty box costs 0)."""
+        rows = _ints(box).reshape(1, len(self.tops), 2)
+        unit = rows[0, :-1, 0] == rows[0, :-1, 1]
+        costs = self.evaluator()
+        if not costs.live.size or (rows[..., 0] > rows[..., 1]).any():
+            return 0.0
+        depth = _ints([unit.cumprod().sum()])
+        return float(costs.box_costs(_ints([0]), rows, depth)[0])
 
     def interval_cost(self, interval: FInterval) -> float:
         """``T(I) = Σ_{B ∈ B(I)} T(B)``, summed in box order."""
-        walk = self.walk()
-        return sum([walk.box_cost(box) for box in self.boxes(interval)])
-
-
-class CostWalk:
-    """``T(B)`` over many boxes.
-
-    ``plan`` is the model's reading of the factor atoms' free-columns
-    instances and ``roots`` each one's whole first level; None means
-    some factor atom is empty, and then every box costs 0.
-
-    The walk keeps a *prefix finger*: level ``d`` is the per-atom slices
-    below the unit prefix last fixed at coordinates ``0..d-1`` (None once
-    some factor atom lacks the prefix). A box whose unit prefix agrees
-    with the finger up to some depth descends only from there. The
-    finger is the walk's own state — a walk belongs to one build step
-    and is dropped with it; nothing of it reaches the model, the
-    context or the structure.
-    """
-
-    __slots__ = ("_model", "_plan", "_fixed", "_levels", "_valid")
-
-    def __init__(self, model: CostModel, plan, roots: List):
-        self._model = model
-        self._plan = plan
-        width = len(model.tops)
-        self._fixed = [-1] * width
-        self._levels: List[Optional[Slices]] = [None] * (width + 1)
-        self._levels[0] = None if None in roots else roots
-        self._valid = 0
-
-    def descend(self, box: Sequence, depth: int) -> Optional[Slices]:
-        """The per-atom slices below the unit prefix ``box[:depth]``.
-
-        None when some factor atom has no tuple under the prefix. Only
-        the coordinates past the finger's agreement are walked.
-        """
-        fixed = self._fixed
-        levels = self._levels
-        shared = 0
-        limit = min(depth, self._valid)
-        while shared < limit and fixed[shared] == box[shared][0]:
-            shared += 1
-        if shared == depth:
-            return levels[depth]
-        plan = self._plan
-        nodes = levels[shared]
-        for coordinate in range(shared, depth):
-            index = box[coordinate][0]
-            fixed[coordinate] = index
-            probes = plan[coordinate][0]
-            if nodes is not None and probes:
-                below = list(nodes)
-                for slot, run, kid_lo, kid_hi in probes:
-                    lo, hi = nodes[slot]
-                    position = bisect_left(run, index, lo, hi)
-                    if position == hi or run[position] != index:
-                        below = None
-                        break
-                    below[slot] = (
-                        (position, position + 1)
-                        if kid_lo is None
-                        else (kid_lo[position], kid_hi[position])
-                    )
-                nodes = below
-            levels[coordinate + 1] = nodes
-        self._valid = depth
-        return nodes
-
-    def range_cost(
-        self,
-        nodes: Optional[Slices],
-        coordinate: int,
-        low: int,
-        high: int,
-    ) -> float:
-        """``T`` of the canonical box ``⟨prefix, [low, high], ▢, ...⟩``.
-
-        ``nodes`` is :meth:`descend`'s answer for the prefix and
-        ``coordinate`` its length; the range may be empty (cost 0).
-        Atoms the coordinate does not constrain count their whole slice:
-        coordinates past the range are unrestricted.
-        """
-        if nodes is None or low > high:
+        costs = self.evaluator()
+        if not costs.live.size:
             return 0.0
-        if low == 0 and high == self._model.tops[coordinate]:
-            return self._whole_cost(nodes, coordinate)
-        total = 1.0
-        _, runs, prefix_counts, exponents = self._plan[coordinate]
-        for slot, (lo, hi) in enumerate(nodes):
-            run = runs[slot]
-            if run is not None:
-                lo = bisect_left(run, low, lo, hi)
-                hi = bisect_right(run, high, lo, hi)
-            counts = prefix_counts[slot]
-            count = hi - lo if counts is None else counts[hi] - counts[lo]
-            if count == 0:
-                return 0.0
-            total *= float(count) ** exponents[slot]
-        return total
+        return float(costs.intervals(_row(interval.low), _row(interval.high))[2][0])
 
-    def _whole_cost(self, nodes: Optional[Slices], depth: int) -> float:
-        """``T`` with nothing to clip: every factor atom's full count."""
-        if nodes is None:
-            return 0.0
-        total = 1.0
-        _, _, prefix_counts, exponents = self._plan[depth]
-        for slot, (lo, hi) in enumerate(nodes):
-            counts = prefix_counts[slot]
-            count = hi - lo if counts is None else counts[hi] - counts[lo]
-            if count == 0:
-                return 0.0
-            total *= float(count) ** exponents[slot]
-        return total
 
-    def box_cost(self, box: Box) -> float:
-        """``T`` of one canonical box in row form."""
-        if not box:
-            # The empty row, the one box of a boolean view.
-            return self._whole_cost(self._levels[0], 0)
-        depth = 0
-        last = len(box) - 1
-        while depth < last and box[depth][0] == box[depth][1]:
-            depth += 1
-        low, high = box[depth]
-        return self.range_cost(self.descend(box, depth), depth, low, high)
+def _row(point) -> np.ndarray:
+    """One point as a ``(1, width)`` row."""
+    return _ints(point).reshape(1, len(point))

@@ -32,35 +32,23 @@ Every count and join here reads the context's columns
 
 The descent is *level-synchronous* (:func:`build_dictionary`): one array
 step per tree level takes every (candidate, node) pair alive at that
-level, resolves the factor atoms' slices under all of their boxes at
-once — one :func:`numpy.searchsorted` per atom and coordinate, over
-composite ``(parent slice, index)`` keys of the atom's level — computes
-every cost, heavy test and survivor mask, and hands the survivors to the
-node's children. It writes :class:`~repro.core.layout.DictColumns`
-directly. Its arrays are locals of the call, and numpy stops here: the
-serving kernel, layouts and snapshots never see it. Each cost is the
-very float :mod:`repro.core.cost`'s arithmetic gives ``T(v_b, I(w))`` —
-the one the spec's ``SpecCostModel.access_cost`` in
-``tests/reference_build.py`` computes — by five rules:
-
-1. **powers** — ``float(count) ** û`` is Python's, from a table per
-   factor atom over the counts that occur (a vectorised power may
-   differ in the last bit);
-2. **products** — in factor-atom order, from the first factor; a zero
-   count makes the box's cost 0.0;
-3. **box sums** — one box position at a time, in box order, as the
-   builtin ``sum`` adds them (left to right; with its compensation term
-   from CPython 3.12 on), never a pairwise reduction;
-4. **thresholds** — the very floats
-   :func:`~repro.core.balanced_tree.level_threshold` returns;
-5. **output types** — Python ints, ``bytes``, an ``array('d')`` and the
-   candidates' own access tuples reach the columns, never a numpy
-   scalar or array.
+level, costs all of their boxes at once through the evaluator of ``T``
+the tree pass uses too (:class:`~repro.core.cost.BoxCosts`, over the
+candidates), computes every heavy test and survivor mask, and hands the
+survivors to the node's children. It writes
+:class:`~repro.core.layout.DictColumns` directly. Its arrays are locals
+of the call, and numpy stops at the build: the serving kernel, layouts
+and snapshots never see it. Each cost is the very float
+:mod:`repro.core.cost`'s five rules give ``T(v_b, I(w))`` — the one the
+spec's ``SpecCostModel.access_cost`` in ``tests/reference_build.py``
+computes — compared with the very
+:func:`~repro.core.balanced_tree.level_threshold` floats; Python ints,
+``bytes``, an ``array('d')`` and the candidates' own access tuples reach
+the columns, never a numpy scalar or array.
 """
 
 from __future__ import annotations
 
-import sys
 from array import array
 from bisect import bisect_left
 from itertools import chain, repeat
@@ -68,14 +56,10 @@ from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.core.balanced_tree import DelayBalancedTree
-from repro.core.cost import CostModel, read_level
+from repro.core.cost import BoxCosts, CostModel, _box_sums, _ints
 from repro.core.intervals import FInterval
 from repro.core.kernel import join_rows
-from repro.core.layout import DictColumns, compile_bound_columns
-
-#: From CPython 3.12 on, ``sum`` adds floats with Neumaier's compensation.
-_COMPENSATED_SUM = sys.version_info >= (3, 12)
+from repro.core.layout import DictColumns, TreeColumns, compile_bound_columns
 
 
 class HeavyDictionary:
@@ -169,151 +153,55 @@ def output_nonempty_in(
     sorted_free_tuples: Sequence[Tuple[int, ...]], interval: FInterval
 ) -> bool:
     """Binary-search whether any output free tuple lies inside the interval."""
-    position = bisect_left(sorted_free_tuples, interval.low)
-    return (
-        position < len(sorted_free_tuples)
-        and sorted_free_tuples[position] <= interval.high
-    )
+    return _nonempty(sorted_free_tuples, interval.low, interval.high)
 
 
-def _ints(values) -> np.ndarray:
-    return np.array(values, dtype=np.int64)
+def _nonempty(sorted_free_tuples, low: Tuple[int, ...], high: Tuple[int, ...]) -> bool:
+    position = bisect_left(sorted_free_tuples, low)
+    return position < len(sorted_free_tuples) and sorted_free_tuples[position] <= high
 
 
-def _level(atom, level: int, tops) -> Tuple:
-    """``(counts, keys, scale, kids)``: one level of ``atom`` as arrays.
-
-    ``counts`` are the prefix counts. Where the level holds values, a
-    key is ``run start · scale + value index`` — runs are contiguous and
-    sorted within, so the keys are sorted and a slice ``[lo, hi)`` finds
-    ``v`` at ``lo · scale + v`` — and ``kids`` are the entries' child
-    slices, on the last level each entry's own one-entry slice.
-    """
-    counts = _ints(atom.counts[level])
-    if level >= atom.width:
-        return counts, None, 0, None
-    if level:
-        lo, hi = _ints(atom.kid_lo[level - 1]), _ints(atom.kid_hi[level - 1])
-    else:
-        lo, hi = _ints(list(atom.roots.values())).reshape(-1, 2).T
-    scale = tops[atom.coords[level]] + 1
-    keys = np.repeat(lo, hi - lo) * scale + _ints(atom.vals[level])
-    kids = np.arange(len(keys)), np.arange(1, len(keys) + 1)
-    if level + 1 < atom.width:
-        kids = _ints(atom.kid_lo[level]), _ints(atom.kid_hi[level])
-    return counts, keys, scale, kids
-
-
-def _powers(counts: np.ndarray, exponent: float) -> np.ndarray:
-    """``float(count) ** exponent`` per count, each power Python's own."""
-    values, inverse = np.unique(counts, return_inverse=True)
-    powers = [float(c) ** exponent if c else 0.0 for c in values.tolist()]
-    return np.array(powers)[inverse]
-
-
-class _AccessCosts:
+class TreeBoxes:
     """``T(v_b, I(w))`` of many (candidate, node) pairs in one array step.
 
-    Made once per pass: per factor atom its levels as arrays and, per
-    coordinate, the level a count reads there and whether the
-    coordinate clips it (:func:`~repro.core.cost.read_level`); the
-    candidates' root slices, resolved once each; every box of the tree
-    as a row, with its unit-prefix depth by
-    :meth:`~repro.core.cost.CostWalk.box_cost`'s rule.
+    Every box of ``tree`` as a row, with its unit-prefix depth, costed
+    by ``evaluator`` (:meth:`~repro.core.cost.CostModel.evaluator` over
+    the candidates; only its live accesses may be asked for) and summed
+    per pair as ``sum`` adds them.
     """
 
-    def __init__(self, cost_model: CostModel, tree, candidates):
-        atoms, self.exponents = cost_model.factors()
-        tops = cost_model.tops
-        self.width = width = len(tops)
-        self.plan = []
-        for atom in atoms:
-            levels = [_level(atom, lv, tops) for lv in range(max(atom.width, 1))]
-            reads = (read_level(atom, c) for c in range(max(width, 1)))
-            self.plan.append([(levels[level], clips) for level, clips in reads])
-        # An access some factor atom lacks costs 0 at every node: a build
-        # hands on only the live ones.
-        live, self.roots = np.ones(len(candidates), dtype=bool), []
-        for atom in atoms:
-            ranges = [r or (0, 0) for r in atom.root_ranges(candidates)]
-            flat = np.fromiter(chain.from_iterable(ranges), np.int64, 2 * len(ranges))
-            self.roots.append((flat[0::2], flat[1::2]))
-            live &= flat[1::2] > flat[0::2]
-        self.live, self.dead = np.flatnonzero(live), ~live
-        self.boxes = _ints([len(boxes) for boxes in tree.boxes])
-        self.first = np.cumsum(self.boxes) - self.boxes
+    def __init__(self, tree: TreeColumns, evaluator: BoxCosts):
+        self.evaluator, width = evaluator, tree.width
+        self.sizes = _ints([len(boxes) for boxes in tree.boxes])
+        self.first = np.cumsum(self.sizes) - self.sizes
         ends = chain.from_iterable(chain.from_iterable(chain.from_iterable(tree.boxes)))
-        self.rows = np.fromiter(ends, np.int64).reshape(self.boxes.sum(), width, 2)
+        self.rows = np.fromiter(ends, np.int64).reshape(self.sizes.sum(), width, 2)
         unit = self.rows[:, : width - 1, 0] == self.rows[:, : width - 1, 1]
         self.depth = np.cumprod(unit, axis=1).sum(axis=1)
 
     def __call__(self, owner: np.ndarray, node: np.ndarray) -> np.ndarray:
-        """The cost of every pair ``(candidates[owner[i]], node[i])``."""
-        boxes = self.boxes[node]
+        """The cost of every pair ``(accesses[owner[i]], node[i])``."""
+        boxes = self.sizes[node]
         pair = np.repeat(np.arange(len(node)), boxes)
         position = np.arange(len(pair)) - np.repeat(np.cumsum(boxes) - boxes, boxes)
         box = np.repeat(self.first[node], boxes) + position
-        slices = [[lo[owner[pair]], hi[owner[pair]]] for lo, hi in self.roots]
-        # Fix each box's unit prefix, a coordinate at a time; a box under
-        # a prefix some factor atom lacks costs 0 (its slices go on at
-        # entry 0's children, in bounds, and are not read).
-        depth, absent = self.depth[box], self.dead[owner[pair]]
-        for coordinate in range(self.width - 1):
-            at = np.flatnonzero(depth > coordinate)
-            for (lo, hi), plan in zip(slices, self.plan):
-                (_, keys, scale, kids), clips = plan[coordinate]
-                if clips:
-                    probe = lo[at] * scale + self.rows[box[at], coordinate, 0]
-                    found = np.searchsorted(keys, probe)
-                    miss = keys.take(found, mode="clip") != probe
-                    absent[at[miss]], found[miss] = True, 0
-                    lo[at], hi[at] = kids[0][found], kids[1][found]
-        # Count at the depth — clipped to the box's range where the
-        # coordinate is the atom's — and multiply in factor-atom order.
-        cost = np.ones(len(box))
-        for d in range(max(self.width, 1)):
-            at = np.flatnonzero(depth == d)
-            for slot, ((lo, hi), plan) in enumerate(zip(slices, self.plan)):
-                (counts, keys, scale, _), clips = plan[d]
-                lo, hi = lo[at], hi[at]
-                if clips:
-                    low, high = self.rows[box[at], d].T + lo * scale
-                    lo = np.searchsorted(keys, low)
-                    hi = np.searchsorted(keys, high, "right")
-                factor = _powers(counts[hi] - counts[lo], self.exponents[slot])
-                cost[at] = cost[at] * factor if slot else factor
-        cost[absent] = 0.0
+        cost = self.evaluator.box_costs(owner[pair], self.rows[box], self.depth[box])
         return _box_sums(len(node), pair, position, cost)
-
-
-def _box_sums(pairs: int, pair, position, cost) -> np.ndarray:
-    """Per pair, its boxes' costs added as ``sum`` adds a list of them.
-
-    One box position at a time, so each pair's boxes go in box order.
-    Without the compensation its term stays 0.0, and adding it to a
-    non-negative total changes no bit.
-    """
-    total, compensation = np.zeros(pairs), np.zeros(pairs)
-    for k in range(int(position.max(initial=-1)) + 1):
-        rows, x = pair[position == k], cost[position == k]
-        s = total[rows]
-        t = total[rows] = s + x
-        if _COMPENSATED_SUM:
-            compensation[rows] += np.where(abs(s) >= abs(x), (s - t) + x, (x - t) + s)
-    return total + compensation
 
 
 def build_dictionary(
     cost_model: CostModel,
-    tree: DelayBalancedTree,
+    tree: TreeColumns,
+    thresholds: Sequence[float],
     candidates: Sequence[Tuple],
     outputs: Mapping[Tuple, Sequence[Tuple[int, ...]]],
 ) -> DictColumns:
     """The dictionary's columns for a constructed delay-balanced tree.
 
-    ``candidates`` are :func:`bound_candidates`' and ``outputs`` maps
-    each of them with a non-empty result to its sorted list of free index
-    tuples (the materialized query output).
+    ``tree`` is the tree pass's columns and ``thresholds[ℓ]`` its
+    ``τ_ℓ`` at every level. ``candidates`` are :func:`bound_candidates`'
+    and ``outputs`` maps each of them with a non-empty result to its
+    sorted list of free index tuples (the materialized query output).
 
     Level-synchronous, as the module docstring says: the pairs of one
     level are costed in one array step, and those costing more than the
@@ -323,25 +211,23 @@ def build_dictionary(
     higher ``τ`` filters on. With no bound variable the one candidate,
     ``()``, restricts nothing: its cost is the node's own.
     """
-    if tree.root is None:
+    if tree.root < 0:
         return DictColumns({}, [], b"", array("d"))
-    nodes = tree.nodes
-    left = _ints([-1 if n.left is None else n.left.id for n in nodes])
-    right = _ints([-1 if n.right is None else n.right.id for n in nodes])
-    thresholds = [tree.threshold(level) for level in range(tree.max_level + 1)]
-    limit = np.array(thresholds)[_ints([n.level for n in nodes])]
-    prune, owner, costs = tree.min_threshold(), np.arange(len(candidates)), None
+    left, right = _ints(tree.left), _ints(tree.right)
+    owner, costs = np.arange(len(candidates)), None
     if cost_model.ctx.bound_order:
-        costs = _AccessCosts(cost_model, tree, candidates)
-        owner = costs.live
-    node_costs = np.array([n.cost for n in nodes])
-    node = np.full(len(owner), tree.root.id)
+        costs = TreeBoxes(tree, cost_model.evaluator(candidates))
+        owner = costs.evaluator.live
+    node_costs = np.frombuffer(tree.cost)
+    node = np.full(len(owner), tree.root)
     found = [(owner[:0], node[:0], np.zeros(0))]
-    while owner.size:
+    for limit in thresholds:
+        if not owner.size:
+            break
         cost = node_costs[node] if costs is None else costs(owner, node)
-        heavy = cost > limit[node]
+        heavy = cost > limit
         found.append((owner[heavy], node[heavy], cost[heavy]))
-        on = cost > prune
+        on = cost > thresholds[-1]
         kids = np.concatenate([left[node[on]], right[node[on]]])
         owner = np.concatenate([owner[on], owner[on]])[kids >= 0]
         node = kids[kids >= 0]
@@ -352,8 +238,10 @@ def build_dictionary(
     spans = zip(firsts.tolist(), firsts[1:].tolist() + [len(owner)])
     index = dict(zip([candidates[i] for i in owner[firsts].tolist()], spans))
     ids, bits = node.tolist(), bytearray(len(node))
+    lows, highs = tree.low, tree.high
     for access, (lo, hi) in index.items():
         rows = outputs.get(access, ())
         for position in range(lo, hi):
-            bits[position] = output_nonempty_in(rows, nodes[ids[position]].interval)
+            at = ids[position]
+            bits[position] = _nonempty(rows, lows[at], highs[at])
     return DictColumns(index, ids, bytes(bits), array("d", cost.tobytes()))

@@ -541,12 +541,6 @@ def upgrade_legacy_state(state: Dict, tops: Sequence[int]) -> Dict:
 # ----------------------------------------------------------------------
 # compilation
 # ----------------------------------------------------------------------
-def _compile_tree(tree, cost_model) -> TreeColumns:
-    # The build already decomposed every node; its list is the column.
-    root, *columns = tree.columns()
-    return TreeColumns(root, cost_model.ctx.space.width, *columns, tree.boxes)
-
-
 def compile_dictionary(entries) -> DictColumns:
     """Lay ``((node id, access), bit)`` entries out flat, per access.
 
@@ -703,16 +697,15 @@ def compile_bound_columns(ctx) -> JoinColumns:
     )
 
 
-def compile_layout(ctx, tree, dictionary: DictColumns, cost_model) -> CompiledLayout:
-    """Compile one representation's ``(T, D)`` over its context's columns.
+def compile_layout(ctx, tree: TreeColumns, dictionary: DictColumns) -> CompiledLayout:
+    """One representation's ``(T, D)`` over its context's columns.
 
-    ``dictionary`` is already columns (the build writes them); the tree
-    is compiled here. Deterministic and side-effect free on its inputs;
-    the result is pinned at one edit per entry, the version a
-    dictionary that set each entry once is at.
+    Both are already columns (the build writes them). Deterministic and
+    side-effect free on its inputs; the result is pinned at one edit per
+    entry, the version a dictionary that set each entry once is at.
     """
     return CompiledLayout(
-        _compile_tree(tree, cost_model),
+        tree,
         dictionary,
         ctx.columns(),
         dict_version=dictionary.entries,

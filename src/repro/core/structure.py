@@ -40,7 +40,7 @@ from typing import Dict, Iterator, Mapping, Optional, Sequence, Tuple
 from repro.core import layout as layout_mod
 from repro.core.balanced_tree import (
     DelayBalancedTree,
-    build_delay_balanced_tree,
+    build_tree_columns,
     level_threshold,
 )
 from repro.core.context import ViewContext
@@ -126,42 +126,44 @@ class CompressedRepresentation(Representation):
         self.original_view = view
         self.view, self.db = natural_form(view, db)
         self._bind(tau, weights, alpha, context)
-        tree = build_delay_balanced_tree(self.cost_model, self.tau, self.alpha)
+        tree, depth = build_tree_columns(self.cost_model, self.tau, self.alpha)
         candidates = bound_candidates(self.ctx)
         outputs, output_count = materialize_outputs(
             self.ctx.columns().in_index_space(), candidates
         )
+        thresholds = [
+            level_threshold(self.tau, self.alpha, level) for level in range(depth + 1)
+        ]
         dictionary = build_dictionary(
-            self.cost_model, tree, candidates, outputs
+            self.cost_model, tree, thresholds, candidates, outputs
         )
-        self._compile(tree, dictionary, output_count, started)
+        self._compile(tree, depth, dictionary, output_count, started)
 
     # ------------------------------------------------------------------
     # columnar kernel layout
     # ------------------------------------------------------------------
-    def _compile(self, tree, dictionary, output_count, started) -> None:
+    def _compile(self, tree, depth, dictionary, output_count, started) -> None:
         """Take a built ``(T, D)``: record its stats, keep its columns.
 
-        ``dictionary`` is the dictionary's columns
-        (:class:`~repro.core.layout.DictColumns`), as the build writes
-        them. The tree is the caller's local and ends with it; from here
-        the instance holds the compiled layout and nothing else.
+        ``tree`` and ``dictionary`` are the columns
+        (:class:`~repro.core.layout.TreeColumns`, of ``depth`` levels
+        below the root, and :class:`~repro.core.layout.DictColumns`), as
+        the build writes them; from here the instance holds the compiled
+        layout and nothing else.
         """
         self.stats = BuildStats(
             tau=self.tau,
             alpha=self.alpha,
             weights=dict(self.weights),
-            tree_nodes=len(tree.nodes),
-            tree_depth=tree.depth(),
+            tree_nodes=len(tree.left),
+            tree_depth=depth,
             dictionary_entries=dictionary.entries,
             output_tuples=output_count,
             build_seconds=time.perf_counter() - started,
         )
         started = time.perf_counter()
         self._tree = self._dictionary = None
-        self._layout = layout_mod.compile_layout(
-            self.ctx, tree, dictionary, self.cost_model
-        )
+        self._layout = layout_mod.compile_layout(self.ctx, tree, dictionary)
         self.layout_compile_seconds = time.perf_counter() - started
 
     @property

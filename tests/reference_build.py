@@ -1,9 +1,10 @@
 """Section 4.3's preprocessing as the paper writes it — the build's spec.
 
 ``src/`` builds a structure in index space: boxes are plain
-``((lo, hi), ...)`` rows, one :class:`~repro.core.cost.CostWalk` costs
-them with a prefix finger, and every node's boxes are decomposed and
-costed once (:mod:`repro.core.intervals`, :mod:`repro.core.cost`,
+``((lo, hi), ...)`` rows, one array evaluator
+(:class:`~repro.core.cost.BoxCosts`) costs a whole tree level's boxes at
+once, and every node's boxes are decomposed and costed once
+(:mod:`repro.core.intervals`, :mod:`repro.core.cost`,
 :mod:`repro.core.splitting`, :mod:`repro.core.balanced_tree`,
 :mod:`repro.core.dictionary`). This module is what that build is held
 to: the object-based, line-by-line transcription it replaced, moved here
@@ -15,8 +16,10 @@ unchanged when the index-space build became the only one —
   descent per atom per box (Section 4.2);
 * :func:`spec_split_interval` — Algorithm 1, costing every probe as a
   fresh canonical box;
-* :func:`spec_build_tree` / :func:`spec_build_dictionary` — the tree and
-  the heavy dictionary of Section 4.3, re-costing what they need;
+* :func:`spec_build_tree` / :func:`spec_build_dictionary` — the tree
+  (recursively, node after node) and the heavy dictionary of Section
+  4.3, re-costing what they need, and :func:`spec_tree_columns`, the
+  spec tree's nodes as the columns a layout keeps;
 * :func:`spec_tries` and the value-space joins over them —
   :func:`spec_bound_candidates` (Proposition 13's candidate join) and
   :func:`spec_outputs` (the full output per bound valuation), by
@@ -45,6 +48,7 @@ from __future__ import annotations
 import math
 import time
 import weakref
+from array import array
 from dataclasses import dataclass
 from typing import Dict, Iterator, List, Mapping, Optional, Sequence, Tuple
 
@@ -54,7 +58,7 @@ from repro.core.balanced_tree import DelayBalancedTree, TreeNode
 from repro.core.context import AtomBinding, ViewContext
 from repro.core.dictionary import HeavyDictionary, output_nonempty_in
 from repro.core.domain import TupleSpace
-from repro.core.layout import compile_dictionary
+from repro.core.layout import TreeColumns, compile_dictionary
 from repro.core.structure import CompressedRepresentation
 from repro.exceptions import ParameterError, QueryError
 from repro.query.rewriting import natural_form
@@ -659,7 +663,7 @@ def spec_build_dictionary(
     if tree.root is None:
         return dictionary
     candidates = spec_bound_candidates(cost_model.ctx)
-    prune_threshold = tree.min_threshold()
+    prune_threshold = tree.threshold(tree.max_level)
     stack: List[Tuple[TreeNode, List[Tuple]]] = [(tree.root, candidates)]
     while stack:
         node, current = stack.pop()
@@ -687,6 +691,27 @@ def spec_build_dictionary(
 # ----------------------------------------------------------------------
 # a whole structure from the spec builders
 # ----------------------------------------------------------------------
+def spec_tree_columns(tree: DelayBalancedTree, width: int) -> TreeColumns:
+    """The spec's node objects as the columns a layout keeps.
+
+    Child ids with ``-1`` sentinels (``node.id`` is its index in
+    ``nodes``), endpoints as index tuples, β codes (None on leaves),
+    ``T(I)`` as an ``array('d')`` and the boxes as they are.
+    """
+    nodes = tree.nodes
+    return TreeColumns(
+        tree.root.id if tree.root is not None else -1,
+        width,
+        [n.left.id if n.left is not None else -1 for n in nodes],
+        [n.right.id if n.right is not None else -1 for n in nodes],
+        [n.interval.low for n in nodes],
+        [n.interval.high for n in nodes],
+        [n.beta for n in nodes],
+        array("d", [n.cost for n in nodes]),
+        tree.boxes,
+    )
+
+
 def spec_structure(
     view, db, tau, weights=None, alpha=None, context=None
 ) -> CompressedRepresentation:
@@ -712,5 +737,11 @@ def spec_structure(
     ]
     outputs, output_count = spec_outputs(self.ctx)
     dictionary = spec_build_dictionary(model, tree, outputs)
-    self._compile(tree, compile_dictionary(dictionary.items()), output_count, started)
+    self._compile(
+        spec_tree_columns(tree, self.ctx.space.width),
+        tree.depth(),
+        compile_dictionary(dictionary.items()),
+        output_count,
+        started,
+    )
     return self

@@ -1,28 +1,36 @@
 """The index-space build held to its spec (``tests/reference_build.py``).
 
 ``src/`` builds (T, D) over plain ``((lo, hi), ...)`` boxes with one
-cost evaluation (:class:`repro.core.cost.CostWalk`), one decomposition
-and one split. The spec is the object-based transcription it replaced.
-The contract is equality of state, bit for bit:
+evaluator of ``T`` over arrays (:class:`repro.core.cost.BoxCosts`),
+shared by the level-synchronous tree pass, Algorithm 1 and the
+dictionary pass, one decomposition and one split. The spec is the
+object-based transcription it replaced (a recursive tree build costing
+one box, one probe at a time). The contract is equality of state, bit
+for bit:
 
 * differential, by property — random databases × view shapes × τ ×
   covers: ``snapshot_state()`` of the production build equals that of a
   structure assembled from the spec builders in every key but the wall
   clock, and the dictionary's insertion order (which the layout compiler
   reads) is the same;
-* Proposition 8 on every split node and Lemma 1 on every decomposition,
-  recomputed by the spec's oracle / by brute force;
+* Proposition 8 on every split node, Lemma 1 on every decomposition
+  (one interval's rows and a level's arrays), Lemma 2 and Lemma 4 on
+  every tree, recomputed by the spec's oracle / by brute force / from
+  the proofs' constants;
 * the costs a cut filters on, never stored in a state: every stored
   pair's equals the spec's ``T(v_b, I(w))`` bit for bit, a width-5 view
-  summing nine boxes included, and the three workload views' blobs
-  equal the bytes the tree before the array pass wrote
-  (``tests/data/pr34_v4/``);
+  summing nine boxes included; the three workload views' blobs equal
+  the bytes the tree before the dictionary's array pass wrote
+  (``tests/data/pr34_v4/``), and two wide views' blobs the bytes the
+  recursive tree build wrote (``tests/data/wide_v4/``); ``_box_sums``
+  takes either interpreter's branch on any interpreter;
 * the work bound that motivated the change — no node's boxes costed
-  twice, a split within ``µ·(⌈log₂ max|dom|⌉ + 2)`` cost evaluations, an
-  access's slices resolved once and no box costed through a walk by the
-  dictionary pass — counted through wrapped oracles, so the duplicate
-  work cannot come back unnoticed;
-* nothing of a build's memo state survives the build.
+  twice, Algorithm 1 within ``µ·(⌈log₂ max|dom|⌉ + 2)`` array steps per
+  level and probes per split node, an access's slices resolved once and
+  one costing per tree level by the dictionary pass — counted through
+  wrapped oracles, so the duplicate work cannot come back unnoticed;
+* the depth guard raises and leaves nothing behind, and nothing of a
+  build's state survives the build.
 """
 
 from __future__ import annotations
@@ -50,11 +58,12 @@ from reference_build import (
 )
 from reference_walk import _join_box
 from repro.core import balanced_tree as tree_mod
+from repro.core import cost as cost_mod
 from repro.core import dictionary as dictionary_mod
 from repro.core import splitting as split_mod
-from repro.core.balanced_tree import build_delay_balanced_tree
+from repro.core.balanced_tree import build_tree_columns, level_threshold
 from repro.core.context import ViewContext
-from repro.core.cost import CostModel, CostWalk
+from repro.core.cost import BoxCosts, CostModel
 from repro.core.dictionary import (
     bound_candidates,
     build_dictionary,
@@ -248,8 +257,12 @@ def plain_sum(values):
 
 
 def neumaier_sum(values):
-    """``sum`` of floats from CPython 3.12 on: Neumaier's compensation."""
-    total = compensation = 0.0
+    """``sum`` of floats from CPython 3.12 on, transcribed from
+    ``builtin_sum_impl``: the first term starts the total (``0 + x``),
+    each later one adds with Neumaier's compensation, and the
+    compensation joins the total only when it is non-zero and finite."""
+    values = iter(values)
+    total, compensation = 0 + next(values, 0.0), 0.0
     for value in values:
         step = total + value
         if abs(total) >= abs(value):
@@ -257,7 +270,9 @@ def neumaier_sum(values):
         else:
             compensation += (value - step) + total
         total = step
-    return total + compensation
+    if compensation and math.isfinite(compensation):
+        total += compensation
+    return total
 
 
 def test_the_wide_view_sums_as_the_other_interpreters_do():
@@ -266,9 +281,9 @@ def test_the_wide_view_sums_as_the_other_interpreters_do():
     # the same nine-box pairs: each stored cost is the spec's box costs
     # added as ``sum`` adds them on the other side of CPython 3.12.
     view = WIDE_VIEWS["path5-bfffff"]
-    compensated = not dictionary_mod._COMPENSATED_SUM
+    compensated = not cost_mod._COMPENSATED_SUM
     add = neumaier_sum if compensated else plain_sum
-    with mock.patch.object(dictionary_mod, "_COMPENSATED_SUM", compensated):
+    with mock.patch.object(cost_mod, "_COMPENSATED_SUM", compensated):
         built = CompressedRepresentation(view, dense_path_database(5, 4, 3), 1.0)
     spec = SpecCostModel(built.ctx, built.weights, built.alpha)
     columns, nodes, wide = built._layout.dictionary, built.tree.nodes, 0
@@ -355,6 +370,21 @@ def test_a_fresh_build_encodes_to_the_recorded_bytes(blob, nodes, edges, tau, we
     assert pinned_blob(rep) == (RECORDED / blob).read_bytes()
 
 
+WIDE_RECORDED = Path(__file__).parent / "data" / "wide_v4"
+
+
+@pytest.mark.parametrize("pattern", ["bff", "fff"])
+def test_a_fresh_wide_build_encodes_to_the_recorded_bytes(pattern):
+    # Width 2 and 3 (tests/data/wide_v4/README.md): multi-box sums and
+    # splits refined over several coordinates, every float and every
+    # split point as the recursive tree build wrote them.
+    db = triangle_database(30, 300, seed=11)
+    rep = CompressedRepresentation(triangle_view(pattern), db, 8.0)
+    assert any(len(boxes) > 1 for boxes in rep.tree.boxes)
+    recorded = (WIDE_RECORDED / f"triangle_{pattern}_tau8.snap").read_bytes()
+    assert pinned_blob(rep) == recorded
+
+
 @pytest.mark.parametrize("compensated", [False, True])
 @given(
     st.lists(
@@ -374,6 +404,15 @@ def test_box_sums_add_as_the_builtin_sum_does(compensated, lists):
     # Left to right as CPython before 3.12 adds, or with its Neumaier
     # compensation from 3.12 on — transcribed here, and the running
     # interpreter's own sum held to whichever branch it takes.
+    sums = box_sums_of(lists, compensated)
+    expected = neumaier_sum if compensated else plain_sum
+    assert [value.hex() for value in sums] == [expected(v).hex() for v in lists]
+    if compensated == cost_mod._COMPENSATED_SUM:
+        assert [value.hex() for value in sums] == [sum(v).hex() for v in lists]
+
+
+def box_sums_of(lists, compensated):
+    """``_box_sums`` of one owner per list, its branch patched in."""
     pair = np.array(
         [p for p, values in enumerate(lists) for _ in values], dtype=np.int64
     )
@@ -381,12 +420,40 @@ def test_box_sums_add_as_the_builtin_sum_does(compensated, lists):
         [k for values in lists for k in range(len(values))], dtype=np.int64
     )
     cost = np.array([value for values in lists for value in values], dtype=float)
-    with mock.patch.object(dictionary_mod, "_COMPENSATED_SUM", compensated):
-        sums = dictionary_mod._box_sums(len(lists), pair, position, cost).tolist()
+    with mock.patch.object(cost_mod, "_COMPENSATED_SUM", compensated):
+        return cost_mod._box_sums(len(lists), pair, position, cost).tolist()
+
+
+#: Sums the two branches round apart: terms cancelling round small
+#: ones, which plain left-to-right addition loses and Neumaier's
+#: compensation keeps.
+CANCELLATION = [
+    [1e16, 1.0, -1e16],
+    [1.0, 1e100, 1.0, -1e100],
+    [0.1] * 10,
+    [1e16, 1.0, 1.0, 1.0, 1.0],
+    [-1e16, 3.0, 1e16, 0.5],
+]
+
+
+@pytest.mark.parametrize("compensated", [False, True])
+@given(
+    st.lists(
+        st.lists(st.floats(-1e15, 1e15, allow_nan=False), min_size=1, max_size=12),
+        max_size=6,
+    )
+)
+@settings(max_examples=100, deadline=None)
+def test_box_sums_take_either_branch_on_any_interpreter(compensated, lists):
+    # ``_COMPENSATED_SUM`` follows the interpreter, so a run of the
+    # build exercises one branch. Patched both ways, each branch is its
+    # transcription — on signed terms too, and on sums where the two
+    # branches part, so a branch that took the other's arithmetic fails.
+    assert all(plain_sum(v) != neumaier_sum(v) for v in CANCELLATION)
+    lists = CANCELLATION + lists
+    sums = box_sums_of(lists, compensated)
     expected = neumaier_sum if compensated else plain_sum
     assert [value.hex() for value in sums] == [expected(v).hex() for v in lists]
-    if compensated == dictionary_mod._COMPENSATED_SUM:
-        assert [value.hex() for value in sums] == [sum(v).hex() for v in lists]
 
 
 # ----------------------------------------------------------------------
@@ -576,17 +643,25 @@ def test_access_costs_equal_the_spec_for_any_access(name, data):
     for weights in covers_of(view)[1:]:
         model = CostModel(ctx, weights, alpha=1.0)
         spec = SpecCostModel(ctx, weights, alpha=1.0)
-        tree = build_delay_balanced_tree(model, 1.0, 1.0)
+        columns, _ = build_tree_columns(model, 1.0, 1.0)
+        tree = tree_mod.DelayBalancedTree.from_columns(columns, 1.0, 1.0)
         nodes = tree.nodes[:12]
-        owner = np.repeat(np.arange(len(accesses)), len(nodes))
-        node = np.tile(np.array([n.id for n in nodes], dtype=np.int64), len(accesses))
-        costs = dictionary_mod._AccessCosts(model, tree, accesses)(owner, node)
+        evaluator = model.evaluator(accesses)
+        owner = np.repeat(evaluator.live, len(nodes))
+        ids = np.array([n.id for n in nodes], dtype=np.int64)
+        node = np.tile(ids, len(evaluator.live))
+        costs = dictionary_mod.TreeBoxes(columns, evaluator)(owner, node)
         for n in nodes:
             assert model.interval_cost(n.interval) == n.cost
             assert spec.interval_cost(n.interval) == n.cost
         for i, j, cost in zip(owner.tolist(), node.tolist(), costs.tolist()):
             expected = spec.access_cost(tree.nodes[j].interval, accesses[i])
             assert cost.hex() == expected.hex(), (accesses[i], j)
+        # An access some factor atom lacks is never costed: it costs 0.
+        dead = set(range(len(accesses))) - set(evaluator.live.tolist())
+        for i in dead:
+            for n in nodes:
+                assert spec.access_cost(n.interval, accesses[i]) == 0.0
 
 
 # ----------------------------------------------------------------------
@@ -615,9 +690,71 @@ def test_proposition8_holds_on_every_split_node(name, data):
             assert spec.interval_cost(right) <= bound
 
 
+# ----------------------------------------------------------------------
+# Lemma 2 and Lemma 4 on every tree built
+# ----------------------------------------------------------------------
+def lemma4_slack(cost):
+    """Lemma 4(1)'s ε for a parent costing ``cost``. Algorithm 1
+    compares costs with the absolute slack ``splitting._EPS``, and a
+    child's cost and its parent's are sums of at most 2µ − 1 ≤ 9 box
+    costs, each add off by at most 2⁻⁵³ of the sum: 2⁻⁴⁶ (128 · 2⁻⁵³)
+    of the parent's cost covers them."""
+    return split_mod._EPS + 2.0**-46 * cost
+
+
+#: Lemma 4(2)'s constant. Let P = Π_F |R_F|^{u_F} and K = P / τ^α. The
+#: root costs at most P^{1/α} (Lemma 2 over its boxes), and each split
+#: halves the cost (Lemma 4(1)), so a node at level ℓ costs at most
+#: P^{1/α} / 2^ℓ; it splits only if it costs at least τ_ℓ = τ / 2^{ℓ(1 −
+#: 1/α)}, hence 2^ℓ ≤ K. Level ℓ holds at most 2^ℓ nodes, so there are
+#: at most 2K − 1 split nodes, and every other node is the root or a
+#: child of one: |T| ≤ 1 + 2(2K − 1) < 4K — or |T| ≤ 1 when K < 1.
+C_T = 4
+
+
+@pytest.mark.parametrize("name", sorted(SHAPES))
+@given(data=st.data())
+@settings(
+    max_examples=5,
+    deadline=None,
+    suppress_health_check=[HealthCheck.too_slow, HealthCheck.data_too_large],
+)
+def test_lemma2_and_lemma4_hold_on_every_tree(name, data):
+    view = SHAPES[name]
+    db = data.draw(databases(view))
+    for weights in covers_of(view):
+        for tau in (0.5, 2.0, 8.0):
+            rep = CompressedRepresentation(view, db, tau=tau, weights=weights)
+            tree, alpha = rep.tree, rep.alpha
+            for node in tree.nodes:
+                for child in (node.left, node.right):
+                    if child is not None:
+                        # Lemma 2: costs never grow toward the leaves.
+                        assert child.cost <= node.cost
+                        # Lemma 4(1): a split halves the cost, up to ε.
+                        assert child.cost <= node.cost / 2 + lemma4_slack(node.cost)
+            # Every stored pair is heavy at its node's level.
+            columns = rep._layout.dictionary
+            for node, cost in zip(columns.nodes, columns.costs):
+                assert cost > level_threshold(tau, alpha, tree.nodes[node].level)
+            if math.isinf(alpha):
+                # No free variable: the one-point space is one leaf.
+                assert len(tree) <= 1
+                continue
+            product = math.prod(
+                len(binding.relation.rows) ** rep.weights[binding.label]
+                for binding in rep.ctx.atoms
+            )
+            if tree.root is not None:
+                assert tree.root.cost <= product ** (1 / alpha) * (1 + 1e-12)
+            # Lemma 4(2).
+            assert len(tree) <= max(1.0, C_T * product / tau**alpha)
+
+
 @st.composite
-def intervals(draw):
-    sizes = draw(st.lists(st.integers(1, 4), min_size=0, max_size=4))
+def intervals(draw, sizes=None):
+    if sizes is None:
+        sizes = draw(st.lists(st.integers(1, 4), min_size=0, max_size=4))
     low = tuple(draw(st.integers(0, size - 1)) for size in sizes)
     high = tuple(draw(st.integers(0, size - 1)) for size in sizes)
     if low > high:
@@ -651,6 +788,62 @@ def test_lemma1_holds_on_the_row_decomposition(case):
     assert covered == [point for point in every if low <= point <= high]
 
 
+@given(st.data())
+@settings(max_examples=200, deadline=None)
+def test_lemma1_holds_on_the_array_decomposition(data):
+    # The tree pass decomposes a whole level's intervals at once: the
+    # very rows box_decomposition gives, interval after interval, with
+    # each box's range coordinate.
+    sizes = [top + 1 for top in data.draw(intervals())[0]]
+    cases = [data.draw(intervals(sizes)) for _ in range(data.draw(st.integers(1, 6)))]
+    tops = cases[0][0]
+    width, array = len(tops), np.array
+    low = array([case[1] for case in cases], np.int64).reshape(len(cases), width)
+    high = array([case[2] for case in cases], np.int64).reshape(len(cases), width)
+    boxes = cost_mod.decompose(low, high, array(tops, np.int64))
+    expected = [box_decomposition(low, high, tops) for _, low, high in cases]
+    assert boxes.owner.tolist() == [i for i, b in enumerate(expected) for _ in b]
+    assert boxes.position.tolist() == [k for b in expected for k in range(len(b))]
+    rows = [tuple(map(tuple, row)) for row in boxes.rows.tolist()]
+    assert rows == [box for b in expected for box in b]
+    for row, depth in zip(rows, boxes.depth.tolist()):
+        assert all(lo == hi for lo, hi in row[:depth])
+        assert all(pair == (0, tops[c]) for c, pair in enumerate(row) if c > depth)
+
+
+# ----------------------------------------------------------------------
+# the depth guard
+# ----------------------------------------------------------------------
+def test_the_depth_guard_raises_and_leaves_nothing_behind(monkeypatch):
+    view = triangle_view("fff")
+    db = triangle_database(15, 80, seed=5)
+    ctx = ViewContext(view, db)
+    weights, alpha = ctx.default_cover()
+    model = CostModel(ctx, weights, alpha)
+    ctx.count_columns()  # what every build over the context compiles first
+
+    def state():
+        return list(vars(ctx).items()) + list(vars(model).items())
+
+    before = state()
+    monkeypatch.setattr(tree_mod, "_MAX_DEPTH", 2)
+    with pytest.raises(ParameterError, match="depth guard"):
+        build_tree_columns(model, 0.5, alpha)
+    with pytest.raises(ParameterError, match="depth guard"):
+        CompressedRepresentation(view, db, tau=0.5, context=ctx)
+    gc.collect()
+    assert not [o for o in gc.get_objects() if isinstance(o, BoxCosts)]
+    after = state()
+    assert [name for name, _ in after] == [name for name, _ in before]
+    assert all(a is b for (_, a), (_, b) in zip(after, before))
+    monkeypatch.undo()
+    built = CompressedRepresentation(view, db, tau=0.5, context=ctx)
+    assert built.stats.tree_depth > 2
+    assert comparable(built.snapshot_state()) == comparable(
+        spec_structure(view, db, 0.5, context=ctx).snapshot_state()
+    )
+
+
 # ----------------------------------------------------------------------
 # the work bound, counted through wrapped oracles
 # ----------------------------------------------------------------------
@@ -667,52 +860,71 @@ def test_no_box_is_costed_twice_and_a_split_stays_within_its_probe_budget(
         math.ceil(math.log2(max(len(d) for d in ctx.space.domains))) + 2
     )
 
-    decomposed, costed, evaluations, per_split = [], [], [0], []
-    real_decompose = tree_mod.box_decomposition
-    real_box_cost = CostWalk.box_cost
-    real_range_cost = CostWalk.range_cost
-    real_split = tree_mod.split_boxes
+    decomposed, costed, per_level, per_split = [], [], [], []
+    splitting = [False]
+    real_decompose = cost_mod.decompose
+    real_box_costs = BoxCosts.box_costs
+    real_counter = BoxCosts.counter
+    real_split = tree_mod.split_points
 
     def counting_decompose(low, high, tops):
         boxes = real_decompose(low, high, tops)
-        decomposed.append(len(boxes))
+        decomposed.append((len(low), len(boxes.owner)))
         return boxes
 
-    def counting_box_cost(self, box):
-        costed.append(box)
-        return real_box_cost(self, box)
+    def counting_box_costs(self, owner, rows, depth):
+        costed.append(len(owner))
+        return real_box_costs(self, owner, rows, depth)
 
-    def counting_range_cost(self, nodes, coordinate, low, high):
-        evaluations[0] += 1
-        return real_range_cost(self, nodes, coordinate, low, high)
+    def counting_counter(self, slices, absent, coordinate, at, low):
+        count = real_counter(self, slices, absent, coordinate, at, low)
 
-    def counting_split(walk, boxes, costs):
-        before = evaluations[0]
-        point = real_split(walk, boxes, costs)
-        per_split.append(evaluations[0] - before)
-        return point
+        def counting(which, high):
+            if splitting[0]:
+                per_level[-1] += 1
+                np.add.at(per_split[-1], at[which], 1)
+            return count(which, high)
 
-    monkeypatch.setattr(tree_mod, "box_decomposition", counting_decompose)
-    monkeypatch.setattr(tree_mod, "split_boxes", counting_split)
-    monkeypatch.setattr(CostWalk, "box_cost", counting_box_cost)
-    monkeypatch.setattr(CostWalk, "range_cost", counting_range_cost)
-    tree = build_delay_balanced_tree(model, tau=1.0, alpha=alpha)
+        return counting
+
+    def counting_split(costs, boxes, box_costs, totals):
+        per_level.append(0)
+        per_split.append(np.zeros(len(totals), dtype=np.int64))
+        splitting[0] = True
+        try:
+            return real_split(costs, boxes, box_costs, totals)
+        finally:
+            splitting[0] = False
+
+    monkeypatch.setattr(cost_mod, "decompose", counting_decompose)
+    monkeypatch.setattr(tree_mod, "split_points", counting_split)
+    monkeypatch.setattr(BoxCosts, "box_costs", counting_box_costs)
+    monkeypatch.setattr(BoxCosts, "counter", counting_counter)
+    columns, depth = build_tree_columns(model, tau=1.0, alpha=alpha)
+    tree = tree_mod.DelayBalancedTree.from_columns(columns, 1.0, alpha)
 
     splits = [node for node in tree.nodes if node.beta is not None]
-    assert len(splits) > 50
-    # One decomposition per interval tried (a node, or a costless child
-    # that was pruned) and one costing per box of it — never a second.
+    assert len(splits) > 50 and depth == tree.depth()
+    # One decomposition per level, of every interval tried there (a
+    # node, or a costless child that was pruned), and one costing per
+    # box of it — never a second.
     pruned = sum(
         (node.left is None) + (node.right is None) for node in splits
     )
-    assert len(decomposed) <= len(tree.nodes) + pruned
-    assert len(costed) == sum(decomposed)
-    assert len(per_split) == len(splits)
-    assert max(per_split) <= budget
+    assert len(decomposed) <= depth + 2
+    assert sum(intervals for intervals, _ in decomposed) <= len(tree.nodes) + pruned
+    assert costed == [boxes for _, boxes in decomposed]
+    # Algorithm 1 takes a fixed number of array steps per level, however
+    # many nodes split there — a binary search step or a δ per
+    # coordinate — and every split node is in at most that many.
+    assert len(per_level) == depth + 1
+    assert max(per_level) <= budget
+    assert sum(map(len, per_split)) == len(splits)
+    assert max(int(level.max(initial=0)) for level in per_split) <= budget
 
     # The dictionary pass: one root-slice resolution per (candidate,
     # factor atom) for the whole descent, one at a time or in bulk; no
-    # interval decomposed again and no box costed through a walk — the
+    # interval decomposed again, and one costing per tree level — the
     # level steps cost every pair's boxes as arrays.
     resolved = []
     real_root_range = AtomColumns.root_range
@@ -731,11 +943,11 @@ def test_no_box_is_costed_twice_and_a_split_stays_within_its_probe_budget(
     monkeypatch.setattr(AtomColumns, "root_range", counting_root_range)
     monkeypatch.setattr(AtomColumns, "root_ranges", counting_root_ranges)
     del decomposed[:], costed[:]
-    evaluations[0] = 0
-    dictionary = build_dictionary(model, tree, candidates, outputs)
+    thresholds = [level_threshold(1.0, alpha, level) for level in range(depth + 1)]
+    dictionary = build_dictionary(model, columns, thresholds, candidates, outputs)
     assert dictionary.entries > 0
-    assert not decomposed and not costed and evaluations[0] == 0
-    assert len(resolved) == len(candidates) * len(model.factors()[0]) > 0
+    assert not decomposed and 0 < len(costed) <= depth + 1
+    assert len(resolved) == len(candidates) * len(model._factors) > 0
 
 
 def test_a_built_structure_keeps_no_build_memo():
@@ -743,8 +955,8 @@ def test_a_built_structure_keeps_no_build_memo():
     db = triangle_database(20, 120, seed=3)
     structure = CompressedRepresentation(view, db, tau=1.0)
     gc.collect()
-    # The walks (fingers, per-access slices) were locals of the build.
-    assert not [o for o in gc.get_objects() if isinstance(o, CostWalk)]
+    # The evaluators (level arrays, power tables) were locals of the build.
+    assert not [o for o in gc.get_objects() if isinstance(o, BoxCosts)]
     # The boxes are stored once: the layout's column is the tree's list.
     assert structure.tree.boxes is structure._fresh_layout().tree.boxes
     for holder in (structure, structure.cost_model, structure.ctx):
@@ -773,7 +985,7 @@ def test_a_recompile_reuses_the_builds_boxes(monkeypatch):
     def refuse(*args):  # pragma: no cover - the failure
         raise AssertionError("an interval was decomposed again")
 
-    monkeypatch.setattr(tree_mod, "box_decomposition", refuse)
+    monkeypatch.setattr(cost_mod, "decompose", refuse)
     assert structure.compile_layout().tree.boxes is boxes
 
 

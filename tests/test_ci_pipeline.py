@@ -20,6 +20,7 @@ from pathlib import Path
 import pytest
 import yaml
 
+import bench_pairs
 from bench_pairs import dump_report, parse_result, summarise, summarise_pairs
 from check_size import (
     BUILD_SPEC,
@@ -531,7 +532,20 @@ MAIN_SLOC_CEILING = 790
 #: ``core/layout.py`` +1 (``AtomColumns.root_ranges`` against the cost
 #: threading through ``compile_dictionary``). It moved the
 #: ``dynamic_mixed`` ``requests_per_s`` row (``BENCH_35.json``).
-SRC_SLOC_CEILING = 11985
+#: Then, when the tree pass became level-synchronous over arrays:
+#: 11,985 → 12,063 (+78, all in ``core``). ``core/balanced_tree.py`` +81
+#: (``build_tree_columns`` and its pre-order column assembly — boxes and
+#: β points made in id order, which a drain reads faster — net of the
+#: recursive ``make`` and ``DelayBalancedTree.columns``, which moved to
+#: the spec as ``spec_tree_columns``); ``core/cost.py`` +52 (the array
+#: decomposition ``decompose`` / ``Boxes``, and ``BoxCosts`` — the
+#: dictionary's evaluator, moved here and shared — net of ``CostWalk``
+#: and its plan); ``core/splitting.py`` +17 (Algorithm 1 over a level's
+#: arrays, net of ``split_boxes``); ``core/dictionary.py`` −70 (its
+#: evaluator moved to ``cost.py``); ``core/structure.py`` +1 and
+#: ``core/layout.py`` −3 (``compile_layout`` takes the tree's columns).
+#: It moved the ``scan_stream`` ``setup_s`` row (``BENCH_36.json``).
+SRC_SLOC_CEILING = 12063
 
 
 class TestSizeGate:
@@ -834,13 +848,14 @@ class TestOneIndexPerAtom:
 
 
 class TestTheServingPathIsNumpyFree:
-    """numpy serves the cover LPs and the build's dictionary pass only.
+    """numpy serves the cover LPs and the build's array passes only.
 
     ``pyproject.toml`` promises that the columnar kernel uses no numpy:
     plain int lists and ``bisect``. Held as imports, by AST: no module
     under ``repro.engine``, nor the kernel, the layouts or the snapshot
-    codec imports it, and inside ``repro.core`` only the dictionary
-    pass does — its arrays are locals of the build.
+    codec imports it, and inside ``repro.core`` only the build's passes
+    do — the tree pass, Algorithm 1, the evaluator of ``T`` and the
+    dictionary pass, whose arrays are locals of the build.
     """
 
     SRC = REPO / "src" / "repro"
@@ -875,10 +890,17 @@ class TestTheServingPathIsNumpyFree:
         imports = [p for p in serving if self.imports_numpy(p)]
         assert [str(p.relative_to(self.SRC)) for p in imports] == []
 
-    def test_inside_core_only_the_dictionary_pass_imports_numpy(self):
+    def test_in_core_only_the_build_passes_use_numpy(self):
+        # The tree pass, Algorithm 1, the one evaluator of T they and
+        # the dictionary pass share, and the dictionary pass.
         core = sorted((self.SRC / "core").glob("*.py"))
         assert len(core) > 10
-        assert [p.name for p in core if self.imports_numpy(p)] == ["dictionary.py"]
+        assert [p.name for p in core if self.imports_numpy(p)] == [
+            "balanced_tree.py",
+            "cost.py",
+            "dictionary.py",
+            "splitting.py",
+        ]
 
 
 class TestPairSummariser:
@@ -1000,3 +1022,60 @@ class TestPairSummariser:
         claimed = rows["scan_stream@11"]
         assert claimed["pairs"] >= 10
         assert claimed["metrics"]["tuples_per_s"]["verdict"] == "improved"
+
+
+class TestPairsParent:
+    """`bench_pairs --parent`: a directory, or a git revision it checks
+    out itself and records the hash of."""
+
+    @staticmethod
+    def git(repo, *args):
+        done = subprocess.run(
+            ["git", "-c", "user.name=t", "-c", "user.email=t@t", *args],
+            cwd=repo, check=True, stdout=subprocess.PIPE, text=True,
+        )
+        return done.stdout.strip()
+
+    @pytest.fixture
+    def repo(self, tmp_path, monkeypatch):
+        """A one-commit repository standing in for this one."""
+        repo = tmp_path / "repo"
+        repo.mkdir()
+        (repo / "BENCHMARK.json").write_text(
+            json.dumps(TestPairSummariser.CONTRACT)
+        )
+        self.git(repo, "init", "-q")
+        self.git(repo, "add", "BENCHMARK.json")
+        self.git(repo, "commit", "-q", "-m", "contract")
+        monkeypatch.setattr(bench_pairs, "REPO", repo)
+        return repo
+
+    def test_a_revision_is_checked_out_measured_and_removed(
+        self, repo, tmp_path, monkeypatch
+    ):
+        seen = []
+
+        def run_once(tree, workload, seed):
+            seen.append(tree)
+            assert (tree / "BENCHMARK.json").is_file()
+            return parse_result(TestPairSummariser._stdout(1.5e5, 60.0))
+
+        monkeypatch.setattr(bench_pairs, "run_once", run_once)
+        out = tmp_path / "BENCH.json"
+        argv = ["--parent", "HEAD", "--workload", "scan_stream", "--pairs", "2"]
+        assert bench_pairs.main(argv + ["--out", str(out)]) == 0
+        parents = {tree for tree in seen if tree != repo}
+        assert len(parents) == 1 and len(seen) == 4
+        # The worktree is gone, from disk and from git's list.
+        assert not any(tree.exists() for tree in parents)
+        assert self.git(repo, "worktree", "list").count("\n") == 0
+        head = self.git(repo, "rev-parse", "--short", "HEAD")
+        assert json.loads(out.read_text())["parent"] == head
+
+    def test_a_directory_is_taken_as_it_is(self, tmp_path):
+        plain = tmp_path / "plain"
+        plain.mkdir()
+        with bench_pairs.parent_checkout(str(plain)) as (tree, head):
+            assert tree == plain.resolve()
+            assert head == "unknown"
+        assert plain.is_dir()

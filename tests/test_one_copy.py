@@ -120,18 +120,18 @@ def test_a_structure_is_its_columns(name, data):
     for tau in TAUS:
         with object_forms() as made:
             rep = CompressedRepresentation(view, db, tau=tau)
-            # The build made its tree and no dictionary object: it
-            # wrote the dictionary's columns.
-            (tree,) = made
-            built = column_facts(tree, rep._layout.dictionary)
-            del made[:], tree
+            # The build made no tree and no dictionary object: it wrote
+            # both columns.
+            assert made == []
             assert rep._tree is None and rep._dictionary is None
             blob = touch_everything_that_serves(rep, rep.view, rep.db)
             restored = decode_snapshot(blob)
             assert restored._tree is None and restored._dictionary is None
             assert touch_everything_that_serves(restored, rep.view, rep.db) == blob
             assert made == []
-            # Asked for, the views are the build's objects again.
+            # Asked for, the views are the built columns' objects, and a
+            # restored blob's are the same.
+            built = column_facts(rep.tree, rep._layout.dictionary)
             assert facts(rep.tree, rep.dictionary) == built
             assert facts(restored.tree, restored.dictionary) == built
             assert len(made) == 4
@@ -218,8 +218,7 @@ class TestTheEngineMakesNoObjectForm:
         name = server.register(view, tau=2.0)
         with object_forms() as made:
             server.representation(name, 2.0)
-            assert len(made) == 1  # the build's own tree, gone with it
-            del made[:]
+            assert made == []  # the build writes columns, not objects
             for access in oracle_accesses(view, db, limit=4):
                 with server.open(name, access) as cursor:
                     assert cursor.fetchall() == oracle_answer(view, db, access)
@@ -239,8 +238,8 @@ class TestTheEngineMakesNoObjectForm:
             name = server.register(view, tau=8.0)
             built = [server.representation(name, tau) for tau in (2.0, 8.0)]
             # A worker's objects stay in the worker; an in-process
-            # fallback build makes its one tree and no dictionary object.
-            assert len(made) == builder.fallback_builds
+            # fallback build writes columns and makes no object either.
+            assert made == []
             assert all(rep._tree is None for rep in built)
             server.close()
 

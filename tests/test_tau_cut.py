@@ -50,13 +50,13 @@ def setup():
 def full_builds(monkeypatch):
     """How many trees Algorithm 1 has built since the fixture started."""
     calls = []
-    real = structure_mod.build_delay_balanced_tree
+    real = structure_mod.build_tree_columns
 
     def counting(*args, **kwargs):
         calls.append(args)
         return real(*args, **kwargs)
 
-    monkeypatch.setattr(structure_mod, "build_delay_balanced_tree", counting)
+    monkeypatch.setattr(structure_mod, "build_tree_columns", counting)
     return calls
 
 
@@ -86,9 +86,9 @@ def test_a_cut_builds_nothing(setup, monkeypatch):
         monkeypatch.setattr(module, name, counting)
 
     for module, name in (
-        (structure_mod, "build_delay_balanced_tree"),
-        (tree_mod, "split_boxes"),
-        (CostModel, "walk"),
+        (structure_mod, "build_tree_columns"),
+        (tree_mod, "split_points"),
+        (CostModel, "evaluator"),
         (structure_mod, "join_rows"),
         (dictionary_mod, "join_rows"),
         (structure_mod, "bound_candidates"),
@@ -99,9 +99,9 @@ def test_a_cut_builds_nothing(setup, monkeypatch):
     assert calls == []
     CompressedRepresentation(view, db, tau=1.0)  # the spies do see a build
     assert set(calls) == {
-        "build_delay_balanced_tree",
-        "split_boxes",
-        "walk",
+        "build_tree_columns",
+        "split_points",
+        "evaluator",
         "join_rows",
         "bound_candidates",
     }
