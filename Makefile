@@ -4,7 +4,7 @@
 PYTHON ?= python
 
 .PHONY: test collect lint lint-deep format docs-check size test-lock-order \
-	bench bench-e2e test-e2e-harness bench-pairs
+	fuzz bench bench-e2e test-e2e-harness bench-pairs
 
 test:
 	PYTHONPATH=src $(PYTHON) -m pytest -x -q
@@ -59,7 +59,15 @@ test-lock-order:
 		tests/test_parallel_builds.py tests/test_telemetry.py \
 		tests/test_dynamic_serving.py tests/test_epoch.py \
 		tests/test_pin_leaks.py tests/test_lock_order.py \
-		tests/test_serving_contract.py
+		tests/test_serving_contract.py tests/test_engine_machine.py
+
+# Long run of the engine differential machine (tests/test_engine_machine.py):
+# random interleavings of every public operation on every back end,
+# checked against tests/oracle.py, under the "fuzz" hypothesis profile
+# (tests/conftest.py). Tier-1 runs the same machine at its default budget.
+fuzz:
+	PYTHONPATH=src $(PYTHON) -m pytest -x -q tests/test_engine_machine.py \
+		--hypothesis-profile=fuzz
 
 # The absolute, layered benchmark (BENCHMARK.json): serves one seeded
 # workload (WORKLOAD=scan_measured; default all six, each untraced then

@@ -81,19 +81,18 @@ async front end, which rotates batches across them round-robin::
         --view "Delta^bbf(x, y, z) = R(x, y), S(y, z), T(z, x)" \\
         --data ./relations --requests ./requests.txt
 
-Serving under updates: ``serve --dynamic`` registers the view through
-the delta-aware dynamic tier — buffered deltas under versioned serving,
-warm-started from a durable delta log in ``--snapshot-dir`` — and the
-``update`` subcommand routes base-relation inserts/deletes through the
-same log, so the next ``serve --dynamic`` run replays them instead of
-rebuilding (see ``docs/DYNAMIC_SERVING.md``)::
+Serving under updates: the ``update`` subcommand routes base-relation
+inserts/deletes to any natural-join view through the durable delta log
+in ``--snapshot-dir`` (the first one versions the view), and the next
+``serve --snapshot-dir`` run warm-starts the view from that log instead
+of rebuilding (see ``docs/DYNAMIC_SERVING.md``)::
 
-    python -m repro serve --dynamic --snapshot-dir ./snapshots \\
-        --view "Delta^bff(x, y, z) = R(x, y), S(y, z), T(z, x)" \\
-        --data ./relations --requests ./requests.txt
     python -m repro update apply --snapshot-dir ./snapshots \\
         --view "Delta^bff(x, y, z) = R(x, y), S(y, z), T(z, x)" \\
         --data ./relations --relation R --insert 7,9 --delete 1,2
+    python -m repro serve --snapshot-dir ./snapshots \\
+        --view "Delta^bff(x, y, z) = R(x, y), S(y, z), T(z, x)" \\
+        --data ./relations --requests ./requests.txt
 
 Observability: ``serve --telemetry-dir DIR`` records counters, delay-gap
 histograms and traced spans, persisting them as versioned JSONL that
@@ -332,22 +331,6 @@ def _serve(args) -> int:
                 "--replicas hydrate from shipped snapshots; give "
                 "--snapshot-dir so the primary has somewhere to ship them"
             )
-    if args.dynamic:
-        if args.shards > 1:
-            raise ReproError(
-                "--dynamic serves one plain server; sharded delta fan-out "
-                "goes through ShardedViewServer.apply_deltas in-process"
-            )
-        if args.replicas:
-            raise ReproError(
-                "--dynamic replicas converge by delta shipping "
-                "(ship_deltas), not the async front end; drop --replicas"
-            )
-        if args.space_budget is not None or args.delay_budget is not None:
-            raise ReproError(
-                "--dynamic pins tau at registration; space/delay budgets "
-                "do not apply"
-            )
     telemetry = None
     if args.telemetry_dir is not None:
         telemetry = Telemetry(Path(args.telemetry_dir))
@@ -362,10 +345,7 @@ def _serve(args) -> int:
     backend = _backend(
         cls, db, args, telemetry, *shard_args, build_workers=args.build_workers
     )
-    if args.dynamic:
-        name = backend.register_dynamic(view, tau=args.tau)
-    else:
-        name = _register(backend, view, args)
+    name = _register(backend, view, args)
     registration = backend.registration(name)
     # Budget-driven tau is resolved per shard; shard 0's is representative.
     scope = ", shard 0" if args.shards > 1 and registration.budget else ""
@@ -380,10 +360,10 @@ def _serve(args) -> int:
             f"sharding: {args.shards} shards over "
             f"{sorted(backend.shard_key)} ({mode}{detail})"
         )
-    if args.dynamic:
+    if args.shards <= 1 and name in backend.dynamic_views():
         print(
-            f"dynamic: serving delta version {backend.delta_version(name)} "
-            f"(apply updates with 'python -m repro update apply')"
+            f"versions: serving delta version {backend.delta_version(name)} "
+            f"from the delta log in {args.snapshot_dir}"
         )
     replicas: List[ViewServer] = []
     try:
@@ -588,9 +568,10 @@ def _update_apply(args) -> int:
     """One delta through the durable log: register warm, apply, exit.
 
     The server registers against the same snapshot directory the
-    serving process uses, so registration warm-loads the current
-    dynamic snapshot and replays the log; the applied delta is appended
-    to that log, and the next ``serve --dynamic`` run replays it too.
+    serving process uses, so registration warm-loads the view's dynamic
+    snapshot and replays its log when it has one; the applied delta is
+    appended to that log (the first one versions the view), and the
+    next ``serve --snapshot-dir`` run replays it too.
     """
     view, db = _inputs(args)
     inserts = [_parse_access(text) for text in args.insert or []]
@@ -599,7 +580,7 @@ def _update_apply(args) -> int:
         raise ReproError("nothing to apply: give --insert and/or --delete")
     server = ViewServer(db, snapshot_dir=args.snapshot_dir)
     try:
-        name = server.register_dynamic(view, tau=args.tau)
+        name = server.register(view, tau=args.tau)
         before = server.delta_version(name)
         applied = server.apply_deltas(
             args.relation, inserts=inserts, deletes=deletes
@@ -877,19 +858,11 @@ def main(argv=None) -> int:
         help="record counters/histograms/spans and persist them here as "
         "restart-mergeable JSONL (replay with 'metrics show')",
     )
-    serve.add_argument(
-        "--dynamic",
-        action="store_true",
-        help="register through the delta-aware dynamic tier: versioned "
-        "serving at a pinned tau, warm start from the durable delta log "
-        "in --snapshot-dir, deltas applied between runs with "
-        "'update apply' (plain backend only)",
-    )
     serve.set_defaults(handler=_serve, path="serve")
 
     update = commands.add_parser(
         "update",
-        help="apply base-relation deltas to a dynamically served view",
+        help="apply base-relation deltas to a natural-join view",
     )
     update_commands = update.add_subparsers(
         dest="update_command", required=True
@@ -903,14 +876,14 @@ def main(argv=None) -> int:
     update_apply.add_argument(
         "--snapshot-dir",
         required=True,
-        help="the dynamic snapshot/delta-log directory the serving "
-        "process uses ('serve --dynamic --snapshot-dir')",
+        help="the snapshot/delta-log directory the serving process "
+        "uses ('serve --snapshot-dir')",
     )
     update_apply.add_argument(
         "--tau",
         type=float,
         default=None,
-        help="registration tau; must match what 'serve --dynamic' used "
+        help="registration tau; must match what 'serve' used "
         "(default: the engine's default, same as serve's)",
     )
     update_apply.add_argument(

@@ -39,11 +39,27 @@ from repro.core.layout import CompiledLayout, one_leaf_layout
 from repro.core.representation import Representation
 from repro.core.structure import CompressedRepresentation
 from repro.database.catalog import Database
-from repro.exceptions import SchemaError, SnapshotError
+from repro.database.relation import Relation
+from repro.exceptions import ParameterError, SchemaError, SnapshotError
 from repro.joins.generic_join import JoinCounter
 from repro.measure.space import SpaceReport
 from repro.query.adorned import AdornedView
 from repro.query.rewriting import natural_form
+
+
+def check_arity(relation: Relation, inserts: Sequence, deletes: Sequence) -> None:
+    """Refuse a delta batch with a row of the wrong arity, as a whole.
+
+    Run before anything is buffered, so a batch is applied entirely or
+    not at all (:class:`~repro.exceptions.SchemaError`).
+    """
+    for rows, verb in ((inserts, "insert into"), (deletes, "delete from")):
+        for row in rows:
+            if len(row) != relation.arity:
+                raise SchemaError(
+                    f"{verb} {relation.name!r}: row {tuple(row)!r} has arity "
+                    f"{len(row)}, expected {relation.arity}"
+                )
 
 
 class FrozenDynamicView(Representation):
@@ -96,6 +112,29 @@ class FrozenDynamicView(Representation):
         # The newest context built by this version's time: the handed
         # one until a first read replaces it with its own.
         self._context = structure.ctx if structure is not None else previous
+        # The clean structure served at other τ, by τ (see ``at``).
+        self._derived: Dict[float, Representation] = {}
+
+    def at(self, tau: float, derive) -> Representation:
+        """This version served at ``tau``.
+
+        A dirty version already is the τ = ∞ structure, so it serves
+        every τ as it is, and so does a clean one at its own τ; a clean
+        one at another τ is ``derive(tau, context, structure)`` — the
+        structure at ``tau`` over its context, given it as the base to
+        cut from — once per τ for the version's life.
+        """
+        if not tau > 0:
+            raise ParameterError(f"tau must be positive, got {tau}")
+        if self._structure is None or tau == self._structure.tau:
+            return self
+        with self._lock:
+            derived = self._derived.get(tau)
+            if derived is None:
+                structure = self._structure
+                derived = derive(tau, structure.ctx, structure)
+                self._derived[tau] = derived
+            return derived
 
     def _one_leaf(self) -> CompiledLayout:
         """The dirty backing's layout, built by the first read to ask."""
@@ -176,6 +215,10 @@ class DynamicRepresentation(Representation):
     rebuild_fraction:
         Rebuild once buffered updates exceed this fraction of |D|
         (default 0.1). ``float('inf')`` disables automatic rebuilds.
+    structure:
+        The natural-join ``view``'s structure over ``db`` at ``tau``,
+        when one exists (built, cut or decoded): adopted, not rebuilt.
+        ``weights`` is still the cover a rebuild solves with.
     """
 
     #: As the read side's (:class:`FrozenDynamicView`).
@@ -190,13 +233,17 @@ class DynamicRepresentation(Representation):
         rebuild_fraction: float = 0.1,
         weights=None,
         alpha=None,
+        structure: Optional[CompressedRepresentation] = None,
     ):
         self.view = view
         self.tau = float(tau)
         self.rebuild_fraction = rebuild_fraction
         self._weights = weights
         self._alpha = alpha
-        self._build(db)
+        if structure is None:
+            self._build(db)
+        else:
+            self._adopt(db, structure)
         self.rebuilds = 0
 
     def _build(
@@ -208,16 +255,23 @@ class DynamicRepresentation(Representation):
         derives from it — its cover and the columns of every relation
         unchanged since it — instead of solving and compiling again.
         """
-        self._db = db
         view, natural_db = natural_form(self.view, db)
-        self._structure = CompressedRepresentation(
-            view,
-            natural_db,
-            tau=self.tau,
-            weights=self._weights,
-            alpha=self._alpha,
-            context=ViewContext(view, natural_db, previous=previous),
+        self._adopt(
+            db,
+            CompressedRepresentation(
+                view,
+                natural_db,
+                tau=self.tau,
+                weights=self._weights,
+                alpha=self._alpha,
+                context=ViewContext(view, natural_db, previous=previous),
+            ),
         )
+
+    def _adopt(self, db: Database, structure: CompressedRepresentation) -> None:
+        """Make ``db`` the base and ``structure`` its clean read side."""
+        self._db = db
+        self._structure = structure
         self._inserts: Dict[str, Set[Tuple]] = {}
         self._deletes: Dict[str, Set[Tuple]] = {}
         self._pending = 0
@@ -236,10 +290,6 @@ class DynamicRepresentation(Representation):
     @property
     def pending_updates(self) -> int:
         return self._pending
-
-    @property
-    def layout_compile_seconds(self) -> float:
-        return self._structure.layout_compile_seconds
 
     @property
     def structure(self) -> CompressedRepresentation:
@@ -276,6 +326,9 @@ class DynamicRepresentation(Representation):
         0 means the delta changed nothing: same logical database, same
         buffers, same pending count.
         """
+        inserts = [tuple(row) for row in inserts]
+        deletes = [tuple(row) for row in deletes]
+        check_arity(self._db[relation_name], inserts, deletes)
         applied = sum(self._buffer(relation_name, row, True) for row in inserts)
         applied += sum(self._buffer(relation_name, row, False) for row in deletes)
         if applied:
@@ -289,20 +342,15 @@ class DynamicRepresentation(Representation):
         insert of a present row or a delete of an absent one is a no-op.
         Either edit makes the last freeze stale.
         """
-        row = tuple(row)
         relation = self._db[relation_name]
-        if len(row) != relation.arity:
-            raise SchemaError(
-                f"{'insert into' if insert else 'delete from'} "
-                f"{relation_name!r}: row {row!r} has arity {len(row)}, "
-                f"expected {relation.arity}"
-            )
         into, other = self._inserts, self._deletes
         if not insert:
             into, other = other, into
         if row in other.get(relation_name, ()):
             other[relation_name].discard(row)
-        elif (row in relation) != insert:
+        elif (row in relation) != insert and row not in into.get(
+            relation_name, ()
+        ):
             into.setdefault(relation_name, set()).add(row)
         else:
             return 0

@@ -246,6 +246,12 @@ class CompressedRepresentation(Representation):
         )
         return cut
 
+    @property
+    def cuttable(self) -> bool:
+        """Whether :meth:`cut` can raise this structure's τ (it holds the
+        per-entry costs only a fresh build or a cut keeps)."""
+        return self._layout.dictionary.costs is not None
+
     def _fresh_layout(self) -> "layout_mod.CompiledLayout":
         """The compiled layout — the one check every enumeration passes.
 

@@ -2,12 +2,13 @@
 
 :class:`~repro.core.dynamic.DynamicRepresentation` answers the §8
 update problem for a single structure; this module makes updates a
-*serving* primitive. A dynamic view registered with
-:meth:`ViewServer.register_dynamic
-<repro.engine.server.ViewServer.register_dynamic>` is served through a
-sequence of immutable **versions**: every effective delta
-(:meth:`ViewServer.apply_deltas
-<repro.engine.server.ViewServer.apply_deltas>`) freezes a new
+*serving* primitive. Every registration
+(:meth:`ViewServer.register <repro.engine.server.ViewServer.register>`)
+is a sequence of immutable **versions**. A view that never had a delta
+is version 0 and carries none of the state below; the first effective
+delta (:meth:`ViewServer.apply_deltas
+<repro.engine.server.ViewServer.apply_deltas>`) to a natural-join view
+versions it, and from then on every effective delta freezes a new
 point-in-time serving view, new requests open against it, and cursors
 already open keep enumerating the version they pinned — the
 :mod:`repro.engine.epoch` drain protocol. A version is owned by its
@@ -27,7 +28,7 @@ Pieces, in dependency order:
   the immutable serving view of one version, defined beside the
   representation it freezes; what it captures at publish time and what
   it builds on first read is ``docs/ARCHITECTURE.md#dirty-path``.
-* :class:`DynamicViewState` — the per-view serving state: the live
+* :class:`DynamicViewState` — a versioned view's serving state: the live
   :class:`~repro.core.dynamic.DynamicRepresentation`, the
   :class:`~repro.engine.epoch.Epochs` of its frozen versions, and the
   in-memory delta records since its last snapshot.
@@ -74,8 +75,8 @@ from repro.core.snapshot import (
 from repro.database.catalog import Database
 from repro.engine.epoch import Epochs
 from repro.engine.locking import named_lock
-from repro.exceptions import ParameterError, SnapshotError
-from repro.query.adorned import AdornedView
+from repro.engine.telemetry import LATENCY_BUCKETS
+from repro.exceptions import SnapshotError
 
 __all__ = [
     "DeltaRecord",
@@ -158,7 +159,7 @@ class DeltaOutcome:
 
 
 class DynamicViewState:
-    """Versioned serving state of one dynamic view (pin-count drained).
+    """Serving state of one versioned view (pin-count drained).
 
     The live :class:`~repro.core.dynamic.DynamicRepresentation` is the
     single writer-side object; every serving version is an immutable
@@ -174,24 +175,13 @@ class DynamicViewState:
     def __init__(
         self,
         name: str,
-        view: AdornedView,
-        tau: float,
         dynamic: DynamicRepresentation,
         version: int,
         label: Optional[str],
         origin_relations: Dict[str, str],
-        rebuild_fraction: float = 0.1,
     ):
         self.name = name
-        self.view = view
-        self.tau = float(tau)
         self.label = label
-        #: Rebuild knob re-used verbatim on re-hydration rebuilds.
-        self.rebuild_fraction = float(rebuild_fraction)
-        #: Relations the view references — the delta routing surface.
-        self.relations = frozenset(
-            atom.relation for atom in view.atoms
-        )
         #: Per-relation fingerprints of the database the view was first
         #: registered against; every snapshot save re-stamps these, so a
         #: restart always verifies against the *origin*, pre-delta data.
@@ -202,15 +192,6 @@ class DynamicViewState:
         #: The serving versions: pins, current, retirement.
         self.epochs = Epochs(self._lock, version, dynamic.freeze())
         self._events: List[DeltaRecord] = []
-
-    def check_tau(self, tau: Optional[float]) -> None:
-        """Refuse a per-request τ other than the registration's."""
-        if tau is not None and float(tau) != self.tau:
-            raise ParameterError(
-                f"dynamic view {self.name!r} serves at its registration "
-                f"tau={self.tau:g}; per-request tau pins are not "
-                "supported under deltas"
-            )
 
     def pin_count(self) -> int:
         """Total pins across all live versions (the gauge's value)."""
@@ -479,28 +460,29 @@ def ship_deltas(
     primary,
     replica,
     names: Optional[Sequence[str]] = None,
-    churn_threshold: int = DEFAULT_CHURN_THRESHOLD,
 ) -> Dict[str, Tuple[str, int]]:
-    """Converge a replica's dynamic views onto the primary's versions.
+    """Converge a replica's views onto the primary's versions.
 
-    One rule per dynamic view (``names`` or every one the primary
+    One rule per versioned view (``names`` or every one the primary
     serves): **if the primary's durable dynamic snapshot is newer than
     the replica's version, the replica re-hydrates from it** (decode,
     then replay the log suffix after it); otherwise the records past the
-    replica's version ship and apply in order. The primary rewrites that
+    replica's version ship and apply in order — the first of them
+    versions a replica's never-updated view. The primary rewrites that
     snapshot at every amortized-rebuild boundary, so a replica adopts
     the primary's compaction instead of rebuilding on its own. Past
-    ``churn_threshold`` pending records the primary first writes a fresh
-    snapshot, which the rule then adopts; a version gap the replica
-    reports does the same. Records the primary no longer holds (it
-    restarted since the replica's version) re-hydrate the replica from
-    the snapshot it has. A primary without a snapshot tier always ships
-    records, and a replica replaying them rebuilds where the primary
-    did.
+    :data:`DEFAULT_CHURN_THRESHOLD` pending records the primary first
+    writes a fresh snapshot, which the rule then adopts; a version gap
+    the replica reports does the same. Records the primary no longer
+    holds (it restarted since the replica's version) re-hydrate the
+    replica from the snapshot it has. A primary without a snapshot tier
+    always ships records, and a replica replaying them rebuilds where
+    the primary did.
 
     Returns ``{name: (mode, records_pending)}`` with mode ``"delta"`` or
     ``"snapshot"``; per-view shipping time lands in the primary's
-    ``delta_ship_seconds`` histogram.
+    ``delta_ship_seconds`` histogram, and every re-hydration in the
+    replica's ``replica_hydrations_total``.
     """
     targets = tuple(names) if names is not None else primary.dynamic_views()
     results: Dict[str, Tuple[str, int]] = {}
@@ -509,7 +491,7 @@ def ship_deltas(
         version = replica.delta_version(name)
         current = primary.delta_version(name)
         pending = primary.delta_records_since(name, version)
-        if len(pending) > churn_threshold:
+        if len(pending) > DEFAULT_CHURN_THRESHOLD:
             primary.save_dynamic_snapshot(name)
         snapshot = primary.dynamic_snapshot_version(name)
         mode = "snapshot"
@@ -528,12 +510,13 @@ def ship_deltas(
                 primary.save_dynamic_snapshot(name)
         if mode == "snapshot":
             replica.rehydrate_dynamic([name])
+            if replica.telemetry is not None:
+                replica.telemetry.counter(
+                    "replica_hydrations_total", view=name
+                ).inc()
         results[name] = (mode, len(pending))
-        telemetry = primary.telemetry
-        if telemetry is not None:
-            from repro.engine.telemetry import LATENCY_BUCKETS
-
-            telemetry.histogram(
+        if primary.telemetry is not None:
+            primary.telemetry.histogram(
                 "delta_ship_seconds", buckets=LATENCY_BUCKETS, view=name
             ).observe(time.perf_counter() - started)
     return results

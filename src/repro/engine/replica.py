@@ -26,12 +26,17 @@ result set and not the build. A :class:`ReplicaServer` is a
   resident to the disk tier); the snapshot store's database fingerprint
   refuses snapshots built from a different database state, so a stale
   replica fails loudly instead of answering from the past.
-* **Dynamic views follow the same rule.** A replica registers warm from
-  the primary's dynamic snapshot and converges through
-  :func:`~repro.engine.dynamic_serving.ship_deltas`: small delta records
-  between the primary's rebuild boundaries, and at a boundary the
-  snapshot the primary wrote there — so the amortized rebuild runs once,
-  on the primary, and :meth:`ReplicaServer.total_builds` stays 0.
+* **Versioned views follow the same rule.** A registration is a
+  sequence of versions: a replica's registration warm-starts from the
+  primary's dynamic snapshot when the view has one, and converges
+  through :func:`~repro.engine.dynamic_serving.ship_deltas` — small
+  delta records between the primary's rebuild boundaries (the first of
+  them versions a never-updated view over its hydrated structure), and
+  at a boundary the snapshot the primary wrote there. So the amortized
+  rebuild runs once, on the primary, and
+  :meth:`ReplicaServer.total_builds` stays 0. Every build of either
+  kind goes through :meth:`~repro.engine.server.ViewServer._build`,
+  which a replica refuses: that one override is the whole difference.
 
 :class:`~repro.engine.async_server.AsyncViewServer` rotates read
 batches across replicas, round-robin.
@@ -113,57 +118,26 @@ class ReplicaServer(ViewServer):
         # read the primary's snapshots/meta/delta log, never write them.
         self._dynamic_sink = None
 
-    def _refuse(self, name: str, reason: str):
-        """Count one refusal and fail loudly (never returns)."""
-        if self.telemetry is not None:
-            self.telemetry.counter("replica_refusals_total", view=name).inc()
-        raise SnapshotError(reason)
-
     def _build(
-        self, registration: Registration, tau: float, context
+        self, registration: Registration, tau: float, context, base=None
     ) -> CompressedRepresentation:
-        # The build path is reached only when hydration found no usable
-        # snapshot — on a replica that is a shipping failure, not a
-        # reason to burn CPU rebuilding from a database this process may
-        # not even hold in full.
-        self._refuse(
-            registration.name,
+        # Every build of a registration, versioned or not, comes here,
+        # and only when no usable snapshot or resident structure exists
+        # — on a replica that is a shipping failure, not a reason to burn
+        # CPU rebuilding from a database this process may not even hold
+        # in full.
+        if self.telemetry is not None:
+            self.telemetry.counter(
+                "replica_refusals_total", view=registration.name
+            ).inc()
+        raise SnapshotError(
             f"replica refuses to build {registration.name!r} (tau={tau!r}): "
             f"no usable snapshot under label "
             f"{registration.snapshot_label(tau)!r} in "
             f"{self.snapshot_store.directory} — ship one from the primary "
-            "(cache.demote_all()) or re-point the replica",
+            "(cache.demote_all(), or save_dynamic_snapshot for a "
+            "versioned view) or re-point the replica"
         )
-
-    def _build_dynamic(self, registration: Registration, rebuild_fraction):
-        # Same refusal as `_build`: a dynamic view with no usable dynamic
-        # snapshot means the shipping pipeline is broken, and a replica
-        # quietly rebuilding would serve from a database state its
-        # siblings never saw.
-        self._refuse(
-            registration.name,
-            f"replica refuses to build dynamic view "
-            f"{registration.name!r}: no usable dynamic snapshot for it — "
-            "register it on the primary (which writes the snapshot) or "
-            "ship_deltas/save_dynamic_snapshot first",
-        )
-
-    def rehydrate_dynamic(self, names: Optional[Iterable[str]] = None) -> int:
-        """Re-hydrate dynamic views from shipped snapshots, counted.
-
-        The replica half of a snapshot adoption in
-        :func:`~repro.engine.dynamic_serving.ship_deltas` (a rebuild
-        boundary, the churn threshold or a version gap); each view
-        re-hydrated here also counts in ``replica_hydrations_total``.
-        """
-        targets = tuple(names) if names is not None else self.dynamic_views()
-        count = super().rehydrate_dynamic(targets)
-        if self.telemetry is not None:
-            for name in targets:
-                self.telemetry.counter(
-                    "replica_hydrations_total", view=name
-                ).inc()
-        return count
 
     def hydrate(self, names: Optional[Iterable[str]] = None) -> int:
         """Decode every (or the named) registered view's structure now.

@@ -7,15 +7,19 @@ instead of rebuilding ``(T, D)`` per invocation.
 
 Responsibilities
 ----------------
-* **Registration** resolves each view to its natural-join form
-  (:func:`~repro.query.rewriting.normalize_view`) and picks τ: a fixed
+* **Registration** — one kind — resolves each view to its natural-join
+  form (:func:`~repro.query.rewriting.normalize_view`) and picks τ: a fixed
   value, or automatically from a space budget
   (:func:`~repro.optimizer.min_delay_cover` — the smallest delay the
   budget affords, Proposition 11) or a delay budget
   (:func:`~repro.optimizer.min_space_cover` — the smallest space meeting
   it, Proposition 12). Budget-selected covers are reused as the
   structure's fractional edge cover, so the built instance realizes the
-  optimized tradeoff point.
+  optimized tradeoff point. A registration is a sequence of versions:
+  version 0 is the registration's own data and carries no versioned
+  state; the first effective delta to a natural-join view
+  (:meth:`ViewServer.apply_deltas`) versions it
+  (:mod:`repro.engine.dynamic_serving`).
 * **Caching**: structures are built lazily on first request and kept in a
   :class:`~repro.engine.cache.RepresentationCache` keyed by
   ``(view name, τ)`` with LRU eviction under entry/cell bounds. What
@@ -87,7 +91,7 @@ from typing import (
 )
 
 from repro.core.context import ViewContext
-from repro.core.dynamic import DynamicRepresentation
+from repro.core.dynamic import DynamicRepresentation, check_arity
 from repro.core.snapshot import (
     SnapshotStore,
     database_fingerprint,
@@ -149,6 +153,8 @@ class Registration:
     #: The natural view's structural digest, hashed once at registration
     #: (not per cache hit): the restart-stable part of a snapshot label.
     digest: str = ""
+    #: Once versioned, rebuild when buffered deltas pass this share of |D|.
+    rebuild_fraction: float = 0.1
 
     def snapshot_label(self, tau: float) -> str:
         """The disk-tier label of this registration's build at ``tau``.
@@ -560,6 +566,7 @@ class ViewServer(Serving):
         # never runs backwards.
         self._total_builds = 0
         self._generation = 0
+        self._fingerprints: Optional[Dict[str, str]] = None
 
     # ------------------------------------------------------------------
     # registration and τ selection
@@ -572,6 +579,7 @@ class ViewServer(Serving):
         delay_budget: Optional[float] = None,
         name: Optional[str] = None,
         database: Optional[Database] = None,
+        rebuild_fraction: float = 0.1,
     ) -> str:
         """Register an adorned view; returns the name requests refer to.
 
@@ -585,7 +593,15 @@ class ViewServer(Serving):
         against a per-shard semijoin-reduced copy this way. The override
         must answer the view identically to the server's own database
         (the caller's contract); everything else on the server keeps
-        using ``self.db``.
+        using ``self.db``, the deltas of :meth:`apply_deltas` included.
+
+        A registration is a sequence of versions. It starts at version 0
+        with an empty delta log and carries no versioned state; the
+        first effective delta versions it (see :meth:`apply_deltas`),
+        and ``rebuild_fraction`` is its amortized-rebuild knob from
+        then on. With a ``snapshot_dir``, a natural-join view whose
+        durable meta and delta log are in the dynamic store warm-starts
+        from them: versioned at once, at the version they reached.
         """
         if isinstance(view, str):
             view = parse_view(view)
@@ -626,7 +642,7 @@ class ViewServer(Serving):
             if name in self._views:
                 raise SchemaError(f"view {name!r} is already registered")
             self._generation += 1
-            self._views[name] = Registration(
+            registration = self._views[name] = Registration(
                 name=name,
                 view=view,
                 natural_view=natural_view,
@@ -638,14 +654,22 @@ class ViewServer(Serving):
                 sizes=sizes,
                 generation=self._generation,
                 digest=digest,
+                rebuild_fraction=float(rebuild_fraction),
             )
+        try:
+            durable = self._durable(registration)
+            if durable is not None:
+                self._install(registration, *durable)
+        except BaseException:
+            self.unregister(name)
+            raise
         return name
 
     def unregister(self, name: str) -> bool:
         """Drop a registration and its cached structures; True if it existed."""
         with self._lock:
             registration = self._views.pop(name, None)
-            # A dynamic view's versions go with its state: nothing of
+            # A versioned view's versions go with its state: nothing of
             # theirs is in the cache.
             self._dynamic.pop(name, None)
         if registration is None:
@@ -676,8 +700,8 @@ class ViewServer(Serving):
         """``(registration, dynamic state, cache key)`` in ONE lock hold.
 
         Everything the registry knows about a request: SchemaError for
-        an unknown view, the dynamic serving state (``None`` for a
-        static view), and the cache key. A tau-less request resolves to
+        an unknown view, the versioned state (``None`` for a view that
+        never took a delta), and the cache key. A tau-less request resolves to
         the registration's τ, which must round-trip through the key
         exactly (:meth:`_build` reuses the optimizer's cover only when
         the key τ matches it); the generation keeps re-registrations
@@ -716,8 +740,8 @@ class ViewServer(Serving):
     def resident(self, name: str, tau: Optional[float] = None) -> bool:
         """Whether ``(name, τ)`` is in memory right now.
 
-        ``tau=None`` means the registration's τ. A static view is
-        resident while its structure sits in the cache; a dynamic view
+        ``tau=None`` means the registration's τ. A never-updated view is
+        resident while its structure sits in the cache; a versioned view
         always is — its current version is held by its epochs, not by
         the LRU.
         """
@@ -729,7 +753,7 @@ class ViewServer(Serving):
 
         Unlike :meth:`invalidate` the disk tier is preserved, so a later
         request (or :meth:`prefetch`) warm-loads instead of rebuilding.
-        Returns the entries dropped — always 0 for a dynamic view, whose
+        Returns the entries dropped — always 0 for a versioned view, whose
         versions are not cache entries. SchemaError for an unknown view.
         """
         self._lookup(name)
@@ -738,7 +762,7 @@ class ViewServer(Serving):
         )
 
     # ------------------------------------------------------------------
-    # dynamic serving (deltas as a first-class primitive)
+    # versions: deltas on any natural-join registration
     # ------------------------------------------------------------------
     def register_dynamic(
         self,
@@ -747,118 +771,67 @@ class ViewServer(Serving):
         name: Optional[str] = None,
         rebuild_fraction: float = 0.1,
     ) -> str:
-        """Register a view for serving under updates; returns its name.
+        """:meth:`register`, then version the view at once.
 
-        The view is served through a
-        :class:`~repro.core.dynamic.DynamicRepresentation`: deltas
-        applied via :meth:`apply_deltas` buffer into it, every effective
-        delta freezes a new immutable serving *version* for new
-        requests, and cursors already open drain the version they
-        pinned (see :mod:`repro.engine.dynamic_serving`). With a
-        ``snapshot_dir``, registration warm-starts from the dynamic
-        snapshot tier: the stored **per-relation** origin fingerprints
-        are compared against this database, so churn in one relation
-        refuses only the views that reference it, and the delta event
-        log replays whatever was applied after the last snapshot.
-
-        The view must be a natural join (deltas address base relations
-        by name, which normalization would rewrite), and it serves at
-        exactly the registration τ — per-request ``tau=`` pins are
-        rejected for dynamic views.
+        Kept only for the benchmark harness under ``benchmarks/e2e/``,
+        which registers its dynamic workload's primary and replica by
+        this name; ROADMAP item 1(b) deletes it. Versioning at once
+        writes the version-0 dynamic snapshot a replica's registration
+        warm-starts from.
         """
-        if isinstance(view, str):
-            view = parse_view(view)
-        if not view.is_natural_join():
-            raise ParameterError(
-                "dynamic serving requires a natural-join view: deltas "
-                "address base relations by name, which normalization "
-                "rewrites"
-            )
-        name = self.register(view, tau=tau, name=name)
-        try:
-            registration = self.registration(name)
-            fingerprints = relation_fingerprints(self.db)
-            referenced = sorted(
-                {atom.relation for atom in registration.natural_view.atoms}
-            )
-            origin = {
-                relation: fingerprints[relation] for relation in referenced
-            }
-            dynamic, version, warm = self._dynamic_source(
-                registration, rebuild_fraction, origin
-            )
-            state = DynamicViewState(
-                name=name,
-                view=registration.natural_view,
-                tau=registration.tau,
-                dynamic=dynamic,
-                version=version,
-                label=registration.snapshot_label(registration.tau),
-                origin_relations=origin,
-                rebuild_fraction=rebuild_fraction,
-            )
-            with self._lock:
-                self._dynamic[name] = state
-            self._set_dynamic_gauges(state)
-            sink = self._dynamic_sink
-            if not warm and sink is not None:
-                state.save_to(sink)
-                sink.truncate_log(state.label)
-            return name
-        except Exception:
-            self.unregister(name)
-            raise
+        name = self.register(view, tau, name=name, rebuild_fraction=rebuild_fraction)
+        return self._versioned(name).name
 
-    def _dynamic_source(
-        self,
-        registration: Registration,
-        rebuild_fraction: float,
-        origin: Mapping[str, str],
-    ) -> Tuple[DynamicRepresentation, int, bool]:
-        """(representation, version, warm?) for one dynamic registration.
+    def _durable(
+        self, registration: Registration
+    ) -> Optional[Tuple[DynamicRepresentation, int]]:
+        """``(representation, version)`` from the dynamic store, log replayed.
 
-        Warm start is per relation: the stored meta's fingerprints are
-        compared against the current database relation by relation, and
-        only a view whose *referenced* relations all match loads from
-        disk (then replays the delta log's suffix). Anything else —
-        missing meta, changed relation, unreadable snapshot — falls
-        through to :meth:`_build_dynamic`, which replicas override to
-        refuse.
+        Warm start is per relation: only a view whose *referenced*
+        relations all match the stored meta's fingerprints loads, then
+        replays the delta log's suffix. Anything else — no store, a view
+        that is not a natural join, no meta, a changed relation,
+        unreadable snapshot bytes — is ``None``.
         """
         store = self._dynamic_store
-        if store is not None:
-            label = registration.snapshot_label(registration.tau)
-            meta = store.load_meta(label)
-            if meta is not None:
-                stored = meta["relations"]
-                changed = sorted(
-                    relation
-                    for relation in origin
-                    if stored.get(relation) != origin[relation]
+        if (
+            store is None
+            or not store.directory.is_dir()
+            or not registration.view.is_natural_join()
+        ):
+            return None
+        label = registration.snapshot_label(registration.tau)
+        meta = store.load_meta(label)
+        if meta is None:
+            return None
+        origin = self._origin(registration).items()
+        if any(meta["relations"].get(r) != f for r, f in origin):
+            return None
+        try:
+            dynamic = store.load(label)
+        except SnapshotError:
+            return None
+        version = int(meta["version"])
+        for record in self._read_delta_log(registration.name, label):
+            if record.version > version:
+                dynamic.apply_deltas(
+                    record.relation, record.inserts, record.deletes
                 )
-                if not changed:
-                    dynamic = None
-                    try:
-                        dynamic = store.load(label)
-                    except SnapshotError:
-                        # Unusable snapshot bytes: fall through to the
-                        # build path (replicas refuse there instead).
-                        dynamic = None
-                    if dynamic is not None:
-                        version = int(meta["version"])
-                        for record in self._read_delta_log(
-                            registration.name, label
-                        ):
-                            if record.version <= version:
-                                continue
-                            dynamic.apply_deltas(
-                                record.relation,
-                                record.inserts,
-                                record.deletes,
-                            )
-                            version = record.version
-                        return dynamic, version, True
-        return self._build_dynamic(registration, rebuild_fraction), 0, False
+                version = record.version
+        return dynamic, version
+
+    def _origin(self, registration: Registration) -> Dict[str, str]:
+        """Fingerprints of the server's own relations ``registration``
+        reads: what a durable version is stamped and verified with.
+
+        Hashed once per server (its database never changes; a hash is
+        ≈ 3 ms on ``dynamic_mixed``'s data, and every warm start and
+        re-hydration asks).
+        """
+        if self._fingerprints is None:
+            self._fingerprints = relation_fingerprints(self.db)
+        relations = {atom.relation for atom in registration.natural_view.atoms}
+        return {r: self._fingerprints[r] for r in sorted(relations)}
 
     def _read_delta_log(self, name: str, label: str) -> List[DeltaRecord]:
         """The delta log's complete records; its owner also repairs it.
@@ -874,25 +847,87 @@ class ViewServer(Serving):
             self._telemetry.counter("delta_log_torn_total", view=name).inc()
         return records
 
-    def _build_dynamic(
-        self, registration: Registration, rebuild_fraction: float
-    ) -> DynamicRepresentation:
-        """Build a dynamic representation from scratch (the cold path)."""
-        dynamic = DynamicRepresentation(
+    def _fresh(self, registration: Registration) -> DynamicRepresentation:
+        """Version 0 of ``registration``, over the server's own database.
+
+        Around the resident structure at the registration's τ when there
+        is one, so nothing is built twice; else built by :meth:`_build`,
+        which a replica refuses. Never over a ``database=`` override: a
+        semijoin-reduced copy may lack a row that a later delta joins
+        with.
+        """
+        key = (registration.name, registration.tau, registration.generation)
+        own = registration.database is self.db
+        structure = self._cache.peek(key) if own else None
+        if structure is None:
+            context = self._contexts.get(key[2]) if own else None
+            structure = self._build(
+                registration,
+                registration.tau,
+                context or ViewContext(registration.natural_view, self.db),
+            )
+        weights = registration.weights
+        return DynamicRepresentation(
             registration.natural_view,
-            registration.database,
-            tau=registration.tau,
-            rebuild_fraction=rebuild_fraction,
-            weights=(
-                dict(registration.weights)
-                if registration.weights is not None
-                else None
-            ),
+            self.db,
+            registration.tau,
+            registration.rebuild_fraction,
+            dict(weights) if weights is not None else None,
+            structure=structure,
+        )
+
+    def _install(
+        self,
+        registration: Registration,
+        dynamic: DynamicRepresentation,
+        version: int,
+    ) -> DynamicViewState:
+        """Publish ``registration``'s versioned state, or a racer's.
+
+        SchemaError if the registration is gone. A new state on a
+        primary is durable at once (snapshot and meta written, the log
+        started over), and what the cache holds of the registration is
+        dropped: the state serves it from now on.
+        """
+        name, generation = registration.name, registration.generation
+        state = DynamicViewState(
+            name=name,
+            dynamic=dynamic,
+            version=version,
+            label=registration.snapshot_label(registration.tau),
+            origin_relations=self._origin(registration),
         )
         with self._lock:
-            self._total_builds += 1
-        self._observe_layout_compile(registration.name, dynamic)
-        return dynamic
+            if self._views.get(name) is not registration:
+                raise SchemaError(f"unknown view {name!r}")
+            current = self._dynamic.setdefault(name, state)
+        if current is not state:
+            return current
+        self._set_dynamic_gauges(state)
+        self._contexts.pop(generation, None)
+        self._bases.pop(generation, None)
+        self._cache.invalidate_matching(
+            lambda key: key[0] == name and key[2] == generation,
+            drop_snapshot=False,
+        )
+        if version == 0 and self._dynamic_sink is not None:
+            state.save_to(self._dynamic_sink)
+            self._dynamic_sink.truncate_log(state.label)
+        return state
+
+    def _versioned(self, name: str) -> DynamicViewState:
+        """``name``'s versioned state; a never-updated view gets version 0
+        over the server's own database (:meth:`_fresh`)."""
+        registration, state, _ = self._lookup(name)
+        if state is not None:
+            return state
+        if not registration.view.is_natural_join():
+            raise ParameterError(
+                f"view {name!r} takes no deltas: they address base "
+                "relations by name, which normalization rewrites — "
+                "register a natural-join view"
+            )
+        return self._install(registration, self._fresh(registration), 0)
 
     def apply_deltas(
         self,
@@ -901,23 +936,27 @@ class ViewServer(Serving):
         deletes: Iterable[Sequence] = (),
         views: Optional[Sequence[str]] = None,
     ) -> Dict[str, int]:
-        """Apply one base-relation delta to the dynamic views it feeds.
+        """Apply one base-relation delta to the views it feeds.
 
-        Routes through every dynamic view referencing ``relation`` (or
-        exactly the named ``views``); returns ``{view: effective
+        Routes through every natural-join view referencing ``relation``
+        (or exactly the named ``views``); returns ``{view: effective
         changes}``. An *effective* change survives buffer annihilation —
         inserting a present row or deleting an absent one counts zero,
         and a view whose count is zero keeps its serving version and
-        event log untouched (the empty-delta no-op contract).
-        Effective deltas create a fresh serving version: new requests
-        see the post-delta view immediately, open cursors drain the
-        version they pinned, and the amortized rebuild boundary
-        (``rebuild_fraction``) rewrites the dynamic snapshot.
+        event log untouched (the empty-delta no-op contract). The first
+        effective delta versions a never-updated view
+        (:meth:`_versioned`). Effective deltas create a fresh serving
+        version: new requests see the post-delta view immediately, open
+        cursors drain the version they pinned, and the amortized rebuild
+        boundary (``rebuild_fraction``) rewrites the dynamic snapshot.
 
-        Raises :class:`~repro.exceptions.ParameterError` when a named
-        view is not dynamically registered, or when no dynamic view
-        references ``relation`` — a silently dropped delta would read
-        as applied.
+        A batch is atomic: every row's arity is checked before any view
+        changes (:class:`~repro.exceptions.SchemaError`). Raises
+        :class:`~repro.exceptions.ParameterError` when a named view is
+        not a registered natural-join view, or when no such view
+        references ``relation`` — a silently dropped delta would read as
+        applied. Views that are not natural joins keep serving the data
+        they were registered over.
         """
         inserts = [tuple(row) for row in inserts]
         deletes = [tuple(row) for row in deletes]
@@ -933,29 +972,44 @@ class ViewServer(Serving):
                     f"durable: {error}"
                 ) from error
         with self._lock:
-            dynamic = dict(self._dynamic)
+            versioned = dict(self._dynamic)
+            # natural_form hands a natural join back as the very object.
+            natural = {
+                name: {atom.relation for atom in r.natural_view.atoms}
+                for name, r in self._views.items()
+                if r.natural_view is r.view
+            }
         if views is not None:
-            missing = [name for name in views if name not in dynamic]
+            missing = [name for name in views if name not in natural]
             if missing:
                 raise ParameterError(
-                    f"view(s) {missing!r} are not registered for dynamic "
-                    "serving — register_dynamic first"
+                    f"view(s) {missing!r} are not registered natural-join "
+                    "views — register one first"
                 )
-            targets = [dynamic[name] for name in views]
         else:
-            targets = [
-                state
-                for state in dynamic.values()
-                if relation in state.relations
-            ]
-            if not targets:
+            views = [name for name in natural if relation in natural[name]]
+            if not views:
                 raise ParameterError(
-                    f"no dynamic view references relation {relation!r} — "
-                    "register_dynamic a view over it first"
+                    f"no natural-join view references relation {relation!r} "
+                    "— register one over it first"
                 )
+        base = self.db[relation]
+        check_arity(base, inserts, deletes)
+        # A never-updated view serves the server's own rows: a delta
+        # that changes none of them is a no-op that versions nothing.
+        effective = any(row not in base for row in inserts) or any(
+            row in base for row in deletes
+        )
         return {
-            state.name: self._ingest_delta(state, relation, inserts, deletes)
-            for state in targets
+            name: self._ingest_delta(
+                versioned.get(name) or self._versioned(name),
+                relation,
+                inserts,
+                deletes,
+            )
+            if effective or name in versioned
+            else 0
+            for name in views
         }
 
     def _ingest_delta(
@@ -1000,15 +1054,15 @@ class ViewServer(Serving):
         The replica half of :func:`~repro.engine.dynamic_serving.ship_deltas`:
         already-applied versions are skipped idempotently, a version gap
         raises :class:`~repro.exceptions.SnapshotError` (re-hydrate
-        instead), and nothing here writes snapshots or log entries.
-        Returns effective change counts per view.
+        instead), a never-updated view is versioned first, and nothing
+        here writes snapshots or log entries. Returns effective change
+        counts per view.
         """
         applied: Dict[str, int] = {}
         ordered = sorted(records, key=lambda r: (r.view, r.version))
         for record in ordered:
-            state = self._dynamic_state(record.view)
             count = self._ingest_delta(
-                state,
+                self._versioned(record.view),
                 record.relation,
                 record.inserts,
                 record.deletes,
@@ -1018,70 +1072,77 @@ class ViewServer(Serving):
         return applied
 
     def _dynamic_state(self, name: str) -> DynamicViewState:
-        """The dynamic serving state behind ``name`` (typed if absent)."""
+        """The versioned state behind ``name`` (typed if it has none)."""
         with self._lock:
             state = self._dynamic.get(name)
         if state is None:
             raise ParameterError(
-                f"view {name!r} is not registered for dynamic serving — "
-                "register_dynamic first"
+                f"view {name!r} is not versioned: it is not registered, or "
+                "has never taken a delta"
             )
         return state
 
     def dynamic_views(self) -> Tuple[str, ...]:
-        """Names of every view registered for dynamic serving."""
+        """Names of every versioned view (one that has taken a delta)."""
         with self._lock:
             return tuple(self._dynamic.keys())
 
     def delta_version(self, name: str) -> int:
-        """The serving version of one dynamic view (0 = as registered)."""
-        return self._dynamic_state(name).current_version()
+        """The serving version of one view (0 = as registered)."""
+        state = self._lookup(name)[1]
+        return 0 if state is None else state.current_version()
 
     def delta_records_since(
         self, name: str, version: int
     ) -> Tuple[DeltaRecord, ...]:
         """This process's delta records of ``name`` newer than ``version``."""
-        return self._dynamic_state(name).records_since(version)
+        state = self._lookup(name)[1]
+        return () if state is None else state.records_since(version)
 
     def save_dynamic_snapshot(self, name: str) -> int:
-        """Write ``name``'s dynamic snapshot and meta now; returns version."""
-        state = self._dynamic_state(name)
+        """Write ``name``'s dynamic snapshot and meta now (versioning a
+        never-updated view); returns the version it captures."""
         if self._dynamic_sink is None:
             raise ParameterError(
                 "dynamic snapshots need a snapshot_dir on a primary "
                 "server (replicas never write them)"
             )
-        return state.save_to(self._dynamic_sink)
+        return self._versioned(name).save_to(self._dynamic_sink)
 
     def dynamic_snapshot_version(self, name: str) -> Optional[int]:
         """The version ``name``'s durable dynamic snapshot captures.
 
         Read from the meta record :meth:`rehydrate_dynamic` loads;
-        ``None`` without a snapshot tier (or with no readable meta).
+        ``None`` without a snapshot tier, for a never-updated view, or
+        with no readable meta.
         """
-        store, label = self._dynamic_store, self._dynamic_state(name).label
-        meta = None if store is None else store.load_meta(label)
+        state, store = self._lookup(name)[1], self._dynamic_store
+        meta = None if None in (state, store) else store.load_meta(state.label)
         return None if meta is None else int(meta["version"])
 
     def rehydrate_dynamic(self, names: Optional[Iterable[str]] = None) -> int:
-        """Reload dynamic views from snapshot + delta log; returns count.
+        """Reload views from snapshot + delta log; returns count.
 
         How a replica adopts the primary's compaction (see
         :func:`~repro.engine.dynamic_serving.ship_deltas`): instead of
         replaying records — and the rebuild a boundary among them
         triggers — swap in the representation the snapshot tier holds,
-        plus the log suffix after it. Pinned versions keep draining; new
-        requests serve the re-hydrated state.
+        plus the log suffix after it (version 0 over the server's own
+        data when the tier holds none). Pinned versions keep draining;
+        new requests serve the re-hydrated state.
         """
         targets = tuple(names) if names is not None else self.dynamic_views()
         for name in targets:
-            state = self._dynamic_state(name)
-            registration = self.registration(name)
-            dynamic, version, warm = self._dynamic_source(
-                registration, state.rebuild_fraction, state.origin_relations
+            registration, state, _ = self._lookup(name)
+            dynamic, version = self._durable(registration) or (
+                self._fresh(registration),
+                0,
             )
-            state.replace(dynamic, version)
-            self._set_dynamic_gauges(state)
+            if state is None:
+                self._install(registration, dynamic, version)
+            else:
+                state.replace(dynamic, version)
+                self._set_dynamic_gauges(state)
         return len(targets)
 
     def _set_dynamic_gauges(self, state: DynamicViewState, retired=()) -> None:
@@ -1110,10 +1171,12 @@ class ViewServer(Serving):
         """``(structure, hold)`` that ``cursors`` cursors are about to open on.
 
         Where a request is resolved, once: one registry-lock hold
-        (:meth:`_lookup`) finds the registration, the dynamic state and
-        the cache key; then a dynamic view pins its current serving
+        (:meth:`_lookup`) finds the registration, the versioned state and
+        the cache key; then a versioned view pins its current serving
         version — the returned :class:`~repro.engine.epoch.Hold` owns
-        one pin per cursor — and a static view takes its structure from
+        one pin per cursor, and serves another τ from that version
+        (:meth:`~repro.core.dynamic.FrozenDynamicView.at`) — and a
+        never-updated view takes its structure from
         the cache, building it on a miss, under
         :data:`~repro.engine.epoch.NO_HOLD` (no pin, no close hook, no
         allocation). Open the cursors inside ``with hold:`` and hand
@@ -1134,16 +1197,20 @@ class ViewServer(Serving):
         """
         registration, state, key = self._lookup(name, tau)
         if state is not None:
-            # Both callees test these themselves; skipping the calls
-            # saves two frames per open, which dynamic_mixed can see.
-            if tau is not None:
-                state.check_tau(tau)
             hold = state.epochs.hold(
                 cursors, partial(self._set_dynamic_gauges, state)
             )
+            # The callee tests this itself; skipping the call saves a
+            # frame per open, which dynamic_mixed can see.
             if self._telemetry is not None:
                 self._set_dynamic_gauges(state)
-            return hold.payload, hold
+            if tau is None:
+                return hold.payload, hold
+            try:
+                return hold.payload.at(key[1], partial(self._build, registration)), hold
+            except BaseException:
+                with hold:  # the pins go back before the error leaves
+                    raise
 
         context = self._contexts.get(key[2])
         if context is None:
@@ -1155,7 +1222,6 @@ class ViewServer(Serving):
         def build() -> CompressedRepresentation:
             built = self._build(registration, key[1], context)
             with self._lock:
-                self._total_builds += 1
                 # Skip the per-key counter for a generation unregistered
                 # mid-build, or the sweep in unregister() races back in.
                 if self._views.get(name) is registration:
@@ -1187,43 +1253,60 @@ class ViewServer(Serving):
     ) -> CompressedRepresentation:
         """The cached structure for ``(name, τ)``, building it on a miss.
 
-        A dynamic view resolves to its *current* serving version (no
+        A versioned view resolves to its *current* serving version (no
         pin — use :meth:`open` for drain-safe enumeration).
         """
         return self._resolve(name, tau)[0]
 
     def _build(
-        self, registration: Registration, tau: float, context: ViewContext
+        self,
+        registration: Registration,
+        tau: float,
+        context: ViewContext,
+        base: Optional[CompressedRepresentation] = None,
     ) -> CompressedRepresentation:
-        """One structure of ``registration`` at ``tau``: cut, or built.
+        """One structure of ``registration`` at ``tau`` over ``context``.
 
-        A default-cover ``tau`` at or above the generation's live base
-        (the lowest default-cover ``tau`` built in-process over this
-        context) is cut from it
-        (:meth:`~repro.core.structure.CompressedRepresentation.cut`); any
-        other default-cover build becomes the base. The optimizer's cover
-        and a :class:`ParallelBuilder` hand-back (which carries no entry
+        The one build path, for every kind of request: a ``tau`` at or
+        above ``base`` is cut from it
+        (:meth:`~repro.core.structure.CompressedRepresentation.cut`),
+        any other is built over ``context``. A versioned view passes its
+        pinned version's clean structure as ``base``; otherwise the base
+        is the generation's live one — the lowest default-cover ``tau``
+        built in-process over its context — and a default-cover build
+        over that context becomes it. The optimizer's cover and a
+        :class:`ParallelBuilder` hand-back (which carries no entry
         costs) are always built directly.
         """
         # The optimizer's cover is tied to the τ it was solved for; a
         # caller-supplied τ falls back to the context's default cover.
         weights = registration.weights if tau == registration.tau else None
-        cuttable = weights is None and self._builder is None
-        base = self._bases.get(registration.generation) if cuttable else None
-        base = base() if base is not None else None
-        if base is not None and base.ctx is context and tau >= base.tau:
+        generation = registration.generation
+        cuttable = (
+            base is None
+            and weights is None
+            and self._builder is None
+            and context is self._contexts.get(generation)
+        )
+        if cuttable:
+            base = self._bases.get(generation)
+            base = base() if base is not None else None
+        if (
+            base is not None
+            and base.ctx is context
+            and tau >= base.tau
+            and base.cuttable
+        ):
             built = base.cut(tau)
         else:
             build = self._builder.build if self._builder else CompressedRepresentation
             built = build(
-                registration.natural_view,
-                registration.database,
-                tau=tau,
-                weights=weights,
-                context=context,
+                context.view, context.db, tau=tau, weights=weights, context=context
             )
             if cuttable:
-                self._bases[registration.generation] = weakref.ref(built)
+                self._bases[generation] = weakref.ref(built)
+        with self._lock:
+            self._total_builds += 1
         self._observe_layout_compile(registration.name, built)
         return built
 
@@ -1410,7 +1493,7 @@ class ViewServer(Serving):
         """Open cursors for a whole request batch — the batch primitive.
 
         Requests are grouped by ``(view, τ)``; each group is resolved
-        (and, for a dynamic view, pinned) once and handed to one
+        (and, for a versioned view, pinned) once and handed to one
         :class:`~repro.engine.shared_scan.SharedScan`, which
         deduplicates it: every distinct ``(access, resume point)`` pair
         is one lazily started solo enumeration — the walk :meth:`open`
@@ -1433,7 +1516,7 @@ class ViewServer(Serving):
         with Hold() as opened:
             for (view, tau), indexes in groups.items():
                 group = [batch[index] for index in indexes]
-                # A dynamic view's group pins the current serving version
+                # A versioned view's group pins the current serving version
                 # once per cursor; each close hook drops its own pin, and
                 # the last release retires a drained version.
                 representation, hold = self._resolve(view, tau, len(group))

@@ -38,6 +38,15 @@ different variables on a key column are rejected):
   every shard, so requests are pinned to shard 0.
 
 The set of shards is fixed at construction for the facade's whole life.
+
+Deltas
+------
+:meth:`ShardedViewServer.apply_deltas` checks a batch's rows, then
+routes each to the shard owning its key value (a replicated relation's
+rows go to every shard). A shard's registration is versioned by the
+first effective delta that reaches it — over the shard's whole slice,
+not the semijoin-reduced copy, since a delta may join with a row the
+reduction dropped — so shard versions advance independently.
 """
 
 from __future__ import annotations
@@ -60,6 +69,7 @@ from typing import (
     Union,
 )
 
+from repro.core.dynamic import check_arity
 from repro.core.structure import CompressedRepresentation
 from repro.database.catalog import Database
 from repro.database.relation import Relation
@@ -281,9 +291,9 @@ class ShardedViewServer(Serving):
     grouping — and inherits the materializing wrappers (``answer`` /
     ``answer_batch`` / ``serve_stream``) from
     :class:`~repro.engine.server.Serving`, so callers can treat both
-    interchangeably. Registration (``register`` / ``register_dynamic``),
-    ``apply_deltas``, ``prebuild`` / ``demote`` and ``total_builds`` /
-    ``cache_stats`` fan out to the shards; :meth:`jobs` hands the same
+    interchangeably. Registration (``register``), ``apply_deltas``,
+    ``prebuild`` / ``demote`` and ``total_builds`` / ``cache_stats`` fan
+    out to the shards; :meth:`jobs` hands the same
     per-shard groups to any other executor
     (:class:`~repro.engine.async_server.AsyncViewServer` drains them on
     its thread pool). The shards are fixed at construction.
@@ -470,6 +480,7 @@ class ShardedViewServer(Serving):
         space_budget: Optional[float] = None,
         delay_budget: Optional[float] = None,
         name: Optional[str] = None,
+        rebuild_fraction: float = 0.1,
     ) -> str:
         """Register a view on every shard; returns the serving name.
 
@@ -478,7 +489,9 @@ class ShardedViewServer(Serving):
         space/delay tradeoff, which is what a per-shard cache budget
         means. Each shard's registration evaluates against a
         slice-reduced copy of the replicated relations (answers are
-        identical; structures are smaller).
+        identical; structures are smaller); a shard the first delta
+        versions builds over its whole slice instead, since a delta may
+        join with a row the reduction dropped.
         """
         return self._register_everywhere(
             view,
@@ -490,32 +503,7 @@ class ShardedViewServer(Serving):
                 delay_budget=delay_budget,
                 name=name,
                 database=self._shard_view_database(view, shard_db),
-            ),
-        )
-
-    def register_dynamic(
-        self,
-        view: Union[AdornedView, str],
-        tau: Optional[float] = None,
-        name: Optional[str] = None,
-        rebuild_fraction: float = 0.1,
-    ) -> str:
-        """Register a dynamic view on every shard; returns its name.
-
-        Each shard serves its slice through its own
-        :class:`~repro.core.dynamic.DynamicRepresentation`;
-        :meth:`apply_deltas` routes every delta tuple to its owning
-        shard, so per-shard versions advance independently (a shard a
-        delta never reaches keeps serving its current version — the
-        no-op contract, per shard). Dynamic registrations skip the
-        semijoin reduction: deltas address raw base-relation tuples,
-        which a slice-reduced replica copy could silently drop.
-        """
-        return self._register_everywhere(
-            view,
-            name,
-            lambda server, shard_db, view: server.register_dynamic(
-                view, tau=tau, name=name, rebuild_fraction=rebuild_fraction
+                rebuild_fraction=rebuild_fraction,
             ),
         )
 
@@ -551,11 +539,6 @@ class ShardedViewServer(Serving):
             self._routes[intended] = route
         return intended
 
-    def dynamic_views(self) -> Tuple[str, ...]:
-        """Names registered for dynamic serving (identical on all shards)."""
-        dynamic = set(self._servers[0].dynamic_views())
-        return tuple(name for name in self.views() if name in dynamic)
-
     def apply_deltas(
         self,
         relation: str,
@@ -568,16 +551,20 @@ class ShardedViewServer(Serving):
         Rows of a *sharded* relation go only to the shard that owns
         their key value (the same rendezvous placement
         :func:`partition_database` used); rows of a replicated relation
-        broadcast to every shard. Returns per-view counts summed across
-        shards — the facade-level effective change, matching
-        :meth:`ViewServer.apply_deltas
-        <repro.engine.server.ViewServer.apply_deltas>` semantics
-        shard by shard.
+        broadcast to every shard. Every row's arity is checked before
+        any shard sees the batch, so a refused batch changes no shard.
+        Returns per-view counts summed across shards — the facade-level
+        effective change, matching :meth:`ViewServer.apply_deltas
+        <repro.engine.server.ViewServer.apply_deltas>` semantics shard
+        by shard; the first effective delta a shard receives versions
+        the view there.
         """
         inserts = [tuple(row) for row in inserts]
         deletes = [tuple(row) for row in deletes]
         column = self.shard_key.get(relation)
         with self._admin_lock:
+            if relation in self._databases[0]:
+                check_arity(self._databases[0][relation], inserts, deletes)
             shard_inserts = [inserts] * self.n_shards
             shard_deletes = [deletes] * self.n_shards
             if column is not None:
@@ -588,11 +575,6 @@ class ShardedViewServer(Serving):
                     (deletes, shard_deletes),
                 ):
                     for row in rows:
-                        if column >= len(row):
-                            raise SchemaError(
-                                f"delta row {row!r} for {relation!r} has no "
-                                f"shard key column {column}"
-                            )
                         owner = self._table.index_for(row[column])
                         buckets[owner].append(row)
             totals: Dict[str, int] = {}

@@ -10,9 +10,17 @@ from __future__ import annotations
 import os
 
 import pytest
+from hypothesis import settings
 
 from repro.database.catalog import Database
 from repro.database.relation import Relation
+
+#: ``make fuzz``: the engine differential machine's long run. Selected
+#: with ``--hypothesis-profile=fuzz``; a test's own ``settings`` pins
+#: still win over a profile, so the machine reads its budget from here.
+settings.register_profile(
+    "fuzz", max_examples=2000, stateful_step_count=50, deadline=None
+)
 
 if os.environ.get("REPRO_LOCK_ORDER") == "1":
     # Lock-order leg (make test-lock-order): every lock the engine

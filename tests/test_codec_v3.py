@@ -417,7 +417,7 @@ def test_a_parent_written_directory_warm_starts_with_no_build(server_directory):
     assert all(rep._tree is None and rep._dictionary is None for rep in loaded)
     for access in oracle_accesses(view, db, limit=12):
         assert server.answer("V", access) == oracle_answer(view, db, access)
-    name = server.register_dynamic(DYNAMIC_VIEW, tau=4.0, name="Q")
+    name = server.register(DYNAMIC_VIEW, tau=4.0, name="Q")
     assert server.delta_version(name) == 2
     assert server.total_builds() == 0
     current = Database(

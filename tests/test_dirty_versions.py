@@ -554,7 +554,9 @@ def serving(state, view, db, access):
     if state == "static":
         server.register(view, tau=8.0, name="t")
         return server
-    server.register_dynamic(view, tau=8.0, name="t", rebuild_fraction=1e9)
+    server.register(view, tau=8.0, name="t", rebuild_fraction=1e9)
+    # Version 0, clean: the registration's own data, as a version.
+    assert server.rehydrate_dynamic(["t"]) == 1
     if state == "dirty":
         # A row that joins nothing: the answers stay those of ``db``.
         assert server.apply_deltas("R", inserts=[(access[0], 10**6)])

@@ -11,6 +11,7 @@ from oracle import oracle_answer
 from repro.core.dynamic import DynamicRepresentation
 from repro.database.catalog import Database
 from repro.database.relation import Relation
+from repro.engine import dynamic_serving
 from repro.engine.dynamic_serving import (
     DeltaRecord,
     DynamicSnapshotStore,
@@ -20,7 +21,7 @@ from repro.engine.replica import ReplicaServer
 from repro.engine.server import ViewServer
 from repro.engine.sharding import ShardedViewServer
 from repro.engine.telemetry import Telemetry
-from repro.exceptions import ParameterError, SnapshotError
+from repro.exceptions import ParameterError, SchemaError, SnapshotError
 from repro.query.parser import parse_view
 from repro.workloads.generators import triangle_database
 from repro.workloads.queries import triangle_view
@@ -38,6 +39,13 @@ def chain_database():
     )
 
 
+def version(server, name):
+    """Version a never-updated view with one effective delta (R gains
+    (9, 9), which no test access reaches)."""
+    assert server.apply_deltas("R", inserts=[(9, 9)], views=[name]) == {name: 1}
+    return server._dynamic_state(name)
+
+
 def all_answers(server, name, accesses):
     return {access: server.answer(name, access) for access in accesses}
 
@@ -46,35 +54,60 @@ class TestRegistration:
     def test_round_trip_matches_oracle(self):
         db = chain_database()
         server = ViewServer(db)
-        name = server.register_dynamic(VIEW_TEXT, tau=4.0)
+        name = server.register(VIEW_TEXT, tau=4.0)
         view = parse_view(VIEW_TEXT)
         for a in (1, 2, 3):
             assert server.answer(name, (a,)) == oracle_answer(view, db, (a,))
-        assert server.dynamic_views() == (name,)
+        # Version 0, an empty log, and no versioned state.
+        assert server.dynamic_views() == ()
         assert server.delta_version(name) == 0
+        assert server.delta_records_since(name, 0) == ()
         server.close()
 
     def test_requires_natural_join(self):
         db = chain_database()
         server = ViewServer(db)
+        name = server.register("P^bf(a, c) = R(a, 3), S(3, c)")
         with pytest.raises(ParameterError, match="natural-join"):
-            server.register_dynamic("P^bf(a, c) = R(a, b), S(b, c)")
-        # The failed registration must not leave a half-registered name.
-        assert server.views() == ()
+            server.apply_deltas("R", inserts=[(8, 3)], views=[name])
+        with pytest.raises(ParameterError, match="natural-join"):
+            server.apply_deltas("R", inserts=[(8, 3)])
+        # The refused delta versioned nothing.
+        assert server.dynamic_views() == ()
+        assert server.answer(name, (8,)) == []
         server.close()
 
-    def test_tau_pins_rejected(self):
-        server = ViewServer(chain_database())
-        name = server.register_dynamic(VIEW_TEXT, tau=4.0)
-        with pytest.raises(ParameterError, match="tau"):
-            server.open(name, (1,), tau=2.0)
-        with pytest.raises(ParameterError, match="tau"):
-            server.representation(name, tau=2.0)
+    @pytest.mark.parametrize("fraction", [0.0, float("inf")])
+    def test_a_versioned_view_serves_any_tau(self, fraction):
+        db = chain_database()
+        server = ViewServer(db)
+        name = server.register(VIEW_TEXT, tau=4.0, rebuild_fraction=fraction)
+        state = version(server, name)
+        view = parse_view(VIEW_TEXT)
+        updated = db.replace(Relation("R", 2, list(db["R"]) + [(9, 9)]))
+        for tau in (1.0, 4.0, 64.0):
+            for a in (1, 2, 9):
+                with server.open(name, (a,), tau=tau) as cursor:
+                    assert cursor.fetchall() == oracle_answer(
+                        view, updated, (a,)
+                    )
+            assert state.pin_count() == 0
+        current = server.representation(name)
+        if fraction:
+            # A dirty version is the τ = ∞ structure: it serves every τ.
+            assert server.representation(name, tau=1.0) is current
+        else:
+            # A clean one is cut above its τ and built below it, once.
+            assert server.representation(name, tau=4.0) is current
+            for tau in (1.0, 64.0):
+                derived = server.representation(name, tau=tau)
+                assert derived.tau == tau
+                assert server.representation(name, tau=tau) is derived
         server.close()
 
     def test_unregister_clears_dynamic_state(self):
         server = ViewServer(chain_database())
-        name = server.register_dynamic(VIEW_TEXT, tau=4.0)
+        name = server.register(VIEW_TEXT, tau=4.0)
         assert server.unregister(name)
         assert server.dynamic_views() == ()
         with pytest.raises(ParameterError, match="not registered"):
@@ -85,7 +118,7 @@ class TestDeltas:
     def test_effective_insert_advances_version(self):
         db = chain_database()
         server = ViewServer(db)
-        name = server.register_dynamic(VIEW_TEXT, tau=4.0)
+        name = server.register(VIEW_TEXT, tau=4.0)
         applied = server.apply_deltas("R", inserts=[(1, 3)])
         assert applied == {name: 1}
         assert server.delta_version(name) == 1
@@ -101,7 +134,7 @@ class TestDeltas:
 
     def test_empty_delta_is_complete_noop(self):
         server = ViewServer(chain_database())
-        name = server.register_dynamic(VIEW_TEXT, tau=4.0)
+        name = server.register(VIEW_TEXT, tau=4.0)
         version = server.delta_version(name)
         insertions = server.cache_stats.insertions
         # Present row inserted + absent row deleted: zero effect.
@@ -117,7 +150,7 @@ class TestDeltas:
     def test_delete_of_buffered_insert_annihilates(self):
         db = chain_database()
         server = ViewServer(db)
-        name = server.register_dynamic(
+        name = server.register(
             VIEW_TEXT, tau=4.0, rebuild_fraction=float("inf")
         )
         before = {a: server.answer(name, (a,)) for a in (1, 2, 3)}
@@ -130,7 +163,7 @@ class TestDeltas:
 
     def test_single_batch_annihilation(self):
         server = ViewServer(chain_database())
-        name = server.register_dynamic(VIEW_TEXT, tau=4.0)
+        name = server.register(VIEW_TEXT, tau=4.0)
         applied = server.apply_deltas(
             "R", inserts=[(9, 9)], deletes=[(9, 9)]
         )
@@ -143,8 +176,8 @@ class TestDeltas:
 
     def test_unrouted_relation_is_typed_error(self):
         server = ViewServer(chain_database())
-        server.register_dynamic(VIEW_TEXT, tau=4.0)
-        with pytest.raises(ParameterError, match="no dynamic view"):
+        server.register(VIEW_TEXT, tau=4.0)
+        with pytest.raises(ParameterError, match="no natural-join view"):
             server.apply_deltas("T", inserts=[(1, 1)])
         server.close()
 
@@ -154,19 +187,23 @@ class TestDeltas:
             server.apply_deltas("R", inserts=[(1, 1)], views=["ghost"])
         server.close()
 
-    def test_static_registration_not_a_delta_target(self):
+    def test_a_plain_registration_takes_deltas(self):
         server = ViewServer(chain_database())
         name = server.register(VIEW_TEXT, tau=4.0)
-        with pytest.raises(ParameterError, match="not registered"):
-            server.apply_deltas("R", inserts=[(8, 9)], views=[name])
+        assert server.apply_deltas("R", inserts=[(8, 9)], views=[name]) == {
+            name: 1
+        }
+        assert server.delta_version(name) == 1
+        assert server.dynamic_views() == (name,)
         server.close()
 
     def test_rebuild_boundary_counts_and_cleans(self):
         db = chain_database()
         server = ViewServer(db, telemetry=True)
-        name = server.register_dynamic(
+        name = server.register(
             VIEW_TEXT, tau=4.0, rebuild_fraction=0.0
         )
+        version(server, name)
         builds = server.total_builds()
         server.apply_deltas("R", inserts=[(1, 3)])
         assert server.total_builds() == builds + 1
@@ -174,7 +211,7 @@ class TestDeltas:
             server.telemetry.counter(
                 "rebuild_triggered_total", view=name
             ).value
-            == 1
+            == 2
         )
         # After the rebuild the serving version is clean again: the
         # compiled structure at the view's τ serves, not the one leaf.
@@ -187,13 +224,13 @@ class TestCursorPinning:
     def test_open_cursor_drains_its_version(self):
         db = chain_database()
         server = ViewServer(db, telemetry=True)
-        name = server.register_dynamic(VIEW_TEXT, tau=4.0)
+        name = server.register(VIEW_TEXT, tau=4.0)
+        state = version(server, name)
         cursor = server.open(name, (1,))
         server.apply_deltas("R", inserts=[(1, 3)])
-        state = server._dynamic_state(name)
-        # The open cursor pins version 0 while version 1 serves new
+        # The open cursor pins version 1 while version 2 serves new
         # requests.
-        assert state.live_versions() == (0, 1)
+        assert state.live_versions() == (1, 2)
         assert state.pin_count() == 1
         view = parse_view(VIEW_TEXT)
         # The old cursor still answers against the pre-delta version…
@@ -201,7 +238,7 @@ class TestCursorPinning:
         cursor.close()
         # …and draining it (exhaustion fires the close hook) retires
         # the pinned version.
-        assert state.live_versions() == (1,)
+        assert state.live_versions() == (2,)
         assert state.pin_count() == 0
         assert (
             server.telemetry.gauge("dynamic_cursor_pins", view=name).value
@@ -218,20 +255,20 @@ class TestCursorPinning:
     def test_batch_cursors_pin_and_release(self):
         db = chain_database()
         server = ViewServer(db)
-        name = server.register_dynamic(VIEW_TEXT, tau=4.0)
+        name = server.register(VIEW_TEXT, tau=4.0)
+        state = version(server, name)
         result = server.answer_batch(name, [(1,), (2,), (1,)])
         assert result.outputs > 0
-        state = server._dynamic_state(name)
         assert state.pin_count() == 0
-        assert state.live_versions() == (0,)
+        assert state.live_versions() == (1,)
         server.close()
 
     def test_open_failure_releases_pin(self, monkeypatch):
         import repro.engine.server as server_module
 
         server = ViewServer(chain_database())
-        name = server.register_dynamic(VIEW_TEXT, tau=4.0)
-        state = server._dynamic_state(name)
+        name = server.register(VIEW_TEXT, tau=4.0)
+        state = version(server, name)
 
         def explode(representation, request):
             raise RuntimeError("boom")
@@ -247,7 +284,7 @@ class TestWarmStart:
     def test_restart_replays_delta_log(self, tmp_path):
         db = chain_database()
         server = ViewServer(db, snapshot_dir=tmp_path)
-        name = server.register_dynamic(VIEW_TEXT, tau=4.0)
+        name = server.register(VIEW_TEXT, tau=4.0)
         server.apply_deltas("R", inserts=[(1, 3)])
         server.apply_deltas("S", deletes=[(4, 7)], inserts=[(4, 9)])
         answers = all_answers(server, name, [(1,), (2,), (3,)])
@@ -256,7 +293,7 @@ class TestWarmStart:
         server.close()
 
         warm = ViewServer(db, snapshot_dir=tmp_path)
-        warm_name = warm.register_dynamic(VIEW_TEXT, tau=4.0)
+        warm_name = warm.register(VIEW_TEXT, tau=4.0)
         assert warm.delta_version(warm_name) == version
         assert all_answers(warm, warm_name, [(1,), (2,), (3,)]) == answers
         # Warm start decoded + replayed; it never rebuilt from scratch.
@@ -266,7 +303,7 @@ class TestWarmStart:
     def test_changed_referenced_relation_refuses_warm_start(self, tmp_path):
         db = chain_database()
         server = ViewServer(db, snapshot_dir=tmp_path)
-        server.register_dynamic(VIEW_TEXT, tau=4.0)
+        server.register(VIEW_TEXT, tau=4.0)
         server.apply_deltas("R", inserts=[(1, 3)])
         server.close()
 
@@ -277,14 +314,17 @@ class TestWarmStart:
             ]
         )
         cold = ViewServer(churned, snapshot_dir=tmp_path)
-        name = cold.register_dynamic(VIEW_TEXT, tau=4.0)
-        # The fingerprint mismatch on R forces a cold rebuild: version
-        # resets and answers reflect the *churned* base, no stale replay.
+        name = cold.register(VIEW_TEXT, tau=4.0)
+        # The fingerprint mismatch on R refuses the warm start: version
+        # 0, no versioned state, and answers from the *churned* base
+        # through a cold build — no stale replay.
         assert cold.delta_version(name) == 0
+        assert cold.dynamic_views() == ()
+        for a in (1, 6):
+            assert cold.answer(name, (a,)) == oracle_answer(
+                parse_view(VIEW_TEXT), churned, (a,)
+            )
         assert cold.total_builds() == 1
-        assert cold.answer(name, (6,)) == [(6,)] or cold.answer(
-            name, (6,)
-        ) == []
         cold.close()
 
     def test_unreferenced_relation_churn_keeps_warm_start(self, tmp_path):
@@ -295,7 +335,7 @@ class TestWarmStart:
         ]
         db = Database(relations)
         server = ViewServer(db, snapshot_dir=tmp_path)
-        server.register_dynamic(VIEW_TEXT, tau=4.0)
+        server.register(VIEW_TEXT, tau=4.0)
         server.apply_deltas("R", inserts=[(1, 3)])
         version = server.delta_version("Q")
         server.close()
@@ -304,7 +344,7 @@ class TestWarmStart:
             [relations[0], relations[1], Relation("T", 2, [(9, 9)])]
         )
         warm = ViewServer(churned, snapshot_dir=tmp_path)
-        name = warm.register_dynamic(VIEW_TEXT, tau=4.0)
+        name = warm.register(VIEW_TEXT, tau=4.0)
         # T churned but the view never references it: per-relation
         # fingerprints keep the warm start (the whole-database
         # fingerprint would have refused here).
@@ -315,7 +355,7 @@ class TestWarmStart:
     def test_rebuild_rewrites_snapshot_and_shortens_replay(self, tmp_path):
         db = chain_database()
         server = ViewServer(db, snapshot_dir=tmp_path)
-        name = server.register_dynamic(
+        name = server.register(
             VIEW_TEXT, tau=4.0, rebuild_fraction=0.0
         )
         server.apply_deltas("R", inserts=[(1, 3)])
@@ -348,7 +388,7 @@ class TestDeltaRecords:
 
     def test_version_gap_raises(self):
         server = ViewServer(chain_database())
-        name = server.register_dynamic(VIEW_TEXT, tau=4.0)
+        name = server.register(VIEW_TEXT, tau=4.0)
         gap = DeltaRecord(
             view=name, relation="R", version=5, inserts=((8, 9),)
         )
@@ -358,7 +398,7 @@ class TestDeltaRecords:
 
     def test_already_applied_records_skip_idempotently(self):
         server = ViewServer(chain_database())
-        name = server.register_dynamic(VIEW_TEXT, tau=4.0)
+        name = server.register(VIEW_TEXT, tau=4.0)
         server.apply_deltas("R", inserts=[(1, 3)])
         records = server.delta_records_since(name, 0)
         assert server.apply_delta_records(records) == {name: 0}
@@ -367,7 +407,7 @@ class TestDeltaRecords:
 
     def test_non_json_rows_refused_by_log(self, tmp_path):
         server = ViewServer(chain_database(), snapshot_dir=tmp_path)
-        server.register_dynamic(VIEW_TEXT, tau=4.0)
+        server.register(VIEW_TEXT, tau=4.0)
         with pytest.raises(SnapshotError, match="JSON"):
             server.apply_deltas("R", inserts=[(object(), 1)])
         server.close()
@@ -381,13 +421,17 @@ class TestReplicaShipping:
     def _pair(self, tmp_path, telemetry=False, rebuild_fraction=0.1):
         db = chain_database()
         primary = ViewServer(db, snapshot_dir=tmp_path, telemetry=telemetry)
-        name = primary.register_dynamic(
+        name = primary.register(
             VIEW_TEXT, tau=4.0, rebuild_fraction=rebuild_fraction
         )
+        # Versioned now, so its version-0 snapshot is on disk for the
+        # replica's registration to warm-start from.
+        assert primary.save_dynamic_snapshot(name) == 0
         replica = ReplicaServer(db, snapshot_dir=tmp_path)
-        replica.register_dynamic(
+        replica.register(
             VIEW_TEXT, tau=4.0, rebuild_fraction=rebuild_fraction
         )
+        assert replica.dynamic_views() == (name,)
         return primary, replica, name
 
     def test_delta_mode_converges(self, tmp_path):
@@ -409,7 +453,8 @@ class TestReplicaShipping:
         primary.close()
         replica.close()
 
-    def test_churn_threshold_falls_back_to_snapshot(self, tmp_path):
+    def test_churn_threshold_falls_back_to_snapshot(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(dynamic_serving, "DEFAULT_CHURN_THRESHOLD", 2)
         primary, replica, name = self._pair(
             tmp_path, rebuild_fraction=self.BELOW_BOUNDARY
         )
@@ -420,7 +465,7 @@ class TestReplicaShipping:
         for i in range(10, 16):
             primary.apply_deltas("R", inserts=[(1, i)])
         assert primary.dynamic_snapshot_version(name) == 0
-        shipped = ship_deltas(primary, replica, churn_threshold=2)
+        shipped = ship_deltas(primary, replica)
         assert shipped == {name: ("snapshot", 6)}
         assert primary.dynamic_snapshot_version(name) == 7
         assert replica.delta_version(name) == primary.delta_version(name)
@@ -433,9 +478,44 @@ class TestReplicaShipping:
     def test_replica_refuses_cold_dynamic_build(self, tmp_path):
         db = chain_database()
         replica = ReplicaServer(db, snapshot_dir=tmp_path / "empty")
+        name = replica.register(VIEW_TEXT, tau=4.0)
+        # Nothing resident and no snapshot: versioning the view would
+        # build, which a replica refuses.
+        record = DeltaRecord(name, "R", 1, inserts=((1, 3),))
         with pytest.raises(SnapshotError, match="refuses"):
-            replica.register_dynamic(VIEW_TEXT, tau=4.0)
+            replica.apply_delta_records([record])
+        assert replica.dynamic_views() == ()
+        assert replica.total_builds() == 0
         replica.close()
+
+    def test_a_first_delta_to_a_never_updated_view_converges(self, tmp_path):
+        # The static replica protocol (build, demote, hydrate), then the
+        # first delta: the replica versions the view around its hydrated
+        # structure — no build — and a warm restart lands on version 1.
+        db = chain_database()
+        primary = ViewServer(db, snapshot_dir=tmp_path)
+        name = primary.register(VIEW_TEXT, tau=4.0, rebuild_fraction=10.0)
+        primary.representation(name)
+        primary.cache.demote_all()
+        replica = ReplicaServer(db, snapshot_dir=tmp_path)
+        replica.register(VIEW_TEXT, tau=4.0, rebuild_fraction=10.0)
+        replica.hydrate()
+        assert not (tmp_path / "dynamic").exists()
+        assert primary.apply_deltas("R", inserts=[(1, 3)]) == {name: 1}
+        assert ship_deltas(primary, replica) == {name: ("delta", 1)}
+        assert replica.delta_version(name) == 1
+        assert replica.total_builds() == 0
+        view = parse_view(VIEW_TEXT)
+        updated = db.replace(Relation("R", 2, list(db["R"]) + [(1, 3)]))
+        warm = ViewServer(db, snapshot_dir=tmp_path)
+        warm.register(VIEW_TEXT, tau=4.0)
+        assert warm.delta_version(name) == 1
+        for a in (1, 2, 3):
+            expected = oracle_answer(view, updated, (a,))
+            for server in (primary, replica, warm):
+                assert server.answer(name, (a,)) == expected
+        for server in (primary, replica, warm):
+            server.close()
 
     def test_replica_never_writes_dynamic_log(self, tmp_path):
         primary, replica, name = self._pair(tmp_path)
@@ -473,9 +553,12 @@ class TestSnapshotAdoption:
 
     def _pair(self, primary, replica):
         for server in (primary, replica):
-            name = server.register_dynamic(
+            name = server.register(
                 VIEW_TEXT, tau=4.0, rebuild_fraction=self.FRACTION
             )
+            if server is primary and primary.snapshot_store is not None:
+                # Version 0 on disk, for the replica to warm-start from.
+                primary.save_dynamic_snapshot(name)
         return name
 
     def _drive(self, primary, replica, name, trace):
@@ -484,12 +567,13 @@ class TestSnapshotAdoption:
         ``(version, databases by version)`` just before each ship."""
         view = parse_view(VIEW_TEXT)
         databases = [chain_database()]
-        state = primary._dynamic_state(name)
         stream = boundary_stream(self.SHIPS[-1])
         for version, (relation, row) in enumerate(stream, start=1):
-            rebuilds = state.dynamic.rebuilds
+            rebuilds = primary._dynamic_state(name).dynamic.rebuilds if (
+                primary.dynamic_views()
+            ) else 0
             assert primary.apply_deltas(relation, inserts=[row]) == {name: 1}
-            if state.dynamic.rebuilds > rebuilds:
+            if primary._dynamic_state(name).dynamic.rebuilds > rebuilds:
                 trace["boundaries"].append(version)
             db = databases[-1]
             databases.append(
@@ -557,7 +641,7 @@ class TestSnapshotAdoption:
         first.apply_deltas("R", inserts=[(1, 50)])
         first.close()
         primary = ViewServer(db, snapshot_dir=tmp_path)
-        primary.register_dynamic(
+        primary.register(
             VIEW_TEXT, tau=4.0, rebuild_fraction=self.FRACTION
         )
         assert primary.delta_records_since(name, 0) == ()
@@ -604,12 +688,15 @@ class TestShardedFanOut:
 
     def test_routed_deltas_land_on_owning_shard(self):
         db, server = self._sharded()
-        name = server.register_dynamic(VIEW_TEXT, tau=4.0)
-        assert server.dynamic_views() == (name,)
+        name = server.register(VIEW_TEXT, tau=4.0)
         applied = server.apply_deltas(
             "R", inserts=[(5, 6), (11, 6)], deletes=[(12, 5)]
         )
         assert applied == {name: 3}
+        # Versioned on the shards the delta reached, not on the others.
+        owners = {server.shard_of(name, (a,)) for a in (5, 11, 12)}
+        for index, shard in enumerate(server.shards):
+            assert shard.delta_version(name) == (index in owners)
         view = parse_view(VIEW_TEXT)
         updated = db.replace(
             Relation(
@@ -625,9 +712,30 @@ class TestShardedFanOut:
             )
         server.close()
 
+    def test_a_delta_joins_rows_the_reduction_dropped(self):
+        # Each shard registers over a semijoin-reduced copy of S: the
+        # shard holding no R row keeps no S row. A delta versions the
+        # view over the shard's whole slice, so a new R row still joins.
+        db = Database(
+            [Relation("R", 2, [(1, 1)]), Relation("S", 2, [(1, 5), (2, 6)])]
+        )
+        server = ShardedViewServer(db, 2, {"R": 0})
+        name = server.register(VIEW_TEXT, tau=4.0)
+        key = next(
+            a
+            for a in range(2, 100)
+            if server.shard_of(name, (a,)) != server.shard_of(name, (1,))
+        )
+        reduced = server.shards[server.shard_of(name, (key,))]
+        assert len(reduced.registration(name).database["S"]) == 0
+        assert server.apply_deltas("R", inserts=[(key, 2)]) == {name: 1}
+        assert server.answer(name, (key,)) == [(2, 6)]
+        assert server.answer(name, (1,)) == [(1, 5)]
+        server.close()
+
     def test_replicated_relation_broadcasts(self):
         db, server = self._sharded()
-        name = server.register_dynamic(VIEW_TEXT, tau=4.0)
+        name = server.register(VIEW_TEXT, tau=4.0)
         applied = server.apply_deltas("S", inserts=[(6, 999)])
         # Effective once per shard S is replicated to.
         assert applied == {name: server.n_shards}
@@ -711,7 +819,7 @@ class TestUpdateStream:
         db = chain_database()
         view = parse_view(VIEW_TEXT)
         server = ViewServer(db)
-        name = server.register_dynamic(VIEW_TEXT, tau=4.0)
+        name = server.register(VIEW_TEXT, tau=4.0)
         ops = update_stream(
             view, db, 60, update_fraction=0.4, seed=3, delta_size=2
         )
@@ -753,7 +861,7 @@ class TestUpdateStream:
 class TestDurableLogHygiene:
     def test_log_lines_are_schema_stamped_json(self, tmp_path):
         server = ViewServer(chain_database(), snapshot_dir=tmp_path)
-        name = server.register_dynamic(VIEW_TEXT, tau=4.0)
+        name = server.register(VIEW_TEXT, tau=4.0)
         server.apply_deltas("R", inserts=[(1, 3)])
         label = server._dynamic_state(name).label
         store = DynamicSnapshotStore(tmp_path / "dynamic")
@@ -766,7 +874,7 @@ class TestDurableLogHygiene:
 
     def test_corrupt_log_line_is_typed(self, tmp_path):
         server = ViewServer(chain_database(), snapshot_dir=tmp_path)
-        name = server.register_dynamic(VIEW_TEXT, tau=4.0)
+        name = server.register(VIEW_TEXT, tau=4.0)
         server.apply_deltas("R", inserts=[(1, 3)])
         label = server._dynamic_state(name).label
         server.close()
@@ -778,7 +886,7 @@ class TestDurableLogHygiene:
 
     def test_malformed_middle_line_stays_a_hard_error(self, tmp_path):
         server = ViewServer(chain_database(), snapshot_dir=tmp_path)
-        name = server.register_dynamic(VIEW_TEXT, tau=4.0)
+        name = server.register(VIEW_TEXT, tau=4.0)
         server.apply_deltas("R", inserts=[(1, 3)])
         label = server._dynamic_state(name).label
         server.close()
@@ -793,7 +901,7 @@ class TestDurableLogHygiene:
             store.recover_log(label)
         restarted = ViewServer(chain_database(), snapshot_dir=tmp_path)
         with pytest.raises(SnapshotError, match="malformed"):
-            restarted.register_dynamic(VIEW_TEXT, tau=4.0)
+            restarted.register(VIEW_TEXT, tau=4.0)
         assert restarted.views() == ()
         # Damage is never "repaired" away.
         assert path.read_bytes() == before
@@ -814,7 +922,7 @@ class TestTornLogTail:
         db = chain_database()
         origin = tmp_path / "origin"
         server = ViewServer(db, snapshot_dir=origin)
-        name = server.register_dynamic(
+        name = server.register(
             VIEW_TEXT, tau=4.0, rebuild_fraction=float("inf")
         )
         states = [db]
@@ -843,7 +951,7 @@ class TestTornLogTail:
             store = DynamicSnapshotStore(scratch / "dynamic")
             store.log_path(label).write_bytes(data[:cut])
             warm = ViewServer(chain_database(), snapshot_dir=scratch)
-            name = warm.register_dynamic(
+            name = warm.register(
                 VIEW_TEXT, tau=4.0, rebuild_fraction=float("inf")
             )
             version = warm.delta_version(name)
@@ -858,7 +966,7 @@ class TestTornLogTail:
             warm.close()
             # ...and a restart round-trips it.
             again = ViewServer(chain_database(), snapshot_dir=scratch)
-            name = again.register_dynamic(
+            name = again.register(
                 VIEW_TEXT, tau=4.0, rebuild_fraction=float("inf")
             )
             assert again.delta_version(name) == version + 1
@@ -882,7 +990,7 @@ class TestTornLogTail:
         first = ViewServer(
             chain_database(), snapshot_dir=origin, telemetry=Telemetry()
         )
-        name = first.register_dynamic(
+        name = first.register(
             VIEW_TEXT, tau=4.0, rebuild_fraction=float("inf")
         )
         assert first.delta_version(name) == len(self.DELTAS)
@@ -892,7 +1000,7 @@ class TestTornLogTail:
         second = ViewServer(
             chain_database(), snapshot_dir=origin, telemetry=Telemetry()
         )
-        name = second.register_dynamic(
+        name = second.register(
             VIEW_TEXT, tau=4.0, rebuild_fraction=float("inf")
         )
         assert torn_count(second, name) == 0
@@ -904,7 +1012,7 @@ class TestTornLogTail:
         torn = log.read_bytes() + b'{"deletes": [], "ins'
         log.write_bytes(torn)
         replica = ReplicaServer(chain_database(), snapshot_dir=origin)
-        name = replica.register_dynamic(
+        name = replica.register(
             VIEW_TEXT, tau=4.0, rebuild_fraction=float("inf")
         )
         assert replica.delta_version(name) == len(self.DELTAS)
@@ -932,11 +1040,14 @@ class TestLazyVersions:
 
     def test_unread_versions_build_nothing(self, contexts):
         server = ViewServer(chain_database())
-        name = server.register_dynamic(
+        name = server.register(
             VIEW_TEXT, tau=4.0, rebuild_fraction=float("inf")
         )
+        # The first delta versions the view: its build is the one
+        # context the versions after it may derive from.
+        assert server.apply_deltas("R", inserts=[(1, 50)]) == {name: 1}
         del contexts[:]
-        for value in range(10):
+        for value in range(1, 10):
             assert server.apply_deltas("R", inserts=[(1, 50 + value)]) == {
                 name: 1
             }
@@ -959,9 +1070,10 @@ class TestLazyVersions:
         # view never appears in the cache; what is live is read from the
         # state's live_versions() / the dynamic_live_versions gauge.
         server = ViewServer(chain_database(), telemetry=True)
-        name = server.register_dynamic(
+        name = server.register(
             VIEW_TEXT, tau=4.0, rebuild_fraction=float("inf")
         )
+        server.apply_deltas("R", inserts=[(1, 50)])
         state = server._dynamic_state(name)
 
         def gauge():
@@ -969,7 +1081,7 @@ class TestLazyVersions:
                 "dynamic_live_versions", view=name
             ).value
 
-        for value in range(5):
+        for value in range(1, 5):
             server.apply_deltas("R", inserts=[(1, 50 + value)])
         assert state.live_versions() == (5,) and gauge() == 1
         cursor = server.open(name, (1,))
@@ -988,14 +1100,20 @@ class TestLazyVersions:
         # the cache no miss, insertion or eviction.
         server = ViewServer(chain_database(), max_entries=1)
         static = server.register(VIEW_TEXT, tau=4.0, name="static")
-        dynamic = server.register_dynamic(
+        dynamic = server.register(
             VIEW_TEXT, tau=4.0, name="dynamic", rebuild_fraction=float("inf")
         )
         expected = server.answer(static, (1,))
         assert server.resident(static)
+        # Versioning the dynamic one builds its version 0 beside the
+        # cache, not in it.
+        assert server.apply_deltas("R", inserts=[(1, 76)], views=[dynamic])
+        assert server.resident(static)
         builds = server.total_builds()
         before = server.cache_stats
-        assert server.apply_deltas("R", inserts=[(1, 77)]) == {dynamic: 1}
+        assert server.apply_deltas(
+            "R", inserts=[(1, 77)], views=[dynamic]
+        ) == {dynamic: 1}
         for _ in range(3):
             server.answer(dynamic, (1,))
         assert server.resident(static)
@@ -1008,7 +1126,7 @@ class TestLazyVersions:
     def test_two_threads_first_reading_one_dirty_version(self, contexts):
         db = triangle_database(14, 60, seed=5)
         server = ViewServer(db)
-        name = server.register_dynamic(
+        name = server.register(
             triangle_view("bff"), tau=4.0, rebuild_fraction=float("inf")
         )
         row = next(iter(db["R"]))
@@ -1048,10 +1166,9 @@ class TestLazyVersions:
         view = triangle_view("bff")
         db = triangle_database(14, 60, seed=5)
         server = ViewServer(db)
-        name = server.register_dynamic(
+        name = server.register(
             view, tau=4.0, rebuild_fraction=float("inf")
         )
-        state = server._dynamic_state(name)
         x, y = next(iter(db["R"]))
         versions, expected = [], []
         # A new z value moves the shared domain, then closes a triangle.
@@ -1059,7 +1176,11 @@ class TestLazyVersions:
             server.apply_deltas(relation, inserts=[row])
             versions.append(server.representation(name))
             expected.append(
-                oracle_answer(view, state.current_database(), (x,))
+                oracle_answer(
+                    view,
+                    server._dynamic_state(name).current_database(),
+                    (x,),
+                )
             )
         assert versions[0] is not versions[1]
         assert (y, 99) in expected[1] and (y, 99) not in expected[0]
@@ -1086,3 +1207,119 @@ class TestLazyVersions:
         assert results == expected
         assert len(contexts) == 2
         server.close()
+
+
+class TestAtomicBatches:
+    """A delta batch applies whole or not at all (found by the engine
+    machine's shrinking and by hand at the parent commit)."""
+
+    def test_a_wrong_arity_row_refuses_the_whole_batch(self, tmp_path):
+        db = chain_database()
+        primary = ViewServer(db, snapshot_dir=tmp_path)
+        name = primary.register(VIEW_TEXT, tau=4.0, rebuild_fraction=10.0)
+        primary.save_dynamic_snapshot(name)
+        replica = ReplicaServer(db, snapshot_dir=tmp_path)
+        replica.register(VIEW_TEXT, tau=4.0, rebuild_fraction=10.0)
+        log = DynamicSnapshotStore(tmp_path / "dynamic").log_path(
+            primary._dynamic_state(name).label
+        )
+        # (1000, 2) would join S(2, 5): a stray row would answer.
+        with pytest.raises(SchemaError, match="arity"):
+            primary.apply_deltas("R", inserts=[(1000, 2), (1, 2, 3)])
+        # Nothing buffered, published, logged or shipped.
+        assert primary.delta_version(name) == 0
+        assert log.read_text() == ""
+        assert ship_deltas(primary, replica) == {name: ("delta", 0)}
+        assert primary.apply_deltas("R", inserts=[(2, 9)]) == {name: 1}
+        ship_deltas(primary, replica)
+        view = parse_view(VIEW_TEXT)
+        updated = db.replace(Relation("R", 2, list(db["R"]) + [(2, 9)]))
+        for a in (1, 2, 1000):
+            expected = oracle_answer(view, updated, (a,))
+            assert primary.answer(name, (a,)) == expected
+            assert replica.answer(name, (a,)) == expected
+        primary_answer = primary.answer(name, (1000,))
+        assert primary_answer == []
+        primary.close()
+        restarted = ViewServer(db, snapshot_dir=tmp_path)
+        restarted.register(VIEW_TEXT, tau=4.0)
+        assert restarted.delta_version(name) == 1
+        assert restarted.answer(name, (1000,)) == primary_answer
+        restarted.close()
+        replica.close()
+
+    def test_a_wrong_arity_row_refuses_the_batch_on_every_shard(self):
+        db = Database(
+            [
+                Relation("R", 2, [(i, i % 7) for i in range(40)]),
+                Relation("S", 2, [(i % 7, i) for i in range(40)]),
+            ]
+        )
+        server = ShardedViewServer(db, 4, {"R": 0})
+        name = server.register(VIEW_TEXT, tau=4.0)
+        # The good row's shard comes first, the bad row's last: a
+        # per-shard check would publish the good row before refusing.
+        good = next(a for a in range(100, 200) if server.shard_of(name, (a,)) == 0)
+        bad = next(a for a in range(100, 200) if server.shard_of(name, (a,)) == 3)
+        with pytest.raises(SchemaError, match="arity"):
+            server.apply_deltas("R", inserts=[(good, 1), (bad, 1, 1)])
+        assert [shard.delta_version(name) for shard in server.shards] == [0] * 4
+        assert server.answer(name, (good,)) == []
+        server.close()
+
+    def test_a_row_twice_in_one_batch_counts_once(self):
+        # The engine machine's shrunk counterexample: the second insert
+        # of a row already buffered changed nothing but counted 1.
+        server = ViewServer(chain_database())
+        name = server.register(VIEW_TEXT, tau=4.0, rebuild_fraction=10.0)
+        assert server.apply_deltas("R", inserts=[(0, 0), (0, 0)]) == {name: 1}
+        state = server._dynamic_state(name)
+        assert state.dynamic.pending_updates == 1
+        assert server.apply_deltas("R", deletes=[(0, 0), (0, 0)]) == {name: 1}
+        assert state.dynamic.pending_updates == 2
+        server.close()
+
+
+    def test_a_row_deleted_in_two_calls_is_deleted_once(self):
+        # The engine machine's shrunk counterexample on an older tree:
+        # the second delete of a buffered-deleted row published a new
+        # version that changed nothing.
+        server = ViewServer(chain_database())
+        name = server.register(VIEW_TEXT, tau=4.0, rebuild_fraction=10.0)
+        assert server.apply_deltas("R", deletes=[(2, 3)]) == {name: 1}
+        assert server.apply_deltas("R", deletes=[(2, 3)]) == {name: 0}
+        assert server.apply_deltas("R", inserts=[(7, 7)]) == {name: 1}
+        assert server.apply_deltas("R", inserts=[(7, 7)]) == {name: 0}
+        assert server.delta_version(name) == 2
+        assert server._dynamic_state(name).dynamic.pending_updates == 2
+        server.close()
+
+
+class TestHarnessAlias:
+    def test_register_dynamic_versions_at_once_for_the_replica(self, tmp_path):
+        # ``register_dynamic`` is ``register`` plus versioning at once,
+        # kept for benchmarks/e2e alone: it writes the version-0 dynamic
+        # snapshot that the harness's replica registration warm-starts
+        # from, and a restart through it warm-starts too.
+        db = chain_database()
+        primary = ViewServer(db, snapshot_dir=tmp_path)
+        name = primary.register_dynamic(
+            VIEW_TEXT, tau=4.0, name="dyn", rebuild_fraction=10.0
+        )
+        assert primary.dynamic_views() == ("dyn",)
+        assert [p.name for p in (tmp_path / "dynamic").glob("*.snap")]
+        replica = ReplicaServer(db, snapshot_dir=tmp_path)
+        assert replica.register_dynamic(
+            VIEW_TEXT, tau=4.0, name="dyn", rebuild_fraction=10.0
+        ) == name
+        assert replica.hydrate() == 1
+        assert replica.total_builds() == 0
+        primary.apply_deltas("R", inserts=[(1, 3)])
+        assert ship_deltas(primary, replica) == {name: ("delta", 1)}
+        assert replica.answer(name, (1,)) == primary.answer(name, (1,))
+        primary.close()
+        warm = ViewServer(db, snapshot_dir=tmp_path)
+        warm.register_dynamic(VIEW_TEXT, tau=4.0, name="dyn")
+        assert warm.delta_version(name) == 1 and warm.total_builds() == 0
+        warm.close()
+        replica.close()

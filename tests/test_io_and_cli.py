@@ -540,6 +540,58 @@ class TestReplicaCLI:
         assert code == 2
         assert "sharded backend already fans out" in capsys.readouterr().err
 
+    def test_the_retired_dynamic_flag_is_unknown(
+        self, triangle_dir, tmp_path, capsys
+    ):
+        # Any natural-join view takes deltas: there is no second
+        # registration kind to ask for.
+        with pytest.raises(SystemExit) as exit_info:
+            self._serve(triangle_dir, tmp_path, "--dynamic")
+        assert exit_info.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+
+    def _update(self, triangle_dir, snapdir, *rows):
+        return main(
+            [
+                "update",
+                "apply",
+                "--view",
+                self.VIEW,
+                "--data",
+                str(triangle_dir),
+                "--snapshot-dir",
+                str(snapdir),
+                "--tau",
+                "4",
+                "--relation",
+                "T",
+                *rows,
+            ]
+        )
+
+    def test_update_then_serve_warm_starts_from_the_log(
+        self, triangle_dir, tmp_path, capsys
+    ):
+        snapdir = tmp_path / "snaps"
+        # A plain serve writes no versioned state for a never-updated view.
+        assert self._serve(
+            triangle_dir, tmp_path, "--snapshot-dir", str(snapdir)
+        ) == 0
+        assert "versions:" not in capsys.readouterr().out
+        assert not (snapdir / "dynamic").exists()
+        # Access (1, 2) has one answer, z = 3, through T(3, 1).
+        assert self._update(triangle_dir, snapdir, "--delete", "3,1") == 0
+        assert "delta version 0 -> 1" in capsys.readouterr().out
+        assert self._update(triangle_dir, snapdir, "--delete", "3,1") == 0
+        assert "applied 0 row(s)" in capsys.readouterr().out
+        assert self._serve(
+            triangle_dir, tmp_path, "--snapshot-dir", str(snapdir),
+            "--limit", "10",
+        ) == 0
+        output = capsys.readouterr().out
+        assert "versions: serving delta version 1" in output
+        assert "cursor(1, 2): 0 tuples in 1 page(s), exhausted" in output
+
 
 class TestMetricsCLI:
     VIEW = "Delta^bbf(x, y, z) = R(x, y), S(y, z), T(z, x)"

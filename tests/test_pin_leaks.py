@@ -3,7 +3,7 @@
 ``open_batch`` pins a dynamic view's serving version once per cursor
 (behind the sharded facade, on every shard the batch reaches) before
 the cursors that will release those pins exist. Whatever makes the k-th
-group fail — an unknown view, a per-request τ on a dynamic view, even a
+group fail — an unknown view, a τ that is not positive, even a
 ``BaseException`` out of the shared scan — every cursor opened before
 it must be closed and every pin released, or the version it pinned
 stays live forever.
@@ -73,9 +73,9 @@ def failing_batches(name, good):
             good + [AccessRequest("nope", (1,))],
         ),
         (
-            "tau pin on a dynamic view",
+            "a tau that is not positive",
             ParameterError,
-            good + [AccessRequest(name, good[0].access, tau=99.0)],
+            good + [AccessRequest(name, good[0].access, tau=-1.0)],
         ),
     ]
 
@@ -83,8 +83,10 @@ def failing_batches(name, good):
 class TestViewServerOpenBatch:
     def _server(self):
         server = ViewServer(database(), telemetry=True)
-        name = server.register_dynamic(ROUTED, tau=4.0)
-        other = server.register_dynamic(SCATTER, tau=4.0)
+        name = server.register(ROUTED, tau=4.0)
+        other = server.register(SCATTER, tau=4.0)
+        # Version both views: their groups pin what they open on.
+        server.apply_deltas("S", inserts=[(6, 998)])
         good = [
             AccessRequest(name, (1,)),
             AccessRequest(other, ()),
@@ -106,10 +108,10 @@ class TestViewServerOpenBatch:
             assert state.pin_count() == 0
         assert all(cursor._closed for cursor in opened.cursors_seen)
         assert self._gauges(server, names) == gauges_before
-        # Nothing holds version 0: the next delta retires it.
+        # Nothing holds version 1: the next delta retires it.
         server.apply_deltas("R", inserts=[(1, 3)])
         for name in names:
-            assert server._dynamic_state(name).live_versions() == (1,)
+            assert server._dynamic_state(name).live_versions() == (2,)
 
     @pytest.mark.parametrize("case", [0, 1])
     def test_failed_group_releases_the_batch(self, opened, case):
@@ -136,8 +138,10 @@ class TestViewServerOpenBatch:
 class TestShardedOpenBatch:
     def _server(self):
         server = ShardedViewServer(database(), 3, {"R": 0})
-        name = server.register_dynamic(ROUTED, tau=4.0)
-        scatter = server.register_dynamic(SCATTER, tau=4.0)
+        name = server.register(ROUTED, tau=4.0)
+        scatter = server.register(SCATTER, tau=4.0)
+        # Version both views on every shard (S is replicated).
+        server.apply_deltas("S", inserts=[(6, 998)])
         # Routed requests on every shard plus a scatter request: every
         # shard opens a group before the last one gets to fail.
         good = [AccessRequest(name, (a,)) for a in range(12)]
@@ -157,12 +161,12 @@ class TestShardedOpenBatch:
         server.apply_deltas("S", inserts=[(6, 999)])
         for shard in server.shards:
             for name in names:
-                assert shard._dynamic_state(name).live_versions() == (1,)
+                assert shard._dynamic_state(name).live_versions() == (2,)
 
     def test_failed_routed_group_releases_every_shard(self, opened):
         server, name, scatter, good = self._server()
         last = [r for r in good[:12] if server.shard_of(name, r.access) == 2]
-        bad = AccessRequest(name, last[0].access, tau=99.0)
+        bad = AccessRequest(name, last[0].access, tau=-1.0)
         with pytest.raises(ParameterError):
             server.open_batch(good + [bad])
         assert opened.cursors_seen
@@ -172,7 +176,7 @@ class TestShardedOpenBatch:
     def test_failed_scatter_group_releases_every_shard(self, opened):
         server, name, scatter, good = self._server()
         with pytest.raises(ParameterError):
-            server.open_batch(good + [AccessRequest(scatter, (), tau=99.0)])
+            server.open_batch(good + [AccessRequest(scatter, (), tau=-1.0)])
         assert opened.cursors_seen
         self._assert_drained(server, (name, scatter), opened)
         server.close()

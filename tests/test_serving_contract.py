@@ -29,6 +29,7 @@ from repro.engine import (
 from repro import engine
 from repro.engine import locking
 from repro.engine.api import AccessRequest
+from repro.engine.epoch import NO_HOLD
 from repro.engine.server import ServingReport
 from repro.exceptions import ParameterError, QueryError, SchemaError
 from repro.query.parser import parse_view
@@ -51,17 +52,20 @@ def database() -> Database:
 
 
 def make_backend(kind: str, telemetry=None, dynamic=()):
-    """A plain or 3-shard back end with the three routing modes registered."""
+    """A plain or 3-shard back end with the three routing modes registered.
+
+    The ``dynamic`` views are versioned by one delta (S gains (6, 998)),
+    so their reads pin versions.
+    """
     db = database()
     if kind == "plain":
         backend = ViewServer(db, telemetry=telemetry)
     else:
         backend = ShardedViewServer(db, 3, SHARD_KEY, telemetry=telemetry)
-    for name, view in VIEWS.items():
-        if name in dynamic:
-            backend.register_dynamic(view, tau=TAU)
-        else:
-            backend.register(view, tau=TAU)
+    for view in VIEWS.values():
+        backend.register(view, tau=TAU)
+    if dynamic:
+        backend.apply_deltas("S", inserts=[(6, 998)], views=list(dynamic))
     if kind == "sharded":
         assert [backend.route(name)[0] for name in "QFP"] == [
             "routed",
@@ -265,11 +269,11 @@ class TestFailedFanOutLeavesNoPin:
 
     def _assert_nothing_pinned(self, backend) -> None:
         assert_drained(backend)
-        # Nothing holds version 0: the next delta retires it.
+        # Nothing holds version 1: the next delta retires it.
         backend.apply_deltas("S", inserts=[(6, 999)])
         for shard in backend.shards:
             for name in ("Q", "F"):
-                assert shard._dynamic_state(name).live_versions() == (1,)
+                assert shard._dynamic_state(name).live_versions() == (2,)
 
     def test_every_path_fails_alike_and_releases(self):
         backend, accesses = self._backend()
@@ -419,7 +423,29 @@ class TestOneResolve:
         self, counting_locks
     ):
         server = ViewServer(database())
-        name = server.register_dynamic(ROUTED, tau=TAU)
+        name = server.register(ROUTED, tau=TAU)
+        server.apply_deltas("R", inserts=[(99, 1)])
         assert self._opens(counting_locks, server, name, (1,)) <= 2
+        assert server._dynamic_state(name).pin_count() == 0
+        server.close()
+
+    def test_a_never_updated_open_takes_no_hold(self, tmp_path):
+        # Versioning costs nothing until the first delta: no pin, no
+        # close hook, no state, nothing written under dynamic/.
+        server = ViewServer(database(), snapshot_dir=tmp_path)
+        name = server.register(ROUTED, tau=TAU)
+        _, hold = server._resolve(name, None, 1)
+        assert hold is NO_HOLD
+        with server.open(name, (1,)) as cursor:
+            assert cursor.fetchall() == oracle_answer(
+                VIEWS["Q"], database(), (1,)
+            )
+        assert server.dynamic_views() == ()
+        assert not (tmp_path / "dynamic").exists()
+        server.apply_deltas("R", inserts=[(99, 1)])
+        _, hold = server._resolve(name, None, 1)
+        assert hold is not NO_HOLD
+        with hold:
+            pass
         assert server._dynamic_state(name).pin_count() == 0
         server.close()
