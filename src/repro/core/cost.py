@@ -182,6 +182,11 @@ def _level(atom, level: int, tops) -> Tuple:
     counts = _ints(atom.counts[level])
     if level >= atom.width:
         return counts, None, 0, None
+    return (counts, *run_keys(atom, level, tops))
+
+
+def run_keys(atom, level: int, tops) -> Tuple:
+    """``(keys, scale, kids)`` of one of ``atom``'s levels, as :func:`_level`."""
     if level:
         lo, hi = _ints(atom.kid_lo[level - 1]), _ints(atom.kid_hi[level - 1])
     else:
@@ -191,11 +196,27 @@ def _level(atom, level: int, tops) -> Tuple:
     kids = np.arange(len(keys)), np.arange(1, len(keys) + 1)
     if level + 1 < atom.width:
         kids = _ints(atom.kid_lo[level]), _ints(atom.kid_hi[level])
-    return counts, keys, scale, kids
+    return keys, scale, kids
 
 
-#: Per factor atom, the ``(lo, hi)`` slice arrays of a call's items.
+#: Per atom, the ``(lo, hi)`` slice arrays of a call's items.
 Slices = List[Tuple[np.ndarray, np.ndarray]]
+
+
+def root_slices(atoms, accesses) -> Tuple[Slices, np.ndarray]:
+    """Per atom every access's root ``(lo, hi)``, and the live accesses.
+
+    In one :meth:`~repro.core.layout.AtomColumns.root_ranges` pass per
+    atom; an absent root is the empty slice ``(0, 0)``. ``live`` lists
+    the accesses every atom has — the only ones with a non-empty join.
+    """
+    live, roots = np.ones(len(accesses), dtype=bool), []
+    for atom in atoms:
+        ranges = [r or (0, 0) for r in atom.root_ranges(accesses)]
+        flat = np.fromiter(chain.from_iterable(ranges), np.int64, 2 * len(ranges))
+        roots.append((flat[0::2], flat[1::2]))
+        live &= flat[1::2] > flat[0::2]
+    return roots, np.flatnonzero(live)
 
 
 class BoxCosts:
@@ -222,13 +243,7 @@ class BoxCosts:
             self.plan.append([(levels[level], clips) for level, clips in reads])
             # No slice counts more than the level's total; -1.0: not yet.
             self.powers.append(np.full(int(levels[0][0][-1]) + 1, -1.0))
-        live, self.roots = np.ones(len(accesses), dtype=bool), []
-        for atom in atoms:
-            ranges = [r or (0, 0) for r in atom.root_ranges(accesses)]
-            flat = np.fromiter(chain.from_iterable(ranges), np.int64, 2 * len(ranges))
-            self.roots.append((flat[0::2], flat[1::2]))
-            live &= flat[1::2] > flat[0::2]
-        self.live = np.flatnonzero(live)
+        self.roots, self.live = root_slices(atoms, accesses)
 
     def start(self, owner: np.ndarray) -> Slices:
         """Each item's root slices: its access's, per factor atom."""

@@ -11,10 +11,10 @@ a per-access sorted run, intersecting atom runs with galloping binary
 searches, and decoding β codes and final-coordinate runs in bulk. The
 atom runs are the context's (:class:`~repro.core.layout.JoinColumns`):
 one set per ``(view, database)``, shared by every ``τ`` — and by the
-one-leaf layout a dirty dynamic version is read through. A build joins
-on them through the same light-node evaluation (:func:`join_rows`):
-the output it materialises, the candidate join of Proposition 13 and
-Algorithm 4's interval scans.
+one-leaf layout a dirty dynamic version is read through. Algorithm 4's
+interval scans join on them through the same light-node evaluation
+(:func:`join_rows`); a build joins on them in array steps instead
+(:func:`repro.core.dictionary.array_join`).
 
 Every walk mirrors its spec twin *event for event*: the visit order,
 skip conditions, clipping rules and emission points are line-by-line
@@ -452,11 +452,10 @@ def _walk(layout, access, states, start, counter) -> Iterator[Tuple]:
 def join_rows(columns, access: Tuple, boxes, counter=None):
     """The join of ``columns`` under ``access``, box after box.
 
-    What a build joins with: the light-node evaluation over any boxes,
-    rows decoded by ``columns.domain_values`` — the context's join
-    columns for value rows, :meth:`~repro.core.layout.JoinColumns.in_index_space`
-    for index rows. A list, or with a ``counter`` the same rows stamped
-    as a generator; empty when some atom lacks the bound values.
+    The light-node evaluation over any boxes, rows decoded by
+    ``columns.domain_values``: what ``enumerate_interval`` reads with. A
+    list, or with a ``counter`` the same rows stamped as a generator;
+    empty when some atom lacks the bound values.
     """
     states = columns.root_states(access)
     if states is None:

@@ -53,7 +53,6 @@ from __future__ import annotations
 import sys
 from array import array
 from collections import defaultdict
-from copy import copy
 from dataclasses import dataclass, field
 from itertools import accumulate, chain, compress, repeat
 from operator import gt, itemgetter
@@ -372,12 +371,6 @@ class JoinColumns:
     @property
     def width(self) -> int:
         return self.space.width
-
-    def in_index_space(self) -> "JoinColumns":
-        """These columns with the identity for a decode: rows of indexes."""
-        indexed = copy(self)
-        indexed.domain_values = tuple(range(len(v)) for v in self.domain_values)
-        return indexed
 
     def root_states(
         self, access: Tuple

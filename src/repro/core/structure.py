@@ -48,9 +48,9 @@ from repro.core.kernel import join_rows, kernel_enumerate, kernel_enumerate_from
 from repro.core.cost import CostModel
 from repro.core.dictionary import (
     HeavyDictionary,
+    array_join,
     bound_candidates,
     build_dictionary,
-    materialize_outputs,
 )
 from repro.core.representation import Representation
 from repro.database.catalog import Database
@@ -128,16 +128,14 @@ class CompressedRepresentation(Representation):
         self._bind(tau, weights, alpha, context)
         tree, depth = build_tree_columns(self.cost_model, self.tau, self.alpha)
         candidates = bound_candidates(self.ctx)
-        outputs, output_count = materialize_outputs(
-            self.ctx.columns().in_index_space(), candidates
-        )
+        output = array_join(self.ctx.columns(), candidates)
         thresholds = [
             level_threshold(self.tau, self.alpha, level) for level in range(depth + 1)
         ]
         dictionary = build_dictionary(
-            self.cost_model, tree, thresholds, candidates, outputs
+            self.cost_model, tree, thresholds, candidates, output
         )
-        self._compile(tree, depth, dictionary, output_count, started)
+        self._compile(tree, depth, dictionary, len(output.owner), started)
 
     # ------------------------------------------------------------------
     # columnar kernel layout

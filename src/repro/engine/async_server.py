@@ -117,6 +117,14 @@ def _timed(work):
     return work(), started, time.perf_counter()
 
 
+def _succeeded(outcomes: List) -> List:
+    """``outcomes``, or the first failure among them, in order, raised."""
+    for outcome in outcomes:
+        if isinstance(outcome, BaseException):
+            raise outcome
+    return outcomes
+
+
 def _mean(values: Sequence[float]) -> float:
     return sum(values) / len(values) if values else 0.0
 
@@ -372,23 +380,24 @@ class AsyncViewServer:
         replica)``: per request its ``(rows, stats)`` (stats only for
         measured requests), the first pickup and last finish across the
         jobs, the shard indexes that had work, and the replica picked.
+        Every job's outcome is collected before the first failure, in job
+        order, is raised, so no job's exception goes unretrieved.
         """
         loop = asyncio.get_running_loop()
         replica, reader = self._pick_replica()
         with self.backend.jobs(batch) as (jobs, gather):
-            timed = await asyncio.gather(
-                *(
-                    loop.run_in_executor(
-                        self._executor,
-                        _timed,
-                        partial(
-                            (reader or server).drain,
-                            [batch[position] for position in positions],
-                        ),
-                    )
-                    for _, server, positions in jobs
+            runs = (
+                loop.run_in_executor(
+                    self._executor,
+                    _timed,
+                    partial(
+                        (reader or server).drain,
+                        [batch[position] for position in positions],
+                    ),
                 )
+                for _, server, positions in jobs
             )
+            timed = _succeeded(await asyncio.gather(*runs, return_exceptions=True))
             drained = gather([pairs for pairs, _, _ in timed])
         # The gather's merge is real service time: it extends the span.
         finished = time.perf_counter()
@@ -478,15 +487,7 @@ class AsyncViewServer:
                 # Retrieve every completed task's outcome before raising,
                 # so sibling failures in the same round are not dropped as
                 # never-retrieved exceptions.
-                failures = []
-                for task in done:
-                    error = task.exception()
-                    if error is not None:
-                        failures.append(error)
-                    else:
-                        results.append(task.result())
-                if failures:
-                    raise failures[0]
+                results.extend(_succeeded([t.exception() or t.result() for t in done]))
 
         async def submit(chunk: List[Tuple]) -> None:
             await flush(self.max_pending - 1)

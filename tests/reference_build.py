@@ -18,8 +18,10 @@ unchanged when the index-space build became the only one —
   fresh canonical box;
 * :func:`spec_build_tree` / :func:`spec_build_dictionary` — the tree
   (recursively, node after node) and the heavy dictionary of Section
-  4.3, re-costing what they need, and :func:`spec_tree_columns`, the
-  spec tree's nodes as the columns a layout keeps;
+  4.3, re-costing what they need and taking each stored pair's bit by
+  one bisect into its valuation's sorted output
+  (:func:`output_nonempty_in`), and :func:`spec_tree_columns`, the spec
+  tree's nodes as the columns a layout keeps;
 * :func:`spec_tries` and the value-space joins over them —
   :func:`spec_bound_candidates` (Proposition 13's candidate join) and
   :func:`spec_outputs` (the full output per bound valuation), by
@@ -49,6 +51,7 @@ import math
 import time
 import weakref
 from array import array
+from bisect import bisect_left
 from dataclasses import dataclass
 from typing import Dict, Iterator, List, Mapping, Optional, Sequence, Tuple
 
@@ -56,7 +59,7 @@ from reference_index import TrieIndex, TrieNode, generic_join
 from repro.core import intervals
 from repro.core.balanced_tree import DelayBalancedTree, TreeNode
 from repro.core.context import AtomBinding, ViewContext
-from repro.core.dictionary import HeavyDictionary, output_nonempty_in
+from repro.core.dictionary import HeavyDictionary
 from repro.core.domain import TupleSpace
 from repro.core.layout import TreeColumns, compile_dictionary
 from repro.core.structure import CompressedRepresentation
@@ -647,6 +650,18 @@ def spec_build_tree(
 
     root = make(intervals.FInterval.full(space), 0)
     return DelayBalancedTree(root, nodes, tau, alpha)
+
+
+def output_nonempty_in(
+    sorted_free_tuples: Sequence[Tuple[int, ...]], interval: intervals.FInterval
+) -> bool:
+    """Binary-search whether any output free tuple lies inside the interval."""
+    return _nonempty(sorted_free_tuples, interval.low, interval.high)
+
+
+def _nonempty(sorted_free_tuples, low: Tuple[int, ...], high: Tuple[int, ...]) -> bool:
+    position = bisect_left(sorted_free_tuples, low)
+    return position < len(sorted_free_tuples) and sorted_free_tuples[position] <= high
 
 
 def spec_build_dictionary(

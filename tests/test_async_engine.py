@@ -1,6 +1,7 @@
 """The asyncio front end: serving, backpressure, timing, stream driving."""
 
 import asyncio
+import gc
 import threading
 import time
 
@@ -13,8 +14,9 @@ from repro.engine import (
     ViewServer,
     representation_cells,
 )
+from repro.engine.api import AccessRequest
 from repro.engine.server import Serving
-from repro.exceptions import ParameterError
+from repro.exceptions import ParameterError, QueryError
 from repro.query.parser import parse_view
 from repro.workloads import (
     arrivals,
@@ -346,6 +348,47 @@ class TestServeStream:
         report = asyncio.run(healthy())
         server.close()
         assert report.requests == 12
+
+    def test_a_scatter_failing_on_every_shard_raises_once(
+        self, triangle_setup, monkeypatch
+    ):
+        # Every shard's job fails, the first in job order last. The batch
+        # raises that job's error, once, after every job has finished,
+        # and no sibling's exception is left for the loop to report.
+        _, db = triangle_setup
+        view = parse_view("Rev^bbf(y, z, x) = R(x, y), S(y, z), T(z, x)")
+        backend = ShardedViewServer(db, 3, SHARD_KEY)
+        server = AsyncViewServer(backend, max_workers=3)
+        name = server.register(view, tau=8.0)
+        finished = []
+
+        def failing(shard):
+            def drain(requests):
+                time.sleep(0.05 * (2 - shard))
+                finished.append(shard)
+                raise QueryError(f"shard {shard} failed")
+
+            return drain
+
+        for shard, shard_server in enumerate(backend.shards):
+            monkeypatch.setattr(shard_server, "drain", failing(shard))
+        access = oracle_accesses(view, db, limit=1)[0]
+        reported = []
+
+        async def main():
+            asyncio.get_running_loop().set_exception_handler(
+                lambda loop, context: reported.append(context)
+            )
+            with pytest.raises(QueryError, match="shard 0 failed"):
+                await server.answer_requests([AccessRequest(name, access)])
+            assert sorted(finished) == [0, 1, 2]
+            gc.collect()
+            await asyncio.sleep(0)
+
+        asyncio.run(main())
+        gc.collect()
+        server.close()
+        assert reported == []
 
     def test_reset_rearms_for_a_second_loop(self, triangle_setup):
         view, db = triangle_setup

@@ -24,6 +24,14 @@ for bit:
   (``tests/data/pr34_v4/``), and two wide views' blobs the bytes the
   recursive tree build wrote (``tests/data/wide_v4/``); ``_box_sums``
   takes either interpreter's branch on any interpreter;
+* the build's one join, over arrays (``array_join``): the kernel's
+  per-access ``join_rows``, rows and order, on every shape and P₄,
+  with accesses some atom lacks, a boolean view, a nullary atom and an
+  empty relation; a build calls ``join_rows`` zero times; the stored
+  pairs' bits (``nonempty_bits``) are the spec's bisect on a space
+  whose Π(top + 1) passes 2⁶³;
+* Lemma 4's space half: resident cells within ``c_S · (|D| + Π_F
+  |R_F|^{u_F} / τ^α)``, ``c_S`` derived in the test;
 * the work bound that motivated the change — no node's boxes costed
   twice, Algorithm 1 within ``µ·(⌈log₂ max|dom|⌉ + 2)`` array steps per
   level and probes per split node, an access's slices resolved once and
@@ -40,6 +48,7 @@ import dataclasses
 import gc
 import itertools
 import math
+import sys
 from pathlib import Path
 from unittest import mock
 
@@ -49,6 +58,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 from reference_build import (
     SpecCostModel,
+    _nonempty,
     spec_bound_candidates,
     spec_boxes,
     spec_outputs,
@@ -64,13 +74,19 @@ from repro.core import splitting as split_mod
 from repro.core.balanced_tree import build_tree_columns, level_threshold
 from repro.core.context import ViewContext
 from repro.core.cost import BoxCosts, CostModel
+from repro.core import kernel as kernel_mod
 from repro.core.dictionary import (
+    Output,
+    array_join,
     bound_candidates,
     build_dictionary,
+    decode,
     materialize_outputs,
+    nonempty_bits,
 )
+from repro.core.kernel import join_rows
 from repro.core.intervals import box_decomposition
-from repro.core.layout import AtomColumns
+from repro.core.layout import AtomColumns, compile_bound_columns
 from repro.core.snapshot import decode_snapshot, encode_snapshot
 from repro.core.structure import CompressedRepresentation
 from repro.database.catalog import Database
@@ -461,6 +477,13 @@ def test_box_sums_take_either_branch_on_any_interpreter(compensated, lists):
 # ----------------------------------------------------------------------
 
 
+def in_index_space(columns):
+    """``columns`` with the identity for a decode: rows of indexes."""
+    indexed = copy.copy(columns)
+    indexed.domain_values = tuple(range(len(v)) for v in columns.domain_values)
+    return indexed
+
+
 def spec_interval(rep, access, interval, counter):
     """The value-space ``enumerate_interval``: one trie join per box."""
     subtries = spec_subtries(rep.ctx, access)
@@ -487,7 +510,7 @@ def test_the_index_space_joins_equal_the_value_space_spec(name, data):
     ctx = rep.ctx
     candidates = bound_candidates(ctx)
     assert candidates == spec_bound_candidates(ctx)
-    outputs = materialize_outputs(ctx.columns().in_index_space(), candidates)
+    outputs = materialize_outputs(in_index_space(ctx.columns()), candidates)
     assert outputs == spec_outputs(ctx)
     accesses = candidates[:5] + [(-1,) * len(ctx.bound_order)]
     for node in rep.tree.nodes[:8]:
@@ -501,6 +524,153 @@ def test_the_index_space_joins_equal_the_value_space_spec(name, data):
                 for row in spec_interval(rep, access, node.interval, spec)
             ]
             assert kernel.steps == spec.steps
+
+
+#: The shapes the array join is held to: the fifteen above and P₄ with
+#: both endpoints bound.
+JOIN_SHAPES = {**SHAPES, "path4-bfffb": path_view(4)}
+
+
+def assert_the_kernels_join(columns, accesses):
+    """``array_join`` under ``accesses`` is the kernel's ``join_rows``
+    over the whole space, one access after another: the same rows in the
+    same order, each owned by its access. Returns the output."""
+    output = array_join(columns, accesses)
+    indexed = in_index_space(columns)
+    whole = [tuple((0, domain.top) for domain in columns.space.domains)]
+    expected = [
+        (position, row)
+        for position, access in enumerate(accesses)
+        for row in join_rows(indexed, access, whole)
+    ]
+    assert list(zip(output.owner.tolist(), decode(indexed, output))) == expected
+    # Some atom constrains every coordinate (a head variable occurs in
+    # the body), so no view's columns reach the kernel's branch for a
+    # coordinate without participants.
+    assert all(columns.participants)
+    return output
+
+
+@pytest.mark.parametrize("name", sorted(JOIN_SHAPES))
+@given(data=st.data())
+@settings(
+    max_examples=12,
+    deadline=None,
+    suppress_health_check=[HealthCheck.too_slow, HealthCheck.data_too_large],
+)
+def test_the_array_join_is_the_kernels_join_access_by_access(name, data):
+    # Proposition 13's candidate join and the output join, against the
+    # kernel's per-access join_rows and the value-space spec; accesses
+    # some atom lacks, first, last and between, join to nothing.
+    view = JOIN_SHAPES[name]
+    ctx = ViewContext(*natural_form(view, data.draw(databases(view))))
+    assert_the_kernels_join(compile_bound_columns(ctx), [()])
+    candidates = bound_candidates(ctx)
+    lacking = [(-1,) * len(ctx.bound_order)] if ctx.bound_order else []
+    middle = len(candidates) // 2
+    accesses = lacking + candidates[:middle] + lacking + candidates[middle:] + lacking
+    assert_the_kernels_join(ctx.columns(), accesses)
+    indexed = in_index_space(ctx.columns())
+    assert materialize_outputs(indexed, candidates) == spec_outputs(ctx)
+
+
+def test_the_array_join_on_the_edge_shapes():
+    # A boolean (width-0) view: one empty row per access every atom has.
+    boolean = parse_view("B^bb(x, y) = R(x, y), S(x, y)")
+    db = Database([Relation("R", 2, [(1, 2), (3, 4)]), Relation("S", 2, [(1, 2)])])
+    ctx = ViewContext(*natural_form(boolean, db))
+    output = assert_the_kernels_join(ctx.columns(), [(1, 2), (3, 4), (5, 6)])
+    assert output.owner.tolist() == [0] and output.columns == ()
+    # A nullary atom holds or fails as a whole; an empty relation leaves
+    # no access live.
+    nullary = NULLARY_VIEWS["nullary-f"]
+    for s_rows, rows in (([(3,)], 2), ([(4,)], 0), ([], 0)):
+        db = Database([Relation("R", 1, [(1,), (2,)]), Relation("S", 1, s_rows)])
+        ctx = ViewContext(*natural_form(nullary, db))
+        output = assert_the_kernels_join(ctx.columns(), [()])
+        assert len(output.owner) == rows
+    # An access two atoms have and the third lacks: T has no x = 1.
+    view = triangle_view("bbf")
+    db = Database(
+        [
+            Relation("R", 2, [(1, 2), (4, 2)]),
+            Relation("S", 2, [(2, 3)]),
+            Relation("T", 2, [(3, 4)]),
+        ]
+    )
+    ctx = ViewContext(*natural_form(view, db))
+    assert bound_candidates(ctx) == [(4, 2)]
+    output = assert_the_kernels_join(ctx.columns(), [(1, 2), (4, 2)])
+    assert output.owner.tolist() == [1]
+
+
+def test_a_build_calls_the_kernels_join_zero_times(monkeypatch):
+    # The build has one join, over arrays; the kernel's join_rows is the
+    # read path's (enumerate_interval), and a spy on it sees a read.
+    calls, real = [], kernel_mod.join_rows
+
+    def counting(*args, **kwargs):
+        calls.append(args[1])
+        return real(*args, **kwargs)
+
+    for module in list(sys.modules.values()):
+        if getattr(module, "join_rows", None) is real:
+            monkeypatch.setattr(module, "join_rows", counting)
+    db = triangle_database(20, 120, seed=3)
+    for pattern in ("bbb", "fff", "bbf", "bff"):
+        for tau in (0.5, 8.0):
+            rep = CompressedRepresentation(triangle_view(pattern), db, tau=tau)
+    assert calls == []
+    access = bound_candidates(rep.ctx)[0]
+    assert list(rep.enumerate_interval(access, rep.tree.root.interval))
+    assert calls == [access]
+
+
+@st.composite
+def wide_outputs(draw):
+    """Sorted output rows over four coordinates of 2⁴⁰ indexes each,
+    and query intervals over them. Indexes come from a few values, so
+    queries land on rows as often as between them."""
+    top = 2**40 - 1
+    index = st.sampled_from((0, 1, 2**20, 2**33, top - 1, top))
+    point = st.tuples(index, index, index, index)
+    rows = sorted(
+        set(draw(st.lists(st.tuples(st.integers(0, 3), point), max_size=30)))
+    )
+    queries = []
+    for _ in range(draw(st.integers(1, 30))):
+        low, high = sorted((draw(point), draw(point)))
+        queries.append((draw(st.integers(0, 4)), low, high))
+    return (top,) * 4, rows, queries
+
+
+@given(wide_outputs())
+@settings(max_examples=200, deadline=None)
+def test_the_bits_on_a_space_too_wide_for_int64(case):
+    # Π(top + 1) over the coordinates, times the accesses, is far past
+    # 2⁶³: a rank of whole tuples in one int64 would wrap. Every bit is
+    # still the spec's bisect into the owner's sorted rows.
+    tops, rows, queries = case
+    assert math.prod(top + 1 for top in tops) * 5 > 2**63
+    owners = np.array([owner for owner, _ in rows], dtype=np.int64)
+    columns = tuple(
+        np.array(column, dtype=np.int64).reshape(len(rows))
+        for column in zip(*(row for _, row in rows))
+    ) or tuple(np.zeros(0, dtype=np.int64) for _ in tops)
+    owner, low, high = zip(*queries)
+    bits = nonempty_bits(
+        Output(owners, columns),
+        tops,
+        np.array(owner),
+        np.array(low, dtype=np.int64),
+        np.array(high, dtype=np.int64),
+    )
+    groups = {}
+    for access, row in rows:
+        groups.setdefault(access, []).append(row)
+    assert bits.tolist() == [
+        _nonempty(groups.get(access, []), lo, hi) for access, lo, hi in queries
+    ]
 
 
 @pytest.mark.parametrize("name", sorted(SHAPES))
@@ -751,6 +921,67 @@ def test_lemma2_and_lemma4_hold_on_every_tree(name, data):
             assert len(tree) <= max(1.0, C_T * product / tau**alpha)
 
 
+def space_constant(rep) -> float:
+    """Lemma 4's space half: ``c_S`` with cells ≤ c_S · (|D| + K).
+
+    ``K = P / τ^α`` and ``P = Π_F |R_F|^{u_F}``. Resident cells are the
+    |D| input tuples, the index, the tree and the dictionary:
+
+    * the index is a trie per access path, two paths per atom, and a
+      row adds at most ``arity`` edges to a trie: ≤ 2a·|D| cells, ``a``
+      the largest arity;
+    * the tree holds at most ``C_T · K`` nodes (Lemma 4(2));
+    * a pair ``(v_b, w)`` is stored at level ℓ only if ``T(v_b, I(w))
+      > τ_ℓ``, so one of I(w)'s ``m ≤ 2µ − 1`` boxes has ``T(v_b, B) >
+      τ_ℓ / m``. As ``u`` covers the bound variables, ``Σ_{v_b} T(v_b,
+      B)^α ≤ T(B)^α`` (the query decomposition lemma), and ``Σ_B T(B)^α
+      ≤ T(I(w))^α``: at most ``m^α · T(I(w))^α / τ_ℓ^α`` valuations are
+      heavy at ``w``. With ``T(I(w)) ≤ P^{1/α} / 2^ℓ`` (see ``C_T``) and
+      ``τ_ℓ = τ / 2^{ℓ(1 − 1/α)}`` that is ``m^α · K / 2^ℓ``, and level
+      ℓ's at most 2^ℓ nodes hold at most ``m^α · K`` pairs.
+
+    Over the tree's L + 1 levels, ``c_S = max(1 + 2a, C_T + (2µ − 1)^α
+    · (L + 1))``: the log factor Theorem 1's Õ hides, as ``L ≤ log₂ K +
+    1`` (a node splits at level ℓ only while 2^ℓ < K).
+    """
+    arity = max(atom.arity for atom in rep.view.atoms)
+    boxes = max(1, 2 * len(rep.ctx.free_order) - 1)
+    return max(1 + 2 * arity, C_T + boxes**rep.alpha * (rep.tree.depth() + 1))
+
+
+@pytest.mark.parametrize("name", sorted(SHAPES))
+@given(data=st.data())
+@settings(
+    max_examples=5,
+    deadline=None,
+    suppress_health_check=[HealthCheck.too_slow, HealthCheck.data_too_large],
+)
+def test_lemma4s_space_half_holds_on_every_structure(name, data):
+    view = SHAPES[name]
+    db = data.draw(databases(view))
+    for weights in covers_of(view):
+        for tau in (0.5, 2.0, 8.0):
+            rep = CompressedRepresentation(view, db, tau=tau, weights=weights)
+            report = rep.space_report()
+            size = report.base_tuples
+            product = math.prod(
+                len(binding.relation.rows) ** rep.weights[binding.label]
+                for binding in rep.ctx.atoms
+            )
+            arity = max(atom.arity for atom in rep.view.atoms)
+            assert report.index_cells <= 2 * arity * size
+            if math.isinf(rep.alpha):
+                # No free variable: one node at most, and a pair per
+                # valuation of the bound join — at most P of them (AGM).
+                assert report.total_cells <= (1 + 2 * arity) * size + 1 + product
+                continue
+            budget = product / tau**rep.alpha
+            boxes = max(1, 2 * len(rep.ctx.free_order) - 1)
+            levels = rep.tree.depth() + 1
+            assert report.dictionary_entries <= boxes**rep.alpha * budget * levels
+            assert report.total_cells <= space_constant(rep) * (size + budget)
+
+
 @st.composite
 def intervals(draw, sizes=None):
     if sizes is None:
@@ -939,12 +1170,12 @@ def test_no_box_is_costed_twice_and_a_split_stays_within_its_probe_budget(
         return real_root_ranges(self, accesses)
 
     candidates = bound_candidates(ctx)
-    outputs, _ = materialize_outputs(ctx.columns().in_index_space(), candidates)
+    output = array_join(ctx.columns(), candidates)
     monkeypatch.setattr(AtomColumns, "root_range", counting_root_range)
     monkeypatch.setattr(AtomColumns, "root_ranges", counting_root_ranges)
     del decomposed[:], costed[:]
     thresholds = [level_threshold(1.0, alpha, level) for level in range(depth + 1)]
-    dictionary = build_dictionary(model, columns, thresholds, candidates, outputs)
+    dictionary = build_dictionary(model, columns, thresholds, candidates, output)
     assert dictionary.entries > 0
     assert not decomposed and 0 < len(costed) <= depth + 1
     assert len(resolved) == len(candidates) * len(model._factors) > 0

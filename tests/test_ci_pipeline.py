@@ -398,7 +398,11 @@ class TestMakefileContract:
 #: around its resident structure, any τ from a version, the atomic
 #: batch check and a per-server fingerprint memo, net of
 #: ``_build_dynamic`` and ``_dynamic_source``). No gain claimed.
-ENGINE_SLOC_CEILING = 3572
+#: Then 3,572 → 3,568 (−4): ``async_server.py``'s two gathers of job
+#: outcomes share one rule, ``_succeeded`` (every outcome retrieved,
+#: the first failure in order raised), and the fan-out gathers with
+#: ``return_exceptions``.
+ENGINE_SLOC_CEILING = 3568
 
 #: `make size`'s figure for src/repro/__main__.py after PR 18: the CLI
 #: wires a back end, an async front and its error reporting once each;
@@ -574,7 +578,19 @@ MAIN_SLOC_CEILING = 763
 #: ``FrozenDynamicView.at``, a version at any τ; the constructor's
 #: ``structure=``, adopting a resident structure) and
 #: ``core/structure.py`` +3 (``cuttable``).
-SRC_SLOC_CEILING = 12059
+#: Then, when the build's joins and emptiness bits became array steps:
+#: 12,059 → 12,128 (+69). ``core/dictionary.py`` +76 (``array_join``
+#: and its ``_expand``, ``Output``, ``decode``, ``nonempty_bits`` and
+#: ``_spans``, net of the per-candidate ``join_rows`` loop, the
+#: per-pair bisect loop and ``output_nonempty_in`` / ``_nonempty``,
+#: which moved to the spec); ``core/cost.py`` +4 (``run_keys`` and
+#: ``root_slices``, split out of ``_level`` and ``BoxCosts`` so the
+#: join shares them); ``core/layout.py`` −5 (``in_index_space``, which
+#: only the build's kernel joins read); ``core/structure.py`` −2; the
+#: engine −4 above (``_succeeded``, one outcome rule for both async
+#: gathers). It moved the ``point_lookup`` ``setup_s`` row
+#: (``BENCH_38.json``).
+SRC_SLOC_CEILING = 12128
 
 
 class TestSizeGate:

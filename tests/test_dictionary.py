@@ -3,12 +3,11 @@
 
 import pytest
 
-from reference_build import SpecCostModel
+import numpy as np
+
+from reference_build import SpecCostModel, output_nonempty_in
 from repro.core.context import ViewContext
-from repro.core.dictionary import (
-    bound_candidates,
-    output_nonempty_in,
-)
+from repro.core.dictionary import Output, bound_candidates, nonempty_bits
 from repro.core.intervals import FInterval
 from repro.core.structure import CompressedRepresentation
 from repro.joins.hash_join import evaluate_by_hash_join
@@ -79,6 +78,17 @@ class TestNonemptyProbe:
         assert output_nonempty_in(tuples, FInterval((1, 0), (1, 0)))
         assert not output_nonempty_in(tuples, FInterval((3, 0), (9, 9)))
         assert not output_nonempty_in([], FInterval((0, 0), (9, 9)))
+
+    def test_the_array_bits_answer_as_the_probe(self):
+        # The same four intervals as one array step: access 0 owns the
+        # three tuples, access 1 none.
+        columns = tuple(np.array(c) for c in zip((0, 1), (1, 0), (2, 2)))
+        output = Output(np.zeros(3, dtype=np.int64), columns)
+        owner = np.array([0, 0, 0, 1])
+        low = np.array([(0, 0), (1, 0), (3, 0), (0, 0)])
+        high = np.array([(0, 5), (1, 0), (9, 9), (9, 9)])
+        bits = nonempty_bits(output, (9, 9), owner, low, high)
+        assert bits.tolist() == [True, True, False, False]
 
 
 class TestDictionarySize:

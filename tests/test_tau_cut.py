@@ -90,7 +90,8 @@ def test_a_cut_builds_nothing(setup, monkeypatch):
         (tree_mod, "split_points"),
         (CostModel, "evaluator"),
         (structure_mod, "join_rows"),
-        (dictionary_mod, "join_rows"),
+        (structure_mod, "array_join"),
+        (dictionary_mod, "array_join"),
         (structure_mod, "bound_candidates"),
         (dictionary_mod, "bound_candidates"),
     ):
@@ -102,7 +103,7 @@ def test_a_cut_builds_nothing(setup, monkeypatch):
         "build_tree_columns",
         "split_points",
         "evaluator",
-        "join_rows",
+        "array_join",
         "bound_candidates",
     }
     monkeypatch.undo()
