@@ -27,7 +27,7 @@ from repro.core.balanced_tree import (
     TreeNode,
     build_delay_balanced_tree,
 )
-from repro.core.dictionary import HeavyDictionary, build_dictionary
+from repro.core.dictionary import build_dictionary
 from repro.core.snapshot import (
     SnapshotStore,
     database_fingerprint,
@@ -56,7 +56,6 @@ __all__ = [
     "TreeNode",
     "DelayBalancedTree",
     "build_delay_balanced_tree",
-    "HeavyDictionary",
     "build_dictionary",
     "SnapshotStore",
     "database_fingerprint",

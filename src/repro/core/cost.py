@@ -203,20 +203,28 @@ def run_keys(atom, level: int, tops) -> Tuple:
 Slices = List[Tuple[np.ndarray, np.ndarray]]
 
 
-def root_slices(atoms, accesses) -> Tuple[Slices, np.ndarray]:
-    """Per atom every access's root ``(lo, hi)``, and the live accesses.
+def root_slices(atoms, accesses) -> Slices:
+    """Per atom every access's root ``(lo, hi)``.
 
     In one :meth:`~repro.core.layout.AtomColumns.root_ranges` pass per
-    atom; an absent root is the empty slice ``(0, 0)``. ``live`` lists
-    the accesses every atom has — the only ones with a non-empty join.
+    atom; an absent root is the empty slice ``(0, 0)``. A build resolves
+    its candidates' once, for its join and its costs alike.
     """
-    live, roots = np.ones(len(accesses), dtype=bool), []
+    roots = []
     for atom in atoms:
         ranges = [r or (0, 0) for r in atom.root_ranges(accesses)]
         flat = np.fromiter(chain.from_iterable(ranges), np.int64, 2 * len(ranges))
         roots.append((flat[0::2], flat[1::2]))
-        live &= flat[1::2] > flat[0::2]
-    return roots, np.flatnonzero(live)
+    return roots
+
+
+def live_accesses(roots: Slices, count: int) -> np.ndarray:
+    """Which of ``count`` accesses every atom of ``roots`` has a root
+    for: the only ones with a non-empty join over those atoms."""
+    live = np.ones(count, dtype=bool)
+    for lo, hi in roots:
+        live &= hi > lo
+    return np.flatnonzero(live)
 
 
 class BoxCosts:
@@ -224,16 +232,17 @@ class BoxCosts:
 
     Made once per pass over the factor atoms' columns: per atom its
     levels as arrays and, per coordinate, the level a count reads there
-    and whether the coordinate clips it (:func:`read_level`); each
-    access's root slice, resolved once (``live`` lists the accesses
-    every factor atom has — only those may be costed); per atom a table
-    of Python's own powers, indexed by count. The pass's items carry an
+    and whether the coordinate clips it (:func:`read_level`); per atom
+    the ``count`` accesses' root slices, ``roots``, as the caller
+    resolved them (``live`` lists the accesses every factor atom has —
+    only those may be costed); per atom a table of Python's own powers,
+    indexed by count. The pass's items carry an
     owner (an index into the accesses); their slices are arrays the
     caller holds (:meth:`start`), descended a coordinate at a time
     (:meth:`fix`) and counted over a range (:meth:`counter`).
     """
 
-    def __init__(self, atoms, exponents: Sequence[float], tops, accesses):
+    def __init__(self, atoms, exponents: Sequence[float], tops, roots, count: int):
         self.width = width = len(tops)
         self.tops = _ints(tops)
         self.exponents, self.plan, self.powers = exponents, [], []
@@ -243,7 +252,7 @@ class BoxCosts:
             self.plan.append([(levels[level], clips) for level, clips in reads])
             # No slice counts more than the level's total; -1.0: not yet.
             self.powers.append(np.full(int(levels[0][0][-1]) + 1, -1.0))
-        self.roots, self.live = root_slices(atoms, accesses)
+        self.roots, self.live = roots, live_accesses(roots, count)
 
     def start(self, owner: np.ndarray) -> Slices:
         """Each item's root slices: its access's, per factor atom."""
@@ -397,19 +406,24 @@ class CostModel:
         ]
 
     # ------------------------------------------------------------------
-    def evaluator(self, accesses: Optional[Sequence[Tuple]] = None) -> BoxCosts:
+    def evaluator(
+        self, accesses: Optional[Sequence[Tuple]] = None, roots: Optional[Slices] = None
+    ) -> BoxCosts:
         """The array evaluator of ``T``: ``T(v_b, B)`` for ``accesses``.
 
-        With none, ``T(B)`` with no ``v_b`` fixed — the one access
-        ``()`` over the free-columns-only instances, whose counts keep
-        row multiplicities.
+        ``roots`` are the accesses' :func:`root_slices` over the
+        context's columns — a build's join resolved them. With neither,
+        ``T(B)`` with no ``v_b`` fixed — the one access ``()`` over the
+        free-columns-only instances, whose counts keep row multiplicities.
         """
         if accesses is None:
             atoms, accesses = self.ctx.count_columns(), [()]
+            roots = root_slices(atoms, accesses)
         else:
             atoms = self.ctx.columns().atoms
-        factors = [atoms[position] for position in self._factors]
-        return BoxCosts(factors, self._exponents, self.tops, accesses)
+        pick = self._factors
+        factors, roots = [atoms[p] for p in pick], [roots[p] for p in pick]
+        return BoxCosts(factors, self._exponents, self.tops, roots, len(accesses))
 
     def boxes(self, interval: FInterval) -> List[Box]:
         """The box decomposition of an interval of this model's space."""

@@ -27,6 +27,7 @@ import time
 from dataclasses import dataclass
 from typing import Dict, Iterator, List, Mapping, Optional, Sequence, Tuple
 
+from repro.core.kernel import join_rows
 from repro.core.representation import (
     Representation,
     bound_atom_checks,
@@ -192,52 +193,40 @@ class DecomposedRepresentation(Representation):
         )
 
     def _refine_dictionaries(self) -> None:
-        """Algorithm 4: flip unsupported 1-bits to 0, bottom-up.
+        """Algorithm 4: zero unsupported 1-bits, bottom-up.
 
         For each non-root bag ``p`` with children, a dictionary entry
-        ``(w, v_b) = 1`` survives only if some bag valuation in ``I(w)``
-        extends into *every* child subtree (children are checked with their
-        own already-refined structures, hence the post-order). The flips
-        edit a bag's dictionary in place, so the bag's layout is recompiled
-        as soon as its own flips are done — by the time a parent probes a
-        child, the child's dictionary is final and its layout fresh.
+        ``(w, v_b) = 1`` survives only if some bag valuation in ``I(w)`` —
+        a row of the join over ``w``'s boxes — extends into *every* child
+        subtree (children are checked with their own already-refined
+        structures, hence the post-order). A built structure is never
+        edited: the flips are found from the bag's own columns, and the
+        bag takes a new structure that shares everything but the bits
+        (:meth:`~repro.core.structure.CompressedRepresentation.with_bits`).
         """
         decomposition = self.decomposition
         for parent in decomposition.postorder():
-            if parent == decomposition.root:
+            children = decomposition.children[parent]
+            if parent == decomposition.root or not children:
                 continue
-            children = [
-                child
-                for child in decomposition.children[parent]
-            ]
-            if not children:
-                continue
-            parent_bag = self._bags[parent]
-            representation = parent_bag.representation
-            parent_head = parent_bag.bound_vars + parent_bag.free_vars
-            flips = []
-            for (node_id, access), bit in representation.dictionary.items():
-                if bit != 1:
-                    continue
-                tree_node = representation.tree.nodes[node_id]
-                supported = False
-                for free_values in representation.enumerate_interval(
-                    access, tree_node.interval
-                ):
-                    valuation = dict(zip(parent_bag.bound_vars, access))
-                    valuation.update(zip(parent_bag.free_vars, free_values))
-                    if all(
-                        self._child_extends(child, valuation)
-                        for child in children
-                    ):
-                        supported = True
-                        break
-                if not supported:
-                    flips.append((node_id, access))
-            for node_id, access in flips:
-                representation.dictionary.set(node_id, access, 0)
-            if flips:
-                representation.compile_layout()
+            bag = self._bags[parent]
+            layout = bag.representation.compile_layout()
+            columns, dictionary = bag.representation.ctx.columns(), layout.dictionary
+            bits = bytearray(dictionary.bits)
+            for access, (lo, hi) in dictionary.index.items():
+                valuation = dict(zip(bag.bound_vars, access))
+                for at in range(lo, hi):
+                    if bits[at] != 1:
+                        continue
+                    boxes = layout.tree.boxes[dictionary.nodes[at]]
+                    for free_values in join_rows(columns, access, boxes):
+                        valuation.update(zip(bag.free_vars, free_values))
+                        if all(self._child_extends(c, valuation) for c in children):
+                            break
+                    else:
+                        bits[at] = 0
+            if bits != dictionary.bits:
+                bag.representation = bag.representation.with_bits(bytes(bits))
 
     def _child_extends(self, child: object, valuation: Mapping) -> bool:
         bag = self._bags[child]

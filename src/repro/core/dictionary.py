@@ -56,8 +56,8 @@ the columns, never a numpy scalar or array.
 from __future__ import annotations
 
 from array import array
-from itertools import chain, repeat, starmap
-from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
+from itertools import chain, starmap
+from typing import Dict, List, NamedTuple, Sequence, Tuple
 
 import numpy as np
 
@@ -66,57 +66,12 @@ from repro.core.cost import (
     CostModel,
     _box_sums,
     _ints,
+    Slices,
+    live_accesses,
     root_slices,
     run_keys,
 )
 from repro.core.layout import DictColumns, TreeColumns, compile_bound_columns
-
-
-class HeavyDictionary:
-    """Bits for heavy (node, bound valuation) pairs; absence means light.
-
-    The probe-and-edit view of a structure's
-    :class:`~repro.core.layout.DictColumns` (the build writes the columns
-    directly) and the spec's container. ``version`` counts in-place
-    edits; compiled columnar layouts pin the version they were built
-    against and go stale (refused until recompiled) when it moves — the
-    guard that keeps the Algorithm 4 refinement and any future mutation
-    from serving old bits.
-    """
-
-    __slots__ = ("_entries", "version")
-
-    def __init__(self):
-        self._entries: Dict[Tuple[int, Tuple], int] = {}
-        self.version = 0
-
-    def set(self, node_id: int, access: Tuple, bit: int) -> None:
-        self._entries[(node_id, access)] = bit
-        self.version += 1
-
-    def get(self, node_id: int, access: Tuple) -> Optional[int]:
-        """The stored bit, or None (the paper's ⊥) when the pair is light."""
-        return self._entries.get((node_id, access))
-
-    def __len__(self) -> int:
-        return len(self._entries)
-
-    def items(self):
-        return self._entries.items()
-
-    @classmethod
-    def from_columns(cls, columns, version: int) -> "HeavyDictionary":
-        """The object view of compiled :class:`~repro.core.layout.DictColumns`.
-
-        In bulk, at the version the columns were compiled against, so a
-        later in-place edit shows against the layout that pinned it.
-        """
-        dictionary = cls()
-        index = columns.index.items()
-        owners = chain.from_iterable(repeat(a, hi - lo) for a, (lo, hi) in index)
-        dictionary._entries = dict(zip(zip(columns.nodes, owners), columns.bits))
-        dictionary.version = version
-        return dictionary
 
 
 class Output(NamedTuple):
@@ -124,10 +79,14 @@ class Output(NamedTuple):
 
     ``owner[i]`` is row ``i``'s access, a position in the accesses the
     join ran under, and ``columns[c][i]`` its index at coordinate ``c``.
+    ``roots`` are those accesses' :func:`~repro.core.cost.root_slices`
+    over every atom, as the join resolved them: a cost evaluator over
+    the same accesses starts from them too.
     """
 
     owner: np.ndarray
     columns: Tuple[np.ndarray, ...]
+    roots: Slices
 
 
 def array_join(columns, accesses: Sequence[Tuple]) -> Output:
@@ -146,8 +105,8 @@ def array_join(columns, accesses: Sequence[Tuple]) -> Output:
     coordinate has a participant (a head variable occurs in some atom).
     """
     tops = [domain.top for domain in columns.space.domains]
-    roots, owner = root_slices(columns.atoms, accesses)
-    atoms = columns.join_atoms
+    roots = root_slices(columns.atoms, accesses)
+    owner, atoms = live_accesses(roots, len(accesses)), columns.join_atoms
     slices = [
         (lo[owner], hi[owner])
         for (lo, hi), atom in zip(roots, columns.atoms)
@@ -184,7 +143,7 @@ def array_join(columns, accesses: Sequence[Tuple]) -> Output:
         for a, atom in enumerate(atoms):
             if a not in moved and atom.coords[-1] > coordinate:
                 slices[a] = slices[a][0][item], slices[a][1][item]
-    return Output(owner, rows)
+    return Output(owner, rows, roots)
 
 
 def _expand(runs, lo, hi) -> Tuple[np.ndarray, ...]:
@@ -343,7 +302,7 @@ def build_dictionary(
     left, right = _ints(tree.left), _ints(tree.right)
     owner, costs = np.arange(len(candidates)), None
     if cost_model.ctx.bound_order:
-        costs = TreeBoxes(tree, cost_model.evaluator(candidates))
+        costs = TreeBoxes(tree, cost_model.evaluator(candidates, output.roots))
         owner = costs.evaluator.live
     node_costs = np.frombuffer(tree.cost)
     node = np.full(len(owner), tree.root)

@@ -32,10 +32,11 @@ the narrowest fixed-width typecode that holds them (via :mod:`array`,
 item size and byte order recorded beside the bytes) and everything lives
 in memory as plain lists — C-speed ``bisect`` probes without per-access
 boxing. The columns are the one stored and the one resident form of
-``(T, D)``: the node objects the build produces are compiled here and
-dropped (the dictionary pass writes :class:`DictColumns` itself), and
-tree and dictionary exist afterwards only as views materialised from
-the columns when someone asks
+``(T, D)``: the build writes :class:`TreeColumns` and
+:class:`DictColumns` itself, and nothing edits them afterwards — the
+Theorem 2 refinement (Algorithm 4) takes a new layout with new bits, as
+a cut takes a new layout at a higher ``τ``. The tree exists beside the
+columns only as a view materialised when someone asks
 (:attr:`~repro.core.structure.CompressedRepresentation.tree`).
 
 The kernel is the one enumerator of the static structures: answers,
@@ -43,15 +44,14 @@ order, and measured delay statistics are bit-identical to the recursive
 transcription of Algorithm 2 kept as the executable spec in
 ``tests/reference_walk.py`` — the kernel counts that walk's logical steps
 itself when a :class:`~repro.joins.generic_join.JoinCounter` is attached
-(see :mod:`repro.core.kernel`). A layout pins the dictionary version it
-was compiled against; one compiled before an in-place dictionary edit is
-stale and is refused, not served (see :class:`CompiledLayout`).
+(see :mod:`repro.core.kernel`).
 """
 
 from __future__ import annotations
 
 import sys
 from array import array
+from bisect import bisect_left
 from collections import defaultdict
 from dataclasses import dataclass, field
 from itertools import accumulate, chain, compress, repeat
@@ -236,9 +236,23 @@ class DictColumns:
     bits: bytes
     costs: Optional[array] = None
 
-    @property
-    def entries(self) -> int:
+    def __len__(self) -> int:
         return len(self.bits)
+
+    def get(self, node_id: int, access: Tuple) -> Optional[int]:
+        """The stored bit, or None (the paper's ⊥) when the pair is light.
+
+        The kernel's probe: one bisect into the access's slice.
+        """
+        lo, hi = self.index.get(access, (0, 0))
+        at = bisect_left(self.nodes, node_id, lo, hi)
+        return self.bits[at] if at < hi and self.nodes[at] == node_id else None
+
+    def items(self) -> List[Tuple[Tuple[int, Tuple], int]]:
+        """Every ``((node id, access), bit)``, in column order."""
+        index = self.index.items()
+        owners = chain.from_iterable(repeat(a, hi - lo) for a, (lo, hi) in index)
+        return list(zip(zip(self.nodes, owners), self.bits))
 
     def to_state(self) -> Dict:
         """The arrays as they are, and the index as accesses and offsets."""
@@ -397,18 +411,13 @@ class CompiledLayout:
     Owns one structure's tree and dictionary columns; the tuple space,
     decoded values, atom columns and join schedule are its context's
     :class:`JoinColumns`, held field by field so the kernel's loops read
-    them off the layout. ``dict_version`` pins the
-    :class:`~repro.core.dictionary.HeavyDictionary` version the layout
-    was compiled against; any later in-place dictionary edit makes the
-    layout stale and the representation refuses to enumerate until
-    :meth:`~repro.core.structure.CompressedRepresentation.compile_layout`
-    runs again.
+    them off the layout. Never edited: a structure with other columns
+    (a cut, Algorithm 4's refined bag) has another layout.
     """
 
     __slots__ = (
         "tree",
         "dictionary",
-        "dict_version",
         "width",
         "space",
         "domain_values",
@@ -417,10 +426,9 @@ class CompiledLayout:
         "participants",
     )
 
-    def __init__(self, tree, dictionary, columns: JoinColumns, dict_version):
+    def __init__(self, tree, dictionary, columns: JoinColumns):
         self.tree = tree
         self.dictionary = dictionary
-        self.dict_version = dict_version
         self.width = tree.width
         self.space = space = columns.space
         self.domain_values = columns.domain_values
@@ -456,8 +464,6 @@ class CompiledLayout:
 
         Every shape the kernel relies on is checked; a section that
         fails raises :class:`~repro.exceptions.SnapshotError` naming it.
-        ``dict_version`` is not stored: a restored dictionary is at the
-        version one ``set`` per entry would have reached.
         """
         try:
             order = state["byteorder"]
@@ -477,7 +483,7 @@ class CompiledLayout:
             f"tree columns (width): {tree.width!r}, the view has "
             f"{columns.space.width} free variables",
         )
-        return cls(tree, dictionary, columns, dict_version=dictionary.entries)
+        return cls(tree, dictionary, columns)
 
 
 def upgrade_legacy_state(state: Dict, tops: Sequence[int]) -> Dict:
@@ -537,8 +543,8 @@ def upgrade_legacy_state(state: Dict, tops: Sequence[int]) -> Dict:
 def compile_dictionary(entries) -> DictColumns:
     """Lay ``((node id, access), bit)`` entries out flat, per access.
 
-    Accesses in sorted order, ids sorted within each (an edited
-    dictionary's may arrive unsorted). Entries are grouped into plain
+    Accesses in sorted order, ids sorted within each (a legacy state's
+    may arrive unsorted). Entries are grouped into plain
     runs, not a tuple each; nothing here has a cost to lay out.
     """
     runs = defaultdict(lambda: ([], bytearray()))
@@ -694,15 +700,9 @@ def compile_layout(ctx, tree: TreeColumns, dictionary: DictColumns) -> CompiledL
     """One representation's ``(T, D)`` over its context's columns.
 
     Both are already columns (the build writes them). Deterministic and
-    side-effect free on its inputs; the result is pinned at one edit per
-    entry, the version a dictionary that set each entry once is at.
+    side-effect free on its inputs.
     """
-    return CompiledLayout(
-        tree,
-        dictionary,
-        ctx.columns(),
-        dict_version=dictionary.entries,
-    )
+    return CompiledLayout(tree, dictionary, ctx.columns())
 
 
 def cut_layout(
@@ -766,21 +766,7 @@ def cut_layout(
         array("d", compress(dictionary.costs, keep)),
     )
     depth = max((levels[node] for node in kept), default=0)
-    return CompiledLayout(cut_tree, cut, columns, dict_version=cut.entries), depth
-
-
-def recompile_dictionary(ctx, layout, dictionary) -> CompiledLayout:
-    """``layout`` over an edited dictionary's bits, pinned to its version.
-
-    A new layout over the same tree columns: walks in flight keep the
-    one they started on.
-    """
-    return CompiledLayout(
-        layout.tree,
-        compile_dictionary(dictionary.items()),
-        ctx.columns(),
-        dict_version=dictionary.version,
-    )
+    return CompiledLayout(cut_tree, cut, columns), depth
 
 
 def one_leaf_layout(ctx) -> CompiledLayout:
@@ -801,4 +787,4 @@ def one_leaf_layout(ctx) -> CompiledLayout:
         tree = TreeColumns(
             0, space.width, [-1], [-1], [low], [high], [None], None, [boxes]
         )
-    return CompiledLayout(tree, DictColumns({}, [], b""), ctx.columns(), dict_version=0)
+    return CompiledLayout(tree, DictColumns({}, [], b""), ctx.columns())

@@ -17,13 +17,13 @@ with delay ``Õ(τ)`` (Proposition 9) and answer time
 ``Õ(|q(D)| + τ·|q(D)|^{1/α})`` (Proposition 10).
 
 Every entry point runs that traversal through the columnar kernel
-(:mod:`repro.core.kernel`) over the layout compiled at build time — the
-one form of ``(T, D)`` an instance keeps and a snapshot stores: the tree
-*object* the build produces is compiled and dropped (the dictionary
-pass writes its columns directly), and
-:attr:`CompressedRepresentation.tree` /
-:attr:`~CompressedRepresentation.dictionary` are views materialised from
-the columns when someone asks. The
+(:mod:`repro.core.kernel`) over the layout the build writes — the one
+form of ``(T, D)`` an instance keeps and a snapshot stores, and never
+edited: a cut or a refined Theorem 2 bag is another instance with
+another layout. :attr:`CompressedRepresentation.dictionary` is the
+layout's :class:`~repro.core.layout.DictColumns`, and
+:attr:`~CompressedRepresentation.tree` an object view materialised from
+the tree columns when someone asks. The
 recursive, line-by-line transcription of Algorithm 2 is the executable
 spec in ``tests/reference_walk.py``: the kernel is tested against it row
 for row and step for step, and nothing here routes to it.
@@ -46,12 +46,8 @@ from repro.core.balanced_tree import (
 from repro.core.context import ViewContext
 from repro.core.kernel import join_rows, kernel_enumerate, kernel_enumerate_from
 from repro.core.cost import CostModel
-from repro.core.dictionary import (
-    HeavyDictionary,
-    array_join,
-    bound_candidates,
-    build_dictionary,
-)
+from repro.core.dictionary import array_join, bound_candidates, build_dictionary
+from repro.core.layout import DictColumns
 from repro.core.representation import Representation
 from repro.database.catalog import Database
 from repro.exceptions import ParameterError, SnapshotError
@@ -155,12 +151,12 @@ class CompressedRepresentation(Representation):
             weights=dict(self.weights),
             tree_nodes=len(tree.left),
             tree_depth=depth,
-            dictionary_entries=dictionary.entries,
+            dictionary_entries=len(dictionary),
             output_tuples=output_count,
             build_seconds=time.perf_counter() - started,
         )
         started = time.perf_counter()
-        self._tree = self._dictionary = None
+        self._tree = None
         self._layout = layout_mod.compile_layout(self.ctx, tree, dictionary)
         self.layout_compile_seconds = time.perf_counter() - started
 
@@ -178,35 +174,27 @@ class CompressedRepresentation(Representation):
         return self._tree
 
     @property
-    def dictionary(self) -> HeavyDictionary:
-        """The heavy dictionary as a probe-and-edit object: a view.
-
-        Materialised on first touch and kept, at the version the layout
-        is pinned to. An in-place edit moves that version, which makes
-        the layout stale until :meth:`compile_layout` writes the edit
-        back into the columns.
-        """
-        if self._dictionary is None:
-            self._dictionary = HeavyDictionary.from_columns(
-                self._layout.dictionary, self._layout.dict_version
-            )
-        return self._dictionary
+    def dictionary(self) -> DictColumns:
+        """The heavy dictionary: the layout's columns, read-only."""
+        return self._layout.dictionary
 
     def compile_layout(self) -> "layout_mod.CompiledLayout":
-        """Write an edited dictionary view back into the columns.
-
-        Called after an in-place dictionary edit (the Algorithm 4
-        refinement does this); with no dictionary view materialised
-        there is nothing the columns lack. ``layout_compile_seconds``
-        records the cost for the telemetry histogram.
-        """
-        started = time.perf_counter()
-        if self._dictionary is not None:
-            self._layout = layout_mod.recompile_dictionary(
-                self.ctx, self._layout, self._dictionary
-            )
-        self.layout_compile_seconds = time.perf_counter() - started
+        """The compiled layout the kernel walks (the build compiled it)."""
         return self._layout
+
+    def with_bits(self, bits: bytes) -> "CompressedRepresentation":
+        """This structure with ``bits`` as its dictionary's stored bits.
+
+        Algorithm 4's refined bag: everything else — tree columns, the
+        dictionary's ``index`` and ``nodes``, context, stats — is shared,
+        as a cut shares. The copy holds no entry costs, so it is not
+        :attr:`cuttable`.
+        """
+        refined, layout = copy(self), copy(self._layout)
+        built = layout.dictionary
+        layout.dictionary = DictColumns(built.index, built.nodes, bits)
+        refined._layout = layout
+        return refined
 
     def cut(self, tau: float) -> "CompressedRepresentation":
         """The structure at any ``tau ≥ self.tau``, cut from this one.
@@ -217,13 +205,13 @@ class CompressedRepresentation(Representation):
         a node stops and which pairs are heavy. ``build_seconds`` is the
         cut's own time. Only a freshly built (or cut) structure keeps the
         per-entry costs the pass filters on; anything decoded, upgraded
-        or recompiled raises :class:`~repro.exceptions.ParameterError`,
+        or refined raises :class:`~repro.exceptions.ParameterError`,
         and so does a ``tau`` below this one's.
         """
         started = time.perf_counter()
-        layout = self._fresh_layout()
+        layout = self._layout
         if layout.dictionary.costs is None:
-            raise ParameterError("decoded or recompiled: no entry costs to cut")
+            raise ParameterError("decoded or refined: no entry costs to cut")
         if not tau >= self.tau:
             raise ParameterError(f"a cut only raises tau: {tau!r} < {self.tau!r}")
         cut = copy(self)  # view, database, context and cost model shared
@@ -233,13 +221,13 @@ class CompressedRepresentation(Representation):
         cut._layout, depth = layout_mod.cut_layout(
             layout, thresholds, self.ctx.columns()
         )
-        cut._tree, cut._dictionary, cut.layout_compile_seconds = None, None, 0.0
+        cut._tree, cut.layout_compile_seconds = None, 0.0
         cut.stats = replace(
             self.stats,
             tau=cut.tau,
             tree_nodes=len(cut._layout.tree.left),
             tree_depth=depth,
-            dictionary_entries=cut._layout.dictionary.entries,
+            dictionary_entries=len(cut._layout.dictionary),
             build_seconds=time.perf_counter() - started,
         )
         return cut
@@ -249,25 +237,6 @@ class CompressedRepresentation(Representation):
         """Whether :meth:`cut` can raise this structure's τ (it holds the
         per-entry costs only a fresh build or a cut keeps)."""
         return self._layout.dictionary.costs is not None
-
-    def _fresh_layout(self) -> "layout_mod.CompiledLayout":
-        """The compiled layout — the one check every enumeration passes.
-
-        A layout whose ``dict_version`` lags a materialised dictionary
-        view was compiled before an in-place edit and would answer from
-        the old bits: it is refused, never served another way.
-        :meth:`compile_layout` re-arms.
-        """
-        layout = self._layout
-        dictionary = self._dictionary
-        if dictionary is not None and layout.dict_version != dictionary.version:
-            raise ParameterError(
-                f"stale layout for view {self.view.name!r}: compiled at "
-                f"dictionary version {layout.dict_version}, the dictionary "
-                f"is at {dictionary.version} — call compile_layout() "
-                "after editing the dictionary in place"
-            )
-        return layout
 
     # ------------------------------------------------------------------
     # construction helpers
@@ -354,7 +323,7 @@ class CompressedRepresentation(Representation):
                 **asdict(self.stats),
                 "weights": sorted(self.stats.weights.items()),
             },
-            "columns": self._fresh_layout().to_state(),
+            "columns": self._layout.to_state(),
         }
 
     @classmethod
@@ -412,7 +381,7 @@ class CompressedRepresentation(Representation):
             stats["weights"] = dict(stats["weights"])
             self.stats = BuildStats(**stats)
             started = time.perf_counter()
-            self._tree = self._dictionary = None
+            self._tree = None
             columns = state.get("columns")
             if columns is None:  # codec v1 / v2: records, triples, a layout
                 columns = layout_mod.upgrade_legacy_state(
@@ -444,7 +413,7 @@ class CompressedRepresentation(Representation):
         access = self._check_access(access)
         if self._layout.tree.root < 0:
             return
-        yield from kernel_enumerate(self._fresh_layout(), access, counter)
+        yield from kernel_enumerate(self._layout, access, counter)
 
     def enumerate_from(
         self,
@@ -471,9 +440,7 @@ class CompressedRepresentation(Representation):
         start = self.ctx.space.ceil_point(start_values)
         if start is None:
             return  # start lies beyond the top of the tuple space
-        yield from kernel_enumerate_from(
-            self._fresh_layout(), access, start, counter
-        )
+        yield from kernel_enumerate_from(self._layout, access, start, counter)
 
     def enumerate_interval(
         self,
@@ -484,8 +451,8 @@ class CompressedRepresentation(Representation):
         """Evaluate the access request restricted to one f-interval.
 
         Bypasses the dictionary (pure worst-case-optimal evaluation over the
-        interval's box decomposition); used by the Theorem 2 semijoin
-        refinement (Algorithm 4) to stream ``Q[v_b] ⋉ I(w)``.
+        interval's box decomposition): ``Q[v_b] ⋉ I(w)``, the join the
+        Theorem 2 refinement (Algorithm 4) runs over a node's boxes.
         """
         yield from join_rows(
             self.ctx.columns(),
@@ -509,7 +476,7 @@ class CompressedRepresentation(Representation):
             base_tuples=self.db.total_tuples(),
             index_cells=self.ctx.index_cells(),
             tree_nodes=len(self._layout.tree.left),
-            dictionary_entries=self._layout.dictionary.entries,
+            dictionary_entries=len(self._layout.dictionary),
         )
 
     @property

@@ -36,7 +36,11 @@ result set and not the build. A :class:`ReplicaServer` is a
   rebuild runs once, on the primary, and
   :meth:`ReplicaServer.total_builds` stays 0. Every build of either
   kind goes through :meth:`~repro.engine.server.ViewServer._build`,
-  which a replica refuses: that one override is the whole difference.
+  which a replica refuses, and every invalidation — ``invalidate``,
+  ``unregister``, a raced build's orphan — through
+  :meth:`~repro.engine.server.ViewServer._drop`, which on a replica
+  drops resident entries only: those two overrides are the whole
+  difference.
 
 :class:`~repro.engine.async_server.AsyncViewServer` rotates read
 batches across replicas, round-robin.
@@ -138,6 +142,11 @@ class ReplicaServer(ViewServer):
             "(cache.demote_all(), or save_dynamic_snapshot for a "
             "versioned view) or re-point the replica"
         )
+
+    def _drop(self, predicate) -> int:
+        # The snapshot directory is the primary's, shared with sibling
+        # replicas: forgetting a structure here must not delete its file.
+        return self._cache.invalidate_matching(predicate, drop_snapshot=False)
 
     def hydrate(self, names: Optional[Iterable[str]] = None) -> int:
         """Decode every (or the named) registered view's structure now.

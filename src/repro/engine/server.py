@@ -683,9 +683,7 @@ class ViewServer(Serving):
         generation = registration.generation
         self._contexts.pop(generation, None)
         self._bases.pop(generation, None)
-        self._cache.invalidate_matching(
-            lambda key: key[0] == name and key[2] == generation
-        )
+        self._drop(lambda key: key[0] == name and key[2] == generation)
         with self._lock:
             # Dead generations can never be queried again; drop their
             # build counters so a churning server does not leak them.
@@ -1244,7 +1242,7 @@ class ViewServer(Serving):
             # publish, so drop the orphan here (whichever of the two
             # cleanups runs last sees the entry). The caller still gets
             # the structure — its request predates the unregistration.
-            self._cache.invalidate(key)
+            self._drop(lambda other: other == key)
             self._contexts.pop(key[2], None)
         return built, NO_HOLD
 
@@ -1338,7 +1336,12 @@ class ViewServer(Serving):
         iterate a stale key snapshot. SchemaError for an unknown view.
         """
         self._lookup(name)
-        return self._cache.invalidate_matching(lambda key: key[0] == name)
+        return self._drop(lambda key: key[0] == name)
+
+    def _drop(self, predicate) -> int:
+        """Invalidate the cached structures ``predicate`` matches, and the
+        snapshots this server wrote of them (a replica keeps its files)."""
+        return self._cache.invalidate_matching(predicate)
 
     # ------------------------------------------------------------------
     # serving (the two primitives; Serving adds the materializing wrappers)

@@ -510,16 +510,10 @@ class Telemetry:
     :meth:`close`.
     """
 
-    def __init__(
-        self,
-        directory: Optional[Union[str, Path]] = None,
-        session: Optional[str] = None,
-    ) -> None:
+    def __init__(self, directory: Optional[Union[str, Path]] = None) -> None:
         self.registry = MetricsRegistry()
         self.store: Optional[TelemetryStore] = (
-            TelemetryStore(directory, session=session)
-            if directory is not None
-            else None
+            TelemetryStore(directory) if directory is not None else None
         )
         # Bounded rings: the durable record is the store, not these.
         self.spans: Deque[Span] = deque(maxlen=256)

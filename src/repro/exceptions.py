@@ -32,12 +32,7 @@ class DecompositionError(ReproError):
 
 
 class ParameterError(ReproError):
-    """A tuning parameter (tau, cover weights, delay assignment) is invalid.
-
-    Also what a structure raises when asked to enumerate from a compiled
-    layout that lags its dictionary (an in-place edit without a
-    ``compile_layout()``): the structure layer's "not in a servable state".
-    """
+    """A tuning parameter (tau, cover weights, delay assignment) is invalid."""
 
 
 class OptimizationError(ReproError):

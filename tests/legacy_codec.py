@@ -94,7 +94,7 @@ def legacy_state(rep, version: int) -> Dict:
     state["tree"] = tree_records(rep.tree)
     state["dictionary"] = dictionary_triples(rep.dictionary)
     if version == 2:
-        state["layout"] = layout_state(rep._fresh_layout())
+        state["layout"] = layout_state(rep._layout)
     return state
 
 

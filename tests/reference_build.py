@@ -59,7 +59,6 @@ from reference_index import TrieIndex, TrieNode, generic_join
 from repro.core import intervals
 from repro.core.balanced_tree import DelayBalancedTree, TreeNode
 from repro.core.context import AtomBinding, ViewContext
-from repro.core.dictionary import HeavyDictionary
 from repro.core.domain import TupleSpace
 from repro.core.layout import TreeColumns, compile_dictionary
 from repro.core.structure import CompressedRepresentation
@@ -662,6 +661,32 @@ def output_nonempty_in(
 def _nonempty(sorted_free_tuples, low: Tuple[int, ...], high: Tuple[int, ...]) -> bool:
     position = bisect_left(sorted_free_tuples, low)
     return position < len(sorted_free_tuples) and sorted_free_tuples[position] <= high
+
+
+class HeavyDictionary:
+    """Bits for heavy (node, bound valuation) pairs; absence means light.
+
+    The spec's container, as ``src/`` kept it before the build wrote
+    :class:`~repro.core.layout.DictColumns` directly (and before the
+    columns became the one form): a ``(node id, access) → bit`` map with
+    the columns' read side, ``get``, ``len`` and ``items``.
+    """
+
+    def __init__(self):
+        self._entries: Dict[Tuple[int, Tuple], int] = {}
+
+    def set(self, node_id: int, access: Tuple, bit: int) -> None:
+        self._entries[(node_id, access)] = bit
+
+    def get(self, node_id: int, access: Tuple) -> Optional[int]:
+        """The stored bit, or None (the paper's ⊥) when the pair is light."""
+        return self._entries.get((node_id, access))
+
+    def __len__(self) -> int:
+        return len(self._entries)
+
+    def items(self):
+        return self._entries.items()
 
 
 def spec_build_dictionary(

@@ -73,7 +73,7 @@ from repro.core import dictionary as dictionary_mod
 from repro.core import splitting as split_mod
 from repro.core.balanced_tree import build_tree_columns, level_threshold
 from repro.core.context import ViewContext
-from repro.core.cost import BoxCosts, CostModel
+from repro.core.cost import BoxCosts, CostModel, root_slices
 from repro.core import kernel as kernel_mod
 from repro.core.dictionary import (
     Output,
@@ -194,7 +194,7 @@ def assert_stored_costs_are_the_specs(rep):
     a state — is the spec's ``T(v_b, I(w))`` for it, bit for bit."""
     spec = SpecCostModel(rep.ctx, rep.weights, rep.alpha)
     columns, nodes = rep._layout.dictionary, rep.tree.nodes
-    assert len(columns.costs) == columns.entries
+    assert len(columns.costs) == len(columns)
     for access, (lo, hi) in columns.index.items():
         for node, cost in zip(columns.nodes[lo:hi], columns.costs[lo:hi]):
             expected = spec.access_cost(nodes[node].interval, access)
@@ -659,7 +659,7 @@ def test_the_bits_on_a_space_too_wide_for_int64(case):
     ) or tuple(np.zeros(0, dtype=np.int64) for _ in tops)
     owner, low, high = zip(*queries)
     bits = nonempty_bits(
-        Output(owners, columns),
+        Output(owners, columns, []),
         tops,
         np.array(owner),
         np.array(low, dtype=np.int64),
@@ -700,7 +700,7 @@ def pinned_blob(rep):
 
 def flat_dictionary(rep):
     """``index``, ``nodes`` and ``bits`` of a structure's dictionary columns."""
-    dictionary = rep._fresh_layout().dictionary
+    dictionary = rep.dictionary
     return dictionary.index, dictionary.nodes, dictionary.bits
 
 
@@ -774,14 +774,14 @@ def test_only_a_freshly_built_structure_is_cut_and_only_upward():
         decode_snapshot(legacy.read_bytes()),
     ):
         assert decoded._layout.dictionary.costs is None
-        with pytest.raises(ParameterError, match="decoded or recompiled"):
+        with pytest.raises(ParameterError, match="decoded or refined"):
             decoded.cut(4.0)
-    # Recompiled from the dictionary view: the costs are gone too.
+    # Refined (Algorithm 4's new bits): the costs are gone too.
     assert built.cut(4.0).stats.tau == 4.0
-    built.dictionary.set(0, (), 1)
-    built.compile_layout()
-    with pytest.raises(ParameterError, match="decoded or recompiled"):
-        built.cut(4.0)
+    refined = built.with_bits(bytes(len(built.dictionary)))
+    assert not refined.cuttable and built.cuttable
+    with pytest.raises(ParameterError, match="decoded or refined"):
+        refined.cut(4.0)
 
 
 # ----------------------------------------------------------------------
@@ -816,7 +816,9 @@ def test_access_costs_equal_the_spec_for_any_access(name, data):
         columns, _ = build_tree_columns(model, 1.0, 1.0)
         tree = tree_mod.DelayBalancedTree.from_columns(columns, 1.0, 1.0)
         nodes = tree.nodes[:12]
-        evaluator = model.evaluator(accesses)
+        evaluator = model.evaluator(
+            accesses, root_slices(ctx.columns().atoms, accesses)
+        )
         owner = np.repeat(evaluator.live, len(nodes))
         ids = np.array([n.id for n in nodes], dtype=np.int64)
         node = np.tile(ids, len(evaluator.live))
@@ -1153,10 +1155,11 @@ def test_no_box_is_costed_twice_and_a_split_stays_within_its_probe_budget(
     assert sum(map(len, per_split)) == len(splits)
     assert max(int(level.max(initial=0)) for level in per_split) <= budget
 
-    # The dictionary pass: one root-slice resolution per (candidate,
-    # factor atom) for the whole descent, one at a time or in bulk; no
-    # interval decomposed again, and one costing per tree level — the
-    # level steps cost every pair's boxes as arrays.
+    # The output join and the dictionary pass: one root-slice
+    # resolution per (candidate, atom) for both, one at a time or in
+    # bulk — the pass costs from the join's; no interval decomposed
+    # again, and one costing per tree level — the level steps cost
+    # every pair's boxes as arrays.
     resolved = []
     real_root_range = AtomColumns.root_range
     real_root_ranges = AtomColumns.root_ranges
@@ -1170,15 +1173,15 @@ def test_no_box_is_costed_twice_and_a_split_stays_within_its_probe_budget(
         return real_root_ranges(self, accesses)
 
     candidates = bound_candidates(ctx)
-    output = array_join(ctx.columns(), candidates)
     monkeypatch.setattr(AtomColumns, "root_range", counting_root_range)
     monkeypatch.setattr(AtomColumns, "root_ranges", counting_root_ranges)
+    output = array_join(ctx.columns(), candidates)
     del decomposed[:], costed[:]
     thresholds = [level_threshold(1.0, alpha, level) for level in range(depth + 1)]
     dictionary = build_dictionary(model, columns, thresholds, candidates, output)
-    assert dictionary.entries > 0
+    assert len(dictionary) > 0
     assert not decomposed and 0 < len(costed) <= depth + 1
-    assert len(resolved) == len(candidates) * len(model._factors) > 0
+    assert len(resolved) == len(candidates) * len(ctx.columns().atoms) > 0
 
 
 def test_a_built_structure_keeps_no_build_memo():
@@ -1189,7 +1192,7 @@ def test_a_built_structure_keeps_no_build_memo():
     # The evaluators (level arrays, power tables) were locals of the build.
     assert not [o for o in gc.get_objects() if isinstance(o, BoxCosts)]
     # The boxes are stored once: the layout's column is the tree's list.
-    assert structure.tree.boxes is structure._fresh_layout().tree.boxes
+    assert structure.tree.boxes is structure._layout.tree.boxes
     for holder in (structure, structure.cost_model, structure.ctx):
         assert not [
             name
@@ -1201,7 +1204,7 @@ def test_a_built_structure_keeps_no_build_memo():
     restored = CompressedRepresentation.from_snapshot_state(
         structure.snapshot_state()
     )
-    assert restored.tree.boxes is restored._fresh_layout().tree.boxes
+    assert restored.tree.boxes is restored._layout.tree.boxes
     assert comparable(restored.snapshot_state()) == comparable(
         structure.snapshot_state()
     )

@@ -341,7 +341,7 @@ def test_a_parent_written_compressed_blob_loads_and_becomes_v3(name):
         sections
     )
     restored = decode_snapshot(written)
-    assert restored._tree is None and restored._dictionary is None
+    assert restored._tree is None
     view, db = restored.view, restored.db
     assert sorted(db["R"].rows) == sorted(fixture_database()["R"].rows)
     accesses = oracle_accesses(view, db, limit=12)
@@ -387,7 +387,7 @@ def test_a_parent_written_decomposed_blob_loads_and_becomes_v3():
         assert sorted(restored.enumerate(access)) == expected
         assert sorted(again.enumerate(access)) == expected
     for bag in again.bags.values():
-        assert bag.representation._dictionary is None
+        assert bag.representation._tree is None
 
 
 @pytest.fixture
@@ -414,7 +414,7 @@ def test_a_parent_written_directory_warm_starts_with_no_build(server_directory):
     loaded = [server.representation("V", tau) for tau in (1.0, 2.0)]
     assert server.cache_stats.disk_hits == 2
     assert server.cache_stats.disk_writes == 0
-    assert all(rep._tree is None and rep._dictionary is None for rep in loaded)
+    assert all(rep._tree is None for rep in loaded)
     for access in oracle_accesses(view, db, limit=12):
         assert server.answer("V", access) == oracle_answer(view, db, access)
     name = server.register(DYNAMIC_VIEW, tau=4.0, name="Q")

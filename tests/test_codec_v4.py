@@ -46,7 +46,7 @@ V3 = DATA / "pr32_v3"
 
 def flat(rep):
     """The dictionary's one flat form: index, ids, bits."""
-    dictionary = rep._fresh_layout().dictionary
+    dictionary = rep.dictionary
     return dictionary.index, dictionary.nodes, dictionary.bits
 
 

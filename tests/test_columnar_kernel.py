@@ -44,7 +44,6 @@ from repro.database.relation import Relation
 from repro.engine.api import AccessRequest, open_cursor
 from repro.engine.dynamic_serving import FrozenDynamicView
 from repro.engine.shared_scan import SharedScan, open_group
-from repro.exceptions import ParameterError
 from repro.joins.generic_join import JoinCounter
 from repro.measure.delay import measure_enumeration
 from repro.workloads.generators import (
@@ -498,30 +497,30 @@ class TestStepParity:
     def test_decomposed_build_compiles_each_bag_when_its_bits_are_final(
         self, refine, monkeypatch
     ):
-        # Algorithm 4 edits a bag's dictionary in place. The bag's edit
-        # is written back right after its own flips (post-order), so
-        # every child a parent probes already answers from fresh bits:
-        # one compile per bag, plus one dictionary write-back per bag
-        # Algorithm 4 edited.
+        # Algorithm 4 edits nothing: a bag with flips takes a new
+        # structure (post-order, so every child a parent probes already
+        # answers from its final bits) sharing the built tree columns,
+        # index and ids, with new bits and no entry costs. Each bag's
+        # layout is compiled once, by its build.
         compiles = []
-        for name in ("compile_layout", "recompile_dictionary"):
-            compiler = getattr(layout_mod, name)
-            monkeypatch.setattr(
-                layout_mod,
-                name,
-                lambda *args, _compiler=compiler: compiles.append(args)
-                or _compiler(*args),
-            )
+        compiler = layout_mod.compile_layout
+        monkeypatch.setattr(
+            layout_mod,
+            "compile_layout",
+            lambda *args: compiles.append(args) or compiler(*args),
+        )
         view = path_view(4)
         db = path_database(4, 40, 10, seed=10)
         rep = DecomposedRepresentation(view, db, refine=refine)
         bags = [bag.representation for bag in rep.bags.values()]
-        # build_dictionary sets each entry once; every flip is one more.
-        edited = [
-            bag for bag in bags if bag.dictionary.version > len(bag.dictionary)
-        ]
+        assert len(compiles) == len(bags)
+        edited = [bag for bag in bags if not bag.cuttable]
         assert bool(edited) == refine
-        assert len(compiles) == len(bags) + len(edited)
+        for bag, (_, tree, built) in zip(bags, compiles):
+            dictionary = bag.dictionary
+            assert bag.compile_layout().tree is tree
+            assert dictionary.index is built.index and dictionary.nodes is built.nodes
+            assert (dictionary.bits != built.bits) == (bag in edited)
         for access in oracle_accesses(view, db, limit=6):
             kernel_side, reference_side = measured_on_off(
                 lambda c: rep.enumerate(access, counter=c)
@@ -718,7 +717,7 @@ def finger_vs_spec(rep, access, boxes, measured):
     caller's — the finger has to be right for any order, the walk's
     monotone one only makes it cheap.
     """
-    layout = rep._fresh_layout()
+    layout = rep._layout
     finger = kernel_mod._finger(layout, layout.root_states(access))
     counter = JoinCounter()
     kernel_side = [
@@ -757,7 +756,7 @@ class TestPrefixFinger:
         self, fff, measured
     ):
         _, _, rep, tops = fff
-        layout = rep._fresh_layout()
+        layout = rep._layout
         states = layout.root_states(())
         present = {row[:2] for row in rep.enumerate(())}
         xs = range(tops[0] + 1)
@@ -818,7 +817,7 @@ class TestPrefixFinger:
         self, fff
     ):
         _, _, rep, tops = fff
-        layout = rep._fresh_layout()
+        layout = rep._layout
         space = rep.ctx.space
         rows = set(rep.enumerate(()))
         points = list(
@@ -927,9 +926,9 @@ class TestPrefixFinger:
         view = triangle_view("bff")
         db = triangle_database(14, 70, seed=35)
         rep = CompressedRepresentation(view, db, tau=2.0)
-        layout = rep._fresh_layout()
+        layout = rep._layout
         assert layout_mod.CompiledLayout.__slots__ == (
-            "tree", "dictionary", "dict_version", "width", "space",
+            "tree", "dictionary", "width", "space",
             "domain_values", "atoms", "join_atoms", "participants",
         )
         frozen = {
@@ -999,7 +998,7 @@ class TestPrefixFinger:
             (path_view(3, "ffff"), path_database(3, 40, 8, seed=15), 4.0),
         ):
             rep = CompressedRepresentation(view, db, tau=tau)
-            tree = rep._fresh_layout().tree
+            tree = rep._layout.tree
             descents.clear()
             rows = list(rep.enumerate(()))
             assert rows == oracle_answer(view, db, ())
@@ -1050,38 +1049,6 @@ class TestFallbackTriggers:
         # The kernel counts the spec's steps itself: the accounting does
         # not depend on which of the two walked.
         assert kernel_side == reference_side
-
-    def test_stale_dictionary_version_is_refused(self, rep):
-        view, db, rep = rep
-        accesses = oracle_accesses(view, db, limit=6)
-        expected = {a: list(rep.enumerate(a)) for a in accesses}
-        # An in-place dictionary edit bumps the version; the compiled
-        # layout pinned the old one. There is no second path to serve
-        # from: every entry point refuses, with a typed error.
-        (node_id, access), bit = next(iter(rep.dictionary.items()))
-        rep.dictionary.set(node_id, access, bit)  # same bit: answers keep
-        token = expected[accesses[0]][0]
-        for stale in (
-            lambda: rep.enumerate(accesses[0]),
-            lambda: rep.enumerate(accesses[0], counter=JoinCounter()),
-            lambda: rep.enumerate_from(accesses[0], token),
-            lambda: rep.enumerate_after(accesses[0], token),
-            lambda: open_group(rep, [AccessRequest("v", accesses[0])])[0],
-        ):
-            with pytest.raises(ParameterError, match="stale layout"):
-                next(iter(stale()), None)
-        # A stale layout is not shipped either: restoring re-pins the
-        # version, which would pass old bits off as fresh.
-        with pytest.raises(ParameterError, match="stale layout"):
-            encode_snapshot(rep)
-        # Recompiling re-pins the current version and re-arms the kernel.
-        layout = rep.compile_layout()
-        assert layout.dict_version == rep.dictionary.version
-        for access in accesses:
-            assert list(rep.enumerate(access)) == expected[access]
-        assert decode_snapshot(encode_snapshot(rep)).answer(
-            accesses[0]
-        ) == expected[accesses[0]]
 
     def test_kernel_ready_is_a_fact_not_a_switch(self, rep):
         _, _, rep = rep

@@ -427,7 +427,7 @@ class TestBackwardCompat:
         RepresentationCache: (
             "max_entries", "max_cells", "snapshot_store", "metrics",
         ),
-        Telemetry: ("directory", "session"),
+        Telemetry: ("directory",),
         RoutingTable: (),
         RoutingTable.fresh: (),
         partition_database: (),
@@ -494,7 +494,7 @@ class TestBackwardCompat:
                 if parameter.default is not inspect.Parameter.empty
             )
             assert optional == expected, target.__qualname__
-        assert sum(map(len, self.OPTIONAL_PARAMETERS.values())) == 26
+        assert sum(map(len, self.OPTIONAL_PARAMETERS.values())) == 25
         plain = ViewServer(
             db,
             max_entries=4,

@@ -1,9 +1,13 @@
 """The Theorem 2 structure: per-bag compression over connex decompositions."""
 
+import dataclasses
+from pathlib import Path
+
 import pytest
 
 from oracle import oracle_accesses, oracle_answer
 from repro.core.decomposed import DecomposedRepresentation
+from repro.core.snapshot import encode_snapshot
 from repro.database.catalog import Database
 from repro.database.relation import Relation
 from repro.exceptions import ParameterError, QueryError
@@ -19,6 +23,8 @@ from repro.workloads.queries import (
     path_view,
     triangle_view,
 )
+
+RECORDED = Path(__file__).parent / "data" / "pr38_decomposed_v4"
 
 
 def check_decomposed(view, db, assignments=(None,), limit=8):
@@ -132,6 +138,20 @@ class TestStructure:
                         supported = True
                         break
                 assert supported, (parent, node_id, access)
+
+    def test_a_fresh_build_encodes_to_the_recorded_bytes(self):
+        # Algorithm 4's flips as the in-place refinement wrote them
+        # (tests/data/pr38_decomposed_v4/README.md): bag t_x3 takes flips.
+        dr = DecomposedRepresentation(
+            path_view(4), path_database(4, size=300, domain=40, seed=11)
+        )
+        dr.build_seconds = 0.0
+        for bag in dr.bags.values():
+            bag.representation.stats = dataclasses.replace(
+                bag.representation.stats, build_seconds=0.0
+            )
+        recorded = RECORDED / "decomposed_path4.snap"
+        assert encode_snapshot(dr) == recorded.read_bytes()
 
     def test_counter_threads_through_bags(self):
         dr = self._build()

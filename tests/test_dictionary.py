@@ -83,7 +83,7 @@ class TestNonemptyProbe:
         # The same four intervals as one array step: access 0 owns the
         # three tuples, access 1 none.
         columns = tuple(np.array(c) for c in zip((0, 1), (1, 0), (2, 2)))
-        output = Output(np.zeros(3, dtype=np.int64), columns)
+        output = Output(np.zeros(3, dtype=np.int64), columns, [])
         owner = np.array([0, 0, 0, 1])
         low = np.array([(0, 0), (1, 0), (3, 0), (0, 0)])
         high = np.array([(0, 5), (1, 0), (9, 9), (9, 9)])

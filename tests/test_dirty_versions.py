@@ -20,12 +20,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from oracle import oracle_accesses, oracle_answer
+from reference_build import HeavyDictionary
 from reference_walk import spec_enumerate, spec_enumerate_from
 from reference_index import TrieIndex
 from repro.baselines.lazy import LazyView
 from repro.core.balanced_tree import DelayBalancedTree, TreeNode
 from repro.core.context import ViewContext
-from repro.core.dictionary import HeavyDictionary
 from repro.core.dynamic import DynamicRepresentation, FrozenDynamicView
 from repro.core.intervals import FInterval
 from repro.core import layout as layout_module

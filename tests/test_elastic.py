@@ -134,6 +134,47 @@ class TestReplicaServer:
         finally:
             replica.close()
 
+    def test_forgetting_a_view_leaves_the_shipped_snapshots(self, setup, tmp_path):
+        # The directory is the primary's and the siblings': a replica's
+        # invalidate and unregister drop resident entries only.
+        view, db = setup
+        primary = ViewServer(db, snapshot_dir=tmp_path)
+        name = primary.register(view, tau=TAU)
+        for tau in (2.0, TAU):
+            primary.representation(name, tau)
+        primary.cache.demote_all()
+        primary.close()
+
+        def shipped():
+            return {
+                path.relative_to(tmp_path): path.read_bytes()
+                for path in sorted(tmp_path.rglob("*"))
+                if path.is_file()
+            }
+
+        before = shipped()
+        assert len(before) >= 2
+        replica = ReplicaServer(db, snapshot_dir=tmp_path)
+        try:
+            replica.register(view, tau=TAU)
+            replica.hydrate()
+            replica.representation(name, 2.0)
+            assert replica.invalidate(name) == 2
+            assert shipped() == before
+            assert replica.unregister(name)
+            assert shipped() == before
+        finally:
+            replica.close()
+        sibling = ReplicaServer(db, snapshot_dir=tmp_path)
+        try:
+            sibling.register(view, tau=TAU)
+            assert sibling.hydrate() == 1
+            access = productive_accesses(view, db)[0]
+            assert sibling.answer(name, access) == oracle_answer(view, db, access)
+            assert sibling.total_builds() == 0
+        finally:
+            sibling.close()
+
 
 class TestAsyncReplicas:
     def _hydrated_replicas(self, view, db, snapshot_dir, n=2):

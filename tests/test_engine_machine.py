@@ -360,7 +360,6 @@ class EngineMachine(RuleBasedStateMachine):
                 assert server.unregister(name) == known
         self.registered.pop(name, None)
 
-    @precondition(lambda self: self.kind != "replica")
     @rule(name=NAMES)
     def invalidate(self, name):
         try:

@@ -1,24 +1,21 @@
 """One copy of (T, D): a structure is its compiled columns.
 
-Algorithm 1 and the dictionary pass produce objects — a
-``DelayBalancedTree`` of node records, a ``HeavyDictionary`` of
-``(node, access) → bit`` — which the layout compiler turns into the
-columns the kernel walks. Since codec v3 the columns are the one stored
-and the one resident form; the objects are the build's locals, and
-``rep.tree`` / ``rep.dictionary`` are views materialised from the
-columns when someone asks. Held here:
+The tree pass and the dictionary pass write the columns the kernel
+walks — ``TreeColumns`` and ``DictColumns`` — and since codec v3 the
+columns are the one stored and the one resident form. ``rep.dictionary``
+*is* the layout's ``DictColumns`` (read-only: ``get``, ``len``,
+``items``), and ``rep.tree`` a ``DelayBalancedTree`` of node records
+materialised from the tree columns when someone asks. Held here:
 
-* after a build and after a decode an instance holds neither object,
-  and nothing that serves, accounts or stores makes one (spies on the
-  two constructors);
-* a view, once asked for, *is* what the build produced — the tree's
-  records and costs bit for bit, the dictionary's columns entry for
-  entry at one version step per entry (the build writes the columns and
-  makes no ``HeavyDictionary``) — so ``tests/reference_build.py``'s
-  equality keeps its meaning;
-* an edit to the dictionary view is refused as stale until
-  ``compile_layout()`` writes it back, also on a restored Algorithm 4
-  bag;
+* after a build and after a decode an instance holds no tree object,
+  and nothing that serves, accounts or stores makes one (a spy on the
+  constructor);
+* the tree view, once asked for, *is* what the build produced — records
+  and costs bit for bit — and the dictionary's entries are the columns',
+  entry for entry, so ``tests/reference_build.py``'s equality keeps its
+  meaning;
+* a built structure is never edited: Algorithm 4's refined bag is a new
+  structure with new bits, and a restored one carries those bits;
 * ``encode(decode(encode(r)))`` is ``encode(r)``, byte for byte, and a
   state has one structure section.
 """
@@ -34,14 +31,11 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 from legacy_codec import dictionary_triples, tree_records
 from oracle import oracle_accesses, oracle_answer
 from test_build_kernel import TAUS, VIEWS, databases
-from repro.core import structure as structure_mod
 from repro.core.balanced_tree import DelayBalancedTree
 from repro.core.decomposed import DecomposedRepresentation
-from repro.core.dictionary import HeavyDictionary
 from repro.core.snapshot import decode_snapshot, encode_snapshot
 from repro.core.structure import CompressedRepresentation
 from repro.engine import ParallelBuilder, ReplicaServer, ViewServer
-from repro.exceptions import ParameterError
 from repro.workloads import (
     path_database,
     path_view,
@@ -52,30 +46,25 @@ from repro.workloads import (
 
 @contextmanager
 def object_forms():
-    """Every ``DelayBalancedTree`` / ``HeavyDictionary`` constructed inside."""
-    made = []
+    """Every ``DelayBalancedTree`` constructed inside."""
+    made, init = [], DelayBalancedTree.__init__
 
-    def spy(cls):
-        init = cls.__init__
+    def counting(self, *args, **kwargs):
+        made.append(self)
+        init(self, *args, **kwargs)
 
-        def counting(self, *args, **kwargs):
-            made.append(self)
-            init(self, *args, **kwargs)
-
-        return mock.patch.object(cls, "__init__", counting)
-
-    with spy(DelayBalancedTree), spy(HeavyDictionary):
+    with mock.patch.object(DelayBalancedTree, "__init__", counting):
         yield made
 
 
 def facts(tree, dictionary):
-    """Everything the two objects hold, in comparable form."""
+    """Everything the tree and the dictionary hold, in comparable form."""
     return (
         tree_records(tree),
         tree.boxes,
         tree.max_level,
         dictionary_triples(dictionary),
-        dictionary.version,
+        len(dictionary),
     )
 
 
@@ -91,7 +80,7 @@ def column_facts(tree, columns):
         tree.boxes,
         tree.max_level,
         triples,
-        columns.entries,
+        len(columns),
     )
 
 
@@ -120,89 +109,42 @@ def test_a_structure_is_its_columns(name, data):
     for tau in TAUS:
         with object_forms() as made:
             rep = CompressedRepresentation(view, db, tau=tau)
-            # The build made no tree and no dictionary object: it wrote
-            # both columns.
+            # The build made no tree object: it wrote both columns.
             assert made == []
-            assert rep._tree is None and rep._dictionary is None
+            assert rep._tree is None
             blob = touch_everything_that_serves(rep, rep.view, rep.db)
             restored = decode_snapshot(blob)
-            assert restored._tree is None and restored._dictionary is None
+            assert restored._tree is None
             assert touch_everything_that_serves(restored, rep.view, rep.db) == blob
             assert made == []
-            # Asked for, the views are the built columns' objects, and a
-            # restored blob's are the same.
+            # Asked for, the tree view is the built columns' object, the
+            # dictionary the columns themselves; a restored blob's match.
             built = column_facts(rep.tree, rep._layout.dictionary)
+            assert rep.dictionary is rep._layout.dictionary
             assert facts(rep.tree, rep.dictionary) == built
             assert facts(restored.tree, restored.dictionary) == built
-            assert len(made) == 4
-            assert rep.tree is rep.tree and rep.dictionary is rep.dictionary
+            assert len(made) == 2
+            assert rep.tree is rep.tree
         state = rep.snapshot_state()
         assert not {"tree", "dictionary", "layout"} & set(state)
         assert set(state["columns"]) == {"byteorder", "tree", "dictionary"}
 
 
 def test_a_refined_bag_restores_at_one_set_per_entry():
-    # Algorithm 4's flips move a bag's dictionary version past its entry
-    # count; a state does not store versions, so the restored bag is at
-    # the count — with the refined bits.
+    # Algorithm 4's flips are a refined bag's bits, one stored byte per
+    # entry: a state stores those bytes, so the restored bag answers
+    # from the refined bits. A refined bag holds no entry costs — like
+    # every restored one, it cannot be cut.
     rep = DecomposedRepresentation(path_view(4), path_database(4, 40, 10, seed=10))
     restored = decode_snapshot(encode_snapshot(rep))
     edited = 0
     for node, bag in rep.bags.items():
         ours, theirs = bag.representation, restored.bags[node].representation
-        assert theirs._tree is None and theirs._dictionary is None
-        edited += ours.dictionary.version > len(ours.dictionary)
-        assert theirs.dictionary.version == len(theirs.dictionary)
-        assert dict(theirs.dictionary.items()) == dict(ours.dictionary.items())
+        assert theirs._tree is None and not theirs.cuttable
+        edited += not ours.cuttable
+        assert theirs.dictionary.items() == ours.dictionary.items()
         assert tree_records(theirs.tree) == tree_records(ours.tree)
     assert edited
-
-
-def test_the_edit_refusal_recompile_cycle_holds_on_a_restored_bag():
-    view = path_view(4)
-    db = path_database(4, 40, 10, seed=10)
-    restored = decode_snapshot(
-        encode_snapshot(DecomposedRepresentation(view, db))
-    )
-    accesses = oracle_accesses(view, db, limit=6)
-    node = max(
-        restored.bags,
-        key=lambda n: restored.bags[n].representation.stats.dictionary_entries,
-    )
-    bag = restored.bags[node].representation
-    (node_id, access), bit = next(iter(bag.dictionary.items()))
-    bag.dictionary.set(node_id, access, bit)  # same bit: answers keep
-    with pytest.raises(ParameterError, match="stale layout"):
-        for request in accesses:
-            list(restored.enumerate(request))
-    with pytest.raises(ParameterError, match="stale layout"):
-        encode_snapshot(restored)
-    before = bag._layout
-    layout = bag.compile_layout()
-    assert layout is not before and layout.tree is before.tree
-    assert layout.dict_version == bag.dictionary.version
-    for request in accesses:
-        assert sorted(restored.enumerate(request)) == oracle_answer(
-            view, db, request
-        )
-    # A flipped bit lands in the columns, and in the next blob.
-    bag.dictionary.set(node_id, access, 1 - bit)
-    bag.compile_layout()
-    again = decode_snapshot(encode_snapshot(restored))
-    twin = again.bags[node].representation
-    assert twin.dictionary.get(node_id, access) == 1 - bit
-
-
-def test_compile_layout_without_a_view_compiles_nothing():
-    rep = CompressedRepresentation(
-        triangle_view("bbf"), triangle_database(20, 120, seed=4), tau=1.0
-    )
-    with mock.patch.object(
-        structure_mod.layout_mod, "recompile_dictionary"
-    ) as recompile, object_forms() as made:
-        layout = rep._layout
-        assert rep.compile_layout() is layout
-        assert not recompile.called and made == []
 
 
 class TestTheEngineMakesNoObjectForm:
@@ -228,7 +170,7 @@ class TestTheEngineMakesNoObjectForm:
             assert server.cache.cells_of(next(iter(server.cache.keys()))) > 0
             encode_snapshot(warm)
             assert made == []
-        assert warm._tree is None and warm._dictionary is None
+        assert warm._tree is None
         server.close()
 
     def test_a_parallel_builders_hand_back(self, setup):
@@ -254,7 +196,7 @@ class TestTheEngineMakesNoObjectForm:
             replica.register(view, tau=8.0)
             replica.hydrate()
             for tau in (2.0, 8.0):
-                assert replica.representation(name, tau)._dictionary is None
+                assert replica.representation(name, tau)._tree is None
             access = oracle_accesses(view, db, limit=1)[0]
             assert replica.answer(name, access) == oracle_answer(view, db, access)
             assert made == [] and replica.total_builds() == 0

@@ -27,7 +27,6 @@ from oracle import oracle_accesses, oracle_answer
 from reference_index import TrieIndex
 from repro.core import snapshot as snap
 from repro.core.context import ViewContext
-from repro.core.dictionary import HeavyDictionary
 from repro.core.snapshot import (
     SNAPSHOT_VERSION,
     SUPPORTED_VERSIONS,
@@ -209,7 +208,7 @@ class TestIdentity:
 
 def same_columns(rep, context) -> bool:
     """Whether ``rep``'s layout holds the context's own join columns."""
-    layout, columns = rep._fresh_layout(), context.columns()
+    layout, columns = rep._layout, context.columns()
     return (
         rep.ctx is context
         and layout.atoms is columns.atoms
@@ -304,7 +303,7 @@ class TestOneIndexPerContext:
         assert same_columns(first, first.ctx)
         assert same_columns(second, second.ctx)
         assert second.ctx.columns() is not first.ctx.columns()
-        assert second._fresh_layout().atoms is not first._fresh_layout().atoms
+        assert second._layout.atoms is not first._layout.atoms
 
     def test_the_columns_are_compiled_when_first_asked_for(self, setup):
         view, db = setup
@@ -751,21 +750,18 @@ class TestCounts:
         assert tries == []
 
     def test_the_dictionary_restores_in_bulk_to_the_same_version(self, setup):
-        # The dictionary object is a view of the columns, made in bulk
-        # at the version the layout pinned — after a build and after a
-        # decode the number of set() calls the build made.
+        # The dictionary is the layout's columns, restored in bulk: a
+        # decoded structure's holds the build's entries in the build's
+        # order and probes to the same bits (None for a light pair).
         view, db = setup
         rep = CompressedRepresentation(view, db, tau=2.0)
         dictionary = rep.dictionary
         assert len(dictionary) > 100
-        columns = decode_snapshot(encode_snapshot(rep))._fresh_layout()
-        restored = HeavyDictionary.from_columns(
-            columns.dictionary, columns.dict_version
-        )
-        assert dict(restored.items()) == dict(dictionary.items())
-        assert restored.version == dictionary.version == len(dictionary)
-        restored.set(0, (-1, -1), 1)
-        assert restored.version == dictionary.version + 1
+        restored = decode_snapshot(encode_snapshot(rep)).dictionary
+        assert restored.items() == dictionary.items()
+        for (node_id, access), bit in dictionary.items():
+            assert restored.get(node_id, access) == bit
+        assert restored.get(0, (-1, -1)) is None
 
 
 class TestBlobCompatibility:

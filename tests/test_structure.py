@@ -269,3 +269,46 @@ class TestConvenienceAPI:
         access = oracle_accesses(view, db, limit=1)[0]
         list(cr.enumerate(access, counter=counter))
         assert counter.steps > 0
+
+
+def test_the_benchmark_harness_reads_what_a_structure_exposes():
+    # benchmarks/e2e/e2e_probes.py (structure_probe, enumeration_probe)
+    # reads exactly this surface of a built structure; tier-1 does not
+    # collect benchmarks/, so the surface is held here.
+    from itertools import islice
+
+    from repro.core.kernel import kernel_enumerate
+    from repro.core.decomposed import DecomposedRepresentation
+
+    view = triangle_view("bbf")
+    db = triangle_database(20, 120, seed=4)
+    refined = DecomposedRepresentation(path_view(4), path_database(4, 40, 10, seed=10))
+    structures = [CompressedRepresentation(view, db, tau=1.0)] + [
+        bag.representation for bag in refined.bags.values()
+    ]
+    assert not all(rep.cuttable for rep in structures)  # a refined bag
+    lights = 0
+    for rep in structures:
+        layout = rep.compile_layout()
+        assert layout is rep.compile_layout()
+        for access in oracle_accesses(rep.view, rep.db, limit=4):
+            assert list(kernel_enumerate(layout, access)) == list(rep.enumerate(access))
+        dictionary = rep.dictionary
+        entries = dictionary.items()
+        assert isinstance(entries, list)
+        assert len(dictionary) == len(entries) == rep.stats.dictionary_entries
+        for (node_id, access), bit in islice(entries, 4000):
+            assert dictionary.get(node_id, access) == bit
+        stored = {key for key, _ in entries}
+        light = [
+            (node_id, access)
+            for node_id in range(rep.stats.tree_nodes)
+            for access in {access for _, access in stored}
+            if (node_id, access) not in stored
+        ]
+        assert all(dictionary.get(*pair) is None for pair in light)
+        assert dictionary.get(0, ("absent",) * len(rep.bound_variables)) is None
+        lights += len(light)
+        assert rep.tree.depth() == rep.stats.tree_depth
+        assert isinstance(rep.layout_compile_seconds, float)
+    assert lights

@@ -221,8 +221,8 @@ class TestTelemetryStore:
             TelemetryStore.load(tmp_path)
 
     def test_merge_sums_counters_and_buckets_across_sessions(self, tmp_path):
-        for session, count in (("aaa", 3), ("bbb", 4)):
-            telemetry = Telemetry(tmp_path, session=session)
+        for count in (3, 4):
+            telemetry = Telemetry(tmp_path)
             telemetry.counter("requests_total", view="V").inc(count)
             histogram = telemetry.histogram(
                 "delay_step_gap", buckets=GAP_BUCKETS, view="V"
@@ -243,7 +243,7 @@ class TestTelemetryStore:
         # Snapshots are cumulative: replaying every flush of one session
         # would double-count. Two flushes, the counter at 2 then 5 —
         # the merge must see 5, not 7.
-        telemetry = Telemetry(tmp_path, session="aaa")
+        telemetry = Telemetry(tmp_path)
         counter = telemetry.counter("requests_total", view="V")
         counter.inc(2)
         telemetry.flush()
@@ -253,7 +253,7 @@ class TestTelemetryStore:
         assert registry.counter_value("requests_total", view="V") == 5
 
     def test_events_persist_immediately_and_replay_in_order(self, tmp_path):
-        telemetry = Telemetry(tmp_path, session="aaa")
+        telemetry = Telemetry(tmp_path)
         telemetry.event("tuning", view="V", kind="retune")
         # No flush/close: events must already be durable.
         _, events = TelemetryStore.merged_registry(tmp_path)
