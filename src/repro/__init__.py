@@ -65,7 +65,6 @@ from repro.engine import (
     BatchResult,
     CacheStats,
     DeltaRecord,
-    ParallelBuilder,
     ReplicaServer,
     RepresentationCache,
     RoutingTable,
@@ -76,6 +75,7 @@ from repro.engine import (
     partition_database,
     ship_deltas,
 )
+from repro.engine.parallel import ParallelBuilder
 from repro.factorized import FactorizedRepresentation
 from repro.baselines import LazyView, MaterializedView
 from repro.optimizer import min_delay_cover, min_space_cover, plan_decomposition

@@ -52,12 +52,11 @@ values; blank lines and ``#`` comments are skipped). Instead of a fixed
 delay within the budget (Proposition 11), ``--delay-budget TAU`` minimizes
 space under the delay bound (Proposition 12).
 
-Persistence and process parallelism: ``--snapshot-dir DIR`` makes every
-built structure durable (a restarted server warms from the directory
-instead of rebuilding; stale data is refused by fingerprint), and
-``--build-workers N`` moves builds onto N worker processes::
+Persistence: ``--snapshot-dir DIR`` makes every built structure durable
+(a restarted server warms from the directory instead of rebuilding;
+stale data is refused by fingerprint)::
 
-    python -m repro serve --snapshot-dir ./snapshots --build-workers 2 \\
+    python -m repro serve --snapshot-dir ./snapshots \\
         --view "Delta^bbf(x, y, z) = R(x, y), S(y, z), T(z, x)" \\
         --data ./relations --requests ./requests.txt
 
@@ -256,7 +255,7 @@ def _parse_shard_key(text: str) -> Dict[str, int]:
     return key
 
 
-def _backend(cls, db, args, telemetry, *shard_args, **extra):
+def _backend(cls, db, args, telemetry, *shard_args):
     """One back end of class ``cls``, wired from the ``serve`` flags."""
     return cls(
         db,
@@ -265,7 +264,6 @@ def _backend(cls, db, args, telemetry, *shard_args, **extra):
         max_cells=args.cache_cells,
         snapshot_dir=args.snapshot_dir,
         telemetry=telemetry,
-        **extra,
     )
 
 
@@ -310,10 +308,6 @@ def _serve(args) -> int:
         raise ReproError(f"--limit must be >= 0, got {args.limit}")
     if args.page_size is not None and args.page_size < 1:
         raise ReproError(f"--page-size must be >= 1, got {args.page_size}")
-    if args.build_workers is not None and args.build_workers < 1:
-        raise ReproError(
-            f"--build-workers must be >= 1, got {args.build_workers}"
-        )
     if args.replicas < 0:
         raise ReproError(f"--replicas must be >= 0, got {args.replicas}")
     if args.replicas:
@@ -342,9 +336,7 @@ def _serve(args) -> int:
             else infer_shard_key(view)
         )
         cls, shard_args = ShardedViewServer, (args.shards, shard_key)
-    backend = _backend(
-        cls, db, args, telemetry, *shard_args, build_workers=args.build_workers
-    )
+    backend = _backend(cls, db, args, telemetry, *shard_args)
     name = _register(backend, view, args)
     registration = backend.registration(name)
     # Budget-driven tau is resolved per shard; shard 0's is representative.
@@ -844,13 +836,6 @@ def main(argv=None) -> int:
         default=None,
         help="persist built structures here and warm-start from them "
         "on restart (per-shard subdirectories when sharded)",
-    )
-    serve.add_argument(
-        "--build-workers",
-        type=int,
-        default=None,
-        help="build structures on N worker processes (real cores; "
-        "falls back in-process if unavailable)",
     )
     serve.add_argument(
         "--telemetry-dir",

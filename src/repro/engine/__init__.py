@@ -48,7 +48,6 @@ from repro.engine.dynamic_serving import (
     FrozenDynamicView,
     ship_deltas,
 )
-from repro.engine.parallel import ParallelBuilder
 from repro.engine.replica import ReplicaServer
 from repro.engine.server import (
     DEFAULT_TAU,
@@ -86,7 +85,6 @@ __all__ = [
     "open_cursor",
     "CacheStats",
     "RepresentationCache",
-    "ParallelBuilder",
     "representation_cells",
     "DEFAULT_TAU",
     "BatchResult",

@@ -155,9 +155,9 @@ class AsyncViewServer:
         are caller-owned (``close()`` leaves them alone); registration
         through this facade reaches every replica, so they stay in sync.
     telemetry:
-        ``True`` creates an owned, in-memory
-        :class:`~repro.engine.telemetry.Telemetry`; an instance is
-        shared; ``None`` adopts the backend's own sink when it has one.
+        A :class:`~repro.engine.telemetry.Telemetry` instance, which
+        stays the caller's to close; ``None`` adopts the backend's own
+        sink when it has one.
         The front end records ``async_queue_depth``,
         ``async_queue_seconds`` / ``async_service_seconds``,
         ``admission_waits_total`` and ``balancer_picks_total{replica}``
@@ -174,7 +174,7 @@ class AsyncViewServer:
         max_workers: int = 4,
         max_pending: int = 32,
         replicas: Sequence[ViewServer] = (),
-        telemetry: Union[Telemetry, bool, None] = None,
+        telemetry: Optional[Telemetry] = None,
     ):
         if isinstance(backend, Database):
             raise ParameterError(
@@ -189,9 +189,7 @@ class AsyncViewServer:
             # Wrapping an instrumented backend: record into its sink so
             # front-end and engine metrics land in one registry.
             telemetry = getattr(backend, "telemetry", None)
-        self._telemetry, self._owns_telemetry = Telemetry.resolve(
-            telemetry, None
-        )
+        self._telemetry = telemetry
         if replicas and not isinstance(backend, ViewServer):
             raise ParameterError(
                 "replicas balance a plain backend; a sharded backend "
@@ -531,8 +529,6 @@ class AsyncViewServer:
     def close(self) -> None:
         """Shut the thread pool down (idempotent); the back end stays open."""
         self._executor.shutdown(wait=True)
-        if self._owns_telemetry and self._telemetry is not None:
-            self._telemetry.close()
 
     async def __aenter__(self) -> "AsyncViewServer":
         return self

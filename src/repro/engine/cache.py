@@ -469,22 +469,6 @@ class RepresentationCache:
             return True
         return False
 
-    def invalidate(self, key: Hashable) -> bool:
-        """Drop one entry; True when it was present.
-
-        Unlike eviction (which demotes), invalidation means the structure
-        is no longer valid to serve — its disk snapshot is removed too,
-        so a later warm load cannot resurrect it.
-        """
-        with self._lock:
-            entry = self._entries.pop(key, None)
-            if entry is None:
-                return False
-            self._total_cells -= entry.cells
-        if self.snapshot_store is not None and entry.snapshot_label is not None:
-            self.snapshot_store.remove(entry.snapshot_label)
-        return True
-
     def invalidate_matching(
         self,
         predicate: Callable[[Hashable], bool],

@@ -12,7 +12,7 @@ result set and not the build. A :class:`ReplicaServer` is a
   snapshot exists, serving fails with
   :class:`~repro.exceptions.SnapshotError` — deliberately *fatal, not a
   fallback*. A replica that silently rebuilt would need the full
-  database and builder resources, would hide a broken shipping pipeline
+  database and build resources, would hide a broken shipping pipeline
   behind quietly burned CPU, and could serve a structure built from a
   *different* database state than its siblings. Failing loudly keeps
   replicas cheap and the pipeline honest.
@@ -104,7 +104,7 @@ class ReplicaServer(ViewServer):
         snapshot_dir: Union[str, Path],
         max_entries: Optional[int] = 8,
         max_cells: Optional[int] = None,
-        telemetry: Union[Telemetry, bool, None] = None,
+        telemetry: Optional[Telemetry] = None,
     ):
         if snapshot_dir is None:
             raise ParameterError(

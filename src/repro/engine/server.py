@@ -51,8 +51,8 @@ Responsibilities
   :func:`~repro.measure.delay.measure_enumeration` — while a
   limit-stopped cursor opened directly never does.
 * **Telemetry**: pass ``telemetry=`` (a
-  :class:`~repro.engine.telemetry.Telemetry`, or ``True`` to persist
-  under ``snapshot_dir/telemetry/``) and the server instruments itself:
+  :class:`~repro.engine.telemetry.Telemetry`, which stays the caller's
+  to close) and the server instruments itself:
   request counters, serve-latency and delay-gap histograms, cache and
   shared-scan counters. ``None`` (the default) costs nothing. τ is
   chosen once, at registration; a request's own ``tau=`` is the only
@@ -114,7 +114,6 @@ from repro.engine.dynamic_serving import (
 )
 from repro.engine.epoch import NO_HOLD, Hold
 from repro.engine.locking import named_lock
-from repro.engine.parallel import ParallelBuilder
 from repro.engine.shared_scan import SharedScan
 from repro.engine.telemetry import GAP_BUCKETS, LATENCY_BUCKETS, Telemetry
 from repro.exceptions import ParameterError, SchemaError, SnapshotError
@@ -478,21 +477,12 @@ class ViewServer(Serving):
         fingerprint), misses consult it before building, and evictions
         demote to it. A restarted server pointed at the same directory
         and the same data decodes instead of rebuilding.
-    build_workers / builder:
-        Process-parallel builds: ``build_workers=N`` gives the server
-        its own :class:`~repro.engine.parallel.ParallelBuilder` pool of
-        N worker processes (closed by :meth:`close`); ``builder=``
-        shares an existing pool (the sharded facade does this so total
-        build parallelism stays bounded). Builds fall back in-process
-        whenever the pool is unavailable.
     telemetry:
         ``None`` (default) disables instrumentation entirely. A
         :class:`~repro.engine.telemetry.Telemetry` instance instruments
         this server (and its cache) into that instance's registry —
-        share one across servers to see the whole stack. ``True``
-        creates a server-owned instance, persisting under
-        ``snapshot_dir/telemetry/`` when a snapshot directory is set
-        (in-memory otherwise); :meth:`close` flushes it.
+        share one across servers to see the whole stack. The caller
+        owns the instance and closes it.
 
     Example
     -------
@@ -513,9 +503,7 @@ class ViewServer(Serving):
         max_entries: Optional[int] = 8,
         max_cells: Optional[int] = None,
         snapshot_dir: Optional[Union[str, Path]] = None,
-        build_workers: Optional[int] = None,
-        builder: Optional[ParallelBuilder] = None,
-        telemetry: Union[Telemetry, bool, None] = None,
+        telemetry: Optional[Telemetry] = None,
     ):
         self.db = db
         store = self._dynamic_store = None
@@ -526,14 +514,7 @@ class ViewServer(Serving):
             self._dynamic_store = DynamicSnapshotStore(
                 Path(snapshot_dir) / "dynamic"
             )
-        self._telemetry, self._owns_telemetry = Telemetry.resolve(
-            telemetry, snapshot_dir
-        )
-        self._owns_builder = False
-        if builder is None and build_workers is not None:
-            builder = ParallelBuilder(build_workers)
-            self._owns_builder = True
-        self._builder = builder
+        self._telemetry = telemetry
         self._cache = RepresentationCache(
             max_entries=max_entries,
             max_cells=max_cells,
@@ -1271,10 +1252,9 @@ class ViewServer(Serving):
         any other is built over ``context``. A versioned view passes its
         pinned version's clean structure as ``base``; otherwise the base
         is the generation's live one — the lowest default-cover ``tau``
-        built in-process over its context — and a default-cover build
-        over that context becomes it. The optimizer's cover and a
-        :class:`ParallelBuilder` hand-back (which carries no entry
-        costs) are always built directly.
+        built over its context — and a default-cover build
+        over that context becomes it. The optimizer's cover is always
+        built directly.
         """
         # The optimizer's cover is tied to the τ it was solved for; a
         # caller-supplied τ falls back to the context's default cover.
@@ -1283,7 +1263,6 @@ class ViewServer(Serving):
         cuttable = (
             base is None
             and weights is None
-            and self._builder is None
             and context is self._contexts.get(generation)
         )
         if cuttable:
@@ -1297,8 +1276,7 @@ class ViewServer(Serving):
         ):
             built = base.cut(tau)
         else:
-            build = self._builder.build if self._builder else CompressedRepresentation
-            built = build(
+            built = CompressedRepresentation(
                 context.view, context.db, tau=tau, weights=weights, context=context
             )
             if cuttable:
@@ -1540,22 +1518,12 @@ class ViewServer(Serving):
     # life cycle and introspection
     # ------------------------------------------------------------------
     def close(self) -> None:
-        """Release owned resources: the build pool and owned telemetry.
+        """Release nothing: a server owns no resource.
 
-        Serving keeps working afterwards (builds fall back in-process);
-        shared builders and shared telemetry are the owner's to close.
-        An owned telemetry instance (``telemetry=True``) gets its final
-        flush here, so its persisted history covers the whole session.
+        Every back end closes alike (the CLI closes whatever it serves),
+        and serving keeps working afterwards. A telemetry instance
+        passed in is the caller's to close.
         """
-        if self._owns_builder and self._builder is not None:
-            self._builder.close()
-        if self._owns_telemetry and self._telemetry is not None:
-            self._telemetry.close()
-
-    @property
-    def builder(self) -> Optional[ParallelBuilder]:
-        """The process-parallel build pool, if any."""
-        return self._builder
 
     @property
     def telemetry(self) -> Optional[Telemetry]:

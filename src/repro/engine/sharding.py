@@ -77,7 +77,6 @@ from repro.engine.api import AccessRequest, AnswerCursor, as_request
 from repro.engine.cache import CacheStats
 from repro.engine.epoch import Hold
 from repro.engine.locking import named_lock
-from repro.engine.parallel import ParallelBuilder
 from repro.engine.server import (
     Drained,
     Registration,
@@ -318,16 +317,10 @@ class ShardedViewServer(Serving):
         ``shard-<id>`` subdirectory, fingerprinted with its own database
         slice (so a re-keyed partition, or another shard count, refuses
         stale snapshots shard by shard).
-    build_workers:
-        Size of ONE :class:`~repro.engine.parallel.ParallelBuilder`
-        process pool shared by every shard, so per-shard structure
-        construction uses real cores while total build parallelism stays
-        bounded. ``None`` keeps builds in-process.
     telemetry:
-        ``True`` creates an owned :class:`~repro.engine.telemetry.Telemetry`
-        (persisted under ``snapshot_dir/telemetry`` when snapshotting); a
-        ready instance is shared. Every shard server records into the
-        SAME registry, so per-view counters aggregate across shards
+        A :class:`~repro.engine.telemetry.Telemetry` instance (the
+        caller's to close) or ``None``. Every shard server records into
+        the SAME registry, so per-view counters aggregate across shards
         while the facade adds the routing-level
         ``shard_requests_total{shard,mode}``.
     """
@@ -340,8 +333,7 @@ class ShardedViewServer(Serving):
         max_entries: Optional[int] = 8,
         max_cells: Optional[int] = None,
         snapshot_dir: Optional[Union[str, Path]] = None,
-        build_workers: Optional[int] = None,
-        telemetry: Union[Telemetry, bool, None] = None,
+        telemetry: Optional[Telemetry] = None,
     ):
         self.shard_key: Dict[str, int] = dict(shard_key or {})
         self._max_entries = max_entries
@@ -349,17 +341,10 @@ class ShardedViewServer(Serving):
         self._snapshot_dir = (
             Path(snapshot_dir) if snapshot_dir is not None else None
         )
-        self._telemetry, self._owns_telemetry = Telemetry.resolve(
-            telemetry, self._snapshot_dir
-        )
+        self._telemetry = telemetry
         self._table = RoutingTable.fresh(n_shards)
         self._databases: List[Database] = partition_database(
             db, self.shard_key, n_shards
-        )
-        self._builder: Optional[ParallelBuilder] = (
-            ParallelBuilder(build_workers)
-            if build_workers is not None
-            else None
         )
         self._servers: List[ViewServer] = [
             self._make_shard_server(shard_id, shard_db)
@@ -381,7 +366,7 @@ class ShardedViewServer(Serving):
     ) -> ViewServer:
         # Shard servers share the facade's Telemetry instance (never
         # construct their own): one registry aggregates per-view metrics
-        # across shards, and the facade owns the flush/close lifecycle.
+        # across shards.
         return ViewServer(
             shard_db,
             max_entries=self._max_entries,
@@ -391,7 +376,6 @@ class ShardedViewServer(Serving):
                 if self._snapshot_dir is not None
                 else None
             ),
-            builder=self._builder,
             telemetry=self._telemetry,
         )
 
@@ -668,10 +652,8 @@ class ShardedViewServer(Serving):
         Lazy serving builds each shard's structure on its first request —
         fine for routed traffic, but a scatter view's first batch pays
         every shard's build back to back. This fans the builds out: one
-        thread per shard drives that shard's cached build path, and with
-        a shared :class:`~repro.engine.parallel.ParallelBuilder` the
-        builds land on worker *processes*, using real cores. Returns the
-        per-shard structures, shard order.
+        thread per shard drives that shard's cached build path, in this
+        process. Returns the per-shard structures, shard order.
         """
         self.route(name)  # unknown views fail before any build starts
         servers = self.shards
@@ -687,18 +669,11 @@ class ShardedViewServer(Serving):
             return [future.result() for future in futures]
 
     def close(self) -> None:
-        """Release the shared build worker pool (serving keeps working)."""
+        """Close every shard server; like theirs, this releases nothing
+        and serving keeps working. A telemetry instance passed in is the
+        caller's to close."""
         for server in self._servers:
             server.close()
-        if self._builder is not None:
-            self._builder.close()
-        if self._owns_telemetry and self._telemetry is not None:
-            self._telemetry.close()
-
-    @property
-    def builder(self) -> Optional[ParallelBuilder]:
-        """The shared build worker pool, or ``None`` for in-process builds."""
-        return self._builder
 
     @property
     def telemetry(self) -> Optional[Telemetry]:

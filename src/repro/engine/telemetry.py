@@ -401,8 +401,7 @@ class TelemetryStore:
     record carries ``schema``/``session``/``seq``/``ts``; malformed or
     version-mismatched lines raise
     :class:`~repro.exceptions.TelemetryError`. The conventional location
-    is ``snapshot_dir/telemetry/`` (servers given ``telemetry=True``
-    put it there themselves).
+    is ``snapshot_dir/telemetry/``.
     """
 
     def __init__(
@@ -506,8 +505,8 @@ class Telemetry:
     the whole stack). With ``directory=None`` everything stays
     in-memory; with a directory, events persist immediately and
     :meth:`flush` writes cumulative metric snapshots a restart can
-    merge. Servers never flush behind your back except on
-    :meth:`close`.
+    merge. Servers never flush or close it: the caller who made the
+    instance calls :meth:`close`.
     """
 
     def __init__(self, directory: Optional[Union[str, Path]] = None) -> None:
@@ -518,25 +517,6 @@ class Telemetry:
         # Bounded rings: the durable record is the store, not these.
         self.spans: Deque[Span] = deque(maxlen=256)
         self.events: Deque[Dict[str, Any]] = deque(maxlen=1024)
-
-    @classmethod
-    def resolve(
-        cls,
-        telemetry: Union["Telemetry", bool, None],
-        snapshot_dir: Optional[Union[str, Path]],
-    ) -> Tuple[Optional["Telemetry"], bool]:
-        """``(sink, owned)`` for a server's ``telemetry=`` argument.
-
-        ``True`` creates an instance the server owns (and closes),
-        persisting under ``snapshot_dir/telemetry`` when there is a
-        snapshot directory; a ready instance is shared; anything falsy
-        is no telemetry.
-        """
-        if telemetry is not True:
-            return telemetry or None, False
-        if snapshot_dir is None:
-            return cls(), True
-        return cls(Path(snapshot_dir) / "telemetry"), True
 
     # -- registry passthroughs ----------------------------------------
     def counter(self, name: str, **labels: Any) -> Counter:

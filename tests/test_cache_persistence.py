@@ -123,7 +123,7 @@ class TestDiskTier:
         cache = RepresentationCache(snapshot_store=store)
         cache.get_or_build("k", lambda: _build(view, db, 8.0))
         assert store.path_for(repr("k")).exists()
-        assert cache.invalidate("k")
+        assert cache.invalidate_matching(lambda key: key == "k") == 1
         assert not store.path_for(repr("k")).exists()
 
     def test_disk_counters_flow_through_delta_and_add(self):

@@ -298,6 +298,9 @@ class TestMakefileContract:
             "test_engine_machine.py",
         ):
             assert hammer in target
+        # And names no file that is gone.
+        named = re.findall(r"tests/\S+\.py", target)
+        assert named and all((REPO / path).is_file() for path in named)
 
     def test_fuzz_runs_the_engine_machine_under_its_profile(self):
         # The long run of the differential machine: same file as tier-1,
@@ -404,8 +407,17 @@ class TestMakefileContract:
 #: ``return_exceptions``. Then 3,568 → 3,564 (−4): ``telemetry.py`` −6
 #: (``Telemetry(session=)``, which only tests set); ``replica.py`` +2
 #: (its ``_drop`` override: a replica's invalidations keep the shared
-#: snapshot files).
-ENGINE_SLOC_CEILING = 3564
+#: snapshot files). Then 3,564 → 3,453 (−111), when every server began
+#: to build in its own process: ``parallel.py`` −49 (``build``, the
+#: fallback counters, ``is_broken`` and the weights hand-off; what is
+#: left is ``submit`` / ``close`` for the benchmark's parallel-build
+#: probe); ``server.py`` −19 (``build_workers`` / ``builder``, the
+#: builder term of ``_build``'s cut test and its hand-back, the owned
+#: telemetry); ``sharding.py`` −17 (the shared pool); ``telemetry.py``
+#: −11 (``Telemetry.resolve``); ``cache.py`` −9
+#: (``RepresentationCache.invalidate``); ``async_server.py`` −4 and
+#: ``__init__.py`` −2. No gain claimed.
+ENGINE_SLOC_CEILING = 3453
 
 #: `make size`'s figure for src/repro/__main__.py after PR 18: the CLI
 #: wires a back end, an async front and its error reporting once each;
@@ -419,8 +431,10 @@ ENGINE_SLOC_CEILING = 3564
 #: and ``--gap-budget`` went with the closed-loop τ tuner, with the loop
 #: they drove and their four refusals. Then 790 → 763 (−27): ``serve
 #: --dynamic`` went with the second registration kind, with its three
-#: refusals; ``update apply`` registers with ``register``.
-MAIN_SLOC_CEILING = 763
+#: refusals; ``update apply`` registers with ``register``. Then
+#: 763 → 749 (−14): ``serve --build-workers`` went with the process
+#: build fork, with its range check.
+MAIN_SLOC_CEILING = 749
 
 #: `make size`'s total for src/repro after PR 24. A per-package ceiling
 #: reads code *moved* out of the package as a reduction; the total cannot
@@ -604,7 +618,10 @@ MAIN_SLOC_CEILING = 763
 #: ``core/cost.py`` +8 (``live_accesses``: one root-slice resolution
 #: per build, two liveness rules); ``core/__init__.py`` −1; the engine
 #: −4 above. No gain claimed.
-SRC_SLOC_CEILING = 12073
+#: Then, when every server began to build in its own process:
+#: 12,073 → 11,948 (−125): the engine −111 and the CLI −14 above. No
+#: gain claimed.
+SRC_SLOC_CEILING = 11948
 
 
 class TestSizeGate:
@@ -742,7 +759,9 @@ class TestOneStaticEnumerator:
         # One eviction policy, one balancer, no unbatched strawman: the
         # flags that chose between them are gone with the code paths.
         text = self._serve_help()
-        for flag in ("--cache-policy", "--balancer", "--per-request"):
+        for flag in (
+            "--cache-policy", "--balancer", "--per-request", "--build-workers"
+        ):
             assert flag not in text
 
     def test_the_cli_offers_no_topology_verb(self):
@@ -960,6 +979,84 @@ class TestTheServingPathIsNumpyFree:
             "dictionary.py",
             "splitting.py",
         ]
+
+
+class TestOneBuildPath:
+    """A server builds in its own process, where a higher τ is a cut.
+
+    A structure handed back from a worker process is a decoded blob with
+    no entry costs, so it can never be the base a higher τ is cut from
+    (Theorem 1). Held by AST: no ``repro.engine`` module other than
+    ``parallel.py`` — the pool the benchmark's parallel-build probe
+    times — imports or names ``ParallelBuilder``, ``ProcessPoolExecutor``,
+    ``concurrent.futures.process`` or the ``parallel`` module, and
+    ``ViewServer._build`` makes one build call.
+    """
+
+    ENGINE = REPO / "src" / "repro" / "engine"
+    FORBIDDEN = {
+        "ParallelBuilder",
+        "ProcessPoolExecutor",
+        "concurrent.futures.process",
+        "repro.engine.parallel",
+    }
+
+    @classmethod
+    def process_build_names(cls, path: Path) -> list:
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        names = set()
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                names |= {alias.name for alias in node.names}
+            elif isinstance(node, ast.ImportFrom):
+                module = node.module or ""
+                names.add(module)
+                for alias in node.names:
+                    names |= {alias.name, f"{module}.{alias.name}"}
+            elif isinstance(node, ast.Name):
+                names.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                names.add(node.attr)
+        return sorted(names & cls.FORBIDDEN)
+
+    def test_the_check_sees_an_import_and_a_name(self, tmp_path):
+        for line in (
+            "from repro.engine.parallel import ParallelBuilder",
+            "from repro.engine import parallel",
+            "from concurrent.futures import ProcessPoolExecutor",
+            "from concurrent.futures.process import BrokenProcessPool",
+            "import concurrent.futures.process",
+            "pool = concurrent.futures.ProcessPoolExecutor(2)",
+        ):
+            (tmp_path / "m.py").write_text(f"def f():\n    {line}\n")
+            assert self.process_build_names(tmp_path / "m.py"), line
+
+    def test_only_parallel_py_reaches_a_process_pool(self):
+        modules = sorted(self.ENGINE.rglob("*.py"))
+        assert len(modules) > 10, "the walk found too few engine modules"
+        found = {
+            path.name: self.process_build_names(path)
+            for path in modules
+            if path.name != "parallel.py"
+        }
+        assert {name: hit for name, hit in found.items() if hit} == {}
+
+    def test_build_makes_one_build_call(self):
+        tree = ast.parse((self.ENGINE / "server.py").read_text("utf-8"))
+        build = next(
+            method
+            for cls in ast.walk(tree)
+            if isinstance(cls, ast.ClassDef) and cls.name == "ViewServer"
+            for method in cls.body
+            if isinstance(method, ast.FunctionDef) and method.name == "_build"
+        )
+        calls = [
+            ast.unparse(node.func)
+            for node in ast.walk(build)
+            if isinstance(node, ast.Call)
+        ]
+        assert calls.count("CompressedRepresentation") == 1, calls
+        assert not [call for call in calls if call.endswith(".build")]
 
 
 class TestPairSummariser:

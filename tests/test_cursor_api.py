@@ -407,16 +407,15 @@ class TestBackwardCompat:
     #: ``semijoin_reduce`` and the telemetry ring sizes went that way
     #: (50 → 28). Then 28 → 26: a routing table is its list of shards,
     #: with no split tree and no version (and no serialized form to
-    #: rebuild one from). A new entry here comes with the caller that
-    #: needs it.
+    #: rebuild one from). Then 25 → 22: a server builds in its own
+    #: process, so ``build_workers`` and ``builder`` went. A new entry
+    #: here comes with the caller that needs it.
     OPTIONAL_PARAMETERS = {
         ViewServer: (
-            "max_entries", "max_cells", "snapshot_dir", "build_workers",
-            "builder", "telemetry",
+            "max_entries", "max_cells", "snapshot_dir", "telemetry",
         ),
         ShardedViewServer: (
-            "max_entries", "max_cells", "snapshot_dir", "build_workers",
-            "telemetry",
+            "max_entries", "max_cells", "snapshot_dir", "telemetry",
         ),
         AsyncViewServer: (
             "max_workers", "max_pending", "replicas", "telemetry",
@@ -494,13 +493,12 @@ class TestBackwardCompat:
                 if parameter.default is not inspect.Parameter.empty
             )
             assert optional == expected, target.__qualname__
-        assert sum(map(len, self.OPTIONAL_PARAMETERS.values())) == 25
+        assert sum(map(len, self.OPTIONAL_PARAMETERS.values())) == 22
         plain = ViewServer(
             db,
             max_entries=4,
             max_cells=None,
             snapshot_dir=tmp_path / "snaps",
-            build_workers=None,
         )
         sharded = ShardedViewServer(db, 2, SHARD_KEY, max_entries=4)
         front = AsyncViewServer(plain, max_workers=2, max_pending=4)

@@ -199,7 +199,8 @@ class TestDeltas:
 
     def test_rebuild_boundary_counts_and_cleans(self):
         db = chain_database()
-        server = ViewServer(db, telemetry=True)
+        telemetry = Telemetry()
+        server = ViewServer(db, telemetry=telemetry)
         name = server.register(
             VIEW_TEXT, tau=4.0, rebuild_fraction=0.0
         )
@@ -218,12 +219,14 @@ class TestDeltas:
         representation = server.representation(name)
         assert not hasattr(representation, "is_dirty") or True
         server.close()
+        telemetry.close()
 
 
 class TestCursorPinning:
     def test_open_cursor_drains_its_version(self):
         db = chain_database()
-        server = ViewServer(db, telemetry=True)
+        telemetry = Telemetry()
+        server = ViewServer(db, telemetry=telemetry)
         name = server.register(VIEW_TEXT, tau=4.0)
         state = version(server, name)
         cursor = server.open(name, (1,))
@@ -251,6 +254,7 @@ class TestCursorPinning:
             == 1
         )
         server.close()
+        telemetry.close()
 
     def test_batch_cursors_pin_and_release(self):
         db = chain_database()
@@ -418,7 +422,7 @@ class TestReplicaShipping:
     #: below stays short of the rebuild boundary, so records replay.
     BELOW_BOUNDARY = 2.0
 
-    def _pair(self, tmp_path, telemetry=False, rebuild_fraction=0.1):
+    def _pair(self, tmp_path, telemetry=None, rebuild_fraction=0.1):
         db = chain_database()
         primary = ViewServer(db, snapshot_dir=tmp_path, telemetry=telemetry)
         name = primary.register(
@@ -435,8 +439,9 @@ class TestReplicaShipping:
         return primary, replica, name
 
     def test_delta_mode_converges(self, tmp_path):
+        telemetry = Telemetry()
         primary, replica, name = self._pair(
-            tmp_path, telemetry=True, rebuild_fraction=self.BELOW_BOUNDARY
+            tmp_path, telemetry=telemetry, rebuild_fraction=self.BELOW_BOUNDARY
         )
         primary.apply_deltas("R", inserts=[(1, 3)])
         primary.apply_deltas("S", inserts=[(4, 9)], deletes=[(4, 7)])
@@ -452,6 +457,7 @@ class TestReplicaShipping:
         assert replica.total_builds() == 0
         primary.close()
         replica.close()
+        telemetry.close()
 
     def test_churn_threshold_falls_back_to_snapshot(self, tmp_path, monkeypatch):
         monkeypatch.setattr(dynamic_serving, "DEFAULT_CHURN_THRESHOLD", 2)
@@ -595,7 +601,8 @@ class TestSnapshotAdoption:
     def test_boundaries_ship_the_primary_snapshot(self, tmp_path):
         db = chain_database()
         primary = ViewServer(db, snapshot_dir=tmp_path)
-        replica = ReplicaServer(db, snapshot_dir=tmp_path, telemetry=True)
+        telemetry = Telemetry()
+        replica = ReplicaServer(db, snapshot_dir=tmp_path, telemetry=telemetry)
         name = self._pair(primary, replica)
         trace = {"modes": [], "boundaries": [], "records": []}
         for version, databases in self._drive(primary, replica, name, trace):
@@ -630,6 +637,7 @@ class TestSnapshotAdoption:
         ]
         primary.close()
         replica.close()
+        telemetry.close()
 
     def test_a_restarted_primary_still_converges_its_replica(self, tmp_path):
         # The restart replays the log but holds no record from before it:
@@ -675,15 +683,13 @@ class TestSnapshotAdoption:
 
 
 class TestShardedFanOut:
-    def _sharded(self, telemetry=False):
+    def _sharded(self):
         rows_r = [(i, i % 7) for i in range(40)]
         rows_s = [(i % 7, i) for i in range(40)]
         db = Database(
             [Relation("R", 2, rows_r), Relation("S", 2, rows_s)]
         )
-        server = ShardedViewServer(
-            db, 3, {"R": 0}, telemetry=telemetry
-        )
+        server = ShardedViewServer(db, 3, {"R": 0})
         return db, server
 
     def test_routed_deltas_land_on_owning_shard(self):
@@ -1069,7 +1075,8 @@ class TestLazyVersions:
         # A version is owned by its Epochs hold, not by an LRU: a dynamic
         # view never appears in the cache; what is live is read from the
         # state's live_versions() / the dynamic_live_versions gauge.
-        server = ViewServer(chain_database(), telemetry=True)
+        telemetry = Telemetry()
+        server = ViewServer(chain_database(), telemetry=telemetry)
         name = server.register(
             VIEW_TEXT, tau=4.0, rebuild_fraction=float("inf")
         )
@@ -1093,6 +1100,7 @@ class TestLazyVersions:
         assert server.resident(name) and server.demote(name) == 0
         assert server.representation(name) is state.epochs.current()[1]
         server.close()
+        telemetry.close()
 
     def test_dynamic_version_churn_leaves_static_structures_resident(self):
         # A frozen version takes no LRU slot: a delta must not evict a

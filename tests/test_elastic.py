@@ -92,7 +92,6 @@ class TestReplicaServer:
             assert replica.register(view, tau=TAU) == name
             assert replica.hydrate() == 1
             assert replica.total_builds() == 0
-            assert replica.builder is None  # never a process build pool
             for access in productive_accesses(view, db)[:10]:
                 assert replica.answer(name, access) == oracle_answer(
                     view, db, access

@@ -323,7 +323,8 @@ class TestCacheConcurrency:
                     )
                     assert built.tau == tau
                     if rng.random() < 0.3:
-                        cache.invalidate(("V", rng.choice(taus)))
+                        victim = ("V", rng.choice(taus))
+                        cache.invalidate_matching(lambda key: key == victim)
             except Exception as error:  # propagate to the main thread
                 errors.append(error)
 
@@ -401,7 +402,7 @@ class TestCacheConcurrency:
         builder.start()
         mid_build.wait(timeout=5.0)
         # Invalidating a key whose build is in flight is a no-op drop …
-        assert cache.invalidate("k") is False
+        assert cache.invalidate_matching(lambda key: key == "k") == 0
         release.set()
         builder.join()
         # … and the publish lands with exact accounting.

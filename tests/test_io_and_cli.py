@@ -337,46 +337,6 @@ class TestSnapshotCLI:
         assert "0 builds" in warm
         assert "1 warm loads, 0 writes" in warm
 
-    def test_serve_with_build_workers(self, triangle_dir, tmp_path, capsys):
-        requests = tmp_path / "requests.txt"
-        requests.write_text("1,2\n")
-        code = main(
-            [
-                "serve",
-                "--view",
-                self.VIEW,
-                "--data",
-                str(triangle_dir),
-                "--requests",
-                str(requests),
-                "--build-workers",
-                "1",
-            ]
-        )
-        assert code == 0
-        assert "served 1 requests" in capsys.readouterr().out
-
-    def test_serve_rejects_bad_build_workers(
-        self, triangle_dir, tmp_path, capsys
-    ):
-        requests = tmp_path / "requests.txt"
-        requests.write_text("1,2\n")
-        code = main(
-            [
-                "serve",
-                "--view",
-                self.VIEW,
-                "--data",
-                str(triangle_dir),
-                "--requests",
-                str(requests),
-                "--build-workers",
-                "0",
-            ]
-        )
-        assert code == 2
-        assert "--build-workers" in capsys.readouterr().err
-
     def test_snapshot_save_inspect_load_flow(
         self, triangle_dir, tmp_path, capsys
     ):

@@ -178,21 +178,3 @@ class TestFactoryIntegration:
         rows = list(server.answer(name, (2,)))
         assert rows
         assert tracked.cycles() == []
-
-    def test_is_broken_reads_under_the_lock(self, tracked):
-        # Regression: ParallelBuilder.is_broken used to read _broken
-        # without the lock (lock-discipline finding). The tracked lock
-        # proves the property acquires it now.
-        from repro.engine.parallel import ParallelBuilder
-
-        builder = ParallelBuilder(max_workers=1)
-        before = len(tracked_acquisitions := [])
-
-        class Spy(TrackedLock):
-            def acquire(self, blocking=True, timeout=-1):
-                tracked_acquisitions.append(self.name)
-                return super().acquire(blocking, timeout)
-
-        builder._lock = Spy("parallel.builder", tracked)
-        assert builder.is_broken is False
-        assert len(tracked_acquisitions) == before + 1

@@ -35,7 +35,7 @@ from repro.core.balanced_tree import DelayBalancedTree
 from repro.core.decomposed import DecomposedRepresentation
 from repro.core.snapshot import decode_snapshot, encode_snapshot
 from repro.core.structure import CompressedRepresentation
-from repro.engine import ParallelBuilder, ReplicaServer, ViewServer
+from repro.engine import ReplicaServer, ViewServer
 from repro.workloads import (
     path_database,
     path_view,
@@ -172,18 +172,6 @@ class TestTheEngineMakesNoObjectForm:
             assert made == []
         assert warm._tree is None
         server.close()
-
-    def test_a_parallel_builders_hand_back(self, setup):
-        view, db = setup
-        with ParallelBuilder(max_workers=1) as builder, object_forms() as made:
-            server = ViewServer(db, builder=builder)
-            name = server.register(view, tau=8.0)
-            built = [server.representation(name, tau) for tau in (2.0, 8.0)]
-            # A worker's objects stay in the worker; an in-process
-            # fallback build writes columns and makes no object either.
-            assert made == []
-            assert all(rep._tree is None for rep in built)
-            server.close()
 
     def test_a_replica_hydration(self, setup, tmp_path):
         view, db = setup

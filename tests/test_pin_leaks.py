@@ -17,6 +17,7 @@ from repro.database.relation import Relation
 from repro.engine.api import AccessRequest
 from repro.engine.server import ViewServer
 from repro.engine.sharding import ShardedViewServer
+from repro.engine.telemetry import Telemetry
 from repro.exceptions import ParameterError, SchemaError
 
 ROUTED = "Q^bff(a, b, c) = R(a, b), S(b, c)"
@@ -82,7 +83,7 @@ def failing_batches(name, good):
 
 class TestViewServerOpenBatch:
     def _server(self):
-        server = ViewServer(database(), telemetry=True)
+        server = ViewServer(database(), telemetry=Telemetry())
         name = server.register(ROUTED, tau=4.0)
         other = server.register(SCATTER, tau=4.0)
         # Version both views: their groups pin what they open on.
@@ -123,6 +124,7 @@ class TestViewServerOpenBatch:
         assert opened.cursors_seen, label
         self._assert_drained(server, (name, other), before, opened)
         server.close()
+        server.telemetry.close()
 
     def test_base_exception_mid_batch_releases_the_batch(self, opened):
         server, name, other, good = self._server()
@@ -133,6 +135,7 @@ class TestViewServerOpenBatch:
         assert opened.cursors_seen
         self._assert_drained(server, (name, other), before, opened)
         server.close()
+        server.telemetry.close()
 
 
 class TestShardedOpenBatch:

@@ -2,8 +2,8 @@
 
 The atoms' index, domains and tuple space of a static structure do not
 depend on τ (the ``|D|`` term of Theorem 1), so the engine builds them once per
-registration generation and every structure it builds, warm-loads,
-receives from a build worker or hydrates on a replica shares that one
+registration generation and every structure it builds, warm-loads or
+hydrates on a replica shares that one
 :class:`~repro.core.context.ViewContext` by reference. A restored
 structure adopts a resident context only after its blob's own view and
 database compared *equal* to the context's. The blob format is PR 18's
@@ -39,7 +39,6 @@ from repro.core.structure import CompressedRepresentation
 from repro.database.catalog import Database
 from repro.database.relation import Relation
 from repro.engine import (
-    ParallelBuilder,
     ReplicaServer,
     ShardedViewServer,
     ViewServer,
@@ -135,21 +134,6 @@ class TestIdentity:
                 view, db, access
             )
         assert restarted.total_builds() == 0
-
-    def test_through_a_parallel_builder(self, setup):
-        view, db = setup
-        with ParallelBuilder(max_workers=1) as builder:
-            server = ViewServer(db, builder=builder)
-            name = server.register(view, tau=8.0)
-            built = [server.representation(name, tau) for tau in (2.0, 8.0)]
-            # Worker-built or (sandbox without processes) fallback-built:
-            # the structure handed back shares the parent's context.
-            assert builder.process_builds + builder.fallback_builds == 2
-            assert built[0].ctx is built[1].ctx
-            access = oracle_accesses(view, db, limit=1)[0]
-            assert list(built[0].enumerate(access)) == oracle_answer(
-                view, db, access
-            )
 
     def test_on_a_replica(self, setup, tmp_path):
         view, db = setup
@@ -267,15 +251,6 @@ class TestOneIndexPerContext:
         assert list(warm[2.0].enumerate(access)) == oracle_answer(
             view, db, access
         )
-
-    def test_a_parallel_builders_result_holds_them(self, setup):
-        view, db = setup
-        with ParallelBuilder(max_workers=1) as builder:
-            server = ViewServer(db, builder=builder)
-            name = server.register(view, tau=8.0)
-            built = [server.representation(name, tau) for tau in (2.0, 8.0)]
-            assert builder.process_builds + builder.fallback_builds == 2
-            assert all(same_columns(rep, built[0].ctx) for rep in built)
 
     def test_a_replica_hydration_holds_the_replicas_own(self, setup, tmp_path):
         view, db = setup
@@ -581,8 +556,7 @@ class TestCounts:
         self, setup, tmp_path, monkeypatch
     ):
         # Counting, joining and accounting all read the context's columns:
-        # a build, a disk-tier warm start, a build worker's hand-back, a
-        # replica's hydration, a dirty first read, cache admission and
+        # a build, a disk-tier warm start, a replica's hydration, a dirty first read, cache admission and
         # space_report() construct no value-space index at all.
         from repro.baselines.lazy import LazyView
         from repro.baselines.materialized import MaterializedView
@@ -602,10 +576,6 @@ class TestCounts:
         assert restarted.answer("V", access) == expected
         assert restarted.total_builds() == 0
         assert restarted.representation("V").space_report().index_cells > 0
-        with ParallelBuilder(max_workers=1) as builder:
-            handed = ViewServer(db, builder=builder)
-            handed.register(view, tau=2.0, name="V")
-            assert handed.answer("V", access) == expected
         replica = ReplicaServer(db, snapshot_dir=tmp_path)
         replica.register(view, tau=8.0, name="V")
         replica.hydrate()

@@ -345,13 +345,15 @@ class TestInstrumentedServing:
         view, db = setup
         accesses = request_stream(view, db, 5, seed=2)
         for _ in range(2):
-            server = ViewServer(db, snapshot_dir=tmp_path, telemetry=True)
+            telemetry = Telemetry(tmp_path / "telemetry")
+            server = ViewServer(db, snapshot_dir=tmp_path, telemetry=telemetry)
             name = server.register(view, tau=TAU)
             for access in accesses:
                 assert server.answer(name, access) == oracle_answer(
                     view, db, access
                 )
-            server.close()  # final flush of this session's snapshot
+            server.close()
+            telemetry.close()  # final flush of this session's snapshot
         telemetry_dir = tmp_path / "telemetry"
         sessions = sorted(telemetry_dir.glob("*.jsonl"))
         assert len(sessions) == 2, "each restart starts a new session file"
@@ -379,7 +381,8 @@ class TestDelayHistogram:
         accesses = request_stream(view, db, 24, seed=5)
 
         def run():
-            server = ViewServer(db, telemetry=True)
+            telemetry = Telemetry()
+            server = ViewServer(db, telemetry=telemetry)
             try:
                 name = server.register(view, tau=1.0)
                 expected = Histogram(GAP_BUCKETS)
@@ -405,6 +408,7 @@ class TestDelayHistogram:
                 return gaps, expected, cursor_gaps, paths
             finally:
                 server.close()
+                telemetry.close()
 
         kernel_gaps, kernel_expected, kernel_cursors, kernel_paths = run()
         with reference_walk():
