@@ -77,12 +77,14 @@ bench-e2e:
 
 # Alternating parent/change pairs of that benchmark, the way a gain is
 # claimed (choosing-metrics §8): PARENT=<checkout of the parent commit>
-# WORKLOAD=scan_stream [PAIRS=10 SEED=11 OUT=BENCH_<pr>.json]. Each side
-# runs its own tree's run.py; prints both medians, quartiles, wins and
-# the verdict per end-to-end metric, and merges the row into $(OUT).
+# WORKLOAD=scan_stream [PAIRS=10 SEED=11 OUT=BENCH_<pr>.json]. WORKLOAD
+# may be a comma list, or all (the default): each workload's pairs run
+# in turn. Each side runs its own tree's run.py; a run that fails or
+# answers wrong stops the loop. Prints both medians, quartiles, wins and
+# the verdict per end-to-end metric, and merges each row into $(OUT).
 bench-pairs:
 	$(PYTHON) benchmarks/bench_pairs.py --parent $(PARENT) \
-		--workload $(WORKLOAD) --pairs $(or $(PAIRS),10) \
+		--workload $(or $(WORKLOAD),all) --pairs $(or $(PAIRS),10) \
 		--seed $(or $(SEED),11) $(if $(OUT),--out $(OUT))
 
 # Self-test of that benchmark's harness: contract and tables in sync,

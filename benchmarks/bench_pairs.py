@@ -11,6 +11,11 @@ script; this is the loop, once.
     python benchmarks/bench_pairs.py --parent ../parent-checkout \\
         --workload scan_stream --pairs 10 --seed 11 --out BENCH_20.json
 
+``--workload`` is one workload, a comma list of them, or ``all`` (every
+workload ``BENCHMARK.json`` declares): each runs its own pairs in turn,
+over one parent checkout, and each row is merged into ``--out`` as
+soon as it is summarised.
+
 ``--parent`` is a directory, or a git revision of this repository
 (``HEAD~1``, a hash, a branch): the revision is checked out in a
 detached ``git worktree`` under a temporary directory for the runs and
@@ -20,11 +25,15 @@ the checkout this file sits in. Each run is the tree's
 *own* ``benchmarks/e2e/run.py`` in a subprocess started in that tree (so
 each side measures its own engine with its own harness, at the run
 length the benchmark sets), and the last line of its standard output is
-the result. The metric names, directions and regression bounds are read
-from this tree's ``BENCHMARK.json``. ``--out`` merges the row for this
-``workload@seed`` into a compact ``BENCH_<pr>.json`` (medians, quartiles,
-wins, verdict and every run's value), so one file can hold all six
-workloads and a held-out seed.
+the result. A run that exits non-zero (``run.py`` exits 1 when an
+answer was wrong), prints no result or reports ``correct: false``
+stops the loop with an error naming the side, the pair, the workload
+and the seed: a timing of wrong answers is no measurement. The metric
+names, directions and regression bounds are read from this tree's
+``BENCHMARK.json``. ``--out`` merges each ``workload@seed`` row into
+a compact ``BENCH_<pr>.json`` (medians, quartiles, wins, verdict and
+every run's value), so one file can hold all six workloads and a
+held-out seed.
 
 Verdicts, per metric: ``improved`` (the §8 rule), ``worse`` (the
 change's median is worse than the parent's by more than the contract's
@@ -138,8 +147,16 @@ def summarise_pairs(
     }
 
 
+class RunFailed(Exception):
+    """A run whose result cannot be counted: why, in one line."""
+
+
 def run_once(tree: Path, workload: str, seed: int) -> Dict[str, object]:
-    """One run of ``tree``'s own benchmark, at the length it sets itself."""
+    """One run of ``tree``'s own benchmark, at the length it sets itself.
+
+    Raises :class:`RunFailed` unless the run exits 0 and its result says
+    every answer was correct.
+    """
     command = [
         sys.executable, str(tree.joinpath(*RUNNER)),
         "--workload", workload, "--seed", str(seed),
@@ -150,9 +167,16 @@ def run_once(tree: Path, workload: str, seed: int) -> Dict[str, object]:
     done = subprocess.run(
         command, cwd=tree, env=env, stdout=subprocess.PIPE, text=True
     )
-    if not done.stdout.strip():
-        raise SystemExit(f"{' '.join(command)}: no result line")
-    return parse_result(done.stdout)
+    try:
+        result = parse_result(done.stdout)
+    except (IndexError, ValueError):
+        raise RunFailed(f"exit code {done.returncode}, no result line") from None
+    if done.returncode or result.get("correct") is not True:
+        raise RunFailed(
+            f"exit code {done.returncode}, correct: "
+            f"{json.dumps(result.get('correct'))}"
+        )
+    return result
 
 
 def print_row(label: str, row: Dict[str, object]) -> None:
@@ -218,35 +242,64 @@ def parent_checkout(parent: str) -> Iterator[Tuple[Path, str]]:
             )
 
 
+def workloads_of(spec: str, contract: Dict) -> List[str]:
+    """The workloads ``--workload`` names: one, a comma list, or ``all``."""
+    declared = [entry["name"] for entry in contract["workloads"]]
+    names = declared if spec == "all" else spec.split(",")
+    unknown = [name for name in names if name not in declared]
+    if unknown:
+        raise SystemExit(f"unknown workload(s) {unknown}; declared: {declared}")
+    return names
+
+
+def run_pairs(trees: Dict[str, Path], workload: str, pairs: int, seed: int):
+    """Each side's results over ``pairs`` alternating pairs of runs."""
+    results: Dict[str, List[Dict]] = {"parent": [], "change": []}
+    for pair in range(pairs):
+        order = ("parent", "change") if pair % 2 == 0 else ("change", "parent")
+        for side in order:
+            try:
+                result = run_once(trees[side], workload, seed)
+            except RunFailed as error:
+                raise SystemExit(
+                    f"{side} run of pair {pair + 1}/{pairs}, "
+                    f"{workload}@{seed}: {error}"
+                ) from None
+            results[side].append(result)
+            print(
+                f"{workload} pair {pair + 1}/{pairs} {side}: "
+                f"failed {result['failed']}",
+                flush=True,
+            )
+    return results
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--parent", required=True, help="a directory or a git revision")
-    parser.add_argument("--workload", required=True)
+    parser.add_argument(
+        "--workload", required=True, help="a workload, a comma list, or all"
+    )
     parser.add_argument("--pairs", type=int, default=10)
     parser.add_argument("--seed", type=int, default=11)
     parser.add_argument("--out", type=Path, default=None)
     args = parser.parse_args(argv)
     contract = json.loads((REPO / "BENCHMARK.json").read_text())
-    results: Dict[str, List[Dict]] = {"parent": [], "change": []}
+    workloads = workloads_of(args.workload, contract)
     with parent_checkout(args.parent) as (parent, parent_head):
         trees = {"parent": parent, "change": REPO}
-        for pair in range(args.pairs):
-            order = ("parent", "change") if pair % 2 == 0 else ("change", "parent")
-            for side in order:
-                result = run_once(trees[side], args.workload, args.seed)
-                results[side].append(result)
-                print(
-                    f"pair {pair + 1}/{args.pairs} {side}: failed {result['failed']}",
-                    flush=True,
+        for workload in workloads:
+            results = run_pairs(trees, workload, args.pairs, args.seed)
+            row = summarise_pairs(results["parent"], results["change"], contract)
+            label = f"{workload}@{args.seed}"
+            print_row(label, row)
+            if args.out is not None:
+                report = (
+                    json.loads(args.out.read_text()) if args.out.exists() else {}
                 )
-    row = summarise_pairs(results["parent"], results["change"], contract)
-    label = f"{args.workload}@{args.seed}"
-    print_row(label, row)
-    if args.out is not None:
-        report = json.loads(args.out.read_text()) if args.out.exists() else {}
-        report["parent"] = parent_head
-        report.setdefault("rows", {})[label] = row
-        args.out.write_text(dump_report(report))
+                report["parent"] = parent_head
+                report.setdefault("rows", {})[label] = row
+                args.out.write_text(dump_report(report))
     return 0
 
 

@@ -46,7 +46,8 @@ from repro.core.domain import Domain, TupleSpace
 from repro.core.layout import (
     AtomColumns,
     JoinColumns,
-    compile_count_columns,
+    RowKeys,
+    compile_build_columns,
     compile_join_columns,
 )
 from repro.core.snapshot import database_state, source_section, view_state
@@ -168,6 +169,7 @@ class ViewContext:
         # not one re-derived from the weights.
         self._columns: Optional[JoinColumns] = None
         self._count_columns: Optional[Tuple[AtomColumns, ...]] = None
+        self._bound_columns: Optional[JoinColumns] = None
         self._default_cover = getattr(previous, "_default_cover", None)
         self._index_cells: Optional[int] = None
         self._states: Optional[Tuple[Dict, List]] = None
@@ -200,22 +202,47 @@ class ViewContext:
         on them too.
         """
         if self._columns is None:
-            self._columns = compile_join_columns(self, self._previous)
-            self._previous = None
+            self._compile_columns(RowKeys(self))
         return self._columns
+
+    def _compile_columns(self, keys: RowKeys) -> None:
+        self._columns = compile_join_columns(self, self._previous, keys)
+        self._previous = None
 
     def count_columns(self) -> Tuple[AtomColumns, ...]:
         """Per atom, the columns an unrestricted ``T(B)`` counts on.
 
         An atom with a bound variable needs its rows counted by their
         free part alone, repeats included: a second instance over the
-        free columns, compiled when a build first asks — so a context
-        that is only enumerated from (a dirty dynamic version's) has
-        none. Any other atom counts on :meth:`columns` itself.
+        free columns, compiled when a build first asks (with
+        :meth:`bound_columns`) — so a context that is only enumerated
+        from (a dirty dynamic version's) has none. Any other atom counts
+        on :meth:`columns` itself.
         """
-        if self._count_columns is None:
-            self._count_columns = compile_count_columns(self)
-        return self._count_columns
+        return self._build_columns()[0]
+
+    def bound_columns(self) -> JoinColumns:
+        """The atoms' bound projections, what the candidate join walks.
+
+        Compiled once, with :meth:`count_columns`, when a build first
+        asks: every build over this context joins the same candidates.
+        """
+        return self._build_columns()[1]
+
+    def _build_columns(self) -> Tuple[Tuple[AtomColumns, ...], JoinColumns]:
+        """The build's two instances, off the join columns' sorted keys.
+
+        When the join columns are compiled here too, each atom's rows
+        are folded and sorted once for all three; the keys go with the
+        call. ``_bound_columns`` is assigned last, so it guards both.
+        """
+        if self._bound_columns is None:
+            keys = RowKeys(self)
+            if self._columns is None:
+                self._compile_columns(keys)
+            built = compile_build_columns(self, keys)
+            self._count_columns, self._bound_columns = built
+        return self._count_columns, self._bound_columns
 
     def index_cells(self) -> int:
         """Cells of the atoms' index, as a trie per access path counts them.

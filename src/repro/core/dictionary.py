@@ -71,7 +71,7 @@ from repro.core.cost import (
     root_slices,
     run_keys,
 )
-from repro.core.layout import DictColumns, TreeColumns, compile_bound_columns
+from repro.core.layout import DictColumns, TreeColumns
 
 
 class Output(NamedTuple):
@@ -191,7 +191,7 @@ def bound_candidates(ctx) -> List[Tuple]:
     for at least one box, hence appears in this join (Proposition 13).
     Access tuples, in lexicographic order; ``[()]`` with no bound variable.
     """
-    columns = compile_bound_columns(ctx)
+    columns = ctx.bound_columns()
     return decode(columns, array_join(columns, [()]))
 
 

@@ -54,8 +54,9 @@ from array import array
 from bisect import bisect_left
 from collections import defaultdict
 from dataclasses import dataclass, field
-from itertools import accumulate, chain, compress, repeat
-from operator import gt, itemgetter
+from itertools import accumulate, chain, compress, count, repeat
+from math import prod
+from operator import add, floordiv, gt, itemgetter, mod, ne
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.core.domain import TupleSpace
@@ -563,66 +564,100 @@ def compile_dictionary(entries) -> DictColumns:
     return DictColumns(index, nodes, bytes(bits))
 
 
-def _compile_rows(rows, positions, coords, space, bound_positions=()) -> AtomColumns:
-    """Columns over ``positions`` of ``rows``, in one sorted pass.
+def _row_keys(rows, positions, domains) -> List[int]:
+    """``rows``' values at ``positions`` as sorted mixed-radix integers.
 
-    A key is a row's values at ``positions``: one per bound position
-    first (the bound prefix, a key of ``roots``), then one level per
-    coordinate of ``coords``, as an index into that coordinate's domain
-    in ``space`` (indexes order like the values). Keys are sorted,
-    repeats kept — each is counted, only the first stored — and a key
-    opens a new run entry at every level from the first position where
-    it departs from its predecessor. A level's child slices are
-    contiguous in key order, so each ends where the next begins. Rows
-    with no key column have the empty key, once each.
+    Digit ``j`` of a key is the value's index in ``domains[j]``, in base
+    ``len(domains[j])``: keys order as the index tuples do, and indexes
+    order like the values. Each column maps its values straight to
+    their digit's weight (index times the sizes of the domains after
+    it), and the columns are added: C-level ``map`` passes, no Python
+    statement per row. A row with no key column has the key 0.
     """
-    width, bound_depth = len(coords), len(bound_positions)
-    columns = [[row[p] for row in rows] for p in positions]
-    for level, coordinate in enumerate(coords, start=bound_depth):
-        index_of = space.domains[coordinate].index_of
-        columns[level] = list(map(index_of, columns[level]))
-    keys = sorted(zip(*columns)) if columns else [()] * len(rows)
-    vals: List[List[int]] = [[] for _ in range(width)]
-    kid_lo: List[List[int]] = [[] for _ in range(max(width - 1, 0))]
-    starts: Dict[Tuple, int] = {}  # each bound prefix's first level-0 entry
-    previous = None
-    for key in keys:
-        if key == previous:
-            continue
-        departs = 0
-        if previous is not None:
-            while key[departs] == previous[departs]:
-                departs += 1
-        if previous is None or departs < bound_depth:
-            starts[key[:bound_depth]] = len(vals[0]) if width else len(starts)
-            departs = bound_depth
-        previous = key
-        for level in range(departs - bound_depth, width):
-            if level + 1 < width:
-                kid_lo[level].append(len(vals[level + 1]))
-            vals[level].append(key[bound_depth + level])
-    # Prefix counts: a stored key's position among all keys (each key's
-    # own when none repeats), lifted a level at a time through the first
-    # child of every entry. At width 0 the entries are the roots.
-    total = len(keys)
-    stored = len(vals[-1]) if width else len(starts)
+    scale, weighted = 1, []
+    for position, domain in zip(reversed(positions), reversed(domains)):
+        weights = dict(zip(domain.values, count(0, scale)))
+        weighted.append(map(weights.__getitem__, map(itemgetter(position), rows)))
+        scale *= len(domain)
+    keys = weighted.pop() if weighted else repeat(0, len(rows))
+    for column in weighted:
+        keys = map(add, keys, column)
+    return sorted(keys)
+
+
+def _compile_rows(keys, domains, coords, bound_positions=()) -> AtomColumns:
+    """Columns over sorted row keys (:func:`_row_keys` over ``domains``).
+
+    A key's first digits, one per bound position, are its bound prefix
+    (a key of ``roots``, decoded to values); the rest are one level per
+    coordinate of ``coords``. Repeats are kept — each is counted, only
+    the first stored. A level is read off the distinct keys of the level
+    below divided by its radix: the remainders are its values, the first
+    of each run of equal quotients opens a parent's child slice, and the
+    distinct quotients are the parents. A stored key's count is its
+    first position among all keys, lifted a level at a time through the
+    first child of every entry; at width 0 the entries are the roots.
+    No Python statement runs per key.
+    """
+    total, depth, width = len(keys), len(bound_positions), len(coords)
+    firsts = list(map(ne, keys, chain((-1,), keys)))
+    unique = list(compress(keys, firsts))
     counts: List[Sequence[int]] = [range(total + 1)]
-    if stored < total:
-        counts[0] = [
-            position
-            for position, key in enumerate(keys)
-            if not position or key != keys[position - 1]
-        ] + [total]
-    for run in reversed(kid_lo):
-        counts.insert(0, [counts[0][child] for child in run] + [total])
-    firsts = list(starts.values())
-    entries = len(vals[0]) if width else len(starts)
-    roots = dict(zip(starts, zip(firsts, firsts[1:] + [entries])))
+    if len(unique) < total:
+        counts[0] = [*compress(range(total), firsts), total]
+    vals, kid_lo = [[]] * width, [[]] * max(width - 1, 0)  # every slot is set
+    starts: Sequence[int] = range(len(unique))
+    for level in reversed(range(width)):
+        radix = repeat(len(domains[depth + level]))
+        vals[level] = list(map(mod, unique, radix))
+        unique = list(map(floordiv, unique, radix))
+        opens = list(map(ne, unique, chain((-1,), unique)))
+        starts = list(compress(range(len(unique)), opens))
+        unique = list(compress(unique, opens))
+        if level:
+            kid_lo[level - 1] = starts
+            counts.insert(0, [*map(counts[0].__getitem__, starts), total])
+    entries = len(vals[0]) if width else len(unique)
+    digits = []
+    for domain in reversed(domains[:depth]):
+        radix = repeat(len(domain))
+        digits.insert(0, map(domain.values.__getitem__, map(mod, unique, radix)))
+        unique = list(map(floordiv, unique, radix))
+    prefixes = zip(*digits) if digits else repeat((), len(unique))
+    roots = dict(zip(prefixes, zip(starts, chain(starts[1:], (entries,)))))
     kid_hi = [(run + [len(vals[level + 1])])[1:] for level, run in enumerate(kid_lo)]
     return AtomColumns(coords, bound_positions, roots, vals, kid_lo, kid_hi, counts)
 
 
-def _compile_atom(binding, space, free_only: bool = False) -> AtomColumns:
+class RowKeys(dict):
+    """Each atom's rows as sorted join keys, folded at most once.
+
+    ``keys[binding]`` is ``(sorted keys, bound domains, free domains,
+    radix)``: the keys are :func:`_row_keys` over the atom's column
+    order — bound digits through the context's bound domains, then free
+    digits — and ``radix`` is the product of the free domains' sizes.
+    The atom's other instances are read off the same integers: its bound
+    projection is ``key // radix`` (already in order), its free part
+    ``key % radix``. Made for one compile and dropped with it: the
+    integers are never kept on the context.
+    """
+
+    __slots__ = ("ctx",)
+
+    def __init__(self, ctx):
+        super().__init__()
+        self.ctx = ctx
+
+    def __missing__(self, binding) -> Tuple[List[int], List, List, int]:
+        ctx = self.ctx
+        bound = [ctx.bound_domains[var] for var in binding.bound_vars]
+        free = [ctx.free_domains[c] for c in binding.free_coordinates]
+        keys = _row_keys(binding.relation.rows, binding.column_order, bound + free)
+        self[binding] = folded = (keys, bound, free, prod(map(len, free)))
+        return folded
+
+
+def _compile_atom(binding, keys: RowKeys, free_only: bool = False) -> AtomColumns:
     """One atom's columns: bound columns first, then its free ones.
 
     The bound-first keys are whole rows (the atom is natural), so every
@@ -631,13 +666,22 @@ def _compile_atom(binding, space, free_only: bool = False) -> AtomColumns:
     parts with their repeats, so a count is ``|R_F ⋉ B|`` over every
     ``v_b`` at once.
     """
-    bound = () if free_only else binding.bound_access_positions
-    positions = binding.column_order[len(binding.bound_vars) - len(bound) :]
-    rows = binding.relation.rows
-    return _compile_rows(rows, positions, binding.free_coordinates, space, bound)
+    rows, bound, free, radix = keys[binding]
+    if free_only:
+        parts = sorted(map(mod, rows, repeat(radix)))
+        return _compile_rows(parts, free, binding.free_coordinates)
+    positions = binding.bound_access_positions
+    return _compile_rows(rows, bound + free, binding.free_coordinates, positions)
 
 
-def compile_join_columns(ctx, previous=None) -> JoinColumns:
+def _bound_atom(binding, keys: RowKeys) -> AtomColumns:
+    """One atom's bound projection over ``V_b``: its keys' bound prefixes."""
+    rows, bound, _, radix = keys[binding]
+    prefixes = list(map(floordiv, rows, repeat(radix)))
+    return _compile_rows(prefixes, bound, binding.bound_access_positions)
+
+
+def compile_join_columns(ctx, previous, keys: RowKeys) -> JoinColumns:
     """Compile a context's atoms into the kernel's join columns.
 
     ``previous`` is an earlier context over the same view: an atom over
@@ -653,47 +697,30 @@ def compile_join_columns(ctx, previous=None) -> JoinColumns:
             for c in binding.free_coordinates
         ):
             return kept.atoms[binding.label]
-        return _compile_atom(binding, ctx.space)
+        return _compile_atom(binding, keys)
 
     return JoinColumns(ctx.space, [columns(binding) for binding in ctx.atoms])
 
 
-def compile_count_columns(ctx) -> Tuple[AtomColumns, ...]:
-    """Per atom, what ``T(B)`` counts on when no ``v_b`` is fixed.
+def compile_build_columns(ctx, keys: RowKeys) -> Tuple[Tuple, JoinColumns]:
+    """What a build counts and joins on beside the join columns.
 
-    The free-columns-only instance of an atom with a bound variable; an
-    atom with none has its join columns for that (its keys are whole
-    rows, each once).
+    Per atom, what ``T(B)`` counts on when no ``v_b`` is fixed: the
+    free-columns-only instance of an atom with a bound variable (an atom
+    with none has its join columns for that — its keys are whole rows,
+    each once). And the atoms' bound projections as join columns over
+    ``V_b`` — what Proposition 13's candidate join walks: one instance
+    per atom with a bound variable, over the bound variables' domains in
+    the bound order; the kernel decodes its rows to access tuples. Both
+    are read off ``keys``, the join columns' own sorted integers.
     """
-    return tuple(
-        _compile_atom(binding, ctx.space, free_only=True)
-        if binding.bound_vars
-        else atom
+    counted = tuple(
+        _compile_atom(binding, keys, free_only=True) if binding.bound_vars else atom
         for binding, atom in zip(ctx.atoms, ctx.columns().atoms)
     )
-
-
-def compile_bound_columns(ctx) -> JoinColumns:
-    """The atoms' bound projections as join columns over ``V_b``.
-
-    What Proposition 13's candidate join walks: one instance per atom
-    with a bound variable, over the bound variables' domains in the
-    bound order; the kernel decodes its rows to access tuples.
-    """
     space = TupleSpace([ctx.bound_domains[var] for var in ctx.bound_order])
-    return JoinColumns(
-        space,
-        [
-            _compile_rows(
-                binding.relation.rows,
-                binding.column_order[: len(binding.bound_vars)],
-                binding.bound_access_positions,
-                space,
-            )
-            for binding in ctx.atoms
-            if binding.bound_vars
-        ],
-    )
+    bound = [_bound_atom(binding, keys) for binding in ctx.atoms if binding.bound_vars]
+    return counted, JoinColumns(space, bound)
 
 
 def compile_layout(ctx, tree: TreeColumns, dictionary: DictColumns) -> CompiledLayout:

@@ -26,6 +26,14 @@ reader left it:
   itself — index, counts, space, order — as ``reference_walk()`` does for
   Algorithm 2.
 
+* :func:`_compile_rows` — one atom's :class:`~repro.core.layout.AtomColumns`
+  as ``src/`` compiled them until the integer-key compile replaced it:
+  Python tuples sorted, then one statement per key to open run entries,
+  child slices and prefix counts. :func:`spec_atom_columns` gives an
+  atom's three instances through it — join, free-only count and bound
+  projection — with the arguments their callers passed, for the compile
+  in :mod:`repro.core.layout` to equal slot for slot.
+
 ``tests/reference_build.py`` (the build's spec) and
 ``tests/reference_walk.py`` (Algorithm 2's) build their tries and join
 with what is here.
@@ -39,6 +47,8 @@ from typing import Dict, Iterator, List, Mapping, Optional, Sequence, Tuple
 from unittest import mock
 
 from repro.core import constant_delay
+from repro.core.domain import TupleSpace
+from repro.core.layout import AtomColumns
 from repro.database.relation import Relation
 from repro.exceptions import QueryError, SchemaError
 from repro.joins.generic_join import JoinCounter
@@ -430,3 +440,81 @@ def reference_bags():
         ):
             stack.enter_context(mock.patch.object(structure, name, replacement))
         yield
+
+
+# ----------------------------------------------------------------------
+# the atom compile
+# ----------------------------------------------------------------------
+def _compile_rows(rows, positions, coords, space, bound_positions=()) -> AtomColumns:
+    """Columns over ``positions`` of ``rows``, in one sorted pass.
+
+    A key is a row's values at ``positions``: one per bound position
+    first (the bound prefix, a key of ``roots``), then one level per
+    coordinate of ``coords``, as an index into that coordinate's domain
+    in ``space`` (indexes order like the values). Keys are sorted,
+    repeats kept — each is counted, only the first stored — and a key
+    opens a new run entry at every level from the first position where
+    it departs from its predecessor. A level's child slices are
+    contiguous in key order, so each ends where the next begins. Rows
+    with no key column have the empty key, once each.
+    """
+    width, bound_depth = len(coords), len(bound_positions)
+    columns = [[row[p] for row in rows] for p in positions]
+    for level, coordinate in enumerate(coords, start=bound_depth):
+        index_of = space.domains[coordinate].index_of
+        columns[level] = list(map(index_of, columns[level]))
+    keys = sorted(zip(*columns)) if columns else [()] * len(rows)
+    vals: List[List[int]] = [[] for _ in range(width)]
+    kid_lo: List[List[int]] = [[] for _ in range(max(width - 1, 0))]
+    starts: Dict[Tuple, int] = {}  # each bound prefix's first level-0 entry
+    previous = None
+    for key in keys:
+        if key == previous:
+            continue
+        departs = 0
+        if previous is not None:
+            while key[departs] == previous[departs]:
+                departs += 1
+        if previous is None or departs < bound_depth:
+            starts[key[:bound_depth]] = len(vals[0]) if width else len(starts)
+            departs = bound_depth
+        previous = key
+        for level in range(departs - bound_depth, width):
+            if level + 1 < width:
+                kid_lo[level].append(len(vals[level + 1]))
+            vals[level].append(key[bound_depth + level])
+    # Prefix counts: a stored key's position among all keys (each key's
+    # own when none repeats), lifted a level at a time through the first
+    # child of every entry. At width 0 the entries are the roots.
+    total = len(keys)
+    stored = len(vals[-1]) if width else len(starts)
+    counts: List[Sequence[int]] = [range(total + 1)]
+    if stored < total:
+        counts[0] = [
+            position
+            for position, key in enumerate(keys)
+            if not position or key != keys[position - 1]
+        ] + [total]
+    for run in reversed(kid_lo):
+        counts.insert(0, [counts[0][child] for child in run] + [total])
+    firsts = list(starts.values())
+    entries = len(vals[0]) if width else len(starts)
+    roots = dict(zip(starts, zip(firsts, firsts[1:] + [entries])))
+    kid_hi = [(run + [len(vals[level + 1])])[1:] for level, run in enumerate(kid_lo)]
+    return AtomColumns(coords, bound_positions, roots, vals, kid_lo, kid_hi, counts)
+
+
+def spec_atom_columns(ctx, binding) -> Tuple[AtomColumns, ...]:
+    """``binding``'s join, count and bound instances, compiled by the spec.
+
+    The count instance of an atom with no bound variable is its join
+    instance; such an atom has no bound instance (None).
+    """
+    rows, depth = binding.relation.rows, len(binding.bound_vars)
+    coords, bound = binding.free_coordinates, binding.bound_access_positions
+    join = _compile_rows(rows, binding.column_order, coords, ctx.space, bound)
+    if not depth:
+        return join, join, None
+    count = _compile_rows(rows, binding.column_order[depth:], coords, ctx.space)
+    space = TupleSpace([ctx.bound_domains[var] for var in ctx.bound_order])
+    return join, count, _compile_rows(rows, binding.column_order[:depth], bound, space)

@@ -86,7 +86,7 @@ from repro.core.dictionary import (
 )
 from repro.core.kernel import join_rows
 from repro.core.intervals import box_decomposition
-from repro.core.layout import AtomColumns, compile_bound_columns
+from repro.core.layout import AtomColumns
 from repro.core.snapshot import decode_snapshot, encode_snapshot
 from repro.core.structure import CompressedRepresentation
 from repro.database.catalog import Database
@@ -564,7 +564,7 @@ def test_the_array_join_is_the_kernels_join_access_by_access(name, data):
     # some atom lacks, first, last and between, join to nothing.
     view = JOIN_SHAPES[name]
     ctx = ViewContext(*natural_form(view, data.draw(databases(view))))
-    assert_the_kernels_join(compile_bound_columns(ctx), [()])
+    assert_the_kernels_join(ctx.bound_columns(), [()])
     candidates = bound_candidates(ctx)
     lacking = [(-1,) * len(ctx.bound_order)] if ctx.bound_order else []
     middle = len(candidates) // 2

@@ -248,6 +248,24 @@ class TestMakefileContract:
         assert "--parent $(PARENT)" in target
         assert "--pairs $(or $(PAIRS),10)" in target
 
+    def test_bench_pairs_takes_every_workload_or_a_comma_list(self):
+        # "No metric worse on any workload" is one command: WORKLOAD=all
+        # (the default) or a comma list, every row merged into OUT.
+        text = MAKEFILE.read_text()
+        target = text[text.index("bench-pairs:"):]
+        target = target[: target.index("\n\n")]
+        assert "--workload $(or $(WORKLOAD),all)" in target
+        contract = json.loads((REPO / "BENCHMARK.json").read_text())
+        declared = [entry["name"] for entry in contract["workloads"]]
+        assert len(declared) == 6
+        assert bench_pairs.workloads_of("all", contract) == declared
+        assert bench_pairs.workloads_of("tau_churn,point_lookup", contract) == [
+            "tau_churn",
+            "point_lookup",
+        ]
+        with pytest.raises(SystemExit, match="nonesuch"):
+            bench_pairs.workloads_of("point_lookup,nonesuch", contract)
+
     def test_e2e_harness_self_test_has_a_target(self):
         text = MAKEFILE.read_text()
         target = text[text.index("test-e2e-harness:"):]
@@ -621,7 +639,15 @@ MAIN_SLOC_CEILING = 749
 #: Then, when every server began to build in its own process:
 #: 12,073 → 11,948 (−125): the engine −111 and the CLI −14 above. No
 #: gain claimed.
-SRC_SLOC_CEILING = 11948
+#: Then, when the atom compile began to fold rows into sorted integer
+#: keys: 11,948 → 11,962 (+14). ``core/context.py`` +12
+#: (``bound_columns``, memoised beside ``count_columns``, and
+#: ``_build_columns``, which compiles both off the join columns' keys);
+#: ``core/layout.py`` +2 (``_row_keys``, ``RowKeys`` and ``_bound_atom``,
+#: net of ``compile_count_columns`` and ``compile_bound_columns``; the
+#: tuple-sorting ``_compile_rows`` moved to ``tests/reference_index.py``).
+#: It moved the ``point_lookup`` ``setup_s`` row (``BENCH_41.json``).
+SRC_SLOC_CEILING = 11962
 
 
 class TestSizeGate:
@@ -1063,6 +1089,7 @@ class TestPairSummariser:
     """`benchmarks/bench_pairs.py`: the §8 verdict, from canned results."""
 
     CONTRACT = {
+        "workloads": [{"name": "scan_stream"}, {"name": "point_lookup"}],
         "end_to_end": [
             {"name": "tuples_per_s", "unit": "1/s", "better": "higher",
              "bound": 0.25},
@@ -1228,6 +1255,24 @@ class TestPairsParent:
         head = self.git(repo, "rev-parse", "--short", "HEAD")
         assert json.loads(out.read_text())["parent"] == head
 
+    def test_all_runs_each_workloads_pairs_and_merges_every_row(
+        self, repo, tmp_path, monkeypatch
+    ):
+        seen = []
+
+        def run_once(tree, workload, seed):
+            seen.append(workload)
+            return parse_result(TestPairSummariser._stdout(1.5e5, 60.0))
+
+        monkeypatch.setattr(bench_pairs, "run_once", run_once)
+        out, plain = tmp_path / "BENCH.json", tmp_path / "plain"
+        plain.mkdir()
+        argv = ["--parent", str(plain), "--workload", "all", "--pairs", "2"]
+        assert bench_pairs.main(argv + ["--out", str(out)]) == 0
+        assert seen == ["scan_stream"] * 4 + ["point_lookup"] * 4
+        rows = json.loads(out.read_text())["rows"]
+        assert set(rows) == {"scan_stream@11", "point_lookup@11"}
+
     def test_a_directory_is_taken_as_it_is(self, tmp_path):
         plain = tmp_path / "plain"
         plain.mkdir()
@@ -1235,3 +1280,64 @@ class TestPairsParent:
             assert tree == plain.resolve()
             assert head == "unknown"
         assert plain.is_dir()
+
+
+class TestFailedRuns:
+    """A run that exits non-zero or reports wrong answers stops the loop,
+    naming the side, the pair, the workload and the seed — over stub
+    trees whose ``run.py`` prints a canned result and exits."""
+
+    @staticmethod
+    def stub_tree(root: Path, correct: bool = True, code: int = 0) -> Path:
+        result = parse_result(TestPairSummariser._stdout(1.5e5, 60.0))
+        result["correct"] = correct
+        runner = root / "benchmarks" / "e2e" / "run.py"
+        runner.parent.mkdir(parents=True)
+        runner.write_text(
+            "import sys\n"
+            "print('workload and seed chatter')\n"
+            f"print({json.dumps(json.dumps(result))})\n"
+            f"sys.exit({code})\n"
+        )
+        (root / "BENCHMARK.json").write_text(json.dumps(TestPairSummariser.CONTRACT))
+        return root
+
+    def run(self, tmp_path, monkeypatch, parent, change):
+        monkeypatch.setattr(
+            bench_pairs, "REPO", self.stub_tree(tmp_path / "change", **change)
+        )
+        parent = self.stub_tree(tmp_path / "parent", **parent)
+        argv = ["--parent", str(parent), "--workload", "scan_stream", "--pairs", "2"]
+        return bench_pairs.main(argv + ["--seed", "7"])
+
+    def test_clean_runs_pass(self, tmp_path, monkeypatch):
+        assert self.run(tmp_path, monkeypatch, {}, {}) == 0
+
+    @pytest.mark.parametrize(
+        "parent, change, complaint",
+        [
+            ({}, {"correct": False, "code": 1}, "change run of pair 1/2, "
+             "scan_stream@7: exit code 1, correct: false"),
+            ({}, {"correct": False}, "change run of pair 1/2, "
+             "scan_stream@7: exit code 0, correct: false"),
+            ({"code": 1}, {}, "parent run of pair 1/2, "
+             "scan_stream@7: exit code 1, correct: true"),
+        ],
+    )
+    def test_a_failed_or_wrong_run_stops_the_loop(
+        self, tmp_path, monkeypatch, parent, change, complaint
+    ):
+        with pytest.raises(SystemExit) as stopped:
+            self.run(tmp_path, monkeypatch, parent, change)
+        assert str(stopped.value) == complaint
+
+    def test_a_run_with_no_result_line_stops_the_loop(self, tmp_path, monkeypatch):
+        change = self.stub_tree(tmp_path / "change")
+        (change / "benchmarks" / "e2e" / "run.py").write_text("raise SystemExit(2)\n")
+        with pytest.raises(SystemExit, match="change run of pair 1/1, "
+                           "scan_stream@11: exit code 2, no result line"):
+            monkeypatch.setattr(bench_pairs, "REPO", change)
+            bench_pairs.main([
+                "--parent", str(self.stub_tree(tmp_path / "parent")),
+                "--workload", "scan_stream", "--pairs", "1",
+            ])
