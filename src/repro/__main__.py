@@ -14,10 +14,6 @@ Sweep the space/delay frontier::
         --view "V^bfb(x, y, z) = R(x, y), R(y, z), R(z, x)" \\
         --data ./relations --taus 2,8,32,128 --access 1,2
 
-Report the widths that drive the space bounds::
-
-    python -m repro widths --view "..." --data ./relations
-
 Serve a request stream through the engine (one cached build, batched,
 deduplicated answers; see :mod:`repro.engine`)::
 
@@ -125,9 +121,6 @@ from repro import (
     ReplicaServer,
     ShardedViewServer,
     ViewServer,
-    connex_fhw,
-    fhw,
-    hypergraph_of_view,
     infer_shard_key,
     parse_view,
 )
@@ -142,7 +135,6 @@ from repro.core.snapshot import (
 from repro.exceptions import ReproError
 from repro.io import load_database
 from repro.measure.tradeoff import format_table, sweep_tau, tradeoff_rows
-from repro.query.rewriting import normalize_view
 
 
 def _parse_access(text: str) -> Tuple:
@@ -701,18 +693,6 @@ def _metrics_export(args) -> int:
     return 0
 
 
-def _run_widths(args) -> int:
-    view, db = _inputs(args)
-    normalized = normalize_view(view, db)
-    hg = hypergraph_of_view(normalized.view)
-    plain = fhw(hg)
-    bound = frozenset(normalized.view.bound_variables)
-    connex_width, _ = connex_fhw(hg, bound)
-    print(f"fhw(H)        = {plain:.3f}  (full-enumeration space exponent)")
-    print(f"fhw(H | V_b)  = {connex_width:.3f}  (constant-delay space exponent)")
-    return 0
-
-
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(
         prog="repro",
@@ -733,10 +713,6 @@ def main(argv=None) -> int:
         "--access", action="append", help="comma-separated bound values"
     )
     sweep.set_defaults(handler=_run_sweep, path="sweep")
-
-    widths = commands.add_parser("widths", help="report width exponents")
-    _common(widths)
-    widths.set_defaults(handler=_run_widths, path="widths")
 
     serve = commands.add_parser(
         "serve", help="serve a request stream through the engine cache"

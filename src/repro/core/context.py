@@ -39,7 +39,9 @@ as it otherwise would.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Tuple
+from itertools import chain, repeat
+from operator import itemgetter, sub
+from typing import Dict, List, Optional, Tuple
 
 from repro.database.catalog import Database
 from repro.core.domain import Domain, TupleSpace
@@ -117,10 +119,31 @@ class AtomBinding:
         )
 
 
-def _trie_edges(rows, positions: Sequence[int]) -> int:
-    """Edges of a trie over ``positions``: its distinct non-empty prefixes."""
-    columns = [[row[p] for row in rows] for p in positions]
-    return sum(len(set(zip(*columns[:depth]))) for depth in range(1, len(columns) + 1))
+def _index_cells(atom: AtomColumns) -> int:
+    """Edges of a trie over ``atom``'s key and of one over its free part.
+
+    A trie's edges at a depth are its distinct prefixes there. The key
+    trie's free depths are the compiled levels, its bound depths the
+    distinct prefixes of the roots' keys. Without a bound variable the
+    free part's trie is the same levels; with one, each level's values
+    are extended by their parents' paths, and the distinct paths counted.
+    """
+    levels = sum(map(len, atom.vals))
+    depth = len(atom.bound_positions)
+    if not depth:
+        return 2 * levels
+    roots = atom.roots
+    bound = len(roots) + sum(
+        len(set(map(itemgetter(slice(0, k)), roots))) for k in range(1, depth)
+    )
+    free, paths = 0, ()
+    for level, values in enumerate(atom.vals):
+        if level:
+            spans = map(sub, atom.kid_hi[level - 1], atom.kid_lo[level - 1])
+            values = zip(chain.from_iterable(map(repeat, paths, spans)), values)
+        paths = list(values)
+        free += len(set(paths))
+    return levels + bound + free
 
 
 class ViewContext:
@@ -249,17 +272,11 @@ class ViewContext:
 
         One cell per edge of a trie over each atom's column order and of
         one over its free columns — an atom without a bound variable
-        counted twice — read off the rows, not off an index.
+        counted twice — read off the compiled columns
+        (:func:`_index_cells`).
         """
         if self._index_cells is None:
-            self._index_cells = sum(
-                _trie_edges(binding.relation.rows, binding.column_order)
-                + _trie_edges(
-                    binding.relation.rows,
-                    binding.column_order[len(binding.bound_vars) :],
-                )
-                for binding in self.atoms
-            )
+            self._index_cells = sum(map(_index_cells, self.columns().atoms))
         return self._index_cells
 
     def default_cover(self) -> Tuple[Dict[int, float], float]:

@@ -64,7 +64,6 @@ from repro.engine.shared_scan import (
 from repro.engine.sharding import (
     ShardedViewServer,
     infer_shard_key,
-    merge_delay_stats,
     partition_database,
     semijoin_reduce_database,
     stable_hash,
@@ -103,7 +102,6 @@ __all__ = [
     "RoutingTable",
     "ShardedViewServer",
     "infer_shard_key",
-    "merge_delay_stats",
     "partition_database",
     "rendezvous_choice",
     "semijoin_reduce_database",

@@ -11,17 +11,15 @@ contend), a bounded semaphore applies backpressure to over-eager
 producers, and every served batch reports its queue and service delay.
 
 The back end is any :class:`~repro.engine.server.Serving` — a plain
-``ViewServer``, a sharded facade, a test fake — and there is one fan-out
-for all of them (``serve`` and ``answer_requests`` share it): the back
-end's own :meth:`~repro.engine.server.Serving.jobs` names the batch's
-independently drainable groups, each group is opened and drained as one
-unit on a worker (:meth:`~repro.engine.server.Serving.drain`), the
-groups are awaited concurrently, and the back end's gather puts their
-results back in request order. A plain server is one group; a sharded
-one is a group per owning shard — scatter-gather requests fan out to
-every shard, routed requests touch exactly one. This module never
-plans, pins or merges: what a batch costs the back end, and what it
-counts, is the same whichever executor runs it.
+``ViewServer``, a sharded facade, a test fake — and there is one path
+for all of them (``serve`` and ``answer_requests`` share it): each batch
+is one task on the pool, the back end's own
+:meth:`~repro.engine.server.Serving.drain`, which opens the batch with
+its ``open_batch``. A sharded back end plans it per shard there and
+merges a scattered request's per-shard streams lazily, exactly as on
+the calling thread. This module never plans, pins or merges: what a
+batch costs the back end, and what it counts, is the same whichever
+executor runs it.
 
 Read replicas and admission
 ---------------------------
@@ -30,7 +28,7 @@ A plain back end can be fronted by
 read batches rotate across them round-robin, while registration still
 goes everywhere, so every replica serves the same views from its
 shipped snapshots. Admission is one ``max_pending`` semaphore: a batch
-holds one slot while its jobs run, and its wait for the slot counts as
+holds one slot while it drains, and its wait for the slot counts as
 queue time.
 
 The front end never builds its back end: it wraps a ``Serving`` the
@@ -78,16 +76,15 @@ from repro.workloads.streams import batched
 class AsyncBatchResult:
     """One served batch plus its life-cycle timing.
 
-    ``queue_seconds`` spans submission to the first worker picking the
-    batch up (semaphore wait + executor queueing — the backpressure
-    delay); ``service_seconds`` spans first pickup to the last shard
-    finishing.
+    ``queue_seconds`` spans submission to a worker picking the batch up
+    (semaphore wait + executor queueing — the backpressure delay);
+    ``service_seconds`` spans that pickup to the back end's ``drain``
+    returning: the whole batch, every shard's part and the merge.
     """
 
     result: BatchResult
     queue_seconds: float
     service_seconds: float
-    shards: Tuple[int, ...] = ()
     replica: Optional[int] = None  # which read replica served it, if any
 
     @property
@@ -140,8 +137,9 @@ class AsyncViewServer:
         leaves it open. A bare :class:`~repro.database.catalog.Database`
         is refused; wrap ``ViewServer(db, ...)`` instead.
     max_workers:
-        Thread-pool width. Builds and the back end's jobs occupy
-        workers; readers never block each other, so a handful suffices.
+        Thread-pool width: how many batches (and stream pulls) drain at
+        once, each one task; readers never block each other, so a
+        handful suffices.
     max_pending:
         Backpressure bound: at most this many :meth:`serve` calls may be
         in flight (queued + executing). Further callers — and
@@ -150,7 +148,7 @@ class AsyncViewServer:
         Read replicas (typically
         :class:`~repro.engine.replica.ReplicaServer` instances) that
         read batches rotate across, round-robin. Only valid in front of
-        a plain ``ViewServer``, whose single job a replica stands in
+        a plain ``ViewServer``, whose ``drain`` a replica stands in
         for — a sharded back end already is its own fan-out layer. Replicas
         are caller-owned (``close()`` leaves them alone); registration
         through this facade reaches every replica, so they stay in sync.
@@ -313,10 +311,9 @@ class AsyncViewServer:
     ) -> AsyncBatchResult:
         """Serve one batch on the thread pool; await the merged result.
 
-        :meth:`answer_requests`' fan-out over the batch's distinct
-        accesses — one shared-scan group per back-end job, run
-        concurrently — with each cursor's stats kept and the whole
-        assembled by the back end into a
+        :meth:`answer_requests`' one task over the batch's distinct
+        accesses, with each cursor's stats kept and the whole assembled
+        by the back end into a
         :class:`~repro.engine.server.BatchResult`, exactly as its own
         ``answer_batch`` would. The wait for an admission slot counts
         as queue time.
@@ -326,14 +323,11 @@ class AsyncViewServer:
         )
         submitted = time.perf_counter()
         async with self._admitted():
-            drained, started, finished, shards, replica = await self._fan_out(
-                requests
-            )
+            drained, started, finished, replica = await self._drain(requests)
         served = AsyncBatchResult(
             result=self.backend.batch_result(name, batch, unique, drained),
             queue_seconds=started - submitted,
-            service_seconds=max(0.0, finished - started),
-            shards=shards,
+            service_seconds=finished - started,
             replica=replica,
         )
         if self._telemetry is not None:
@@ -349,59 +343,36 @@ class AsyncViewServer:
         self,
         requests: Iterable[Union[AccessRequest, str]],
     ) -> List[List[Tuple]]:
-        """Serve a typed request batch as whole shared-scan groups.
+        """Serve a typed request batch as one task on the pool.
 
         The async face of ``open_batch``: the batch is NOT split into
-        per-request jobs — each back-end job (the whole batch for a
-        plain server; one group per shard for a sharded one, scatter
-        requests fanning to every shard) is submitted to the worker pool
-        as a unit, so one thread pays one resolve and one pin for many
-        requests and drains them there. Returns the materialized answers
-        aligned with the submitted requests, each honoring its own
-        ``limit``/``start_after`` knobs. Holds one unit of the server's
-        semaphore, like :meth:`serve`; with read replicas the whole
-        batch drains on the next replica in rotation.
+        per-request tasks — it is the back end's one
+        :meth:`~repro.engine.server.Serving.drain` on a worker, so one
+        thread pays one resolve and one pin per ``(view, τ)`` (per shard,
+        behind the sharded facade) for many requests. Returns the
+        materialized answers aligned with the submitted requests, each
+        honoring its own ``limit``/``start_after`` knobs. Holds one unit
+        of the server's semaphore, like :meth:`serve`; with read
+        replicas the whole batch drains on the next replica in rotation.
         """
         batch = [as_request(request) for request in requests]
         async with self._admitted():
-            drained, *_ = await self._fan_out(batch)
+            drained, *_ = await self._drain(batch)
         return [rows for rows, _ in drained]
 
-    async def _fan_out(self, batch: List[AccessRequest]):
-        """Drain ``batch`` job by job on the pool — the one fan-out.
+    async def _drain(self, batch: List[AccessRequest]):
+        """``batch`` drained on one worker by the next replica or the back end.
 
-        The back end says what the jobs are and gathers their results
-        (:meth:`~repro.engine.server.Serving.jobs`); this only runs
-        them, each as one :meth:`~repro.engine.server.Serving.drain` on
-        a worker, with the next replica in rotation (if any) standing in
-        for the job's server. Returns ``(drained, started, finished, shards,
-        replica)``: per request its ``(rows, stats)`` (stats only for
-        measured requests), the first pickup and last finish across the
-        jobs, the shard indexes that had work, and the replica picked.
-        Every job's outcome is collected before the first failure, in job
-        order, is raised, so no job's exception goes unretrieved.
+        Returns ``(drained, started, finished, replica)``: per request its
+        ``(rows, stats)`` (stats only for measured requests), the
+        worker's pickup and finish times, and the replica picked.
         """
         loop = asyncio.get_running_loop()
         replica, reader = self._pick_replica()
-        with self.backend.jobs(batch) as (jobs, gather):
-            runs = (
-                loop.run_in_executor(
-                    self._executor,
-                    _timed,
-                    partial(
-                        (reader or server).drain,
-                        [batch[position] for position in positions],
-                    ),
-                )
-                for _, server, positions in jobs
-            )
-            timed = _succeeded(await asyncio.gather(*runs, return_exceptions=True))
-            drained = gather([pairs for pairs, _, _ in timed])
-        # The gather's merge is real service time: it extends the span.
-        finished = time.perf_counter()
-        started = min((pickup for _, pickup, _ in timed), default=finished)
-        shards = tuple(shard for shard, _, _ in jobs if shard is not None)
-        return drained, started, finished, shards, replica
+        drained, started, finished = await loop.run_in_executor(
+            self._executor, _timed, partial((reader or self.backend).drain, batch)
+        )
+        return drained, started, finished, replica
 
     async def stream(
         self,

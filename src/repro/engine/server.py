@@ -37,11 +37,10 @@ Responsibilities
   (:mod:`repro.engine.shared_scan`); duplicates share that walk.
 * **The back-end contract**: everything else a caller or a front end
   does with a server — the materializing ``answer`` / ``answer_batch``
-  / ``serve_stream`` wrappers, ``drain`` (one unit of executor work),
-  ``jobs`` (a batch's independently drainable groups and their gather),
-  batch and stream result assembly — is written once over those two
-  primitives, on :class:`Serving`, whose docstring is where the
-  contract is listed. The sharded facade and the async front end add
+  / ``serve_stream`` wrappers, ``drain`` (one batch, the unit of
+  executor work), batch and stream result assembly — is written once
+  over those two primitives, on :class:`Serving`, whose docstring is
+  where the contract is listed. The sharded facade and the async front end add
   routing and an event loop to it, not second copies of it.
   Per-request delay statistics follow
   :meth:`AnswerCursor.stats <repro.engine.api.AnswerCursor.stats>`
@@ -74,7 +73,6 @@ import hashlib
 import json
 import time
 import weakref
-from contextlib import contextmanager
 from functools import partial
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -294,11 +292,9 @@ class Serving:
       materializing wrappers;
     * :meth:`drain` — a request batch opened, fetched, measured and
       closed in one call: the unit of work an executor runs (and the
-      one seam a test fake overrides);
-    * :meth:`jobs` — the batch's independently drainable groups plus
-      the gather that puts their results back in request order. A front
-      end that runs work elsewhere (the async thread pool) calls
-      ``jobs`` and ``drain``; it never plans, pins or merges itself;
+      one seam a test fake overrides). A front end that runs work
+      elsewhere (the async thread pool) calls ``drain`` once per batch;
+      it never plans, pins or merges itself;
     * :meth:`batch_result` / :meth:`stream_report` — result assembly.
     """
 
@@ -329,20 +325,6 @@ class Serving:
         finally:
             for cursor in cursors:
                 cursor.close()
-
-    @contextmanager
-    def jobs(self, batch: Sequence[AccessRequest]):
-        """The batch's independently drainable groups, and their gather.
-
-        Yields ``(jobs, gather)``. Each job is ``(shard, server,
-        positions)``: ``server.drain`` of the requests at ``positions``
-        is one unit of work, and an executor may run the jobs
-        concurrently; ``gather(results)`` takes the per-job results, in
-        job order, and returns one ``(rows, stats)`` per request, in
-        request order. A plain server is one job — itself (``shard`` is
-        ``None``), every position, nothing to merge.
-        """
-        yield [(None, self, range(len(batch)))], lambda results: results[0]
 
     def answer_batch(
         self,

@@ -54,8 +54,6 @@ from __future__ import annotations
 import heapq
 from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
-from contextlib import contextmanager
-from itertools import islice
 from pathlib import Path
 from typing import (
     Dict,
@@ -64,7 +62,6 @@ from typing import (
     Mapping,
     Optional,
     Sequence,
-    Set,
     Tuple,
     Union,
 )
@@ -78,7 +75,6 @@ from repro.engine.cache import CacheStats
 from repro.engine.epoch import Hold
 from repro.engine.locking import named_lock
 from repro.engine.server import (
-    Drained,
     Registration,
     Serving,
     ViewServer,
@@ -88,7 +84,6 @@ from repro.engine.telemetry import Telemetry
 from repro.engine.topology import RoutingTable, stable_hash
 from repro.exceptions import ParameterError, QueryError, SchemaError
 from repro.joins.semijoin import semijoin
-from repro.measure.delay import DelayStats
 from repro.query.adorned import AdornedView
 from repro.query.atoms import Variable
 from repro.query.parser import parse_view
@@ -96,7 +91,6 @@ from repro.query.parser import parse_view
 __all__ = [
     "ShardedViewServer",
     "infer_shard_key",
-    "merge_delay_stats",
     "partition_database",
     "semijoin_reduce_database",
     "stable_hash",
@@ -263,25 +257,6 @@ def semijoin_reduce_database(
     return reduced
 
 
-def merge_delay_stats(parts: Sequence[DelayStats]) -> DelayStats:
-    """Conservatively combine per-shard stats of one scattered request.
-
-    Outputs, steps and wall totals add up; gaps take the worst shard
-    (the merged enumeration interleaves shards, so no merged gap exceeds
-    the worst per-shard gap plus merge overhead, which cells don't see).
-    """
-    merged = DelayStats()
-    for stats in parts:
-        merged.outputs += stats.outputs
-        merged.wall_total += stats.wall_total
-        merged.wall_max_gap = max(merged.wall_max_gap, stats.wall_max_gap)
-        merged.wall_first = max(merged.wall_first, stats.wall_first)
-        merged.step_total += stats.step_total
-        merged.step_max_gap = max(merged.step_max_gap, stats.step_max_gap)
-        merged.step_gaps.extend(stats.step_gaps)
-    return merged
-
-
 class ShardedViewServer(Serving):
     """N hash-partitioned :class:`ViewServer` back ends behind one facade.
 
@@ -292,10 +267,10 @@ class ShardedViewServer(Serving):
     :class:`~repro.engine.server.Serving`, so callers can treat both
     interchangeably. Registration (``register``), ``apply_deltas``,
     ``prebuild`` / ``demote`` and ``total_builds`` / ``cache_stats`` fan
-    out to the shards; :meth:`jobs` hands the same
-    per-shard groups to any other executor
-    (:class:`~repro.engine.async_server.AsyncViewServer` drains them on
-    its thread pool). The shards are fixed at construction.
+    out to the shards. Any executor drains a batch through
+    :meth:`open_batch` (:class:`~repro.engine.async_server.AsyncViewServer`
+    runs the inherited ``drain`` on its thread pool). The shards are
+    fixed at construction.
 
     Parameters
     ----------
@@ -706,7 +681,7 @@ class ShardedViewServer(Serving):
         every shard, pinned views put them all on shard 0, routed views
         send each to the shard owning its bound value. The facade's
         accounting lives with it, so every executor of a plan —
-        cursors, batches, :meth:`jobs` — counts each request once per
+        cursors, batches — counts each request once per
         shard it touches in ``shard_requests_total{shard,mode}`` (with
         telemetry on); ``served=False`` only plans (:meth:`plan_batch`).
         """
@@ -740,37 +715,6 @@ class ShardedViewServer(Serving):
         _, plan = self._plan(name, batch, served=False)
         return [[batch[index] for index in positions] for positions in plan]
 
-    def _plan_requests(
-        self, requests: Sequence[AccessRequest]
-    ) -> Tuple[Set[int], List[Tuple[int, ViewServer, List[int]]]]:
-        """:meth:`_plan` for a typed, possibly mixed-view batch being served.
-
-        Returns ``(scatter, jobs)``: the positions of the requests that
-        fan out to every shard (their per-shard answers need merging),
-        and one ``(shard index, shard server, positions into requests)``
-        per shard that has work.
-        """
-        by_view: Dict[str, List[int]] = {}
-        for position, request in enumerate(requests):
-            by_view.setdefault(request.view, []).append(position)
-        scatter: Set[int] = set()
-        plan: List[List[int]] = [[] for _ in self._servers]
-        for name, positions in by_view.items():
-            mode, local = self._plan(
-                name, [requests[p].access for p in positions]
-            )
-            if mode == SCATTER:
-                scatter.update(positions)
-            for merged, indexes in zip(plan, local):
-                merged.extend(positions[index] for index in indexes)
-        return scatter, [
-            (shard, server, positions)
-            for shard, (server, positions) in enumerate(
-                zip(self._servers, plan)
-            )
-            if positions
-        ]
-
     def _count_shared(
         self, name: str, batch: Sequence[Tuple], unique: Sequence[Tuple]
     ) -> None:
@@ -783,19 +727,18 @@ class ShardedViewServer(Serving):
             self._plan(name, list(duplicates.elements()))
 
     # ------------------------------------------------------------------
-    # serving: the two primitives and the job plan (Serving adds the rest)
+    # serving: the two primitives (Serving adds the rest)
     # ------------------------------------------------------------------
     @staticmethod
-    def _gather(
-        request: AccessRequest, scattered: bool, parts: List[AnswerCursor]
-    ) -> AnswerCursor:
+    def _gather(request: AccessRequest, parts: List[AnswerCursor]) -> AnswerCursor:
         """One request's cursor from its per-shard cursors.
 
-        Per-shard answers of a scattered request are disjoint and
-        sorted, so a lazy k-way heap merge is the full answer in
-        lexicographic head order; ``parts`` stay exposed in shard order.
+        A routed or pinned request has one: the owning shard's. Per-shard
+        answers of a scattered request are disjoint and sorted, so a lazy
+        k-way heap merge is the full answer in lexicographic head order;
+        ``parts`` stay exposed in shard order.
         """
-        if not scattered:
+        if len(parts) == 1:
             return parts[0]
         return AnswerCursor(request, heapq.merge(*parts), parts=parts)
 
@@ -828,12 +771,12 @@ class ShardedViewServer(Serving):
             tau=tau,
             measure=measure,
         )
-        mode, plan = self._plan(request.view, [request.access])
+        _, plan = self._plan(request.view, [request.access])
         with Hold() as opened:
             for server, positions in zip(self._servers, plan):
                 if positions:
                     opened.opened.append(server.open(request))
-            return self._gather(request, mode == SCATTER, opened.opened)
+            return self._gather(request, opened.opened)
 
     def open_batch(
         self, requests: Iterable[Union[AccessRequest, str]]
@@ -854,56 +797,24 @@ class ShardedViewServer(Serving):
         that fails to open closes the groups opened before it.
         """
         batch = [as_request(request) for request in requests]
-        scatter, jobs = self._plan_requests(batch)
+        by_view: Dict[str, List[int]] = {}
+        for position, request in enumerate(batch):
+            by_view.setdefault(request.view, []).append(position)
+        plan: List[List[int]] = [[] for _ in self._servers]
+        for name, positions in by_view.items():
+            _, local = self._plan(name, [batch[p].access for p in positions])
+            for merged, indexes in zip(plan, local):
+                merged.extend(positions[index] for index in indexes)
         parts: List[List[AnswerCursor]] = [[] for _ in batch]
         with Hold() as opened:
-            for _, server, positions in jobs:
-                shard_cursors = server.open_batch(
-                    [batch[position] for position in positions]
-                )
+            for server, positions in zip(self._servers, plan):
+                if not positions:
+                    continue
+                shard_cursors = server.open_batch([batch[p] for p in positions])
                 opened.opened += shard_cursors
                 for position, cursor in zip(positions, shard_cursors):
                     parts[position].append(cursor)
-        return [
-            self._gather(request, position in scatter, pieces)
-            for position, (request, pieces) in enumerate(zip(batch, parts))
-        ]
-
-    @contextmanager
-    def jobs(self, batch: Sequence[AccessRequest]):
-        """One job per owning shard.
-
-        :meth:`Serving.jobs <repro.engine.server.Serving.jobs>` for the
-        facade: the plan :meth:`open_batch` executes with lazy cursors,
-        handed to an executor that drains each shard's group wherever
-        it likes. ``gather`` heap-merges a scattered request's per-shard
-        rows (disjoint and sorted; each shard already honored the limit,
-        so the merged stream only needs re-capping) and folds their
-        stats with :func:`merge_delay_stats`, counting as outputs the
-        rows it returns, not the rows the re-cap dropped.
-        """
-        scatter, jobs = self._plan_requests(batch)
-
-        def gather(results: Sequence[Drained]) -> Drained:
-            pieces: List[Drained] = [[] for _ in batch]
-            for (_, _, positions), drained in zip(jobs, results):
-                for position, pair in zip(positions, drained):
-                    pieces[position].append(pair)
-            gathered: Drained = []
-            for position, (request, parts) in enumerate(zip(batch, pieces)):
-                if position not in scatter:
-                    gathered.append(parts[0])
-                    continue
-                merged = heapq.merge(*(rows for rows, _ in parts))
-                rows = list(islice(merged, request.limit))
-                measured = [stats for _, stats in parts if stats is not None]
-                stats = merge_delay_stats(measured) if measured else None
-                if stats is not None:
-                    stats.outputs = len(rows)
-                gathered.append((rows, stats))
-            return gathered
-
-        yield jobs, gather
+        return [self._gather(request, pieces) for request, pieces in zip(batch, parts)]
 
     # ------------------------------------------------------------------
     # aggregation and introspection

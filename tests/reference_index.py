@@ -34,6 +34,11 @@ reader left it:
   projection — with the arguments their callers passed, for the compile
   in :mod:`repro.core.layout` to equal slot for slot.
 
+* :func:`spec_index_cells` — the index's cell count as ``src/`` read it
+  off the rows until it read it off the compiled levels: per atom, the
+  edges of a trie over its column order and of one over its free
+  columns (:func:`_trie_edges`, one ``set`` of prefix tuples per depth).
+
 ``tests/reference_build.py`` (the build's spec) and
 ``tests/reference_walk.py`` (Algorithm 2's) build their tries and join
 with what is here.
@@ -518,3 +523,28 @@ def spec_atom_columns(ctx, binding) -> Tuple[AtomColumns, ...]:
     count = _compile_rows(rows, binding.column_order[depth:], coords, ctx.space)
     space = TupleSpace([ctx.bound_domains[var] for var in ctx.bound_order])
     return join, count, _compile_rows(rows, binding.column_order[:depth], bound, space)
+
+
+# ----------------------------------------------------------------------
+# the index's cell count
+# ----------------------------------------------------------------------
+def _trie_edges(rows, positions: Sequence[int]) -> int:
+    """Edges of a trie over ``positions``: its distinct non-empty prefixes."""
+    columns = [[row[p] for row in rows] for p in positions]
+    return sum(len(set(zip(*columns[:depth]))) for depth in range(1, len(columns) + 1))
+
+
+def spec_index_cells(ctx) -> int:
+    """:meth:`~repro.core.context.ViewContext.index_cells`, off the rows.
+
+    One cell per edge of a trie over each atom's column order and of one
+    over its free columns — an atom without a bound variable counted
+    twice.
+    """
+    return sum(
+        _trie_edges(binding.relation.rows, binding.column_order)
+        + _trie_edges(
+            binding.relation.rows, binding.column_order[len(binding.bound_vars) :]
+        )
+        for binding in ctx.atoms
+    )

@@ -8,13 +8,14 @@ import time
 import pytest
 
 from oracle import oracle_accesses, oracle_answer
+from test_serving_contract import assert_drained, make_backend
 from repro.engine import (
     AsyncViewServer,
     ShardedViewServer,
     ViewServer,
     representation_cells,
 )
-from repro.engine.api import AccessRequest
+from repro.engine.api import AccessRequest, AnswerCursor
 from repro.engine.server import Serving
 from repro.exceptions import ParameterError, QueryError
 from repro.query.parser import parse_view
@@ -91,7 +92,7 @@ class TestServe:
         assert result.turnaround_seconds == pytest.approx(
             result.queue_seconds + result.service_seconds
         )
-        assert result.shards == ()
+        assert result.replica is None
 
     def test_answers_match_oracle_sharded_backend(self, triangle_setup):
         view, db = triangle_setup
@@ -107,9 +108,8 @@ class TestServe:
         server.close()
         for access, rows in zip(result.result.accesses, result.result.answers):
             assert list(rows) == oracle_answer(view, db, access)
-        # The fan-out actually touched the shards the plan named.
-        assert result.shards
-        assert all(0 <= index < 4 for index in result.shards)
+        # The batch drained on the shards the plan named: they built.
+        assert backend.total_builds() >= 1
 
     def test_scatter_gather_through_the_front_end(self, triangle_setup):
         _, db = triangle_setup
@@ -124,7 +124,8 @@ class TestServe:
 
         result = asyncio.run(main())
         server.close()
-        assert result.shards == (0, 1, 2)  # every shard answers
+        # Every shard answers a scattered request.
+        assert [shard.total_builds() for shard in backend.shards] == [1, 1, 1]
         for access, rows in zip(result.result.accesses, result.result.answers):
             assert list(rows) == oracle_answer(view, db, access)
 
@@ -349,30 +350,31 @@ class TestServeStream:
         server.close()
         assert report.requests == 12
 
-    def test_a_scatter_failing_on_every_shard_raises_once(
-        self, triangle_setup, monkeypatch
-    ):
-        # Every shard's job fails, the first in job order last. The batch
-        # raises that job's error, once, after every job has finished,
-        # and no sibling's exception is left for the loop to report.
-        _, db = triangle_setup
-        view = parse_view("Rev^bbf(y, z, x) = R(x, y), S(y, z), T(z, x)")
-        backend = ShardedViewServer(db, 3, SHARD_KEY)
+    def test_a_scatter_failing_on_every_shard_raises_once(self):
+        # Every shard opens its part of a scattered request, pinning its
+        # version, and every part fails when pulled. The batch raises
+        # one QueryError, every pin is released, and no exception is
+        # left unretrieved for the loop to report.
+        _, backend = make_backend("sharded", dynamic=("F",))
         server = AsyncViewServer(backend, max_workers=3)
-        name = server.register(view, tau=8.0)
-        finished = []
+        opened = []
 
-        def failing(shard):
-            def drain(requests):
-                time.sleep(0.05 * (2 - shard))
-                finished.append(shard)
+        def failing(shard, open_batch):
+            def fail():
                 raise QueryError(f"shard {shard} failed")
+                yield  # a generator: it raises when first pulled
 
-            return drain
+            def wrapped(requests):
+                opened.append(shard)
+                return [
+                    AnswerCursor(cursor.request, fail(), parts=[cursor])
+                    for cursor in open_batch(requests)
+                ]
+
+            return wrapped
 
         for shard, shard_server in enumerate(backend.shards):
-            monkeypatch.setattr(shard_server, "drain", failing(shard))
-        access = oracle_accesses(view, db, limit=1)[0]
+            shard_server.open_batch = failing(shard, shard_server.open_batch)
         reported = []
 
         async def main():
@@ -380,15 +382,49 @@ class TestServeStream:
                 lambda loop, context: reported.append(context)
             )
             with pytest.raises(QueryError, match="shard 0 failed"):
-                await server.answer_requests([AccessRequest(name, access)])
-            assert sorted(finished) == [0, 1, 2]
+                await server.answer_requests([AccessRequest("F", ())])
             gc.collect()
             await asyncio.sleep(0)
 
         asyncio.run(main())
         gc.collect()
         server.close()
+        assert opened == [0, 1, 2]
+        assert_drained(backend)
         assert reported == []
+
+    def test_a_scattered_batch_is_one_drain_of_the_back_end(
+        self, triangle_setup, monkeypatch
+    ):
+        # The front end hands each batch to the back end's own drain,
+        # once; the facade's open_batch plans it per shard and merges the
+        # scattered request — no shard's drain runs on its own.
+        _, db = triangle_setup
+        view = parse_view("Rev^bbf(y, z, x) = R(x, y), S(y, z), T(z, x)")
+        backend = ShardedViewServer(db, 3, SHARD_KEY)
+        server = AsyncViewServer(backend, max_workers=3)
+        name = server.register(view, tau=8.0)
+        drains = []
+        whole = backend.drain
+        monkeypatch.setattr(
+            backend, "drain", lambda requests: drains.append(1) or whole(requests)
+        )
+        for shard_server in backend.shards:
+            monkeypatch.setattr(shard_server, "drain", None)
+        accesses = oracle_accesses(view, db, limit=3)
+        requests = [AccessRequest(name, access) for access in accesses]
+
+        async def main():
+            served = await server.serve(name, accesses)
+            answered = await server.answer_requests(requests)
+            return served, answered
+
+        served, answered = asyncio.run(main())
+        server.close()
+        assert len(drains) == 2
+        expected = [oracle_answer(view, db, access) for access in accesses]
+        assert answered == expected
+        assert [list(rows) for rows in served.result.answers] == expected
 
     def test_reset_rearms_for_a_second_loop(self, triangle_setup):
         view, db = triangle_setup

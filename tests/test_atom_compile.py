@@ -24,7 +24,7 @@ from repro.query.parser import parse_view
 from repro.query.rewriting import natural_form
 from repro.workloads.generators import triangle_database
 from repro.workloads.queries import triangle_view
-from reference_index import spec_atom_columns
+from reference_index import spec_atom_columns, spec_index_cells
 from test_build_kernel import SHAPES, databases
 
 SLOTS = ("coords", "bound_positions", "width", "roots", "vals", "kid_lo", "kid_hi")
@@ -139,6 +139,36 @@ EDGE_CASES = {
 def test_the_compile_on_the_edge_cases(case, build_first):
     view, db = EDGE_CASES[case]
     assert_equals_the_spec(context(view, db, build_first))
+
+
+@pytest.mark.parametrize("name", sorted(SHAPES))
+@given(data=st.data())
+@settings(
+    max_examples=25,
+    deadline=None,
+    suppress_health_check=[HealthCheck.too_slow, HealthCheck.data_too_large],
+)
+def test_index_cells_are_the_specs_count(name, data):
+    # Read off the join columns alone: levels, roots and parent paths
+    # give the tries' distinct prefixes, and no build instance is made.
+    ctx = context(SHAPES[name], data.draw(databases(SHAPES[name])), False)
+    assert ctx.index_cells() == spec_index_cells(ctx)
+    assert ctx._count_columns is None
+
+
+@pytest.mark.parametrize("case", sorted(EDGE_CASES))
+def test_index_cells_on_the_edge_cases(case):
+    ctx = context(*EDGE_CASES[case], build_first=False)
+    assert ctx.index_cells() == spec_index_cells(ctx)
+
+
+def test_index_cells_of_an_all_bound_atom_with_many_roots():
+    # point_lookup's data and view: R(x, y) is all bound — 4,000 roots,
+    # no free level — so its cells are its bound prefixes alone.
+    ctx = context(triangle_view("bbf"), triangle_database(120, 4000, seed=11), False)
+    (r, *_) = ctx.atoms
+    assert not r.free_vars and len(ctx.columns().atoms[0].roots) == 4000
+    assert ctx.index_cells() == spec_index_cells(ctx)
 
 
 @st.composite

@@ -471,7 +471,7 @@ class EngineMachine(RuleBasedStateMachine):
     @precondition(lambda self: self.registered)
     @rule(data=st.data())
     def read_batch(self, data):
-        """A batch through open_batch, or the async front's fan-out."""
+        """A batch through open_batch, or the async front's one drain."""
         names = sorted(self.registered)
         batch = [
             self._request(
@@ -487,7 +487,7 @@ class EngineMachine(RuleBasedStateMachine):
         try:
             if self.front is not None:
                 self.front.reset()
-                drained = asyncio.run(self.front._fan_out(batch))[0]
+                drained = asyncio.run(self.front._drain(batch))[0]
             else:
                 drained = self.reader.drain(batch)
         except QueryError:

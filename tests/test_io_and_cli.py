@@ -116,22 +116,13 @@ class TestCLI:
         )
         assert code == 2
 
-    def test_widths_command(self, triangle_dir, capsys):
-        code = main(
-            ["widths", "--view", self.VIEW, "--data", str(triangle_dir)]
-        )
-        assert code == 0
-        output = capsys.readouterr().out
-        assert "fhw(H)        = 1.500" in output
-        assert "fhw(H | V_b)" in output
-
-    @pytest.mark.parametrize("command", ["answer", "sweep", "widths"])
+    @pytest.mark.parametrize("command", ["answer", "sweep"])
     def test_every_subcommand_reports_errors_the_same_way(
         self, command, triangle_dir, tmp_path, capsys
     ):
-        # One "<subcommand>: <error>" line and exit code 2 — these three
+        # One "<subcommand>: <error>" line and exit code 2 — these two
         # used to dump a QueryError / SchemaError traceback.
-        extra = ["--access", "1,2"] if command != "widths" else []
+        extra = ["--access", "1,2"]
         bad_view = [command, "--view", "nonsense", "--data", str(triangle_dir)]
         bad_data = [
             command, "--view", self.VIEW, "--data", str(tmp_path / "absent"),

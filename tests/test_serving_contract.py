@@ -2,8 +2,7 @@
 
 A back end implements ``open`` / ``open_batch``; everything a front end
 does with it goes through :class:`~repro.engine.server.Serving` —
-``drain`` (one unit of work), ``jobs`` (the independently drainable
-groups of a batch plus their gather) and the result assembly. So the
+``drain`` (one batch, one unit of work) and the result assembly. So the
 same batch must come out the same — rows, order, step accounting,
 per-shard request counts, pins — whichever executor runs the plan: the
 calling thread (``answer_batch``) or the async front end's worker pool
@@ -186,17 +185,6 @@ class TestEveryExecutorAgrees:
         assert report.queue_seconds_max >= report.queue_seconds_mean >= 0.0
 
 
-def drain_jobs(backend, requests):
-    """``jobs`` + ``gather`` on the calling thread, the executors' route."""
-    with backend.jobs(requests) as (jobs, gather):
-        return gather(
-            [
-                server.drain([requests[p] for p in positions])
-                for _, server, positions in jobs
-            ]
-        )
-
-
 @pytest.mark.parametrize("kind", ["plain", "sharded"])
 class TestEveryBackEndRefusesAlike:
     """A bad request gets the same typed error from every back end."""
@@ -206,8 +194,7 @@ class TestEveryBackEndRefusesAlike:
         _, backend = make_backend(kind)
         with pytest.raises(ParameterError, match="limit"):
             backend.open("F", (), limit=limit)
-        # No request carries it, so no executor's route (jobs + gather
-        # included) ever sees it.
+        # No request carries it, so no executor's drain ever sees it.
         with pytest.raises(ParameterError, match="limit"):
             AccessRequest("F", (), limit=limit)
         backend.close()
@@ -219,7 +206,7 @@ class TestEveryBackEndRefusesAlike:
         with pytest.raises(QueryError, match=expected):
             backend.answer("Q", access)
         with pytest.raises(QueryError, match=expected):
-            drain_jobs(backend, [AccessRequest("Q", access)])
+            backend.drain([AccessRequest("Q", access)])
         backend.close()
 
     @pytest.mark.parametrize("verb", ["invalidate", "demote"])

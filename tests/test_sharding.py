@@ -14,12 +14,10 @@ from repro.engine import (
     RoutingTable,
     ShardedViewServer,
     infer_shard_key,
-    merge_delay_stats,
     partition_database,
     stable_hash,
 )
 from repro.exceptions import ParameterError, SchemaError
-from repro.measure.delay import DelayStats
 from repro.query.parser import parse_view
 from repro.workloads import (
     mutual_friend_view,
@@ -314,46 +312,18 @@ class TestShardedAnswers:
     def test_gathered_scatter_stats_count_the_rows_returned(
         self, triangle_setup
     ):
-        # Every shard honours the limit on its own slice; the gather's
-        # re-cap drops the surplus, so its stats must not count it.
+        # Every shard honours the limit on its own slice; the lazy merge
+        # pulls only what the limit lets through, and its stats count
+        # the rows it returned.
         _, db = triangle_setup
         view = triangle_view("fff")
         server = ShardedViewServer(db, 4, SHARD_KEY)
         server.register(view, tau=8.0, name="fff")
         request = AccessRequest("fff", (), limit=3, measure=True)
-        with server.jobs([request]) as (jobs, gather):
-            assert len(jobs) == 4
-            ((rows, stats),) = gather(
-                [shard.drain([request]) for _, shard, _ in jobs]
-            )
+        ((rows, stats),) = server.drain([request])
         assert rows == oracle_answer(view, db, ())[:3]
         assert stats.outputs == len(rows) == 3
-        ((drained_rows, drained_stats),) = server.drain([request])
-        assert drained_rows == rows
-        assert drained_stats.outputs == stats.outputs
         server.close()
-
-
-class TestMergeDelayStats:
-    def test_sums_and_maxima(self):
-        merged = merge_delay_stats(
-            [
-                DelayStats(outputs=3, wall_total=0.5, wall_max_gap=0.2,
-                           step_total=30, step_max_gap=7),
-                DelayStats(outputs=2, wall_total=0.25, wall_max_gap=0.4,
-                           step_total=12, step_max_gap=3),
-            ]
-        )
-        assert merged.outputs == 5
-        assert merged.wall_total == pytest.approx(0.75)
-        assert merged.wall_max_gap == pytest.approx(0.4)
-        assert merged.step_total == 42
-        assert merged.step_max_gap == 7
-
-    def test_empty_merge_is_zero(self):
-        merged = merge_delay_stats([])
-        assert merged.outputs == 0
-        assert merged.step_max_gap == 0
 
 
 class TestAggregation:
