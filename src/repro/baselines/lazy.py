@@ -11,7 +11,7 @@ from __future__ import annotations
 from typing import Iterator, Optional, Sequence, Tuple
 
 from repro.core.context import ViewContext
-from repro.core.kernel import kernel_enumerate
+from repro.core.kernel import flatten
 from repro.core.layout import one_leaf_layout
 from repro.core.representation import Representation
 from repro.database.catalog import Database
@@ -40,8 +40,7 @@ class LazyView(Representation):
         self, access: Sequence, counter: Optional[JoinCounter] = None
     ) -> Iterator[Tuple]:
         """Run the join ``⋈_F R_F(v_b)`` in lexicographic free order."""
-        access = self._check_access(access)
-        yield from kernel_enumerate(self._layout, access, counter)
+        return flatten(self._layout_runs(self._layout, access, None, counter))
 
     def space_report(self) -> SpaceReport:
         return SpaceReport(

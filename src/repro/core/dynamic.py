@@ -34,7 +34,7 @@ import threading
 from typing import Dict, Iterator, Optional, Sequence, Set, Tuple
 
 from repro.core.context import ViewContext
-from repro.core.kernel import kernel_enumerate, kernel_enumerate_from
+from repro.core.kernel import flatten
 from repro.core.layout import CompiledLayout, one_leaf_layout
 from repro.core.representation import Representation
 from repro.core.structure import CompressedRepresentation
@@ -146,30 +146,18 @@ class FrozenDynamicView(Representation):
                 self._context = context
             return self._layout
 
-    def _read_dirty(
-        self,
-        layout: CompiledLayout,
-        access: Sequence,
-        start_values: Optional[Sequence],
-        counter: Optional[JoinCounter],
-    ) -> Iterator[Tuple]:
-        """A dirty version's walk; its checks run at the first pull, as
-        a clean version's do."""
-        access = self._check_access(access)
-        if start_values is None:
-            yield from kernel_enumerate(layout, access, counter)
-            return
-        start = layout.space.ceil_point(start_values)
-        if start is not None:  # else: beyond the top of the tuple space
-            yield from kernel_enumerate_from(layout, access, start, counter)
+    def _runs(self, access, start_values, counter):
+        if self._structure is not None:
+            return self._structure._runs(access, start_values, counter)
+        # A dirty version's walk: its checks run at the first pull, as a
+        # clean version's do.
+        return self._layout_runs(self._one_leaf(), access, start_values, counter)
 
     def enumerate(
         self, access: Sequence, counter: Optional[JoinCounter] = None
     ) -> Iterator[Tuple]:
         """Enumerate the frozen version's answers in lexicographic order."""
-        if self._structure is not None:
-            return self._structure.enumerate(access, counter=counter)
-        return self._read_dirty(self._one_leaf(), access, None, counter)
+        return flatten(self._runs(access, None, counter))
 
     def enumerate_from(
         self,
@@ -182,13 +170,7 @@ class FrozenDynamicView(Representation):
         The backing's one-delay-unit seek: boxes of the tuple space
         below the start point are never joined, clean or dirty.
         """
-        if self._structure is not None:
-            return self._structure.enumerate_from(
-                access, start_values, counter=counter
-            )
-        return self._read_dirty(
-            self._one_leaf(), access, tuple(start_values), counter
-        )
+        return flatten(self._runs(access, tuple(start_values), counter))
 
     def space_report(self) -> SpaceReport:
         """Space of the frozen backing (cache accounting reads this).
@@ -505,6 +487,9 @@ class DynamicRepresentation(Representation):
         return self.freeze().enumerate_from(
             access, start_values, counter=counter
         )
+
+    def _runs(self, access, start_values, counter):
+        return self.freeze()._runs(access, start_values, counter)
 
     def space_report(self) -> SpaceReport:
         report = self._structure.space_report()

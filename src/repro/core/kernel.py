@@ -52,12 +52,23 @@ are added arithmetically (:func:`_light_rows`).
 constant-delay structures: the recursive per-bag generator nest of
 Proposition 4 flattened into one loop with bulk emission at the deepest
 bag.
+
+Rows leave the walk in *runs*: a light node's rows as the one list
+:func:`_light_rows` builds (measured: its :func:`_stamped` generator), a
+β row as a one-row tuple. :func:`kernel_runs` is that stream of runs;
+:func:`flatten` turns it into rows with ``chain.from_iterable``, one C
+step per row instead of a ``yield from`` frame per wrapper. The walk's
+visit order, probes and stamps do not depend on how its runs are read,
+so a measured walk stays identical event for event, and a run stream's
+wrappers (the representations' checks, a resume's dropped token row)
+act once per run, not once per row.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
-from typing import Iterator, List, Tuple
+from itertools import chain
+from typing import Iterable, Iterator, List, Tuple
 
 from repro.core.intervals import box_decomposition
 
@@ -313,7 +324,9 @@ def _light_rows(layout, finger, boxes, counter):
     atom and ends the box at the first that is not, so their steps are
     counted without being walked. :func:`_join_coord` takes over at the
     first coordinate with a range — at the last one whatever its range,
-    so that rows are always emitted in bulk.
+    so that rows are always emitted in bulk. Measured rows come back as a
+    :func:`_stamped` generator; with no row to stamp, the steps are
+    counted on the spot and the list comes back empty.
     """
     last = layout.width - 1
     out: List[Tuple] = []
@@ -340,9 +353,11 @@ def _light_rows(layout, finger, boxes, counter):
             out.append(())
             if stamps is not None:
                 stamps.append(steps)
-    if stamps is None:
-        return out
-    return _stamped(counter, out, stamps, steps)
+    if stamps is not None and out:
+        return _stamped(counter, out, stamps, steps)
+    if counter is not None:
+        counter.steps += steps  # no row to stamp: the steps land now
+    return out
 
 
 def _point_joins(layout, finger, point) -> bool:
@@ -366,10 +381,13 @@ def _point_joins(layout, finger, point) -> bool:
 # ----------------------------------------------------------------------
 # the tree walk (enumerate / enumerate_from)
 # ----------------------------------------------------------------------
-def _walk(layout, access, states, start, counter) -> Iterator[Tuple]:
+def _walk(layout, access, start, counter) -> Iterator[Iterable[Tuple]]:
     tree = layout.tree
     root = tree.root
     if root < 0:
+        return
+    states = layout.root_states(access)
+    if states is None:
         return
     ids, bits = layout.dictionary.nodes, layout.dictionary.bits
     lo, hi = layout.dictionary.index.get(access, (0, 0))  # the access's slice
@@ -416,7 +434,9 @@ def _walk(layout, access, states, start, counter) -> Iterator[Tuple]:
                     high_col[node_id],
                     layout.space.top(),
                 )
-                yield from _light_rows(layout, finger, boxes, counter)
+                rows = _light_rows(layout, finger, boxes, counter)
+                if rows:  # an empty list is no run
+                    yield rows
                 continue
         if kind == _VISIT:
             if counter is not None:
@@ -438,7 +458,9 @@ def _walk(layout, access, states, start, counter) -> Iterator[Tuple]:
                 if left >= 0:
                     stack.append((_VISIT, left))
                 continue
-            yield from _light_rows(layout, finger, boxes_col[node_id], counter)
+            rows = _light_rows(layout, finger, boxes_col[node_id], counter)
+            if rows:
+                yield rows
             continue
         point = beta_col[node_id]
         if kind == _BETA_FROM and point < start:
@@ -446,7 +468,7 @@ def _walk(layout, access, states, start, counter) -> Iterator[Tuple]:
         if counter is not None:
             counter.steps += beta_steps
         if _point_joins(layout, finger, point):
-            yield beta_values[node_id]
+            yield (beta_values[node_id],)
 
 
 def join_rows(columns, access: Tuple, boxes, counter=None):
@@ -454,8 +476,8 @@ def join_rows(columns, access: Tuple, boxes, counter=None):
 
     The light-node evaluation over any boxes, rows decoded by
     ``columns.domain_values``: what ``enumerate_interval`` reads with. A
-    list, or with a ``counter`` the same rows stamped as a generator;
-    empty when some atom lacks the bound values.
+    list, or with a ``counter`` and some row the same rows stamped as a
+    generator; empty when some atom lacks the bound values.
     """
     states = columns.root_states(access)
     if states is None:
@@ -463,22 +485,39 @@ def join_rows(columns, access: Tuple, boxes, counter=None):
     return _light_rows(columns, _finger(columns, states), boxes, counter)
 
 
+class Rows(chain):
+    """A stream of runs read as rows, at C level (``chain.from_iterable``).
+
+    A bare ``chain`` has no ``close()``; this one closes the generator of
+    runs it reads, so closing a cursor still closes its walk.
+    """
+
+    __slots__ = ("runs",)
+
+    def close(self) -> None:
+        """Close the generator of runs (and through it, the walk)."""
+        self.runs.close()
+
+
+_rows_of = Rows.from_iterable  # bound once: a stream is made per request
+
+
+def flatten(runs: Iterator[Iterable[Tuple]]) -> Iterator[Tuple]:
+    """The rows of ``runs``, a generator of row runs."""
+    rows = _rows_of(runs)
+    rows.runs = runs
+    return rows
+
+
+#: The walk's runs, ``kernel_runs(layout, access, start, counter)``:
+#: ``spec_enumerate``'s rows (``start`` None) or, from the index-space
+#: seek point ``start``, ``spec_enumerate_from``'s.
+kernel_runs = _walk
+
+
 def kernel_enumerate(layout, access: Tuple, counter=None) -> Iterator[Tuple]:
     """The kernel twin of the spec's ``spec_enumerate``."""
-    states = layout.root_states(access)
-    if states is None:
-        return iter(())
-    return _walk(layout, access, states, None, counter)
-
-
-def kernel_enumerate_from(
-    layout, access: Tuple, start: Tuple[int, ...], counter=None
-) -> Iterator[Tuple]:
-    """The kernel twin of the spec's ``spec_enumerate_from``."""
-    states = layout.root_states(access)
-    if states is None:
-        return iter(())
-    return _walk(layout, access, states, start, counter)
+    return flatten(_walk(layout, access, None, counter))
 
 
 # ----------------------------------------------------------------------

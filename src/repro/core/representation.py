@@ -17,25 +17,34 @@ it reads the flags as plain attributes.
 
 from __future__ import annotations
 
-from typing import Iterator, List, Optional, Sequence, Tuple
+from typing import Iterable, Iterator, List, Optional, Sequence, Tuple
 
+from repro.core.kernel import flatten, kernel_runs
 from repro.exceptions import QueryError
 from repro.joins.generic_join import JoinCounter
 from repro.query.adorned import BOUND
 
 
-def resume_strictly_after(iterator, last: Tuple) -> Iterator[Tuple]:
-    """Turn an ``enumerate_from`` (``>= start``) stream into ``> last``.
+def resume_strictly_after(runs, last: Tuple) -> Iterator[Iterable[Tuple]]:
+    """Turn ``enumerate_from``'s runs (``>= start``, a generator) into
+    runs ``> last``.
 
-    Enumerations never repeat a tuple, so only the leading one can equal
-    the resume point; everything after it passes through untouched.
+    Enumerations never repeat a tuple, so only the leading row can equal
+    the resume point: it is dropped from the first run that has a row,
+    and every later run passes through whole. Closing this generator
+    closes ``runs``.
     """
-    iterator = iter(iterator)
-    for first in iterator:
-        if first != last:
-            yield first
-        break
-    yield from iterator
+    try:
+        for run in runs:
+            rows = iter(run)
+            for first in rows:
+                if first != last:
+                    yield (first,)
+                yield rows
+                yield from runs
+                return
+    finally:
+        runs.close()
 
 
 def bound_atom_checks(view, db) -> List[Tuple]:
@@ -91,6 +100,26 @@ class Representation:
             )
         return access
 
+    def _runs(self, access, start_values, counter):
+        """``enumerate_from``'s rows as a generator of runs: here one run,
+        the whole stream.
+
+        The kernel-backed classes hand out their walk's own runs
+        (:meth:`_layout_runs`), ``start_values=None`` meaning
+        ``enumerate``'s.
+        """
+        yield self.enumerate_from(access, start_values, counter=counter)
+
+    def _layout_runs(self, layout, access, start_values, counter):
+        """The kernel's runs over ``layout``; the checks run at the first pull."""
+        access = self._check_access(access)
+        start = None
+        if start_values is not None:
+            start = layout.space.ceil_point(start_values)
+            if start is None:
+                return  # start lies beyond the top of the tuple space
+        yield from kernel_runs(layout, access, start, counter)
+
     def answer(self, access: Sequence) -> List[Tuple]:
         """The full answer of one access request, as a list."""
         return list(self.enumerate(access))
@@ -113,6 +142,7 @@ class Representation:
         ``enumerate(a) == page_k ++ enumerate_after(a, last_of(page_k))``
         for every prefix length.
         """
-        return resume_strictly_after(
-            self.enumerate_from(access, last, counter=counter), tuple(last)
+        last = tuple(last)
+        return flatten(
+            resume_strictly_after(self._runs(access, last, counter), last)
         )

@@ -44,7 +44,7 @@ from repro.core.balanced_tree import (
     level_threshold,
 )
 from repro.core.context import ViewContext
-from repro.core.kernel import join_rows, kernel_enumerate, kernel_enumerate_from
+from repro.core.kernel import flatten, join_rows
 from repro.core.cost import CostModel
 from repro.core.dictionary import array_join, bound_candidates, build_dictionary
 from repro.core.layout import DictColumns
@@ -410,10 +410,7 @@ class CompressedRepresentation(Representation):
         Yields value tuples over the free variables (head order). The
         optional counter accumulates logical steps for delay measurement.
         """
-        access = self._check_access(access)
-        if self._layout.tree.root < 0:
-            return
-        yield from kernel_enumerate(self._layout, access, counter)
+        return flatten(self._layout_runs(self._layout, access, None, counter))
 
     def enumerate_from(
         self,
@@ -434,13 +431,10 @@ class CompressedRepresentation(Representation):
         not be in the active domains (the ceiling inside the domains is
         used).
         """
-        access = self._check_access(access)
-        if self._layout.tree.root < 0:
-            return
-        start = self.ctx.space.ceil_point(start_values)
-        if start is None:
-            return  # start lies beyond the top of the tuple space
-        yield from kernel_enumerate_from(self._layout, access, start, counter)
+        return flatten(self._runs(access, start_values, counter))
+
+    def _runs(self, access, start_values, counter):
+        return self._layout_runs(self._layout, access, start_values, counter)
 
     def enumerate_interval(
         self,

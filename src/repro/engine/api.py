@@ -170,17 +170,18 @@ class AnswerCursor:
         # the scan tracks per-state gaps at emission time instead and
         # hands them over through this object (``step_max_gap`` attr).
         self._gap_tracker = gap_tracker
-        self._stats = DelayStats()
+        self._outputs = 0
         self._last: Optional[Tuple] = None
+        self._error: Optional[Exception] = None
         self._finished = False
         self._exhausted = False
         self._closed = False
         self._close_hooks: List = []
         self._hooks_fired = False
-        now = time.perf_counter()
-        self._started = now
-        self._last_time = now
-        self._last_steps = counter.steps if counter is not None else 0
+        if request.measure:  # the timing bookkeeping only a measure reads
+            self._stats = DelayStats()
+            self._started = self._last_time = time.perf_counter()
+            self._last_steps = counter.steps if counter is not None else 0
 
     # ------------------------------------------------------------------
     # iteration
@@ -190,31 +191,45 @@ class AnswerCursor:
 
     def __next__(self) -> Tuple:
         if self._closed or self._finished:
+            if self._error is not None and not self._closed:
+                raise self._error  # a failed stream is never a short one
             raise StopIteration
         limit = self.request.limit
-        if limit is not None and self._stats.outputs >= limit:
-            self._finished = True
-            # A limit-stop ends this cursor's serving life as surely as
-            # exhaustion does; holders of resources (version pins) must
-            # hear about it even if the caller never calls close().
-            self._fire_close_hooks()
+        if limit is not None and self._outputs >= limit:
+            self._finish()
             raise StopIteration
         try:
             row = next(self._source)
         except StopIteration:
             self._observe_exhaustion()
             raise
+        except Exception as error:
+            self._fail(error)
+            raise
         self._observe_output()
         self._last = row
         return row
 
+    def _finish(self) -> None:
+        # A limit-stop ends this cursor's serving life as surely as
+        # exhaustion does; holders of resources (version pins) must
+        # hear about it even if the caller never calls close().
+        self._finished = True
+        self._fire_close_hooks()
+
+    def _fail(self, error: Exception) -> None:
+        # So does an error from the source: the walk behind it is dead,
+        # and a caller that drops the cursor must not keep its pin.
+        self._error = error
+        self._finish()
+
     def _observe_output(self) -> None:
-        self._stats.outputs += 1
+        self._outputs += 1
         if not self.request.measure:
             return
         now = time.perf_counter()
         gap = now - self._last_time
-        if self._stats.outputs == 1:
+        if self._outputs == 1:
             self._stats.wall_first = gap
         self._stats.wall_max_gap = max(self._stats.wall_max_gap, gap)
         self._last_time = now
@@ -234,7 +249,7 @@ class AnswerCursor:
             now = time.perf_counter()
             gap = now - self._last_time
             self._stats.wall_max_gap = max(self._stats.wall_max_gap, gap)
-            if self._stats.outputs == 0:
+            if self._outputs == 0:
                 self._stats.wall_first = gap
             self._last_time = now
             if self._counter is not None:
@@ -252,13 +267,49 @@ class AnswerCursor:
     # ------------------------------------------------------------------
     def fetchmany(self, size: int) -> List[Tuple]:
         """Up to ``size`` further tuples (empty list at the end)."""
-        if size < 0:
-            raise ParameterError(f"fetchmany size must be >= 0, got {size}")
-        return list(islice(self, size))
+        if type(size) is not int or size < 0:  # the common case: one test
+            if isinstance(size, bool) or not isinstance(size, int) or size < 0:
+                raise ParameterError(
+                    f"fetchmany size must be an int >= 0, got {size!r}"
+                )
+        return self._pull(size)
 
     def fetchall(self) -> List[Tuple]:
         """Every remaining tuple (materializing — the wrapper path)."""
-        return list(self)
+        return self._pull(None)
+
+    def _pull(self, size: Optional[int]) -> List[Tuple]:
+        """Up to ``size`` rows (None: all), as per-row iteration delivers.
+
+        A measured cursor times every row, so it iterates. An unmeasured
+        one takes its rows from the source in one ``islice`` — capped by
+        the limit left — and accounts for them once: the outputs, the
+        resume token, and exhaustion or the limit-stop, each at the very
+        pull where row-by-row iteration would have met it.
+        """
+        request = self.request
+        if request.measure or self._finished or self._closed or size == 0:
+            return list(islice(self, size))
+        want = size
+        limit = request.limit
+        if limit is not None:
+            left = limit - self._outputs
+            if size is None or left < size:
+                want = left
+        try:
+            rows = list(islice(self._source, want))
+        except Exception as error:
+            self._fail(error)
+            raise
+        taken = len(rows)
+        if taken:
+            self._outputs += taken
+            self._last = rows[-1]
+        if want is None or taken < want:
+            self._observe_exhaustion()
+        elif want != size:  # the limit cut this pull: it is reached
+            self._finish()
+        return rows
 
     # ------------------------------------------------------------------
     # cursor state
@@ -266,12 +317,17 @@ class AnswerCursor:
     @property
     def delivered(self) -> int:
         """Tuples this cursor has yielded so far."""
-        return self._stats.outputs
+        return self._outputs
 
     @property
     def exhausted(self) -> bool:
         """True once the underlying enumeration ran dry (not limit-stop)."""
         return self._exhausted
+
+    @property
+    def error(self) -> Optional[Exception]:
+        """The error the source raised, if one ended this cursor."""
+        return self._error
 
     def resume_token(self) -> Optional[ResumeToken]:
         """Token resuming strictly after the last delivered tuple.
@@ -293,7 +349,11 @@ class AnswerCursor:
         (sharded) cursor reports its own wall/output figures and folds
         the per-shard step counters together.
         """
-        stats = replace(self._stats, step_gaps=list(self._stats.step_gaps))
+        if self.request.measure:
+            stats = replace(self._stats, step_gaps=list(self._stats.step_gaps))
+        else:
+            stats = DelayStats()
+        stats.outputs = self._outputs
         if self._gap_tracker is not None:
             # Emission-time gaps from the shared scan: identical to what
             # a solo traversal of this state would have observed.
@@ -317,10 +377,12 @@ class AnswerCursor:
         """Run ``hook()`` once when this cursor's serving life ends.
 
         The end of life is whichever comes first of :meth:`close`,
-        exhaustion, or a limit-stop — exactly when the serving layer can
-        release per-cursor resources (a dynamic view hangs its serving
-        version pin here). A hook added after that point runs
-        immediately; each hook runs at most once.
+        exhaustion, a limit-stop, or an error raised by the source — the
+        hooks fire before that error propagates, and later pulls raise it
+        again — exactly when the serving layer can release per-cursor
+        resources (a dynamic view hangs its serving version pin here). A
+        hook added after that point runs immediately; each hook runs at
+        most once.
         """
         if self._hooks_fired:
             hook()

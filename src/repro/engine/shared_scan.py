@@ -9,24 +9,27 @@ pairs — and each state is one solo enumeration
 rides), started by the first pull of any request on it. Each request is
 a **lane** into its state: its own lazy
 :class:`~repro.engine.api.AnswerCursor` honoring its own ``limit`` /
-``start_after`` / ``measure`` knobs, fed through its own buffer. What a
-batch shares is therefore the enumeration — a request asked five times
-is walked once — and, one layer up in ``ViewServer.open_batch``, the
-resolve and the version pin, paid once per group instead of once per
-request. Theorem 1's delay bound is per request and stays per request:
-a state's stream, steps and gaps are exactly its solo cursor's.
+``start_after`` / ``measure`` knobs, fed through its own buffer — unless
+it is its state's only lane and unmeasured: then nobody shares the
+walk, and the cursor reads the enumeration itself (a *solo* state, as
+``open``'s cursor does, bulk pulls and all). What a batch shares is
+therefore the enumeration — a request asked five times is walked
+once — and, one layer up in ``ViewServer.open_batch``, the resolve and
+the version pin, paid once per group instead of once per request.
+Theorem 1's delay bound is per request and stays per request: a state's
+stream, steps and gaps are exactly its solo cursor's.
 
 Demand-driven, state by state
 -----------------------------
 Nothing is enumerated ahead of demand, and nothing on behalf of another
-state: pulling a cursor advances its own state's enumeration by one row
-(parked in the buffers of the state's other live lanes) and touches no
-other state. When every lane of a state is finished (limit reached,
-closed, or dropped) its generator is closed on the spot, and counted in
-``pruned_states`` unless it had already run dry. An error raised by a
-state's enumeration surfaces on that state's cursors — all of them,
-never as a silently short answer — and on no other's. Cursors of
-different states are as independent as cursors from ``open``; only
+state: pulling a cursor advances its own state's enumeration by what it
+takes (parked in the buffers of the state's other live lanes) and
+touches no other state. When every lane of a state is finished (limit
+reached, closed, or dropped) its generator is closed on the spot, and
+counted in ``pruned_states`` unless it had already run dry. An error
+raised by a state's enumeration surfaces on that state's cursors — all
+of them, never as a silently short answer — and on no other's. Cursors
+of different states are as independent as cursors from ``open``; only
 duplicates of one request share anything, so drive those from one
 thread.
 """
@@ -35,6 +38,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
+from functools import partial
 from typing import Deque, Dict, Iterator, List, Optional, Sequence, Tuple
 
 from repro.engine.api import (
@@ -80,10 +84,11 @@ _PRUNED = object()
 class _ScanState:
     """One distinct ``(access, resume point)`` of a group: one enumeration.
 
-    ``source`` is that enumeration, made on the first pull; ``end`` is
-    ``None`` while it may still be pulled, then why it never will be
-    again: ``_DRY`` (ran to its end), ``_PRUNED`` (closed when its last
-    lane went) or the exception it raised.
+    ``source`` is that enumeration, made on the first pull (a solo
+    state's, :meth:`solo`, when its cursor is made); ``end`` is ``None``
+    while it may still be pulled, then why it never will be again:
+    ``_DRY`` (ran to its end), ``_PRUNED`` (closed when its last lane
+    went) or the exception it raised.
 
     ``step_max_gap``/``last_steps`` track the state's logical delay at
     *emission* time — exactly the gap sequence a solo cursor observes.
@@ -149,6 +154,33 @@ class _ScanState:
             if lane.alive:
                 lane.buffer.append(row)
         return True
+
+    def solo(self, request: AccessRequest) -> AnswerCursor:
+        """The cursor of a state whose one lane is unmeasured.
+
+        It reads the state's enumeration itself, with no lane buffer in
+        between (and so takes bulk pulls); its lane stays in ``lanes``
+        until the cursor's serving life ends, which tells the state how
+        its enumeration ended.
+        """
+        self.source = resume_enumeration(
+            self.representation, self.access, self.token
+        )
+        cursor = AnswerCursor(request, self.source)
+        cursor.add_close_hook(partial(self.settle, cursor))
+        return cursor
+
+    def settle(self, cursor: AnswerCursor) -> None:
+        """The solo cursor is done: how it ended, then its lane goes.
+
+        Ended short of the end (closed or limit-stopped), the state is
+        pruned and its enumeration closed, as with any last lane.
+        """
+        if cursor.error is not None:
+            self.end = cursor.error
+        elif cursor.exhausted:
+            self.end = _DRY
+        self.lanes[0].close()
 
     def release(self) -> None:
         """A lane went: close the enumeration once no lane wants rows.
@@ -239,10 +271,13 @@ class SharedScan:
         Duplicate requests get distinct cursors over one shared state
         (and, under ``measure``, share that state's step counter and
         gaps — the same attribution ``answer_batch`` has always reported
-        for duplicates).
+        for duplicates). A state with one unmeasured lane has nobody to
+        buffer for: its cursor reads the state's enumeration directly.
         """
         return [
-            AnswerCursor(
+            lane.state.solo(request)
+            if len(lane.state.lanes) == 1 and not request.measure
+            else AnswerCursor(
                 request,
                 lane,
                 counter=lane.state.counter if request.measure else None,

@@ -17,10 +17,11 @@ The ``spec_*`` functions are plain functions over a built structure's
 public fields — ``tree``, ``dictionary``, ``ctx`` — reading boxes in the
 object form of ``tests/reference_build.py`` (the build's spec) and
 joining on that module's tries (built test-side from the rows), and
-take their inputs already normalised, exactly like their kernel twins
-(``kernel_enumerate(layout, access, counter)`` ↔
-``spec_enumerate(rep, access, counter)``): a checked access tuple, a
-ceiled index-space seek point. With a
+take their inputs already normalised, exactly like their kernel twin
+(``kernel_runs(layout, access, start, counter)`` ↔
+``spec_enumerate(rep, access, counter)`` /
+``spec_enumerate_from(rep, access, start, counter)``): a checked access
+tuple, a ceiled index-space seek point. With a
 :class:`~repro.joins.generic_join.JoinCounter` they count the logical
 steps the delay guarantees are stated in: +1 per dictionary probe,
 +``len(atoms)`` per β check, and the generic join's own per-candidate
@@ -199,38 +200,37 @@ def spec_nested_rows(
 # the fixture
 # ----------------------------------------------------------------------
 # The entry points' own preamble (arity check, seek-point ceiling) is not
-# part of the walk: the patched methods below keep it and hand the
-# normalised inputs to the spec where the real ones hand them to the
-# kernel.
-def _enumerate(self, access, counter=None):
-    yield from spec_enumerate(self, self._check_access(access), counter)
-
-
-def _enumerate_from(self, access, start_values, counter=None):
+# part of the walk: the patched run source below keeps it and hands the
+# normalised inputs to the spec where the real one hands them to the
+# kernel. The spec's rows arrive as one run, the whole stream.
+def _layout_runs(self, layout, access, start_values, counter=None):
     access = self._check_access(access)
+    if start_values is None:
+        yield spec_enumerate(self, access, counter)
+        return
     if self.tree.root is None:
         return
     start = self.ctx.space.ceil_point(start_values)
     if start is None:
         return  # start lies beyond the top of the tuple space
-    yield from spec_enumerate_from(self, access, start, counter)
+    yield spec_enumerate_from(self, access, start, counter)
 
 
 @contextmanager
 def reference_walk():
     """Serve the static structures from the spec for one ``with`` block.
 
-    Patches ``CompressedRepresentation.enumerate`` / ``enumerate_from``
-    (and with them every bag of a ``DecomposedRepresentation``, the
-    clean side of a dynamic view and every batch's per-request walk)
+    Patches ``CompressedRepresentation._layout_runs``, the run source behind
+    its ``enumerate`` / ``enumerate_from`` / ``enumerate_after`` (and
+    with them every bag of a ``DecomposedRepresentation``, the clean
+    side of a dynamic view and every batch's per-request walk)
     and the flattened bag product ``ConnexConstantDelayStructure``
     calls; ``kernel_ready`` reads ``False`` on the patched classes
     meanwhile, so anything that reads the attribute is told the truth.
     Not thread-safe and not re-entrant — a test fixture, nothing more.
     """
     patched = (
-        (CompressedRepresentation, "enumerate", _enumerate),
-        (CompressedRepresentation, "enumerate_from", _enumerate_from),
+        (CompressedRepresentation, "_layout_runs", _layout_runs),
         (CompressedRepresentation, "kernel_ready", False),
         (DecomposedRepresentation, "kernel_ready", False),
         (constant_delay, "nested_product_rows", spec_nested_rows),

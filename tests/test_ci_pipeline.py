@@ -440,8 +440,17 @@ class TestMakefileContract:
 #: gather, the per-shard stats fold, the typed batch's planner folded
 #: into ``open_batch``); ``async_server.py`` −18 (the multi-job fan-out and
 #: ``AsyncBatchResult.shards``); ``server.py`` −4 (``Serving.jobs``);
-#: ``__init__.py`` −2. No gain claimed.
-ENGINE_SLOC_CEILING = 3369
+#: ``__init__.py`` −2. No gain claimed. Then 3,369 → 3,430 (+61), when
+#: rows began to leave the kernel in runs: ``api.py`` +45 (the unmeasured
+#: bulk pull, one ``islice`` accounted once per pull; an error from the
+#: source ending the cursor's serving life — its close hooks fire, later
+#: pulls raise it again, ``AnswerCursor.error``; ``fetchmany`` checking
+#: its size as ``AccessRequest.limit`` is checked; the timing fields
+#: kept for measured cursors only); ``shared_scan.py`` +16 (a one-lane
+#: unmeasured state is a solo cursor over its enumeration:
+#: ``_ScanState.solo`` / ``settle``). It moved the ``scan_stream``
+#: ``tuples_per_s`` row (``BENCH_43.json``).
+ENGINE_SLOC_CEILING = 3430
 
 #: `make size`'s figure for src/repro/__main__.py after PR 18: the CLI
 #: wires a back end, an async front and its error reporting once each;
@@ -662,7 +671,16 @@ MAIN_SLOC_CEILING = 732
 #: the roots' distinct bound prefixes and the free levels' distinct
 #: parent paths, against ``_trie_edges``, which moved to
 #: ``tests/reference_index.py`` as the spec). No gain claimed.
-SRC_SLOC_CEILING = 11870
+#: Then, when rows began to leave the kernel in runs: 11,870 → 11,934
+#: (+64): the engine +61 above; ``core/representation.py`` +17
+#: (``_runs`` / ``_layout_runs``, every kernel-backed entry point's one
+#: generator of runs, and the resume's token drop at the run level);
+#: ``core/kernel.py`` +10 (``Rows`` / ``flatten``, net of
+#: ``kernel_enumerate_from``); ``core/dynamic.py`` −16 and
+#: ``core/structure.py`` −7 (the per-row ``yield from`` wrappers and
+#: ``_read_dirty``, now ``_layout_runs``); ``baselines/lazy.py`` −1. It
+#: moved the ``scan_stream`` ``tuples_per_s`` row (``BENCH_43.json``).
+SRC_SLOC_CEILING = 11934
 
 
 class TestSizeGate:

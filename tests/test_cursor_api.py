@@ -100,6 +100,20 @@ class TestAnswerCursor:
         assert cursor.delivered == 2
         assert not cursor.exhausted
 
+    @pytest.mark.parametrize("size", [-1, True, False, 2.0, None, "3"])
+    def test_fetchmany_size_is_checked_as_a_limit_is(
+        self, server, heavy_access, size
+    ):
+        # What AccessRequest.limit refuses, fetchmany refuses alike —
+        # and None, which is no page size — before it touches the stream.
+        if size is not None:
+            with pytest.raises(ParameterError):
+                AccessRequest(view="V", access=heavy_access, limit=size)
+        cursor = server.open("V", heavy_access)
+        with pytest.raises(ParameterError):
+            cursor.fetchmany(size)
+        assert cursor.delivered == 0 and cursor.fetchmany(1)
+
     def test_limit_zero_is_a_legal_empty_page(self, server, heavy_access):
         cursor = server.open("V", heavy_access, limit=0, start_after=(0, 0))
         assert cursor.fetchall() == []

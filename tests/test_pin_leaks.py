@@ -7,7 +7,13 @@ group fail — an unknown view, a τ that is not positive, even a
 ``BaseException`` out of the shared scan — every cursor opened before
 it must be closed and every pin released, or the version it pinned
 stays live forever.
+
+Nor may a cursor whose pull raises: the error ends its serving life,
+so its close hooks — the pin's release among them — fire before the
+error reaches the caller, who may well drop the cursor unclosed.
 """
+
+import gc
 
 import pytest
 
@@ -18,9 +24,10 @@ from repro.engine.api import AccessRequest
 from repro.engine.server import ViewServer
 from repro.engine.sharding import ShardedViewServer
 from repro.engine.telemetry import Telemetry
-from repro.exceptions import ParameterError, SchemaError
+from repro.exceptions import ParameterError, QueryError, SchemaError
 
 ROUTED = "Q^bff(a, b, c) = R(a, b), S(b, c)"
+POINT = "Q^bbf(a, b, c) = R(a, b), S(b, c)"
 SCATTER = "F^fff(a, b, c) = R(a, b), S(b, c)"
 
 
@@ -196,3 +203,58 @@ class TestShardedOpenBatch:
         assert opened.cursors_seen
         self._assert_drained(server, (name, scatter), opened)
         server.close()
+
+
+class TestAPullThatRaises:
+    #: Both raise at the first pull: an access of the wrong arity, and a
+    #: token whose value no coordinate's domain orders against.
+    BAD = [
+        AccessRequest("v", (1,)),
+        AccessRequest("v", (1, 1), start_after=("x",)),
+    ]
+    PULLS = {
+        "fetchall": lambda cursor: cursor.fetchall(),
+        "fetchmany": lambda cursor: cursor.fetchmany(3),
+        "next": next,
+    }
+
+    def _server(self):
+        server = ViewServer(database(), telemetry=Telemetry())
+        server.register(POINT, tau=4.0, name="v")
+        server.apply_deltas("S", inserts=[(6, 998)])  # versioned
+        return server
+
+    def _open(self, server, how, request):
+        if how == "open":
+            return [server.open(request)]
+        copies = 2 if how == "duplicates" else 1  # lanes, or a solo cursor
+        return server.open_batch([request] * copies)
+
+    @pytest.mark.parametrize("pull", sorted(PULLS))
+    @pytest.mark.parametrize("how", ["open", "open_batch", "duplicates"])
+    def test_the_error_releases_the_pin(self, how, pull):
+        server = self._server()
+        state = server._dynamic_state("v")
+        pull = self.PULLS[pull]
+        opened = 0
+        for request in self.BAD:
+            cursors = self._open(server, how, request)
+            for cursor in cursors:
+                with pytest.raises(QueryError):
+                    pull(cursor)
+            assert state.pin_count() == 0
+            for cursor in cursors:
+                # The cursor is finished, but never as a short answer:
+                # a later pull raises the error again.
+                with pytest.raises(QueryError):
+                    pull(cursor)
+                assert not cursor.exhausted and cursor.delivered == 0
+            opened += len(cursors)
+        gc.collect()
+        assert state.pin_count() == 0
+        # Telemetry saw each cursor end once, as a close() would record.
+        registry = server.telemetry.registry
+        served = registry.find_histogram("serve_seconds", view="v")
+        assert served.count == opened
+        server.close()
+        server.telemetry.close()
