@@ -30,11 +30,16 @@ A context over a later database of the same view may be *derived* from
 an earlier one (``ViewContext(view, db, previous=ctx)`` — a dynamic
 view's next version, or its rebuild): it takes over, by identity, each
 domain whose relations are the very same objects or whose values are
-equal, each atom's columns whose relation and free-coordinate domains
-are the very same objects, the hypergraph and the default cover. It
-holds ``previous`` only until its own columns are compiled, so no chain
-of old databases stays alive. With no predecessor it compiles exactly
-as it otherwise would.
+equal; each atom's columns whose relation is the very same object and
+whose free-coordinate domains each still start with their old values
+(a value appended at the top of a domain moves no index the columns
+hold — :func:`~repro.core.layout.compile_join_columns`); the
+hypergraph and the default cover. Over the very same view object it
+also skips validating the view again and shares each atom binding's
+view-only parts (variables, positions, key order) and each variable's
+occurrences. It holds ``previous`` only until its own columns are
+compiled, so no chain of old databases stays alive. With no
+predecessor it compiles exactly as it otherwise would.
 """
 
 from __future__ import annotations
@@ -44,6 +49,7 @@ from operator import itemgetter, sub
 from typing import Dict, List, Optional, Tuple
 
 from repro.database.catalog import Database
+from repro.database.relation import Relation
 from repro.core.domain import Domain, TupleSpace
 from repro.core.layout import (
     AtomColumns,
@@ -104,19 +110,35 @@ class AtomBinding:
         self.free_coordinates: Tuple[int, ...] = tuple(
             free_order.index(v) for v in self.free_vars
         )
-        relation = db[atom.relation]
-        if relation.arity != atom.arity:
-            raise QueryError(
-                f"atom {atom!r} arity {atom.arity} does not match relation "
-                f"{relation.name!r} arity {relation.arity}"
-            )
-        self.relation = relation
+        self.relation = _checked(atom, db[atom.relation])
         # Column positions: bound variables first, then free variables in
         # the global free order.
         self.column_order: Tuple[int, ...] = tuple(
             atom.variable_positions(v)[0]
             for v in self.bound_vars + self.free_vars
         )
+
+    def over(self, db: Database) -> "AtomBinding":
+        """This binding over ``db``: the same view-only parts, by
+        reference, with the atom's relation in ``db``."""
+        relation = db[self.atom.relation]
+        if relation is self.relation:
+            return self
+        binding = object.__new__(AtomBinding)
+        for slot in AtomBinding.__slots__:
+            setattr(binding, slot, getattr(self, slot))
+        binding.relation = _checked(self.atom, relation)
+        return binding
+
+
+def _checked(atom: Atom, relation: Relation) -> Relation:
+    """``atom``'s relation, refused unless it has the atom's arity."""
+    if relation.arity != atom.arity:
+        raise QueryError(
+            f"atom {atom!r} arity {atom.arity} does not match relation "
+            f"{relation.name!r} arity {relation.arity}"
+        )
+    return relation
 
 
 def _index_cells(atom: AtomColumns) -> int:
@@ -146,6 +168,19 @@ def _index_cells(atom: AtomColumns) -> int:
     return levels + bound + free
 
 
+def _validate(view: AdornedView) -> None:
+    """Refuse a view a context cannot be built over."""
+    if not view.is_full:
+        raise QueryError(
+            f"view {view.name!r} has projections; only full views are supported"
+        )
+    if not view.is_natural_join():
+        raise QueryError(
+            f"view {view.name!r} is not a natural join query; apply "
+            "repro.query.normalize_view first"
+        )
+
+
 class ViewContext:
     """Frozen evaluation context for one natural-join adorned view.
 
@@ -157,23 +192,31 @@ class ViewContext:
     def __init__(
         self, view: AdornedView, db: Database, previous: Optional["ViewContext"] = None
     ):
-        if not view.is_full:
-            raise QueryError(
-                f"view {view.name!r} has projections; only full views are supported"
-            )
-        if not view.is_natural_join():
-            raise QueryError(
-                f"view {view.name!r} is not a natural join query; apply "
-                "repro.query.normalize_view first"
-            )
         self.view = view
         self.db = db
         self.bound_order: Tuple[Variable, ...] = view.bound_variables
         self.free_order: Tuple[Variable, ...] = view.free_variables
-        self.atoms: List[AtomBinding] = [
-            AtomBinding(i, atom, self.bound_order, self.free_order, db)
-            for i, atom in enumerate(view.atoms)
-        ]
+        self.atoms: List[AtomBinding]
+        # Per variable, the (relation, column) pairs its domain is read off.
+        self._occurrences: Dict[Variable, List[Tuple[str, int]]]
+        if previous is not None and previous.view is view:
+            # The very view object was validated and bound then.
+            self.atoms = [binding.over(db) for binding in previous.atoms]
+            self._occurrences = previous._occurrences
+        else:
+            _validate(view)
+            self.atoms = [
+                AtomBinding(i, atom, self.bound_order, self.free_order, db)
+                for i, atom in enumerate(view.atoms)
+            ]
+            self._occurrences = {
+                v: [
+                    (atom.relation, position)
+                    for atom in view.atoms
+                    for position in atom.variable_positions(v)
+                ]
+                for v in self.bound_order + self.free_order
+            }
         self.domains: Dict[Variable, Domain] = {
             v: self._domain(v, previous) for v in self.bound_order + self.free_order
         }
@@ -201,11 +244,7 @@ class ViewContext:
     def _domain(self, var: Variable, previous: Optional["ViewContext"]) -> Domain:
         """``var``'s active domain — ``previous``'s very object when that
         one is read off the very same relations or holds the same values."""
-        occurrences = [
-            (atom.relation, position)
-            for atom in self.view.atoms
-            for position in atom.variable_positions(var)
-        ]
+        occurrences = self._occurrences[var]
         before = previous.domains[var] if previous else None
         if before is not None and all(
             self.db[name] is previous.db[name] for name, _ in occurrences

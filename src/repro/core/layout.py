@@ -681,20 +681,35 @@ def _bound_atom(binding, keys: RowKeys) -> AtomColumns:
     return _compile_rows(prefixes, bound, binding.bound_access_positions)
 
 
+def _extends(before, after) -> bool:
+    """Whether ``after``'s values start with all of ``before``'s: every
+    index into ``before`` names the same value in ``after``."""
+    values = before.values
+    return after is before or after.values[: len(values)] == values
+
+
 def compile_join_columns(ctx, previous, keys: RowKeys) -> JoinColumns:
     """Compile a context's atoms into the kernel's join columns.
 
-    ``previous`` is an earlier context over the same view: an atom over
-    the very same relation, with the very same domains at its free
-    coordinates, takes over its columns there — if they were compiled.
+    ``previous`` is an earlier context over the same view. An atom over
+    the very same relation takes over its columns there — if they were
+    compiled — when each of its free-coordinate domains still starts
+    with its old values (:func:`_extends`): a value appended at the top
+    of a domain moves no index the columns hold. Nothing else in them
+    depends on the domains: ``vals`` are indexes, ``kid_lo`` /
+    ``kid_hi`` / ``counts`` positions within the columns, and ``roots``
+    are keyed by bound values.
     """
     kept = getattr(previous, "_columns", None)
 
     def columns(binding) -> AtomColumns:
-        before = previous.atoms[binding.label] if kept else None
-        if before and before.relation is binding.relation and all(
-            ctx.free_domains[c] is previous.free_domains[c]
-            for c in binding.free_coordinates
+        if (
+            kept is not None
+            and previous.atoms[binding.label].relation is binding.relation
+            and all(
+                _extends(previous.free_domains[c], ctx.free_domains[c])
+                for c in binding.free_coordinates
+            )
         ):
             return kept.atoms[binding.label]
         return _compile_atom(binding, keys)

@@ -177,10 +177,12 @@ def database_state(db: Database) -> List[Tuple[str, int, List[Tuple]]]:
 
     Rows are ordered by their ``repr`` so the state — and anything hashed
     over it — is deterministic even for relations whose values are not
-    mutually comparable.
+    mutually comparable: each relation's memoised canonical order
+    (:meth:`~repro.database.relation.Relation.canonical`), copied into a
+    fresh list so no caller can edit the memo.
     """
     return [
-        (relation.name, relation.arity, sorted(relation.rows, key=repr))
+        (relation.name, relation.arity, list(relation.canonical()[0]))
         for relation in sorted(db, key=lambda r: r.name)
     ]
 
@@ -210,10 +212,12 @@ def source_states(state: Dict) -> Tuple[Dict, Optional[List]]:
 
 
 def _relation_bytes(db: Database) -> Iterator[Tuple[str, bytes]]:
-    """``(name, hashed byte stream)`` per relation, in name order."""
-    for name, arity, rows in database_state(db):
-        header = f"{name}\x00{arity}\x00".encode("utf-8")
-        yield name, header + b"".join(repr(row).encode("utf-8") for row in rows)
+    """``(name, hashed byte stream)`` per relation, in name order: its
+    name and arity, then its rows' ``repr`` in the order
+    :func:`database_state` stores them, memoised on the relation."""
+    for relation in sorted(db, key=lambda r: r.name):
+        header = f"{relation.name}\x00{relation.arity}\x00".encode("utf-8")
+        yield relation.name, header + relation.canonical()[1]
 
 
 def database_fingerprint(db: Database) -> str:

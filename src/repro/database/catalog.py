@@ -70,7 +70,5 @@ class Database:
         definition; tightening to the intersection would only shrink the
         f-interval space and is an optimization the tests do not assume.
         """
-        values = set()
-        for name, position in occurrences:
-            values |= self[name].column_values(position)
-        return tuple(sorted(values))
+        columns = [self[name].column_values(p) for name, p in occurrences]
+        return tuple(sorted(frozenset().union(*columns)))

@@ -9,6 +9,7 @@ mutually comparable, hashable values.
 
 from __future__ import annotations
 
+from operator import itemgetter
 from typing import Callable, Iterable, Iterator, Mapping, Sequence, Tuple
 
 from repro.exceptions import SchemaError
@@ -24,6 +25,18 @@ class Relation:
     iteration, ``len``, and ``in`` work on rows, and the relational operators
     return new relations.
 
+    Two facts derived from the rows are memoised on the instance, each
+    computed on first use: a column's distinct values
+    (:meth:`column_values`) and the rows in canonical ``repr`` order with
+    their ``repr`` bytes (:meth:`canonical`), what a snapshot's database
+    state and fingerprints are made of. The rows never change after
+    construction, so a memo cannot go stale; and every relation is made
+    with its rows and an empty memo together (:meth:`_hold`), so none
+    carries facts derived from other rows — an operator's result starts
+    empty even when it shares its rows, and a pickled or copied relation
+    leaves its memo behind. The memo is unsynchronised on purpose: racing
+    threads compute equal values and the last assignment wins.
+
     Parameters
     ----------
     name:
@@ -34,13 +47,11 @@ class Relation:
         Iterable of tuples (any iterable of sequences; converted to tuples).
     """
 
-    __slots__ = ("name", "arity", "_rows")
+    __slots__ = ("name", "arity", "_rows", "_columns", "_canonical")
 
     def __init__(self, name: str, arity: int, rows: Iterable[Sequence[Value]] = ()):
         if arity < 0:
             raise SchemaError(f"relation {name!r}: arity must be >= 0, got {arity}")
-        self.name = name
-        self.arity = arity
         deduped = set()
         for row in rows:
             tup = tuple(row)
@@ -50,7 +61,28 @@ class Relation:
                     f"{len(tup)}, expected {arity}"
                 )
             deduped.add(tup)
-        self._rows = frozenset(deduped)
+        self._hold(name, arity, frozenset(deduped))
+
+    def _hold(self, name: str, arity: int, rows: frozenset) -> None:
+        """Set the rows and an empty memo together: the one place either
+        is set."""
+        self.name = name
+        self.arity = arity
+        self._rows = rows
+        self._columns = {}  # column position -> its distinct values
+        self._canonical = None  # (rows in repr order, their repr bytes)
+
+    @classmethod
+    def _of(cls, name: str, arity: int, rows: frozenset) -> "Relation":
+        """A relation over ``rows`` taken as they are: a frozenset of
+        tuples of arity ``arity``, not re-checked."""
+        relation = object.__new__(cls)
+        relation._hold(name, arity, rows)
+        return relation
+
+    def __reduce__(self):
+        # The memo stays behind: a copy derives its own from its rows.
+        return (self._of, (self.name, self.arity, self._rows))
 
     # ------------------------------------------------------------------
     # container protocol
@@ -83,6 +115,27 @@ class Relation:
     def sorted_rows(self) -> list:
         """Rows in lexicographic order (requires comparable values)."""
         return sorted(self._rows)
+
+    def canonical(self) -> Tuple[Tuple[Row, ...], bytes]:
+        """The rows in ``repr`` order, and the UTF-8 bytes of their ``repr``.
+
+        The order is ``sorted(rows, key=repr)``'s, ties included, so it is
+        deterministic even for values that are not mutually comparable;
+        the bytes are ``b"".join(repr(row).encode("utf-8"))`` over it.
+        Computed once per relation (see the class docstring).
+        """
+        canonical = self._canonical
+        if canonical is None:
+            rows = tuple(self._rows)
+            reprs = list(map(repr, rows))
+            # A stable sort of positions: ties keep the rows' own order.
+            order = sorted(range(len(rows)), key=reprs.__getitem__)
+            canonical = (
+                tuple(map(rows.__getitem__, order)),
+                "".join(map(reprs.__getitem__, order)).encode("utf-8"),
+            )
+            self._canonical = canonical
+        return canonical
 
     # ------------------------------------------------------------------
     # relational algebra
@@ -144,19 +197,21 @@ class Relation:
             (row for row in self._rows if predicate(row)),
         )
 
-    def column_values(self, position: int) -> set:
-        """The set of distinct values appearing in one column."""
-        if not 0 <= position < self.arity:
-            raise SchemaError(
-                f"relation {self.name!r}: column {position} out of range"
-            )
-        return {row[position] for row in self._rows}
+    def column_values(self, position: int) -> frozenset:
+        """The distinct values appearing in one column, computed once."""
+        values = self._columns.get(position)
+        if values is None:
+            if not 0 <= position < self.arity:
+                raise SchemaError(
+                    f"relation {self.name!r}: column {position} out of range"
+                )
+            values = frozenset(map(itemgetter(position), self._rows))
+            self._columns[position] = values
+        return values
 
     def rename(self, name: str) -> "Relation":
         """A copy of this relation under a different name (rows shared)."""
-        clone = Relation(name, self.arity)
-        clone._rows = self._rows
-        return clone
+        return Relation._of(name, self.arity, self._rows)
 
     def union(self, other: "Relation", name: str = None) -> "Relation":
         """Set union of two relations of equal arity."""
@@ -165,9 +220,11 @@ class Relation:
                 f"union of {self.name!r} (arity {self.arity}) and "
                 f"{other.name!r} (arity {other.arity})"
             )
-        result = Relation(name or f"({self.name} U {other.name})", self.arity)
-        result._rows = self._rows | other._rows
-        return result
+        return Relation._of(
+            name or f"({self.name} U {other.name})",
+            self.arity,
+            self._rows | other._rows,
+        )
 
     def with_changes(self, inserts: Iterable[Row], deletes: Iterable[Row]) -> "Relation":
         """This relation plus ``inserts`` minus ``deletes``, same name.
@@ -176,9 +233,9 @@ class Relation:
         their arity (a dynamic representation checks each buffered row
         once, on the way in).
         """
-        result = Relation(self.name, self.arity)
-        result._rows = self._rows.union(inserts).difference(deletes)
-        return result
+        return Relation._of(
+            self.name, self.arity, self._rows.union(inserts).difference(deletes)
+        )
 
     def semijoin_values(
         self, position: int, values: Iterable[Value], name: str = None

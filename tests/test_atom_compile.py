@@ -20,6 +20,7 @@ from repro.core.context import ViewContext
 from repro.core.structure import CompressedRepresentation
 from repro.database.catalog import Database
 from repro.database.relation import Relation
+from repro.query.atoms import Variable
 from repro.query.parser import parse_view
 from repro.query.rewriting import natural_form
 from repro.workloads.generators import triangle_database
@@ -213,6 +214,97 @@ def test_a_derived_context_compiles_what_a_fresh_one_does(name, data, build_firs
         for atom, spec in zip(ours, theirs):
             assert_same_atom(atom, spec)
     assert_equals_the_spec(derived)
+
+
+def active_values(view, db, variable):
+    """``variable``'s values over every column an atom binds it to."""
+    return sorted(
+        {
+            row[position]
+            for atom in view.atoms
+            for position, term in enumerate(atom.terms)
+            if term == variable
+            for row in db[atom.relation]
+        }
+    )
+
+
+@st.composite
+def delta_chain(draw, view, db):
+    """``db`` and one to three versions after it, one delta apart, each
+    relation the delta leaves alone kept by identity. A delta inserts a
+    row with a fresh value at the top of a variable's values or inside
+    them (between two neighbours), or deletes every row holding one
+    value in one column — its last occurrence unless another column
+    holds it too."""
+    versions = [db]
+    for _ in range(draw(st.integers(1, 3))):
+        db = versions[-1]
+        atom = draw(st.sampled_from(view.atoms))
+        relation = db[atom.relation]
+        slots = [p for p, term in enumerate(atom.terms) if isinstance(term, Variable)]
+        kind = draw(st.sampled_from(("top", "inside", "empty")))
+        if not slots or (kind == "empty" and not relation.rows):
+            versions.append(db)
+            continue
+        position = draw(st.sampled_from(slots))
+        variable = atom.terms[position]
+        if kind == "empty":
+            value = draw(st.sampled_from(sorted(relation.column_values(position))))
+            gone = [row for row in relation.rows if row[position] == value]
+            versions.append(db.replace(relation.with_changes((), gone)))
+            continue
+        values = active_values(view, db, variable)
+        if kind == "inside" and len(values) > 1:
+            low = draw(st.integers(0, len(values) - 2))
+            fresh = values[low] + (values[low + 1] - values[low]) / 2
+        else:
+            fresh = (values[-1] if values else 0) + draw(st.integers(1, 3))
+        row = []
+        for term in atom.terms:
+            if term == variable:
+                row.append(fresh)
+            elif isinstance(term, Variable):
+                others = active_values(view, db, term)
+                row.append(draw(st.sampled_from(others)) if others else 0)
+            else:
+                row.append(term.value)
+        versions.append(db.replace(relation.with_changes([tuple(row)], ())))
+    return versions
+
+
+@pytest.mark.parametrize("name", sorted(SHAPES))
+@given(data=st.data())
+@settings(
+    max_examples=15,
+    deadline=None,
+    suppress_health_check=[HealthCheck.too_slow, HealthCheck.data_too_large],
+)
+def test_a_derived_context_keeps_exactly_the_columns_a_delta_left_in_place(
+    name, data
+):
+    # An atom keeps its columns — the very object — exactly when its
+    # relation is the very same object and each of its free domains
+    # still starts with its old values; kept or not, they equal a fresh
+    # context's slot for slot.
+    view = SHAPES[name]
+    versions = data.draw(delta_chain(view, data.draw(databases(view))))
+    previous = ViewContext(*natural_form(view, versions[0]))
+    for db in versions[1:]:
+        before = previous.columns().atoms
+        derived = ViewContext(*natural_form(view, db), previous=previous)
+        fresh = ViewContext(*natural_form(view, db))
+        for binding, atom, spec in zip(
+            derived.atoms, derived.columns().atoms, fresh.columns().atoms, strict=True
+        ):
+            assert_same_atom(atom, spec)
+            old = [previous.free_domains[c].values for c in binding.free_coordinates]
+            new = [derived.free_domains[c].values for c in binding.free_coordinates]
+            kept = previous.atoms[binding.label].relation is binding.relation and all(
+                values[: len(prefix)] == prefix for prefix, values in zip(old, new)
+            )
+            assert (atom is before[binding.label]) == kept
+        previous = derived
 
 
 def test_a_context_compiles_its_bound_columns_once_and_sorts_each_atom_once(

@@ -301,7 +301,7 @@ class TestDerivedContexts:
 
     def test_a_delta_recompiles_only_the_atoms_it_touched(self, compiled):
         view = triangle_view("bbf")  # R(x, y), S(y, z), T(z, x); z free
-        db = triangle_database(8, 24, seed=3)
+        db = triangle_database(8, 24, seed=3)  # z's domain is 0..7
         dynamic = DynamicRepresentation(
             view, db, tau=2.0, rebuild_fraction=float("inf")
         )
@@ -314,20 +314,39 @@ class TestDerivedContexts:
         assert same_objects(first.columns().atoms[1:], base.columns().atoms[1:])
         self.read(dynamic, view)
         assert compiled == ["R"]  # a re-read compiles nothing
-        # A z value no relation had moves z's domain: S and T, the atoms
-        # over z, are recompiled; R, which has no free variable, is not.
+        # A z value appended at the top of z's domain moves no index: S,
+        # whose rows changed, is recompiled; T keeps its columns.
         dynamic.insert("S", (0, 99))
         second = self.read(dynamic, view)
-        assert compiled == ["R", "S", "T"]
-        assert 99 in second.free_domains[0].values
-        assert second.columns().atoms[0] is first.columns().atoms[0]
+        assert compiled == ["R", "S"]
+        assert second.free_domains[0].values == tuple(range(8)) + (99,)
+        assert second.free_domains[0] is not first.free_domains[0]
+        assert same_objects(
+            [second.columns().atoms[i] for i in (0, 2)],
+            [first.columns().atoms[i] for i in (0, 2)],
+        )
         # A delta that leaves z's values as they were keeps S's columns.
         dynamic.insert("T", (99, 90))
         third = self.read(dynamic, view)
-        assert compiled == ["R", "S", "T", "T"]
+        assert compiled == ["R", "S", "T"]
         assert third.free_domains[0] is second.free_domains[0]
         assert same_objects(third.columns().atoms[:2], second.columns().atoms[:2])
-        assert first._previous is second._previous is third._previous is None
+        # A z value landing inside the domain moves 99's index: S and T,
+        # the atoms over z, are recompiled; R, with no free variable, not.
+        dynamic.insert("S", (0, 50))
+        fourth = self.read(dynamic, view)
+        assert compiled == ["R", "S", "T", "S", "T"]
+        assert fourth.free_domains[0].values == tuple(range(8)) + (50, 99)
+        assert fourth.columns().atoms[0] is third.columns().atoms[0]
+        # So does a delete that empties a value: 50 leaves the domain.
+        dynamic.delete("S", (0, 50))
+        fifth = self.read(dynamic, view)
+        assert compiled == ["R", "S", "T", "S", "T", "S", "T"]
+        assert fifth.free_domains[0].values == tuple(range(8)) + (99,)
+        assert fifth.columns().atoms[0] is third.columns().atoms[0]
+        assert all(
+            ctx._previous is None for ctx in (first, second, third, fourth, fifth)
+        )
 
     def test_a_domain_that_keeps_its_size_but_not_its_values(self, compiled):
         view = triangle_view("bbf")

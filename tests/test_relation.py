@@ -83,6 +83,17 @@ def test_column_values():
     r = Relation("R", 2, [(1, 2), (1, 3), (2, 3)])
     assert r.column_values(0) == {1, 2}
     assert r.column_values(1) == {2, 3}
+    assert type(r.column_values(0)) is frozenset
+
+
+def test_column_values_are_computed_once_per_relation():
+    r = Relation("R", 2, [(1, 2), (1, 3), (2, 3)])
+    assert r.column_values(1) is r.column_values(1)
+    # A relation made from r starts with an empty memo, rows shared or not.
+    for made in (r.rename("Q"), r.union(r), r.with_changes([(4, 4)], [])):
+        assert made._columns == {}
+    assert r.with_changes([(4, 4)], []).column_values(1) == {2, 3, 4}
+    assert r.column_values(1) == {2, 3}
 
 
 def test_column_values_out_of_range():

@@ -14,6 +14,8 @@ version-mismatched and wrong-database snapshots all raise the typed
 
 from __future__ import annotations
 
+import copy
+import hashlib
 import pickle
 
 import pytest
@@ -26,6 +28,8 @@ from repro import (
     Relation,
     parse_view,
 )
+from repro.core import context as context_mod
+from repro.core import snapshot as snapshot_mod
 from repro.core.snapshot import (
     SNAPSHOT_MAGIC,
     SNAPSHOT_VERSION,
@@ -38,6 +42,7 @@ from repro.core.snapshot import (
     inspect_snapshot,
     inspect_snapshot_file,
     load_snapshot,
+    relation_fingerprints,
     save_snapshot,
     view_from_state,
     view_state,
@@ -228,6 +233,141 @@ class TestViewAndDatabaseState:
         assert database_fingerprint(a) == database_fingerprint(b)
         c = Database([Relation("R", 2, rows + [(7, 8)])])
         assert database_fingerprint(a) != database_fingerprint(c)
+
+
+class Tag:
+    """A value every instance of which has the same ``repr``: rows of
+    tags tie in ``repr`` order, however many there are."""
+
+    def __init__(self, number):
+        self.number = number
+
+    def __repr__(self):
+        return "Tag"
+
+
+def spec_database_state(db):
+    """The database state as the codec has always written it."""
+    return [
+        (relation.name, relation.arity, sorted(relation.rows, key=repr))
+        for relation in sorted(db, key=lambda r: r.name)
+    ]
+
+
+def spec_streams(db):
+    """Per relation, the byte stream its fingerprint hashes."""
+    for name, arity, rows in spec_database_state(db):
+        header = f"{name}\x00{arity}\x00".encode("utf-8")
+        yield name, header + b"".join(repr(row).encode("utf-8") for row in rows)
+
+
+def spec_fingerprint(db):
+    digest = hashlib.sha256()
+    for _, stream in spec_streams(db):
+        digest.update(stream)
+        digest.update(b"\x01")
+    return digest.hexdigest()
+
+
+def spec_relation_fingerprints(db):
+    return {name: hashlib.sha256(stream).hexdigest() for name, stream in spec_streams(db)}
+
+
+def odd_database():
+    """Mixed value types, and rows whose ``repr`` ties."""
+    return Database(
+        [
+            Relation(
+                "M",
+                2,
+                [(1, "a"), ("a", 1), (1.5, None), (True, b"x"), ((1, 2), 3), (-1, 1.0)],
+            ),
+            Relation("Ties", 2, [(Tag(n), n % 2) for n in range(12)]),
+            Relation("Empty", 3),
+        ]
+    )
+
+
+def assert_equals_the_spec(db):
+    state = database_state(db)
+    assert state == spec_database_state(db)
+    # Element for element, in the same order, ties included.
+    for (_, _, rows), (_, _, spec) in zip(state, spec_database_state(db)):
+        assert all(row is other for row, other in zip(rows, spec, strict=True))
+    assert snapshot_mod._dumps(state) == snapshot_mod._dumps(spec_database_state(db))
+    assert database_fingerprint(db) == spec_fingerprint(db)
+    assert relation_fingerprints(db) == spec_relation_fingerprints(db)
+
+
+class TestOneCanonicalOrderPerRelation:
+    """The state and fingerprints read each relation's memoised order and
+    bytes, and equal ``sorted(rows, key=repr)`` + per-row ``repr``."""
+
+    def test_before_and_after_the_memo_fills(self):
+        db = odd_database()
+        assert all(relation._canonical is None for relation in db)
+        assert_equals_the_spec(db)
+        memos = [relation._canonical for relation in db]
+        assert all(memo is not None for memo in memos)
+        assert_equals_the_spec(db)
+        assert all(r._canonical is memo for r, memo in zip(db, memos))
+
+    def test_relations_made_from_a_memoised_one(self):
+        db = odd_database()
+        assert_equals_the_spec(db)
+        ties, mixed = db["Ties"], db["M"]
+        made = [
+            ties.rename("Renamed"),
+            ties.union(Relation("Other", 2, [(Tag(99), 1), ("z", 0)]), name="U"),
+            mixed.with_changes([(2, "b"), ("a", 1)], [(1, "a"), (7, 7)]),
+        ]
+        for relation in made:
+            assert relation._canonical is None and relation._columns == {}
+            assert_equals_the_spec(Database([relation]))
+            assert_equals_the_spec(Database([relation]))
+        assert made[2].rows == (mixed.rows - {(1, "a")}) | {(2, "b")}
+
+    def test_a_caller_editing_a_state_leaves_the_memo_alone(self):
+        db = odd_database()
+        before = database_state(db)
+        for _, _, rows in before:
+            rows.reverse()
+            rows.append(("edited",))
+        assert database_state(db) == spec_database_state(db)
+        assert database_state(db)[0][2] is not database_state(db)[0][2]
+        assert_equals_the_spec(db)
+
+    def test_a_pickled_or_copied_relation_leaves_its_memo_behind(self):
+        relation = odd_database()["M"]
+        relation.canonical(), relation.column_values(0)
+        for other in (pickle.loads(pickle.dumps(relation)), copy.copy(relation)):
+            assert other == relation and other.name == relation.name
+            assert other._canonical is None and other._columns == {}
+
+    @pytest.mark.parametrize("kind", ["compressed", "dynamic"])
+    def test_a_blob_equals_the_specs(self, kind, monkeypatch):
+        # A view over R beside relations it never reads: their rows are
+        # stored and hashed all the same.
+        db = Database([*odd_database(), Relation("R", 2, [(1, 2), (2, 3), (3, 1)])])
+        view = parse_view("P^bf(x, y) = R(x, y)")
+        if kind == "compressed":
+            representation = CompressedRepresentation(view, db, tau=2.0)
+        else:
+            representation = DynamicRepresentation(
+                view, db, tau=2.0, rebuild_fraction=float("inf")
+            )
+            representation.insert("R", (4, 5))
+        blob = encode_snapshot(representation)
+        context = (
+            representation.structure
+            if kind == "dynamic"
+            else representation
+        ).ctx
+        context._states = context._source = None
+        monkeypatch.setattr(snapshot_mod, "database_state", spec_database_state)
+        monkeypatch.setattr(context_mod, "database_state", spec_database_state)
+        monkeypatch.setattr(snapshot_mod, "database_fingerprint", spec_fingerprint)
+        assert encode_snapshot(representation) == blob
 
 
 @pytest.fixture(scope="module")
