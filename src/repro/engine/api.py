@@ -41,7 +41,9 @@ Delay statistics under ``limit``
 :func:`~repro.measure.delay.measure_enumeration`: per-output wall/step
 gaps, plus the closing gap *only when the underlying enumeration was
 actually exhausted*. A cursor stopped by its ``limit`` never observes
-exhaustion, so its stats cover exactly the tuples delivered.
+exhaustion, so its stats cover exactly the tuples delivered. Each gap
+is read as its row arrives, but one pull reads all of its rows' gaps
+in one loop, whatever its size.
 """
 
 from __future__ import annotations
@@ -194,6 +196,10 @@ class AnswerCursor:
             if self._error is not None and not self._closed:
                 raise self._error  # a failed stream is never a short one
             raise StopIteration
+        if self.request.measure:  # a one-row pull: one timing loop
+            for row in self._pull(1):
+                return row
+            raise StopIteration
         limit = self.request.limit
         if limit is not None and self._outputs >= limit:
             self._finish()
@@ -206,7 +212,7 @@ class AnswerCursor:
         except Exception as error:
             self._fail(error)
             raise
-        self._observe_output()
+        self._outputs += 1
         self._last = row
         return row
 
@@ -223,43 +229,12 @@ class AnswerCursor:
         self._error = error
         self._finish()
 
-    def _observe_output(self) -> None:
-        self._outputs += 1
-        if not self.request.measure:
-            return
-        now = time.perf_counter()
-        gap = now - self._last_time
-        if self._outputs == 1:
-            self._stats.wall_first = gap
-        self._stats.wall_max_gap = max(self._stats.wall_max_gap, gap)
-        self._last_time = now
-        if self._counter is not None:
-            step_gap = self._counter.steps - self._last_steps
-            self._stats.step_max_gap = max(
-                self._stats.step_max_gap, step_gap
-            )
-            self._last_steps = self._counter.steps
-
     def _observe_exhaustion(self) -> None:
+        # A measured pull folds the closing gap in before it gets here,
+        # so a hook reading stats() — the telemetry layer does — sees
+        # the final figures.
         self._finished = True
         self._exhausted = True
-        if self.request.measure:
-            # Mirror measure_enumeration's closing gap: the time from the
-            # last output until exhaustion is part of the paper's delay.
-            now = time.perf_counter()
-            gap = now - self._last_time
-            self._stats.wall_max_gap = max(self._stats.wall_max_gap, gap)
-            if self._outputs == 0:
-                self._stats.wall_first = gap
-            self._last_time = now
-            if self._counter is not None:
-                step_gap = self._counter.steps - self._last_steps
-                self._stats.step_max_gap = max(
-                    self._stats.step_max_gap, step_gap
-                )
-                self._last_steps = self._counter.steps
-        # Hooks fire after the closing gap folds in, so a hook reading
-        # stats() — the telemetry layer does — sees the final figures.
         self._fire_close_hooks()
 
     # ------------------------------------------------------------------
@@ -281,14 +256,14 @@ class AnswerCursor:
     def _pull(self, size: Optional[int]) -> List[Tuple]:
         """Up to ``size`` rows (None: all), as per-row iteration delivers.
 
-        A measured cursor times every row, so it iterates. An unmeasured
-        one takes its rows from the source in one ``islice`` — capped by
-        the limit left — and accounts for them once: the outputs, the
+        The rows come from the source in one ``islice``, capped by the
+        limit left (a measured pull times each one as it arrives,
+        :meth:`_timed`), and are accounted for once: the outputs, the
         resume token, and exhaustion or the limit-stop, each at the very
         pull where row-by-row iteration would have met it.
         """
         request = self.request
-        if request.measure or self._finished or self._closed or size == 0:
+        if self._finished or self._closed or size == 0:
             return list(islice(self, size))
         want = size
         limit = request.limit
@@ -297,7 +272,10 @@ class AnswerCursor:
             if size is None or left < size:
                 want = left
         try:
-            rows = list(islice(self._source, want))
+            if request.measure:
+                rows = self._timed(want)
+            else:
+                rows = list(islice(self._source, want))
         except Exception as error:
             self._fail(error)
             raise
@@ -309,6 +287,57 @@ class AnswerCursor:
             self._observe_exhaustion()
         elif want != size:  # the limit cut this pull: it is reached
             self._finish()
+        return rows
+
+    def _timed(self, want: Optional[int]) -> List[Tuple]:
+        """A measured pull's rows, each gap taken as its row arrives.
+
+        :func:`~repro.measure.delay.measure_enumeration`'s loop over up
+        to ``want`` rows (None: all), its bookkeeping kept in locals and
+        written back once; a pull that ends short of ``want`` met
+        exhaustion and folds in the closing gap. Rows taken before the
+        source raised count as delivered, as per-row iteration would
+        have delivered them.
+        """
+        stats = self._stats
+        counter = self._counter or JoinCounter()  # none: steps stay 0
+        clock = time.perf_counter
+        fresh = not self._outputs
+        last_time, last_steps = self._last_time, self._last_steps
+        wall_max, step_max = stats.wall_max_gap, stats.step_max_gap
+        rows: List[Tuple] = []
+        try:
+            for row in islice(self._source, want):
+                now = clock()
+                gap, last_time = now - last_time, now
+                if fresh:
+                    stats.wall_first, fresh = gap, False
+                if gap > wall_max:
+                    wall_max = gap
+                steps = counter.steps
+                if steps - last_steps > step_max:
+                    step_max = steps - last_steps
+                last_steps = steps
+                rows.append(row)
+            if want is None or len(rows) < want:  # ran dry: the closing gap
+                now = clock()
+                gap, last_time = now - last_time, now
+                if fresh:
+                    stats.wall_first = gap
+                if gap > wall_max:
+                    wall_max = gap
+                steps = counter.steps
+                if steps - last_steps > step_max:
+                    step_max = steps - last_steps
+                last_steps = steps
+        except BaseException:
+            if rows:
+                self._outputs += len(rows)
+                self._last = rows[-1]
+            raise
+        finally:
+            stats.wall_max_gap, stats.step_max_gap = wall_max, step_max
+            self._last_time, self._last_steps = last_time, last_steps
         return rows
 
     # ------------------------------------------------------------------

@@ -41,7 +41,6 @@ def build_snapshot_blob(
     view_data: Dict,
     db_data: List[Tuple[str, int, List[Tuple]]],
     tau: float,
-    weights_items: Optional[Tuple[Tuple[int, float], ...]],
 ) -> bytes:
     """Worker entry point: build one structure, return its snapshot.
 
@@ -50,9 +49,7 @@ def build_snapshot_blob(
     """
     view = view_from_state(view_data)
     db = database_from_state(db_data)
-    weights = dict(weights_items) if weights_items is not None else None
-    representation = CompressedRepresentation(view, db, tau=tau, weights=weights)
-    return encode_snapshot(representation)
+    return encode_snapshot(CompressedRepresentation(view, db, tau=tau))
 
 
 class ParallelBuilder:
@@ -99,7 +96,6 @@ class ParallelBuilder:
                 view_state(view),
                 database_state(db),
                 float(tau),
-                None,
             )
         except (BrokenProcessPool, RuntimeError, pickle.PicklingError, OSError):
             self.close()

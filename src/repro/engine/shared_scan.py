@@ -10,9 +10,9 @@ rides), started by the first pull of any request on it. Each request is
 a **lane** into its state: its own lazy
 :class:`~repro.engine.api.AnswerCursor` honoring its own ``limit`` /
 ``start_after`` / ``measure`` knobs, fed through its own buffer — unless
-it is its state's only lane and unmeasured: then nobody shares the
-walk, and the cursor reads the enumeration itself (a *solo* state, as
-``open``'s cursor does, bulk pulls and all). What a batch shares is
+it is its state's only lane: then nobody shares the walk, and the
+cursor reads the enumeration itself (a *solo* state, as ``open``'s
+cursor does, bulk pulls and all, measured or not). What a batch shares is
 therefore the enumeration — a request asked five times is walked
 once — and, one layer up in ``ViewServer.open_batch``, the resolve and
 the version pin, paid once per group instead of once per request.
@@ -90,8 +90,8 @@ class _ScanState:
     ``_DRY`` (ran to its end), ``_PRUNED`` (closed when its last lane
     went) or the exception it raised.
 
-    ``step_max_gap``/``last_steps`` track the state's logical delay at
-    *emission* time — exactly the gap sequence a solo cursor observes.
+    ``step_max_gap``/``last_steps`` track a shared state's logical delay
+    at *emission* time — exactly the gap sequence a solo cursor observes.
     A duplicate's delivery can lag arbitrarily behind (its rows park in
     its buffer while a peer pulls), so measuring there would
     misattribute the gaps; duplicates report their state's.
@@ -156,17 +156,18 @@ class _ScanState:
         return True
 
     def solo(self, request: AccessRequest) -> AnswerCursor:
-        """The cursor of a state whose one lane is unmeasured.
+        """The cursor of a state with one lane.
 
         It reads the state's enumeration itself, with no lane buffer in
-        between (and so takes bulk pulls); its lane stays in ``lanes``
-        until the cursor's serving life ends, which tells the state how
-        its enumeration ended.
+        between (and so takes bulk pulls), and counts on the state's
+        counter when measured; its lane stays in ``lanes`` until the
+        cursor's serving life ends, which tells the state how its
+        enumeration ended.
         """
         self.source = resume_enumeration(
-            self.representation, self.access, self.token
+            self.representation, self.access, self.token, self.counter
         )
-        cursor = AnswerCursor(request, self.source)
+        cursor = AnswerCursor(request, self.source, counter=self.counter)
         cursor.add_close_hook(partial(self.settle, cursor))
         return cursor
 
@@ -271,12 +272,12 @@ class SharedScan:
         Duplicate requests get distinct cursors over one shared state
         (and, under ``measure``, share that state's step counter and
         gaps — the same attribution ``answer_batch`` has always reported
-        for duplicates). A state with one unmeasured lane has nobody to
-        buffer for: its cursor reads the state's enumeration directly.
+        for duplicates). A state with one lane has nobody to buffer for:
+        its cursor reads the state's enumeration directly.
         """
         return [
             lane.state.solo(request)
-            if len(lane.state.lanes) == 1 and not request.measure
+            if len(lane.state.lanes) == 1
             else AnswerCursor(
                 request,
                 lane,

@@ -21,7 +21,7 @@ class ConjunctiveQuery:
         The body atoms.
     """
 
-    __slots__ = ("name", "head", "atoms")
+    __slots__ = ("name", "head", "atoms", "is_full", "_natural")
 
     def __init__(self, name: str, head: Sequence[Variable], atoms: Sequence[Atom]):
         if not atoms:
@@ -43,6 +43,9 @@ class ConjunctiveQuery:
         self.name = name
         self.head = tuple(head)
         self.atoms = tuple(atoms)
+        #: True iff every body variable appears in the head.
+        self.is_full = len(seen) == len(body_vars)
+        self._natural = self.is_full and all(a.is_natural() for a in self.atoms)
 
     # ------------------------------------------------------------------
     # structural properties
@@ -57,19 +60,12 @@ class ConjunctiveQuery:
         return tuple(seen)
 
     @property
-    def is_full(self) -> bool:
-        """True iff every body variable appears in the head."""
-        return set(self.body_variables()) <= set(self.head) and set(
-            self.head
-        ) == set(self.body_variables())
-
-    @property
     def is_boolean(self) -> bool:
         return not self.head
 
     def is_natural_join(self) -> bool:
         """Full, no constants, no repeated variables in any atom."""
-        return self.is_full and all(atom.is_natural() for atom in self.atoms)
+        return self._natural
 
     def atoms_for(self, var: Variable) -> Tuple[int, ...]:
         """Indices of atoms that mention ``var``."""

@@ -11,23 +11,40 @@ every back end a cursor reads: a static structure, a clean and a dirty
 dynamic version, and shared-scan states with one lane (a solo cursor
 over the enumeration) or two (duplicates, fed through lane buffers).
 
+A measured pull takes its rows the same way and times each one as it
+arrives, so a measured cursor is held to more: after every pull, its
+pages, state, hook timing, ``stats()`` and counter are what
+``measure_enumeration`` reads over the request's spec stream
+(``tests/reference_walk.py``) cut where the cursor stands — the closing
+gap in only once the cursor met exhaustion.
+
 Closing a cursor mid-stream must still close its walk: a flattened
 stream is a ``chain``, and a bare ``chain`` has no ``close()``.
 """
 
+from contextlib import contextmanager
+from dataclasses import replace
+from functools import partial
 from inspect import GEN_CLOSED, GEN_SUSPENDED, getgeneratorstate
 from itertools import islice
+from types import SimpleNamespace
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracle import oracle_accesses, oracle_answer
+from reference_walk import _layout_runs as spec_layout_runs
+from reference_walk import reference_walk
 from repro.core import kernel, representation
 from repro.core.dynamic import DynamicRepresentation
 from repro.core.structure import CompressedRepresentation
-from repro.engine.api import AccessRequest, open_cursor
+from repro.engine.api import AccessRequest, open_cursor, resume_enumeration
 from repro.engine.shared_scan import SharedScan
+from repro.joins.generic_join import JoinCounter
+from repro.measure.delay import measure_enumeration
+from test_dirty_versions import one_leaf_spec
 from repro.workloads.generators import triangle_database
 from repro.workloads.queries import triangle_view
 
@@ -104,7 +121,9 @@ def drive(cursor, pattern, bulk):
 @st.composite
 def cases(draw, pool):
     backend, access, rows = draw(st.sampled_from(pool))
-    tokens = [None, (-1, -1), (10**6, 0)] + rows[:3] + [
+    # After the last row: an empty resumed stream whose one gap, the
+    # closing one, is all its seek's steps.
+    tokens = [None, (-1, -1), (10**6, 0)] + rows[:3] + rows[-1:] + [
         (row[0], row[1] + 1) for row in rows[:2]
     ]
     request = AccessRequest(
@@ -144,6 +163,168 @@ class TestBulkPullsArePerRowPulls:
             cursor = open_cursor(backends[backend], AccessRequest("v", access))
             assert cursor.fetchall() == rows
             assert cursor.exhausted
+
+
+@contextmanager
+def spec_walk(rep):
+    """Serve ``rep`` from the spec for one ``with`` block.
+
+    ``reference_walk()`` covers the static structure and a clean
+    version; a dirty version's one-leaf walk is the spec's over the
+    one-leaf ``(T, D)`` of its captured database.
+    """
+    with reference_walk():
+        if getattr(rep, "_structure", True) is not None:
+            yield
+            return
+        leaf = one_leaf_spec(VIEW, rep._database)
+        spec = SimpleNamespace(**vars(leaf), _check_access=rep._check_access)
+        with mock.patch.object(
+            rep, "_layout_runs", partial(spec_layout_runs, spec)
+        ):
+            yield
+
+
+def spec_stats(rep, request, cut):
+    """``measure_enumeration`` over the request's spec stream, cut after
+    ``cut`` rows (None: to exhaustion), and the rows it read."""
+    counter = JoinCounter()
+    rows = []
+    with spec_walk(rep):
+        stream = resume_enumeration(
+            rep, request.access, request.start_after, counter
+        )
+        stats = measure_enumeration(
+            (rows.append(row) or row for row in islice(stream, cut)), counter
+        )
+    return rows, stats
+
+
+def measured_state(cursor):
+    """What a measured cursor shows after a pull, wall clock aside."""
+    stats = cursor.stats()
+    assert 0 <= stats.wall_first <= stats.wall_max_gap <= stats.wall_total
+    return (
+        cursor.delivered,
+        cursor.exhausted,
+        cursor.resume_token(),
+        (stats.outputs, stats.step_total, stats.step_max_gap),
+        cursor._counter.steps,
+    )
+
+
+def spec_state(rep, request, delivered, exhausted):
+    """``measured_state`` as the spec stream reads, cut where the cursor
+    stands: at its last row, or past exhaustion once it met it."""
+    rows, stats = spec_stats(rep, request, None if exhausted else delivered)
+    assert len(rows) == delivered
+    token = rows[-1] if rows else request.start_after
+    return (
+        delivered,
+        exhausted,
+        token,
+        (stats.outputs, stats.step_total, stats.step_max_gap),
+        stats.step_total,
+    )
+
+
+def expected_pulls(rows, request, pattern):
+    """The pages, ``(delivered, exhausted)`` and close-hook pull that a
+    cursor over ``rows`` gives, by the cursor's contract alone (closed
+    after the last pull)."""
+    seen, fired, delivered, done, exhausted = [], [], 0, False, False
+    for size in pattern:
+        page = []
+        size = None if size == "iterate" else size
+        if not done and size != 0:
+            want = size
+            if request.limit is not None:
+                left = request.limit - delivered
+                if size is None or left < size:
+                    want = left
+            page = rows[delivered:] if want is None else rows[
+                delivered : delivered + want
+            ]
+            delivered += len(page)
+            if want is None or len(page) < want:
+                done = exhausted = True
+            elif want != size:
+                done = True
+            if done:
+                fired.append(len(seen))
+        seen.append((page, delivered, exhausted))
+    return seen, fired or [len(seen)]
+
+
+class TestMeasuredPullsAreTheSpecStream:
+    @settings(max_examples=120, deadline=None)
+    @given(data=st.data())
+    def test_every_pull_reads_as_the_spec(self, backends, pool, data):
+        backend, request, kind, pattern = data.draw(cases(pool))
+        request = replace(request, measure=True)
+        rep = backends[backend]
+        cursor = open_kind(rep, request, kind)
+        fired, seen = [], []
+        cursor.add_close_hook(lambda: fired.append(len(seen)))
+        for size in pattern:
+            if size == "iterate":
+                page = list(cursor)
+            elif size is None:
+                page = cursor.fetchall()
+            else:
+                page = cursor.fetchmany(size)
+            seen.append((page, measured_state(cursor)))
+        cursor.close()
+        # The pages and state by the contract, over the spec's rows ...
+        rows, _ = spec_stats(rep, request, None)
+        pulls, hooks = expected_pulls(rows, request, pattern)
+        assert [(page, state[:2]) for page, state in seen] == [
+            (page, (delivered, exhausted))
+            for page, delivered, exhausted in pulls
+        ]
+        assert fired == hooks
+        # ... and after each pull, the figures measure_enumeration reads.
+        for _, state in seen:
+            assert state == spec_state(rep, request, *state[:2])
+
+    def test_a_source_raising_mid_pull(self, backends, pool):
+        """Rows taken before the error are delivered, measured, and the
+        error ends the cursor: hooks fire once, later pulls raise it."""
+        backend, access, rows = max(pool, key=lambda case: len(case[2]))
+        rep = backends[backend]
+        failing = FailingRepresentation(rep, after=3)
+        request = AccessRequest("v", access, measure=True)
+        for pull in (lambda c: c.fetchall(), lambda c: c.fetchmany(9), list):
+            for kind in ("open", "solo"):
+                cursor = open_kind(failing, request, kind)
+                fired = []
+                cursor.add_close_hook(lambda: fired.append(True))
+                assert cursor.fetchmany(1) == rows[:1]
+                with pytest.raises(Boom):
+                    pull(cursor)
+                assert fired == [True] and cursor.error is not None
+                assert measured_state(cursor) == spec_state(
+                    rep, request, 3, False
+                )
+                with pytest.raises(Boom):
+                    cursor.fetchmany(1)
+                assert cursor.delivered == 3 and fired == [True]
+
+
+class Boom(Exception):
+    pass
+
+
+class FailingRepresentation:
+    """``rep`` whose enumeration raises after ``after`` rows."""
+
+    def __init__(self, rep, after):
+        self.rep, self.after = rep, after
+
+    def enumerate(self, access, counter=None):
+        rows = self.rep.enumerate(access, counter=counter)
+        yield from islice(rows, self.after)
+        raise Boom()
 
 
 class TestClosingClosesTheWalk:

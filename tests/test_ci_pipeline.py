@@ -449,8 +449,15 @@ class TestMakefileContract:
 #: kept for measured cursors only); ``shared_scan.py`` +16 (a one-lane
 #: unmeasured state is a solo cursor over its enumeration:
 #: ``_ScanState.solo`` / ``settle``). It moved the ``scan_stream``
-#: ``tuples_per_s`` row (``BENCH_43.json``).
-ENGINE_SLOC_CEILING = 3430
+#: ``tuples_per_s`` row (``BENCH_43.json``). Then 3,430 → 3,445 (+15),
+#: when a measured pull began to time its rows in one loop: ``api.py``
+#: +19 (``_timed``, the per-row gap bookkeeping in locals written back
+#: once per pull, net of ``_observe_output`` and the measured half of
+#: ``_observe_exhaustion``); ``parallel.py`` −4 (``build_snapshot_blob``'s
+#: ``weights_items``, which only a test set); ``shared_scan.py`` ±0 (a
+#: one-lane measured state is a solo cursor too). It moved the
+#: ``scan_measured`` ``requests_per_s`` row (``BENCH_45.json``).
+ENGINE_SLOC_CEILING = 3445
 
 #: `make size`'s figure for src/repro/__main__.py after PR 18: the CLI
 #: wires a back end, an async front and its error reporting once each;
@@ -693,7 +700,12 @@ MAIN_SLOC_CEILING = 732
 #: binding's view-only parts shared over the same view; ``_validate``;
 #: each variable's occurrences, computed once per view). It moved the
 #: ``dynamic_mixed`` ``requests_per_s`` row (``BENCH_44.json``).
-SRC_SLOC_CEILING = 11989
+#: Then, when a measured pull began to time its rows in one loop:
+#: 11,989 → 12,001 (+12): the engine +15 above; ``query/conjunctive.py``
+#: −3 (``is_full`` and the natural-join verdict computed once, in
+#: slots). It moved the ``scan_measured`` ``requests_per_s`` row
+#: (``BENCH_45.json``).
+SRC_SLOC_CEILING = 12001
 
 
 class TestSizeGate:
@@ -961,6 +973,55 @@ class TestOneWalkPerRequest:
             )
         ]
         assert walks == ["_walk"]
+
+    def test_a_cursor_times_its_rows_in_one_loop(self):
+        """One measured accounting path: the pull's timing loop.
+
+        In ``engine/api.py`` exactly one function folds a step gap into
+        its maximum inside a loop — the measured pull, ``_timed`` — and
+        the measure state (``_stats``, ``_last_time``, ``_last_steps``,
+        ``_started``) is set at open, kept by ``_timed`` and read by
+        ``stats()``, nowhere else: the per-row ``__next__`` and the
+        exhaustion and output bookkeeping read none of it.
+        """
+        tree = ast.parse(
+            (REPO / "src" / "repro" / "engine" / "api.py").read_text()
+        )
+        functions = [
+            node for node in ast.walk(tree) if isinstance(node, ast.FunctionDef)
+        ]
+
+        def stores_a_step_max(loop):
+            return any(
+                isinstance(getattr(sub, "ctx", None), ast.Store)
+                and getattr(sub, "id", getattr(sub, "attr", "")).startswith(
+                    "step_max"
+                )
+                for sub in ast.walk(loop)
+            )
+
+        per_row = [
+            function.name
+            for function in functions
+            if any(
+                stores_a_step_max(loop)
+                for loop in ast.walk(function)
+                if isinstance(loop, (ast.For, ast.While))
+            )
+        ]
+        assert per_row == ["_timed"]
+        state = {"_stats", "_last_time", "_last_steps", "_started"}
+        readers = {
+            function.name
+            for function in functions
+            if any(
+                isinstance(sub, ast.Attribute) and sub.attr in state
+                for sub in ast.walk(function)
+            )
+        }
+        assert readers == {"__init__", "_timed", "stats"}
+        names = {function.name for function in functions}
+        assert "__next__" in names and "_observe_exhaustion" in names
 
 
 class TestOneIndexPerAtom:

@@ -41,21 +41,10 @@ def _same_structure(a, b, view, db):
 class TestWorkerFunction:
     def test_build_snapshot_blob_round_trips(self, workload):
         view, db = workload
-        blob = build_snapshot_blob(
-            view_state(view), database_state(db), 8.0, None
-        )
+        blob = build_snapshot_blob(view_state(view), database_state(db), 8.0)
         built = decode_snapshot(blob)
         reference = CompressedRepresentation(view, db, tau=8.0)
         _same_structure(built, reference, view, db)
-
-    def test_weights_ride_along(self, workload):
-        view, db = workload
-        reference = CompressedRepresentation(view, db, tau=8.0)
-        items = tuple(sorted(reference.weights.items()))
-        built = decode_snapshot(
-            build_snapshot_blob(view_state(view), database_state(db), 8.0, items)
-        )
-        assert built.weights == reference.weights
 
 
 class TestParallelBuilder:
