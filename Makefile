@@ -4,7 +4,7 @@
 PYTHON ?= python
 
 .PHONY: test collect lint lint-deep format docs-check size test-lock-order \
-	fuzz bench bench-e2e test-e2e-harness bench-pairs
+	fuzz bench-e2e test-e2e-harness bench-pairs
 
 test:
 	PYTHONPATH=src $(PYTHON) -m pytest -x -q
@@ -91,6 +91,3 @@ bench-pairs:
 # counts repeatable, a corrupted answer reported as a failure.
 test-e2e-harness:
 	$(PYTHON) -m pytest benchmarks/e2e -q
-
-bench:
-	PYTHONPATH=src $(PYTHON) -m pytest benchmarks/ -q

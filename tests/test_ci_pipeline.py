@@ -236,14 +236,14 @@ class TestMakefileContract:
         # one workload via WORKLOAD= or all of them by default.
         text = MAKEFILE.read_text()
         target = text[text.index("bench-e2e:"):]
-        target = target[: target.index("\n\n")]
+        target = target.split("\n\n")[0]
         assert "benchmarks/e2e/run.py" in target
         assert "--workload $(or $(WORKLOAD),all)" in target
 
     def test_bench_pairs_runs_the_pair_loop(self):
         text = MAKEFILE.read_text()
         target = text[text.index("bench-pairs:"):]
-        target = target[: target.index("\n\n")]
+        target = target.split("\n\n")[0]
         assert "benchmarks/bench_pairs.py" in target
         assert "--parent $(PARENT)" in target
         assert "--pairs $(or $(PAIRS),10)" in target
@@ -253,7 +253,7 @@ class TestMakefileContract:
         # (the default) or a comma list, every row merged into OUT.
         text = MAKEFILE.read_text()
         target = text[text.index("bench-pairs:"):]
-        target = target[: target.index("\n\n")]
+        target = target.split("\n\n")[0]
         assert "--workload $(or $(WORKLOAD),all)" in target
         contract = json.loads((REPO / "BENCHMARK.json").read_text())
         declared = [entry["name"] for entry in contract["workloads"]]
@@ -269,13 +269,13 @@ class TestMakefileContract:
     def test_e2e_harness_self_test_has_a_target(self):
         text = MAKEFILE.read_text()
         target = text[text.index("test-e2e-harness:"):]
-        target = target[: target.index("\n\n")]
+        target = target.split("\n\n")[0]
         assert "pytest benchmarks/e2e" in target
 
     def test_docs_check_runs_the_link_checker(self):
         text = MAKEFILE.read_text()
         target = text[text.index("docs-check:"):]
-        target = target[: target.index("\n\n")]
+        target = target.split("\n\n")[0]
         assert "check_docs_links.py" in target
 
     def test_docs_check_runs_the_metric_inventory_checker(self):
@@ -283,13 +283,13 @@ class TestMakefileContract:
         # the same gate as broken links.
         text = MAKEFILE.read_text()
         target = text[text.index("docs-check:"):]
-        target = target[: target.index("\n\n")]
+        target = target.split("\n\n")[0]
         assert "check_metric_docs.py" in target
 
     def test_lint_deep_runs_the_analysis_module(self):
         text = MAKEFILE.read_text()
         target = text[text.index("lint-deep:"):]
-        target = target[: target.index("\n\n")]
+        target = target.split("\n\n")[0]
         assert "-m repro.analysis" in target
         assert "src/repro" in target
 
@@ -299,7 +299,7 @@ class TestMakefileContract:
         # plus the detector's own suite.
         text = MAKEFILE.read_text()
         target = text[text.index("test-lock-order:"):]
-        target = target[: target.index("\n\n")]
+        target = target.split("\n\n")[0]
         assert "REPRO_LOCK_ORDER=1" in target
         for hammer in (
             "test_engine.py",
@@ -325,7 +325,7 @@ class TestMakefileContract:
         # the conftest's "fuzz" budget; src/ has no knob for it.
         text = MAKEFILE.read_text()
         target = text[text.index("\nfuzz:"):]
-        target = target[: target.index("\n\n")]
+        target = target.split("\n\n")[0]
         assert "tests/test_engine_machine.py" in target
         assert "--hypothesis-profile=fuzz" in target
         conftest = (REPO / "tests" / "conftest.py").read_text()
@@ -349,10 +349,27 @@ class TestMakefileContract:
         ]
         assert gates == []
 
+    def test_benchmarks_hold_the_pair_loop_and_the_checkers_only(self):
+        # The paper's claims are tier-1 tests (tests/test_paper_claims.py):
+        # beside e2e/, benchmarks/ keeps the pair loop and the checkers,
+        # and no test asks for pytest-benchmark's fixture.
+        top = sorted(path.name for path in (REPO / "benchmarks").glob("*.py"))
+        assert top[0] == "bench_pairs.py"
+        assert all(re.fullmatch(r"check_\w+\.py", name) for name in top[1:]), top
+        requests = [
+            f"{path.relative_to(REPO)}::{node.name}"
+            for root in ("tests", "benchmarks")
+            for path in sorted((REPO / root).rglob("*.py"))
+            for node in ast.walk(ast.parse(path.read_text()))
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+            and "benchmark" in [arg.arg for arg in node.args.args]
+        ]
+        assert requests == []
+
     def test_size_target_runs_the_sloc_counter(self):
         text = MAKEFILE.read_text()
         target = text[text.index("\nsize:"):]
-        target = target[: target.index("\n\n")]
+        target = target.split("\n\n")[0]
         assert "check_size.py" in target
 
     def test_ruff_is_configured(self):
@@ -474,8 +491,10 @@ ENGINE_SLOC_CEILING = 3445
 #: refusals; ``update apply`` registers with ``register``. Then
 #: 763 → 749 (−14): ``serve --build-workers`` went with the process
 #: build fork, with its range check. Then 749 → 732 (−17): the
-#: ``widths`` verb went; ``benchmarks/bench_f2_widths.py`` still reports
-#: the width exponents.
+#: ``widths`` verb went. The paper-shape printer that then reported the
+#: width exponents went too; every width it printed is asserted in
+#: ``tests/test_width.py`` (``TestFhw``, ``TestConnexFhw`` and
+#: ``test_example9_delta_width``).
 MAIN_SLOC_CEILING = 732
 
 #: `make size`'s total for src/repro after PR 24. A per-package ceiling

@@ -71,3 +71,8 @@ def test_benchmark_collection_has_no_errors():
         f"{result.stdout}\n{result.stderr}"
     )
     assert _no_error_markers(result.stdout), result.stdout
+    # The paper-shape printers are gone: the harness's self-test is all
+    # that benchmarks/ collects.
+    tests = [line for line in result.stdout.splitlines() if "::" in line]
+    assert tests, result.stdout
+    assert all(line.startswith("benchmarks/e2e/") for line in tests), tests

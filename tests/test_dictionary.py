@@ -37,6 +37,7 @@ class TestExample15:
         rr = root.right
         assert entries[(root.id, (1, 1, 1))] == 1
         assert entries[(rr.id, (1, 1, 1))] == 1
+        assert len(entries) == 2
 
     def test_leaves_have_no_entries(self):
         cr = CompressedRepresentation(

@@ -79,14 +79,17 @@ class TestTradeoff:
                     assert index.intersection(left, right) == expected
 
     def test_space_decreases_with_tau(self):
-        family = set_family(12, universe=60, mean_size=20, seed=4, skew=1.0)
-        cells = [
-            SetIntersectionIndex(family, tau=tau)
-            .space_report()
-            .structure_cells
-            for tau in (1.0, 4.0, 16.0, 64.0)
-        ]
-        assert cells == sorted(cells, reverse=True)
+        for family in (
+            set_family(12, universe=60, mean_size=20, seed=4, skew=1.0),
+            set_family(24, universe=300, mean_size=60, seed=13, skew=0.7),
+        ):
+            cells = [
+                SetIntersectionIndex(family, tau=tau)
+                .space_report()
+                .structure_cells
+                for tau in (1.0, 4.0, 16.0, 64.0)
+            ]
+            assert cells == sorted(cells, reverse=True)
 
     def test_delay_bounded_by_tau_scale(self):
         """Probes between outputs stay O(τ · polylog)."""
